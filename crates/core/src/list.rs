@@ -118,16 +118,9 @@ impl TagIndex {
     /// fragment fully materialized. Bitmaps are *not* built here — each
     /// materializes on first [`TagIndex::bitmap`] touch.
     pub fn build(doc: &Doc) -> TagIndex {
-        let mut fragments = vec![Vec::new(); doc.tags().len()];
-        let kinds = doc.kind_column();
-        let tags = doc.tag_column();
-        for v in doc.pres() {
-            if kinds[v as usize] == NodeKind::Element as u8 {
-                fragments[tags[v as usize] as usize].push(v);
-            }
-        }
         let idx = TagIndex::lazy(doc);
-        for (cell, frag) in idx.cells.iter().zip(fragments) {
+        let every_tag = vec![true; idx.cells.len()];
+        for (cell, frag) in idx.cells.iter().zip(sweep_fragments(doc, &every_tag)) {
             let _ = cell.full.set(frag);
         }
         idx
@@ -241,12 +234,8 @@ impl TagIndex {
     /// Ensures `tag`'s fragment is fully materialized (the explicit
     /// warm path; also promotion's target).
     fn ensure_full<'s>(&'s self, doc: &Doc, tag: TagId, cell: &'s TagCell) -> &'s [Pre] {
-        cell.full.get_or_init(|| {
-            let mut pieces = cell.pieces.lock().expect("tag pieces lock");
-            let full = assemble(doc, tag, &pieces, 0, doc.len() as Pre, &self.cracks);
-            pieces.clear();
-            pieces.shrink_to_fit();
-            full
+        promote(cell, |pieces| {
+            assemble(doc, tag, pieces, 0, doc.len() as Pre, &self.cracks)
         })
     }
 
@@ -318,9 +307,28 @@ impl TagIndex {
     }
 
     /// Fully materializes every fragment (the eager/server warm path).
+    ///
+    /// Tags no query has touched yet are bucketed together in **one**
+    /// sweep of the columns, as [`TagIndex::build`] does, instead of
+    /// one whole-document scan per tag; tags that already hold cracked
+    /// pieces are completed from them, scanning only their gaps.
     pub fn warm_all(&self, doc: &Doc) {
-        for tag in 0..self.cells.len() {
-            self.ensure_full(doc, tag as TagId, &self.cells[tag]);
+        let untouched: Vec<bool> = (0..self.cells.len())
+            .map(|tag| !self.fragment_touched(tag as TagId))
+            .collect();
+        let mut swept = Vec::new();
+        if untouched.contains(&true) {
+            swept = sweep_fragments(doc, &untouched);
+            self.cracks.fetch_add(doc.len() as u64, Ordering::Relaxed);
+        }
+        for (tag, cell) in self.cells.iter().enumerate() {
+            if untouched[tag] {
+                // A query may have cracked the tag since it was found
+                // untouched; the swept fragment is complete either way.
+                promote(cell, |_| std::mem::take(&mut swept[tag]));
+            } else {
+                self.ensure_full(doc, tag as TagId, cell);
+            }
         }
     }
 
@@ -362,6 +370,42 @@ impl TagIndex {
             })
             .sum()
     }
+}
+
+/// Sets `cell`'s full fragment — once; later callers get the first
+/// one — to what `build` makes of the cracked pieces, which are dropped.
+fn promote(cell: &TagCell, build: impl FnOnce(&[Piece]) -> Vec<Pre>) -> &[Pre] {
+    cell.full.get_or_init(|| {
+        let mut pieces = cell.pieces.lock().expect("tag pieces lock");
+        let full = build(&pieces);
+        pieces.clear();
+        pieces.shrink_to_fit();
+        full
+    })
+}
+
+/// One sweep of the kind/tag columns: the complete fragment of every
+/// tag marked in `wanted` (the others stay empty).
+///
+/// The vectors grow as they fill rather than being pre-sized from the
+/// interner's element counts: exactly sized fragments land page-aligned
+/// next to each other, where the joins that walk them in step with
+/// their result buffers ran 9 % slower (`batch_pool`), and peak RSS is
+/// the same either way.
+fn sweep_fragments(doc: &Doc, wanted: &[bool]) -> Vec<Vec<Pre>> {
+    let mut fragments: Vec<Vec<Pre>> = vec![Vec::new(); wanted.len()];
+    let kinds = doc.kind_column();
+    let tags = doc.tag_column();
+    let element = NodeKind::Element as u8;
+    for v in doc.pres() {
+        if kinds[v as usize] == element {
+            let tag = tags[v as usize] as usize;
+            if wanted[tag] {
+                fragments[tag].push(v);
+            }
+        }
+    }
+    fragments
 }
 
 /// Collects `tag`'s elements with pre in `[lo, hi)`, reusing `pieces`
@@ -818,6 +862,46 @@ mod tests {
         idx.warm_all(&doc);
         assert_eq!(idx.fragments_built(), idx.len());
         assert_eq!(idx.total_nodes(), doc.kind_counts().0);
+    }
+
+    #[test]
+    fn warm_all_sweeps_untouched_tags_in_one_pass() {
+        let doc = random_doc(7, 2000);
+        let eager = TagIndex::build(&doc);
+        let n = doc.len() as u64;
+        let agrees = |idx: &TagIndex| {
+            assert_eq!(idx.fragments_built(), idx.len());
+            for tag in 0..idx.len() as TagId {
+                assert_eq!(idx.fragment(&doc, tag), eager.fragment(&doc, tag));
+            }
+        };
+
+        // Fresh: every tag from one sweep, not one scan per tag.
+        let fresh = TagIndex::lazy(&doc);
+        assert!(fresh.len() > 2, "more tags than the bound allows scans");
+        fresh.warm_all(&doc);
+        agrees(&fresh);
+        assert!(
+            fresh.crack_scan_work() <= 2 * n,
+            "{}",
+            fresh.crack_scan_work()
+        );
+
+        // Partly cracked: the cracked tag is completed from its piece
+        // (its gaps only), the rest share the sweep.
+        let cracked = TagIndex::lazy(&doc);
+        let p = doc.tag_id("p").unwrap();
+        cracked.fragment_window(&doc, p, 100, 900);
+        assert_eq!(cracked.crack_scan_work(), 800);
+        cracked.warm_all(&doc);
+        agrees(&cracked);
+        assert_eq!(cracked.crack_scan_work(), 800 + n + (n - 800));
+
+        // Already warm: nothing left to scan.
+        let before = cracked.crack_scan_work();
+        cracked.warm_all(&doc);
+        agrees(&cracked);
+        assert_eq!(cracked.crack_scan_work(), before);
     }
 
     #[test]

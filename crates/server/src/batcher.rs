@@ -4,15 +4,32 @@
 //! Connection threads `submit` parse-checked requests into a
 //! **bounded** admission queue; one batcher thread (`run`) drains it
 //! in rounds. A round begins when the queue becomes
-//! non-empty, waits until either the admission window (measured from
-//! the round's *first* enqueue) expires or `max_batch` queries have
-//! accumulated, then drains up to `max_batch` of them and executes each
+//! non-empty, waits until the admission window (measured from
+//! the round's *first* enqueue) expires, `max_batch` queries have
+//! accumulated, or every open connection has asked — whichever comes
+//! first — then drains up to `max_batch` of them and executes each
 //! engine's group as **one** `Session::run_many` call — the shared-scan
 //! pass the lane executor was built for. The window deliberately trades
 //! a bounded few milliseconds of latency for that throughput multiple;
 //! `window = 0` disables batching outright — every query runs as its
 //! own single-lane pass, even under backlog — which is the load
 //! generator's baseline mode.
+//!
+//! **The window is work-conserving.** It is held only while holding can
+//! still grow the batch. A connection has at most one admitted query at
+//! a time: frames pipelined behind an in-flight query are stashed by
+//! the connection thread, never submitted, and rounds are only formed
+//! between passes, so no connection has a query executing while the
+//! batcher waits. Once the queue is as long as the
+//! [`connections_open`](Metrics::connections_open) gauge, everyone who
+//! *can* ask *has* asked and the rest of the window would be pure
+//! waiting — the round closes at once, never smaller than it would
+//! have been. Whenever some connection is idle, `window`, `max_batch`
+//! and `window = 0` mean what they always did. (If connections ever
+//! multiplex several queries, the gauge must become outstanding
+//! capacity — the number of queries that could still arrive — or the
+//! early close will cut batches short.) Submissions that come from no
+//! counted connection (the gauge reads zero) get the plain window.
 //!
 //! Backpressure is the queue bound: while `queue_depth` queries are
 //! already admitted (they stay queued until drained, so in-window
@@ -37,12 +54,13 @@
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::Sender;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use staircase_xpath::{faults, Budget, Engine, Error, Query, QueryOutput, Session, Trip};
 
+use crate::conn::ReplyTo;
 use crate::metrics::Metrics;
 use crate::shutdown::Shutdown;
 
@@ -53,8 +71,8 @@ pub(crate) struct Pending {
     pub expr: String,
     /// The engine its group will run on.
     pub engine: Engine,
-    /// Where the connection thread waits for the answer.
-    pub reply: Sender<Reply>,
+    /// The submitting connection's event channel, for the one answer.
+    pub reply: ReplyTo,
     /// Enqueue time: the admission window is measured from the round's
     /// oldest entry.
     pub at: Instant,
@@ -80,8 +98,8 @@ pub(crate) fn trip_to_error(trip: Trip) -> Error {
 pub(crate) type Reply = Result<(QueryOutput, usize), Error>;
 
 /// One engine's slice of a drained batch: the prepared queries, reply
-/// channels, and budgets riding the same shared pass.
-type EngineGroup<'s> = (Engine, Vec<(Query<'s>, Sender<Reply>, Arc<Budget>)>);
+/// handles, and budgets riding the same shared pass.
+type EngineGroup<'s> = (Engine, Vec<(Query<'s>, ReplyTo, Arc<Budget>)>);
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,16 +140,18 @@ impl Batcher {
         }
     }
 
-    /// Admits one query, or refuses it fast.
+    /// Admits one query, or refuses it fast (a refused query is owed
+    /// no reply event).
     pub(crate) fn submit(&self, pending: Pending) -> Result<(), SubmitError> {
         if self.shutdown.is_triggered() {
+            pending.reply.disarm();
             return Err(SubmitError::ShuttingDown);
         }
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() >= self.depth {
-            self.metrics
-                .busy_rejections
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            drop(q);
+            pending.reply.disarm();
+            self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Busy);
         }
         q.push_back(pending);
@@ -144,6 +164,12 @@ impl Batcher {
     /// could leave it parked on an empty queue).
     pub(crate) fn wake_all(&self) {
         self.wake.notify_all();
+    }
+
+    /// Counts one more open connection until the returned guard drops.
+    pub(crate) fn connection_opened(self: &Arc<Self>) -> OpenConnection {
+        self.metrics.connections_open.fetch_add(1, Ordering::SeqCst);
+        OpenConnection(Arc::clone(self))
     }
 
     /// The batcher thread's body: rounds of wait → drain → execute,
@@ -171,11 +197,14 @@ impl Batcher {
                 continue;
             }
             // A round is open. Hold the admission window — unless it is
-            // already full, the window is zero, or shutdown wants the
-            // queue drained now. Measured from the *oldest* entry (the
-            // fair drain can reorder the deque, so the front is not
-            // necessarily the oldest).
-            if !self.shutdown.is_triggered() && q.len() < self.max_batch {
+            // already full, the window is zero, every open connection
+            // has asked (nobody is left who could join), or shutdown
+            // wants the queue drained now. Measured from the *oldest*
+            // entry (the fair drain can reorder the deque, so the front
+            // is not necessarily the oldest).
+            let open = self.metrics.connections_open.load(Ordering::SeqCst) as usize;
+            let everyone_asked = open > 0 && q.len() >= open;
+            if !self.shutdown.is_triggered() && q.len() < self.max_batch && !everyone_asked {
                 let oldest = q.iter().map(|p| p.at).min().expect("non-empty");
                 let deadline = oldest + self.window;
                 let now = Instant::now();
@@ -223,7 +252,7 @@ impl Batcher {
             // Deadline-aware admission: dead-on-arrival queries are
             // answered with the typed error, not executed.
             if let Some(trip) = budget.check() {
-                let _ = reply.send(Err(trip_to_error(trip)));
+                reply.send(Err(trip_to_error(trip)));
                 continue;
             }
             match session.prepare(&expr) {
@@ -231,11 +260,7 @@ impl Batcher {
                     Some((_, lanes)) => lanes.push((query, reply, budget)),
                     None => groups.push((engine, vec![(query, reply, budget)])),
                 },
-                Err(err) => {
-                    // The connection may have hung up mid-wait; a dead
-                    // receiver is not the batcher's problem.
-                    let _ = reply.send(Err(err));
-                }
+                Err(err) => reply.send(Err(err)),
             }
         }
         for (engine, lanes) in groups {
@@ -255,17 +280,36 @@ impl Batcher {
             match outcome {
                 Ok(outputs) => {
                     for ((_, reply, _), output) in lanes.into_iter().zip(outputs) {
-                        let _ = reply.send(output.map(|o| (o, size)));
+                        reply.send(output.map(|o| (o, size)));
                     }
                 }
                 Err(_) => {
                     for (_, reply, _) in lanes {
-                        let _ = reply
-                            .send(Err(Error::Internal("batch execution panicked".to_string())));
+                        reply.send(Err(Error::Internal("batch execution panicked".to_string())));
                     }
                 }
             }
         }
+    }
+}
+
+/// One open connection, counted in
+/// [`connections_open`](Metrics::connections_open) for as long as this
+/// lives — dropped when the connection thread ends, a panic included.
+pub(crate) struct OpenConnection(Arc<Batcher>);
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        let batcher = &self.0;
+        batcher
+            .metrics
+            .connections_open
+            .fetch_sub(1, Ordering::SeqCst);
+        // One asker fewer may complete an open round. Passing through
+        // the queue lock orders this after a batcher that has read the
+        // old gauge and is about to wait, so the wake-up is not lost.
+        drop(batcher.queue.lock().unwrap_or_else(|e| e.into_inner()));
+        batcher.wake.notify_all();
     }
 }
 
@@ -309,7 +353,8 @@ fn drain_fair(q: &mut VecDeque<Pending>, take: usize) -> Vec<Pending> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use crate::conn::Event;
+    use std::sync::mpsc::{channel, Receiver};
 
     fn batcher(depth: usize, window: Duration, max_batch: usize) -> (Arc<Batcher>, Shutdown) {
         let shutdown = Shutdown::new();
@@ -323,23 +368,45 @@ mod tests {
         (b, shutdown)
     }
 
-    fn pending(expr: &str) -> (Pending, std::sync::mpsc::Receiver<Reply>) {
+    fn pending(expr: &str) -> (Pending, Receiver<Event>) {
         pending_for(expr, 0)
     }
 
-    fn pending_for(expr: &str, client: u64) -> (Pending, std::sync::mpsc::Receiver<Reply>) {
+    fn pending_for(expr: &str, client: u64) -> (Pending, Receiver<Event>) {
+        pending_on(expr, client, Engine::default())
+    }
+
+    fn pending_on(expr: &str, client: u64, engine: Engine) -> (Pending, Receiver<Event>) {
         let (tx, rx) = channel();
         (
             Pending {
                 expr: expr.to_string(),
-                engine: Engine::default(),
-                reply: tx,
+                engine,
+                reply: ReplyTo::new(tx),
                 at: Instant::now(),
                 budget: Arc::new(Budget::new()),
                 client,
             },
             rx,
         )
+    }
+
+    /// The one reply a submitted query is owed, within `wait`.
+    fn reply_within(rx: &Receiver<Event>, wait: Duration) -> Option<Reply> {
+        match rx.recv_timeout(wait) {
+            Ok(Event::Reply(reply)) => Some(reply),
+            Ok(_) => panic!("a query is answered with a reply event"),
+            Err(_) => None,
+        }
+    }
+
+    fn reply(rx: &Receiver<Event>) -> Reply {
+        reply_within(rx, Duration::from_secs(5)).expect("answered within five seconds")
+    }
+
+    fn spawn_runner(b: &Arc<Batcher>, session: Session) -> std::thread::JoinHandle<()> {
+        let b = Arc::clone(b);
+        std::thread::spawn(move || b.run(&session))
     }
 
     #[test]
@@ -376,10 +443,7 @@ mod tests {
                 b.run(&session);
             })
         };
-        let (out, size) = rx1
-            .recv_timeout(Duration::from_secs(5))
-            .expect("drained on shutdown")
-            .expect("parses");
+        let (out, size) = reply(&rx1).expect("parses");
         assert_eq!((out.len(), size), (2, 1));
         runner.join().expect("batcher exits");
     }
@@ -402,10 +466,7 @@ mod tests {
         b.submit(p1).unwrap();
         b.submit(p2).unwrap();
         for rx in [rx1, rx2] {
-            let (out, size) = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("full batch drains immediately")
-                .expect("parses");
+            let (out, size) = reply(&rx).expect("parses");
             assert_eq!(out.len(), 2);
             assert_eq!(size, 2, "both lanes share one pass");
         }
@@ -418,6 +479,63 @@ mod tests {
         shutdown.trigger();
         b.wake_all();
         runner.join().expect("batcher exits");
+    }
+
+    #[test]
+    fn a_round_closes_once_every_open_connection_has_asked() {
+        let session = Session::parse_xml("<a><b/><b/></a>").expect("fixture");
+        // Window of a minute, max_batch far away: only the gauge can
+        // close the round.
+        let (b, shutdown) = batcher(8, Duration::from_secs(60), 64);
+        let _open = [b.connection_opened(), b.connection_opened()];
+        let runner = spawn_runner(&b, session);
+        let (p1, rx1) = pending_for("//b", 1);
+        b.submit(p1).unwrap();
+        assert!(
+            reply_within(&rx1, Duration::from_millis(100)).is_none(),
+            "one of two connections is still idle: the window is held"
+        );
+        let (p2, rx2) = pending_for("descendant::b", 2);
+        b.submit(p2).unwrap();
+        for rx in [rx1, rx2] {
+            let (out, size) = reply(&rx).expect("parses");
+            assert_eq!((out.len(), size), (2, 2), "both lanes share one pass");
+        }
+        shutdown.trigger();
+        b.wake_all();
+        runner.join().expect("batcher exits");
+    }
+
+    #[test]
+    fn a_connection_leaving_completes_the_round() {
+        let session = Session::parse_xml("<a><b/><b/></a>").expect("fixture");
+        let (b, shutdown) = batcher(8, Duration::from_secs(60), 64);
+        let _asker = b.connection_opened();
+        let idler = b.connection_opened();
+        let runner = spawn_runner(&b, session);
+        let (p1, rx1) = pending_for("//b", 1);
+        b.submit(p1).unwrap();
+        assert!(reply_within(&rx1, Duration::from_millis(100)).is_none());
+        drop(idler);
+        let (out, size) = reply(&rx1).expect("parses");
+        assert_eq!((out.len(), size), (2, 1));
+        assert_eq!(b.metrics.connections_open.load(Ordering::SeqCst), 1);
+        shutdown.trigger();
+        b.wake_all();
+        runner.join().expect("batcher exits");
+    }
+
+    #[test]
+    fn a_dropped_query_reports_itself_lost() {
+        let (p, rx) = pending("//b");
+        drop(p);
+        assert!(matches!(rx.try_recv(), Ok(Event::Lost)));
+        // A refused one owes nothing.
+        let (b, shutdown) = batcher(8, Duration::ZERO, 64);
+        shutdown.trigger();
+        let (p, rx) = pending("//b");
+        assert_eq!(b.submit(p), Err(SubmitError::ShuttingDown));
+        assert!(rx.try_recv().is_err());
     }
 
     #[test]
@@ -438,10 +556,7 @@ mod tests {
             })
         };
         for rx in [rx1, rx2] {
-            let (out, size) = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("pass-through answers")
-                .expect("parses");
+            let (out, size) = reply(&rx).expect("parses");
             assert_eq!(out.len(), 2);
             assert_eq!(size, 1, "pass-through means single-lane passes");
         }
@@ -461,32 +576,12 @@ mod tests {
                 b.run(&session);
             })
         };
-        let (tx1, rx1) = channel();
-        let (tx2, rx2) = channel();
-        let now = Instant::now();
-        b.submit(Pending {
-            expr: "//b".into(),
-            engine: Engine::default(),
-            reply: tx1,
-            at: now,
-            budget: Arc::new(Budget::new()),
-            client: 0,
-        })
-        .unwrap();
-        b.submit(Pending {
-            expr: "//b".into(),
-            engine: Engine::auto(),
-            reply: tx2,
-            at: now,
-            budget: Arc::new(Budget::new()),
-            client: 0,
-        })
-        .unwrap();
+        let (p1, rx1) = pending_on("//b", 0, Engine::default());
+        let (p2, rx2) = pending_on("//b", 0, Engine::auto());
+        b.submit(p1).unwrap();
+        b.submit(p2).unwrap();
         for rx in [rx1, rx2] {
-            let (out, size) = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("window drains")
-                .expect("parses");
+            let (out, size) = reply(&rx).expect("parses");
             assert_eq!(out.len(), 2);
             assert_eq!(size, 1, "different engines cannot share a pass");
         }
@@ -504,11 +599,8 @@ mod tests {
         dead.budget.cancel();
         let (live, rx_live) = pending("//b");
         b.execute(&session, vec![dead, live]);
-        assert!(matches!(
-            rx_dead.try_recv().expect("answered"),
-            Err(Error::Cancelled)
-        ));
-        let (out, size) = rx_live.try_recv().expect("answered").expect("runs");
+        assert!(matches!(reply(&rx_dead), Err(Error::Cancelled)));
+        let (out, size) = reply(&rx_live).expect("runs");
         assert_eq!(out.len(), 2);
         assert_eq!(size, 1, "the dead query took no batch slot");
     }

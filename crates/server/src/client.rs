@@ -1,7 +1,7 @@
 //! A blocking client for the frame protocol — what `xq --connect` and
 //! `staircase-loadgen` speak.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use staircase_accel::Pre;
@@ -118,7 +118,9 @@ pub fn code_name(c: u8) -> &'static str {
 
 /// One connection to a running server.
 pub struct Client {
-    stream: TcpStream,
+    /// Responses are read through the buffer (a frame costs one `read`,
+    /// not three); requests are written to the stream under it.
+    stream: BufReader<TcpStream>,
     max_frame: usize,
 }
 
@@ -132,7 +134,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             // Generous: response frames are bounded by the server's
             // chunking, not by its request limit.
             max_frame: 64 << 20,
@@ -185,7 +187,7 @@ impl Client {
             request_flags |= flags::COUNT_ONLY;
         }
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             frame::QUERY,
             &query_payload_deadline(request_flags, opts.deadline_ms, &opts.engine, expr),
         )?;
@@ -203,19 +205,20 @@ impl Client {
     ///
     /// The write failing.
     pub fn cancel(&mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, frame::CANCEL, &[])?;
+        write_frame(self.stream.get_mut(), frame::CANCEL, &[])?;
         Ok(())
     }
 
     /// Clones the underlying stream so one thread can [`Client::cancel`]
-    /// while another is blocked reading a query's answer.
+    /// while another is blocked reading a query's answer. Only one of
+    /// the two should read responses: each buffers what it reads.
     ///
     /// # Errors
     ///
     /// The OS-level duplication failing.
     pub fn try_clone(&self) -> io::Result<Client> {
         Ok(Client {
-            stream: self.stream.try_clone()?,
+            stream: BufReader::new(self.stream.get_ref().try_clone()?),
             max_frame: self.max_frame,
         })
     }
@@ -226,7 +229,7 @@ impl Client {
     ///
     /// As for [`Client::query`].
     pub fn server_stats(&mut self) -> Result<String, ClientError> {
-        write_frame(&mut self.stream, frame::STATS, &[])?;
+        write_frame(self.stream.get_mut(), frame::STATS, &[])?;
         let mut text = String::new();
         self.read_response(&mut |_| {}, &mut |t| text.push_str(t))?;
         Ok(text)
@@ -239,7 +242,7 @@ impl Client {
     ///
     /// As for [`Client::query`].
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, frame::SHUTDOWN, &[])?;
+        write_frame(self.stream.get_mut(), frame::SHUTDOWN, &[])?;
         self.read_response(&mut |_| {}, &mut |_| {})?;
         Ok(())
     }
@@ -287,7 +290,7 @@ impl Client {
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("peer", &self.stream.peer_addr().ok())
+            .field("peer", &self.stream.get_ref().peer_addr().ok())
             .finish()
     }
 }

@@ -33,12 +33,14 @@
 //!
 //! * **Admission window** ([`batcher`]): queries from all connections
 //!   land in one bounded queue. A round opens when the queue becomes
-//!   non-empty and drains when either the window
-//!   ([`ServerConfig::window`], a few ms) expires or
-//!   [`ServerConfig::max_batch`] queries have accumulated; the drained
-//!   batch executes as one `run_many` call per engine named in it. The
-//!   window deliberately trades a few milliseconds of added latency for
-//!   the shared-scan throughput multiple; a zero window disables
+//!   non-empty and drains when the window ([`ServerConfig::window`], a
+//!   few ms) expires, [`ServerConfig::max_batch`] queries have
+//!   accumulated, or every open connection has a query in the round —
+//!   holding the window then could not grow the batch, so it is not
+//!   held. The drained batch executes as one `run_many` call per engine
+//!   named in it. The window deliberately trades a few milliseconds of
+//!   added latency for the shared-scan throughput multiple, and only
+//!   while someone who could still join is idle; a zero window disables
 //!   batching entirely (one query per pass, even under backlog) and is
 //!   the load generator's baseline.
 //! * **Backpressure**: the admission queue is bounded
@@ -58,10 +60,16 @@
 //!   exit. An accepted query is always answered.
 //!
 //! Threads, not async: there is no tokio in this environment (no
-//! registry access), and none is needed — the acceptor and the batcher
-//! are one thread each, connections are a thread apiece with blocking
-//! I/O chopped into short ticks, and the actual work all happens on the
-//! session's own worker pool.
+//! registry access), and none is needed — the acceptor (blocked in
+//! `accept`) and the batcher (blocked on its queue) are one thread
+//! each, and a connection is two: a reader that turns socket bytes into
+//! frames, and the connection thread proper, a state machine blocked on
+//! the one channel that the reader and the batcher both send into. The
+//! request path is event-driven end to end: between a `QUERY` frame
+//! becoming readable and its `DONE` frame being written, nothing waits
+//! on a clock except the admission window and the query's own
+//! deadline. The actual work all happens on the session's own worker
+//! pool.
 //!
 //! ## Failure model
 //!
@@ -82,10 +90,12 @@
 //! * **Cost budget** (`RESOURCE`): same containment as the deadline,
 //!   tripped by the touched-node ceiling instead of the clock.
 //! * **Cancellation** (`CANCELLED`): while a query is in flight the
-//!   connection thread keeps reading in short ticks; a `CANCEL` frame
-//!   or the peer hanging up flips the budget's cancel flag. Any other
-//!   frame that arrives early is stashed and served after the in-flight
-//!   answer, so pipelining a request behind a long query is safe.
+//!   connection's reader thread keeps reading; a `CANCEL` frame or the
+//!   peer hanging up reaches the connection thread as an event and
+//!   flips the budget's cancel flag at once. Any other frame that
+//!   arrives early is stashed and served after the in-flight answer
+//!   (and the reader stops one frame ahead), so pipelining a request
+//!   behind a long query is safe.
 //! * **Execution panic** (`INTERNAL`): a panicking executor task is
 //!   caught at the pool (or batch-group) boundary and isolated to the
 //!   pass it rode in — each query of that pass answers `INTERNAL`, the
@@ -132,7 +142,7 @@ pub use protocol::{engine_by_name, render_line, render_node};
 pub use shutdown::Shutdown;
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -158,7 +168,9 @@ pub struct ServerConfig {
     /// `SERVER_BUSY`.
     pub queue_depth: usize,
     /// A connection that takes longer than this to deliver a frame —
-    /// idle or dribbling — is closed with a `TIMEOUT` error.
+    /// idle or dribbling — is closed with a `TIMEOUT` error. Counted
+    /// from the later of the last frame received and the last answer
+    /// written; paused while a request is being served.
     pub read_timeout: Duration,
     /// Per-write timeout for responses; a client that stops reading is
     /// disconnected rather than parked on forever.
@@ -201,12 +213,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// The bind or the nonblocking-mode switch failing.
+    /// The bind failing.
     pub fn start(session: Arc<Session>, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
-        // Nonblocking accept + short sleeps: the acceptor must observe
-        // the shutdown flag without a connection arriving to unblock it.
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Shutdown::new();
         let metrics = Arc::new(Metrics::default());
@@ -223,6 +232,7 @@ impl Server {
             metrics: Arc::clone(&metrics),
             shutdown: shutdown.clone(),
             config,
+            local_addr,
         });
         let runner = {
             let batcher = Arc::clone(&batcher);
@@ -243,19 +253,50 @@ impl Server {
     }
 }
 
-/// The acceptor thread: poll-accept until shutdown, then join every
-/// connection thread (they close within a read tick of the flag).
+/// Starts graceful shutdown: sets the flag, wakes the batcher, and
+/// unblocks the acceptor — which sits in a blocking `accept` — with a
+/// throwaway loopback connection to its own port.
+pub(crate) fn begin_shutdown(shutdown: &Shutdown, batcher: &Batcher, local_addr: SocketAddr) {
+    shutdown.trigger();
+    batcher.wake_all();
+    // A wildcard bind address is not connectable everywhere; its
+    // loopback is.
+    let ip = match local_addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let poke = SocketAddr::new(ip, local_addr.port());
+    // A failed poke (the listener is already gone) needs no handling.
+    let _ = TcpStream::connect_timeout(&poke, Duration::from_secs(1));
+}
+
+/// The acceptor thread: block in `accept` until [`begin_shutdown`]
+/// pokes it, then join every connection thread — each has already
+/// joined its reader, and an idle one closes within a reader tick of
+/// the flag.
 fn accept_loop(listener: TcpListener, shared: &Arc<ConnShared>, shutdown: &Shutdown) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.is_triggered() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.is_triggered() {
+            // The wake-up poke, or a client that lost the race with it.
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
+                // Counted here, not on the connection's thread, so the
+                // batcher knows of the connection before its first
+                // query can arrive.
+                let open = shared.batcher.connection_opened();
                 let shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || conn::serve(stream, &shared)));
+                conns.push(std::thread::spawn(move || {
+                    let _open = open;
+                    conn::serve(stream, &shared);
+                }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors, or the peer reset before we got to
+            // it: back off rather than spin on a persistent error.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
         // Reap finished connection threads so a long-lived server does
@@ -293,8 +334,7 @@ impl ServerHandle {
     /// admissions, drain everything admitted. Idempotent; returns
     /// without waiting — pair with [`ServerHandle::join`].
     pub fn shutdown(&self) {
-        self.shutdown.trigger();
-        self.batcher.wake_all();
+        begin_shutdown(&self.shutdown, &self.batcher, self.local_addr);
     }
 
     /// Waits for the server to exit (either after
@@ -323,8 +363,9 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         // A dropped handle must not leave detached server threads
         // accepting traffic; trigger and reap them.
-        self.shutdown.trigger();
-        self.batcher.wake_all();
+        if self.acceptor.is_some() {
+            self.shutdown();
+        }
         self.join_threads();
     }
 }

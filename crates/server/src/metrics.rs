@@ -1,17 +1,24 @@
 //! Server counters: what the traffic layer did, as lock-free atomics.
 //!
 //! Every counter is monotonic and updated with relaxed ordering — the
-//! metrics are observability, not synchronization. [`Metrics::render`]
-//! is the `STATS` frame's payload: one `key value` pair per line, a
-//! format both the load generator and shell pipelines can split.
+//! metrics are observability, not synchronization — with one exception:
+//! [`Metrics::connections_open`] is a gauge that goes down as well as
+//! up, and the batcher reads it to decide when an admission round has
+//! heard from everyone. [`Metrics::render`] is the `STATS` frame's
+//! payload: one `key value` pair per line, a format both the load
+//! generator and shell pipelines can split.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters for one server's lifetime.
+/// One server's lifetime in numbers: monotonic counters, and the
+/// `connections_open` gauge.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Connections accepted.
     pub connections: AtomicU64,
+    /// Connections open right now: up on accept, down when the
+    /// connection's thread ends. The one field that is not monotonic.
+    pub connections_open: AtomicU64,
     /// Queries answered successfully.
     pub queries_ok: AtomicU64,
     /// Queries refused with `PARSE` (bad expression) or `ENGINE`
@@ -55,11 +62,12 @@ impl Metrics {
     pub fn render(&self) -> String {
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         format!(
-            "connections {}\nqueries_ok {}\nrejected_requests {}\nprotocol_errors {}\n\
+            "connections {}\nconnections_open {}\nqueries_ok {}\nrejected_requests {}\nprotocol_errors {}\n\
              busy_rejections {}\ntimeouts {}\nexec_timeouts {}\ncancelled_queries {}\n\
              resource_exhausted {}\ninternal_errors {}\nbatches {}\nbatched_queries {}\n\
              max_batch {}\n",
             get(&self.connections),
+            get(&self.connections_open),
             get(&self.queries_ok),
             get(&self.rejected_requests),
             get(&self.protocol_errors),
@@ -88,7 +96,8 @@ mod tests {
         m.queries_ok.store(8, Ordering::Relaxed);
         let text = m.render();
         for key in [
-            "connections",
+            "connections ",
+            "connections_open",
             "queries_ok",
             "rejected_requests",
             "protocol_errors",

@@ -219,13 +219,46 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>, 
     }))
 }
 
-/// Encodes a frame (header + payload) into one buffer, ready for a
-/// single `write_all`.
-pub fn encode_frame(ty: u8, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Appends one frame (header + payload) to `buf` — the building block
+/// of the server's per-connection output buffer, where several frames
+/// leave in one `write`.
+pub(crate) fn push_frame(buf: &mut Vec<u8>, ty: u8, payload: &[u8]) {
+    buf.reserve(HEADER_LEN + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     buf.push(ty);
     buf.extend_from_slice(payload);
+}
+
+/// Appends a frame header whose length is not known yet and returns
+/// where the frame starts; write the payload straight into `buf`, then
+/// [`end_frame`] patches the length in.
+pub(crate) fn begin_frame(buf: &mut Vec<u8>, ty: u8) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0, 0, 0, 0, ty]);
+    start
+}
+
+/// Closes the frame opened at `start` by [`begin_frame`].
+pub(crate) fn end_frame(buf: &mut [u8], start: usize) {
+    let len = (buf.len() - start - HEADER_LEN) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Appends pre ranks as big-endian `u32`s — a [`frame::CHUNK`] payload
+/// written in place, without an intermediate vector.
+pub(crate) fn push_ids(buf: &mut Vec<u8>, ids: &[Pre]) {
+    let start = buf.len();
+    buf.resize(start + ids.len() * 4, 0);
+    for (slot, id) in buf[start..].chunks_exact_mut(4).zip(ids) {
+        slot.copy_from_slice(&id.to_be_bytes());
+    }
+}
+
+/// Encodes a frame (header + payload) into one buffer, ready for a
+/// single `write_all`.
+pub fn encode_frame(ty: u8, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    push_frame(&mut buf, ty, payload);
     buf
 }
 
@@ -357,10 +390,8 @@ pub fn parse_error_payload(payload: &[u8]) -> Result<(u8, &str), String> {
 
 /// Builds a [`frame::CHUNK`] payload from a run of pre ranks.
 pub fn ids_payload(ids: &[Pre]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(ids.len() * 4);
-    for id in ids {
-        p.extend_from_slice(&id.to_be_bytes());
-    }
+    let mut p = Vec::new();
+    push_ids(&mut p, ids);
     p
 }
 

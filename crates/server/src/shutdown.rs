@@ -1,12 +1,22 @@
 //! Graceful-shutdown coordination: one shared flag, checked at every
 //! blocking point.
 //!
-//! The sequence on trigger is: the acceptor stops accepting (its
-//! nonblocking poll loop sees the flag within one tick), connection
-//! threads answer queued replies and then close at their next read
-//! tick, and the batcher drains every admitted query — nothing already
-//! accepted is dropped — before its thread exits. New admissions after
-//! the trigger are refused with a typed `SHUTTING_DOWN` error frame.
+//! The sequence on shutdown is: the flag is set, the batcher is woken,
+//! and the acceptor — blocked in `accept` — is unblocked by a throwaway
+//! loopback connection to its own port and stops accepting. The batcher
+//! drains every admitted query — nothing already accepted is dropped —
+//! and each connection writes the answer the moment its reply arrives;
+//! a connection that is idle (nothing being served) closes when its
+//! reader thread next looks at the flag, at most one reader tick later.
+//! Every connection thread joins its reader, the acceptor joins every
+//! connection thread, and the batcher's thread exits on an empty queue,
+//! so `ServerHandle::join` returning means no server thread is left.
+//! New admissions after the trigger are refused with a typed
+//! `SHUTTING_DOWN` error frame.
+//!
+//! Setting the flag is all [`Shutdown::trigger`] does; the wake-ups
+//! belong to `ServerHandle::shutdown` and the `SHUTDOWN` frame, which
+//! know the listener's address.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

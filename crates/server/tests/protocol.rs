@@ -20,6 +20,40 @@ fn start(config: ServerConfig) -> ServerHandle {
     Server::start(session, config).expect("ephemeral bind succeeds")
 }
 
+/// Waits until the server counts exactly `n` open connections: a
+/// `connect` returns before the acceptor has seen the connection, and
+/// the admission window closes early against the *counted* ones.
+fn wait_for_open(handle: &ServerHandle, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle
+        .metrics()
+        .connections_open
+        .load(std::sync::atomic::Ordering::SeqCst)
+        != n
+    {
+        assert!(Instant::now() < deadline, "never saw {n} open connections");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn count_query(expr: &str) -> Vec<u8> {
+    protocol::encode_frame(
+        frame::QUERY,
+        &protocol::query_payload(flags::COUNT_ONLY, "staircase", expr),
+    )
+}
+
+fn next_frame(stream: &mut TcpStream) -> protocol::Frame {
+    protocol::read_frame(stream, 1 << 20)
+        .expect("readable")
+        .expect("a frame, not EOF")
+}
+
+fn error_code(f: &protocol::Frame) -> u8 {
+    assert_eq!(f.ty, frame::ERROR, "{f:?}");
+    protocol::parse_error_payload(&f.payload).unwrap().0
+}
+
 fn opts(engine: &str) -> QueryOptions {
     QueryOptions {
         engine: engine.to_string(),
@@ -231,14 +265,16 @@ fn saturated_admission_queue_answers_server_busy() {
     let handle = start(config);
     let addr = handle.local_addr();
 
-    let parked = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query("//bidder", &opts("staircase")).unwrap()
-    });
+    // Both connections are open before the first query is sent, so its
+    // round has someone to wait for and the window is held.
+    let mut parked_client = Client::connect(addr).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    wait_for_open(&handle, 2);
+    let parked =
+        std::thread::spawn(move || parked_client.query("//bidder", &opts("staircase")).unwrap());
     // Give the first query time to be admitted into the open window.
     std::thread::sleep(Duration::from_millis(150));
 
-    let mut client = Client::connect(addr).unwrap();
     let err = client.query("//bidder", &opts("staircase")).unwrap_err();
     assert!(
         matches!(err, ClientError::Server { code: c, .. } if c == code::BUSY),
@@ -292,4 +328,222 @@ fn shutdown_frame_drains_and_exits() {
     // is closed — either way, no silent hang.
     let outcome = client.query("//bidder", &opts("auto"));
     assert!(outcome.is_err(), "server is gone: {outcome:?}");
+}
+
+/// The reply path is event-driven: with no admission window, a round
+/// trip costs the query plus loopback, not a polling interval. (When
+/// the connection thread polled the socket in 50 ms ticks this took
+/// five seconds.)
+#[test]
+fn sequential_round_trips_do_not_wait_on_a_timer() {
+    let handle = start(ServerConfig {
+        window: Duration::ZERO,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let started = Instant::now();
+    for _ in 0..100 {
+        assert_eq!(
+            client.query("//bidder", &opts("staircase")).unwrap().total,
+            2
+        );
+    }
+    assert!(
+        started.elapsed() < Duration::from_millis(2500),
+        "100 round trips took {:?}",
+        started.elapsed()
+    );
+    handle.shutdown_and_join();
+}
+
+/// The window closes the moment every open connection has a query in
+/// the round: nobody is left who could join it.
+#[test]
+fn a_round_closes_when_every_open_connection_has_asked() {
+    let handle = start(ServerConfig {
+        window: Duration::from_secs(60),
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut clients = [
+        Client::connect(addr).unwrap(),
+        Client::connect(addr).unwrap(),
+    ];
+    wait_for_open(&handle, 2);
+    let started = Instant::now();
+    let replies: Vec<_> = std::thread::scope(|scope| {
+        let asking: Vec<_> = clients
+            .iter_mut()
+            .map(|c| scope.spawn(move || c.query("//bidder", &opts("staircase")).unwrap()))
+            .collect();
+        asking.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the minute-long window was held: {:?}",
+        started.elapsed()
+    );
+    for reply in replies {
+        assert_eq!((reply.total, reply.batch_size), (2, 2));
+    }
+    handle.shutdown_and_join();
+}
+
+/// ... and is held, as ever, while some open connection is idle.
+#[test]
+fn an_idle_connection_keeps_the_window_open() {
+    let window = Duration::from_millis(100);
+    let handle = start(ServerConfig {
+        window,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut asker = Client::connect(addr).unwrap();
+    let _idle = [
+        Client::connect(addr).unwrap(),
+        Client::connect(addr).unwrap(),
+    ];
+    wait_for_open(&handle, 3);
+    let started = Instant::now();
+    let reply = asker.query("//bidder", &opts("staircase")).unwrap();
+    assert!(
+        started.elapsed() >= window,
+        "answered after {:?}, inside the window",
+        started.elapsed()
+    );
+    assert_eq!((reply.total, reply.batch_size), (2, 1));
+    handle.shutdown_and_join();
+}
+
+/// A `CANCEL` behind a query that is still waiting for its round is
+/// answered `CANCELLED`, and the connection serves the next query.
+#[test]
+fn a_cancel_mid_query_answers_cancelled_and_the_connection_survives() {
+    let handle = start(ServerConfig {
+        window: Duration::from_millis(300),
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let _idle = Client::connect(addr).unwrap();
+    wait_for_open(&handle, 2);
+    stream.write_all(&count_query("//bidder")).unwrap();
+    stream
+        .write_all(&protocol::encode_frame(frame::CANCEL, &[]))
+        .unwrap();
+    assert_eq!(error_code(&next_frame(&mut stream)), code::CANCELLED);
+    stream.write_all(&count_query("//bidder")).unwrap();
+    let f = next_frame(&mut stream);
+    assert_eq!(f.ty, frame::DONE);
+    assert_eq!(protocol::parse_done_payload(&f.payload).unwrap().0, 2);
+    handle.shutdown_and_join();
+}
+
+/// A frame pipelined behind an in-flight query is stashed and answered
+/// second, in order.
+#[test]
+fn a_pipelined_frame_is_answered_after_the_in_flight_query() {
+    let handle = start(ServerConfig {
+        window: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let _idle = Client::connect(addr).unwrap();
+    wait_for_open(&handle, 2);
+    let mut both = count_query("//bidder");
+    both.extend(count_query("//increase/ancestor::open_auction"));
+    stream.write_all(&both).unwrap();
+    for expected in [2, 1] {
+        let f = next_frame(&mut stream);
+        assert_eq!(f.ty, frame::DONE);
+        assert_eq!(
+            protocol::parse_done_payload(&f.payload).unwrap().0,
+            expected
+        );
+    }
+    handle.shutdown_and_join();
+}
+
+/// A client that hangs up while its query waits for a round cancels
+/// it: the query is answered dead at the drain and never runs.
+#[test]
+fn a_hang_up_mid_query_cancels_it_and_frees_the_batch_slot() {
+    let handle = start(ServerConfig {
+        window: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let _idle = Client::connect(addr).unwrap();
+    wait_for_open(&handle, 2);
+    stream.write_all(&count_query("//bidder")).unwrap();
+    drop(stream);
+    // The hung-up connection's thread ends once its query has resolved.
+    wait_for_open(&handle, 1);
+    let metrics = handle.metrics();
+    let load = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(load(&metrics.cancelled_queries), 1);
+    assert_eq!(load(&metrics.batches), 0, "the dead query took no pass");
+    assert_eq!(load(&metrics.queries_ok), 0);
+    handle.shutdown_and_join();
+}
+
+/// The read timeout is an *idle* timeout: it is paused while a query is
+/// in flight and restarts when the answer is written. Here the query
+/// outlives it in a minute-long window that only closes when the idle
+/// second connection times out and leaves.
+#[test]
+fn the_read_timeout_pauses_while_a_query_is_in_flight() {
+    let read_timeout = Duration::from_millis(200);
+    let handle = start(ServerConfig {
+        window: Duration::from_secs(60),
+        read_timeout,
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut idle = TcpStream::connect(addr).unwrap();
+    wait_for_open(&handle, 2);
+    let started = Instant::now();
+    stream.write_all(&count_query("//bidder")).unwrap();
+    let f = next_frame(&mut stream);
+    let answered = Instant::now();
+    assert_eq!(f.ty, frame::DONE, "answered, not timed out");
+    let (total, _, batch) = protocol::parse_done_payload(&f.payload).unwrap();
+    assert_eq!((total, batch), (2, 1));
+    assert!(
+        answered - started >= read_timeout,
+        "the round closed after {:?}, before the idle connection could have left",
+        answered - started
+    );
+    assert!(answered - started < Duration::from_secs(10), "window held");
+    assert_eq!(error_code(&next_frame(&mut idle)), code::TIMEOUT);
+    // Idle since the answer was written: this connection's own timeout
+    // comes a full `read_timeout` after it, not after the request.
+    assert_eq!(error_code(&next_frame(&mut stream)), code::TIMEOUT);
+    assert!(
+        answered.elapsed() >= read_timeout,
+        "timed out {:?} after the answer",
+        answered.elapsed()
+    );
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn stats_report_open_connections() {
+    let handle = start(ServerConfig::default());
+    let addr = handle.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let second = Client::connect(addr).unwrap();
+    wait_for_open(&handle, 2);
+    let stats = client.server_stats().unwrap();
+    assert!(stats.contains("connections_open 2\n"), "{stats}");
+    assert!(stats.contains("connections 2\n"), "{stats}");
+    drop(second);
+    wait_for_open(&handle, 1);
+    let stats = client.server_stats().unwrap();
+    assert!(stats.contains("connections_open 1\n"), "{stats}");
+    assert!(stats.contains("connections 2\n"), "{stats}");
+    handle.shutdown_and_join();
 }
