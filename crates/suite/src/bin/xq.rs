@@ -35,7 +35,11 @@
 //!   --explain        print the physical plan (one line per step: chosen
 //!                    operator + cost estimate; `[par]` marks steps the
 //!                    pool fans out; a closing `total` line sums the
-//!                    plan's estimated cost) instead of running
+//!                    plan's estimated cost) instead of running. Steps
+//!                    are shown as planned: `//x` is the one step
+//!                    `descendant::x  (from //x)`, and a multi-step
+//!                    predicate evaluated as a semijoin chain reads
+//!                    `+ semijoin[bidder.increase]`
 //!   --explain --stats  run the query, then print the post-run report:
 //!                    per step, the executed operator (with `[replan]`
 //!                    marking steps the adaptive engine switched

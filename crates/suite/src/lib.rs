@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use staircase_xpath::{
         parse, AuxBuilds, Budget, Engine, Error, PathPlan, PhysicalPlan, PlannedStep, PredOp,
-        Query, QueryOutput, SemijoinAxis, Session, SqlBuilder, StaircaseBuilder, StepEstimate,
-        StepOp, TestOp, Trip,
+        Query, QueryOutput, SemijoinAxis, SemijoinChain, Session, SqlBuilder, StaircaseBuilder,
+        StepEstimate, StepOp, TestOp, Trip, MAX_PREDICATE_DEPTH,
     };
 }
 

@@ -46,6 +46,9 @@ pub struct Step {
     pub test: NodeTest,
     /// Zero or more existential predicates.
     pub predicates: Vec<Predicate>,
+    /// What the user wrote (`//item`), when the normaliser rewrote this
+    /// step from something else; `None` on everything the parser emits.
+    pub origin: Option<String>,
 }
 
 impl Step {
@@ -55,6 +58,7 @@ impl Step {
             axis,
             test,
             predicates: Vec::new(),
+            origin: None,
         }
     }
 }

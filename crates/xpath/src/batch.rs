@@ -17,9 +17,10 @@
 //!   scan) and a single forward cursor over it;
 //! * [`LaneForm::Horiz`] → [`following_many`] / [`preceding_many`]: the
 //!   group's nested suffix/prefix regions come out of one filtered scan;
-//! * semijoin predicates on any of the above are probed group-wise
-//!   through [`has_descendant_in_many`] and friends, resolving each
-//!   predicate's node list once per group.
+//! * semijoin predicates on any of the above — one-step probes and
+//!   whole chains alike — are probed group-wise through
+//!   [`has_descendant_in_many`] and friends, resolving (and, for a
+//!   chain, reducing) each predicate's node list once per group.
 //!
 //! Only the genuinely unbatchable residue — nested-loop (filter)
 //! predicates, structural axes, and the naive/SQL/parallel operators —
@@ -706,7 +707,7 @@ impl Executor<'_> {
             } else {
                 0
             };
-            (std::borrow::Cow::Owned(self.scan_list(name)), cost)
+            (self.scan_list(name), cost)
         } else {
             // The windowed lookup confines a lazy index's cracking to
             // the pre range the whole group can actually reach; a
@@ -791,9 +792,10 @@ impl Executor<'_> {
 
     /// Applies the group's (all-semijoin, by construction of the lane
     /// forms) predicates wave by wave: the `w`-th predicates of every
-    /// lane are sub-grouped by (axis, name, list source) and probed
-    /// through one `*_in_many` call each, resolving the node list once
-    /// per sub-group.
+    /// lane are sub-grouped by the whole predicate (chain and list
+    /// source) and probed through one `*_in_many` call each, so lanes
+    /// carrying the same predicate share one list resolution — for a
+    /// chain, one reduction ([`Executor::semijoin_list`]).
     fn predicate_rounds(
         &self,
         lanes: &[Lane<'_>],
@@ -806,41 +808,32 @@ impl Executor<'_> {
             .map(|&i| lanes[i].steps[lanes[i].step].predicate_operators().len())
             .max()
             .unwrap_or(0);
-        // A probe sub-group: (axis, tag name, prebuilt list?) and the
-        // group-relative indices of its members.
-        type ProbeSpec<'n> = ((SemijoinAxis, &'n str, bool), Vec<usize>);
         for w in 0..waves {
-            // Sub-group the wave's probes by predicate spec.
-            let mut specs: Vec<ProbeSpec<'_>> = Vec::new();
+            // Sub-group the wave's probes by predicate: the predicate
+            // and the group-relative indices of the lanes carrying it.
+            let mut specs: Vec<(&PredOp, Vec<usize>)> = Vec::new();
             for (gi, &i) in group.iter().enumerate() {
                 let step = &lanes[i].steps[lanes[i].step];
-                let Some(PredOp::Semijoin {
-                    axis,
-                    name,
-                    prebuilt,
-                }) = step.predicate_operators().get(w)
-                else {
+                let Some(pred) = step.predicate_operators().get(w) else {
                     continue;
                 };
-                let key = (*axis, name.as_str(), *prebuilt);
-                match specs.iter_mut().find(|(k, _)| *k == key) {
+                match specs.iter_mut().find(|(p, _)| *p == pred) {
                     Some((_, members)) => members.push(gi),
-                    None => specs.push((key, vec![gi])),
+                    None => specs.push((pred, vec![gi])),
                 }
             }
-            for ((axis, name, prebuilt), members) in specs {
-                let list = if prebuilt {
-                    self.fragment_list(name)
-                } else {
-                    std::borrow::Cow::Owned(self.scan_list(name))
+            for (pred, members) in specs {
+                let PredOp::Semijoin { chain, prebuilt } = pred else {
+                    continue; // filter predicates never reach a lane form
                 };
+                let list = self.semijoin_list(chain, *prebuilt);
                 // The probes are O(1) per candidate; big candidate sets
                 // chunk across the pool (the kernel gates on actual
                 // size, so small sets never pay handoff).
                 let pooled = self.pool.width() > 1;
                 let probed = {
                     let candidates: Vec<&Context> = members.iter().map(|&gi| &outs[gi].0).collect();
-                    match (axis, pooled) {
+                    match (chain.axis(), pooled) {
                         (SemijoinAxis::Descendant, true) => {
                             has_descendant_in_many_par(self.doc, &candidates, &list, self.pool)
                         }
@@ -969,5 +962,61 @@ impl Executor<'_> {
         s.estimate.cost = cost;
         s.fanout = self.stats.fanout_worthwhile(cost);
         s.replanned = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::eval::EDGES_REDUCED;
+    use crate::{Engine, Query, Session};
+
+    /// Chain edges reduced by one `run_many` over `exprs` (width 1: the
+    /// whole batch runs on the calling thread).
+    fn edges_reduced(session: &Session, exprs: &[&str], engine: Engine) -> usize {
+        let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
+        let refs: Vec<&Query> = queries.iter().collect();
+        let before = EDGES_REDUCED.with(|n| n.get());
+        let outs = session.run_many(&refs, engine);
+        assert!(outs.iter().all(|o| !o.is_empty()), "{exprs:?}");
+        EDGES_REDUCED.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn lanes_with_the_same_chain_share_one_reduction() {
+        let session = Session::parse_xml(
+            "<site><open_auction id='a'><bidder><increase/></bidder><date/></open_auction>\
+             <open_auction id='b'><bidder><date/></bidder></open_auction></site>",
+        )
+        .unwrap()
+        .with_threads(1);
+        let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+        for engine in [Engine::default(), fragmented, Engine::auto()] {
+            // `[bidder/increase]` is one edge to reduce (bidder against
+            // increase); the candidates' own probe is not a reduction.
+            let one = edges_reduced(&session, &["//open_auction[bidder/increase]"], engine);
+            assert_eq!(one, 1, "{engine:?}");
+            // Three lanes, one chain: still one reduction…
+            let shared = edges_reduced(
+                &session,
+                &[
+                    "//open_auction[bidder/increase]",
+                    "//open_auction[bidder/increase]/@id",
+                    "/descendant::open_auction[child::bidder/child::increase]/date",
+                ],
+                engine,
+            );
+            assert_eq!(shared, 1, "{engine:?}");
+            // …and a lane with a different chain pays for its own.
+            let mixed = edges_reduced(
+                &session,
+                &[
+                    "//open_auction[bidder/increase]",
+                    "//open_auction[bidder/date]",
+                    "//open_auction[bidder/increase]/@id",
+                ],
+                engine,
+            );
+            assert_eq!(mixed, 2, "{engine:?}");
+        }
     }
 }

@@ -17,7 +17,10 @@
 //! it. Everything below the session's resolution step is total: no
 //! panics, no `unwrap`.
 
-use staircase_accel::{Axis, Context, Doc, NodeKind, Pre};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
+
+use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
     ancestor, ancestor_on_list, ancestor_parallel, ancestor_parallel_on,
@@ -29,7 +32,8 @@ use staircase_core::{
 
 use crate::ast::NodeTest;
 use crate::plan::{
-    axis_of, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis, StepOp, TwigSpec, VertAxis,
+    axis_of, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis, SemijoinChain, StepOp,
+    TwigSpec, VertAxis,
 };
 
 /// Per-step trace of an evaluation.
@@ -131,6 +135,69 @@ pub(crate) struct Executor<'a> {
     /// its real seek count here, and the adaptive re-planner prices
     /// through the fitted factors.
     pub(crate) calibrator: &'a Calibrator,
+    /// The node lists this evaluation has derived so far.
+    pub(crate) lists: Mutex<ListMemo>,
+}
+
+/// Node lists derived from the whole document — query-time selection
+/// scans (`nametest(doc, n)`) and reduced semijoin chains — kept for the
+/// length of one evaluation. Either costs a pass over the document or
+/// over whole tag lists, so a predicate sub-plan interpreted once per
+/// candidate must not repeat it: each is derived at most once per
+/// evaluation and shared from here afterwards.
+#[derive(Default)]
+pub(crate) struct ListMemo {
+    scans: Vec<(TagId, Arc<Vec<Pre>>)>,
+    /// Keyed by the chain itself and its list source (`prebuilt`).
+    chains: Vec<(SemijoinChain, bool, Arc<Vec<Pre>>)>,
+}
+
+/// A sorted per-tag node list, wherever it came from: borrowed from the
+/// prebuilt index, owned (a cracked window, a reduced semijoin chain),
+/// or shared with the evaluation's memo ([`Executor::lists`]).
+pub(crate) enum NodeList<'a> {
+    Borrowed(&'a [Pre]),
+    Owned(Vec<Pre>),
+    Shared(Arc<Vec<Pre>>),
+}
+
+impl NodeList<'_> {
+    fn into_vec(self) -> Vec<Pre> {
+        match self {
+            NodeList::Owned(list) => list,
+            shared => shared.to_vec(),
+        }
+    }
+}
+
+impl std::ops::Deref for NodeList<'_> {
+    type Target = [Pre];
+    fn deref(&self) -> &[Pre] {
+        match self {
+            NodeList::Borrowed(list) => list,
+            NodeList::Owned(list) => list,
+            NodeList::Shared(list) => list,
+        }
+    }
+}
+
+impl<'a> From<Cow<'a, [Pre]>> for NodeList<'a> {
+    fn from(list: Cow<'a, [Pre]>) -> Self {
+        match list {
+            Cow::Borrowed(list) => NodeList::Borrowed(list),
+            Cow::Owned(list) => NodeList::Owned(list),
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Whole-document selection scans run on this thread (regression
+    /// proxy for the per-candidate rescan).
+    pub(crate) static SCANS_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Semijoin-chain edges reduced on this thread (proxy for how often
+    /// a chain shared by several lanes is actually evaluated).
+    pub(crate) static EDGES_REDUCED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl<'a> Executor<'a> {
@@ -175,10 +242,10 @@ impl<'a> Executor<'a> {
     /// The prebuilt fragment index (resolved by the session whenever the
     /// plan calls for it; the scan fallback keeps this total even if a
     /// hand-built plan slips through without one).
-    pub(crate) fn fragment_list(&self, name: &str) -> std::borrow::Cow<'a, [Pre]> {
+    pub(crate) fn fragment_list(&self, name: &str) -> NodeList<'a> {
         match self.tags {
-            Some(idx) => std::borrow::Cow::Borrowed(idx.fragment_by_name(self.doc, name)),
-            None => std::borrow::Cow::Owned(self.scan_list(name)),
+            Some(idx) => NodeList::Borrowed(idx.fragment_by_name(self.doc, name)),
+            None => self.scan_list(name),
         }
     }
 
@@ -198,12 +265,12 @@ impl<'a> Executor<'a> {
         name: &str,
         vert: VertAxis,
         contexts: &[&Context],
-    ) -> std::borrow::Cow<'a, [Pre]> {
+    ) -> NodeList<'a> {
         let Some(idx) = self.tags else {
-            return std::borrow::Cow::Owned(self.scan_list(name));
+            return self.scan_list(name);
         };
         if contexts.iter().all(|c| c.is_empty()) {
-            return std::borrow::Cow::Borrowed(&[]);
+            return NodeList::Borrowed(&[]);
         }
         let post = self.doc.post_column();
         let (lo, hi) = match vert {
@@ -240,15 +307,107 @@ impl<'a> Executor<'a> {
                 (0, hi)
             }
         };
-        idx.fragment_window_by_name(self.doc, name, lo, hi)
+        idx.fragment_window_by_name(self.doc, name, lo, hi).into()
     }
 
-    /// `nametest(doc, name)` as a query-time selection scan.
-    pub(crate) fn scan_list(&self, name: &str) -> Vec<Pre> {
-        self.doc
-            .tag_id(name)
-            .map(|t| self.doc.elements_with_tag(t))
-            .unwrap_or_default()
+    /// `nametest(doc, name)` as a query-time selection scan, run at
+    /// most once per name per evaluation ([`Executor::lists`]).
+    pub(crate) fn scan_list(&self, name: &str) -> NodeList<'a> {
+        let Some(tag) = self.doc.tag_id(name) else {
+            return NodeList::Borrowed(&[]);
+        };
+        // Held across the scan: a sibling task after the same name
+        // waits for this scan instead of repeating it.
+        let mut memo = self.lists.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, list)) = memo.scans.iter().find(|(t, _)| *t == tag) {
+            return NodeList::Shared(Arc::clone(list));
+        }
+        #[cfg(test)]
+        SCANS_RUN.with(|n| n.set(n.get() + 1));
+        let list = Arc::new(self.doc.elements_with_tag(tag));
+        memo.scans.push((tag, Arc::clone(&list)));
+        NodeList::Shared(list)
+    }
+
+    /// The list a semijoin predicate's candidates are probed against:
+    /// the chain's first link's nodes, reduced leaf to root so that
+    /// only those with a complete match below (or above) them remain.
+    /// For a one-step predicate that is the tag's list itself.
+    ///
+    /// Right to left, `reduced_i` keeps the nodes of link `i`'s list
+    /// that have a `reduced_{i+1}` node on link `i + 1`'s axis and pass
+    /// link `i`'s own predicates — one semijoin per edge, every list
+    /// resolved once, nothing done per candidate, and the result kept
+    /// for the rest of the evaluation ([`Executor::lists`]). Shared by
+    /// the sequential interpreter and the lane executor.
+    pub(crate) fn semijoin_list(&self, chain: &SemijoinChain, prebuilt: bool) -> NodeList<'a> {
+        let link_list = |name: &str| {
+            if prebuilt {
+                self.fragment_list(name)
+            } else {
+                self.scan_list(name)
+            }
+        };
+        if chain.is_single() {
+            return link_list(&chain.links[0].name);
+        }
+        // The lock is not held across the reduction, which re-enters
+        // for nested predicates; two tasks racing on one chain both
+        // reduce it, to the same list.
+        {
+            let memo = self.lists.lock().unwrap_or_else(|e| e.into_inner());
+            let known = memo
+                .chains
+                .iter()
+                .find(|(c, p, _)| *p == prebuilt && c == chain);
+            if let Some((_, _, list)) = known {
+                return NodeList::Shared(Arc::clone(list));
+            }
+        }
+        let mut next: Option<(SemijoinAxis, NodeList<'a>)> = None;
+        for link in chain.links.iter().rev() {
+            let mut list = link_list(&link.name);
+            if let Some((axis, reduced)) = next.take() {
+                list = self.keep_with(axis, list, &reduced);
+            }
+            for pred in &link.preds {
+                let reduced = self.semijoin_list(pred, prebuilt);
+                list = self.keep_with(pred.axis(), list, &reduced);
+            }
+            let exhausted = list.is_empty();
+            next = Some((link.axis, list));
+            if exhausted {
+                break; // nothing left to witness any link above this one
+            }
+        }
+        let reduced = Arc::new(next.map_or_else(Vec::new, |(_, list)| list.into_vec()));
+        self.lists
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .chains
+            .push((chain.clone(), prebuilt, Arc::clone(&reduced)));
+        NodeList::Shared(reduced)
+    }
+
+    /// The nodes of `list` with a node of `witnesses` on `axis`.
+    fn keep_with(&self, axis: SemijoinAxis, list: NodeList<'a>, witnesses: &[Pre]) -> NodeList<'a> {
+        #[cfg(test)]
+        EDGES_REDUCED.with(|n| n.set(n.get() + 1));
+        if list.is_empty() || witnesses.is_empty() {
+            return NodeList::Borrowed(&[]);
+        }
+        let nodes = Context::from_sorted(list.into_vec());
+        NodeList::Owned(self.probe(axis, &nodes, witnesses).into_vec())
+    }
+
+    /// One sequential semijoin probe.
+    fn probe(&self, axis: SemijoinAxis, candidates: &Context, list: &[Pre]) -> Context {
+        match axis {
+            SemijoinAxis::Descendant => has_descendant_in(self.doc, candidates, list),
+            SemijoinAxis::Child => has_child_in(self.doc, candidates, list),
+            SemijoinAxis::Ancestor => has_ancestor_in(self.doc, candidates, list),
+        }
+        .0
     }
 
     /// Applies the node test into `buf` (cleared first) through
@@ -319,23 +478,9 @@ impl<'a> Executor<'a> {
     /// Executes one lowered predicate against the candidate set.
     fn exec_predicate(&self, candidates: &Context, pred: &PredOp) -> Context {
         match pred {
-            PredOp::Semijoin {
-                axis,
-                name,
-                prebuilt,
-            } => {
-                let owned = if *prebuilt {
-                    self.fragment_list(name)
-                } else {
-                    std::borrow::Cow::Owned(self.scan_list(name))
-                };
-                let list: &[Pre] = &owned;
-                let (out, _) = match axis {
-                    SemijoinAxis::Descendant => has_descendant_in(self.doc, candidates, list),
-                    SemijoinAxis::Child => has_child_in(self.doc, candidates, list),
-                    SemijoinAxis::Ancestor => has_ancestor_in(self.doc, candidates, list),
-                };
-                out
+            PredOp::Semijoin { chain, prebuilt } => {
+                let list = self.semijoin_list(chain, *prebuilt);
+                self.probe(chain.axis(), candidates, &list)
             }
             PredOp::Filter(sub) => Context::from_sorted(
                 candidates
@@ -601,7 +746,7 @@ impl<'a> Executor<'a> {
         let mut chain_lists = Vec::with_capacity(spec.spine.len());
         for leg in &spec.spine {
             leg_lists.push(self.fragment_list(&leg.name));
-            let per_leg: Vec<Vec<std::borrow::Cow<'a, [Pre]>>> = leg
+            let per_leg: Vec<Vec<NodeList<'a>>> = leg
                 .chains
                 .iter()
                 .map(|chain| chain.iter().map(|(_, n)| self.fragment_list(n)).collect())
@@ -1049,6 +1194,108 @@ mod tests {
         for engine in engines() {
             let out = query.run(engine);
             assert_eq!(out.nodes(), reference.nodes(), "{engine:?}");
+        }
+    }
+
+    /// Whole-document selection scans one run of `expr` performs on a
+    /// width-1 session (scans run on the calling thread there).
+    fn scans_run(session: &Session, expr: &str, engine: Engine) -> (usize, usize) {
+        let query = session.prepare(expr).unwrap();
+        let before = SCANS_RUN.with(|n| n.get());
+        let out = query.run(engine);
+        (SCANS_RUN.with(|n| n.get()) - before, out.len())
+    }
+
+    #[test]
+    fn predicate_lists_are_scanned_once_not_once_per_candidate() {
+        // Six candidates, every one with a matching bidder.
+        let xml = format!(
+            "<site>{}</site>",
+            "<open_auction id='x'><bidder><increase/></bidder></open_auction>".repeat(6)
+        );
+        let session = Session::parse_xml(&xml).unwrap().with_threads(1);
+        // The plain staircase engine has no index: every predicate list
+        // is a scan of the whole document. A chain scans each name once…
+        for expr in [
+            "/descendant::open_auction[child::bidder[child::increase]]/attribute::id",
+            "//open_auction[bidder/increase]/@id",
+        ] {
+            assert_eq!(
+                scans_run(&session, expr, Engine::default()),
+                (2, 6),
+                "{expr}: one scan per predicate name"
+            );
+        }
+        // …and so does a semijoin (or a pushed-down name test) nested
+        // inside a predicate that has to stay a per-candidate loop.
+        assert_eq!(
+            scans_run(
+                &session,
+                "//open_auction[bidder[increase]/..]",
+                Engine::default()
+            ),
+            (1, 6)
+        );
+        let pushdown = Engine::staircase().pushdown(true).build().unwrap();
+        assert_eq!(
+            scans_run(
+                &session,
+                "//open_auction[bidder/../descendant::increase]",
+                pushdown
+            ),
+            (2, 6),
+            "open_auction for the step, increase for all six candidates"
+        );
+        // A name no element carries ends the reduction before the
+        // links above it are scanned at all.
+        assert_eq!(
+            scans_run(&session, "//open_auction[bidder/nosuch]", Engine::default()),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn a_chain_inside_a_nested_loop_is_reduced_once() {
+        let xml = format!(
+            "<site>{}</site>",
+            "<open_auction><bidder><increase><x/></increase></bidder></open_auction>".repeat(6)
+        );
+        let session = Session::parse_xml(&xml).unwrap().with_threads(1);
+        let query = session
+            .prepare("//open_auction[bidder[increase/x]/..]")
+            .unwrap();
+        for engine in [
+            Engine::default(),
+            Engine::staircase().fragmented(true).build().unwrap(),
+        ] {
+            let before = EDGES_REDUCED.with(|n| n.get());
+            assert_eq!(query.run(engine).len(), 6);
+            assert_eq!(
+                EDGES_REDUCED.with(|n| n.get()) - before,
+                1,
+                "{engine:?}: `increase` against `x`, once for all six candidates"
+            );
+        }
+    }
+
+    #[test]
+    fn chains_match_the_nested_loop_on_the_fixture() {
+        let session = Session::new(auction_doc());
+        for query in [
+            "//open_auction[bidder/increase]",
+            "//open_auction[bidder/date]/@id",
+            "//open_auctions[.//bidder[increase]/date]",
+            "//increase[ancestor::open_auction/bidder/date]",
+            "//bidder[ancestor::open_auction[bidder/date]/bidder/increase]",
+            "//person[profile[education]]",
+            "//site[people/person/profile/education][open_auctions/open_auction/bidder]",
+            "//site[people/person/nosuch/education]",
+        ] {
+            let reference = session.run(query, Engine::naive()).unwrap();
+            for engine in engines() {
+                let out = session.run(query, engine).unwrap();
+                assert_eq!(out.nodes(), reference.nodes(), "{query} {engine:?}");
+            }
         }
     }
 

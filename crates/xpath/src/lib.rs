@@ -1,12 +1,46 @@
 //! # staircase-xpath
 //!
-//! An XPath subset — parser, AST, **planner**, and plan interpreter —
-//! over the XPath accelerator encoding, fronted by a session API.
+//! An XPath subset — parser, AST, normaliser, **planner**, and plan
+//! interpreter — over the XPath accelerator encoding, fronted by a
+//! session API.
+//!
+//! ## Normalisation
+//!
+//! The parser emits the literal W3C expansion of the abbreviated syntax:
+//! `//x` is `/descendant-or-self::node()/child::x`, `.` is
+//! `self::node()`. Planned literally, `//x` scans the whole plane and
+//! then runs the structural child loop over every node. One logical
+//! pass between parse and plan ([`Session::prepare`] applies it once,
+//! for every engine alike) rewrites each path — predicate paths
+//! included — so that the planner sees the axis step the abbreviation
+//! stands for:
+//!
+//! * a predicate-free `descendant-or-self::node()` followed by
+//!   `child::T[p…]` or `descendant::T[p…]` becomes `descendant::T[p…]`;
+//!   followed by `descendant-or-self::T[p…]` it becomes
+//!   `descendant-or-self::T[p…]`;
+//! * a predicate-free `self::node()` is dropped when another step
+//!   remains (so `.//x` and `[.//x]` are `descendant::x`).
+//!
+//! **Precondition:** predicates are existential only. The parser
+//! rejects positional predicates (`a[1]`), so whether `T[p…]` keeps a
+//! node never depends on which context node reached it or on its rank
+//! among its siblings — which is what makes testing the descendants
+//! directly equal to testing the children of every descendant. A
+//! grammar extension that adds `position()` must restrict the first
+//! rule to steps without positional predicates. Nothing else is
+//! rewritten: `descendant-or-self::node()[x]/child::y`,
+//! `descendant-or-self::*/child::y` and `//@id` plan as written.
+//!
+//! [`Query::text`] keeps the user's text; [`PlannedStep::source`] and
+//! `EXPLAIN` show the normalised step, with what was written
+//! ([`PlannedStep::origin`]) next to it when the two differ:
+//! `step descendant::item  (from //item)`.
 //!
 //! ## The plan/execute split
 //!
-//! Query evaluation is two phases. *Planning* lowers a parsed
-//! expression into a [`PhysicalPlan`]: per step, a typed operator
+//! Query evaluation is two phases. *Planning* lowers a parsed,
+//! normalised expression into a [`PhysicalPlan`]: per step, a typed operator
 //! ([`StepOp`] — plain staircase join, §6 tag-fragment join, parallel
 //! join, §3.1 naive region scan, Figure-3 SQL plan, horizontal scan,
 //! structural axis), a node-test operator ([`TestOp`]), lowered
@@ -33,6 +67,36 @@
 //!
 //! [`Session::explain`] / [`Query::explain`] return the plan with
 //! per-step cost estimates (`xq --explain` on the command line).
+//!
+//! ## Predicates as semijoin chains
+//!
+//! A relative predicate path whose steps are all `child`/`descendant`/
+//! `ancestor` name tests — each step's own predicates of the same shape
+//! again — is an existential tree pattern, and lowers to
+//! [`PredOp::Semijoin`] carrying a [`SemijoinChain`] instead of the
+//! nested-loop [`PredOp::Filter`]. The chain is evaluated leaf to root
+//! with one semijoin per edge (the Yannakakis reduction of an acyclic
+//! query): every step's node list is resolved **once** — the prebuilt
+//! tag fragment, or one query-time selection scan — then, right to
+//! left, each list keeps the nodes that have a survivor of the next
+//! list on the next step's axis (`has_child_in` / `has_descendant_in` /
+//! `has_ancestor_in`), and the candidates are finally probed against
+//! the first step's reduced list exactly like a one-step `[t]`. Nothing
+//! is evaluated per candidate, lanes of a batch carrying the same
+//! predicate share one reduction, and such steps stay `[lane]`-batchable.
+//! `EXPLAIN` renders a chain by its leaf paths, `+ semijoin[bidder.increase]`
+//! (`.` a child edge, `>` descendant, `^` ancestor; the edge out of the
+//! candidates is implicit).
+//!
+//! The staircase, fragmented, parallel and twig engines take the chain
+//! whenever the shape allows. [`Engine::auto`] prices a multi-step
+//! chain (one [`staircase_core::DocStats::semijoin_cost`] per edge: it
+//! grows with the *lists*) against the nested loop
+//! ([`staircase_core::DocStats::nested_loop_cost`]: it grows with the
+//! *candidates*) and keeps the cheaper. [`Engine::naive`] and
+//! [`Engine::sql`] keep the nested loop, as the paper's baselines, and
+//! so does every predicate a chain cannot express (horizontal,
+//! absolute, attribute or `parent` steps, tests other than a name).
 //!
 //! ## Twig planning
 //!
@@ -215,6 +279,12 @@
 //! pred      := '[' path ']'                      (existential semantics)
 //! ```
 //!
+//! Predicates nest at most [`MAX_PREDICATE_DEPTH`] (64) levels deep; a
+//! deeper expression is a [`ParseError`]. The parser, the normaliser,
+//! the planner and the chain reduction all recurse once per level, so
+//! that one limit bounds the stack every one of them can use, whatever
+//! the length of the expression text.
+//!
 //! ## Example
 //!
 //! Cost-based planning end to end: inspect the plan, then run it.
@@ -255,6 +325,7 @@ mod batch;
 mod engine;
 mod error;
 mod eval;
+mod normalize;
 mod parser;
 mod plan;
 mod session;
@@ -263,10 +334,10 @@ pub use ast::{NodeTest, Path, Predicate, Step, UnionExpr};
 pub use engine::{Engine, SqlBuilder, StaircaseBuilder};
 pub use error::Error;
 pub use eval::{EvalOutput, EvalStats, StepTrace};
-pub use parser::{parse, parse_union, ParseError};
+pub use parser::{parse, parse_union, ParseError, MAX_PREDICATE_DEPTH};
 pub use plan::{
-    PathPlan, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis, StepEstimate, StepOp, TestOp,
-    TwigSpec,
+    PathPlan, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis, SemijoinChain, StepEstimate, StepOp,
+    TestOp, TwigSpec,
 };
 pub use session::{AuxBuilds, Query, QueryOutput, Session};
 pub use staircase_core::faults;

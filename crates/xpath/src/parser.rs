@@ -25,9 +25,15 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep predicates may nest (`a[b[c[…]]]`). The parser, the
+/// normaliser, the planner and the semijoin-chain reduction all recurse
+/// once per nesting level, so this one bound caps every one of them; an
+/// expression nested deeper is a [`ParseError`], not a stack overflow.
+pub const MAX_PREDICATE_DEPTH: usize = 64;
+
 /// Parses an XPath expression into a [`Path`].
 pub fn parse(input: &str) -> Result<Path, ParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser::new(input);
     let path = p.path()?;
     p.skip_ws();
     if p.pos != p.input.len() {
@@ -42,7 +48,7 @@ pub fn parse(input: &str) -> Result<Path, ParseError> {
 /// Parses an XPath union expression (`path | path | …`); a single path is
 /// a one-branch union.
 pub fn parse_union(input: &str) -> Result<UnionExpr, ParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser::new(input);
     let mut branches = Vec::new();
     loop {
         let path = p.path()?;
@@ -64,9 +70,19 @@ pub fn parse_union(input: &str) -> Result<UnionExpr, ParseError> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Predicate brackets currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
+        Parser {
+            input,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -228,7 +244,14 @@ impl<'a> Parser<'a> {
                     "positional predicates are not supported (only existential path predicates)",
                 ));
             }
+            if self.depth == MAX_PREDICATE_DEPTH {
+                return Err(self.err(format!(
+                    "predicates nested deeper than {MAX_PREDICATE_DEPTH} levels"
+                )));
+            }
+            self.depth += 1;
             let inner = self.path()?;
+            self.depth -= 1;
             if inner.steps.is_empty() {
                 return Err(self.err("empty predicate"));
             }
@@ -343,6 +366,19 @@ mod tests {
         assert!(parse("foo()").is_err());
         assert!(parse("foo bar").is_err());
         assert!(parse("descendant::node(").is_err());
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}a{}", "a[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_PREDICATE_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_PREDICATE_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // The ROADMAP reproduction: 20 000 levels used to overflow the
+        // recursive-descent stack and abort the process.
+        assert!(parse_union(&nested(20_000)).is_err());
+        // Depth counts open brackets, not predicates: siblings are free.
+        assert!(parse(&format!("a{}", "[b]".repeat(1000))).is_ok());
     }
 
     #[test]

@@ -119,8 +119,11 @@ pub struct PlannedStep {
     /// switched this step's operator away from the planned one; the
     /// planner itself always emits `false`. Rendered as `[replan]`.
     pub(crate) replanned: bool,
-    /// Rendered source step (axis, test, predicates) for traces.
+    /// Rendered (normalised) step (axis, test, predicates) for traces.
     pub(crate) rendered: String,
+    /// What the user wrote, when normalisation rewrote the step
+    /// ([`crate::ast::Step::origin`]).
+    pub(crate) origin: Option<String>,
 }
 
 /// The join operator chosen for one step.
@@ -256,18 +259,88 @@ pub enum SemijoinAxis {
     Ancestor,
 }
 
+/// An existential predicate path in semijoin form: every step a
+/// `child`/`descendant`/`ancestor` name test whose own predicates are
+/// chains again. It is evaluated leaf to root, one semijoin per edge —
+/// the last link's node list is reduced by that link's predicates, the
+/// link before it keeps the nodes with a survivor on the next link's
+/// axis, and so on — so the candidates are probed against the first
+/// link's reduced list exactly as against a plain tag list. Each link's
+/// list is resolved once per evaluation, whatever the candidate count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SemijoinChain {
+    /// The path's steps in order; never empty.
+    pub(crate) links: Vec<ChainLink>,
+}
+
+/// One step of a [`SemijoinChain`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ChainLink {
+    /// The step's axis: from the candidates for the first link, from
+    /// the previous link's nodes otherwise.
+    pub(crate) axis: SemijoinAxis,
+    /// The step's name test.
+    pub(crate) name: String,
+    /// The step's own predicates.
+    pub(crate) preds: Vec<SemijoinChain>,
+}
+
+impl SemijoinChain {
+    /// Probe direction from the candidates to the first link.
+    pub fn axis(&self) -> SemijoinAxis {
+        self.links[0].axis
+    }
+
+    /// Is this today's one-step probe (`[t]`, `[descendant::t]`)?
+    pub fn is_single(&self) -> bool {
+        self.links.len() == 1 && self.links[0].preds.is_empty()
+    }
+
+    /// Appends the pattern's root-to-leaf paths, each prefixed with
+    /// `prefix`: `.` a child edge, `>` descendant, `^` ancestor (the
+    /// twig notation plus the upward edge).
+    fn leaf_paths(&self, prefix: &str, out: &mut Vec<String>) {
+        let mut path = prefix.to_string();
+        for (i, link) in self.links.iter().enumerate() {
+            // The edge out of the candidates stays implicit, so a
+            // one-step probe renders as its tag name alone.
+            if i > 0 || !prefix.is_empty() {
+                path.push(match link.axis {
+                    SemijoinAxis::Child => '.',
+                    SemijoinAxis::Descendant => '>',
+                    SemijoinAxis::Ancestor => '^',
+                });
+            }
+            path.push_str(&link.name);
+            for pred in &link.preds {
+                pred.leaf_paths(&path, out);
+            }
+        }
+        if self.links.last().is_some_and(|l| l.preds.is_empty()) {
+            out.push(path);
+        }
+    }
+}
+
+impl fmt::Display for SemijoinChain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut paths = Vec::new();
+        self.leaf_paths("", &mut paths);
+        write!(f, "semijoin[{}]", paths.join(", "))
+    }
+}
+
 /// A lowered step predicate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredOp {
-    /// One semijoin probe per candidate against a per-tag node list;
-    /// `prebuilt` selects the cached fragment index over a query-time
-    /// selection scan.
+    /// One semijoin probe per candidate against a per-tag node list —
+    /// for a multi-step predicate path, the list its chain reduces to;
+    /// `prebuilt` selects the cached fragment index over query-time
+    /// selection scans.
     Semijoin {
-        /// Probe direction.
-        axis: SemijoinAxis,
-        /// The predicate's tag name.
-        name: String,
-        /// Probe the prebuilt [`staircase_core::TagIndex`] fragment.
+        /// The predicate path; a single link for `[t]`.
+        chain: SemijoinChain,
+        /// Read the prebuilt [`staircase_core::TagIndex`] fragments.
         prebuilt: bool,
     },
     /// Nested-loop fallback: evaluate the lowered predicate path from
@@ -416,10 +489,11 @@ impl PlannedStep {
 
     /// The declared multi-context form of this step (see [`LaneForm`]).
     ///
-    /// Semijoin predicates do not block lane execution — the executor
-    /// probes them group-wise through the `*_in_many` operators — but a
-    /// nested-loop [`PredOp::Filter`] recurses into full path
-    /// evaluation, so it forces the sequential fallback.
+    /// Semijoin predicates (chains included) do not block lane
+    /// execution — the executor probes them group-wise through the
+    /// `*_in_many` operators — but a nested-loop [`PredOp::Filter`]
+    /// recurses into full path evaluation, so it forces the sequential
+    /// fallback.
     pub(crate) fn lane_form(&self) -> LaneForm<'_> {
         if self
             .predicates
@@ -499,9 +573,16 @@ impl PlannedStep {
         self.axis
     }
 
-    /// The source step as written (`descendant::bidder[increase]`).
+    /// The step as planned, after normalisation
+    /// (`descendant::bidder[child::increase]`).
     pub fn source(&self) -> &str {
         &self.rendered
+    }
+
+    /// What the user wrote (`//bidder[increase]`), when normalisation
+    /// rewrote it into [`PlannedStep::source`].
+    pub fn origin(&self) -> Option<&str> {
+        self.origin.as_deref()
     }
 }
 
@@ -548,10 +629,9 @@ impl fmt::Display for PlannedStep {
         }
         for pred in &self.predicates {
             match pred {
-                PredOp::Semijoin { name, .. } => {
-                    ops.push_str(" + semijoin[");
-                    ops.push_str(name);
-                    ops.push(']');
+                PredOp::Semijoin { chain, .. } => {
+                    ops.push_str(" + ");
+                    ops.push_str(&chain.to_string());
                 }
                 PredOp::Filter(_) => ops.push_str(" + filter-pred"),
             }
@@ -571,10 +651,14 @@ impl fmt::Display for PlannedStep {
             // boundary, against the observed frontier cardinality.
             ops.push_str(" [replan]");
         }
+        let step = match &self.origin {
+            Some(origin) => format!("{}  (from {origin})", self.rendered),
+            None => self.rendered.clone(),
+        };
         write!(
             f,
             "step {:<36} op {:<44} est cost {:>12.0}  est rows {:>9.0}",
-            self.rendered, ops, self.estimate.cost, self.estimate.rows
+            step, ops, self.estimate.cost, self.estimate.rows
         )
     }
 }
@@ -812,6 +896,23 @@ fn plan_twig(
         .map(Step::to_string)
         .collect::<Vec<_>>()
         .join("/");
+    // The region as written, if normalisation rewrote any of its steps
+    // (a rewritten step's origin carries its own leading slashes).
+    let origin = source.iter().any(|s| s.origin.is_some()).then(|| {
+        let mut written = String::new();
+        for step in source {
+            match &step.origin {
+                Some(origin) => written.push_str(origin),
+                None => {
+                    if !written.is_empty() {
+                        written.push('/');
+                    }
+                    written.push_str(&step.to_string());
+                }
+            }
+        }
+        written
+    });
     let test = NodeTest::Name(spec.spine[spec.spine.len() - 1].name.clone());
     let planned = PlannedStep {
         // The fused step replaces the region's first (descendant-axis)
@@ -829,6 +930,7 @@ fn plan_twig(
         fanout: false,
         replanned: false,
         rendered,
+        origin,
     };
     Some((planned, rows))
 }
@@ -902,17 +1004,8 @@ fn plan_step(
     let mut predicates = Vec::with_capacity(step.predicates.len());
     for pred in &step.predicates {
         let Predicate::Exists(path) = pred;
-        let lowered = plan_predicate(path, doc, stats, pl);
-        match &lowered {
-            PredOp::Semijoin { name, prebuilt, .. } => {
-                let f = stats.fragment_size(doc, doc.tag_id(name));
-                cost += stats.semijoin_cost(rows, f, !prebuilt);
-            }
-            PredOp::Filter(sub) => {
-                let per_candidate: f64 = sub.steps.iter().map(|s| s.estimate.cost).sum();
-                cost += rows * per_candidate.max(1.0);
-            }
-        }
+        let (lowered, pred_cost) = plan_predicate(path, doc, stats, pl, rows);
+        cost += pred_cost;
         // The classic existential-predicate guess: half the candidates
         // survive.
         rows /= 2.0;
@@ -929,6 +1022,7 @@ fn plan_step(
         fanout: stats.fanout_worthwhile(cost),
         replanned: false,
         rendered: step.to_string(),
+        origin: step.origin.clone(),
     };
     (planned, rows)
 }
@@ -1203,60 +1297,112 @@ pub(crate) fn replan_step(
     Some((best, test_op, best_cost))
 }
 
-/// Lowers a predicate path: the semijoin fast path when the shape allows
-/// and the policy's engine family supports it, the nested-loop filter
-/// otherwise.
-fn plan_predicate(path: &Path, doc: &Doc, stats: &DocStats, pl: Planner) -> PredOp {
-    let semijoin_family = match pl.policy {
-        Policy::Auto | Policy::Twig => true,
-        Policy::Fixed(
-            EngineKind::Staircase { .. }
-            | EngineKind::Fragmented { .. }
-            | EngineKind::Parallel { .. },
-        ) => true,
-        Policy::Fixed(_) => false,
+/// Lowers a predicate path over an estimated `candidates` rows and
+/// prices it: the semijoin chain when the shape allows and the policy's
+/// engine family supports it, the nested-loop filter otherwise.
+///
+/// The fixed semijoin-family engines take the chain whenever the shape
+/// allows. [`Engine::auto`] does the same for a one-step predicate (one
+/// probe per candidate always beats one interpreted step per candidate)
+/// and prices a longer chain — whose cost grows with the *lists* —
+/// against the nested loop — whose cost grows with the *candidates* —
+/// keeping the cheaper.
+fn plan_predicate(
+    path: &Path,
+    doc: &Doc,
+    stats: &DocStats,
+    pl: Planner,
+    candidates: f64,
+) -> (PredOp, f64) {
+    let nested_loop = || {
+        let sub = plan_path(path, doc, stats, pl, 1.0, false);
+        let per_candidate: f64 = sub.steps.iter().map(|s| s.estimate.cost).sum();
+        let cost = stats.nested_loop_cost(candidates, per_candidate, sub.steps.len());
+        (PredOp::Filter(sub), cost)
     };
-    if semijoin_family {
-        if let Some((axis, name)) = semijoin_shape(path) {
-            let prebuilt = matches!(
-                pl.policy,
-                Policy::Auto | Policy::Twig | Policy::Fixed(EngineKind::Fragmented { .. })
-            );
-            return PredOp::Semijoin {
-                axis,
-                name: name.to_string(),
-                prebuilt,
-            };
-        }
+    // `Some(prebuilt)` for the engine families with a semijoin form.
+    let family = match pl.policy {
+        Policy::Auto | Policy::Twig | Policy::Fixed(EngineKind::Fragmented { .. }) => Some(true),
+        Policy::Fixed(EngineKind::Staircase { .. } | EngineKind::Parallel { .. }) => Some(false),
+        Policy::Fixed(_) => None,
+    };
+    let Some((prebuilt, chain)) = family.zip(semijoin_chain(path)) else {
+        return nested_loop();
+    };
+    let priced = matches!(pl.policy, Policy::Auto) && !chain.is_single();
+    let cost = chain_cost(&chain, doc, stats, candidates, !prebuilt);
+    let chained = (PredOp::Semijoin { chain, prebuilt }, cost);
+    if !priced {
+        return chained;
     }
-    PredOp::Filter(plan_path(path, doc, stats, pl, 1.0, false))
+    let looped = nested_loop();
+    if chained.1 <= looped.1 {
+        chained
+    } else {
+        looped
+    }
 }
 
-/// The §3.3 semijoin fast path applies to single-step, predicate-free,
-/// relative name tests on the descendant/child/ancestor axes.
-fn semijoin_shape(path: &Path) -> Option<(SemijoinAxis, &str)> {
-    if path.absolute || path.steps.len() != 1 {
+/// The semijoin chain's price: one [`DocStats::semijoin_cost`] per edge,
+/// each link's full list probing the next link's (the reduction runs
+/// right to left, so no list is smaller than its tag fragment when it
+/// is probed).
+fn chain_cost(
+    chain: &SemijoinChain,
+    doc: &Doc,
+    stats: &DocStats,
+    candidates: f64,
+    prescan: bool,
+) -> f64 {
+    let mut probing = candidates;
+    let mut cost = 0.0;
+    for link in &chain.links {
+        let fragment = stats.fragment_size(doc, doc.tag_id(&link.name));
+        cost += stats.semijoin_cost(probing, fragment, prescan);
+        probing = fragment as f64;
+        for pred in &link.preds {
+            cost += chain_cost(pred, doc, stats, probing, prescan);
+        }
+    }
+    cost
+}
+
+/// The semijoin form of a predicate path (§3.3's empty-region argument,
+/// applied per edge): relative, every step a name test on the
+/// descendant/child/ancestor axis, every step's own predicates of the
+/// same shape.
+fn semijoin_chain(path: &Path) -> Option<SemijoinChain> {
+    if path.absolute || path.steps.is_empty() {
         return None;
     }
-    let step = &path.steps[0];
-    if !step.predicates.is_empty() {
-        return None;
+    let mut links = Vec::with_capacity(path.steps.len());
+    for step in &path.steps {
+        let axis = match step.axis {
+            Axis::Descendant => SemijoinAxis::Descendant,
+            Axis::Child => SemijoinAxis::Child,
+            Axis::Ancestor => SemijoinAxis::Ancestor,
+            _ => return None,
+        };
+        let NodeTest::Name(name) = &step.test else {
+            return None;
+        };
+        let mut preds = Vec::with_capacity(step.predicates.len());
+        for Predicate::Exists(inner) in &step.predicates {
+            preds.push(semijoin_chain(inner)?);
+        }
+        links.push(ChainLink {
+            axis,
+            name: name.clone(),
+            preds,
+        });
     }
-    let NodeTest::Name(name) = &step.test else {
-        return None;
-    };
-    let axis = match step.axis {
-        Axis::Descendant => SemijoinAxis::Descendant,
-        Axis::Child => SemijoinAxis::Child,
-        Axis::Ancestor => SemijoinAxis::Ancestor,
-        _ => return None,
-    };
-    Some((axis, name))
+    Some(SemijoinChain { links })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::normalize;
     use crate::parser::parse_union;
 
     fn fixture() -> (Doc, DocStats) {
@@ -1271,7 +1417,8 @@ mod tests {
 
     fn plan_for(expr: &str, engine: Engine) -> PhysicalPlan {
         let (doc, stats) = fixture();
-        plan_union(&parse_union(expr).unwrap(), &doc, &stats, engine, 1.0)
+        let parsed = normalize(&parse_union(expr).unwrap());
+        plan_union(&parsed, &doc, &stats, engine, 1.0)
     }
 
     fn ops(plan: &PhysicalPlan) -> Vec<StepOp> {
@@ -1370,14 +1517,11 @@ mod tests {
         let q = "/descendant::a[b]";
         let auto = plan_for(q, Engine::auto());
         let steps = &auto.branches()[0].steps()[0];
-        assert!(matches!(
-            steps.predicate_operators()[0],
-            PredOp::Semijoin {
-                axis: SemijoinAxis::Child,
-                prebuilt: true,
-                ..
-            }
-        ));
+        let PredOp::Semijoin { chain, prebuilt } = &steps.predicate_operators()[0] else {
+            panic!("expected a semijoin: {auto}");
+        };
+        assert!(chain.is_single() && *prebuilt, "{auto}");
+        assert_eq!(chain.axis(), SemijoinAxis::Child);
         // The plain staircase engine probes a query-time scan list…
         let plain = plan_for(q, Engine::default());
         assert!(matches!(
@@ -1394,6 +1538,173 @@ mod tests {
             sql.branches()[0].steps()[0].predicate_operators()[0],
             PredOp::Filter(_)
         ));
+    }
+
+    fn chain_of(step: &PlannedStep) -> Option<&SemijoinChain> {
+        match step.predicate_operators() {
+            [PredOp::Semijoin { chain, .. }] => Some(chain),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn abbreviated_paths_plan_as_their_explicit_axis_form() {
+        for engine in [Engine::auto(), Engine::default(), Engine::naive()] {
+            let abbreviated = plan_for("//a//b", engine);
+            let explicit = plan_for("/descendant::a/descendant::b", engine);
+            assert_eq!(ops(&abbreviated), ops(&explicit), "{engine:?}");
+            assert!(!ops(&abbreviated).contains(&StepOp::Structural));
+            for (a, e) in abbreviated.branches()[0]
+                .steps()
+                .iter()
+                .zip(explicit.branches()[0].steps())
+            {
+                assert_eq!(a.estimate(), e.estimate(), "{engine:?}");
+                assert_eq!(a.source(), e.source());
+                assert!(a.origin().is_some() && e.origin().is_none());
+            }
+        }
+        // Under auto both steps are the fragment joins `point_warm` runs.
+        assert_eq!(
+            ops(&plan_for("//a//b", Engine::auto())),
+            [
+                StepOp::Fragment { prescan: false },
+                StepOp::Fragment { prescan: false }
+            ]
+        );
+        // `.//x` in a predicate is an ordinary one-step semijoin.
+        let dotted = plan_for("//a[.//b]", Engine::default());
+        let chain = chain_of(&dotted.branches()[0].steps()[0]).expect("semijoin");
+        assert!(chain.is_single());
+        assert_eq!(chain.axis(), SemijoinAxis::Descendant);
+    }
+
+    #[test]
+    fn unfusable_abbreviations_keep_their_scan() {
+        for (expr, steps) in [
+            ("descendant-or-self::node()[x]/child::y", 2),
+            ("descendant-or-self::*/child::y", 2),
+            ("//@id", 2),
+        ] {
+            let plan = plan_for(expr, Engine::auto());
+            assert_eq!(plan.step_count(), steps, "{expr}: {plan}");
+            assert_eq!(
+                plan.branches()[0].steps()[0].axis(),
+                Axis::DescendantOrSelf,
+                "{expr}"
+            );
+            assert_eq!(ops(&plan)[1], StepOp::Structural, "{expr}");
+        }
+    }
+
+    #[test]
+    fn multi_step_predicates_lower_to_chains_by_family() {
+        let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+        let parallel = Engine::staircase().parallel(2).build().unwrap();
+        for (engine, indexed) in [
+            (Engine::default(), false),
+            (parallel, false),
+            (fragmented, true),
+            (Engine::twig(), true),
+        ] {
+            let plan = plan_for("//a[b/c]", engine);
+            let step = &plan.branches()[0].steps()[0];
+            let [PredOp::Semijoin { chain, prebuilt }] = step.predicate_operators() else {
+                panic!("{engine:?}: expected one chained semijoin: {plan}");
+            };
+            assert_eq!(*prebuilt, indexed, "{engine:?}");
+            assert_eq!(chain.links.len(), 2);
+            assert!(chain.links.iter().all(|l| l.axis == SemijoinAxis::Child));
+            assert_eq!(plan.needs_tag_index(), indexed, "{engine:?}");
+            assert!(plan.to_string().contains("+ semijoin[b.c]"), "{plan}");
+        }
+        for engine in [Engine::naive(), Engine::sql().build().unwrap()] {
+            let plan = plan_for("//a[b/c]", engine);
+            assert!(matches!(
+                plan.branches()[0].steps()[0].predicate_operators(),
+                [PredOp::Filter(_)]
+            ));
+        }
+        // Nested predicates and upward steps stay inside the chain…
+        let plan = plan_for("//a[.//b[c]/ancestor::a[rare]]", Engine::default());
+        let chain = chain_of(&plan.branches()[0].steps()[0]).expect("chain");
+        assert_eq!(
+            chain.to_string(),
+            "semijoin[b.c, b^a.rare]",
+            "leaf paths: `.` child, `>` descendant, `^` ancestor"
+        );
+        // …and only shapes a chain cannot express keep the nested loop.
+        for expr in [
+            "//a[b/@id]",
+            "//a[b/following::c]",
+            "//a[/site/a]",
+            "//a[b/*]",
+            "//a[b[text()]]",
+            "//a[b/..]",
+        ] {
+            let plan = plan_for(expr, Engine::default());
+            assert!(
+                matches!(
+                    plan.branches()[0].steps()[0].predicate_operators(),
+                    [PredOp::Filter(_)]
+                ),
+                "{expr}: {plan}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_prices_the_chain_against_the_nested_loop() {
+        // 300 `b`s with a `c` child each, one `rare` with the same below
+        // it: probing the `b` list against the `c` list costs the same
+        // whoever asks, the nested loop costs per candidate.
+        let xml = format!(
+            "<site>{}<rare><b><c/></b></rare></site>",
+            "<a><b><c/></b></a>".repeat(300)
+        );
+        let doc = Doc::from_xml(&xml).unwrap();
+        let stats = DocStats::from_doc(&doc);
+        let plan = |expr: &str| {
+            let parsed = normalize(&parse_union(expr).unwrap());
+            plan_union(&parsed, &doc, &stats, Engine::auto(), 1.0)
+        };
+        let many = plan("//a[b/c]");
+        assert!(
+            chain_of(&many.branches()[0].steps()[0]).is_some(),
+            "300 candidates: one reduction beats 300 interpreted sub-plans: {many}"
+        );
+        let few = plan("//rare[b/c]");
+        assert!(
+            matches!(
+                few.branches()[0].steps()[0].predicate_operators(),
+                [PredOp::Filter(_)]
+            ),
+            "one candidate: the loop touches one subtree, the chain two whole lists: {few}"
+        );
+        // A one-step predicate is a semijoin whatever the candidates.
+        let single = plan("//rare[b]");
+        assert!(chain_of(&single.branches()[0].steps()[0]).is_some_and(SemijoinChain::is_single));
+    }
+
+    #[test]
+    fn explain_shows_the_normalised_step_and_its_origin() {
+        let text = plan_for("//a//b", Engine::auto()).to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[0].starts_with("step descendant::a  (from //a)"),
+            "{text}"
+        );
+        assert!(
+            lines[1].starts_with("step descendant::b  (from //b)"),
+            "{text}"
+        );
+        // Steps planned as written say nothing.
+        let plain = plan_for("/descendant::a/descendant::b", Engine::auto()).to_string();
+        assert!(!plain.contains("(from"), "{plain}");
+        // A fused twig region reports the region as written.
+        let twig = plan_for("//a[b]//c", Engine::twig());
+        assert_eq!(twig.step_count(), 1, "{twig}");
+        assert_eq!(twig.branches()[0].steps()[0].origin(), Some("//a[b]//c"));
     }
 
     #[test]
@@ -1520,11 +1831,13 @@ mod tests {
             step("/following::c", Engine::default()).lane_form(),
             LaneForm::Horiz(HorizAxis::Following)
         );
-        // …and steps whose predicates lower to semijoins…
+        // …and steps whose predicates lower to semijoins, chains
+        // included…
         assert!(step("/descendant::a[b]", Engine::default()).batchable());
+        assert!(step("/descendant::a[b/c]", Engine::default()).batchable());
         // …while nested-loop predicates, structural axes, and operators
         // without a multi-context form name the per-lane fallback.
-        assert!(!step("/descendant::a[b/c]", Engine::default()).batchable());
+        assert!(!step("/descendant::a[b/@id]", Engine::default()).batchable());
         assert!(!step("child::b", Engine::default()).batchable());
         assert!(!step("/descendant::b", Engine::naive()).batchable());
         assert!(!step("/descendant::b", Engine::sql().build().unwrap()).batchable());

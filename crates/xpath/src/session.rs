@@ -41,6 +41,7 @@ use crate::ast::UnionExpr;
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::eval::{EvalOutput, EvalStats, Executor};
+use crate::normalize::normalize;
 use crate::parser::parse_union;
 use crate::plan::{plan_union, PhysicalPlan};
 
@@ -190,13 +191,15 @@ impl Session {
         self.doc
     }
 
-    /// Parses `expr` into a reusable [`Query`] bound to this session.
+    /// Parses `expr` — and normalises it, once, for every engine alike
+    /// (see *Normalisation* in the [crate docs](crate)) — into a
+    /// reusable [`Query`] bound to this session.
     ///
     /// # Errors
     ///
     /// [`Error::Parse`] when the expression does not parse.
     pub fn prepare(&self, expr: &str) -> Result<Query<'_>, Error> {
-        let parsed = parse_union(expr)?;
+        let parsed = normalize(&parse_union(expr)?);
         Ok(Query {
             session: self,
             parsed,
@@ -335,7 +338,7 @@ impl Session {
     ///
     /// [`Error::Parse`] when the expression does not parse.
     pub fn explain(&self, expr: &str, engine: Engine) -> Result<PhysicalPlan, Error> {
-        Ok(self.plan(&parse_union(expr)?, engine))
+        Ok(self.plan(&normalize(&parse_union(expr)?), engine))
     }
 
     /// Document statistics (node/element counts, height, average depth,
@@ -462,6 +465,7 @@ impl Session {
             scratch: &self.scratch,
             stats: self.doc_stats(),
             calibrator: &self.calibrator,
+            lists: Mutex::default(),
         }
     }
 
@@ -489,6 +493,7 @@ fn default_threads() -> usize {
 /// query server will cache and batch by.
 pub struct Query<'s> {
     session: &'s Session,
+    /// The parsed expression after normalisation.
     parsed: UnionExpr,
     text: String,
     /// Per-engine plan cache (an engine's plan over a fixed document is

@@ -100,8 +100,9 @@ fn arb_doc() -> impl Strategy<Value = Doc> {
 /// per-lane residue: plain vertical steps (staircase lanes), selective
 /// and unselective name tests (fragment lanes under the fragmented /
 /// pushdown / auto engines), horizontal axes (horiz lanes), semijoin
-/// predicates on all three probe axes (grouped probes), nested-loop
-/// predicates, and structural steps (both per-lane).
+/// predicates on all three probe axes and multi-step semijoin chains
+/// (grouped probes), nested-loop predicates, and structural steps (both
+/// per-lane).
 fn arb_query() -> impl Strategy<Value = String> {
     let axis = prop_oneof![
         Just("descendant"),
@@ -130,7 +131,9 @@ fn arb_query() -> impl Strategy<Value = String> {
         Just("[descendant::q]"),
         Just("[ancestor::r]"),
         Just("[rare]"),
-        Just("[p/q]"), // nested-loop filter: the per-lane residue
+        Just("[p/q]"), // a semijoin chain: still a lane step
+        Just("[ancestor::q/r[p]]"),
+        Just("[p/..]"), // nested-loop filter: the per-lane residue
     ];
     proptest::collection::vec((axis, test, pred), 1..4).prop_map(|steps| {
         let mut out = String::new();
@@ -508,6 +511,53 @@ fn semijoin_predicates_do_not_break_batching() {
         }
         // The four first steps share passes: strictly fewer touches than
         // four sequential runs (which re-scan per query).
+        let batch_total: u64 = batch.iter().map(|o| o.stats().total_touched()).sum();
+        let seq_total: u64 = sequential.iter().map(|o| o.stats().total_touched()).sum();
+        assert!(
+            batch_total < seq_total,
+            "{engine:?}: batch touched {batch_total} !< sequential {seq_total}"
+        );
+    }
+}
+
+/// A multi-step predicate is a semijoin chain, not a nested loop: the
+/// step stays on the lane path like a one-step semijoin does, lanes
+/// carrying the same chain share its join pass (and, inside the
+/// executor, one reduction of the chain — asserted next to the code, in
+/// `staircase-xpath`'s batch tests, since predicate work is in no public
+/// counter), and the answers are the sequential ones.
+#[test]
+fn chain_predicates_stay_on_the_lane_path() {
+    let session = Session::new(generate(XmarkConfig::new(0.05)));
+    let exprs = [
+        "//open_auction[bidder/increase]",
+        "//open_auction[bidder/increase]/@id",
+        "/descendant::open_auction[child::bidder[child::increase]]/descendant::date",
+        "//open_auction[.//bidder[date]/increase]",
+        "//increase[ancestor::open_auction/bidder/date]",
+    ];
+    let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
+    let refs: Vec<&Query> = queries.iter().collect();
+    let oracle: Vec<QueryOutput> = queries.iter().map(|q| q.run(Engine::naive())).collect();
+    assert!(oracle.iter().all(|o| !o.is_empty()));
+    for engine in [
+        Engine::default(),
+        Engine::staircase().fragmented(true).build().unwrap(),
+        Engine::auto(),
+    ] {
+        for q in &queries {
+            let plan = q.explain(engine);
+            let first = &plan.branches()[0].steps()[0];
+            assert!(first.batchable(), "{} via {engine:?}:\n{plan}", q.text());
+            assert!(plan.to_string().contains("semijoin["), "{plan}");
+        }
+        let batch = session.run_many(&refs, engine);
+        let sequential: Vec<QueryOutput> = queries.iter().map(|q| q.run(engine)).collect();
+        for (((e, b), s), o) in exprs.iter().zip(&batch).zip(&sequential).zip(&oracle) {
+            assert_eq!(b.nodes(), o.nodes(), "{e} via {engine:?}");
+            assert_eq!(s.nodes(), o.nodes(), "{e} via {engine:?}");
+        }
+        // Four lanes open with `descendant::open_auction`: one pass.
         let batch_total: u64 = batch.iter().map(|o| o.stats().total_touched()).sum();
         let seq_total: u64 = sequential.iter().map(|o| o.stats().total_touched()).sum();
         assert!(

@@ -251,6 +251,49 @@ fn a_client_deadline_times_out_a_pathological_query_and_the_connection_survives(
     handle.shutdown_and_join();
 }
 
+/// ROADMAP item 1, first hole: `a[a[a[…` nested 20 000 deep is 60 KB —
+/// far under `max_frame` — and used to overflow the parser's stack on
+/// the connection thread, which no `catch_unwind` contains: one QUERY
+/// frame killed the server for every client. It must be a typed parse
+/// error, on this connection and with the server still there for the
+/// next one.
+#[test]
+fn a_deeply_nested_query_is_a_parse_error_frame_not_an_abort() {
+    use staircase_server::protocol::code;
+    use staircase_server::ClientError;
+
+    let session = session();
+    let bidders = session.run("//bidder", Engine::auto()).unwrap().len() as u32;
+    let handle = Server::start(Arc::clone(&session), ServerConfig::default()).expect("bind");
+
+    let hostile = format!("{}a{}", "a[".repeat(20_000), "]".repeat(20_000));
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let err = client
+        .query(&hostile, &QueryOptions::default())
+        .expect_err("nesting past the limit does not parse");
+    assert!(
+        matches!(&err, ClientError::Server { code: c, message }
+            if *c == code::PARSE && message.contains("nested deeper")),
+        "{err:?}"
+    );
+    // The nesting limit itself is fine.
+    let deepest = format!(
+        "//bidder{}",
+        "[increase".repeat(MAX_PREDICATE_DEPTH) + &"]".repeat(MAX_PREDICATE_DEPTH)
+    );
+    client
+        .query(&deepest, &QueryOptions::default())
+        .expect("the documented depth parses, plans and runs");
+
+    // A fresh connection is still answered.
+    let mut fresh = Client::connect(handle.local_addr()).expect("server still accepting");
+    let reply = fresh
+        .query("//bidder", &QueryOptions::default())
+        .expect("server still serving");
+    assert_eq!(reply.total, bidders);
+    handle.shutdown_and_join();
+}
+
 /// A `CANCEL` frame sent while a query is in flight stops it: the
 /// server answers a typed `CANCELLED` error frame and the connection
 /// keeps serving.

@@ -732,6 +732,76 @@ fn explain_prints_one_line_per_step() {
     assert!(lines[0].contains("fragment"), "{text}");
 }
 
+/// What a user typing `//` gets: the partitioning joins of the
+/// explicit-axis spelling, not a plane scan plus a structural child loop.
+#[test]
+fn abbreviated_paths_explain_and_run_as_joins() {
+    let dir = tempdir();
+    let file = dir.join("abbrev.xml");
+    std::fs::write(&file, SAMPLE).unwrap();
+    let run = |expr: &str, flag: &str| {
+        let out = xq()
+            .args([expr, file.to_str().unwrap(), "--engine", "auto", flag])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{expr} {flag}");
+        (
+            String::from_utf8_lossy(&out.stdout).to_string(),
+            String::from_utf8_lossy(&out.stderr).to_string(),
+        )
+    };
+    let (plan, _) = run("//open_auction[bidder/increase]//increase", "--explain");
+    assert!(!plan.contains("structural"), "{plan}");
+    assert!(plan.contains("+ semijoin[bidder.increase]"), "{plan}");
+    assert!(
+        plan.contains("(from //open_auction[bidder/increase])"),
+        "{plan}"
+    );
+    // Same steps, same counters as the explicit-axis spelling.
+    let steps = |stderr: &str| -> Vec<String> {
+        stderr
+            .lines()
+            .filter(|l| l.starts_with("step "))
+            .map(str::to_string)
+            .collect()
+    };
+    let (_, abbreviated) = run("//open_auction//increase", "--stats");
+    let (_, explicit) = run("/descendant::open_auction/descendant::increase", "--stats");
+    assert_eq!(steps(&abbreviated).len(), 2, "{abbreviated}");
+    assert_eq!(steps(&abbreviated), steps(&explicit));
+}
+
+/// ROADMAP item 1, first hole: 20 000 nested predicates (60 KB) used to
+/// overflow the parser's stack and abort `xq` (exit 134).
+#[test]
+fn deeply_nested_predicates_exit_with_parse_code() {
+    let expr = format!("{}a{}", "a[".repeat(20_000), "]".repeat(20_000));
+    let mut child = xq()
+        .args([expr.as_str(), "--count"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(SAMPLE.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "a typed parse error, not an abort"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("nested deeper"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn explain_renders_fused_twig_steps() {
     let mut child = xq()
@@ -791,7 +861,10 @@ fn explain_covers_fixed_engines_and_query_files() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("# //bidder"), "{text}");
     assert!(text.contains("naive"), "{text}");
-    // Five steps across the two queries (`//` desugars to
-    // `descendant-or-self::node()/child::…`), plus one header line each.
-    assert_eq!(text.lines().filter(|l| l.starts_with("step ")).count(), 5);
+    // Three steps across the two queries, plus one header line each:
+    // the planner sees `//x` as the one `descendant::x` step it stands
+    // for (five before the normalisation pass, when the literal
+    // `descendant-or-self::node()/child::x` expansion was planned).
+    assert_eq!(text.lines().filter(|l| l.starts_with("step ")).count(), 3);
+    assert!(text.contains("(from //bidder)"), "{text}");
 }
