@@ -48,6 +48,16 @@ impl NodeKind {
 /// *void* column, cf. §4.1): `post` (the only column the staircase join's
 /// inner loop reads), `level`, `kind`, `tag`, `parent`, and an optional
 /// content arena for value reconstruction.
+///
+/// Node content (text bodies, attribute values, comment text, PI data)
+/// lives in **one flat arena**: `arena` holds every content string's bytes
+/// back to back in document order, `arena_ends[i]` is where string `i`
+/// stops (it starts where string `i − 1` stopped), and `content[v]` is the
+/// string index of node `v`. An empty string is a zero-length slice, so
+/// `Some("")` (an attribute written `x=""`) stays distinct from `None` (an
+/// element). A document is thus a fixed number of heap blocks whatever its
+/// size: building a content node is a `push_str`, and dropping a document
+/// frees a handful of buffers.
 #[derive(Debug, Clone)]
 pub struct Doc {
     post: Bat<Post>,
@@ -55,9 +65,10 @@ pub struct Doc {
     kind: Vec<u8>,
     tag: Vec<TagId>,
     parent: Vec<Pre>,
-    /// Content index per node (`u32::MAX` = none); points into `arena`.
+    /// Content string index per node (`u32::MAX` = none).
     content: Vec<u32>,
-    arena: Vec<String>,
+    arena: String,
+    arena_ends: Vec<u32>,
     tags: TagInterner,
     height: Level,
 }
@@ -67,26 +78,26 @@ impl Doc {
     /// retained so the document can be reconstructed.
     pub fn from_xml(input: &str) -> Result<Doc, staircase_xml::Error> {
         let mut b = EncodingBuilder::new();
+        // Pre-sized for XMark-like text (≈ 14 bytes a node, every other node
+        // with content); denser input grows by doubling, `finish` trims.
+        let nodes = input.len() / 12;
+        b.reserve(nodes);
+        b.arena_ends.reserve(nodes / 2);
+        b.arena.reserve(input.len() / 2);
         let mut parser = PullParser::new(input);
         // Consecutive text/CDATA events merge into one text node (the XPath
-        // data model has no adjacent text siblings).
-        let mut pending_text = String::new();
-        macro_rules! flush_text {
-            () => {
-                if !pending_text.is_empty() {
-                    b.text(&pending_text);
-                    pending_text.clear();
-                }
-            };
-        }
+        // data model has no adjacent text siblings): while the last node
+        // emitted is a text node its string is the arena's open tail, so
+        // the next run is appended to it in place.
+        let mut text_open = false;
         loop {
+            let merge = std::mem::replace(&mut text_open, false);
             match parser.next_event()? {
                 Event::StartTag {
                     name,
                     attributes,
                     self_closing,
                 } => {
-                    flush_text!();
                     b.open_element(name);
                     for a in &attributes {
                         b.attribute(a.name, &a.value);
@@ -95,18 +106,13 @@ impl Doc {
                         b.close_element();
                     }
                 }
-                Event::EndTag { .. } => {
-                    flush_text!();
-                    b.close_element();
-                }
-                Event::Text(t) => pending_text.push_str(&t),
-                Event::CData(t) => pending_text.push_str(t),
+                Event::EndTag { .. } => b.close_element(),
+                Event::Text(t) => text_open = b.text_run(&t, merge),
+                Event::CData(t) => text_open = b.text_run(t, merge),
                 Event::Comment(c) => {
-                    flush_text!();
                     b.comment(c);
                 }
                 Event::ProcessingInstruction { target, data } => {
-                    flush_text!();
                     b.pi(target, data);
                 }
                 Event::Eof => break,
@@ -254,6 +260,12 @@ impl Doc {
         self.level[v as usize]
     }
 
+    /// The level column.
+    #[inline]
+    pub fn level_column(&self) -> &[Level] {
+        &self.level
+    }
+
     /// Node kind of `v`.
     #[inline]
     pub fn kind(&self, v: Pre) -> NodeKind {
@@ -290,11 +302,21 @@ impl Doc {
         self.parent[v as usize]
     }
 
+    /// The parent column.
+    #[inline]
+    pub fn parent_column(&self) -> &[Pre] {
+        &self.parent
+    }
+
     /// Stored content of `v` (text body, attribute value, comment text,
     /// PI data), if retained.
     pub fn content(&self, v: Pre) -> Option<&str> {
-        let idx = self.content[v as usize];
-        (idx != u32::MAX).then(|| self.arena[idx as usize].as_str())
+        let idx = self.content[v as usize] as usize;
+        let end = *self.arena_ends.get(idx)? as usize;
+        let start = idx
+            .checked_sub(1)
+            .map_or(0, |i| self.arena_ends[i] as usize);
+        Some(&self.arena[start..end])
     }
 
     /// The tag-name interner.
@@ -383,70 +405,75 @@ impl Doc {
     /// Exhaustively checks the encoding invariants; returns a description
     /// of the first violation, if any. Intended for validating documents
     /// decoded from untrusted bytes (see `Doc::from_bytes`).
+    ///
+    /// The check replays the loader: walking the pre ranks with the stack
+    /// of open elements that the `parent` column implies must reproduce
+    /// `post`, `level` and the height exactly, so a document that passes
+    /// is one [`EncodingBuilder`] could have built.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.len();
-        if n == 0 {
-            return Ok(());
-        }
-        if n > u32::MAX as usize {
-            return Err("document exceeds 2^32 nodes".into());
-        }
-        // post must be a permutation of 0..n.
-        let mut seen = vec![false; n];
-        for v in self.pres() {
-            let q = self.post(v) as usize;
-            if q >= n {
-                return Err(format!("post({v}) = {q} out of range"));
+        let mut open: Vec<Pre> = Vec::new();
+        let mut next_post: Post = 0;
+        let mut close = |v: Pre| {
+            let closed = next_post;
+            next_post += 1;
+            if self.post(v) == closed {
+                Ok(())
+            } else {
+                Err(format!("post({v}) = {}, expected {closed}", self.post(v)))
             }
-            if seen[q] {
-                return Err(format!("duplicate post rank {q}"));
-            }
-            seen[q] = true;
-        }
-        let mut max_level: Level = 0;
+        };
+        let mut height: Level = 0;
         for v in self.pres() {
             let p = self.parent(v);
-            if v == 0 {
-                if p != NO_PARENT {
-                    return Err("root has a parent".into());
-                }
-                if self.level(0) != 0 {
-                    return Err("root level is not 0".into());
-                }
-                continue;
+            // Elements `v` is not inside are complete.
+            while open.last().is_some_and(|&top| top != p) {
+                close(open.pop().expect("checked non-empty"))?;
             }
-            if p == NO_PARENT {
-                return Err(format!("node {v} has no parent"));
+            // An empty stack is the top level (prolog comments and PIs
+            // sit there beside the root element).
+            if open.is_empty() && p != NO_PARENT {
+                return Err(format!("parent({v}) = {p} is not an open element"));
             }
-            if p >= v {
-                return Err(format!("parent({v}) = {p} is not earlier in preorder"));
-            }
-            if self.post(p) <= self.post(v) {
-                return Err(format!("parent({v}) = {p} does not enclose it"));
-            }
-            if self.level(p) + 1 != self.level(v) {
+            if self.level(v) as usize != open.len() {
                 return Err(format!("level({v}) inconsistent with parent {p}"));
             }
-            max_level = max_level.max(self.level(v));
+            height = height.max(self.level(v));
             let kind = self.kind(v);
-            if (kind == NodeKind::Element || kind == NodeKind::Attribute)
+            if matches!(kind, NodeKind::Element | NodeKind::Attribute)
                 && self.tags.name(self.tag(v)).is_none()
             {
                 return Err(format!("node {v} references unknown tag {}", self.tag(v)));
             }
+            // Attributes directly follow their element or a sibling attribute.
+            if kind == NodeKind::Attribute
+                && !(v > 0
+                    && (p == v - 1
+                        || (self.kind(v - 1) == NodeKind::Attribute && self.parent(v - 1) == p)))
+            {
+                return Err(format!("attribute {v} does not follow its element"));
+            }
+            if kind == NodeKind::Element {
+                open.push(v);
+            } else {
+                close(v)?;
+            }
         }
-        if max_level != self.height {
+        while let Some(v) = open.pop() {
+            close(v)?;
+        }
+        if height != self.height {
             return Err(format!(
-                "stored height {} != computed {max_level}",
+                "stored height {} != computed {height}",
                 self.height
             ));
         }
         Ok(())
     }
 
-    /// The content arena and per-node content index (persistence support).
-    pub(crate) fn content_columns(&self) -> (&[String], &[u32]) {
-        (&self.arena, &self.content)
+    /// The content arena, its string ends and the per-node content index
+    /// (persistence support).
+    pub(crate) fn content_columns(&self) -> (&str, &[u32], &[u32]) {
+        (&self.arena, &self.arena_ends, &self.content)
     }
 
     /// Reassembles a document from raw columns (persistence support).
@@ -460,7 +487,8 @@ impl Doc {
         tag: Vec<TagId>,
         parent: Vec<Pre>,
         content: Vec<u32>,
-        arena: Vec<String>,
+        arena: String,
+        arena_ends: Vec<u32>,
         tags: TagInterner,
         height: Level,
     ) -> Doc {
@@ -483,6 +511,7 @@ impl Doc {
             parent,
             content,
             arena,
+            arena_ends,
             tags,
             height,
         }
@@ -559,7 +588,8 @@ pub struct EncodingBuilder {
     tag: Vec<TagId>,
     parent: Vec<Pre>,
     content: Vec<u32>,
-    arena: Vec<String>,
+    arena: String,
+    arena_ends: Vec<u32>,
     tags: TagInterner,
     /// Stack of open element pre ranks.
     open: Vec<Pre>,
@@ -589,7 +619,8 @@ impl EncodingBuilder {
             tag: Vec::new(),
             parent: Vec::new(),
             content: Vec::new(),
-            arena: Vec::new(),
+            arena: String::new(),
+            arena_ends: Vec::new(),
             tags: TagInterner::new(),
             open: Vec::new(),
             next_post: 0,
@@ -638,12 +669,37 @@ impl EncodingBuilder {
             .push(self.open.last().copied().unwrap_or(NO_PARENT));
         match content {
             Some(c) if self.store_content => {
-                self.content.push(self.arena.len() as u32);
-                self.arena.push(c.to_string());
+                self.content.push(self.arena_ends.len() as u32);
+                self.arena.push_str(c);
+                self.arena_ends.push(self.arena_end());
             }
             _ => self.content.push(u32::MAX),
         }
         pre
+    }
+
+    /// The arena's length as a string end; content is capped at 4 GiB the
+    /// way node counts are capped at 2^32.
+    fn arena_end(&self) -> u32 {
+        u32::try_from(self.arena.len()).expect("content arena exceeds 4 GiB")
+    }
+
+    /// Emits `run` as a text node, or, when `merge` says the node emitted
+    /// last is a text node, appends it to that node's content: its string
+    /// is the arena's open tail. Empty runs emit nothing. Returns whether
+    /// a text node is now last.
+    fn text_run(&mut self, run: &str, merge: bool) -> bool {
+        if run.is_empty() {
+            return merge;
+        }
+        if !merge {
+            self.text(run);
+        } else if self.store_content {
+            self.arena.push_str(run);
+            let end = self.arena_end();
+            *self.arena_ends.last_mut().expect("a text node is last") = end;
+        }
+        true
     }
 
     fn close_leaf(&mut self, pre: Pre) {
@@ -726,13 +782,23 @@ impl EncodingBuilder {
     }
 
     /// Finalises the encoding. Panics if elements are still open.
-    pub fn finish(self) -> Doc {
+    pub fn finish(mut self) -> Doc {
         assert!(
             self.open.is_empty(),
             "finish with {} open element(s)",
             self.open.len()
         );
         debug_assert_eq!(self.next_post as usize, self.post.len());
+        // The document outlives the build by far: give back the slack the
+        // pre-sizing guess or the last doubling left in every buffer.
+        self.post.shrink_to_fit();
+        self.level.shrink_to_fit();
+        self.kind.shrink_to_fit();
+        self.tag.shrink_to_fit();
+        self.parent.shrink_to_fit();
+        self.content.shrink_to_fit();
+        self.arena.shrink_to_fit();
+        self.arena_ends.shrink_to_fit();
         Doc {
             post: Bat::from_tail(0, self.post),
             level: self.level,
@@ -741,6 +807,7 @@ impl EncodingBuilder {
             parent: self.parent,
             content: self.content,
             arena: self.arena,
+            arena_ends: self.arena_ends,
             tags: self.tags,
             height: self.height,
         }
@@ -1003,6 +1070,57 @@ mod tests {
         let doc = Doc::from_xml(r#"<a x="1">t<!--c--><b><c/></b></a>"#).unwrap();
         assert_eq!(doc.validate(), Ok(()));
         assert_eq!(EncodingBuilder::new().finish().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_columns_no_loader_builds() {
+        // r(x(z), y) with z placed after y: every parent is earlier and
+        // encloses its child and every level is its parent's plus one, yet
+        // y sits inside x's pre range without being its descendant.
+        let mut tags = TagInterner::new();
+        let t = tags.intern("t");
+        let build = |post: Vec<Post>, kind: Vec<u8>, parent: Vec<Pre>| {
+            Doc::from_raw_parts(
+                post,
+                vec![0, 1, 1, 2],
+                kind,
+                vec![t; 4],
+                parent,
+                vec![u32::MAX; 4],
+                String::new(),
+                Vec::new(),
+                tags.clone(),
+                2,
+            )
+        };
+        let scrambled = build(vec![3, 2, 0, 1], vec![0; 4], vec![NO_PARENT, 0, 0, 1]);
+        assert_eq!(
+            scrambled.validate(),
+            Err("post(1) = 2, expected 0".to_string()),
+            "x closes when y opens, before z"
+        );
+        // The same tree in preorder (r, x, z, y with levels 0, 1, 2, 1)
+        // passes, and fails again once a leaf kind is given a child or an
+        // attribute does not directly follow its element.
+        let ordered = |kind: Vec<u8>| {
+            let mut doc = build(vec![3, 1, 0, 2], kind, vec![NO_PARENT, 0, 1, 0]);
+            doc.level = vec![0, 1, 2, 1];
+            doc.validate()
+        };
+        assert_eq!(ordered(vec![0; 4]), Ok(()));
+        let text = NodeKind::Text as u8;
+        assert!(
+            ordered(vec![0, text, 0, 0]).is_err(),
+            "a text node with a child"
+        );
+        let attribute = NodeKind::Attribute as u8;
+        assert!(
+            ordered(vec![0, attribute, 0, 0]).is_err(),
+            "an attribute with a child"
+        );
+        assert!(ordered(vec![0, 0, 0, attribute])
+            .unwrap_err()
+            .contains("does not follow its element"));
     }
 
     #[test]

@@ -20,11 +20,29 @@ pub const NO_TAG: TagId = u32::MAX;
 /// fragmentation strategy partitions on. Keeping the counts here makes
 /// them an O(1) lookup at query-planning time, with no need to build the
 /// fragment index itself first.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TagInterner {
     by_name: HashMap<String, TagId>,
     names: Vec<String>,
     element_counts: Vec<u32>,
+    /// Direct-mapped cache in front of `by_name`: the id last interned in
+    /// each slot. A loader interns a few dozen names hundreds of thousands
+    /// of times; a hit is a cheap hash and one string compare, no SipHash,
+    /// and a miss (or a flood of colliding names) falls through to the map.
+    recent: [TagId; RECENT_SLOTS],
+}
+
+const RECENT_SLOTS: usize = 256;
+
+impl Default for TagInterner {
+    fn default() -> TagInterner {
+        TagInterner {
+            by_name: HashMap::new(),
+            names: Vec::new(),
+            element_counts: Vec::new(),
+            recent: [NO_TAG; RECENT_SLOTS],
+        }
+    }
 }
 
 impl TagInterner {
@@ -35,14 +53,28 @@ impl TagInterner {
 
     /// Interns `name`, returning its stable id.
     pub fn intern(&mut self, name: &str) -> TagId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        // FNV-1a; only ever picks a cache slot, so its quality is not a
+        // correctness or a worst-case concern.
+        let hash = name.bytes().fold(0x811c_9dc5_u32, |h, b| {
+            (h ^ b as u32).wrapping_mul(0x0100_0193)
+        });
+        let slot = (hash ^ (hash >> 16)) as usize % RECENT_SLOTS;
+        let cached = self.recent[slot];
+        if self.name(cached) == Some(name) {
+            return cached;
         }
-        let id = self.names.len() as TagId;
-        assert!(id != NO_TAG, "tag space exhausted");
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
-        self.element_counts.push(0);
+        let id = match self.by_name.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.names.len() as TagId;
+                assert!(id != NO_TAG, "tag space exhausted");
+                self.names.push(name.to_string());
+                self.by_name.insert(name.to_string(), id);
+                self.element_counts.push(0);
+                id
+            }
+        };
+        self.recent[slot] = id;
         id
     }
 

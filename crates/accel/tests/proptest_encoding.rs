@@ -55,6 +55,60 @@ fn arb_doc() -> impl Strategy<Value = Doc> {
     })
 }
 
+/// XML text whose content exercises the arena: multi-byte UTF-8, empty
+/// attribute values, entity references, text/CDATA runs that must merge
+/// into one text node, comments and PIs.
+fn arb_xml() -> impl Strategy<Value = String> {
+    const TEXT: [&str; 6] = [
+        "t",
+        "héllo wörld",
+        "日本語",
+        "a &amp; b &lt; c",
+        "&#x1F600;&#233;",
+        "x]] y",
+    ];
+    const VALUE: [&str; 4] = ["", "v", "caf&#233; &quot;q&quot;", "値"];
+    const CDATA: [&str; 3] = ["<raw> & markup", "ümlaut", "]]"];
+    proptest::collection::vec((0u8..8, 0usize..12), 1..60).prop_map(|ops| {
+        let mut xml = String::from("<root>");
+        let mut open: Vec<String> = vec![];
+        for (op, pick) in ops {
+            match op {
+                0 => {
+                    let name = format!("e{}", pick % 3);
+                    xml.push_str(&format!("<{name} x=\"{}\"", VALUE[pick % 4]));
+                    if pick % 2 == 0 {
+                        xml.push_str(&format!(" y='{}'", VALUE[pick / 2 % 4]));
+                    }
+                    xml.push('>');
+                    open.push(name);
+                }
+                1 => {
+                    if let Some(name) = open.pop() {
+                        xml.push_str(&format!("</{name}>"));
+                    }
+                }
+                2 => xml.push_str(TEXT[pick % 6]),
+                3 => xml.push_str(&format!("<![CDATA[{}]]>", CDATA[pick % 3])),
+                4 => xml.push_str(&format!("<!--{}-->", ["", "c", "é &amp; raw"][pick % 3])),
+                5 => xml.push_str(&format!(
+                    "<?p{} {}?>",
+                    pick % 2,
+                    ["", "d", "données"][pick % 3]
+                )),
+                6 => xml.push_str(&format!("<s x=\"\" z=\"{}\"/>", VALUE[pick % 4])),
+                // (An empty section is no node of its own and ends no run.)
+                _ => xml.push_str("ab<![CDATA[]]><![CDATA[<c>]]>d&amp;e"),
+            }
+        }
+        while let Some(name) = open.pop() {
+            xml.push_str(&format!("</{name}>"));
+        }
+        xml.push_str("</root>");
+        xml
+    })
+}
+
 /// Brute-force descendant count straight from the region predicate.
 fn brute_descendants(doc: &Doc, c: u32) -> u32 {
     doc.pres()
@@ -186,6 +240,30 @@ proptest! {
             prop_assert_eq!(doc.content(v), back.content(v));
         }
         prop_assert_eq!(back.validate(), Ok(()));
+    }
+
+    /// Content survives `from_xml → to_bytes → from_bytes` node for node,
+    /// whatever it is made of, and both ends agree with the DOM parse.
+    #[test]
+    fn content_roundtrips_through_the_arena(xml in arb_xml()) {
+        let doc = Doc::from_xml(&xml).expect("generated XML parses");
+        let dom = staircase_xml::Document::parse(&xml).expect("generated XML parses").to_xml();
+        prop_assert_eq!(doc.to_document().to_xml(), dom.clone());
+        let back = Doc::from_bytes(&doc.to_bytes()).expect("self-produced bytes decode");
+        prop_assert_eq!(back.validate(), Ok(()));
+        prop_assert_eq!(doc.len(), back.len());
+        for v in doc.pres() {
+            prop_assert_eq!(doc.content(v), back.content(v), "node {}", v);
+            // Elements have no content; every other kind has some, if empty.
+            prop_assert_eq!(doc.content(v).is_none(), doc.kind(v) == NodeKind::Element);
+            // Adjacent text and CDATA runs merged: no two text siblings.
+            let text_pair = v > 0
+                && doc.kind(v) == NodeKind::Text
+                && doc.kind(v - 1) == NodeKind::Text
+                && doc.parent(v) == doc.parent(v - 1);
+            prop_assert!(!text_pair, "text nodes {} and {} are adjacent", v - 1, v);
+        }
+        prop_assert_eq!(back.to_document().to_xml(), dom);
     }
 
     /// Truncated inputs never decode successfully (and never panic).

@@ -457,14 +457,11 @@ pub fn render_line(doc: &Doc, v: Pre) -> String {
     format!("pre {:>8}  {}", v, render_node(doc, v))
 }
 
+/// The longest prefix of `s` that ends at the first char boundary at or
+/// past 40 bytes (all of `s` when it is shorter).
 fn truncate(s: &str) -> &str {
-    let end = s
-        .char_indices()
-        .map(|(i, _)| i)
-        .take_while(|&i| i <= 40)
-        .last()
-        .unwrap_or(0);
-    &s[..end]
+    let end = (40..s.len()).find(|&i| s.is_char_boundary(i));
+    &s[..end.unwrap_or(s.len())]
 }
 
 #[cfg(test)]
@@ -551,6 +548,29 @@ mod tests {
         assert!(parse_query_payload(&[0, 200, b'a']).is_err());
         // Non-UTF-8 expression.
         assert!(parse_query_payload(&[0, 1, b'a', 0xFF, 0xFE]).is_err());
+    }
+
+    #[test]
+    fn truncate_cuts_at_the_first_boundary_past_forty_bytes() {
+        assert_eq!(truncate(""), "");
+        assert_eq!(truncate("1"), "1");
+        let forty = "0123456789".repeat(4);
+        assert_eq!(truncate(&forty), forty);
+        assert_eq!(truncate(&format!("{forty}x")), forty);
+        // A character straddling byte 40 is kept whole.
+        let straddle = format!("{}\u{65e5}\u{672c}", &forty[..39]);
+        assert_eq!(truncate(&straddle), &straddle[..42]);
+        assert_eq!(truncate(&straddle[..42]), &straddle[..42]);
+        let wide = "\u{e9}".repeat(30);
+        assert_eq!(truncate(&wide), &wide[..40]);
+    }
+
+    #[test]
+    fn short_text_renders_whole() {
+        let doc = Doc::from_xml("<a>world &amp; more<increase>1</increase><!--c--></a>").unwrap();
+        assert_eq!(render_node(&doc, 1), "text \"world & more\"");
+        assert_eq!(render_node(&doc, 3), "text \"1\"");
+        assert_eq!(render_node(&doc, 4), "comment \"c\"");
     }
 
     #[test]

@@ -547,3 +547,30 @@ fn stats_report_open_connections() {
     assert!(stats.contains("connections 2\n"), "{stats}");
     handle.shutdown_and_join();
 }
+
+/// `staircase-serve` validates a `.scj` before it binds: a corrupt file is
+/// a start-up error, not a panic on the first query that reads content.
+#[test]
+fn serve_binary_refuses_a_corrupt_encoded_document() {
+    let session = Session::parse_xml(SAMPLE).expect("fixture parses");
+    let mut bytes = session.doc().to_bytes().to_vec();
+    let at = bytes.len() - 4;
+    bytes[at..].copy_from_slice(&1000u32.to_le_bytes());
+    let path = std::env::temp_dir().join(format!("serve-corrupt-{}.scj", std::process::id()));
+    std::fs::write(&path, bytes).expect("temp file writes");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_staircase-serve"))
+        .args([
+            path.to_str().expect("utf-8 path"),
+            "--encoded",
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("corrupt document"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

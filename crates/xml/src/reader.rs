@@ -112,7 +112,7 @@ impl<'a> PullParser<'a> {
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
+        self.bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn skip_whitespace(&mut self) {
@@ -134,21 +134,41 @@ impl<'a> PullParser<'a> {
         }
     }
 
+    /// `raw` (at offset `start`) with its references expanded; `references`
+    /// is whether the scan that delimited it saw a `&` at all.
+    fn expand(&self, raw: &'a str, start: usize, references: bool) -> Result<Cow<'a, str>> {
+        if references {
+            unescape(raw, self.input, start)
+        } else {
+            Ok(Cow::Borrowed(raw))
+        }
+    }
+
     /// Reads an XML name starting at the current position.
     fn read_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         let b = self.bytes();
-        if start >= b.len() || !is_name_start(self.input[start..].chars().next().unwrap_or('\0')) {
-            return Err(Error::InvalidName(self.err_pos(start)));
-        }
-        let rest = &self.input[start..];
         let mut end = start;
-        for c in rest.chars() {
-            if (end == start && is_name_start(c)) || (end > start && is_name_char(c)) {
-                end += c.len_utf8();
+        loop {
+            // Names are ASCII but for a vanishing few: only a non-ASCII
+            // byte is decoded as a character.
+            let c = match b.get(end) {
+                Some(&c) if c.is_ascii() => c as char,
+                Some(_) => self.input[end..].chars().next().unwrap_or('\0'),
+                None => break,
+            };
+            let allowed = if end == start {
+                is_name_start(c)
             } else {
+                is_name_char(c)
+            };
+            if !allowed {
                 break;
             }
+            end += c.len_utf8();
+        }
+        if end == start {
+            return Err(Error::InvalidName(self.err_pos(start)));
         }
         self.pos = end;
         Ok(&self.input[start..end])
@@ -209,8 +229,10 @@ impl<'a> PullParser<'a> {
         let start = self.pos;
         let b = self.bytes();
         let mut i = self.pos;
+        let mut references = false;
         while i < b.len() && b[i] != b'<' {
-            if b[i] == b']' && self.input[i..].starts_with("]]>") {
+            references |= b[i] == b'&';
+            if b[i] == b']' && b[i..].starts_with(b"]]>") {
                 return Err(Error::CdataCloseInText(self.err_pos(i)));
             }
             i += 1;
@@ -224,7 +246,7 @@ impl<'a> PullParser<'a> {
             }
             return Err(Error::ExtraRootContent(self.err_pos(start)));
         }
-        let text = unescape(raw, self.input, start)?;
+        let text = self.expand(raw, start, references)?;
         Ok(Some(Event::Text(text)))
     }
 
@@ -311,7 +333,9 @@ impl<'a> PullParser<'a> {
         let val_start = self.pos;
         let b = self.bytes();
         let mut i = self.pos;
+        let mut references = false;
         while i < b.len() && b[i] != quote {
+            references |= b[i] == b'&';
             if b[i] == b'<' {
                 return Err(Error::UnexpectedToken {
                     expected: "attribute value without '<'",
@@ -325,7 +349,7 @@ impl<'a> PullParser<'a> {
         }
         let raw = &self.input[val_start..i];
         self.pos = i + 1;
-        let value = unescape(raw, self.input, val_start)?;
+        let value = self.expand(raw, val_start, references)?;
         Ok(Attribute { name, value })
     }
 

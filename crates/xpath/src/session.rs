@@ -31,7 +31,7 @@ use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use staircase_accel::{Context, Doc, Pre};
+use staircase_accel::{Context, DecodeError, Doc, Pre};
 use staircase_baselines::SqlEngine;
 use staircase_core::cost::{Calibrator, DocStats};
 use staircase_core::governor::Budget;
@@ -162,13 +162,17 @@ impl Session {
         Session::parse_xml(&std::fs::read_to_string(path)?)
     }
 
-    /// Decodes a document persisted with [`Doc::to_bytes`].
+    /// Decodes a document persisted with [`Doc::to_bytes`] and checks the
+    /// encoding invariants ([`Doc::validate`]) before anything indexes it:
+    /// the bytes may come from anywhere.
     ///
     /// # Errors
     ///
     /// [`Error::Decode`] when the bytes are not a valid encoded plane.
     pub fn from_encoded_bytes(bytes: &[u8]) -> Result<Session, Error> {
-        Ok(Session::new(Doc::from_bytes(bytes)?))
+        let doc = Doc::from_bytes(bytes)?;
+        doc.validate().map_err(DecodeError::Corrupt)?;
+        Ok(Session::new(doc))
     }
 
     /// Reads a persisted (`.scj`) document.
@@ -176,7 +180,7 @@ impl Session {
     /// # Errors
     ///
     /// [`Error::Io`] when the file cannot be read, [`Error::Decode`] when
-    /// it does not decode.
+    /// it does not decode or does not validate.
     pub fn open_encoded(path: impl AsRef<FsPath>) -> Result<Session, Error> {
         Session::from_encoded_bytes(&std::fs::read(path)?)
     }
@@ -827,6 +831,26 @@ mod tests {
         ));
         let s = session();
         assert!(matches!(s.prepare("///"), Err(Error::Parse(_))));
+    }
+
+    #[test]
+    fn encoded_bytes_are_validated_before_a_session_indexes_them() {
+        let good = session().doc().to_bytes().to_vec();
+        assert!(Session::from_encoded_bytes(&good).is_ok());
+        let corrupt = |at: usize, value: u32| {
+            let mut bytes = good.clone();
+            bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            match Session::from_encoded_bytes(&bytes) {
+                Err(Error::Decode(DecodeError::Corrupt(why))) => why,
+                other => panic!("expected a decode error, got {:?}", other.map(|_| ())),
+            }
+        };
+        // A content index past the arena: the decoder's own check.
+        assert!(corrupt(good.len() - 4, 1000).contains("content index"));
+        // A post rank swapped for another: every block is in range, so only
+        // `Doc::validate` can tell.
+        let second = u32::from_le_bytes(good[20..24].try_into().unwrap());
+        assert!(corrupt(16, second).contains("post("));
     }
 
     #[test]

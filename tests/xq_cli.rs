@@ -108,6 +108,68 @@ fn encode_then_query_encoded() {
 }
 
 #[test]
+fn corrupt_encoded_file_exits_with_parse_code_not_a_panic() {
+    let dir = tempdir();
+    let xml = dir.join("corrupt.xml");
+    let scj = dir.join("corrupt.scj");
+    std::fs::write(
+        &xml,
+        "<site><open_auction id=\"a0\"><bidder><increase>1</increase></bidder></open_auction></site>",
+    )
+    .unwrap();
+    let out = xq()
+        .args(["--encode", xml.to_str().unwrap(), scj.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // The last content index now points far past the arena.
+    let mut bytes = std::fs::read(&scj).unwrap();
+    let at = bytes.len() - 4;
+    bytes[at..].copy_from_slice(&1000u32.to_le_bytes());
+    std::fs::write(&scj, bytes).unwrap();
+
+    let out = xq()
+        .args(["//node()", "--encoded", scj.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("corrupt document"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn short_text_renders_whole_locally_and_over_the_wire() {
+    const XML: &str = "<a>world &amp; more<increase>1</increase></a>";
+    let expected = "pre        1  text \"world & more\"\npre        3  text \"1\"\n";
+    let mut child = xq()
+        .args(["//text()"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(XML.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+
+    let session = std::sync::Arc::new(staircase_xpath::Session::parse_xml(XML).unwrap());
+    let handle =
+        staircase_server::Server::start(session, staircase_server::ServerConfig::default())
+            .unwrap();
+    let out = xq()
+        .args(["//text()", "--connect", &handle.local_addr().to_string()])
+        .output()
+        .unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+    handle.shutdown_and_join();
+}
+
+#[test]
 fn stats_go_to_stderr() {
     let mut child = xq()
         .args(["//bidder", "--stats", "--count"])
