@@ -1,13 +1,30 @@
 //! The encoded document (`doc` table) and its streaming loader.
 
 use staircase_storage::Bat;
-use staircase_xml::{Document, Event, NodeId, PullParser};
+use staircase_xml::{Document, Event, NodeId, PullParser, TextPos};
 
 use crate::tags::{TagId, TagInterner, NO_TAG};
 use crate::{Level, Post, Pre};
 
 /// Parent pre-rank sentinel for the root node.
 pub const NO_PARENT: Pre = u32::MAX;
+
+/// The deepest element nesting a document may have: an element opened
+/// under `MAX_DEPTH - 1` others sits at level `MAX_DEPTH - 1`, its
+/// attributes and children at `Level::MAX`, the last level the 16-bit
+/// level column can count. Enforced where text and trees enter
+/// ([`Doc::from_xml`], [`Doc::from_document`]); `.scj` decode refuses a
+/// stored height the column cannot hold.
+pub const MAX_DEPTH: usize = Level::MAX as usize;
+
+/// The ingest error for a start tag (at `pos`, when the input was text)
+/// that would open element number `MAX_DEPTH + 1` on its path.
+fn too_deep(pos: Option<TextPos>) -> staircase_xml::Error {
+    staircase_xml::Error::TooDeep {
+        limit: MAX_DEPTH,
+        pos,
+    }
+}
 
 /// The kind of an encoded node.
 ///
@@ -92,12 +109,16 @@ impl Doc {
         let mut text_open = false;
         loop {
             let merge = std::mem::replace(&mut text_open, false);
+            let at = parser.offset();
             match parser.next_event()? {
                 Event::StartTag {
                     name,
                     attributes,
                     self_closing,
                 } => {
+                    if b.depth() >= MAX_DEPTH {
+                        return Err(too_deep(Some(TextPos::from_offset(input, at))));
+                    }
                     b.open_element(name);
                     for a in &attributes {
                         b.attribute(a.name, &a.value);
@@ -121,25 +142,32 @@ impl Doc {
         Ok(b.finish())
     }
 
-    /// Encodes an in-memory [`Document`] tree.
-    pub fn from_document(doc: &Document) -> Doc {
+    /// Encodes an in-memory [`Document`] tree; [`staircase_xml::Error::TooDeep`]
+    /// when its elements nest deeper than [`MAX_DEPTH`].
+    pub fn from_document(doc: &Document) -> Result<Doc, staircase_xml::Error> {
         let mut b = EncodingBuilder::new();
-        fn walk(doc: &Document, id: NodeId, b: &mut EncodingBuilder) {
-            match doc.kind(id) {
-                staircase_xml::NodeKind::Document => {
-                    for c in doc.children(id) {
-                        walk(doc, c, b);
-                    }
+        // One child iterator per open node, on the heap: a tree as deep
+        // as the encoding allows would overflow a thread's stack.
+        let mut open = vec![doc.children(doc.document_node())];
+        while let Some(children) = open.last_mut() {
+            let Some(id) = children.next() else {
+                open.pop();
+                if !open.is_empty() {
+                    b.close_element();
                 }
+                continue;
+            };
+            match doc.kind(id) {
+                staircase_xml::NodeKind::Document => {} // never a child
                 staircase_xml::NodeKind::Element { name, attributes } => {
+                    if b.depth() >= MAX_DEPTH {
+                        return Err(too_deep(None));
+                    }
                     b.open_element(name);
                     for (k, v) in attributes {
                         b.attribute(k, v);
                     }
-                    for c in doc.children(id) {
-                        walk(doc, c, b);
-                    }
-                    b.close_element();
+                    open.push(doc.children(id));
                 }
                 staircase_xml::NodeKind::Text(t) => {
                     b.text(t);
@@ -152,8 +180,7 @@ impl Doc {
                 }
             }
         }
-        walk(doc, doc.document_node(), &mut b);
-        b.finish()
+        Ok(b.finish())
     }
 
     /// Reconstructs a [`Document`] tree (requires retained content).
@@ -659,7 +686,7 @@ impl EncodingBuilder {
             self.tags.record_element(tag);
         }
         let pre = self.level.len() as Pre;
-        let level = self.open.len() as Level;
+        let level = Level::try_from(self.open.len()).expect("document deeper than u16::MAX levels");
         self.post.push(0); // patched on close for elements, below for leaves
         self.level.push(level);
         self.height = self.height.max(level);
@@ -827,6 +854,65 @@ mod tests {
     /// The paper's Figure 1/2 document: a(b(c),d,e(f(g,h),i(j))).
     pub(crate) fn figure1() -> Doc {
         Doc::from_xml("<a><b><c/></b><d/><e><f><g/><h/></f><i><j/></i></e></a>").unwrap()
+    }
+
+    fn chain_xml(depth: usize) -> String {
+        "<a>".repeat(depth) + &"</a>".repeat(depth)
+    }
+
+    #[test]
+    fn deepest_encodable_chain_loads_with_exact_levels() {
+        let doc = Doc::from_xml(&chain_xml(MAX_DEPTH)).unwrap();
+        assert_eq!(doc.len(), MAX_DEPTH);
+        assert_eq!(doc.height() as usize, MAX_DEPTH - 1);
+        let last = (MAX_DEPTH - 1) as Pre;
+        assert_eq!(doc.level(last) as usize, MAX_DEPTH - 1, "no wrap-around");
+        assert_eq!(doc.parent(last), last - 1);
+        doc.validate().unwrap();
+    }
+
+    #[test]
+    fn one_level_too_deep_is_a_typed_error_before_the_node_is_pushed() {
+        // From text: the error names the start tag that went too far.
+        let xml = chain_xml(MAX_DEPTH + 2);
+        let offending = 3 * MAX_DEPTH; // byte offset of start tag number MAX_DEPTH + 1
+        assert_eq!(
+            Doc::from_xml(&xml).unwrap_err(),
+            staircase_xml::Error::TooDeep {
+                limit: MAX_DEPTH,
+                pos: Some(TextPos {
+                    line: 1,
+                    col: offending as u32 + 1
+                }),
+            }
+        );
+        // An attribute or text child of the deepest element still fits.
+        let leafy = "<a>".repeat(MAX_DEPTH - 1) + "<a x='1'>t</a>" + &"</a>".repeat(MAX_DEPTH - 1);
+        let doc = Doc::from_xml(&leafy).unwrap();
+        assert_eq!(doc.height(), Level::MAX);
+
+        // From a tree (built without recursion, as it must be walked).
+        let mut tree = Document::new();
+        let mut at = tree.document_node();
+        for _ in 0..MAX_DEPTH + 2 {
+            at = tree.append_element(at, "a", Vec::new());
+        }
+        assert_eq!(
+            Doc::from_document(&tree).unwrap_err(),
+            staircase_xml::Error::TooDeep {
+                limit: MAX_DEPTH,
+                pos: None
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "document deeper than u16::MAX levels")]
+    fn programmatic_builder_fails_loudly_instead_of_wrapping() {
+        let mut b = EncodingBuilder::without_content();
+        for _ in 0..MAX_DEPTH + 2 {
+            b.open_element("a");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod region;
 mod tags;
 
 pub use context::Context;
-pub use doc::{Doc, EncodingBuilder, NodeKind, NO_PARENT};
+pub use doc::{Doc, EncodingBuilder, NodeKind, MAX_DEPTH, NO_PARENT};
 pub use persist::DecodeError;
 pub use region::{Axis, Region};
 pub use tags::{TagId, TagInterner, NO_TAG};

@@ -180,7 +180,7 @@ proptest! {
     /// Encoding → Document → Encoding is the identity on all columns.
     #[test]
     fn roundtrip_through_tree(doc in arb_doc()) {
-        let rebuilt = Doc::from_document(&doc.to_document());
+        let rebuilt = Doc::from_document(&doc.to_document()).unwrap();
         prop_assert_eq!(doc.len(), rebuilt.len());
         prop_assert_eq!(doc.post_column(), rebuilt.post_column());
         prop_assert_eq!(doc.kind_column(), rebuilt.kind_column());

@@ -54,6 +54,7 @@
 use staircase_accel::{Context, Doc, NodeKind, Pre};
 
 use crate::anc::ancestor_partitions;
+use crate::cursor::seek_from;
 use crate::desc::descendant_partitions;
 use crate::list::{ancestor_list_partitions, descendant_list_partitions};
 use crate::prune::{prune_ancestor_into, prune_descendant_into};
@@ -282,7 +283,6 @@ pub fn descendant_on_list_many(
                 doc,
                 list,
                 &lane.steps,
-                doc.len() as Pre,
                 &mut lane.result,
                 &mut lane.stats,
             ),
@@ -688,7 +688,9 @@ pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
 /// boundaries; per entry, every awake lane whose open partition contains
 /// it tests the staircase bound, and the first miss puts the lane to
 /// sleep until its next boundary — exactly the sequential on-list join,
-/// lane by lane, with each entry read once.
+/// lane by lane, with each entry read once. A lane's `seeks` are the
+/// gallops the merged scan itself makes: one per Z-region it counts, and
+/// each leapfrog over unwanted entries goes to the lane it lands on.
 pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) {
     let post = doc.post_column();
     let n = doc.len() as Pre;
@@ -723,8 +725,9 @@ pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) 
             // Nobody is interested in the entries before the next
             // boundary: leapfrog the cursor there.
             match events.get(ei) {
-                Some(&(next_c, _)) => {
-                    j += list[j..].partition_point(|&q| q <= next_c);
+                Some(&(next_c, li)) => {
+                    lanes[li as usize].stats.seeks += 1;
+                    j = seek_from(list, j, |&q| q <= next_c);
                     continue;
                 }
                 None => break,
@@ -755,9 +758,8 @@ pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) 
                 // Z-region: no later entry in this lane's partition can be
                 // a descendant; sleep until the lane's next boundary.
                 let part_end = lane.steps.get(lane.next).copied().unwrap_or(n);
-                let rest = list[j..]
-                    .partition_point(|&q| q < part_end)
-                    .saturating_sub(1);
+                lane.stats.seeks += 1;
+                let rest = seek_from(list, j, |&q| q < part_end) - j - 1;
                 lane.stats.nodes_skipped += rest as u64;
                 lane.awake = false;
                 active.swap_remove(ai);
@@ -770,7 +772,8 @@ pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) 
 /// The merged ancestor fragment scan: partitions *end* at each lane's
 /// boundaries; an entry below a lane's bound is preceding, so that lane
 /// jumps the entry's guaranteed subtree block (sleeping until its wake
-/// position) exactly as the sequential on-list join does.
+/// position) exactly as the sequential on-list join does — one seek per
+/// jump, plus one (the first sleeper's) per leapfrog of the shared cursor.
 pub(crate) fn ancestor_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) {
     let post = doc.post_column();
     let mut active: Vec<u32> = Vec::with_capacity(lanes.len());
@@ -809,8 +812,9 @@ pub(crate) fn ancestor_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) {
                 break; // every lane passed its last boundary
             }
             // Everyone is inside a jumped-over block: leapfrog to the
-            // earliest wake position.
-            j += list[j..].partition_point(|&q| q < min_wake);
+            // earliest wake position (charged to the first sleeper).
+            lanes[sleeping[0] as usize].stats.seeks += 1;
+            j = seek_from(list, j, |&q| q < min_wake);
             continue;
         }
         if gov.tick(1) {
@@ -855,7 +859,8 @@ pub(crate) fn ancestor_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) {
                 // p precedes this lane's context node: every entry inside
                 // p's subtree is preceding too — jump the block.
                 let subtree_end = p + 1 + post_p.saturating_sub(p);
-                let skipped = list[j + 1..].partition_point(|&q| q < subtree_end);
+                lane.stats.seeks += 1;
+                let skipped = seek_from(list, j + 1, |&q| q < subtree_end) - j - 1;
                 lane.stats.nodes_skipped += skipped as u64;
                 if skipped > 0 {
                     lane.wake = subtree_end;

@@ -180,14 +180,15 @@ impl DocStats {
     }
 
     /// The on-list (fragment) staircase join: touches only fragment
-    /// nodes — the in-window share of the fragment plus one binary
-    /// search per partition — and, with `prescan` (§4.4 query-time
-    /// pushdown), a full selection scan to *produce* the list first.
+    /// nodes — the in-window share of the fragment plus one gallop per
+    /// partition, `card · (1 + log2(f/card + 2))` in all — and, with
+    /// `prescan` (§4.4 query-time pushdown), a full selection scan to
+    /// *produce* the list first.
     pub fn fragment_cost(&self, fragment: usize, card: f64, window: f64, prescan: bool) -> f64 {
         let f = fragment as f64;
         let n = (self.nodes as f64).max(1.0);
         let in_window = f * (window / n).min(1.0);
-        let probes = card * (f + 2.0).log2();
+        let probes = merge_probes(card, f);
         let join = (in_window + probes).min(f + probes);
         if prescan {
             self.nodes as f64 + join
@@ -299,11 +300,13 @@ impl DocStats {
     }
 
     /// Cost of a semijoin predicate probe (§3.3's empty-region argument:
-    /// one fragment lookup per candidate) against a fragment of
-    /// `fragment` nodes; `prescan` adds the query-time selection scan
-    /// that produces the list when no prebuilt index is used.
+    /// one fragment lookup per candidate, the candidates ascending so the
+    /// lookups are one forward merge, priced like the fragment join's
+    /// gallops) against a fragment of `fragment` nodes; `prescan` adds
+    /// the query-time selection scan that produces the list when no
+    /// prebuilt index is used.
     pub fn semijoin_cost(&self, candidates: f64, fragment: usize, prescan: bool) -> f64 {
-        let probe = candidates * ((fragment as f64) + 2.0).log2();
+        let probe = merge_probes(candidates, fragment as f64);
         if prescan {
             self.nodes as f64 + probe
         } else {
@@ -597,6 +600,17 @@ impl Default for Calibrator {
     fn default() -> Calibrator {
         Calibrator::new()
     }
+}
+
+/// Cursor work of merging `m` ascending probes into a sorted list of `f`
+/// entries with [`crate::cursor::seek_from`] — Leapfrog Triejoin's
+/// amortised bound `m · (1 + log2(f/m + 2))`: each gallop pays for the
+/// distance it moves, not for the length of the list.
+fn merge_probes(m: f64, f: f64) -> f64 {
+    if m <= 0.0 {
+        return 0.0;
+    }
+    m * (1.0 + (f / m + 2.0).log2())
 }
 
 /// Per-leg inputs to the twig estimators

@@ -15,6 +15,7 @@
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::batch::dedup_pass;
+use crate::cursor::seek_from;
 use crate::morsel::morsel_count;
 use crate::pool::WorkerPool;
 use crate::stats::StepStats;
@@ -22,8 +23,10 @@ use crate::stats::StepStats;
 /// Keeps the context nodes that have at least one descendant in `list`
 /// (`list` = pre-sorted candidate nodes, e.g. a tag fragment).
 ///
-/// Cost: one binary search plus one postorder comparison per context node
-/// — `O(|context| · log |list|)`, independent of subtree sizes.
+/// Cost: a merge — the context ascends, so the list cursor only moves
+/// forward: one [`seek_from`] gallop ([`StepStats::seeks`]) plus one
+/// postorder comparison per context node, `O(|context| · (1 +
+/// log(|list| / |context|)))`, independent of subtree sizes.
 pub fn has_descendant_in(doc: &Doc, context: &Context, list: &[Pre]) -> (Context, StepStats) {
     let mut stats = StepStats {
         context_in: context.len(),
@@ -37,10 +40,10 @@ pub fn has_descendant_in(doc: &Doc, context: &Context, list: &[Pre]) -> (Context
     (Context::from_sorted(result), stats)
 }
 
-/// The descendant probe over a candidate slice — the partition-bounded
-/// core of [`has_descendant_in`], shared with the chunked parallel form
-/// (each candidate's probe is independent, so any sub-slice evaluates
-/// exactly as it would inside the full loop).
+/// The descendant probe over an ascending candidate slice — the
+/// partition-bounded core of [`has_descendant_in`], shared with the
+/// chunked parallel form (each candidate's answer is independent, so any
+/// sub-slice evaluates exactly as it would inside the full loop).
 fn probe_descendant(
     doc: &Doc,
     candidates: &[Pre],
@@ -49,10 +52,12 @@ fn probe_descendant(
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
+    let mut i = 0usize;
     for &c in candidates {
         // First list entry after c in document order. The subtree of c is
         // contiguous, so either this entry is a descendant or none is.
-        let i = list.partition_point(|&p| p <= c);
+        stats.seeks += 1;
+        i = seek_from(list, i, |&p| p <= c);
         if let Some(&p) = list.get(i) {
             stats.nodes_scanned += 1;
             if post[p as usize] < post[c as usize] {
@@ -103,7 +108,8 @@ fn probe_ancestor(
 /// Keeps the context nodes that have at least one *child* in `list`.
 ///
 /// Children of `c` lie inside `c`'s contiguous subtree run; the probe
-/// scans the list slice covering that run and tests the parent column.
+/// gallops the list cursor to that run and tests the parent column of the
+/// entries inside it.
 pub fn has_child_in(doc: &Doc, context: &Context, list: &[Pre]) -> (Context, StepStats) {
     let mut stats = StepStats {
         context_in: context.len(),
@@ -125,11 +131,14 @@ fn probe_child(
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
+    // Nested candidates' runs overlap, so the walk inside one run does
+    // not move the cursor the next run opens from.
+    let mut lo = 0usize;
     for &c in candidates {
         let subtree_end = c + 1 + doc.subtree_size(c);
-        let lo = list.partition_point(|&p| p <= c);
-        let hi = lo + list[lo..].partition_point(|&p| p < subtree_end);
-        for &p in &list[lo..hi] {
+        stats.seeks += 1;
+        lo = seek_from(list, lo, |&p| p <= c);
+        for &p in list[lo..].iter().take_while(|&&p| p < subtree_end) {
             stats.nodes_scanned += 1;
             if doc.parent(p) == c {
                 result.push(c);
@@ -142,7 +151,7 @@ fn probe_child(
 /// Probes K candidate sets against one shared `list`: the multi-context
 /// form of [`has_descendant_in`].
 ///
-/// The probes themselves are already O(1) reads per candidate, so the
+/// The probes themselves are already O(1) amortised per candidate, so the
 /// batch form's leverage is *sharing*: identical candidate sets (the
 /// common case when several queries in a batch carry the same predicate
 /// over the same step result) are probed once, duplicates reporting zero
@@ -261,6 +270,7 @@ fn probe_chunked(
             for (part, st) in outs {
                 result.extend_from_slice(&part);
                 stats.nodes_scanned += st.nodes_scanned;
+                stats.seeks += st.seeks;
             }
         }
     }

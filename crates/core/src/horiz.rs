@@ -14,6 +14,7 @@
 use staircase_accel::{Context, Doc, NodeKind, Pre};
 
 use crate::batch::Scratch;
+use crate::cursor::seek_from;
 use crate::morsel::morsel_count;
 use crate::pool::WorkerPool;
 use crate::prune::{prune_following, prune_preceding};
@@ -193,6 +194,7 @@ pub fn following_many(
             if payer == Some(i) {
                 stats.nodes_copied = u64::from(n.saturating_sub(start));
             }
+            // A one-off search per lane (lanes arrive in no order).
             let from = base.partition_point(|&v| v < start);
             let mut result = scratch.take();
             result.extend_from_slice(&base[from..]);
@@ -272,6 +274,9 @@ fn preceding_scan_range(
     let mut copied = 0u64;
     let mut gov = crate::governor::Ticker::ambient();
     let mut v = from;
+    // Cursor into `uniq`: the boundaries at or before the position at
+    // hand are complete. Everything below asks in ascending order.
+    let mut lo = 0usize;
 
     if from > 0 {
         // Reconstruct: is `from` inside a run? Walk its ancestors in
@@ -289,7 +294,7 @@ fn preceding_scan_range(
             if cover.is_some_and(|(end, _)| u <= end) {
                 continue; // covered: the scan never visits u as a head
             }
-            let lo = uniq.partition_point(|&b| b <= u);
+            lo = seek_from(uniq, lo, |&b| b <= u);
             let Some(&first) = uniq.get(lo) else { break };
             if post[u as usize] < post[first as usize] {
                 let run_end = u + post[u as usize].saturating_sub(u).min(first - u - 1);
@@ -317,7 +322,7 @@ fn preceding_scan_range(
         }
     }
 
-    let mut lo = uniq.partition_point(|&b| b <= v);
+    lo = seek_from(uniq, lo, |&b| b <= v);
     while v < to {
         while lo < uniq.len() && uniq[lo] <= v {
             lo += 1; // this boundary's region is complete
@@ -449,6 +454,7 @@ pub fn following_many_par(
                 .zip(buffers)
                 .map(|(&(_, start), mut buf)| {
                     move || {
+                        // A one-off search per lane task.
                         let from = base.partition_point(|&v| v < start);
                         buf.extend_from_slice(&base[from..]);
                         buf

@@ -128,6 +128,7 @@
 mod anc;
 mod batch;
 pub mod cost;
+pub mod cursor;
 mod desc;
 mod exists;
 pub mod faults;

@@ -29,6 +29,7 @@ use std::sync::{Mutex, OnceLock};
 use staircase_accel::{Context, Doc, NodeKind, Pre, TagId};
 use staircase_storage::TagBitmap;
 
+use crate::cursor::seek_from;
 use crate::prune::{prune_ancestor, prune_descendant};
 use crate::stats::StepStats;
 
@@ -489,6 +490,11 @@ fn merge_piece(pieces: &mut Vec<Piece>, lo: Pre, hi: Pre, window_entries: &[Pre]
 /// `context/descendant::tag` evaluated directly on a tag fragment:
 /// equivalent to `nametest(staircase_join_desc(doc, context), tag)` but
 /// touches only `tag`-elements.
+///
+/// A merge of two sorted inputs: the fragment cursor only moves forward,
+/// one [`seek_from`] gallop per partition ([`StepStats::seeks`]), so the
+/// join reads at most `|pruned context| + |list|` entries however the
+/// partitions fall.
 pub fn descendant_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Context, StepStats) {
     let mut stats = StepStats {
         context_in: context.len(),
@@ -497,46 +503,49 @@ pub fn descendant_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Contex
     let pruned = prune_descendant(doc, context);
     stats.context_out = pruned.len();
     let mut result = Vec::new();
-    descendant_list_partitions(
-        doc,
-        list,
-        pruned.as_slice(),
-        doc.len() as Pre,
-        &mut result,
-        &mut stats,
-    );
+    descendant_list_partitions(doc, list, pruned.as_slice(), &mut result, &mut stats);
     stats.result_size = result.len();
     (Context::from_sorted(result), stats)
 }
 
 /// Walks the partitions induced by a pruned step slice over `list`; the
-/// last partition ends at `end` (exclusive). Factored out — and bounded
-/// on the right — so the multi-context fragment join
-/// ([`crate::descendant_on_list_many`]) can serve a single-lane batch
-/// with exactly the sequential join's access pattern, and so the
-/// parallel executor can hand each worker a *chunk* of steps whose final
-/// partition ends where the next chunk's first step begins.
+/// last partition runs to the end of the list. Factored out so the
+/// multi-context fragment join ([`crate::descendant_on_list_many`]) can
+/// serve a single-lane batch — and the twig matcher its descents — with
+/// exactly the sequential join's access pattern.
 pub(crate) fn descendant_list_partitions(
     doc: &Doc,
     list: &[Pre],
     steps: &[Pre],
-    end: Pre,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
     let mut gov = crate::governor::Ticker::ambient();
-    let mut j = 0usize; // cursor into `list`
+    // Cursor into `list`, and where the previous partition hit its
+    // Z-region, if it did: the entries it skipped are counted by this
+    // partition's opening seek.
+    let mut j = 0usize;
+    let mut miss: Option<usize> = None;
     for (i, &c) in steps.iter().enumerate() {
-        let part_end = steps.get(i + 1).copied().unwrap_or(end);
         stats.partitions += 1;
         if gov.tick(1) {
             return;
         }
         let bound = post[c as usize];
         // First list entry inside the partition (list and steps both
-        // ascend, so the cursor only moves forward).
-        j += list[j..].partition_point(|&p| p <= c);
+        // ascend, so the cursor only moves forward) — the partition's one
+        // gallop.
+        stats.seeks += 1;
+        j = seek_from(list, j, |&p| p <= c);
+        if let Some(m) = miss.take() {
+            // The previous partition ended at `c`; its last entry is the
+            // one before the cursor, or before `c` itself when `c` is on
+            // the list.
+            let prev_end = j - usize::from(list[j - 1] == c);
+            stats.nodes_skipped += (prev_end - m - 1) as u64;
+        }
+        let part_end = steps.get(i + 1).copied().unwrap_or(Pre::MAX);
         while let Some(&p) = list.get(j) {
             if p >= part_end {
                 break;
@@ -551,21 +560,22 @@ pub(crate) fn descendant_list_partitions(
             } else {
                 // Z-region: no later list node in this partition can be a
                 // descendant of c.
-                let rest = list[j..]
-                    .partition_point(|&p| p < part_end)
-                    .saturating_sub(1);
-                stats.nodes_skipped += rest as u64;
+                miss = Some(j);
                 break;
             }
         }
+    }
+    if let Some(m) = miss {
+        stats.nodes_skipped += (list.len() - m - 1) as u64;
     }
 }
 
 /// `context/ancestor::tag` evaluated directly on a tag fragment.
 ///
 /// The §3.3 ancestor skip carries over: a list node below the boundary is
-/// preceding, so the cursor jumps past its guaranteed subtree block with a
-/// binary search instead of a linear walk.
+/// preceding, so the cursor gallops past its guaranteed subtree block
+/// ([`seek_from`], one [`StepStats::seeks`] per jump and per partition)
+/// instead of walking it.
 pub fn ancestor_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Context, StepStats) {
     let mut stats = StepStats {
         context_in: context.len(),
@@ -600,7 +610,8 @@ pub(crate) fn ancestor_list_partitions(
             return;
         }
         let bound = post[c as usize];
-        j += list[j..].partition_point(|&p| p < part_start);
+        stats.seeks += 1;
+        j = seek_from(list, j, |&p| p < part_start);
         while let Some(&p) = list.get(j) {
             if p >= c {
                 break;
@@ -616,9 +627,10 @@ pub(crate) fn ancestor_list_partitions(
                 // p precedes c: every list entry inside p's subtree is
                 // preceding too — jump past the guaranteed block.
                 let subtree_end = p + 1 + post[p as usize].saturating_sub(p);
-                let skipped = list[j + 1..].partition_point(|&q| q < subtree_end);
-                stats.nodes_skipped += skipped as u64;
-                j += 1 + skipped;
+                stats.seeks += 1;
+                let next = seek_from(list, j + 1, |&q| q < subtree_end);
+                stats.nodes_skipped += (next - j - 1) as u64;
+                j = next;
             }
         }
         part_start = c + 1;
@@ -724,6 +736,76 @@ mod tests {
                 stats.nodes_scanned,
                 frag.len()
             );
+        }
+    }
+
+    /// `nodes_scanned` / `nodes_skipped` by their per-partition
+    /// definitions, counted with plain filters: the cursor (and folding
+    /// the Z-region count into the next partition's seek) must not move
+    /// either by one.
+    #[test]
+    fn galloping_cursor_keeps_scanned_and_skipped_exact() {
+        for seed in 0..20 {
+            let doc = random_doc(seed, 700);
+            let post = doc.post_column();
+            let idx = TagIndex::build(&doc);
+            let ctx = random_context(&doc, seed ^ 0x5EEC, 30);
+            for tag in ["p", "q", "r"] {
+                let list = idx.fragment_by_name(&doc, tag);
+
+                let steps = prune_descendant(&doc, &ctx);
+                let (mut scanned, mut skipped) = (0u64, 0u64);
+                for (i, c) in steps.iter().enumerate() {
+                    let end = steps.as_slice().get(i + 1).copied().unwrap_or(Pre::MAX);
+                    let part: Vec<Pre> =
+                        list.iter().copied().filter(|&p| p > c && p < end).collect();
+                    for (k, &p) in part.iter().enumerate() {
+                        scanned += 1;
+                        if post[p as usize] >= post[c as usize] {
+                            skipped += (part.len() - k - 1) as u64;
+                            break;
+                        }
+                    }
+                }
+                let (_, got) = descendant_on_list(&doc, list, &ctx);
+                assert_eq!(
+                    (got.nodes_scanned, got.nodes_skipped),
+                    (scanned, skipped),
+                    "desc {tag} seed {seed}"
+                );
+                assert_eq!(got.seeks, got.partitions as u64, "one gallop a partition");
+
+                let steps = prune_ancestor(&doc, &ctx);
+                let (mut scanned, mut skipped, mut jumps) = (0u64, 0u64, 0u64);
+                let mut start = 0;
+                for c in steps.iter() {
+                    let part: Vec<Pre> = list
+                        .iter()
+                        .copied()
+                        .filter(|&p| p >= start && p < c)
+                        .collect();
+                    let mut k = 0;
+                    while let Some(&p) = part.get(k) {
+                        scanned += 1;
+                        k += 1;
+                        if post[p as usize] < post[c as usize] {
+                            let sub_end = p + 1 + post[p as usize].saturating_sub(p);
+                            let block = part[k..].iter().filter(|&&q| q < sub_end).count();
+                            skipped += block as u64;
+                            jumps += 1;
+                            k += block;
+                        }
+                    }
+                    start = c + 1;
+                }
+                let (_, got) = ancestor_on_list(&doc, list, &ctx);
+                assert_eq!(
+                    (got.nodes_scanned, got.nodes_skipped),
+                    (scanned, skipped),
+                    "anc {tag} seed {seed}"
+                );
+                assert_eq!(got.seeks, got.partitions as u64 + jumps);
+            }
         }
     }
 

@@ -43,6 +43,7 @@ use crate::batch::{
     ancestor_list_scan, ancestor_scan, descendant_list_scan, descendant_scan, shared_pass, Lane,
     Scratch,
 };
+use crate::cursor::seek_from;
 use crate::desc::descendant_partitions;
 use crate::list::{ancestor_list_partitions, descendant_list_partitions};
 use crate::pool::WorkerPool;
@@ -366,47 +367,48 @@ fn descendant_lane_par(
 // ── Descendant on a list: per-partition entry ranges ────────────────────
 
 /// One executable entry range `[j_from, j_to)` of a fragment-join
-/// partition whose staircase boundary is `bound` and whose pre-range
-/// ends at `part_end`.
+/// partition whose staircase boundary is `bound`.
 struct ListSlice {
     bound: u32,
-    part_end: Pre,
     j_from: usize,
     j_to: usize,
 }
 
-/// The touched entry ranges of every partition over `list`: within a
+/// The touched entry ranges of every partition over `list` — within a
 /// partition the fragment entries below the provable first miss are the
 /// hits (the subtree run is a contiguous pre-range, and the list is
-/// pre-sorted), plus the miss entry itself.
+/// pre-sorted), plus the miss entry itself — with their total length and
+/// the number of entries the Z-region skips leave untouched. One forward
+/// cursor finds all three cut points of a partition.
 fn plan_descendant_list_slices(
     doc: &Doc,
     list: &[Pre],
     steps: &[Pre],
-    end: Pre,
-) -> (Vec<ListSlice>, u64) {
+) -> (Vec<ListSlice>, u64, u64) {
     let post = doc.post_column();
     let mut slices = Vec::with_capacity(steps.len());
-    let mut work = 0u64;
+    let (mut work, mut skipped) = (0u64, 0u64);
     let mut j = 0usize;
     for (i, &c) in steps.iter().enumerate() {
-        let part_end = steps.get(i + 1).copied().unwrap_or(end);
-        let bound = post[c as usize];
-        let j_from = j + list[j..].partition_point(|&p| p <= c);
-        let in_part = list[j_from..].partition_point(|&p| p < part_end);
-        let miss = c + 1 + doc.subtree_size(c);
-        let hits = list[j_from..j_from + in_part].partition_point(|&p| p < miss);
-        let j_to = j_from + if hits < in_part { hits + 1 } else { in_part };
+        let part_end = steps.get(i + 1).copied().unwrap_or(Pre::MAX);
+        let j_from = seek_from(list, j, |&p| p <= c);
+        let miss = (c + 1 + doc.subtree_size(c)).min(part_end);
+        let hits_end = seek_from(list, j_from, |&p| p < miss);
+        j = seek_from(list, hits_end, |&p| p < part_end);
+        let j_to = if hits_end < j {
+            skipped += (j - hits_end - 1) as u64;
+            hits_end + 1
+        } else {
+            j
+        };
         work += (j_to - j_from) as u64;
         slices.push(ListSlice {
-            bound,
-            part_end,
+            bound: post[c as usize],
             j_from,
             j_to,
         });
-        j = j_from + in_part;
     }
-    (slices, work)
+    (slices, work, skipped)
 }
 
 /// Splits list slices into `k` morsels of roughly equal entry counts.
@@ -422,7 +424,6 @@ fn split_list_slices(slices: Vec<ListSlice>, work: u64, k: usize) -> Vec<Vec<Lis
                 let cut = s.j_from + room;
                 cur.push(ListSlice {
                     bound: s.bound,
-                    part_end: s.part_end,
                     j_from: s.j_from,
                     j_to: cut,
                 });
@@ -455,23 +456,16 @@ fn exec_list_morsel(
     let mut gov = crate::governor::Ticker::ambient();
     for s in slices {
         crate::faults::fail_point("core::morsel::exec");
-        for j in s.j_from..s.j_to {
-            let p = list[j];
+        for &p in &list[s.j_from..s.j_to] {
             stats.nodes_scanned += 1;
             if gov.tick(1) {
                 return;
             }
+            // Only the range containing the partition's first miss fails
+            // this, on its last entry (the planner counted the Z-region
+            // behind it).
             if post[p as usize] < s.bound {
                 result.push(p);
-            } else {
-                // Z-region: the rest of the partition's entries are
-                // provably not descendants; only the range containing the
-                // miss reaches here.
-                let rest = list[j..]
-                    .partition_point(|&q| q < s.part_end)
-                    .saturating_sub(1);
-                stats.nodes_skipped += rest as u64;
-                break;
             }
         }
     }
@@ -485,19 +479,21 @@ fn descendant_list_lane_par(
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) {
-    let n = doc.len() as Pre;
-    let (slices, work) = plan_descendant_list_slices(doc, list, &lane.steps, n);
+    let (slices, work, skipped) = plan_descendant_list_slices(doc, list, &lane.steps);
     let Some(k) = morsel_count(work, pool.width()) else {
         return descendant_list_partitions(
             doc,
             list,
             &lane.steps,
-            n,
             &mut lane.result,
             &mut lane.stats,
         );
     };
+    // What the sequential join counts per partition — its opening seek
+    // and its Z-region — the planner has already settled.
     lane.stats.partitions += lane.steps.len();
+    lane.stats.seeks += lane.steps.len() as u64;
+    lane.stats.nodes_skipped += skipped;
     let morsels = split_list_slices(slices, work, k);
     let buffers: Vec<Vec<Pre>> = morsels.iter().map(|_| scratch.take()).collect();
     let outs = pool.run(
@@ -548,8 +544,10 @@ fn entry_chunks(list: &[Pre], steps: &[Pre], k: usize) -> Vec<(usize, usize)> {
     let mut chunks = Vec::with_capacity(k);
     let mut lo = 0usize;
     let mut seen_start = 0u64;
+    let mut below = 0usize; // list entries before the current step
     for (i, &c) in steps.iter().enumerate() {
-        let seen = list.partition_point(|&p| p < c) as u64 - seen_start;
+        below = seek_from(list, below, |&p| p < c);
+        let seen = below as u64 - seen_start;
         let last = i + 1 == steps.len();
         if last || (seen >= target && chunks.len() + 1 < k) {
             chunks.push((lo, i + 1));
@@ -596,10 +594,7 @@ fn ancestor_lane_par(
     for (buf, st) in outs {
         lane.result.extend_from_slice(&buf);
         scratch.put(buf);
-        lane.stats.nodes_scanned += st.nodes_scanned;
-        lane.stats.nodes_copied += st.nodes_copied;
-        lane.stats.nodes_skipped += st.nodes_skipped;
-        lane.stats.partitions += st.partitions;
+        lane.stats.merge(&st);
     }
 }
 
@@ -612,6 +607,8 @@ fn ancestor_list_lane_par(
     scratch: &mut Scratch,
 ) {
     let steps = &lane.steps;
+    // A one-off search (no cursor to resume): how much of the list the
+    // whole step slice can reach.
     let below_last = steps
         .last()
         .map(|&c| list.partition_point(|&p| p < c))
@@ -642,10 +639,7 @@ fn ancestor_list_lane_par(
     for (buf, st) in outs {
         lane.result.extend_from_slice(&buf);
         scratch.put(buf);
-        lane.stats.nodes_scanned += st.nodes_scanned;
-        lane.stats.nodes_copied += st.nodes_copied;
-        lane.stats.nodes_skipped += st.nodes_skipped;
-        lane.stats.partitions += st.partitions;
+        lane.stats.merge(&st);
     }
 }
 

@@ -9,9 +9,16 @@
 /// * `nodes_touched() = nodes_scanned + nodes_copied` — every touched node
 ///   is either compared against the staircase boundary (scanned) or
 ///   appended comparison-free by the copy phase (copied).
-/// * With skipping enabled, `nodes_touched() ≤ result_size + context_out +
-///   duplicates-free slack` (paper §3.3: at most `|result| + |context|`
-///   nodes are touched for `descendant`).
+/// * With skipping enabled, `descendant` touches at most `result_size +
+///   context_out + A` nodes, where `A` is the number of attribute nodes
+///   below the pruned context: a partition scans its step's descendants
+///   and the one node that ends it (paper §3.3: `|result| + |context|`),
+///   and an attribute is scanned like any descendant but filtered from
+///   the result. On an attribute-free document the paper's bound holds
+///   exactly; XMark's attributes put the ratio at ≈ 1.09
+///   (`tests/bounds.rs`).
+/// * The fragment joins are merges: `nodes_touched() + seeks ≤
+///   2 · (context_out + |list|)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Context size before pruning.
@@ -28,8 +35,13 @@ pub struct StepStats {
     pub result_size: usize,
     /// Number of plane partitions visited (one per staircase step).
     pub partitions: usize,
-    /// Binary/galloping cursor repositionings (leapfrog-style operators;
-    /// zero for the scan-shaped joins, whose movement is all sequential).
+    /// Cursor repositionings over a sorted fragment — one per
+    /// [`crate::cursor::seek_from`] call a join or probe makes: the
+    /// fragment joins' partition openings and subtree jumps, the
+    /// `has_*_in` probes' one per candidate, every twig cursor movement.
+    /// The comparisons inside a gallop are not counted, and neither
+    /// `nodes_scanned` nor the governor sees them. Zero for the plane
+    /// scans, whose movement is all sequential.
     pub seeks: u64,
 }
 

@@ -15,8 +15,14 @@
 //! is the query's output — plus, per spine leg, any number of
 //! existential *chains* (the `[b]`-style predicates, themselves
 //! downward paths). [`twig_match`] evaluates the pattern in three
-//! phases, every cursor movement a gallop (`partition_point`) counted
-//! in [`StepStats::seeks`]:
+//! phases, every cursor movement one [`seek_from`] gallop counted in
+//! [`StepStats::seeks`]. Each probed list keeps a *hint* — where its last
+//! probe landed — and wherever the probed nodes arrive in ascending pre
+//! order (chain closure, pivot candidates, descent frontiers) the next
+//! gallop resumes there, so a pass over `m` candidates against an
+//! `N`-entry list costs `O(m · (1 + log(N/m)))`, not `O(m · log N)`; a
+//! probe that moved backwards (the upward sweep) restarts at the list's
+//! head:
 //!
 //! 1. **Chain closure** — within each predicate chain, the useful set
 //!    (entries that root a full chain match) is computed bottom-up, so
@@ -37,9 +43,11 @@
 //!    the last spine leg only, duplicate-free and in document order.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 
 use staircase_accel::{Context, Doc, Post, Pre, NO_PARENT};
 
+use crate::cursor::seek_from;
 use crate::list::descendant_list_partitions;
 use crate::prune::prune_descendant;
 use crate::stats::StepStats;
@@ -89,11 +97,24 @@ enum Top<'a> {
 }
 
 /// A spine leg after chain closure: each chain reduced to its first
-/// edge plus the useful set a single probe decides against.
+/// edge plus the useful set a single probe decides against, and that
+/// set's probe hint.
 struct PreparedLeg<'a> {
     edge: TwigEdge,
     list: &'a [Pre],
-    chains: Vec<(TwigEdge, Cow<'a, [Pre]>)>,
+    chains: Vec<(TwigEdge, Cow<'a, [Pre]>, Cell<usize>)>,
+}
+
+/// Gallops `list`'s cursor to the first entry after `p` and leaves it in
+/// `hint`. The hint is where the previous probe of this list landed: it
+/// is resumed when `p` has not moved back behind it, else the search
+/// restarts at the head.
+fn seek_after(list: &[Pre], p: Pre, hint: &Cell<usize>) -> usize {
+    let h = hint.get();
+    let from = if h > 0 && list[h - 1] > p { 0 } else { h };
+    let idx = seek_from(list, from, |&q| q <= p);
+    hint.set(idx);
+    idx
 }
 
 struct Matcher<'d> {
@@ -116,14 +137,13 @@ impl<'d> Matcher<'d> {
     /// Does `p` have a descendant in the sorted `list`? Descendants of
     /// `p` occupy a contiguous pre range starting right after `p`, so
     /// one gallop plus one containment compare decides it.
-    fn has_desc_in(&mut self, list: &[Pre], p: Pre) -> bool {
+    fn has_desc_in(&mut self, list: &[Pre], p: Pre, hint: &Cell<usize>) -> bool {
         crate::faults::fail_point("core::twig::seek");
         self.stats.seeks += 1;
         if self.gov.tick(1) {
             return false;
         }
-        let idx = list.partition_point(|&q| q <= p);
-        match list.get(idx) {
+        match list.get(seek_after(list, p, hint)) {
             Some(&q) => {
                 self.stats.nodes_scanned += 1;
                 self.is_desc(p, q)
@@ -136,13 +156,13 @@ impl<'d> Matcher<'d> {
     /// entries inside `p`'s subtree, jumping past the subtree of every
     /// deeper entry (the ancestor-join skip idiom), so each touched
     /// entry sits in a distinct child subtree of `p`.
-    fn has_child_in(&mut self, list: &[Pre], p: Pre) -> bool {
+    fn has_child_in(&mut self, list: &[Pre], p: Pre, hint: &Cell<usize>) -> bool {
         crate::faults::fail_point("core::twig::seek");
         self.stats.seeks += 1;
         if self.gov.tick(1) {
             return false;
         }
-        let mut j = list.partition_point(|&q| q <= p);
+        let mut j = seek_after(list, p, hint);
         while let Some(&q) = list.get(j) {
             if !self.is_desc(p, q) {
                 return false;
@@ -158,17 +178,17 @@ impl<'d> Matcher<'d> {
             // be a child of p either — jump the guaranteed block.
             let sub_end = q + 1 + self.doc.subtree_size(q);
             self.stats.seeks += 1;
-            let skipped = list[j + 1..].partition_point(|&r| r < sub_end);
-            self.stats.nodes_skipped += skipped as u64;
-            j += 1 + skipped;
+            let next = seek_from(list, j + 1, |&r| r < sub_end);
+            self.stats.nodes_skipped += (next - j - 1) as u64;
+            j = next;
         }
         false
     }
 
-    fn edge_probe(&mut self, edge: TwigEdge, list: &[Pre], p: Pre) -> bool {
+    fn edge_probe(&mut self, edge: TwigEdge, list: &[Pre], p: Pre, hint: &Cell<usize>) -> bool {
         match edge {
-            TwigEdge::Descendant => self.has_desc_in(list, p),
-            TwigEdge::Child => self.has_child_in(list, p),
+            TwigEdge::Descendant => self.has_desc_in(list, p, hint),
+            TwigEdge::Child => self.has_child_in(list, p, hint),
         }
     }
 
@@ -180,12 +200,13 @@ impl<'d> Matcher<'d> {
         for j in (0..chain.len() - 1).rev() {
             let edge = chain[j + 1].edge;
             let mut filtered = Vec::new();
+            let hint = Cell::new(0);
             for &p in chain[j].list {
                 self.stats.nodes_scanned += 1;
                 if self.gov.tick(1) {
                     return Cow::Owned(Vec::new());
                 }
-                if self.edge_probe(edge, &valid, p) {
+                if self.edge_probe(edge, &valid, p, &hint) {
                     filtered.push(p);
                 }
             }
@@ -199,16 +220,9 @@ impl<'d> Matcher<'d> {
 
     /// All chains of `leg` hold at `v`.
     fn chains_ok(&mut self, leg: &PreparedLeg<'_>, v: Pre) -> bool {
-        // Split borrows: probe against a clone of the Cow's slice is
-        // avoided by iterating over indices.
-        for i in 0..leg.chains.len() {
-            let (edge, ref useful) = leg.chains[i];
-            // `useful` borrows `leg`, `self` is distinct — no conflict.
-            if !self.edge_probe(edge, useful, v) {
-                return false;
-            }
-        }
-        true
+        leg.chains
+            .iter()
+            .all(|(edge, useful, hint)| self.edge_probe(*edge, useful, v, hint))
     }
 
     /// The first spine leg's relation to the context holds at `pos`.
@@ -217,7 +231,9 @@ impl<'d> Matcher<'d> {
         match *top {
             Top::Desc { steps } => {
                 // Pruned steps have pairwise disjoint subtree windows,
-                // so only the last step before `pos` can contain it.
+                // so only the last step before `pos` can contain it. A
+                // one-off search: `pos` climbs an ancestor path, there
+                // is no forward cursor to resume.
                 let idx = steps.partition_point(|&c| c < pos);
                 idx > 0 && self.is_desc(steps[idx - 1], pos)
             }
@@ -299,13 +315,18 @@ impl<'d> Matcher<'d> {
     /// every node has one parent).
     fn children_on_list(&mut self, list: &[Pre], parents: &[Pre]) -> Vec<Pre> {
         let mut out = Vec::new();
+        // Parents ascend, so each window opens at or after the last one;
+        // nested windows overlap, so the walk inside one does not move
+        // the opening cursor.
+        let mut open = 0usize;
         'parents: for &c in parents {
             self.stats.seeks += 1;
             self.stats.partitions += 1;
             if self.gov.tick(1) {
                 break;
             }
-            let mut j = list.partition_point(|&q| q <= c);
+            open = seek_from(list, open, |&q| q <= c);
+            let mut j = open;
             while let Some(&q) = list.get(j) {
                 if !self.is_desc(c, q) {
                     break;
@@ -320,9 +341,9 @@ impl<'d> Matcher<'d> {
                 } else {
                     let sub_end = q + 1 + self.doc.subtree_size(q);
                     self.stats.seeks += 1;
-                    let skipped = list[j + 1..].partition_point(|&r| r < sub_end);
-                    self.stats.nodes_skipped += skipped as u64;
-                    j += 1 + skipped;
+                    let next = seek_from(list, j + 1, |&r| r < sub_end);
+                    self.stats.nodes_skipped += (next - j - 1) as u64;
+                    j = next;
                 }
             }
         }
@@ -348,7 +369,8 @@ fn ancestor_path(doc: &Doc, v: Pre, buf: &mut Vec<Pre>) {
 ///
 /// Every leg and chain-step list must be sorted ascending (tag
 /// fragments and the element column already are). [`StepStats::seeks`]
-/// counts actual cursor repositionings (gallops/binary searches);
+/// counts actual cursor repositionings ([`seek_from`] gallops, plus the
+/// one-off membership searches of the upward sweep);
 /// `nodes_scanned`/`nodes_skipped` count list entries compared/jumped.
 ///
 /// # Panics
@@ -398,7 +420,7 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
             if useful.is_empty() {
                 return (Context::empty(), m.stats);
             }
-            chains.push((chain[0].edge, useful));
+            chains.push((chain[0].edge, useful, Cell::new(0)));
         }
         legs.push(PreparedLeg {
             edge: leg.edge,
@@ -416,14 +438,7 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
     if pivot_idx == 0 {
         match top {
             Top::Desc { steps } => {
-                descendant_list_partitions(
-                    doc,
-                    legs[0].list,
-                    steps,
-                    doc.len() as Pre,
-                    &mut anchored,
-                    &mut m.stats,
-                );
+                descendant_list_partitions(doc, legs[0].list, steps, &mut anchored, &mut m.stats);
             }
             Top::Child { raw } => {
                 anchored = m.children_on_list(legs[0].list, raw);
@@ -463,7 +478,6 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
                     doc,
                     leg.list,
                     steps.as_slice(),
-                    doc.len() as Pre,
                     &mut next,
                     &mut m.stats,
                 );
@@ -694,21 +708,24 @@ mod tests {
         };
         let root = doc.root();
         // Empty list: no descendant, no child, regardless of the probe.
-        assert!(!m.has_desc_in(&[], root));
-        assert!(!m.has_child_in(&[], root));
+        assert!(!m.has_desc_in(&[], root, &Cell::new(0)));
+        assert!(!m.has_child_in(&[], root, &Cell::new(0)));
         // Single-entry list: hit and miss at both ends.
         let first_a = doc.pres().find(|&v| doc.tag_name(v) == Some("a")).unwrap();
-        assert!(m.has_desc_in(&[first_a], root));
-        assert!(!m.has_desc_in(&[root], first_a), "seek past list end");
-        assert!(m.has_child_in(&[first_a], root));
-        assert!(!m.has_child_in(&[root], first_a));
+        assert!(m.has_desc_in(&[first_a], root, &Cell::new(0)));
+        assert!(
+            !m.has_desc_in(&[root], first_a, &Cell::new(0)),
+            "seek past list end"
+        );
+        assert!(m.has_child_in(&[first_a], root, &Cell::new(0)));
+        assert!(!m.has_child_in(&[root], first_a, &Cell::new(0)));
         // Entry equal to the probe node is never its own descendant.
-        assert!(!m.has_desc_in(&[root], root));
+        assert!(!m.has_desc_in(&[root], root, &Cell::new(0)));
         // Last node of the document: every probe lands at the list end.
         let last = (doc.len() - 1) as Pre;
-        assert!(!m.has_desc_in(&[last], last));
+        assert!(!m.has_desc_in(&[last], last, &Cell::new(0)));
         let seeks_before = m.stats.seeks;
-        assert!(m.has_desc_in(&[last], root));
+        assert!(m.has_desc_in(&[last], root, &Cell::new(0)));
         assert!(m.stats.seeks > seeks_before, "probes count as seeks");
     }
 

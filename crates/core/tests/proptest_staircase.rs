@@ -5,8 +5,11 @@
 use proptest::prelude::*;
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, Pre};
 use staircase_core::{
-    ancestor, ancestor_parallel, descendant, descendant_on_list, descendant_parallel, following,
-    preceding, prune, try_axis_step, TagIndex, Variant,
+    ancestor, ancestor_on_list, ancestor_on_list_many, ancestor_on_list_many_par,
+    ancestor_parallel, descendant, descendant_on_list, descendant_on_list_many,
+    descendant_on_list_many_par, descendant_parallel, following, has_child_in, has_child_in_many,
+    has_child_in_many_par, has_descendant_in, has_descendant_in_many, has_descendant_in_many_par,
+    preceding, prune, try_axis_step, Scratch, TagIndex, Variant, WorkerPool,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -137,6 +140,39 @@ proptest! {
             let late = full.name_test(&doc, tag);
             let (early, _) = descendant_on_list(&doc, idx.fragment_by_name(&doc, tag), &ctx);
             prop_assert_eq!(late, early, "{}", tag);
+        }
+    }
+
+    /// single ≡ `_many` ≡ `_many_par` for every operator that moves a
+    /// fragment cursor: same nodes, and the same [`StepStats`] field for
+    /// field — `seeks` included.
+    #[test]
+    fn fragment_cursor_forms_agree_on_every_counter((doc, ctx) in arb_doc_and_context()) {
+        let idx = TagIndex::build(&doc);
+        let pool = WorkerPool::new(3);
+        let refs = [&ctx];
+        let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+        for tag in ["p", "q"] {
+            let list = idx.fragment_by_name(&doc, tag);
+            let single = descendant_on_list(&doc, list, &ctx);
+            prop_assert_eq!(&descendant_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
+            prop_assert_eq!(
+                &descendant_on_list_many_par(&doc, list, &refs, &pool, &mut s2)[0],
+                &single
+            );
+            let single = ancestor_on_list(&doc, list, &ctx);
+            prop_assert_eq!(&ancestor_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
+            prop_assert_eq!(
+                &ancestor_on_list_many_par(&doc, list, &refs, &pool, &mut s2)[0],
+                &single
+            );
+            let single = has_descendant_in(&doc, &ctx, list);
+            prop_assert_eq!(single.1.seeks, ctx.len() as u64, "one gallop a candidate");
+            prop_assert_eq!(&has_descendant_in_many(&doc, &refs, list)[0], &single);
+            prop_assert_eq!(&has_descendant_in_many_par(&doc, &refs, list, &pool)[0], &single);
+            let single = has_child_in(&doc, &ctx, list);
+            prop_assert_eq!(&has_child_in_many(&doc, &refs, list)[0], &single);
+            prop_assert_eq!(&has_child_in_many_par(&doc, &refs, list, &pool)[0], &single);
         }
     }
 

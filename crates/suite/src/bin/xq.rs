@@ -31,7 +31,10 @@
 //!   --count          print only the number of matching nodes
 //!   --stats          print per-step statistics to stderr, including the
 //!                    planner's estimated cost next to the observed cost
-//!                    (nodes touched + seeks) for every engine
+//!                    (nodes touched + seeks) for every engine. `seeks`
+//!                    counts fragment-cursor gallops: fragment-join and
+//!                    twig steps report them (one per partition or
+//!                    probe), plane scans report 0
 //!   --explain        print the physical plan (one line per step: chosen
 //!                    operator + cost estimate; `[par]` marks steps the
 //!                    pool fans out; a closing `total` line sums the
@@ -44,6 +47,7 @@
 //!                    per step, the executed operator (with `[replan]`
 //!                    marking steps the adaptive engine switched
 //!                    mid-query), planned cost, and observed cost
+//!                    (touched + seeks, as under --stats)
 //! ```
 //!
 //! Exit codes: `0` success, `2` usage or engine-configuration error,
@@ -148,6 +152,9 @@ fn usage() -> ! {
          engine, the historical special case)\n\
          --explain prints the physical plan (one line per step: operator +\n\
          cost estimate; [par] marks fan-out steps) instead of evaluating\n\
+         --stats prints per-step counters to stderr; fragment and twig steps\n\
+         report their cursor seeks (plane scans: 0), and with --explain the\n\
+         observed cost next to the estimate is touched + seeks\n\
          --timeout-ms N / --max-touched N run under a governor deadline /\n\
          cost budget; a tripped query stops cooperatively and xq exits 7"
     );

@@ -80,6 +80,16 @@ pub enum Error {
     MalformedComment(TextPos),
     /// `]]>` appearing literally in character data.
     CdataCloseInText(TextPos),
+    /// Elements nest deeper than the consumer can represent (the pre/post
+    /// encoding counts levels in 16 bits). Raised by the encoder, not the
+    /// parser, which has no limit of its own.
+    TooDeep {
+        /// The deepest element nesting the consumer accepts.
+        limit: usize,
+        /// Where the offending start tag begins; `None` when the input
+        /// was an in-memory tree.
+        pos: Option<TextPos>,
+    },
 }
 
 impl fmt::Display for Error {
@@ -108,6 +118,13 @@ impl fmt::Display for Error {
             Error::InvalidReference(p) => write!(f, "invalid entity or character reference at {p}"),
             Error::MalformedComment(p) => write!(f, "malformed comment at {p}"),
             Error::CdataCloseInText(p) => write!(f, "']]>' not allowed in character data at {p}"),
+            Error::TooDeep { limit, pos } => {
+                write!(f, "elements nested deeper than {limit} levels")?;
+                match pos {
+                    Some(p) => write!(f, " at {p}"),
+                    None => Ok(()),
+                }
+            }
         }
     }
 }

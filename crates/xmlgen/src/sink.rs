@@ -127,7 +127,7 @@ mod tests {
         let direct = es.builder.finish();
         let mut ds = DocumentSink::new();
         drive(&mut ds);
-        let via_tree = staircase_accel::Doc::from_document(&ds.doc);
+        let via_tree = staircase_accel::Doc::from_document(&ds.doc).unwrap();
         assert_eq!(direct.post_column(), via_tree.post_column());
         assert_eq!(direct.kind_column(), via_tree.kind_column());
     }

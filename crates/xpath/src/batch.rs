@@ -203,10 +203,14 @@ fn group_key(form: LaneForm<'_>) -> Option<GroupKey> {
     }
 }
 
-/// The outcome of one round task: a whole group's (result, incremental
-/// touches) pairs, or a single fallback lane's step.
+/// One lane's share of a group pass: (result, incremental touches,
+/// cursor seeks).
+type LaneOut = (Context, u64, u64);
+
+/// The outcome of one round task: a whole group's [`LaneOut`]s, or a
+/// single fallback lane's step.
 enum RoundOut {
-    Group(Vec<(Context, u64)>),
+    Group(Vec<LaneOut>),
     Lane(Context, StepTrace),
 }
 
@@ -545,7 +549,7 @@ impl Executor<'_> {
         group: &[usize],
         form: &GroupKey,
         scratch: &mut Scratch,
-    ) -> Vec<(Context, u64)> {
+    ) -> Vec<LaneOut> {
         let mut outs = match form {
             GroupKey::Staircase(vert, variant) => {
                 self.staircase_outs(lanes, group, *vert, *variant, scratch)
@@ -581,7 +585,7 @@ impl Executor<'_> {
         vert: VertAxis,
         variant: staircase_core::Variant,
         scratch: &mut Scratch,
-    ) -> Vec<(Context, u64)> {
+    ) -> Vec<LaneOut> {
         // Dedup identical current contexts up front: the join runs once
         // per unique context and duplicates borrow the shared base result
         // instead of cloning it. The shared pass's cost is attributed to
@@ -658,7 +662,7 @@ impl Executor<'_> {
             }
         }
         let mut first_use = vec![true; uniq.len()];
-        let mut outs: Vec<(Context, u64)> = Vec::with_capacity(group.len());
+        let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
         for (gi, &i) in group.iter().enumerate() {
             let (base, jstats) = &joined[slot_of[gi]];
             let lane = &lanes[i];
@@ -677,7 +681,7 @@ impl Executor<'_> {
             } else {
                 0
             };
-            outs.push((out, touched));
+            outs.push((out, touched, 0));
         }
         for (base, _) in joined {
             scratch.recycle(base);
@@ -696,7 +700,7 @@ impl Executor<'_> {
         name: &str,
         prescan: bool,
         scratch: &mut Scratch,
-    ) -> Vec<(Context, u64)> {
+    ) -> Vec<LaneOut> {
         // Resolve the shared list once for the whole group. The prescan
         // variant's selection scan costs one pass over the plane (§4.4) —
         // paid once per group, attributed to its first lane — except for
@@ -734,7 +738,7 @@ impl Executor<'_> {
                 }
             }
         };
-        let mut outs: Vec<(Context, u64)> = Vec::with_capacity(group.len());
+        let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
         for (gi, (mut out, jstats)) in joined.into_iter().enumerate() {
             let lane = &lanes[group[gi]];
             let step = &lane.steps[lane.step];
@@ -745,7 +749,7 @@ impl Executor<'_> {
                 scratch.recycle(std::mem::replace(&mut out, merged));
             }
             let touched = jstats.nodes_touched() + if gi == 0 { scan_cost } else { 0 };
-            outs.push((out, touched));
+            outs.push((out, touched, jstats.seeks));
         }
         outs
     }
@@ -757,7 +761,7 @@ impl Executor<'_> {
         group: &[usize],
         haxis: HorizAxis,
         scratch: &mut Scratch,
-    ) -> Vec<(Context, u64)> {
+    ) -> Vec<LaneOut> {
         let fanout = self.fanout(lanes, group);
         let joined = {
             let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
@@ -773,7 +777,7 @@ impl Executor<'_> {
             }
         };
         let axis = haxis.axis();
-        let mut outs: Vec<(Context, u64)> = Vec::with_capacity(group.len());
+        let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
         for (gi, (base, jstats)) in joined.into_iter().enumerate() {
             let step = &lanes[group[gi]].steps[lanes[group[gi]].step];
             // node() steps keep the whole region: the join result moves
@@ -785,7 +789,7 @@ impl Executor<'_> {
                 scratch.recycle(base);
                 tested
             };
-            outs.push((out, jstats.nodes_touched()));
+            outs.push((out, jstats.nodes_touched(), 0));
         }
         outs
     }
@@ -800,7 +804,7 @@ impl Executor<'_> {
         &self,
         lanes: &[Lane<'_>],
         group: &[usize],
-        outs: &mut [(Context, u64)],
+        outs: &mut [LaneOut],
         scratch: &mut Scratch,
     ) {
         let waves = group
@@ -878,12 +882,12 @@ impl Executor<'_> {
         &self,
         lanes: &mut [Lane<'_>],
         group: &[usize],
-        outs: Vec<(Context, u64)>,
+        outs: Vec<LaneOut>,
         scratch: &mut Scratch,
         failed: &mut [Option<Error>],
         ambient_ran: bool,
     ) {
-        for (&i, (out, touched)) in group.iter().zip(outs) {
+        for (&i, (out, touched, seeks)) in group.iter().zip(outs) {
             let lane = &mut lanes[i];
             if failed[lane.query].is_none() {
                 if let Some(budget) = &lane.budget {
@@ -911,9 +915,7 @@ impl Executor<'_> {
                 result_size: out.len(),
                 nodes_touched: touched,
                 tuples_produced: out.len() as u64,
-                // Lane-form joins are scan-shaped; only the per-lane twig
-                // step (routed through `exec_step`) seeks.
-                seeks: 0,
+                seeks,
             });
             scratch.recycle(std::mem::replace(&mut lane.ctx, out));
             lane.step += 1;

@@ -53,8 +53,10 @@ pub struct StepTrace {
     /// equals `result_size` for the staircase join, which never produces
     /// duplicates).
     pub tuples_produced: u64,
-    /// Binary/galloping cursor repositionings (the leapfrog twig
-    /// operator; zero for the scan-shaped joins).
+    /// Galloping cursor repositionings over sorted fragments: the
+    /// fragment joins' one per partition and per subtree jump, the
+    /// leapfrog twig operator's probes. Zero for the plane scans, whose
+    /// movement is all sequential.
     pub seeks: u64,
     /// The cost model's estimate for this step at the moment it ran
     /// (re-priced by the adaptive executor when it switched operators).
@@ -86,8 +88,8 @@ impl EvalStats {
         self.steps.iter().map(|s| s.nodes_touched).sum()
     }
 
-    /// Total cursor seeks across steps (leapfrog twig steps; zero for
-    /// plans without one).
+    /// Total cursor seeks across steps (fragment joins and leapfrog twig
+    /// steps; zero for plans made of plane scans only).
     pub fn total_seeks(&self) -> u64 {
         self.steps.iter().map(|s| s.seeks).sum()
     }
@@ -828,7 +830,7 @@ fn on_list_join(
         VertAxis::Descendant => descendant_on_list(doc, list, ctx),
         VertAxis::Ancestor => ancestor_on_list(doc, list, ctx),
     };
-    (out, stats.nodes_touched() + scan_cost, 0, 0)
+    (out, stats.nodes_touched() + scan_cost, 0, stats.seeks)
 }
 
 /// The principal node kind of an axis (attributes for `attribute::`,

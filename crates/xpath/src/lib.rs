@@ -115,7 +115,9 @@
 //! intermediate step result. Output is the last leg's bindings in
 //! document order, node-identical to the step-at-a-time plans
 //! (property-tested), and the step's [`StepTrace`] reports the actual
-//! cursor `seeks` next to the nodes touched.
+//! cursor `seeks` next to the nodes touched — as fragment-join steps do
+//! (one gallop per partition and per subtree jump); only the plane scans
+//! report zero.
 //!
 //! Two engines reach the operator:
 //!

@@ -221,6 +221,12 @@ proptest! {
                         "{} via {:?} at width {}", q, engine, wide.threads()
                     );
                     wide_touched += w.stats().total_touched();
+                    // The morsel split never changes how often a
+                    // fragment cursor is repositioned either.
+                    prop_assert_eq!(
+                        w.stats().total_seeks(), b.stats().total_seeks(),
+                        "{} via {:?} at width {}", q, engine, wide.threads()
+                    );
                 }
                 prop_assert_eq!(
                     wide_touched, batch_touched,
@@ -292,6 +298,11 @@ fn four_workers_match_single_thread_on_fanout_sized_doc() {
             }
             ntouched += n.stats().total_touched();
             wtouched += w.stats().total_touched();
+            assert_eq!(
+                n.stats().total_seeks(),
+                w.stats().total_seeks(),
+                "{e} via {engine:?}: cursor seeks must not depend on the pool width"
+            );
         }
         assert_eq!(
             ntouched, wtouched,

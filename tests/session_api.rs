@@ -422,6 +422,34 @@ fn auto_estimates_track_observed_cost_direction() {
     assert!((out.stats().total_touched() as f64) < n / 4.0);
 }
 
+/// The fragment join's probe term prices the gallop the kernel runs —
+/// `card · (1 + log2(f / card + 2))`, not a whole-list binary search per
+/// partition: Q2's ancestor step (one partition per `increase`) is
+/// estimated within 3 × of what it is observed to touch and seek.
+#[test]
+fn fragment_estimate_is_within_3x_of_observed_for_q2s_ancestor_step() {
+    let session = Session::new(generate(XmarkConfig::new(1.0)));
+    session.warm();
+    let out = session
+        .run("/descendant::increase/ancestor::bidder", Engine::auto())
+        .unwrap();
+    let step = &out.stats().steps[1];
+    assert_eq!(
+        step.op, "fragment",
+        "auto joins Q2's ancestor step on the list"
+    );
+    assert!(step.seeks > 0 && step.nodes_touched > 0, "{step:?}");
+    let ratio = step.est_cost / step.observed_cost();
+    assert!(
+        (1.0 / 3.0..=3.0).contains(&ratio),
+        "estimated {} against observed {} (touched {} + seeks {})",
+        step.est_cost,
+        step.observed_cost(),
+        step.nodes_touched,
+        step.seeks
+    );
+}
+
 #[test]
 fn auto_plans_absent_names_without_building_the_fragment_index() {
     let session = Session::new(generate(XmarkConfig::new(0.05)));

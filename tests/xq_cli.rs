@@ -340,6 +340,40 @@ fn malformed_xml_exits_with_parse_code() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
 }
 
+/// The level column counts 16 bits: a chain at the limit answers
+/// exactly, one past it is refused at ingest (exit 3) — not answered
+/// from wrapped levels — from text exactly as from `.scj`.
+#[test]
+fn too_deep_documents_exit_with_parse_code_not_a_wrong_count() {
+    let run = |depth: usize| {
+        let mut child = xq()
+            .args(["/descendant-or-self::a/child::a", "--count"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let xml = "<a>".repeat(depth) + &"</a>".repeat(depth);
+        child
+            .stdin
+            .as_mut()
+            .unwrap()
+            .write_all(xml.as_bytes())
+            .unwrap();
+        child.wait_with_output().unwrap()
+    };
+    let out = run(65_535);
+    assert!(out.status.success(), "{:?}", out);
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "65534");
+    for depth in [65_537, 70_000] {
+        let out = run(depth);
+        assert_eq!(out.status.code(), Some(3), "depth {depth}");
+        assert!(out.stdout.is_empty(), "no count printed at depth {depth}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("nested deeper than 65535 levels"), "{err}");
+    }
+}
+
 #[test]
 fn missing_file_exits_with_io_code() {
     let out = xq()
