@@ -1,7 +1,8 @@
 //! `ancestor`-axis staircase join (Algorithm 2 plus the §3.3 skip).
 
-use staircase_accel::{Context, Doc, NodeKind, Pre};
+use staircase_accel::{Context, Doc, Pre};
 
+use crate::mask::ScanTest;
 use crate::prune::prune_ancestor;
 use crate::stats::StepStats;
 use crate::Variant;
@@ -19,8 +20,21 @@ use crate::Variant;
 /// effective" than the descendant skip because the jump is an
 /// underestimate, maximally off by the document height `h`).
 /// [`Variant::Skipping`] and [`Variant::EstimationSkipping`] are identical
-/// here; the estimate *is* the skip.
+/// here; the estimate *is* the skip. This is [`ancestor_tested`] with the
+/// `node()` test.
 pub fn ancestor(doc: &Doc, context: &Context, variant: Variant) -> (Context, StepStats) {
+    ancestor_tested(doc, context, variant, &ScanTest::node(doc))
+}
+
+/// Evaluates `context/ancestor::test`: the staircase join with the
+/// step's node test riding the scan. Every [`StepStats`] field but
+/// `result_size` equals [`ancestor`]'s.
+pub fn ancestor_tested(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    test: &ScanTest<'_>,
+) -> (Context, StepStats) {
     let mut stats = StepStats {
         context_in: context.len(),
         ..Default::default()
@@ -28,7 +42,15 @@ pub fn ancestor(doc: &Doc, context: &Context, variant: Variant) -> (Context, Ste
     let pruned = prune_ancestor(doc, context);
     stats.context_out = pruned.len();
     let mut result = Vec::new();
-    ancestor_partitions(doc, pruned.as_slice(), 0, variant, &mut result, &mut stats);
+    ancestor_partitions(
+        doc,
+        pruned.as_slice(),
+        0,
+        variant,
+        test,
+        &mut result,
+        &mut stats,
+    );
     stats.result_size = result.len();
     (Context::from_sorted(result), stats)
 }
@@ -42,12 +64,11 @@ pub(crate) fn ancestor_partitions(
     steps: &[Pre],
     start: Pre,
     variant: Variant,
+    test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
     // Cooperative stop: tick every visited position, chunk governed
     // mask-kernel ranges, abandon mid-scan on a trip (partial `result`
     // is discarded by the caller).
@@ -59,7 +80,7 @@ pub(crate) fn ancestor_partitions(
     // strictly left of the last step.
     if let Some(&last) = steps.last() {
         let bound = (steps.len() * (doc.height() as usize + 1)).min(last as usize);
-        result.reserve(bound);
+        result.reserve(test.reserve_for(bound));
     }
 
     let mut part_start = start;
@@ -73,23 +94,14 @@ pub(crate) fn ancestor_partitions(
         match variant {
             Variant::Basic => {
                 // Algorithm 2 charges every partition position; the
-                // counter is arithmetic, so the containment + kind test
+                // counter is arithmetic, so the containment + node test
                 // runs through the 64-lane mask kernel.
-                stats.nodes_scanned += u64::from(c - part_start);
-                let mut lo = part_start;
-                while lo < c {
-                    let hi = if gov.active() {
-                        c.min(lo + crate::governor::SCAN_CHUNK)
-                    } else {
-                        c
-                    };
+                if gov.charged_run(part_start, c, &mut stats.nodes_scanned, |lo, hi| {
                     crate::mask::select_where(lo, hi, result, |v| {
-                        post[v as usize] > bound && kind[v as usize] != attr
-                    });
-                    if gov.tick(u64::from(hi - lo)) {
-                        return;
-                    }
-                    lo = hi;
+                        post[v as usize] > bound && test.keeps(v)
+                    })
+                }) {
+                    return;
                 }
             }
             Variant::Skipping | Variant::EstimationSkipping => {
@@ -100,7 +112,7 @@ pub(crate) fn ancestor_partitions(
                         return;
                     }
                     if post[v as usize] > bound {
-                        if kind[v as usize] != attr {
+                        if test.keeps(v) {
                             result.push(v);
                         }
                         v += 1;
@@ -122,7 +134,7 @@ pub(crate) fn ancestor_partitions(
 mod tests {
     use super::*;
     use crate::testutil::{figure1, random_context, random_doc, reference};
-    use staircase_accel::Axis;
+    use staircase_accel::{Axis, NodeKind};
 
     const ALL: [Variant; 3] = [
         Variant::Basic,

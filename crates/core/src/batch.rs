@@ -51,12 +51,13 @@
 //! pre-range chunks executed on the owner's persistent
 //! [`crate::WorkerPool`].
 
-use staircase_accel::{Context, Doc, NodeKind, Pre};
+use staircase_accel::{Context, Doc, Pre};
 
 use crate::anc::ancestor_partitions;
 use crate::cursor::seek_from;
 use crate::desc::descendant_partitions;
 use crate::list::{ancestor_list_partitions, descendant_list_partitions};
+use crate::mask::ScanTest;
 use crate::prune::{prune_ancestor_into, prune_descendant_into};
 use crate::stats::StepStats;
 use crate::Variant;
@@ -133,14 +134,43 @@ impl Scratch {
     }
 }
 
-/// `rep[i]` = first index whose context is identical to `contexts[i]` —
-/// the dedup criterion shared by [`dedup_pass`] and [`shared_pass`].
-fn representatives(contexts: &[&Context]) -> Vec<usize> {
-    let k = contexts.len();
+/// One lane of a multi-context plane scan: a context and the node test
+/// that rides the scan for it. A bare `&Context` is the `node()` lane,
+/// so `descendant_many(doc, &[&a, &b], …)` reads as before; the lane
+/// executor upstairs passes `(&Context, ScanTest)` pairs.
+pub trait ScanLane<'d> {
+    /// The lane's context.
+    fn context(&self) -> &Context;
+    /// The lane's node test over `doc`.
+    fn test(&self, doc: &'d Doc) -> ScanTest<'d>;
+}
+
+impl<'d> ScanLane<'d> for &Context {
+    fn context(&self) -> &Context {
+        self
+    }
+    fn test(&self, doc: &'d Doc) -> ScanTest<'d> {
+        ScanTest::node(doc)
+    }
+}
+
+impl<'d> ScanLane<'d> for (&Context, ScanTest<'d>) {
+    fn context(&self) -> &Context {
+        self.0
+    }
+    fn test(&self, _: &'d Doc) -> ScanTest<'d> {
+        self.1
+    }
+}
+
+/// `rep[i]` = first index `j` for which `same(j, i)` — the dedup
+/// criterion shared by [`dedup_pass`] (identical contexts) and
+/// [`shared_pass`] (identical context *and* test).
+fn representatives(k: usize, same: impl Fn(usize, usize) -> bool) -> Vec<usize> {
     let mut rep: Vec<usize> = (0..k).collect();
     for i in 0..k {
         for j in 0..i {
-            if rep[j] == j && contexts[j].as_slice() == contexts[i].as_slice() {
+            if rep[j] == j && same(j, i) {
                 rep[i] = j;
                 break;
             }
@@ -166,7 +196,7 @@ pub(crate) fn dedup_pass(
     eval: impl Fn(&Context) -> (Context, StepStats),
 ) -> Vec<(Context, StepStats)> {
     let k = contexts.len();
-    let rep = representatives(contexts);
+    let rep = representatives(k, |j, i| contexts[j].as_slice() == contexts[i].as_slice());
     let mut out: Vec<Option<(Context, StepStats)>> = (0..k).map(|_| None).collect();
     for i in 0..k {
         if rep[i] == i {
@@ -180,14 +210,7 @@ pub(crate) fn dedup_pass(
             let (ctx, st) = out[rep[i]]
                 .as_ref()
                 .expect("representatives evaluated before duplicates resolve");
-            let shared = StepStats {
-                context_in: st.context_in,
-                context_out: st.context_out,
-                result_size: st.result_size,
-                partitions: st.partitions,
-                ..Default::default()
-            };
-            out[i] = Some((ctx.clone(), shared));
+            out[i] = Some((ctx.clone(), shared_stats(st, st.result_size)));
         }
     }
     out.into_iter()
@@ -195,62 +218,54 @@ pub(crate) fn dedup_pass(
         .collect()
 }
 
-/// Evaluates `contexts[k]/descendant::node()` for every `k` with **one**
-/// scan of the plane.
+/// Evaluates `lanes[k]`'s `descendant` step for every `k` with **one**
+/// scan of the plane — `descendant::node()` for a bare context, the
+/// lane's own node test for a `(context, test)` pair.
 ///
-/// Equivalent, query by query, to K calls of [`crate::descendant`]
-/// (asserted by tests); see the module docs above for the shared-cost
-/// statistics contract.
-pub fn descendant_many(
-    doc: &Doc,
-    contexts: &[&Context],
+/// Equivalent, query by query, to K calls of
+/// [`crate::descendant_tested`] (asserted by tests); see the module docs
+/// above for the shared-cost statistics contract.
+pub fn descendant_many<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     variant: Variant,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
+    let n = doc.len() as Pre;
     shared_pass(
         doc,
-        contexts,
+        lanes,
         scratch,
         prune_descendant_into,
         |doc, lanes, _| match lanes {
             // One unique context (e.g. every query starts at the root):
             // the sequential join's tight loops are strictly faster than
             // the merged scan, and the single pass serves everyone.
-            [lane] => descendant_partitions(
-                doc,
-                &lane.steps,
-                doc.len() as Pre,
-                variant,
-                &mut lane.result,
-                &mut lane.stats,
-            ),
+            [lane] => lane.once_per_test(|steps, test, result, stats| {
+                descendant_partitions(doc, steps, n, variant, test, result, stats)
+            }),
             _ => descendant_scan(doc, lanes, variant),
         },
     )
 }
 
-/// Evaluates `contexts[k]/ancestor::node()` for every `k` with **one**
-/// scan of the plane; the multi-query twin of [`crate::ancestor`].
-pub fn ancestor_many(
-    doc: &Doc,
-    contexts: &[&Context],
+/// Evaluates `lanes[k]`'s `ancestor` step for every `k` with **one**
+/// scan of the plane; the multi-query twin of [`crate::ancestor_tested`].
+pub fn ancestor_many<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     variant: Variant,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
     shared_pass(
         doc,
-        contexts,
+        lanes,
         scratch,
         prune_ancestor_into,
         |doc, lanes, _| match lanes {
-            [lane] => ancestor_partitions(
-                doc,
-                &lane.steps,
-                0,
-                variant,
-                &mut lane.result,
-                &mut lane.stats,
-            ),
+            [lane] => lane.once_per_test(|steps, test, result, stats| {
+                ancestor_partitions(doc, steps, 0, variant, test, result, stats)
+            }),
             _ => ancestor_scan(doc, lanes, variant),
         },
     )
@@ -318,8 +333,9 @@ pub fn ancestor_on_list_many(
     )
 }
 
-/// One query's slice of the shared scan.
-pub(crate) struct Lane {
+/// One unique context's slice of the shared scan, and the result of
+/// every distinct node test asked of it.
+pub(crate) struct Lane<'d> {
     /// Pruned staircase steps (partition boundaries), from the pool.
     pub(crate) steps: Vec<Pre>,
     /// Index of the next boundary not yet passed.
@@ -339,35 +355,97 @@ pub(crate) struct Lane {
     wake: Pre,
     /// `true` while a partition is open (descendant scan).
     open: bool,
+    /// The node test riding the scan for `result` (`node()` for the
+    /// fragment joins, whose list *is* the test).
+    test: ScanTest<'d>,
     /// This lane's result, from the pool.
     pub(crate) result: Vec<Pre>,
+    /// Further node tests other queries ask of the same context, each
+    /// with its own result: the scan is shared, only the writes differ.
+    also: Vec<(ScanTest<'d>, Vec<Pre>)>,
     /// This lane's (incremental) statistics.
     pub(crate) stats: StepStats,
 }
 
-/// Dedups identical contexts, prunes each unique one, runs `scan` over
-/// the unique lanes, and maps results back to the callers' order.
-pub(crate) fn shared_pass(
-    doc: &Doc,
-    contexts: &[&Context],
+impl<'d> Lane<'d> {
+    /// Hands a position the scan found in the lane's region to every
+    /// node test riding it.
+    #[inline]
+    fn offer(&mut self, v: Pre) {
+        if self.test.keeps(v) {
+            self.result.push(v);
+        }
+        for (test, result) in &mut self.also {
+            if test.keeps(v) {
+                result.push(v);
+            }
+        }
+    }
+
+    /// Runs the single-context loop `run(steps, test, result, stats)`
+    /// once per node test riding this lane. The counters are arithmetic
+    /// over the ranges whatever a test keeps, so every run reads the
+    /// same positions; the pass is charged once, to the lane.
+    pub(crate) fn once_per_test(
+        &mut self,
+        mut run: impl FnMut(&[Pre], &ScanTest<'d>, &mut Vec<Pre>, &mut StepStats),
+    ) {
+        run(&self.steps, &self.test, &mut self.result, &mut self.stats);
+        for (test, result) in &mut self.also {
+            run(&self.steps, test, result, &mut StepStats::default());
+        }
+    }
+}
+
+/// What a query that shares another's pass reports: the shape of the
+/// step, its own result size, zero incremental touches.
+fn shared_stats(paid: &StepStats, result_size: usize) -> StepStats {
+    StepStats {
+        context_in: paid.context_in,
+        context_out: paid.context_out,
+        partitions: paid.partitions,
+        result_size,
+        ..Default::default()
+    }
+}
+
+/// Dedups identical (context, test) queries, prunes each unique context
+/// into one lane — further tests over the same context ride that lane —
+/// runs `scan` over the lanes, and maps results back to the callers'
+/// order.
+pub(crate) fn shared_pass<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    input: &[L],
     scratch: &mut Scratch,
     prune: impl Fn(&Doc, &Context, &mut Vec<Pre>),
-    scan: impl FnOnce(&Doc, &mut [Lane], &mut Scratch),
+    scan: impl FnOnce(&'d Doc, &mut [Lane<'d>], &mut Scratch),
 ) -> Vec<(Context, StepStats)> {
-    let k = contexts.len();
-    let rep = representatives(contexts);
+    let k = input.len();
+    let same_context =
+        |j: usize, i: usize| input[j].context().as_slice() == input[i].context().as_slice();
+    let rep = representatives(k, |j, i| {
+        same_context(j, i) && input[j].test(doc) == input[i].test(doc)
+    });
 
-    // One lane per unique context; lane_of[i] = its lane index (unique
-    // queries only).
-    let mut lane_of = vec![usize::MAX; k];
-    let mut lanes: Vec<Lane> = Vec::new();
+    // One lane per unique context. place[i] = (lane, test slot) of a
+    // unique query: slot 0 is the lane's own result, slot s > 0 is
+    // `also[s - 1]`. owner[l] = the query that opened lane l.
+    let mut place = vec![(usize::MAX, 0usize); k];
+    let mut owner: Vec<usize> = Vec::new();
+    let mut lanes: Vec<Lane<'d>> = Vec::new();
     for i in 0..k {
         if rep[i] != i {
             continue;
         }
-        lane_of[i] = lanes.len();
+        if let Some(l) = owner.iter().position(|&j| same_context(j, i)) {
+            lanes[l].also.push((input[i].test(doc), scratch.take()));
+            place[i] = (l, lanes[l].also.len());
+            continue;
+        }
         let mut steps = scratch.take();
-        prune(doc, contexts[i], &mut steps);
+        prune(doc, input[i].context(), &mut steps);
+        place[i] = (lanes.len(), 0);
+        owner.push(i);
         lanes.push(Lane {
             next: 0,
             cur: Pre::MAX,
@@ -376,9 +454,11 @@ pub(crate) fn shared_pass(
             awake: false,
             wake: 0,
             open: false,
+            test: input[i].test(doc),
             result: scratch.take(),
+            also: Vec::new(),
             stats: StepStats {
-                context_in: contexts[i].len(),
+                context_in: input[i].context().len(),
                 context_out: steps.len(),
                 ..Default::default()
             },
@@ -388,43 +468,41 @@ pub(crate) fn shared_pass(
 
     scan(doc, &mut lanes, scratch);
 
-    // Hand pruned-step buffers back; results leave the pool as Contexts
-    // (their allocations come back via `Scratch::recycle` once the
-    // caller is done with them).
-    let mut finished: Vec<Option<(Context, StepStats)>> = lanes
-        .into_iter()
-        .map(|mut lane| {
-            lane.stats.result_size = lane.result.len();
-            scratch.put(std::mem::take(&mut lane.steps));
-            Some((Context::from_sorted(lane.result), lane.stats))
-        })
-        .collect();
-
-    // Duplicates clone from their (still pooled) representative first;
-    // representatives are then moved out without copying.
+    // Results leave the pool as Contexts (their allocations come back via
+    // `Scratch::recycle` once the caller is done with them): unique
+    // queries move theirs out of the lane, the lane's owner reports the
+    // pass, and everyone else — a further test over the same context, an
+    // identical query — reports zero incremental touches.
     let mut out: Vec<Option<(Context, StepStats)>> = (0..k).map(|_| None).collect();
     for i in 0..k {
-        if rep[i] == i {
+        if rep[i] != i {
             continue;
         }
-        // Shared with an earlier identical context: copy the result,
-        // report zero incremental touches.
-        let (ctx, st) = finished[lane_of[rep[i]]]
-            .as_ref()
-            .expect("representatives are moved out after duplicates resolve");
-        let shared = StepStats {
-            context_in: st.context_in,
-            context_out: st.context_out,
-            result_size: st.result_size,
-            partitions: st.partitions,
-            ..Default::default()
+        let (l, slot) = place[i];
+        let lane = &mut lanes[l];
+        let result = match slot {
+            0 => std::mem::take(&mut lane.result),
+            s => std::mem::take(&mut lane.also[s - 1].1),
         };
-        out[i] = Some((ctx.clone(), shared));
+        let stats = match slot {
+            0 => StepStats {
+                result_size: result.len(),
+                ..lane.stats
+            },
+            _ => shared_stats(&lane.stats, result.len()),
+        };
+        out[i] = Some((Context::from_sorted(result), stats));
     }
     for i in 0..k {
-        if rep[i] == i {
-            out[i] = finished[lane_of[i]].take();
+        if rep[i] != i {
+            let (ctx, st) = out[rep[i]]
+                .as_ref()
+                .expect("representatives resolve before their duplicates");
+            out[i] = Some((ctx.clone(), shared_stats(st, st.result_size)));
         }
+    }
+    for lane in lanes {
+        scratch.put(lane.steps);
     }
     out.into_iter()
         .map(|o| o.expect("every query resolved to a lane or a duplicate"))
@@ -433,7 +511,7 @@ pub(crate) fn shared_pass(
 
 /// Merges every lane's pruned steps into one interleaved boundary list:
 /// `(pre, lane)` pairs in plane order.
-fn merged_boundaries(lanes: &[Lane]) -> Vec<(Pre, u32)> {
+fn merged_boundaries(lanes: &[Lane<'_>]) -> Vec<(Pre, u32)> {
     let total: usize = lanes.iter().map(|l| l.steps.len()).sum();
     let mut events = Vec::with_capacity(total);
     for (i, lane) in lanes.iter().enumerate() {
@@ -448,19 +526,18 @@ fn merged_boundaries(lanes: &[Lane]) -> Vec<(Pre, u32)> {
 /// sleeping per lane exactly as the sequential join would. An active
 /// list keeps per-position work proportional to the lanes that actually
 /// need the position; regions nobody needs are leapfrogged.
-pub(crate) fn descendant_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
+pub(crate) fn descendant_scan(doc: &Doc, lanes: &mut [Lane<'_>], variant: Variant) {
     let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
     let n = doc.len() as Pre;
 
-    // Pre-size results from the Equation-1 guaranteed-descendant counts.
+    // Pre-size results from the Equation-1 guaranteed-descendant
+    // counts, capped by what each lane's test can keep at all.
     for lane in lanes.iter_mut() {
-        lane.result.reserve(crate::desc::guaranteed_result_estimate(
-            post,
-            &lane.steps,
-            n,
-        ));
+        let region = crate::desc::guaranteed_result_estimate(post, &lane.steps, n);
+        lane.result.reserve(lane.test.reserve_for(region));
+        for (test, result) in &mut lane.also {
+            result.reserve(test.reserve_for(region));
+        }
     }
 
     let events = merged_boundaries(lanes);
@@ -526,18 +603,14 @@ pub(crate) fn descendant_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
                 if touch.is_none() {
                     touch = Some((li, true));
                 }
-                if kind[v as usize] != attr {
-                    lane.result.push(v);
-                }
+                lane.offer(v);
                 ai += 1;
             } else {
                 if touch.is_none() {
                     touch = Some((li, false));
                 }
                 if post[v as usize] < lane.bound {
-                    if kind[v as usize] != attr {
-                        lane.result.push(v);
-                    }
+                    lane.offer(v);
                     ai += 1;
                 } else if variant != Variant::Basic {
                     // First miss: the rest of this lane's partition is a
@@ -564,10 +637,8 @@ pub(crate) fn descendant_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
 /// The merged ancestor scan: partitions *end* at each lane's boundaries;
 /// subtree jumps (§3.3 / Equation 1) move a lane from the active to the
 /// sleeping list until its wake position.
-pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
+pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane<'_>], variant: Variant) {
     let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
 
     let events = merged_boundaries(lanes);
     let mut ei = 0usize;
@@ -640,7 +711,6 @@ pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
         // Scan position v for every active lane; one physical read,
         // attributed to the first lane that needed it.
         let post_v = post[v as usize];
-        let is_attr = kind[v as usize] == attr;
         let mut touch: Option<u32> = None;
         let mut ai = 0usize;
         while ai < active.len() {
@@ -654,9 +724,7 @@ pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
                 touch = Some(li);
             }
             if post_v > lane.bound {
-                if !is_attr {
-                    lane.result.push(v);
-                }
+                lane.offer(v);
                 ai += 1;
             } else if variant != Variant::Basic {
                 // v (and its whole subtree) precedes c: jump the
@@ -691,7 +759,7 @@ pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane], variant: Variant) {
 /// lane by lane, with each entry read once. A lane's `seeks` are the
 /// gallops the merged scan itself makes: one per Z-region it counts, and
 /// each leapfrog over unwanted entries goes to the lane it lands on.
-pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) {
+pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane<'_>]) {
     let post = doc.post_column();
     let n = doc.len() as Pre;
     let events = merged_boundaries(lanes);
@@ -774,7 +842,7 @@ pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) 
 /// jumps the entry's guaranteed subtree block (sleeping until its wake
 /// position) exactly as the sequential on-list join does — one seek per
 /// jump, plus one (the first sleeper's) per leapfrog of the shared cursor.
-pub(crate) fn ancestor_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane]) {
+pub(crate) fn ancestor_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane<'_>]) {
     let post = doc.post_column();
     let mut active: Vec<u32> = Vec::with_capacity(lanes.len());
     let mut sleeping: Vec<u32> = Vec::new();

@@ -258,13 +258,19 @@ impl DocStats {
         }
     }
 
-    /// Cost of applying a node test as a separate filter pass over a
-    /// join's base result of the given size.
+    /// Cost of applying a node test to `base_rows` positions: one unit
+    /// per row.
     ///
-    /// The pass itself runs through the chunked mask kernels
-    /// ([`crate::mask`]) — same positions charged, fewer branches paid —
-    /// so its *ranking* cost stays one unit per base row; masking
-    /// changes the constant, not the asymptotics the planner ranks by.
+    /// For the operators that filter afterwards (naive, plain SQL,
+    /// structural axes) this is the separate pass over the join's base
+    /// result ([`crate::mask::ScanTest::select_candidates`]). For the
+    /// plane scans, whose test rides the scan since the fused-test
+    /// refactor, the planner still adds the term to the scan's price: it
+    /// now stands for the select's share of the scan — the `kind` / `tag`
+    /// column read that decides what is written out — and is priced as
+    /// before so that no plan changes with the executor. Re-fitting it
+    /// (a fused name test reads a quarter of what the filter pass read)
+    /// is a ROADMAP follow-up.
     pub fn apply_test_cost(&self, base_rows: f64) -> f64 {
         base_rows
     }

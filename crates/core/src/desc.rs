@@ -1,7 +1,8 @@
 //! `descendant`-axis staircase join (Algorithms 2, 3, and 4).
 
-use staircase_accel::{Context, Doc, NodeKind, Pre};
+use staircase_accel::{Context, Doc, Pre};
 
+use crate::mask::ScanTest;
 use crate::prune::prune_descendant;
 use crate::stats::StepStats;
 use crate::Variant;
@@ -21,8 +22,23 @@ use crate::Variant;
 ///   `h` more nodes (Algorithm 4, Equation 1).
 ///
 /// Results arrive duplicate-free in document order; attribute nodes are
-/// filtered out (no axis except `attribute` yields them).
+/// filtered out (no axis except `attribute` yields them). This is
+/// [`descendant_tested`] with the `node()` test.
 pub fn descendant(doc: &Doc, context: &Context, variant: Variant) -> (Context, StepStats) {
+    descendant_tested(doc, context, variant, &ScanTest::node(doc))
+}
+
+/// Evaluates `context/descendant::test`: the staircase join with the
+/// step's node test riding the scan (§4.4 pushes the name test *through*
+/// the join). The scan reads exactly the positions [`descendant`] reads —
+/// every [`StepStats`] field but `result_size` is the same whatever
+/// `test` keeps — but only the kept nodes are ever written out.
+pub fn descendant_tested(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    test: &ScanTest<'_>,
+) -> (Context, StepStats) {
     let mut stats = StepStats {
         context_in: context.len(),
         ..Default::default()
@@ -35,6 +51,7 @@ pub fn descendant(doc: &Doc, context: &Context, variant: Variant) -> (Context, S
         pruned.as_slice(),
         doc.len() as Pre,
         variant,
+        test,
         &mut result,
         &mut stats,
     );
@@ -60,6 +77,7 @@ pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Cont
     let slice = context.as_slice();
     let post = doc.post_column();
     let n = doc.len() as Pre;
+    let test = ScanTest::node(doc);
     let mut result = Vec::new();
 
     let mut i = 0usize;
@@ -74,7 +92,7 @@ pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Cont
             j += 1;
         }
         let part_end = slice.get(j).copied().unwrap_or(n);
-        descendant_partitions(doc, &[c], part_end, variant, &mut result, &mut stats);
+        descendant_partitions(doc, &[c], part_end, variant, &test, &mut result, &mut stats);
         i = j;
     }
     stats.result_size = result.len();
@@ -108,19 +126,20 @@ pub(crate) fn descendant_partitions(
     steps: &[Pre],
     end: Pre,
     variant: Variant,
+    test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
     // Governed scans stop cooperatively: every visited position is
-    // ticked, long mask-kernel ranges are chunked so a deadline cannot
-    // hide behind one huge partition, and a trip abandons the scan
-    // mid-flight (the partial `result` is discarded by the caller).
+    // ticked, long comparison-free ranges are chunked so a deadline
+    // cannot hide behind one huge partition, and a trip abandons the
+    // scan mid-flight (the partial `result` is discarded by the caller).
     let mut gov = crate::governor::Ticker::ambient();
 
-    result.reserve(guaranteed_result_estimate(post, steps, end));
+    // Equation 1 sizes the region; the test's cardinality caps it, so a
+    // selective test does not reserve the plane for a handful of hits.
+    result.reserve(test.reserve_for(guaranteed_result_estimate(post, steps, end)));
 
     for (i, &c) in steps.iter().enumerate() {
         let part_end = steps.get(i + 1).copied().unwrap_or(end);
@@ -131,6 +150,7 @@ pub(crate) fn descendant_partitions(
             return;
         }
         let bound = post[c as usize];
+        let mut v = c + 1;
 
         match variant {
             Variant::Basic => {
@@ -138,88 +158,49 @@ pub(crate) fn descendant_partitions(
                 // position is charged regardless of the per-node test,
                 // so the counter is arithmetic and the filter runs
                 // through the 64-lane mask kernel.
-                stats.nodes_scanned += u64::from(part_end - c - 1);
-                let mut lo = c + 1;
-                while lo < part_end {
-                    let hi = if gov.active() {
-                        part_end.min(lo + crate::governor::SCAN_CHUNK)
-                    } else {
-                        part_end
-                    };
+                if gov.charged_run(v, part_end, &mut stats.nodes_scanned, |lo, hi| {
                     crate::mask::select_where(lo, hi, result, |v| {
-                        post[v as usize] < bound && kind[v as usize] != attr
-                    });
-                    if gov.tick(u64::from(hi - lo)) {
-                        return;
-                    }
-                    lo = hi;
+                        post[v as usize] < bound && test.keeps(v)
+                    })
+                }) {
+                    return;
                 }
+                continue;
             }
-            Variant::Skipping => {
-                // Algorithm 3: the first node v with post(v) ≥ post(c)
-                // follows c, so c and v share no descendants — the rest of
-                // the partition is empty (Z-region, Figure 7(b)).
-                let mut v = c + 1;
-                while v < part_end {
-                    stats.nodes_scanned += 1;
-                    if gov.tick(1) {
-                        return;
-                    }
-                    if post[v as usize] < bound {
-                        if kind[v as usize] != attr {
-                            result.push(v);
-                        }
-                        v += 1;
-                    } else {
-                        stats.nodes_skipped += u64::from(part_end - v - 1);
-                        break;
-                    }
-                }
-            }
+            Variant::Skipping => {}
             Variant::EstimationSkipping => {
                 // Algorithm 4. The first post(c) − pre(c) nodes after c are
                 // guaranteed descendants (Equation 1 minus the level term):
-                // copy them without postorder comparisons.
-                let estimate = bound.min(part_end.saturating_sub(1));
-                let mut v = c + 1;
-                if v <= estimate {
-                    // The copy phase charges every position of the
-                    // guaranteed range whether or not it survives the
-                    // attribute filter, so the counter is arithmetic
-                    // and the filter is a masked select.
-                    let copy_end = estimate + 1;
-                    stats.nodes_copied += u64::from(copy_end - v);
-                    while v < copy_end {
-                        let hi = if gov.active() {
-                            copy_end.min(v + crate::governor::SCAN_CHUNK)
-                        } else {
-                            copy_end
-                        };
-                        crate::mask::select_non_attr(kind, v, hi, result);
-                        if gov.tick(u64::from(hi - v)) {
-                            return;
-                        }
-                        v = hi;
-                    }
+                // copy them without postorder comparisons — one range
+                // select, charged per position whatever the test keeps.
+                let copy_end = bound.min(part_end.saturating_sub(1)) + 1;
+                if gov.charged_run(v, copy_end, &mut stats.nodes_copied, |lo, hi| {
+                    test.select_range(lo, hi, result)
+                }) {
+                    return;
                 }
-                // Scan phase: at most level(c) ≤ h more descendants.
-                while v < part_end {
-                    stats.nodes_scanned += 1;
-                    if gov.tick(1) {
-                        return;
-                    }
-                    if post[v as usize] < bound {
-                        if kind[v as usize] != attr {
-                            result.push(v);
-                        }
-                        v += 1;
-                    } else {
-                        stats.nodes_skipped += u64::from(part_end - v - 1);
-                        break;
-                    }
-                }
+                v = v.max(copy_end);
             }
         }
+        // Algorithm 3 (and Algorithm 4's scan phase, at most level(c) ≤ h
+        // more descendants): the first node v with post(v) ≥ post(c)
+        // follows c, so c and v share no descendants — the rest of the
+        // partition is empty (Z-region, Figure 7(b)). The comparisons
+        // find where the descendants end; what the test keeps of them is
+        // one range select.
+        let hits = v;
+        while v < part_end {
+            stats.nodes_scanned += 1;
+            if gov.tick(1) {
+                return;
+            }
+            if post[v as usize] >= bound {
+                stats.nodes_skipped += u64::from(part_end - v - 1);
+                break;
+            }
+            v += 1;
+        }
+        test.select_range(hits, v, result);
     }
 }
 
@@ -227,7 +208,7 @@ pub(crate) fn descendant_partitions(
 mod tests {
     use super::*;
     use crate::testutil::{figure1, random_context, random_doc, reference};
-    use staircase_accel::Axis;
+    use staircase_accel::{Axis, NodeKind};
 
     const ALL: [Variant; 3] = [
         Variant::Basic,

@@ -330,6 +330,43 @@ impl Ticker {
         }
     }
 
+    /// Runs `select` over `[lo, hi)`, a range whose counter is
+    /// *arithmetic*: `charge` grows by `hi − lo` whatever `select` keeps.
+    /// Every comparison-free run of every plane scan goes through here
+    /// (the Equation-1 copy phase, `following`'s suffix, `preceding`'s
+    /// subtree blocks, the Basic variant's partition windows).
+    /// Ungoverned, `select` sees the whole range at once; under a budget
+    /// it sees [`SCAN_CHUNK`]-sized pieces with a tick after each, so a
+    /// trip cannot hide behind one plane-sized range. `true` means *stop
+    /// now*, as for [`Ticker::tick`].
+    #[inline]
+    pub fn charged_run(
+        &mut self,
+        lo: u32,
+        hi: u32,
+        charge: &mut u64,
+        mut select: impl FnMut(u32, u32),
+    ) -> bool {
+        if lo >= hi {
+            return false;
+        }
+        *charge += u64::from(hi - lo);
+        if self.budget.is_none() {
+            select(lo, hi);
+            return false;
+        }
+        let mut v = lo;
+        while v < hi {
+            let end = hi.min(v.saturating_add(SCAN_CHUNK));
+            select(v, end);
+            if self.tick(u64::from(end - v)) {
+                return true;
+            }
+            v = end;
+        }
+        false
+    }
+
     /// Has the underlying budget tripped (latched)?
     pub fn tripped(&self) -> bool {
         self.budget.as_ref().is_some_and(|b| b.trip().is_some())

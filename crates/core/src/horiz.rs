@@ -10,243 +10,279 @@
 //! * `preceding(c)` scans the prefix `[0, c)`, but whenever it finds a
 //!   preceding node it copies that node's guaranteed subtree block without
 //!   comparisons; only `c`'s ancestors are inspected individually.
+//!
+//! Each axis has **one** scan, written for K lanes; the single-context
+//! entry points are its one-lane case, and every comparison-free run —
+//! the suffix, the subtree blocks — is one
+//! [`ScanTest::select_range`] per distinct node test plus a tail copy
+//! for every further lane that asked the same test.
 
-use staircase_accel::{Context, Doc, NodeKind, Pre};
+use staircase_accel::{Context, Doc, Pre};
 
-use crate::batch::Scratch;
+use crate::batch::{ScanLane, Scratch};
 use crate::cursor::seek_from;
+use crate::mask::ScanTest;
 use crate::morsel::morsel_count;
 use crate::pool::WorkerPool;
 use crate::prune::{prune_following, prune_preceding};
 use crate::stats::StepStats;
 
-/// Evaluates `context/following::node()`.
+/// Evaluates `context/following::node()`: [`following_tested`] with the
+/// `node()` test.
 pub fn following(doc: &Doc, context: &Context) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        ..Default::default()
-    };
-    let pruned = prune_following(doc, context);
-    stats.context_out = pruned.len();
-    let Some(&c) = pruned.as_slice().first() else {
-        return (Context::empty(), stats);
-    };
-    stats.partitions = 1;
-
-    // First node after c's subtree: exact via Equation (1).
-    let start = c + 1 + doc.subtree_size(c);
-    let n = doc.len() as Pre;
-    stats.nodes_skipped = u64::from(start.min(n).saturating_sub(c + 1));
-    let kind = doc.kind_column();
-    let mut result = Vec::with_capacity(n.saturating_sub(start) as usize);
-    // The whole suffix is copied position by position whatever the
-    // attribute filter says, so the counter is arithmetic and the
-    // filter is a masked select — chunked when governed so a trip
-    // cannot hide behind one plane-sized copy.
-    stats.nodes_copied = u64::from(n.saturating_sub(start));
-    let mut gov = crate::governor::Ticker::ambient();
-    let mut lo = start.min(n);
-    while lo < n {
-        let hi = if gov.active() {
-            n.min(lo + crate::governor::SCAN_CHUNK)
-        } else {
-            n
-        };
-        crate::mask::select_non_attr(kind, lo, hi, &mut result);
-        if gov.tick(u64::from(hi - lo)) {
-            break;
-        }
-        lo = hi;
-    }
-    stats.result_size = result.len();
-    (Context::from_sorted(result), stats)
+    following_tested(doc, context, &ScanTest::node(doc))
 }
 
-/// Evaluates `context/preceding::node()`.
+/// Evaluates `context/following::test`, the node test riding the suffix
+/// copy: the one-lane case of [`following_many`].
+pub fn following_tested<'d>(
+    doc: &'d Doc,
+    context: &Context,
+    test: &ScanTest<'d>,
+) -> (Context, StepStats) {
+    one_lane(following_many(
+        doc,
+        &[(context, *test)],
+        &mut Scratch::new(),
+    ))
+}
+
+/// Evaluates `context/preceding::node()`: [`preceding_tested`] with the
+/// `node()` test.
 pub fn preceding(doc: &Doc, context: &Context) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        ..Default::default()
-    };
-    let pruned = prune_preceding(doc, context);
-    stats.context_out = pruned.len();
-    let Some(&c) = pruned.as_slice().first() else {
-        return (Context::empty(), stats);
-    };
-    stats.partitions = 1;
-
-    let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
-    let bound = post[c as usize];
-    let mut result = Vec::new();
-    let mut gov = crate::governor::Ticker::ambient();
-    let mut v: Pre = 0;
-    'scan: while v < c {
-        stats.nodes_scanned += 1;
-        if gov.tick(1) {
-            break;
-        }
-        if post[v as usize] < bound {
-            // v precedes c — and so does v's entire subtree, which cannot
-            // contain c. Copy the guaranteed block without comparisons.
-            if kind[v as usize] != attr {
-                result.push(v);
-            }
-            let run = post[v as usize].saturating_sub(v).min(c - v - 1);
-            // Guaranteed-block copy: every run position is charged, so
-            // the attribute filter runs through the mask kernel —
-            // chunked when governed.
-            stats.nodes_copied += u64::from(run);
-            let run_end = v + 1 + run;
-            let mut lo = v + 1;
-            while lo < run_end {
-                let hi = if gov.active() {
-                    run_end.min(lo + crate::governor::SCAN_CHUNK)
-                } else {
-                    run_end
-                };
-                crate::mask::select_non_attr(kind, lo, hi, &mut result);
-                if gov.tick(u64::from(hi - lo)) {
-                    break 'scan;
-                }
-                lo = hi;
-            }
-            v = run_end;
-        } else {
-            // v is an ancestor of c: inspect it alone and move on.
-            v += 1;
-        }
-    }
-    stats.result_size = result.len();
-    (Context::from_sorted(result), stats)
+    preceding_tested(doc, context, &ScanTest::node(doc))
 }
 
-/// Evaluates `contexts[k]/following::node()` for every `k` with **one**
-/// suffix scan: the multi-context form of [`following`].
+/// Evaluates `context/preceding::test`, the node test riding the scan:
+/// the one-lane case of [`preceding_many`].
+pub fn preceding_tested<'d>(
+    doc: &'d Doc,
+    context: &Context,
+    test: &ScanTest<'d>,
+) -> (Context, StepStats) {
+    one_lane(preceding_many(
+        doc,
+        &[(context, *test)],
+        &mut Scratch::new(),
+    ))
+}
+
+fn one_lane(mut out: Vec<(Context, StepStats)>) -> (Context, StepStats) {
+    out.pop().expect("one lane in, one result out")
+}
+
+/// Evaluates `lanes[k]`'s `following` step for every `k` — `node()` for
+/// a bare context, the lane's own test for a `(context, test)` pair —
+/// with **one** suffix select per distinct test.
 ///
 /// Pruning collapses every context to a single node, whose following
 /// region is the contiguous pre range after its subtree — so the K
-/// regions are *nested suffixes* of the plane. One filtered scan from
-/// the earliest start serves everyone: each lane's result is a suffix
-/// slice of the widest lane's, and the single physical pass is
-/// attributed to the lane that needed all of it.
-pub fn following_many(
-    doc: &Doc,
-    contexts: &[&Context],
+/// regions are *nested suffixes* of the plane. Per distinct test, one
+/// select from the earliest start serves everyone asking it: each
+/// lane's result is a suffix slice of the widest lane's (which takes
+/// the buffer itself), and the physical pass is attributed to the first
+/// lane that needed all of the plane's widest region.
+pub fn following_many<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
+    // Governed, the select is chunked; a trip leaves the buffer (and
+    // thus every lane) partial, which the governed caller discards. The
+    // lanes' `nodes_copied` is arithmetic over their starts, so the
+    // run's own charge goes nowhere.
+    let mut gov = crate::governor::Ticker::ambient();
     let n = doc.len() as Pre;
-    let kind = doc.kind_column();
+    following_lanes(doc, lanes, scratch, |test, from, base, _| {
+        gov.charged_run(from, n, &mut 0, |lo, hi| test.select_range(lo, hi, base));
+    })
+}
 
+/// The lane bookkeeping of [`following_many`] around `fill(test, from,
+/// base, scratch)`, which appends what `test` keeps of `[from, n)` to
+/// `base`.
+fn following_lanes<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
+    scratch: &mut Scratch,
+    mut fill: impl FnMut(&ScanTest<'d>, Pre, &mut Vec<Pre>, &mut Scratch),
+) -> Vec<(Context, StepStats)> {
+    let n = doc.len() as Pre;
     // Per lane: the pruned context node and its region start.
-    let starts: Vec<Option<(Pre, Pre)>> = contexts
+    let starts: Vec<Option<(Pre, Pre)>> = lanes
         .iter()
-        .map(|ctx| {
-            prune_following(doc, ctx)
-                .as_slice()
-                .first()
-                .map(|&c| (c, (c + 1 + doc.subtree_size(c)).min(n)))
-        })
+        .map(|l| following_start(doc, l.context()))
         .collect();
+    // The scan's physical reads go to the first lane with the widest
+    // region; every other lane shares.
     let widest = starts.iter().flatten().map(|&(_, s)| s).min();
+    let payer = starts
+        .iter()
+        .position(|s| s.is_some_and(|(_, start)| Some(start) == widest));
 
-    // The one shared scan, from the earliest region start — chunked
-    // when governed; a trip leaves `base` (and thus every lane) partial,
-    // which the governed caller discards.
-    let mut base = scratch.take();
-    if let Some(start) = widest {
-        let mut gov = crate::governor::Ticker::ambient();
-        let mut lo = start;
-        while lo < n {
-            let hi = if gov.active() {
-                n.min(lo + crate::governor::SCAN_CHUNK)
-            } else {
-                n
-            };
-            crate::mask::select_non_attr(kind, lo, hi, &mut base);
-            if gov.tick(u64::from(hi - lo)) {
-                break;
+    let mut results: Vec<Option<Vec<Pre>>> = lanes.iter().map(|_| None).collect();
+    for i in 0..lanes.len() {
+        if results[i].is_some() || starts[i].is_none() {
+            continue;
+        }
+        // Everyone asking lane i's test, served from one select.
+        let test = lanes[i].test(doc);
+        let group: Vec<(usize, Pre)> = (i..lanes.len())
+            .filter(|&j| lanes[j].test(doc) == test)
+            .filter_map(|j| starts[j].map(|(_, s)| (j, s)))
+            .collect();
+        let from = group.iter().map(|&(_, s)| s).min().unwrap_or(n);
+        let mut base = scratch.take();
+        base.reserve(test.reserve_for((n - from) as usize));
+        fill(&test, from, &mut base, scratch);
+        // The last lane of the widest region keeps the buffer; every
+        // other lane copies its suffix (a one-off search per lane: lanes
+        // arrive in no order).
+        let keeper = group.iter().rposition(|&(_, s)| s == from);
+        for (g, &(j, start)) in group.iter().enumerate() {
+            if Some(g) != keeper {
+                let at = base.partition_point(|&v| v < start);
+                let mut copy = scratch.take();
+                copy.extend_from_slice(&base[at..]);
+                results[j] = Some(copy);
             }
-            lo = hi;
+        }
+        if let Some(g) = keeper {
+            results[group[g].0] = Some(base);
         }
     }
 
-    // The scan's physical reads go to the first lane with the widest
-    // region; every other lane shares.
-    let payer = starts
+    lanes
         .iter()
-        .position(|s| matches!((s, widest), (Some((_, a)), Some(b)) if *a == b));
-    let out = contexts
-        .iter()
+        .zip(results)
         .enumerate()
-        .map(|(i, ctx)| {
+        .map(|(i, (lane, result))| {
             let mut stats = StepStats {
-                context_in: ctx.len(),
+                context_in: lane.context().len(),
                 ..Default::default()
             };
-            let Some((c, start)) = starts[i] else {
+            let (Some((c, start)), Some(result)) = (starts[i], result) else {
                 return (Context::empty(), stats);
             };
             stats.context_out = 1;
             stats.partitions = 1;
             stats.nodes_skipped = u64::from(start.saturating_sub(c + 1));
             if payer == Some(i) {
-                stats.nodes_copied = u64::from(n.saturating_sub(start));
+                stats.nodes_copied = u64::from(n - start);
             }
-            // A one-off search per lane (lanes arrive in no order).
-            let from = base.partition_point(|&v| v < start);
-            let mut result = scratch.take();
-            result.extend_from_slice(&base[from..]);
             stats.result_size = result.len();
             (Context::from_sorted(result), stats)
         })
-        .collect();
-    scratch.put(base);
-    out
+        .collect()
 }
 
-/// Evaluates `contexts[k]/preceding::node()` for every `k` with **one**
-/// left-to-right scan: the multi-context form of [`preceding`].
+/// The pruned context node of a `following` step and the first node
+/// after its subtree (exact via Equation (1)), capped at the plane's end.
+fn following_start(doc: &Doc, context: &Context) -> Option<(Pre, Pre)> {
+    let n = doc.len() as Pre;
+    prune_following(doc, context)
+        .as_slice()
+        .first()
+        .map(|&c| (c, (c + 1 + doc.subtree_size(c)).min(n)))
+}
+
+/// One result buffer of the merged `preceding` scan: what `test` keeps
+/// of the region preceding `bound`. Sinks are held in ascending `bound`
+/// order, so the sinks still open at a position are a suffix.
+struct PrecSink<'d> {
+    bound: Pre,
+    test: ScanTest<'d>,
+    out: Vec<Pre>,
+    /// How many entries the run at hand appended (see [`select_run`]).
+    added: usize,
+}
+
+/// The unique `(boundary, test)` sinks of a lane set, ascending by
+/// boundary, and each lane's sink (`None` for an empty context).
+fn preceding_sinks<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
+    scratch: &mut Scratch,
+) -> (Vec<PrecSink<'d>>, Vec<Option<usize>>) {
+    let keys: Vec<Option<(Pre, ScanTest<'d>)>> = lanes
+        .iter()
+        .map(|l| {
+            let c = prune_preceding(doc, l.context())
+                .as_slice()
+                .first()
+                .copied()?;
+            Some((c, l.test(doc)))
+        })
+        .collect();
+    let mut sinks: Vec<PrecSink<'d>> = Vec::new();
+    for &(bound, test) in keys.iter().flatten() {
+        if !sinks.iter().any(|s| s.bound == bound && s.test == test) {
+            sinks.push(PrecSink {
+                bound,
+                test,
+                out: scratch.take(),
+                added: 0,
+            });
+        }
+    }
+    sinks.sort_by_key(|s| s.bound);
+    let sink_of = keys
+        .iter()
+        .map(|key| {
+            let (bound, test) = (*key)?;
+            sinks
+                .iter()
+                .position(|s| s.bound == bound && s.test == test)
+        })
+        .collect();
+    (sinks, sink_of)
+}
+
+/// Evaluates `lanes[k]`'s `preceding` step for every `k` with **one**
+/// left-to-right scan: the multi-context form of [`preceding_tested`].
 ///
 /// Pruning collapses every context to its last node `cₖ`; the scan walks
 /// `[0, max cₖ)` once, lanes dropping out as the cursor passes their
 /// boundary. A position preceding the *earliest* active boundary
 /// precedes every later one too (its subtree cannot contain any of
-/// them), so the sequential join's comparison-free copy of guaranteed
-/// subtree blocks serves all active lanes at once; only ancestors of the
-/// earliest boundary are probed per lane. Physical reads are attributed
-/// to the widest lane (which needs every position); other lanes report
-/// zero incremental touches.
-pub fn preceding_many(
-    doc: &Doc,
-    contexts: &[&Context],
+/// them), so the comparison-free copy of guaranteed subtree blocks
+/// serves all active lanes at once; only ancestors of the earliest
+/// boundary are probed per lane. Physical reads are attributed to the
+/// widest lane (which needs every position); other lanes report zero
+/// incremental touches.
+pub fn preceding_many<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    // Pruned boundary per lane; unique boundaries ascending share one
-    // result buffer each.
-    let bounds: Vec<Option<Pre>> = contexts
-        .iter()
-        .map(|ctx| prune_preceding(doc, ctx).as_slice().first().copied())
-        .collect();
-    let mut uniq: Vec<Pre> = bounds.iter().flatten().copied().collect();
-    uniq.sort_unstable();
-    uniq.dedup();
-    let mut results: Vec<Vec<Pre>> = uniq.iter().map(|_| scratch.take()).collect();
+    preceding_lanes(doc, lanes, None, scratch)
+}
 
-    let (scanned, copied) = match uniq.last() {
-        Some(&c_max) => preceding_scan_range(doc, &uniq, 0, c_max, &mut results),
-        None => (0, 0),
-    };
-
-    // Distribute: the widest boundary's first lane pays for the scan;
-    // duplicates clone, the last user of each buffer takes it.
-    preceding_distribute(contexts, &bounds, &uniq, results, scanned, copied)
+/// Appends what each sink's test keeps of the comparison-free run
+/// `[lo, hi)`: one range select per distinct test, and a copy of the
+/// tail that select appended for every further sink asking the same
+/// test.
+fn select_run(sinks: &mut [PrecSink<'_>], lo: Pre, hi: Pre) {
+    for i in 0..sinks.len() {
+        let (done, rest) = sinks.split_at_mut(i);
+        let sink = &mut rest[0];
+        match done.iter().find(|s| s.test == sink.test) {
+            Some(same) => {
+                sink.out
+                    .extend_from_slice(&same.out[same.out.len() - same.added..]);
+                sink.added = same.added;
+            }
+            None => {
+                let before = sink.out.len();
+                sink.test.select_range(lo, hi, &mut sink.out);
+                sink.added = sink.out.len() - before;
+            }
+        }
+    }
 }
 
 /// The preceding scan restricted to positions `[from, to)`, pushing into
-/// one result buffer per unique boundary (`results` parallel to `uniq`,
-/// ascending; `uniq` non-empty with `to ≤ uniq.last()`).
+/// `sinks` (ascending by boundary, `to ≤` the last boundary).
 ///
 /// The full scan is the `[0, c_max)` range. Any other entry point first
 /// *reconstructs* the cursor state at `from`: the only way `from` can sit
@@ -256,25 +292,17 @@ pub fn preceding_many(
 /// top-down — skipping ancestors covered by an earlier ancestor's run,
 /// exactly as the left-to-right scan would — recovers in O(h · log K)
 /// whether `from` is mid-run and for which boundary set. Per position the
-/// behaviour (and thus the scanned/copied accounting, counted
-/// per-position here) is identical to the full scan, so range results
-/// concatenate to the full scan's and per-range counters sum to its
-/// totals (asserted by the parallel-equivalence tests).
-fn preceding_scan_range(
-    doc: &Doc,
-    uniq: &[Pre],
-    from: Pre,
-    to: Pre,
-    results: &mut [Vec<Pre>],
-) -> (u64, u64) {
+/// behaviour (and thus the scanned/copied accounting — arithmetic over
+/// each run) is identical to the full scan, so range results concatenate
+/// to the full scan's and per-range counters sum to its totals (asserted
+/// by the parallel-equivalence tests).
+fn preceding_scan_range(doc: &Doc, sinks: &mut [PrecSink<'_>], from: Pre, to: Pre) -> (u64, u64) {
     let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
     let mut scanned = 0u64;
     let mut copied = 0u64;
     let mut gov = crate::governor::Ticker::ambient();
     let mut v = from;
-    // Cursor into `uniq`: the boundaries at or before the position at
+    // Cursor into `sinks`: the boundaries at or before the position at
     // hand are complete. Everything below asks in ascending order.
     let mut lo = 0usize;
 
@@ -289,13 +317,15 @@ fn preceding_scan_range(
             chain.push(p);
             p = doc.parent(p);
         }
-        let mut cover: Option<(Pre, usize)> = None; // (run end, head's boundary index)
+        let mut cover: Option<(Pre, usize)> = None; // (run end, head's sink index)
         for &u in chain.iter().rev() {
             if cover.is_some_and(|(end, _)| u <= end) {
                 continue; // covered: the scan never visits u as a head
             }
-            lo = seek_from(uniq, lo, |&b| b <= u);
-            let Some(&first) = uniq.get(lo) else { break };
+            lo = seek_from(sinks, lo, |s| s.bound <= u);
+            let Some(first) = sinks.get(lo).map(|s| s.bound) else {
+                break;
+            };
             if post[u as usize] < post[first as usize] {
                 let run_end = u + post[u as usize].saturating_sub(u).min(first - u - 1);
                 if cover.is_none_or(|(end, _)| run_end > end) {
@@ -306,66 +336,55 @@ fn preceding_scan_range(
         if let Some((run_end, lo)) = cover {
             if run_end >= from {
                 // Mid-run: finish the covered stretch that falls in range.
-                for w in from..=run_end.min(to.saturating_sub(1)) {
-                    copied += 1;
-                    if gov.tick(1) {
-                        return (scanned, copied);
-                    }
-                    if kind[w as usize] != attr {
-                        for r in &mut results[lo..] {
-                            r.push(w);
-                        }
-                    }
+                let stop = (run_end + 1).min(to);
+                if gov.charged_run(from, stop, &mut copied, |a, b| {
+                    select_run(&mut sinks[lo..], a, b)
+                }) {
+                    return (scanned, copied);
                 }
                 v = run_end + 1;
             }
         }
     }
 
-    lo = seek_from(uniq, lo, |&b| b <= v);
+    lo = seek_from(sinks, lo, |s| s.bound <= v);
     while v < to {
-        while lo < uniq.len() && uniq[lo] <= v {
+        while lo < sinks.len() && sinks[lo].bound <= v {
             lo += 1; // this boundary's region is complete
         }
-        if lo == uniq.len() {
+        let Some(first) = sinks.get(lo).map(|s| s.bound) else {
             break;
-        }
-        let first = uniq[lo];
+        };
         scanned += 1;
         if gov.tick(1) {
             return (scanned, copied);
         }
-        if post[v as usize] < post[first as usize] {
+        let post_v = post[v as usize];
+        if post_v < post[first as usize] {
             // v precedes the earliest active boundary — and therefore
-            // every later one. Copy v and its guaranteed subtree block to
+            // every later one. Hand v and its guaranteed subtree block to
             // all active lanes without further comparisons. A run
             // overshooting `to` is finished by the next range's
             // reconstruction.
-            let run = post[v as usize].saturating_sub(v).min(first - v - 1);
-            if kind[v as usize] != attr {
-                for r in &mut results[lo..] {
-                    r.push(v);
+            let run = post_v.saturating_sub(v).min(first - v - 1);
+            for s in &mut sinks[lo..] {
+                if s.test.keeps(v) {
+                    s.out.push(v);
                 }
             }
-            let stop = (v + run).min(to.saturating_sub(1));
-            for w in v + 1..=stop {
-                copied += 1;
-                if gov.tick(1) {
-                    return (scanned, copied);
-                }
-                if kind[w as usize] != attr {
-                    for r in &mut results[lo..] {
-                        r.push(w);
-                    }
-                }
+            let stop = (v + 1 + run).min(to);
+            if gov.charged_run(v + 1, stop, &mut copied, |a, b| {
+                select_run(&mut sinks[lo..], a, b)
+            }) {
+                return (scanned, copied);
             }
             v += 1 + run;
         } else {
             // v is an ancestor of the earliest boundary; it may still
             // precede later ones — probe each individually.
-            for (u, r) in uniq.iter().zip(results.iter_mut()).skip(lo + 1) {
-                if post[v as usize] < post[*u as usize] && kind[v as usize] != attr {
-                    r.push(v);
+            for s in &mut sinks[lo..] {
+                if post_v < post[s.bound as usize] && s.test.keeps(v) {
+                    s.out.push(v);
                 }
             }
             v += 1;
@@ -374,125 +393,51 @@ fn preceding_scan_range(
     (scanned, copied)
 }
 
-/// The parallel form of [`following_many`]: the one shared suffix scan
-/// is built by range chunks on `pool`, and the per-lane suffix copies run
-/// as pool tasks. Results and statistics are identical to the sequential
-/// form; a width-1 pool (or a region too small to amortize handoff)
-/// degenerates to it outright.
-pub fn following_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
+/// The parallel form of [`following_many`]: each test's suffix select
+/// is built by range chunks on `pool`. Results and statistics are
+/// identical to the sequential form; a width-1 pool (or a region too
+/// small to amortize handoff) degenerates to it outright.
+pub fn following_many_par<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
     let n = doc.len() as Pre;
-    let kind = doc.kind_column();
-
-    let starts: Vec<Option<(Pre, Pre)>> = contexts
+    let starts = lanes
         .iter()
-        .map(|ctx| {
-            prune_following(doc, ctx)
-                .as_slice()
-                .first()
-                .map(|&c| (c, (c + 1 + doc.subtree_size(c)).min(n)))
-        })
-        .collect();
-    let widest = starts.iter().flatten().map(|&(_, s)| s).min();
-    let lanes = starts.iter().flatten().count() as u64;
-    let work = widest.map_or(0, |s| u64::from(n - s)) * lanes.max(1);
+        .filter_map(|l| following_start(doc, l.context()));
+    let (live, widest) = starts.fold((0u64, n), |(k, w), (_, s)| (k + 1, w.min(s)));
     let Some(k) = (pool.width() > 1)
-        .then(|| morsel_count(work, pool.width()))
+        .then(|| morsel_count(u64::from(n - widest) * live.max(1), pool.width()))
         .flatten()
     else {
-        return following_many(doc, contexts, scratch);
+        return following_many(doc, lanes, scratch);
     };
-
-    // Phase 1: the shared scan, chunked by range.
-    let start = widest.expect("work > 0 implies a widest region");
-    let chunk = u64::from(n - start).div_ceil(k as u64).max(1) as Pre;
-    let ranges: Vec<(Pre, Pre)> = (0..k as Pre)
-        .map(|i| {
-            let lo = start + i * chunk;
-            (lo.min(n), lo.saturating_add(chunk).min(n))
-        })
-        .filter(|&(lo, hi)| lo < hi)
-        .collect();
-    let buffers: Vec<Vec<Pre>> = ranges.iter().map(|_| scratch.take()).collect();
-    let parts = pool.run(
-        ranges
-            .into_iter()
-            .zip(buffers)
-            .map(|((lo, hi), mut buf)| {
-                move || {
-                    crate::mask::select_non_attr(kind, lo, hi, &mut buf);
-                    buf
-                }
+    following_lanes(doc, lanes, scratch, |test, from, base, scratch| {
+        let chunk = u64::from(n - from).div_ceil(k as u64).max(1) as Pre;
+        let ranges = (0..k as Pre)
+            .map(|i| {
+                let lo = from.saturating_add(i * chunk);
+                (lo.min(n), lo.saturating_add(chunk).min(n))
             })
-            .collect(),
-    );
-    let mut base = scratch.take();
-    base.reserve(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        base.extend_from_slice(&part);
-        scratch.put(part);
-    }
-
-    // Phase 2: per-lane suffix copies, one task each.
-    let payer = starts
-        .iter()
-        .position(|s| matches!((s, widest), (Some((_, a)), Some(b)) if *a == b));
-    let copies: Vec<Option<Vec<Pre>>> = {
-        let live: Vec<(usize, Pre)> = starts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|(_, start)| (i, start)))
-            .collect();
-        let buffers: Vec<Vec<Pre>> = live.iter().map(|_| scratch.take()).collect();
-        let base = &base;
-        let filled = pool.run(
-            live.iter()
-                .zip(buffers)
-                .map(|(&(_, start), mut buf)| {
+            .filter(|&(lo, hi)| lo < hi);
+        let parts = pool.run(
+            ranges
+                .map(|(lo, hi)| (lo, hi, scratch.take()))
+                .map(|(lo, hi, mut buf)| {
                     move || {
-                        // A one-off search per lane task.
-                        let from = base.partition_point(|&v| v < start);
-                        buf.extend_from_slice(&base[from..]);
+                        test.select_range(lo, hi, &mut buf);
                         buf
                     }
                 })
                 .collect(),
         );
-        let mut slots: Vec<Option<Vec<Pre>>> = starts.iter().map(|_| None).collect();
-        for ((i, _), buf) in live.into_iter().zip(filled) {
-            slots[i] = Some(buf);
+        for part in parts {
+            base.extend_from_slice(&part);
+            scratch.put(part);
         }
-        slots
-    };
-    scratch.put(base);
-
-    contexts
-        .iter()
-        .enumerate()
-        .zip(copies)
-        .map(|((i, ctx), copy)| {
-            let mut stats = StepStats {
-                context_in: ctx.len(),
-                ..Default::default()
-            };
-            let Some((c, start)) = starts[i] else {
-                return (Context::empty(), stats);
-            };
-            stats.context_out = 1;
-            stats.partitions = 1;
-            stats.nodes_skipped = u64::from(start.saturating_sub(c + 1));
-            if payer == Some(i) {
-                stats.nodes_copied = u64::from(n.saturating_sub(start));
-            }
-            let result = copy.expect("every live lane produced a copy");
-            stats.result_size = result.len();
-            (Context::from_sorted(result), stats)
-        })
-        .collect()
+    })
 }
 
 /// The parallel form of [`preceding_many`]: the one shared left-to-right
@@ -500,107 +445,110 @@ pub fn following_many_par(
 /// `preceding_scan_range`'s state reconstruction, so per-chunk results
 /// concatenate to the sequential scan's and the per-chunk access
 /// counters sum to its totals exactly.
-pub fn preceding_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
+pub fn preceding_many_par<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    let bounds: Vec<Option<Pre>> = contexts
-        .iter()
-        .map(|ctx| prune_preceding(doc, ctx).as_slice().first().copied())
-        .collect();
-    let mut uniq: Vec<Pre> = bounds.iter().flatten().copied().collect();
-    uniq.sort_unstable();
-    uniq.dedup();
+    preceding_lanes(doc, lanes, Some(pool), scratch)
+}
 
-    let c_max = uniq.last().copied().unwrap_or(0);
-    let Some(k) = (pool.width() > 1)
-        .then(|| morsel_count(u64::from(c_max), pool.width()))
-        .flatten()
-    else {
-        return preceding_many(doc, contexts, scratch);
+/// [`preceding_many`] (`pool` absent, too narrow, or the prefix too
+/// short to amortize handoff: one scan of `[0, c_max)`) and
+/// [`preceding_many_par`] (the prefix in chunks on `pool`).
+fn preceding_lanes<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+) -> Vec<(Context, StepStats)> {
+    let (mut sinks, sink_of) = preceding_sinks(doc, lanes, scratch);
+    let c_max = sinks.last().map_or(0, |s| s.bound);
+    let split = pool
+        .filter(|pool| pool.width() > 1)
+        .and_then(|pool| Some((pool, morsel_count(u64::from(c_max), pool.width())?)));
+    let Some((pool, k)) = split else {
+        let (scanned, copied) = preceding_scan_range(doc, &mut sinks, 0, c_max);
+        return preceding_distribute(lanes, sinks, &sink_of, scanned, copied);
     };
 
-    // Chunked shared scan: each chunk fills one buffer per unique
-    // boundary; chunk-major concatenation preserves document order.
+    // Chunked shared scan: each chunk fills its own copy of the sinks;
+    // chunk-major concatenation preserves document order.
     let chunk = u64::from(c_max).div_ceil(k as u64).max(1) as Pre;
-    let ranges: Vec<(Pre, Pre)> = (0..k as Pre)
+    let ranges = (0..k as Pre)
         .map(|i| ((i * chunk).min(c_max), ((i + 1) * chunk).min(c_max)))
-        .filter(|&(lo, hi)| lo < hi)
-        .collect();
-    let buffer_sets: Vec<Vec<Vec<Pre>>> = ranges
-        .iter()
-        .map(|_| uniq.iter().map(|_| scratch.take()).collect())
-        .collect();
-    let uniq_ref = &uniq;
+        .filter(|&(lo, hi)| lo < hi);
     let parts = pool.run(
         ranges
-            .into_iter()
-            .zip(buffer_sets)
-            .map(|((lo, hi), mut bufs)| {
+            .map(|(lo, hi)| {
+                let mut part: Vec<PrecSink<'d>> = sinks
+                    .iter()
+                    .map(|s| PrecSink {
+                        bound: s.bound,
+                        test: s.test,
+                        out: scratch.take(),
+                        added: 0,
+                    })
+                    .collect();
                 move || {
-                    let (scanned, copied) = preceding_scan_range(doc, uniq_ref, lo, hi, &mut bufs);
-                    (bufs, scanned, copied)
+                    let (scanned, copied) = preceding_scan_range(doc, &mut part, lo, hi);
+                    (part, scanned, copied)
                 }
             })
             .collect(),
     );
-    let mut results: Vec<Vec<Pre>> = uniq.iter().map(|_| scratch.take()).collect();
     let mut scanned = 0u64;
     let mut copied = 0u64;
-    for (bufs, s, c) in parts {
-        for (r, buf) in results.iter_mut().zip(bufs) {
-            r.extend_from_slice(&buf);
-            scratch.put(buf);
+    for (part, s, c) in parts {
+        for (sink, p) in sinks.iter_mut().zip(part) {
+            sink.out.extend_from_slice(&p.out);
+            scratch.put(p.out);
         }
         scanned += s;
         copied += c;
     }
-
-    preceding_distribute(contexts, &bounds, &uniq, results, scanned, copied)
+    preceding_distribute(lanes, sinks, &sink_of, scanned, copied)
 }
 
 /// The distribution tail shared by [`preceding_many`] and
-/// [`preceding_many_par`]: per-boundary buffers fan out to the lanes,
-/// duplicates cloning and the widest boundary's first lane paying for
-/// the scan.
-fn preceding_distribute(
-    contexts: &[&Context],
-    bounds: &[Option<Pre>],
-    uniq: &[Pre],
-    results: Vec<Vec<Pre>>,
+/// [`preceding_many_par`]: per-sink buffers fan out to the lanes,
+/// duplicates cloning, the last user of each buffer taking it, and the
+/// widest boundary's first lane paying for the scan.
+fn preceding_distribute<'d, L: ScanLane<'d>>(
+    lanes: &[L],
+    sinks: Vec<PrecSink<'d>>,
+    sink_of: &[Option<usize>],
     scanned: u64,
     copied: u64,
 ) -> Vec<(Context, StepStats)> {
-    let payer = uniq
-        .last()
-        .and_then(|&m| bounds.iter().position(|b| *b == Some(m)));
-    let mut users: Vec<usize> = uniq
+    let c_max = sinks.last().map(|s| s.bound);
+    let payer = sink_of
         .iter()
-        .map(|u| bounds.iter().filter(|b| **b == Some(*u)).count())
+        .position(|s| s.is_some_and(|s| Some(sinks[s].bound) == c_max));
+    let mut users: Vec<usize> = (0..sinks.len())
+        .map(|s| sink_of.iter().filter(|&&u| u == Some(s)).count())
         .collect();
-    let mut finished: Vec<Option<Context>> = results
+    let mut finished: Vec<Option<Context>> = sinks
         .into_iter()
-        .map(|r| Some(Context::from_sorted(r)))
+        .map(|s| Some(Context::from_sorted(s.out)))
         .collect();
-    bounds
+    sink_of
         .iter()
         .enumerate()
-        .map(|(i, bound)| {
+        .map(|(i, sink)| {
             let mut stats = StepStats {
-                context_in: contexts[i].len(),
+                context_in: lanes[i].context().len(),
                 ..Default::default()
             };
-            let Some(c) = bound else {
+            let Some(s) = *sink else {
                 return (Context::empty(), stats);
             };
             stats.context_out = 1;
             stats.partitions = 1;
-            let u = uniq.binary_search(c).expect("every boundary is indexed");
-            users[u] -= 1;
-            let slot = &mut finished[u];
-            let ctx = if users[u] == 0 {
+            users[s] -= 1;
+            let slot = &mut finished[s];
+            let ctx = if users[s] == 0 {
                 slot.take().expect("buffer taken only by its last user")
             } else {
                 slot.as_ref()

@@ -52,43 +52,59 @@
 //!
 //! ## Data layout & hot loops
 //!
-//! Every operator here bottoms out in a scan of two dense, parallel
-//! columns: `Doc::kind_column()` (`&[u8]`, one kind byte per pre rank)
-//! and `Doc::tag_column()` (`&[TagId]`). The per-element filters those
-//! scans end in — `kind != Attribute` in every copy phase, `kind ==
-//! Element && tag == t` in name tests — are routed through the
-//! chunked bitmask kernels of [`mask`]: 64 positions fold into one
-//! `u64` predicate word (byte-wise SWAR compare on the kind column, a
-//! single vector compare under `--cfg stair_simd`), and survivors are
-//! materialized with one `trailing_zeros` per *match* instead of one
-//! branch per *lane*. Lanes are counted from the window's own start
-//! offset, so unaligned heads are free and only a sub-word tail takes
-//! the partial-mask path.
+//! Every operator here bottoms out in a scan of dense, parallel
+//! columns: `Doc::post_column()` for the staircase comparisons,
+//! `Doc::kind_column()` (`&[u8]`, one kind byte per pre rank) and
+//! `Doc::tag_column()` (`&[TagId]`) for the step's node test. The node
+//! test is compiled once per step into a [`ScanTest`] — `node()` (today's
+//! `kind != Attribute`), a kind, a `(kind, tag)` name test, or the empty
+//! test for a name the dictionary lacks — and **rides the scan**: every
+//! plane-scan kernel ([`descendant_tested`], [`ancestor_tested`],
+//! [`following_tested`], [`preceding_tested`], their `_many` /
+//! `_many_par` / `_parallel` forms) takes it, and [`descendant`],
+//! [`ancestor`], [`following`], [`preceding`] are its `node()` case. One
+//! test is asked in three shapes (details in [`mask`]):
 //!
-//! **Why statistics parity holds.** The kernels replace only loops
+//! * `keeps(v)` where positions are visited one by one (ancestor jumps,
+//!   the merged multi-context scans);
+//! * `select_range(lo, hi, out)` over every comparison-free run — the
+//!   Equation-1 copy phase, the descendants a skipping scan has just
+//!   delimited, `following`'s suffix, `preceding`'s subtree blocks: 64
+//!   kind bytes per SWAR mask word, or 32 tags per any-compare with
+//!   `kind` read only on a hit, so `/descendant::profile` under the
+//!   plain join reads the tag column once and writes 1 270 nodes instead
+//!   of writing a 456 294-node region out and gathering it back;
+//! * `select_candidates(list, out)` for the operators with no scan to
+//!   ride (structural axes, the naive and plain SQL joins).
+//!
+//! Every comparison-free run goes through **one** helper,
+//! [`governor::Ticker::charged_run`]: the arithmetic charge and, under a
+//! budget, the [`governor::SCAN_CHUNK`] chunking.
+//!
+//! **Why statistics parity holds.** The range kernels replace only loops
 //! whose [`StepStats`] counters are *arithmetic*: a copy phase charges
-//! `nodes_copied` per **position** of the range regardless of whether
-//! the position survives the attribute filter, and a Basic-variant
-//! window scan charges `nodes_scanned` for the whole window. Masking
-//! changes how the surviving positions are found, never how many
-//! positions are charged, so masked and scalar paths report
-//! byte-identical `StepStats` (proptested). Loops whose extent is
-//! data-dependent — the skipping variants' first-miss early-outs, the
-//! ancestor subtree jumps — stay scalar: their counters depend on
-//! *where* the scan stopped, which a batched mask cannot reproduce
-//! without doing the scalar work anyway.
+//! `nodes_copied` per **position** of the range whatever the test keeps,
+//! and a Basic-variant window scan charges `nodes_scanned` for the whole
+//! window. The test changes which positions are written out, never how
+//! many are charged, so every [`StepStats`] field but `result_size` is
+//! identical to join-then-filter by construction (proptested, and
+//! `tests/bounds.rs`): a selective test buys less memory traffic, not a
+//! smaller counter. The positions whose *extent* is data-dependent — the
+//! skipping variants' first-miss early-outs, the ancestor subtree jumps —
+//! are found by scalar comparisons, as their counters depend on *where*
+//! the scan stopped.
 //!
-//! **Masked name tests vs. the fragment join.** A name test over a
-//! candidate list costs one gathered kind/tag load per candidate
-//! ([`mask::select_tag_candidates`]); once a per-tag
-//! `TagBitmap` exists ([`TagIndex::bitmap`]), the same test is one
-//! bit-probe per candidate — but *building* the bitmap costs a full
-//! column pass. [`DocStats::bitmap_filter_cost`] prices the probe
-//! path against the plain masked filter and the fragment join, and
-//! [`DocStats::bitmap_worthwhile`] gates the lazy build so only
-//! filters wide enough to amortize it ever trigger one; planned steps
-//! whose tests take the masked path carry a `[mask]` marker in
-//! `--explain` output.
+//! **Masked candidate filters vs. the fragment join.** A name test over
+//! a candidate list costs one gathered kind/tag load per candidate
+//! ([`mask::select_tag_candidates`]); once a per-tag `TagBitmap` exists
+//! ([`TagIndex::bitmap`]), the same test is one bit-probe per candidate
+//! — but *building* the bitmap costs a full column pass.
+//! [`DocStats::bitmap_filter_cost`] prices the probe path against the
+//! plain masked filter and the fragment join, and
+//! [`DocStats::bitmap_worthwhile`] gates the lazy build so only filters
+//! wide enough to amortize it ever trigger one; planned steps whose
+//! tests take such a residual pass carry a `+ apply-test [mask]` marker
+//! in `--explain` output (plane scans, whose test is fused, do not).
 //!
 //! ## Failure model
 //!
@@ -99,7 +115,7 @@
 //! * **Governed stops** ([`governor`]): when an ambient
 //!   [`governor::Budget`] is installed, every scan checks it at
 //!   amortized boundaries (partitions, [`governor::SCAN_CHUNK`]-sized
-//!   mask chunks, merged-scan positions, twig seeks) and **abandons the
+//!   pieces of comparison-free runs, merged-scan positions, twig seeks) and **abandons the
 //!   pass** on a trip, returning partial state. Partial results are
 //!   *garbage by contract*: only the layer that installed the budget
 //!   (the lane executor upstairs) may interpret them, and it discards
@@ -143,12 +159,13 @@ mod prune;
 mod stats;
 pub mod twig;
 
-pub use anc::ancestor;
+pub use anc::{ancestor, ancestor_tested};
 pub use batch::{
-    ancestor_many, ancestor_on_list_many, descendant_many, descendant_on_list_many, Scratch,
+    ancestor_many, ancestor_on_list_many, descendant_many, descendant_on_list_many, ScanLane,
+    Scratch,
 };
 pub use cost::{Calibrator, DocStats, RuntimeStats, TwigLegCost};
-pub use desc::{descendant, descendant_fused, guaranteed_result_estimate};
+pub use desc::{descendant, descendant_fused, descendant_tested, guaranteed_result_estimate};
 pub use exists::{
     has_ancestor_in, has_ancestor_in_many, has_ancestor_in_many_par, has_child_in,
     has_child_in_many, has_child_in_many_par, has_descendant_in, has_descendant_in_many,
@@ -156,14 +173,17 @@ pub use exists::{
 };
 pub use governor::{Budget, Trip};
 pub use horiz::{
-    following, following_many, following_many_par, preceding, preceding_many, preceding_many_par,
+    following, following_many, following_many_par, following_tested, preceding, preceding_many,
+    preceding_many_par, preceding_tested,
 };
 pub use list::{ancestor_on_list, descendant_on_list, TagIndex, CRACK_CONVERGE_TOUCHES};
+pub use mask::ScanTest;
 pub use morsel::{
     ancestor_many_par, ancestor_on_list_many_par, descendant_many_par, descendant_on_list_many_par,
 };
 pub use parallel::{
-    ancestor_parallel, ancestor_parallel_on, descendant_parallel, descendant_parallel_on,
+    ancestor_parallel, ancestor_parallel_on, ancestor_parallel_tested, descendant_parallel,
+    descendant_parallel_on, descendant_parallel_tested,
 };
 pub use pool::{ScratchPool, WorkerPool};
 pub use prune::{

@@ -36,16 +36,17 @@
 //! parallelises by whole partitions only — which is where its work lives
 //! anyway: ancestor steps arrive with many boundaries, not one.
 
-use staircase_accel::{Context, Doc, NodeKind, Pre};
+use staircase_accel::{Context, Doc, Pre};
 
 use crate::anc::ancestor_partitions;
 use crate::batch::{
     ancestor_list_scan, ancestor_scan, descendant_list_scan, descendant_scan, shared_pass, Lane,
-    Scratch,
+    ScanLane, Scratch,
 };
 use crate::cursor::seek_from;
 use crate::desc::descendant_partitions;
 use crate::list::{ancestor_list_partitions, descendant_list_partitions};
+use crate::mask::ScanTest;
 use crate::pool::WorkerPool;
 use crate::prune::{prune_ancestor_into, prune_descendant_into};
 use crate::stats::StepStats;
@@ -70,23 +71,25 @@ pub(crate) fn morsel_count(work: u64, width: usize) -> Option<usize> {
 /// executed on `pool`. Multi-context (merged-boundary) batches keep the
 /// sequential shared scan — their sharing *is* the optimisation — and a
 /// width-1 pool degenerates to the sequential kernel outright.
-pub fn descendant_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
+pub fn descendant_many_par<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     variant: Variant,
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
     if pool.width() == 1 {
-        return descendant_many(doc, contexts, variant, scratch);
+        return descendant_many(doc, lanes, variant, scratch);
     }
     shared_pass(
         doc,
-        contexts,
+        lanes,
         scratch,
         prune_descendant_into,
         |doc, lanes, scratch| match lanes {
-            [lane] => descendant_lane_par(doc, lane, variant, pool, scratch),
+            [lane] => lane.once_per_test(|steps, test, result, stats| {
+                descendant_lane_par(doc, steps, variant, test, result, stats, pool, scratch)
+            }),
             _ => descendant_scan(doc, lanes, variant),
         },
     )
@@ -94,23 +97,25 @@ pub fn descendant_many_par(
 
 /// The parallel form of [`crate::ancestor_many`]; see
 /// [`descendant_many_par`] for the contract.
-pub fn ancestor_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
+pub fn ancestor_many_par<'d, L: ScanLane<'d>>(
+    doc: &'d Doc,
+    lanes: &[L],
     variant: Variant,
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
     if pool.width() == 1 {
-        return ancestor_many(doc, contexts, variant, scratch);
+        return ancestor_many(doc, lanes, variant, scratch);
     }
     shared_pass(
         doc,
-        contexts,
+        lanes,
         scratch,
         prune_ancestor_into,
         |doc, lanes, scratch| match lanes {
-            [lane] => ancestor_lane_par(doc, lane, variant, pool, scratch),
+            [lane] => lane.once_per_test(|steps, test, result, stats| {
+                ancestor_lane_par(doc, steps, variant, test, result, stats, pool, scratch)
+            }),
             _ => ancestor_scan(doc, lanes, variant),
         },
     )
@@ -270,12 +275,11 @@ fn exec_desc_morsel(
     doc: &Doc,
     slices: &[DescSlice],
     variant: Variant,
+    test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
-    let kind = doc.kind_column();
-    let attr = NodeKind::Attribute as u8;
     let skip_on_miss = variant != Variant::Basic;
     // Workers inherit the submitting lane's budget (the pool installs it
     // ambiently); a trip abandons the morsel mid-slice.
@@ -283,32 +287,22 @@ fn exec_desc_morsel(
     for s in slices {
         crate::faults::fail_point("core::morsel::exec");
         let mut v = s.from;
-        // The slice's copy prefix charges every position, so the
-        // attribute filter runs through the 64-lane mask kernel; the
-        // data-dependent scan suffix below stays scalar.
-        if v <= s.copy_end {
-            let copy_to = s.to.min(s.copy_end + 1);
-            stats.nodes_copied += u64::from(copy_to - v);
-            while v < copy_to {
-                let hi = if gov.active() {
-                    copy_to.min(v + crate::governor::SCAN_CHUNK)
-                } else {
-                    copy_to
-                };
-                crate::mask::select_non_attr(kind, v, hi, result);
-                if gov.tick(u64::from(hi - v)) {
-                    return;
-                }
-                v = hi;
-            }
+        // The slice's copy prefix is one range select, charged per
+        // position; the data-dependent scan suffix below stays scalar.
+        let copy_to = s.to.min(s.copy_end + 1);
+        if gov.charged_run(v, copy_to, &mut stats.nodes_copied, |lo, hi| {
+            test.select_range(lo, hi, result)
+        }) {
+            return;
         }
+        v = v.max(copy_to);
         while v < s.to {
             stats.nodes_scanned += 1;
             if gov.tick(1) {
                 return;
             }
             if post[v as usize] < s.bound {
-                if kind[v as usize] != attr {
+                if test.keeps(v) {
                     result.push(v);
                 }
             } else if skip_on_miss {
@@ -325,26 +319,23 @@ fn exec_desc_morsel(
 
 /// Runs a single descendant lane through pool-executed morsels (or the
 /// sequential loop when the work does not amortize the handoff).
+#[allow(clippy::too_many_arguments)]
 fn descendant_lane_par(
     doc: &Doc,
-    lane: &mut Lane,
+    steps: &[Pre],
     variant: Variant,
+    test: &ScanTest<'_>,
+    result: &mut Vec<Pre>,
+    stats: &mut StepStats,
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) {
     let n = doc.len() as Pre;
-    let (slices, work) = plan_descendant_slices(doc, &lane.steps, n, variant);
+    let (slices, work) = plan_descendant_slices(doc, steps, n, variant);
     let Some(k) = morsel_count(work, pool.width()) else {
-        return descendant_partitions(
-            doc,
-            &lane.steps,
-            n,
-            variant,
-            &mut lane.result,
-            &mut lane.stats,
-        );
+        return descendant_partitions(doc, steps, n, variant, test, result, stats);
     };
-    lane.stats.partitions += lane.steps.len();
+    stats.partitions += steps.len();
     let morsels = split_desc_slices(slices, work, k);
     let buffers: Vec<Vec<Pre>> = morsels.iter().map(|_| scratch.take()).collect();
     let outs = pool.run(
@@ -354,14 +345,14 @@ fn descendant_lane_par(
             .map(|(m, mut buf)| {
                 move || {
                     let mut st = StepStats::default();
-                    buf.reserve(m.iter().map(|s| s.len() as usize).sum());
-                    exec_desc_morsel(doc, &m, variant, &mut buf, &mut st);
+                    buf.reserve(test.reserve_for(m.iter().map(|s| s.len() as usize).sum()));
+                    exec_desc_morsel(doc, &m, variant, test, &mut buf, &mut st);
                     (buf, st)
                 }
             })
             .collect(),
     );
-    collect_morsels(outs, &mut lane.result, &mut lane.stats, scratch);
+    collect_morsels(outs, result, stats, scratch);
 }
 
 // ── Descendant on a list: per-partition entry ranges ────────────────────
@@ -475,7 +466,7 @@ fn exec_list_morsel(
 fn descendant_list_lane_par(
     doc: &Doc,
     list: &[Pre],
-    lane: &mut Lane,
+    lane: &mut Lane<'_>,
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) {
@@ -559,20 +550,23 @@ fn entry_chunks(list: &[Pre], steps: &[Pre], k: usize) -> Vec<(usize, usize)> {
 }
 
 /// Runs a single ancestor lane as whole-partition chunks on the pool.
+#[allow(clippy::too_many_arguments)]
 fn ancestor_lane_par(
     doc: &Doc,
-    lane: &mut Lane,
+    steps: &[Pre],
     variant: Variant,
+    test: &ScanTest<'_>,
+    result: &mut Vec<Pre>,
+    stats: &mut StepStats,
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) {
-    let steps = &lane.steps;
     let span = u64::from(steps.last().copied().unwrap_or(0));
     let k = morsel_count(span, pool.width())
         .map(|k| k.min(steps.len()))
         .filter(|&k| k >= 2);
     let Some(k) = k else {
-        return ancestor_partitions(doc, steps, 0, variant, &mut lane.result, &mut lane.stats);
+        return ancestor_partitions(doc, steps, 0, variant, test, result, stats);
     };
     let chunks = span_chunks(steps, k);
     let buffers: Vec<Vec<Pre>> = chunks.iter().map(|_| scratch.take()).collect();
@@ -585,16 +579,16 @@ fn ancestor_lane_par(
                 let start = if lo == 0 { 0 } else { steps[lo - 1] + 1 };
                 move || {
                     let mut st = StepStats::default();
-                    ancestor_partitions(doc, chunk, start, variant, &mut buf, &mut st);
+                    ancestor_partitions(doc, chunk, start, variant, test, &mut buf, &mut st);
                     (buf, st)
                 }
             })
             .collect(),
     );
     for (buf, st) in outs {
-        lane.result.extend_from_slice(&buf);
+        result.extend_from_slice(&buf);
         scratch.put(buf);
-        lane.stats.merge(&st);
+        stats.merge(&st);
     }
 }
 
@@ -602,7 +596,7 @@ fn ancestor_lane_par(
 fn ancestor_list_lane_par(
     doc: &Doc,
     list: &[Pre],
-    lane: &mut Lane,
+    lane: &mut Lane<'_>,
     pool: &WorkerPool,
     scratch: &mut Scratch,
 ) {

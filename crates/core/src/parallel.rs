@@ -9,15 +9,16 @@
 //!
 //! Since the pooled-executor refactor these joins run their chunks on a
 //! [`WorkerPool`] — the session layer passes its persistent pool through
-//! [`descendant_parallel_on`] / [`ancestor_parallel_on`], so no threads
-//! are spawned per call. The original [`descendant_parallel`] /
-//! [`ancestor_parallel`] entry points remain for standalone use and
-//! build a transient pool of the requested width.
+//! [`descendant_parallel_tested`] / [`ancestor_parallel_tested`], so no
+//! threads are spawned per call. The original [`descendant_parallel`] /
+//! [`ancestor_parallel`] entry points remain for standalone use: the
+//! `node()` test on a transient pool of the requested width.
 
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::anc::ancestor_partitions;
 use crate::desc::descendant_partitions;
+use crate::mask::ScanTest;
 use crate::pool::WorkerPool;
 use crate::prune::{prune_ancestor, prune_descendant};
 use crate::stats::StepStats;
@@ -51,41 +52,28 @@ pub fn descendant_parallel_on(
     chunks: usize,
     pool: &WorkerPool,
 ) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        ..Default::default()
-    };
+    descendant_parallel_tested(doc, context, variant, chunks, pool, &ScanTest::node(doc))
+}
+
+/// [`descendant_parallel_on`] with the step's node test riding every
+/// chunk's scan (see [`crate::descendant_tested`]).
+pub fn descendant_parallel_tested(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    chunks: usize,
+    pool: &WorkerPool,
+    test: &ScanTest<'_>,
+) -> (Context, StepStats) {
     let pruned = prune_descendant(doc, context);
-    stats.context_out = pruned.len();
     let steps = pruned.as_slice();
     let n = doc.len() as Pre;
-
-    let bounds = chunk_bounds(steps.len(), chunks);
-    let outputs: Vec<(Vec<Pre>, StepStats)> = pool.run(
-        bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                let chunk = &steps[lo..hi];
-                // This chunk's final partition ends where the next chunk's
-                // first step begins (or at the end of the plane).
-                let end = steps_end(steps, hi, n);
-                move || {
-                    let mut out = Vec::new();
-                    let mut st = StepStats::default();
-                    descendant_partitions(doc, chunk, end, variant, &mut out, &mut st);
-                    (out, st)
-                }
-            })
-            .collect(),
-    );
-
-    let mut result = Vec::with_capacity(outputs.iter().map(|(v, _)| v.len()).sum());
-    for (part, st) in &outputs {
-        result.extend_from_slice(part);
-        stats.merge(st);
-    }
-    stats.result_size = result.len();
-    (Context::from_sorted(result), stats)
+    chunked_join(context.len(), steps, chunks, pool, |lo, hi, out, st| {
+        // This chunk's final partition ends where the next chunk's
+        // first step begins (or at the end of the plane).
+        let end = steps.get(hi).copied().unwrap_or(n);
+        descendant_partitions(doc, &steps[lo..hi], end, variant, test, out, st)
+    })
 }
 
 /// Parallel `ancestor` staircase join over `threads` partition chunks on
@@ -108,27 +96,53 @@ pub fn ancestor_parallel_on(
     chunks: usize,
     pool: &WorkerPool,
 ) -> (Context, StepStats) {
+    ancestor_parallel_tested(doc, context, variant, chunks, pool, &ScanTest::node(doc))
+}
+
+/// [`ancestor_parallel_on`] with the step's node test riding every
+/// chunk's scan (see [`crate::ancestor_tested`]).
+pub fn ancestor_parallel_tested(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    chunks: usize,
+    pool: &WorkerPool,
+    test: &ScanTest<'_>,
+) -> (Context, StepStats) {
+    let pruned = prune_ancestor(doc, context);
+    let steps = pruned.as_slice();
+    chunked_join(context.len(), steps, chunks, pool, |lo, hi, out, st| {
+        // This chunk's first partition starts right after the previous
+        // chunk's last step (or at pre 0).
+        let start = if lo == 0 { 0 } else { steps[lo - 1] + 1 };
+        ancestor_partitions(doc, &steps[lo..hi], start, variant, test, out, st)
+    })
+}
+
+/// Runs `join(lo, hi, out, stats)` over at most `chunks` contiguous
+/// chunks `steps[lo..hi]` of the pruned staircase on `pool` and
+/// concatenates the private result buffers in step order.
+fn chunked_join(
+    context_in: usize,
+    steps: &[Pre],
+    chunks: usize,
+    pool: &WorkerPool,
+    join: impl Fn(usize, usize, &mut Vec<Pre>, &mut StepStats) + Sync,
+) -> (Context, StepStats) {
     let mut stats = StepStats {
-        context_in: context.len(),
+        context_in,
+        context_out: steps.len(),
         ..Default::default()
     };
-    let pruned = prune_ancestor(doc, context);
-    stats.context_out = pruned.len();
-    let steps = pruned.as_slice();
-
-    let bounds = chunk_bounds(steps.len(), chunks);
+    let join = &join;
     let outputs: Vec<(Vec<Pre>, StepStats)> = pool.run(
-        bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                let chunk = &steps[lo..hi];
-                // This chunk's first partition starts right after the
-                // previous chunk's last step (or at pre 0).
-                let start = if lo == 0 { 0 } else { steps[lo - 1] + 1 };
+        chunk_bounds(steps.len(), chunks)
+            .into_iter()
+            .map(|(lo, hi)| {
                 move || {
                     let mut out = Vec::new();
                     let mut st = StepStats::default();
-                    ancestor_partitions(doc, chunk, start, variant, &mut out, &mut st);
+                    join(lo, hi, &mut out, &mut st);
                     (out, st)
                 }
             })
@@ -160,11 +174,6 @@ fn chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
         lo += size;
     }
     bounds
-}
-
-/// The pre rank where the partition after step index `hi - 1` ends.
-fn steps_end(steps: &[Pre], hi: usize, n: Pre) -> Pre {
-    steps.get(hi).copied().unwrap_or(n)
 }
 
 #[cfg(test)]

@@ -7,8 +7,15 @@
 /// Invariants maintained by all join variants:
 ///
 /// * `nodes_touched() = nodes_scanned + nodes_copied` — every touched node
-///   is either compared against the staircase boundary (scanned) or
-///   appended comparison-free by the copy phase (copied).
+///   is either compared against the staircase boundary (scanned) or lies
+///   in a comparison-free run (copied). `nodes_copied` charges every
+///   **position** of such a run — the Equation-1 copy phase,
+///   `following`'s suffix, `preceding`'s subtree blocks — whether or not
+///   the step's node test keeps it: the test rides the scan
+///   ([`crate::mask::ScanTest`]), so a selective test writes fewer nodes
+///   out but reads, and is charged for, exactly what `node()` reads.
+///   Every field but `result_size` is therefore independent of the test
+///   (`tests/bounds.rs`, the parity proptests).
 /// * With skipping enabled, `descendant` touches at most `result_size +
 ///   context_out + A` nodes, where `A` is the number of attribute nodes
 ///   below the pruned context: a partition scans its step's descendants
@@ -27,7 +34,8 @@ pub struct StepStats {
     pub context_out: usize,
     /// Nodes inspected with a postorder-rank comparison.
     pub nodes_scanned: u64,
-    /// Nodes appended by the comparison-free copy phase (Algorithm 4).
+    /// Positions of comparison-free runs (Algorithm 4's copy phase and
+    /// its horizontal counterparts), kept by the node test or not.
     pub nodes_copied: u64,
     /// Nodes jumped over without being touched at all.
     pub nodes_skipped: u64,

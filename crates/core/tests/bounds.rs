@@ -6,8 +6,8 @@
 
 use staircase_accel::{Context, Doc, NodeKind, Pre};
 use staircase_core::{
-    ancestor_on_list, descendant, descendant_on_list, prune_ancestor, prune_descendant, StepStats,
-    TagIndex, Variant,
+    ancestor_on_list, descendant, descendant_on_list, descendant_tested, prune_ancestor,
+    prune_descendant, ScanTest, StepStats, TagIndex, Variant,
 };
 use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
 
@@ -69,6 +69,61 @@ fn skipping_descendant_touches_result_plus_context_plus_scanned_attributes() {
                 // Skipping compares every node it touches: the slack is
                 // the attributes to the node, never less.
                 assert!(s.nodes_touched() + s.partitions as u64 >= paper + attrs);
+            }
+        }
+    }
+}
+
+/// A node test riding the scan does not buy a smaller counter — only
+/// less memory traffic: the scan reads the positions the `node()` scan
+/// reads and writes out fewer of them. So `touched` is the `node()`
+/// run's whatever the test keeps, and the bound above holds against the
+/// `node()` result (not against the few nodes the test kept).
+#[test]
+fn a_selective_test_touches_what_the_node_scan_touches() {
+    let skewed = generate_skewed(SkewConfig::new(1.0, 1.2));
+    let xmark = generate(XmarkConfig::new(1.0));
+    let cases: [(&Doc, &[(&str, &str)]); 2] = [
+        (
+            &skewed,
+            &[("a", "c"), ("a", "d"), ("b", "a"), ("c", "nosuch")],
+        ),
+        (
+            &xmark,
+            &[
+                ("open_auction", "increase"),
+                ("person", "education"),
+                ("item", "keyword"),
+                ("site", "profile"),
+                ("bidder", "nosuch"),
+            ],
+        ),
+    ];
+    for (doc, pairs) in cases {
+        for &(outer, inner) in pairs {
+            let ctx = elements(doc, outer);
+            let attrs = attributes_below(doc, &ctx);
+            let test = ScanTest::named(doc, NodeKind::Element, inner);
+            for variant in [
+                Variant::Basic,
+                Variant::Skipping,
+                Variant::EstimationSkipping,
+            ] {
+                let (all, plain) = descendant(doc, &ctx, variant);
+                let (kept, fused) = descendant_tested(doc, &ctx, variant, &test);
+                let label = format!("{outer}//{inner} {variant:?}");
+                assert_eq!(fused.nodes_touched(), plain.nodes_touched(), "{label}");
+                assert_eq!(fused.nodes_scanned, plain.nodes_scanned, "{label}");
+                assert_eq!(fused.nodes_copied, plain.nodes_copied, "{label}");
+                assert_eq!(fused.nodes_skipped, plain.nodes_skipped, "{label}");
+                assert!(
+                    kept.len() <= all.len() / 2,
+                    "{label}: the test is selective"
+                );
+                if variant != Variant::Basic {
+                    let bound = (plain.result_size + plain.context_out) as u64 + attrs;
+                    assert!(fused.nodes_touched() <= bound, "{label}: {fused}");
+                }
             }
         }
     }

@@ -2,10 +2,11 @@
 //! (deep chains, wide fan-outs, singletons) that exercise the boundary
 //! arithmetic of pruning, partitioning and skipping.
 
-use staircase_accel::{Axis, Context, Doc, EncodingBuilder, Pre};
+use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
-    ancestor, ancestor_parallel, descendant, descendant_parallel, following, preceding, prune,
-    Variant,
+    ancestor, ancestor_parallel, descendant, descendant_many, descendant_parallel,
+    descendant_tested, following, following_many, following_tested, preceding, preceding_tested,
+    prune, ScanTest, Scratch, Variant,
 };
 
 const ALL: [Variant; 3] = [
@@ -183,5 +184,55 @@ fn context_equal_to_whole_document() {
         assert_eq!(d.len(), 5_000, "{variant:?}"); // everything below root
         let (a, _) = ancestor(&doc, &ctx, variant);
         assert_eq!(a.as_slice(), &[0], "{variant:?}");
+    }
+}
+
+/// A selective test riding the scan must not hand its few hits back in a
+/// plane-sized allocation: the result buffer is sized by what the test
+/// can keep, not by the region the scan reads.
+#[test]
+fn a_selective_test_does_not_reserve_the_plane() {
+    // 10 000 leaves under one root; every 100th is a `rare`.
+    let mut b = EncodingBuilder::new();
+    b.open_element("r");
+    for i in 0..10_000 {
+        b.open_element(if i % 100 == 7 { "rare" } else { "leaf" });
+        b.close_element();
+    }
+    b.close_element();
+    let doc = b.finish();
+    let rare = ScanTest::named(&doc, NodeKind::Element, "rare");
+    let root = Context::singleton(doc.root());
+    let first = Context::singleton(1);
+    let last = Context::singleton(doc.len() as Pre - 1);
+    let snug = |what: &str, result: Context| {
+        assert_eq!(result.len(), 100, "{what}");
+        let capacity = result.into_vec().capacity();
+        assert!(capacity <= 2 * 100 + 64, "{what}: capacity {capacity}");
+    };
+    for variant in ALL {
+        let (got, _) = descendant_tested(&doc, &root, variant, &rare);
+        snug(&format!("descendant {variant:?}"), got);
+    }
+    snug("following", following_tested(&doc, &first, &rare).0);
+    snug("preceding", preceding_tested(&doc, &last, &rare).0);
+    // The multi-context forms, from a cold pool: two tests over one
+    // context, two nested suffixes of one test.
+    let mut scratch = Scratch::new();
+    let node = ScanTest::node(&doc);
+    for (got, _) in descendant_many(
+        &doc,
+        &[(&root, rare), (&root, node), (&root, rare)],
+        Variant::default(),
+        &mut scratch,
+    )
+    .into_iter()
+    .step_by(2)
+    {
+        snug("descendant_many", got);
+    }
+    let second = Context::singleton(2);
+    for (got, _) in following_many(&doc, &[(&first, rare), (&second, rare)], &mut scratch) {
+        snug("following_many", got);
     }
 }

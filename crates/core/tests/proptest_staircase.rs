@@ -2,14 +2,21 @@
 //! join variant must agree with the brute-force axis semantics and respect
 //! the paper's access-count guarantees.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use staircase_accel::{Axis, Context, Doc, EncodingBuilder, Pre};
+use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
+use staircase_core::governor::{self, Budget, SCAN_CHUNK};
 use staircase_core::{
-    ancestor, ancestor_on_list, ancestor_on_list_many, ancestor_on_list_many_par,
-    ancestor_parallel, descendant, descendant_on_list, descendant_on_list_many,
-    descendant_on_list_many_par, descendant_parallel, following, has_child_in, has_child_in_many,
-    has_child_in_many_par, has_descendant_in, has_descendant_in_many, has_descendant_in_many_par,
-    preceding, prune, try_axis_step, Scratch, TagIndex, Variant, WorkerPool,
+    ancestor, ancestor_many, ancestor_many_par, ancestor_on_list, ancestor_on_list_many,
+    ancestor_on_list_many_par, ancestor_parallel, ancestor_parallel_tested, ancestor_tested,
+    descendant, descendant_many, descendant_many_par, descendant_on_list, descendant_on_list_many,
+    descendant_on_list_many_par, descendant_parallel, descendant_parallel_tested,
+    descendant_tested, following, following_many, following_many_par, following_tested,
+    has_child_in, has_child_in_many, has_child_in_many_par, has_descendant_in,
+    has_descendant_in_many, has_descendant_in_many_par, preceding, preceding_many,
+    preceding_many_par, preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats,
+    TagIndex, Variant, WorkerPool,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -190,5 +197,212 @@ proptest! {
         let (p, _) = preceding(&doc, &ctx);
         // Attribute-free documents here, so counts add to |doc| - 1.
         prop_assert_eq!(d.len() + a.len() + f.len() + p.len(), doc.len() - 1);
+    }
+}
+
+// ── The node test rides the scan: fused ≡ join-then-filter ──────────────
+
+const VARIANTS: [Variant; 3] = [
+    Variant::Basic,
+    Variant::Skipping,
+    Variant::EstimationSkipping,
+];
+
+/// A document of exactly `n` nodes holding every node kind: elements
+/// over a small alphabet, attributes (one named like the element
+/// `shared`), text, comments, and processing instructions with two
+/// targets. Nobody is called `ghost`.
+fn mixed_doc(ops: &[u8], n: usize) -> Doc {
+    let mut b = EncodingBuilder::new();
+    b.open_element("root");
+    let mut depth = 1;
+    let mut i = 0usize;
+    while b.len() < n {
+        // The tape repeats with a drift, so a long document is not periodic.
+        let op = (ops[i % ops.len()] as usize + i / ops.len()) % 10;
+        i += 1;
+        match op {
+            0..=2 => {
+                b.open_element(["p", "q", "shared"][op]);
+                depth += 1;
+            }
+            3 if depth > 1 => {
+                b.close_element();
+                depth -= 1;
+            }
+            4 => {
+                b.text("t");
+            }
+            5 => {
+                b.comment("c");
+            }
+            6 => {
+                b.pi("target", "d");
+            }
+            7 => {
+                b.pi("other", "d");
+            }
+            _ => {
+                b.attribute(["shared", "id"][i % 2], "v");
+            }
+        }
+    }
+    while depth > 0 {
+        b.close_element();
+        depth -= 1;
+    }
+    b.finish()
+}
+
+/// Every arm of [`ScanTest`] that a partitioning axis can be asked
+/// (attribute tests belong to the `attribute` axis, which is no scan).
+fn arms(doc: &Doc) -> Vec<ScanTest<'_>> {
+    vec![
+        ScanTest::node(doc),
+        ScanTest::kind(doc, NodeKind::Element),
+        ScanTest::kind(doc, NodeKind::Text),
+        ScanTest::kind(doc, NodeKind::Comment),
+        ScanTest::kind(doc, NodeKind::Pi),
+        ScanTest::named(doc, NodeKind::Element, "p"),
+        ScanTest::named(doc, NodeKind::Element, "shared"),
+        ScanTest::named(doc, NodeKind::Pi, "target"),
+        ScanTest::named(doc, NodeKind::Element, "ghost"),
+    ]
+}
+
+/// Join-then-filter: what `test` keeps of a `node()` run's result.
+fn filtered(test: &ScanTest<'_>, base: &Context) -> Vec<Pre> {
+    let mut out = Vec::new();
+    test.select_candidates(base.as_slice(), &mut out);
+    out
+}
+
+/// The fused run returned what the filter keeps of the `node()` run, and
+/// read exactly what the `node()` run read.
+fn assert_rides(
+    label: &str,
+    test: &ScanTest<'_>,
+    fused: &(Context, StepStats),
+    plain: &(Context, StepStats),
+) {
+    assert_eq!(fused.0.as_slice(), &filtered(test, &plain.0)[..], "{label}");
+    assert_eq!(fused.1.result_size, fused.0.len(), "{label}");
+    let but_size = |s: &StepStats| StepStats {
+        result_size: 0,
+        ..*s
+    };
+    assert_eq!(but_size(&fused.1), but_size(&plain.1), "{label}");
+}
+
+fn sized(which: usize, small: usize) -> usize {
+    let chunk = SCAN_CHUNK as usize;
+    [31, 32, 33, 63, 64, 65, chunk - 1, chunk, chunk + 1]
+        .get(which)
+        .copied()
+        .unwrap_or(small)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every single-context plane scan × every test arm, ungoverned and
+    /// under an unconstrained budget (the chunked path).
+    #[test]
+    fn a_fused_test_is_the_node_run_filtered(
+        ops in proptest::collection::vec(0u8..10, 8..80),
+        which in 0usize..14,
+        small in 2usize..300,
+        picks in proptest::collection::vec(0u32..1_000_000, 0..12),
+    ) {
+        let doc = mixed_doc(&ops, sized(which, small));
+        let n = doc.len() as u32;
+        let ctx = Context::from_unsorted(picks.iter().map(|p| p % n).collect());
+        let pool = WorkerPool::new(4);
+        for governed in [false, true] {
+            let _guard = governed.then(|| governor::enter(Arc::new(Budget::new())));
+            for (t, test) in arms(&doc).iter().enumerate() {
+                for variant in VARIANTS {
+                    let label = format!("arm {t} {variant:?} governed {governed}");
+                    let plain = descendant(&doc, &ctx, variant);
+                    assert_rides(&label, test, &descendant_tested(&doc, &ctx, variant, test), &plain);
+                    let par = descendant_parallel_tested(&doc, &ctx, variant, 3, &pool, test);
+                    assert_rides(&label, test, &par, &plain);
+                    let plain = ancestor(&doc, &ctx, variant);
+                    assert_rides(&label, test, &ancestor_tested(&doc, &ctx, variant, test), &plain);
+                    let par = ancestor_parallel_tested(&doc, &ctx, variant, 3, &pool, test);
+                    assert_rides(&label, test, &par, &plain);
+                }
+                let label = format!("arm {t} governed {governed}");
+                assert_rides(&label, test, &following_tested(&doc, &ctx, test), &following(&doc, &ctx));
+                assert_rides(&label, test, &preceding_tested(&doc, &ctx, test), &preceding(&doc, &ctx));
+            }
+        }
+    }
+
+    /// The `_many` and `_many_par` forms with K ∈ {1, 2, 5} lanes that
+    /// mix shared and distinct contexts and tests: lane by lane, the
+    /// fused batch is the all-`node()` batch filtered, with its counters.
+    #[test]
+    fn a_batch_of_fused_tests_is_the_node_batch_filtered(
+        ops in proptest::collection::vec(0u8..10, 8..80),
+        which in 0usize..14,
+        small in 2usize..300,
+        picks_a in proptest::collection::vec(0u32..1_000_000, 0..10),
+        picks_b in proptest::collection::vec(0u32..1_000_000, 1..10),
+        mix in 0usize..10_000,
+    ) {
+        let doc = mixed_doc(&ops, sized(which, small));
+        let n = doc.len() as u32;
+        let contexts = [
+            Context::from_unsorted(picks_a.iter().map(|p| p % n).collect()),
+            Context::from_unsorted(picks_b.iter().map(|p| p % n).collect()),
+            Context::singleton(doc.root()),
+        ];
+        let arms = arms(&doc);
+        let pool = WorkerPool::new(4);
+        let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+        for k in [1usize, 2, 5] {
+            // Lane j: a context and a test drawn from `mix`, so that some
+            // lanes share a context, some a test, some both, some neither.
+            let lanes: Vec<(&Context, ScanTest<'_>)> = (0..k)
+                .map(|j| (&contexts[(mix >> j) % 3], arms[(mix / 7 + j * (mix % 3)) % arms.len()]))
+                .collect();
+            let bare: Vec<&Context> = lanes.iter().map(|l| l.0).collect();
+            let check = |label: &str,
+                         fused: Vec<(Context, StepStats)>,
+                         par: Vec<(Context, StepStats)>,
+                         plain: Vec<(Context, StepStats)>| {
+                prop_assert_eq!(&par, &fused, "{} k {}: _many_par", label, k);
+                for (j, (f, p)) in fused.iter().zip(&plain).enumerate() {
+                    assert_rides(&format!("{label} k {k} lane {j} mix {mix}"), &lanes[j].1, f, p);
+                }
+            };
+            for variant in VARIANTS {
+                check(
+                    &format!("descendant {variant:?}"),
+                    descendant_many(&doc, &lanes, variant, &mut s1),
+                    descendant_many_par(&doc, &lanes, variant, &pool, &mut s2),
+                    descendant_many(&doc, &bare, variant, &mut s1),
+                );
+                check(
+                    &format!("ancestor {variant:?}"),
+                    ancestor_many(&doc, &lanes, variant, &mut s1),
+                    ancestor_many_par(&doc, &lanes, variant, &pool, &mut s2),
+                    ancestor_many(&doc, &bare, variant, &mut s1),
+                );
+            }
+            check(
+                "following",
+                following_many(&doc, &lanes, &mut s1),
+                following_many_par(&doc, &lanes, &pool, &mut s2),
+                following_many(&doc, &bare, &mut s1),
+            );
+            check(
+                "preceding",
+                preceding_many(&doc, &lanes, &mut s1),
+                preceding_many_par(&doc, &lanes, &pool, &mut s2),
+                preceding_many(&doc, &bare, &mut s1),
+            );
+        }
     }
 }

@@ -42,7 +42,14 @@
 //!                    are shown as planned: `//x` is the one step
 //!                    `descendant::x  (from //x)`, and a multi-step
 //!                    predicate evaluated as a semijoin chain reads
-//!                    `+ semijoin[bidder.increase]`
+//!                    `+ semijoin[bidder.increase]`. The node test is
+//!                    fused into the operator wherever there is a join
+//!                    or scan for it to ride — fragment and twig joins,
+//!                    SQL's early name test, and every plane scan
+//!                    (`staircase`, `horiz-scan`, `parallel`); the
+//!                    operators that still filter afterwards (`naive`,
+//!                    plain `sql`, `structural`) print
+//!                    `+ apply-test [mask]`
 //!   --explain --stats  run the query, then print the post-run report:
 //!                    per step, the executed operator (with `[replan]`
 //!                    marking steps the adaptive engine switched
@@ -151,7 +158,10 @@ fn usage() -> ! {
          allows (with --engine staircase it also implies the parallel\n\
          engine, the historical special case)\n\
          --explain prints the physical plan (one line per step: operator +\n\
-         cost estimate; [par] marks fan-out steps) instead of evaluating\n\
+         cost estimate; [par] marks fan-out steps) instead of evaluating;\n\
+         fragment/twig joins, SQL's early name test and every plane scan\n\
+         (staircase, horiz-scan, parallel) fuse the node test, while naive,\n\
+         plain sql and structural steps print + apply-test [mask]\n\
          --stats prints per-step counters to stderr; fragment and twig steps\n\
          report their cursor seeks (plane scans: 0), and with --explain the\n\
          observed cost next to the estimate is touched + seeks\n\

@@ -55,8 +55,8 @@ pub mod prelude {
         ancestor, ancestor_many, ancestor_on_list, ancestor_parallel, descendant, descendant_fused,
         descendant_many, descendant_on_list, descendant_parallel, following, has_ancestor_in,
         has_child_in, has_descendant_in, preceding, prune, try_axis_step, twig_match, Calibrator,
-        ChainStep, DocStats, RuntimeStats, Scratch, SpineLeg, StepStats, TagIndex, TwigEdge,
-        UnsupportedAxis, Variant, CRACK_CONVERGE_TOUCHES,
+        ChainStep, DocStats, RuntimeStats, ScanTest, Scratch, SpineLeg, StepStats, TagIndex,
+        TwigEdge, UnsupportedAxis, Variant, CRACK_CONVERGE_TOUCHES,
     };
     pub use staircase_xml::{Document, PullParser};
     pub use staircase_xmlgen::{

@@ -10,13 +10,17 @@
 //! multi-context operators of `staircase_core`:
 //!
 //! * [`LaneForm::Staircase`] → [`descendant_many`] / [`ancestor_many`]:
-//!   one merged-boundary scan of the plane serves the whole group;
+//!   one merged-boundary scan of the plane serves the whole group, each
+//!   lane's node test riding it as a [`ScanTest`] (lanes that share a
+//!   context — every query from the root — share its pruning and run
+//!   one select per distinct test);
 //! * [`LaneForm::Fragment`] → [`descendant_on_list_many`] /
 //!   [`ancestor_on_list_many`]: lanes naming the same tag share the
 //!   list resolution (prebuilt fragment or one query-time selection
 //!   scan) and a single forward cursor over it;
 //! * [`LaneForm::Horiz`] → [`following_many`] / [`preceding_many`]: the
-//!   group's nested suffix/prefix regions come out of one filtered scan;
+//!   group's nested suffix/prefix regions come out of one scan, one
+//!   range select per distinct node test;
 //! * semijoin predicates on any of the above — one-step probes and
 //!   whole chains alike — are probed group-wise through
 //!   [`has_descendant_in_many`] and friends, resolving (and, for a
@@ -78,7 +82,7 @@ use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use staircase_accel::{Axis, Context, NodeKind, Pre, TagId};
+use staircase_accel::{Axis, Context};
 use staircase_core::cost::RuntimeStats;
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
@@ -86,12 +90,11 @@ use staircase_core::{
     descendant_many, descendant_many_par, descendant_on_list_many, descendant_on_list_many_par,
     faults, following_many, following_many_par, has_ancestor_in_many, has_ancestor_in_many_par,
     has_child_in_many, has_child_in_many_par, has_descendant_in_many, has_descendant_in_many_par,
-    mask, preceding_many, preceding_many_par, Scratch, Variant,
+    preceding_many, preceding_many_par, ScanTest, Scratch, Variant,
 };
 
-use crate::ast::NodeTest;
 use crate::error::Error;
-use crate::eval::{merge, rendered_op, EvalOutput, EvalStats, Executor, StepTrace};
+use crate::eval::{merge, rendered_op, scan_test, EvalOutput, EvalStats, Executor, StepTrace};
 use crate::plan::{
     replan_step, HorizAxis, LaneForm, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis, VertAxis,
 };
@@ -215,21 +218,6 @@ enum RoundOut {
 }
 
 impl Executor<'_> {
-    /// Applies a node test through the masked filters into a buffer
-    /// taken from the round's scratch shard — the batch paths'
-    /// residual filter, allocation-free at steady state.
-    fn test_scratched(
-        &self,
-        ctx: &Context,
-        test: &NodeTest,
-        axis: Axis,
-        scratch: &mut Scratch,
-    ) -> Context {
-        let mut buf = scratch.take();
-        self.test_into(ctx, test, axis, &mut buf);
-        Context::from_sorted(buf)
-    }
-
     /// Evaluates many physical plans from one shared starting context —
     /// the single entry point for *all* plan evaluation (`run` is the
     /// K = 1 batch), sharing passes wherever planned steps agree on a
@@ -575,9 +563,44 @@ impl Executor<'_> {
                 .any(|&i| lanes[i].steps[lanes[i].step].fanout())
     }
 
+    /// Each group lane's context paired with its pending step's node
+    /// test, compiled for `axis`: what the plane-scan `_many` kernels
+    /// take.
+    fn scan_lanes<'l>(
+        &self,
+        lanes: &'l [Lane<'_>],
+        group: &[usize],
+        axis: Axis,
+    ) -> Vec<(&'l Context, ScanTest<'_>)> {
+        group
+            .iter()
+            .map(|&i| {
+                let test = &lanes[i].steps[lanes[i].step].test;
+                (&lanes[i].ctx, scan_test(self.doc, test, axis))
+            })
+            .collect()
+    }
+
+    /// Merges an or-self step's tested context nodes into `out` (the
+    /// context is a candidate list, not a scan: a residual filter into a
+    /// buffer from the round's scratch shard).
+    fn or_self(&self, lane: &Lane<'_>, out: &mut Context, scratch: &mut Scratch) {
+        let step = &lane.steps[lane.step];
+        if matches!(step.axis(), Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
+            let mut buf = scratch.take();
+            self.test_into(&lane.ctx, &step.test, Axis::SelfAxis, &mut buf);
+            let selves = Context::from_sorted(buf);
+            let merged = merge(out, &selves);
+            scratch.recycle(selves);
+            scratch.recycle(std::mem::replace(out, merged));
+        }
+    }
+
     /// One shared pass of the plain staircase join for every lane in
-    /// `group`, plus fused name tests over shared bases and or-self
-    /// merging.
+    /// `group`, each lane's node test riding the scan, plus or-self
+    /// merging. The kernel dedups identical (context, test) lanes, lets
+    /// lanes that share a context share its pruning, and attributes the
+    /// pass to the first lane that needed it.
     fn staircase_outs(
         &self,
         lanes: &[Lane<'_>],
@@ -586,107 +609,33 @@ impl Executor<'_> {
         variant: staircase_core::Variant,
         scratch: &mut Scratch,
     ) -> Vec<LaneOut> {
-        // Dedup identical current contexts up front: the join runs once
-        // per unique context and duplicates borrow the shared base result
-        // instead of cloning it. The shared pass's cost is attributed to
-        // the first lane that needed it.
-        let mut uniq: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(group.len());
-        for &i in group {
-            match uniq
-                .iter()
-                .position(|&u| lanes[u].ctx.as_slice() == lanes[i].ctx.as_slice())
-            {
-                Some(s) => slot_of.push(s),
-                None => {
-                    slot_of.push(uniq.len());
-                    uniq.push(i);
-                }
-            }
-        }
         let fanout = self.fanout(lanes, group);
-        let joined = {
-            let contexts: Vec<&Context> = uniq.iter().map(|&i| &lanes[i].ctx).collect();
-            match (vert, fanout) {
-                (VertAxis::Descendant, true) => {
-                    descendant_many_par(self.doc, &contexts, variant, self.pool, scratch)
+        let joined = match vert {
+            VertAxis::Descendant => {
+                let tested = self.scan_lanes(lanes, group, Axis::Descendant);
+                if fanout {
+                    descendant_many_par(self.doc, &tested, variant, self.pool, scratch)
+                } else {
+                    descendant_many(self.doc, &tested, variant, scratch)
                 }
-                (VertAxis::Descendant, false) => {
-                    descendant_many(self.doc, &contexts, variant, scratch)
+            }
+            VertAxis::Ancestor => {
+                let tested = self.scan_lanes(lanes, group, Axis::Ancestor);
+                if fanout {
+                    ancestor_many_par(self.doc, &tested, variant, self.pool, scratch)
+                } else {
+                    ancestor_many(self.doc, &tested, variant, scratch)
                 }
-                (VertAxis::Ancestor, true) => {
-                    ancestor_many_par(self.doc, &contexts, variant, self.pool, scratch)
-                }
-                (VertAxis::Ancestor, false) => ancestor_many(self.doc, &contexts, variant, scratch),
             }
         };
-        let axis = match vert {
-            VertAxis::Descendant => Axis::Descendant,
-            VertAxis::Ancestor => Axis::Ancestor,
-        };
-        // Fuse name tests over each shared base: every lane filtering
-        // the same base by tag runs through the 64-lane mask kernel
-        // back to back, so the gathered `kind`/`tag` cache lines stay
-        // hot across the whole group instead of being re-fetched one
-        // lane at a time.
-        let mut fused: Vec<Option<Context>> = vec![None; group.len()];
-        for (slot, (base, _)) in joined.iter().enumerate() {
-            let named: Vec<(usize, TagId)> = group
-                .iter()
-                .enumerate()
-                .filter(|&(gi, _)| slot_of[gi] == slot)
-                .filter_map(|(gi, &i)| {
-                    let step = &lanes[i].steps[lanes[i].step];
-                    if matches!(step.axis(), Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
-                        return None; // or-self lanes merge selves later
-                    }
-                    let NodeTest::Name(name) = &step.test else {
-                        return None;
-                    };
-                    // An absent name means an empty result.
-                    let tid = self.doc.tag_id(name).unwrap_or(staircase_accel::NO_TAG);
-                    Some((gi, tid))
-                })
-                .collect();
-            if named.len() < 2 {
-                continue; // a lone filter gains nothing from fusing
-            }
-            let mut bufs: Vec<Vec<Pre>> = named.iter().map(|_| scratch.take()).collect();
-            let (kind, tags) = (self.doc.kind_column(), self.doc.tag_column());
-            let element = NodeKind::Element as u8;
-            for (&(_, tid), buf) in named.iter().zip(bufs.iter_mut()) {
-                mask::select_tag_candidates(kind, tags, element, tid, base.as_slice(), buf);
-            }
-            for ((gi, _), buf) in named.into_iter().zip(bufs) {
-                fused[gi] = Some(Context::from_sorted(buf));
-            }
-        }
-        let mut first_use = vec![true; uniq.len()];
-        let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
-        for (gi, &i) in group.iter().enumerate() {
-            let (base, jstats) = &joined[slot_of[gi]];
-            let lane = &lanes[i];
-            let step = &lane.steps[lane.step];
-            let mut out = match fused[gi].take() {
-                Some(filtered) => filtered,
-                None => self.test_scratched(base, &step.test, axis, scratch),
-            };
-            if matches!(step.axis(), Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
-                let selves = self.test_scratched(&lane.ctx, &step.test, Axis::SelfAxis, scratch);
-                out = merge(&out, &selves);
-                scratch.recycle(selves);
-            }
-            let touched = if std::mem::take(&mut first_use[slot_of[gi]]) {
-                jstats.nodes_touched()
-            } else {
-                0
-            };
-            outs.push((out, touched, 0));
-        }
-        for (base, _) in joined {
-            scratch.recycle(base);
-        }
-        outs
+        group
+            .iter()
+            .zip(joined)
+            .map(|(&i, (mut out, jstats))| {
+                self.or_self(&lanes[i], &mut out, scratch);
+                (out, jstats.nodes_touched(), 0)
+            })
+            .collect()
     }
 
     /// One shared cursor over a tag fragment (prebuilt or one query-time
@@ -740,21 +689,15 @@ impl Executor<'_> {
         };
         let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
         for (gi, (mut out, jstats)) in joined.into_iter().enumerate() {
-            let lane = &lanes[group[gi]];
-            let step = &lane.steps[lane.step];
-            if matches!(step.axis(), Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
-                let selves = self.test_scratched(&lane.ctx, &step.test, Axis::SelfAxis, scratch);
-                let merged = merge(&out, &selves);
-                scratch.recycle(selves);
-                scratch.recycle(std::mem::replace(&mut out, merged));
-            }
+            self.or_self(&lanes[group[gi]], &mut out, scratch);
             let touched = jstats.nodes_touched() + if gi == 0 { scan_cost } else { 0 };
             outs.push((out, touched, jstats.seeks));
         }
         outs
     }
 
-    /// One shared suffix/prefix scan for every lane in `group`.
+    /// One shared suffix/prefix scan for every lane in `group`, each
+    /// lane's node test riding it.
     fn horiz_outs(
         &self,
         lanes: &[Lane<'_>],
@@ -762,36 +705,21 @@ impl Executor<'_> {
         haxis: HorizAxis,
         scratch: &mut Scratch,
     ) -> Vec<LaneOut> {
-        let fanout = self.fanout(lanes, group);
-        let joined = {
-            let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
-            match (haxis, fanout) {
-                (HorizAxis::Following, true) => {
-                    following_many_par(self.doc, &contexts, self.pool, scratch)
-                }
-                (HorizAxis::Following, false) => following_many(self.doc, &contexts, scratch),
-                (HorizAxis::Preceding, true) => {
-                    preceding_many_par(self.doc, &contexts, self.pool, scratch)
-                }
-                (HorizAxis::Preceding, false) => preceding_many(self.doc, &contexts, scratch),
+        let tested = self.scan_lanes(lanes, group, haxis.axis());
+        let joined = match (haxis, self.fanout(lanes, group)) {
+            (HorizAxis::Following, true) => {
+                following_many_par(self.doc, &tested, self.pool, scratch)
             }
+            (HorizAxis::Following, false) => following_many(self.doc, &tested, scratch),
+            (HorizAxis::Preceding, true) => {
+                preceding_many_par(self.doc, &tested, self.pool, scratch)
+            }
+            (HorizAxis::Preceding, false) => preceding_many(self.doc, &tested, scratch),
         };
-        let axis = haxis.axis();
-        let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
-        for (gi, (base, jstats)) in joined.into_iter().enumerate() {
-            let step = &lanes[group[gi]].steps[lanes[group[gi]].step];
-            // node() steps keep the whole region: the join result moves
-            // straight through instead of being re-filtered.
-            let out = if matches!(step.test, NodeTest::AnyNode) {
-                base
-            } else {
-                let tested = self.test_scratched(&base, &step.test, axis, scratch);
-                scratch.recycle(base);
-                tested
-            };
-            outs.push((out, jstats.nodes_touched(), 0));
-        }
-        outs
+        joined
+            .into_iter()
+            .map(|(out, jstats)| (out, jstats.nodes_touched(), 0))
+            .collect()
     }
 
     /// Applies the group's (all-semijoin, by construction of the lane

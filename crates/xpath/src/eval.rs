@@ -23,11 +23,11 @@ use std::sync::{Arc, Mutex};
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
-    ancestor, ancestor_on_list, ancestor_parallel, ancestor_parallel_on,
+    ancestor_on_list, ancestor_parallel_tested, ancestor_tested,
     cost::{Calibrator, DocStats},
-    descendant, descendant_on_list, descendant_parallel, descendant_parallel_on, following,
-    has_ancestor_in, has_child_in, has_descendant_in, mask, preceding, twig_match, ChainStep,
-    ScratchPool, SpineLeg, TagBitmap, TagIndex, WorkerPool,
+    descendant_on_list, descendant_parallel_tested, descendant_tested, following_tested,
+    has_ancestor_in, has_child_in, has_descendant_in, mask, preceding_tested, twig_match,
+    ChainStep, ScanTest, ScratchPool, SpineLeg, TagBitmap, TagIndex, WorkerPool,
 };
 
 use crate::ast::NodeTest;
@@ -412,8 +412,11 @@ impl<'a> Executor<'a> {
         .0
     }
 
-    /// Applies the node test into `buf` (cleared first) through
-    /// whichever masked filter the cost model picks: the cached
+    /// Applies the node test to a candidate list — the residual filter
+    /// of the operators with no scan for the test to ride (naive, plain
+    /// SQL, structural axes, an or-self step's context nodes) — into
+    /// `buf` (cleared first), through whichever masked filter the cost
+    /// model picks: the cached
     /// per-tag bitmap — one word-aligned window select for gap-free
     /// candidate runs, one bit-probe per candidate otherwise — when
     /// [`DocStats::bitmap_worthwhile`] prices it (plus an amortized
@@ -663,22 +666,24 @@ impl<'a> Executor<'a> {
                 // spawning); a width-1 session keeps the engine's original
                 // spawn-per-call semantics so `parallel(n)` still means n
                 // concurrent workers.
-                let pooled = self.pool.width() > 1;
-                let (base, stats) = match (paxis, pooled) {
-                    (PartAxis::Descendant, true) => {
-                        descendant_parallel_on(doc, ctx, variant, threads, self.pool)
-                    }
-                    (PartAxis::Descendant, false) => {
-                        descendant_parallel(doc, ctx, variant, threads)
-                    }
-                    (PartAxis::Ancestor, true) => {
-                        ancestor_parallel_on(doc, ctx, variant, threads, self.pool)
-                    }
-                    (PartAxis::Ancestor, false) => ancestor_parallel(doc, ctx, variant, threads),
-                    (PartAxis::Following, _) => following(doc, ctx),
-                    (PartAxis::Preceding, _) => preceding(doc, ctx),
+                let transient;
+                let pool = if self.pool.width() > 1 {
+                    self.pool
+                } else {
+                    transient = WorkerPool::new(threads);
+                    &transient
                 };
-                let out = self.test_pooled(base, &step.test, axis_of(paxis));
+                let test = scan_test(doc, &step.test, axis_of(paxis));
+                let (out, stats) = match paxis {
+                    PartAxis::Descendant => {
+                        descendant_parallel_tested(doc, ctx, variant, threads, pool, &test)
+                    }
+                    PartAxis::Ancestor => {
+                        ancestor_parallel_tested(doc, ctx, variant, threads, pool, &test)
+                    }
+                    PartAxis::Following => following_tested(doc, ctx, &test),
+                    PartAxis::Preceding => preceding_tested(doc, ctx, &test),
+                };
                 (out, stats.nodes_touched(), 0, 0)
             }
             StepOp::Naive | StepOp::Structural => {
@@ -787,7 +792,8 @@ impl<'a> Executor<'a> {
         (out, stats.nodes_touched(), 0, stats.seeks)
     }
 
-    /// The serial staircase join over the whole plane, plus node test.
+    /// The serial staircase join over the whole plane, the step's node
+    /// test riding the scan.
     fn plain_staircase(
         &self,
         ctx: &Context,
@@ -796,13 +802,13 @@ impl<'a> Executor<'a> {
         variant: staircase_core::Variant,
     ) -> (Context, u64, u64, u64) {
         let doc = self.doc;
-        let (base, stats) = match paxis {
-            PartAxis::Descendant => descendant(doc, ctx, variant),
-            PartAxis::Ancestor => ancestor(doc, ctx, variant),
-            PartAxis::Following => following(doc, ctx),
-            PartAxis::Preceding => preceding(doc, ctx),
+        let test = scan_test(doc, &step.test, axis_of(paxis));
+        let (out, stats) = match paxis {
+            PartAxis::Descendant => descendant_tested(doc, ctx, variant, &test),
+            PartAxis::Ancestor => ancestor_tested(doc, ctx, variant, &test),
+            PartAxis::Following => following_tested(doc, ctx, &test),
+            PartAxis::Preceding => preceding_tested(doc, ctx, &test),
         };
-        let out = self.test_pooled(base, &step.test, axis_of(paxis));
         (out, stats.nodes_touched(), 0, 0)
     }
 }
@@ -843,12 +849,29 @@ fn principal_kind(axis: Axis) -> NodeKind {
     }
 }
 
+/// Compiles a step's node test against the document: the
+/// [`ScanTest`] a plane scan carries, or a candidate list is filtered
+/// through. Names compare as interned ids — one dictionary lookup per
+/// step instead of one string comparison per node; a
+/// processing-instruction target is interned like any name. `node()`
+/// compiles to the partitioning axes' `kind != Attribute`, so the
+/// candidate-list callers (whose lists may *be* attributes) keep
+/// `node()` to themselves.
+pub(crate) fn scan_test<'d>(doc: &'d Doc, test: &NodeTest, axis: Axis) -> ScanTest<'d> {
+    match test {
+        NodeTest::AnyNode => ScanTest::node(doc),
+        NodeTest::Name(name) => ScanTest::named(doc, principal_kind(axis), name),
+        NodeTest::AnyPrincipal => ScanTest::kind(doc, principal_kind(axis)),
+        NodeTest::Text => ScanTest::kind(doc, NodeKind::Text),
+        NodeTest::Comment => ScanTest::kind(doc, NodeKind::Comment),
+        NodeTest::Pi(None) => ScanTest::kind(doc, NodeKind::Pi),
+        NodeTest::Pi(Some(target)) => ScanTest::named(doc, NodeKind::Pi, target),
+    }
+}
+
 /// Applies a node test to a node sequence, appending the survivors to
-/// `out` (cleared first). Every per-element predicate runs through the
-/// chunked 64-lane mask kernels in [`staircase_core::mask`] — gathered
-/// column loads, branch-free mask build, one select iteration per
-/// survivor; only targeted processing-instruction tests (a string
-/// compare per node) stay scalar.
+/// `out` (cleared first): gathered column loads, 64 candidates per mask
+/// word ([`ScanTest::select_candidates`]).
 pub(crate) fn apply_test_into(
     doc: &Doc,
     ctx: &Context,
@@ -857,47 +880,9 @@ pub(crate) fn apply_test_into(
     out: &mut Vec<Pre>,
 ) {
     out.clear();
-    let kind = doc.kind_column();
-    let cands = ctx.as_slice();
     match test {
-        NodeTest::AnyNode => out.extend_from_slice(cands),
-        // Name tests compare interned tag ids, not strings: one
-        // dictionary lookup per step instead of one string comparison
-        // per node.
-        NodeTest::Name(name) => {
-            let Some(tid) = doc.tag_id(name) else {
-                return; // name absent from the document
-            };
-            mask::select_tag_candidates(
-                kind,
-                doc.tag_column(),
-                principal_kind(axis) as u8,
-                tid,
-                cands,
-                out,
-            );
-        }
-        NodeTest::AnyPrincipal => {
-            let keep = mask::KindSet::new().with(principal_kind(axis));
-            mask::select_kind_candidates(kind, &keep, cands, out);
-        }
-        NodeTest::Text => {
-            let keep = mask::KindSet::new().with(NodeKind::Text);
-            mask::select_kind_candidates(kind, &keep, cands, out);
-        }
-        NodeTest::Comment => {
-            let keep = mask::KindSet::new().with(NodeKind::Comment);
-            mask::select_kind_candidates(kind, &keep, cands, out);
-        }
-        NodeTest::Pi(None) => {
-            let keep = mask::KindSet::new().with(NodeKind::Pi);
-            mask::select_kind_candidates(kind, &keep, cands, out);
-        }
-        NodeTest::Pi(Some(target)) => {
-            out.extend(ctx.iter().filter(|&v| {
-                doc.kind(v) == NodeKind::Pi && doc.tag_name(v) == Some(target.as_str())
-            }))
-        }
+        NodeTest::AnyNode => out.extend_from_slice(ctx.as_slice()),
+        _ => scan_test(doc, test, axis).select_candidates(ctx.as_slice(), out),
     }
 }
 

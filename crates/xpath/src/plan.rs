@@ -232,18 +232,35 @@ impl fmt::Display for TwigSpec {
 
 /// How the step's node test is evaluated.
 ///
-/// Fusion is a property of the join operator — fragment joins and SQL's
-/// early name test produce exactly the tested nodes, everything else
-/// needs a filter pass — so this field is *derived* from [`StepOp`] by
-/// the planner (the only constructor of plans) and recorded here for
-/// `EXPLAIN` output and plan inspection.
+/// Fusion is a property of the join operator, so this field is
+/// *derived* from [`StepOp`] by the planner (the only constructor of
+/// plans) and recorded here for `EXPLAIN` output and plan inspection.
+/// The operators that **fuse**: fragment and twig joins (the list *is*
+/// the name test), SQL's early name test, and every plane scan —
+/// staircase, horizontal and parallel steps hand the test down to the
+/// kernel as a [`staircase_core::ScanTest`], which reads the region once
+/// and writes out only what the test keeps. The operators that still
+/// **filter afterwards**: the naive join, plain SQL, and the structural
+/// axes, whose candidate lists have no scan for the test to ride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TestOp {
-    /// The join already yields exactly the tested nodes (fragment joins,
-    /// SQL's early name test): no separate pass.
+    /// The join already yields exactly the tested nodes: no separate
+    /// pass.
     Fused,
     /// A filter pass over the join's base result.
     ApplyTest,
+}
+
+impl TestOp {
+    /// The test operator `op` implies for a step whose test is a name
+    /// test (`is_name`) or not.
+    fn of(op: &StepOp, is_name: bool) -> TestOp {
+        match *op {
+            StepOp::Naive | StepOp::Structural => TestOp::ApplyTest,
+            StepOp::Sql { early_nametest, .. } if !(early_nametest && is_name) => TestOp::ApplyTest,
+            _ => TestOp::Fused,
+        }
+    }
 }
 
 /// The axes a semijoin predicate probe supports (§3.3's empty-region
@@ -543,7 +560,11 @@ impl PlannedStep {
         self.lane_form() != LaneForm::PerLane
     }
 
-    /// How the node test is applied.
+    /// How the node test is applied: fused into the join (fragment and
+    /// twig joins, SQL's early name test, every plane scan) or as a
+    /// filter pass afterwards (naive, plain SQL, structural axes) — see
+    /// [`TestOp`]. `--explain` prints `+ apply-test [mask]` for the
+    /// latter only.
     pub fn test_operator(&self) -> TestOp {
         self.test_op
     }
@@ -622,9 +643,10 @@ impl fmt::Display for PlannedStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut ops = self.op.to_string();
         if self.test_op == TestOp::ApplyTest && !matches!(self.test, NodeTest::AnyNode) {
-            // The residual node test runs through the chunked 64-lane
-            // bitmask kernels (`staircase_core::mask`), with large name
-            // tests upgraded to per-tag bitmap probes at run time.
+            // The operator has no scan for the test to ride: a residual
+            // filter pass through the chunked 64-lane bitmask kernels
+            // (`staircase_core::mask`), with large name tests upgraded
+            // to per-tag bitmap probes at run time.
             ops.push_str(" + apply-test [mask]");
         }
         for pred in &self.predicates {
@@ -1142,12 +1164,8 @@ fn plan_partitioning(
         }
     };
 
-    let test_op = match op {
-        StepOp::Fragment { .. } => TestOp::Fused,
-        StepOp::Sql { early_nametest, .. } if early_nametest && is_name => TestOp::Fused,
-        _ => TestOp::ApplyTest,
-    };
     let cost = price(&op);
+    let test_op = TestOp::of(&op, is_name);
     (op, test_op, cost, base_rows)
 }
 
@@ -1289,11 +1307,7 @@ pub(crate) fn replan_step(
     if best == step.op {
         return None;
     }
-    let test_op = match best {
-        StepOp::Fragment { .. } => TestOp::Fused,
-        StepOp::Sql { early_nametest, .. } if early_nametest && is_name => TestOp::Fused,
-        _ => TestOp::ApplyTest,
-    };
+    let test_op = TestOp::of(&best, is_name);
     Some((best, test_op, best_cost))
 }
 
@@ -1855,18 +1869,32 @@ mod tests {
 
     #[test]
     fn explain_marks_masked_node_tests() {
-        // A residual name test is applied through the mask kernels…
-        let text = plan_for("/descendant::b/child::c", Engine::default()).to_string();
+        // A plane scan carries its name test (no residual pass); the
+        // structural step after it has no scan to ride, so its test is
+        // applied through the mask kernels…
+        let plan = plan_for("/descendant::b/child::c", Engine::default());
+        let text = plan.to_string();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].contains("apply-test [mask]"), "{text}");
+        assert!(!lines[0].contains("apply-test"), "{text}");
         assert!(lines[1].contains("apply-test [mask]"), "{text}");
-        // …while fused tests (fragment join) and node() steps have no
-        // residual filter to mask.
+        let steps = plan.branches()[0].steps();
+        assert_eq!(steps[0].test_operator(), TestOp::Fused);
+        assert_eq!(steps[1].test_operator(), TestOp::ApplyTest);
+        // …as is the naive join's and plain SQL's, but not SQL's early
+        // name test, the horizontal and parallel scans, or the fragment
+        // join; and a node() step has no test to apply anywhere.
+        let residual =
+            |expr: &str, engine: Engine| plan_for(expr, engine).to_string().contains("[mask]");
+        assert!(residual("/descendant::b", Engine::naive()));
+        assert!(residual("/descendant::b", Engine::sql().build().unwrap()));
+        let early = Engine::sql().early_nametest(true).build().unwrap();
+        assert!(!residual("/descendant::b", early));
+        assert!(!residual("/descendant::b/following::c", Engine::default()));
+        let parallel = Engine::staircase().parallel(2).build().unwrap();
+        assert!(!residual("/descendant::b/ancestor::*", parallel));
         let fragmented = Engine::staircase().fragmented(true).build().unwrap();
-        let fused = plan_for("/descendant::b", fragmented).to_string();
-        assert!(!fused.contains("[mask]"), "{fused}");
-        let keep_all = plan_for("/descendant::node()", Engine::default()).to_string();
-        assert!(!keep_all.contains("[mask]"), "{keep_all}");
+        assert!(!residual("/descendant::b", fragmented));
+        assert!(!residual("/descendant::node()", Engine::naive()));
     }
 
     #[test]

@@ -195,6 +195,114 @@ fn a_tripped_lane_leaves_batch_siblings_identical() {
     }
 }
 
+/// ≈ 100 000 nodes: `people` over 1 000 `person`s, each a `profile` and
+/// 98 fillers, and one `closing` element after them all — so
+/// `closing/preceding::node()` is a single comparison-free run over the
+/// whole `people` subtree.
+fn people_doc() -> Doc {
+    let mut b = EncodingBuilder::new();
+    b.open_element("site");
+    b.open_element("people");
+    for _ in 0..1_000 {
+        b.open_element("person");
+        b.open_element("profile");
+        b.close_element();
+        for _ in 0..98 {
+            b.open_element("x");
+            b.close_element();
+        }
+        b.close_element();
+    }
+    b.close_element();
+    b.open_element("closing");
+    b.close_element();
+    b.close_element();
+    b.finish()
+}
+
+/// The plain engine's scans carry their node test and run their
+/// comparison-free ranges through one governed helper: a tight cost
+/// budget still stops them mid-scan, one chunk past the ceiling at most.
+#[test]
+fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
+    use staircase_core::governor::SCAN_CHUNK;
+    const CEILING: u64 = 1_000;
+    // One executor: each morsel worker ticks its own chunks, so a W-wide
+    // session may overshoot by W chunks.
+    let session = Session::new(people_doc()).with_threads(1);
+    let n = session.doc().len() as u64;
+    assert!(n > 100_000);
+    let tripped_inside = |what: &str, out: Result<QueryOutput, Error>, budget: &Budget| {
+        assert!(
+            matches!(out, Err(Error::BudgetExhausted)),
+            "{what}: expected a cost trip, got {out:?}"
+        );
+        let charged = budget.touched();
+        assert!(
+            charged > CEILING && charged <= CEILING + u64::from(SCAN_CHUNK),
+            "{what}: charged {charged} at the trip, ceiling {CEILING}, chunk {SCAN_CHUNK}"
+        );
+    };
+
+    // K = 1: the copy phase of `descendant(root)` under a name test…
+    for expr in [
+        "/descendant::profile",
+        "/descendant::person/preceding::node()",
+    ] {
+        let query = session.prepare(expr).expect("query parses");
+        let budget = Arc::new(Budget::new().with_max_touched(CEILING));
+        let out = query.run_governed(Engine::default(), Arc::clone(&budget));
+        tripped_inside(expr, out, &budget);
+        // …while the same query ungoverned answers.
+        assert!(!query.run(Engine::default()).is_empty(), "{expr}");
+    }
+    // …and `preceding`'s one long subtree block (the merged scan's run).
+    let closing = session.run("//closing", Engine::default()).expect("runs");
+    let query = session.prepare("preceding::node()").expect("query parses");
+    let budget = Arc::new(Budget::new().with_max_touched(CEILING));
+    let out = query.run_from_governed(closing.nodes(), Engine::default(), Arc::clone(&budget));
+    tripped_inside("closing/preceding::node()", out, &budget);
+    let whole = query
+        .run_from(closing.nodes(), Engine::default())
+        .expect("in range");
+    assert_eq!(whole.len() as u64, n - 2, "everything but site and closing");
+
+    // As one query of a batch: the victim trips, its ungoverned siblings
+    // finish node-identical to an ungoverned batch.
+    let exprs = [
+        "/descendant::profile",
+        "/descendant::person/preceding::node()",
+        "/descendant::person",
+        "/descendant::x/ancestor::person",
+    ];
+    let queries: Vec<_> = exprs
+        .iter()
+        .map(|e| session.prepare(e).expect("query parses"))
+        .collect();
+    let refs: Vec<&_> = queries.iter().collect();
+    let baseline = session.run_many(&refs, Engine::default());
+    for victim in [0usize, 1] {
+        let mut budgets: Vec<Option<Arc<Budget>>> = vec![None; exprs.len()];
+        budgets[victim] = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
+        let governed = session.run_many_governed(&refs, Engine::default(), &budgets);
+        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
+            if i == victim {
+                assert!(
+                    matches!(g, Err(Error::BudgetExhausted)),
+                    "victim {victim}: got {g:?}"
+                );
+            } else {
+                let g = g.as_ref().expect("an ungoverned sibling completes");
+                assert_eq!(
+                    g.nodes().as_slice(),
+                    b.nodes().as_slice(),
+                    "victim {victim}: sibling {i} diverged"
+                );
+            }
+        }
+    }
+}
+
 /// An arbitrary small document over the `p`/`q`/`r` vocabulary (the
 /// batch suite's generator, reduced).
 fn arb_doc() -> impl Strategy<Value = Doc> {
