@@ -14,11 +14,14 @@
 //!   staircase boundaries into one event list and produce all K result
 //!   vectors from a **single left-to-right scan** of the `post`/`kind`
 //!   columns;
-//! * [`descendant_on_list_many`] / [`ancestor_on_list_many`] (this
-//!   module) run the same merged-boundary discipline with **one forward
-//!   cursor over a shared tag fragment** — the on-list join of
-//!   [`crate::list`] has the same sorted structure as the plane scan,
-//!   so it admits the same multi-cursor merge;
+//! * [`descendant_on_list_many`] / [`ancestor_on_list_many`] /
+//!   [`child_on_list_many`] (this module) share what a range join has
+//!   to share: the fragment is resolved once for the group and
+//!   identical contexts are joined once. A range join brackets slices
+//!   of the list and copies them without reading an entry, so — unlike
+//!   the plane scans — there is no per-entry read for a merged cursor
+//!   to save, and every distinct context runs the single-context loop
+//!   of [`crate::list`];
 //! * [`crate::following_many`] / [`crate::preceding_many`] serve the
 //!   horizontal axes' nested suffix/prefix regions from one filtered
 //!   scan;
@@ -45,7 +48,7 @@
 //! per step — a steady-state executor stops allocating (asserted by the
 //! pool-reuse tests below).
 //!
-//! Every operator here also has a **morsel-parallel form**
+//! The plane scans also have a **morsel-parallel form**
 //! ([`crate::descendant_many_par`] and friends): identical results and
 //! statistics, with single-context batches split into disjoint
 //! pre-range chunks executed on the owner's persistent
@@ -54,9 +57,8 @@
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::anc::ancestor_partitions;
-use crate::cursor::seek_from;
 use crate::desc::descendant_partitions;
-use crate::list::{ancestor_list_partitions, descendant_list_partitions};
+use crate::list::{ancestor_range_join, child_range_join, descendant_range_join, on_list};
 use crate::mask::ScanTest;
 use crate::prune::{prune_ancestor_into, prune_descendant_into};
 use crate::stats::StepStats;
@@ -184,16 +186,17 @@ fn representatives(k: usize, same: impl Fn(usize, usize) -> bool) -> Vec<usize> 
 /// representative's result and report **zero incremental touches** (the
 /// shared pass is attributed to the first caller that needed it).
 ///
-/// The dedup backbone for multi-context operators whose probes are
-/// already O(1)-per-candidate — today the semijoin probes
-/// ([`crate::has_descendant_in_many`] and friends). The operators with
-/// bespoke merged scans ([`shared_pass`] for the plane and fragment
+/// The dedup backbone for the multi-context operators with nothing to
+/// merge — the range joins over a tag fragment
+/// ([`descendant_on_list_many`] and friends) and the semijoin probes
+/// ([`crate::has_descendant_in_many`] and friends), which are the same
+/// loops. The operators with merged scans ([`shared_pass`] for the plane
 /// joins, the suffix/prefix sharing of [`crate::following_many`] /
 /// [`crate::preceding_many`]) handle duplicates inside those scans and
 /// only share the [`representatives`] criterion.
 pub(crate) fn dedup_pass(
     contexts: &[&Context],
-    eval: impl Fn(&Context) -> (Context, StepStats),
+    mut eval: impl FnMut(&Context) -> (Context, StepStats),
 ) -> Vec<(Context, StepStats)> {
     let k = contexts.len();
     let rep = representatives(k, |j, i| contexts[j].as_slice() == contexts[i].as_slice());
@@ -275,69 +278,66 @@ pub fn ancestor_many<'d, L: ScanLane<'d>>(
 /// shared tag fragment (`list`, pre-sorted): the multi-context form of
 /// [`crate::descendant_on_list`].
 ///
-/// The on-list join has the same sorted boundary structure as the full
-/// plane scan, so the same trick applies: every lane's pruned staircase
-/// boundaries merge into one event list, and a **single forward cursor**
-/// over the fragment serves all K lanes — each fragment entry is
-/// physically read at most once, attributed to the first lane that
-/// needed it, while per lane the inspected entries and Z-region skips
-/// are exactly those of the sequential join.
+/// A range join reads no list entry — it brackets slices and copies
+/// them — so there is no per-entry read for lanes to share and no merged
+/// scan: identical contexts are joined once (duplicates
+/// report zero incremental touches) and every distinct context runs the
+/// single-context loop, its result drawn from `scratch`.
 pub fn descendant_on_list_many(
     doc: &Doc,
     list: &[Pre],
     contexts: &[&Context],
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    shared_pass(
-        doc,
-        contexts,
-        scratch,
-        prune_descendant_into,
-        |doc, lanes, _| match lanes {
-            [lane] => descendant_list_partitions(
-                doc,
-                list,
-                &lane.steps,
-                &mut lane.result,
-                &mut lane.stats,
-            ),
-            _ => descendant_list_scan(doc, list, lanes),
-        },
-    )
+    on_list_many(contexts, scratch, |ctx, result, stats| {
+        descendant_range_join(doc, list, ctx, result, stats)
+    })
 }
 
 /// Evaluates `contexts[k]/ancestor::tag` for every `k` on one shared tag
-/// fragment; the multi-context form of [`crate::ancestor_on_list`].
+/// fragment; the multi-context form of [`crate::ancestor_on_list`] (see
+/// [`descendant_on_list_many`]).
 pub fn ancestor_on_list_many(
     doc: &Doc,
     list: &[Pre],
     contexts: &[&Context],
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    shared_pass(
-        doc,
-        contexts,
-        scratch,
-        prune_ancestor_into,
-        |doc, lanes, _| match lanes {
-            [lane] => ancestor_list_partitions(
-                doc,
-                list,
-                &lane.steps,
-                0,
-                &mut lane.result,
-                &mut lane.stats,
-            ),
-            _ => ancestor_list_scan(doc, list, lanes),
-        },
-    )
+    on_list_many(contexts, scratch, |ctx, result, stats| {
+        ancestor_range_join(doc, list, ctx, result, stats)
+    })
+}
+
+/// Evaluates `contexts[k]/child::tag` for every `k` on one shared tag
+/// fragment; the multi-context form of [`crate::child_on_list`] (see
+/// [`descendant_on_list_many`]).
+pub fn child_on_list_many(
+    doc: &Doc,
+    list: &[Pre],
+    contexts: &[&Context],
+    scratch: &mut Scratch,
+) -> Vec<(Context, StepStats)> {
+    on_list_many(contexts, scratch, |ctx, result, stats| {
+        child_range_join::<false>(doc, list, ctx, result, stats)
+    })
+}
+
+/// The K-context form of the range joins: `join` once per distinct
+/// context, into a pooled buffer, with the counters of the
+/// single-context entry points.
+fn on_list_many(
+    contexts: &[&Context],
+    scratch: &mut Scratch,
+    join: impl Fn(&[Pre], &mut Vec<Pre>, &mut StepStats),
+) -> Vec<(Context, StepStats)> {
+    dedup_pass(contexts, |ctx| on_list(ctx, scratch.take(), &join))
 }
 
 /// One unique context's slice of the shared scan, and the result of
 /// every distinct node test asked of it.
 pub(crate) struct Lane<'d> {
     /// Pruned staircase steps (partition boundaries), from the pool.
-    pub(crate) steps: Vec<Pre>,
+    steps: Vec<Pre>,
     /// Index of the next boundary not yet passed.
     next: usize,
     /// Pre rank of the currently open step (descendant scan).
@@ -355,16 +355,15 @@ pub(crate) struct Lane<'d> {
     wake: Pre,
     /// `true` while a partition is open (descendant scan).
     open: bool,
-    /// The node test riding the scan for `result` (`node()` for the
-    /// fragment joins, whose list *is* the test).
+    /// The node test riding the scan for `result`.
     test: ScanTest<'d>,
     /// This lane's result, from the pool.
-    pub(crate) result: Vec<Pre>,
+    result: Vec<Pre>,
     /// Further node tests other queries ask of the same context, each
     /// with its own result: the scan is shared, only the writes differ.
     also: Vec<(ScanTest<'d>, Vec<Pre>)>,
     /// This lane's (incremental) statistics.
-    pub(crate) stats: StepStats,
+    stats: StepStats,
 }
 
 impl<'d> Lane<'d> {
@@ -748,199 +747,6 @@ pub(crate) fn ancestor_scan(doc: &Doc, lanes: &mut [Lane<'_>], variant: Variant)
             lanes[li as usize].stats.nodes_scanned += 1;
         }
         v += 1;
-    }
-}
-
-/// The merged descendant fragment scan: one forward cursor over the
-/// shared list, opening each lane's partitions at its own (merged)
-/// boundaries; per entry, every awake lane whose open partition contains
-/// it tests the staircase bound, and the first miss puts the lane to
-/// sleep until its next boundary — exactly the sequential on-list join,
-/// lane by lane, with each entry read once. A lane's `seeks` are the
-/// gallops the merged scan itself makes: one per Z-region it counts, and
-/// each leapfrog over unwanted entries goes to the lane it lands on.
-pub(crate) fn descendant_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane<'_>]) {
-    let post = doc.post_column();
-    let n = doc.len() as Pre;
-    let events = merged_boundaries(lanes);
-    let mut ei = 0usize;
-    let mut active: Vec<u32> = Vec::with_capacity(lanes.len());
-    let mut gov = crate::governor::Ticker::ambient();
-    for lane in lanes.iter_mut() {
-        // Every partition is priced exactly like the sequential join's
-        // partition loop, even the ones the cursor never reaches.
-        lane.stats.partitions = lane.steps.len();
-    }
-    let mut j = 0usize;
-    while j < list.len() {
-        let p = list[j];
-        // Boundaries at or before p open (or re-open) their lane's
-        // partition; the boundary position itself is never a candidate.
-        while ei < events.len() && events[ei].0 <= p {
-            let (c, li) = events[ei];
-            ei += 1;
-            let lane = &mut lanes[li as usize];
-            lane.cur = c;
-            lane.bound = post[c as usize];
-            lane.next += 1;
-            if !(lane.open && lane.awake) {
-                lane.open = true;
-                lane.awake = true;
-                active.push(li);
-            }
-        }
-        if active.is_empty() {
-            // Nobody is interested in the entries before the next
-            // boundary: leapfrog the cursor there.
-            match events.get(ei) {
-                Some(&(next_c, li)) => {
-                    lanes[li as usize].stats.seeks += 1;
-                    j = seek_from(list, j, |&q| q <= next_c);
-                    continue;
-                }
-                None => break,
-            }
-        }
-        if gov.tick(1) {
-            return;
-        }
-        // One physical read of the entry, attributed to the first lane
-        // that inspects it.
-        let mut touched = false;
-        let mut ai = 0usize;
-        while ai < active.len() {
-            let li = active[ai];
-            let lane = &mut lanes[li as usize];
-            if p <= lane.cur {
-                ai += 1; // the lane's own boundary: its scan starts after it
-                continue;
-            }
-            if !touched {
-                touched = true;
-                lane.stats.nodes_scanned += 1;
-            }
-            if post[p as usize] < lane.bound {
-                lane.result.push(p);
-                ai += 1;
-            } else {
-                // Z-region: no later entry in this lane's partition can be
-                // a descendant; sleep until the lane's next boundary.
-                let part_end = lane.steps.get(lane.next).copied().unwrap_or(n);
-                lane.stats.seeks += 1;
-                let rest = seek_from(list, j, |&q| q < part_end) - j - 1;
-                lane.stats.nodes_skipped += rest as u64;
-                lane.awake = false;
-                active.swap_remove(ai);
-            }
-        }
-        j += 1;
-    }
-}
-
-/// The merged ancestor fragment scan: partitions *end* at each lane's
-/// boundaries; an entry below a lane's bound is preceding, so that lane
-/// jumps the entry's guaranteed subtree block (sleeping until its wake
-/// position) exactly as the sequential on-list join does — one seek per
-/// jump, plus one (the first sleeper's) per leapfrog of the shared cursor.
-pub(crate) fn ancestor_list_scan(doc: &Doc, list: &[Pre], lanes: &mut [Lane<'_>]) {
-    let post = doc.post_column();
-    let mut active: Vec<u32> = Vec::with_capacity(lanes.len());
-    let mut sleeping: Vec<u32> = Vec::new();
-    let mut gov = crate::governor::Ticker::ambient();
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        lane.stats.partitions = lane.steps.len();
-        if !lane.steps.is_empty() {
-            lane.bound = post[lane.steps[0] as usize];
-            lane.cur = Pre::MAX;
-            active.push(i as u32);
-        }
-    }
-    let mut j = 0usize;
-    let mut min_wake: Pre = Pre::MAX;
-    while j < list.len() {
-        let p = list[j];
-        // Sleepers whose jumped-over block ends at or before p rejoin.
-        if min_wake <= p {
-            min_wake = Pre::MAX;
-            let mut si = 0usize;
-            while si < sleeping.len() {
-                let li = sleeping[si];
-                let wake = lanes[li as usize].wake;
-                if wake <= p {
-                    active.push(li);
-                    sleeping.swap_remove(si);
-                } else {
-                    min_wake = min_wake.min(wake);
-                    si += 1;
-                }
-            }
-        }
-        if active.is_empty() {
-            if sleeping.is_empty() {
-                break; // every lane passed its last boundary
-            }
-            // Everyone is inside a jumped-over block: leapfrog to the
-            // earliest wake position (charged to the first sleeper).
-            lanes[sleeping[0] as usize].stats.seeks += 1;
-            j = seek_from(list, j, |&q| q < min_wake);
-            continue;
-        }
-        if gov.tick(1) {
-            return;
-        }
-        let post_p = post[p as usize];
-        let mut touched = false;
-        let mut ai = 0usize;
-        while ai < active.len() {
-            let li = active[ai];
-            let lane = &mut lanes[li as usize];
-            // Advance past boundaries at or before p; the last partition
-            // ends at the final boundary.
-            let mut finished = false;
-            while let Some(&c) = lane.steps.get(lane.next) {
-                if c > p {
-                    break;
-                }
-                lane.cur = c;
-                lane.next += 1;
-                match lane.steps.get(lane.next) {
-                    Some(&c2) => lane.bound = post[c2 as usize],
-                    None => finished = true,
-                }
-            }
-            if finished {
-                active.swap_remove(ai);
-                continue;
-            }
-            if lane.cur == p {
-                ai += 1; // the boundary node itself is never a candidate
-                continue;
-            }
-            if !touched {
-                touched = true;
-                lane.stats.nodes_scanned += 1;
-            }
-            if post_p > lane.bound {
-                lane.result.push(p);
-                ai += 1;
-            } else {
-                // p precedes this lane's context node: every entry inside
-                // p's subtree is preceding too — jump the block.
-                let subtree_end = p + 1 + post_p.saturating_sub(p);
-                lane.stats.seeks += 1;
-                let skipped = seek_from(list, j + 1, |&q| q < subtree_end) - j - 1;
-                lane.stats.nodes_skipped += skipped as u64;
-                if skipped > 0 {
-                    lane.wake = subtree_end;
-                    min_wake = min_wake.min(lane.wake);
-                    sleeping.push(li);
-                    active.swap_remove(ai);
-                } else {
-                    ai += 1;
-                }
-            }
-        }
-        j += 1;
     }
 }
 

@@ -19,7 +19,11 @@
 //!   unknown identity,
 //! * per-tag fragment sizes, read in O(1) from the tag interner's
 //!   element counts (maintained at document-loading time), so planning
-//!   never forces the fragment index to be built.
+//!   never forces the fragment index to be built,
+//! * per-tag mean child counts (one number per tag, from a — on large
+//!   documents sampled — histogram of the `parent` column), so a
+//!   `child::` step out of `person` elements is priced with a `person`'s
+//!   fan-out, not the document's.
 //!
 //! Costs are expressed in the unit the paper plots in Figure 11(a)/(c):
 //! **nodes (or index entries) touched**. That makes an estimate directly
@@ -34,7 +38,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use staircase_accel::{Axis, Doc, NodeKind, TagId};
+use staircase_accel::{Axis, Doc, NodeKind, TagId, NO_PARENT};
 
 use crate::Variant;
 
@@ -49,6 +53,9 @@ pub struct DocStats {
     attributes: usize,
     height: f64,
     avg_depth: f64,
+    /// Mean number of children (attributes included: the child hop walks
+    /// over them) of an element, by the element's tag.
+    child_fanout: Vec<f64>,
 }
 
 impl DocStats {
@@ -75,6 +82,17 @@ impl DocStats {
             } else {
                 depth_sum as f64 / n as f64
             },
+            child_fanout: child_fanout(doc),
+        }
+    }
+
+    /// The document-wide fan-out: `(nodes − 1) / elements` children an
+    /// element.
+    pub fn avg_fanout(&self) -> f64 {
+        if self.elements == 0 {
+            0.0
+        } else {
+            (self.nodes.saturating_sub(1)) as f64 / self.elements as f64
         }
     }
 
@@ -110,6 +128,18 @@ impl DocStats {
     /// fragment).
     pub fn fragment_size(&self, doc: &Doc, tag: Option<TagId>) -> usize {
         tag.map(|t| doc.tags().element_count(t)).unwrap_or(0)
+    }
+
+    /// Expected number of nodes a `child::` hop walks over from `card`
+    /// context nodes (attributes included). `context_tag` is the tag
+    /// the context nodes are known to carry — the previous step's name
+    /// test — and selects that tag's mean child count; an unknown tag
+    /// (`None`) falls back to the document-wide fan-out.
+    pub fn child_reach(&self, card: f64, context_tag: Option<TagId>) -> f64 {
+        let per_node = context_tag
+            .and_then(|t| self.child_fanout.get(t as usize).copied())
+            .unwrap_or_else(|| self.avg_fanout());
+        card * per_node
     }
 
     /// Fraction of window nodes surviving a node test that keeps
@@ -179,11 +209,19 @@ impl DocStats {
         }
     }
 
-    /// The on-list (fragment) staircase join: touches only fragment
-    /// nodes — the in-window share of the fragment plus one gallop per
-    /// partition, `card · (1 + log2(f/card + 2))` in all — and, with
-    /// `prescan` (§4.4 query-time pushdown), a full selection scan to
-    /// *produce* the list first.
+    /// The on-list (fragment) join on its two vertical edges (`child` is
+    /// [`DocStats::child_fragment_cost`]): touches only fragment nodes — the in-window share of the
+    /// fragment plus the cursor work of merging `card` context nodes into
+    /// it, `card · (1 + log2(f/card + 2))` — and, with `prescan` (§4.4
+    /// query-time pushdown), a full selection scan to *produce* the list
+    /// first.
+    ///
+    /// Since the joins became range joins the in-window term over-charges
+    /// the vertical edges: a descendant slice is copied without a
+    /// compare, and the list-driven ancestor join is bounded by
+    /// `3 · |list|` whatever `card` is. The terms were left as fitted so
+    /// that no vertical step changes operator with the kernels; the
+    /// re-fit is a ROADMAP follow-up (item 5c).
     pub fn fragment_cost(&self, fragment: usize, card: f64, window: f64, prescan: bool) -> f64 {
         let f = fragment as f64;
         let n = (self.nodes as f64).max(1.0);
@@ -195,6 +233,36 @@ impl DocStats {
         } else {
             join
         }
+    }
+
+    /// The on-list `child` join ([`crate::child_on_list`]) out of `card`
+    /// context nodes with `reach` children between them
+    /// ([`DocStats::child_reach`]), in what the join reports — entries
+    /// looked at plus cursor repositionings:
+    ///
+    /// * a child hit needs both a list entry and a child, so at most
+    ///   `min(fragment, reach)` entries are looked at (an entry deeper
+    ///   than a child has its subtree jumped);
+    /// * the two cursors leapfrog: the shorter input seeks into the
+    ///   longer, `m · log2(N / m)` for `m = min(card, fragment)`,
+    ///   `N = max(…)` — nothing when they are the same length and every
+    ///   move is a step (1 270 `person`s against 1 270 `profile`s: 1 270
+    ///   entries, no seek);
+    /// * resolving the fragment's context window first costs two binary
+    ///   searches over the whole fragment
+    ///   ([`crate::TagIndex::fragment_window`]) — noise beside any join
+    ///   worth planning, but what decides a step out of a one-node
+    ///   context, where hop and join are both a handful of units and the
+    ///   hop needs no list at all.
+    ///
+    /// The vertical edges keep [`DocStats::fragment_cost`] as it was
+    /// fitted; `child` is a new edge and is priced from its own loop.
+    pub fn child_fragment_cost(&self, fragment: usize, card: f64, reach: f64) -> f64 {
+        let f = fragment as f64;
+        let (m, big) = (card.min(f), card.max(f));
+        let seeks = if m > 0.0 { m * (big / m).log2() } else { 0.0 };
+        let lookup = 2.0 * ((f + 1.0).log2() + 1.0);
+        f.min(reach) + seeks + lookup
     }
 
     /// The partitioned parallel staircase join: the serial work divided
@@ -232,17 +300,35 @@ impl DocStats {
         self.nodes as f64 / 2.0
     }
 
-    /// The engine-independent structural axes, priced from their actual
-    /// access patterns in the evaluator.
-    pub fn structural_cost(&self, axis: Axis, card: f64) -> f64 {
+    /// The structural axes (`self`, `child`, `parent`, `attribute`, the
+    /// sibling axes), priced from their actual access patterns in the
+    /// evaluator.
+    ///
+    /// `child` hops over every child of every context node
+    /// ([`DocStats::child_reach`], from the per-tag fan-out when
+    /// `context_tag` is known) and, when the step's test is not `node()`
+    /// (`filtered`), runs the residual filter pass over all of them —
+    /// twice the reach. That is what a `child::name` step out of a
+    /// selective context loses to [`DocStats::child_fragment_cost`] on: 1 270
+    /// `person` elements have 8 160 children and one `profile` each. The
+    /// other axes ignore both arguments.
+    pub fn structural_cost(
+        &self,
+        axis: Axis,
+        card: f64,
+        context_tag: Option<TagId>,
+        filtered: bool,
+    ) -> f64 {
         let n = self.nodes as f64;
-        let fanout = if self.elements == 0 {
-            0.0
-        } else {
-            (self.nodes.saturating_sub(1)) as f64 / self.elements as f64
-        };
         match axis {
-            Axis::Child => card * fanout,
+            Axis::Child => {
+                let reach = self.child_reach(card, context_tag);
+                if filtered {
+                    reach + self.apply_test_cost(reach)
+                } else {
+                    reach
+                }
+            }
             Axis::Attribute => {
                 let per_elem = if self.elements == 0 {
                     0.0
@@ -348,17 +434,12 @@ impl DocStats {
         legs: &[TwigLegCost],
     ) -> f64 {
         let n = (self.nodes as f64).max(1.0);
-        let fanout = if self.elements == 0 {
-            0.0
-        } else {
-            (self.nodes.saturating_sub(1)) as f64 / self.elements as f64
-        };
         let mut rows = context_card.max(1.0);
         let mut peak = 0.0f64;
         for (i, leg) in legs.iter().enumerate() {
             let f = leg.fragment as f64;
             let reach = if leg.child_edge {
-                rows * fanout
+                rows * self.avg_fanout()
             } else {
                 self.descendant_window(rows, from_root && i == 0)
             };
@@ -608,6 +689,36 @@ impl Default for Calibrator {
     }
 }
 
+/// Mean child count per element tag: a histogram of the `parent` column
+/// (`tag(parent(v))` for every node `v`) over the elements carrying each
+/// tag. It is a statistic, so a large document is *sampled* — runs of 64
+/// consecutive nodes (sequential reads), one run in every `n / 2¹⁴`,
+/// scaled back up — where the full histogram, a gather and a scatter per
+/// node, would triple [`DocStats::from_doc`] on a 489 k-node document.
+/// Documents up to 16 384 nodes are counted exactly.
+fn child_fanout(doc: &Doc) -> Vec<f64> {
+    const RUN: usize = 64;
+    let (tags, parents) = (doc.tag_column(), doc.parent_column());
+    let n = doc.len();
+    let keep_one_in = (n >> 14).max(1);
+    let mut children = vec![0u64; doc.tags().len()];
+    for start in (0..n).step_by(RUN * keep_one_in) {
+        for &parent in &parents[start..n.min(start + RUN)] {
+            if parent != NO_PARENT {
+                children[tags[parent as usize] as usize] += 1;
+            }
+        }
+    }
+    children
+        .iter()
+        .enumerate()
+        .map(|(tag, &kids)| {
+            (kids * keep_one_in as u64) as f64
+                / doc.tags().element_count(tag as TagId).max(1) as f64
+        })
+        .collect()
+}
+
 /// Cursor work of merging `m` ascending probes into a sorted list of `f`
 /// entries with [`crate::cursor::seek_from`] — Leapfrog Triejoin's
 /// amortised bound `m · (1 + log2(f/m + 2))`: each gallop pays for the
@@ -693,6 +804,32 @@ mod tests {
     }
 
     #[test]
+    fn child_steps_are_priced_from_the_context_tags_fan_out() {
+        // The `wide` element has five children, each `thin` one a single
+        // child: 11 nodes, all elements.
+        let doc = Doc::from_xml(
+            "<site><wide><x/><x/><x/><x/><x/></wide><thin><x/></thin><thin><x/></thin></site>",
+        )
+        .unwrap();
+        let s = DocStats::from_doc(&doc);
+        assert_eq!(s.child_reach(2.0, doc.tag_id("wide")), 10.0);
+        assert_eq!(s.child_reach(2.0, doc.tag_id("thin")), 2.0);
+        assert_eq!(s.child_reach(1.0, doc.tag_id("site")), 3.0);
+        assert_eq!(s.child_reach(1.0, doc.tag_id("x")), 0.0);
+        // Unknown context tag: the document-wide (nodes − 1) / elements.
+        assert!((s.child_reach(3.0, None) - 3.0 * 10.0 / 11.0).abs() < 1e-9);
+        // The filter pass is charged on top of the hop; `node()` has none.
+        let wide = doc.tag_id("wide");
+        assert_eq!(s.structural_cost(Axis::Child, 2.0, wide, true), 20.0);
+        assert_eq!(s.structural_cost(Axis::Child, 2.0, wide, false), 10.0);
+        // The other structural axes ignore the context tag.
+        assert_eq!(
+            s.structural_cost(Axis::Parent, 4.0, wide, true),
+            s.structural_cost(Axis::Parent, 4.0, None, false)
+        );
+    }
+
+    #[test]
     fn root_window_is_exact() {
         let doc = random_doc(1, 500);
         let s = DocStats::from_doc(&doc);
@@ -769,6 +906,7 @@ mod tests {
             attributes: 0,
             height: 14.0,
             avg_depth: 8.0,
+            child_fanout: Vec::new(),
         };
         let legs = [
             TwigLegCost {
@@ -901,6 +1039,6 @@ mod tests {
         assert_eq!(s.nodes(), 0);
         assert_eq!(s.descendant_window(1.0, true), 0.0);
         assert_eq!(s.selectivity(0), 0.0);
-        assert!(s.structural_cost(Axis::Child, 1.0).is_finite());
+        assert!(s.structural_cost(Axis::Child, 1.0, None, true).is_finite());
     }
 }

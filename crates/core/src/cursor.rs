@@ -6,9 +6,13 @@
 //! on the same contract for its `seek`: amortised `O(1 + log(N/m))`, i.e.
 //! the search must start *at the cursor* and pay for the distance it
 //! moves, never for the length of the list. [`seek_from`] is that
-//! contract. The callers count one [`crate::StepStats::seeks`] per call;
-//! the predicate evaluations inside a call are not counted (and do not
-//! tick the governor).
+//! contract, and [`advance`] is the form the range joins
+//! ([`crate::descendant_on_list`] and friends) drive *both* their inputs with — the fragment and the
+//! context are each one such cursor. [`crate::StepStats::seeks`] counts
+//! repositionings: one per [`seek_from`] call the twig cursors make, one
+//! per [`advance`] that actually moved its cursor (a peek that finds the
+//! cursor in place is a `next`, not a `seek`). The predicate evaluations
+//! inside a gallop are not counted (and do not tick the governor).
 
 /// First index `≥ from` at which the monotone `pred` stops holding — the
 /// value of `from + list[from..].partition_point(pred)`, found by
@@ -21,10 +25,38 @@
 /// whatever `list.len()` is. `from ≥ list.len()` answers `list.len()`.
 #[inline]
 pub fn seek_from<T>(list: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
-    let n = list.len();
-    if from >= n || !pred(&list[from]) {
-        return from.min(n);
+    if from >= list.len() || !pred(&list[from]) {
+        return from.min(list.len());
     }
+    gallop_past(list, from, pred)
+}
+
+/// [`seek_from`] on a cursor held by the caller: moves `*at` to the first
+/// index `≥ *at` at which `pred` stops holding and returns how many
+/// entries it passed. `seeks` grows by one **iff the cursor moved** —
+/// the merge bounds of [`crate::StepStats`] count repositionings, and a
+/// cursor already in place was only looked at.
+#[inline]
+pub fn advance<T>(
+    list: &[T],
+    at: &mut usize,
+    seeks: &mut u64,
+    mut pred: impl FnMut(&T) -> bool,
+) -> usize {
+    let from = *at;
+    if from >= list.len() || !pred(&list[from]) {
+        return 0;
+    }
+    *seeks += 1;
+    *at = gallop_past(list, from, pred);
+    *at - from
+}
+
+/// The gallop of [`seek_from`], entered with `pred` known to hold at
+/// `list[from]`.
+#[inline]
+fn gallop_past<T>(list: &[T], from: usize, mut pred: impl FnMut(&T) -> bool) -> usize {
+    let n = list.len();
     // Invariant: `pred` holds at `lo`; `hi` is the list end or an index
     // where it does not.
     let mut lo = from;
@@ -111,6 +143,20 @@ mod tests {
         assert_eq!(seek_from(&[1u32, 2, 3], 9, |_| true), 3);
         assert_eq!(seek_from(&[1u32, 2, 3], 0, |_| true), 3);
         assert_eq!(seek_from(&[1u32, 2, 3], 0, |_| false), 0);
+    }
+
+    #[test]
+    fn advance_counts_a_seek_only_when_the_cursor_moves() {
+        let list = [2u32, 4, 6, 8];
+        let (mut at, mut seeks) = (0usize, 0u64);
+        assert_eq!(advance(&list, &mut at, &mut seeks, |&p| p < 2), 0);
+        assert_eq!((at, seeks), (0, 0), "already in place: a peek");
+        assert_eq!(advance(&list, &mut at, &mut seeks, |&p| p < 7), 3);
+        assert_eq!((at, seeks), (3, 1));
+        assert_eq!(advance(&list, &mut at, &mut seeks, |&p| p < 100), 1);
+        assert_eq!((at, seeks), (4, 2));
+        assert_eq!(advance(&list, &mut at, &mut seeks, |_| true), 0);
+        assert_eq!((at, seeks), (4, 2), "an exhausted cursor stays put");
     }
 
     /// `⌈log2(x)⌉` for `x ≥ 1`.

@@ -1,162 +1,93 @@
 //! Existential (semijoin) variants of the staircase join.
 //!
 //! XPath predicates like `bidder[descendant::increase]` do not need the
-//! descendants themselves — only whether one exists. The pre/post plane
-//! answers that with a single probe: the subtree of `c` is the contiguous
-//! preorder run `(c, c + |subtree|]`, so the *first* fragment node after
-//! `c` decides the predicate ("the paper's Figure 7(b): once a node
-//! follows `c`, everything after it does too").
+//! descendants themselves — only whether one exists. That is the same
+//! question the range joins of [`crate::list`] answer, asked from the
+//! other side, so the probes have no loop of their own:
+//!
+//! * [`has_descendant_in`]`(ctx, list)` — "which `ctx` nodes have a `list`
+//!   node below them" — **is** the ancestor join of `ctx`-as-list against
+//!   `list`-as-context ([`crate::ancestor_on_list`]): the first `list`
+//!   node after `c` decides ("the paper's Figure 7(b): once a node
+//!   follows `c`, everything after it does too"), and a barren `c` takes
+//!   the candidates nested in it along.
+//! * [`has_ancestor_in`]`(ctx, list)` — "which `ctx` nodes lie below a
+//!   `list` node" — **is** the descendant join of `ctx`-as-list under
+//!   `list`-as-context ([`crate::descendant_on_list`]): slices of the
+//!   candidates, copied.
+//! * [`has_child_in`] shares the child join's walk
+//!   ([`crate::child_on_list`]) and reports the parents instead of the
+//!   children.
+//!
+//! Running through the join loops is also what governs them (each loop
+//! ticks the ambient [`crate::governor::Budget`]) and what counts their
+//! gallops ([`StepStats::seeks`]). In a probe's statistics `context_in` /
+//! `context_out` are the candidates, `partitions` the `list` nodes (for
+//! the child probe: the candidates) the cursor stopped at.
 //!
 //! These operators power `staircase-xpath`'s predicate evaluation and the
 //! Q2 rewrite experiment; they also double as the EXISTS probe the paper's
-//! DB2 rewrite relies on, but tree-aware: one comparison per context node
-//! instead of an index range scan.
+//! DB2 rewrite relies on, but tree-aware: a merge of two sorted lists
+//! instead of an index range scan per context node.
 
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::batch::dedup_pass;
-use crate::cursor::seek_from;
-use crate::morsel::morsel_count;
-use crate::pool::WorkerPool;
+use crate::list::{ancestor_range_join, child_range_join, descendant_range_join, on_list};
 use crate::stats::StepStats;
 
 /// Keeps the context nodes that have at least one descendant in `list`
 /// (`list` = pre-sorted candidate nodes, e.g. a tag fragment).
 ///
-/// Cost: a merge — the context ascends, so the list cursor only moves
-/// forward: one [`seek_from`] gallop ([`StepStats::seeks`]) plus one
-/// postorder comparison per context node, `O(|context| · (1 +
-/// log(|list| / |context|)))`, independent of subtree sizes.
+/// Cost: a merge driven from the context, `nodes_touched() + seeks ≤
+/// 3 · |context|`, independent of subtree sizes and of `|list|`.
 pub fn has_descendant_in(doc: &Doc, context: &Context, list: &[Pre]) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        context_out: context.len(),
-        ..Default::default()
-    };
-    let mut result = Vec::new();
-    probe_descendant(doc, context.as_slice(), list, &mut result, &mut stats);
-    stats.result_size = result.len();
-    stats.partitions = context.len();
-    (Context::from_sorted(result), stats)
+    probe(context, |candidates, result, stats| {
+        ancestor_range_join(doc, candidates, list, result, stats)
+    })
 }
 
-/// The descendant probe over an ascending candidate slice — the
-/// partition-bounded core of [`has_descendant_in`], shared with the
-/// chunked parallel form (each candidate's answer is independent, so any
-/// sub-slice evaluates exactly as it would inside the full loop).
-fn probe_descendant(
-    doc: &Doc,
-    candidates: &[Pre],
-    list: &[Pre],
-    result: &mut Vec<Pre>,
-    stats: &mut StepStats,
-) {
-    let post = doc.post_column();
-    let mut i = 0usize;
-    for &c in candidates {
-        // First list entry after c in document order. The subtree of c is
-        // contiguous, so either this entry is a descendant or none is.
-        stats.seeks += 1;
-        i = seek_from(list, i, |&p| p <= c);
-        if let Some(&p) = list.get(i) {
-            stats.nodes_scanned += 1;
-            if post[p as usize] < post[c as usize] {
-                result.push(c);
-            }
-        }
-    }
-}
-
-/// Keeps the context nodes that have at least one ancestor in `list`.
-///
-/// Walks the parent chain (at most `h` steps, the document height) with a
-/// binary-search membership probe per step.
+/// Keeps the context nodes that have at least one ancestor in `list`:
+/// the slices of the context below each (outermost) `list` node.
 pub fn has_ancestor_in(doc: &Doc, context: &Context, list: &[Pre]) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        context_out: context.len(),
-        ..Default::default()
-    };
-    let mut result = Vec::new();
-    probe_ancestor(doc, context.as_slice(), list, &mut result, &mut stats);
-    stats.result_size = result.len();
-    stats.partitions = context.len();
-    (Context::from_sorted(result), stats)
-}
-
-/// The ancestor probe over a candidate slice (see [`probe_descendant`]).
-fn probe_ancestor(
-    doc: &Doc,
-    candidates: &[Pre],
-    list: &[Pre],
-    result: &mut Vec<Pre>,
-    stats: &mut StepStats,
-) {
-    for &c in candidates {
-        let mut a = doc.parent(c);
-        while a != staircase_accel::NO_PARENT {
-            stats.nodes_scanned += 1;
-            if list.binary_search(&a).is_ok() {
-                result.push(c);
-                break;
-            }
-            a = doc.parent(a);
-        }
-    }
+    probe(context, |candidates, result, stats| {
+        descendant_range_join(doc, candidates, list, result, stats)
+    })
 }
 
 /// Keeps the context nodes that have at least one *child* in `list`.
 ///
 /// Children of `c` lie inside `c`'s contiguous subtree run; the probe
-/// gallops the list cursor to that run and tests the parent column of the
-/// entries inside it.
+/// walks the list entries inside it, jumping the subtree of every entry
+/// deeper than a child and the rest of the run once a child is found.
 pub fn has_child_in(doc: &Doc, context: &Context, list: &[Pre]) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        context_out: context.len(),
-        ..Default::default()
-    };
-    let mut result = Vec::new();
-    probe_child(doc, context.as_slice(), list, &mut result, &mut stats);
-    stats.result_size = result.len();
-    stats.partitions = context.len();
-    (Context::from_sorted(result), stats)
+    probe(context, |candidates, result, stats| {
+        child_range_join::<true>(doc, list, candidates, result, stats)
+    })
 }
 
-/// The child probe over a candidate slice (see [`probe_descendant`]).
-fn probe_child(
-    doc: &Doc,
-    candidates: &[Pre],
-    list: &[Pre],
-    result: &mut Vec<Pre>,
-    stats: &mut StepStats,
-) {
-    // Nested candidates' runs overlap, so the walk inside one run does
-    // not move the cursor the next run opens from.
-    let mut lo = 0usize;
-    for &c in candidates {
-        let subtree_end = c + 1 + doc.subtree_size(c);
-        stats.seeks += 1;
-        lo = seek_from(list, lo, |&p| p <= c);
-        for &p in list[lo..].iter().take_while(|&&p| p < subtree_end) {
-            stats.nodes_scanned += 1;
-            if doc.parent(p) == c {
-                result.push(c);
-                break;
-            }
-        }
-    }
+/// Runs one probe loop over `context`: a join ([`on_list`]) whose result
+/// is a subset of the candidates, none of which counts as pruned.
+fn probe(
+    context: &Context,
+    run: impl FnOnce(&[Pre], &mut Vec<Pre>, &mut StepStats),
+) -> (Context, StepStats) {
+    let (kept, mut stats) = on_list(context, Vec::with_capacity(context.len()), run);
+    stats.context_out = context.len();
+    (kept, stats)
 }
 
 /// Probes K candidate sets against one shared `list`: the multi-context
 /// form of [`has_descendant_in`].
 ///
-/// The probes themselves are already O(1) amortised per candidate, so the
-/// batch form's leverage is *sharing*: identical candidate sets (the
-/// common case when several queries in a batch carry the same predicate
-/// over the same step result) are probed once, duplicates reporting zero
-/// incremental touches — and the caller resolves the fragment list once
-/// for the whole group instead of once per lane.
+/// The probes themselves are merges, so the batch form's leverage is
+/// *sharing*: identical candidate sets (the common case when several
+/// queries in a batch carry the same predicate over the same step result)
+/// are probed once, duplicates reporting zero incremental touches — and
+/// the caller resolves the fragment list once for the whole group instead
+/// of once per lane. There is no chunked parallel form: a chunk of the
+/// candidates would re-walk `list` from its head, and its gallops would
+/// not be the sequential probe's.
 pub fn has_descendant_in_many(
     doc: &Doc,
     contexts: &[&Context],
@@ -183,100 +114,6 @@ pub fn has_child_in_many(
     list: &[Pre],
 ) -> Vec<(Context, StepStats)> {
     dedup_pass(contexts, |ctx| has_child_in(doc, ctx, list))
-}
-
-/// The parallel form of [`has_descendant_in_many`]: unique candidate
-/// sets large enough to amortize handoff are probed in chunks on `pool`
-/// (each candidate's probe is independent, so results and statistics are
-/// identical to the sequential form).
-pub fn has_descendant_in_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
-    list: &[Pre],
-    pool: &WorkerPool,
-) -> Vec<(Context, StepStats)> {
-    dedup_pass(contexts, |ctx| {
-        probe_chunked(ctx, pool, |cands, result, stats| {
-            probe_descendant(doc, cands, list, result, stats);
-        })
-    })
-}
-
-/// The parallel form of [`has_ancestor_in_many`]; see
-/// [`has_descendant_in_many_par`].
-pub fn has_ancestor_in_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
-    list: &[Pre],
-    pool: &WorkerPool,
-) -> Vec<(Context, StepStats)> {
-    dedup_pass(contexts, |ctx| {
-        probe_chunked(ctx, pool, |cands, result, stats| {
-            probe_ancestor(doc, cands, list, result, stats);
-        })
-    })
-}
-
-/// The parallel form of [`has_child_in_many`]; see
-/// [`has_descendant_in_many_par`].
-pub fn has_child_in_many_par(
-    doc: &Doc,
-    contexts: &[&Context],
-    list: &[Pre],
-    pool: &WorkerPool,
-) -> Vec<(Context, StepStats)> {
-    dedup_pass(contexts, |ctx| {
-        probe_chunked(ctx, pool, |cands, result, stats| {
-            probe_child(doc, cands, list, result, stats);
-        })
-    })
-}
-
-/// Splits one candidate set into contiguous chunks probed concurrently;
-/// stays sequential when the set is too small to amortize the handoff.
-fn probe_chunked(
-    ctx: &Context,
-    pool: &WorkerPool,
-    probe: impl Fn(&[Pre], &mut Vec<Pre>, &mut StepStats) + Sync,
-) -> (Context, StepStats) {
-    let candidates = ctx.as_slice();
-    let mut stats = StepStats {
-        context_in: ctx.len(),
-        context_out: ctx.len(),
-        ..Default::default()
-    };
-    let mut result = Vec::new();
-    match (pool.width() > 1)
-        .then(|| morsel_count(candidates.len() as u64, pool.width()))
-        .flatten()
-    {
-        None => probe(candidates, &mut result, &mut stats),
-        Some(k) => {
-            let chunk = candidates.len().div_ceil(k).max(1);
-            let probe = &probe;
-            let outs = pool.run(
-                candidates
-                    .chunks(chunk)
-                    .map(|cands| {
-                        move || {
-                            let mut part = Vec::new();
-                            let mut st = StepStats::default();
-                            probe(cands, &mut part, &mut st);
-                            (part, st)
-                        }
-                    })
-                    .collect(),
-            );
-            for (part, st) in outs {
-                result.extend_from_slice(&part);
-                stats.nodes_scanned += st.nodes_scanned;
-                stats.seeks += st.seeks;
-            }
-        }
-    }
-    stats.result_size = result.len();
-    stats.partitions = ctx.len();
-    (Context::from_sorted(result), stats)
 }
 
 #[cfg(test)]
@@ -364,31 +201,64 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// The two loops, four names: each probe is the other join with the
+    /// roles of list and context swapped — nodes *and* counters.
     #[test]
-    fn parallel_probes_match_sequential_exactly() {
-        use crate::WorkerPool;
-        let pool = WorkerPool::new(4);
-        let doc = random_doc(8, 9000);
+    fn probes_are_the_joins_with_the_roles_swapped() {
+        use crate::{ancestor_on_list, descendant_on_list};
+        for seed in 0..10 {
+            let doc = random_doc(seed, 600);
+            let ctx = random_context(&doc, seed ^ 0x2468, 60);
+            let idx = TagIndex::build(&doc);
+            let list = idx.fragment_by_name(&doc, "p");
+            let witnesses: Context = list.iter().copied().collect();
+            let (d, ds) = has_descendant_in(&doc, &ctx, list);
+            let (j, js) = ancestor_on_list(&doc, ctx.as_slice(), &witnesses);
+            assert_eq!(d, j, "seed {seed}");
+            assert_eq!(
+                (ds.nodes_scanned, ds.nodes_skipped, ds.seeks, ds.partitions),
+                (js.nodes_scanned, js.nodes_skipped, js.seeks, js.partitions)
+            );
+            let (a, as_) = has_ancestor_in(&doc, &ctx, list);
+            let (j, js) = descendant_on_list(&doc, ctx.as_slice(), &witnesses);
+            assert_eq!(a, j, "seed {seed}");
+            assert_eq!(
+                (as_.nodes_copied, as_.seeks, as_.partitions),
+                (js.nodes_copied, js.seeks, js.partitions)
+            );
+        }
+    }
+
+    #[test]
+    fn nested_parents_come_back_in_document_order() {
+        // Every `a` is a candidate and every `a` is on the list: the
+        // inner parent (pre 1) is reported before the outer one (pre 0).
+        let doc = Doc::from_xml("<a><a><a/><a/></a><a/></a>").unwrap();
+        let all: Context = doc.pres().collect();
+        let (got, stats) = has_child_in(&doc, &all, all.as_slice());
+        assert_eq!(got.as_slice(), &[0, 1]);
+        assert_eq!(stats.result_size, 2);
+    }
+
+    #[test]
+    fn probes_tick_the_ambient_budget() {
+        use crate::governor::{self, Budget, Trip};
+        use std::sync::Arc;
+        let doc = random_doc(4, 30_000);
+        let ctx: Context = doc.pres().collect();
         let idx = TagIndex::build(&doc);
         let list = idx.fragment_by_name(&doc, "p");
-        // Whole-plane candidate set: far past the chunking gate, plus a
-        // duplicate set exercising the dedup path.
-        let all: Context = doc.pres().collect();
-        let small = random_context(&doc, 0xC0FFEE, 20);
-        let refs: Vec<&Context> = vec![&all, &small, &all];
-        let par_d = has_descendant_in_many_par(&doc, &refs, list, &pool);
-        let seq_d = has_descendant_in_many(&doc, &refs, list);
-        let par_a = has_ancestor_in_many_par(&doc, &refs, list, &pool);
-        let seq_a = has_ancestor_in_many(&doc, &refs, list);
-        let par_c = has_child_in_many_par(&doc, &refs, list, &pool);
-        let seq_c = has_child_in_many(&doc, &refs, list);
-        for i in 0..refs.len() {
-            assert_eq!(par_d[i], seq_d[i], "descendant query {i}");
-            assert_eq!(par_a[i], seq_a[i], "ancestor query {i}");
-            assert_eq!(par_c[i], seq_c[i], "child query {i}");
+        type Probe = fn(&Doc, &Context, &[Pre]) -> (Context, StepStats);
+        let probes: [Probe; 3] = [has_descendant_in, has_ancestor_in, has_child_in];
+        for probe in probes {
+            let budget = Arc::new(Budget::new().with_max_touched(100));
+            {
+                let _g = governor::enter(Arc::clone(&budget));
+                probe(&doc, &ctx, list);
+            }
+            assert_eq!(budget.check(), Some(Trip::Cost));
+            assert!(budget.touched() <= 100 + u64::from(governor::SCAN_CHUNK));
         }
-        // The duplicate candidate set still reports zero incremental cost.
-        assert_eq!(par_d[2].1.nodes_touched(), 0);
     }
 
     use staircase_accel::Doc;

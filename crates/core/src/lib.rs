@@ -161,22 +161,23 @@ pub mod twig;
 
 pub use anc::{ancestor, ancestor_tested};
 pub use batch::{
-    ancestor_many, ancestor_on_list_many, descendant_many, descendant_on_list_many, ScanLane,
-    Scratch,
+    ancestor_many, ancestor_on_list_many, child_on_list_many, descendant_many,
+    descendant_on_list_many, ScanLane, Scratch,
 };
 pub use cost::{Calibrator, DocStats, RuntimeStats, TwigLegCost};
 pub use desc::{descendant, descendant_fused, descendant_tested, guaranteed_result_estimate};
 pub use exists::{
-    has_ancestor_in, has_ancestor_in_many, has_ancestor_in_many_par, has_child_in,
-    has_child_in_many, has_child_in_many_par, has_descendant_in, has_descendant_in_many,
-    has_descendant_in_many_par,
+    has_ancestor_in, has_ancestor_in_many, has_child_in, has_child_in_many, has_descendant_in,
+    has_descendant_in_many,
 };
 pub use governor::{Budget, Trip};
 pub use horiz::{
     following, following_many, following_many_par, following_tested, preceding, preceding_many,
     preceding_many_par, preceding_tested,
 };
-pub use list::{ancestor_on_list, descendant_on_list, TagIndex, CRACK_CONVERGE_TOUCHES};
+pub use list::{
+    ancestor_on_list, child_on_list, descendant_on_list, TagIndex, CRACK_CONVERGE_TOUCHES,
+};
 pub use mask::ScanTest;
 pub use morsel::{
     ancestor_many_par, ancestor_on_list_many_par, descendant_many_par, descendant_on_list_many_par,

@@ -11,9 +11,8 @@
 //!
 //! Two splitting strategies cover every partition shape:
 //!
-//! * **By steps** ([`span_chunks`] / [`entry_chunks`]): contiguous runs
-//!   of whole partitions, weighted by their pre-range span (plane scans)
-//!   or their fragment-entry count (on-list scans) so workers get equal
+//! * **By steps** ([`span_chunks`]): contiguous runs of whole
+//!   partitions, weighted by their pre-range span so workers get equal
 //!   *work*, not equal step counts. This is the [`crate::parallel`]
 //!   engine's split, now driven by the persistent pool.
 //! * **Inside one partition** ([`plan_descendant_slices`]): the common
@@ -35,17 +34,17 @@
 //! touched-interval (its skip is an under-estimating jump chain), so it
 //! parallelises by whole partitions only — which is where its work lives
 //! anyway: ancestor steps arrive with many boundaries, not one.
+//!
+//! Only the plane scans are split. The joins over a tag fragment
+//! ([`descendant_on_list_many_par`], [`ancestor_on_list_many_par`]) are
+//! range joins — two gallops and a `memcpy` per context node — and
+//! delegate to their sequential form; the reasons are on the functions.
 
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::anc::ancestor_partitions;
-use crate::batch::{
-    ancestor_list_scan, ancestor_scan, descendant_list_scan, descendant_scan, shared_pass, Lane,
-    ScanLane, Scratch,
-};
-use crate::cursor::seek_from;
+use crate::batch::{ancestor_scan, descendant_scan, shared_pass, ScanLane, Scratch};
 use crate::desc::descendant_partitions;
-use crate::list::{ancestor_list_partitions, descendant_list_partitions};
 use crate::mask::ScanTest;
 use crate::pool::WorkerPool;
 use crate::prune::{prune_ancestor_into, prune_descendant_into};
@@ -121,53 +120,35 @@ pub fn ancestor_many_par<'d, L: ScanLane<'d>>(
     )
 }
 
-/// The parallel form of [`crate::descendant_on_list_many`]: the shared
-/// tag fragment is split into per-partition entry ranges and executed by
-/// the pool; see [`descendant_many_par`] for the contract.
+/// [`crate::descendant_on_list_many`] under its parallel name, kept for
+/// callers that pick the `_par` family by rule: the range join has no
+/// morsel form, so this **delegates** and leaves `pool` idle. The join brackets a slice with two gallops and copies it
+/// — the 19 802-entry fragment of an XMark root step takes ≈ 2 µs,
+/// less than one handoff to a pooled worker — and its skipping lives in
+/// cursor state: a chunk of the context would reopen nodes nested in the
+/// previous chunk's last one (wrong on an unpruned context), and a chunk
+/// of either input would not count the sequential join's gallops.
 pub fn descendant_on_list_many_par(
     doc: &Doc,
     list: &[Pre],
     contexts: &[&Context],
-    pool: &WorkerPool,
+    _pool: &WorkerPool,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    if pool.width() == 1 {
-        return descendant_on_list_many(doc, list, contexts, scratch);
-    }
-    shared_pass(
-        doc,
-        contexts,
-        scratch,
-        prune_descendant_into,
-        |doc, lanes, scratch| match lanes {
-            [lane] => descendant_list_lane_par(doc, list, lane, pool, scratch),
-            _ => descendant_list_scan(doc, list, lanes),
-        },
-    )
+    descendant_on_list_many(doc, list, contexts, scratch)
 }
 
-/// The parallel form of [`crate::ancestor_on_list_many`]; see
-/// [`descendant_many_par`] for the contract.
+/// [`crate::ancestor_on_list_many`] under its parallel name; delegates
+/// for the reasons given at [`descendant_on_list_many_par`] (the
+/// list-driven join is bounded by `3 · |list|` gallops and compares).
 pub fn ancestor_on_list_many_par(
     doc: &Doc,
     list: &[Pre],
     contexts: &[&Context],
-    pool: &WorkerPool,
+    _pool: &WorkerPool,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    if pool.width() == 1 {
-        return ancestor_on_list_many(doc, list, contexts, scratch);
-    }
-    shared_pass(
-        doc,
-        contexts,
-        scratch,
-        prune_ancestor_into,
-        |doc, lanes, scratch| match lanes {
-            [lane] => ancestor_list_lane_par(doc, list, lane, pool, scratch),
-            _ => ancestor_list_scan(doc, list, lanes),
-        },
-    )
+    ancestor_on_list_many(doc, list, contexts, scratch)
 }
 
 // ── Descendant: sub-partition slices ────────────────────────────────────
@@ -355,154 +336,6 @@ fn descendant_lane_par(
     collect_morsels(outs, result, stats, scratch);
 }
 
-// ── Descendant on a list: per-partition entry ranges ────────────────────
-
-/// One executable entry range `[j_from, j_to)` of a fragment-join
-/// partition whose staircase boundary is `bound`.
-struct ListSlice {
-    bound: u32,
-    j_from: usize,
-    j_to: usize,
-}
-
-/// The touched entry ranges of every partition over `list` — within a
-/// partition the fragment entries below the provable first miss are the
-/// hits (the subtree run is a contiguous pre-range, and the list is
-/// pre-sorted), plus the miss entry itself — with their total length and
-/// the number of entries the Z-region skips leave untouched. One forward
-/// cursor finds all three cut points of a partition.
-fn plan_descendant_list_slices(
-    doc: &Doc,
-    list: &[Pre],
-    steps: &[Pre],
-) -> (Vec<ListSlice>, u64, u64) {
-    let post = doc.post_column();
-    let mut slices = Vec::with_capacity(steps.len());
-    let (mut work, mut skipped) = (0u64, 0u64);
-    let mut j = 0usize;
-    for (i, &c) in steps.iter().enumerate() {
-        let part_end = steps.get(i + 1).copied().unwrap_or(Pre::MAX);
-        let j_from = seek_from(list, j, |&p| p <= c);
-        let miss = (c + 1 + doc.subtree_size(c)).min(part_end);
-        let hits_end = seek_from(list, j_from, |&p| p < miss);
-        j = seek_from(list, hits_end, |&p| p < part_end);
-        let j_to = if hits_end < j {
-            skipped += (j - hits_end - 1) as u64;
-            hits_end + 1
-        } else {
-            j
-        };
-        work += (j_to - j_from) as u64;
-        slices.push(ListSlice {
-            bound: post[c as usize],
-            j_from,
-            j_to,
-        });
-    }
-    (slices, work, skipped)
-}
-
-/// Splits list slices into `k` morsels of roughly equal entry counts.
-fn split_list_slices(slices: Vec<ListSlice>, work: u64, k: usize) -> Vec<Vec<ListSlice>> {
-    let target = (work.div_ceil(k as u64)).max(1) as usize;
-    let mut morsels: Vec<Vec<ListSlice>> = Vec::with_capacity(k);
-    let mut cur: Vec<ListSlice> = Vec::new();
-    let mut cur_work = 0usize;
-    for mut s in slices {
-        while cur_work + (s.j_to - s.j_from) > target && morsels.len() + 1 < k {
-            let room = target - cur_work;
-            if room > 0 {
-                let cut = s.j_from + room;
-                cur.push(ListSlice {
-                    bound: s.bound,
-                    j_from: s.j_from,
-                    j_to: cut,
-                });
-                s.j_from = cut;
-            }
-            morsels.push(std::mem::take(&mut cur));
-            cur_work = 0;
-        }
-        cur_work += s.j_to - s.j_from;
-        if s.j_to > s.j_from {
-            cur.push(s);
-        }
-    }
-    if !cur.is_empty() || morsels.is_empty() {
-        morsels.push(cur);
-    }
-    morsels
-}
-
-/// Executes one morsel of fragment-join entry ranges, mirroring the
-/// sequential on-list partition loop.
-fn exec_list_morsel(
-    doc: &Doc,
-    list: &[Pre],
-    slices: &[ListSlice],
-    result: &mut Vec<Pre>,
-    stats: &mut StepStats,
-) {
-    let post = doc.post_column();
-    let mut gov = crate::governor::Ticker::ambient();
-    for s in slices {
-        crate::faults::fail_point("core::morsel::exec");
-        for &p in &list[s.j_from..s.j_to] {
-            stats.nodes_scanned += 1;
-            if gov.tick(1) {
-                return;
-            }
-            // Only the range containing the partition's first miss fails
-            // this, on its last entry (the planner counted the Z-region
-            // behind it).
-            if post[p as usize] < s.bound {
-                result.push(p);
-            }
-        }
-    }
-}
-
-/// Runs a single fragment-join lane through pool-executed entry ranges.
-fn descendant_list_lane_par(
-    doc: &Doc,
-    list: &[Pre],
-    lane: &mut Lane<'_>,
-    pool: &WorkerPool,
-    scratch: &mut Scratch,
-) {
-    let (slices, work, skipped) = plan_descendant_list_slices(doc, list, &lane.steps);
-    let Some(k) = morsel_count(work, pool.width()) else {
-        return descendant_list_partitions(
-            doc,
-            list,
-            &lane.steps,
-            &mut lane.result,
-            &mut lane.stats,
-        );
-    };
-    // What the sequential join counts per partition — its opening seek
-    // and its Z-region — the planner has already settled.
-    lane.stats.partitions += lane.steps.len();
-    lane.stats.seeks += lane.steps.len() as u64;
-    lane.stats.nodes_skipped += skipped;
-    let morsels = split_list_slices(slices, work, k);
-    let buffers: Vec<Vec<Pre>> = morsels.iter().map(|_| scratch.take()).collect();
-    let outs = pool.run(
-        morsels
-            .into_iter()
-            .zip(buffers)
-            .map(|(m, mut buf)| {
-                move || {
-                    let mut st = StepStats::default();
-                    exec_list_morsel(doc, list, &m, &mut buf, &mut st);
-                    (buf, st)
-                }
-            })
-            .collect(),
-    );
-    collect_morsels(outs, &mut lane.result, &mut lane.stats, scratch);
-}
-
 // ── Ancestor: whole-partition chunks ────────────────────────────────────
 
 /// Splits `steps` into at most `k` contiguous chunks of roughly equal
@@ -521,29 +354,6 @@ fn span_chunks(steps: &[Pre], k: usize) -> Vec<(usize, usize)> {
             chunks.push((lo, i + 1));
             lo = i + 1;
             span_start = u64::from(c);
-        }
-    }
-    chunks
-}
-
-/// Splits `steps` into at most `k` contiguous chunks carrying roughly
-/// equal numbers of `list` entries (the on-list ancestor join's work
-/// unit).
-fn entry_chunks(list: &[Pre], steps: &[Pre], k: usize) -> Vec<(usize, usize)> {
-    let total = list.len() as u64;
-    let target = total.div_ceil(k as u64).max(1);
-    let mut chunks = Vec::with_capacity(k);
-    let mut lo = 0usize;
-    let mut seen_start = 0u64;
-    let mut below = 0usize; // list entries before the current step
-    for (i, &c) in steps.iter().enumerate() {
-        below = seek_from(list, below, |&p| p < c);
-        let seen = below as u64 - seen_start;
-        let last = i + 1 == steps.len();
-        if last || (seen >= target && chunks.len() + 1 < k) {
-            chunks.push((lo, i + 1));
-            lo = i + 1;
-            seen_start += seen;
         }
     }
     chunks
@@ -589,51 +399,6 @@ fn ancestor_lane_par(
         result.extend_from_slice(&buf);
         scratch.put(buf);
         stats.merge(&st);
-    }
-}
-
-/// Runs a single on-list ancestor lane as whole-partition chunks.
-fn ancestor_list_lane_par(
-    doc: &Doc,
-    list: &[Pre],
-    lane: &mut Lane<'_>,
-    pool: &WorkerPool,
-    scratch: &mut Scratch,
-) {
-    let steps = &lane.steps;
-    // A one-off search (no cursor to resume): how much of the list the
-    // whole step slice can reach.
-    let below_last = steps
-        .last()
-        .map(|&c| list.partition_point(|&p| p < c))
-        .unwrap_or(0) as u64;
-    let k = morsel_count(below_last, pool.width())
-        .map(|k| k.min(steps.len()))
-        .filter(|&k| k >= 2);
-    let Some(k) = k else {
-        return ancestor_list_partitions(doc, list, steps, 0, &mut lane.result, &mut lane.stats);
-    };
-    let chunks = entry_chunks(list, steps, k);
-    let buffers: Vec<Vec<Pre>> = chunks.iter().map(|_| scratch.take()).collect();
-    let outs = pool.run(
-        chunks
-            .into_iter()
-            .zip(buffers)
-            .map(|((lo, hi), mut buf)| {
-                let chunk = &steps[lo..hi];
-                let start = if lo == 0 { 0 } else { steps[lo - 1] + 1 };
-                move || {
-                    let mut st = StepStats::default();
-                    ancestor_list_partitions(doc, list, chunk, start, &mut buf, &mut st);
-                    (buf, st)
-                }
-            })
-            .collect(),
-    );
-    for (buf, st) in outs {
-        lane.result.extend_from_slice(&buf);
-        scratch.put(buf);
-        lane.stats.merge(&st);
     }
 }
 

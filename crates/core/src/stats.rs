@@ -24,30 +24,55 @@
 ///   the result. On an attribute-free document the paper's bound holds
 ///   exactly; XMark's attributes put the ratio at ≈ 1.09
 ///   (`tests/bounds.rs`).
-/// * The fragment joins are merges: `nodes_touched() + seeks ≤
-///   2 · (context_out + |list|)`.
+/// * The fragment joins ([`crate::descendant_on_list`],
+///   [`crate::ancestor_on_list`], [`crate::child_on_list`]) are **range
+///   joins** over two forward cursors, one on the list and one on the
+///   context, and their counters say what each cursor did:
+///   - `descendant` brackets `list ∩ (c, end(c)]` with two gallops and
+///     copies the slice: `nodes_scanned == 0`, `nodes_copied ==
+///     result_size`, `seeks ≤ 4 · partitions`; a root context is one
+///     partition and one copy.
+///   - `ancestor` is driven from the list — one look per entry, a jump
+///     over a barren entry's subtree block — so `nodes_touched() + seeks
+///     ≤ 3 · |list|` however long the context is.
+///   - `child` looks only at list entries below the context:
+///     `nodes_touched() ≤ |list ∩ subtrees(context)|`.
+///   - `context_out` (= `partitions`) is the number of context nodes a
+///     join *stopped at*; the others — nodes nested in an opened one, or
+///     that the list-driven cursor galloped past — were never read, which
+///     is what pruning is here: no pass over the context precedes a join.
+///   - all three are merges: `nodes_touched() + seeks ≤ 2 · (context_out +
+///     |list|)` (`tests/bounds.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Context size before pruning.
     pub context_in: usize,
-    /// Context size after pruning (the staircase's steps).
+    /// Context size after pruning (the staircase's steps). For the range
+    /// joins over a tag fragment: the context nodes the join stopped at —
+    /// pruning there is the cursor galloping past the rest.
     pub context_out: usize,
     /// Nodes inspected with a postorder-rank comparison.
     pub nodes_scanned: u64,
     /// Positions of comparison-free runs (Algorithm 4's copy phase and
-    /// its horizontal counterparts), kept by the node test or not.
+    /// its horizontal counterparts), kept by the node test or not; for the
+    /// descendant range join, the list entries of the copied slices.
     pub nodes_copied: u64,
-    /// Nodes jumped over without being touched at all.
+    /// Nodes jumped over without being touched at all (for the range
+    /// joins: list entries a gallop passed).
     pub nodes_skipped: u64,
     /// Number of result nodes.
     pub result_size: usize,
-    /// Number of plane partitions visited (one per staircase step).
+    /// Number of plane partitions visited (one per staircase step); for
+    /// the range joins, the context nodes opened (`descendant`, `child`)
+    /// or stopped at (`ancestor`).
     pub partitions: usize,
-    /// Cursor repositionings over a sorted fragment — one per
-    /// [`crate::cursor::seek_from`] call a join or probe makes: the
-    /// fragment joins' partition openings and subtree jumps, the
-    /// `has_*_in` probes' one per candidate, every twig cursor movement.
-    /// The comparisons inside a gallop are not counted, and neither
+    /// Cursor repositionings over a sorted input: one per
+    /// [`crate::cursor::advance`] that moved its cursor — the range joins
+    /// and the `has_*_in` probes (which are those joins with the roles
+    /// swapped) gallop over the list *and* over the context, and a cursor
+    /// found in place was only looked at — and one per
+    /// [`crate::cursor::seek_from`] call of the twig cursors. The
+    /// comparisons inside a gallop are not counted, and neither
     /// `nodes_scanned` nor the governor sees them. Zero for the plane
     /// scans, whose movement is all sequential.
     pub seeks: u64,

@@ -37,9 +37,10 @@
 //!    membership, chain probes, and finally containment in the pruned
 //!    context. No fragment larger than the pivot's is ever walked.
 //! 3. **Descent** — from the anchored pivot bindings, the legs below
-//!    the pivot are joined one by one with the on-list staircase join
-//!    ([`crate::descendant_on_list`]'s partition walk) or a per-window
-//!    child scan, chain-filtering as it goes. Output is the binding of
+//!    the pivot are joined one by one with the range joins
+//!    ([`crate::descendant_on_list`]'s and [`crate::child_on_list`]'s
+//!    loops, which take the frontier as it is — no pruning pass),
+//!    chain-filtering as it goes. Output is the binding of
 //!    the last spine leg only, duplicate-free and in document order.
 
 use std::borrow::Cow;
@@ -48,7 +49,7 @@ use std::cell::Cell;
 use staircase_accel::{Context, Doc, Post, Pre, NO_PARENT};
 
 use crate::cursor::seek_from;
-use crate::list::descendant_list_partitions;
+use crate::list::{child_range_join, descendant_range_join};
 use crate::prune::prune_descendant;
 use crate::stats::StepStats;
 
@@ -307,49 +308,6 @@ impl<'d> Matcher<'d> {
         }
         unreachable!("loop returns at j == 0")
     }
-
-    /// Children of any `parents` entry found in the sorted `list`.
-    /// Per parent, walks list entries inside the subtree window with
-    /// the deep-entry subtree jump; windows of nested parents can
-    /// interleave, so the result is sorted afterwards (no duplicates —
-    /// every node has one parent).
-    fn children_on_list(&mut self, list: &[Pre], parents: &[Pre]) -> Vec<Pre> {
-        let mut out = Vec::new();
-        // Parents ascend, so each window opens at or after the last one;
-        // nested windows overlap, so the walk inside one does not move
-        // the opening cursor.
-        let mut open = 0usize;
-        'parents: for &c in parents {
-            self.stats.seeks += 1;
-            self.stats.partitions += 1;
-            if self.gov.tick(1) {
-                break;
-            }
-            open = seek_from(list, open, |&q| q <= c);
-            let mut j = open;
-            while let Some(&q) = list.get(j) {
-                if !self.is_desc(c, q) {
-                    break;
-                }
-                self.stats.nodes_scanned += 1;
-                if self.gov.tick(1) {
-                    break 'parents;
-                }
-                if self.doc.parent(q) == c {
-                    out.push(q);
-                    j += 1;
-                } else {
-                    let sub_end = q + 1 + self.doc.subtree_size(q);
-                    self.stats.seeks += 1;
-                    let next = seek_from(list, j + 1, |&r| r < sub_end);
-                    self.stats.nodes_skipped += (next - j - 1) as u64;
-                    j = next;
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 /// The ancestor path of `v`, nearest first (`buf[0]` = parent).
@@ -438,10 +396,10 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
     if pivot_idx == 0 {
         match top {
             Top::Desc { steps } => {
-                descendant_list_partitions(doc, legs[0].list, steps, &mut anchored, &mut m.stats);
+                descendant_range_join(doc, legs[0].list, steps, &mut anchored, &mut m.stats);
             }
             Top::Child { raw } => {
-                anchored = m.children_on_list(legs[0].list, raw);
+                child_range_join::<false>(doc, legs[0].list, raw, &mut anchored, &mut m.stats);
             }
         }
         anchored.retain(|&v| m.chains_ok(&legs[0], v));
@@ -472,18 +430,10 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
         let mut next = Vec::new();
         match leg.edge {
             TwigEdge::Descendant => {
-                let ctx = Context::from_sorted(current);
-                let steps = prune_descendant(doc, &ctx);
-                descendant_list_partitions(
-                    doc,
-                    leg.list,
-                    steps.as_slice(),
-                    &mut next,
-                    &mut m.stats,
-                );
+                descendant_range_join(doc, leg.list, &current, &mut next, &mut m.stats);
             }
             TwigEdge::Child => {
-                next = m.children_on_list(leg.list, &current);
+                child_range_join::<false>(doc, leg.list, &current, &mut next, &mut m.stats);
             }
         }
         next.retain(|&v| m.chains_ok(leg, v));

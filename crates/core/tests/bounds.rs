@@ -1,12 +1,15 @@
 //! The access-count bounds as tests, on generated documents: the paper's
 //! `touched ≤ |result| + |context|` for the skipping descendant join
 //! (§3.3) — with the one term the paper's attribute-free plane does not
-//! have — and the merge bound of the fragment joins: a join over two
-//! sorted inputs never does more work than reading both.
+//! have — and the bounds of the fragment joins, which are range joins:
+//! a descendant slice is copied without a compare, the ancestor join is
+//! bounded by its list whatever the context, the child join looks only
+//! at entries below the context, and none does more work than reading
+//! both of its sorted inputs.
 
 use staircase_accel::{Context, Doc, NodeKind, Pre};
 use staircase_core::{
-    ancestor_on_list, descendant, descendant_on_list, descendant_tested, prune_ancestor,
+    ancestor_on_list, child_on_list, descendant, descendant_on_list, descendant_tested,
     prune_descendant, ScanTest, StepStats, TagIndex, Variant,
 };
 use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
@@ -129,16 +132,27 @@ fn a_selective_test_touches_what_the_node_scan_touches() {
     }
 }
 
-/// What a merge of `context` into `list` may cost at most.
-fn assert_merge_bound(label: &str, s: &StepStats, pruned: usize, list: &[Pre]) {
-    assert!(s.seeks > 0, "{label}: fragment joins report their gallops");
+/// The PR 16 merge bound, against the context nodes the join stopped at
+/// (`context_out`: the rest were passed by gallops, unread).
+fn assert_merge_bound(label: &str, s: &StepStats, list: &[Pre]) {
     assert!(
-        s.nodes_touched() + s.seeks <= 2 * (pruned + list.len()) as u64,
-        "{label}: {s} against |pruned context| {pruned} + |list| {}",
+        s.nodes_touched() + s.seeks <= 2 * (s.context_out + list.len()) as u64,
+        "{label}: {s} against |list| {}",
         list.len()
     );
 }
 
+/// List entries inside the subtree of some context node.
+fn entries_below(doc: &Doc, list: &[Pre], context: &Context) -> u64 {
+    let cover = prune_descendant(doc, context);
+    list.iter()
+        .filter(|&&p| cover.iter().any(|c| p > c && p <= c + doc.subtree_size(c)))
+        .count() as u64
+}
+
+/// The fragment joins are range joins: what each may cost, on both
+/// generated families, with the context as the previous step leaves it
+/// (unpruned).
 #[test]
 fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
     let skewed = generate_skewed(SkewConfig::new(1.0, 1.2));
@@ -149,8 +163,11 @@ fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
             &xmark,
             &[
                 ("open_auction", "increase"),
+                ("open_auction", "date"),
                 ("bidder", "increase"),
                 ("profile", "education"),
+                ("person", "profile"),
+                ("closed_auction", "price"),
                 ("item", "keyword"),
                 ("site", "date"),
             ],
@@ -166,23 +183,94 @@ fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
             let outer_ctx: Context = outer_list.iter().copied().collect();
             let inner_ctx: Context = inner_list.iter().copied().collect();
 
-            let (_, s) = descendant_on_list(doc, inner_list, &outer_ctx);
-            let pruned = prune_descendant(doc, &outer_ctx).len();
-            assert!(s.seeks <= s.partitions as u64, "{outer}//{inner}: {s}");
-            assert_merge_bound(&format!("{outer}//{inner}"), &s, pruned, inner_list);
-
-            let (_, s) = ancestor_on_list(doc, outer_list, &inner_ctx);
-            let pruned = prune_ancestor(doc, &inner_ctx).len();
+            // Descendant: slices are bracketed and copied, never compared.
+            let label = format!("{outer}//{inner}");
+            let (out, s) = descendant_on_list(doc, inner_list, &outer_ctx);
+            assert_eq!(s.nodes_scanned, 0, "{label}: {s}");
+            assert_eq!(s.nodes_copied, out.len() as u64, "{label}: {s}");
+            assert_eq!(s.nodes_copied, entries_below(doc, inner_list, &outer_ctx));
+            assert!(s.seeks <= 4 * s.partitions as u64, "{label}: {s}");
             assert!(
-                s.seeks <= s.partitions as u64 + s.nodes_scanned,
-                "{inner}/ancestor::{outer}: {s}"
+                s.partitions <= prune_descendant(doc, &outer_ctx).len(),
+                "{label}: nested context nodes are passed, not opened"
             );
-            assert_merge_bound(
-                &format!("{inner}/ancestor::{outer}"),
-                &s,
-                pruned,
-                outer_list,
+            assert_merge_bound(&label, &s, inner_list);
+
+            // Ancestor: driven from the list, whatever the context's size.
+            let label = format!("{inner}/ancestor::{outer}");
+            let (_, s) = ancestor_on_list(doc, outer_list, &inner_ctx);
+            assert!(
+                s.nodes_touched() + s.seeks <= 3 * outer_list.len() as u64,
+                "{label}: {s}"
             );
+            assert_merge_bound(&label, &s, outer_list);
+
+            // Child: at most the entries below the context are looked at.
+            let label = format!("{outer}/{inner}");
+            let (_, s) = child_on_list(doc, inner_list, &outer_ctx);
+            assert_eq!(s.nodes_copied, 0, "{label}: {s}");
+            assert!(
+                s.nodes_touched() <= entries_below(doc, inner_list, &outer_ctx),
+                "{label}: {s}"
+            );
+            assert_merge_bound(&label, &s, inner_list);
         }
     }
+}
+
+/// A root context copies the fragment as one slice.
+#[test]
+fn a_root_context_is_one_partition_and_one_copy() {
+    let xmark = generate(XmarkConfig::new(1.0));
+    let index = TagIndex::build(&xmark);
+    let root = Context::singleton(xmark.root());
+    for tag in ["date", "increase", "profile", "site"] {
+        let list = index.fragment_by_name(&xmark, tag);
+        let (out, s) = descendant_on_list(&xmark, list, &root);
+        // `site` is the root itself: not its own descendant.
+        let below = list.iter().filter(|&&p| p > xmark.root()).count();
+        assert_eq!(out.len(), below, "{tag}");
+        assert_eq!((s.partitions, s.context_out), (1, 1), "{tag}: {s}");
+        assert_eq!((s.nodes_scanned, s.nodes_copied), (0, below as u64));
+        assert!(s.seeks <= 2, "{tag}: {s}");
+    }
+}
+
+/// The ancestor join's work is bounded by the list, not by the context:
+/// a context twenty times the list (XMark's `date` → `open_auction`) and
+/// a one-node context both stay under `3 · |list|`.
+#[test]
+fn the_ancestor_join_is_bounded_by_its_list_whatever_the_context() {
+    let xmark = generate(XmarkConfig::new(1.0));
+    let index = TagIndex::build(&xmark);
+    let list = index.fragment_by_name(&xmark, "open_auction");
+    let dates: Context = index
+        .fragment_by_name(&xmark, "date")
+        .iter()
+        .copied()
+        .collect();
+    assert!(
+        dates.len() >= 15 * list.len(),
+        "{} dates, {} auctions",
+        dates.len(),
+        list.len()
+    );
+    let last_date = Context::singleton(*dates.as_slice().last().expect("dates"));
+    let first_date = Context::singleton(dates.as_slice()[0]);
+    for (label, ctx) in [
+        ("every date", &dates),
+        ("the last date", &last_date),
+        ("the first date", &first_date),
+    ] {
+        let (_, s) = ancestor_on_list(&xmark, list, ctx);
+        assert!(
+            s.nodes_touched() + s.seeks <= 3 * list.len() as u64,
+            "{label}: {s}"
+        );
+        assert!(s.context_out <= list.len() + 1, "{label}: {s}");
+        assert_merge_bound(label, &s, list);
+    }
+    // A context that ends early ends the join early.
+    let (_, s) = ancestor_on_list(&xmark, list, &first_date);
+    assert!(s.nodes_touched() <= 2, "the first date: {s}");
 }

@@ -10,13 +10,13 @@ use staircase_core::governor::{self, Budget, SCAN_CHUNK};
 use staircase_core::{
     ancestor, ancestor_many, ancestor_many_par, ancestor_on_list, ancestor_on_list_many,
     ancestor_on_list_many_par, ancestor_parallel, ancestor_parallel_tested, ancestor_tested,
-    descendant, descendant_many, descendant_many_par, descendant_on_list, descendant_on_list_many,
-    descendant_on_list_many_par, descendant_parallel, descendant_parallel_tested,
-    descendant_tested, following, following_many, following_many_par, following_tested,
-    has_child_in, has_child_in_many, has_child_in_many_par, has_descendant_in,
-    has_descendant_in_many, has_descendant_in_many_par, preceding, preceding_many,
-    preceding_many_par, preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats,
-    TagIndex, Variant, WorkerPool,
+    child_on_list, child_on_list_many, descendant, descendant_many, descendant_many_par,
+    descendant_on_list, descendant_on_list_many, descendant_on_list_many_par, descendant_parallel,
+    descendant_parallel_tested, descendant_tested, following, following_many, following_many_par,
+    following_tested, has_ancestor_in, has_ancestor_in_many, has_child_in, has_child_in_many,
+    has_descendant_in, has_descendant_in_many, preceding, preceding_many, preceding_many_par,
+    preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats, TagIndex, Variant,
+    WorkerPool,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -173,13 +173,15 @@ proptest! {
                 &ancestor_on_list_many_par(&doc, list, &refs, &pool, &mut s2)[0],
                 &single
             );
+            let single = child_on_list(&doc, list, &ctx);
+            prop_assert_eq!(&child_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
             let single = has_descendant_in(&doc, &ctx, list);
-            prop_assert_eq!(single.1.seeks, ctx.len() as u64, "one gallop a candidate");
+            prop_assert!(single.1.seeks <= 2 * ctx.len() as u64, "a move or a jump a candidate");
             prop_assert_eq!(&has_descendant_in_many(&doc, &refs, list)[0], &single);
-            prop_assert_eq!(&has_descendant_in_many_par(&doc, &refs, list, &pool)[0], &single);
+            let single = has_ancestor_in(&doc, &ctx, list);
+            prop_assert_eq!(&has_ancestor_in_many(&doc, &refs, list)[0], &single);
             let single = has_child_in(&doc, &ctx, list);
             prop_assert_eq!(&has_child_in_many(&doc, &refs, list)[0], &single);
-            prop_assert_eq!(&has_child_in_many_par(&doc, &refs, list, &pool)[0], &single);
         }
     }
 
@@ -403,6 +405,167 @@ proptest! {
                 preceding_many_par(&doc, &lanes, &pool, &mut s2),
                 preceding_many(&doc, &bare, &mut s1),
             );
+        }
+    }
+}
+
+// ── Range joins: the three joins and three probes against the region
+//    definition, on unpruned contexts ────────────────────────────────────
+
+/// List and context lengths worth hitting: empty, tiny, around a mask
+/// word, and around gallop brackets (2ᵏ ± 1).
+const LENGTHS: [usize; 15] = [0, 1, 2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 129];
+
+/// `len` distinct pre ranks of `doc` (all of them when it has fewer),
+/// ascending, spread by `seed`.
+fn pick_sorted(doc: &Doc, len: usize, seed: u64) -> Vec<Pre> {
+    let n = doc.len() as u64;
+    let mut state = seed | 1;
+    let mut out: Vec<Pre> = (0..len * 2)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as Pre
+        })
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out.truncate(len);
+    out
+}
+
+fn is_descendant(doc: &Doc, anc: Pre, v: Pre) -> bool {
+    v > anc && doc.post(v) < doc.post(anc)
+}
+
+/// What a query that shared an earlier identical context's join reports.
+fn shared(paid: &StepStats) -> StepStats {
+    StepStats {
+        nodes_scanned: 0,
+        nodes_copied: 0,
+        nodes_skipped: 0,
+        seeks: 0,
+        ..*paid
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn range_joins_and_probes_equal_the_region_definition(
+        ops in proptest::collection::vec(0u8..10, 8..80),
+        small in 40usize..600,
+        list_sel in 0usize..2 * LENGTHS.len(),
+        ctx_sel in 0usize..5 * LENGTHS.len(),
+        seed in 1u64..1_000_000,
+    ) {
+        // (the vendored proptest stops at six-tuples: the selectors pack
+        // a length and a shape each)
+        let (list_kind, list_len) = (list_sel / LENGTHS.len() * 3 + list_sel % 3, list_sel % LENGTHS.len());
+        let (ctx_shape, ctx_len) = (ctx_sel / LENGTHS.len(), ctx_sel % LENGTHS.len());
+        let mix = (seed % 10_000) as usize;
+        let doc = mixed_doc(&ops, small);
+        let idx = TagIndex::build(&doc);
+        // The list: a tag fragment (one-tag nesting, a name shared with
+        // an attribute), or any sorted node set of a chosen length —
+        // attributes, text and all.
+        let list: Vec<Pre> = match list_kind {
+            0 => idx.fragment_by_name(&doc, "p").to_vec(),
+            1 => idx.fragment_by_name(&doc, "shared").to_vec(),
+            2 => idx.fragment_by_name(&doc, "ghost").to_vec(),
+            _ => pick_sorted(&doc, LENGTHS[list_len], seed),
+        };
+        // The context: unpruned picks (nested nodes stay in), optionally
+        // salted with list entries, or squeezed entirely before / after
+        // the list.
+        let mut picks = pick_sorted(&doc, LENGTHS[ctx_len], seed.rotate_left(17) ^ 0x9E37);
+        match (ctx_shape, list.first(), list.last()) {
+            (1, _, _) => picks.extend(list.iter().step_by(2)),
+            (2, Some(&first), _) => picks.retain(|&c| c < first),
+            (3, _, Some(&last)) => picks.retain(|&c| c > last),
+            (4, _, _) => picks.extend(doc.pres().filter(|&v| doc.tag_name(v) == Some("p"))),
+            _ => {}
+        }
+        let ctx = Context::from_unsorted(picks);
+        let label = format!("kind {list_kind} |list| {} |ctx| {} shape {ctx_shape}", list.len(), ctx.len());
+
+        // The three joins, node for node and in order.
+        let want: Vec<Pre> = list.iter().copied()
+            .filter(|&p| ctx.iter().any(|c| is_descendant(&doc, c, p))).collect();
+        let (got, stats) = descendant_on_list(&doc, &list, &ctx);
+        prop_assert_eq!(got.as_slice(), &want[..], "descendant {}", label);
+        prop_assert_eq!((stats.nodes_scanned, stats.nodes_copied), (0, want.len() as u64));
+        let want: Vec<Pre> = list.iter().copied()
+            .filter(|&p| ctx.iter().any(|c| is_descendant(&doc, p, c))).collect();
+        let (got, stats) = ancestor_on_list(&doc, &list, &ctx);
+        prop_assert_eq!(got.as_slice(), &want[..], "ancestor {}", label);
+        prop_assert!(stats.nodes_touched() + stats.seeks <= 3 * list.len() as u64, "{}", stats);
+        let want: Vec<Pre> = list.iter().copied()
+            .filter(|&p| ctx.as_slice().binary_search(&doc.parent(p)).is_ok()).collect();
+        let (got, _) = child_on_list(&doc, &list, &ctx);
+        prop_assert_eq!(got.as_slice(), &want[..], "child {}", label);
+
+        // The three probes.
+        let want: Vec<Pre> = ctx.iter()
+            .filter(|&c| list.iter().any(|&p| is_descendant(&doc, c, p))).collect();
+        let (has_desc, _) = has_descendant_in(&doc, &ctx, &list);
+        prop_assert_eq!(has_desc.as_slice(), &want[..], "has_descendant_in {}", label);
+        let want: Vec<Pre> = ctx.iter()
+            .filter(|&c| list.iter().any(|&p| is_descendant(&doc, p, c))).collect();
+        let (has_anc, _) = has_ancestor_in(&doc, &ctx, &list);
+        prop_assert_eq!(has_anc.as_slice(), &want[..], "has_ancestor_in {}", label);
+        let want: Vec<Pre> = ctx.iter()
+            .filter(|&c| list.iter().any(|&p| doc.parent(p) == c)).collect();
+        let (has_child, _) = has_child_in(&doc, &ctx, &list);
+        prop_assert_eq!(has_child.as_slice(), &want[..], "has_child_in {}", label);
+
+        // The role swaps: a probe is the other join with list and context
+        // trading places.
+        let list_ctx: Context = list.iter().copied().collect();
+        prop_assert_eq!(&has_desc, &ancestor_on_list(&doc, ctx.as_slice(), &list_ctx).0);
+        prop_assert_eq!(&has_anc, &descendant_on_list(&doc, ctx.as_slice(), &list_ctx).0);
+
+        // `_many` / `_many_par`: K lanes mixing shared and distinct
+        // contexts equal K single runs — the first lane over a context
+        // field for field, a later one over the same context with the
+        // join's counters zeroed (it shared the pass).
+        let other = Context::from_unsorted(pick_sorted(&doc, LENGTHS[(ctx_len + 5) % LENGTHS.len()], seed ^ 0xABCD));
+        let root = Context::singleton(doc.root());
+        let contexts = [&ctx, &other, &root];
+        let pool = WorkerPool::new(4);
+        let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+        type Single = fn(&Doc, &[Pre], &Context) -> (Context, StepStats);
+        type Many = fn(&Doc, &[Pre], &[&Context], &mut Scratch) -> Vec<(Context, StepStats)>;
+        let joins: [(&str, Single, Many); 3] = [
+            ("descendant", descendant_on_list, descendant_on_list_many),
+            ("ancestor", ancestor_on_list, ancestor_on_list_many),
+            ("child", child_on_list, child_on_list_many),
+        ];
+        for k in [1usize, 2, 5] {
+            let lanes: Vec<&Context> = (0..k).map(|j| contexts[(mix >> j) % 3]).collect();
+            let expect = |single: &dyn Fn(&Context) -> (Context, StepStats)| -> Vec<(Context, StepStats)> {
+                lanes.iter().enumerate().map(|(j, c)| {
+                    let (nodes, stats) = single(c);
+                    let first = lanes[..j].iter().all(|e| e.as_slice() != c.as_slice());
+                    (nodes, if first { stats } else { shared(&stats) })
+                }).collect()
+            };
+            for (name, single, many) in joins {
+                let want = expect(&|c| single(&doc, &list, c));
+                prop_assert_eq!(&many(&doc, &list, &lanes, &mut s1), &want, "{}_on_list_many k {}", name, k);
+            }
+            let want = expect(&|c| descendant_on_list(&doc, &list, c));
+            prop_assert_eq!(&descendant_on_list_many_par(&doc, &list, &lanes, &pool, &mut s2), &want);
+            let want = expect(&|c| ancestor_on_list(&doc, &list, c));
+            prop_assert_eq!(&ancestor_on_list_many_par(&doc, &list, &lanes, &pool, &mut s2), &want);
+            let want = expect(&|c| has_descendant_in(&doc, c, &list));
+            prop_assert_eq!(&has_descendant_in_many(&doc, &lanes, &list), &want);
+            let want = expect(&|c| has_ancestor_in(&doc, c, &list));
+            prop_assert_eq!(&has_ancestor_in_many(&doc, &lanes, &list), &want);
+            let want = expect(&|c| has_child_in(&doc, c, &list));
+            prop_assert_eq!(&has_child_in_many(&doc, &lanes, &list), &want);
         }
     }
 }

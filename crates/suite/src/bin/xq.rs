@@ -32,9 +32,10 @@
 //!   --stats          print per-step statistics to stderr, including the
 //!                    planner's estimated cost next to the observed cost
 //!                    (nodes touched + seeks) for every engine. `seeks`
-//!                    counts fragment-cursor gallops: fragment-join and
-//!                    twig steps report them (one per partition or
-//!                    probe), plane scans report 0
+//!                    counts cursor repositionings over a tag fragment
+//!                    (or, for a fragment join, over its context):
+//!                    fragment-join and twig steps report them, plane
+//!                    scans report 0
 //!   --explain        print the physical plan (one line per step: chosen
 //!                    operator + cost estimate; `[par]` marks steps the
 //!                    pool fans out; a closing `total` line sums the
@@ -49,7 +50,11 @@
 //!                    (`staircase`, `horiz-scan`, `parallel`); the
 //!                    operators that still filter afterwards (`naive`,
 //!                    plain `sql`, `structural`) print
-//!                    `+ apply-test [mask]`
+//!                    `+ apply-test [mask]`. Under `auto` and
+//!                    `adaptive` a `child::name` step may print
+//!                    `fragment` too: the on-list child join is priced
+//!                    against the hop over every child (`structural`),
+//!                    which the fixed engines always take
 //!   --explain --stats  run the query, then print the post-run report:
 //!                    per step, the executed operator (with `[replan]`
 //!                    marking steps the adaptive engine switched
@@ -161,7 +166,9 @@ fn usage() -> ! {
          cost estimate; [par] marks fan-out steps) instead of evaluating;\n\
          fragment/twig joins, SQL's early name test and every plane scan\n\
          (staircase, horiz-scan, parallel) fuse the node test, while naive,\n\
-         plain sql and structural steps print + apply-test [mask]\n\
+         plain sql and structural steps print + apply-test [mask]; under\n\
+         auto/adaptive a child::name step may print fragment (the on-list\n\
+         child join, priced against the structural hop over every child)\n\
          --stats prints per-step counters to stderr; fragment and twig steps\n\
          report their cursor seeks (plane scans: 0), and with --explain the\n\
          observed cost next to the estimate is touched + seeks\n\

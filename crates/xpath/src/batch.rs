@@ -15,9 +15,10 @@
 //!   context — every query from the root — share its pruning and run
 //!   one select per distinct test);
 //! * [`LaneForm::Fragment`] → [`descendant_on_list_many`] /
-//!   [`ancestor_on_list_many`]: lanes naming the same tag share the
-//!   list resolution (prebuilt fragment or one query-time selection
-//!   scan) and a single forward cursor over it;
+//!   [`ancestor_on_list_many`] / [`child_on_list_many`]: lanes naming
+//!   the same tag share the list resolution (prebuilt fragment or one
+//!   query-time selection scan), lanes with the same context one range
+//!   join over it;
 //! * [`LaneForm::Horiz`] → [`following_many`] / [`preceding_many`]: the
 //!   group's nested suffix/prefix regions come out of one scan, one
 //!   range select per distinct node test;
@@ -86,17 +87,17 @@ use staircase_accel::{Axis, Context};
 use staircase_core::cost::RuntimeStats;
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
-    ancestor_many, ancestor_many_par, ancestor_on_list_many, ancestor_on_list_many_par,
-    descendant_many, descendant_many_par, descendant_on_list_many, descendant_on_list_many_par,
-    faults, following_many, following_many_par, has_ancestor_in_many, has_ancestor_in_many_par,
-    has_child_in_many, has_child_in_many_par, has_descendant_in_many, has_descendant_in_many_par,
-    preceding_many, preceding_many_par, ScanTest, Scratch, Variant,
+    ancestor_many, ancestor_many_par, ancestor_on_list_many, child_on_list_many, descendant_many,
+    descendant_many_par, descendant_on_list_many, faults, following_many, following_many_par,
+    has_ancestor_in_many, has_child_in_many, has_descendant_in_many, preceding_many,
+    preceding_many_par, ScanTest, Scratch, Variant,
 };
 
 use crate::error::Error;
 use crate::eval::{merge, rendered_op, scan_test, EvalOutput, EvalStats, Executor, StepTrace};
 use crate::plan::{
-    replan_step, HorizAxis, LaneForm, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis, VertAxis,
+    replan_step, HorizAxis, LaneForm, ListEdge, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis,
+    VertAxis,
 };
 
 /// Maps a budget trip to the typed error a governed query fails with.
@@ -180,7 +181,7 @@ impl Lane<'_> {
 enum GroupKey {
     Staircase(VertAxis, Variant),
     Fragment {
-        vert: VertAxis,
+        edge: ListEdge,
         name: String,
         prescan: bool,
     },
@@ -193,11 +194,11 @@ fn group_key(form: LaneForm<'_>) -> Option<GroupKey> {
     match form {
         LaneForm::Staircase(vert, variant) => Some(GroupKey::Staircase(vert, variant)),
         LaneForm::Fragment {
-            vert,
+            edge,
             name,
             prescan,
         } => Some(GroupKey::Fragment {
-            vert,
+            edge,
             name: name.to_string(),
             prescan,
         }),
@@ -543,10 +544,10 @@ impl Executor<'_> {
                 self.staircase_outs(lanes, group, *vert, *variant, scratch)
             }
             GroupKey::Fragment {
-                vert,
+                edge,
                 name,
                 prescan,
-            } => self.fragment_outs(lanes, group, *vert, name.as_str(), *prescan, scratch),
+            } => self.fragment_outs(lanes, group, *edge, name.as_str(), *prescan, scratch),
             GroupKey::Horiz(haxis) => self.horiz_outs(lanes, group, *haxis, scratch),
         };
         self.predicate_rounds(lanes, group, &mut outs, scratch);
@@ -638,14 +639,15 @@ impl Executor<'_> {
             .collect()
     }
 
-    /// One shared cursor over a tag fragment (prebuilt or one query-time
-    /// selection scan) for every lane in `group`. The fragment join
-    /// fuses the name test, so the join result *is* the tested result.
+    /// One tag fragment (prebuilt or one query-time selection scan)
+    /// resolved for every lane in `group`, and one range join per
+    /// distinct context over it. The fragment join fuses the name test,
+    /// so the join result *is* the tested result.
     fn fragment_outs(
         &self,
         lanes: &[Lane<'_>],
         group: &[usize],
-        vert: VertAxis,
+        edge: ListEdge,
         name: &str,
         prescan: bool,
         scratch: &mut Scratch,
@@ -667,24 +669,18 @@ impl Executor<'_> {
             // prebuilt (eager) index serves the full fragment either
             // way.
             let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
-            (self.fragment_list_windowed(name, vert, &contexts), 0)
+            (self.fragment_list_windowed(name, edge, &contexts), 0)
         };
-        let fanout = self.fanout(lanes, group);
+        // A range join has no morsel form (two gallops and a copy per
+        // context node): the fanout hint does not apply.
         let joined = {
             let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
-            match (vert, fanout) {
-                (VertAxis::Descendant, true) => {
-                    descendant_on_list_many_par(self.doc, &list, &contexts, self.pool, scratch)
-                }
-                (VertAxis::Descendant, false) => {
+            match edge {
+                ListEdge::Descendant => {
                     descendant_on_list_many(self.doc, &list, &contexts, scratch)
                 }
-                (VertAxis::Ancestor, true) => {
-                    ancestor_on_list_many_par(self.doc, &list, &contexts, self.pool, scratch)
-                }
-                (VertAxis::Ancestor, false) => {
-                    ancestor_on_list_many(self.doc, &list, &contexts, scratch)
-                }
+                ListEdge::Ancestor => ancestor_on_list_many(self.doc, &list, &contexts, scratch),
+                ListEdge::Child => child_on_list_many(self.doc, &list, &contexts, scratch),
             }
         };
         let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
@@ -759,29 +755,14 @@ impl Executor<'_> {
                     continue; // filter predicates never reach a lane form
                 };
                 let list = self.semijoin_list(chain, *prebuilt);
-                // The probes are O(1) per candidate; big candidate sets
-                // chunk across the pool (the kernel gates on actual
-                // size, so small sets never pay handoff).
-                let pooled = self.pool.width() > 1;
                 let probed = {
                     let candidates: Vec<&Context> = members.iter().map(|&gi| &outs[gi].0).collect();
-                    match (chain.axis(), pooled) {
-                        (SemijoinAxis::Descendant, true) => {
-                            has_descendant_in_many_par(self.doc, &candidates, &list, self.pool)
-                        }
-                        (SemijoinAxis::Descendant, false) => {
+                    match chain.axis() {
+                        SemijoinAxis::Descendant => {
                             has_descendant_in_many(self.doc, &candidates, &list)
                         }
-                        (SemijoinAxis::Child, true) => {
-                            has_child_in_many_par(self.doc, &candidates, &list, self.pool)
-                        }
-                        (SemijoinAxis::Child, false) => {
-                            has_child_in_many(self.doc, &candidates, &list)
-                        }
-                        (SemijoinAxis::Ancestor, true) => {
-                            has_ancestor_in_many_par(self.doc, &candidates, &list, self.pool)
-                        }
-                        (SemijoinAxis::Ancestor, false) => {
+                        SemijoinAxis::Child => has_child_in_many(self.doc, &candidates, &list),
+                        SemijoinAxis::Ancestor => {
                             has_ancestor_in_many(self.doc, &candidates, &list)
                         }
                     }

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
-    ancestor_on_list, ancestor_parallel_tested, ancestor_tested,
+    ancestor_on_list, ancestor_parallel_tested, ancestor_tested, child_on_list,
     cost::{Calibrator, DocStats},
     descendant_on_list, descendant_parallel_tested, descendant_tested, following_tested,
     has_ancestor_in, has_child_in, has_descendant_in, mask, preceding_tested, twig_match,
@@ -32,8 +32,8 @@ use staircase_core::{
 
 use crate::ast::NodeTest;
 use crate::plan::{
-    axis_of, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis, SemijoinChain, StepOp,
-    TwigSpec, VertAxis,
+    axis_of, list_edge_of, ListEdge, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis,
+    SemijoinChain, StepOp, TwigSpec,
 };
 
 /// Per-step trace of an evaluation.
@@ -53,10 +53,11 @@ pub struct StepTrace {
     /// equals `result_size` for the staircase join, which never produces
     /// duplicates).
     pub tuples_produced: u64,
-    /// Galloping cursor repositionings over sorted fragments: the
-    /// fragment joins' one per partition and per subtree jump, the
-    /// leapfrog twig operator's probes. Zero for the plane scans, whose
-    /// movement is all sequential.
+    /// Galloping cursor repositionings over sorted inputs: the fragment
+    /// joins' moves of their list and context cursors
+    /// ([`staircase_core::StepStats::seeks`]), the leapfrog twig
+    /// operator's probes. Zero for the plane scans, whose movement is
+    /// all sequential.
     pub seeks: u64,
     /// The cost model's estimate for this step at the moment it ran
     /// (re-priced by the adaptive executor when it switched operators).
@@ -257,15 +258,15 @@ impl<'a> Executor<'a> {
     /// that range instead of building the whole fragment.
     ///
     /// The window is result-safe by the join kernels' own reasoning:
-    /// for the descendant join, list entries at or before a context
-    /// node only trigger its Z-region break, and entries past every
-    /// context subtree end are never reached; for the ancestor join,
+    /// the descendant and child joins only ever emit entries of the
+    /// slices `(c, end(c)]`, all of which lie after the first context
+    /// node and before the last subtree end; for the ancestor join,
     /// ancestors precede their context node in pre order, so `[0, max)`
     /// covers every probe.
     pub(crate) fn fragment_list_windowed(
         &self,
         name: &str,
-        vert: VertAxis,
+        edge: ListEdge,
         contexts: &[&Context],
     ) -> NodeList<'a> {
         let Some(idx) = self.tags else {
@@ -275,8 +276,9 @@ impl<'a> Executor<'a> {
             return NodeList::Borrowed(&[]);
         }
         let post = self.doc.post_column();
-        let (lo, hi) = match vert {
-            VertAxis::Descendant => {
+        let n = self.doc.len() as Pre;
+        let (lo, hi) = match edge {
+            ListEdge::Descendant | ListEdge::Child => {
                 // Descendants live strictly after their context node,
                 // and a descendant's pre never exceeds `post(p) +
                 // height` (pre(v) − post(v) = depth(v) − size(v), so
@@ -287,18 +289,27 @@ impl<'a> Executor<'a> {
                     .map(|&p| p + 1)
                     .min()
                     .unwrap_or(0);
-                let hi = contexts
-                    .iter()
-                    .flat_map(|c| c.as_slice())
-                    .map(|&p| post[p as usize])
-                    .max()
-                    .unwrap_or(0)
-                    .saturating_add(Pre::from(self.doc.height()))
-                    .saturating_add(1)
-                    .min(self.doc.len() as Pre);
+                // The upper end only tells a lazy index how far to
+                // crack — the joins stop at the last context node's
+                // subtree by themselves — so a fragment that is already
+                // built is not worth the pass over every context node.
+                let built = self.doc.tag_id(name).is_some_and(|t| idx.fragment_built(t));
+                let hi = if built {
+                    n
+                } else {
+                    contexts
+                        .iter()
+                        .flat_map(|c| c.as_slice())
+                        .map(|&p| post[p as usize])
+                        .max()
+                        .unwrap_or(0)
+                        .saturating_add(Pre::from(self.doc.height()))
+                        .saturating_add(1)
+                        .min(n)
+                };
                 (lo, hi)
             }
-            VertAxis::Ancestor => {
+            ListEdge::Ancestor => {
                 // Ancestors precede their context node in pre order.
                 let hi = contexts
                     .iter()
@@ -538,6 +549,10 @@ impl<'a> Executor<'a> {
                 (out, ctx.len() as u64, 0, 0)
             }
             Axis::Child => {
+                // Planned as an on-list join (auto, `child::name`)?
+                if let Some(joined) = self.fragment_join(ctx, step) {
+                    return joined;
+                }
                 // Per-context children via subtree jumps: O(Σ #children),
                 // not O(|doc|). Nested context nodes can interleave their
                 // child ranges, so sort afterwards (children sets are
@@ -623,38 +638,12 @@ impl<'a> Executor<'a> {
     ) -> (Context, u64, u64, u64) {
         let doc = self.doc;
         match step.op {
-            StepOp::Fragment { prescan } => {
-                // The planner only emits fragment joins for name-tested
-                // vertical steps; anything else falls through to the
-                // plain join so a hand-built plan stays total.
-                let (vert, name) = match (paxis, &step.test) {
-                    (PartAxis::Descendant, NodeTest::Name(name)) => (VertAxis::Descendant, name),
-                    (PartAxis::Ancestor, NodeTest::Name(name)) => (VertAxis::Ancestor, name),
-                    _ => {
-                        return self.plain_staircase(
-                            ctx,
-                            paxis,
-                            step,
-                            staircase_core::Variant::default(),
-                        )
-                    }
-                };
-                if prescan {
-                    // nametest(doc, n) selection scan at query time; its
-                    // cost is the whole plane (§4.4) — except for names
-                    // absent from the dictionary, where no scan runs.
-                    let scan_cost = if doc.tag_id(name).is_some() {
-                        doc.len() as u64
-                    } else {
-                        0
-                    };
-                    let list = self.scan_list(name);
-                    on_list_join(doc, vert, &list, ctx, scan_cost)
-                } else {
-                    let list = self.fragment_list_windowed(name, vert, &[ctx]);
-                    on_list_join(doc, vert, &list, ctx, 0)
-                }
-            }
+            // The planner only emits fragment joins for name-tested
+            // steps; anything else falls through to the plain join so a
+            // hand-built plan stays total.
+            StepOp::Fragment { .. } => self.fragment_join(ctx, step).unwrap_or_else(|| {
+                self.plain_staircase(ctx, paxis, step, staircase_core::Variant::default())
+            }),
             StepOp::Staircase { variant } => self.plain_staircase(ctx, paxis, step, variant),
             // The horizontal scan ignores the variant: pruning collapses
             // the context to one node and the region is contiguous.
@@ -743,6 +732,32 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// The step's on-list join, if it is planned as one: a
+    /// [`StepOp::Fragment`] over a name test on an axis with a list edge.
+    fn fragment_join(&self, ctx: &Context, step: &PlannedStep) -> Option<(Context, u64, u64, u64)> {
+        let StepOp::Fragment { prescan } = step.op else {
+            return None;
+        };
+        let (Some(edge), NodeTest::Name(name)) = (list_edge_of(step.axis), &step.test) else {
+            return None;
+        };
+        Some(if prescan {
+            // nametest(doc, n) selection scan at query time; its cost is
+            // the whole plane (§4.4) — except for names absent from the
+            // dictionary, where no scan runs.
+            let scan_cost = if self.doc.tag_id(name).is_some() {
+                self.doc.len() as u64
+            } else {
+                0
+            };
+            let list = self.scan_list(name);
+            on_list_join(self.doc, edge, &list, ctx, scan_cost)
+        } else {
+            let list = self.fragment_list_windowed(name, edge, &[ctx]);
+            on_list_join(self.doc, edge, &list, ctx, 0)
+        })
+    }
+
     /// Executes a fused twig region: resolves one sorted list per spine
     /// leg and chain step (prebuilt fragments when the session provides
     /// the index, selection scans otherwise) and hands them to the
@@ -823,18 +838,19 @@ pub(crate) fn rendered_op(step: &PlannedStep) -> String {
     }
 }
 
-/// The two vertical axes' on-list (fragment) join with its name-test
-/// scan cost folded in.
+/// The on-list (fragment) join of one edge with its name-test scan cost
+/// folded in.
 fn on_list_join(
     doc: &Doc,
-    vert: VertAxis,
+    edge: ListEdge,
     list: &[Pre],
     ctx: &Context,
     scan_cost: u64,
 ) -> (Context, u64, u64, u64) {
-    let (out, stats) = match vert {
-        VertAxis::Descendant => descendant_on_list(doc, list, ctx),
-        VertAxis::Ancestor => ancestor_on_list(doc, list, ctx),
+    let (out, stats) = match edge {
+        ListEdge::Descendant => descendant_on_list(doc, list, ctx),
+        ListEdge::Ancestor => ancestor_on_list(doc, list, ctx),
+        ListEdge::Child => child_on_list(doc, list, ctx),
     };
     (out, stats.nodes_touched() + scan_cost, 0, stats.seeks)
 }

@@ -59,8 +59,11 @@
 //!   Equation-1 context-window estimates; see
 //!   [`staircase_core::cost`]) and keeps the cheapest — fragment joins
 //!   for selective name tests, the estimation-skipping staircase join
-//!   for unselective steps. Results are node-identical to every fixed
-//!   engine (property-tested); only the access pattern changes;
+//!   for unselective steps. `child::name` is priced too: the on-list
+//!   child join ([`staircase_core::child_on_list`]) against the
+//!   structural hop over every child, which every fixed engine takes.
+//!   Results are node-identical to every fixed engine
+//!   (property-tested); only the access pattern changes;
 //! * [`Engine::adaptive`] starts from auto's plan and re-prices pending
 //!   steps mid-query from *observed* frontier cardinalities (see
 //!   *Feedback loops* below).

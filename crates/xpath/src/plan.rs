@@ -22,7 +22,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use staircase_accel::{Axis, Doc};
+use staircase_accel::{Axis, Doc, TagId};
 use staircase_core::cost::{DocStats, RuntimeStats, TwigLegCost};
 use staircase_core::{TwigEdge, Variant};
 
@@ -41,12 +41,22 @@ pub(crate) enum PartAxis {
     Preceding,
 }
 
-/// The two axes with a fragment (on-list) join and a multi-context
-/// (batched) join form.
+/// The two axes with a plane-scan staircase join and its multi-context
+/// (batched) form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VertAxis {
     Descendant,
     Ancestor,
+}
+
+/// The three edges with an on-list (fragment) join: the two vertical
+/// axes and `child`, which joins the same list slices with the parent
+/// column as its keep test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ListEdge {
+    Descendant,
+    Ancestor,
+    Child,
 }
 
 /// The partitioning axis evaluated by `axis` (or-self variants map to
@@ -67,6 +77,17 @@ pub(crate) fn vert_axis_of(axis: Axis) -> Option<VertAxis> {
         PartAxis::Descendant => Some(VertAxis::Descendant),
         PartAxis::Ancestor => Some(VertAxis::Ancestor),
         _ => None,
+    }
+}
+
+/// The on-list join edge evaluated by `axis`, if any.
+pub(crate) fn list_edge_of(axis: Axis) -> Option<ListEdge> {
+    match axis {
+        Axis::Child => Some(ListEdge::Child),
+        _ => match vert_axis_of(axis)? {
+            VertAxis::Descendant => Some(ListEdge::Descendant),
+            VertAxis::Ancestor => Some(ListEdge::Ancestor),
+        },
     }
 }
 
@@ -134,7 +155,9 @@ pub enum StepOp {
         /// Skipping refinement.
         variant: Variant,
     },
-    /// On-list staircase join over a per-tag node list. `prescan` means
+    /// On-list range join over a per-tag node list — `descendant`,
+    /// `ancestor`, and (under the auto policy, where it is a priced
+    /// candidate against [`StepOp::Structural`]) `child`. `prescan` means
     /// the list is produced by a query-time selection scan (§4.4
     /// name-test pushdown) instead of the prebuilt [`staircase_core::TagIndex`].
     Fragment {
@@ -160,8 +183,9 @@ pub enum StepOp {
         /// Filter by tag during the index scan.
         early_nametest: bool,
     },
-    /// Engine-independent structural axis (`self`, `child`, `parent`,
-    /// `attribute`, the sibling axes).
+    /// Structural axis (`self`, `child`, `parent`, `attribute`, the
+    /// sibling axes): what every fixed engine runs them as, and what
+    /// auto keeps `child` as unless the fragment join is priced below it.
     Structural,
     /// Worst-case-optimal twig region: a run of vertical name-test steps
     /// whose predicates are themselves vertical existential paths, fused
@@ -461,11 +485,12 @@ pub(crate) enum LaneForm<'s> {
     Staircase(VertAxis, Variant),
     /// On-list (fragment) join over a shared per-tag node list:
     /// [`staircase_core::descendant_on_list_many`] /
-    /// [`staircase_core::ancestor_on_list_many`]. Lanes naming the same
-    /// tag share both the list resolution and the merged cursor.
+    /// [`staircase_core::ancestor_on_list_many`] /
+    /// [`staircase_core::child_on_list_many`]. Lanes naming the same tag
+    /// share the list resolution, lanes with the same context the join.
     Fragment {
-        /// Join direction.
-        vert: VertAxis,
+        /// Join edge.
+        edge: ListEdge,
         /// The name test's tag (fused into the join), borrowed from the
         /// step — deriving the lane form allocates nothing.
         name: &'s str,
@@ -519,14 +544,10 @@ impl PlannedStep {
         {
             return LaneForm::PerLane;
         }
-        let Some(paxis) = part_axis_of(self.axis) else {
-            return LaneForm::PerLane; // structural axes
-        };
-        match (&self.op, vert_axis_of(self.axis)) {
-            (StepOp::Staircase { variant }, Some(vert)) => LaneForm::Staircase(vert, *variant),
-            (StepOp::Fragment { prescan }, Some(vert)) => match &self.test {
+        if let (StepOp::Fragment { prescan }, Some(edge)) = (&self.op, list_edge_of(self.axis)) {
+            return match &self.test {
                 NodeTest::Name(name) => LaneForm::Fragment {
-                    vert,
+                    edge,
                     name,
                     prescan: *prescan,
                 },
@@ -534,7 +555,13 @@ impl PlannedStep {
                 // a hand-built plan without one falls back (exactly as
                 // the sequential interpreter does).
                 _ => LaneForm::PerLane,
-            },
+            };
+        }
+        let Some(paxis) = part_axis_of(self.axis) else {
+            return LaneForm::PerLane; // structural axes
+        };
+        match (&self.op, vert_axis_of(self.axis)) {
+            (StepOp::Staircase { variant }, Some(vert)) => LaneForm::Staircase(vert, *variant),
             // The horizontal scan ignores the variant (pruning collapses
             // the context to one node), so Staircase-planned horizontal
             // steps batch too.
@@ -765,6 +792,9 @@ fn plan_path(
 ) -> PathPlan {
     let mut rows = in_rows;
     let mut root = at_root;
+    // The tag every context node of the next step is known to carry: the
+    // name test of the step that produced them.
+    let mut ctx_tag: Option<TagId> = None;
     let mut steps = Vec::with_capacity(path.steps.len());
     let mut i = 0;
     while i < path.steps.len() {
@@ -780,21 +810,31 @@ fn plan_path(
                 {
                     rows = out_rows;
                     root = false;
+                    ctx_tag = element_tag(&path.steps[i + len - 1], doc);
                     steps.push(planned);
                     i += len;
                     continue;
                 }
             }
         }
-        let (planned, out_rows) = plan_step(&path.steps[i], doc, stats, pl, rows, root);
+        let (planned, out_rows) = plan_step(&path.steps[i], doc, stats, pl, rows, root, ctx_tag);
         rows = out_rows;
         root = false;
+        ctx_tag = element_tag(&path.steps[i], doc);
         steps.push(planned);
         i += 1;
     }
     PathPlan {
         absolute: path.absolute,
         steps,
+    }
+}
+
+/// The element tag every result of `step` carries, when its test says so.
+fn element_tag(step: &Step, doc: &Doc) -> Option<TagId> {
+    match &step.test {
+        NodeTest::Name(name) if step.axis != Axis::Attribute => doc.tag_id(name),
+        _ => None,
     }
 }
 
@@ -966,7 +1006,7 @@ fn twig_rows_estimate(stats: &DocStats, in_rows: f64, at_root: bool, legs: &[Twi
     for (i, leg) in legs.iter().enumerate() {
         let f = leg.fragment as f64;
         let reach = if leg.child_edge {
-            stats.structural_cost(Axis::Child, rows)
+            rows * stats.avg_fanout()
         } else {
             stats.descendant_window(rows, at_root && i == 0)
         };
@@ -992,7 +1032,9 @@ fn test_selectivity(test: &NodeTest, doc: &Doc, stats: &DocStats) -> f64 {
 }
 
 /// Lowers one step under `policy`; returns the planned step and the
-/// estimated output cardinality feeding the next step.
+/// estimated output cardinality feeding the next step. `ctx_tag` is the
+/// tag the context nodes are known to carry, if the previous step's
+/// name test says so.
 fn plan_step(
     step: &Step,
     doc: &Doc,
@@ -1000,6 +1042,7 @@ fn plan_step(
     pl: Planner,
     in_rows: f64,
     at_root: bool,
+    ctx_tag: Option<TagId>,
 ) -> (PlannedStep, f64) {
     let sel = test_selectivity(&step.test, doc, stats);
     let fragment = match &step.test {
@@ -1011,11 +1054,7 @@ fn plan_step(
         Some(paxis) => plan_partitioning(
             step, paxis, pl.policy, stats, sel, fragment, in_rows, at_root,
         ),
-        None => {
-            // Structural axes are engine-independent.
-            let cost = stats.structural_cost(step.axis, in_rows);
-            (StepOp::Structural, TestOp::ApplyTest, cost, cost * sel)
-        }
+        None => plan_structural(step, pl.policy, doc, stats, sel, in_rows, ctx_tag),
     };
 
     // Or-self merges the surviving context nodes back in.
@@ -1034,6 +1073,9 @@ fn plan_step(
         predicates.push(lowered);
     }
 
+    // The hint is for the operators with a morsel form; the structural
+    // hops have none, whatever their (now honest) price.
+    let fanout = op != StepOp::Structural && stats.fanout_worthwhile(cost);
     let planned = PlannedStep {
         axis: step.axis,
         test: step.test.clone(),
@@ -1041,12 +1083,65 @@ fn plan_step(
         test_op,
         predicates,
         estimate: StepEstimate { cost, rows },
-        fanout: stats.fanout_worthwhile(cost),
+        fanout,
         replanned: false,
         rendered: step.to_string(),
         origin: step.origin.clone(),
     };
     (planned, rows)
+}
+
+/// Lowers a structural-axis step. Every fixed engine runs these as
+/// [`StepOp::Structural`]; the auto policy additionally prices a
+/// `child::name` step's on-list join
+/// ([`DocStats::child_fragment_cost`]) against the hop over every child
+/// plus its filter pass ([`DocStats::structural_cost`]) and keeps the
+/// cheaper — ties stay structural. A name no element carries plans the empty
+/// prescan fragment, as on the vertical axes.
+fn plan_structural(
+    step: &Step,
+    policy: Policy,
+    doc: &Doc,
+    stats: &DocStats,
+    sel: f64,
+    in_rows: f64,
+    ctx_tag: Option<TagId>,
+) -> (StepOp, TestOp, f64, f64) {
+    let filtered = !matches!(step.test, NodeTest::AnyNode);
+    let structural = stats.structural_cost(step.axis, in_rows, ctx_tag, filtered);
+    if step.axis != Axis::Child {
+        return (
+            StepOp::Structural,
+            TestOp::ApplyTest,
+            structural,
+            structural * sel,
+        );
+    }
+    let reach = stats.child_reach(in_rows, ctx_tag);
+    let rows = reach * sel;
+    let (NodeTest::Name(name), Policy::Auto) = (&step.test, policy) else {
+        return (StepOp::Structural, TestOp::ApplyTest, structural, rows);
+    };
+    let fragment = stats.fragment_size(doc, doc.tag_id(name));
+    if fragment == 0 {
+        return (
+            StepOp::Fragment { prescan: true },
+            TestOp::Fused,
+            in_rows,
+            rows,
+        );
+    }
+    let on_list = stats.child_fragment_cost(fragment, in_rows, reach);
+    if on_list < structural {
+        (
+            StepOp::Fragment { prescan: false },
+            TestOp::Fused,
+            on_list,
+            rows,
+        )
+    } else {
+        (StepOp::Structural, TestOp::ApplyTest, structural, rows)
+    }
 }
 
 /// Lowers a partitioning-axis step: the policy picks the join operator,
@@ -1595,10 +1690,21 @@ mod tests {
 
     #[test]
     fn unfusable_abbreviations_keep_their_scan() {
-        for (expr, steps) in [
-            ("descendant-or-self::node()[x]/child::y", 2),
-            ("descendant-or-self::*/child::y", 2),
-            ("//@id", 2),
+        // (`y` is no element's name: under auto the `child::y` steps
+        // plan the empty prescan fragment, as a vertical step would.)
+        for (expr, steps, second) in [
+            (
+                "descendant-or-self::node()[x]/child::y",
+                2,
+                StepOp::Fragment { prescan: true },
+            ),
+            (
+                "descendant-or-self::*/child::y",
+                2,
+                StepOp::Fragment { prescan: true },
+            ),
+            ("descendant-or-self::*/child::*", 2, StepOp::Structural),
+            ("//@id", 2, StepOp::Structural),
         ] {
             let plan = plan_for(expr, Engine::auto());
             assert_eq!(plan.step_count(), steps, "{expr}: {plan}");
@@ -1607,7 +1713,7 @@ mod tests {
                 Axis::DescendantOrSelf,
                 "{expr}"
             );
-            assert_eq!(ops(&plan)[1], StepOp::Structural, "{expr}");
+            assert_eq!(ops(&plan)[1], second, "{expr}");
         }
     }
 
@@ -1835,7 +1941,7 @@ mod tests {
         assert_eq!(
             step("/ancestor::b", fragmented).lane_form(),
             LaneForm::Fragment {
-                vert: VertAxis::Ancestor,
+                edge: ListEdge::Ancestor,
                 name: "b",
                 prescan: false
             }
@@ -1983,6 +2089,101 @@ mod tests {
                 [StepOp::Structural, StepOp::Structural],
                 "{engine:?}"
             );
+        }
+    }
+
+    /// 200 `person`s with six children each, one of them a `profile`; a
+    /// `regions` element beside them.
+    fn people() -> (Doc, DocStats) {
+        let person = "<person><name/><email/><phone/><address/><profile/><watches/></person>";
+        let xml = format!(
+            "<site><regions/><people>{}</people></site>",
+            person.repeat(200)
+        );
+        let doc = Doc::from_xml(&xml).unwrap();
+        let stats = DocStats::from_doc(&doc);
+        (doc, stats)
+    }
+
+    #[test]
+    fn auto_prices_a_child_name_step_as_a_fragment_join() {
+        let (doc, stats) = people();
+        let plan = |expr: &str, engine: Engine| {
+            let parsed = normalize(&parse_union(expr).unwrap());
+            plan_union(&parsed, &doc, &stats, engine, 1.0)
+        };
+        let fragment = StepOp::Fragment { prescan: false };
+        // 200 context nodes with 1 200 children between them against a
+        // 200-entry list: the join wins, under auto and adaptive alike.
+        for engine in [Engine::auto(), Engine::adaptive()] {
+            let p = plan("/descendant::person/child::profile", engine);
+            assert_eq!(ops(&p), [fragment.clone(), fragment.clone()], "{p}");
+            let child = &p.branches()[0].steps()[1];
+            assert_eq!(child.test_operator(), TestOp::Fused);
+            assert_eq!(
+                child.lane_form(),
+                LaneForm::Fragment {
+                    edge: ListEdge::Child,
+                    name: "profile",
+                    prescan: false
+                }
+            );
+            assert!(p.needs_tag_index());
+            let text = p.to_string();
+            assert_eq!(text.matches("op fragment").count(), 2, "{text}");
+            assert!(!text.contains("apply-test"), "{text}");
+        }
+        // The structural price it beat: the hop over six children a
+        // person (the per-tag fan-out, not the document's) plus the
+        // filter pass over them.
+        let person = doc.tag_id("person");
+        assert_eq!(
+            stats.structural_cost(Axis::Child, 200.0, person, true),
+            2400.0
+        );
+        // The join's: one entry a person, no seek, the window lookup.
+        let auto = plan("/descendant::person/child::profile", Engine::auto());
+        let est = auto.branches()[0].steps()[1].estimate().cost;
+        assert!((200.0..240.0).contains(&est), "{est}");
+        // One context node with a handful of children, and every test
+        // that is not a name, stay structural…
+        for expr in [
+            "/child::regions",
+            "/child::people/child::person",
+            "/descendant::person/child::node()",
+            "/descendant::person/child::*",
+            "/descendant::person/child::text()",
+        ] {
+            let p = plan(expr, Engine::auto());
+            assert_eq!(ops(&p).last(), Some(&StepOp::Structural), "{expr}: {p}");
+        }
+        // …a name the dictionary lacks plans the empty prescan fragment,
+        // as on the vertical axes…
+        let absent = plan("/descendant::node()/child::nosuch", Engine::auto());
+        assert_eq!(ops(&absent)[1], StepOp::Fragment { prescan: true });
+        assert!(!path_needs_tags(&PathPlan {
+            absolute: true,
+            steps: vec![absent.branches()[0].steps()[1].clone()],
+        }));
+        // …and every fixed engine keeps `child` structural.
+        let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+        let pushdown = Engine::staircase().pushdown(true).build().unwrap();
+        let parallel = Engine::staircase().parallel(2).build().unwrap();
+        for engine in [
+            Engine::default(),
+            pushdown,
+            fragmented,
+            parallel,
+            Engine::naive(),
+            Engine::sql().build().unwrap(),
+            Engine::twig(),
+        ] {
+            let p = plan("/descendant::person/child::profile", engine);
+            let last = p.branches()[0].steps().last().unwrap();
+            if !matches!(last.operator(), StepOp::Twig(_)) {
+                assert_eq!(last.operator(), &StepOp::Structural, "{engine:?}: {p}");
+                assert!(p.to_string().contains("structural + apply-test [mask]"));
+            }
         }
     }
 }

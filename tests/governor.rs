@@ -303,6 +303,128 @@ fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
     }
 }
 
+/// ≈ 116 000 nodes: 380 `open_auction`s (a `bidder` with an `increase`
+/// each) and 380 `person`s (a `profile` each) among 19 000 `date`s with
+/// five fillers apiece — every tag fragment but `date`'s fits a 500-node
+/// budget, and no join over them reaches a tick grain.
+fn auction_doc() -> Doc {
+    let mut b = EncodingBuilder::new();
+    b.open_element("site");
+    for i in 0..19_000 {
+        if i % 50 == 0 {
+            b.open_element("open_auction");
+            b.open_element("bidder");
+            b.open_element("increase");
+            b.close_element();
+            b.close_element();
+            b.close_element();
+            b.open_element("person");
+            b.open_element("profile");
+            b.close_element();
+            b.close_element();
+        }
+        b.open_element("date");
+        for _ in 0..5 {
+            b.open_element("x");
+            b.close_element();
+        }
+        b.close_element();
+    }
+    b.close_element();
+    b.finish()
+}
+
+/// The on-list joins and the predicate probes are the same governed
+/// loops: a cost budget the step's own join fits under still trips in
+/// the predicate's probe (which used to run unseen by the governor), and
+/// a root-context fragment copy trips inside its one slice.
+#[test]
+fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
+    use staircase_core::governor::SCAN_CHUNK;
+    const CEILING: u64 = 500;
+    let session = Session::new(auction_doc()).with_threads(1);
+    assert!(session.doc().len() >= 100_000);
+    let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+    let tripped = |what: &str, out: Result<QueryOutput, Error>, budget: &Budget| {
+        assert!(
+            matches!(out, Err(Error::BudgetExhausted)),
+            "{what}: expected a cost trip, got {out:?}"
+        );
+        let charged = budget.touched();
+        assert!(
+            charged > CEILING && charged <= CEILING + u64::from(SCAN_CHUNK),
+            "{what}: charged {charged} at the trip, ceiling {CEILING}, chunk {SCAN_CHUNK}"
+        );
+    };
+    for engine in [fragmented, Engine::auto()] {
+        // The step alone — 380 entries copied from the root — fits…
+        for step in ["/descendant::open_auction", "/descendant::person"] {
+            let query = session.prepare(step).expect("query parses");
+            let budget = Arc::new(Budget::new().with_max_touched(CEILING));
+            let out = query
+                .run_governed(engine, Arc::clone(&budget))
+                .expect("the join alone stays under the ceiling");
+            assert_eq!(out.len(), 380, "{step}");
+            assert!(budget.touched() <= CEILING, "{step}: {}", budget.touched());
+        }
+        // …the probe of its 380 results against the predicate's list is
+        // charged on top, and trips.
+        for expr in [
+            "/descendant::open_auction[descendant::increase]",
+            "/descendant::person[child::profile]",
+            "/descendant::increase[ancestor::open_auction]",
+        ] {
+            let query = session.prepare(expr).expect("query parses");
+            let budget = Arc::new(Budget::new().with_max_touched(CEILING));
+            let out = query.run_governed(engine, Arc::clone(&budget));
+            tripped(expr, out, &budget);
+            assert_eq!(query.run(engine).len(), 380, "{expr}: ungoverned");
+        }
+        // One slice, 19 000 entries long: the copy is chunked under a
+        // budget, so the trip comes one chunk in, not at the step's end.
+        let dates = session.prepare("/descendant::date").expect("query parses");
+        let budget = Arc::new(Budget::new().with_max_touched(CEILING));
+        let out = dates.run_governed(engine, Arc::clone(&budget));
+        tripped("/descendant::date", out, &budget);
+        assert_eq!(dates.run(engine).len(), 19_000);
+    }
+
+    // As one member of a batch of four: the victim trips, its ungoverned
+    // siblings finish node-identical to an ungoverned batch.
+    let exprs = [
+        "/descendant::date",
+        "/descendant::open_auction[descendant::increase]",
+        "/descendant::person/child::profile",
+        "/descendant::increase/ancestor::bidder",
+    ];
+    let queries: Vec<_> = exprs
+        .iter()
+        .map(|e| session.prepare(e).expect("query parses"))
+        .collect();
+    let refs: Vec<&_> = queries.iter().collect();
+    let baseline = session.run_many(&refs, Engine::auto());
+    for victim in [0usize, 1] {
+        let mut budgets: Vec<Option<Arc<Budget>>> = vec![None; exprs.len()];
+        budgets[victim] = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
+        let governed = session.run_many_governed(&refs, Engine::auto(), &budgets);
+        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
+            if i == victim {
+                assert!(
+                    matches!(g, Err(Error::BudgetExhausted)),
+                    "victim {victim}: got {g:?}"
+                );
+            } else {
+                let g = g.as_ref().expect("an ungoverned sibling completes");
+                assert_eq!(
+                    g.nodes().as_slice(),
+                    b.nodes().as_slice(),
+                    "victim {victim}: sibling {i} diverged"
+                );
+            }
+        }
+    }
+}
+
 /// An arbitrary small document over the `p`/`q`/`r` vocabulary (the
 /// batch suite's generator, reduced).
 fn arb_doc() -> impl Strategy<Value = Doc> {

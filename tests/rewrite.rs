@@ -467,6 +467,52 @@ mod abbreviated {
         }
     }
 
+    /// `child::name` after a fragment step joins the list under auto and
+    /// hops over the children under every fixed engine: the same nodes,
+    /// in document order, on a one-tag chain whose context nodes nest
+    /// and on XMark — at pool widths 1 and 4, against the tree walk.
+    #[test]
+    fn child_name_steps_match_the_reference_on_every_engine() {
+        let chain = String::from("<a><a><a><a/><a/></a><a/></a><a/></a>");
+        let xmark = generate_xml(XmarkConfig::new(0.5));
+        let mut all = engines();
+        all.push(Engine::staircase().parallel(3).build().unwrap());
+        for (xml, exprs) in [
+            (&chain, &["//a/child::a", "//a/a/a", "//a[a]/child::a"][..]),
+            (
+                &xmark,
+                &[
+                    "//person/child::profile",
+                    "//closed_auction/child::price",
+                    "//open_auction[bidder]/child::bidder/child::increase",
+                ][..],
+            ),
+        ] {
+            let tree = Tree::parse(xml);
+            for width in [1usize, 4] {
+                let session = Session::parse_xml(xml).unwrap().with_threads(width);
+                for &expr in exprs {
+                    let want = tree.eval(expr);
+                    assert!(!want.is_empty(), "{expr}");
+                    for &engine in &all {
+                        let got = session.run(expr, engine).unwrap();
+                        assert_eq!(
+                            got.nodes().as_slice(),
+                            &want[..],
+                            "{expr} via {engine:?} at width {width}"
+                        );
+                    }
+                }
+            }
+        }
+        // Under auto the XMark steps really are the on-list join.
+        let session = Session::parse_xml(&xmark).unwrap();
+        let out = session
+            .run("//person/child::profile", Engine::auto())
+            .unwrap();
+        assert_eq!(out.stats().steps[1].op, "fragment");
+    }
+
     /// The shapes the issue names, on a document with same-tag nesting,
     /// checked one by one so a failure names the query.
     #[test]

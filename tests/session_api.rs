@@ -450,6 +450,78 @@ fn fragment_estimate_is_within_3x_of_observed_for_q2s_ancestor_step() {
     );
 }
 
+/// `child::name` is a priced candidate under auto (and so adaptive): out
+/// of a selective context it joins the tag's list — estimated within 2 ×
+/// of what it is observed to touch and seek — and where the hop is a
+/// handful of children, or the test is no name, it stays structural.
+#[test]
+fn auto_joins_child_name_steps_on_the_list_where_the_hop_costs_more() {
+    let session = Session::new(generate(XmarkConfig::new(1.0)));
+    session.warm();
+    for expr in [
+        "/descendant::person/child::profile",
+        "/descendant::closed_auction/child::price",
+    ] {
+        let want = session.run(expr, Engine::default()).unwrap();
+        assert!(!want.is_empty(), "{expr}");
+        for engine in [Engine::auto(), Engine::adaptive()] {
+            let plan = session.explain(expr, engine).unwrap();
+            for step in plan.branches()[0].steps() {
+                assert_eq!(
+                    step.operator(),
+                    &StepOp::Fragment { prescan: false },
+                    "{expr} {engine:?}: {plan}"
+                );
+            }
+            let out = session.run(expr, engine).unwrap();
+            assert_eq!(out.nodes(), want.nodes(), "{expr} {engine:?}");
+            let child = &out.stats().steps[1];
+            assert_eq!(child.op, "fragment", "{expr}");
+            let ratio = child.est_cost / child.observed_cost();
+            assert!(
+                (0.5..=2.0).contains(&ratio),
+                "{expr}: estimated {} against observed {} (touched {} + seeks {})",
+                child.est_cost,
+                child.observed_cost(),
+                child.nodes_touched,
+                child.seeks
+            );
+            // The hop it replaced walks every child of every context node.
+            let hop = &want.stats().steps[1];
+            assert_eq!(hop.op, "structural");
+            assert!(child.nodes_touched * 3 < hop.nodes_touched, "{expr}");
+        }
+    }
+    for expr in [
+        "/child::site/child::regions",
+        "/child::regions",
+        "/descendant::person/child::node()",
+        "/descendant::person/child::*",
+        "/descendant::person/child::text()",
+        "/descendant::person/attribute::id",
+    ] {
+        let plan = session.explain(expr, Engine::auto()).unwrap();
+        let steps = plan.branches()[0].steps();
+        for step in steps.iter().filter(|s| s.axis() != Axis::Descendant) {
+            assert_eq!(step.operator(), &StepOp::Structural, "{expr}: {plan}");
+        }
+    }
+    // A name no element carries: the empty prescan fragment, as on the
+    // vertical axes.
+    let plan = session
+        .explain("/descendant::node()/child::nosuchtag", Engine::auto())
+        .unwrap();
+    assert_eq!(
+        plan.branches()[0].steps()[1].operator(),
+        &StepOp::Fragment { prescan: true }
+    );
+    let out = session
+        .run("/descendant::node()/child::nosuchtag", Engine::auto())
+        .unwrap();
+    assert!(out.is_empty());
+    assert_eq!(out.stats().steps[1].nodes_touched, 0);
+}
+
 #[test]
 fn auto_plans_absent_names_without_building_the_fragment_index() {
     let session = Session::new(generate(XmarkConfig::new(0.05)));
