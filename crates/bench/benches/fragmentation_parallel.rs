@@ -1,9 +1,10 @@
 //! §6 future-work experiments: tag-name fragmentation (Q1 over per-tag
-//! fragments vs the full plane) and the partitioned parallel join.
+//! fragments vs the full plane) and the partitioned parallel join, as
+//! the morsel-split kernels a session's `[par]` steps run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use staircase_bench::{Workload, QUERY_Q1};
-use staircase_core::{ancestor_parallel, descendant_parallel, Variant};
+use staircase_core::{ancestor_many, descendant_many, Scratch, Variant, WorkerPool};
 use staircase_xpath::Engine;
 
 fn bench(c: &mut Criterion) {
@@ -34,18 +35,25 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     let profiles = w.profiles();
     let increases = w.increases();
+    let mut scratch = Scratch::new();
     for threads in [1usize, 2, 4] {
+        let pool = WorkerPool::new(threads);
+        let pool = Some(&pool);
         g.bench_with_input(
             BenchmarkId::new("q1_descendant", threads),
             &threads,
-            |b, &t| {
-                b.iter(|| descendant_parallel(w.doc(), &profiles, Variant::EstimationSkipping, t))
+            |b, _| {
+                let d = Variant::EstimationSkipping;
+                b.iter(|| descendant_many(w.doc(), &[&profiles], d, pool, &mut scratch))
             },
         );
         g.bench_with_input(
             BenchmarkId::new("q2_ancestor", threads),
             &threads,
-            |b, &t| b.iter(|| ancestor_parallel(w.doc(), &increases, Variant::Skipping, t)),
+            |b, _| {
+                let s = Variant::Skipping;
+                b.iter(|| ancestor_many(w.doc(), &[&increases], s, pool, &mut scratch))
+            },
         );
     }
     g.finish();

@@ -8,7 +8,9 @@
 
 use staircase_accel::{Axis, Context};
 use staircase_baselines::naive_step;
-use staircase_core::{ancestor, ancestor_parallel, descendant, descendant_parallel, Variant};
+use staircase_core::{
+    ancestor, ancestor_many, descendant, descendant_many, Scratch, Variant, WorkerPool,
+};
 use staircase_storage::scan::{append_run, append_run_unrolled};
 use staircase_xpath::Engine;
 
@@ -399,7 +401,9 @@ pub fn fragmentation(w: &Workload, runs: usize) -> Table {
 }
 
 /// **§3.2/§6** — partitioned parallel staircase join: the second axis
-/// steps of Q1 (descendant) and Q2 (ancestor) across worker counts.
+/// steps of Q1 (descendant) and Q2 (ancestor) across worker counts,
+/// through the morsel-split kernels a session's `[par]` steps run (one
+/// worker is the sequential scan).
 pub fn parallel(w: &Workload, threads: &[usize], runs: usize) -> Table {
     let mut t = Table::new(
         format!("§3.2/§6 partitioned parallelism (scale {})", w.scale),
@@ -407,12 +411,22 @@ pub fn parallel(w: &Workload, threads: &[usize], runs: usize) -> Table {
     );
     let profiles = w.profiles();
     let increases = w.increases();
+    let mut scratch = Scratch::new();
     for &workers in threads {
+        let pool = WorkerPool::new(workers);
+        let pool = Some(&pool);
+        let d = Variant::EstimationSkipping;
         let q1 = time_ms(runs, || {
-            descendant_parallel(w.doc(), &profiles, Variant::EstimationSkipping, workers)
+            descendant_many(w.doc(), &[&profiles], d, pool, &mut scratch)
         });
         let q2 = time_ms(runs, || {
-            ancestor_parallel(w.doc(), &increases, Variant::Skipping, workers)
+            ancestor_many(
+                w.doc(),
+                &[&increases],
+                Variant::Skipping,
+                pool,
+                &mut scratch,
+            )
         });
         t.row(cells!(workers, format!("{q1:.2}"), format!("{q2:.2}")));
     }
@@ -530,10 +544,6 @@ pub fn verify_engines_agree(w: &Workload) -> bool {
             .expect("valid engine config"),
         pushdown_engine(),
         fragmented_engine(),
-        Engine::staircase()
-            .parallel(4)
-            .build()
-            .expect("valid engine config"),
         Engine::naive(),
         sql_engine(true),
     ];

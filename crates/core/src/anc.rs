@@ -57,8 +57,8 @@ pub fn ancestor_tested(
 
 /// Evaluates the ancestor partitions induced by `steps` (pruned,
 /// staircase-shaped): partition `i` spans `[prev, stepᵢ)` where `prev` is
-/// the previous step + 1 (or `start` for the first). Factored out for the
-/// parallel join.
+/// the previous step + 1 (or `start` for the first), so a morsel split
+/// (`crate::morsel`) can hand each worker a chunk of steps.
 pub(crate) fn ancestor_partitions(
     doc: &Doc,
     steps: &[Pre],

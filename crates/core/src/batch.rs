@@ -48,18 +48,17 @@
 //! per step — a steady-state executor stops allocating (asserted by the
 //! pool-reuse tests below).
 //!
-//! The plane scans also have a **morsel-parallel form**
-//! ([`crate::descendant_many_par`] and friends): identical results and
-//! statistics, with single-context batches split into disjoint
-//! pre-range chunks executed on the owner's persistent
-//! [`crate::WorkerPool`].
+//! The plane scans take an optional [`WorkerPool`]: with a pool wider
+//! than one and enough work, a single-context batch is split into
+//! disjoint pre-range morsels executed on it (`crate::morsel`), with
+//! identical results and statistics; `None` is the sequential scan.
 
 use staircase_accel::{Context, Doc, Pre};
 
-use crate::anc::ancestor_partitions;
-use crate::desc::descendant_partitions;
 use crate::list::{ancestor_range_join, child_range_join, descendant_range_join, on_list};
 use crate::mask::ScanTest;
+use crate::morsel::{ancestor_lane, descendant_lane};
+use crate::pool::WorkerPool;
 use crate::prune::{prune_ancestor_into, prune_descendant_into};
 use crate::stats::StepStats;
 use crate::Variant;
@@ -227,37 +226,43 @@ pub(crate) fn dedup_pass(
 ///
 /// Equivalent, query by query, to K calls of
 /// [`crate::descendant_tested`] (asserted by tests); see the module docs
-/// above for the shared-cost statistics contract.
+/// above for the shared-cost statistics contract. A single-context batch
+/// is split into morsels on `pool` when it is wider than one and the
+/// work amortizes the handoff; `None` runs it sequentially.
 pub fn descendant_many<'d, L: ScanLane<'d>>(
     doc: &'d Doc,
     lanes: &[L],
     variant: Variant,
+    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    let n = doc.len() as Pre;
     shared_pass(
         doc,
         lanes,
         scratch,
         prune_descendant_into,
-        |doc, lanes, _| match lanes {
+        |doc, lanes, scratch| match lanes {
             // One unique context (e.g. every query starts at the root):
             // the sequential join's tight loops are strictly faster than
             // the merged scan, and the single pass serves everyone.
             [lane] => lane.once_per_test(|steps, test, result, stats| {
-                descendant_partitions(doc, steps, n, variant, test, result, stats)
+                descendant_lane(doc, steps, variant, test, result, stats, pool, scratch)
             }),
+            // Several contexts keep the merged scan: its sharing *is*
+            // the optimisation.
             _ => descendant_scan(doc, lanes, variant),
         },
     )
 }
 
 /// Evaluates `lanes[k]`'s `ancestor` step for every `k` with **one**
-/// scan of the plane; the multi-query twin of [`crate::ancestor_tested`].
+/// scan of the plane; the multi-query twin of [`crate::ancestor_tested`]
+/// (`pool` as for [`descendant_many`]).
 pub fn ancestor_many<'d, L: ScanLane<'d>>(
     doc: &'d Doc,
     lanes: &[L],
     variant: Variant,
+    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
     shared_pass(
@@ -265,9 +270,9 @@ pub fn ancestor_many<'d, L: ScanLane<'d>>(
         lanes,
         scratch,
         prune_ancestor_into,
-        |doc, lanes, _| match lanes {
+        |doc, lanes, scratch| match lanes {
             [lane] => lane.once_per_test(|steps, test, result, stats| {
-                ancestor_partitions(doc, steps, 0, variant, test, result, stats)
+                ancestor_lane(doc, steps, variant, test, result, stats, pool, scratch)
             }),
             _ => ancestor_scan(doc, lanes, variant),
         },
@@ -776,7 +781,7 @@ mod tests {
             let refs: Vec<&Context> = ctxs.iter().collect();
             for variant in ALL {
                 let mut scratch = Scratch::new();
-                let batch = descendant_many(&doc, &refs, variant, &mut scratch);
+                let batch = descendant_many(&doc, &refs, variant, None, &mut scratch);
                 for (i, (got, stats)) in batch.iter().enumerate() {
                     let (want, wstats) = descendant(&doc, &ctxs[i], variant);
                     assert_eq!(got, &want, "seed {seed}, query {i}, {variant:?}");
@@ -796,7 +801,7 @@ mod tests {
             let refs: Vec<&Context> = ctxs.iter().collect();
             for variant in ALL {
                 let mut scratch = Scratch::new();
-                let batch = ancestor_many(&doc, &refs, variant, &mut scratch);
+                let batch = ancestor_many(&doc, &refs, variant, None, &mut scratch);
                 for (i, (got, stats)) in batch.iter().enumerate() {
                     let (want, wstats) = ancestor(&doc, &ctxs[i], variant);
                     assert_eq!(got, &want, "seed {seed}, query {i}, {variant:?}");
@@ -814,7 +819,7 @@ mod tests {
             let refs: Vec<&Context> = ctxs.iter().collect();
             for variant in ALL {
                 let mut scratch = Scratch::new();
-                let batch: u64 = descendant_many(&doc, &refs, variant, &mut scratch)
+                let batch: u64 = descendant_many(&doc, &refs, variant, None, &mut scratch)
                     .iter()
                     .map(|(_, s)| s.nodes_touched())
                     .sum();
@@ -836,7 +841,7 @@ mod tests {
         let root = Context::singleton(doc.root());
         let refs: Vec<&Context> = (0..8).map(|_| &root).collect();
         let mut scratch = Scratch::new();
-        let batch = descendant_many(&doc, &refs, Variant::EstimationSkipping, &mut scratch);
+        let batch = descendant_many(&doc, &refs, Variant::EstimationSkipping, None, &mut scratch);
         let (expected, seq_stats) = descendant(&doc, &root, Variant::EstimationSkipping);
         let total: u64 = batch.iter().map(|(_, s)| s.nodes_touched()).sum();
         // One physical pass serves all eight queries.
@@ -863,7 +868,7 @@ mod tests {
         let refs: Vec<&Context> = vec![&a, &b, &c];
         let mut scratch = Scratch::new();
         for variant in ALL {
-            let batch = descendant_many(&doc, &refs, variant, &mut scratch);
+            let batch = descendant_many(&doc, &refs, variant, None, &mut scratch);
             let batch_total: u64 = batch.iter().map(|(_, s)| s.nodes_touched()).sum();
             let seq_total: u64 = [&a, &b, &c]
                 .iter()
@@ -888,7 +893,7 @@ mod tests {
         let ctxs: Vec<Context> = deep.iter().map(|&p| Context::singleton(p)).collect();
         let refs: Vec<&Context> = ctxs.iter().collect();
         let mut scratch = Scratch::new();
-        let batch = ancestor_many(&doc, &refs, Variant::Skipping, &mut scratch);
+        let batch = ancestor_many(&doc, &refs, Variant::Skipping, None, &mut scratch);
         let mut seq_total = 0u64;
         for (i, ctx) in ctxs.iter().enumerate() {
             let (want, st) = ancestor(&doc, ctx, Variant::Skipping);
@@ -912,16 +917,16 @@ mod tests {
         let refs: Vec<&Context> = vec![&empty, &leaf, &empty];
         let mut scratch = Scratch::new();
         for variant in ALL {
-            let d = descendant_many(&doc, &refs, variant, &mut scratch);
+            let d = descendant_many(&doc, &refs, variant, None, &mut scratch);
             assert!(d[0].0.is_empty());
             assert_eq!(d[1].0, descendant(&doc, &leaf, variant).0);
             assert!(d[2].0.is_empty());
-            let a = ancestor_many(&doc, &refs, variant, &mut scratch);
+            let a = ancestor_many(&doc, &refs, variant, None, &mut scratch);
             assert!(a[0].0.is_empty());
             assert_eq!(a[1].0, ancestor(&doc, &leaf, variant).0);
         }
         let none: Vec<&Context> = Vec::new();
-        assert!(descendant_many(&doc, &none, Variant::Basic, &mut scratch).is_empty());
+        assert!(descendant_many(&doc, &none, Variant::Basic, None, &mut scratch).is_empty());
     }
 
     #[test]
@@ -1027,8 +1032,8 @@ mod tests {
             let ctxs = contexts_for(&doc, seed ^ 0xF011, 6);
             let refs: Vec<&Context> = ctxs.iter().collect();
             let mut scratch = Scratch::new();
-            let f_batch = following_many(&doc, &refs, &mut scratch);
-            let p_batch = preceding_many(&doc, &refs, &mut scratch);
+            let f_batch = following_many(&doc, &refs, None, &mut scratch);
+            let p_batch = preceding_many(&doc, &refs, None, &mut scratch);
             let mut f_total = 0u64;
             let mut p_total = 0u64;
             let mut f_seq = 0u64;
@@ -1065,11 +1070,11 @@ mod tests {
         let deepest = doc.pres().max_by_key(|&p| doc.level(p)).unwrap();
         let ctx = Context::singleton(deepest);
         let mut scratch = Scratch::new();
-        let f = following_many(&doc, &[&ctx], &mut scratch);
+        let f = following_many(&doc, &[&ctx], None, &mut scratch);
         let (fw, fs) = following(&doc, &ctx);
         assert_eq!(f[0].0, fw);
         assert_eq!(f[0].1, fs);
-        let p = preceding_many(&doc, &[&ctx], &mut scratch);
+        let p = preceding_many(&doc, &[&ctx], None, &mut scratch);
         let (pw, ps) = preceding(&doc, &ctx);
         assert_eq!(p[0].0, pw);
         assert_eq!(p[0].1.nodes_touched(), ps.nodes_touched());
@@ -1122,10 +1127,10 @@ mod tests {
             for (c, _) in descendant_on_list_many(&doc, list, &refs, &mut scratch) {
                 scratch.recycle(c);
             }
-            for (c, _) in following_many(&doc, &refs, &mut scratch) {
+            for (c, _) in following_many(&doc, &refs, None, &mut scratch) {
                 scratch.recycle(c);
             }
-            for (c, _) in preceding_many(&doc, &refs, &mut scratch) {
+            for (c, _) in preceding_many(&doc, &refs, None, &mut scratch) {
                 scratch.recycle(c);
             }
         }
@@ -1137,10 +1142,10 @@ mod tests {
             for (c, _) in descendant_on_list_many(&doc, list, &refs, &mut scratch) {
                 scratch.recycle(c);
             }
-            for (c, _) in following_many(&doc, &refs, &mut scratch) {
+            for (c, _) in following_many(&doc, &refs, None, &mut scratch) {
                 scratch.recycle(c);
             }
-            for (c, _) in preceding_many(&doc, &refs, &mut scratch) {
+            for (c, _) in preceding_many(&doc, &refs, None, &mut scratch) {
                 scratch.recycle(c);
             }
             assert_eq!(scratch.pooled(), steady, "steady-state pool level");
@@ -1165,7 +1170,7 @@ mod tests {
         let doc = random_doc(11, 300);
         let ctx = random_context(&doc, 0x5C2A7C4, 10);
         let refs: Vec<&Context> = vec![&ctx];
-        let out = descendant_many(&doc, &refs, Variant::EstimationSkipping, &mut scratch);
+        let out = descendant_many(&doc, &refs, Variant::EstimationSkipping, None, &mut scratch);
         assert!(scratch.pooled() >= 1, "pruned-step buffer returned");
         for (c, _) in out {
             scratch.recycle(c);

@@ -265,14 +265,6 @@ impl DocStats {
         f.min(reach) + seeks + lookup
     }
 
-    /// The partitioned parallel staircase join: the serial work divided
-    /// across workers, plus a per-worker spawn/merge overhead that makes
-    /// parallelism lose on small documents.
-    pub fn parallel_cost(&self, variant: Variant, card: f64, window: f64, threads: usize) -> f64 {
-        let t = threads.max(1) as f64;
-        self.staircase_cost(variant, card, window) / t + t * 256.0
-    }
-
     /// The §3.1 naive strategy: one unpruned region scan per context
     /// node, plus sort/unique over everything produced.
     pub fn naive_cost(&self, unpruned_window: f64) -> f64 {

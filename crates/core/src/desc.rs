@@ -119,8 +119,8 @@ pub fn guaranteed_result_estimate(post: &[u32], steps: &[Pre], end: Pre) -> usiz
 }
 
 /// Evaluates the partitions induced by `steps` (a pruned, staircase-shaped
-/// context slice); the last partition ends at `end` (exclusive). Factored
-/// out so the parallel join can hand each worker a chunk of steps.
+/// context slice); the last partition ends at `end` (exclusive). Also the
+/// sequential case of a morsel split (`crate::morsel`).
 pub(crate) fn descendant_partitions(
     doc: &Doc,
     steps: &[Pre],

@@ -43,6 +43,7 @@ pub fn following_tested<'d>(
     one_lane(following_many(
         doc,
         &[(context, *test)],
+        None,
         &mut Scratch::new(),
     ))
 }
@@ -63,6 +64,7 @@ pub fn preceding_tested<'d>(
     one_lane(preceding_many(
         doc,
         &[(context, *test)],
+        None,
         &mut Scratch::new(),
     ))
 }
@@ -82,19 +84,58 @@ fn one_lane(mut out: Vec<(Context, StepStats)>) -> (Context, StepStats) {
 /// lane's result is a suffix slice of the widest lane's (which takes
 /// the buffer itself), and the physical pass is attributed to the first
 /// lane that needed all of the plane's widest region.
+///
+/// On a `pool` wider than one, a suffix long enough to amortize the
+/// handoff is selected in range chunks on it; results and statistics
+/// are identical to `None`, the one sequential select.
 pub fn following_many<'d, L: ScanLane<'d>>(
     doc: &'d Doc,
     lanes: &[L],
+    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    // Governed, the select is chunked; a trip leaves the buffer (and
-    // thus every lane) partial, which the governed caller discards. The
-    // lanes' `nodes_copied` is arithmetic over their starts, so the
-    // run's own charge goes nowhere.
-    let mut gov = crate::governor::Ticker::ambient();
     let n = doc.len() as Pre;
-    following_lanes(doc, lanes, scratch, |test, from, base, _| {
-        gov.charged_run(from, n, &mut 0, |lo, hi| test.select_range(lo, hi, base));
+    let split = pool.filter(|p| p.width() > 1).and_then(|pool| {
+        let starts = lanes
+            .iter()
+            .filter_map(|l| following_start(doc, l.context()));
+        let (live, widest) = starts.fold((0u64, n), |(k, w), (_, s)| (k + 1, w.min(s)));
+        let k = morsel_count(u64::from(n - widest) * live.max(1), pool.width())?;
+        Some((pool, k))
+    });
+    let Some((pool, k)) = split else {
+        // Governed, the select is chunked; a trip leaves the buffer (and
+        // thus every lane) partial, which the governed caller discards.
+        // The lanes' `nodes_copied` is arithmetic over their starts, so
+        // the run's own charge goes nowhere.
+        let mut gov = crate::governor::Ticker::ambient();
+        return following_lanes(doc, lanes, scratch, |test, from, base, _| {
+            gov.charged_run(from, n, &mut 0, |lo, hi| test.select_range(lo, hi, base));
+        });
+    };
+    following_lanes(doc, lanes, scratch, |test, from, base, scratch| {
+        let chunk = u64::from(n - from).div_ceil(k as u64).max(1) as Pre;
+        let ranges = (0..k as Pre)
+            .map(|i| {
+                let lo = from.saturating_add(i * chunk);
+                (lo.min(n), lo.saturating_add(chunk).min(n))
+            })
+            .filter(|&(lo, hi)| lo < hi);
+        let parts = pool.run(
+            ranges
+                .map(|(lo, hi)| (lo, hi, scratch.take()))
+                .map(|(lo, hi, mut buf)| {
+                    move || {
+                        test.select_range(lo, hi, &mut buf);
+                        buf
+                    }
+                })
+                .collect(),
+        );
+        for part in parts {
+            base.extend_from_slice(&part);
+            scratch.put(part);
+        }
     })
 }
 
@@ -250,12 +291,62 @@ fn preceding_sinks<'d, L: ScanLane<'d>>(
 /// boundary are probed per lane. Physical reads are attributed to the
 /// widest lane (which needs every position); other lanes report zero
 /// incremental touches.
+///
+/// On a `pool` wider than one, a prefix long enough to amortize the
+/// handoff is scanned in pre-range chunks on it, each entered via
+/// `preceding_scan_range`'s state reconstruction, so per-chunk results
+/// concatenate to the sequential scan's and the per-chunk access
+/// counters sum to its totals exactly.
 pub fn preceding_many<'d, L: ScanLane<'d>>(
     doc: &'d Doc,
     lanes: &[L],
+    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> Vec<(Context, StepStats)> {
-    preceding_lanes(doc, lanes, None, scratch)
+    let (mut sinks, sink_of) = preceding_sinks(doc, lanes, scratch);
+    let c_max = sinks.last().map_or(0, |s| s.bound);
+    let split = pool.and_then(|pool| Some((pool, morsel_count(u64::from(c_max), pool.width())?)));
+    let Some((pool, k)) = split else {
+        let (scanned, copied) = preceding_scan_range(doc, &mut sinks, 0, c_max);
+        return preceding_distribute(lanes, sinks, &sink_of, scanned, copied);
+    };
+
+    // Chunked shared scan: each chunk fills its own copy of the sinks;
+    // chunk-major concatenation preserves document order.
+    let chunk = u64::from(c_max).div_ceil(k as u64).max(1) as Pre;
+    let ranges = (0..k as Pre)
+        .map(|i| ((i * chunk).min(c_max), ((i + 1) * chunk).min(c_max)))
+        .filter(|&(lo, hi)| lo < hi);
+    let parts = pool.run(
+        ranges
+            .map(|(lo, hi)| {
+                let mut part: Vec<PrecSink<'d>> = sinks
+                    .iter()
+                    .map(|s| PrecSink {
+                        bound: s.bound,
+                        test: s.test,
+                        out: scratch.take(),
+                        added: 0,
+                    })
+                    .collect();
+                move || {
+                    let (scanned, copied) = preceding_scan_range(doc, &mut part, lo, hi);
+                    (part, scanned, copied)
+                }
+            })
+            .collect(),
+    );
+    let mut scanned = 0u64;
+    let mut copied = 0u64;
+    for (part, s, c) in parts {
+        for (sink, p) in sinks.iter_mut().zip(part) {
+            sink.out.extend_from_slice(&p.out);
+            scratch.put(p.out);
+        }
+        scanned += s;
+        copied += c;
+    }
+    preceding_distribute(lanes, sinks, &sink_of, scanned, copied)
 }
 
 /// Appends what each sink's test keeps of the comparison-free run
@@ -295,7 +386,7 @@ fn select_run(sinks: &mut [PrecSink<'_>], lo: Pre, hi: Pre) {
 /// behaviour (and thus the scanned/copied accounting — arithmetic over
 /// each run) is identical to the full scan, so range results concatenate
 /// to the full scan's and per-range counters sum to its totals (asserted
-/// by the parallel-equivalence tests).
+/// by the pool-equivalence tests).
 fn preceding_scan_range(doc: &Doc, sinks: &mut [PrecSink<'_>], from: Pre, to: Pre) -> (u64, u64) {
     let post = doc.post_column();
     let mut scanned = 0u64;
@@ -393,128 +484,10 @@ fn preceding_scan_range(doc: &Doc, sinks: &mut [PrecSink<'_>], from: Pre, to: Pr
     (scanned, copied)
 }
 
-/// The parallel form of [`following_many`]: each test's suffix select
-/// is built by range chunks on `pool`. Results and statistics are
-/// identical to the sequential form; a width-1 pool (or a region too
-/// small to amortize handoff) degenerates to it outright.
-pub fn following_many_par<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
-    pool: &WorkerPool,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    let n = doc.len() as Pre;
-    let starts = lanes
-        .iter()
-        .filter_map(|l| following_start(doc, l.context()));
-    let (live, widest) = starts.fold((0u64, n), |(k, w), (_, s)| (k + 1, w.min(s)));
-    let Some(k) = (pool.width() > 1)
-        .then(|| morsel_count(u64::from(n - widest) * live.max(1), pool.width()))
-        .flatten()
-    else {
-        return following_many(doc, lanes, scratch);
-    };
-    following_lanes(doc, lanes, scratch, |test, from, base, scratch| {
-        let chunk = u64::from(n - from).div_ceil(k as u64).max(1) as Pre;
-        let ranges = (0..k as Pre)
-            .map(|i| {
-                let lo = from.saturating_add(i * chunk);
-                (lo.min(n), lo.saturating_add(chunk).min(n))
-            })
-            .filter(|&(lo, hi)| lo < hi);
-        let parts = pool.run(
-            ranges
-                .map(|(lo, hi)| (lo, hi, scratch.take()))
-                .map(|(lo, hi, mut buf)| {
-                    move || {
-                        test.select_range(lo, hi, &mut buf);
-                        buf
-                    }
-                })
-                .collect(),
-        );
-        for part in parts {
-            base.extend_from_slice(&part);
-            scratch.put(part);
-        }
-    })
-}
-
-/// The parallel form of [`preceding_many`]: the one shared left-to-right
-/// scan is split into pre-range chunks, each entered via
-/// `preceding_scan_range`'s state reconstruction, so per-chunk results
-/// concatenate to the sequential scan's and the per-chunk access
-/// counters sum to its totals exactly.
-pub fn preceding_many_par<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
-    pool: &WorkerPool,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    preceding_lanes(doc, lanes, Some(pool), scratch)
-}
-
-/// [`preceding_many`] (`pool` absent, too narrow, or the prefix too
-/// short to amortize handoff: one scan of `[0, c_max)`) and
-/// [`preceding_many_par`] (the prefix in chunks on `pool`).
-fn preceding_lanes<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
-    pool: Option<&WorkerPool>,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    let (mut sinks, sink_of) = preceding_sinks(doc, lanes, scratch);
-    let c_max = sinks.last().map_or(0, |s| s.bound);
-    let split = pool
-        .filter(|pool| pool.width() > 1)
-        .and_then(|pool| Some((pool, morsel_count(u64::from(c_max), pool.width())?)));
-    let Some((pool, k)) = split else {
-        let (scanned, copied) = preceding_scan_range(doc, &mut sinks, 0, c_max);
-        return preceding_distribute(lanes, sinks, &sink_of, scanned, copied);
-    };
-
-    // Chunked shared scan: each chunk fills its own copy of the sinks;
-    // chunk-major concatenation preserves document order.
-    let chunk = u64::from(c_max).div_ceil(k as u64).max(1) as Pre;
-    let ranges = (0..k as Pre)
-        .map(|i| ((i * chunk).min(c_max), ((i + 1) * chunk).min(c_max)))
-        .filter(|&(lo, hi)| lo < hi);
-    let parts = pool.run(
-        ranges
-            .map(|(lo, hi)| {
-                let mut part: Vec<PrecSink<'d>> = sinks
-                    .iter()
-                    .map(|s| PrecSink {
-                        bound: s.bound,
-                        test: s.test,
-                        out: scratch.take(),
-                        added: 0,
-                    })
-                    .collect();
-                move || {
-                    let (scanned, copied) = preceding_scan_range(doc, &mut part, lo, hi);
-                    (part, scanned, copied)
-                }
-            })
-            .collect(),
-    );
-    let mut scanned = 0u64;
-    let mut copied = 0u64;
-    for (part, s, c) in parts {
-        for (sink, p) in sinks.iter_mut().zip(part) {
-            sink.out.extend_from_slice(&p.out);
-            scratch.put(p.out);
-        }
-        scanned += s;
-        copied += c;
-    }
-    preceding_distribute(lanes, sinks, &sink_of, scanned, copied)
-}
-
-/// The distribution tail shared by [`preceding_many`] and
-/// [`preceding_many_par`]: per-sink buffers fan out to the lanes,
-/// duplicates cloning, the last user of each buffer taking it, and the
-/// widest boundary's first lane paying for the scan.
+/// The distribution tail of [`preceding_many`], sequential or chunked:
+/// per-sink buffers fan out to the lanes, duplicates cloning, the last
+/// user of each buffer taking it, and the widest boundary's first lane
+/// paying for the scan.
 fn preceding_distribute<'d, L: ScanLane<'d>>(
     lanes: &[L],
     sinks: Vec<PrecSink<'d>>,
@@ -688,14 +661,14 @@ mod tests {
                 let refs: Vec<&Context> = ctxs.iter().collect();
                 let mut s1 = Scratch::new();
                 let mut s2 = Scratch::new();
-                let par = following_many_par(&doc, &refs, &pool, &mut s1);
-                let seq = following_many(&doc, &refs, &mut s2);
+                let par = following_many(&doc, &refs, Some(&pool), &mut s1);
+                let seq = following_many(&doc, &refs, None, &mut s2);
                 for (i, ((pc, ps), (sc, ss))) in par.iter().zip(&seq).enumerate() {
                     assert_eq!(pc, sc, "following seed {seed} width {width} lane {i}");
                     assert_eq!(ps, ss, "following stats seed {seed} width {width} lane {i}");
                 }
-                let par = preceding_many_par(&doc, &refs, &pool, &mut s1);
-                let seq = preceding_many(&doc, &refs, &mut s2);
+                let par = preceding_many(&doc, &refs, Some(&pool), &mut s1);
+                let seq = preceding_many(&doc, &refs, None, &mut s2);
                 for (i, ((pc, ps), (sc, ss))) in par.iter().zip(&seq).enumerate() {
                     assert_eq!(pc, sc, "preceding seed {seed} width {width} lane {i}");
                     assert_eq!(ps, ss, "preceding stats seed {seed} width {width} lane {i}");
@@ -712,15 +685,15 @@ mod tests {
         let ctx = Context::singleton(5);
         let refs: Vec<&Context> = vec![&ctx];
         let mut scratch = Scratch::new();
-        let par = following_many_par(&doc, &refs, &pool, &mut scratch);
-        let seq = following_many(&doc, &refs, &mut scratch);
+        let par = following_many(&doc, &refs, Some(&pool), &mut scratch);
+        let seq = following_many(&doc, &refs, None, &mut scratch);
         assert_eq!(par[0], seq[0]);
-        let par = preceding_many_par(&doc, &refs, &pool, &mut scratch);
-        let seq = preceding_many(&doc, &refs, &mut scratch);
+        let par = preceding_many(&doc, &refs, Some(&pool), &mut scratch);
+        let seq = preceding_many(&doc, &refs, None, &mut scratch);
         assert_eq!(par[0], seq[0]);
-        // Empty contexts yield empty results in both forms.
+        // Empty contexts yield empty results either way.
         let empty = Context::empty();
-        let par = preceding_many_par(&doc, &[&empty], &pool, &mut scratch);
+        let par = preceding_many(&doc, &[&empty], Some(&pool), &mut scratch);
         assert!(par[0].0.is_empty());
     }
 }

@@ -60,9 +60,10 @@
 //! `kind != Attribute`), a kind, a `(kind, tag)` name test, or the empty
 //! test for a name the dictionary lacks — and **rides the scan**: every
 //! plane-scan kernel ([`descendant_tested`], [`ancestor_tested`],
-//! [`following_tested`], [`preceding_tested`], their `_many` /
-//! `_many_par` / `_parallel` forms) takes it, and [`descendant`],
-//! [`ancestor`], [`following`], [`preceding`] are its `node()` case. One
+//! [`following_tested`], [`preceding_tested`] and their `_many` forms,
+//! which take K lanes and an optional [`WorkerPool`] to split one lane's
+//! scan into morsels) takes it, and [`descendant`], [`ancestor`], [`following`],
+//! [`preceding`] are its `node()` case. One
 //! test is asked in three shapes (details in [`mask`]):
 //!
 //! * `keeps(v)` where positions are visited one by one (ancestor jumps,
@@ -172,20 +173,12 @@ pub use exists::{
 };
 pub use governor::{Budget, Trip};
 pub use horiz::{
-    following, following_many, following_many_par, following_tested, preceding, preceding_many,
-    preceding_many_par, preceding_tested,
+    following, following_many, following_tested, preceding, preceding_many, preceding_tested,
 };
 pub use list::{
     ancestor_on_list, child_on_list, descendant_on_list, TagIndex, CRACK_CONVERGE_TOUCHES,
 };
 pub use mask::ScanTest;
-pub use morsel::{
-    ancestor_many_par, ancestor_on_list_many_par, descendant_many_par, descendant_on_list_many_par,
-};
-pub use parallel::{
-    ancestor_parallel, ancestor_parallel_on, ancestor_parallel_tested, descendant_parallel,
-    descendant_parallel_on, descendant_parallel_tested,
-};
 pub use pool::{ScratchPool, WorkerPool};
 pub use prune::{
     prune, prune_ancestor, prune_ancestor_into, prune_descendant, prune_descendant_into,

@@ -283,11 +283,15 @@ impl TagIndex {
         }
         let out = assemble(doc, tag, &pieces, lo, hi, &self.cracks);
         merge_piece(&mut pieces, lo, hi, &out);
-        // Full coverage reached piecewise: promote.
-        if pieces.len() == 1 && pieces[0].lo == 0 && pieces[0].hi >= doc.len() as Pre {
-            let promoted = std::mem::take(&mut pieces[0].entries);
-            pieces.clear();
-            let _ = cell.full.set(promoted);
+        let covered = pieces.len() == 1 && pieces[0].lo == 0 && pieces[0].hi >= doc.len() as Pre;
+        // Full coverage reached piecewise: promote — after releasing the
+        // pieces lock, which `promote` takes *inside* the fragment's
+        // one-time initialisation; setting the fragment while holding it
+        // would deadlock against a concurrent promoter. The one covering
+        // piece is copied out, nothing is scanned.
+        drop(pieces);
+        if covered {
+            self.ensure_full(doc, tag, cell);
         }
         out
     }
@@ -1178,6 +1182,41 @@ mod tests {
         assert_eq!(idx.crack_scan_work(), u64::from(n));
         let eager = TagIndex::build(&doc);
         assert_eq!(idx.fragment(&doc, tid), eager.fragment(&doc, tid));
+    }
+
+    #[test]
+    fn a_coverage_promotion_races_a_whole_fragment_touch() {
+        // One thread's window completes the tag's coverage and promotes
+        // it while another promotes the same tag through a whole-fragment
+        // touch. Both must finish, with the eager fragment. Runs on its
+        // own thread so a deadlock fails the test instead of hanging it.
+        let doc = random_doc(7, 20_000);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let eager = TagIndex::build(&doc);
+            let tid = doc.tag_id("p").unwrap();
+            let n = doc.len() as Pre;
+            for _ in 0..100 {
+                let idx = TagIndex::lazy(&doc);
+                idx.fragment_window(&doc, tid, 0, n / 2);
+                let start = std::sync::Barrier::new(2);
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        start.wait();
+                        idx.fragment_window(&doc, tid, n / 2, n).len()
+                    });
+                    s.spawn(|| {
+                        start.wait();
+                        idx.fragment(&doc, tid).len()
+                    });
+                });
+                assert_eq!(idx.fragment(&doc, tid), eager.fragment(&doc, tid));
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("concurrent promotions of one tag deadlocked");
     }
 
     #[test]

@@ -1,56 +1,62 @@
-//! Morsel-parallel forms of the multi-context staircase kernels.
+//! Morsel splits of the single-lane plane scans.
 //!
 //! §3.2's Figure-8 argument — pruned staircase steps own **disjoint
 //! pre-range partitions**, so partitions evaluate independently and
 //! their results concatenate in document order with no merge sort — is
 //! exactly what a morsel-driven executor (Leis et al., SIGMOD 2014)
-//! needs: each morsel is a contiguous chunk of the boundary list, a
-//! worker from the session's [`WorkerPool`] walks it with the ordinary
+//! needs: each morsel is a contiguous chunk of the pruned staircase, a
+//! worker from the caller's [`WorkerPool`] walks it with the ordinary
 //! sequential partition loops, and the coordinator glues the per-worker
 //! result vectors back together.
 //!
-//! Two splitting strategies cover every partition shape:
+//! [`crate::descendant_many`] and [`crate::ancestor_many`] hand their
+//! one-lane case to [`descendant_lane`] / [`ancestor_lane`] with the
+//! caller's pool. No pool, a width-1 pool, or too little work to
+//! amortize a handoff ([`morsel_count`]) runs the sequential partition
+//! loop: the degenerate case *is* the sequential kernel. Two splitting
+//! strategies cover every partition shape:
 //!
-//! * **By steps** ([`span_chunks`]): contiguous runs of whole
-//!   partitions, weighted by their pre-range span so workers get equal
-//!   *work*, not equal step counts. This is the [`crate::parallel`]
-//!   engine's split, now driven by the persistent pool.
 //! * **Inside one partition** ([`plan_descendant_slices`]): the common
 //!   hot case — a root context — has a *single* partition covering the
-//!   whole plane, which steps-chunking cannot split. For the descendant
-//!   direction the touched interval of a partition is known in closed
-//!   form before scanning: descendants of `c` are the contiguous run
-//!   `(c, c + |subtree(c)|]`, so the scan touches `(c, m]` where
-//!   `m = c + |subtree(c)| + 1` is the provable first miss (the node
-//!   whose postorder rank first exceeds `post(c)`). Any sub-range of
-//!   that interval can therefore be executed independently — including
-//!   the skip bookkeeping, which can only fire in the sub-range
-//!   containing `m`.
+//!   whole plane, which chunking by steps cannot split. For the
+//!   descendant direction the touched interval of a partition is known
+//!   in closed form before scanning: descendants of `c` are the
+//!   contiguous run `(c, c + |subtree(c)|]`, so the scan touches
+//!   `(c, m]` where `m = c + |subtree(c)| + 1` is the provable first
+//!   miss (the node whose postorder rank first exceeds `post(c)`). Any
+//!   sub-range of that interval can therefore be executed independently
+//!   — including the skip bookkeeping, which can only fire in the
+//!   sub-range containing `m`.
+//! * **By steps** ([`span_chunks`]): contiguous runs of whole
+//!   partitions, weighted by their pre-range span so workers get equal
+//!   *work*, not equal step counts. The ancestor direction has no closed
+//!   touched-interval (its skip is an under-estimating jump chain), so
+//!   it splits this way only — which is where its work lives anyway:
+//!   ancestor steps arrive with many boundaries, not one.
 //!
 //! Every morsel reproduces the sequential kernel's per-position
 //! behaviour bit for bit, so per-worker [`StepStats`] **sum to exactly
-//! the sequential counters** (asserted by the tests below) and results
-//! are node- and order-identical. The ancestor direction has no closed
-//! touched-interval (its skip is an under-estimating jump chain), so it
-//! parallelises by whole partitions only — which is where its work lives
-//! anyway: ancestor steps arrive with many boundaries, not one.
+//! the sequential counters** (asserted by the tests below and by
+//! `tests/bounds.rs`) and results are node- and order-identical.
 //!
-//! Only the plane scans are split. The joins over a tag fragment
-//! ([`descendant_on_list_many_par`], [`ancestor_on_list_many_par`]) are
-//! range joins — two gallops and a `memcpy` per context node — and
-//! delegate to their sequential form; the reasons are on the functions.
+//! Only the plane scans are split. The range joins over a tag fragment
+//! (`descendant_on_list_many` and friends) have no morsel form: a join
+//! brackets a slice with two gallops and copies it — the 19 802-entry
+//! fragment of an XMark root step takes ≈ 2 µs, less than one handoff
+//! to a pooled worker — and its skipping lives in cursor state: a chunk
+//! of the context would reopen nodes nested in the previous chunk's last
+//! one (wrong on an unpruned context), and a chunk of either input would
+//! not count the sequential join's gallops.
 
-use staircase_accel::{Context, Doc, Pre};
+use staircase_accel::{Doc, Pre};
 
 use crate::anc::ancestor_partitions;
-use crate::batch::{ancestor_scan, descendant_scan, shared_pass, ScanLane, Scratch};
+use crate::batch::Scratch;
 use crate::desc::descendant_partitions;
 use crate::mask::ScanTest;
 use crate::pool::WorkerPool;
-use crate::prune::{prune_ancestor_into, prune_descendant_into};
 use crate::stats::StepStats;
-use crate::{ancestor_many, descendant_many, Variant};
-use crate::{ancestor_on_list_many, descendant_on_list_many};
+use crate::Variant;
 
 /// Minimum touched-work (nodes or list entries) a morsel must carry for
 /// the handoff to a pooled worker to amortize. Batches below twice this
@@ -63,92 +69,6 @@ pub(crate) fn morsel_count(work: u64, width: usize) -> Option<usize> {
     let by_work = usize::try_from(work / MIN_MORSEL_WORK).unwrap_or(usize::MAX);
     let k = by_work.min(width);
     (k >= 2).then_some(k)
-}
-
-/// The parallel form of [`crate::descendant_many`]: identical results
-/// and statistics, with single-context batches split into morsels
-/// executed on `pool`. Multi-context (merged-boundary) batches keep the
-/// sequential shared scan — their sharing *is* the optimisation — and a
-/// width-1 pool degenerates to the sequential kernel outright.
-pub fn descendant_many_par<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
-    variant: Variant,
-    pool: &WorkerPool,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    if pool.width() == 1 {
-        return descendant_many(doc, lanes, variant, scratch);
-    }
-    shared_pass(
-        doc,
-        lanes,
-        scratch,
-        prune_descendant_into,
-        |doc, lanes, scratch| match lanes {
-            [lane] => lane.once_per_test(|steps, test, result, stats| {
-                descendant_lane_par(doc, steps, variant, test, result, stats, pool, scratch)
-            }),
-            _ => descendant_scan(doc, lanes, variant),
-        },
-    )
-}
-
-/// The parallel form of [`crate::ancestor_many`]; see
-/// [`descendant_many_par`] for the contract.
-pub fn ancestor_many_par<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
-    variant: Variant,
-    pool: &WorkerPool,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    if pool.width() == 1 {
-        return ancestor_many(doc, lanes, variant, scratch);
-    }
-    shared_pass(
-        doc,
-        lanes,
-        scratch,
-        prune_ancestor_into,
-        |doc, lanes, scratch| match lanes {
-            [lane] => lane.once_per_test(|steps, test, result, stats| {
-                ancestor_lane_par(doc, steps, variant, test, result, stats, pool, scratch)
-            }),
-            _ => ancestor_scan(doc, lanes, variant),
-        },
-    )
-}
-
-/// [`crate::descendant_on_list_many`] under its parallel name, kept for
-/// callers that pick the `_par` family by rule: the range join has no
-/// morsel form, so this **delegates** and leaves `pool` idle. The join brackets a slice with two gallops and copies it
-/// — the 19 802-entry fragment of an XMark root step takes ≈ 2 µs,
-/// less than one handoff to a pooled worker — and its skipping lives in
-/// cursor state: a chunk of the context would reopen nodes nested in the
-/// previous chunk's last one (wrong on an unpruned context), and a chunk
-/// of either input would not count the sequential join's gallops.
-pub fn descendant_on_list_many_par(
-    doc: &Doc,
-    list: &[Pre],
-    contexts: &[&Context],
-    _pool: &WorkerPool,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    descendant_on_list_many(doc, list, contexts, scratch)
-}
-
-/// [`crate::ancestor_on_list_many`] under its parallel name; delegates
-/// for the reasons given at [`descendant_on_list_many_par`] (the
-/// list-driven join is bounded by `3 · |list|` gallops and compares).
-pub fn ancestor_on_list_many_par(
-    doc: &Doc,
-    list: &[Pre],
-    contexts: &[&Context],
-    _pool: &WorkerPool,
-    scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    ancestor_on_list_many(doc, list, contexts, scratch)
 }
 
 // ── Descendant: sub-partition slices ────────────────────────────────────
@@ -298,22 +218,26 @@ fn exec_desc_morsel(
     }
 }
 
-/// Runs a single descendant lane through pool-executed morsels (or the
-/// sequential loop when the work does not amortize the handoff).
+/// Runs a single descendant lane through morsels executed on `pool`, or
+/// through the sequential partition loop when there is no pool wider
+/// than one or the work does not amortize the handoff.
 #[allow(clippy::too_many_arguments)]
-fn descendant_lane_par(
+pub(crate) fn descendant_lane(
     doc: &Doc,
     steps: &[Pre],
     variant: Variant,
     test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) {
     let n = doc.len() as Pre;
-    let (slices, work) = plan_descendant_slices(doc, steps, n, variant);
-    let Some(k) = morsel_count(work, pool.width()) else {
+    let planned = pool.filter(|p| p.width() > 1).and_then(|pool| {
+        let (slices, work) = plan_descendant_slices(doc, steps, n, variant);
+        Some((pool, morsel_count(work, pool.width())?, slices, work))
+    });
+    let Some((pool, k, slices, work)) = planned else {
         return descendant_partitions(doc, steps, n, variant, test, result, stats);
     };
     stats.partitions += steps.len();
@@ -359,23 +283,25 @@ fn span_chunks(steps: &[Pre], k: usize) -> Vec<(usize, usize)> {
     chunks
 }
 
-/// Runs a single ancestor lane as whole-partition chunks on the pool.
+/// Runs a single ancestor lane as whole-partition chunks on `pool`, or
+/// sequentially (see [`descendant_lane`]).
 #[allow(clippy::too_many_arguments)]
-fn ancestor_lane_par(
+pub(crate) fn ancestor_lane(
     doc: &Doc,
     steps: &[Pre],
     variant: Variant,
     test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) {
     let span = u64::from(steps.last().copied().unwrap_or(0));
-    let k = morsel_count(span, pool.width())
-        .map(|k| k.min(steps.len()))
-        .filter(|&k| k >= 2);
-    let Some(k) = k else {
+    let planned = pool.and_then(|pool| {
+        let k = morsel_count(span, pool.width())?.min(steps.len());
+        (k >= 2).then_some((pool, k))
+    });
+    let Some((pool, k)) = planned else {
         return ancestor_partitions(doc, steps, 0, variant, test, result, stats);
     };
     let chunks = span_chunks(steps, k);
@@ -425,7 +351,8 @@ fn collect_morsels(
 mod tests {
     use super::*;
     use crate::testutil::{random_context, random_doc};
-    use crate::TagIndex;
+    use crate::{ancestor_many, descendant_many};
+    use staircase_accel::Context;
 
     const ALL: [Variant; 3] = [
         Variant::Basic,
@@ -455,15 +382,15 @@ mod tests {
                         let refs: Vec<&Context> = vec![case];
                         let mut s1 = Scratch::new();
                         let mut s2 = Scratch::new();
-                        let par = descendant_many_par(&doc, &refs, variant, &pool, &mut s1);
-                        let seq = descendant_many(&doc, &refs, variant, &mut s2);
+                        let par = descendant_many(&doc, &refs, variant, Some(&pool), &mut s1);
+                        let seq = descendant_many(&doc, &refs, variant, None, &mut s2);
                         assert_same(
                             &format!("desc seed {seed} width {width} {variant:?}"),
                             &par,
                             &seq,
                         );
-                        let par = ancestor_many_par(&doc, &refs, variant, &pool, &mut s1);
-                        let seq = ancestor_many(&doc, &refs, variant, &mut s2);
+                        let par = ancestor_many(&doc, &refs, variant, Some(&pool), &mut s1);
+                        let seq = ancestor_many(&doc, &refs, variant, None, &mut s2);
                         assert_same(
                             &format!("anc seed {seed} width {width} {variant:?}"),
                             &par,
@@ -476,34 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_list_joins_match_sequential_exactly() {
-        let pool = WorkerPool::new(4);
-        for seed in 0..8 {
-            let doc = random_doc(seed, 9000);
-            let idx = TagIndex::build(&doc);
-            let root = Context::singleton(doc.root());
-            let ctx = random_context(&doc, seed ^ 0x11F7, 40);
-            for tag in ["p", "q"] {
-                let list = idx.fragment_by_name(&doc, tag);
-                for case in [&root, &ctx] {
-                    let refs: Vec<&Context> = vec![case];
-                    let mut s1 = Scratch::new();
-                    let mut s2 = Scratch::new();
-                    let par = descendant_on_list_many_par(&doc, list, &refs, &pool, &mut s1);
-                    let seq = descendant_on_list_many(&doc, list, &refs, &mut s2);
-                    assert_same(&format!("desc-list {tag} seed {seed}"), &par, &seq);
-                    let par = ancestor_on_list_many_par(&doc, list, &refs, &pool, &mut s1);
-                    let seq = ancestor_on_list_many(&doc, list, &refs, &mut s2);
-                    assert_same(&format!("anc-list {tag} seed {seed}"), &par, &seq);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn multi_context_batches_keep_the_shared_scan() {
-        // Several distinct contexts: the parallel entry points fall back
-        // to the merged sequential scan — same results, same stats.
+        // Several distinct contexts: a pool changes nothing — the merged
+        // sequential scan runs, with the same results and stats.
         let pool = WorkerPool::new(4);
         let doc = random_doc(3, 3000);
         let ctxs: Vec<Context> = (0..5)
@@ -513,8 +415,8 @@ mod tests {
         let mut s1 = Scratch::new();
         let mut s2 = Scratch::new();
         for variant in ALL {
-            let par = descendant_many_par(&doc, &refs, variant, &pool, &mut s1);
-            let seq = descendant_many(&doc, &refs, variant, &mut s2);
+            let par = descendant_many(&doc, &refs, variant, Some(&pool), &mut s1);
+            let seq = descendant_many(&doc, &refs, variant, None, &mut s2);
             assert_same(&format!("multi {variant:?}"), &par, &seq);
         }
     }
@@ -539,11 +441,11 @@ mod tests {
         };
         assert_eq!(slices.len(), 1, "root context prunes to one partition");
         assert!(morsel_count(work, pool.width()).unwrap_or(1) >= 2);
-        let par = descendant_many_par(
+        let par = descendant_many(
             &doc,
             &refs,
             Variant::EstimationSkipping,
-            &pool,
+            Some(&pool),
             &mut scratch,
         );
         let (seq, seq_stats) = crate::descendant(&doc, &root, Variant::EstimationSkipping);
@@ -559,8 +461,8 @@ mod tests {
         let refs: Vec<&Context> = vec![&ctx];
         let mut s1 = Scratch::new();
         let mut s2 = Scratch::new();
-        let par = descendant_many_par(&doc, &refs, Variant::Skipping, &pool, &mut s1);
-        let seq = descendant_many(&doc, &refs, Variant::Skipping, &mut s2);
+        let par = descendant_many(&doc, &refs, Variant::Skipping, Some(&pool), &mut s1);
+        let seq = descendant_many(&doc, &refs, Variant::Skipping, None, &mut s2);
         assert_same("tiny", &par, &seq);
     }
 
@@ -584,9 +486,9 @@ mod tests {
         let empty = Context::empty();
         let refs: Vec<&Context> = vec![&empty];
         let mut scratch = Scratch::new();
-        let par = descendant_many_par(&doc, &refs, Variant::Basic, &pool, &mut scratch);
+        let par = descendant_many(&doc, &refs, Variant::Basic, Some(&pool), &mut scratch);
         assert!(par[0].0.is_empty());
-        let par = ancestor_many_par(&doc, &refs, Variant::Basic, &pool, &mut scratch);
+        let par = ancestor_many(&doc, &refs, Variant::Basic, Some(&pool), &mut scratch);
         assert!(par[0].0.is_empty());
     }
 }

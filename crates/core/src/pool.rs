@@ -6,9 +6,8 @@
 //! execution backbone: a fixed set of workers, built **once**, pulling
 //! small self-contained work items from a shared queue. [`WorkerPool`]
 //! is that backbone for this repository — the session layer builds one
-//! per document session and reuses it for every query and batch, instead
-//! of paying a `std::thread::scope` spawn/join per call the way the old
-//! standalone parallel engine did.
+//! per document session and reuses it for every query and batch, so no
+//! call pays a `std::thread::scope` spawn/join.
 //!
 //! Design points:
 //!
@@ -592,7 +591,7 @@ mod tests {
         let one_batch = |scratch: &mut Scratch, seed: u64| {
             let ctx = random_context(&doc, 0xAB ^ seed, 15);
             let refs: Vec<&Context> = vec![&ctx];
-            for (c, _) in descendant_many(&doc, &refs, Variant::EstimationSkipping, scratch) {
+            for (c, _) in descendant_many(&doc, &refs, Variant::EstimationSkipping, None, scratch) {
                 scratch.recycle(c);
             }
         };

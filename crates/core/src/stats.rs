@@ -97,7 +97,8 @@ impl StepStats {
         self.nodes_touched() as f64
     }
 
-    /// Merges per-partition statistics (used by the parallel join).
+    /// Merges per-chunk statistics (a morsel split's workers, a join's
+    /// local counters).
     pub fn merge(&mut self, other: &StepStats) {
         self.nodes_scanned += other.nodes_scanned;
         self.nodes_copied += other.nodes_copied;

@@ -5,12 +5,17 @@
 //! a descendant slice is copied without a compare, the ancestor join is
 //! bounded by its list whatever the context, the child join looks only
 //! at entries below the context, and none does more work than reading
-//! both of its sorted inputs.
+//! both of its sorted inputs. The plane scans are checked on random
+//! documents too, each through its `_many` kernel with and without a
+//! worker pool: a morsel split changes who touches a node, never what is
+//! touched.
 
-use staircase_accel::{Context, Doc, NodeKind, Pre};
+use staircase_accel::{Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
-    ancestor_on_list, child_on_list, descendant, descendant_on_list, descendant_tested,
-    prune_descendant, ScanTest, StepStats, TagIndex, Variant,
+    ancestor, ancestor_many, ancestor_on_list, child_on_list, descendant, descendant_many,
+    descendant_on_list, descendant_tested, following, following_many, preceding, preceding_many,
+    prune_ancestor, prune_descendant, prune_following, prune_preceding, ScanTest, Scratch,
+    StepStats, TagIndex, Variant, WorkerPool,
 };
 use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
 
@@ -273,4 +278,231 @@ fn the_ancestor_join_is_bounded_by_its_list_whatever_the_context() {
     // A context that ends early ends the join early.
     let (_, s) = ancestor_on_list(&xmark, list, &first_date);
     assert!(s.nodes_touched() <= 2, "the first date: {s}");
+}
+
+// ── The plane scans on random documents, with and without a pool ───────
+
+const VARIANTS: [Variant; 3] = [
+    Variant::Basic,
+    Variant::Skipping,
+    Variant::EstimationSkipping,
+];
+
+/// A deterministic pseudo-random document of about `size` nodes with
+/// every kind of content the scans step over: elements of four names,
+/// attributes, text and comments, nested to a random depth.
+fn random_doc(seed: u64, size: usize) -> Doc {
+    let mut next = xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let mut b = EncodingBuilder::new();
+    b.open_element("root");
+    let mut depth = 1usize;
+    while b.len() < size {
+        match next() % 6 {
+            0 | 1 => {
+                b.open_element(["p", "q", "r", "s"][(next() % 4) as usize]);
+                if next().is_multiple_of(3) {
+                    b.attribute("id", "a");
+                }
+                depth += 1;
+            }
+            2 | 3 if depth > 1 => {
+                b.close_element();
+                depth -= 1;
+            }
+            4 => {
+                b.text("x");
+            }
+            _ => {
+                b.comment("c");
+            }
+        }
+    }
+    for _ in 0..depth {
+        b.close_element();
+    }
+    b.finish()
+}
+
+/// About `approx` pseudo-random nodes of `doc` (attributes included).
+fn random_context(doc: &Doc, seed: u64, approx: usize) -> Context {
+    let mut next = xorshift(seed | 1);
+    let n = doc.len() as u64;
+    Context::from_unsorted((0..approx).map(|_| (next() % n) as Pre).collect())
+}
+
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+fn attributes_in(doc: &Doc, range: impl Iterator<Item = Pre>) -> u64 {
+    range
+        .filter(|&v| doc.kind(v) == NodeKind::Attribute)
+        .count() as u64
+}
+
+/// The four plane scans of `ctx` through their `_many` kernels, once
+/// without a pool and once on `pool`: the two runs must agree node for
+/// node and counter for counter, and with the single-context kernel.
+fn plane_scans(
+    doc: &Doc,
+    ctx: &Context,
+    variant: Variant,
+    pool: &WorkerPool,
+) -> [(Context, StepStats); 4] {
+    let mut scratch = Scratch::new();
+    let lanes = [ctx];
+    let mut runs = |pool: Option<&WorkerPool>| {
+        [
+            descendant_many(doc, &lanes, variant, pool, &mut scratch).remove(0),
+            ancestor_many(doc, &lanes, variant, pool, &mut scratch).remove(0),
+            following_many(doc, &lanes, pool, &mut scratch).remove(0),
+            preceding_many(doc, &lanes, pool, &mut scratch).remove(0),
+        ]
+    };
+    let sequential = runs(None);
+    let pooled = runs(Some(pool));
+    let label = format!("{} nodes, |context| {}, {variant:?}", doc.len(), ctx.len());
+    for (axis, (seq, par)) in ["descendant", "ancestor", "following", "preceding"]
+        .iter()
+        .zip(sequential.iter().zip(&pooled))
+    {
+        assert_eq!(par.0, seq.0, "{axis}, {label}: results differ on the pool");
+        assert_eq!(
+            par.1, seq.1,
+            "{axis}, {label}: statistics differ on the pool"
+        );
+    }
+    let single = [
+        descendant(doc, ctx, variant),
+        ancestor(doc, ctx, variant),
+        following(doc, ctx),
+        preceding(doc, ctx),
+    ];
+    for (seq, one) in sequential.iter().zip(&single) {
+        assert_eq!(
+            seq.0, one.0,
+            "{label}: the one-lane batch is the single join"
+        );
+    }
+    sequential
+}
+
+/// Every position of the plane a scan is responsible for is accounted
+/// for once, as scanned, copied or skipped — on a pool exactly as
+/// without one — and what is touched stays inside the paper's bound
+/// (descendant, with the attribute term), the region (following), or
+/// the region plus the context node's ancestors (preceding).
+fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant, pool: &WorkerPool) {
+    let [(_, d), (_, a), (_, f), (_, p)] = plane_scans(doc, ctx, variant, pool);
+    let n = doc.len() as u64;
+    let label = format!("{n} nodes, |context| {}, {variant:?}", ctx.len());
+    let accounted = |s: &StepStats| s.nodes_touched() + s.nodes_skipped;
+
+    let steps = prune_descendant(doc, ctx);
+    if let Some(first) = steps.iter().next() {
+        let partitions = steps.len() as u64;
+        assert_eq!(
+            accounted(&d),
+            n - u64::from(first) - partitions,
+            "descendant {label}"
+        );
+    }
+    if variant != Variant::Basic {
+        let bound = (d.result_size + d.context_out) as u64 + attributes_below(doc, ctx);
+        assert!(d.nodes_touched() <= bound, "descendant {label}: {d}");
+    }
+
+    let steps = prune_ancestor(doc, ctx);
+    if let Some(last) = steps.iter().last() {
+        let boundaries = steps.len() as u64 - 1;
+        assert_eq!(
+            accounted(&a),
+            u64::from(last) - boundaries,
+            "ancestor {label}"
+        );
+    }
+
+    if let Some(c) = prune_following(doc, ctx).iter().next() {
+        let start = c + 1 + doc.subtree_size(c);
+        assert_eq!(accounted(&f), n - u64::from(c) - 1, "following {label}");
+        let attrs = attributes_in(doc, start..doc.len() as Pre);
+        assert_eq!(
+            f.nodes_touched(),
+            f.result_size as u64 + attrs,
+            "following {label}: {f}"
+        );
+    }
+
+    if let Some(c) = prune_preceding(doc, ctx).iter().next() {
+        let region = (0..c).filter(|&v| doc.post(v) < doc.post(c));
+        let attrs = attributes_in(doc, region);
+        let bound = p.result_size as u64 + attrs + u64::from(doc.level(c));
+        assert!(p.nodes_touched() <= bound, "preceding {label}: {p}");
+    }
+}
+
+/// The plane scans on random documents either side of the morsel gate
+/// (a small one never splits, a large one splits a root context inside
+/// its one partition), from a root, a scattered and a three-node context.
+#[test]
+fn plane_scans_keep_their_bounds_on_random_documents_with_and_without_a_pool() {
+    let pool = WorkerPool::new(4);
+    for seed in 0..6 {
+        for size in [300, 9_000] {
+            let doc = random_doc(seed, size);
+            let contexts = [
+                Context::singleton(doc.root()),
+                random_context(&doc, seed ^ 0xD15C, 40),
+                random_context(&doc, seed ^ 0x5EED, 3),
+            ];
+            for ctx in &contexts {
+                for variant in VARIANTS {
+                    assert_plane_bounds(&doc, ctx, variant, &pool);
+                }
+            }
+        }
+    }
+}
+
+/// An empty context yields nothing from every scan, on a pool as
+/// without one.
+#[test]
+fn folded_kernels_on_an_empty_context() {
+    let pool = WorkerPool::new(4);
+    let doc = random_doc(1, 9_000);
+    for variant in VARIANTS {
+        for (result, stats) in plane_scans(&doc, &Context::empty(), variant, &pool) {
+            assert!(result.is_empty(), "{variant:?}");
+            assert_eq!(stats.nodes_touched(), 0, "{variant:?}: {stats}");
+        }
+    }
+}
+
+/// Wider pools than the scans have steps: one partition (a root, a
+/// single node) is split inside where its shape allows, and kept whole
+/// where it does not, with the sequential answer and counters either way.
+#[test]
+fn folded_kernels_with_more_morsels_than_steps() {
+    let doc = random_doc(9, 12_000);
+    let deepest = doc
+        .pres()
+        .max_by_key(|&v| doc.level(v))
+        .expect("a non-empty document");
+    for width in [2, 8, 16] {
+        let pool = WorkerPool::new(width);
+        for ctx in [
+            Context::singleton(doc.root()),
+            Context::singleton(deepest),
+            Context::singleton(1),
+        ] {
+            for variant in VARIANTS {
+                assert_plane_bounds(&doc, &ctx, variant, &pool);
+            }
+        }
+    }
 }

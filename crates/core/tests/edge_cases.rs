@@ -4,9 +4,9 @@
 
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
-    ancestor, ancestor_parallel, descendant, descendant_many, descendant_parallel,
-    descendant_tested, following, following_many, following_tested, preceding, preceding_tested,
-    prune, ScanTest, Scratch, Variant,
+    ancestor, ancestor_many, descendant, descendant_many, descendant_tested, following,
+    following_many, following_tested, preceding, preceding_tested, prune, ScanTest, Scratch,
+    Variant, WorkerPool,
 };
 
 const ALL: [Variant; 3] = [
@@ -130,19 +130,24 @@ fn single_node_document() {
 
 #[test]
 fn parallel_on_degenerate_shapes() {
-    let chain_doc = chain(2_000);
-    let star_doc = star(2_000);
+    // Big enough that the morsel gate opens on the star's one partition;
+    // the chain prunes to one step whatever the pool's width.
+    let chain_doc = chain(20_000);
+    let star_doc = star(20_000);
     for doc in [&chain_doc, &star_doc] {
         let ctx: Context = doc.pres().filter(|v| v % 7 == 0).collect();
-        let (s, _) = descendant(doc, &ctx, Variant::EstimationSkipping);
+        let mut scratch = Scratch::new();
+        let d = Variant::EstimationSkipping;
+        let seq_d = descendant_many(doc, &[&ctx], d, None, &mut scratch);
+        assert_eq!(seq_d[0].0, descendant(doc, &ctx, d).0);
+        let seq_a = ancestor_many(doc, &[&ctx], Variant::Skipping, None, &mut scratch);
+        assert_eq!(seq_a[0].0, ancestor(doc, &ctx, Variant::Skipping).0);
         for threads in [1, 3, 8] {
-            let (p, _) = descendant_parallel(doc, &ctx, Variant::EstimationSkipping, threads);
-            assert_eq!(s, p);
-        }
-        let (s, _) = ancestor(doc, &ctx, Variant::Skipping);
-        for threads in [1, 3, 8] {
-            let (p, _) = ancestor_parallel(doc, &ctx, Variant::Skipping, threads);
-            assert_eq!(s, p);
+            let pool = WorkerPool::new(threads);
+            let par = descendant_many(doc, &[&ctx], d, Some(&pool), &mut scratch);
+            assert_eq!(par, seq_d, "descendant, {threads} threads");
+            let par = ancestor_many(doc, &[&ctx], Variant::Skipping, Some(&pool), &mut scratch);
+            assert_eq!(par, seq_a, "ancestor, {threads} threads");
         }
     }
 }
@@ -224,6 +229,7 @@ fn a_selective_test_does_not_reserve_the_plane() {
         &doc,
         &[(&root, rare), (&root, node), (&root, rare)],
         Variant::default(),
+        None,
         &mut scratch,
     )
     .into_iter()
@@ -232,7 +238,7 @@ fn a_selective_test_does_not_reserve_the_plane() {
         snug("descendant_many", got);
     }
     let second = Context::singleton(2);
-    for (got, _) in following_many(&doc, &[(&first, rare), (&second, rare)], &mut scratch) {
+    for (got, _) in following_many(&doc, &[(&first, rare), (&second, rare)], None, &mut scratch) {
         snug("following_many", got);
     }
 }

@@ -8,15 +8,12 @@ use proptest::prelude::*;
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::governor::{self, Budget, SCAN_CHUNK};
 use staircase_core::{
-    ancestor, ancestor_many, ancestor_many_par, ancestor_on_list, ancestor_on_list_many,
-    ancestor_on_list_many_par, ancestor_parallel, ancestor_parallel_tested, ancestor_tested,
-    child_on_list, child_on_list_many, descendant, descendant_many, descendant_many_par,
-    descendant_on_list, descendant_on_list_many, descendant_on_list_many_par, descendant_parallel,
-    descendant_parallel_tested, descendant_tested, following, following_many, following_many_par,
-    following_tested, has_ancestor_in, has_ancestor_in_many, has_child_in, has_child_in_many,
-    has_descendant_in, has_descendant_in_many, preceding, preceding_many, preceding_many_par,
-    preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats, TagIndex, Variant,
-    WorkerPool,
+    ancestor, ancestor_many, ancestor_on_list, ancestor_on_list_many, ancestor_tested,
+    child_on_list, child_on_list_many, descendant, descendant_many, descendant_on_list,
+    descendant_on_list_many, descendant_tested, following, following_many, following_tested,
+    has_ancestor_in, has_ancestor_in_many, has_child_in, has_child_in_many, has_descendant_in,
+    has_descendant_in_many, preceding, preceding_many, preceding_tested, prune, try_axis_step,
+    ScanTest, Scratch, StepStats, TagIndex, Variant, WorkerPool,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -130,12 +127,15 @@ proptest! {
 
     #[test]
     fn parallel_equals_serial((doc, ctx) in arb_doc_and_context()) {
-        let (sd, _) = descendant(&doc, &ctx, Variant::EstimationSkipping);
-        let (pd, _) = descendant_parallel(&doc, &ctx, Variant::EstimationSkipping, 3);
-        prop_assert_eq!(sd, pd);
-        let (sa, _) = ancestor(&doc, &ctx, Variant::Skipping);
-        let (pa, _) = ancestor_parallel(&doc, &ctx, Variant::Skipping, 3);
-        prop_assert_eq!(sa, pa);
+        let pool = WorkerPool::new(3);
+        let mut scratch = Scratch::new();
+        let d = Variant::EstimationSkipping;
+        let sd = descendant_many(&doc, &[&ctx], d, None, &mut scratch);
+        prop_assert_eq!(&sd[0], &descendant(&doc, &ctx, d));
+        prop_assert_eq!(descendant_many(&doc, &[&ctx], d, Some(&pool), &mut scratch), sd);
+        let sa = ancestor_many(&doc, &[&ctx], Variant::Skipping, None, &mut scratch);
+        prop_assert_eq!(&sa[0].0, &ancestor(&doc, &ctx, Variant::Skipping).0);
+        prop_assert_eq!(ancestor_many(&doc, &[&ctx], Variant::Skipping, Some(&pool), &mut scratch), sa);
     }
 
     /// Name-test pushdown (list join) ≡ join then name test.
@@ -150,29 +150,20 @@ proptest! {
         }
     }
 
-    /// single ≡ `_many` ≡ `_many_par` for every operator that moves a
+    /// single ≡ `_many` for every operator that moves a
     /// fragment cursor: same nodes, and the same [`StepStats`] field for
     /// field — `seeks` included.
     #[test]
     fn fragment_cursor_forms_agree_on_every_counter((doc, ctx) in arb_doc_and_context()) {
         let idx = TagIndex::build(&doc);
-        let pool = WorkerPool::new(3);
         let refs = [&ctx];
-        let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+        let mut s1 = Scratch::new();
         for tag in ["p", "q"] {
             let list = idx.fragment_by_name(&doc, tag);
             let single = descendant_on_list(&doc, list, &ctx);
             prop_assert_eq!(&descendant_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
-            prop_assert_eq!(
-                &descendant_on_list_many_par(&doc, list, &refs, &pool, &mut s2)[0],
-                &single
-            );
             let single = ancestor_on_list(&doc, list, &ctx);
             prop_assert_eq!(&ancestor_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
-            prop_assert_eq!(
-                &ancestor_on_list_many_par(&doc, list, &refs, &pool, &mut s2)[0],
-                &single
-            );
             let single = child_on_list(&doc, list, &ctx);
             prop_assert_eq!(&child_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
             let single = has_descendant_in(&doc, &ctx, list);
@@ -320,6 +311,7 @@ proptest! {
         let n = doc.len() as u32;
         let ctx = Context::from_unsorted(picks.iter().map(|p| p % n).collect());
         let pool = WorkerPool::new(4);
+        let mut scratch = Scratch::new();
         for governed in [false, true] {
             let _guard = governed.then(|| governor::enter(Arc::new(Budget::new())));
             for (t, test) in arms(&doc).iter().enumerate() {
@@ -327,12 +319,12 @@ proptest! {
                     let label = format!("arm {t} {variant:?} governed {governed}");
                     let plain = descendant(&doc, &ctx, variant);
                     assert_rides(&label, test, &descendant_tested(&doc, &ctx, variant, test), &plain);
-                    let par = descendant_parallel_tested(&doc, &ctx, variant, 3, &pool, test);
-                    assert_rides(&label, test, &par, &plain);
+                    let par = descendant_many(&doc, &[(&ctx, *test)], variant, Some(&pool), &mut scratch);
+                    assert_rides(&label, test, &par[0], &plain);
                     let plain = ancestor(&doc, &ctx, variant);
                     assert_rides(&label, test, &ancestor_tested(&doc, &ctx, variant, test), &plain);
-                    let par = ancestor_parallel_tested(&doc, &ctx, variant, 3, &pool, test);
-                    assert_rides(&label, test, &par, &plain);
+                    let par = ancestor_many(&doc, &[(&ctx, *test)], variant, Some(&pool), &mut scratch);
+                    assert_rides(&label, test, &par[0], &plain);
                 }
                 let label = format!("arm {t} governed {governed}");
                 assert_rides(&label, test, &following_tested(&doc, &ctx, test), &following(&doc, &ctx));
@@ -341,9 +333,10 @@ proptest! {
         }
     }
 
-    /// The `_many` and `_many_par` forms with K ∈ {1, 2, 5} lanes that
-    /// mix shared and distinct contexts and tests: lane by lane, the
-    /// fused batch is the all-`node()` batch filtered, with its counters.
+    /// The `_many` forms with K ∈ {1, 2, 5} lanes that mix shared and
+    /// distinct contexts and tests, without a pool and on a width-4 one:
+    /// lane by lane, the fused batch is the all-`node()` batch filtered,
+    /// with its counters.
     #[test]
     fn a_batch_of_fused_tests_is_the_node_batch_filtered(
         ops in proptest::collection::vec(0u8..10, 8..80),
@@ -374,7 +367,7 @@ proptest! {
                          fused: Vec<(Context, StepStats)>,
                          par: Vec<(Context, StepStats)>,
                          plain: Vec<(Context, StepStats)>| {
-                prop_assert_eq!(&par, &fused, "{} k {}: _many_par", label, k);
+                prop_assert_eq!(&par, &fused, "{} k {}: on a pool", label, k);
                 for (j, (f, p)) in fused.iter().zip(&plain).enumerate() {
                     assert_rides(&format!("{label} k {k} lane {j} mix {mix}"), &lanes[j].1, f, p);
                 }
@@ -382,28 +375,28 @@ proptest! {
             for variant in VARIANTS {
                 check(
                     &format!("descendant {variant:?}"),
-                    descendant_many(&doc, &lanes, variant, &mut s1),
-                    descendant_many_par(&doc, &lanes, variant, &pool, &mut s2),
-                    descendant_many(&doc, &bare, variant, &mut s1),
+                    descendant_many(&doc, &lanes, variant, None, &mut s1),
+                    descendant_many(&doc, &lanes, variant, Some(&pool), &mut s2),
+                    descendant_many(&doc, &bare, variant, None, &mut s1),
                 );
                 check(
                     &format!("ancestor {variant:?}"),
-                    ancestor_many(&doc, &lanes, variant, &mut s1),
-                    ancestor_many_par(&doc, &lanes, variant, &pool, &mut s2),
-                    ancestor_many(&doc, &bare, variant, &mut s1),
+                    ancestor_many(&doc, &lanes, variant, None, &mut s1),
+                    ancestor_many(&doc, &lanes, variant, Some(&pool), &mut s2),
+                    ancestor_many(&doc, &bare, variant, None, &mut s1),
                 );
             }
             check(
                 "following",
-                following_many(&doc, &lanes, &mut s1),
-                following_many_par(&doc, &lanes, &pool, &mut s2),
-                following_many(&doc, &bare, &mut s1),
+                following_many(&doc, &lanes, None, &mut s1),
+                following_many(&doc, &lanes, Some(&pool), &mut s2),
+                following_many(&doc, &bare, None, &mut s1),
             );
             check(
                 "preceding",
-                preceding_many(&doc, &lanes, &mut s1),
-                preceding_many_par(&doc, &lanes, &pool, &mut s2),
-                preceding_many(&doc, &bare, &mut s1),
+                preceding_many(&doc, &lanes, None, &mut s1),
+                preceding_many(&doc, &lanes, Some(&pool), &mut s2),
+                preceding_many(&doc, &bare, None, &mut s1),
             );
         }
     }
@@ -527,15 +520,14 @@ proptest! {
         prop_assert_eq!(&has_desc, &ancestor_on_list(&doc, ctx.as_slice(), &list_ctx).0);
         prop_assert_eq!(&has_anc, &descendant_on_list(&doc, ctx.as_slice(), &list_ctx).0);
 
-        // `_many` / `_many_par`: K lanes mixing shared and distinct
+        // `_many`: K lanes mixing shared and distinct
         // contexts equal K single runs — the first lane over a context
         // field for field, a later one over the same context with the
         // join's counters zeroed (it shared the pass).
         let other = Context::from_unsorted(pick_sorted(&doc, LENGTHS[(ctx_len + 5) % LENGTHS.len()], seed ^ 0xABCD));
         let root = Context::singleton(doc.root());
         let contexts = [&ctx, &other, &root];
-        let pool = WorkerPool::new(4);
-        let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
+        let mut s1 = Scratch::new();
         type Single = fn(&Doc, &[Pre], &Context) -> (Context, StepStats);
         type Many = fn(&Doc, &[Pre], &[&Context], &mut Scratch) -> Vec<(Context, StepStats)>;
         let joins: [(&str, Single, Many); 3] = [
@@ -556,10 +548,6 @@ proptest! {
                 let want = expect(&|c| single(&doc, &list, c));
                 prop_assert_eq!(&many(&doc, &list, &lanes, &mut s1), &want, "{}_on_list_many k {}", name, k);
             }
-            let want = expect(&|c| descendant_on_list(&doc, &list, c));
-            prop_assert_eq!(&descendant_on_list_many_par(&doc, &list, &lanes, &pool, &mut s2), &want);
-            let want = expect(&|c| ancestor_on_list(&doc, &list, c));
-            prop_assert_eq!(&ancestor_on_list_many_par(&doc, &list, &lanes, &pool, &mut s2), &want);
             let want = expect(&|c| has_descendant_in(&doc, c, &list));
             prop_assert_eq!(&has_descendant_in_many(&doc, &lanes, &list), &want);
             let want = expect(&|c| has_ancestor_in(&doc, c, &list));

@@ -231,7 +231,7 @@ impl Batcher {
     }
 
     /// Executes one drained batch: group by engine, one governed
-    /// `Session::run_many_governed` shared pass per group, replies in
+    /// `Session::execute` shared pass per group, replies in
     /// admission order within each group. Queries whose budget already
     /// tripped in the queue (expired deadline, cancel) are answered
     /// immediately and never take a batch slot.
@@ -271,10 +271,11 @@ impl Batcher {
             // cannot take the batcher thread — and the server — down.
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 faults::fail_point("server::execute");
-                let refs: Vec<&Query<'_>> = lanes.iter().map(|(q, _, _)| q).collect();
-                let budgets: Vec<Option<Arc<Budget>>> =
-                    lanes.iter().map(|(_, _, b)| Some(Arc::clone(b))).collect();
-                session.run_many_governed(&refs, engine, &budgets)
+                let jobs: Vec<(&Query<'_>, Option<Arc<Budget>>)> = lanes
+                    .iter()
+                    .map(|(q, _, b)| (q, Some(Arc::clone(b))))
+                    .collect();
+                session.execute(&jobs, engine, None)
             }));
             self.metrics.record_batch(size);
             match outcome {

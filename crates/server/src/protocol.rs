@@ -25,7 +25,7 @@
 //!   total), [`flags::DEADLINE`] says a 4-byte per-query deadline in
 //!   milliseconds follows the flag byte (the server clamps it to its
 //!   own execution timeout). The engine name is one of `staircase |
-//!   pushdown | fragmented | parallel | naive | sql | auto` (see
+//!   pushdown | fragmented | naive | sql | auto` (see
 //!   [`engine_by_name`]).
 //! * [`frame::CANCEL`] — no payload; cancels the connection's in-flight
 //!   query. The query answers with an [`code::CANCELLED`] error frame
@@ -414,16 +414,16 @@ pub fn parse_ids_payload(payload: &[u8]) -> Result<Vec<Pre>, String> {
         .collect())
 }
 
-/// Resolves a wire engine name to a validated [`Engine`] — the same
-/// seven names `xq --engine` accepts, at their default configurations
-/// (variants are a client-side concern; the wire names pick policies,
-/// not knobs).
+/// Resolves a wire engine name to a validated [`Engine`] — `staircase`,
+/// `pushdown`, `fragmented`, `naive`, `sql` and `auto`, at their default
+/// configurations (variants are a client-side concern; the wire names
+/// pick policies, not knobs). `xq --engine` accepts these six plus
+/// `twig` and `adaptive`, which are local-only.
 pub fn engine_by_name(name: &str) -> Option<Engine> {
     match name {
         "staircase" => Some(Engine::default()),
         "pushdown" => Engine::staircase().pushdown(true).build().ok(),
         "fragmented" => Engine::staircase().fragmented(true).build().ok(),
-        "parallel" => Engine::staircase().parallel(4).build().ok(),
         "naive" => Some(Engine::naive()),
         "sql" => Engine::sql()
             .eq1_window(true)
@@ -579,7 +579,6 @@ mod tests {
             "staircase",
             "pushdown",
             "fragmented",
-            "parallel",
             "naive",
             "sql",
             "auto",

@@ -71,7 +71,6 @@ fn queries_round_trip_on_every_engine() {
         "staircase",
         "pushdown",
         "fragmented",
-        "parallel",
         "naive",
         "sql",
         "auto",
@@ -138,6 +137,23 @@ fn parse_and_engine_errors_leave_the_connection_usable() {
     );
     // Same connection, still serving.
     let reply = client.query("//bidder", &opts("staircase")).unwrap();
+    assert_eq!(reply.total, 2);
+    handle.shutdown_and_join();
+}
+
+/// `parallel` is no engine (the session's worker pool serves every
+/// engine): the name is refused like any unknown one, and the connection
+/// keeps serving.
+#[test]
+fn the_retired_parallel_engine_name_is_an_engine_error() {
+    let handle = start(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let err = client.query("//bidder", &opts("parallel")).unwrap_err();
+    assert!(
+        matches!(err, ClientError::Server { code: c, .. } if c == code::ENGINE),
+        "{err:?}"
+    );
+    let reply = client.query("//bidder", &opts("auto")).unwrap();
     assert_eq!(reply.total, 2);
     handle.shutdown_and_join();
 }

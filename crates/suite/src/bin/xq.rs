@@ -12,14 +12,12 @@
 //!                                  batches work here too)
 //!
 //! options:
-//!   --engine staircase|pushdown|fragmented|parallel|naive|sql|auto|twig|adaptive
+//!   --engine staircase|pushdown|fragmented|naive|sql|auto|twig|adaptive
 //!   --variant basic|skipping|estimation   staircase skipping refinement
-//!   --threads N      session worker-pool width: every engine fans its
-//!                    evaluation out across N workers wherever the
+//!   --threads N      session worker-pool width, for every engine: the
+//!                    evaluation fans out across N workers wherever the
 //!                    planner's cost hint says the work amortizes the
-//!                    handoff (with --engine staircase, N also implies
-//!                    the partitioned parallel engine — the historical
-//!                    special case)
+//!                    handoff (`[par]` in --explain)
 //!   --warm           build all auxiliary structures eagerly, in parallel
 //!   --timeout-ms N   run under a governor deadline of N milliseconds;
 //!                    a query still running when it expires stops
@@ -47,7 +45,7 @@
 //!                    fused into the operator wherever there is a join
 //!                    or scan for it to ride — fragment and twig joins,
 //!                    SQL's early name test, and every plane scan
-//!                    (`staircase`, `horiz-scan`, `parallel`); the
+//!                    (`staircase`, `horiz-scan`); the
 //!                    operators that still filter afterwards (`naive`,
 //!                    plain `sql`, `structural`) print
 //!                    `+ apply-test [mask]`. Under `auto` and
@@ -80,7 +78,7 @@
 //! xq '//open_auction[bidder/increase]/@id' auctions.xml
 //! xq --encode auctions.xml auctions.scj
 //! xq '/descendant::increase/ancestor::bidder' --encoded auctions.scj --stats
-//! xq '//bidder' auctions.xml --engine parallel --threads 8 --variant skipping
+//! xq '//bidder' auctions.xml --threads 8 --variant skipping
 //! xq --query-file queries.txt auctions.xml --engine auto --threads 4
 //! xq --query-file queries.txt auctions.xml --warm --count
 //! xq '//bidder/ancestor::open_auction' auctions.xml --engine auto --explain
@@ -153,19 +151,18 @@ fn usage() -> ! {
          \u{20}      xq <XPATH> --encoded <FILE.scj>\n\
          \u{20}      xq <XPATH> --connect <ADDR>   (query a running staircase-serve;\n\
          \u{20}      also with --query-file; local-only flags are rejected)\n\
-         engines:  staircase (default) | pushdown | fragmented | parallel | naive | sql\n\
+         engines:  staircase (default) | pushdown | fragmented | naive | sql\n\
          \u{20}         | auto (cost-based per-step operator picking)\n\
          \u{20}         | twig (fuse eligible step runs into multiway leapfrog joins)\n\
          \u{20}         | adaptive (auto + mid-query re-planning from observed stats)\n\
          variants: basic | skipping | estimation (default)\n\
          --threads N sizes the session's worker pool: any engine fans its\n\
          evaluation out across N workers where the planner's cost hint\n\
-         allows (with --engine staircase it also implies the parallel\n\
-         engine, the historical special case)\n\
+         allows\n\
          --explain prints the physical plan (one line per step: operator +\n\
          cost estimate; [par] marks fan-out steps) instead of evaluating;\n\
          fragment/twig joins, SQL's early name test and every plane scan\n\
-         (staircase, horiz-scan, parallel) fuse the node test, while naive,\n\
+         (staircase, horiz-scan) fuse the node test, while naive,\n\
          plain sql and structural steps print + apply-test [mask]; under\n\
          auto/adaptive a child::name step may print fragment (the on-list\n\
          child join, priced against the structural hop over every child)\n\
@@ -230,8 +227,8 @@ fn parse_args() -> Options {
             "--engine" => {
                 let name = args.next().unwrap_or_else(|| usage());
                 match name.as_str() {
-                    "staircase" | "pushdown" | "fragmented" | "parallel" | "naive" | "sql"
-                    | "auto" | "twig" | "adaptive" => {
+                    "staircase" | "pushdown" | "fragmented" | "naive" | "sql" | "auto" | "twig"
+                    | "adaptive" => {
                         opts.engine_name = name;
                     }
                     _ => usage(),
@@ -316,11 +313,11 @@ fn build_budget(opts: &Options) -> Option<std::sync::Arc<Budget>> {
     Some(std::sync::Arc::new(budget))
 }
 
-/// Routes the CLI's engine/variant/thread flags through the builders;
+/// Routes the CLI's engine/variant flags through the builders;
 /// inconsistent combinations surface as [`Error::InvalidEngine`].
 fn build_engine(opts: &Options) -> Result<Engine, Error> {
-    // --variant and --threads only make sense for the staircase family;
-    // reject them elsewhere instead of silently dropping them.
+    // --variant only makes sense for the staircase family; reject it
+    // elsewhere instead of silently dropping it.
     if let (Some(_), "naive" | "sql" | "auto" | "twig" | "adaptive") =
         (opts.variant, opts.engine_name.as_str())
     {
@@ -331,32 +328,17 @@ fn build_engine(opts: &Options) -> Result<Engine, Error> {
     }
     let variant = opts.variant.unwrap_or(Variant::EstimationSkipping);
     let staircase = || Engine::staircase().variant(variant);
-    match (opts.engine_name.as_str(), opts.threads) {
-        // The historical special case, kept and documented: --threads
-        // with the plain staircase engine still selects the partitioned
-        // parallel engine (`--engine parallel`). For every other engine
-        // --threads only sizes the session's worker pool (see main).
-        ("staircase", Some(n)) | ("parallel", Some(n)) => staircase().parallel(n).build(),
-        ("staircase", None) => staircase().build(),
-        ("parallel", None) => staircase().parallel(4).build(),
-        ("pushdown", _) => staircase().pushdown(true).build(),
-        ("fragmented", _) => staircase().fragmented(true).build(),
-        ("naive", _) => Ok(Engine::naive()),
-        ("sql", _) => Engine::sql().eq1_window(true).early_nametest(true).build(),
-        ("auto", _) => Ok(Engine::auto()),
-        ("twig", _) => Ok(Engine::twig()),
-        ("adaptive", _) => Ok(Engine::adaptive()),
+    match opts.engine_name.as_str() {
+        "staircase" => staircase().build(),
+        "pushdown" => staircase().pushdown(true).build(),
+        "fragmented" => staircase().fragmented(true).build(),
+        "naive" => Ok(Engine::naive()),
+        "sql" => Engine::sql().eq1_window(true).early_nametest(true).build(),
+        "auto" => Ok(Engine::auto()),
+        "twig" => Ok(Engine::twig()),
+        "adaptive" => Ok(Engine::adaptive()),
         _ => usage(),
     }
-}
-
-/// The session worker-pool width the flags ask for: `--threads` when
-/// given (any engine), else the parallel engine's default worker count,
-/// else `None` (leave the session's own default — the
-/// `STAIRCASE_THREADS` environment variable or 1).
-fn session_threads(opts: &Options) -> Option<usize> {
-    opts.threads
-        .or_else(|| (opts.engine_name == "parallel").then_some(4))
 }
 
 /// Exits with the code matching a `--connect`-mode failure: server
@@ -504,8 +486,9 @@ fn main() {
         Session::parse_xml(&buf).unwrap_or_else(|e| fail("stdin", e))
     };
     // --threads sizes the worker pool for *every* engine; evaluation
-    // fans out wherever the planner's cost hint allows.
-    let session = match session_threads(&opts) {
+    // fans out wherever the planner's cost hint allows. Without it the
+    // session keeps its own default (`STAIRCASE_THREADS`, else 1).
+    let session = match opts.threads {
         Some(n) => session.with_threads(n),
         None => session,
     };
@@ -552,11 +535,10 @@ fn main() {
                 print_report(out);
             }
         } else {
-            let refs: Vec<&_> = queries.iter().collect();
             // A fresh budget per query: one tripped query never retires
             // its batch siblings.
-            let budgets: Vec<_> = refs.iter().map(|_| build_budget(&opts)).collect();
-            let outputs = session.run_many_governed(&refs, engine, &budgets);
+            let jobs: Vec<_> = queries.iter().map(|q| (q, build_budget(&opts))).collect();
+            let outputs = session.execute(&jobs, engine, None);
             let mut tripped = 0;
             for (query, out) in queries.iter().zip(&outputs) {
                 let out = match out {
@@ -595,12 +577,10 @@ fn main() {
         print_plan(&query.explain(engine));
         return;
     }
-    let out = match build_budget(&opts) {
-        Some(budget) => query
-            .run_governed(engine, budget)
-            .unwrap_or_else(|e| fail("", e)),
-        None => query.run(engine),
-    };
+    let out = session
+        .execute(&[(&query, build_budget(&opts))], engine, None)
+        .remove(0)
+        .unwrap_or_else(|e| fail("", e));
     if opts.explain {
         // Post-run explain: planned vs observed cost per executed step.
         print_report(&out);

@@ -52,11 +52,11 @@ pub mod prelude {
     pub use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre, Region};
     pub use staircase_baselines::{mpmgjn_join, naive_step, SqlEngine, SqlPlanOptions};
     pub use staircase_core::{
-        ancestor, ancestor_many, ancestor_on_list, ancestor_parallel, descendant, descendant_fused,
-        descendant_many, descendant_on_list, descendant_parallel, following, has_ancestor_in,
-        has_child_in, has_descendant_in, preceding, prune, try_axis_step, twig_match, Calibrator,
-        ChainStep, DocStats, RuntimeStats, ScanTest, Scratch, SpineLeg, StepStats, TagIndex,
-        TwigEdge, UnsupportedAxis, Variant, CRACK_CONVERGE_TOUCHES,
+        ancestor, ancestor_many, ancestor_on_list, descendant, descendant_fused, descendant_many,
+        descendant_on_list, following, has_ancestor_in, has_child_in, has_descendant_in, preceding,
+        prune, try_axis_step, twig_match, Calibrator, ChainStep, DocStats, RuntimeStats, ScanTest,
+        Scratch, SpineLeg, StepStats, TagIndex, TwigEdge, UnsupportedAxis, Variant, WorkerPool,
+        CRACK_CONVERGE_TOUCHES,
     };
     pub use staircase_xml::{Document, PullParser};
     pub use staircase_xmlgen::{

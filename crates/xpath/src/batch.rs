@@ -1,13 +1,14 @@
 //! The lane executor: multi-context execution as the **native form**.
 //!
-//! Every evaluation — [`Session::run`](crate::Session::run) included —
-//! arrives here as a batch of [`PhysicalPlan`]s and is split into
-//! *lanes* (one per union branch per query); single-query `run` is
-//! simply the K = 1 batch. Evaluation proceeds in rounds: each round,
-//! every unfinished lane advances by exactly one step, and lanes whose
-//! current steps **declare the same lane form** ([`LaneForm`], a
-//! property of the planned operator) advance together through the
-//! multi-context operators of `staircase_core`:
+//! Every evaluation arrives here through
+//! [`Session::execute`](crate::Session::execute) as a batch of
+//! [`PhysicalPlan`]s and is split into *lanes* (one per union branch per
+//! query); single-query `run` is simply the K = 1 batch. Evaluation
+//! proceeds in rounds: each round, every unfinished lane advances by
+//! exactly one step, and lanes whose current steps **declare the same
+//! lane form** ([`LaneForm`], a property of the planned operator)
+//! advance together through the multi-context operators of
+//! `staircase_core`:
 //!
 //! * [`LaneForm::Staircase`] → [`descendant_many`] / [`ancestor_many`]:
 //!   one merged-boundary scan of the plane serves the whole group, each
@@ -28,7 +29,7 @@
 //!   chain, reducing) each predicate's node list once per group.
 //!
 //! Only the genuinely unbatchable residue — nested-loop (filter)
-//! predicates, structural axes, and the naive/SQL/parallel operators —
+//! predicates, structural axes, and the naive/SQL/twig operators —
 //! falls back to the sequential plan interpreter, one lane at a time
 //! ([`Executor::exec_step`]).
 //!
@@ -37,11 +38,11 @@
 //! shared pass, plus every fallback lane — execute as concurrent pool
 //! tasks (each sweeping out its own scratch shard), and a group whose
 //! planned step carries the cost model's fanout hint additionally
-//! splits its own pass into morsels (`staircase_core`'s `*_many_par`
-//! kernels): contiguous chunks of the merged boundary list, disjoint
-//! pre-ranges in the paper's Figure-8 sense, so per-worker results
-//! concatenate in document order and per-worker statistics sum to the
-//! sequential counters exactly. A width-1 session never touches the
+//! splits its own pass into morsels (the plane-scan `_many` kernels,
+//! handed the session's pool): contiguous chunks of a lane's pruned
+//! boundary list, disjoint pre-ranges in the paper's Figure-8 sense, so
+//! per-worker results concatenate in document order and per-worker
+//! statistics sum to the sequential counters exactly. A width-1 session never touches the
 //! pool — the sequential path is byte-for-byte the pre-pool executor.
 //!
 //! Because the grouping key is read straight off the plan, no engine
@@ -55,8 +56,8 @@
 
 //! ## Governed execution
 //!
-//! [`Executor::run_plans_governed`] threads an optional per-query
-//! [`Budget`] through the rounds. Enforcement is **lane-local**:
+//! [`Executor::run`] threads an optional per-query [`Budget`] through
+//! the rounds. Enforcement is **lane-local**:
 //!
 //! * before each round every governed lane's budget is checked, so an
 //!   expired deadline or exhausted ceiling fails the query at a round
@@ -87,18 +88,18 @@ use staircase_accel::{Axis, Context};
 use staircase_core::cost::RuntimeStats;
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
-    ancestor_many, ancestor_many_par, ancestor_on_list_many, child_on_list_many, descendant_many,
-    descendant_many_par, descendant_on_list_many, faults, following_many, following_many_par,
-    has_ancestor_in_many, has_child_in_many, has_descendant_in_many, preceding_many,
-    preceding_many_par, ScanTest, Scratch, Variant,
+    ancestor_many, ancestor_on_list_many, child_on_list_many, descendant_many,
+    descendant_on_list_many, faults, following_many, has_ancestor_in_many, has_child_in_many,
+    has_descendant_in_many, preceding_many, ScanTest, Scratch, Variant, WorkerPool,
 };
 
 use crate::error::Error;
-use crate::eval::{merge, rendered_op, scan_test, EvalOutput, EvalStats, Executor, StepTrace};
+use crate::eval::{merge, rendered_op, scan_test, EvalStats, Executor, StepTrace};
 use crate::plan::{
     replan_step, HorizAxis, LaneForm, ListEdge, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis,
     VertAxis,
 };
+use crate::session::QueryOutput;
 
 /// Maps a budget trip to the typed error a governed query fails with.
 pub(crate) fn trip_error(trip: governor::Trip) -> Error {
@@ -219,43 +220,32 @@ enum RoundOut {
 }
 
 impl Executor<'_> {
-    /// Evaluates many physical plans from one shared starting context —
-    /// the single entry point for *all* plan evaluation (`run` is the
-    /// K = 1 batch), sharing passes wherever planned steps agree on a
-    /// lane form and fanning independent round pieces out across the
-    /// session's worker pool.
-    pub(crate) fn run_plans(&self, plans: &[&PhysicalPlan], context: &Context) -> Vec<EvalOutput> {
-        let budgets: Vec<Option<Arc<Budget>>> = plans.iter().map(|_| None).collect();
-        self.run_plans_governed(plans, context, &budgets)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("ungoverned evaluation failed: {e}")))
-            .collect()
-    }
-
-    /// [`run_plans`](Self::run_plans) with an optional per-query
-    /// [`Budget`]: `budgets[q]` governs every lane of query `q` (see the
-    /// module docs for the enforcement points). A query that trips its
-    /// budget — or whose lane panics — comes back as `Err` while its
-    /// batch siblings complete normally.
-    pub(crate) fn run_plans_governed(
+    /// Evaluates every job's plan from one shared starting context, the
+    /// job's budget (if any) governing it — the executor's one entry
+    /// point, under every [`crate::Session::execute`] call (`run` is the
+    /// K = 1 batch). Passes are shared wherever planned steps agree on a
+    /// lane form, and independent round pieces fan out across the
+    /// session's worker pool. A query that trips its budget — or whose
+    /// lane panics — comes back as `Err` while its batch siblings
+    /// complete normally (see the module docs for the enforcement
+    /// points).
+    pub(crate) fn run(
         &self,
-        plans: &[&PhysicalPlan],
+        jobs: &[(Arc<PhysicalPlan>, Option<Arc<Budget>>)],
         context: &Context,
-        budgets: &[Option<Arc<Budget>>],
-    ) -> Vec<Result<EvalOutput, Error>> {
+    ) -> Vec<Result<QueryOutput, Error>> {
         self.scratch
-            .with(|scratch| self.run_plans_inner(plans, context, budgets, scratch))
+            .with(|scratch| self.run_rounds(jobs, context, scratch))
     }
 
-    fn run_plans_inner(
+    fn run_rounds(
         &self,
-        plans: &[&PhysicalPlan],
+        jobs: &[(Arc<PhysicalPlan>, Option<Arc<Budget>>)],
         context: &Context,
-        budgets: &[Option<Arc<Budget>>],
         scratch: &mut Scratch,
-    ) -> Vec<Result<EvalOutput, Error>> {
+    ) -> Vec<Result<QueryOutput, Error>> {
         let mut lanes: Vec<Lane<'_>> = Vec::new();
-        for (query, plan) in plans.iter().enumerate() {
+        for (query, (plan, budget)) in jobs.iter().enumerate() {
             for path in plan.branches() {
                 let ctx = if path.absolute {
                     Context::singleton(self.doc.root())
@@ -269,13 +259,13 @@ impl Executor<'_> {
                     ctx,
                     step: 0,
                     stats: EvalStats::default(),
-                    budget: budgets[query].clone(),
+                    budget: budget.clone(),
                 });
             }
         }
         // First governed failure per query; `Some` retires the query's
         // remaining lanes and turns into the `Err` arm on reassembly.
-        let mut failed: Vec<Option<Error>> = plans.iter().map(|_| None).collect();
+        let mut failed: Vec<Option<Error>> = jobs.iter().map(|_| None).collect();
 
         // Rounds: every unfinished lane advances one step per round;
         // lanes whose current steps declare the same lane form advance
@@ -332,12 +322,12 @@ impl Executor<'_> {
         // order, step traces concatenate in the same order as a
         // branch-by-branch evaluation would produce them. A failed
         // query's lanes are dropped — partial results never escape.
-        let mut outputs: Vec<Option<EvalOutput>> = plans.iter().map(|_| None).collect();
+        let mut outputs: Vec<Option<QueryOutput>> = jobs.iter().map(|_| None).collect();
         for lane in lanes {
             if failed[lane.query].is_some() {
                 continue;
             }
-            let branch = EvalOutput {
+            let branch = QueryOutput {
                 result: lane.ctx,
                 stats: lane.stats,
             };
@@ -354,12 +344,9 @@ impl Executor<'_> {
             .zip(failed)
             .map(|(o, f)| match f {
                 Some(e) => Err(e),
-                None => Ok(o.unwrap_or_else(|| EvalOutput {
-                    // The parser guarantees at least one branch; an empty
-                    // union is harmlessly empty rather than a panic.
-                    result: Context::empty(),
-                    stats: EvalStats::default(),
-                })),
+                // The parser guarantees at least one branch; an empty
+                // union is harmlessly empty rather than a panic.
+                None => Ok(o.unwrap_or_default()),
             })
             .collect()
     }
@@ -554,14 +541,15 @@ impl Executor<'_> {
         outs
     }
 
-    /// Does this group's planned step carry the cost model's fanout
-    /// hint (and is there a pool to fan out on)? Gates the morsel-split
-    /// kernels; the kernels themselves re-check the actual work.
-    fn fanout(&self, lanes: &[Lane<'_>], group: &[usize]) -> bool {
-        self.pool.width() > 1
-            && group
-                .iter()
-                .any(|&i| lanes[i].steps[lanes[i].step].fanout())
+    /// The session's pool when this group's planned step carries the
+    /// cost model's fanout hint (and the pool is wider than one): what
+    /// the plane-scan kernels split their morsels across. The kernels
+    /// themselves re-check the actual work.
+    fn fanout(&self, lanes: &[Lane<'_>], group: &[usize]) -> Option<&WorkerPool> {
+        let hinted = group
+            .iter()
+            .any(|&i| lanes[i].steps[lanes[i].step].fanout());
+        (hinted && self.pool.width() > 1).then_some(self.pool)
     }
 
     /// Each group lane's context paired with its pending step's node
@@ -610,23 +598,15 @@ impl Executor<'_> {
         variant: staircase_core::Variant,
         scratch: &mut Scratch,
     ) -> Vec<LaneOut> {
-        let fanout = self.fanout(lanes, group);
+        let pool = self.fanout(lanes, group);
         let joined = match vert {
             VertAxis::Descendant => {
                 let tested = self.scan_lanes(lanes, group, Axis::Descendant);
-                if fanout {
-                    descendant_many_par(self.doc, &tested, variant, self.pool, scratch)
-                } else {
-                    descendant_many(self.doc, &tested, variant, scratch)
-                }
+                descendant_many(self.doc, &tested, variant, pool, scratch)
             }
             VertAxis::Ancestor => {
                 let tested = self.scan_lanes(lanes, group, Axis::Ancestor);
-                if fanout {
-                    ancestor_many_par(self.doc, &tested, variant, self.pool, scratch)
-                } else {
-                    ancestor_many(self.doc, &tested, variant, scratch)
-                }
+                ancestor_many(self.doc, &tested, variant, pool, scratch)
             }
         };
         group
@@ -702,15 +682,10 @@ impl Executor<'_> {
         scratch: &mut Scratch,
     ) -> Vec<LaneOut> {
         let tested = self.scan_lanes(lanes, group, haxis.axis());
-        let joined = match (haxis, self.fanout(lanes, group)) {
-            (HorizAxis::Following, true) => {
-                following_many_par(self.doc, &tested, self.pool, scratch)
-            }
-            (HorizAxis::Following, false) => following_many(self.doc, &tested, scratch),
-            (HorizAxis::Preceding, true) => {
-                preceding_many_par(self.doc, &tested, self.pool, scratch)
-            }
-            (HorizAxis::Preceding, false) => preceding_many(self.doc, &tested, scratch),
+        let pool = self.fanout(lanes, group);
+        let joined = match haxis {
+            HorizAxis::Following => following_many(self.doc, &tested, pool, scratch),
+            HorizAxis::Preceding => preceding_many(self.doc, &tested, pool, scratch),
         };
         joined
             .into_iter()

@@ -7,17 +7,21 @@
 //!
 //! let skipping = Engine::staircase().variant(Variant::Skipping).build()?;
 //! let pushdown = Engine::staircase().pushdown(true).build()?;
-//! let parallel = Engine::staircase().parallel(4).build()?;
+//! let fragmented = Engine::staircase().fragmented(true).build()?;
 //! let sql = Engine::sql().eq1_window(true).early_nametest(true).build()?;
 //! let naive = Engine::naive();
 //! let auto = Engine::auto(); // cost-based per-step operator picking
-//! # let _ = (skipping, pushdown, parallel, sql, naive, auto);
+//! # let _ = (skipping, pushdown, fragmented, sql, naive, auto);
 //! # Ok::<(), staircase_xpath::Error>(())
 //! ```
 //!
-//! Inconsistent combinations (zero worker threads, pushdown on the
-//! parallel engine, …) are rejected with [`Error::InvalidEngine`] at
-//! build time, so an [`Engine`] value that exists is always runnable.
+//! The one inconsistent combination — pushdown on the fragmented engine,
+//! whose fragments already are the pushed-down name test — is rejected
+//! with [`Error::InvalidEngine`] at build time, so an [`Engine`] value
+//! that exists is always runnable. Parallelism is not an engine: the
+//! session's worker pool ([`crate::Session::with_threads`]) serves every
+//! engine, and a step the planner marks `[par]` splits its plane scan
+//! into morsels on it.
 
 use std::fmt;
 
@@ -44,8 +48,6 @@ pub(crate) enum EngineKind {
     /// §6 tag-name fragmentation: per-tag fragments prebuilt at document
     /// loading time.
     Fragmented { variant: Variant },
-    /// Partitioned parallel staircase join (§3.2 / §6).
-    Parallel { variant: Variant, threads: usize },
     /// Per-context region queries + duplicate elimination (§3.1).
     Naive,
     /// Tree-unaware B-tree plan (Figure 3, "IBM DB2 SQL").
@@ -96,9 +98,6 @@ impl fmt::Debug for Engine {
                 write!(f, "staircase({variant:?}, pushdown)")
             }
             EngineKind::Fragmented { variant } => write!(f, "fragmented({variant:?})"),
-            EngineKind::Parallel { variant, threads } => {
-                write!(f, "parallel({variant:?}, {threads} threads)")
-            }
             EngineKind::Naive => write!(f, "naive"),
             EngineKind::Sql {
                 eq1_window,
@@ -117,14 +116,13 @@ impl fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Starts configuring a staircase-join engine (serial by default,
-    /// estimation-based skipping, no pushdown).
+    /// Starts configuring a staircase-join engine (estimation-based
+    /// skipping, no pushdown).
     pub fn staircase() -> StaircaseBuilder {
         StaircaseBuilder {
             variant: Variant::EstimationSkipping,
             pushdown: false,
             fragmented: false,
-            threads: None,
         }
     }
 
@@ -200,13 +198,11 @@ impl Engine {
         self.kind == EngineKind::Adaptive
     }
 
-    /// `true` for the staircase family (serial, fragmented, parallel).
+    /// `true` for the staircase family (plain, pushdown, fragmented).
     pub fn is_staircase(&self) -> bool {
         matches!(
             self.kind,
-            EngineKind::Staircase { .. }
-                | EngineKind::Fragmented { .. }
-                | EngineKind::Parallel { .. }
+            EngineKind::Staircase { .. } | EngineKind::Fragmented { .. }
         )
     }
 }
@@ -218,7 +214,6 @@ pub struct StaircaseBuilder {
     variant: Variant,
     pushdown: bool,
     fragmented: bool,
-    threads: Option<usize>,
 }
 
 impl StaircaseBuilder {
@@ -243,54 +238,28 @@ impl StaircaseBuilder {
         self
     }
 
-    /// Runs the join's disjoint staircase partitions on `threads` worker
-    /// threads (§3.2 / Figure 8).
-    pub fn parallel(mut self, threads: usize) -> StaircaseBuilder {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidEngine`] when options conflict: zero worker
-    /// threads, pushdown or fragmentation combined with the parallel
-    /// engine, or pushdown combined with fragmentation (fragments *are*
-    /// the pushed-down name test).
+    /// [`Error::InvalidEngine`] when pushdown is combined with
+    /// fragmentation (fragments *are* the pushed-down name test).
     pub fn build(self) -> Result<Engine, Error> {
         let StaircaseBuilder {
             variant,
             pushdown,
             fragmented,
-            threads,
         } = self;
-        let kind = match (threads, fragmented, pushdown) {
-            (Some(0), _, _) => {
-                return Err(Error::InvalidEngine(
-                    "parallel staircase join needs at least one worker thread".into(),
-                ))
-            }
-            (Some(_), true, _) => {
-                return Err(Error::InvalidEngine(
-                    "tag fragmentation is not available on the parallel engine".into(),
-                ))
-            }
-            (Some(_), _, true) => {
-                return Err(Error::InvalidEngine(
-                    "name-test pushdown is not available on the parallel engine".into(),
-                ))
-            }
-            (None, true, true) => {
+        let kind = match (fragmented, pushdown) {
+            (true, true) => {
                 return Err(Error::InvalidEngine(
                     "fragments already are the pushed-down name test; \
                      use .fragmented(true) alone"
                         .into(),
                 ))
             }
-            (Some(threads), false, false) => EngineKind::Parallel { variant, threads },
-            (None, true, false) => EngineKind::Fragmented { variant },
-            (None, false, pushdown) => EngineKind::Staircase { variant, pushdown },
+            (true, false) => EngineKind::Fragmented { variant },
+            (false, pushdown) => EngineKind::Staircase { variant, pushdown },
         };
         Ok(Engine { kind })
     }
@@ -360,7 +329,6 @@ mod tests {
             Engine::staircase().variant(Variant::Basic).build().unwrap(),
             Engine::staircase().pushdown(true).build().unwrap(),
             Engine::staircase().fragmented(true).build().unwrap(),
-            Engine::staircase().parallel(4).build().unwrap(),
             Engine::naive(),
             Engine::sql()
                 .eq1_window(true)
@@ -382,10 +350,11 @@ mod tests {
     #[test]
     fn invalid_combinations_are_rejected() {
         for builder in [
-            Engine::staircase().parallel(0),
-            Engine::staircase().parallel(2).pushdown(true),
-            Engine::staircase().parallel(2).fragmented(true),
             Engine::staircase().fragmented(true).pushdown(true),
+            Engine::staircase()
+                .variant(Variant::Basic)
+                .pushdown(true)
+                .fragmented(true),
         ] {
             let err = builder.build();
             assert!(

@@ -2,14 +2,15 @@
 //! residue.
 //!
 //! Since the lane-native refactor, **all** evaluation enters through
-//! the lane executor in [`crate::batch`] ([`Executor::run_plans`];
-//! single-query `run` is the K = 1 batch). This module holds the
-//! [`Executor`] itself — the document paired with whichever auxiliary
-//! structures the plans at hand require, resolved by [`crate::Session`]
-//! against its caches — plus the *sequential* step interpreter
+//! the lane executor in [`crate::batch`] ([`Executor::run`], under
+//! [`crate::Session::execute`]; single-query `run` is the K = 1 batch).
+//! This module holds the [`Executor`] itself — the document paired with
+//! whichever auxiliary structures the plans at hand require, resolved by
+//! [`crate::Session`] against its caches — plus the *sequential* step
+//! interpreter
 //! ([`Executor::exec_step`]) that serves the genuinely unbatchable
 //! residue: steps whose planned operator declares no multi-context form
-//! (naive/SQL/parallel joins, structural axes) and nested-loop
+//! (naive/SQL joins, twig steps, structural axes) and nested-loop
 //! predicate evaluation. It makes no engine decisions: every step
 //! arrives as a [`PlannedStep`] whose operator was chosen by
 //! [`crate::plan`] (trivially, for fixed engines; cost-based, for
@@ -23,11 +24,11 @@ use std::sync::{Arc, Mutex};
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
-    ancestor_on_list, ancestor_parallel_tested, ancestor_tested, child_on_list,
+    ancestor_on_list, ancestor_tested, child_on_list,
     cost::{Calibrator, DocStats},
-    descendant_on_list, descendant_parallel_tested, descendant_tested, following_tested,
-    has_ancestor_in, has_child_in, has_descendant_in, mask, preceding_tested, twig_match,
-    ChainStep, ScanTest, ScratchPool, SpineLeg, TagBitmap, TagIndex, WorkerPool,
+    descendant_on_list, descendant_tested, following_tested, has_ancestor_in, has_child_in,
+    has_descendant_in, mask, preceding_tested, twig_match, ChainStep, ScanTest, ScratchPool,
+    SpineLeg, TagBitmap, TagIndex, WorkerPool,
 };
 
 use crate::ast::NodeTest;
@@ -102,15 +103,6 @@ impl EvalStats {
             .map(|s| s.tuples_produced.saturating_sub(s.result_size as u64))
             .sum()
     }
-}
-
-/// The outcome of a path evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalOutput {
-    /// Result node sequence (document order, duplicate-free).
-    pub result: Context,
-    /// Per-step statistics.
-    pub stats: EvalStats,
 }
 
 /// The plan interpreter: a document plus exactly the auxiliary
@@ -207,19 +199,16 @@ impl<'a> Executor<'a> {
     /// Interprets one branch plan from an explicit context — the
     /// nested-loop predicate path ([`PredOp::Filter`] recurses into full
     /// path evaluation per candidate).
-    pub(crate) fn run_branch(&self, branch: &PathPlan, context: &Context) -> EvalOutput {
+    fn run_branch(&self, branch: &PathPlan, context: &Context) -> Context {
         let mut ctx = if branch.absolute {
             Context::singleton(self.doc.root())
         } else {
             context.clone()
         };
-        let mut stats = EvalStats::default();
         for step in &branch.steps {
-            let (next, trace) = self.exec_step(&ctx, step);
-            stats.steps.push(trace);
-            ctx = next;
+            ctx = self.exec_step(&ctx, step).0;
         }
-        EvalOutput { result: ctx, stats }
+        ctx
     }
 
     /// Interprets one planned step (join, node test, predicates); also
@@ -501,12 +490,7 @@ impl<'a> Executor<'a> {
             PredOp::Filter(sub) => Context::from_sorted(
                 candidates
                     .iter()
-                    .filter(|&v| {
-                        !self
-                            .run_branch(sub, &Context::singleton(v))
-                            .result
-                            .is_empty()
-                    })
+                    .filter(|&v| !self.run_branch(sub, &Context::singleton(v)).is_empty())
                     .collect::<Vec<Pre>>(),
             ),
         }
@@ -649,31 +633,6 @@ impl<'a> Executor<'a> {
             // the context to one node and the region is contiguous.
             StepOp::Horiz => {
                 self.plain_staircase(ctx, paxis, step, staircase_core::Variant::default())
-            }
-            StepOp::Parallel { variant, threads } => {
-                // On a session with a real pool the chunks run there (no
-                // spawning); a width-1 session keeps the engine's original
-                // spawn-per-call semantics so `parallel(n)` still means n
-                // concurrent workers.
-                let transient;
-                let pool = if self.pool.width() > 1 {
-                    self.pool
-                } else {
-                    transient = WorkerPool::new(threads);
-                    &transient
-                };
-                let test = scan_test(doc, &step.test, axis_of(paxis));
-                let (out, stats) = match paxis {
-                    PartAxis::Descendant => {
-                        descendant_parallel_tested(doc, ctx, variant, threads, pool, &test)
-                    }
-                    PartAxis::Ancestor => {
-                        ancestor_parallel_tested(doc, ctx, variant, threads, pool, &test)
-                    }
-                    PartAxis::Following => following_tested(doc, ctx, &test),
-                    PartAxis::Preceding => preceding_tested(doc, ctx, &test),
-                };
-                (out, stats.nodes_touched(), 0, 0)
             }
             StepOp::Naive | StepOp::Structural => {
                 // Structural never reaches a partitioning axis from the
@@ -946,7 +905,7 @@ pub(crate) fn merge(a: &Context, b: &Context) -> Context {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::session::Session;
+    use crate::session::{QueryOutput, Session};
     use staircase_accel::NodeKind;
     use staircase_core::Variant;
 
@@ -967,7 +926,7 @@ mod tests {
         .unwrap()
     }
 
-    fn engines() -> [Engine; 8] {
+    fn engines() -> [Engine; 7] {
         [
             Engine::staircase().variant(Variant::Basic).build().unwrap(),
             Engine::staircase()
@@ -976,7 +935,6 @@ mod tests {
                 .unwrap(),
             Engine::staircase().pushdown(true).build().unwrap(),
             Engine::staircase().fragmented(true).build().unwrap(),
-            Engine::staircase().parallel(3).build().unwrap(),
             Engine::naive(),
             Engine::sql()
                 .eq1_window(true)
@@ -985,6 +943,16 @@ mod tests {
                 .unwrap(),
             Engine::auto(),
         ]
+    }
+
+    /// `expr` evaluated from the single context node `pre`.
+    fn from(session: &Session, expr: &str, pre: Pre) -> QueryOutput {
+        let query = session.prepare(expr).unwrap();
+        let context = Context::singleton(pre);
+        session
+            .execute(&[(&query, None)], Engine::default(), Some(&context))
+            .remove(0)
+            .unwrap()
     }
 
     fn names(doc: &Doc, ctx: &Context) -> Vec<String> {
@@ -1049,63 +1017,34 @@ mod tests {
         let session = Session::new(figure1());
         // (c)/following/descendant — but the session's default context is
         // the root, so phrase it as a path from c.
-        let query = session
-            .prepare("following::node()/descendant::node()")
-            .unwrap();
-        let out = query
-            .run_from(&Context::singleton(2), Engine::default())
-            .unwrap();
+        let out = from(&session, "following::node()/descendant::node()", 2);
         assert_eq!(names(session.doc(), out.nodes()), ["f", "g", "h", "i", "j"]);
     }
 
     #[test]
     fn child_and_parent_axes() {
         let session = Session::new(figure1());
-        let out = session
-            .prepare("child::node()")
-            .unwrap()
-            .run_from(&Context::singleton(4), Engine::default())
-            .unwrap();
+        let out = from(&session, "child::node()", 4);
         assert_eq!(names(session.doc(), out.nodes()), ["f", "i"]);
-        let out = session
-            .prepare("..")
-            .unwrap()
-            .run_from(&Context::singleton(5), Engine::default())
-            .unwrap();
+        let out = from(&session, "..", 5);
         assert_eq!(names(session.doc(), out.nodes()), ["e"]);
     }
 
     #[test]
     fn or_self_axes() {
         let session = Session::new(figure1());
-        let out = session
-            .prepare("ancestor-or-self::node()")
-            .unwrap()
-            .run_from(&Context::singleton(6), Engine::default())
-            .unwrap();
+        let out = from(&session, "ancestor-or-self::node()", 6);
         assert_eq!(names(session.doc(), out.nodes()), ["a", "e", "f", "g"]);
-        let out = session
-            .prepare("descendant-or-self::node()")
-            .unwrap()
-            .run_from(&Context::singleton(5), Engine::default())
-            .unwrap();
+        let out = from(&session, "descendant-or-self::node()", 5);
         assert_eq!(names(session.doc(), out.nodes()), ["f", "g", "h"]);
     }
 
     #[test]
     fn sibling_axes() {
         let session = Session::new(figure1());
-        let out = session
-            .prepare("following-sibling::node()")
-            .unwrap()
-            .run_from(&Context::singleton(1), Engine::default())
-            .unwrap();
+        let out = from(&session, "following-sibling::node()", 1);
         assert_eq!(names(session.doc(), out.nodes()), ["d", "e"]);
-        let out = session
-            .prepare("preceding-sibling::node()")
-            .unwrap()
-            .run_from(&Context::singleton(4), Engine::default())
-            .unwrap();
+        let out = from(&session, "preceding-sibling::node()", 4);
         assert_eq!(names(session.doc(), out.nodes()), ["b", "d"]);
     }
 

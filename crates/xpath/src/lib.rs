@@ -41,9 +41,9 @@
 //!
 //! Query evaluation is two phases. *Planning* lowers a parsed,
 //! normalised expression into a [`PhysicalPlan`]: per step, a typed operator
-//! ([`StepOp`] — plain staircase join, §6 tag-fragment join, parallel
-//! join, §3.1 naive region scan, Figure-3 SQL plan, horizontal scan,
-//! structural axis), a node-test operator ([`TestOp`]), lowered
+//! ([`StepOp`] — plain staircase join, §6 tag-fragment join, §3.1
+//! naive region scan, Figure-3 SQL plan, horizontal scan, structural
+//! axis, twig region), a node-test operator ([`TestOp`]), lowered
 //! predicate operators ([`PredOp`], including the §3.3 semijoin fast
 //! path), and a cost estimate. *Execution* interprets the plan; it makes
 //! no engine decisions of its own.
@@ -51,7 +51,7 @@
 //! An [`Engine`] is therefore a **planning policy**:
 //!
 //! * the fixed engines — `Engine::staircase().variant(..).pushdown(..)`,
-//!   `.fragmented(true)`, `.parallel(n)`, `Engine::sql().eq1_window(..)`,
+//!   `.fragmented(true)`, `Engine::sql().eq1_window(..)`,
 //!   [`Engine::naive`] — lower every step to the operator that engine
 //!   always uses (builders validate configurations up front);
 //! * [`Engine::auto`] prices the candidate operators per step from
@@ -91,7 +91,7 @@
 //! (`.` a child edge, `>` descendant, `^` ancestor; the edge out of the
 //! candidates is implicit).
 //!
-//! The staircase, fragmented, parallel and twig engines take the chain
+//! The staircase, fragmented and twig engines take the chain
 //! whenever the shape allows. [`Engine::auto`] prices a multi-step
 //! chain (one [`staircase_core::DocStats::semijoin_cost`] per edge: it
 //! grows with the *lists*) against the nested loop
@@ -188,6 +188,10 @@
 //! * [`Query`] ([`Session::prepare`]) is parsed once and run many times,
 //!   against any engine, yielding a [`QueryOutput`]; physical plans are
 //!   cached per engine, so repeated runs skip re-planning;
+//! * [`Session::execute`] is the one way in: a batch of queries, each
+//!   with an optional [`Budget`], from the root or an explicit context.
+//!   [`Query::run`], [`Session::run`] and [`Session::run_many`] are its
+//!   ungoverned, from-the-root cases;
 //! * every failure is a typed [`Error`]; nothing on the query path
 //!   panics.
 //!
@@ -195,7 +199,7 @@
 //!
 //! Multi-context execution is the **native form**: every evaluation is
 //! a batch of *lanes* (one per union branch per query), advancing in
-//! rounds, and `Session::run` is simply [`Session::run_many`] with
+//! rounds, and [`Query::run`] is simply [`Session::run_many`] with
 //! K = 1. Batchability is a *declared property of the planned operator*
 //! ([`PlannedStep::batchable`]): plain staircase joins, fragment
 //! (on-list) joins, horizontal scans, and semijoin predicate probes all
@@ -205,7 +209,7 @@
 //! plane scans, one cursor per shared tag fragment, one suffix/prefix
 //! scan per horizontal group, grouped predicate probes). Only the
 //! genuinely unbatchable residue — nested-loop predicates, structural
-//! axes, the naive/SQL/parallel operators — drops to the sequential
+//! axes, the naive/SQL/twig operators — drops to the sequential
 //! per-lane interpreter. Per-query [`EvalStats`] count *incremental*
 //! cost (a shared read is attributed to the first lane that needed it),
 //! so touched totals across a batch equal physical reads.
@@ -234,9 +238,10 @@
 //!   chunks of the pruned boundary list, disjoint pre-ranges in the
 //!   paper's §3.2/Figure-8 sense — so per-worker results concatenate in
 //!   document order with no merge sort, and per-worker statistics sum
-//!   to the sequential counters *exactly* (the parallel kernels
-//!   reproduce the sequential scans' per-position behaviour, asserted
-//!   by equivalence tests at widths 1/2/4). Steps below the cost
+//!   to the sequential counters *exactly* (the plane-scan `_many`
+//!   kernels, handed the pool, reproduce the sequential scans'
+//!   per-position behaviour, asserted by equivalence tests at widths
+//!   1/2/4). Steps below the cost
 //!   model's fanout floor stay sequential however wide the pool is, so
 //!   small queries never pay worker handoff.
 //!
@@ -252,10 +257,9 @@
 //! ceiling, and a cancellation flag, and is enforced *cooperatively* —
 //! the core kernels tick it at partition/chunk/seek boundaries and the
 //! lane executor checks it at round boundaries, so a governed query
-//! stops with bounded overshoot and no locks held. The governed entry
-//! points are [`Query::run_governed`] / [`Query::run_from_governed`] /
-//! [`Session::run_many_governed`]; ungoverned calls pay nothing (one
-//! branch per kernel).
+//! stops with bounded overshoot and no locks held. A query is governed
+//! by handing [`Session::execute`] a budget in its slot; ungoverned
+//! slots pay nothing (one branch per kernel).
 //!
 //! What can fail, and what survives:
 //!
@@ -263,7 +267,7 @@
 //!   [`Error::DeadlineExceeded`], [`Error::BudgetExhausted`], or
 //!   [`Error::Cancelled`] — and its partial work is discarded, never
 //!   returned;
-//! * sibling queries of the same [`Session::run_many_governed`] batch
+//! * sibling queries of the same [`Session::execute`] batch
 //!   complete **node- and order-identical to an ungoverned run**: a
 //!   pass shared with a failing query runs ungoverned to completion and
 //!   only the failing query is charged at the round boundary;
@@ -338,7 +342,7 @@ mod session;
 pub use ast::{NodeTest, Path, Predicate, Step, UnionExpr};
 pub use engine::{Engine, SqlBuilder, StaircaseBuilder};
 pub use error::Error;
-pub use eval::{EvalOutput, EvalStats, StepTrace};
+pub use eval::{EvalStats, StepTrace};
 pub use parser::{parse, parse_union, ParseError, MAX_PREDICATE_DEPTH};
 pub use plan::{
     PathPlan, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis, SemijoinChain, StepEstimate, StepOp,

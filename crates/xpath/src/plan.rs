@@ -164,13 +164,6 @@ pub enum StepOp {
         /// Query-time selection scan instead of the prebuilt index.
         prescan: bool,
     },
-    /// Partitioned parallel staircase join (vertical axes).
-    Parallel {
-        /// Skipping refinement.
-        variant: Variant,
-        /// Worker count.
-        threads: usize,
-    },
     /// Horizontal staircase scan: pruning collapses the context to one
     /// node and `following`/`preceding` become one region copy.
     Horiz,
@@ -261,7 +254,7 @@ impl fmt::Display for TwigSpec {
 /// plans) and recorded here for `EXPLAIN` output and plan inspection.
 /// The operators that **fuse**: fragment and twig joins (the list *is*
 /// the name test), SQL's early name test, and every plane scan —
-/// staircase, horizontal and parallel steps hand the test down to the
+/// staircase and horizontal steps hand the test down to the
 /// kernel as a [`staircase_core::ScanTest`], which reads the region once
 /// and writes out only what the test keeps. The operators that still
 /// **filter afterwards**: the naive join, plain SQL, and the structural
@@ -581,8 +574,8 @@ impl PlannedStep {
     /// When `true`, [`crate::Session::run_many`] serves every lane whose
     /// current step shares this step's lane form from **one** pass;
     /// when `false`, the step is the per-lane residue (nested-loop
-    /// predicates, structural axes, and the naive/SQL/parallel
-    /// operators, which have no multi-context form).
+    /// predicates, structural axes, and the naive/SQL/twig operators,
+    /// which have no multi-context form).
     pub fn batchable(&self) -> bool {
         self.lane_form() != LaneForm::PerLane
     }
@@ -642,9 +635,6 @@ impl fmt::Display for StepOp {
             StepOp::Staircase { variant } => write!(f, "staircase({variant:?})"),
             StepOp::Fragment { prescan: false } => write!(f, "fragment"),
             StepOp::Fragment { prescan: true } => write!(f, "fragment(prescan)"),
-            StepOp::Parallel { variant, threads } => {
-                write!(f, "parallel({variant:?}, {threads} threads)")
-            }
             StepOp::Horiz => write!(f, "horiz-scan"),
             StepOp::Naive => write!(f, "naive"),
             StepOp::Sql {
@@ -1185,10 +1175,6 @@ fn plan_partitioning(
             // name is absent, so only the per-partition probes remain.
             StepOp::Fragment { prescan: true } if fragment == 0 => in_rows,
             StepOp::Fragment { prescan } => stats.fragment_cost(fragment, in_rows, window, prescan),
-            StepOp::Parallel { variant, threads } => {
-                stats.parallel_cost(variant, in_rows, window, threads)
-                    + stats.apply_test_cost(window)
-            }
             StepOp::Horiz => stats.horiz_cost() + stats.apply_test_cost(window),
             StepOp::Naive => stats.naive_cost(unpruned) + stats.apply_test_cost(unpruned),
             StepOp::Sql {
@@ -1284,15 +1270,6 @@ fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> Ste
                 StepOp::Horiz
             } else {
                 StepOp::Staircase { variant }
-            }
-        }
-        EngineKind::Parallel { variant, threads } => {
-            if horiz {
-                // The horizontal scan is single-pass; the parallel engine
-                // runs it serially (as before the split).
-                StepOp::Horiz
-            } else {
-                StepOp::Parallel { variant, threads }
             }
         }
         EngineKind::Naive => StepOp::Naive,
@@ -1432,7 +1409,7 @@ fn plan_predicate(
     // `Some(prebuilt)` for the engine families with a semijoin form.
     let family = match pl.policy {
         Policy::Auto | Policy::Twig | Policy::Fixed(EngineKind::Fragmented { .. }) => Some(true),
-        Policy::Fixed(EngineKind::Staircase { .. } | EngineKind::Parallel { .. }) => Some(false),
+        Policy::Fixed(EngineKind::Staircase { .. }) => Some(false),
         Policy::Fixed(_) => None,
     };
     let Some((prebuilt, chain)) = family.zip(semijoin_chain(path)) else {
@@ -1720,10 +1697,8 @@ mod tests {
     #[test]
     fn multi_step_predicates_lower_to_chains_by_family() {
         let fragmented = Engine::staircase().fragmented(true).build().unwrap();
-        let parallel = Engine::staircase().parallel(2).build().unwrap();
         for (engine, indexed) in [
             (Engine::default(), false),
-            (parallel, false),
             (fragmented, true),
             (Engine::twig(), true),
         ] {
@@ -1961,8 +1936,6 @@ mod tests {
         assert!(!step("child::b", Engine::default()).batchable());
         assert!(!step("/descendant::b", Engine::naive()).batchable());
         assert!(!step("/descendant::b", Engine::sql().build().unwrap()).batchable());
-        let parallel = Engine::staircase().parallel(2).build().unwrap();
-        assert!(!step("/descendant::b", parallel).batchable());
     }
 
     #[test]
@@ -1987,7 +1960,7 @@ mod tests {
         assert_eq!(steps[0].test_operator(), TestOp::Fused);
         assert_eq!(steps[1].test_operator(), TestOp::ApplyTest);
         // …as is the naive join's and plain SQL's, but not SQL's early
-        // name test, the horizontal and parallel scans, or the fragment
+        // name test, the horizontal and ancestor scans, or the fragment
         // join; and a node() step has no test to apply anywhere.
         let residual =
             |expr: &str, engine: Engine| plan_for(expr, engine).to_string().contains("[mask]");
@@ -1996,8 +1969,7 @@ mod tests {
         let early = Engine::sql().early_nametest(true).build().unwrap();
         assert!(!residual("/descendant::b", early));
         assert!(!residual("/descendant::b/following::c", Engine::default()));
-        let parallel = Engine::staircase().parallel(2).build().unwrap();
-        assert!(!residual("/descendant::b/ancestor::*", parallel));
+        assert!(!residual("/descendant::b/ancestor::*", Engine::default()));
         let fragmented = Engine::staircase().fragmented(true).build().unwrap();
         assert!(!residual("/descendant::b", fragmented));
         assert!(!residual("/descendant::node()", Engine::naive()));
@@ -2168,12 +2140,10 @@ mod tests {
         // …and every fixed engine keeps `child` structural.
         let fragmented = Engine::staircase().fragmented(true).build().unwrap();
         let pushdown = Engine::staircase().pushdown(true).build().unwrap();
-        let parallel = Engine::staircase().parallel(2).build().unwrap();
         for engine in [
             Engine::default(),
             pushdown,
             fragmented,
-            parallel,
             Engine::naive(),
             Engine::sql().build().unwrap(),
             Engine::twig(),

@@ -38,9 +38,10 @@ use staircase_core::governor::Budget;
 use staircase_core::{ScratchPool, TagIndex, WorkerPool};
 
 use crate::ast::UnionExpr;
+use crate::batch::trip_error;
 use crate::engine::Engine;
 use crate::error::Error;
-use crate::eval::{EvalOutput, EvalStats, Executor};
+use crate::eval::{EvalStats, Executor};
 use crate::normalize::normalize;
 use crate::parser::parse_union;
 use crate::plan::{plan_union, PhysicalPlan};
@@ -223,7 +224,7 @@ impl Session {
 
     /// Evaluates a whole batch of prepared queries from the document
     /// root, **sharing one pass** wherever the queries' current steps
-    /// agree on a planned operator.
+    /// agree on a planned operator: [`Session::execute`] with no budgets.
     ///
     /// Each round, lanes are grouped by the step's declared lane form
     /// ([`crate::PlannedStep::batchable`]): plain staircase joins share
@@ -238,12 +239,12 @@ impl Session {
     /// [`staircase_core::preceding_many`]), and semijoin predicates are
     /// probed group-wise ([`staircase_core::has_descendant_in_many`]
     /// and friends). Only the residue without a multi-context form —
-    /// nested-loop predicates, structural axes, the naive/SQL/parallel
+    /// nested-loop predicates, structural axes, the naive/SQL/twig
     /// operators — evaluates per lane, so for every query
     /// `run_many(&[q])[0].nodes() == q.run(engine).nodes()` holds
     /// engine-independently (property-tested). [`Query::run`] itself is
-    /// this method's K = 1 case: single queries and batches execute
-    /// through the same lane executor.
+    /// the K = 1 case: single queries and batches execute through the
+    /// same lane executor.
     ///
     /// Outputs arrive in input order with per-query [`EvalStats`]. In a
     /// batch, statistics count *incremental* cost: a plane position
@@ -251,84 +252,103 @@ impl Session {
     /// needed it, so touched-node totals over the batch equal the
     /// physical reads — strictly below the sequential sum whenever
     /// result regions overlap.
-    ///
-    /// Queries are evaluated against **this** session's document; a
-    /// query prepared on a different session contributes its parsed
-    /// expression only.
     pub fn run_many(&self, queries: &[&Query<'_>], engine: Engine) -> Vec<QueryOutput> {
-        let budgets: Vec<Option<Arc<Budget>>> = queries.iter().map(|_| None).collect();
-        self.run_many_governed(queries, engine, &budgets)
+        let jobs: Vec<_> = queries.iter().map(|&q| (q, None)).collect();
+        self.execute(&jobs, engine, None)
             .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("ungoverned evaluation failed: {e}")))
+            .map(ungoverned)
             .collect()
     }
 
-    /// [`Session::run_many`] under per-query governance: `budgets[i]`
-    /// (deadline, cost ceiling, cancellation — see
-    /// [`Budget`](staircase_core::governor::Budget)) governs
-    /// `queries[i]`; `None` runs that query ungoverned.
+    /// The one way into evaluation: runs every `(query, budget)` of
+    /// `queries` on `engine` from the context sequence `from` — the
+    /// document root when `None` — as one batch of the lane executor
+    /// (see [`Session::run_many`] for what a batch shares). Outputs
+    /// arrive in input order.
     ///
-    /// Enforcement is **lane-local**. A query that trips its budget
-    /// comes back as `Err` ([`Error::DeadlineExceeded`] /
-    /// [`Error::BudgetExhausted`] / [`Error::Cancelled`]) with its
-    /// partial work discarded, while sibling queries of the same batch
-    /// complete **node- and order-identical** to an ungoverned run —
-    /// any pass shared between a failing and a surviving query runs
-    /// ungoverned to completion and only the failing query is charged.
-    /// A panic inside one query's lane is caught and isolated
-    /// ([`Error::Internal`]): the session, its worker pool, and the
-    /// sibling queries remain fully usable.
+    /// A query with a [`Budget`] (deadline, cost ceiling, cancellation)
+    /// is **governed**, and enforcement is lane-local: a query that trips
+    /// its budget comes back as `Err` with its partial work discarded,
+    /// while sibling queries of the same batch complete **node- and
+    /// order-identical** to an ungoverned run — any pass shared between
+    /// a failing and a surviving query runs ungoverned to completion and
+    /// only the failing query is charged. A panic inside one query's lane
+    /// is caught and isolated ([`Error::Internal`]): the session, its
+    /// worker pool, and the sibling queries remain fully usable. `None`
+    /// runs a query ungoverned, which costs one branch per kernel.
     ///
-    /// `budgets.len()` must equal `queries.len()`.
-    pub fn run_many_governed(
+    /// Queries are evaluated against **this** session's document; a
+    /// query prepared on a different session contributes its parsed
+    /// expression only (and is re-planned against this document).
+    ///
+    /// # Errors
+    ///
+    /// Per slot: [`Error::ContextOutOfRange`] for every query when `from`
+    /// names a node outside this session's document (e.g. a pre rank
+    /// taken from a different or stale document) — rejected before any
+    /// work runs; [`Error::DeadlineExceeded`], [`Error::BudgetExhausted`]
+    /// or [`Error::Cancelled`] for a query whose budget trips (on an empty
+    /// document, a budget that is already dead); [`Error::Internal`] for
+    /// a query whose evaluation panicked.
+    pub fn execute(
         &self,
-        queries: &[&Query<'_>],
+        queries: &[(&Query<'_>, Option<Arc<Budget>>)],
         engine: Engine,
-        budgets: &[Option<Arc<Budget>>],
+        from: Option<&Context>,
     ) -> Vec<Result<QueryOutput, Error>> {
-        assert_eq!(
-            queries.len(),
-            budgets.len(),
-            "one budget slot per query required"
-        );
+        let len = self.doc.len();
+        if let Some(pre) = from.and_then(|ctx| ctx.iter().find(|&v| v as usize >= len)) {
+            return queries
+                .iter()
+                .map(|_| Err(Error::ContextOutOfRange { pre, len }))
+                .collect();
+        }
         if self.doc.is_empty() {
             // No rounds run, but a budget that is already dead (expired
             // deadline, cancelled) still fails its query, matching the
             // round-boundary check a non-empty document would hit.
-            return budgets
+            return queries
                 .iter()
-                .map(|b| match b.as_ref().and_then(|b| b.check()) {
-                    Some(trip) => Err(crate::batch::trip_error(trip)),
-                    None => Ok(QueryOutput {
-                        result: Context::empty(),
-                        stats: EvalStats::default(),
-                    }),
-                })
+                .map(
+                    |(_, budget)| match budget.as_ref().and_then(|b| b.check()) {
+                        Some(trip) => Err(trip_error(trip)),
+                        None => Ok(QueryOutput::default()),
+                    },
+                )
                 .collect();
         }
-        // Queries prepared on this session reuse their cached plans; a
-        // query prepared on a different session contributes its parsed
-        // expression only (and is re-planned against this document).
-        let plans: Vec<Arc<PhysicalPlan>> = queries
+        // Queries prepared on this session reuse their cached plans.
+        let jobs: Vec<(Arc<PhysicalPlan>, Option<Arc<Budget>>)> = queries
             .iter()
-            .map(|q| {
-                if std::ptr::eq(q.session, self) {
+            .map(|(q, budget)| {
+                let plan = if std::ptr::eq(q.session, self) {
                     q.plan_for(engine)
                 } else {
                     Arc::new(self.plan(&q.parsed, engine))
-                }
+                };
+                (plan, budget.clone())
             })
             .collect();
-        let plan_refs: Vec<&PhysicalPlan> = plans.iter().map(Arc::as_ref).collect();
-        let ex = self.executor(
-            plan_refs.iter().any(|p| p.needs_tag_index()),
-            plan_refs.iter().any(|p| p.needs_sql_engine()),
-        );
-        let root = Context::singleton(self.doc.root());
-        ex.run_plans_governed(&plan_refs, &root, budgets)
-            .into_iter()
-            .map(|r| r.map(|EvalOutput { result, stats }| QueryOutput { result, stats }))
-            .collect()
+        let ex = Executor {
+            doc: &self.doc,
+            tags: jobs
+                .iter()
+                .any(|(p, _)| p.needs_tag_index())
+                .then(|| self.tag_index()),
+            sql: jobs
+                .iter()
+                .any(|(p, _)| p.needs_sql_engine())
+                .then(|| self.sql_engine()),
+            pool: &self.workers,
+            scratch: &self.scratch,
+            stats: self.doc_stats(),
+            calibrator: &self.calibrator,
+            lists: Mutex::default(),
+        };
+        match from {
+            Some(context) => ex.run(&jobs, context),
+            None => ex.run(&jobs, &Context::singleton(self.doc.root())),
+        }
     }
 
     /// Lowers `expr` into the physical plan `engine` would execute,
@@ -457,26 +477,6 @@ impl Session {
             self.calibrator.twig_seek_factor(),
         )
     }
-
-    /// Pairs the document with exactly the (cached) auxiliary structures
-    /// the plans at hand require; nothing else is built.
-    fn executor(&self, needs_tags: bool, needs_sql: bool) -> Executor<'_> {
-        Executor {
-            doc: &self.doc,
-            tags: needs_tags.then(|| self.tag_index()),
-            sql: needs_sql.then(|| self.sql_engine()),
-            pool: &self.workers,
-            scratch: &self.scratch,
-            stats: self.doc_stats(),
-            calibrator: &self.calibrator,
-            lists: Mutex::default(),
-        }
-    }
-
-    /// The executor for one plan.
-    pub(crate) fn executor_for(&self, plan: &PhysicalPlan) -> Executor<'_> {
-        self.executor(plan.needs_tag_index(), plan.needs_sql_engine())
-    }
 }
 
 /// The session's default worker-pool width: the `STAIRCASE_THREADS`
@@ -534,76 +534,14 @@ impl<'s> Query<'s> {
         self.session
     }
 
-    /// Evaluates from the document root on `engine`.
+    /// Evaluates from the document root on `engine`: the ungoverned
+    /// K = 1 case of [`Session::execute`].
     pub fn run(&self, engine: Engine) -> QueryOutput {
-        if self.session.doc.is_empty() {
-            // No root to start from: every path is empty.
-            return QueryOutput {
-                result: Context::empty(),
-                stats: EvalStats::default(),
-            };
-        }
-        self.run_unchecked(&Context::singleton(self.session.doc.root()), engine)
-    }
-
-    /// Evaluates from an explicit context sequence on `engine`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ContextOutOfRange`] when `context` names a node outside
-    /// this session's document (e.g. a pre rank taken from a different
-    /// or stale document) — rejected up front rather than panicking
-    /// mid-evaluation.
-    pub fn run_from(&self, context: &Context, engine: Engine) -> Result<QueryOutput, Error> {
-        let len = self.session.doc.len();
-        if let Some(pre) = context.iter().find(|&v| v as usize >= len) {
-            return Err(Error::ContextOutOfRange { pre, len });
-        }
-        Ok(self.run_unchecked(context, engine))
-    }
-
-    /// [`Query::run`] under a [`Budget`]: the query stops cooperatively
-    /// at its deadline or cost ceiling (or when
-    /// [`Budget::cancel`] is called from another thread) and reports
-    /// the trip as a typed error; a panic during evaluation is caught
-    /// and isolated as [`Error::Internal`], leaving the session fully
-    /// usable. The K = 1 case of [`Session::run_many_governed`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DeadlineExceeded`], [`Error::BudgetExhausted`],
-    /// [`Error::Cancelled`], [`Error::Internal`].
-    pub fn run_governed(&self, engine: Engine, budget: Arc<Budget>) -> Result<QueryOutput, Error> {
-        self.session
-            .run_many_governed(&[self], engine, &[Some(budget)])
-            .pop()
-            .expect("one query in, one result out")
-    }
-
-    /// [`Query::run_from`] under a [`Budget`]; see
-    /// [`Query::run_governed`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ContextOutOfRange`] for a context node outside this
-    /// session's document, plus everything [`Query::run_governed`]
-    /// reports.
-    pub fn run_from_governed(
-        &self,
-        context: &Context,
-        engine: Engine,
-        budget: Arc<Budget>,
-    ) -> Result<QueryOutput, Error> {
-        let len = self.session.doc.len();
-        if let Some(pre) = context.iter().find(|&v| v as usize >= len) {
-            return Err(Error::ContextOutOfRange { pre, len });
-        }
-        let plan = self.plan_for(engine);
-        let ex = self.session.executor_for(&plan);
-        ex.run_plans_governed(&[&plan], context, &[Some(budget)])
-            .pop()
-            .expect("one plan in, one result out")
-            .map(|EvalOutput { result, stats }| QueryOutput { result, stats })
+        ungoverned(
+            self.session
+                .execute(&[(self, None)], engine, None)
+                .remove(0),
+        )
     }
 
     /// Lowers this query into the physical plan `engine` would execute
@@ -622,19 +560,12 @@ impl<'s> Query<'s> {
         cache.push((engine, Arc::clone(&plan)));
         plan
     }
+}
 
-    /// Evaluation core; `context` must already be in bounds. A single
-    /// query is the K = 1 batch: it executes through the same lane
-    /// executor as [`Session::run_many`].
-    fn run_unchecked(&self, context: &Context, engine: Engine) -> QueryOutput {
-        let plan = self.plan_for(engine);
-        let ex = self.session.executor_for(&plan);
-        let EvalOutput { result, stats } = ex
-            .run_plans(&[&plan], context)
-            .pop()
-            .expect("one plan in, one output out");
-        QueryOutput { result, stats }
-    }
+/// An ungoverned slot of [`Session::execute`]: its only failure is a
+/// caught panic, which stays a panic here.
+fn ungoverned(slot: Result<QueryOutput, Error>) -> QueryOutput {
+    slot.unwrap_or_else(|e| panic!("ungoverned evaluation failed: {e}"))
 }
 
 /// A query result: the node sequence (document order, duplicate-free)
@@ -654,10 +585,10 @@ impl<'s> Query<'s> {
 /// Deliberately **not** `PartialEq`: per-step statistics differ between
 /// engines even when results agree, so whole-output equality would be a
 /// trap. Compare [`QueryOutput::nodes`] instead.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryOutput {
-    result: Context,
-    stats: EvalStats,
+    pub(crate) result: Context,
+    pub(crate) stats: EvalStats,
 }
 
 impl QueryOutput {
@@ -783,8 +714,6 @@ mod tests {
     fn plain_staircase_builds_nothing() {
         let s = session();
         s.run("//bidder", Engine::default()).unwrap();
-        s.run("//bidder", Engine::staircase().parallel(2).build().unwrap())
-            .unwrap();
         s.run("//bidder", Engine::naive()).unwrap();
         assert_eq!(s.aux_builds(), AuxBuilds::default());
     }
@@ -857,16 +786,21 @@ mod tests {
     fn out_of_range_context_is_a_typed_error() {
         let s = session();
         let q = s.prepare("descendant::bidder").unwrap();
-        let err = q.run_from(&Context::singleton(9999), Engine::default());
+        let from = |pre| {
+            s.execute(
+                &[(&q, None)],
+                Engine::default(),
+                Some(&Context::singleton(pre)),
+            )
+            .remove(0)
+        };
+        let err = from(9999);
         assert!(
             matches!(err, Err(Error::ContextOutOfRange { pre: 9999, .. })),
             "got {err:?}"
         );
         // In-bounds contexts still work.
-        let ok = q
-            .run_from(&Context::singleton(0), Engine::default())
-            .unwrap();
-        assert_eq!(ok.len(), 2);
+        assert_eq!(from(0).unwrap().len(), 2);
     }
 
     #[test]

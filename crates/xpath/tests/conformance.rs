@@ -156,9 +156,11 @@ fn comment_reachability() {
 fn relative_evaluation_from_context() {
     let session = Session::new(fixture());
     let query = session.prepare("book/title").unwrap();
-    let out = query
-        .run_from(&Context::singleton(17), Engine::default())
-        .unwrap(); // shelf s2
+    let shelf = Context::singleton(17); // shelf s2
+    let out = session
+        .execute(&[(&query, None)], Engine::default(), Some(&shelf))
+        .remove(0)
+        .unwrap();
     assert_eq!(out.nodes().as_slice(), &[20]);
 }
 
@@ -171,10 +173,10 @@ fn staged_evaluation() {
         .unwrap()
         .run(Engine::default())
         .into_nodes();
+    let query = session.prepare("title/text()").unwrap();
     let titles = session
-        .prepare("title/text()")
-        .unwrap()
-        .run_from(&books, Engine::default())
+        .execute(&[(&query, None)], Engine::default(), Some(&books))
+        .remove(0)
         .unwrap()
         .into_nodes();
     assert_eq!(titles.as_slice(), &[7, 13, 21, 27]);

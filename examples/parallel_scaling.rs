@@ -1,5 +1,6 @@
 //! Partitioned parallel staircase join (§3.2/§6): measure how the second
-//! axis steps of Q1 and Q2 scale with worker threads.
+//! axis steps of Q1 and Q2 scale with worker threads, through the
+//! morsel-split kernels a session runs its `[par]` steps with.
 //!
 //! ```sh
 //! cargo run --release -p staircase-suite --example parallel_scaling [scale]
@@ -19,7 +20,7 @@ fn median_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
     xs[xs.len() / 2]
 }
 
-fn main() -> Result<(), Error> {
+fn main() {
     let scale: f64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -46,15 +47,20 @@ fn main() -> Result<(), Error> {
         increases.len()
     );
 
-    // Verify once that the parallel engine is result-identical, through
-    // the session API.
-    let query = session.prepare("/descendant::profile/descendant::education")?;
-    let serial = query.run(Engine::default());
-    let parallel = query.run(Engine::staircase().parallel(4).build()?);
+    // Verify once that a four-way split is result-identical.
+    let d = Variant::EstimationSkipping;
+    let mut scratch = Scratch::new();
+    let split = descendant_many(
+        doc,
+        &[&profiles],
+        d,
+        Some(&WorkerPool::new(4)),
+        &mut scratch,
+    );
     assert_eq!(
-        serial.nodes(),
-        parallel.nodes(),
-        "parallel join must be exact"
+        split[0].0,
+        descendant(doc, &profiles, d).0,
+        "a morsel split must be exact"
     );
 
     println!("{:>8} {:>16} {:>16}", "threads", "Q1 desc ms", "Q2 anc ms");
@@ -64,15 +70,16 @@ fn main() -> Result<(), Error> {
     let baseline_q2 = median_ms(3, || ancestor(doc, &increases, Variant::Skipping));
     println!("{:>8} {baseline_q1:>16.2} {baseline_q2:>16.2}", "serial");
     for threads in [1usize, 2, 4, 8] {
+        let pool = WorkerPool::new(threads);
+        let pool = Some(&pool);
         let q1 = median_ms(3, || {
-            descendant_parallel(doc, &profiles, Variant::EstimationSkipping, threads)
+            descendant_many(doc, &[&profiles], d, pool, &mut scratch)
         });
         let q2 = median_ms(3, || {
-            ancestor_parallel(doc, &increases, Variant::Skipping, threads)
+            ancestor_many(doc, &[&increases], Variant::Skipping, pool, &mut scratch)
         });
         println!("{threads:>8} {q1:>16.2} {q2:>16.2}");
     }
     println!("\n(partitions are disjoint pre-ranges of the plane — Figure 8 — so no");
     println!("merge or sort is needed after the workers finish)");
-    Ok(())
 }

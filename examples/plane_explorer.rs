@@ -92,7 +92,9 @@ fn main() -> Result<(), Error> {
 
     // The same step through the session API, for comparison.
     let query = session.prepare("descendant::node()")?;
-    let out = query.run_from(&pruned, Engine::default())?;
+    let out = session
+        .execute(&[(&query, None)], Engine::default(), Some(&pruned))
+        .remove(0)?;
     assert_eq!(out.nodes(), &result);
     println!("(session API agrees: {} nodes)", out.len());
     Ok(())

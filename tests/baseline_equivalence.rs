@@ -1,6 +1,6 @@
-//! Cross-engine equivalence: the staircase join (all variants, serial and
-//! parallel), the naive strategy, the SQL-plan emulation, and MPMGJN must
-//! compute identical axis-step results.
+//! Cross-engine equivalence: the staircase join (all variants), the naive
+//! strategy, the SQL-plan emulation, and MPMGJN must compute identical
+//! axis-step results.
 
 use staircase_suite::prelude::*;
 
@@ -21,7 +21,6 @@ fn all_engines_agree_on_paper_queries() {
         engine(Engine::staircase().variant(Variant::EstimationSkipping)),
         engine(Engine::staircase().pushdown(true)),
         engine(Engine::staircase().fragmented(true)),
-        engine(Engine::staircase().parallel(4)),
         Engine::naive(),
         Engine::sql().build().expect("valid engine config"),
         Engine::sql()

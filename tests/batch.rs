@@ -36,13 +36,6 @@ fn all_engines() -> Vec<Engine> {
                 .build()
                 .unwrap(),
         );
-        engines.push(
-            Engine::staircase()
-                .variant(variant)
-                .parallel(2)
-                .build()
-                .unwrap(),
-        );
     }
     engines
 }

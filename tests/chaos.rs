@@ -75,7 +75,7 @@ fn a_panicking_pool_task_fails_only_its_query() {
     let baseline = session.run_many(&refs, engine());
 
     faults::set("core::pool::task", FaultKind::Panic, Some(1));
-    let governed = session.run_many_governed(&refs, engine(), &[None, None]);
+    let governed = session.execute(&[(refs[0], None), (refs[1], None)], engine(), None);
     faults::clear_all();
 
     let failed: Vec<usize> = governed
@@ -117,16 +117,19 @@ fn a_forced_trip_inside_a_kernel_cancels_the_governed_query() {
     let query = session.prepare("//q/ancestor::p").expect("query parses");
 
     faults::set("core::desc::partition", FaultKind::Trip, None);
-    let out = query.run_governed(engine(), Arc::new(Budget::new()));
+    let governed = || {
+        session
+            .execute(&[(&query, Some(Arc::new(Budget::new())))], engine(), None)
+            .remove(0)
+    };
+    let out = governed();
     faults::clear_all();
     assert!(
         matches!(out, Err(Error::Cancelled)),
         "a forced trip surfaces as cancellation: {out:?}"
     );
 
-    let ok = query
-        .run_governed(engine(), Arc::new(Budget::new()))
-        .expect("disarmed: the query answers");
+    let ok = governed().expect("disarmed: the query answers");
     assert_eq!(
         ok.nodes().as_slice(),
         query.run(engine()).nodes().as_slice()
@@ -146,7 +149,9 @@ fn an_injected_delay_makes_a_deadline_trip_on_a_small_document() {
     faults::set("xpath::lane", FaultKind::Delay(30), None);
     faults::set("xpath::round", FaultKind::Delay(30), None);
     let budget = Arc::new(Budget::new().with_deadline_in(Duration::from_millis(10)));
-    let out = query.run_governed(engine(), budget);
+    let out = session
+        .execute(&[(&query, Some(budget))], engine(), None)
+        .remove(0);
     faults::clear_all();
     assert!(
         matches!(out, Err(Error::DeadlineExceeded)),

@@ -49,6 +49,15 @@ fn engine() -> Engine {
     Engine::staircase().build().expect("valid engine config")
 }
 
+/// `query` on `engine` under `budget`: one governed slot of
+/// [`Session::execute`], from the root.
+fn governed(query: &Query<'_>, engine: Engine, budget: Arc<Budget>) -> Result<QueryOutput, Error> {
+    query
+        .session()
+        .execute(&[(query, Some(budget))], engine, None)
+        .remove(0)
+}
+
 #[test]
 fn a_50ms_deadline_stops_a_pathological_query_promptly() {
     let session = Session::new(layered_doc(300, 400));
@@ -57,7 +66,7 @@ fn a_50ms_deadline_stops_a_pathological_query_promptly() {
         .expect("query parses");
     let budget = Arc::new(Budget::new().with_deadline_in(Duration::from_millis(50)));
     let started = Instant::now();
-    let out = query.run_governed(engine(), budget);
+    let out = governed(&query, engine(), budget);
     let elapsed = started.elapsed();
     assert!(
         matches!(out, Err(Error::DeadlineExceeded)),
@@ -84,7 +93,7 @@ fn a_cost_budget_trips_at_the_touched_node_ceiling() {
         .expect("query parses");
 
     let tight = Arc::new(Budget::new().with_max_touched(2_000));
-    let out = query.run_governed(engine(), Arc::clone(&tight));
+    let out = governed(&query, engine(), Arc::clone(&tight));
     assert!(
         matches!(out, Err(Error::BudgetExhausted)),
         "expected a cost trip, got {out:?}"
@@ -97,9 +106,7 @@ fn a_cost_budget_trips_at_the_touched_node_ceiling() {
 
     // A generous budget changes nothing about the answer.
     let loose = Arc::new(Budget::new().with_max_touched(u64::MAX));
-    let governed = query
-        .run_governed(engine(), loose)
-        .expect("a generous budget must not trip");
+    let governed = governed(&query, engine(), loose).expect("a generous budget must not trip");
     let baseline = query.run(engine());
     assert_eq!(governed.nodes().as_slice(), baseline.nodes().as_slice());
 }
@@ -119,7 +126,7 @@ fn cancellation_from_another_thread_stops_the_query() {
         })
     };
     let started = Instant::now();
-    let out = query.run_governed(engine(), budget);
+    let out = governed(&query, engine(), budget);
     let elapsed = started.elapsed();
     canceller.join().expect("canceller thread");
     assert!(
@@ -138,7 +145,7 @@ fn a_dead_budget_fails_before_any_work() {
     let query = session.prepare("//q").expect("query parses");
     let budget = Arc::new(Budget::new());
     budget.cancel();
-    let out = query.run_governed(engine(), Arc::clone(&budget));
+    let out = governed(&query, engine(), Arc::clone(&budget));
     assert!(matches!(out, Err(Error::Cancelled)), "got {out:?}");
     assert_eq!(budget.touched(), 0, "a dead budget must admit no work");
 }
@@ -163,9 +170,9 @@ fn a_tripped_lane_leaves_batch_siblings_identical() {
             let refs: Vec<&_> = queries.iter().collect();
             let baseline = session.run_many(&refs, engine);
 
-            let mut budgets: Vec<Option<Arc<Budget>>> = vec![None; exprs.len()];
-            budgets[exprs.len() - 1] = Some(Arc::new(Budget::new().with_max_touched(500)));
-            let governed = session.run_many_governed(&refs, engine, &budgets);
+            let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+            jobs[exprs.len() - 1].1 = Some(Arc::new(Budget::new().with_max_touched(500)));
+            let governed = session.execute(&jobs, engine, None);
 
             assert!(
                 matches!(governed.last(), Some(Err(Error::BudgetExhausted))),
@@ -193,6 +200,106 @@ fn a_tripped_lane_leaves_batch_siblings_identical() {
             }
         }
     }
+}
+
+/// One [`Session::execute`] batch of K > 1 queries from one explicit
+/// context, governed and ungoverned slots mixed: each ungoverned slot —
+/// and the slot whose budget never binds — is node- and order-identical
+/// to its K = 1 run, and only the tight budget trips.
+#[test]
+fn a_batch_from_an_explicit_context_mixes_governed_and_ungoverned_slots() {
+    let doc = layered_doc(60, 60);
+    let exprs = [
+        "child::q",
+        "ancestor::root",
+        "following::q",
+        // Full-plane passes against a 500-node cap.
+        "descendant-or-self::*/ancestor-or-self::*/descendant-or-self::*",
+        "self::p[q]",
+    ];
+    for width in [1usize, 4] {
+        for engine in [engine(), Engine::auto()] {
+            let session = Session::new(doc.clone()).with_threads(width);
+            let from = session.run("//p", engine).expect("runs").into_nodes();
+            assert_eq!(from.len(), 60);
+            let queries: Vec<_> = exprs
+                .iter()
+                .map(|e| session.prepare(e).expect("query parses"))
+                .collect();
+            let alone = |q: &Query<'_>| {
+                session
+                    .execute(&[(q, None)], engine, Some(&from))
+                    .remove(0)
+                    .expect("an ungoverned run completes")
+            };
+            let loose = Arc::new(Budget::new().with_max_touched(u64::MAX));
+            let tight = Arc::new(Budget::new().with_max_touched(500));
+            let jobs = [
+                (&queries[0], None),
+                (&queries[1], Some(Arc::clone(&loose))),
+                (&queries[2], None),
+                (&queries[3], Some(Arc::clone(&tight))),
+                (&queries[4], None),
+            ];
+            let outs = session.execute(&jobs, engine, Some(&from));
+            let label = format!("width {width}, {engine:?}");
+            assert!(
+                matches!(outs[3], Err(Error::BudgetExhausted)),
+                "{label}: the tight slot must trip, got {:?}",
+                outs[3]
+            );
+            for i in [0, 1, 2, 4] {
+                let out = outs[i]
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{label}: slot {i} must complete, got {e}"));
+                assert_eq!(
+                    out.nodes().as_slice(),
+                    alone(&queries[i]).nodes().as_slice(),
+                    "{label}: slot {i} diverged from its K = 1 run"
+                );
+            }
+            assert!(loose.touched() > 0, "{label}: the loose slot was charged");
+        }
+    }
+}
+
+/// On an empty document no round runs, yet a budget that is already
+/// dead still fails its slot with its own typed trip, beside slots that
+/// answer empty.
+#[test]
+fn a_dead_budget_trips_even_on_an_empty_document() {
+    let session = Session::new(EncodingBuilder::new().finish());
+    let query = session.prepare("//q").expect("query parses");
+    let cancelled = Arc::new(Budget::new());
+    cancelled.cancel();
+    let expired = Arc::new(Budget::new().with_deadline_in(Duration::ZERO));
+    let live = Arc::new(Budget::new().with_deadline_in(Duration::from_secs(60)));
+    let outs = session.execute(
+        &[
+            (&query, None),
+            (&query, Some(cancelled)),
+            (&query, Some(expired)),
+            (&query, Some(live)),
+        ],
+        engine(),
+        None,
+    );
+    assert!(
+        matches!(&outs[0], Ok(out) if out.is_empty()),
+        "{:?}",
+        outs[0]
+    );
+    assert!(matches!(outs[1], Err(Error::Cancelled)), "{:?}", outs[1]);
+    assert!(
+        matches!(outs[2], Err(Error::DeadlineExceeded)),
+        "{:?}",
+        outs[2]
+    );
+    assert!(
+        matches!(&outs[3], Ok(out) if out.is_empty()),
+        "{:?}",
+        outs[3]
+    );
 }
 
 /// ≈ 100 000 nodes: `people` over 1 000 `person`s, each a `profile` and
@@ -251,7 +358,7 @@ fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
     ] {
         let query = session.prepare(expr).expect("query parses");
         let budget = Arc::new(Budget::new().with_max_touched(CEILING));
-        let out = query.run_governed(Engine::default(), Arc::clone(&budget));
+        let out = governed(&query, Engine::default(), Arc::clone(&budget));
         tripped_inside(expr, out, &budget);
         // …while the same query ungoverned answers.
         assert!(!query.run(Engine::default()).is_empty(), "{expr}");
@@ -260,11 +367,18 @@ fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
     let closing = session.run("//closing", Engine::default()).expect("runs");
     let query = session.prepare("preceding::node()").expect("query parses");
     let budget = Arc::new(Budget::new().with_max_touched(CEILING));
-    let out = query.run_from_governed(closing.nodes(), Engine::default(), Arc::clone(&budget));
+    let from = |budget: Option<Arc<Budget>>| {
+        session
+            .execute(
+                &[(&query, budget)],
+                Engine::default(),
+                Some(closing.nodes()),
+            )
+            .remove(0)
+    };
+    let out = from(Some(Arc::clone(&budget)));
     tripped_inside("closing/preceding::node()", out, &budget);
-    let whole = query
-        .run_from(closing.nodes(), Engine::default())
-        .expect("in range");
+    let whole = from(None).expect("in range");
     assert_eq!(whole.len() as u64, n - 2, "everything but site and closing");
 
     // As one query of a batch: the victim trips, its ungoverned siblings
@@ -282,9 +396,9 @@ fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
     let refs: Vec<&_> = queries.iter().collect();
     let baseline = session.run_many(&refs, Engine::default());
     for victim in [0usize, 1] {
-        let mut budgets: Vec<Option<Arc<Budget>>> = vec![None; exprs.len()];
-        budgets[victim] = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
-        let governed = session.run_many_governed(&refs, Engine::default(), &budgets);
+        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+        jobs[victim].1 = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
+        let governed = session.execute(&jobs, Engine::default(), None);
         for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
             if i == victim {
                 assert!(
@@ -361,8 +475,7 @@ fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
         for step in ["/descendant::open_auction", "/descendant::person"] {
             let query = session.prepare(step).expect("query parses");
             let budget = Arc::new(Budget::new().with_max_touched(CEILING));
-            let out = query
-                .run_governed(engine, Arc::clone(&budget))
+            let out = governed(&query, engine, Arc::clone(&budget))
                 .expect("the join alone stays under the ceiling");
             assert_eq!(out.len(), 380, "{step}");
             assert!(budget.touched() <= CEILING, "{step}: {}", budget.touched());
@@ -376,7 +489,7 @@ fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
         ] {
             let query = session.prepare(expr).expect("query parses");
             let budget = Arc::new(Budget::new().with_max_touched(CEILING));
-            let out = query.run_governed(engine, Arc::clone(&budget));
+            let out = governed(&query, engine, Arc::clone(&budget));
             tripped(expr, out, &budget);
             assert_eq!(query.run(engine).len(), 380, "{expr}: ungoverned");
         }
@@ -384,7 +497,7 @@ fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
         // budget, so the trip comes one chunk in, not at the step's end.
         let dates = session.prepare("/descendant::date").expect("query parses");
         let budget = Arc::new(Budget::new().with_max_touched(CEILING));
-        let out = dates.run_governed(engine, Arc::clone(&budget));
+        let out = governed(&dates, engine, Arc::clone(&budget));
         tripped("/descendant::date", out, &budget);
         assert_eq!(dates.run(engine).len(), 19_000);
     }
@@ -404,9 +517,9 @@ fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
     let refs: Vec<&_> = queries.iter().collect();
     let baseline = session.run_many(&refs, Engine::auto());
     for victim in [0usize, 1] {
-        let mut budgets: Vec<Option<Arc<Budget>>> = vec![None; exprs.len()];
-        budgets[victim] = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
-        let governed = session.run_many_governed(&refs, Engine::auto(), &budgets);
+        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+        jobs[victim].1 = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
+        let governed = session.execute(&jobs, Engine::auto(), None);
         for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
             if i == victim {
                 assert!(
@@ -509,9 +622,9 @@ proptest! {
             let refs: Vec<&_> = queries.iter().collect();
             let baseline = session.run_many(&refs, Engine::auto());
 
-            let mut budgets: Vec<Option<Arc<Budget>>> = vec![None; refs.len()];
-            budgets[0] = Some(Arc::new(Budget::new().with_max_touched(cap)));
-            let governed = session.run_many_governed(&refs, Engine::auto(), &budgets);
+            let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+            jobs[0].1 = Some(Arc::new(Budget::new().with_max_touched(cap)));
+            let governed = session.execute(&jobs, Engine::auto(), None);
 
             for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
                 match g {

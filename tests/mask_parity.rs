@@ -8,7 +8,8 @@
 //! raw pre/post/kind/tag columns that never touches `mask` or
 //! `TagBitmap`. Window offsets and lengths are driven across word
 //! boundaries (unaligned heads, sub-word tails) both at the kernel
-//! level and, via `Query::run_from`, through whole engines including
+//! level and, via `Session::execute` from an explicit context, through
+//! whole engines including
 //! the cost-based `auto` planner.
 //!
 //! The last section pins the one node test every plane scan carries
@@ -32,7 +33,7 @@ const AXES: [(&str, Axis); 5] = [
 /// any generated document, so its name test must yield nothing.
 const TESTS: [&str; 8] = ["x", "y", "z", "w", "ghost", "*", "node()", "text()"];
 
-fn engines() -> [Engine; 10] {
+fn engines() -> [Engine; 9] {
     [
         Engine::staircase().variant(Variant::Basic).build().unwrap(),
         Engine::staircase()
@@ -45,7 +46,6 @@ fn engines() -> [Engine; 10] {
             .unwrap(),
         Engine::staircase().pushdown(true).build().unwrap(),
         Engine::staircase().fragmented(true).build().unwrap(),
-        Engine::staircase().parallel(3).build().unwrap(),
         Engine::naive(),
         Engine::sql().build().unwrap(),
         Engine::sql()
@@ -179,7 +179,7 @@ proptest! {
 
     /// Windowed contexts at arbitrary offsets: a contiguous pre-rank
     /// run whose head and tail land anywhere relative to the 64-bit
-    /// word grid is fed to every engine through `run_from`, and each
+    /// word grid is fed to every engine through `execute`, and each
     /// must match the scalar reference (the gap-free runs here are
     /// exactly the shape the bitmap window-select fast path claims).
     #[test]
@@ -203,8 +203,9 @@ proptest! {
             let prepared = session.prepare(&query).unwrap();
             let context: Context = ctx.iter().copied().collect();
             for engine in engines() {
-                let cold = prepared.run_from(&context, engine).unwrap();
-                let warm = prepared.run_from(&context, engine).unwrap();
+                let run = || session.execute(&[(&prepared, None)], engine, Some(&context)).remove(0).unwrap();
+                let cold = run();
+                let warm = run();
                 let got: Vec<Pre> = cold.nodes().iter().collect();
                 prop_assert_eq!(&got, &expected, "{} from {}..+{} via {:?}", &query, start, len, engine);
                 prop_assert_eq!(

@@ -101,7 +101,10 @@ fn figure4_pruning_and_duplicates() {
     // ancestor-or-self via a prepared session query.
     let session = Session::new(figure1());
     let query = session.prepare("ancestor-or-self::node()").unwrap();
-    let out = query.run_from(&ctx, Engine::default()).unwrap();
+    let out = session
+        .execute(&[(&query, None)], Engine::default(), Some(&ctx))
+        .remove(0)
+        .unwrap();
     assert_eq!(
         names(&doc, out.nodes()),
         ["a", "d", "e", "f", "h", "i", "j"]
@@ -112,7 +115,10 @@ fn figure4_pruning_and_duplicates() {
     assert_eq!(names(&doc, &pruned), ["d", "h", "j"]);
 
     // Same result from the pruned context.
-    let out2 = query.run_from(&pruned, Engine::default()).unwrap();
+    let out2 = session
+        .execute(&[(&query, None)], Engine::default(), Some(&pruned))
+        .remove(0)
+        .unwrap();
     assert_eq!(out.nodes(), out2.nodes());
 
     // Figure 4 caption: the pruned context "produces less duplicates
@@ -166,8 +172,17 @@ fn figure8_partitions() {
     assert_eq!(names(&doc, &result), ["a", "e", "f", "i"]);
     assert_eq!(stats.partitions, 3);
     // Serial and parallel partition evaluation agree (the parallel
-    // strategy §3.2 hints at).
-    let (par, _) = ancestor_parallel(&doc, &ctx, Variant::Skipping, 3);
+    // strategy §3.2 hints at: the kernel a session's `[par]` steps run,
+    // which splits only work that amortizes a handoff).
+    let pool = WorkerPool::new(3);
+    let (par, _) = ancestor_many(
+        &doc,
+        &[&ctx],
+        Variant::Skipping,
+        Some(&pool),
+        &mut Scratch::new(),
+    )
+    .remove(0);
     assert_eq!(result, par);
 }
 

@@ -29,10 +29,6 @@ fn all_engines() -> Vec<Engine> {
             .fragmented(true)
             .build()
             .expect("valid engine config"),
-        Engine::staircase()
-            .parallel(3)
-            .build()
-            .expect("valid engine config"),
         Engine::naive(),
         Engine::sql().build().expect("valid engine config"),
         Engine::sql()
@@ -319,13 +315,54 @@ fn prepared_queries_outlive_engine_choice() {
 #[test]
 fn invalid_engine_configs_never_reach_evaluation() {
     assert!(matches!(
-        Engine::staircase().parallel(0).build(),
+        Engine::staircase().fragmented(true).pushdown(true).build(),
         Err(Error::InvalidEngine(_))
     ));
     assert!(matches!(
-        Engine::staircase().pushdown(true).parallel(2).build(),
+        Engine::staircase()
+            .pushdown(true)
+            .variant(Variant::Skipping)
+            .fragmented(true)
+            .build(),
         Err(Error::InvalidEngine(_))
     ));
+}
+
+/// One context node outside the document fails every slot of an
+/// [`Session::execute`] batch with the typed error, before any slot's
+/// work runs — governed or not.
+#[test]
+fn an_out_of_range_context_fails_every_slot_before_any_work() {
+    let session = Session::parse_xml("<a><b/><b/><b/></a>").unwrap();
+    let len = session.doc().len();
+    let stale = Context::from_sorted(vec![1, len as Pre + 3]);
+    let (child, parent) = (
+        session.prepare("child::node()").unwrap(),
+        session.prepare("..").unwrap(),
+    );
+    let budget = std::sync::Arc::new(Budget::new());
+    let outs = session.execute(
+        &[
+            (&child, None),
+            (&parent, Some(budget.clone())),
+            (&child, None),
+        ],
+        Engine::auto(),
+        Some(&stale),
+    );
+    assert_eq!(outs.len(), 3);
+    for out in &outs {
+        assert!(
+            matches!(out, Err(Error::ContextOutOfRange { pre, len: l }) if *pre == len as Pre + 3 && *l == len),
+            "got {out:?}"
+        );
+    }
+    assert_eq!(budget.touched(), 0, "no slot ran");
+    assert_eq!(
+        session.aux_builds(),
+        AuxBuilds::default(),
+        "nothing was built"
+    );
 }
 
 #[test]

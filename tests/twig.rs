@@ -18,7 +18,6 @@ fn fixed_engines() -> Vec<Engine> {
             .unwrap(),
         Engine::staircase().pushdown(true).build().unwrap(),
         Engine::staircase().fragmented(true).build().unwrap(),
-        Engine::staircase().parallel(2).build().unwrap(),
         Engine::naive(),
         Engine::sql().eq1_window(true).build().unwrap(),
     ]

@@ -49,7 +49,6 @@ fn query_from_file_with_engines() {
         "staircase",
         "pushdown",
         "fragmented",
-        "parallel",
         "naive",
         "sql",
         "auto",
@@ -447,13 +446,19 @@ fn variant_on_non_staircase_engine_exits_with_usage_code() {
 
 #[test]
 fn threads_flag_applies_to_every_engine() {
-    // --threads used to imply (and be restricted to) the parallel
-    // engine; it now sizes the session's worker pool for any engine,
-    // with identical results.
+    // --threads sizes the session's worker pool for any engine, the
+    // plain staircase join included, with identical results.
     let dir = tempdir();
     let file = dir.join("threads-any.xml");
     std::fs::write(&file, SAMPLE).unwrap();
-    for engine in ["pushdown", "fragmented", "naive", "sql", "auto"] {
+    for engine in [
+        "staircase",
+        "pushdown",
+        "fragmented",
+        "naive",
+        "sql",
+        "auto",
+    ] {
         let out = xq()
             .args([
                 "/descendant::increase/ancestor::bidder",
@@ -493,6 +498,16 @@ fn threads_flag_applies_to_every_engine() {
             "zero workers exit 2 ({engine_args:?})"
         );
     }
+    // `parallel` is no engine: the pool is `--threads`, for every engine.
+    let out = xq()
+        .args(["//bidder", file.to_str().unwrap(), "--engine", "parallel"])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--engine parallel is a usage error"
+    );
 }
 
 #[test]
