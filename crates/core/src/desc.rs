@@ -1,5 +1,7 @@
 //! `descendant`-axis staircase join (Algorithms 2, 3, and 4).
 
+use std::ops::Range;
+
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::mask::ScanTest;
@@ -46,10 +48,12 @@ pub fn descendant_tested(
     let pruned = prune_descendant(doc, context);
     stats.context_out = pruned.len();
     let mut result = Vec::new();
+    let n = doc.len() as Pre;
     descendant_partitions(
         doc,
         pruned.as_slice(),
-        doc.len() as Pre,
+        n,
+        0..n,
         variant,
         test,
         &mut result,
@@ -92,7 +96,16 @@ pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Cont
             j += 1;
         }
         let part_end = slice.get(j).copied().unwrap_or(n);
-        descendant_partitions(doc, &[c], part_end, variant, &test, &mut result, &mut stats);
+        descendant_partitions(
+            doc,
+            &[c],
+            part_end,
+            0..n,
+            variant,
+            &test,
+            &mut result,
+            &mut stats,
+        );
         i = j;
     }
     stats.result_size = result.len();
@@ -103,8 +116,8 @@ pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Cont
 /// step are guaranteed descendants, so their sum over a pruned step
 /// slice (whose last partition ends at `end`, exclusive) is a tight
 /// lower bound on the join's result size — exact up to attribute
-/// filtering and the ≤ h scan-phase nodes per partition. Shared by the
-/// sequential and the batched descendant joins, and exposed so planners
+/// filtering and the ≤ h scan-phase nodes per partition. Sizes the
+/// partition loop's result, and is exposed so planners
 /// (see [`crate::cost`]) can turn a context *in hand* into an exact
 /// window where the statistical estimate would have to guess.
 pub fn guaranteed_result_estimate(post: &[u32], steps: &[Pre], end: Pre) -> usize {
@@ -119,38 +132,53 @@ pub fn guaranteed_result_estimate(post: &[u32], steps: &[Pre], end: Pre) -> usiz
 }
 
 /// Evaluates the partitions induced by `steps` (a pruned, staircase-shaped
-/// context slice); the last partition ends at `end` (exclusive). Also the
-/// sequential case of a morsel split (`crate::morsel`).
+/// context slice) inside the pre-range `window`; the last partition ends
+/// at `end` (exclusive). Sequential execution is the window `[0, n)`; a
+/// morsel split (`crate::morsel`) runs the same loop over a cut of it.
+///
+/// Every copy and scan run is clipped to the window, and a partition is
+/// counted by the window holding its context node. Cut only inside a
+/// partition's touched interval (see `crate::morsel`), the pieces reproduce
+/// the whole-plane loop position for position: exactly one piece reaches
+/// the first miss and charges the skipped Z-region.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn descendant_partitions(
     doc: &Doc,
     steps: &[Pre],
     end: Pre,
+    window: Range<Pre>,
     variant: Variant,
     test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
+    let Range { start: lo, end: hi } = window;
     // Governed scans stop cooperatively: every visited position is
     // ticked, long comparison-free ranges are chunked so a deadline
     // cannot hide behind one huge partition, and a trip abandons the
     // scan mid-flight (the partial `result` is discarded by the caller).
     let mut gov = crate::governor::Ticker::ambient();
 
-    // Equation 1 sizes the region; the test's cardinality caps it, so a
-    // selective test does not reserve the plane for a handful of hits.
-    result.reserve(test.reserve_for(guaranteed_result_estimate(post, steps, end)));
+    // Equation 1 sizes the region; the window and the test's cardinality
+    // cap it, so a selective test does not reserve the plane for a
+    // handful of hits.
+    let region = guaranteed_result_estimate(post, steps, end).min((hi - lo) as usize);
+    result.reserve(test.reserve_for(region));
 
     for (i, &c) in steps.iter().enumerate() {
         let part_end = steps.get(i + 1).copied().unwrap_or(end);
         debug_assert!(part_end > c);
-        stats.partitions += 1;
-        crate::faults::fail_point("core::desc::partition");
-        if gov.tick(1) {
-            return;
+        if c >= lo {
+            stats.partitions += 1;
+            crate::faults::fail_point("core::desc::partition");
+            if gov.tick(1) {
+                return;
+            }
         }
         let bound = post[c as usize];
-        let mut v = c + 1;
+        let mut v = (c + 1).max(lo);
+        let stop = part_end.min(hi);
 
         match variant {
             Variant::Basic => {
@@ -158,7 +186,7 @@ pub(crate) fn descendant_partitions(
                 // position is charged regardless of the per-node test,
                 // so the counter is arithmetic and the filter runs
                 // through the 64-lane mask kernel.
-                if gov.charged_run(v, part_end, &mut stats.nodes_scanned, |lo, hi| {
+                if gov.charged_run(v, stop, &mut stats.nodes_scanned, |lo, hi| {
                     crate::mask::select_where(lo, hi, result, |v| {
                         post[v as usize] < bound && test.keeps(v)
                     })
@@ -173,7 +201,7 @@ pub(crate) fn descendant_partitions(
                 // guaranteed descendants (Equation 1 minus the level term):
                 // copy them without postorder comparisons — one range
                 // select, charged per position whatever the test keeps.
-                let copy_end = bound.min(part_end.saturating_sub(1)) + 1;
+                let copy_end = (bound.min(part_end - 1) + 1).min(stop);
                 if gov.charged_run(v, copy_end, &mut stats.nodes_copied, |lo, hi| {
                     test.select_range(lo, hi, result)
                 }) {
@@ -189,7 +217,7 @@ pub(crate) fn descendant_partitions(
         // find where the descendants end; what the test keeps of them is
         // one range select.
         let hits = v;
-        while v < part_end {
+        while v < stop {
             stats.nodes_scanned += 1;
             if gov.tick(1) {
                 return;

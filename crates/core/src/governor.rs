@@ -9,8 +9,8 @@
 //! optional wall-clock deadline, an optional touched-nodes cost
 //! ceiling, and an atomic cancel flag. Kernels check it **cooperatively
 //! at amortized boundaries** — partition and chunk boundaries in the
-//! plane scans, entry batches in the merged multi-context scans, seek
-//! boundaries in the twig matcher — so the ungoverned fast path pays
+//! plane scans, entry batches in the list joins, seek boundaries in the
+//! twig matcher — so the ungoverned fast path pays
 //! one thread-local load per kernel call and a governed scan observes a
 //! trip within [`TICK_GRAIN`] touched nodes (plus one mask-kernel
 //! chunk, [`SCAN_CHUNK`]).

@@ -61,13 +61,12 @@
 //! test for a name the dictionary lacks — and **rides the scan**: every
 //! plane-scan kernel ([`descendant_tested`], [`ancestor_tested`],
 //! [`following_tested`], [`preceding_tested`] and their `_many` forms,
-//! which take K lanes and an optional [`WorkerPool`] to split one lane's
+//! which take K lanes and an optional [`WorkerPool`] to split each lane's
 //! scan into morsels) takes it, and [`descendant`], [`ancestor`], [`following`],
 //! [`preceding`] are its `node()` case. One
 //! test is asked in three shapes (details in [`mask`]):
 //!
-//! * `keeps(v)` where positions are visited one by one (ancestor jumps,
-//!   the merged multi-context scans);
+//! * `keeps(v)` where positions are visited one by one (ancestor jumps);
 //! * `select_range(lo, hi, out)` over every comparison-free run — the
 //!   Equation-1 copy phase, the descendants a skipping scan has just
 //!   delimited, `following`'s suffix, `preceding`'s subtree blocks: 64
@@ -116,7 +115,7 @@
 //! * **Governed stops** ([`governor`]): when an ambient
 //!   [`governor::Budget`] is installed, every scan checks it at
 //!   amortized boundaries (partitions, [`governor::SCAN_CHUNK`]-sized
-//!   pieces of comparison-free runs, merged-scan positions, twig seeks) and **abandons the
+//!   pieces of comparison-free runs, scanned positions, twig seeks) and **abandons the
 //!   pass** on a trip, returning partial state. Partial results are
 //!   *garbage by contract*: only the layer that installed the budget
 //!   (the lane executor upstairs) may interpret them, and it discards

@@ -9,8 +9,7 @@
 //! three shapes — whichever fits the phase at hand:
 //!
 //! * [`ScanTest::keeps`]`(v)` — one position, for the phases that
-//!   visit their positions one by one (the ancestor jumps, the merged
-//!   multi-context scans);
+//!   visit their positions one by one (the ancestor jumps);
 //! * [`ScanTest::select_range`]`(lo, hi, out)` — a whole comparison-free
 //!   run (the Equation-1 copy phase, the descendants a skipping scan's
 //!   comparisons have delimited, `following`'s suffix, `preceding`'s

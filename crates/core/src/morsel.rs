@@ -9,24 +9,24 @@
 //! sequential partition loops, and the coordinator glues the per-worker
 //! result vectors back together.
 //!
-//! [`crate::descendant_many`] and [`crate::ancestor_many`] hand their
-//! one-lane case to [`descendant_lane`] / [`ancestor_lane`] with the
+//! [`crate::descendant_many`] and [`crate::ancestor_many`] hand every
+//! distinct lane to [`descendant_lane`] / [`ancestor_lane`] with the
 //! caller's pool. No pool, a width-1 pool, or too little work to
 //! amortize a handoff ([`morsel_count`]) runs the sequential partition
 //! loop: the degenerate case *is* the sequential kernel. Two splitting
 //! strategies cover every partition shape:
 //!
-//! * **Inside one partition** ([`plan_descendant_slices`]): the common
-//!   hot case — a root context — has a *single* partition covering the
+//! * **Cuts of the pre range** ([`descendant_windows`]): the common hot
+//!   case — a root context — has a *single* partition covering the
 //!   whole plane, which chunking by steps cannot split. For the
 //!   descendant direction the touched interval of a partition is known
 //!   in closed form before scanning: descendants of `c` are the
 //!   contiguous run `(c, c + |subtree(c)|]`, so the scan touches
 //!   `(c, m]` where `m = c + |subtree(c)| + 1` is the provable first
-//!   miss (the node whose postorder rank first exceeds `post(c)`). Any
-//!   sub-range of that interval can therefore be executed independently
-//!   — including the skip bookkeeping, which can only fire in the
-//!   sub-range containing `m`.
+//!   miss (the node whose postorder rank first exceeds `post(c)`). A cut
+//!   anywhere inside that interval splits the pre range into windows
+//!   that [`descendant_partitions`] runs independently — including the
+//!   skip bookkeeping, which can only fire in the window containing `m`.
 //! * **By steps** ([`span_chunks`]): contiguous runs of whole
 //!   partitions, weighted by their pre-range span so workers get equal
 //!   *work*, not equal step counts. The ancestor direction has no closed
@@ -47,6 +47,8 @@
 //! of the context would reopen nodes nested in the previous chunk's last
 //! one (wrong on an unpruned context), and a chunk of either input would
 //! not count the sequential join's gallops.
+
+use std::ops::Range;
 
 use staircase_accel::{Doc, Pre};
 
@@ -71,156 +73,59 @@ pub(crate) fn morsel_count(work: u64, width: usize) -> Option<usize> {
     (k >= 2).then_some(k)
 }
 
-// ── Descendant: sub-partition slices ────────────────────────────────────
+// ── Descendant: cuts of the pre range ──────────────────────────────────
 
-/// One executable sub-range of a descendant partition: positions
-/// `[from, to)` of the partition `(c, part_end)` whose staircase
-/// boundary is `bound` and whose Equation-1 copy phase ends at
-/// `copy_end` (inclusive; `copy_end ≤ c` means no copy phase).
-struct DescSlice {
-    bound: u32,
-    copy_end: Pre,
-    part_end: Pre,
-    from: Pre,
-    to: Pre,
-}
-
-impl DescSlice {
-    fn len(&self) -> u64 {
-        u64::from(self.to - self.from)
-    }
-}
-
-/// The touched intervals of every partition, in plane order, plus their
-/// total length. For the skipping variants the interval ends at the
-/// provable first miss `m = c + |subtree(c)| + 1` (capped by the
-/// partition); [`Variant::Basic`] touches the whole partition.
-fn plan_descendant_slices(
-    doc: &Doc,
-    steps: &[Pre],
-    end: Pre,
+/// The touched interval `[c + 1, to)` of every partition, in plane order.
+/// For the skipping variants it ends at the provable first miss
+/// `m = c + |subtree(c)| + 1` (inclusive, capped by the partition);
+/// [`Variant::Basic`] touches the whole partition.
+fn touched_intervals<'a>(
+    doc: &'a Doc,
+    steps: &'a [Pre],
     variant: Variant,
-) -> (Vec<DescSlice>, u64) {
-    let post = doc.post_column();
-    let mut slices = Vec::with_capacity(steps.len());
-    let mut work = 0u64;
-    for (i, &c) in steps.iter().enumerate() {
-        let part_end = steps.get(i + 1).copied().unwrap_or(end);
-        let bound = post[c as usize];
-        let (copy_end, to) = match variant {
-            Variant::Basic => (c, part_end),
-            Variant::Skipping => {
-                let miss = c + 1 + doc.subtree_size(c);
-                (c, miss.saturating_add(1).min(part_end))
-            }
-            Variant::EstimationSkipping => {
-                let miss = c + 1 + doc.subtree_size(c);
-                (
-                    bound.min(part_end - 1),
-                    miss.saturating_add(1).min(part_end),
-                )
-            }
+) -> impl Iterator<Item = (Pre, Pre)> + 'a {
+    let n = doc.len() as Pre;
+    steps.iter().enumerate().map(move |(i, &c)| {
+        let part_end = steps.get(i + 1).copied().unwrap_or(n);
+        let to = match variant {
+            Variant::Basic => part_end,
+            _ => (c + 1 + doc.subtree_size(c))
+                .saturating_add(1)
+                .min(part_end),
         };
-        let from = c + 1;
-        let to = to.max(from);
-        work += u64::from(to - from);
-        slices.push(DescSlice {
-            bound,
-            copy_end,
-            part_end,
-            from,
-            to,
-        });
-    }
-    (slices, work)
+        (c + 1, to)
+    })
 }
 
-/// Splits `slices` (total length `work`) into `k` morsels of roughly
-/// equal touched-work, cutting inside a slice where necessary.
-fn split_desc_slices(slices: Vec<DescSlice>, work: u64, k: usize) -> Vec<Vec<DescSlice>> {
+/// Cuts `[0, n)` into at most `k` windows of roughly equal touched-work
+/// (`work` in total). Every cut lies inside a touched interval, never in
+/// a Z-region, so exactly one window reaches a partition's first miss
+/// and charges the skipped rest of the partition.
+fn descendant_windows(
+    intervals: impl Iterator<Item = (Pre, Pre)>,
+    work: u64,
+    k: usize,
+    n: Pre,
+) -> Vec<Range<Pre>> {
     let target = work.div_ceil(k as u64).max(1);
-    let mut morsels: Vec<Vec<DescSlice>> = Vec::with_capacity(k);
-    let mut cur: Vec<DescSlice> = Vec::new();
+    let mut cuts = vec![0];
     let mut cur_work = 0u64;
-    for mut s in slices {
-        while cur_work + s.len() > target && morsels.len() + 1 < k {
-            let room = target - cur_work;
-            if room > 0 {
-                let cut = s.from + room as Pre;
-                cur.push(DescSlice {
-                    bound: s.bound,
-                    copy_end: s.copy_end,
-                    part_end: s.part_end,
-                    from: s.from,
-                    to: cut,
-                });
-                s.from = cut;
-            }
-            morsels.push(std::mem::take(&mut cur));
+    for (mut from, to) in intervals {
+        while cur_work + u64::from(to - from) > target && cuts.len() < k {
+            from += (target - cur_work) as Pre;
+            cuts.push(from);
             cur_work = 0;
         }
-        cur_work += s.len();
-        if s.len() > 0 {
-            cur.push(s);
-        }
+        cur_work += u64::from(to - from);
     }
-    if !cur.is_empty() || morsels.is_empty() {
-        morsels.push(cur);
-    }
-    morsels
+    cuts.push(n);
+    cuts.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Executes one morsel of descendant slices with exactly the sequential
-/// partition loop's per-position behaviour (copy / scan / skip-on-miss).
-fn exec_desc_morsel(
-    doc: &Doc,
-    slices: &[DescSlice],
-    variant: Variant,
-    test: &ScanTest<'_>,
-    result: &mut Vec<Pre>,
-    stats: &mut StepStats,
-) {
-    let post = doc.post_column();
-    let skip_on_miss = variant != Variant::Basic;
-    // Workers inherit the submitting lane's budget (the pool installs it
-    // ambiently); a trip abandons the morsel mid-slice.
-    let mut gov = crate::governor::Ticker::ambient();
-    for s in slices {
-        crate::faults::fail_point("core::morsel::exec");
-        let mut v = s.from;
-        // The slice's copy prefix is one range select, charged per
-        // position; the data-dependent scan suffix below stays scalar.
-        let copy_to = s.to.min(s.copy_end + 1);
-        if gov.charged_run(v, copy_to, &mut stats.nodes_copied, |lo, hi| {
-            test.select_range(lo, hi, result)
-        }) {
-            return;
-        }
-        v = v.max(copy_to);
-        while v < s.to {
-            stats.nodes_scanned += 1;
-            if gov.tick(1) {
-                return;
-            }
-            if post[v as usize] < s.bound {
-                if test.keeps(v) {
-                    result.push(v);
-                }
-            } else if skip_on_miss {
-                // The provable first miss: only the slice containing
-                // it ever reaches here, so the Z-region accounting
-                // lands exactly once per partition.
-                stats.nodes_skipped += u64::from(s.part_end - v - 1);
-                break;
-            }
-            v += 1;
-        }
-    }
-}
-
-/// Runs a single descendant lane through morsels executed on `pool`, or
-/// through the sequential partition loop when there is no pool wider
-/// than one or the work does not amortize the handoff.
+/// Runs a single descendant lane as windows of the pre range on `pool`,
+/// or as the window `[0, n)` when there is no pool wider than one or the
+/// work does not amortize the handoff. Either way every piece is the one
+/// partition loop, [`descendant_partitions`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn descendant_lane(
     doc: &Doc,
@@ -234,24 +139,34 @@ pub(crate) fn descendant_lane(
 ) {
     let n = doc.len() as Pre;
     let planned = pool.filter(|p| p.width() > 1).and_then(|pool| {
-        let (slices, work) = plan_descendant_slices(doc, steps, n, variant);
-        Some((pool, morsel_count(work, pool.width())?, slices, work))
+        let work = touched_intervals(doc, steps, variant)
+            .map(|(from, to)| u64::from(to - from))
+            .sum();
+        Some((pool, morsel_count(work, pool.width())?, work))
     });
-    let Some((pool, k, slices, work)) = planned else {
-        return descendant_partitions(doc, steps, n, variant, test, result, stats);
+    let Some((pool, k, work)) = planned else {
+        return descendant_partitions(doc, steps, n, 0..n, variant, test, result, stats);
     };
-    stats.partitions += steps.len();
-    let morsels = split_desc_slices(slices, work, k);
-    let buffers: Vec<Vec<Pre>> = morsels.iter().map(|_| scratch.take()).collect();
+    let windows = descendant_windows(touched_intervals(doc, steps, variant), work, k, n);
+    let buffers: Vec<Vec<Pre>> = windows.iter().map(|_| scratch.take()).collect();
     let outs = pool.run(
-        morsels
+        windows
             .into_iter()
             .zip(buffers)
-            .map(|(m, mut buf)| {
+            .map(|(window, mut buf)| {
+                // The partitions the window meets: the one open at its
+                // start (if any) through the last one opening inside it.
+                let first = steps
+                    .partition_point(|&c| c < window.start)
+                    .saturating_sub(1);
+                let last = steps.partition_point(|&c| c < window.end);
+                let end = steps.get(last).copied().unwrap_or(n);
+                let piece = &steps[first..last];
                 move || {
                     let mut st = StepStats::default();
-                    buf.reserve(test.reserve_for(m.iter().map(|s| s.len() as usize).sum()));
-                    exec_desc_morsel(doc, &m, variant, test, &mut buf, &mut st);
+                    descendant_partitions(
+                        doc, piece, end, window, variant, test, &mut buf, &mut st,
+                    );
                     (buf, st)
                 }
             })
@@ -321,16 +236,11 @@ pub(crate) fn ancestor_lane(
             })
             .collect(),
     );
-    for (buf, st) in outs {
-        result.extend_from_slice(&buf);
-        scratch.put(buf);
-        stats.merge(&st);
-    }
+    collect_morsels(outs, result, stats, scratch);
 }
 
 /// Concatenates morsel outputs in plane order into the lane, summing the
-/// per-worker access counters (partition counts are the coordinator's
-/// job — a split partition must not count twice).
+/// per-worker counters (each partition is counted by exactly one piece).
 fn collect_morsels(
     outs: Vec<(Vec<Pre>, StepStats)>,
     result: &mut Vec<Pre>,
@@ -341,9 +251,7 @@ fn collect_morsels(
     for (buf, st) in outs {
         result.extend_from_slice(&buf);
         scratch.put(buf);
-        stats.nodes_scanned += st.nodes_scanned;
-        stats.nodes_copied += st.nodes_copied;
-        stats.nodes_skipped += st.nodes_skipped;
+        stats.merge(&st);
     }
 }
 
@@ -403,44 +311,68 @@ mod tests {
     }
 
     #[test]
-    fn multi_context_batches_keep_the_shared_scan() {
-        // Several distinct contexts: a pool changes nothing — the merged
-        // sequential scan runs, with the same results and stats.
+    fn distinct_lanes_each_split_on_the_pool() {
+        // Five distinct contexts: every lane runs the one-lane kernel, and
+        // each one opens the morsel gate (one of its nodes heads a large
+        // subtree) — the pooled batch matches the sequential one node for
+        // node and counter for counter.
         let pool = WorkerPool::new(4);
-        let doc = random_doc(3, 3000);
-        let ctxs: Vec<Context> = (0..5)
-            .map(|i| random_context(&doc, 0xBA7C4 ^ i, 20))
+        let doc = random_doc(3, 9000);
+        let heads = doc
+            .pres()
+            .filter(|&p| p > 0 && u64::from(doc.subtree_size(p)) >= 2 * MIN_MORSEL_WORK);
+        let ctxs: Vec<Context> = heads
+            .zip(0..5)
+            .map(|(head, i)| {
+                let mut pres = random_context(&doc, 0xBA7C4 ^ i, 20).as_slice().to_vec();
+                pres.push(head);
+                Context::from_unsorted(pres)
+            })
             .collect();
+        assert_eq!(ctxs.len(), 5);
         let refs: Vec<&Context> = ctxs.iter().collect();
         let mut s1 = Scratch::new();
         let mut s2 = Scratch::new();
+        for ctx in &ctxs {
+            // Both gates open for every lane (see the two `_lane` kernels).
+            let anc = crate::prune_ancestor(&doc, ctx);
+            let span = u64::from(anc.as_slice().last().copied().unwrap_or(0));
+            assert!(morsel_count(span, pool.width()).is_some_and(|k| k.min(anc.len()) >= 2));
+            let desc = crate::prune_descendant(&doc, ctx);
+            for variant in ALL {
+                let work = touched_intervals(&doc, desc.as_slice(), variant)
+                    .map(|(f, t)| u64::from(t - f))
+                    .sum();
+                assert!(morsel_count(work, pool.width()).is_some(), "{variant:?}");
+            }
+        }
         for variant in ALL {
             let par = descendant_many(&doc, &refs, variant, Some(&pool), &mut s1);
             let seq = descendant_many(&doc, &refs, variant, None, &mut s2);
-            assert_same(&format!("multi {variant:?}"), &par, &seq);
+            assert_same(&format!("desc {variant:?}"), &par, &seq);
+            let par = ancestor_many(&doc, &refs, variant, Some(&pool), &mut s1);
+            let seq = ancestor_many(&doc, &refs, variant, None, &mut s2);
+            assert_same(&format!("anc {variant:?}"), &par, &seq);
         }
     }
 
     #[test]
     fn single_partition_splits_across_workers() {
         // A root context is one partition; the closed-form touched
-        // interval lets the morsel planner split inside it.
+        // interval lets the morsel planner cut inside it.
         let doc = random_doc(11, 12000);
         let root = Context::singleton(doc.root());
         let refs: Vec<&Context> = vec![&root];
         let pool = WorkerPool::new(4);
         let mut scratch = Scratch::new();
-        let (slices, work) = {
-            let pruned = crate::prune_descendant(&doc, &root);
-            plan_descendant_slices(
-                &doc,
-                pruned.as_slice(),
-                doc.len() as Pre,
-                Variant::EstimationSkipping,
-            )
-        };
-        assert_eq!(slices.len(), 1, "root context prunes to one partition");
-        assert!(morsel_count(work, pool.width()).unwrap_or(1) >= 2);
+        let pruned = crate::prune_descendant(&doc, &root);
+        let intervals: Vec<(Pre, Pre)> =
+            touched_intervals(&doc, pruned.as_slice(), Variant::EstimationSkipping).collect();
+        assert_eq!(intervals.len(), 1, "root context prunes to one partition");
+        let work: u64 = intervals.iter().map(|&(f, t)| u64::from(t - f)).sum();
+        let k = morsel_count(work, pool.width()).expect("the gate opens");
+        let windows = descendant_windows(intervals.into_iter(), work, k, doc.len() as Pre);
+        assert_eq!(windows.len(), k, "the one partition is cut {k} ways");
         let par = descendant_many(
             &doc,
             &refs,
@@ -450,7 +382,25 @@ mod tests {
         );
         let (seq, seq_stats) = crate::descendant(&doc, &root, Variant::EstimationSkipping);
         assert_eq!(par[0].0, seq);
-        assert_eq!(par[0].1.nodes_touched(), seq_stats.nodes_touched());
+        assert_eq!(par[0].1, seq_stats);
+    }
+
+    #[test]
+    fn windows_tile_the_plane() {
+        let intervals = [(1, 40), (41, 45), (60, 200)];
+        let work = 39 + 4 + 140;
+        for k in [2, 3, 4, 7] {
+            let windows = descendant_windows(intervals.into_iter(), work, k, 300);
+            assert!(windows.len() <= k);
+            assert_eq!(windows.first().unwrap().start, 0);
+            assert_eq!(windows.last().unwrap().end, 300);
+            assert!(windows.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(windows.iter().all(|w| w.start < w.end));
+            // Every cut lies inside a touched interval.
+            for w in &windows[1..] {
+                assert!(intervals.iter().any(|&(f, t)| f <= w.start && w.start < t));
+            }
+        }
     }
 
     #[test]

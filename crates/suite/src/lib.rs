@@ -41,9 +41,10 @@
 //! reports the construction counts if you want to see the reuse, and
 //! `Session::warm()` builds both eagerly (concurrently) ahead of
 //! traffic. Whole query batches go through `Session::run_many`, which
-//! merges the queries' staircase boundaries so aligned
-//! `descendant`/`ancestor` steps share one pass over the plane (the
-//! `xq --query-file` flag exposes this on the command line).
+//! advances aligned steps together, so queries that ask the same
+//! `descendant`/`ancestor` step of the same context share its pass over
+//! the plane (the `xq --query-file` flag exposes this on the command
+//! line).
 
 #![warn(missing_docs)]
 

@@ -11,10 +11,10 @@
 //! `staircase_core`:
 //!
 //! * [`LaneForm::Staircase`] → [`descendant_many`] / [`ancestor_many`]:
-//!   one merged-boundary scan of the plane serves the whole group, each
-//!   lane's node test riding it as a [`ScanTest`] (lanes that share a
-//!   context — every query from the root — share its pruning and run
-//!   one select per distinct test);
+//!   each distinct (context, test) lane runs the single-context
+//!   partition loop once, its node test riding the scan as a
+//!   [`ScanTest`] (lanes that share a context — every query from the
+//!   root — share its pruning and run once per distinct test);
 //! * [`LaneForm::Fragment`] → [`descendant_on_list_many`] /
 //!   [`ancestor_on_list_many`] / [`child_on_list_many`]: lanes naming
 //!   the same tag share the list resolution (prebuilt fragment or one
@@ -38,9 +38,10 @@
 //! shared pass, plus every fallback lane — execute as concurrent pool
 //! tasks (each sweeping out its own scratch shard), and a group whose
 //! planned step carries the cost model's fanout hint additionally
-//! splits its own pass into morsels (the plane-scan `_many` kernels,
-//! handed the session's pool): contiguous chunks of a lane's pruned
-//! boundary list, disjoint pre-ranges in the paper's Figure-8 sense, so
+//! splits each lane's pass into morsels (the plane-scan `_many` kernels,
+//! handed the session's pool): disjoint pre-ranges in the paper's
+//! Figure-8 sense — cuts of a descendant lane's touched intervals,
+//! contiguous chunks of an ancestor lane's pruned boundary list — so
 //! per-worker results concatenate in document order and per-worker
 //! statistics sum to the sequential counters exactly. A width-1 session never touches the
 //! pool — the sequential path is byte-for-byte the pre-pool executor.
@@ -48,9 +49,11 @@
 //! Because the grouping key is read straight off the plan, no engine
 //! decision is re-derived at run time, and [`crate::Engine::auto`]'s
 //! steps batch exactly like the fixed engines'. Statistics count
-//! **incremental** cost: a position serving several lanes is attributed
-//! to the first lane that needed it, so touched-node totals across a
-//! batch equal the physical reads. A [`Scratch`] pool — owned by the
+//! **incremental** cost: a vertical lane reports its cost alone, and
+//! only a lane repeating an earlier one (or asking a further test of a
+//! context already open) reports zero; the horizontal scans attribute a
+//! suffix/prefix several lanes share to the first that needed it. A
+//! [`Scratch`] pool — owned by the
 //! session, so it persists across batches — recycles result and context
 //! allocations instead of paying for them per round.
 
@@ -585,11 +588,10 @@ impl Executor<'_> {
         }
     }
 
-    /// One shared pass of the plain staircase join for every lane in
-    /// `group`, each lane's node test riding the scan, plus or-self
-    /// merging. The kernel dedups identical (context, test) lanes, lets
-    /// lanes that share a context share its pruning, and attributes the
-    /// pass to the first lane that needed it.
+    /// The plain staircase join for every lane in `group`, each lane's
+    /// node test riding the scan, plus or-self merging. The kernel dedups
+    /// identical (context, test) lanes, lets lanes that share a context
+    /// share its pruning, and charges every distinct lane its own pass.
     fn staircase_outs(
         &self,
         lanes: &[Lane<'_>],

@@ -205,14 +205,17 @@
 //! (on-list) joins, horizontal scans, and semijoin predicate probes all
 //! carry multi-context forms in `staircase_core`, so lanes whose
 //! current steps agree — whatever engine planned them, including
-//! [`Engine::auto`] — share **one pass** per round (merged-boundary
-//! plane scans, one cursor per shared tag fragment, one suffix/prefix
-//! scan per horizontal group, grouped predicate probes). Only the
+//! [`Engine::auto`] — advance together each round (one pruning and
+//! one partition loop per distinct plane-scan lane, one list resolution
+//! per shared tag fragment, one suffix/prefix scan per horizontal
+//! group, grouped predicate probes). Only the
 //! genuinely unbatchable residue — nested-loop predicates, structural
 //! axes, the naive/SQL/twig operators — drops to the sequential
 //! per-lane interpreter. Per-query [`EvalStats`] count *incremental*
-//! cost (a shared read is attributed to the first lane that needed it),
-//! so touched totals across a batch equal physical reads.
+//! cost: a vertical step reports its cost alone unless an identical
+//! step (or a further test over the same open context) already paid
+//! for it; a horizontal scan's shared suffix/prefix is attributed to the
+//! first lane that needed it.
 //!
 //! ## Threading model
 //!

@@ -467,13 +467,14 @@ impl PathPlan {
 /// Batchability is a **declared property of the planned operator**:
 /// every [`StepOp`] either provides a multi-context form — dispatched by
 /// the lane executor so K lanes whose current steps agree on this key
-/// share one pass — or names [`LaneForm::PerLane`], the sequential
+/// advance together — or names [`LaneForm::PerLane`], the sequential
 /// fallback. Grouping therefore never re-derives engine decisions at
 /// run time, and the planner can reason about which steps of a batch
-/// will share passes.
+/// will advance together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneForm<'s> {
-    /// Plain staircase join over the whole plane:
+    /// Plain staircase join over the whole plane, one partition loop per
+    /// distinct (context, test) lane:
     /// [`staircase_core::descendant_many`] / [`staircase_core::ancestor_many`].
     Staircase(VertAxis, Variant),
     /// On-list (fragment) join over a shared per-tag node list:
@@ -677,7 +678,7 @@ impl fmt::Display for PlannedStep {
         }
         if self.batchable() {
             // This step has a multi-context form: in a batch, lanes that
-            // agree on it share one pass.
+            // agree on it advance together.
             ops.push_str(" [lane]");
         }
         if self.fanout {

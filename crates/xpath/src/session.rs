@@ -223,12 +223,13 @@ impl Session {
     }
 
     /// Evaluates a whole batch of prepared queries from the document
-    /// root, **sharing one pass** wherever the queries' current steps
+    /// root, **advancing together** wherever the queries' current steps
     /// agree on a planned operator: [`Session::execute`] with no budgets.
     ///
     /// Each round, lanes are grouped by the step's declared lane form
-    /// ([`crate::PlannedStep::batchable`]): plain staircase joins share
-    /// a merged-boundary plane scan
+    /// ([`crate::PlannedStep::batchable`]): plain staircase joins prune
+    /// each distinct context once and run one partition loop per
+    /// distinct (context, test) lane
     /// ([`staircase_core::descendant_many`] /
     /// [`staircase_core::ancestor_many`]), fragment (on-list) joins
     /// naming the same tag share one cursor over its node list
@@ -247,11 +248,13 @@ impl Session {
     /// same lane executor.
     ///
     /// Outputs arrive in input order with per-query [`EvalStats`]. In a
-    /// batch, statistics count *incremental* cost: a plane position
-    /// serving several queries is attributed to the first one that
-    /// needed it, so touched-node totals over the batch equal the
-    /// physical reads — strictly below the sequential sum whenever
-    /// result regions overlap.
+    /// batch, statistics count *incremental* cost: a vertical step
+    /// reports what it costs alone, except that a query repeating an
+    /// earlier one's step (same context, same test) or asking a further
+    /// test of a context already open reports zero touches — it shared
+    /// that pass. Horizontal steps keep their nested-region sharing: a
+    /// suffix or prefix read for several queries is attributed to the
+    /// first one that needed it.
     pub fn run_many(&self, queries: &[&Query<'_>], engine: Engine) -> Vec<QueryOutput> {
         let jobs: Vec<_> = queries.iter().map(|&q| (q, None)).collect();
         self.execute(&jobs, engine, None)

@@ -361,10 +361,11 @@ fn batch_of_eight_shares_plane_passes() {
     }
 }
 
-/// Batched ancestor steps with *distinct* contexts still merge their
-/// boundary lists into one pass.
+/// Batched ancestor steps with *distinct* contexts report, query by
+/// query, exactly the step statistics of running each query alone: a
+/// lane's cost in a batch is its cost alone, in every variant.
 #[test]
-fn distinct_contexts_still_share() {
+fn distinct_contexts_report_their_own_pass() {
     let session = Session::new(generate(XmarkConfig::new(0.05)));
     // Different first steps → different second-step contexts; the second
     // (ancestor) round batches eight distinct boundary lists.
@@ -380,20 +381,24 @@ fn distinct_contexts_still_share() {
     ];
     let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
     let refs: Vec<&Query> = queries.iter().collect();
-    let engine = Engine::default();
-    let batch = session.run_many(&refs, engine);
-    let mut batch_anc = 0u64;
-    let mut seq_anc = 0u64;
-    for (q, b) in queries.iter().zip(&batch) {
-        let s = q.run(engine);
-        assert_eq!(b.nodes(), s.nodes());
-        batch_anc += b.stats().steps[1].nodes_touched;
-        seq_anc += s.stats().steps[1].nodes_touched;
+    for variant in [
+        Variant::Basic,
+        Variant::Skipping,
+        Variant::EstimationSkipping,
+    ] {
+        let engine = Engine::staircase().variant(variant).build().unwrap();
+        let batch = session.run_many(&refs, engine);
+        for ((expr, q), b) in exprs.iter().zip(&queries).zip(&batch) {
+            let s = q.run(engine);
+            assert_eq!(b.nodes(), s.nodes(), "{expr} {variant:?}");
+            let (bt, st) = (&b.stats().steps[1], &s.stats().steps[1]);
+            assert_eq!(
+                (&bt.step, &bt.op, bt.result_size, bt.nodes_touched, bt.seeks),
+                (&st.step, &st.op, st.result_size, st.nodes_touched, st.seeks),
+                "{expr} {variant:?}"
+            );
+        }
     }
-    assert!(
-        batch_anc < seq_anc,
-        "ancestor round: batch touched {batch_anc}, sequential {seq_anc}"
-    );
 }
 
 /// Degenerate batches behave.
