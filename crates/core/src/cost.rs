@@ -38,7 +38,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use staircase_accel::{Axis, Doc, NodeKind, TagId, NO_PARENT};
+use staircase_accel::{Axis, Doc, NodeKind, Pre, TagId, NO_PARENT};
 
 use crate::Variant;
 
@@ -520,14 +520,18 @@ impl DocStats {
 /// Equation-1 guess. A [`Calibrator`] factor (session-lifetime, fitted
 /// from real seek counts) scales the twig constants the same way.
 ///
-/// The overlay borrows the base snapshot; building one is free, so the
-/// adaptive executor constructs a fresh overlay at every step boundary.
+/// The overlay borrows the base snapshot (and, built with
+/// [`RuntimeStats::observed`], the frontier itself); building one is
+/// free, so the executor constructs a fresh overlay wherever it
+/// re-prices a step.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeStats<'a> {
     base: &'a DocStats,
     /// Observed context cardinality for the next step — exact, not the
     /// planner's estimate.
     observed_card: f64,
+    /// The observed frontier itself, when the caller holds it.
+    frontier: Option<(&'a Doc, &'a [Pre])>,
     /// Session-lifetime multiplier on the twig seek constants (1.0
     /// until the calibrator has seen real seek counts).
     twig_seek_factor: f64,
@@ -539,7 +543,18 @@ impl<'a> RuntimeStats<'a> {
         RuntimeStats {
             base,
             observed_card,
+            frontier: None,
             twig_seek_factor: 1.0,
+        }
+    }
+
+    /// Overlays `base` with the observed frontier `ctx` of `doc`: its
+    /// cardinality, and the exact unpruned window
+    /// ([`RuntimeStats::unpruned_window`]).
+    pub fn observed(base: &'a DocStats, doc: &'a Doc, ctx: &'a [Pre]) -> RuntimeStats<'a> {
+        RuntimeStats {
+            frontier: Some((doc, ctx)),
+            ..RuntimeStats::new(base, ctx.len() as f64)
         }
     }
 
@@ -569,10 +584,25 @@ impl<'a> RuntimeStats<'a> {
         self.base.ancestor_window(self.observed_card)
     }
 
-    /// Unpruned window, from the *observed* cardinality.
-    pub fn unpruned_window(&self, descendant: bool, from_root: bool) -> f64 {
-        self.base
-            .unpruned_window(self.observed_card, descendant, from_root)
+    /// The unpruned window of a mid-path step — every context node's
+    /// own region, covered by another's or not. With the frontier in
+    /// hand it is exact: the sum of Equation-1 subtree sizes
+    /// (`descendant`) or of levels (`ancestor`) over the context. The
+    /// cardinality-scaled average stands in otherwise; it ignores
+    /// nesting, so on a document whose contexts nest deeply it misses
+    /// by the nesting depth.
+    pub fn unpruned_window(&self, descendant: bool) -> f64 {
+        let Some((doc, ctx)) = self.frontier else {
+            return self
+                .base
+                .unpruned_window(self.observed_card, descendant, false);
+        };
+        let sum: u64 = if descendant {
+            ctx.iter().map(|&c| u64::from(doc.subtree_size(c))).sum()
+        } else {
+            ctx.iter().map(|&c| u64::from(doc.level(c))).sum()
+        };
+        sum as f64
     }
 
     /// [`DocStats::staircase_cost`] with the observed cardinality.
@@ -990,6 +1020,23 @@ mod tests {
         assert!(
             rt.fragment_cost(40, w, false)
                 < big.fragment_cost(40, big.descendant_window(false), false)
+        );
+    }
+
+    #[test]
+    fn observed_frontiers_price_their_exact_unpruned_window() {
+        // A chain nests every node in the one before it: the card-scaled
+        // average guesses 3 · s̄, the regions really hold 9 + 8 + 7.
+        let doc = Doc::from_xml(&format!("{}{}", "<a>".repeat(10), "</a>".repeat(10))).unwrap();
+        let s = DocStats::from_doc(&doc);
+        let ctx: [Pre; 3] = [0, 1, 2];
+        let rt = RuntimeStats::observed(&s, &doc, &ctx);
+        assert_eq!(rt.card(), 3.0);
+        assert_eq!(rt.unpruned_window(true), 24.0);
+        assert_eq!(rt.unpruned_window(false), 3.0);
+        assert_eq!(
+            RuntimeStats::new(&s, 3.0).unpruned_window(true),
+            s.unpruned_window(3.0, true, false)
         );
     }
 

@@ -161,8 +161,11 @@ impl Batcher {
     }
 
     /// Wakes the batcher thread (used by shutdown, which otherwise
-    /// could leave it parked on an empty queue).
+    /// could leave it parked on an empty queue). Passing through the
+    /// queue lock orders the wake-up after a batcher that has seen
+    /// shutdown untriggered and is about to wait, so it is not lost.
     pub(crate) fn wake_all(&self) {
+        drop(self.queue.lock().unwrap_or_else(|e| e.into_inner()));
         self.wake.notify_all();
     }
 

@@ -418,7 +418,9 @@ pub fn parse_ids_payload(payload: &[u8]) -> Result<Vec<Pre>, String> {
 /// `pushdown`, `fragmented`, `naive`, `sql` and `auto`, at their default
 /// configurations (variants are a client-side concern; the wire names
 /// pick policies, not knobs). `xq --engine` accepts these six plus
-/// `twig` and `adaptive`, which are local-only.
+/// `twig` and `adaptive`, which are local-only; `adaptive` is another
+/// name for `auto` (which re-plans mid-query), so the wire name `auto`
+/// is the same engine.
 pub fn engine_by_name(name: &str) -> Option<Engine> {
     match name {
         "staircase" => Some(Engine::default()),

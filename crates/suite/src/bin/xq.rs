@@ -13,6 +13,7 @@
 //!
 //! options:
 //!   --engine staircase|pushdown|fragmented|naive|sql|auto|twig|adaptive
+//!                    (`adaptive` is another name for `auto`)
 //!   --variant basic|skipping|estimation   staircase skipping refinement
 //!   --threads N      session worker-pool width, for every engine: the
 //!                    evaluation fans out across N workers wherever the
@@ -48,15 +49,15 @@
 //!                    (`staircase`, `horiz-scan`); the
 //!                    operators that still filter afterwards (`naive`,
 //!                    plain `sql`, `structural`) print
-//!                    `+ apply-test [mask]`. Under `auto` and
-//!                    `adaptive` a `child::name` step may print
+//!                    `+ apply-test [mask]`. Under `auto` a
+//!                    `child::name` step may print
 //!                    `fragment` too: the on-list child join is priced
 //!                    against the hop over every child (`structural`),
 //!                    which the fixed engines always take
 //!   --explain --stats  run the query, then print the post-run report:
 //!                    per step, the executed operator (with `[replan]`
-//!                    marking steps the adaptive engine switched
-//!                    mid-query), planned cost, and observed cost
+//!                    marking steps `auto` switched mid-query),
+//!                    planned cost, and observed cost
 //!                    (touched + seeks, as under --stats)
 //! ```
 //!
@@ -88,11 +89,11 @@
 //! is priced against document statistics (per-tag fragment sizes,
 //! Equation-1 window estimates) and the cheapest operator — plain
 //! staircase join, prebuilt tag fragment, or the SQL B-tree plan — is
-//! chosen. `--explain` shows the decisions for any engine. The
-//! `adaptive` engine starts from `auto`'s plan and re-prices the
-//! remaining steps after each one executes, using the *observed*
-//! frontier cardinality instead of the estimate; `--explain --stats`
-//! shows which steps it switched (`[replan]`).
+//! chosen. `--explain` shows the decisions for any engine. While the
+//! query runs, `auto` re-prices a pending step whenever the *observed*
+//! frontier is far off the estimate, and switches its operator where
+//! the observed ranking disagrees; `--explain --stats` shows which
+//! steps it switched (`[replan]`). `adaptive` names the same engine.
 //!
 //! A query file holds one expression per line; blank lines and lines
 //! starting with `#` are ignored. The batch is answered through
@@ -152,9 +153,9 @@ fn usage() -> ! {
          \u{20}      xq <XPATH> --connect <ADDR>   (query a running staircase-serve;\n\
          \u{20}      also with --query-file; local-only flags are rejected)\n\
          engines:  staircase (default) | pushdown | fragmented | naive | sql\n\
-         \u{20}         | auto (cost-based per-step operator picking)\n\
+         \u{20}         | auto (cost-based per-step operator picking, re-planned\n\
+         \u{20}           mid-query from observed stats; adaptive is an alias)\n\
          \u{20}         | twig (fuse eligible step runs into multiway leapfrog joins)\n\
-         \u{20}         | adaptive (auto + mid-query re-planning from observed stats)\n\
          variants: basic | skipping | estimation (default)\n\
          --threads N sizes the session's worker pool: any engine fans its\n\
          evaluation out across N workers where the planner's cost hint\n\
@@ -164,7 +165,7 @@ fn usage() -> ! {
          fragment/twig joins, SQL's early name test and every plane scan\n\
          (staircase, horiz-scan) fuse the node test, while naive,\n\
          plain sql and structural steps print + apply-test [mask]; under\n\
-         auto/adaptive a child::name step may print fragment (the on-list\n\
+         auto a child::name step may print fragment (the on-list\n\
          child join, priced against the structural hop over every child)\n\
          --stats prints per-step counters to stderr; fragment and twig steps\n\
          report their cursor seeks (plane scans: 0), and with --explain the\n\
@@ -526,8 +527,8 @@ fn main() {
             }
         } else if opts.explain {
             // Post-run explain: evaluate, then report planned vs
-            // observed cost per executed step ([replan] marks adaptive
-            // switches).
+            // observed cost per executed step ([replan] marks auto's
+            // mid-query switches).
             let refs: Vec<&_> = queries.iter().collect();
             let outputs = session.run_many(&refs, engine);
             for (query, out) in queries.iter().zip(&outputs) {
@@ -627,8 +628,8 @@ fn print_stats(out: &QueryOutput) {
 }
 
 /// The post-run report (`--explain --stats`): per executed step, the
-/// operator that actually ran (`[replan]` marks mid-query switches by
-/// the adaptive engine), the cost the plan carried for it, and the cost
+/// operator that actually ran (`[replan]` marks `auto`'s mid-query
+/// switches), the cost the plan carried for it, and the cost
 /// observed while running it.
 fn print_report(out: &QueryOutput) {
     for s in &out.stats().steps {

@@ -18,9 +18,9 @@
 //! Downstream of that step the static cost model prices the card-scaled
 //! operators (the SQL B-tree plan, whose per-context range scans pay
 //! the *unpruned* window) as cheap and picks one; at run time the
-//! frontier explodes and the unpruned scans with it. The adaptive
-//! engine observes the real cardinality at the step boundary and
-//! switches to the pruning staircase join. Documents are fully
+//! frontier explodes and the unpruned scans with it. `auto` observes
+//! the real frontier at the step boundary and switches to the pruning
+//! staircase join. Documents are fully
 //! deterministic per [`MisleadConfig`], so benchmark runs are
 //! reproducible.
 

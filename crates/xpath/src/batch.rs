@@ -142,8 +142,8 @@ fn shared_budget(lanes: &[Lane<'_>], group: &[usize]) -> Option<Arc<Budget>> {
 }
 
 /// How far (multiplicatively, either direction) the observed frontier
-/// cardinality must stray from the planner's estimate before the
-/// adaptive executor re-prices the pending step. Below the factor the
+/// cardinality must stray from the planner's estimate before an auto
+/// lane re-prices the pending step. Below the factor the
 /// static ranking stands and the lane advances with zero re-planning
 /// overhead; the misleading workloads this exists for miss by orders of
 /// magnitude.
@@ -154,12 +154,13 @@ struct Lane<'p> {
     /// Index of the owning query in the batch.
     query: usize,
     /// The steps this lane executes: borrowed from the plan until the
-    /// adaptive re-planner first switches an operator, owned (a clone
-    /// of the branch's steps) afterwards. Non-adaptive lanes never
-    /// leave the borrowed state.
+    /// re-planner first switches an operator, owned (a clone of the
+    /// branch's steps) afterwards. Non-adaptive lanes never leave the
+    /// borrowed state.
     steps: Cow<'p, [PlannedStep]>,
-    /// Re-price the pending step from the observed frontier cardinality
-    /// after every advance ([`crate::Engine::adaptive`]).
+    /// Re-price the pending step from the observed frontier after every
+    /// advance: the plan was lowered under the auto policy
+    /// ([`PhysicalPlan::is_auto`]).
     adaptive: bool,
     /// Context after `step` steps.
     ctx: Context,
@@ -179,7 +180,7 @@ impl Lane<'_> {
 }
 
 /// A round's grouping key: [`LaneForm`] with the fragment name owned,
-/// so the key survives adaptive lanes mutating their pending steps
+/// so the key survives re-planning lanes mutating their pending steps
 /// between rounds (the borrowed form would pin `lanes` immutably).
 #[derive(Clone, PartialEq, Eq)]
 enum GroupKey {
@@ -258,7 +259,7 @@ impl Executor<'_> {
                 lanes.push(Lane {
                     query,
                     steps: Cow::Borrowed(path.steps()),
-                    adaptive: plan.is_adaptive(),
+                    adaptive: plan.is_auto(),
                     ctx,
                     step: 0,
                     stats: EvalStats::default(),
@@ -752,9 +753,9 @@ impl Executor<'_> {
     }
 
     /// Records each lane's step trace and advances it to the next step,
-    /// recycling the previous context's allocation; adaptive lanes then
-    /// re-price their next pending step against the frontier they just
-    /// observed.
+    /// recycling the previous context's allocation; lanes planned under
+    /// auto then re-price their next pending step against the frontier
+    /// they just observed ([`Executor::maybe_replan`]).
     ///
     /// Governed lanes settle their budget here. `ambient_ran` says the
     /// pass executed with the group's shared budget installed: the core
@@ -809,15 +810,16 @@ impl Executor<'_> {
         }
     }
 
-    /// The adaptive feedback loop's re-planning hook, run after every
-    /// lane advance: overlay the *observed* frontier cardinality (and
-    /// the session calibrator's fitted constants) on the document
-    /// statistics, re-price the pending step's operator candidates, and
-    /// switch the step's operator in place when the observed ranking
-    /// disagrees with the planned choice. Switched steps carry the
-    /// `[replan]` marker into their traces. Non-adaptive lanes — every
-    /// fixed engine and the static [`crate::Engine::auto`] — never
-    /// enter.
+    /// [`crate::Engine::auto`]'s re-planning hook, run after every lane
+    /// advance. When the observed frontier is at least
+    /// [`REPLAN_DISAGREE_FACTOR`] off the planner's estimate, overlay it
+    /// (and the session calibrator's fitted constants) on the document
+    /// statistics, re-price the pending step's operator candidates among
+    /// those this executor holds ([`replan_step`]), and switch the
+    /// step's operator in place when the observed ranking disagrees with
+    /// the planned choice. Switched steps carry the `[replan]` marker
+    /// into their traces. Lanes of every fixed engine and of `twig`
+    /// never enter.
     fn maybe_replan(&self, lane: &mut Lane<'_>) {
         if !lane.adaptive || lane.ctx.is_empty() {
             return;
@@ -827,8 +829,8 @@ impl Executor<'_> {
         };
         // Re-price only when the observed frontier materially
         // contradicts the planner's estimate: within the factor the
-        // static ranking stands, and skipping keeps the adaptive
-        // engine's overhead near zero on well-estimated workloads.
+        // static ranking stands, and skipping keeps re-planning's
+        // overhead near zero on well-estimated workloads.
         let observed = lane.ctx.len() as f64;
         let planned = match lane.step.checked_sub(1) {
             Some(prev) => lane.steps[prev].estimate.rows.max(1.0),
@@ -837,8 +839,11 @@ impl Executor<'_> {
         if (observed / planned).max(planned / observed) < REPLAN_DISAGREE_FACTOR {
             return;
         }
-        let rt = RuntimeStats::new(self.stats, observed).calibrated(self.calibrator);
-        let Some((op, test_op, cost)) = replan_step(next, self.doc, &rt, self.sql.is_some()) else {
+        let rt = RuntimeStats::observed(self.stats, self.doc, lane.ctx.as_slice())
+            .calibrated(self.calibrator);
+        let Some((op, test_op, cost)) =
+            replan_step(next, self.doc, &rt, self.tags.is_some(), self.sql.is_some())
+        else {
             return;
         };
         // First switch on this lane: clone the branch's steps so the

@@ -57,18 +57,14 @@ pub(crate) enum EngineKind {
     },
     /// Cost-based per-step operator picking: the planner prices the
     /// candidate operators for every step from document statistics and
-    /// keeps the cheapest.
+    /// keeps the cheapest, and the executor re-prices a pending step
+    /// from the observed frontier when the estimate proves wrong.
     Auto,
     /// Worst-case-optimal twig matching: every eligible run of vertical
     /// steps with path-shaped existential predicates is fused into one
     /// multiway leapfrog intersection over the per-tag fragments; the
     /// remaining steps run as fragment joins.
     Twig,
-    /// Adaptive execution: plans like [`EngineKind::Auto`], then
-    /// re-prices the remaining steps at every step boundary from the
-    /// *observed* frontier cardinality and switches operators when the
-    /// observed-cost ranking disagrees with the planned one.
-    Adaptive,
 }
 
 impl Default for Engine {
@@ -110,7 +106,6 @@ impl fmt::Debug for Engine {
             }
             EngineKind::Auto => write!(f, "auto"),
             EngineKind::Twig => write!(f, "twig"),
-            EngineKind::Adaptive => write!(f, "adaptive"),
         }
     }
 }
@@ -147,8 +142,18 @@ impl Engine {
     /// candidates — plain staircase join, prebuilt §6 tag fragment, the
     /// Figure-3 SQL plan — against document statistics (node counts,
     /// per-tag fragment sizes, Equation-1 context-window estimates).
-    /// Results are node-identical to every fixed engine
-    /// (property-tested); only the access pattern changes.
+    ///
+    /// The plan is a starting point, not a commitment: after every step
+    /// boundary the executor compares the *observed* frontier with the
+    /// planner's estimate, and where they disagree by 8× or more it
+    /// re-prices the pending step against a
+    /// [`staircase_core::RuntimeStats`] overlay and
+    /// switches its operator when the observed-cost ranking disagrees
+    /// with the planned one (`[replan]` in the step trace). A
+    /// session-lifetime [`staircase_core::Calibrator`] nudges the twig
+    /// cost constants from real seek counts. Results are node- and
+    /// order-identical to every fixed engine (property-tested); only
+    /// the access pattern changes.
     pub fn auto() -> Engine {
         Engine {
             kind: EngineKind::Auto,
@@ -170,32 +175,16 @@ impl Engine {
         }
     }
 
-    /// The adaptive executor: plans exactly like [`Engine::auto`], then
-    /// keeps planning *while the query runs*. After every step boundary
-    /// the executor feeds the observed frontier cardinality (and the
-    /// step's [`StepStats::observed_cost`](staircase_core::StepStats))
-    /// into a [`staircase_core::RuntimeStats`] overlay, re-prices the
-    /// remaining steps, and switches operator where the observed-cost
-    /// ranking disagrees with the planned one (`[replan]` in the step
-    /// trace). A session-lifetime [`staircase_core::Calibrator`] nudges
-    /// the cost constants from real seek counts. Results are node- and
-    /// order-identical to every fixed engine (property-tested); only
-    /// the access pattern changes. [`Engine::auto`] stays the static
-    /// baseline.
+    /// An alias of [`Engine::auto`], kept as a name: `auto` *is* the
+    /// adaptive executor (it re-plans mid-query from what it observes),
+    /// so `Engine::adaptive() == Engine::auto()`.
     pub fn adaptive() -> Engine {
-        Engine {
-            kind: EngineKind::Adaptive,
-        }
+        Engine::auto()
     }
 
     /// `true` for the cost-based planner ([`Engine::auto`]).
     pub fn is_auto(&self) -> bool {
         self.kind == EngineKind::Auto
-    }
-
-    /// `true` for the adaptive executor ([`Engine::adaptive`]).
-    pub fn is_adaptive(&self) -> bool {
-        self.kind == EngineKind::Adaptive
     }
 
     /// `true` for the staircase family (plain, pushdown, fragmented).
@@ -337,7 +326,6 @@ mod tests {
                 .unwrap(),
             Engine::auto(),
             Engine::twig(),
-            Engine::adaptive(),
         ];
         // All distinct configurations.
         for (i, a) in engines.iter().enumerate() {
@@ -378,11 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_is_its_own_kind() {
-        assert!(Engine::adaptive().is_adaptive());
-        assert!(!Engine::adaptive().is_auto());
+    fn adaptive_is_an_alias_of_auto() {
+        assert_eq!(Engine::adaptive(), Engine::auto());
+        assert!(Engine::adaptive().is_auto());
         assert!(!Engine::adaptive().is_staircase());
-        assert!(!Engine::auto().is_adaptive());
-        assert_eq!(format!("{:?}", Engine::adaptive()), "adaptive");
+        assert_eq!(format!("{:?}", Engine::adaptive()), "auto");
     }
 }

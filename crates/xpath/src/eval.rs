@@ -44,7 +44,7 @@ pub struct StepTrace {
     pub step: String,
     /// Rendered join operator that actually ran (`fragment`,
     /// `staircase(EstimationSkipping)`, …) — suffixed ` [replan]` when
-    /// the adaptive executor switched it at a step boundary.
+    /// auto's executor switched it at a step boundary.
     pub op: String,
     /// Result size after node test and predicates.
     pub result_size: usize,
@@ -61,9 +61,9 @@ pub struct StepTrace {
     /// all sequential.
     pub seeks: u64,
     /// The cost model's estimate for this step at the moment it ran
-    /// (re-priced by the adaptive executor when it switched operators).
+    /// (re-priced by auto's executor when it switched operators).
     pub est_cost: f64,
-    /// Did the adaptive re-planner switch this step's operator before
+    /// Did auto's re-planner switch this step's operator before
     /// running it?
     pub replanned: bool,
 }
@@ -127,7 +127,7 @@ pub(crate) struct Executor<'a> {
     /// name-test filter.
     pub(crate) stats: &'a DocStats,
     /// The session-lifetime cost calibrator: every twig step reports
-    /// its real seek count here, and the adaptive re-planner prices
+    /// its real seek count here, and auto's re-planner prices
     /// through the fitted factors.
     pub(crate) calibrator: &'a Calibrator,
     /// The node lists this evaluation has derived so far.
@@ -788,7 +788,7 @@ impl<'a> Executor<'a> {
 }
 
 /// The trace's rendered operator: the planned operator, suffixed with
-/// the `[replan]` marker when the adaptive executor switched it.
+/// the `[replan]` marker when auto's executor switched it.
 pub(crate) fn rendered_op(step: &PlannedStep) -> String {
     if step.replanned {
         format!("{} [replan]", step.op)

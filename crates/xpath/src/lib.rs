@@ -62,11 +62,11 @@
 //!   for unselective steps. `child::name` is priced too: the on-list
 //!   child join ([`staircase_core::child_on_list`]) against the
 //!   structural hop over every child, which every fixed engine takes.
-//!   Results are node-identical to every fixed engine
-//!   (property-tested); only the access pattern changes;
-//! * [`Engine::adaptive`] starts from auto's plan and re-prices pending
-//!   steps mid-query from *observed* frontier cardinalities (see
-//!   *Feedback loops* below).
+//!   The plan is where auto starts, not where it must finish: it
+//!   re-prices pending steps mid-query from *observed* frontiers (see
+//!   *Feedback loops* below). Results are node-identical to every fixed
+//!   engine (property-tested); only the access pattern changes.
+//!   [`Engine::adaptive`] is another name for it.
 //!
 //! [`Session::explain`] / [`Query::explain`] return the plan with
 //! per-step cost estimates (`xq --explain` on the command line).
@@ -145,14 +145,18 @@
 //! from first principles). Two feedback loops correct for both without
 //! giving up the plan/execute split:
 //!
-//! * **Re-planning at step boundaries** ([`Engine::adaptive`]). The
-//!   lane executor plans exactly like [`Engine::auto`], but after each
-//!   advance it compares the lane's *observed* frontier cardinality
-//!   against the planner's estimate. When they disagree by an order of
-//!   magnitude, the observed value is overlaid on the document
-//!   statistics ([`staircase_core::RuntimeStats`]), the pending step's
-//!   candidates are re-priced, and the operator is switched in place if
-//!   the observed ranking disagrees with the planned choice. Switching
+//! * **Re-planning at step boundaries** ([`Engine::auto`]). After each
+//!   advance of a lane planned under auto, the executor compares the
+//!   lane's *observed* frontier cardinality against the planner's
+//!   estimate. When they disagree by 8× or more, the observed frontier
+//!   is overlaid on the document statistics
+//!   ([`staircase_core::RuntimeStats::observed`]: its cardinality, and
+//!   the exact unpruned window the SQL plan would scan), the pending
+//!   step's candidates are re-priced — among the operators whose
+//!   structures the executor already holds, so a switch never builds
+//!   an index — and the operator is switched in place if the observed
+//!   ranking disagrees with the planned choice. Fixed engines and
+//!   `twig` run their plans as planned. Switching
 //!   is lane-local (the cached plan is copy-on-write, so other lanes
 //!   and later runs are untouched), results stay node-identical to
 //!   every fixed engine (property-tested at pool widths 1/2/4, through

@@ -106,12 +106,12 @@ pub(crate) fn axis_of(paxis: PartAxis) -> Axis {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     pub(crate) branches: Vec<PathPlan>,
-    /// Planned under [`Engine::adaptive`](crate::Engine::adaptive): the
-    /// lane executor re-prices every pending step at step boundaries
-    /// from the *observed* frontier cardinality
+    /// Planned under the auto policy ([`Engine::auto`](crate::Engine::auto)):
+    /// the lane executor re-prices a pending step at a step boundary
+    /// from the *observed* frontier
     /// ([`staircase_core::cost::RuntimeStats`]) and may switch its
-    /// operator ([`replan_step`]).
-    pub(crate) adaptive: bool,
+    /// operator ([`replan_step`]). Fixed engines and `twig` never do.
+    pub(crate) auto: bool,
 }
 
 /// A lowered location path: a pipeline of planned steps.
@@ -136,7 +136,7 @@ pub struct PlannedStep {
     /// session's worker pool (see
     /// [`staircase_core::cost::DocStats::fanout_worthwhile`]).
     pub(crate) fanout: bool,
-    /// Set by the adaptive executor when the runtime re-pricing pass
+    /// Set by the executor when the runtime re-pricing pass
     /// switched this step's operator away from the planned one; the
     /// planner itself always emits `false`. Rendered as `[replan]`.
     pub(crate) replanned: bool,
@@ -414,19 +414,19 @@ impl PhysicalPlan {
             .sum()
     }
 
-    /// Was this plan lowered for [`Engine::adaptive`](crate::Engine::adaptive)?
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
+    /// Was this plan lowered under the auto policy, whose lanes re-plan
+    /// pending steps from what they observe?
+    pub fn is_auto(&self) -> bool {
+        self.auto
     }
 
     /// Does executing this plan require the prebuilt tag-fragment index?
     ///
-    /// Adaptive plans always resolve the index: a runtime switch to a
-    /// fragment join must find it in hand. The index is first-touch
-    /// lazy ([`staircase_core::TagIndex::lazy`]), so resolving it for a
-    /// plan that never switches builds nothing.
+    /// Only the planned operators decide: a runtime switch to a fragment
+    /// join is offered only when the executor already holds the index
+    /// ([`replan_step`]), so re-planning never forces a build.
     pub(crate) fn needs_tag_index(&self) -> bool {
-        self.adaptive || self.branches.iter().any(path_needs_tags)
+        self.branches.iter().any(path_needs_tags)
     }
 
     /// Does executing this plan require the SQL engine's B-tree?
@@ -687,7 +687,7 @@ impl fmt::Display for PlannedStep {
             ops.push_str(" [par]");
         }
         if self.replanned {
-            // The adaptive executor switched this operator at a step
+            // The executor switched this operator at a step
             // boundary, against the observed frontier cardinality.
             ops.push_str(" [replan]");
         }
@@ -752,10 +752,7 @@ pub(crate) fn plan_union(
     twig_seek: f64,
 ) -> PhysicalPlan {
     let policy = match engine.kind {
-        // Adaptive plans start from exactly the static auto plan; the
-        // divergence is at run time, where the executor re-prices
-        // pending steps from observed cardinalities.
-        EngineKind::Auto | EngineKind::Adaptive => Policy::Auto,
+        EngineKind::Auto => Policy::Auto,
         EngineKind::Twig => Policy::Twig,
         kind => Policy::Fixed(kind),
     };
@@ -766,7 +763,7 @@ pub(crate) fn plan_union(
             .iter()
             .map(|p| plan_path(p, doc, stats, pl, 1.0, true))
             .collect(),
-        adaptive: engine.is_adaptive(),
+        auto: matches!(policy, Policy::Auto),
     }
 }
 
@@ -1282,28 +1279,27 @@ fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> Ste
             early_nametest,
         },
         EngineKind::Auto => unreachable!("auto resolves to Policy::Auto"),
-        EngineKind::Adaptive => unreachable!("adaptive resolves to Policy::Auto"),
         EngineKind::Twig => unreachable!("twig resolves to Policy::Twig"),
     }
 }
 
-/// Re-prices one pending step against the **observed** frontier
-/// cardinality — [`Engine::adaptive`](crate::Engine::adaptive)'s loop
-/// (a) — and returns the now-cheapest operator (with its fused-test
-/// flag and re-priced cost) when the observed-cost ranking disagrees
-/// with the planned pick.
+/// Re-prices one pending step against the **observed** frontier —
+/// [`Engine::auto`](crate::Engine::auto)'s mid-query loop — and returns
+/// the now-cheapest operator (with its fused-test flag and re-priced
+/// cost) when the observed-cost ranking disagrees with the planned pick.
 ///
 /// Only vertical partitioning steps already carrying an operator from
 /// the auto candidate set (plain staircase, prebuilt fragment, SQL) are
 /// re-chosen: twig regions, horizontal scans, and structural axes have
-/// no runtime alternative the overlay prices. `sql_available` gates the
-/// SQL candidate as a switch *target* — the executor only resolves the
-/// B-tree when the static plan asked for it, and a mid-query build
-/// would cost more than it saves.
+/// no runtime alternative the overlay prices. A switch only ever
+/// targets what the executor already holds: `tags_available` gates the
+/// fragment join and `sql_available` the SQL plan, because a mid-query
+/// build would cost more than it saves.
 pub(crate) fn replan_step(
     step: &PlannedStep,
     doc: &Doc,
     rt: &RuntimeStats<'_>,
+    tags_available: bool,
     sql_available: bool,
 ) -> Option<(StepOp, TestOp, f64)> {
     let vert = vert_axis_of(step.axis)?;
@@ -1332,7 +1328,6 @@ pub(crate) fn replan_step(
     } else {
         rt.ancestor_window()
     };
-    let unpruned = rt.unpruned_window(desc, false);
     let price = |op: &StepOp| -> f64 {
         match *op {
             StepOp::Staircase { variant } => {
@@ -1343,6 +1338,9 @@ pub(crate) fn replan_step(
                 eq1_window,
                 early_nametest,
             } => {
+                // SQL scans every context node's region, covered or
+                // not: the observed frontier's own unpruned window.
+                let unpruned = rt.unpruned_window(desc);
                 let scan = rt.sql_cost(unpruned, eq1_window);
                 if early_nametest && is_name {
                     scan
@@ -1356,27 +1354,24 @@ pub(crate) fn replan_step(
     // The same candidate set (and tie-breaking order) as the static
     // auto policy, priced through the runtime overlay instead of the
     // Equation-1 cardinality guess.
-    let mut candidates = vec![StepOp::Staircase {
-        variant: Variant::EstimationSkipping,
-    }];
-    if is_name {
-        candidates.push(StepOp::Fragment { prescan: false });
-    }
-    if sql_available || matches!(step.op, StepOp::Sql { .. }) {
-        candidates.push(StepOp::Sql {
+    let candidates = [
+        Some(StepOp::Staircase {
+            variant: Variant::EstimationSkipping,
+        }),
+        (is_name && tags_available).then_some(StepOp::Fragment { prescan: false }),
+        (sql_available || matches!(step.op, StepOp::Sql { .. })).then_some(StepOp::Sql {
             eq1_window: true,
             early_nametest: true,
-        });
-    }
-    let mut best = candidates[0].clone();
-    let mut best_cost = price(&candidates[0]);
-    for cand in &candidates[1..] {
-        let c = price(cand);
-        if c < best_cost {
-            best = cand.clone();
-            best_cost = c;
+        }),
+    ];
+    let mut best: Option<(StepOp, f64)> = None;
+    for op in candidates.into_iter().flatten() {
+        let cost = price(&op);
+        if best.as_ref().is_none_or(|&(_, b)| cost < b) {
+            best = Some((op, cost));
         }
     }
+    let (best, best_cost) = best?;
     if best == step.op {
         return None;
     }
@@ -1804,24 +1799,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_plans_start_from_the_static_auto_plan() {
-        for q in [
-            "/descendant::b/ancestor::a",
-            "/descendant::node()/following::node()",
-            "//a[b]/descendant::c",
-        ] {
-            let auto = plan_for(q, Engine::auto());
-            let adaptive = plan_for(q, Engine::adaptive());
-            assert_eq!(ops(&auto), ops(&adaptive), "{q}");
-            assert!(!auto.is_adaptive());
-            assert!(adaptive.is_adaptive());
-            // The runtime flag forces index resolution (lazy, so free
-            // until a switch actually touches it).
-            assert!(adaptive.needs_tag_index(), "{q}");
-        }
-    }
-
-    #[test]
     fn replan_switches_when_the_observed_cardinality_explodes() {
         let (doc, stats) = fixture();
         // Auto plans //b as a fragment join on this fixture; pretend a
@@ -1833,7 +1810,7 @@ mod tests {
         match step.operator() {
             StepOp::Fragment { .. } => {
                 // Already the observed-cost winner at card 1: no switch.
-                assert!(replan_step(step, &doc, &rt, false).is_none());
+                assert!(replan_step(step, &doc, &rt, true, false).is_none());
             }
             other => panic!("fixture surprise: {other}"),
         }
@@ -1841,16 +1818,28 @@ mod tests {
         // switches to the fragment join.
         let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
         let stair = &fixed.branches()[0].steps()[1];
-        let (op, test_op, cost) =
-            replan_step(stair, &doc, &rt, false).expect("staircase should lose to the fragment");
+        let (op, test_op, cost) = replan_step(stair, &doc, &rt, true, false)
+            .expect("staircase should lose to the fragment");
         assert_eq!(op, StepOp::Fragment { prescan: false });
         assert_eq!(test_op, TestOp::Fused);
         assert!(cost.is_finite() && cost >= 0.0);
         // Horizontal and structural steps never replan.
         let horiz = plan_for("/following::b", Engine::default());
-        assert!(replan_step(&horiz.branches()[0].steps()[0], &doc, &rt, true).is_none());
+        assert!(replan_step(&horiz.branches()[0].steps()[0], &doc, &rt, true, true).is_none());
         let structural = plan_for("child::b", Engine::default());
-        assert!(replan_step(&structural.branches()[0].steps()[0], &doc, &rt, true).is_none());
+        assert!(replan_step(&structural.branches()[0].steps()[0], &doc, &rt, true, true).is_none());
+    }
+
+    #[test]
+    fn replan_offers_only_the_operators_the_executor_holds() {
+        let (doc, stats) = fixture();
+        let rt = RuntimeStats::new(&stats, 1.0);
+        let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
+        let stair = &fixed.branches()[0].steps()[1];
+        // The fragment join wins at card 1, but without the index in
+        // hand it is no candidate, and the plane scan stands.
+        assert!(replan_step(stair, &doc, &rt, true, false).is_some());
+        assert!(replan_step(stair, &doc, &rt, false, false).is_none());
     }
 
     #[test]
@@ -1861,7 +1850,7 @@ mod tests {
         // An absent name is provably empty: whatever the planned
         // operator, switching could only force an index build.
         for step in plan.branches()[0].steps() {
-            assert!(replan_step(step, &doc, &rt, true).is_none());
+            assert!(replan_step(step, &doc, &rt, true, true).is_none());
         }
     }
 

@@ -57,7 +57,7 @@ pub struct Session {
     sql_builds: AtomicUsize,
     /// Session-lifetime cost calibrator: every executed twig step feeds
     /// its (predicted cost, observed seeks) pair back in, and both the
-    /// static planner and the adaptive re-planner read the fitted seek
+    /// planner and auto's mid-query re-planner read the fitted seek
     /// constant out. See [`Calibrator`].
     calibrator: Calibrator,
     /// The lane executor's buffer pools, persisted across queries and

@@ -585,26 +585,25 @@ fn auto_plans_absent_names_without_building_the_fragment_index() {
 }
 
 #[test]
-fn adaptive_replans_when_estimates_mislead() {
+fn auto_replans_when_estimates_mislead() {
+    // `adaptive` is a name for auto, not a second engine.
+    assert_eq!(Engine::adaptive(), Engine::auto());
     // The misleading-statistics document: every global statistic is
     // honest, yet the `b` frontier after `//a/descendant::b` is orders
-    // of magnitude above the Equation-1 estimate. The static planner
-    // mis-prices the final step; the adaptive executor must observe the
-    // real frontier, switch the operator mid-plan, and mark the switch.
+    // of magnitude above the Equation-1 estimate. The plan mis-prices
+    // the final step; auto must observe the real frontier, switch the
+    // operator mid-plan, and mark the switch.
     let session = Session::new(generate_misleading(MisleadConfig::new(4.0)));
     let expr = "/descendant::a/descendant::b/descendant::node()";
     let query = session.prepare(expr).unwrap();
+    let fragmented = Engine::staircase().fragmented(true).build().unwrap();
 
-    let adaptive = query.run(Engine::adaptive());
     let auto = query.run(Engine::auto());
-    assert_eq!(
-        adaptive.nodes(),
-        auto.nodes(),
-        "replanning changed the answer"
-    );
+    let plain = query.run(Engine::default());
+    assert_eq!(auto.nodes(), plain.nodes(), "replanning changed the answer");
 
     // The switch provably fired: the trace carries the marker …
-    let replanned: Vec<&str> = adaptive
+    let replanned: Vec<&str> = auto
         .stats()
         .steps
         .iter()
@@ -619,26 +618,25 @@ fn adaptive_replans_when_estimates_mislead() {
         replanned.iter().all(|op| op.contains("[replan]")),
         "replanned steps must be marked: {replanned:?}"
     );
-    // … the switched step runs cheaper than the static pick of the same
-    // step …
-    let step = adaptive
-        .stats()
-        .steps
-        .iter()
-        .position(|s| s.replanned)
-        .unwrap();
+    // … the switched step touches no more than the paper's plain
+    // staircase join of the same step …
+    let step = auto.stats().steps.iter().position(|s| s.replanned).unwrap();
     assert!(
-        adaptive.stats().steps[step].nodes_touched < auto.stats().steps[step].nodes_touched,
-        "the switch must pay off: adaptive touched {} vs auto {}",
-        adaptive.stats().steps[step].nodes_touched,
-        auto.stats().steps[step].nodes_touched
+        auto.stats().steps[step].nodes_touched <= plain.stats().steps[step].nodes_touched,
+        "the switch must pay off: auto touched {} vs staircase {}",
+        auto.stats().steps[step].nodes_touched,
+        plain.stats().steps[step].nodes_touched
     );
-    // … and the static engines never carry the marker.
-    assert!(auto.stats().steps.iter().all(|s| !s.replanned));
+    // … and the fixed engines never carry the marker.
+    for engine in [Engine::default(), fragmented] {
+        let out = query.run(engine);
+        assert_eq!(out.nodes(), auto.nodes(), "{engine:?}");
+        assert!(out.stats().steps.iter().all(|s| !s.replanned), "{engine:?}");
+    }
 
     // Lane-local switching: the shared cached plan is untouched, so a
-    // later static run re-prices nothing.
-    let plan = session.explain(expr, Engine::adaptive()).unwrap();
+    // later run starts from the static plan again.
+    let plan = session.explain(expr, Engine::auto()).unwrap();
     assert!(!plan.to_string().contains("[replan]"));
 
     // The switch also fires identically through run_many at every pool
@@ -647,13 +645,76 @@ fn adaptive_replans_when_estimates_mislead() {
         let session =
             Session::new(generate_misleading(MisleadConfig::new(4.0))).with_threads(width);
         let query = session.prepare(expr).unwrap();
-        let outs = session.run_many(&[&query, &query], Engine::adaptive());
+        let outs = session.run_many(&[&query, &query], Engine::auto());
         for out in &outs {
-            assert_eq!(out.nodes(), adaptive.nodes(), "width {width}");
+            assert_eq!(out.nodes(), auto.nodes(), "width {width}");
             assert!(
                 out.stats().steps.iter().any(|s| s.replanned),
                 "width {width}: batch lanes must replan too"
             );
+        }
+    }
+}
+
+/// Re-pricing the SQL plan reads the observed frontier's real unpruned
+/// window. On the small misleading document the `b` frontier nests, so
+/// its regions overlap many times over; priced from `card · avg_subtree`
+/// the SQL scan looked cheap and was kept, touching ≈ 20 × what the
+/// pruning staircase join touches.
+#[test]
+fn replanned_sql_is_priced_from_the_observed_window() {
+    let session = Session::new(generate_misleading(MisleadConfig::new(0.5)));
+    let expr = "/descendant::a/descendant::b/descendant::node()";
+    let auto = session.run(expr, Engine::auto()).unwrap();
+    let plain = session.run(expr, Engine::default()).unwrap();
+    assert_eq!(auto.nodes(), plain.nodes());
+    let last = auto.stats().steps.last().unwrap();
+    assert!(last.replanned, "{}", last.op);
+    assert!(last.op.contains("[replan]"), "{}", last.op);
+    let staircase = plain.stats().steps.last().unwrap();
+    assert!(
+        last.nodes_touched <= staircase.nodes_touched,
+        "auto touched {} vs staircase {}",
+        last.nodes_touched,
+        staircase.nodes_touched
+    );
+}
+
+/// The selective point queries are well estimated: auto runs their plans
+/// as planned, alone and batched, at every pool width — re-planning is
+/// reserved for estimates that are off by the disagreement factor.
+#[test]
+fn point_queries_never_replan_under_auto() {
+    const POINT: [&str; 12] = [
+        "/descendant::profile/descendant::education",
+        "/descendant::increase/ancestor::bidder",
+        "/descendant::open_auction[descendant::bidder]/descendant::increase",
+        "/descendant::person[child::profile]/descendant::education",
+        "/descendant::person/child::profile",
+        "/descendant::open_auction/descendant::bidder/descendant::increase",
+        "/descendant::bidder[increase]/ancestor::open_auction",
+        "/descendant::date/ancestor::open_auction",
+        "/descendant::education/ancestor::person",
+        "/descendant::open_auction[bidder]/descendant::date",
+        "/descendant::closed_auction/child::price",
+        "/descendant::item/descendant::keyword",
+    ];
+    let doc = generate(XmarkConfig::new(1.0));
+    for width in [1usize, 4] {
+        let session = Session::new(doc.clone()).with_threads(width);
+        let queries: Vec<Query> = POINT.iter().map(|e| session.prepare(e).unwrap()).collect();
+        let refs: Vec<&Query> = queries.iter().collect();
+        let batch = session.run_many(&refs, Engine::auto());
+        for ((expr, query), batched) in POINT.iter().zip(&queries).zip(&batch) {
+            let alone = query.run(Engine::auto());
+            assert_eq!(batched.nodes(), alone.nodes(), "{expr}");
+            for (how, out) in [("alone", &alone), ("run_many", batched)] {
+                assert!(
+                    out.stats().steps.iter().all(|s| !s.replanned),
+                    "width {width}, {how}: {expr} replanned: {:?}",
+                    out.stats().steps
+                );
+            }
         }
     }
 }

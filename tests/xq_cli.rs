@@ -245,9 +245,10 @@ fn stats_print_estimated_next_to_observed_cost_for_every_engine() {
 
 /// `--explain --stats` is the post-run report: per executed step, the
 /// operator that actually ran with planned vs observed cost, and
-/// `[replan]` marking the adaptive engine's mid-query switches. On the
-/// misleading-statistics document the marker must appear for
-/// `adaptive` and never for static `auto`.
+/// `[replan]` marking auto's mid-query switches. On the
+/// misleading-statistics document the marker must appear for `auto`
+/// (and identically for its alias `adaptive`) and never for the fixed
+/// `staircase` engine.
 #[test]
 fn explain_stats_reports_observed_cost_and_replan_markers() {
     let dir = tempdir();
@@ -255,23 +256,26 @@ fn explain_stats_reports_observed_cost_and_replan_markers() {
     std::fs::write(&file, generate_misleading_xml(MisleadConfig::new(4.0))).unwrap();
     let expr = "/descendant::a/descendant::b/descendant::node()";
 
-    let out = xq()
-        .args([
-            expr,
-            file.to_str().unwrap(),
-            "--engine",
-            "adaptive",
-            "--explain",
-            "--stats",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = |engine: &str| {
+        let out = xq()
+            .args([
+                expr,
+                file.to_str().unwrap(),
+                "--engine",
+                engine,
+                "--explain",
+                "--stats",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let stdout = report("auto");
     let step_lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("step ")).collect();
     assert_eq!(step_lines.len(), 3, "one report line per step: {stdout}");
     for line in &step_lines {
@@ -281,24 +285,16 @@ fn explain_stats_reports_observed_cost_and_replan_markers() {
     }
     assert!(
         step_lines.iter().any(|l| l.contains("[replan]")),
-        "adaptive must mark its switch on the misleading document: {stdout}"
+        "auto must mark its switch on the misleading document: {stdout}"
     );
-
-    let out = xq()
-        .args([
-            expr,
-            file.to_str().unwrap(),
-            "--engine",
-            "auto",
-            "--explain",
-            "--stats",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    assert_eq!(
+        report("adaptive"),
+        stdout,
+        "adaptive is auto by another name"
+    );
     assert!(
-        !String::from_utf8_lossy(&out.stdout).contains("[replan]"),
-        "static engines never replan"
+        !report("staircase").contains("[replan]"),
+        "fixed engines never replan"
     );
 }
 
