@@ -520,41 +520,35 @@ impl DocStats {
 /// Equation-1 guess. A [`Calibrator`] factor (session-lifetime, fitted
 /// from real seek counts) scales the twig constants the same way.
 ///
-/// The overlay borrows the base snapshot (and, built with
-/// [`RuntimeStats::observed`], the frontier itself); building one is
-/// free, so the executor constructs a fresh overlay wherever it
-/// re-prices a step.
+/// The overlay borrows the base snapshot and the frontier itself;
+/// building one is free, so the executor constructs a fresh overlay
+/// wherever it re-prices a step.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeStats<'a> {
     base: &'a DocStats,
+    /// The document the frontier lives in.
+    doc: &'a Doc,
+    /// The observed frontier: the next step's context list.
+    frontier: &'a [Pre],
     /// Observed context cardinality for the next step — exact, not the
     /// planner's estimate.
     observed_card: f64,
-    /// The observed frontier itself, when the caller holds it.
-    frontier: Option<(&'a Doc, &'a [Pre])>,
     /// Session-lifetime multiplier on the twig seek constants (1.0
     /// until the calibrator has seen real seek counts).
     twig_seek_factor: f64,
 }
 
 impl<'a> RuntimeStats<'a> {
-    /// Overlays `base` with an observed frontier cardinality.
-    pub fn new(base: &'a DocStats, observed_card: f64) -> RuntimeStats<'a> {
-        RuntimeStats {
-            base,
-            observed_card,
-            frontier: None,
-            twig_seek_factor: 1.0,
-        }
-    }
-
     /// Overlays `base` with the observed frontier `ctx` of `doc`: its
     /// cardinality, and the exact unpruned window
     /// ([`RuntimeStats::unpruned_window`]).
     pub fn observed(base: &'a DocStats, doc: &'a Doc, ctx: &'a [Pre]) -> RuntimeStats<'a> {
         RuntimeStats {
-            frontier: Some((doc, ctx)),
-            ..RuntimeStats::new(base, ctx.len() as f64)
+            base,
+            doc,
+            frontier: ctx,
+            observed_card: ctx.len() as f64,
+            twig_seek_factor: 1.0,
         }
     }
 
@@ -585,18 +579,14 @@ impl<'a> RuntimeStats<'a> {
     }
 
     /// The unpruned window of a mid-path step — every context node's
-    /// own region, covered by another's or not. With the frontier in
-    /// hand it is exact: the sum of Equation-1 subtree sizes
-    /// (`descendant`) or of levels (`ancestor`) over the context. The
-    /// cardinality-scaled average stands in otherwise; it ignores
-    /// nesting, so on a document whose contexts nest deeply it misses
-    /// by the nesting depth.
+    /// own region, covered by another's or not — read off the frontier
+    /// exactly: the sum of Equation-1 subtree sizes (`descendant`) or of
+    /// levels (`ancestor`) over the context. The static
+    /// [`DocStats::unpruned_window`] scales the average subtree by the
+    /// cardinality instead, which misses by the nesting depth on a
+    /// frontier whose nodes nest.
     pub fn unpruned_window(&self, descendant: bool) -> f64 {
-        let Some((doc, ctx)) = self.frontier else {
-            return self
-                .base
-                .unpruned_window(self.observed_card, descendant, false);
-        };
+        let (doc, ctx) = (self.doc, self.frontier);
         let sum: u64 = if descendant {
             ctx.iter().map(|&c| u64::from(doc.subtree_size(c))).sum()
         } else {
@@ -1002,7 +992,8 @@ mod tests {
         let s = DocStats::from_doc(&doc);
         // The static path would estimate a large frontier; the overlay
         // observed a tiny one and every formula re-prices from it.
-        let rt = RuntimeStats::new(&s, 3.0);
+        let few: Vec<Pre> = (0..3).collect();
+        let rt = RuntimeStats::observed(&s, &doc, &few);
         assert_eq!(rt.card(), 3.0);
         let w = rt.descendant_window(false);
         assert_eq!(w, s.descendant_window(3.0, false));
@@ -1016,7 +1007,8 @@ mod tests {
         );
         // Observed-small frontiers price probes below the scan the
         // static estimate would have bought.
-        let big = RuntimeStats::new(&s, 800.0);
+        let many: Vec<Pre> = (0..800).collect();
+        let big = RuntimeStats::observed(&s, &doc, &many);
         assert!(
             rt.fragment_cost(40, w, false)
                 < big.fragment_cost(40, big.descendant_window(false), false)
@@ -1034,10 +1026,6 @@ mod tests {
         assert_eq!(rt.card(), 3.0);
         assert_eq!(rt.unpruned_window(true), 24.0);
         assert_eq!(rt.unpruned_window(false), 3.0);
-        assert_eq!(
-            RuntimeStats::new(&s, 3.0).unpruned_window(true),
-            s.unpruned_window(3.0, true, false)
-        );
     }
 
     #[test]
@@ -1065,8 +1053,9 @@ mod tests {
             child_edge: false,
             chains: vec![vec![100]],
         }];
-        let plain = RuntimeStats::new(&s, 1.0).twig_frontier_cost(&legs);
-        let fitted = RuntimeStats::new(&s, 1.0)
+        let root = [doc.root()];
+        let plain = RuntimeStats::observed(&s, &doc, &root).twig_frontier_cost(&legs);
+        let fitted = RuntimeStats::observed(&s, &doc, &root)
             .calibrated(&c)
             .twig_frontier_cost(&legs);
         assert!((fitted - plain * c.twig_seek_factor()).abs() < 1e-9);

@@ -155,13 +155,11 @@ struct Lane<'p> {
     query: usize,
     /// The steps this lane executes: borrowed from the plan until the
     /// re-planner first switches an operator, owned (a clone of the
-    /// branch's steps) afterwards. Non-adaptive lanes never leave the
-    /// borrowed state.
+    /// branch's steps) afterwards. Lanes that do not re-plan never leave
+    /// the borrowed state.
     steps: Cow<'p, [PlannedStep]>,
-    /// Re-price the pending step from the observed frontier after every
-    /// advance: the plan was lowered under the auto policy
-    /// ([`PhysicalPlan::is_auto`]).
-    adaptive: bool,
+    /// How the lane re-plans: `None` runs the plan as planned.
+    replan: Option<Holds>,
     /// Context after `step` steps.
     ctx: Context,
     /// Number of steps already evaluated.
@@ -176,6 +174,28 @@ struct Lane<'p> {
 impl Lane<'_> {
     fn pending(&self) -> Option<&PlannedStep> {
         self.steps.get(self.step)
+    }
+}
+
+/// The auxiliary structures a re-planning lane may switch to: those its
+/// own query's plan needs. The executor may hold more for the batch's
+/// other queries, but a lane that switched to one of those would pick
+/// (and report) a different operator batched than alone.
+#[derive(Clone, Copy)]
+struct Holds {
+    tags: bool,
+    sql: bool,
+}
+
+impl Holds {
+    /// `Some` for a plan lowered under the auto policy
+    /// ([`PhysicalPlan::is_auto`]), whose lanes re-price the pending
+    /// step from the observed frontier after every advance.
+    fn of(plan: &PhysicalPlan) -> Option<Holds> {
+        plan.is_auto().then(|| Holds {
+            tags: plan.needs_tag_index(),
+            sql: plan.needs_sql_engine(),
+        })
     }
 }
 
@@ -250,6 +270,7 @@ impl Executor<'_> {
     ) -> Vec<Result<QueryOutput, Error>> {
         let mut lanes: Vec<Lane<'_>> = Vec::new();
         for (query, (plan, budget)) in jobs.iter().enumerate() {
+            let replan = Holds::of(plan);
             for path in plan.branches() {
                 let ctx = if path.absolute {
                     Context::singleton(self.doc.root())
@@ -259,7 +280,7 @@ impl Executor<'_> {
                 lanes.push(Lane {
                     query,
                     steps: Cow::Borrowed(path.steps()),
-                    adaptive: plan.is_auto(),
+                    replan,
                     ctx,
                     step: 0,
                     stats: EvalStats::default(),
@@ -815,13 +836,16 @@ impl Executor<'_> {
     /// [`REPLAN_DISAGREE_FACTOR`] off the planner's estimate, overlay it
     /// (and the session calibrator's fitted constants) on the document
     /// statistics, re-price the pending step's operator candidates among
-    /// those this executor holds ([`replan_step`]), and switch the
-    /// step's operator in place when the observed ranking disagrees with
-    /// the planned choice. Switched steps carry the `[replan]` marker
-    /// into their traces. Lanes of every fixed engine and of `twig`
-    /// never enter.
+    /// those the lane's own plan holds ([`Holds`], [`replan_step`]), and
+    /// switch the step's operator in place when the observed ranking
+    /// disagrees with the planned choice. Switched steps carry the
+    /// `[replan]` marker into their traces. Lanes of every fixed engine
+    /// and of `twig` never enter.
     fn maybe_replan(&self, lane: &mut Lane<'_>) {
-        if !lane.adaptive || lane.ctx.is_empty() {
+        let Some(holds) = lane.replan else {
+            return;
+        };
+        if lane.ctx.is_empty() {
             return;
         }
         let Some(next) = lane.steps.get(lane.step) else {
@@ -841,8 +865,7 @@ impl Executor<'_> {
         }
         let rt = RuntimeStats::observed(self.stats, self.doc, lane.ctx.as_slice())
             .calibrated(self.calibrator);
-        let Some((op, test_op, cost)) =
-            replan_step(next, self.doc, &rt, self.tags.is_some(), self.sql.is_some())
+        let Some((op, test_op, cost)) = replan_step(next, self.doc, &rt, holds.tags, holds.sql)
         else {
             return;
         };

@@ -153,8 +153,11 @@
 //!   ([`staircase_core::RuntimeStats::observed`]: its cardinality, and
 //!   the exact unpruned window the SQL plan would scan), the pending
 //!   step's candidates are re-priced — among the operators whose
-//!   structures the executor already holds, so a switch never builds
-//!   an index — and the operator is switched in place if the observed
+//!   structures the query's own plan already needs, so a switch never
+//!   brings the fragment index or the B-tree into existence (a switch to
+//!   a fragment join may still crack that tag's fragment), and a query
+//!   switches the same way alone as in [`Session::run_many`] — and the
+//!   operator is switched in place if the observed
 //!   ranking disagrees with the planned choice. Fixed engines and
 //!   `twig` run their plans as planned. Switching
 //!   is lane-local (the cached plan is copy-on-write, so other lanes

@@ -423,8 +423,9 @@ impl PhysicalPlan {
     /// Does executing this plan require the prebuilt tag-fragment index?
     ///
     /// Only the planned operators decide: a runtime switch to a fragment
-    /// join is offered only when the executor already holds the index
-    /// ([`replan_step`]), so re-planning never forces a build.
+    /// join is offered only to a plan that needs the index anyway
+    /// ([`replan_step`]), so re-planning never forces the index into
+    /// existence.
     pub(crate) fn needs_tag_index(&self) -> bool {
         self.branches.iter().any(path_needs_tags)
     }
@@ -1292,9 +1293,11 @@ fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> Ste
 /// the auto candidate set (plain staircase, prebuilt fragment, SQL) are
 /// re-chosen: twig regions, horizontal scans, and structural axes have
 /// no runtime alternative the overlay prices. A switch only ever
-/// targets what the executor already holds: `tags_available` gates the
-/// fragment join and `sql_available` the SQL plan, because a mid-query
-/// build would cost more than it saves.
+/// targets a structure the lane's own plan already needs:
+/// `tags_available` gates the fragment join and `sql_available` the SQL
+/// plan. A mid-query build would cost more than it saves, and a lane
+/// that borrowed a batch partner's structure would switch differently
+/// batched than alone.
 pub(crate) fn replan_step(
     step: &PlannedStep,
     doc: &Doc,
@@ -1353,25 +1356,25 @@ pub(crate) fn replan_step(
     };
     // The same candidate set (and tie-breaking order) as the static
     // auto policy, priced through the runtime overlay instead of the
-    // Equation-1 cardinality guess.
-    let candidates = [
-        Some(StepOp::Staircase {
-            variant: Variant::EstimationSkipping,
-        }),
+    // Equation-1 cardinality guess: the plain staircase join, then the
+    // operators whose structures the lane holds.
+    let mut best = StepOp::Staircase {
+        variant: Variant::EstimationSkipping,
+    };
+    let mut best_cost = price(&best);
+    let optional = [
         (is_name && tags_available).then_some(StepOp::Fragment { prescan: false }),
         (sql_available || matches!(step.op, StepOp::Sql { .. })).then_some(StepOp::Sql {
             eq1_window: true,
             early_nametest: true,
         }),
     ];
-    let mut best: Option<(StepOp, f64)> = None;
-    for op in candidates.into_iter().flatten() {
+    for op in optional.into_iter().flatten() {
         let cost = price(&op);
-        if best.as_ref().is_none_or(|&(_, b)| cost < b) {
-            best = Some((op, cost));
+        if cost < best_cost {
+            (best, best_cost) = (op, cost);
         }
     }
-    let (best, best_cost) = best?;
     if best == step.op {
         return None;
     }
@@ -1806,7 +1809,9 @@ mod tests {
         // observed context — the fragment join must win.
         let plan = plan_for("/descendant::b/descendant::b", Engine::adaptive());
         let step = &plan.branches()[0].steps()[1];
-        let rt = RuntimeStats::new(&stats, 1.0);
+        // One observed context node: the first `b`.
+        let ctx = [2];
+        let rt = RuntimeStats::observed(&stats, &doc, &ctx);
         match step.operator() {
             StepOp::Fragment { .. } => {
                 // Already the observed-cost winner at card 1: no switch.
@@ -1831,9 +1836,11 @@ mod tests {
     }
 
     #[test]
-    fn replan_offers_only_the_operators_the_executor_holds() {
+    fn replan_offers_only_the_operators_the_lane_holds() {
         let (doc, stats) = fixture();
-        let rt = RuntimeStats::new(&stats, 1.0);
+        // One observed context node: the first `b`.
+        let ctx = [2];
+        let rt = RuntimeStats::observed(&stats, &doc, &ctx);
         let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
         let stair = &fixed.branches()[0].steps()[1];
         // The fragment join wins at card 1, but without the index in
@@ -1846,7 +1853,9 @@ mod tests {
     fn replan_never_builds_fragments_for_absent_names() {
         let (doc, stats) = fixture();
         let plan = plan_for("/descendant::zzz/descendant::zzz", Engine::default());
-        let rt = RuntimeStats::new(&stats, 1.0);
+        // One observed context node: the first `b`.
+        let ctx = [2];
+        let rt = RuntimeStats::observed(&stats, &doc, &ctx);
         // An absent name is provably empty: whatever the planned
         // operator, switching could only force an index build.
         for step in plan.branches()[0].steps() {

@@ -680,6 +680,54 @@ fn replanned_sql_is_priced_from_the_observed_window() {
     );
 }
 
+/// A re-planning lane switches only to structures its own query's plan
+/// needs, never to one the executor holds for a batch partner: a query
+/// picks the same operators, and reports the same step statistics,
+/// alone and next to partners that use the fragment index and the SQL
+/// B-tree.
+#[test]
+fn auto_replans_a_query_the_same_alone_and_batched() {
+    // Deep chains inflate the average subtree; the one `b` under an `a`
+    // sits among 2 000 others, so the frontier after `descendant::b` is
+    // far off the estimate and the last step is re-priced.
+    let chains = format!("{}{}", "<e>".repeat(400), "</e>".repeat(400)).repeat(10);
+    let xml = format!(
+        "<site>{chains}{}<a><b><c/><c/></b></a></site>",
+        "<b><c/><c/><c/></b>".repeat(2000)
+    );
+    let query = "/descendant::*/descendant::b/descendant::*";
+    let fragments = "/descendant::site/descendant::site";
+    let sql = "/descendant::site/descendant::site/descendant::*";
+    for width in [1usize, 4] {
+        let session = Session::parse_xml(&xml).unwrap().with_threads(width);
+        let ops = |expr: &str| -> Vec<StepOp> {
+            let plan = session.explain(expr, Engine::auto()).unwrap();
+            plan.branches()[0]
+                .steps()
+                .iter()
+                .map(|s| s.operator().clone())
+                .collect()
+        };
+        // The query's plan needs neither structure; its partners' do.
+        assert!(ops(query)
+            .iter()
+            .all(|op| matches!(op, StepOp::Staircase { .. })));
+        assert!(ops(fragments)
+            .iter()
+            .any(|op| matches!(op, StepOp::Fragment { prescan: false })));
+        assert!(ops(sql).iter().any(|op| matches!(op, StepOp::Sql { .. })));
+        let [q, f, s] = [query, fragments, sql].map(|e| session.prepare(e).unwrap());
+        let alone = q.run(Engine::auto());
+        let batch = session.run_many(&[&q, &f, &s], Engine::auto());
+        assert_eq!(batch[0].nodes(), alone.nodes(), "width {width}");
+        assert_eq!(
+            batch[0].stats().steps,
+            alone.stats().steps,
+            "width {width}: batch partners changed the query's plan"
+        );
+    }
+}
+
 /// The selective point queries are well estimated: auto runs their plans
 /// as planned, alone and batched, at every pool width — re-planning is
 /// reserved for estimates that are off by the disagreement factor.
