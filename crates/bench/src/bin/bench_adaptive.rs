@@ -1,6 +1,6 @@
-//! `bench_adaptive` — mid-query re-planning and cracked fragments.
+//! `bench_adaptive` — mid-query re-planning.
 //!
-//! Four measurements around the two feedback loops:
+//! Two measurements around `auto`'s re-planning feedback loop:
 //!
 //! * **misleading** — the misleading-statistics documents from
 //!   `staircase_xmlgen::generate_misleading`: every global statistic is
@@ -13,13 +13,6 @@
 //! * **uniform** — the XMark-like generator, where the estimates are
 //!   right and re-planning must stay out of the way (asserted: auto
 //!   never replans).
-//! * **convergence** — on a fresh lazy session, how many queries until
-//!   a hot tag's cracked fragment is promoted to fully sorted
-//!   (bounded by `CRACK_CONVERGE_TOUCHES`), and that cold tags stay
-//!   unbuilt throughout.
-//! * **amortization** — first-query latency of a lazy session vs one
-//!   pre-cracked with `Session::warm_tags`, and how fast the lazy
-//!   session's per-query time converges to the warmed steady state.
 //!
 //! All engines are asserted node-count-identical per query before
 //! `BENCH_adaptive.json` is written.
@@ -39,7 +32,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use staircase_core::CRACK_CONVERGE_TOUCHES;
 use staircase_xmlgen::{generate, generate_misleading, MisleadConfig, XmarkConfig};
 use staircase_xpath::{Engine, Session};
 
@@ -154,62 +146,6 @@ fn write_queries(json: &mut String, results: &[(&str, Vec<Measurement>)]) {
     json.push_str("  ]");
 }
 
-/// Queries until the hot tag's fragment is promoted on a fresh lazy
-/// session, plus the fate of the cold tags (they must stay unbuilt).
-fn convergence(cfg: &Config) -> (usize, bool) {
-    let session = Session::new(generate_misleading(
-        MisleadConfig::new(cfg.scale).with_seed(cfg.seed),
-    ));
-    // Windowed fragment touches: the fragmented engine cracks `b` one
-    // context window at a time.
-    let engine = Engine::staircase()
-        .fragmented(true)
-        .build()
-        .expect("fragmented step engine is valid");
-    let query = session
-        .prepare("/descendant::a/descendant::b")
-        .expect("convergence query parses");
-    let mut until_built = 0usize;
-    for i in 1..=(CRACK_CONVERGE_TOUCHES as usize + 2) {
-        query.run(engine);
-        if session.tag_fragment_built("b") {
-            until_built = i;
-            break;
-        }
-    }
-    let cold_untouched = ["w", "f", "p0", "p3"]
-        .iter()
-        .all(|t| !session.tag_fragment_built(t));
-    (until_built, cold_untouched)
-}
-
-/// Per-query times of a lazy session vs one pre-cracked with
-/// `warm_tags`, over `runs` repeats of the hot query.
-fn amortization(cfg: &Config, runs: usize) -> (Vec<f64>, Vec<f64>) {
-    let time_series = |session: &Session| -> Vec<f64> {
-        let query = session
-            .prepare("/descendant::a/descendant::b")
-            .expect("amortization query parses");
-        (0..runs)
-            .map(|_| {
-                let started = Instant::now();
-                query.run(
-                    Engine::staircase()
-                        .fragmented(true)
-                        .build()
-                        .expect("fragmented step engine is valid"),
-                );
-                started.elapsed().as_secs_f64() * 1e3
-            })
-            .collect()
-    };
-    let mislead = MisleadConfig::new(cfg.scale).with_seed(cfg.seed);
-    let lazy = Session::new(generate_misleading(mislead));
-    let warmed = Session::new(generate_misleading(mislead));
-    warmed.warm_tags(&["a", "b"]);
-    (time_series(&lazy), time_series(&warmed))
-}
-
 fn main() {
     let mut cfg = Config {
         scale: 10.0,
@@ -287,33 +223,6 @@ fn main() {
         }
     }
 
-    let (until_built, cold_untouched) = convergence(&cfg);
-    assert!(cold_untouched, "cold tags must stay unbuilt");
-    assert!(
-        until_built > 0 && until_built <= CRACK_CONVERGE_TOUCHES as usize,
-        "hot tag converged in {until_built} queries (limit {CRACK_CONVERGE_TOUCHES})"
-    );
-    eprintln!(
-        "cracking: hot tag fully sorted after {until_built} queries \
-         (limit {CRACK_CONVERGE_TOUCHES}), cold tags unbuilt: {cold_untouched}"
-    );
-
-    let amortize_runs = 10usize;
-    let (lazy_ms, warmed_ms) = amortization(&cfg, amortize_runs);
-    // Steady state: the best of the last three runs, robust to noise.
-    let steady = |xs: &[f64]| {
-        xs[xs.len().saturating_sub(3)..]
-            .iter()
-            .fold(f64::INFINITY, |a, &b| a.min(b))
-    };
-    let amortized_ratio = steady(&lazy_ms) / steady(&warmed_ms).max(1e-9);
-    let first_query_ratio = lazy_ms[0] / steady(&warmed_ms).max(1e-9);
-    eprintln!(
-        "amortization: lazy first query {:.3} ms ({first_query_ratio:.2}× warmed steady), \
-         lazy steady/warmed steady {amortized_ratio:.3}",
-        lazy_ms[0]
-    );
-
     // Headline ratio and the two replan assertions.
     let mislead_ms = &mislead_results[0].1;
     let auto_over_oracle = by(mislead_ms, "auto").ms / oracle_ms(mislead_ms).max(1e-9);
@@ -339,32 +248,6 @@ fn main() {
     let _ = writeln!(json, "  \"auto_over_oracle\": {:.3},", auto_over_oracle);
     let _ = writeln!(json, "  \"mislead_replans\": {},", mislead_replans);
     let _ = writeln!(json, "  \"uniform_replans\": {},", uniform_replans);
-    let _ = writeln!(
-        json,
-        "  \"cracking\": {{\"queries_until_built\": {until_built}, \
-         \"converge_limit\": {CRACK_CONVERGE_TOUCHES}, \
-         \"cold_tags_built\": {}}},",
-        !cold_untouched
-    );
-    let fmt_series = |xs: &[f64]| {
-        let mut s = String::from("[");
-        for (i, x) in xs.iter().enumerate() {
-            let _ = write!(s, "{x:.3}");
-            if i + 1 < xs.len() {
-                s.push_str(", ");
-            }
-        }
-        s.push(']');
-        s
-    };
-    let _ = writeln!(
-        json,
-        "  \"amortization\": {{\"lazy_ms\": {}, \"warmed_ms\": {}, \
-         \"steady_ratio\": {amortized_ratio:.3}, \
-         \"first_query_ratio\": {first_query_ratio:.3}}},",
-        fmt_series(&lazy_ms),
-        fmt_series(&warmed_ms)
-    );
     json.push_str("  \"misleading\": {\n  ");
     write_queries(&mut json, &mislead_results);
     json.push_str("\n  },\n  \"uniform\": {\n  ");

@@ -4,22 +4,16 @@
 //! The workload is the hot shape of the pre/post-plane operators: a
 //! name test over a contiguous pre-rank window (the `following`
 //! suffix, a descendant partition's copy phase, a fused lane's shared
-//! base). Three kernels, identical survivors asserted each round:
+//! base). Two kernels, identical survivors asserted each round:
 //!
 //! * `scalar` — the pre-mask per-element loop: two column loads and a
 //!   data-dependent branch per node;
-//! * `mask` — the per-tag [`TagBitmap`] window select the engine runs
-//!   for gap-free candidate runs once `DocStats::bitmap_worthwhile`
-//!   prices the (lazily built, cached) bitmap in: word-aligned slices,
-//!   ~64 positions per load, zero words skipped wholesale;
 //! * `mask_columns` — the gathered-column kernel
-//!   ([`mask::select_tag_candidates`]), the masked path for gappy
-//!   candidate lists and sessions without a resolved tag index.
+//!   ([`mask::select_tag_candidates`]), the residual name-test filter of
+//!   the operators with no scan for the test to ride.
 //!
 //! Writes `BENCH_filter_kernels.json`: one record per doc size ×
-//! selectivity × kernel with ns/node and speedup over scalar. The
-//! bitmap build itself is recorded as `mask_build` (paid once per tag,
-//! amortized over every later touch by the cost-model gate).
+//! selectivity × kernel with ns/node and speedup over scalar.
 //!
 //! ```text
 //! cargo run -p staircase-bench --release --bin bench_filter_kernels
@@ -31,7 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use staircase_accel::NodeKind;
-use staircase_core::{mask, TagBitmap};
+use staircase_core::mask;
 
 const SIZES: [usize; 2] = [10_000, 100_000];
 const SELECTIVITIES: [f64; 4] = [0.001, 0.01, 0.10, 0.50];
@@ -125,20 +119,6 @@ fn main() {
             });
             let want = out.clone();
 
-            let build_secs = best_secs(reps, || {
-                std::hint::black_box(TagBitmap::build(&kinds, element, &tags, TID).ones());
-            });
-            let bitmap = TagBitmap::build(&kinds, element, &tags, TID);
-            let window_secs = best_secs(reps, || {
-                out.clear();
-                bitmap.select_window(0, n, &mut out);
-                std::hint::black_box(out.len());
-            });
-            assert_eq!(
-                out, want,
-                "bitmap window select must match the scalar filter"
-            );
-
             let columns_secs = best_secs(reps, || {
                 out.clear();
                 mask::select_tag_candidates(&kinds, &tags, element, TID, &cands, &mut out);
@@ -147,12 +127,7 @@ fn main() {
             assert_eq!(out, want, "column mask must match the scalar filter");
 
             let scalar_ns = scalar_secs / n as f64 * 1e9;
-            for (kernel, secs) in [
-                ("scalar", scalar_secs),
-                ("mask", window_secs),
-                ("mask_columns", columns_secs),
-                ("mask_build", build_secs),
-            ] {
+            for (kernel, secs) in [("scalar", scalar_secs), ("mask_columns", columns_secs)] {
                 let ns = secs / n as f64 * 1e9;
                 records.push(Record {
                     nodes: n,
@@ -177,7 +152,7 @@ fn main() {
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(
         json,
-        "  \"note\": \"name test over a contiguous scan window; mask = per-tag bitmap window select, mask_columns = gathered kind/tag mask kernel, mask_build = one-off lazy bitmap build (amortized by the cost-model gate)\","
+        "  \"note\": \"name test over a contiguous scan window; mask_columns = gathered kind/tag mask kernel\","
     );
     json.push_str("  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {

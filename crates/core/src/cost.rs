@@ -248,8 +248,8 @@ impl DocStats {
     ///   `N = max(…)` — nothing when they are the same length and every
     ///   move is a step (1 270 `person`s against 1 270 `profile`s: 1 270
     ///   entries, no seek);
-    /// * resolving the fragment's context window first costs two binary
-    ///   searches over the whole fragment
+    /// * bracketing the fragment's context window first costs two binary
+    ///   searches over the built fragment
     ///   ([`crate::TagIndex::fragment_window`]) — noise beside any join
     ///   worth planning, but what decides a step out of a one-node
     ///   context, where hop and join are both a handful of units and the
@@ -351,36 +351,6 @@ impl DocStats {
     /// is a ROADMAP follow-up.
     pub fn apply_test_cost(&self, base_rows: f64) -> f64 {
         base_rows
-    }
-
-    /// Cost of a name-test filter over `base_rows` candidates through a
-    /// per-tag [`TagBitmap`](crate::TagBitmap): one bit-probe per
-    /// candidate (cheaper than the two gathered column loads of the
-    /// plain masked filter — `BITMAP_PROBE_DISCOUNT`), plus the full
-    /// column pass that *builds* the bitmap when it has not
-    /// materialized yet.
-    pub fn bitmap_filter_cost(&self, base_rows: f64, built: bool) -> f64 {
-        let probe = base_rows * BITMAP_PROBE_DISCOUNT;
-        if built {
-            probe
-        } else {
-            self.nodes as f64 + probe
-        }
-    }
-
-    /// `true` when routing a name test over `base_rows` candidates
-    /// through the lazily built per-tag bitmap beats the plain masked
-    /// kind/tag filter, amortizing the build over this filter and the
-    /// cached bitmap's future touches ([`BITMAP_AMORTIZE_TOUCHES`]).
-    /// Small filters never trigger a build: a full column pass for a
-    /// handful of probes is exactly the regression the lazy cache
-    /// exists to avoid.
-    pub fn bitmap_worthwhile(&self, base_rows: f64, built: bool) -> bool {
-        if built {
-            return true;
-        }
-        let amortized_build = self.nodes as f64 / BITMAP_AMORTIZE_TOUCHES;
-        self.bitmap_filter_cost(base_rows, true) + amortized_build < self.apply_test_cost(base_rows)
     }
 
     /// Cost of a semijoin predicate probe (§3.3's empty-region argument:
@@ -764,10 +734,6 @@ pub struct TwigLegCost {
 /// core kernels enforce per morsel.
 pub const MIN_FANOUT_COST: f64 = 4096.0;
 
-/// Relative cost of one bitmap bit-probe vs. one plain masked kind/tag
-/// test (one word load + shift against two gathered column loads).
-pub const BITMAP_PROBE_DISCOUNT: f64 = 0.5;
-
 /// What interpreting one nested-loop sub-plan step for one candidate
 /// costs besides the nodes it touches, in touched-node units
 /// ([`DocStats::nested_loop_cost`]). Measured on a 489 k-node XMark
@@ -776,13 +742,6 @@ pub const BITMAP_PROBE_DISCOUNT: f64 = 0.5;
 /// the semijoin probes [`DocStats::semijoin_cost`] prices run at
 /// ≈ 2.6 ns per unit — ≈ 140 units, rounded down to a power of two.
 pub const NESTED_STEP_OVERHEAD: f64 = 128.0;
-
-/// How many future filter passes a lazily built per-tag bitmap's build
-/// cost is amortized over when [`DocStats::bitmap_worthwhile`] decides
-/// whether a first touch should pay the column pass. Sessions cache
-/// bitmaps for their lifetime, so a hot tag's build is shared by every
-/// later query that filters on it.
-pub const BITMAP_AMORTIZE_TOUCHES: f64 = 8.0;
 
 #[cfg(test)]
 mod tests {
@@ -890,21 +849,6 @@ mod tests {
         assert!(s.naive_cost(unpruned) > staircase);
         assert!(s.sql_cost(card, unpruned, true) > staircase);
         assert!(s.sql_cost(card, unpruned, false) > s.sql_cost(card, unpruned, true));
-    }
-
-    #[test]
-    fn bitmap_pricing_gates_the_lazy_build() {
-        let doc = random_doc(5, 2000);
-        let s = DocStats::from_doc(&doc);
-        // A materialized bitmap always wins over the plain masked filter.
-        assert!(s.bitmap_worthwhile(10.0, true));
-        assert!(s.bitmap_filter_cost(100.0, true) < s.apply_test_cost(100.0));
-        // A tiny filter never pays a fresh column pass…
-        assert!(!s.bitmap_worthwhile(4.0, false));
-        // …but a document-spanning one amortizes it.
-        assert!(s.bitmap_worthwhile(s.nodes() as f64, false));
-        // The un-built price includes the build pass.
-        assert!(s.bitmap_filter_cost(10.0, false) > s.nodes() as f64);
     }
 
     #[test]

@@ -94,18 +94,6 @@
 //! are found by scalar comparisons, as their counters depend on *where*
 //! the scan stopped.
 //!
-//! **Masked candidate filters vs. the fragment join.** A name test over
-//! a candidate list costs one gathered kind/tag load per candidate
-//! ([`mask::select_tag_candidates`]); once a per-tag `TagBitmap` exists
-//! ([`TagIndex::bitmap`]), the same test is one bit-probe per candidate
-//! — but *building* the bitmap costs a full column pass.
-//! [`DocStats::bitmap_filter_cost`] prices the probe path against the
-//! plain masked filter and the fragment join, and
-//! [`DocStats::bitmap_worthwhile`] gates the lazy build so only filters
-//! wide enough to amortize it ever trigger one; planned steps whose
-//! tests take such a residual pass carry a `+ apply-test [mask]` marker
-//! in `--explain` output (plane scans, whose test is fused, do not).
-//!
 //! ## Failure model
 //!
 //! The kernels themselves are infallible over valid planes — they
@@ -153,7 +141,6 @@ mod horiz;
 mod list;
 pub mod mask;
 mod morsel;
-mod parallel;
 mod pool;
 mod prune;
 mod stats;
@@ -174,16 +161,13 @@ pub use governor::{Budget, Trip};
 pub use horiz::{
     following, following_many, following_tested, preceding, preceding_many, preceding_tested,
 };
-pub use list::{
-    ancestor_on_list, child_on_list, descendant_on_list, TagIndex, CRACK_CONVERGE_TOUCHES,
-};
+pub use list::{ancestor_on_list, child_on_list, descendant_on_list, TagIndex};
 pub use mask::ScanTest;
 pub use pool::{ScratchPool, WorkerPool};
 pub use prune::{
     prune, prune_ancestor, prune_ancestor_into, prune_descendant, prune_descendant_into,
     prune_following, prune_preceding,
 };
-pub use staircase_storage::TagBitmap;
 pub use stats::StepStats;
 pub use twig::{twig_match, ChainStep, SpineLeg, TwigEdge};
 

@@ -40,484 +40,129 @@
 //! keep test, and [`crate::has_child_in`] shares that walk. None of the
 //! loops needs a pruned context: they are correct on any sorted one, and
 //! their bounds ([`StepStats`]) are stated against the nodes they stop at.
-//!
-//! # The cracked index
-//!
-//! Since the adaptive-execution work the index is also **cracked**: a
-//! [`TagIndex::lazy`] index starts with *no* fragment materialized, and
-//! queries build them per tag on first touch. A query that only scans a
-//! pre-*range* of a tag cracks just that range out of the columns
-//! ([`TagIndex::fragment_window`]) and keeps the sorted piece; later
-//! windows refine the coverage, and a tag that keeps getting touched is
-//! promoted to its fully sorted fragment. Cold tags never pay a build.
-
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use staircase_accel::{Context, Doc, NodeKind, Post, Pre, TagId};
-use staircase_storage::TagBitmap;
 
 use crate::cursor::advance;
 use crate::governor::Ticker;
 use crate::stats::StepStats;
 
-/// How many window touches a tag sustains before the cracked pieces are
-/// promoted to the fully sorted fragment. Hot tags therefore converge
-/// within [`CRACK_CONVERGE_TOUCHES`] queries even when no single query
-/// ever covers the whole plane.
-pub const CRACK_CONVERGE_TOUCHES: u32 = 4;
-
-/// One cracked piece of a tag's fragment: the sorted pre ranks of the
-/// tag's elements inside `[lo, hi)`, materialized by some past window.
-#[derive(Debug, Clone)]
-struct Piece {
-    lo: Pre,
-    hi: Pre,
-    entries: Vec<Pre>,
-}
-
-/// Per-tag state: the fully sorted fragment once promoted, else the
-/// cracked pieces accumulated so far (disjoint, sorted by `lo`).
-#[derive(Debug, Default)]
-struct TagCell {
-    full: OnceLock<Vec<Pre>>,
-    pieces: Mutex<Vec<Piece>>,
-    touches: AtomicU32,
-}
-
-impl Clone for TagCell {
-    fn clone(&self) -> TagCell {
-        let cell = TagCell {
-            full: OnceLock::new(),
-            pieces: Mutex::new(self.pieces.lock().expect("tag pieces lock").clone()),
-            touches: AtomicU32::new(self.touches.load(Ordering::Relaxed)),
-        };
-        if let Some(f) = self.full.get() {
-            let _ = cell.full.set(f.clone());
-        }
-        cell
-    }
-}
-
 /// Per-tag fragments of the document: for every tag id, the pre ranks of
 /// all elements carrying it, in document order.
 ///
 /// [`TagIndex::build`] materializes every fragment with one pass over
-/// the columns ("fragmentation by tag name", §6) — the eager form
-/// [`warm`](TagIndex::warm_all)-style server paths use. The same
+/// the kind/tag columns ("fragmentation by tag name", §6). The same
 /// structure serves name-test pushdown, where the fragment *is*
-/// `nametest(doc, tag)`.
-///
-/// [`TagIndex::lazy`] builds *nothing*: fragments are **cracked** out of
-/// the columns as queries touch them. A whole-fragment touch
-/// ([`TagIndex::fragment_by_name`]) materializes that one tag; a
-/// range-limited touch ([`TagIndex::fragment_window`]) scans only the
-/// requested pre range and keeps the sorted piece, so repeated queries
-/// piecewise-refine hot tags to fully sorted fragments
-/// (promotion after [`CRACK_CONVERGE_TOUCHES`] touches, or as soon as
-/// the pieces cover the plane) while cold tags stay unbuilt.
-///
-/// Alongside each fragment the index caches a lazily built
-/// [`TagBitmap`] (one bit per pre rank, set for elements with the
-/// tag): fragments answer "walk every `t`-element in order", bitmaps
-/// answer "which of *these* positions are `t`-elements" with one
-/// bit-probe each — the masked name-test path of
-/// [`crate::mask`]. A bitmap costs a full column pass to build, so it
-/// is built on first touch only (callers gate on
-/// [`crate::DocStats::bitmap_worthwhile`]).
-#[derive(Debug)]
+/// `nametest(doc, tag)`. A session builds it the first time a plan
+/// needs it, whole: one sweep at a few nanoseconds per node costs about
+/// what scanning one tag's window out of the columns would.
+#[derive(Debug, Clone)]
 pub struct TagIndex {
-    cells: Vec<TagCell>,
-    bitmaps: Vec<OnceLock<TagBitmap>>,
-    cracks: AtomicU64,
-}
-
-impl Clone for TagIndex {
-    fn clone(&self) -> TagIndex {
-        TagIndex {
-            cells: self.cells.clone(),
-            bitmaps: self.bitmaps.clone(),
-            cracks: AtomicU64::new(self.cracks.load(Ordering::Relaxed)),
-        }
-    }
+    fragments: Vec<Vec<Pre>>,
+    /// Column positions the build swept: the document's length.
+    swept: u64,
 }
 
 impl TagIndex {
-    /// Builds the index with one pass over the document — every
-    /// fragment fully materialized. Bitmaps are *not* built here — each
-    /// materializes on first [`TagIndex::bitmap`] touch.
+    /// Builds every fragment with one pass over the document.
     pub fn build(doc: &Doc) -> TagIndex {
-        let idx = TagIndex::lazy(doc);
-        let every_tag = vec![true; idx.cells.len()];
-        for (cell, frag) in idx.cells.iter().zip(sweep_fragments(doc, &every_tag)) {
-            let _ = cell.full.set(frag);
-        }
-        idx
-    }
-
-    /// An index with **no** fragment materialized: each cracks out of
-    /// the columns on first touch.
-    pub fn lazy(doc: &Doc) -> TagIndex {
-        let ntags = doc.tags().len();
         TagIndex {
-            cells: (0..ntags).map(|_| TagCell::default()).collect(),
-            bitmaps: (0..ntags).map(|_| OnceLock::new()).collect(),
-            cracks: AtomicU64::new(0),
+            fragments: sweep_fragments(doc),
+            swept: doc.len() as u64,
         }
     }
 
-    /// The per-tag bitmap for `tag`, built on first touch (one pass
-    /// over the kind/tag columns) and cached for the index's lifetime;
-    /// `None` for out-of-range tag ids.
-    pub fn bitmap(&self, doc: &Doc, tag: TagId) -> Option<&TagBitmap> {
-        self.bitmaps.get(tag as usize).map(|cell| {
-            cell.get_or_init(|| {
-                TagBitmap::build(
-                    doc.kind_column(),
-                    NodeKind::Element as u8,
-                    doc.tag_column(),
-                    tag,
-                )
-            })
-        })
+    /// The same as [`TagIndex::build`]; kept for the benchmark's
+    /// `core.tagindex_lazy_first_us` probe.
+    pub fn lazy(doc: &Doc) -> TagIndex {
+        TagIndex::build(doc)
     }
 
-    /// Whether `tag`'s bitmap has already materialized — the `built`
-    /// input to [`crate::cost::DocStats::bitmap_worthwhile`]'s gate.
-    pub fn bitmap_built(&self, tag: TagId) -> bool {
-        self.bitmaps
-            .get(tag as usize)
-            .is_some_and(|c| c.get().is_some())
+    /// The fragment for `tag`; empty for unknown tags.
+    pub fn fragment(&self, tag: TagId) -> &[Pre] {
+        self.fragments.get(tag as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// How many per-tag bitmaps have materialized (tests/metrics).
-    pub fn bitmaps_built(&self) -> usize {
-        self.bitmaps.iter().filter(|c| c.get().is_some()).count()
-    }
-
-    /// The fully materialized fragment for `tag`, building it on first
-    /// touch (crediting any cracked pieces — only the uncovered gaps
-    /// are scanned). Empty slice for unknown tags.
-    pub fn fragment(&self, doc: &Doc, tag: TagId) -> &[Pre] {
-        let Some(cell) = self.cells.get(tag as usize) else {
-            return &[];
-        };
-        cell.touches.fetch_add(1, Ordering::Relaxed);
-        self.ensure_full(doc, tag, cell)
-    }
-
-    /// The fragment for a tag *name*, built on first touch.
+    /// The fragment for a tag *name*; empty for names absent from the
+    /// document.
     pub fn fragment_by_name<'s>(&'s self, doc: &Doc, name: &str) -> &'s [Pre] {
-        doc.tag_id(name)
-            .map(|t| self.fragment(doc, t))
-            .unwrap_or(&[])
+        doc.tag_id(name).map_or(&[], |t| self.fragment(t))
     }
 
-    /// The tag's elements with pre ranks in `[lo, hi)` — the cracked
-    /// access path. A fully built fragment answers with a borrowed
-    /// subslice; otherwise only the window's uncovered gaps are scanned
-    /// out of the columns and the sorted piece is kept, so repeated
-    /// windows piecewise-refine the fragment. After
-    /// [`CRACK_CONVERGE_TOUCHES`] touches (or full coverage) the tag is
-    /// promoted to its fully sorted fragment.
-    pub fn fragment_window<'s>(
-        &'s self,
-        doc: &Doc,
-        tag: TagId,
-        lo: Pre,
-        hi: Pre,
-    ) -> Cow<'s, [Pre]> {
-        let Some(cell) = self.cells.get(tag as usize) else {
-            return Cow::Borrowed(&[]);
-        };
-        let hi = hi.min(doc.len() as Pre);
-        let lo = lo.min(hi);
-        let touches = cell.touches.fetch_add(1, Ordering::Relaxed) + 1;
-        if cell.full.get().is_some()
-            || touches >= CRACK_CONVERGE_TOUCHES
-            || (lo == 0 && hi == doc.len() as Pre)
-        {
-            let full = self.ensure_full(doc, tag, cell);
-            let a = full.partition_point(|&p| p < lo);
-            let b = full.partition_point(|&p| p < hi);
-            return Cow::Borrowed(&full[a..b]);
-        }
-        Cow::Owned(self.crack(doc, tag, cell, lo, hi))
+    /// The tag's elements with pre ranks in `[lo, hi)`: a subslice of its
+    /// fragment, bracketed by two binary searches.
+    pub fn fragment_window(&self, tag: TagId, lo: Pre, hi: Pre) -> &[Pre] {
+        let fragment = self.fragment(tag);
+        let b = fragment.partition_point(|&p| p < hi);
+        let a = fragment[..b].partition_point(|&p| p < lo);
+        &fragment[a..b]
     }
 
-    /// The windowed form of [`TagIndex::fragment_window`] addressed by
-    /// tag *name*.
+    /// [`TagIndex::fragment_window`] addressed by tag name; kept for the
+    /// benchmark's `core.tagindex_lazy_first_us` probe.
     pub fn fragment_window_by_name<'s>(
         &'s self,
         doc: &Doc,
         name: &str,
         lo: Pre,
         hi: Pre,
-    ) -> Cow<'s, [Pre]> {
-        match doc.tag_id(name) {
-            Some(t) => self.fragment_window(doc, t, lo, hi),
-            None => Cow::Borrowed(&[]),
-        }
+    ) -> &'s [Pre] {
+        doc.tag_id(name)
+            .map_or(&[], |t| self.fragment_window(t, lo, hi))
     }
 
-    /// Ensures `tag`'s fragment is fully materialized (the explicit
-    /// warm path; also promotion's target).
-    fn ensure_full<'s>(&'s self, doc: &Doc, tag: TagId, cell: &'s TagCell) -> &'s [Pre] {
-        promote(cell, |pieces| {
-            assemble(doc, tag, pieces, 0, doc.len() as Pre, &self.cracks)
-        })
-    }
-
-    /// Cracks the window `[lo, hi)` out of the columns: entries covered
-    /// by existing pieces are reused, uncovered gaps are scanned and
-    /// the merged piece kept. Promotes to the full fragment when the
-    /// pieces end up covering the whole plane.
-    fn crack(&self, doc: &Doc, tag: TagId, cell: &TagCell, lo: Pre, hi: Pre) -> Vec<Pre> {
-        let mut pieces = cell.pieces.lock().expect("tag pieces lock");
-        if let Some(full) = cell.full.get() {
-            // A racing promoter won: serve from the full fragment.
-            let a = full.partition_point(|&p| p < lo);
-            let b = full.partition_point(|&p| p < hi);
-            return full[a..b].to_vec();
-        }
-        let out = assemble(doc, tag, &pieces, lo, hi, &self.cracks);
-        merge_piece(&mut pieces, lo, hi, &out);
-        let covered = pieces.len() == 1 && pieces[0].lo == 0 && pieces[0].hi >= doc.len() as Pre;
-        // Full coverage reached piecewise: promote — after releasing the
-        // pieces lock, which `promote` takes *inside* the fragment's
-        // one-time initialisation; setting the fragment while holding it
-        // would deadlock against a concurrent promoter. The one covering
-        // piece is copied out, nothing is scanned.
-        drop(pieces);
-        if covered {
-            self.ensure_full(doc, tag, cell);
-        }
-        out
-    }
-
-    /// Whether `tag`'s fragment is fully materialized (tests/metrics —
-    /// the cold-tags-stay-unbuilt assertion).
-    pub fn fragment_built(&self, tag: TagId) -> bool {
-        self.cells
-            .get(tag as usize)
-            .is_some_and(|c| c.full.get().is_some())
-    }
-
-    /// [`TagIndex::fragment_built`] addressed by tag name (`false` for
-    /// names absent from the document).
-    pub fn fragment_built_by_name(&self, doc: &Doc, name: &str) -> bool {
-        doc.tag_id(name).is_some_and(|t| self.fragment_built(t))
-    }
-
-    /// `true` once `tag` has at least one cracked piece or its full
-    /// fragment — i.e. some query touched it.
-    pub fn fragment_touched(&self, tag: TagId) -> bool {
-        self.cells.get(tag as usize).is_some_and(|c| {
-            c.full.get().is_some() || !c.pieces.lock().expect("tag pieces lock").is_empty()
-        })
-    }
-
-    /// How many window touches `tag` has seen (the cracking convergence
-    /// metric: a hot tag is fully sorted within
-    /// [`CRACK_CONVERGE_TOUCHES`]).
-    pub fn fragment_touches(&self, tag: TagId) -> u32 {
-        self.cells
-            .get(tag as usize)
-            .map(|c| c.touches.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// How many fragments are fully materialized.
+    /// How many fragments are materialized: every tag's. Kept for the
+    /// benchmark's `core.fragments_built` probe.
     pub fn fragments_built(&self) -> usize {
-        self.cells.iter().filter(|c| c.full.get().is_some()).count()
+        self.fragments.len()
     }
 
-    /// Total column positions scanned by crack/build passes so far —
-    /// the work the lazy index actually paid, vs. the eager build's
-    /// `tags × nodes`.
+    /// Column positions the build swept: the document's length. Kept for
+    /// the benchmark's `core.crack_scan_work` probe.
     pub fn crack_scan_work(&self) -> u64 {
-        self.cracks.load(Ordering::Relaxed)
+        self.swept
     }
 
-    /// Fully materializes every fragment (the eager/server warm path).
-    ///
-    /// Tags no query has touched yet are bucketed together in **one**
-    /// sweep of the columns, as [`TagIndex::build`] does, instead of
-    /// one whole-document scan per tag; tags that already hold cracked
-    /// pieces are completed from them, scanning only their gaps.
-    pub fn warm_all(&self, doc: &Doc) {
-        let untouched: Vec<bool> = (0..self.cells.len())
-            .map(|tag| !self.fragment_touched(tag as TagId))
-            .collect();
-        let mut swept = Vec::new();
-        if untouched.contains(&true) {
-            swept = sweep_fragments(doc, &untouched);
-            self.cracks.fetch_add(doc.len() as u64, Ordering::Relaxed);
-        }
-        for (tag, cell) in self.cells.iter().enumerate() {
-            if untouched[tag] {
-                // A query may have cracked the tag since it was found
-                // untouched; the swept fragment is complete either way.
-                promote(cell, |_| std::mem::take(&mut swept[tag]));
-            } else {
-                self.ensure_full(doc, tag as TagId, cell);
-            }
-        }
-    }
-
-    /// Fully materializes the named tags only — the server's
-    /// configured-hot-set warm (`staircase-serve --warm-tags`). Unknown
-    /// names are ignored.
-    pub fn warm_tags(&self, doc: &Doc, names: &[&str]) {
-        for name in names {
-            if let Some(t) = doc.tag_id(name) {
-                self.ensure_full(doc, t, &self.cells[t as usize]);
-            }
-        }
+    /// Always `0`: the index holds no per-tag bitmaps. Kept for the
+    /// benchmark's `core.bitmaps_built` probe.
+    pub fn bitmaps_built(&self) -> usize {
+        0
     }
 
     /// Number of distinct tags indexed.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.fragments.len()
     }
 
     /// `true` if the index covers no tags at all.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.fragments.is_empty()
     }
 
-    /// Total pre ranks stored across materialized fragments and cracked
-    /// pieces.
+    /// Total pre ranks stored across the fragments.
     pub fn total_nodes(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|c| match c.full.get() {
-                Some(f) => f.len(),
-                None => c
-                    .pieces
-                    .lock()
-                    .expect("tag pieces lock")
-                    .iter()
-                    .map(|p| p.entries.len())
-                    .sum(),
-            })
-            .sum()
+        self.fragments.iter().map(Vec::len).sum()
     }
 }
 
-/// Sets `cell`'s full fragment — once; later callers get the first
-/// one — to what `build` makes of the cracked pieces, which are dropped.
-fn promote(cell: &TagCell, build: impl FnOnce(&[Piece]) -> Vec<Pre>) -> &[Pre] {
-    cell.full.get_or_init(|| {
-        let mut pieces = cell.pieces.lock().expect("tag pieces lock");
-        let full = build(&pieces);
-        pieces.clear();
-        pieces.shrink_to_fit();
-        full
-    })
-}
-
-/// One sweep of the kind/tag columns: the complete fragment of every
-/// tag marked in `wanted` (the others stay empty).
+/// One sweep of the kind/tag columns: the complete fragment of every tag.
 ///
 /// The vectors grow as they fill rather than being pre-sized from the
 /// interner's element counts: exactly sized fragments land page-aligned
 /// next to each other, where the joins that walk them in step with
 /// their result buffers ran 9 % slower (`batch_pool`), and peak RSS is
 /// the same either way.
-fn sweep_fragments(doc: &Doc, wanted: &[bool]) -> Vec<Vec<Pre>> {
-    let mut fragments: Vec<Vec<Pre>> = vec![Vec::new(); wanted.len()];
+fn sweep_fragments(doc: &Doc) -> Vec<Vec<Pre>> {
+    let mut fragments: Vec<Vec<Pre>> = vec![Vec::new(); doc.tags().len()];
     let kinds = doc.kind_column();
     let tags = doc.tag_column();
     let element = NodeKind::Element as u8;
     for v in doc.pres() {
         if kinds[v as usize] == element {
-            let tag = tags[v as usize] as usize;
-            if wanted[tag] {
-                fragments[tag].push(v);
-            }
+            fragments[tags[v as usize] as usize].push(v);
         }
     }
     fragments
-}
-
-/// Collects `tag`'s elements with pre in `[lo, hi)`, reusing `pieces`
-/// where they cover the window and scanning the columns only over the
-/// uncovered gaps (each gap scan is charged to `cracks`).
-fn assemble(
-    doc: &Doc,
-    tag: TagId,
-    pieces: &[Piece],
-    lo: Pre,
-    hi: Pre,
-    cracks: &AtomicU64,
-) -> Vec<Pre> {
-    let mut out = Vec::new();
-    let mut cursor = lo;
-    for piece in pieces {
-        if piece.hi <= cursor {
-            continue;
-        }
-        if piece.lo >= hi {
-            break;
-        }
-        if piece.lo > cursor {
-            scan_range(doc, tag, cursor, piece.lo.min(hi), &mut out, cracks);
-        }
-        let a = piece.entries.partition_point(|&p| p < cursor);
-        let b = piece.entries.partition_point(|&p| p < hi);
-        out.extend_from_slice(&piece.entries[a..b]);
-        cursor = piece.hi.min(hi);
-        if cursor >= hi {
-            break;
-        }
-    }
-    if cursor < hi {
-        scan_range(doc, tag, cursor, hi, &mut out, cracks);
-    }
-    out
-}
-
-/// Scans the kind/tag columns over `[lo, hi)` for `tag`'s elements.
-fn scan_range(doc: &Doc, tag: TagId, lo: Pre, hi: Pre, out: &mut Vec<Pre>, cracks: &AtomicU64) {
-    let kinds = doc.kind_column();
-    let tags = doc.tag_column();
-    let element = NodeKind::Element as u8;
-    for v in lo..hi {
-        if kinds[v as usize] == element && tags[v as usize] == tag {
-            out.push(v);
-        }
-    }
-    cracks.fetch_add(u64::from(hi.saturating_sub(lo)), Ordering::Relaxed);
-}
-
-/// Replaces every piece overlapping (or touching) `[lo, hi)` with one
-/// merged piece whose entries are the union; keeps the list disjoint
-/// and sorted by `lo`.
-fn merge_piece(pieces: &mut Vec<Piece>, lo: Pre, hi: Pre, window_entries: &[Pre]) {
-    let start = pieces.partition_point(|p| p.hi < lo);
-    let end = pieces.partition_point(|p| p.lo <= hi);
-    let mut merged_lo = lo;
-    let mut merged_hi = hi;
-    let mut entries: Vec<Pre> = Vec::new();
-    for piece in &pieces[start..end] {
-        merged_lo = merged_lo.min(piece.lo);
-        merged_hi = merged_hi.max(piece.hi);
-        // Entries outside the new window survive; inside it the fresh
-        // scan is authoritative (they are identical anyway).
-        entries.extend(piece.entries.iter().copied().filter(|&p| p < lo || p >= hi));
-    }
-    entries.extend_from_slice(window_entries);
-    entries.sort_unstable();
-    pieces.splice(
-        start..end,
-        [Piece {
-            lo: merged_lo,
-            hi: merged_hi,
-            entries,
-        }],
-    );
 }
 
 /// `context/descendant::tag` evaluated directly on a tag fragment:
@@ -1064,223 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_cache_builds_lazily_and_agrees_with_fragments() {
-        let doc = doc_with_tags();
-        let idx = TagIndex::build(&doc);
-        assert_eq!(idx.bitmaps_built(), 0, "no eager bitmap builds");
-        let tid = doc.tag_id("bidder").unwrap();
-        let bm = idx.bitmap(&doc, tid).unwrap();
-        assert_eq!(idx.bitmaps_built(), 1);
-        let frag = idx.fragment(&doc, tid);
-        assert_eq!(bm.ones(), frag.len());
-        let mut sel = Vec::new();
-        bm.select_window(0, doc.len(), &mut sel);
-        assert_eq!(sel.as_slice(), frag, "bitmap set bits = fragment");
-        // Second touch reuses the cached build.
-        assert!(std::ptr::eq(idx.bitmap(&doc, tid).unwrap(), bm));
-        assert_eq!(idx.bitmaps_built(), 1);
-        assert!(idx.bitmap(&doc, 9999).is_none());
-    }
-
-    #[test]
-    fn lazy_index_builds_nothing_until_touched() {
-        let doc = doc_with_tags();
-        let idx = TagIndex::lazy(&doc);
-        assert_eq!(idx.fragments_built(), 0);
-        assert_eq!(idx.total_nodes(), 0);
-        assert_eq!(idx.crack_scan_work(), 0);
-        // First whole-fragment touch builds that one tag only.
-        let bidders = idx.fragment_by_name(&doc, "bidder");
-        assert_eq!(bidders.len(), 3);
-        assert_eq!(idx.fragments_built(), 1);
-        let cold = doc.tag_id("increase").unwrap();
-        assert!(!idx.fragment_built(cold), "cold tags stay unbuilt");
-        assert!(!idx.fragment_touched(cold));
-        // The build scanned the plane once, not once per tag.
-        assert_eq!(idx.crack_scan_work(), doc.len() as u64);
-        // Lazy and eager agree for every tag.
-        let eager = TagIndex::build(&doc);
-        for (t, name) in doc.tags().iter().collect::<Vec<_>>() {
-            assert_eq!(idx.fragment(&doc, t), eager.fragment(&doc, t), "tag {name}");
-        }
-    }
-
-    #[test]
-    fn window_cracks_only_the_touched_range() {
-        let doc = random_doc(3, 600);
-        let idx = TagIndex::lazy(&doc);
-        let eager = TagIndex::build(&doc);
-        let tid = doc.tag_id("p").unwrap();
-        let full = eager.fragment(&doc, tid);
-        let (lo, hi) = (100, 250);
-        let window = idx.fragment_window(&doc, tid, lo, hi);
-        let want: Vec<Pre> = full
-            .iter()
-            .copied()
-            .filter(|&p| (lo..hi).contains(&p))
-            .collect();
-        assert_eq!(window.as_ref(), &want[..]);
-        // Only the window's positions were scanned, and the tag is
-        // cracked but not fully built.
-        assert_eq!(idx.crack_scan_work(), u64::from(hi - lo));
-        assert!(idx.fragment_touched(tid));
-        assert!(!idx.fragment_built(tid));
-        // A second, overlapping window reuses the covered part: the
-        // extra scan work is the uncovered gap only.
-        let window2 = idx.fragment_window(&doc, tid, 50, 200);
-        let want2: Vec<Pre> = full
-            .iter()
-            .copied()
-            .filter(|&p| (50..200).contains(&p))
-            .collect();
-        assert_eq!(window2.as_ref(), &want2[..]);
-        assert_eq!(idx.crack_scan_work(), u64::from(hi - lo) + 50);
-    }
-
-    #[test]
-    fn hot_tags_promote_to_fully_sorted_fragments() {
-        let doc = random_doc(5, 800);
-        let idx = TagIndex::lazy(&doc);
-        let eager = TagIndex::build(&doc);
-        let tid = doc.tag_id("q").unwrap();
-        // Keep touching disjoint windows: by CRACK_CONVERGE_TOUCHES the
-        // tag is promoted and answers with borrowed subslices.
-        let n = doc.len() as Pre;
-        for i in 0..CRACK_CONVERGE_TOUCHES + 1 {
-            let lo = (i % 3) * 7;
-            let out = idx.fragment_window(&doc, tid, lo, n / 2 + lo);
-            let want: Vec<Pre> = eager
-                .fragment(&doc, tid)
-                .iter()
-                .copied()
-                .filter(|&p| (lo..n / 2 + lo).contains(&p))
-                .collect();
-            assert_eq!(out.as_ref(), &want[..], "touch {i}");
-        }
-        assert!(idx.fragment_built(tid), "hot tag converged");
-        assert!(matches!(
-            idx.fragment_window(&doc, tid, 0, n),
-            Cow::Borrowed(_)
-        ));
-        assert_eq!(idx.fragment(&doc, tid), eager.fragment(&doc, tid));
-        assert!(idx.fragment_touches(tid) > CRACK_CONVERGE_TOUCHES);
-    }
-
-    #[test]
-    fn piecewise_coverage_promotes_without_a_full_touch() {
-        let doc = doc_with_tags();
-        let idx = TagIndex::lazy(&doc);
-        let tid = doc.tag_id("bidder").unwrap();
-        let n = doc.len() as Pre;
-        // Two windows that together cover the plane: the second one
-        // completes coverage and promotes, with no whole-plane scan
-        // beyond the two windows themselves.
-        idx.fragment_window(&doc, tid, 0, n / 2);
-        assert!(!idx.fragment_built(tid));
-        idx.fragment_window(&doc, tid, n / 2, n);
-        assert!(idx.fragment_built(tid), "coverage-complete promotion");
-        assert_eq!(idx.crack_scan_work(), u64::from(n));
-        let eager = TagIndex::build(&doc);
-        assert_eq!(idx.fragment(&doc, tid), eager.fragment(&doc, tid));
-    }
-
-    #[test]
-    fn a_coverage_promotion_races_a_whole_fragment_touch() {
-        // One thread's window completes the tag's coverage and promotes
-        // it while another promotes the same tag through a whole-fragment
-        // touch. Both must finish, with the eager fragment. Runs on its
-        // own thread so a deadlock fails the test instead of hanging it.
-        let doc = random_doc(7, 20_000);
-        let (done, finished) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let eager = TagIndex::build(&doc);
-            let tid = doc.tag_id("p").unwrap();
-            let n = doc.len() as Pre;
-            for _ in 0..100 {
-                let idx = TagIndex::lazy(&doc);
-                idx.fragment_window(&doc, tid, 0, n / 2);
-                let start = std::sync::Barrier::new(2);
-                std::thread::scope(|s| {
-                    s.spawn(|| {
-                        start.wait();
-                        idx.fragment_window(&doc, tid, n / 2, n).len()
-                    });
-                    s.spawn(|| {
-                        start.wait();
-                        idx.fragment(&doc, tid).len()
-                    });
-                });
-                assert_eq!(idx.fragment(&doc, tid), eager.fragment(&doc, tid));
-            }
-            done.send(()).unwrap();
-        });
-        finished
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("concurrent promotions of one tag deadlocked");
-    }
-
-    #[test]
-    fn warm_tags_builds_exactly_the_named_set() {
-        let doc = doc_with_tags();
-        let idx = TagIndex::lazy(&doc);
-        idx.warm_tags(&doc, &["bidder", "increase", "nonexistent"]);
-        assert_eq!(idx.fragments_built(), 2);
-        assert!(idx.fragment_built_by_name(&doc, "bidder"));
-        assert!(idx.fragment_built_by_name(&doc, "increase"));
-        assert!(!idx.fragment_built_by_name(&doc, "open_auction"));
-        assert!(!idx.fragment_built_by_name(&doc, "nonexistent"));
-        // warm_all finishes the rest.
-        idx.warm_all(&doc);
-        assert_eq!(idx.fragments_built(), idx.len());
-        assert_eq!(idx.total_nodes(), doc.kind_counts().0);
-    }
-
-    #[test]
-    fn warm_all_sweeps_untouched_tags_in_one_pass() {
-        let doc = random_doc(7, 2000);
-        let eager = TagIndex::build(&doc);
-        let n = doc.len() as u64;
-        let agrees = |idx: &TagIndex| {
-            assert_eq!(idx.fragments_built(), idx.len());
-            for tag in 0..idx.len() as TagId {
-                assert_eq!(idx.fragment(&doc, tag), eager.fragment(&doc, tag));
-            }
-        };
-
-        // Fresh: every tag from one sweep, not one scan per tag.
-        let fresh = TagIndex::lazy(&doc);
-        assert!(fresh.len() > 2, "more tags than the bound allows scans");
-        fresh.warm_all(&doc);
-        agrees(&fresh);
-        assert!(
-            fresh.crack_scan_work() <= 2 * n,
-            "{}",
-            fresh.crack_scan_work()
-        );
-
-        // Partly cracked: the cracked tag is completed from its piece
-        // (its gaps only), the rest share the sweep.
-        let cracked = TagIndex::lazy(&doc);
-        let p = doc.tag_id("p").unwrap();
-        cracked.fragment_window(&doc, p, 100, 900);
-        assert_eq!(cracked.crack_scan_work(), 800);
-        cracked.warm_all(&doc);
-        agrees(&cracked);
-        assert_eq!(cracked.crack_scan_work(), 800 + n + (n - 800));
-
-        // Already warm: nothing left to scan.
-        let before = cracked.crack_scan_work();
-        cracked.warm_all(&doc);
-        agrees(&cracked);
-        assert_eq!(cracked.crack_scan_work(), before);
-    }
-
-    #[test]
     fn cracked_windows_agree_with_eager_fragments_on_random_docs() {
         for seed in 0..12 {
             let doc = random_doc(seed, 500);
-            let idx = TagIndex::lazy(&doc);
-            let eager = TagIndex::build(&doc);
+            let idx = TagIndex::build(&doc);
+            assert_eq!(idx.crack_scan_work(), doc.len() as u64, "one sweep");
+            assert_eq!(idx.fragments_built(), doc.tags().len(), "every tag");
             let n = doc.len() as Pre;
             let mut st = 0x1234_5678_u64 ^ seed;
             let mut next = |m: Pre| {
@@ -1289,19 +723,22 @@ mod tests {
                 st ^= st << 17;
                 (st % u64::from(m.max(1))) as Pre
             };
-            for tag in ["p", "q", "r"] {
-                let tid = doc.tag_id(tag).unwrap();
-                let full = eager.fragment(&doc, tid);
+            for (tid, name) in doc.tags().iter().collect::<Vec<_>>() {
+                let full = doc.elements_with_tag(tid);
+                assert_eq!(idx.fragment(tid), &full[..], "seed {seed} tag {name}");
                 for _ in 0..8 {
                     let a = next(n);
                     let b = a + next(n - a + 1);
-                    let got = idx.fragment_window(&doc, tid, a, b);
                     let want: Vec<Pre> = full
                         .iter()
                         .copied()
                         .filter(|&p| (a..b).contains(&p))
                         .collect();
-                    assert_eq!(got.as_ref(), &want[..], "seed {seed} tag {tag} [{a},{b})");
+                    assert_eq!(
+                        idx.fragment_window(tid, a, b),
+                        &want[..],
+                        "seed {seed} tag {name} [{a},{b})"
+                    );
                 }
             }
         }

@@ -36,7 +36,6 @@
 //! section).
 
 use staircase_accel::{Doc, NodeKind, Pre, TagId};
-use staircase_storage::TagBitmap;
 
 /// The attribute kind byte every partitioning axis rejects.
 const ATTR: u8 = NodeKind::Attribute as u8;
@@ -253,16 +252,6 @@ pub fn select_tag_candidates(
     select_candidates_where(candidates, out, |v| {
         (kind[v as usize] == want) & (tags[v as usize] == tid)
     });
-}
-
-/// Filters a sorted candidate list through a per-tag [`TagBitmap`]:
-/// one bit-probe per candidate instead of the two gathered column
-/// loads of [`select_tag_candidates`] — the path
-/// [`crate::cost::DocStats::bitmap_worthwhile`] prices against the
-/// plain masked filter. Result-identical to the name test the bitmap
-/// was built from (bit `v` ⇔ element with the tag).
-pub fn select_bitmap_candidates(bm: &TagBitmap, candidates: &[Pre], out: &mut Vec<Pre>) {
-    select_candidates_where(candidates, out, |v| bm.get(v as usize));
 }
 
 /// A step's node test, compiled once against a document: the one test
@@ -482,23 +471,6 @@ mod tests {
                 let mut got = Vec::new();
                 select_tag_candidates(kind, tags, 0, tid, &cands, &mut got);
                 prop_assert_eq!(got, want);
-            }
-        }
-
-        #[test]
-        fn bitmap_candidates_equal_tag_candidates(seed in 0u64..20, step in 1usize..5) {
-            let doc = random_doc(seed, 500);
-            let (kind, tags) = (doc.kind_column(), doc.tag_column());
-            let element = NodeKind::Element as u8;
-            let cands: Vec<Pre> = (0..doc.len() as Pre).step_by(step).collect();
-            for name in ["p", "q"] {
-                let Some(tid) = doc.tag_id(name) else { continue };
-                let bm = TagBitmap::build(kind, element, tags, tid);
-                let mut via_bitmap = Vec::new();
-                select_bitmap_candidates(&bm, &cands, &mut via_bitmap);
-                let mut via_columns = Vec::new();
-                select_tag_candidates(kind, tags, element, tid, &cands, &mut via_columns);
-                prop_assert_eq!(via_bitmap, via_columns);
             }
         }
     }

@@ -17,9 +17,6 @@
 //!                      expires is stopped cooperatively and answered
 //!                      with a TIMEOUT error frame, connection kept open
 //!   --warm             build aux structures before accepting traffic
-//!   --warm-tags a,b,c  pre-crack only the listed tag fragments (a
-//!                      configured hot set); every other tag's fragment
-//!                      stays unbuilt until a query first touches it
 //! ```
 //!
 //! Prints `listening on <addr>` to stderr once ready, then serves until
@@ -38,7 +35,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: staircase-serve <DOC> [--encoded] [--addr A] [--threads N] [--window-us W]\n\
          \u{20}      [--max-batch B] [--queue-depth Q] [--read-timeout-ms T]\n\
-         \u{20}      [--exec-timeout-ms T] [--warm] [--warm-tags a,b,c]"
+         \u{20}      [--exec-timeout-ms T] [--warm]"
     );
     exit(2);
 }
@@ -56,7 +53,6 @@ fn main() {
     let mut threads = 1usize;
     let mut window_us = 2000u64;
     let mut warm = false;
-    let mut warm_tags: Option<String> = None;
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -79,7 +75,6 @@ fn main() {
                 config.exec_timeout = Duration::from_millis(parse_flag(&mut args));
             }
             "--warm" => warm = true,
-            "--warm-tags" => warm_tags = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             other if doc_path.is_none() && !other.starts_with('-') => {
                 doc_path = Some(other.to_string());
@@ -105,16 +100,6 @@ fn main() {
     };
     if warm {
         session.warm();
-    }
-    if let Some(list) = &warm_tags {
-        // Partial warm-up: pre-crack only the configured hot set; cold
-        // tags stay unbuilt until a query first touches them.
-        let names: Vec<&str> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .collect();
-        session.warm_tags(&names);
     }
     eprintln!(
         "loaded {} nodes (height {}), pool width {threads}, window {window_us} µs, \

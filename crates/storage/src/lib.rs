@@ -16,21 +16,14 @@
 //! * [`scan`] — sequential scan/copy kernels with the unrolled
 //!   (Duff's-device-inspired) copy loop of §4.3, shared with the staircase
 //!   join's copy phase.
-//! * [`TagBitmap`] — one bit per pre rank, set for elements carrying a
-//!   given tag: turns a name test over a scan window into word-aligned
-//!   bit arithmetic (mask + popcount / select) instead of a per-node
-//!   branch. Built lazily per tag and cached alongside the tag
-//!   fragments upstairs.
 
 #![warn(missing_docs)]
 
 mod bat;
-mod bitmap;
 mod btree;
 mod column;
 pub mod scan;
 
 pub use bat::Bat;
-pub use bitmap::TagBitmap;
 pub use btree::BPlusTree;
 pub use column::VoidColumn;

@@ -57,7 +57,6 @@ pub mod prelude {
         descendant_on_list, following, has_ancestor_in, has_child_in, has_descendant_in, preceding,
         prune, try_axis_step, twig_match, Calibrator, ChainStep, DocStats, RuntimeStats, ScanTest,
         Scratch, SpineLeg, StepStats, TagIndex, TwigEdge, UnsupportedAxis, Variant, WorkerPool,
-        CRACK_CONVERGE_TOUCHES,
     };
     pub use staircase_xml::{Document, PullParser};
     pub use staircase_xmlgen::{

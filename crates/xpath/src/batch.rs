@@ -97,7 +97,7 @@ use staircase_core::{
 };
 
 use crate::error::Error;
-use crate::eval::{merge, rendered_op, scan_test, EvalStats, Executor, StepTrace};
+use crate::eval::{apply_test_into, merge, rendered_op, scan_test, EvalStats, Executor, StepTrace};
 use crate::plan::{
     replan_step, HorizAxis, LaneForm, ListEdge, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis,
     VertAxis,
@@ -602,7 +602,7 @@ impl Executor<'_> {
         let step = &lane.steps[lane.step];
         if matches!(step.axis(), Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
             let mut buf = scratch.take();
-            self.test_into(&lane.ctx, &step.test, Axis::SelfAxis, &mut buf);
+            apply_test_into(self.doc, &lane.ctx, &step.test, Axis::SelfAxis, &mut buf);
             let selves = Context::from_sorted(buf);
             let merged = merge(out, &selves);
             scratch.recycle(selves);
@@ -668,10 +668,7 @@ impl Executor<'_> {
             };
             (self.scan_list(name), cost)
         } else {
-            // The windowed lookup confines a lazy index's cracking to
-            // the pre range the whole group can actually reach; a
-            // prebuilt (eager) index serves the full fragment either
-            // way.
+            // The window the whole group can actually reach.
             let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
             (self.fragment_list_windowed(name, edge, &contexts), 0)
         };

@@ -18,7 +18,6 @@
 //! it. Everything below the session's resolution step is total: no
 //! panics, no `unwrap`.
 
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
@@ -27,8 +26,8 @@ use staircase_core::{
     ancestor_on_list, ancestor_tested, child_on_list,
     cost::{Calibrator, DocStats},
     descendant_on_list, descendant_tested, following_tested, has_ancestor_in, has_child_in,
-    has_descendant_in, mask, preceding_tested, twig_match, ChainStep, ScanTest, ScratchPool,
-    SpineLeg, TagBitmap, TagIndex, WorkerPool,
+    has_descendant_in, preceding_tested, twig_match, ChainStep, ScanTest, ScratchPool, SpineLeg,
+    TagIndex, WorkerPool,
 };
 
 use crate::ast::NodeTest;
@@ -123,8 +122,7 @@ pub(crate) struct Executor<'a> {
     /// queries each sweep out their own shard.
     pub(crate) scratch: &'a ScratchPool,
     /// The session's cached document statistics; at evaluation time
-    /// they price the per-tag bitmap probe against the plain masked
-    /// name-test filter.
+    /// they price auto's re-planning and the pool fanout.
     pub(crate) stats: &'a DocStats,
     /// The session-lifetime cost calibrator: every twig step reports
     /// its real seek count here, and auto's re-planner prices
@@ -148,8 +146,8 @@ pub(crate) struct ListMemo {
 }
 
 /// A sorted per-tag node list, wherever it came from: borrowed from the
-/// prebuilt index, owned (a cracked window, a reduced semijoin chain),
-/// or shared with the evaluation's memo ([`Executor::lists`]).
+/// tag index, owned (a reduced semijoin chain), or shared with the
+/// evaluation's memo ([`Executor::lists`]).
 pub(crate) enum NodeList<'a> {
     Borrowed(&'a [Pre]),
     Owned(Vec<Pre>),
@@ -172,15 +170,6 @@ impl std::ops::Deref for NodeList<'_> {
             NodeList::Borrowed(list) => list,
             NodeList::Owned(list) => list,
             NodeList::Shared(list) => list,
-        }
-    }
-}
-
-impl<'a> From<Cow<'a, [Pre]>> for NodeList<'a> {
-    fn from(list: Cow<'a, [Pre]>) -> Self {
-        match list {
-            Cow::Borrowed(list) => NodeList::Borrowed(list),
-            Cow::Owned(list) => NodeList::Owned(list),
         }
     }
 }
@@ -241,17 +230,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The fragment entries a windowed on-list join can actually use,
-    /// resolved through the cracked index ([`TagIndex::fragment_window`])
-    /// so a query over a narrow pre-range scans — and cracks — only
-    /// that range instead of building the whole fragment.
+    /// The fragment entries a windowed on-list join can actually use: a
+    /// subslice of the built fragment ([`TagIndex::fragment_window`]).
     ///
     /// The window is result-safe by the join kernels' own reasoning:
     /// the descendant and child joins only ever emit entries of the
     /// slices `(c, end(c)]`, all of which lie after the first context
-    /// node and before the last subtree end; for the ancestor join,
-    /// ancestors precede their context node in pre order, so `[0, max)`
-    /// covers every probe.
+    /// node; for the ancestor join, ancestors precede their context node
+    /// in pre order, so `[0, max)` covers every probe.
     pub(crate) fn fragment_list_windowed(
         &self,
         name: &str,
@@ -261,55 +247,22 @@ impl<'a> Executor<'a> {
         let Some(idx) = self.tags else {
             return self.scan_list(name);
         };
-        if contexts.iter().all(|c| c.is_empty()) {
+        let Some(tag) = self.doc.tag_id(name) else {
             return NodeList::Borrowed(&[]);
-        }
-        let post = self.doc.post_column();
-        let n = self.doc.len() as Pre;
-        let (lo, hi) = match edge {
-            ListEdge::Descendant | ListEdge::Child => {
-                // Descendants live strictly after their context node,
-                // and a descendant's pre never exceeds `post(p) +
-                // height` (pre(v) − post(v) = depth(v) − size(v), so
-                // max descendant pre = post(p) + depth(p)).
-                let lo = contexts
-                    .iter()
-                    .filter_map(|c| c.as_slice().first())
-                    .map(|&p| p + 1)
-                    .min()
-                    .unwrap_or(0);
-                // The upper end only tells a lazy index how far to
-                // crack — the joins stop at the last context node's
-                // subtree by themselves — so a fragment that is already
-                // built is not worth the pass over every context node.
-                let built = self.doc.tag_id(name).is_some_and(|t| idx.fragment_built(t));
-                let hi = if built {
-                    n
-                } else {
-                    contexts
-                        .iter()
-                        .flat_map(|c| c.as_slice())
-                        .map(|&p| post[p as usize])
-                        .max()
-                        .unwrap_or(0)
-                        .saturating_add(Pre::from(self.doc.height()))
-                        .saturating_add(1)
-                        .min(n)
-                };
-                (lo, hi)
-            }
-            ListEdge::Ancestor => {
-                // Ancestors precede their context node in pre order.
-                let hi = contexts
-                    .iter()
-                    .filter_map(|c| c.as_slice().last())
-                    .copied()
-                    .max()
-                    .unwrap_or(0);
-                (0, hi)
-            }
         };
-        idx.fragment_window_by_name(self.doc, name, lo, hi).into()
+        let window = match edge {
+            ListEdge::Descendant | ListEdge::Child => contexts
+                .iter()
+                .filter_map(|c| c.as_slice().first())
+                .min()
+                .map(|&first| idx.fragment_window(tag, first + 1, Pre::MAX)),
+            ListEdge::Ancestor => contexts
+                .iter()
+                .filter_map(|c| c.as_slice().last())
+                .max()
+                .map(|&last| idx.fragment_window(tag, 0, last)),
+        };
+        NodeList::Borrowed(window.unwrap_or(&[]))
     }
 
     /// `nametest(doc, name)` as a query-time selection scan, run at
@@ -412,36 +365,6 @@ impl<'a> Executor<'a> {
         .0
     }
 
-    /// Applies the node test to a candidate list — the residual filter
-    /// of the operators with no scan for the test to ride (naive, plain
-    /// SQL, structural axes, an or-self step's context nodes) — into
-    /// `buf` (cleared first), through whichever masked filter the cost
-    /// model picks: the cached
-    /// per-tag bitmap — one word-aligned window select for gap-free
-    /// candidate runs, one bit-probe per candidate otherwise — when
-    /// [`DocStats::bitmap_worthwhile`] prices it (plus an amortized
-    /// lazy build) below the gathered column loads, else the column
-    /// mask kernels of [`apply_test_into`].
-    pub(crate) fn test_into(&self, ctx: &Context, test: &NodeTest, axis: Axis, buf: &mut Vec<Pre>) {
-        match self.bitmap_for(ctx, test, axis) {
-            Some(bm) => {
-                buf.clear();
-                let cs = ctx.as_slice();
-                // A gap-free run covers every position it spans, so
-                // the name test degenerates to AND-ing word-aligned
-                // bitmap slices: ~64 positions per load, zero words
-                // skipped wholesale.
-                let (first, last) = (cs[0], cs[cs.len() - 1]);
-                if (last - first) as usize + 1 == cs.len() {
-                    bm.select_window(first as usize, last as usize + 1, buf);
-                } else {
-                    mask::select_bitmap_candidates(bm, cs, buf);
-                }
-            }
-            None => apply_test_into(self.doc, ctx, test, axis, buf),
-        }
-    }
-
     /// Applies the node test to an **owned** intermediate sequence:
     /// the survivors land in a buffer swept out of the session scratch
     /// pool and the input's allocation is recycled back into it, so
@@ -452,32 +375,10 @@ impl<'a> Executor<'a> {
         }
         self.scratch.with(|s| {
             let mut buf = s.take();
-            self.test_into(&base, test, axis, &mut buf);
+            apply_test_into(self.doc, &base, test, axis, &mut buf);
             s.recycle(base);
             Context::from_sorted(buf)
         })
-    }
-
-    /// The cached per-tag bitmap serving `test` over `base`, when one
-    /// is applicable — an element name test with the tag index already
-    /// resolved for this plan — *and* the cost model prices the
-    /// bit-probe filter below the gathered column loads.
-    fn bitmap_for(&self, base: &Context, test: &NodeTest, axis: Axis) -> Option<&'a TagBitmap> {
-        let NodeTest::Name(name) = test else {
-            return None;
-        };
-        if base.is_empty() || axis == Axis::Attribute {
-            return None; // the bitmap covers elements only
-        }
-        let tags = self.tags?;
-        let tid = self.doc.tag_id(name)?;
-        if !self
-            .stats
-            .bitmap_worthwhile(base.len() as f64, tags.bitmap_built(tid))
-        {
-            return None;
-        }
-        tags.bitmap(self.doc, tid)
     }
 
     /// Executes one lowered predicate against the candidate set.
@@ -844,9 +745,11 @@ pub(crate) fn scan_test<'d>(doc: &'d Doc, test: &NodeTest, axis: Axis) -> ScanTe
     }
 }
 
-/// Applies a node test to a node sequence, appending the survivors to
-/// `out` (cleared first): gathered column loads, 64 candidates per mask
-/// word ([`ScanTest::select_candidates`]).
+/// Applies a node test to a candidate list — the residual filter of the
+/// operators with no scan for the test to ride (naive, plain SQL,
+/// structural axes, an or-self step's context nodes) — appending the
+/// survivors to `out` (cleared first): gathered column loads, 64
+/// candidates per mask word ([`ScanTest::select_candidates`]).
 pub(crate) fn apply_test_into(
     doc: &Doc,
     ctx: &Context,

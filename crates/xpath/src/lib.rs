@@ -154,8 +154,7 @@
 //!   the exact unpruned window the SQL plan would scan), the pending
 //!   step's candidates are re-priced — among the operators whose
 //!   structures the query's own plan already needs, so a switch never
-//!   brings the fragment index or the B-tree into existence (a switch to
-//!   a fragment join may still crack that tag's fragment), and a query
+//!   brings the fragment index or the B-tree into existence, and a query
 //!   switches the same way alone as in [`Session::run_many`] — and the
 //!   operator is switched in place if the observed
 //!   ranking disagrees with the planned choice. Fixed engines and
@@ -176,13 +175,10 @@
 //!   fuse-or-not decision sharpens with observed behaviour instead of
 //!   drifting on mispredicted constants.
 //!
-//! The companion loop on the storage side: the session's per-tag
-//! fragment index is **cracked** ([`staircase_core::TagIndex::lazy`]) —
-//! fragments materialize piecewise as queries touch pre ranges, hot
-//! tags converge to fully sorted fragments within
-//! [`staircase_core::CRACK_CONVERGE_TOUCHES`] touches, cold tags are
-//! never built, and [`Session::warm`] / [`Session::warm_tags`] remain
-//! the explicit eager builds (the server's `--warm` / `--warm-tags`).
+//! The fragment index itself is no feedback loop: a session builds every
+//! tag's fragment in one sweep over the columns the first time a plan
+//! needs the index ([`Session::tag_index`]), or ahead of traffic with
+//! [`Session::warm`] (the server's `--warm`).
 //!
 //! ## The session API
 //!

@@ -664,8 +664,7 @@ impl fmt::Display for PlannedStep {
         if self.test_op == TestOp::ApplyTest && !matches!(self.test, NodeTest::AnyNode) {
             // The operator has no scan for the test to ride: a residual
             // filter pass through the chunked 64-lane bitmask kernels
-            // (`staircase_core::mask`), with large name tests upgraded
-            // to per-tag bitmap probes at run time.
+            // (`staircase_core::mask`).
             ops.push_str(" + apply-test [mask]");
         }
         for pred in &self.predicates {

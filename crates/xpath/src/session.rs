@@ -391,7 +391,7 @@ impl Session {
         if self.workers.width() > 1 {
             let builds: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
                 Box::new(|| {
-                    self.tag_index().warm_all(&self.doc);
+                    self.tag_index();
                 }),
                 Box::new(|| {
                     self.sql_engine();
@@ -401,46 +401,22 @@ impl Session {
         } else {
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    self.tag_index().warm_all(&self.doc);
+                    self.tag_index();
                 });
                 self.sql_engine();
             });
         }
     }
 
-    /// Pre-cracks the [`TagIndex`] fragments for exactly `names` —
-    /// partial warm-up for workloads with a known hot tag set. Tags not
-    /// listed stay *unbuilt*: they cost nothing until a query first
-    /// touches them (the cracked-index counterpart of [`Session::warm`],
-    /// which builds every fragment plus the SQL B-tree). Unknown names
-    /// are ignored. Counts as the session's one tag-index construction.
-    pub fn warm_tags(&self, names: &[&str]) {
-        self.tag_index().warm_tags(&self.doc, names);
-    }
-
-    /// The per-tag fragment index, created on first use and cached for
-    /// the session's lifetime. Creation is **lazy per fragment**
-    /// ([`TagIndex::lazy`]): the index shell costs O(tags) up front and
-    /// each tag's fragment materializes piecewise as queries touch it
-    /// (cracking), so a session that never names a tag never pays for
-    /// its fragment. [`Session::warm`] / [`Session::warm_tags`] convert
-    /// to the eager build for all / selected tags.
+    /// The per-tag fragment index, built whole by one sweep over the
+    /// columns ([`TagIndex::build`]) the first time a plan needs it or
+    /// [`Session::warm`] runs, and cached for the session's lifetime. A
+    /// session whose plans never name a tag never pays for it.
     pub fn tag_index(&self) -> &TagIndex {
         self.tags.get_or_init(|| {
             self.tag_builds.fetch_add(1, Ordering::Relaxed);
-            TagIndex::lazy(&self.doc)
+            TagIndex::build(&self.doc)
         })
-    }
-
-    /// Is `name`'s tag fragment fully materialized (sorted) right now?
-    /// `false` for unknown names, for a session whose index shell has
-    /// not been created, and for fragments still in the cracked
-    /// (piecewise) state. Exposed so servers and tests can observe which
-    /// tags the workload has actually paid for.
-    pub fn tag_fragment_built(&self, name: &str) -> bool {
-        self.tags
-            .get()
-            .is_some_and(|idx| idx.fragment_built_by_name(&self.doc, name))
     }
 
     /// The session's cost calibrator (see the crate docs' *feedback

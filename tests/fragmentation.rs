@@ -9,9 +9,7 @@ fn fragments_partition_the_elements() {
     let session = Session::new(generate(XmarkConfig::new(0.1)));
     let doc = session.doc();
     let idx = session.tag_index();
-    let total: usize = (0..idx.len() as u32)
-        .map(|t| idx.fragment(doc, t).len())
-        .sum();
+    let total: usize = (0..idx.len() as u32).map(|t| idx.fragment(t).len()).sum();
     assert_eq!(
         total,
         doc.kind_counts().0,
@@ -19,7 +17,7 @@ fn fragments_partition_the_elements() {
     );
     // Fragments are document-ordered and duplicate-free.
     for t in 0..idx.len() as u32 {
-        let frag = idx.fragment(doc, t);
+        let frag = idx.fragment(t);
         assert!(frag.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -1,16 +1,15 @@
-//! Mask/scalar parity: the chunked bitmask kernels and the per-tag
-//! bitmap fragments are pure acceleration. Whichever filtering route
-//! the runtime picks — per-element scalar loop, gathered-column mask
-//! kernel, or bitmap window select — every engine must return node-
-//! and order-identical results with identical per-step stats.
+//! Mask/scalar parity: the chunked bitmask kernels are pure
+//! acceleration. Whichever filtering route the runtime picks —
+//! per-element scalar loop or gathered-column mask kernel — every engine
+//! must return node- and order-identical results with identical per-step
+//! stats.
 //!
 //! The reference here is deliberately naive: a per-node loop over the
-//! raw pre/post/kind/tag columns that never touches `mask` or
-//! `TagBitmap`. Window offsets and lengths are driven across word
-//! boundaries (unaligned heads, sub-word tails) both at the kernel
-//! level and, via `Session::execute` from an explicit context, through
-//! whole engines including
-//! the cost-based `auto` planner.
+//! raw pre/post/kind/tag columns that never touches `mask`. Window
+//! offsets and lengths are driven across word boundaries (unaligned
+//! heads, sub-word tails) both at the kernel level and, via
+//! `Session::execute` from an explicit context, through whole engines
+//! including the cost-based `auto` planner.
 //!
 //! The last section pins the one node test every plane scan carries
 //! (`ScanTest`): its range select against the scalar filter at every
@@ -18,7 +17,7 @@
 //! per-test filters it replaced.
 
 use proptest::prelude::*;
-use staircase_core::{mask, TagBitmap};
+use staircase_core::mask;
 use staircase_suite::prelude::*;
 
 const TAG_NAMES: [&str; 4] = ["x", "y", "z", "w"];
@@ -146,8 +145,8 @@ proptest! {
 
     /// Whole-query parity from the root: every engine, including
     /// `auto`, matches the scalar reference node for node, and a warm
-    /// rerun (bitmaps now built and cached) reports byte-identical
-    /// [`EvalStats`] to the cold one.
+    /// rerun (plans and auxiliary structures now cached) reports
+    /// byte-identical [`EvalStats`] to the cold one.
     #[test]
     fn every_engine_matches_the_scalar_reference(
         ops in proptest::collection::vec(0u8..8, 1..250),
@@ -172,7 +171,7 @@ proptest! {
             );
             prop_assert_eq!(
                 cold.stats(), warm.stats(),
-                "bitmap warm-up changed stats: {} via {:?}", &query, engine
+                "warm rerun changed stats: {} via {:?}", &query, engine
             );
         }
     }
@@ -180,8 +179,7 @@ proptest! {
     /// Windowed contexts at arbitrary offsets: a contiguous pre-rank
     /// run whose head and tail land anywhere relative to the 64-bit
     /// word grid is fed to every engine through `execute`, and each
-    /// must match the scalar reference (the gap-free runs here are
-    /// exactly the shape the bitmap window-select fast path claims).
+    /// must match the scalar reference.
     #[test]
     fn offset_windows_agree_on_every_engine(
         ops in proptest::collection::vec(0u8..8, 64..300),
@@ -216,35 +214,8 @@ proptest! {
         }
     }
 
-    /// Kernel-level window parity: `TagBitmap::select_window` and
-    /// `count_window` against the scalar column loop over windows whose
-    /// `from`/`to` sweep across word boundaries.
-    #[test]
-    fn bitmap_windows_match_scalar_filters(
-        tags in proptest::collection::vec(0u32..6, 1..400),
-        from in 0usize..140,
-        len in 0usize..140,
-    ) {
-        let element = NodeKind::Element as u8;
-        let kinds: Vec<u8> = (0..tags.len())
-            .map(|i| if i % 7 == 3 { NodeKind::Text as u8 } else { element })
-            .collect();
-        for tid in 0..6u32 {
-            let bm = TagBitmap::build(&kinds, element, &tags, tid);
-            let to = (from + len).min(tags.len());
-            let want: Vec<Pre> = (from.min(tags.len())..to)
-                .filter(|&v| kinds[v] == element && tags[v] == tid)
-                .map(|v| v as Pre)
-                .collect();
-            let mut got = Vec::new();
-            bm.select_window(from, to, &mut got);
-            prop_assert_eq!(&got, &want, "select {}..{} tag {}", from, to, tid);
-            prop_assert_eq!(bm.count_window(from, to), want.len(), "count {}..{} tag {}", from, to, tid);
-        }
-    }
-
     /// Kernel-level candidate parity: the gathered-column mask kernel
-    /// and the bitmap probe kernel against the scalar loop, over
+    /// against the scalar loop, over
     /// candidate slices starting at unaligned offsets with sub-word
     /// tails and gaps.
     #[test]
@@ -270,45 +241,6 @@ proptest! {
             let mut got = Vec::new();
             mask::select_tag_candidates(&kinds, &tags, element, tid, &cands, &mut got);
             prop_assert_eq!(&got, &want, "columns off {} stride {} tag {}", off, stride, tid);
-            let bm = TagBitmap::build(&kinds, element, &tags, tid);
-            got.clear();
-            mask::select_bitmap_candidates(&bm, &cands, &mut got);
-            prop_assert_eq!(&got, &want, "bitmap off {} stride {} tag {}", off, stride, tid);
-        }
-    }
-}
-
-/// Deterministic sweep pinning the exact boundary shapes: empty
-/// windows, single bits, 63/64/65, double-word spans, and ragged tails
-/// past the end of the document.
-#[test]
-fn word_boundary_windows_are_exact() {
-    let element = NodeKind::Element as u8;
-    let n = 300usize;
-    let kinds = vec![element; n];
-    let tags: Vec<u32> = (0..n as u32)
-        .map(|v| v.wrapping_mul(2654435761) % 5)
-        .collect();
-    for tid in 0..5u32 {
-        let bm = TagBitmap::build(&kinds, element, &tags, tid);
-        for from in [
-            0usize, 1, 7, 31, 63, 64, 65, 127, 128, 129, 255, 256, 299, 300, 310,
-        ] {
-            for len in [0usize, 1, 7, 63, 64, 65, 128, 129, 171, 400] {
-                let to = (from + len).min(n);
-                let want: Vec<Pre> = (from.min(n)..to)
-                    .filter(|&v| tags[v] == tid)
-                    .map(|v| v as Pre)
-                    .collect();
-                let mut got = Vec::new();
-                bm.select_window(from, from + len, &mut got);
-                assert_eq!(got, want, "select {from}..+{len} tag {tid}");
-                assert_eq!(
-                    bm.count_window(from, from + len),
-                    want.len(),
-                    "count {from}..+{len} tag {tid}"
-                );
-            }
         }
     }
 }

@@ -123,61 +123,6 @@ fn concurrent_clients_match_sequential_run_exactly() {
     handle.shutdown_and_join();
 }
 
-/// The configured-hot-set warm (`staircase-serve --warm-tags`):
-/// `Session::warm_tags` pre-cracks exactly the listed fragments, cold
-/// tags stay unbuilt while the server answers hot-set traffic over the
-/// wire, and a cold tag's fragment materializes only once queries
-/// actually touch it.
-#[test]
-fn warm_tags_precracks_the_hot_set_and_leaves_cold_tags_lazy() {
-    let session = session();
-    session.warm_tags(&["bidder", "increase"]);
-    assert!(session.tag_fragment_built("bidder"));
-    assert!(session.tag_fragment_built("increase"));
-    for cold in ["education", "person", "open_auction"] {
-        assert!(
-            !session.tag_fragment_built(cold),
-            "{cold} built by a partial warm"
-        );
-    }
-
-    let handle = Server::start(Arc::clone(&session), ServerConfig::default()).expect("bind");
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
-    let fragmented = QueryOptions {
-        engine: "fragmented".to_string(),
-        render: false,
-        count_only: false,
-        deadline_ms: None,
-    };
-
-    // Hot-set traffic reads the pre-cracked fragments; the cold tags
-    // must survive it unbuilt.
-    let reply = client
-        .query("/descendant::increase/ancestor::bidder", &fragmented)
-        .expect("hot-set query");
-    assert!(!reply.ids.is_empty());
-    for cold in ["education", "person", "open_auction"] {
-        assert!(
-            !session.tag_fragment_built(cold),
-            "{cold} built without being touched"
-        );
-    }
-
-    // First touches of a cold tag crack it piecewise; by the
-    // convergence bound the fragment is fully sorted.
-    for _ in 0..CRACK_CONVERGE_TOUCHES {
-        client
-            .query("/descendant::education", &fragmented)
-            .expect("cold-tag query");
-    }
-    assert!(
-        session.tag_fragment_built("education"),
-        "a touched tag must converge to its built fragment"
-    );
-    assert!(!session.tag_fragment_built("person"), "still cold");
-    handle.shutdown_and_join();
-}
-
 /// A document and query pair whose ungoverned evaluation takes long
 /// enough (many full-plane passes) that deadlines and cancellations
 /// deterministically win the race against completion.

@@ -293,6 +293,42 @@ fn warm_races_with_queries_safely() {
             sql_engine: 1
         }
     );
+
+    // First fragment-plan queries racing each other on a fresh session:
+    // one of them sweeps the columns, and every tag's fragment exists
+    // afterwards, whichever tags the racers named.
+    let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+    let texts = [
+        "/descendant::increase/ancestor::bidder",
+        "/descendant::profile/descendant::education",
+        "/descendant::open_auction/child::bidder",
+    ];
+    for _ in 0..8 {
+        let session = Session::new(generate(XmarkConfig::new(0.02)));
+        let queries: Vec<Query> = texts.iter().map(|q| session.prepare(q).unwrap()).collect();
+        let start = std::sync::Barrier::new(queries.len());
+        let answers: Vec<QueryOutput> = std::thread::scope(|scope| {
+            let racers: Vec<_> = queries
+                .iter()
+                .map(|query| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        query.run(fragmented)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(session.aux_builds().tag_index, 1);
+        let index = session.tag_index();
+        assert_eq!(index.fragments_built(), session.doc().tags().len());
+        assert_eq!(index.total_nodes(), session.doc().kind_counts().0);
+        for (query, got) in queries.iter().zip(&answers) {
+            assert!(!got.is_empty(), "{}", query.text());
+            assert_eq!(got.nodes(), query.run(Engine::default()).nodes());
+        }
+    }
 }
 
 #[test]
