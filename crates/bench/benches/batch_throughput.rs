@@ -1,21 +1,19 @@
 //! Batched vs. sequential multi-query execution.
 //!
-//! The lane executor's reason to exist: a server answering N queries
-//! over one document should not pay N full passes. Two workloads on a
+//! Why batches exist: a server answering N queries over one document
+//! should not pay for the same step N times. Two workloads on a
 //! ~10k-node xmlgen document, each run two ways:
 //!
-//! * `sequential`: `queries.iter().map(|q| q.run(engine))` — one pass
-//!   per query per step, the pre-batching behaviour;
-//! * `run_many`:   `session.run_many(&queries, engine)` — lanes grouped
-//!   by planned operator share passes.
+//! * `sequential`: `queries.iter().map(|q| q.run(engine))` — every query
+//!   pays for every step;
+//! * `run_many`:   `session.run_many(&queries, engine)` — a step several
+//!   queries ask (the same path prefix, the same join under different
+//!   predicates, a nested `following`/`preceding` region) is computed
+//!   once and shared through the batch's memo.
 //!
-//! The `vertical` workload (the paper's Q1/Q2 plus six probes) exercises
-//! the multi-context staircase join that landed first. The `mixed`
-//! workload is the shape that used to fall back to per-lane
-//! interpretation — predicates, fragment (on-list) joins, horizontal
-//! axes — and now batches through the fragment/horiz/semijoin lane
-//! rounds (acceptance target: ≥ 1.3× over the per-query loop, where the
-//! fallback managed only ≈ 1.0×).
+//! The `vertical` workload is the paper's Q1/Q2 plus six probes; the
+//! `mixed` workload adds predicates, fragment (on-list) joins and
+//! horizontal axes.
 //!
 //! Besides the timings, the bench prints measured speedups and
 //! touched-node totals, making the "one pass per shared step" claim
@@ -95,8 +93,7 @@ fn bench(c: &mut Criterion) {
         report_speedup(&format!("vertical/{variant:?}"), session, &queries, engine);
     }
 
-    // Mixed workload: predicates, fragment joins, horizontal axes — the
-    // lane rounds that used to be the per-query fallback.
+    // Mixed workload: predicates, fragment joins, horizontal axes.
     let mixed: Vec<Query> = MIXED
         .iter()
         .map(|q| session.prepare(q).expect("mixed query parses"))

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use staircase_bench::{Workload, QUERY_Q1};
-use staircase_core::{ancestor_many, descendant_many, Scratch, Variant, WorkerPool};
+use staircase_core::{ancestor_pooled, descendant_pooled, ScanTest, Scratch, Variant, WorkerPool};
 use staircase_xpath::Engine;
 
 fn bench(c: &mut Criterion) {
@@ -35,6 +35,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     let profiles = w.profiles();
     let increases = w.increases();
+    let node = ScanTest::node(w.doc());
     let mut scratch = Scratch::new();
     for threads in [1usize, 2, 4] {
         let pool = WorkerPool::new(threads);
@@ -44,7 +45,7 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, _| {
                 let d = Variant::EstimationSkipping;
-                b.iter(|| descendant_many(w.doc(), &[&profiles], d, pool, &mut scratch))
+                b.iter(|| descendant_pooled(w.doc(), &profiles, d, &node, pool, &mut scratch))
             },
         );
         g.bench_with_input(
@@ -52,7 +53,7 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, _| {
                 let s = Variant::Skipping;
-                b.iter(|| ancestor_many(w.doc(), &[&increases], s, pool, &mut scratch))
+                b.iter(|| ancestor_pooled(w.doc(), &increases, s, &node, pool, &mut scratch))
             },
         );
     }

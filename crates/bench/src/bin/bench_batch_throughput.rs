@@ -1,5 +1,6 @@
-//! `bench_batch_throughput` — the perf-trajectory recorder for the
-//! parallel lane executor.
+//! `bench_batch_throughput` — the perf-trajectory recorder for batch
+//! execution (`Session::run_many`, whose hinted plane scans split into
+//! morsels on a wider pool).
 //!
 //! Runs the vertical and mixed batch workloads through
 //! `Session::run_many` at pool widths 1, 2, and 4 and writes

@@ -9,7 +9,8 @@
 use staircase_accel::{Axis, Context};
 use staircase_baselines::naive_step;
 use staircase_core::{
-    ancestor, ancestor_many, descendant, descendant_many, Scratch, Variant, WorkerPool,
+    ancestor, ancestor_pooled, descendant, descendant_pooled, ScanTest, Scratch, Variant,
+    WorkerPool,
 };
 use staircase_storage::scan::{append_run, append_run_unrolled};
 use staircase_xpath::Engine;
@@ -416,17 +417,13 @@ pub fn parallel(w: &Workload, threads: &[usize], runs: usize) -> Table {
         let pool = WorkerPool::new(workers);
         let pool = Some(&pool);
         let d = Variant::EstimationSkipping;
+        let node = ScanTest::node(w.doc());
         let q1 = time_ms(runs, || {
-            descendant_many(w.doc(), &[&profiles], d, pool, &mut scratch)
+            descendant_pooled(w.doc(), &profiles, d, &node, pool, &mut scratch)
         });
         let q2 = time_ms(runs, || {
-            ancestor_many(
-                w.doc(),
-                &[&increases],
-                Variant::Skipping,
-                pool,
-                &mut scratch,
-            )
+            let s = Variant::Skipping;
+            ancestor_pooled(w.doc(), &increases, s, &node, pool, &mut scratch)
         });
         t.row(cells!(workers, format!("{q1:.2}"), format!("{q2:.2}")));
     }

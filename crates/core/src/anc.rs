@@ -2,8 +2,9 @@
 
 use staircase_accel::{Context, Doc, Pre};
 
+use crate::batch::Scratch;
 use crate::mask::ScanTest;
-use crate::prune::prune_ancestor;
+use crate::morsel::ancestor_pooled;
 use crate::stats::StepStats;
 use crate::Variant;
 
@@ -35,24 +36,7 @@ pub fn ancestor_tested(
     variant: Variant,
     test: &ScanTest<'_>,
 ) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        ..Default::default()
-    };
-    let pruned = prune_ancestor(doc, context);
-    stats.context_out = pruned.len();
-    let mut result = Vec::new();
-    ancestor_partitions(
-        doc,
-        pruned.as_slice(),
-        0,
-        variant,
-        test,
-        &mut result,
-        &mut stats,
-    );
-    stats.result_size = result.len();
-    (Context::from_sorted(result), stats)
+    ancestor_pooled(doc, context, variant, test, None, &mut Scratch::new())
 }
 
 /// Evaluates the ancestor partitions induced by `steps` (pruned,

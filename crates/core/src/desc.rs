@@ -4,8 +4,9 @@ use std::ops::Range;
 
 use staircase_accel::{Context, Doc, Pre};
 
+use crate::batch::Scratch;
 use crate::mask::ScanTest;
-use crate::prune::prune_descendant;
+use crate::morsel::descendant_pooled;
 use crate::stats::StepStats;
 use crate::Variant;
 
@@ -41,26 +42,7 @@ pub fn descendant_tested(
     variant: Variant,
     test: &ScanTest<'_>,
 ) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        ..Default::default()
-    };
-    let pruned = prune_descendant(doc, context);
-    stats.context_out = pruned.len();
-    let mut result = Vec::new();
-    let n = doc.len() as Pre;
-    descendant_partitions(
-        doc,
-        pruned.as_slice(),
-        n,
-        0..n,
-        variant,
-        test,
-        &mut result,
-        &mut stats,
-    );
-    stats.result_size = result.len();
-    (Context::from_sorted(result), stats)
+    descendant_pooled(doc, context, variant, test, None, &mut Scratch::new())
 }
 
 /// Like [`descendant`], but with pruning *fused* into the join instead of

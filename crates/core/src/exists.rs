@@ -28,11 +28,12 @@
 //! These operators power `staircase-xpath`'s predicate evaluation and the
 //! Q2 rewrite experiment; they also double as the EXISTS probe the paper's
 //! DB2 rewrite relies on, but tree-aware: a merge of two sorted lists
-//! instead of an index range scan per context node.
+//! instead of an index range scan per context node. Each probe takes one
+//! candidate set: a batch upstairs that asks the same step twice shares
+//! the step's output, predicates applied, rather than a probe.
 
 use staircase_accel::{Context, Doc, Pre};
 
-use crate::batch::dedup_pass;
 use crate::list::{ancestor_range_join, child_range_join, descendant_range_join, on_list};
 use crate::stats::StepStats;
 
@@ -75,45 +76,6 @@ fn probe(
     let (kept, mut stats) = on_list(context, Vec::with_capacity(context.len()), run);
     stats.context_out = context.len();
     (kept, stats)
-}
-
-/// Probes K candidate sets against one shared `list`: the multi-context
-/// form of [`has_descendant_in`].
-///
-/// The probes themselves are merges, so the batch form's leverage is
-/// *sharing*: identical candidate sets (the common case when several
-/// queries in a batch carry the same predicate over the same step result)
-/// are probed once, duplicates reporting zero incremental touches — and
-/// the caller resolves the fragment list once for the whole group instead
-/// of once per lane. There is no chunked parallel form: a chunk of the
-/// candidates would re-walk `list` from its head, and its gallops would
-/// not be the sequential probe's.
-pub fn has_descendant_in_many(
-    doc: &Doc,
-    contexts: &[&Context],
-    list: &[Pre],
-) -> Vec<(Context, StepStats)> {
-    dedup_pass(contexts, |ctx| has_descendant_in(doc, ctx, list))
-}
-
-/// The multi-context form of [`has_ancestor_in`]; see
-/// [`has_descendant_in_many`] for the sharing contract.
-pub fn has_ancestor_in_many(
-    doc: &Doc,
-    contexts: &[&Context],
-    list: &[Pre],
-) -> Vec<(Context, StepStats)> {
-    dedup_pass(contexts, |ctx| has_ancestor_in(doc, ctx, list))
-}
-
-/// The multi-context form of [`has_child_in`]; see
-/// [`has_descendant_in_many`] for the sharing contract.
-pub fn has_child_in_many(
-    doc: &Doc,
-    contexts: &[&Context],
-    list: &[Pre],
-) -> Vec<(Context, StepStats)> {
-    dedup_pass(contexts, |ctx| has_child_in(doc, ctx, list))
 }
 
 #[cfg(test)]

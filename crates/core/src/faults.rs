@@ -23,7 +23,7 @@
 //!   a `;`-separated list of `site=action` entries where *action* is
 //!   `panic`, `delay:<ms>`, or `trip`, each optionally suffixed
 //!   `:<count>` to disarm after that many firings — e.g.
-//!   `STAIR_FAULTS="core::pool::task=panic:1;xpath::round=delay:5"`;
+//!   `STAIR_FAULTS="core::pool::task=panic:1;xpath::lane=delay:5"`;
 //! * programmatically via `set` / `clear` / `clear_all` (items that
 //!   exist in `stair_faults` builds only), which is what the chaos
 //!   tests use to scope an injection to one operation.

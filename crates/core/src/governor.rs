@@ -23,24 +23,20 @@
 //! kernel invocation picks it up with [`Ticker::ambient`]. The worker
 //! pool captures the submitting thread's ambient budget and re-installs
 //! it inside every pooled job, so governance follows the work across
-//! threads (morsel splits, parallel rounds).
+//! threads (morsel splits).
 //!
 //! A budget is deliberately *advisory inside* a kernel: once
 //! [`Ticker::tick`] reports a trip the kernel abandons its scan and
-//! returns whatever partial state it has — the **caller** (the lane
+//! returns whatever partial state it has — the **caller** (the
 //! executor upstairs) is responsible for discarding the partial result
 //! and surfacing the typed error. Trips latch: the first cause wins and
 //! every later check reports it, so a deadline that fires mid-pass is
-//! still the answer at the round boundary.
+//! still the answer at the next step boundary.
 //!
-//! Charging discipline (who counts touched nodes):
-//!
-//! * with an ambient budget installed, the **kernels** charge as they
-//!   scan (that is what makes mid-pass trips prompt);
-//! * without one, the executor charges observed per-lane touches at
-//!   round boundaries — coarser, overshoot bounded by one pass.
-//!
-//! Callers must never do both for the same pass.
+//! One charging discipline: the budget is installed ambiently around
+//! the query it governs, and the **kernels** charge it as they scan
+//! (that is what makes mid-pass trips prompt). The executor only checks
+//! it between steps.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

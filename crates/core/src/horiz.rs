@@ -11,20 +11,22 @@
 //!   preceding node it copies that node's guaranteed subtree block without
 //!   comparisons; only `c`'s ancestors are inspected individually.
 //!
-//! Each axis has **one** scan, written for K lanes; the single-context
-//! entry points are its one-lane case, and every comparison-free run —
-//! the suffix, the subtree blocks — is one
-//! [`ScanTest::select_range`] per distinct node test plus a tail copy
-//! for every further lane that asked the same test.
+//! Each axis has **one** scan, over a pre range: [`following_from`] and
+//! [`preceding_from`] read only what a region in hand lacks — the
+//! single-context entries ([`following_pooled`], [`preceding_pooled`])
+//! start from the empty region — and every comparison-free run is one
+//! [`ScanTest::select_range`]. The regions nest: a `following` region
+//! is a suffix of the plane, so a narrower one is a tail of a wider one,
+//! and `preceding(c) ⊆ preceding(c')` whenever `c < c'`, up to at most
+//! `height` ancestors of `c'` that the wider region holds and the narrower
+//! one does not.
 
-use staircase_accel::{Context, Doc, Pre};
+use staircase_accel::{Context, Doc, Pre, NO_PARENT};
 
-use crate::batch::{ScanLane, Scratch};
-use crate::cursor::seek_from;
+use crate::batch::Scratch;
 use crate::mask::ScanTest;
 use crate::morsel::morsel_count;
 use crate::pool::WorkerPool;
-use crate::prune::{prune_following, prune_preceding};
 use crate::stats::StepStats;
 
 /// Evaluates `context/following::node()`: [`following_tested`] with the
@@ -34,18 +36,141 @@ pub fn following(doc: &Doc, context: &Context) -> (Context, StepStats) {
 }
 
 /// Evaluates `context/following::test`, the node test riding the suffix
-/// copy: the one-lane case of [`following_many`].
+/// copy: [`following_pooled`] without a pool.
 pub fn following_tested<'d>(
     doc: &'d Doc,
     context: &Context,
     test: &ScanTest<'d>,
 ) -> (Context, StepStats) {
-    one_lane(following_many(
-        doc,
-        &[(context, *test)],
-        None,
-        &mut Scratch::new(),
-    ))
+    following_pooled(doc, context, test, None, &mut Scratch::new())
+}
+
+/// Evaluates `context/following::test` into a buffer from `scratch`.
+///
+/// Pruning collapses the context to the node with the smallest post
+/// rank; its region is the suffix after its subtree, read in range
+/// chunks on `pool` when it is wider than one and the suffix long enough
+/// to amortize the handoff. Results and statistics are identical to
+/// `None`, the one sequential select.
+pub fn following_pooled<'d>(
+    doc: &'d Doc,
+    context: &Context,
+    test: &ScanTest<'d>,
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    let mut stats = StepStats {
+        context_in: context.len(),
+        ..Default::default()
+    };
+    let Some(c) = pruned_following(doc, context) else {
+        return (Context::empty(), stats);
+    };
+    let n = doc.len() as Pre;
+    let start = start_after(doc, c);
+    let (result, read) = following_from(n, &[], start, test, pool, scratch);
+    stats.context_out = 1;
+    stats.partitions = 1;
+    stats.nodes_skipped = u64::from(start.saturating_sub(c + 1));
+    stats.nodes_copied = read.nodes_copied;
+    stats.result_size = result.len();
+    (Context::from_sorted(result), stats)
+}
+
+/// The context node `following` pruning keeps: the one with the smallest
+/// post rank, whose region contains every other one's.
+fn pruned_following(doc: &Doc, context: &Context) -> Option<Pre> {
+    let post = doc.post_column();
+    context.iter().min_by_key(|&c| post[c as usize])
+}
+
+/// The first node after `c`'s subtree (exact via Equation (1)), capped
+/// at the plane's end.
+fn start_after(doc: &Doc, c: Pre) -> Pre {
+    (c + 1 + doc.subtree_size(c)).min(doc.len() as Pre)
+}
+
+/// Where `context/following::*`'s region starts: the first node after
+/// the pruned context node's subtree; `None` for an empty context. The
+/// region is the suffix `[start, n)`.
+pub fn following_start(doc: &Doc, context: &Context) -> Option<Pre> {
+    pruned_following(doc, context).map(|c| start_after(doc, c))
+}
+
+/// What `test` keeps of the `following` region `[start, n)`, given
+/// `held`: what it keeps of `[held_start, n)`. A narrower region is the
+/// tail of `held` and reads nothing; a wider one reads only
+/// `[start, held_start)` — in range chunks on `pool` when that amortizes
+/// the handoff. `held_start = n` with nothing held is the whole scan.
+/// The statistics count the positions read ([`StepStats::nodes_copied`]).
+pub fn following_from(
+    held_start: Pre,
+    held: &[Pre],
+    start: Pre,
+    test: &ScanTest<'_>,
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+) -> (Vec<Pre>, StepStats) {
+    let mut out = scratch.take();
+    let mut stats = StepStats::default();
+    if start >= held_start {
+        out.extend_from_slice(&held[held.partition_point(|&v| v < start)..]);
+    } else {
+        out.reserve(test.reserve_for((held_start - start) as usize) + held.len());
+        select_range_pooled(test, start, held_start, pool, scratch, &mut out);
+        out.extend_from_slice(held);
+        stats.nodes_copied = u64::from(held_start - start);
+    }
+    stats.result_size = out.len();
+    (out, stats)
+}
+
+/// Appends what `test` keeps of `[lo, hi)` to `out` under the ambient
+/// budget (a trip leaves `out` partial, which the governed caller
+/// discards), split into range chunks on a `pool` wider than one when
+/// the range amortizes the handoff.
+fn select_range_pooled(
+    test: &ScanTest<'_>,
+    lo: Pre,
+    hi: Pre,
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+    out: &mut Vec<Pre>,
+) {
+    let split = pool.and_then(|pool| Some((pool, morsel_count(u64::from(hi - lo), pool.width())?)));
+    let select = |a: Pre, b: Pre, out: &mut Vec<Pre>| {
+        let mut gov = crate::governor::Ticker::ambient();
+        gov.charged_run(a, b, &mut 0, |a, b| test.select_range(a, b, out));
+    };
+    let Some((pool, k)) = split else {
+        return select(lo, hi, out);
+    };
+    let parts = pool.run(
+        chunks(lo, hi, k)
+            .map(|(a, b)| {
+                let mut buf = scratch.take();
+                move || {
+                    select(a, b, &mut buf);
+                    buf
+                }
+            })
+            .collect(),
+    );
+    for part in parts {
+        out.extend_from_slice(&part);
+        scratch.put(part);
+    }
+}
+
+/// `[lo, hi)` cut into at most `k` contiguous, non-empty chunks.
+fn chunks(lo: Pre, hi: Pre, k: usize) -> impl Iterator<Item = (Pre, Pre)> {
+    let chunk = u64::from(hi - lo).div_ceil(k as u64).max(1) as Pre;
+    (0..k as Pre)
+        .map(move |i| {
+            let a = lo.saturating_add(i.saturating_mul(chunk)).min(hi);
+            (a, a.saturating_add(chunk).min(hi))
+        })
+        .filter(|&(a, b)| a < b)
 }
 
 /// Evaluates `context/preceding::node()`: [`preceding_tested`] with the
@@ -55,487 +180,255 @@ pub fn preceding(doc: &Doc, context: &Context) -> (Context, StepStats) {
 }
 
 /// Evaluates `context/preceding::test`, the node test riding the scan:
-/// the one-lane case of [`preceding_many`].
+/// [`preceding_pooled`] without a pool.
 pub fn preceding_tested<'d>(
     doc: &'d Doc,
     context: &Context,
     test: &ScanTest<'d>,
 ) -> (Context, StepStats) {
-    one_lane(preceding_many(
-        doc,
-        &[(context, *test)],
-        None,
-        &mut Scratch::new(),
-    ))
+    preceding_pooled(doc, context, test, None, &mut Scratch::new())
 }
 
-fn one_lane(mut out: Vec<(Context, StepStats)>) -> (Context, StepStats) {
-    out.pop().expect("one lane in, one result out")
-}
-
-/// Evaluates `lanes[k]`'s `following` step for every `k` — `node()` for
-/// a bare context, the lane's own test for a `(context, test)` pair —
-/// with **one** suffix select per distinct test.
+/// Evaluates `context/preceding::test` into a buffer from `scratch`.
 ///
-/// Pruning collapses every context to a single node, whose following
-/// region is the contiguous pre range after its subtree — so the K
-/// regions are *nested suffixes* of the plane. Per distinct test, one
-/// select from the earliest start serves everyone asking it: each
-/// lane's result is a suffix slice of the widest lane's (which takes
-/// the buffer itself), and the physical pass is attributed to the first
-/// lane that needed all of the plane's widest region.
-///
-/// On a `pool` wider than one, a suffix long enough to amortize the
-/// handoff is selected in range chunks on it; results and statistics
-/// are identical to `None`, the one sequential select.
-pub fn following_many<'d, L: ScanLane<'d>>(
+/// Pruning collapses the context to its last node `c`; the scan walks
+/// `[0, c)` once, copying the guaranteed subtree block of every node
+/// that precedes `c` without comparisons and probing only `c`'s
+/// ancestors. On a `pool` wider than one, a prefix long enough to
+/// amortize the handoff is scanned in pre-range chunks, each entered by
+/// reconstructing the scan's state at its start, so per-chunk results
+/// concatenate to the sequential scan's and per-chunk counters sum to
+/// its totals exactly.
+pub fn preceding_pooled<'d>(
     doc: &'d Doc,
-    lanes: &[L],
+    context: &Context,
+    test: &ScanTest<'d>,
     pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    let n = doc.len() as Pre;
-    let split = pool.filter(|p| p.width() > 1).and_then(|pool| {
-        let starts = lanes
-            .iter()
-            .filter_map(|l| following_start(doc, l.context()));
-        let (live, widest) = starts.fold((0u64, n), |(k, w), (_, s)| (k + 1, w.min(s)));
-        let k = morsel_count(u64::from(n - widest) * live.max(1), pool.width())?;
-        Some((pool, k))
-    });
-    let Some((pool, k)) = split else {
-        // Governed, the select is chunked; a trip leaves the buffer (and
-        // thus every lane) partial, which the governed caller discards.
-        // The lanes' `nodes_copied` is arithmetic over their starts, so
-        // the run's own charge goes nowhere.
-        let mut gov = crate::governor::Ticker::ambient();
-        return following_lanes(doc, lanes, scratch, |test, from, base, _| {
-            gov.charged_run(from, n, &mut 0, |lo, hi| test.select_range(lo, hi, base));
-        });
+) -> (Context, StepStats) {
+    let mut stats = StepStats {
+        context_in: context.len(),
+        ..Default::default()
     };
-    following_lanes(doc, lanes, scratch, |test, from, base, scratch| {
-        let chunk = u64::from(n - from).div_ceil(k as u64).max(1) as Pre;
-        let ranges = (0..k as Pre)
-            .map(|i| {
-                let lo = from.saturating_add(i * chunk);
-                (lo.min(n), lo.saturating_add(chunk).min(n))
-            })
-            .filter(|&(lo, hi)| lo < hi);
-        let parts = pool.run(
-            ranges
-                .map(|(lo, hi)| (lo, hi, scratch.take()))
-                .map(|(lo, hi, mut buf)| {
-                    move || {
-                        test.select_range(lo, hi, &mut buf);
-                        buf
-                    }
-                })
-                .collect(),
-        );
-        for part in parts {
-            base.extend_from_slice(&part);
-            scratch.put(part);
-        }
-    })
+    let Some(bound) = preceding_bound(context) else {
+        return (Context::empty(), stats);
+    };
+    let (result, read) = preceding_from(doc, 0, &[], bound, test, pool, scratch);
+    stats.context_out = 1;
+    stats.partitions = 1;
+    stats.nodes_scanned = read.nodes_scanned;
+    stats.nodes_copied = read.nodes_copied;
+    stats.result_size = result.len();
+    (Context::from_sorted(result), stats)
 }
 
-/// The lane bookkeeping of [`following_many`] around `fill(test, from,
-/// base, scratch)`, which appends what `test` keeps of `[from, n)` to
-/// `base`.
-fn following_lanes<'d, L: ScanLane<'d>>(
+/// The context node `preceding` pruning keeps — the last one — whose
+/// region lies before it; `None` for an empty context.
+pub fn preceding_bound(context: &Context) -> Option<Pre> {
+    context.as_slice().last().copied()
+}
+
+/// What `test` keeps of `preceding(bound)`, given `held`: what it keeps
+/// of `preceding(held_bound)`.
+///
+/// * An earlier `bound` is the head of `held` before it, less the
+///   ancestors of `bound` (at most `height`), and reads no position.
+/// * A later `bound` keeps all of `held`, adds the ancestors of
+///   `held_bound` that precede `bound`, and scans only
+///   `[held_bound, bound)` — chunked on `pool` as [`preceding_pooled`]
+///   describes. `held_bound = 0` with nothing held is the whole scan.
+///
+/// The statistics count the positions read: scanned heads and ancestor
+/// probes ([`StepStats::nodes_scanned`]) and copied runs
+/// ([`StepStats::nodes_copied`]).
+pub fn preceding_from<'d>(
     doc: &'d Doc,
-    lanes: &[L],
-    scratch: &mut Scratch,
-    mut fill: impl FnMut(&ScanTest<'d>, Pre, &mut Vec<Pre>, &mut Scratch),
-) -> Vec<(Context, StepStats)> {
-    let n = doc.len() as Pre;
-    // Per lane: the pruned context node and its region start.
-    let starts: Vec<Option<(Pre, Pre)>> = lanes
-        .iter()
-        .map(|l| following_start(doc, l.context()))
-        .collect();
-    // The scan's physical reads go to the first lane with the widest
-    // region; every other lane shares.
-    let widest = starts.iter().flatten().map(|&(_, s)| s).min();
-    let payer = starts
-        .iter()
-        .position(|s| s.is_some_and(|(_, start)| Some(start) == widest));
-
-    let mut results: Vec<Option<Vec<Pre>>> = lanes.iter().map(|_| None).collect();
-    for i in 0..lanes.len() {
-        if results[i].is_some() || starts[i].is_none() {
-            continue;
-        }
-        // Everyone asking lane i's test, served from one select.
-        let test = lanes[i].test(doc);
-        let group: Vec<(usize, Pre)> = (i..lanes.len())
-            .filter(|&j| lanes[j].test(doc) == test)
-            .filter_map(|j| starts[j].map(|(_, s)| (j, s)))
-            .collect();
-        let from = group.iter().map(|&(_, s)| s).min().unwrap_or(n);
-        let mut base = scratch.take();
-        base.reserve(test.reserve_for((n - from) as usize));
-        fill(&test, from, &mut base, scratch);
-        // The last lane of the widest region keeps the buffer; every
-        // other lane copies its suffix (a one-off search per lane: lanes
-        // arrive in no order).
-        let keeper = group.iter().rposition(|&(_, s)| s == from);
-        for (g, &(j, start)) in group.iter().enumerate() {
-            if Some(g) != keeper {
-                let at = base.partition_point(|&v| v < start);
-                let mut copy = scratch.take();
-                copy.extend_from_slice(&base[at..]);
-                results[j] = Some(copy);
-            }
-        }
-        if let Some(g) = keeper {
-            results[group[g].0] = Some(base);
-        }
-    }
-
-    lanes
-        .iter()
-        .zip(results)
-        .enumerate()
-        .map(|(i, (lane, result))| {
-            let mut stats = StepStats {
-                context_in: lane.context().len(),
-                ..Default::default()
-            };
-            let (Some((c, start)), Some(result)) = (starts[i], result) else {
-                return (Context::empty(), stats);
-            };
-            stats.context_out = 1;
-            stats.partitions = 1;
-            stats.nodes_skipped = u64::from(start.saturating_sub(c + 1));
-            if payer == Some(i) {
-                stats.nodes_copied = u64::from(n - start);
-            }
-            stats.result_size = result.len();
-            (Context::from_sorted(result), stats)
-        })
-        .collect()
-}
-
-/// The pruned context node of a `following` step and the first node
-/// after its subtree (exact via Equation (1)), capped at the plane's end.
-fn following_start(doc: &Doc, context: &Context) -> Option<(Pre, Pre)> {
-    let n = doc.len() as Pre;
-    prune_following(doc, context)
-        .as_slice()
-        .first()
-        .map(|&c| (c, (c + 1 + doc.subtree_size(c)).min(n)))
-}
-
-/// One result buffer of the merged `preceding` scan: what `test` keeps
-/// of the region preceding `bound`. Sinks are held in ascending `bound`
-/// order, so the sinks still open at a position are a suffix.
-struct PrecSink<'d> {
+    held_bound: Pre,
+    held: &[Pre],
     bound: Pre,
-    test: ScanTest<'d>,
-    out: Vec<Pre>,
-    /// How many entries the run at hand appended (see [`select_run`]).
-    added: usize,
-}
-
-/// The unique `(boundary, test)` sinks of a lane set, ascending by
-/// boundary, and each lane's sink (`None` for an empty context).
-fn preceding_sinks<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
-    scratch: &mut Scratch,
-) -> (Vec<PrecSink<'d>>, Vec<Option<usize>>) {
-    let keys: Vec<Option<(Pre, ScanTest<'d>)>> = lanes
-        .iter()
-        .map(|l| {
-            let c = prune_preceding(doc, l.context())
-                .as_slice()
-                .first()
-                .copied()?;
-            Some((c, l.test(doc)))
-        })
-        .collect();
-    let mut sinks: Vec<PrecSink<'d>> = Vec::new();
-    for &(bound, test) in keys.iter().flatten() {
-        if !sinks.iter().any(|s| s.bound == bound && s.test == test) {
-            sinks.push(PrecSink {
-                bound,
-                test,
-                out: scratch.take(),
-                added: 0,
-            });
-        }
-    }
-    sinks.sort_by_key(|s| s.bound);
-    let sink_of = keys
-        .iter()
-        .map(|key| {
-            let (bound, test) = (*key)?;
-            sinks
-                .iter()
-                .position(|s| s.bound == bound && s.test == test)
-        })
-        .collect();
-    (sinks, sink_of)
-}
-
-/// Evaluates `lanes[k]`'s `preceding` step for every `k` with **one**
-/// left-to-right scan: the multi-context form of [`preceding_tested`].
-///
-/// Pruning collapses every context to its last node `cₖ`; the scan walks
-/// `[0, max cₖ)` once, lanes dropping out as the cursor passes their
-/// boundary. A position preceding the *earliest* active boundary
-/// precedes every later one too (its subtree cannot contain any of
-/// them), so the comparison-free copy of guaranteed subtree blocks
-/// serves all active lanes at once; only ancestors of the earliest
-/// boundary are probed per lane. Physical reads are attributed to the
-/// widest lane (which needs every position); other lanes report zero
-/// incremental touches.
-///
-/// On a `pool` wider than one, a prefix long enough to amortize the
-/// handoff is scanned in pre-range chunks on it, each entered via
-/// `preceding_scan_range`'s state reconstruction, so per-chunk results
-/// concatenate to the sequential scan's and the per-chunk access
-/// counters sum to its totals exactly.
-pub fn preceding_many<'d, L: ScanLane<'d>>(
-    doc: &'d Doc,
-    lanes: &[L],
+    test: &ScanTest<'d>,
     pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
-) -> Vec<(Context, StepStats)> {
-    let (mut sinks, sink_of) = preceding_sinks(doc, lanes, scratch);
-    let c_max = sinks.last().map_or(0, |s| s.bound);
-    let split = pool.and_then(|pool| Some((pool, morsel_count(u64::from(c_max), pool.width())?)));
-    let Some((pool, k)) = split else {
-        let (scanned, copied) = preceding_scan_range(doc, &mut sinks, 0, c_max);
-        return preceding_distribute(lanes, sinks, &sink_of, scanned, copied);
-    };
+) -> (Vec<Pre>, StepStats) {
+    let mut out = scratch.take();
+    let mut stats = StepStats::default();
+    if bound <= held_bound {
+        // Every node of `held` before `bound` precedes it or is one of
+        // its ancestors; the ancestors go.
+        let head = &held[..held.partition_point(|&v| v < bound)];
+        out.reserve(head.len());
+        let mut from = 0;
+        for a in ancestors_top_down(doc, bound) {
+            let at = from + head[from..].partition_point(|&v| v < a);
+            out.extend_from_slice(&head[from..at]);
+            from = at + usize::from(head.get(at) == Some(&a));
+        }
+        out.extend_from_slice(&head[from..]);
+    } else {
+        // Every node of `held` precedes `bound` too (its subtree ends
+        // before `held_bound`); of the nodes before `held_bound`, only
+        // its ancestors may precede `bound` without preceding it.
+        // All of `held`, at most `height` ancestors of `held_bound`, and at
+        // most the positions the scan reads.
+        let fixups = usize::from(doc.level(held_bound));
+        out.reserve(held.len() + fixups + test.reserve_for((bound - held_bound) as usize));
+        let post = doc.post_column();
+        let mut added = 0;
+        let mut from = 0;
+        for a in ancestors_top_down(doc, held_bound) {
+            stats.nodes_scanned += 1;
+            if post[a as usize] < post[bound as usize] && test.keeps(a) {
+                let at = from + held[from..].partition_point(|&v| v < a);
+                out.extend_from_slice(&held[from..at]);
+                out.push(a);
+                from = at;
+                added += 1;
+            }
+        }
+        out.extend_from_slice(&held[from..]);
+        debug_assert_eq!(out.len(), held.len() + added);
+        let (scanned, copied) =
+            preceding_scan_pooled(doc, bound, held_bound, test, pool, scratch, &mut out);
+        stats.nodes_scanned += scanned;
+        stats.nodes_copied = copied;
+    }
+    stats.result_size = out.len();
+    (out, stats)
+}
 
-    // Chunked shared scan: each chunk fills its own copy of the sinks;
-    // chunk-major concatenation preserves document order.
-    let chunk = u64::from(c_max).div_ceil(k as u64).max(1) as Pre;
-    let ranges = (0..k as Pre)
-        .map(|i| ((i * chunk).min(c_max), ((i + 1) * chunk).min(c_max)))
-        .filter(|&(lo, hi)| lo < hi);
+/// The proper ancestors of `v`, root first.
+fn ancestors_top_down(doc: &Doc, v: Pre) -> impl Iterator<Item = Pre> {
+    let mut chain = Vec::with_capacity(usize::from(doc.level(v)));
+    let mut p = doc.parent(v);
+    while p != NO_PARENT {
+        chain.push(p);
+        p = doc.parent(p);
+    }
+    chain.into_iter().rev()
+}
+
+/// The preceding scan of `[from, bound)` into `out`, chunked on `pool`
+/// when it amortizes the handoff; returns (scanned, copied).
+fn preceding_scan_pooled(
+    doc: &Doc,
+    bound: Pre,
+    from: Pre,
+    test: &ScanTest<'_>,
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+    out: &mut Vec<Pre>,
+) -> (u64, u64) {
+    let split =
+        pool.and_then(|pool| Some((pool, morsel_count(u64::from(bound - from), pool.width())?)));
+    let Some((pool, k)) = split else {
+        return preceding_scan(doc, bound, test, from, bound, out);
+    };
+    // Chunk-major concatenation preserves document order.
     let parts = pool.run(
-        ranges
+        chunks(from, bound, k)
             .map(|(lo, hi)| {
-                let mut part: Vec<PrecSink<'d>> = sinks
-                    .iter()
-                    .map(|s| PrecSink {
-                        bound: s.bound,
-                        test: s.test,
-                        out: scratch.take(),
-                        added: 0,
-                    })
-                    .collect();
+                let mut buf = scratch.take();
                 move || {
-                    let (scanned, copied) = preceding_scan_range(doc, &mut part, lo, hi);
-                    (part, scanned, copied)
+                    let counts = preceding_scan(doc, bound, test, lo, hi, &mut buf);
+                    (buf, counts)
                 }
             })
             .collect(),
     );
-    let mut scanned = 0u64;
-    let mut copied = 0u64;
-    for (part, s, c) in parts {
-        for (sink, p) in sinks.iter_mut().zip(part) {
-            sink.out.extend_from_slice(&p.out);
-            scratch.put(p.out);
-        }
+    let (mut scanned, mut copied) = (0, 0);
+    for (part, (s, c)) in parts {
+        out.extend_from_slice(&part);
+        scratch.put(part);
         scanned += s;
         copied += c;
     }
-    preceding_distribute(lanes, sinks, &sink_of, scanned, copied)
+    (scanned, copied)
 }
 
-/// Appends what each sink's test keeps of the comparison-free run
-/// `[lo, hi)`: one range select per distinct test, and a copy of the
-/// tail that select appended for every further sink asking the same
-/// test.
-fn select_run(sinks: &mut [PrecSink<'_>], lo: Pre, hi: Pre) {
-    for i in 0..sinks.len() {
-        let (done, rest) = sinks.split_at_mut(i);
-        let sink = &mut rest[0];
-        match done.iter().find(|s| s.test == sink.test) {
-            Some(same) => {
-                sink.out
-                    .extend_from_slice(&same.out[same.out.len() - same.added..]);
-                sink.added = same.added;
-            }
-            None => {
-                let before = sink.out.len();
-                sink.test.select_range(lo, hi, &mut sink.out);
-                sink.added = sink.out.len() - before;
-            }
-        }
-    }
-}
-
-/// The preceding scan restricted to positions `[from, to)`, pushing into
-/// `sinks` (ascending by boundary, `to ≤` the last boundary).
+/// The scan of `preceding(bound)` restricted to positions `[from, to)`
+/// (`to ≤ bound`), appending what `test` keeps to `out`; returns
+/// (scanned, copied).
 ///
-/// The full scan is the `[0, c_max)` range. Any other entry point first
+/// The full scan is the `[0, bound)` range. Any other entry point first
 /// *reconstructs* the cursor state at `from`: the only way `from` can sit
 /// inside a comparison-free copy run is under a run started by one of its
 /// **ancestors** (a run is a subtree prefix, and a subtree containing
 /// `from` belongs to an ancestor), so walking `from`'s ancestor chain
 /// top-down — skipping ancestors covered by an earlier ancestor's run,
-/// exactly as the left-to-right scan would — recovers in O(h · log K)
-/// whether `from` is mid-run and for which boundary set. Per position the
-/// behaviour (and thus the scanned/copied accounting — arithmetic over
-/// each run) is identical to the full scan, so range results concatenate
-/// to the full scan's and per-range counters sum to its totals (asserted
-/// by the pool-equivalence tests).
-fn preceding_scan_range(doc: &Doc, sinks: &mut [PrecSink<'_>], from: Pre, to: Pre) -> (u64, u64) {
+/// exactly as the left-to-right scan would — recovers in O(h) whether
+/// `from` is mid-run. Per position the behaviour (and thus the
+/// scanned/copied accounting — arithmetic over each run) is identical to
+/// the full scan, so range results concatenate to the full scan's and
+/// per-range counters sum to its totals (asserted by the pool-equivalence
+/// tests).
+fn preceding_scan(
+    doc: &Doc,
+    bound: Pre,
+    test: &ScanTest<'_>,
+    from: Pre,
+    to: Pre,
+    out: &mut Vec<Pre>,
+) -> (u64, u64) {
     let post = doc.post_column();
+    let post_bound = post[bound as usize];
+    // The copy run a head `u` that precedes `bound` starts: its
+    // guaranteed subtree block, never past `bound`.
+    let run_end = |u: Pre| u + post[u as usize].saturating_sub(u).min(bound - u - 1);
     let mut scanned = 0u64;
     let mut copied = 0u64;
     let mut gov = crate::governor::Ticker::ambient();
     let mut v = from;
-    // Cursor into `sinks`: the boundaries at or before the position at
-    // hand are complete. Everything below asks in ascending order.
-    let mut lo = 0usize;
 
     if from > 0 {
         // Reconstruct: is `from` inside a run? Walk its ancestors in
         // document order, tracking the furthest run end among the ones
         // the scan actually visits (an ancestor inside an earlier run is
         // skipped by the scan and starts no run of its own).
-        let mut chain: Vec<Pre> = Vec::new();
-        let mut p = doc.parent(from);
-        while p != staircase_accel::NO_PARENT {
-            chain.push(p);
-            p = doc.parent(p);
-        }
-        let mut cover: Option<(Pre, usize)> = None; // (run end, head's sink index)
-        for &u in chain.iter().rev() {
-            if cover.is_some_and(|(end, _)| u <= end) {
+        let mut cover: Option<Pre> = None;
+        for u in ancestors_top_down(doc, from) {
+            if cover.is_some_and(|end| u <= end) {
                 continue; // covered: the scan never visits u as a head
             }
-            lo = seek_from(sinks, lo, |s| s.bound <= u);
-            let Some(first) = sinks.get(lo).map(|s| s.bound) else {
-                break;
-            };
-            if post[u as usize] < post[first as usize] {
-                let run_end = u + post[u as usize].saturating_sub(u).min(first - u - 1);
-                if cover.is_none_or(|(end, _)| run_end > end) {
-                    cover = Some((run_end, lo));
-                }
+            if post[u as usize] < post_bound {
+                cover = Some(cover.map_or(run_end(u), |end| end.max(run_end(u))));
             }
         }
-        if let Some((run_end, lo)) = cover {
-            if run_end >= from {
-                // Mid-run: finish the covered stretch that falls in range.
-                let stop = (run_end + 1).min(to);
-                if gov.charged_run(from, stop, &mut copied, |a, b| {
-                    select_run(&mut sinks[lo..], a, b)
-                }) {
-                    return (scanned, copied);
-                }
-                v = run_end + 1;
+        if let Some(end) = cover.filter(|&end| end >= from) {
+            // Mid-run: finish the covered stretch that falls in range.
+            let stop = (end + 1).min(to);
+            if gov.charged_run(from, stop, &mut copied, |a, b| test.select_range(a, b, out)) {
+                return (scanned, copied);
             }
+            v = end + 1;
         }
     }
 
-    lo = seek_from(sinks, lo, |s| s.bound <= v);
     while v < to {
-        while lo < sinks.len() && sinks[lo].bound <= v {
-            lo += 1; // this boundary's region is complete
-        }
-        let Some(first) = sinks.get(lo).map(|s| s.bound) else {
-            break;
-        };
         scanned += 1;
         if gov.tick(1) {
             return (scanned, copied);
         }
-        let post_v = post[v as usize];
-        if post_v < post[first as usize] {
-            // v precedes the earliest active boundary — and therefore
-            // every later one. Hand v and its guaranteed subtree block to
-            // all active lanes without further comparisons. A run
-            // overshooting `to` is finished by the next range's
-            // reconstruction.
-            let run = post_v.saturating_sub(v).min(first - v - 1);
-            for s in &mut sinks[lo..] {
-                if s.test.keeps(v) {
-                    s.out.push(v);
-                }
+        if post[v as usize] < post_bound {
+            // v precedes `bound`: hand v and its guaranteed subtree block
+            // over without further comparisons. A run overshooting `to`
+            // is finished by the next range's reconstruction.
+            let end = run_end(v);
+            if test.keeps(v) {
+                out.push(v);
             }
-            let stop = (v + 1 + run).min(to);
+            let stop = (end + 1).min(to);
             if gov.charged_run(v + 1, stop, &mut copied, |a, b| {
-                select_run(&mut sinks[lo..], a, b)
+                test.select_range(a, b, out)
             }) {
                 return (scanned, copied);
             }
-            v += 1 + run;
+            v = end + 1;
         } else {
-            // v is an ancestor of the earliest boundary; it may still
-            // precede later ones — probe each individually.
-            for s in &mut sinks[lo..] {
-                if post_v < post[s.bound as usize] && s.test.keeps(v) {
-                    s.out.push(v);
-                }
-            }
+            // v is an ancestor of `bound`.
             v += 1;
         }
     }
     (scanned, copied)
-}
-
-/// The distribution tail of [`preceding_many`], sequential or chunked:
-/// per-sink buffers fan out to the lanes, duplicates cloning, the last
-/// user of each buffer taking it, and the widest boundary's first lane
-/// paying for the scan.
-fn preceding_distribute<'d, L: ScanLane<'d>>(
-    lanes: &[L],
-    sinks: Vec<PrecSink<'d>>,
-    sink_of: &[Option<usize>],
-    scanned: u64,
-    copied: u64,
-) -> Vec<(Context, StepStats)> {
-    let c_max = sinks.last().map(|s| s.bound);
-    let payer = sink_of
-        .iter()
-        .position(|s| s.is_some_and(|s| Some(sinks[s].bound) == c_max));
-    let mut users: Vec<usize> = (0..sinks.len())
-        .map(|s| sink_of.iter().filter(|&&u| u == Some(s)).count())
-        .collect();
-    let mut finished: Vec<Option<Context>> = sinks
-        .into_iter()
-        .map(|s| Some(Context::from_sorted(s.out)))
-        .collect();
-    sink_of
-        .iter()
-        .enumerate()
-        .map(|(i, sink)| {
-            let mut stats = StepStats {
-                context_in: lanes[i].context().len(),
-                ..Default::default()
-            };
-            let Some(s) = *sink else {
-                return (Context::empty(), stats);
-            };
-            stats.context_out = 1;
-            stats.partitions = 1;
-            users[s] -= 1;
-            let slot = &mut finished[s];
-            let ctx = if users[s] == 0 {
-                slot.take().expect("buffer taken only by its last user")
-            } else {
-                slot.as_ref()
-                    .expect("buffer live until its last user")
-                    .clone()
-            };
-            if payer == Some(i) {
-                stats.nodes_scanned = scanned;
-                stats.nodes_copied = copied;
-            }
-            stats.result_size = ctx.len();
-            (ctx, stats)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -655,23 +548,17 @@ mod tests {
             for seed in 0..8 {
                 // Big enough that the morsel gate opens.
                 let doc = random_doc(seed, 9000);
-                let ctxs: Vec<Context> = (0..4)
-                    .map(|i| random_context(&doc, seed ^ (0xF011 + i), 15))
-                    .collect();
-                let refs: Vec<&Context> = ctxs.iter().collect();
+                let test = ScanTest::node(&doc);
                 let mut s1 = Scratch::new();
                 let mut s2 = Scratch::new();
-                let par = following_many(&doc, &refs, Some(&pool), &mut s1);
-                let seq = following_many(&doc, &refs, None, &mut s2);
-                for (i, ((pc, ps), (sc, ss))) in par.iter().zip(&seq).enumerate() {
-                    assert_eq!(pc, sc, "following seed {seed} width {width} lane {i}");
-                    assert_eq!(ps, ss, "following stats seed {seed} width {width} lane {i}");
-                }
-                let par = preceding_many(&doc, &refs, Some(&pool), &mut s1);
-                let seq = preceding_many(&doc, &refs, None, &mut s2);
-                for (i, ((pc, ps), (sc, ss))) in par.iter().zip(&seq).enumerate() {
-                    assert_eq!(pc, sc, "preceding seed {seed} width {width} lane {i}");
-                    assert_eq!(ps, ss, "preceding stats seed {seed} width {width} lane {i}");
+                for i in 0..4 {
+                    let ctx = random_context(&doc, seed ^ (0xF011 + i), 15);
+                    let par = following_pooled(&doc, &ctx, &test, Some(&pool), &mut s1);
+                    let seq = following_pooled(&doc, &ctx, &test, None, &mut s2);
+                    assert_eq!(par, seq, "following seed {seed} width {width} context {i}");
+                    let par = preceding_pooled(&doc, &ctx, &test, Some(&pool), &mut s1);
+                    let seq = preceding_pooled(&doc, &ctx, &test, None, &mut s2);
+                    assert_eq!(par, seq, "preceding seed {seed} width {width} context {i}");
                 }
             }
         }
@@ -682,18 +569,81 @@ mod tests {
         use crate::WorkerPool;
         let pool = WorkerPool::new(4);
         let doc = figure1();
+        let test = ScanTest::node(&doc);
         let ctx = Context::singleton(5);
-        let refs: Vec<&Context> = vec![&ctx];
         let mut scratch = Scratch::new();
-        let par = following_many(&doc, &refs, Some(&pool), &mut scratch);
-        let seq = following_many(&doc, &refs, None, &mut scratch);
-        assert_eq!(par[0], seq[0]);
-        let par = preceding_many(&doc, &refs, Some(&pool), &mut scratch);
-        let seq = preceding_many(&doc, &refs, None, &mut scratch);
-        assert_eq!(par[0], seq[0]);
+        let par = following_pooled(&doc, &ctx, &test, Some(&pool), &mut scratch);
+        assert_eq!(par, following(&doc, &ctx));
+        let par = preceding_pooled(&doc, &ctx, &test, Some(&pool), &mut scratch);
+        assert_eq!(par, preceding(&doc, &ctx));
         // Empty contexts yield empty results either way.
         let empty = Context::empty();
-        let par = preceding_many(&doc, &[&empty], Some(&pool), &mut scratch);
-        assert!(par[0].0.is_empty());
+        let par = preceding_pooled(&doc, &empty, &test, Some(&pool), &mut scratch);
+        assert!(par.0.is_empty());
+    }
+
+    /// A region in hand, narrowed or widened to another bound, is the
+    /// region of that bound computed from scratch — on every test, with
+    /// and without a pool — and a wider region reads only what the held
+    /// one lacks.
+    #[test]
+    fn regions_rebound_from_a_held_region() {
+        use crate::WorkerPool;
+        let pool = WorkerPool::new(4);
+        for seed in 0..12 {
+            let doc = random_doc(seed, if seed < 4 { 9000 } else { 500 });
+            let n = doc.len() as Pre;
+            let tests = [
+                ScanTest::node(&doc),
+                ScanTest::named(&doc, staircase_accel::NodeKind::Element, "p"),
+            ];
+            let mut scratch = Scratch::new();
+            let nodes: Vec<Pre> = (0..6)
+                .map(|i| (seed * 7919 + i * 104_729) as Pre % n)
+                .collect();
+            for test in &tests {
+                for &a in &nodes {
+                    for &b in &nodes {
+                        for p in [None, Some(&pool)] {
+                            // following
+                            let (sa, sb) = (start_after(&doc, a), start_after(&doc, b));
+                            let held = following_from(n, &[], sa, test, p, &mut scratch).0;
+                            let (got, st) = following_from(sa, &held, sb, test, p, &mut scratch);
+                            let want = following_from(n, &[], sb, test, None, &mut scratch).0;
+                            assert_eq!(got, want, "following seed {seed} {a} -> {b}");
+                            assert_eq!(st.nodes_touched(), u64::from(sa.saturating_sub(sb)));
+                            // preceding
+                            let held = preceding_from(&doc, 0, &[], a, test, p, &mut scratch).0;
+                            let (got, st) =
+                                preceding_from(&doc, a, &held, b, test, p, &mut scratch);
+                            let (want, alone) =
+                                preceding_from(&doc, 0, &[], b, test, None, &mut scratch);
+                            assert_eq!(got, want, "preceding seed {seed} {a} -> {b}");
+                            let reference: Vec<Pre> =
+                                reference(&doc, &Context::singleton(b), Axis::Preceding)
+                                    .into_iter()
+                                    .filter(|&v| test.keeps(v))
+                                    .collect();
+                            assert_eq!(want, reference, "preceding seed {seed} bound {b}");
+                            if b <= a {
+                                assert_eq!(
+                                    st.nodes_touched(),
+                                    0,
+                                    "a narrower region reads nothing"
+                                );
+                            } else {
+                                let fixups = u64::from(doc.level(a));
+                                assert!(
+                                    st.nodes_touched() <= u64::from(b - a) + fixups
+                                        && st.nodes_touched() <= alone.nodes_touched() + fixups,
+                                    "preceding seed {seed} {a} -> {b}: read {}",
+                                    st.nodes_touched()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -60,10 +60,11 @@
 //! `kind != Attribute`), a kind, a `(kind, tag)` name test, or the empty
 //! test for a name the dictionary lacks — and **rides the scan**: every
 //! plane-scan kernel ([`descendant_tested`], [`ancestor_tested`],
-//! [`following_tested`], [`preceding_tested`] and their `_many` forms,
-//! which take K lanes and an optional [`WorkerPool`] to split each lane's
-//! scan into morsels) takes it, and [`descendant`], [`ancestor`], [`following`],
-//! [`preceding`] are its `node()` case. One
+//! [`following_tested`], [`preceding_tested`] and their pooled forms
+//! [`descendant_pooled`] and friends, which take an optional
+//! [`WorkerPool`] to split the scan into morsels and a [`Scratch`] to draw
+//! buffers from) takes it, and [`descendant`], [`ancestor`],
+//! [`following`], [`preceding`] are its `node()` case. One
 //! test is asked in three shapes (details in [`mask`]):
 //!
 //! * `keeps(v)` where positions are visited one by one (ancestor jumps);
@@ -106,7 +107,7 @@
 //!   pieces of comparison-free runs, scanned positions, twig seeks) and **abandons the
 //!   pass** on a trip, returning partial state. Partial results are
 //!   *garbage by contract*: only the layer that installed the budget
-//!   (the lane executor upstairs) may interpret them, and it discards
+//!   (the executor upstairs) may interpret them, and it discards
 //!   them and reports the typed trip cause instead. A budget trips at
 //!   most once (latched) and never un-trips.
 //! * **Panics** ([`WorkerPool`]): a panicking pooled job is caught at
@@ -147,22 +148,21 @@ mod stats;
 pub mod twig;
 
 pub use anc::{ancestor, ancestor_tested};
-pub use batch::{
-    ancestor_many, ancestor_on_list_many, child_on_list_many, descendant_many,
-    descendant_on_list_many, ScanLane, Scratch,
-};
+pub use batch::Scratch;
 pub use cost::{Calibrator, DocStats, RuntimeStats, TwigLegCost};
 pub use desc::{descendant, descendant_fused, descendant_tested, guaranteed_result_estimate};
-pub use exists::{
-    has_ancestor_in, has_ancestor_in_many, has_child_in, has_child_in_many, has_descendant_in,
-    has_descendant_in_many,
-};
+pub use exists::{has_ancestor_in, has_child_in, has_descendant_in};
 pub use governor::{Budget, Trip};
 pub use horiz::{
-    following, following_many, following_tested, preceding, preceding_many, preceding_tested,
+    following, following_from, following_pooled, following_start, following_tested, preceding,
+    preceding_bound, preceding_from, preceding_pooled, preceding_tested,
 };
-pub use list::{ancestor_on_list, child_on_list, descendant_on_list, TagIndex};
+pub use list::{
+    ancestor_on_list, ancestor_on_list_pooled, child_on_list, child_on_list_pooled,
+    descendant_on_list, descendant_on_list_pooled, TagIndex,
+};
 pub use mask::ScanTest;
+pub use morsel::{ancestor_pooled, descendant_pooled};
 pub use pool::{ScratchPool, WorkerPool};
 pub use prune::{
     prune, prune_ancestor, prune_ancestor_into, prune_descendant, prune_descendant_into,

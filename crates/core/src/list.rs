@@ -43,6 +43,7 @@
 
 use staircase_accel::{Context, Doc, NodeKind, Post, Pre, TagId};
 
+use crate::batch::Scratch;
 use crate::cursor::advance;
 use crate::governor::Ticker;
 use crate::stats::StepStats;
@@ -175,7 +176,17 @@ fn sweep_fragments(doc: &Doc) -> Vec<Vec<Pre>> {
 /// `context` needs no pruning: nodes nested in an opened one are passed
 /// by a gallop on the context itself (see the module docs).
 pub fn descendant_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Context, StepStats) {
-    on_list(context, Vec::new(), |ctx, result, stats| {
+    descendant_on_list_pooled(doc, list, context, &mut Scratch::new())
+}
+
+/// [`descendant_on_list`] into a result buffer from `scratch`.
+pub fn descendant_on_list_pooled(
+    doc: &Doc,
+    list: &[Pre],
+    context: &Context,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    on_list(context, scratch.take(), |ctx, result, stats| {
         descendant_range_join(doc, list, ctx, result, stats)
     })
 }
@@ -187,7 +198,17 @@ pub fn descendant_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Contex
 /// bounded by the list, `nodes_touched() + seeks ≤ 3 · |list|`, however
 /// long — and however nested — `context` is.
 pub fn ancestor_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Context, StepStats) {
-    on_list(context, Vec::new(), |ctx, result, stats| {
+    ancestor_on_list_pooled(doc, list, context, &mut Scratch::new())
+}
+
+/// [`ancestor_on_list`] into a result buffer from `scratch`.
+pub fn ancestor_on_list_pooled(
+    doc: &Doc,
+    list: &[Pre],
+    context: &Context,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    on_list(context, scratch.take(), |ctx, result, stats| {
         ancestor_range_join(doc, list, ctx, result, stats)
     })
 }
@@ -198,13 +219,23 @@ pub fn ancestor_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Context,
 /// child has its subtree block jumped, so the join touches at most the
 /// list entries below the context.
 pub fn child_on_list(doc: &Doc, list: &[Pre], context: &Context) -> (Context, StepStats) {
-    on_list(context, Vec::new(), |ctx, result, stats| {
+    child_on_list_pooled(doc, list, context, &mut Scratch::new())
+}
+
+/// [`child_on_list`] into a result buffer from `scratch`.
+pub fn child_on_list_pooled(
+    doc: &Doc,
+    list: &[Pre],
+    context: &Context,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    on_list(context, scratch.take(), |ctx, result, stats| {
         child_range_join::<false>(doc, list, ctx, result, stats)
     })
 }
 
-/// Runs one range join over `context` into `result` (empty: a fresh
-/// vector here, a pooled one for the `_many` forms) and fills in the
+/// Runs one range join over `context` into `result` (empty, from the
+/// caller's [`Scratch`]; the probes pass a fresh one) and fills in the
 /// counters the loops leave to their caller: `context_out` is the number
 /// of context nodes the join stopped at ([`StepStats::partitions`]), the
 /// rest having been passed by gallops.

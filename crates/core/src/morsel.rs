@@ -1,4 +1,4 @@
-//! Morsel splits of the single-lane plane scans.
+//! Morsel splits of the single-context plane scans.
 //!
 //! §3.2's Figure-8 argument — pruned staircase steps own **disjoint
 //! pre-range partitions**, so partitions evaluate independently and
@@ -9,12 +9,12 @@
 //! sequential partition loops, and the coordinator glues the per-worker
 //! result vectors back together.
 //!
-//! [`crate::descendant_many`] and [`crate::ancestor_many`] hand every
-//! distinct lane to [`descendant_lane`] / [`ancestor_lane`] with the
-//! caller's pool. No pool, a width-1 pool, or too little work to
-//! amortize a handoff ([`morsel_count`]) runs the sequential partition
-//! loop: the degenerate case *is* the sequential kernel. Two splitting
-//! strategies cover every partition shape:
+//! [`descendant_pooled`] and [`ancestor_pooled`] are the entries: one
+//! context, its node test, an optional pool and the caller's
+//! [`Scratch`]. No pool, a width-1 pool, or too little work to amortize
+//! a handoff ([`morsel_count`]) runs the sequential partition loop: the
+//! degenerate case *is* the sequential kernel. Two splitting strategies
+//! cover every partition shape:
 //!
 //! * **Cuts of the pre range** ([`descendant_windows`]): the common hot
 //!   case — a root context — has a *single* partition covering the
@@ -40,7 +40,7 @@
 //! `tests/bounds.rs`) and results are node- and order-identical.
 //!
 //! Only the plane scans are split. The range joins over a tag fragment
-//! (`descendant_on_list_many` and friends) have no morsel form: a join
+//! (`descendant_on_list` and friends) have no morsel form: a join
 //! brackets a slice with two gallops and copies it — the 19 802-entry
 //! fragment of an XMark root step takes ≈ 2 µs, less than one handoff
 //! to a pooled worker — and its skipping lives in cursor state: a chunk
@@ -50,13 +50,14 @@
 
 use std::ops::Range;
 
-use staircase_accel::{Doc, Pre};
+use staircase_accel::{Context, Doc, Pre};
 
 use crate::anc::ancestor_partitions;
 use crate::batch::Scratch;
 use crate::desc::descendant_partitions;
 use crate::mask::ScanTest;
 use crate::pool::WorkerPool;
+use crate::prune::{prune_ancestor_into, prune_descendant_into};
 use crate::stats::StepStats;
 use crate::Variant;
 
@@ -71,6 +72,74 @@ pub(crate) fn morsel_count(work: u64, width: usize) -> Option<usize> {
     let by_work = usize::try_from(work / MIN_MORSEL_WORK).unwrap_or(usize::MAX);
     let k = by_work.min(width);
     (k >= 2).then_some(k)
+}
+
+/// Evaluates `context/descendant::test` — [`crate::descendant_tested`]
+/// — with the pruned boundary list and the result drawn from `scratch`,
+/// split into morsels on `pool` when it is wider than one and the work
+/// amortizes the handoff; `None` runs the sequential partition loop.
+/// Results and statistics are the same either way.
+pub fn descendant_pooled(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    test: &ScanTest<'_>,
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    pooled(
+        doc,
+        context,
+        scratch,
+        prune_descendant_into,
+        |steps, result, stats, scratch| {
+            descendant_lane(doc, steps, variant, test, result, stats, pool, scratch)
+        },
+    )
+}
+
+/// Evaluates `context/ancestor::test` — [`crate::ancestor_tested`] — on
+/// `pool` and `scratch` (see [`descendant_pooled`]).
+pub fn ancestor_pooled(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    test: &ScanTest<'_>,
+    pool: Option<&WorkerPool>,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    pooled(
+        doc,
+        context,
+        scratch,
+        prune_ancestor_into,
+        |steps, result, stats, scratch| {
+            ancestor_lane(doc, steps, variant, test, result, stats, pool, scratch)
+        },
+    )
+}
+
+/// Prunes `context` into a pooled boundary list and runs `scan` over it
+/// into a pooled result, with the counters of the single-context joins.
+fn pooled(
+    doc: &Doc,
+    context: &Context,
+    scratch: &mut Scratch,
+    prune: impl Fn(&Doc, &Context, &mut Vec<Pre>),
+    scan: impl FnOnce(&[Pre], &mut Vec<Pre>, &mut StepStats, &mut Scratch),
+) -> (Context, StepStats) {
+    let mut steps = scratch.take();
+    prune(doc, context, &mut steps);
+    let mut stats = StepStats {
+        context_in: context.len(),
+        context_out: steps.len(),
+        ..Default::default()
+    };
+    let mut result = scratch.take();
+    scan(&steps, &mut result, &mut stats, scratch);
+    scratch.put(steps);
+    stats.result_size = result.len();
+    (Context::from_sorted(result), stats)
 }
 
 // ── Descendant: cuts of the pre range ──────────────────────────────────
@@ -122,12 +191,12 @@ fn descendant_windows(
     cuts.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Runs a single descendant lane as windows of the pre range on `pool`,
+/// Runs a pruned descendant step as windows of the pre range on `pool`,
 /// or as the window `[0, n)` when there is no pool wider than one or the
 /// work does not amortize the handoff. Either way every piece is the one
 /// partition loop, [`descendant_partitions`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn descendant_lane(
+fn descendant_lane(
     doc: &Doc,
     steps: &[Pre],
     variant: Variant,
@@ -198,10 +267,10 @@ fn span_chunks(steps: &[Pre], k: usize) -> Vec<(usize, usize)> {
     chunks
 }
 
-/// Runs a single ancestor lane as whole-partition chunks on `pool`, or
+/// Runs a pruned ancestor step as whole-partition chunks on `pool`, or
 /// sequentially (see [`descendant_lane`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ancestor_lane(
+fn ancestor_lane(
     doc: &Doc,
     steps: &[Pre],
     variant: Variant,
@@ -239,7 +308,7 @@ pub(crate) fn ancestor_lane(
     collect_morsels(outs, result, stats, scratch);
 }
 
-/// Concatenates morsel outputs in plane order into the lane, summing the
+/// Concatenates morsel outputs in plane order into the result, summing the
 /// per-worker counters (each partition is counted by exactly one piece).
 fn collect_morsels(
     outs: Vec<(Vec<Pre>, StepStats)>,
@@ -259,8 +328,6 @@ fn collect_morsels(
 mod tests {
     use super::*;
     use crate::testutil::{random_context, random_doc};
-    use crate::{ancestor_many, descendant_many};
-    use staircase_accel::Context;
 
     const ALL: [Variant; 3] = [
         Variant::Basic,
@@ -268,11 +335,29 @@ mod tests {
         Variant::EstimationSkipping,
     ];
 
-    fn assert_same(label: &str, par: &[(Context, StepStats)], seq: &[(Context, StepStats)]) {
-        assert_eq!(par.len(), seq.len(), "{label}");
-        for (i, ((pc, ps), (sc, ss))) in par.iter().zip(seq).enumerate() {
-            assert_eq!(pc, sc, "{label}: query {i} results differ");
-            assert_eq!(ps, ss, "{label}: query {i} stats differ");
+    type Pooled = fn(
+        &Doc,
+        &Context,
+        Variant,
+        &ScanTest<'_>,
+        Option<&WorkerPool>,
+        &mut Scratch,
+    ) -> (Context, StepStats);
+
+    /// Both plane joins of `ctx`, split on `pool` and sequential: the
+    /// same nodes and the same counters.
+    fn assert_split_is_sequential(label: &str, doc: &Doc, ctx: &Context, pool: &WorkerPool) {
+        let test = ScanTest::node(doc);
+        let joins: [(&str, Pooled); 2] = [("desc", descendant_pooled), ("anc", ancestor_pooled)];
+        for variant in ALL {
+            for (axis, join) in joins {
+                let mut s1 = Scratch::new();
+                let mut s2 = Scratch::new();
+                let par = join(doc, ctx, variant, &test, Some(pool), &mut s1);
+                let seq = join(doc, ctx, variant, &test, None, &mut s2);
+                assert_eq!(par.0, seq.0, "{label} {axis} {variant:?}: results differ");
+                assert_eq!(par.1, seq.1, "{label} {axis} {variant:?}: stats differ");
+            }
         }
     }
 
@@ -285,26 +370,9 @@ mod tests {
                 let doc = random_doc(seed, 9000);
                 let root = Context::singleton(doc.root());
                 let ctx = random_context(&doc, seed ^ 0xD15C, 40);
-                for variant in ALL {
-                    for case in [&root, &ctx] {
-                        let refs: Vec<&Context> = vec![case];
-                        let mut s1 = Scratch::new();
-                        let mut s2 = Scratch::new();
-                        let par = descendant_many(&doc, &refs, variant, Some(&pool), &mut s1);
-                        let seq = descendant_many(&doc, &refs, variant, None, &mut s2);
-                        assert_same(
-                            &format!("desc seed {seed} width {width} {variant:?}"),
-                            &par,
-                            &seq,
-                        );
-                        let par = ancestor_many(&doc, &refs, variant, Some(&pool), &mut s1);
-                        let seq = ancestor_many(&doc, &refs, variant, None, &mut s2);
-                        assert_same(
-                            &format!("anc seed {seed} width {width} {variant:?}"),
-                            &par,
-                            &seq,
-                        );
-                    }
+                for case in [&root, &ctx] {
+                    let label = format!("seed {seed} width {width}");
+                    assert_split_is_sequential(&label, &doc, case, &pool);
                 }
             }
         }
@@ -312,10 +380,9 @@ mod tests {
 
     #[test]
     fn distinct_lanes_each_split_on_the_pool() {
-        // Five distinct contexts: every lane runs the one-lane kernel, and
-        // each one opens the morsel gate (one of its nodes heads a large
-        // subtree) — the pooled batch matches the sequential one node for
-        // node and counter for counter.
+        // Five distinct contexts, each opening the morsel gate (one of
+        // its nodes heads a large subtree): every pooled join matches
+        // the sequential one node for node and counter for counter.
         let pool = WorkerPool::new(4);
         let doc = random_doc(3, 9000);
         let heads = doc
@@ -330,11 +397,8 @@ mod tests {
             })
             .collect();
         assert_eq!(ctxs.len(), 5);
-        let refs: Vec<&Context> = ctxs.iter().collect();
-        let mut s1 = Scratch::new();
-        let mut s2 = Scratch::new();
-        for ctx in &ctxs {
-            // Both gates open for every lane (see the two `_lane` kernels).
+        for (i, ctx) in ctxs.iter().enumerate() {
+            // Both gates open for every context (see the two `_lane` kernels).
             let anc = crate::prune_ancestor(&doc, ctx);
             let span = u64::from(anc.as_slice().last().copied().unwrap_or(0));
             assert!(morsel_count(span, pool.width()).is_some_and(|k| k.min(anc.len()) >= 2));
@@ -345,14 +409,7 @@ mod tests {
                     .sum();
                 assert!(morsel_count(work, pool.width()).is_some(), "{variant:?}");
             }
-        }
-        for variant in ALL {
-            let par = descendant_many(&doc, &refs, variant, Some(&pool), &mut s1);
-            let seq = descendant_many(&doc, &refs, variant, None, &mut s2);
-            assert_same(&format!("desc {variant:?}"), &par, &seq);
-            let par = ancestor_many(&doc, &refs, variant, Some(&pool), &mut s1);
-            let seq = ancestor_many(&doc, &refs, variant, None, &mut s2);
-            assert_same(&format!("anc {variant:?}"), &par, &seq);
+            assert_split_is_sequential(&format!("context {i}"), &doc, ctx, &pool);
         }
     }
 
@@ -362,7 +419,6 @@ mod tests {
         // interval lets the morsel planner cut inside it.
         let doc = random_doc(11, 12000);
         let root = Context::singleton(doc.root());
-        let refs: Vec<&Context> = vec![&root];
         let pool = WorkerPool::new(4);
         let mut scratch = Scratch::new();
         let pruned = crate::prune_descendant(&doc, &root);
@@ -373,16 +429,17 @@ mod tests {
         let k = morsel_count(work, pool.width()).expect("the gate opens");
         let windows = descendant_windows(intervals.into_iter(), work, k, doc.len() as Pre);
         assert_eq!(windows.len(), k, "the one partition is cut {k} ways");
-        let par = descendant_many(
+        let par = descendant_pooled(
             &doc,
-            &refs,
+            &root,
             Variant::EstimationSkipping,
+            &ScanTest::node(&doc),
             Some(&pool),
             &mut scratch,
         );
         let (seq, seq_stats) = crate::descendant(&doc, &root, Variant::EstimationSkipping);
-        assert_eq!(par[0].0, seq);
-        assert_eq!(par[0].1, seq_stats);
+        assert_eq!(par.0, seq);
+        assert_eq!(par.1, seq_stats);
     }
 
     #[test]
@@ -408,12 +465,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let doc = random_doc(1, 200); // far below the morsel gate
         let ctx = Context::singleton(doc.root());
-        let refs: Vec<&Context> = vec![&ctx];
-        let mut s1 = Scratch::new();
-        let mut s2 = Scratch::new();
-        let par = descendant_many(&doc, &refs, Variant::Skipping, Some(&pool), &mut s1);
-        let seq = descendant_many(&doc, &refs, Variant::Skipping, None, &mut s2);
-        assert_same("tiny", &par, &seq);
+        assert_split_is_sequential("tiny", &doc, &ctx, &pool);
     }
 
     #[test]
@@ -434,11 +486,25 @@ mod tests {
         let pool = WorkerPool::new(4);
         let doc = random_doc(2, 5000);
         let empty = Context::empty();
-        let refs: Vec<&Context> = vec![&empty];
+        let test = ScanTest::node(&doc);
         let mut scratch = Scratch::new();
-        let par = descendant_many(&doc, &refs, Variant::Basic, Some(&pool), &mut scratch);
-        assert!(par[0].0.is_empty());
-        let par = ancestor_many(&doc, &refs, Variant::Basic, Some(&pool), &mut scratch);
-        assert!(par[0].0.is_empty());
+        let par = descendant_pooled(
+            &doc,
+            &empty,
+            Variant::Basic,
+            &test,
+            Some(&pool),
+            &mut scratch,
+        );
+        assert!(par.0.is_empty());
+        let par = ancestor_pooled(
+            &doc,
+            &empty,
+            Variant::Basic,
+            &test,
+            Some(&pool),
+            &mut scratch,
+        );
+        assert!(par.0.is_empty());
     }
 }

@@ -17,11 +17,11 @@
 //!   degenerates to a plain sequential loop — a width-1 session is the
 //!   pre-pool executor, not a pool with handoff overhead.
 //! * **Borrow-friendly jobs**: `run` accepts closures borrowing the
-//!   caller's stack (documents, lanes, scratch buffers). It does not
+//!   caller's stack (documents, pruned steps, scratch buffers). It does not
 //!   return until every job has finished, which is what makes the
 //!   lifetime erasure underneath sound.
-//! * **Nesting**: a job may itself call `run` on the same pool (a group
-//!   round fanning a kernel out into morsels). The nested caller drains
+//! * **Nesting**: a job may itself call `run` on the same pool (a job
+//!   fanning a kernel out into morsels). The nested caller drains
 //!   the shared queue while waiting, so progress is always possible and
 //!   the pool cannot deadlock on its own tasks.
 //! * **Panics propagate — or are caught**: a panicking job poisons
@@ -37,8 +37,8 @@
 //!
 //! [`ScratchPool`] is the companion buffer-pool shard set: one
 //! [`Scratch`] per slot, handed out by a `try_lock` sweep so concurrent
-//! queries and parallel group rounds stop fighting over (or worse,
-//! bypassing) a single session-wide pool.
+//! batches stop fighting over (or worse, bypassing) a single
+//! session-wide pool.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -583,17 +583,22 @@ mod tests {
     #[test]
     fn concurrent_queries_reuse_shards_without_allocating() {
         use crate::testutil::{random_context, random_doc};
-        use crate::{descendant_many, Variant};
-        use staircase_accel::Context;
+        use crate::{descendant_pooled, ScanTest, Variant};
 
         let doc = random_doc(5, 800);
         let pool = ScratchPool::new(8);
         let one_batch = |scratch: &mut Scratch, seed: u64| {
             let ctx = random_context(&doc, 0xAB ^ seed, 15);
-            let refs: Vec<&Context> = vec![&ctx];
-            for (c, _) in descendant_many(&doc, &refs, Variant::EstimationSkipping, None, scratch) {
-                scratch.recycle(c);
-            }
+            let test = ScanTest::node(&doc);
+            let (c, _) = descendant_pooled(
+                &doc,
+                &ctx,
+                Variant::EstimationSkipping,
+                &test,
+                None,
+                scratch,
+            );
+            scratch.recycle(c);
         };
         // Warm every shard deterministically: sequential calls rotate
         // the sweep's starting shard through all of them.

@@ -6,14 +6,14 @@
 //! bounded by its list whatever the context, the child join looks only
 //! at entries below the context, and none does more work than reading
 //! both of its sorted inputs. The plane scans are checked on random
-//! documents too, each through its `_many` kernel with and without a
+//! documents too, each through its pooled entry with and without a
 //! worker pool: a morsel split changes who touches a node, never what is
 //! touched.
 
 use staircase_accel::{Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
-    ancestor, ancestor_many, ancestor_on_list, child_on_list, descendant, descendant_many,
-    descendant_on_list, descendant_tested, following, following_many, preceding, preceding_many,
+    ancestor, ancestor_on_list, ancestor_pooled, child_on_list, descendant, descendant_on_list,
+    descendant_pooled, descendant_tested, following, following_pooled, preceding, preceding_pooled,
     prune_ancestor, prune_descendant, prune_following, prune_preceding, ScanTest, Scratch,
     StepStats, TagIndex, Variant, WorkerPool,
 };
@@ -345,9 +345,9 @@ fn attributes_in(doc: &Doc, range: impl Iterator<Item = Pre>) -> u64 {
         .count() as u64
 }
 
-/// The four plane scans of `ctx` through their `_many` kernels, once
+/// The four plane scans of `ctx` through their pooled entries, once
 /// without a pool and once on `pool`: the two runs must agree node for
-/// node and counter for counter, and with the single-context kernel.
+/// node and counter for counter, and with the plain single-context join.
 fn plane_scans(
     doc: &Doc,
     ctx: &Context,
@@ -355,13 +355,13 @@ fn plane_scans(
     pool: &WorkerPool,
 ) -> [(Context, StepStats); 4] {
     let mut scratch = Scratch::new();
-    let lanes = [ctx];
+    let test = ScanTest::node(doc);
     let mut runs = |pool: Option<&WorkerPool>| {
         [
-            descendant_many(doc, &lanes, variant, pool, &mut scratch).remove(0),
-            ancestor_many(doc, &lanes, variant, pool, &mut scratch).remove(0),
-            following_many(doc, &lanes, pool, &mut scratch).remove(0),
-            preceding_many(doc, &lanes, pool, &mut scratch).remove(0),
+            descendant_pooled(doc, ctx, variant, &test, pool, &mut scratch),
+            ancestor_pooled(doc, ctx, variant, &test, pool, &mut scratch),
+            following_pooled(doc, ctx, &test, pool, &mut scratch),
+            preceding_pooled(doc, ctx, &test, pool, &mut scratch),
         ]
     };
     let sequential = runs(None);
@@ -384,10 +384,7 @@ fn plane_scans(
         preceding(doc, ctx),
     ];
     for (seq, one) in sequential.iter().zip(&single) {
-        assert_eq!(
-            seq.0, one.0,
-            "{label}: the one-lane batch is the single join"
-        );
+        assert_eq!(seq, one, "{label}: the pooled entry is the plain join");
     }
     sequential
 }
@@ -509,9 +506,8 @@ fn folded_kernels_with_more_morsels_than_steps() {
 
 // ── Pool parity of the single-lane plane scans ─────────────────────────
 //
-// A staircase join runs in parallel by handing `descendant_many` or
-// `ancestor_many` a `WorkerPool`: the one-lane case is split into
-// morsels. Splitting changes who scans a partition, never which nodes
+// A staircase join runs in parallel by handing `descendant_pooled` or
+// `ancestor_pooled` a `WorkerPool`: the scan is split into morsels. Splitting changes who scans a partition, never which nodes
 // are scanned, so the pooled join is node- and counter-identical to the
 // sequential kernels.
 
@@ -524,9 +520,8 @@ fn pooled_descendant(
     variant: Variant,
     pool: &WorkerPool,
 ) -> (Context, StepStats) {
-    descendant_many(doc, &[ctx], variant, Some(pool), &mut Scratch::new())
-        .pop()
-        .expect("one lane in, one result out")
+    let test = ScanTest::node(doc);
+    descendant_pooled(doc, ctx, variant, &test, Some(pool), &mut Scratch::new())
 }
 
 fn pooled_ancestor(
@@ -535,9 +530,8 @@ fn pooled_ancestor(
     variant: Variant,
     pool: &WorkerPool,
 ) -> (Context, StepStats) {
-    ancestor_many(doc, &[ctx], variant, Some(pool), &mut Scratch::new())
-        .pop()
-        .expect("one lane in, one result out")
+    let test = ScanTest::node(doc);
+    ancestor_pooled(doc, ctx, variant, &test, Some(pool), &mut Scratch::new())
 }
 
 #[test]

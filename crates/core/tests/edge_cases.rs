@@ -4,9 +4,9 @@
 
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
-    ancestor, ancestor_many, descendant, descendant_many, descendant_tested, following,
-    following_many, following_tested, preceding, preceding_tested, prune, ScanTest, Scratch,
-    Variant, WorkerPool,
+    ancestor, ancestor_pooled, descendant, descendant_pooled, descendant_tested, following,
+    following_from, following_start, following_tested, preceding, preceding_tested, prune,
+    ScanTest, Scratch, Variant, WorkerPool,
 };
 
 const ALL: [Variant; 3] = [
@@ -137,16 +137,17 @@ fn parallel_on_degenerate_shapes() {
     for doc in [&chain_doc, &star_doc] {
         let ctx: Context = doc.pres().filter(|v| v % 7 == 0).collect();
         let mut scratch = Scratch::new();
-        let d = Variant::EstimationSkipping;
-        let seq_d = descendant_many(doc, &[&ctx], d, None, &mut scratch);
-        assert_eq!(seq_d[0].0, descendant(doc, &ctx, d).0);
-        let seq_a = ancestor_many(doc, &[&ctx], Variant::Skipping, None, &mut scratch);
-        assert_eq!(seq_a[0].0, ancestor(doc, &ctx, Variant::Skipping).0);
+        let node = ScanTest::node(doc);
+        let (d, s) = (Variant::EstimationSkipping, Variant::Skipping);
+        let seq_d = descendant_pooled(doc, &ctx, d, &node, None, &mut scratch);
+        assert_eq!(seq_d.0, descendant(doc, &ctx, d).0);
+        let seq_a = ancestor_pooled(doc, &ctx, s, &node, None, &mut scratch);
+        assert_eq!(seq_a.0, ancestor(doc, &ctx, s).0);
         for threads in [1, 3, 8] {
             let pool = WorkerPool::new(threads);
-            let par = descendant_many(doc, &[&ctx], d, Some(&pool), &mut scratch);
+            let par = descendant_pooled(doc, &ctx, d, &node, Some(&pool), &mut scratch);
             assert_eq!(par, seq_d, "descendant, {threads} threads");
-            let par = ancestor_many(doc, &[&ctx], Variant::Skipping, Some(&pool), &mut scratch);
+            let par = ancestor_pooled(doc, &ctx, s, &node, Some(&pool), &mut scratch);
             assert_eq!(par, seq_a, "ancestor, {threads} threads");
         }
     }
@@ -221,24 +222,22 @@ fn a_selective_test_does_not_reserve_the_plane() {
     }
     snug("following", following_tested(&doc, &first, &rare).0);
     snug("preceding", preceding_tested(&doc, &last, &rare).0);
-    // The multi-context forms, from a cold pool: two tests over one
-    // context, two nested suffixes of one test.
+    // The pooled entry from a cold pool, and a following region widened
+    // from a narrower one in hand.
     let mut scratch = Scratch::new();
-    let node = ScanTest::node(&doc);
-    for (got, _) in descendant_many(
-        &doc,
-        &[(&root, rare), (&root, node), (&root, rare)],
-        Variant::default(),
+    let (got, _) = descendant_pooled(&doc, &root, Variant::default(), &rare, None, &mut scratch);
+    snug("descendant_pooled", got);
+    let start = |c: &Context| following_start(&doc, c).expect("a non-empty context");
+    let second = Context::singleton(2);
+    let n = doc.len() as Pre;
+    let (held, _) = following_from(n, &[], start(&second), &rare, None, &mut scratch);
+    let (wider, _) = following_from(
+        start(&second),
+        &held,
+        start(&first),
+        &rare,
         None,
         &mut scratch,
-    )
-    .into_iter()
-    .step_by(2)
-    {
-        snug("descendant_many", got);
-    }
-    let second = Context::singleton(2);
-    for (got, _) in following_many(&doc, &[(&first, rare), (&second, rare)], None, &mut scratch) {
-        snug("following_many", got);
-    }
+    );
+    snug("following_from", Context::from_sorted(wider));
 }

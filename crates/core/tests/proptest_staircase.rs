@@ -8,12 +8,12 @@ use proptest::prelude::*;
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::governor::{self, Budget, SCAN_CHUNK};
 use staircase_core::{
-    ancestor, ancestor_many, ancestor_on_list, ancestor_on_list_many, ancestor_tested,
-    child_on_list, child_on_list_many, descendant, descendant_many, descendant_on_list,
-    descendant_on_list_many, descendant_tested, following, following_many, following_tested,
-    has_ancestor_in, has_ancestor_in_many, has_child_in, has_child_in_many, has_descendant_in,
-    has_descendant_in_many, preceding, preceding_many, preceding_tested, prune, try_axis_step,
-    ScanTest, Scratch, StepStats, TagIndex, Variant, WorkerPool,
+    ancestor, ancestor_on_list, ancestor_on_list_pooled, ancestor_pooled, ancestor_tested,
+    child_on_list, child_on_list_pooled, descendant, descendant_on_list, descendant_on_list_pooled,
+    descendant_pooled, descendant_tested, following, following_pooled, following_tested,
+    has_ancestor_in, has_child_in, has_descendant_in, preceding, preceding_pooled,
+    preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats, TagIndex, Variant,
+    WorkerPool,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -129,13 +129,14 @@ proptest! {
     fn parallel_equals_serial((doc, ctx) in arb_doc_and_context()) {
         let pool = WorkerPool::new(3);
         let mut scratch = Scratch::new();
-        let d = Variant::EstimationSkipping;
-        let sd = descendant_many(&doc, &[&ctx], d, None, &mut scratch);
-        prop_assert_eq!(&sd[0], &descendant(&doc, &ctx, d));
-        prop_assert_eq!(descendant_many(&doc, &[&ctx], d, Some(&pool), &mut scratch), sd);
-        let sa = ancestor_many(&doc, &[&ctx], Variant::Skipping, None, &mut scratch);
-        prop_assert_eq!(&sa[0].0, &ancestor(&doc, &ctx, Variant::Skipping).0);
-        prop_assert_eq!(ancestor_many(&doc, &[&ctx], Variant::Skipping, Some(&pool), &mut scratch), sa);
+        let node = ScanTest::node(&doc);
+        let (d, s) = (Variant::EstimationSkipping, Variant::Skipping);
+        let sd = descendant_pooled(&doc, &ctx, d, &node, None, &mut scratch);
+        prop_assert_eq!(&sd, &descendant(&doc, &ctx, d));
+        prop_assert_eq!(descendant_pooled(&doc, &ctx, d, &node, Some(&pool), &mut scratch), sd);
+        let sa = ancestor_pooled(&doc, &ctx, s, &node, None, &mut scratch);
+        prop_assert_eq!(&sa.0, &ancestor(&doc, &ctx, s).0);
+        prop_assert_eq!(ancestor_pooled(&doc, &ctx, s, &node, Some(&pool), &mut scratch), sa);
     }
 
     /// Name-test pushdown (list join) ≡ join then name test.
@@ -150,29 +151,34 @@ proptest! {
         }
     }
 
-    /// single ≡ `_many` for every operator that moves a
-    /// fragment cursor: same nodes, and the same [`StepStats`] field for
-    /// field — `seeks` included.
+    /// The plain and the pooled form of every operator that moves a
+    /// fragment cursor agree: same nodes, and the same [`StepStats`]
+    /// field for field — `seeks` included; a probe moves its cursors
+    /// exactly as the join with the roles swapped does.
     #[test]
     fn fragment_cursor_forms_agree_on_every_counter((doc, ctx) in arb_doc_and_context()) {
         let idx = TagIndex::build(&doc);
-        let refs = [&ctx];
         let mut s1 = Scratch::new();
         for tag in ["p", "q"] {
             let list = idx.fragment_by_name(&doc, tag);
             let single = descendant_on_list(&doc, list, &ctx);
-            prop_assert_eq!(&descendant_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
+            prop_assert_eq!(&descendant_on_list_pooled(&doc, list, &ctx, &mut s1), &single);
             let single = ancestor_on_list(&doc, list, &ctx);
-            prop_assert_eq!(&ancestor_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
+            prop_assert_eq!(&ancestor_on_list_pooled(&doc, list, &ctx, &mut s1), &single);
             let single = child_on_list(&doc, list, &ctx);
-            prop_assert_eq!(&child_on_list_many(&doc, list, &refs, &mut s1)[0], &single);
+            prop_assert_eq!(&child_on_list_pooled(&doc, list, &ctx, &mut s1), &single);
+            let cursor = |s: &StepStats| (s.nodes_scanned, s.nodes_copied, s.seeks, s.partitions);
+            let swapped: Context = list.iter().copied().collect();
             let single = has_descendant_in(&doc, &ctx, list);
             prop_assert!(single.1.seeks <= 2 * ctx.len() as u64, "a move or a jump a candidate");
-            prop_assert_eq!(&has_descendant_in_many(&doc, &refs, list)[0], &single);
+            let join = ancestor_on_list(&doc, ctx.as_slice(), &swapped);
+            prop_assert_eq!((&single.0, cursor(&single.1)), (&join.0, cursor(&join.1)));
             let single = has_ancestor_in(&doc, &ctx, list);
-            prop_assert_eq!(&has_ancestor_in_many(&doc, &refs, list)[0], &single);
+            let join = descendant_on_list(&doc, ctx.as_slice(), &swapped);
+            prop_assert_eq!((&single.0, cursor(&single.1)), (&join.0, cursor(&join.1)));
             let single = has_child_in(&doc, &ctx, list);
-            prop_assert_eq!(&has_child_in_many(&doc, &refs, list)[0], &single);
+            let want: Vec<Pre> = ctx.iter().filter(|&c| list.iter().any(|&v| doc.parent(v) == c)).collect();
+            prop_assert_eq!(single.0.as_slice(), &want[..]);
         }
     }
 
@@ -319,85 +325,23 @@ proptest! {
                     let label = format!("arm {t} {variant:?} governed {governed}");
                     let plain = descendant(&doc, &ctx, variant);
                     assert_rides(&label, test, &descendant_tested(&doc, &ctx, variant, test), &plain);
-                    let par = descendant_many(&doc, &[(&ctx, *test)], variant, Some(&pool), &mut scratch);
-                    assert_rides(&label, test, &par[0], &plain);
+                    let par = descendant_pooled(&doc, &ctx, variant, test, Some(&pool), &mut scratch);
+                    assert_rides(&label, test, &par, &plain);
                     let plain = ancestor(&doc, &ctx, variant);
                     assert_rides(&label, test, &ancestor_tested(&doc, &ctx, variant, test), &plain);
-                    let par = ancestor_many(&doc, &[(&ctx, *test)], variant, Some(&pool), &mut scratch);
-                    assert_rides(&label, test, &par[0], &plain);
+                    let par = ancestor_pooled(&doc, &ctx, variant, test, Some(&pool), &mut scratch);
+                    assert_rides(&label, test, &par, &plain);
                 }
                 let label = format!("arm {t} governed {governed}");
-                assert_rides(&label, test, &following_tested(&doc, &ctx, test), &following(&doc, &ctx));
-                assert_rides(&label, test, &preceding_tested(&doc, &ctx, test), &preceding(&doc, &ctx));
+                let plain = following(&doc, &ctx);
+                assert_rides(&label, test, &following_tested(&doc, &ctx, test), &plain);
+                let par = following_pooled(&doc, &ctx, test, Some(&pool), &mut scratch);
+                assert_rides(&label, test, &par, &plain);
+                let plain = preceding(&doc, &ctx);
+                assert_rides(&label, test, &preceding_tested(&doc, &ctx, test), &plain);
+                let par = preceding_pooled(&doc, &ctx, test, Some(&pool), &mut scratch);
+                assert_rides(&label, test, &par, &plain);
             }
-        }
-    }
-
-    /// The `_many` forms with K ∈ {1, 2, 5} lanes that mix shared and
-    /// distinct contexts and tests, without a pool and on a width-4 one:
-    /// lane by lane, the fused batch is the all-`node()` batch filtered,
-    /// with its counters.
-    #[test]
-    fn a_batch_of_fused_tests_is_the_node_batch_filtered(
-        ops in proptest::collection::vec(0u8..10, 8..80),
-        which in 0usize..14,
-        small in 2usize..300,
-        picks_a in proptest::collection::vec(0u32..1_000_000, 0..10),
-        picks_b in proptest::collection::vec(0u32..1_000_000, 1..10),
-        mix in 0usize..10_000,
-    ) {
-        let doc = mixed_doc(&ops, sized(which, small));
-        let n = doc.len() as u32;
-        let contexts = [
-            Context::from_unsorted(picks_a.iter().map(|p| p % n).collect()),
-            Context::from_unsorted(picks_b.iter().map(|p| p % n).collect()),
-            Context::singleton(doc.root()),
-        ];
-        let arms = arms(&doc);
-        let pool = WorkerPool::new(4);
-        let (mut s1, mut s2) = (Scratch::new(), Scratch::new());
-        for k in [1usize, 2, 5] {
-            // Lane j: a context and a test drawn from `mix`, so that some
-            // lanes share a context, some a test, some both, some neither.
-            let lanes: Vec<(&Context, ScanTest<'_>)> = (0..k)
-                .map(|j| (&contexts[(mix >> j) % 3], arms[(mix / 7 + j * (mix % 3)) % arms.len()]))
-                .collect();
-            let bare: Vec<&Context> = lanes.iter().map(|l| l.0).collect();
-            let check = |label: &str,
-                         fused: Vec<(Context, StepStats)>,
-                         par: Vec<(Context, StepStats)>,
-                         plain: Vec<(Context, StepStats)>| {
-                prop_assert_eq!(&par, &fused, "{} k {}: on a pool", label, k);
-                for (j, (f, p)) in fused.iter().zip(&plain).enumerate() {
-                    assert_rides(&format!("{label} k {k} lane {j} mix {mix}"), &lanes[j].1, f, p);
-                }
-            };
-            for variant in VARIANTS {
-                check(
-                    &format!("descendant {variant:?}"),
-                    descendant_many(&doc, &lanes, variant, None, &mut s1),
-                    descendant_many(&doc, &lanes, variant, Some(&pool), &mut s2),
-                    descendant_many(&doc, &bare, variant, None, &mut s1),
-                );
-                check(
-                    &format!("ancestor {variant:?}"),
-                    ancestor_many(&doc, &lanes, variant, None, &mut s1),
-                    ancestor_many(&doc, &lanes, variant, Some(&pool), &mut s2),
-                    ancestor_many(&doc, &bare, variant, None, &mut s1),
-                );
-            }
-            check(
-                "following",
-                following_many(&doc, &lanes, None, &mut s1),
-                following_many(&doc, &lanes, Some(&pool), &mut s2),
-                following_many(&doc, &bare, None, &mut s1),
-            );
-            check(
-                "preceding",
-                preceding_many(&doc, &lanes, None, &mut s1),
-                preceding_many(&doc, &lanes, Some(&pool), &mut s2),
-                preceding_many(&doc, &bare, None, &mut s1),
-            );
         }
     }
 }
@@ -432,17 +376,6 @@ fn is_descendant(doc: &Doc, anc: Pre, v: Pre) -> bool {
     v > anc && doc.post(v) < doc.post(anc)
 }
 
-/// What a query that shared an earlier identical context's join reports.
-fn shared(paid: &StepStats) -> StepStats {
-    StepStats {
-        nodes_scanned: 0,
-        nodes_copied: 0,
-        nodes_skipped: 0,
-        seeks: 0,
-        ..*paid
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -458,7 +391,6 @@ proptest! {
         // a length and a shape each)
         let (list_kind, list_len) = (list_sel / LENGTHS.len() * 3 + list_sel % 3, list_sel % LENGTHS.len());
         let (ctx_shape, ctx_len) = (ctx_sel / LENGTHS.len(), ctx_sel % LENGTHS.len());
-        let mix = (seed % 10_000) as usize;
         let doc = mixed_doc(&ops, small);
         let idx = TagIndex::build(&doc);
         // The list: a tag fragment (one-tag nesting, a name shared with
@@ -519,41 +451,5 @@ proptest! {
         let list_ctx: Context = list.iter().copied().collect();
         prop_assert_eq!(&has_desc, &ancestor_on_list(&doc, ctx.as_slice(), &list_ctx).0);
         prop_assert_eq!(&has_anc, &descendant_on_list(&doc, ctx.as_slice(), &list_ctx).0);
-
-        // `_many`: K lanes mixing shared and distinct
-        // contexts equal K single runs — the first lane over a context
-        // field for field, a later one over the same context with the
-        // join's counters zeroed (it shared the pass).
-        let other = Context::from_unsorted(pick_sorted(&doc, LENGTHS[(ctx_len + 5) % LENGTHS.len()], seed ^ 0xABCD));
-        let root = Context::singleton(doc.root());
-        let contexts = [&ctx, &other, &root];
-        let mut s1 = Scratch::new();
-        type Single = fn(&Doc, &[Pre], &Context) -> (Context, StepStats);
-        type Many = fn(&Doc, &[Pre], &[&Context], &mut Scratch) -> Vec<(Context, StepStats)>;
-        let joins: [(&str, Single, Many); 3] = [
-            ("descendant", descendant_on_list, descendant_on_list_many),
-            ("ancestor", ancestor_on_list, ancestor_on_list_many),
-            ("child", child_on_list, child_on_list_many),
-        ];
-        for k in [1usize, 2, 5] {
-            let lanes: Vec<&Context> = (0..k).map(|j| contexts[(mix >> j) % 3]).collect();
-            let expect = |single: &dyn Fn(&Context) -> (Context, StepStats)| -> Vec<(Context, StepStats)> {
-                lanes.iter().enumerate().map(|(j, c)| {
-                    let (nodes, stats) = single(c);
-                    let first = lanes[..j].iter().all(|e| e.as_slice() != c.as_slice());
-                    (nodes, if first { stats } else { shared(&stats) })
-                }).collect()
-            };
-            for (name, single, many) in joins {
-                let want = expect(&|c| single(&doc, &list, c));
-                prop_assert_eq!(&many(&doc, &list, &lanes, &mut s1), &want, "{}_on_list_many k {}", name, k);
-            }
-            let want = expect(&|c| has_descendant_in(&doc, c, &list));
-            prop_assert_eq!(&has_descendant_in_many(&doc, &lanes, &list), &want);
-            let want = expect(&|c| has_ancestor_in(&doc, c, &list));
-            prop_assert_eq!(&has_ancestor_in_many(&doc, &lanes, &list), &want);
-            let want = expect(&|c| has_child_in(&doc, c, &list));
-            prop_assert_eq!(&has_child_in_many(&doc, &lanes, &list), &want);
-        }
     }
 }

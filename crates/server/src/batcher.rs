@@ -8,12 +8,12 @@
 //! the round's *first* enqueue) expires, `max_batch` queries have
 //! accumulated, or every open connection has asked — whichever comes
 //! first — then drains up to `max_batch` of them and executes each
-//! engine's group as **one** `Session::run_many` call — the shared-scan
-//! pass the lane executor was built for. The window deliberately trades
+//! engine's group as **one** `Session::run_many` call, which computes a
+//! step several of the queries ask once. The window deliberately trades
 //! a bounded few milliseconds of latency for that throughput multiple;
-//! `window = 0` disables batching outright — every query runs as its
-//! own single-lane pass, even under backlog — which is the load
-//! generator's baseline mode.
+//! `window = 0` disables batching outright — every query runs as a
+//! batch of one, even under backlog — which is the load generator's
+//! baseline mode.
 //!
 //! **The window is work-conserving.** It is held only while holding can
 //! still grow the batch. A connection has at most one admitted query at
@@ -93,12 +93,12 @@ pub(crate) fn trip_to_error(trip: Trip) -> Error {
     }
 }
 
-/// What a connection gets back: the output plus the size of the shared
-/// pass it rode in, or the (parse) error that kept it out of one.
+/// What a connection gets back: the output plus the size of the batch
+/// it rode in, or the (parse) error that kept it out of one.
 pub(crate) type Reply = Result<(QueryOutput, usize), Error>;
 
 /// One engine's slice of a drained batch: the prepared queries, reply
-/// handles, and budgets riding the same shared pass.
+/// handles, and budgets riding the same batch.
 type EngineGroup<'s> = (Engine, Vec<(Query<'s>, ReplyTo, Arc<Budget>)>);
 
 /// Why a submission was refused.
@@ -222,7 +222,7 @@ impl Batcher {
             }
             // A zero window disables batching outright: one query per
             // pass, even under backlog. Without this, a saturated
-            // queue would still drain as shared passes and the
+            // queue would still drain as batches and the
             // "no batching" baseline would quietly batch anyway.
             let take = if self.window.is_zero() {
                 1
@@ -234,7 +234,7 @@ impl Batcher {
     }
 
     /// Executes one drained batch: group by engine, one governed
-    /// `Session::execute` shared pass per group, replies in
+    /// `Session::execute` call per group, replies in
     /// admission order within each group. Queries whose budget already
     /// tripped in the queue (expired deadline, cancel) are answered
     /// immediately and never take a batch slot.
@@ -472,7 +472,7 @@ mod tests {
         for rx in [rx1, rx2] {
             let (out, size) = reply(&rx).expect("parses");
             assert_eq!(out.len(), 2);
-            assert_eq!(size, 2, "both lanes share one pass");
+            assert_eq!(size, 2, "both queries ride one batch");
         }
         assert_eq!(
             b.metrics

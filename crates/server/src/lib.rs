@@ -1,9 +1,8 @@
 //! # staircase-server
 //!
 //! The batching query server front end: the traffic layer that turns
-//! concurrent independent clients into the shared-scan
-//! `Session::run_many` batches the lane executor underneath was built
-//! to serve.
+//! concurrent independent clients into `Session::run_many` batches,
+//! whose memo computes a step several of them ask once.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -24,12 +23,13 @@
 //!
 //! The executor half of the server predates this crate: a
 //! [`Session`] is `Sync`, owns a persistent
-//! worker pool, and its `run_many` answers K queries with shared plane
-//! passes wherever their planned steps line up — a measured 1.3–2×
-//! over running them back to back. What this crate adds is the
-//! discipline that manufactures those batches out of independent
-//! clients, the same admission-window trick inference servers use to
-//! amortize a shared pass over concurrent requests:
+//! worker pool, and its `run_many` answers K queries in order, sharing
+//! every step that repeats among them — the same path prefix, the same
+//! join under other predicates, a nested `following`/`preceding` region
+//! — a measured 1.4–1.5× over running them back to back. What this
+//! crate adds is the discipline that manufactures those batches out of
+//! independent clients, the same admission-window trick inference
+//! servers use to amortize repeated work over concurrent requests:
 //!
 //! * **Admission window** ([`batcher`]): queries from all connections
 //!   land in one bounded queue. A round opens when the queue becomes
@@ -39,7 +39,7 @@
 //!   holding the window then could not grow the batch, so it is not
 //!   held. The drained batch executes as one `run_many` call per engine
 //!   named in it. The window deliberately trades a few milliseconds of
-//!   added latency for the shared-scan throughput multiple, and only
+//!   added latency for the batch's throughput multiple, and only
 //!   while someone who could still join is idle; a zero window disables
 //!   batching entirely (one query per pass, even under backlog) and is
 //!   the load generator's baseline.
@@ -81,7 +81,7 @@
 //!
 //! * **Query deadline** (`TIMEOUT` error frame): the executor stops the
 //!   query cooperatively at the next enforcement boundary. Only that
-//!   query fails; batch siblings in the same shared pass complete with
+//!   query fails; batch siblings in the same `run_many` call complete with
 //!   node- and order-identical results, and the connection stays open
 //!   for the next request. This is distinct from the *read* timeout
 //!   ([`ServerConfig::read_timeout`]), which also answers `TIMEOUT` but

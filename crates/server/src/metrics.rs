@@ -40,18 +40,18 @@ pub struct Metrics {
     /// Queries that failed with an isolated internal execution error
     /// (a caught panic); the server and connection survive.
     pub internal_errors: AtomicU64,
-    /// Shared passes executed (`Session::run_many` calls; one admission
-    /// drain produces one pass per distinct engine in the batch).
+    /// Batches executed (`Session::run_many` calls; one admission drain
+    /// produces one call per distinct engine in the batch).
     pub batches: AtomicU64,
-    /// Queries that rode in those passes (so `batched_queries /
+    /// Queries that rode in those batches (so `batched_queries /
     /// batches` is the mean batch size).
     pub batched_queries: AtomicU64,
-    /// Largest single shared pass.
+    /// Largest single batch.
     pub max_batch: AtomicU64,
 }
 
 impl Metrics {
-    /// Records one executed pass of `n` queries.
+    /// Records one executed batch of `n` queries.
     pub fn record_batch(&self, n: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_queries.fetch_add(n as u64, Ordering::Relaxed);

@@ -3,7 +3,8 @@
 //! ```text
 //! xq <XPATH> [FILE]                 query FILE (or stdin)
 //! xq --query-file <QF> [FILE]      run a whole batch (one XPath per
-//!                                  line) in one shared pass
+//!                                  line); a step several lines ask is
+//!                                  computed once
 //! xq --encode <FILE> <OUT.scj>     encode an XML file to the binary plane
 //! xq <XPATH> --encoded <FILE.scj>  query a pre-encoded document
 //! xq <XPATH> --connect <ADDR>      send the query to a running
@@ -97,10 +98,11 @@
 //!
 //! A query file holds one expression per line; blank lines and lines
 //! starting with `#` are ignored. The batch is answered through
-//! `Session::run_many`, so queries whose planned steps line up —
-//! staircase joins, fragment (on-list) joins, horizontal axes, semijoin
-//! predicates — share single passes over the plane instead of
-//! rescanning per query. A line that fails to parse is reported with
+//! `Session::execute`, one line after another: a step an earlier line
+//! already evaluated (the same path prefix, the same join under other
+//! predicates, a nested `following`/`preceding` region) is shared
+//! instead of recomputed, and reports `touched 0` under `--stats`. A
+//! line that fails to parse is reported with
 //! its line number and skipped; the rest of the batch still runs, and
 //! `xq` exits `5` instead of `0` so scripts can tell a partial batch
 //! from a clean one.
@@ -498,7 +500,7 @@ fn main() {
         session.warm();
     }
 
-    // Batch mode: every expression in the query file, one shared pass.
+    // Batch mode: every expression in the query file, as one batch.
     // Loading is buffered and per-line (`staircase_server::mix`, the
     // same loader the server's query-mix path uses): a line that fails
     // to load (bad UTF-8) or to parse is reported with its line number

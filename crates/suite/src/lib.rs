@@ -41,10 +41,10 @@
 //! reports the construction counts if you want to see the reuse, and
 //! `Session::warm()` builds both eagerly (concurrently) ahead of
 //! traffic. Whole query batches go through `Session::run_many`, which
-//! advances aligned steps together, so queries that ask the same
-//! `descendant`/`ancestor` step of the same context share its pass over
-//! the plane (the `xq --query-file` flag exposes this on the command
-//! line).
+//! runs them in order and computes a step that several queries ask —
+//! the same path prefix, the same join under different predicates, a
+//! nested `following`/`preceding` region — once (the `xq --query-file`
+//! flag exposes this on the command line).
 
 #![warn(missing_docs)]
 
@@ -53,10 +53,11 @@ pub mod prelude {
     pub use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre, Region};
     pub use staircase_baselines::{mpmgjn_join, naive_step, SqlEngine, SqlPlanOptions};
     pub use staircase_core::{
-        ancestor, ancestor_many, ancestor_on_list, descendant, descendant_fused, descendant_many,
-        descendant_on_list, following, has_ancestor_in, has_child_in, has_descendant_in, preceding,
-        prune, try_axis_step, twig_match, Calibrator, ChainStep, DocStats, RuntimeStats, ScanTest,
-        Scratch, SpineLeg, StepStats, TagIndex, TwigEdge, UnsupportedAxis, Variant, WorkerPool,
+        ancestor, ancestor_on_list, ancestor_pooled, descendant, descendant_fused,
+        descendant_on_list, descendant_pooled, following, has_ancestor_in, has_child_in,
+        has_descendant_in, preceding, prune, try_axis_step, twig_match, Calibrator, ChainStep,
+        DocStats, RuntimeStats, ScanTest, Scratch, SpineLeg, StepStats, TagIndex, TwigEdge,
+        UnsupportedAxis, Variant, WorkerPool,
     };
     pub use staircase_xml::{Document, PullParser};
     pub use staircase_xmlgen::{

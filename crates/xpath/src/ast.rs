@@ -64,7 +64,7 @@ impl Step {
 }
 
 /// A node test.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeTest {
     /// `node()` — any node the axis yields.
     AnyNode,

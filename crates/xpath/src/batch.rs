@@ -1,107 +1,62 @@
-//! The lane executor: multi-context execution as the **native form**.
+//! Batch execution: one interpreter, and a memo of repeated steps.
 //!
-//! Every evaluation arrives here through
-//! [`Session::execute`](crate::Session::execute) as a batch of
-//! [`PhysicalPlan`]s and is split into *lanes* (one per union branch per
-//! query); single-query `run` is simply the K = 1 batch. Evaluation
-//! proceeds in rounds: each round, every unfinished lane advances by
-//! exactly one step, and lanes whose current steps **declare the same
-//! lane form** ([`LaneForm`], a property of the planned operator)
-//! advance together through the multi-context operators of
-//! `staircase_core`:
+//! [`Executor::run`] — under every [`crate::Session::execute`] call —
+//! runs a batch's queries in batch order on the calling thread. Each
+//! query installs its own budget ambiently, runs under `catch_unwind`,
+//! and advances each union branch (a *lane*) step by step through the
+//! plan interpreter ([`Executor::exec_join`],
+//! [`Executor::exec_predicates`]), re-planning under auto after every
+//! step ([`Executor::maybe_replan`]). `run` is the batch of one.
 //!
-//! * [`LaneForm::Staircase`] → [`descendant_many`] / [`ancestor_many`]:
-//!   each distinct (context, test) lane runs the single-context
-//!   partition loop once, its node test riding the scan as a
-//!   [`ScanTest`] (lanes that share a context — every query from the
-//!   root — share its pruning and run once per distinct test);
-//! * [`LaneForm::Fragment`] → [`descendant_on_list_many`] /
-//!   [`ancestor_on_list_many`] / [`child_on_list_many`]: lanes naming
-//!   the same tag share the list resolution (prebuilt fragment or one
-//!   query-time selection scan), lanes with the same context one range
-//!   join over it;
-//! * [`LaneForm::Horiz`] → [`following_many`] / [`preceding_many`]: the
-//!   group's nested suffix/prefix regions come out of one scan, one
-//!   range select per distinct node test;
-//! * semijoin predicates on any of the above — one-step probes and
-//!   whole chains alike — are probed group-wise through
-//!   [`has_descendant_in_many`] and friends, resolving (and, for a
-//!   chain, reducing) each predicate's node list once per group.
+//! What the queries of a batch share is a per-call memo. A pre-pass over
+//! the plans marks the keys at least two lanes will ask; only marked keys
+//! are stored, so a batch of one query, or one where no key repeats,
+//! stores nothing, and the last reader of an entry takes it by move. The
+//! keys name paths and regions, not operators, so every operator shares:
 //!
-//! Only the genuinely unbatchable residue — nested-loop (filter)
-//! predicates, structural axes, and the naive/SQL/twig operators —
-//! falls back to the sequential plan interpreter, one lane at a time
-//! ([`Executor::exec_step`]).
+//! * **step key** — the branch's `absolute` flag and its steps `0..=i` —
+//!   maps to step `i`'s output: an exact-prefix repeat;
+//! * **join key** — the same prefix through step `i − 1` plus step `i`'s
+//!   axis and node test — maps to the output before predicates, so
+//!   `/descendant::bidder` and `/descendant::bidder[increase]` share one
+//!   root scan (a predicate-free step's join key *is* its step key);
+//! * **region key** — `following` or `preceding` plus the node test —
+//!   holds the widest region a plane scan has read so far and its bound.
+//!   The regions nest ([`following_from`], [`preceding_from`]): a
+//!   narrower one is sliced out of it, a wider one reads only what it
+//!   lacks and takes its place;
+//! * **pass key** — the prefix through step `i − 1` plus a vertical axis
+//!   — records which plain staircase variants have scanned that context.
+//!   A plane scan's counters are arithmetic over the pruned context's
+//!   ranges whatever test rides it, so the batch charges the pass once.
 //!
-//! **Rounds are parallel.** On a session whose worker pool is wider
-//! than one, a round's independent pieces — each lane-form group's
-//! shared pass, plus every fallback lane — execute as concurrent pool
-//! tasks (each sweeping out its own scratch shard), and a group whose
-//! planned step carries the cost model's fanout hint additionally
-//! splits each lane's pass into morsels (the plane-scan `_many` kernels,
-//! handed the session's pool): disjoint pre-ranges in the paper's
-//! Figure-8 sense — cuts of a descendant lane's touched intervals,
-//! contiguous chunks of an ancestor lane's pruned boundary list — so
-//! per-worker results concatenate in document order and per-worker
-//! statistics sum to the sequential counters exactly. A width-1 session never touches the
-//! pool — the sequential path is byte-for-byte the pre-pool executor.
-//!
-//! Because the grouping key is read straight off the plan, no engine
-//! decision is re-derived at run time, and [`crate::Engine::auto`]'s
-//! steps batch exactly like the fixed engines'. Statistics count
-//! **incremental** cost: a vertical lane reports its cost alone, and
-//! only a lane repeating an earlier one (or asking a further test of a
-//! context already open) reports zero; the horizontal scans attribute a
-//! suffix/prefix several lanes share to the first that needed it. A
-//! [`Scratch`] pool — owned by the
-//! session, so it persists across batches — recycles result and context
-//! allocations instead of paying for them per round.
-
-//! ## Governed execution
-//!
-//! [`Executor::run`] threads an optional per-query [`Budget`] through
-//! the rounds. Enforcement is **lane-local**:
-//!
-//! * before each round every governed lane's budget is checked, so an
-//!   expired deadline or exhausted ceiling fails the query at a round
-//!   boundary;
-//! * a pass whose lanes all share *one* budget (always true for a
-//!   governed single-query batch) runs with that budget installed
-//!   ambiently ([`governor::enter`]), so the core kernels tick and the
-//!   pass stops mid-scan with bounded overshoot;
-//! * a pass mixing budgets (or mixing governed and ungoverned lanes)
-//!   runs exactly as an ungoverned pass — sibling lanes stay node- and
-//!   order-identical to an ungoverned run — and each governed lane is
-//!   charged its incremental touches afterwards, so the overshoot is
-//!   bounded by one round;
-//! * every pass and fallback step runs under `catch_unwind`: a panic
-//!   fails the affected queries with [`Error::Internal`] (a shared
-//!   pass's blast radius is the queries of that pass; fallback lanes
-//!   fail alone) and leaves the session, pool, and sibling queries
-//!   usable.
-//!
-//! A failed query's remaining lanes are retired at the next round
-//! boundary; its partial results are discarded, never returned.
+//! Queries run in order on one thread, so attribution does not depend on
+//! the pool width: a hit reports 0 touched and 0 seeks with its own
+//! result size, a region extension only the positions it read, any other
+//! step its cost alone. The governor has one mechanism: the query's
+//! ambient budget, which the kernels tick and the lane checks before and
+//! after every step (the `xpath::lane` fail point fires before every
+//! step). A query that trips or panics comes back as `Err`; its steps
+//! never enter the memo, so a sibling asking the same key computes it.
+//! At width > 1 the pool only splits a hinted plane scan into morsels
+//! ([`Executor::fanout`]); there are no inter-query tasks.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use staircase_accel::{Axis, Context};
+use staircase_accel::{Axis, Context, Pre};
 use staircase_core::cost::RuntimeStats;
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
-    ancestor_many, ancestor_on_list_many, child_on_list_many, descendant_many,
-    descendant_on_list_many, faults, following_many, has_ancestor_in_many, has_child_in_many,
-    has_descendant_in_many, preceding_many, ScanTest, Scratch, Variant, WorkerPool,
+    faults, following_from, following_start, preceding_bound, preceding_from, Scratch, Variant,
 };
 
+use crate::ast::NodeTest;
 use crate::error::Error;
-use crate::eval::{apply_test_into, merge, rendered_op, scan_test, EvalStats, Executor, StepTrace};
-use crate::plan::{
-    replan_step, HorizAxis, LaneForm, ListEdge, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis,
-    VertAxis,
-};
+use crate::eval::{merge, scan_test, trace, EvalStats, Executor, StepTrace};
+use crate::plan::{replan_step, PathPlan, PhysicalPlan, PlannedStep, StepOp};
 use crate::session::QueryOutput;
 
 /// Maps a budget trip to the typed error a governed query fails with.
@@ -115,30 +70,13 @@ pub(crate) fn trip_error(trip: governor::Trip) -> Error {
 
 /// Renders a caught panic payload for [`Error::Internal`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "execution task panicked".to_string()
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "query panicked".into()),
     }
-}
-
-/// The one budget every lane of `group` shares, if they all share one:
-/// the condition under which a pass may run with that budget installed
-/// ambiently without governing (or mis-attributing charges to) a
-/// sibling lane.
-fn shared_budget(lanes: &[Lane<'_>], group: &[usize]) -> Option<Arc<Budget>> {
-    let first = lanes[group[0]].budget.as_ref()?;
-    group
-        .iter()
-        .all(|&i| {
-            lanes[i]
-                .budget
-                .as_ref()
-                .is_some_and(|b| Arc::ptr_eq(b, first))
-        })
-        .then(|| Arc::clone(first))
 }
 
 /// How far (multiplicatively, either direction) the observed frontier
@@ -148,34 +86,6 @@ fn shared_budget(lanes: &[Lane<'_>], group: &[usize]) -> Option<Arc<Budget>> {
 /// overhead; the misleading workloads this exists for miss by orders of
 /// magnitude.
 const REPLAN_DISAGREE_FACTOR: f64 = 8.0;
-
-/// One union branch of one query, advancing step by step.
-struct Lane<'p> {
-    /// Index of the owning query in the batch.
-    query: usize,
-    /// The steps this lane executes: borrowed from the plan until the
-    /// re-planner first switches an operator, owned (a clone of the
-    /// branch's steps) afterwards. Lanes that do not re-plan never leave
-    /// the borrowed state.
-    steps: Cow<'p, [PlannedStep]>,
-    /// How the lane re-plans: `None` runs the plan as planned.
-    replan: Option<Holds>,
-    /// Context after `step` steps.
-    ctx: Context,
-    /// Number of steps already evaluated.
-    step: usize,
-    stats: EvalStats,
-    /// The owning query's budget, if it runs governed. Lanes of one
-    /// query share the same `Arc`, so a trip on any lane fails them
-    /// all; lanes of different queries never share one.
-    budget: Option<Arc<Budget>>,
-}
-
-impl Lane<'_> {
-    fn pending(&self) -> Option<&PlannedStep> {
-        self.steps.get(self.step)
-    }
-}
 
 /// The auxiliary structures a re-planning lane may switch to: those its
 /// own query's plan needs. The executor may hold more for the batch's
@@ -199,637 +109,511 @@ impl Holds {
     }
 }
 
-/// A round's grouping key: [`LaneForm`] with the fragment name owned,
-/// so the key survives re-planning lanes mutating their pending steps
-/// between rounds (the borrowed form would pin `lanes` immutably).
-#[derive(Clone, PartialEq, Eq)]
-enum GroupKey {
-    Staircase(VertAxis, Variant),
-    Fragment {
-        edge: ListEdge,
-        name: String,
-        prescan: bool,
-    },
-    Horiz(HorizAxis),
+/// What a lane carries from its query.
+struct Lane<'b> {
+    query: usize,
+    branch_no: usize,
+    /// The query has this one lane: its last step's output is the
+    /// query's result.
+    whole: bool,
+    holds: Option<Holds>,
+    budget: Option<&'b Arc<Budget>>,
 }
 
-/// The owned grouping key of a lane form; `None` for the per-lane
-/// fallback.
-fn group_key(form: LaneForm<'_>) -> Option<GroupKey> {
-    match form {
-        LaneForm::Staircase(vert, variant) => Some(GroupKey::Staircase(vert, variant)),
-        LaneForm::Fragment {
-            edge,
-            name,
-            prescan,
-        } => Some(GroupKey::Fragment {
-            edge,
-            name: name.to_string(),
-            prescan,
-        }),
-        LaneForm::Horiz(haxis) => Some(GroupKey::Horiz(haxis)),
-        LaneForm::PerLane => None,
+/// A path so far: the branch's `absolute` flag and the entry of its last
+/// step's step key (`None` before the first step).
+type Prefix = (bool, Option<usize>);
+
+/// A memo key, borrowed from the batch's plans; see the module docs.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key<'p> {
+    /// A path's output: a step key, or a predicate-carrying step's join
+    /// key.
+    Path(Prefix, Last<'p>),
+    /// The plain staircase passes over a path's output on the
+    /// descendant (`true`) or ancestor axis.
+    Pass(Prefix, bool),
+    /// The widest `following` (`true`) or `preceding` region read under
+    /// a node test.
+    Region(bool, &'p NodeTest),
+}
+
+/// A path's last step: its axis and node test when that is all it
+/// renders (a predicate-free step, or any step's join), its rendering
+/// otherwise.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Last<'p> {
+    Join(Axis, &'p NodeTest),
+    Step(&'p str),
+}
+
+/// The keys `step` asks after `prefix`: its step key, its join key, its
+/// pass key and its region key, where it has them.
+fn step_keys(prefix: Prefix, step: &PlannedStep) -> [Option<Key<'_>>; 4] {
+    let join = Last::Join(step.axis, &step.test);
+    let plain = step.predicates.is_empty() && !matches!(step.op, StepOp::Twig(_));
+    let last = if plain {
+        join
+    } else {
+        Last::Step(&step.rendered)
+    };
+    let vertical = match step.axis {
+        Axis::Descendant | Axis::DescendantOrSelf => Some(true),
+        Axis::Ancestor | Axis::AncestorOrSelf => Some(false),
+        _ => None,
+    };
+    let following = step.axis == Axis::Following;
+    let horizontal = following || step.axis == Axis::Preceding;
+    [
+        Some(Key::Path(prefix, last)),
+        (!step.predicates.is_empty()).then_some(Key::Path(prefix, join)),
+        vertical.map(|desc| Key::Pass(prefix, desc)),
+        horizontal.then_some(Key::Region(following, &step.test)),
+    ]
+}
+
+/// The marked keys one step of one lane asks, as memo entry indices, in
+/// [`step_keys`] order: [`STEP`], [`JOIN`], [`PASS`], [`REGION`].
+type StepKeys = [Option<usize>; 4];
+const STEP: usize = 0;
+const JOIN: usize = 1;
+const PASS: usize = 2;
+const REGION: usize = 3;
+
+/// Where a marked key's nodes live.
+enum Held {
+    /// A copy the memo owns.
+    Owned(Context),
+    /// The result of an earlier query of the batch, whose one lane's
+    /// last step put them there: no copy is kept.
+    Output(usize),
+}
+
+/// One marked key's state.
+#[derive(Default)]
+struct Entry {
+    /// Lanes still to reach this key.
+    readers: usize,
+    /// A path key's output; a region key's widest region.
+    nodes: Option<Held>,
+    /// A region key's bound: the start of the `following` suffix, or the
+    /// node the `preceding` region lies before.
+    bound: Pre,
+    /// A pass key's variants already paid for.
+    paid: Vec<Variant>,
+}
+
+/// The results of the batch's queries run so far.
+type Outputs = [Result<QueryOutput, Error>];
+
+/// The per-call memo: the entries of the batch's keys, and each lane
+/// step's marked keys into them — flat, in (query, branch, step) order,
+/// with the first lane of each query and the first step of each lane
+/// (all empty when nothing can repeat).
+#[derive(Default)]
+struct Memo {
+    entries: Vec<Entry>,
+    steps: Vec<StepKeys>,
+    lanes: Vec<usize>,
+    queries: Vec<usize>,
+}
+
+/// What a computed step may leave in the memo once its query has passed
+/// the budget check.
+#[derive(Default)]
+struct Stash {
+    /// The output before predicates, for the join key.
+    joined: Option<Context>,
+    /// The bound of a region wider than the one held: the step's output
+    /// before predicates.
+    region: Option<Pre>,
+    /// The plain staircase variant whose pass this step paid for.
+    paid: Option<Variant>,
+}
+
+impl Memo {
+    /// The pre-pass: counts every key every lane step will ask and marks
+    /// those asked at least twice.
+    fn plan(jobs: &[(Arc<PhysicalPlan>, Option<Arc<Budget>>)]) -> Memo {
+        let mut memo = Memo::default();
+        if jobs.len() < 2 {
+            return memo;
+        }
+        let mut ids: HashMap<Key<'_>, usize> = HashMap::new();
+        for (plan, _) in jobs {
+            memo.queries.push(memo.lanes.len());
+            for branch in plan.branches() {
+                memo.lanes.push(memo.steps.len());
+                let mut prefix = (branch.absolute, None);
+                for step in &branch.steps {
+                    let keys = step_keys(prefix, step).map(|key| {
+                        let next = ids.len();
+                        let k = *ids.entry(key?).or_insert(next);
+                        if k == next {
+                            memo.entries.push(Entry::default());
+                        }
+                        memo.entries[k].readers += 1;
+                        Some(k)
+                    });
+                    prefix = (branch.absolute, keys[STEP]);
+                    memo.steps.push(keys);
+                }
+            }
+        }
+        // A key asked once is never stored.
+        for slot in memo.steps.iter_mut().flatten() {
+            *slot = slot.filter(|&k| memo.entries[k].readers > 1);
+        }
+        memo
+    }
+
+    fn keys(&self, query: usize, branch: usize, step: usize) -> StepKeys {
+        self.queries
+            .get(query)
+            .and_then(|&lane| self.steps.get(self.lanes[lane + branch] + step))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// A lane reaches its step's keys, whether it reads them or not.
+    fn arrive(&mut self, keys: StepKeys) {
+        for k in keys.into_iter().flatten() {
+            self.entries[k].readers -= 1;
+        }
+    }
+
+    /// The nodes held under entry `k`, wherever they live.
+    fn held<'a>(&'a self, k: usize, outputs: &'a Outputs) -> Option<&'a [Pre]> {
+        match self.entries[k].nodes.as_ref()? {
+            Held::Owned(nodes) => Some(nodes.as_slice()),
+            Held::Output(q) => Some(outputs.get(*q)?.as_ref().ok()?.result.as_slice()),
+        }
+    }
+
+    /// Entry `k`'s own copy, taken out of the memo.
+    fn take_owned(&mut self, k: usize) -> Option<Context> {
+        match self.entries[k].nodes.take() {
+            Some(Held::Owned(nodes)) => Some(nodes),
+            other => {
+                self.entries[k].nodes = other;
+                None
+            }
+        }
+    }
+
+    /// A path key's output: the memo's own copy moves out to its last
+    /// reader; any other reader gets a copy in a pooled buffer.
+    fn read(
+        &mut self,
+        key: Option<usize>,
+        outputs: &Outputs,
+        scratch: &mut Scratch,
+    ) -> Option<Context> {
+        let k = key?;
+        if self.entries[k].readers == 0 {
+            if let Some(nodes) = self.take_owned(k) {
+                return Some(nodes);
+            }
+        }
+        Some(copy(self.held(k, outputs)?, scratch))
+    }
+
+    /// Stores what a step left for the lanes still to come — by
+    /// reference when the step's output is its query's result
+    /// (`result_of`), by copy otherwise — and drops every entry of the
+    /// step no lane will reach again.
+    fn settle(
+        &mut self,
+        keys: StepKeys,
+        out: &Context,
+        stash: Stash,
+        result_of: Option<usize>,
+        scratch: &mut Scratch,
+    ) {
+        let Stash {
+            joined,
+            region,
+            paid,
+        } = stash;
+        let wanted = |memo: &Memo, key: Option<usize>| {
+            key.filter(|&k| memo.entries[k].readers > 0 && memo.entries[k].nodes.is_none())
+        };
+        if let (Some(k), Some(bound)) = (keys[REGION], region) {
+            let held = match (&joined, result_of) {
+                (None, Some(q)) => Held::Output(q),
+                (joined, _) => {
+                    Held::Owned(copy(joined.as_ref().unwrap_or(out).as_slice(), scratch))
+                }
+            };
+            let entry = &mut self.entries[k];
+            entry.bound = bound;
+            if let Some(Held::Owned(old)) = entry.nodes.replace(held) {
+                scratch.recycle(old);
+            }
+        }
+        if let Some(joined) = joined {
+            match wanted(self, keys[JOIN]) {
+                Some(k) => self.entries[k].nodes = Some(Held::Owned(joined)),
+                None => scratch.recycle(joined),
+            }
+        }
+        if let Some(k) = wanted(self, keys[STEP]) {
+            self.entries[k].nodes = Some(match result_of {
+                Some(q) => Held::Output(q),
+                None => Held::Owned(copy(out.as_slice(), scratch)),
+            });
+        }
+        if let (Some(k), Some(variant)) = (keys[PASS], paid) {
+            self.entries[k].paid.push(variant);
+        }
+        for k in keys.into_iter().flatten() {
+            if self.entries[k].readers == 0 {
+                if let Some(nodes) = self.take_owned(k) {
+                    scratch.recycle(nodes);
+                }
+                self.entries[k].nodes = None;
+            }
+        }
     }
 }
 
-/// One lane's share of a group pass: (result, incremental touches,
-/// cursor seeks).
-type LaneOut = (Context, u64, u64);
-
-/// The outcome of one round task: a whole group's [`LaneOut`]s, or a
-/// single fallback lane's step.
-enum RoundOut {
-    Group(Vec<LaneOut>),
-    Lane(Context, StepTrace),
+/// `nodes` copied into a pooled buffer.
+fn copy(nodes: &[Pre], scratch: &mut Scratch) -> Context {
+    let mut buf = scratch.take();
+    buf.extend_from_slice(nodes);
+    Context::from_sorted(buf)
 }
 
 impl Executor<'_> {
     /// Evaluates every job's plan from one shared starting context, the
     /// job's budget (if any) governing it — the executor's one entry
     /// point, under every [`crate::Session::execute`] call (`run` is the
-    /// K = 1 batch). Passes are shared wherever planned steps agree on a
-    /// lane form, and independent round pieces fan out across the
-    /// session's worker pool. A query that trips its budget — or whose
-    /// lane panics — comes back as `Err` while its batch siblings
-    /// complete normally (see the module docs for the enforcement
-    /// points).
+    /// batch of one). Queries run in batch order and share repeated
+    /// steps through the memo (see the module docs). A query that trips
+    /// its budget — or panics — comes back as `Err` while its batch
+    /// siblings complete normally.
     pub(crate) fn run(
         &self,
         jobs: &[(Arc<PhysicalPlan>, Option<Arc<Budget>>)],
         context: &Context,
     ) -> Vec<Result<QueryOutput, Error>> {
-        self.scratch
-            .with(|scratch| self.run_rounds(jobs, context, scratch))
-    }
-
-    fn run_rounds(
-        &self,
-        jobs: &[(Arc<PhysicalPlan>, Option<Arc<Budget>>)],
-        context: &Context,
-        scratch: &mut Scratch,
-    ) -> Vec<Result<QueryOutput, Error>> {
-        let mut lanes: Vec<Lane<'_>> = Vec::new();
-        for (query, (plan, budget)) in jobs.iter().enumerate() {
-            let replan = Holds::of(plan);
-            for path in plan.branches() {
-                let ctx = if path.absolute {
-                    Context::singleton(self.doc.root())
-                } else {
-                    context.clone()
-                };
-                lanes.push(Lane {
-                    query,
-                    steps: Cow::Borrowed(path.steps()),
-                    replan,
-                    ctx,
-                    step: 0,
-                    stats: EvalStats::default(),
-                    budget: budget.clone(),
-                });
+        let mut memo = Memo::plan(jobs);
+        let mut outputs = Vec::with_capacity(jobs.len());
+        self.scratch.with(|scratch| {
+            for (q, (plan, budget)) in jobs.iter().enumerate() {
+                let job = (q, plan.as_ref(), budget.as_ref());
+                let out = self.run_query(job, context, &mut memo, &outputs, scratch);
+                outputs.push(out);
             }
-        }
-        // First governed failure per query; `Some` retires the query's
-        // remaining lanes and turns into the `Err` arm on reassembly.
-        let mut failed: Vec<Option<Error>> = jobs.iter().map(|_| None).collect();
-
-        // Rounds: every unfinished lane advances one step per round;
-        // lanes whose current steps declare the same lane form advance
-        // together through one multi-context pass.
-        loop {
-            // Round boundary: fail governed queries whose budget has
-            // tripped (deadline passed while other queries ran, client
-            // cancelled, ceiling hit by a previous round) and retire
-            // every lane of a failed query before grouping.
-            for lane in lanes.iter_mut() {
-                if lane.pending().is_none() {
-                    continue;
-                }
-                if failed[lane.query].is_none() {
-                    if let Some(budget) = &lane.budget {
-                        if let Some(trip) = budget.check() {
-                            failed[lane.query] = Some(trip_error(trip));
-                        }
-                    }
-                }
-                if failed[lane.query].is_some() {
-                    lane.step = lane.steps.len();
-                }
-            }
-
-            let mut groups: Vec<(GroupKey, Vec<usize>)> = Vec::new();
-            let mut fallback: Vec<usize> = Vec::new();
-            for (i, lane) in lanes.iter().enumerate() {
-                let Some(step) = lane.pending() else { continue };
-                match group_key(step.lane_form()) {
-                    None => fallback.push(i),
-                    Some(key) => match groups.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, members)) => members.push(i),
-                        None => groups.push((key, vec![i])),
-                    },
-                }
-            }
-            if groups.is_empty() && fallback.is_empty() {
-                break;
-            }
-
-            // A round with several independent pieces fans them out
-            // across the pool; a width-1 session (or a single-piece
-            // round) takes the sequential path, which is exactly the
-            // pre-pool executor.
-            if self.pool.width() > 1 && groups.len() + fallback.len() > 1 {
-                self.round_parallel(&mut lanes, groups, fallback, scratch, &mut failed);
-            } else {
-                self.round_sequential(&mut lanes, groups, fallback, scratch, &mut failed);
-            }
-        }
-
-        // Reassemble per-query outputs: branches merge in declaration
-        // order, step traces concatenate in the same order as a
-        // branch-by-branch evaluation would produce them. A failed
-        // query's lanes are dropped — partial results never escape.
-        let mut outputs: Vec<Option<QueryOutput>> = jobs.iter().map(|_| None).collect();
-        for lane in lanes {
-            if failed[lane.query].is_some() {
-                continue;
-            }
-            let branch = QueryOutput {
-                result: lane.ctx,
-                stats: lane.stats,
-            };
-            match &mut outputs[lane.query] {
-                slot @ None => *slot = Some(branch),
-                Some(acc) => {
-                    acc.result = merge(&acc.result, &branch.result);
-                    acc.stats.steps.extend(branch.stats.steps);
-                }
-            }
-        }
+        });
         outputs
-            .into_iter()
-            .zip(failed)
-            .map(|(o, f)| match f {
-                Some(e) => Err(e),
-                // The parser guarantees at least one branch; an empty
-                // union is harmlessly empty rather than a panic.
-                None => Ok(o.unwrap_or_default()),
-            })
-            .collect()
     }
 
-    /// One round, sequentially: fallback lanes through the plan
-    /// interpreter, then each group's shared pass. Fallback lanes and
-    /// group passes run under `catch_unwind` with the lane (or shared)
-    /// budget installed ambiently; see the module docs.
-    fn round_sequential(
+    /// One query: its lanes in declaration order, their results merged
+    /// and their step traces concatenated, under the query's budget.
+    fn run_query(
         &self,
-        lanes: &mut [Lane<'_>],
-        groups: Vec<(GroupKey, Vec<usize>)>,
-        fallback: Vec<usize>,
+        (query, plan, budget): (usize, &PhysicalPlan, Option<&Arc<Budget>>),
+        context: &Context,
+        memo: &mut Memo,
+        outputs: &Outputs,
         scratch: &mut Scratch,
-        failed: &mut [Option<Error>],
-    ) {
-        // The residue: one lane at a time through the sequential plan
-        // interpreter.
-        for i in fallback {
-            let outcome = {
-                let lane = &lanes[i];
-                let _guard = lane.budget.clone().map(governor::enter);
-                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    faults::fail_point("xpath::lane");
-                    self.exec_step(&lane.ctx, &lane.steps[lane.step])
-                }))
-            };
-            self.apply_lane_outcome(lanes, i, outcome, scratch, failed);
-        }
-        for (form, group) in groups {
-            let shared = shared_budget(lanes, &group);
-            let outcome = {
-                let _guard = shared.clone().map(governor::enter);
-                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    faults::fail_point("xpath::round");
-                    self.group_outs(lanes, &group, &form, scratch)
-                }))
-            };
-            match outcome {
-                Ok(outs) => self.advance(lanes, &group, outs, scratch, failed, shared.is_some()),
-                Err(payload) => self.fail_group(lanes, &group, payload, failed),
-            }
-        }
-    }
-
-    /// Applies one fallback lane's caught outcome: a panic fails the
-    /// owning query with [`Error::Internal`]; a tripped budget (the
-    /// lane ran with it installed ambiently) fails it with the trip's
-    /// typed error and discards the partial context; otherwise the lane
-    /// advances exactly as an ungoverned one.
-    fn apply_lane_outcome(
-        &self,
-        lanes: &mut [Lane<'_>],
-        i: usize,
-        outcome: std::thread::Result<(Context, StepTrace)>,
-        scratch: &mut Scratch,
-        failed: &mut [Option<Error>],
-    ) {
-        let lane = &mut lanes[i];
-        match outcome {
-            Ok((next, trace)) => {
-                let tripped = lane.budget.as_ref().and_then(|b| b.check());
-                if let Some(trip) = tripped {
-                    if failed[lane.query].is_none() {
-                        failed[lane.query] = Some(trip_error(trip));
-                    }
-                    scratch.recycle(next);
-                    lane.step = lane.steps.len();
-                } else {
-                    lane.stats.steps.push(trace);
-                    scratch.recycle(std::mem::replace(&mut lane.ctx, next));
-                    lane.step += 1;
-                    self.maybe_replan(&mut lanes[i]);
+    ) -> Result<QueryOutput, Error> {
+        let _guard = budget.cloned().map(governor::enter);
+        let holds = Holds::of(plan);
+        // A lone lane's last step output is the query's result.
+        let whole = plan.branches().len() == 1;
+        let mut output: Option<QueryOutput> = None;
+        for (b, branch) in plan.branches().iter().enumerate() {
+            let lane = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let lane = Lane {
+                    query,
+                    branch_no: b,
+                    whole,
+                    holds,
+                    budget,
+                };
+                self.run_lane(&lane, branch, context, memo, outputs, scratch)
+            }));
+            let (result, stats) = lane.map_err(|p| Error::Internal(panic_message(p)))??;
+            match &mut output {
+                None => output = Some(QueryOutput { result, stats }),
+                Some(acc) => {
+                    acc.result = merge(&acc.result, &result);
+                    acc.stats.steps.extend(stats.steps);
                 }
             }
-            Err(payload) => {
-                if failed[lane.query].is_none() {
-                    failed[lane.query] = Some(Error::Internal(panic_message(payload)));
-                }
-                lane.step = lane.steps.len();
-            }
         }
+        // The parser guarantees at least one branch; an empty union is
+        // harmlessly empty rather than a panic.
+        Ok(output.unwrap_or_default())
     }
 
-    /// Fails every query with a lane in `group` after its shared pass
-    /// panicked: the pass's blast radius is exactly its member queries.
-    fn fail_group(
+    /// One lane, step by step: the budget is checked before and after
+    /// every step, and only a step that passes the check settles its
+    /// keys in the memo.
+    fn run_lane(
         &self,
-        lanes: &mut [Lane<'_>],
-        group: &[usize],
-        payload: Box<dyn std::any::Any + Send>,
-        failed: &mut [Option<Error>],
-    ) {
-        let msg = panic_message(payload);
-        for &i in group {
-            let lane = &mut lanes[i];
-            if failed[lane.query].is_none() {
-                failed[lane.query] = Some(Error::Internal(msg.clone()));
-            }
-            lane.step = lane.steps.len();
-        }
-    }
-
-    /// One round, fanned out: every group's shared pass and every
-    /// fallback lane becomes a pool task (each sweeping out its own
-    /// scratch shard); results are applied in task order afterwards, so
-    /// traces and recycling match the sequential round exactly.
-    fn round_parallel(
-        &self,
-        lanes: &mut Vec<Lane<'_>>,
-        groups: Vec<(GroupKey, Vec<usize>)>,
-        fallback: Vec<usize>,
+        lane: &Lane<'_>,
+        branch: &PathPlan,
+        context: &Context,
+        memo: &mut Memo,
+        outputs: &Outputs,
         scratch: &mut Scratch,
-        failed: &mut [Option<Error>],
-    ) {
-        let results = {
-            let lanes_ref: &[Lane<'_>] = lanes;
-            let mut tasks: Vec<Box<dyn FnOnce() -> RoundOut + Send + '_>> =
-                Vec::with_capacity(fallback.len() + groups.len());
-            for &i in &fallback {
-                tasks.push(Box::new(move || {
-                    let lane = &lanes_ref[i];
-                    // The lane's own budget governs the task (nested
-                    // pool jobs — morsel workers — inherit it from
-                    // here); the pool catches any panic.
-                    let _guard = lane.budget.clone().map(governor::enter);
-                    faults::fail_point("xpath::lane");
-                    let step = &lane.steps[lane.step];
-                    let (next, trace) = self.exec_step(&lane.ctx, step);
-                    RoundOut::Lane(next, trace)
-                }));
-            }
-            for (form, group) in &groups {
-                tasks.push(Box::new(move || {
-                    let _guard = shared_budget(lanes_ref, group).map(governor::enter);
-                    faults::fail_point("xpath::round");
-                    RoundOut::Group(
-                        self.scratch
-                            .with(|shard| self.group_outs(lanes_ref, group, form, shard)),
-                    )
-                }));
-            }
-            self.pool.run_caught(tasks)
-        };
-
-        let mut results = results.into_iter();
-        for i in fallback {
-            let outcome = match results.next() {
-                Some(Ok(RoundOut::Lane(next, trace))) => Ok((next, trace)),
-                Some(Err(payload)) => Err(payload),
-                _ => unreachable!("fallback tasks come back first, in order"),
-            };
-            self.apply_lane_outcome(lanes, i, outcome, scratch, failed);
-        }
-        for (_, group) in groups {
-            // Recomputed over lanes the tasks left untouched, so it
-            // matches what the task installed.
-            let ambient_ran = shared_budget(lanes, &group).is_some();
-            match results.next() {
-                Some(Ok(RoundOut::Group(outs))) => {
-                    self.advance(lanes, &group, outs, scratch, failed, ambient_ran);
-                }
-                Some(Err(payload)) => self.fail_group(lanes, &group, payload, failed),
-                _ => unreachable!("one group task per group, in order"),
-            }
-        }
-    }
-
-    /// One group's shared pass: the form-specific join, then the
-    /// group-wise predicate probes. Pure with respect to `lanes` — the
-    /// produced contexts are applied by [`advance`] afterwards, which is
-    /// what lets groups of one round run concurrently.
-    fn group_outs(
-        &self,
-        lanes: &[Lane<'_>],
-        group: &[usize],
-        form: &GroupKey,
-        scratch: &mut Scratch,
-    ) -> Vec<LaneOut> {
-        let mut outs = match form {
-            GroupKey::Staircase(vert, variant) => {
-                self.staircase_outs(lanes, group, *vert, *variant, scratch)
-            }
-            GroupKey::Fragment {
-                edge,
-                name,
-                prescan,
-            } => self.fragment_outs(lanes, group, *edge, name.as_str(), *prescan, scratch),
-            GroupKey::Horiz(haxis) => self.horiz_outs(lanes, group, *haxis, scratch),
-        };
-        self.predicate_rounds(lanes, group, &mut outs, scratch);
-        outs
-    }
-
-    /// The session's pool when this group's planned step carries the
-    /// cost model's fanout hint (and the pool is wider than one): what
-    /// the plane-scan kernels split their morsels across. The kernels
-    /// themselves re-check the actual work.
-    fn fanout(&self, lanes: &[Lane<'_>], group: &[usize]) -> Option<&WorkerPool> {
-        let hinted = group
-            .iter()
-            .any(|&i| lanes[i].steps[lanes[i].step].fanout());
-        (hinted && self.pool.width() > 1).then_some(self.pool)
-    }
-
-    /// Each group lane's context paired with its pending step's node
-    /// test, compiled for `axis`: what the plane-scan `_many` kernels
-    /// take.
-    fn scan_lanes<'l>(
-        &self,
-        lanes: &'l [Lane<'_>],
-        group: &[usize],
-        axis: Axis,
-    ) -> Vec<(&'l Context, ScanTest<'_>)> {
-        group
-            .iter()
-            .map(|&i| {
-                let test = &lanes[i].steps[lanes[i].step].test;
-                (&lanes[i].ctx, scan_test(self.doc, test, axis))
-            })
-            .collect()
-    }
-
-    /// Merges an or-self step's tested context nodes into `out` (the
-    /// context is a candidate list, not a scan: a residual filter into a
-    /// buffer from the round's scratch shard).
-    fn or_self(&self, lane: &Lane<'_>, out: &mut Context, scratch: &mut Scratch) {
-        let step = &lane.steps[lane.step];
-        if matches!(step.axis(), Axis::DescendantOrSelf | Axis::AncestorOrSelf) {
-            let mut buf = scratch.take();
-            apply_test_into(self.doc, &lane.ctx, &step.test, Axis::SelfAxis, &mut buf);
-            let selves = Context::from_sorted(buf);
-            let merged = merge(out, &selves);
-            scratch.recycle(selves);
-            scratch.recycle(std::mem::replace(out, merged));
-        }
-    }
-
-    /// The plain staircase join for every lane in `group`, each lane's
-    /// node test riding the scan, plus or-self merging. The kernel dedups
-    /// identical (context, test) lanes, lets lanes that share a context
-    /// share its pruning, and charges every distinct lane its own pass.
-    fn staircase_outs(
-        &self,
-        lanes: &[Lane<'_>],
-        group: &[usize],
-        vert: VertAxis,
-        variant: staircase_core::Variant,
-        scratch: &mut Scratch,
-    ) -> Vec<LaneOut> {
-        let pool = self.fanout(lanes, group);
-        let joined = match vert {
-            VertAxis::Descendant => {
-                let tested = self.scan_lanes(lanes, group, Axis::Descendant);
-                descendant_many(self.doc, &tested, variant, pool, scratch)
-            }
-            VertAxis::Ancestor => {
-                let tested = self.scan_lanes(lanes, group, Axis::Ancestor);
-                ancestor_many(self.doc, &tested, variant, pool, scratch)
-            }
-        };
-        group
-            .iter()
-            .zip(joined)
-            .map(|(&i, (mut out, jstats))| {
-                self.or_self(&lanes[i], &mut out, scratch);
-                (out, jstats.nodes_touched(), 0)
-            })
-            .collect()
-    }
-
-    /// One tag fragment (prebuilt or one query-time selection scan)
-    /// resolved for every lane in `group`, and one range join per
-    /// distinct context over it. The fragment join fuses the name test,
-    /// so the join result *is* the tested result.
-    fn fragment_outs(
-        &self,
-        lanes: &[Lane<'_>],
-        group: &[usize],
-        edge: ListEdge,
-        name: &str,
-        prescan: bool,
-        scratch: &mut Scratch,
-    ) -> Vec<LaneOut> {
-        // Resolve the shared list once for the whole group. The prescan
-        // variant's selection scan costs one pass over the plane (§4.4) —
-        // paid once per group, attributed to its first lane — except for
-        // names absent from the dictionary, where no scan runs.
-        let (list, scan_cost) = if prescan {
-            let cost = if self.doc.tag_id(name).is_some() {
-                self.doc.len() as u64
-            } else {
-                0
-            };
-            (self.scan_list(name), cost)
+    ) -> Result<(Context, EvalStats), Error> {
+        let tripped = || lane.budget.and_then(|b| b.check()).map(trip_error);
+        let mut steps = Cow::Borrowed(branch.steps());
+        let mut ctx = if branch.absolute {
+            Context::singleton(self.doc.root())
         } else {
-            // The window the whole group can actually reach.
-            let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
-            (self.fragment_list_windowed(name, edge, &contexts), 0)
+            context.clone()
         };
-        // A range join has no morsel form (two gallops and a copy per
-        // context node): the fanout hint does not apply.
-        let joined = {
-            let contexts: Vec<&Context> = group.iter().map(|&i| &lanes[i].ctx).collect();
-            match edge {
-                ListEdge::Descendant => {
-                    descendant_on_list_many(self.doc, &list, &contexts, scratch)
-                }
-                ListEdge::Ancestor => ancestor_on_list_many(self.doc, &list, &contexts, scratch),
-                ListEdge::Child => child_on_list_many(self.doc, &list, &contexts, scratch),
+        let mut stats = EvalStats::default();
+        for i in 0..steps.len() {
+            if let Some(err) = tripped() {
+                return Err(err);
             }
-        };
-        let mut outs: Vec<LaneOut> = Vec::with_capacity(group.len());
-        for (gi, (mut out, jstats)) in joined.into_iter().enumerate() {
-            self.or_self(&lanes[group[gi]], &mut out, scratch);
-            let touched = jstats.nodes_touched() + if gi == 0 { scan_cost } else { 0 };
-            outs.push((out, touched, jstats.seeks));
+            faults::fail_point("xpath::lane");
+            let keys = memo.keys(lane.query, lane.branch_no, i);
+            let (next, trace, stash) =
+                self.memo_step(&ctx, &steps[i], keys, memo, outputs, scratch);
+            if let Some(err) = tripped() {
+                scratch.recycle(next);
+                if let Some(joined) = stash.joined {
+                    scratch.recycle(joined);
+                }
+                return Err(err);
+            }
+            let result_of = (lane.whole && i + 1 == steps.len()).then_some(lane.query);
+            memo.settle(keys, &next, stash, result_of, scratch);
+            stats.steps.push(trace);
+            scratch.recycle(std::mem::replace(&mut ctx, next));
+            if let Some(holds) = lane.holds {
+                self.maybe_replan(&mut steps, i + 1, &ctx, holds);
+            }
         }
-        outs
+        Ok((ctx, stats))
     }
 
-    /// One shared suffix/prefix scan for every lane in `group`, each
-    /// lane's node test riding it.
-    fn horiz_outs(
+    /// One step through the memo: an exact-prefix hit, else the join
+    /// (itself a hit on the join key, a region slice or extension, or
+    /// the interpreter's join) followed by the step's predicates.
+    fn memo_step(
         &self,
-        lanes: &[Lane<'_>],
-        group: &[usize],
-        haxis: HorizAxis,
+        ctx: &Context,
+        step: &PlannedStep,
+        keys: StepKeys,
+        memo: &mut Memo,
+        outputs: &Outputs,
         scratch: &mut Scratch,
-    ) -> Vec<LaneOut> {
-        let tested = self.scan_lanes(lanes, group, haxis.axis());
-        let pool = self.fanout(lanes, group);
-        let joined = match haxis {
-            HorizAxis::Following => following_many(self.doc, &tested, pool, scratch),
-            HorizAxis::Preceding => preceding_many(self.doc, &tested, pool, scratch),
+    ) -> (Context, StepTrace, Stash) {
+        memo.arrive(keys);
+        if let Some(out) = memo.read(keys[STEP], outputs, scratch) {
+            let trace = trace(step, out.len(), 0, 0, 0);
+            return (out, trace, Stash::default());
+        }
+        let mut stash = Stash::default();
+        let (joined, touched, produced, seeks) = match memo.read(keys[JOIN], outputs, scratch) {
+            Some(joined) => (joined, 0, 0, 0),
+            None => self.memo_join(ctx, step, keys, memo, outputs, &mut stash, scratch),
         };
-        joined
-            .into_iter()
-            .map(|(out, jstats)| (out, jstats.nodes_touched(), 0))
-            .collect()
+        let out = match self.exec_predicates(&joined, step, scratch) {
+            Some(out) => {
+                stash.joined = Some(joined);
+                out
+            }
+            None => joined,
+        };
+        let trace = trace(step, out.len(), touched, produced, seeks);
+        (out, trace, stash)
     }
 
-    /// Applies the group's (all-semijoin, by construction of the lane
-    /// forms) predicates wave by wave: the `w`-th predicates of every
-    /// lane are sub-grouped by the whole predicate (chain and list
-    /// source) and probed through one `*_in_many` call each, so lanes
-    /// carrying the same predicate share one list resolution — for a
-    /// chain, one reduction ([`Executor::semijoin_list`]).
-    fn predicate_rounds(
+    /// The step's join with its node test, sharing a region or a plain
+    /// staircase pass when its keys are marked.
+    #[allow(clippy::too_many_arguments)]
+    fn memo_join(
         &self,
-        lanes: &[Lane<'_>],
-        group: &[usize],
-        outs: &mut [LaneOut],
+        ctx: &Context,
+        step: &PlannedStep,
+        keys: StepKeys,
+        memo: &mut Memo,
+        outputs: &Outputs,
+        stash: &mut Stash,
         scratch: &mut Scratch,
-    ) {
-        let waves = group
-            .iter()
-            .map(|&i| lanes[i].steps[lanes[i].step].predicate_operators().len())
-            .max()
-            .unwrap_or(0);
-        for w in 0..waves {
-            // Sub-group the wave's probes by predicate: the predicate
-            // and the group-relative indices of the lanes carrying it.
-            let mut specs: Vec<(&PredOp, Vec<usize>)> = Vec::new();
-            for (gi, &i) in group.iter().enumerate() {
-                let step = &lanes[i].steps[lanes[i].step];
-                let Some(pred) = step.predicate_operators().get(w) else {
-                    continue;
-                };
-                match specs.iter_mut().find(|(p, _)| *p == pred) {
-                    Some((_, members)) => members.push(gi),
-                    None => specs.push((pred, vec![gi])),
+    ) -> (Context, u64, u64, u64) {
+        let plane = matches!(step.op, StepOp::Staircase { .. } | StepOp::Horiz);
+        if let (Some(k), true) = (keys[REGION], plane) {
+            return self.region_join(ctx, step, (memo, k), outputs, stash, scratch);
+        }
+        let (out, touched, produced, seeks) = self.exec_join(ctx, step, scratch);
+        match (keys[PASS], &step.op) {
+            (Some(k), &StepOp::Staircase { variant }) => {
+                if memo.entries[k].paid.contains(&variant) {
+                    return (out, 0, produced, seeks);
                 }
+                stash.paid = Some(variant);
+                (out, touched, produced, seeks)
             }
-            for (pred, members) in specs {
-                let PredOp::Semijoin { chain, prebuilt } = pred else {
-                    continue; // filter predicates never reach a lane form
-                };
-                let list = self.semijoin_list(chain, *prebuilt);
-                let probed = {
-                    let candidates: Vec<&Context> = members.iter().map(|&gi| &outs[gi].0).collect();
-                    match chain.axis() {
-                        SemijoinAxis::Descendant => {
-                            has_descendant_in_many(self.doc, &candidates, &list)
-                        }
-                        SemijoinAxis::Child => has_child_in_many(self.doc, &candidates, &list),
-                        SemijoinAxis::Ancestor => {
-                            has_ancestor_in_many(self.doc, &candidates, &list)
-                        }
-                    }
-                };
-                for (gi, (kept, _)) in members.into_iter().zip(probed) {
-                    scratch.recycle(std::mem::replace(&mut outs[gi].0, kept));
-                }
-            }
+            _ => (out, touched, produced, seeks),
         }
     }
 
-    /// Records each lane's step trace and advances it to the next step,
-    /// recycling the previous context's allocation; lanes planned under
-    /// auto then re-price their next pending step against the frontier
-    /// they just observed ([`Executor::maybe_replan`]).
-    ///
-    /// Governed lanes settle their budget here. `ambient_ran` says the
-    /// pass executed with the group's shared budget installed: the core
-    /// kernels already charged it, so the budget is only *checked* — a
-    /// trip means the pass bailed early and every out of the group
-    /// (same budget ⇒ same blast radius) is garbage to discard. A pass
-    /// without ambient governance ran to completion ungoverned; each
-    /// governed lane is charged its incremental touches now, and a trip
-    /// fails just that lane's query (overshoot: one round).
-    fn advance(
+    /// A horizontal plane scan served from the widest region held under
+    /// its key: a narrower region is sliced out of it, a wider one reads
+    /// only what the held one lacks and is stashed to replace it.
+    fn region_join(
         &self,
-        lanes: &mut [Lane<'_>],
-        group: &[usize],
-        outs: Vec<LaneOut>,
+        ctx: &Context,
+        step: &PlannedStep,
+        (memo, k): (&mut Memo, usize),
+        outputs: &Outputs,
+        stash: &mut Stash,
         scratch: &mut Scratch,
-        failed: &mut [Option<Error>],
-        ambient_ran: bool,
-    ) {
-        for (&i, (out, touched, seeks)) in group.iter().zip(outs) {
-            let lane = &mut lanes[i];
-            if failed[lane.query].is_none() {
-                if let Some(budget) = &lane.budget {
-                    let trip = if ambient_ran {
-                        budget.check()
-                    } else {
-                        budget.charge(touched)
-                    };
-                    if let Some(trip) = trip {
-                        failed[lane.query] = Some(trip_error(trip));
-                    }
-                }
+    ) -> (Context, u64, u64, u64) {
+        let following = step.axis == Axis::Following;
+        let bound = if following {
+            following_start(self.doc, ctx)
+        } else {
+            preceding_bound(ctx)
+        };
+        let Some(bound) = bound else {
+            return (Context::empty(), 0, 0, 0);
+        };
+        let last = memo.entries[k].readers == 0;
+        if last && memo.entries[k].bound == bound {
+            if let Some(nodes) = memo.take_owned(k) {
+                return (nodes, 0, 0, 0);
             }
-            if failed[lane.query].is_some() {
-                scratch.recycle(out);
-                lane.step = lane.steps.len();
-                continue;
-            }
-            let step = &lane.steps[lane.step];
-            lane.stats.steps.push(StepTrace {
-                step: step.source().to_string(),
-                op: rendered_op(step),
-                est_cost: step.estimate.cost,
-                replanned: step.replanned,
-                result_size: out.len(),
-                nodes_touched: touched,
-                tuples_produced: out.len() as u64,
-                seeks,
-            });
-            scratch.recycle(std::mem::replace(&mut lane.ctx, out));
-            lane.step += 1;
-            self.maybe_replan(&mut lanes[i]);
         }
+        let held_bound = memo.entries[k].bound;
+        let held = memo.held(k, outputs);
+        let wider = match held {
+            None => true,
+            Some(_) if following => bound < held_bound,
+            Some(_) => bound > held_bound,
+        };
+        let test = scan_test(self.doc, &step.test, step.axis);
+        let pool = self.fanout(step);
+        let (nodes, read) = match (following, held) {
+            (true, Some(held)) => following_from(held_bound, held, bound, &test, pool, scratch),
+            (true, None) => {
+                let n = self.doc.len() as Pre;
+                following_from(n, &[], bound, &test, pool, scratch)
+            }
+            (false, held) => {
+                let (from, held) = held.map_or((0, &[][..]), |held| (held_bound, held));
+                preceding_from(self.doc, from, held, bound, &test, pool, scratch)
+            }
+        };
+        if wider && !last {
+            stash.region = Some(bound);
+        }
+        (Context::from_sorted(nodes), read.nodes_touched(), 0, 0)
     }
 
-    /// [`crate::Engine::auto`]'s re-planning hook, run after every lane
-    /// advance. When the observed frontier is at least
+    /// [`crate::Engine::auto`]'s re-planning hook, run after every step
+    /// of a lane planned under auto, with `next` the pending step and
+    /// `ctx` the frontier just observed. When it is at least
     /// [`REPLAN_DISAGREE_FACTOR`] off the planner's estimate, overlay it
     /// (and the session calibrator's fitted constants) on the document
     /// statistics, re-price the pending step's operator candidates among
@@ -838,38 +622,35 @@ impl Executor<'_> {
     /// disagrees with the planned choice. Switched steps carry the
     /// `[replan]` marker into their traces. Lanes of every fixed engine
     /// and of `twig` never enter.
-    fn maybe_replan(&self, lane: &mut Lane<'_>) {
-        let Some(holds) = lane.replan else {
-            return;
-        };
-        if lane.ctx.is_empty() {
+    fn maybe_replan(
+        &self,
+        steps: &mut Cow<'_, [PlannedStep]>,
+        next: usize,
+        ctx: &Context,
+        holds: Holds,
+    ) {
+        if ctx.is_empty() || next >= steps.len() {
             return;
         }
-        let Some(next) = lane.steps.get(lane.step) else {
-            return;
-        };
         // Re-price only when the observed frontier materially
         // contradicts the planner's estimate: within the factor the
         // static ranking stands, and skipping keeps re-planning's
         // overhead near zero on well-estimated workloads.
-        let observed = lane.ctx.len() as f64;
-        let planned = match lane.step.checked_sub(1) {
-            Some(prev) => lane.steps[prev].estimate.rows.max(1.0),
-            None => 1.0,
-        };
+        let observed = ctx.len() as f64;
+        let planned = steps[next - 1].estimate.rows.max(1.0);
         if (observed / planned).max(planned / observed) < REPLAN_DISAGREE_FACTOR {
             return;
         }
-        let rt = RuntimeStats::observed(self.stats, self.doc, lane.ctx.as_slice())
+        let rt = RuntimeStats::observed(self.stats, self.doc, ctx.as_slice())
             .calibrated(self.calibrator);
-        let Some((op, test_op, cost)) = replan_step(next, self.doc, &rt, holds.tags, holds.sql)
+        let Some((op, test_op, cost)) =
+            replan_step(&steps[next], self.doc, &rt, holds.tags, holds.sql)
         else {
             return;
         };
         // First switch on this lane: clone the branch's steps so the
         // shared plan (and every other lane) stays untouched.
-        let steps = lane.steps.to_mut();
-        let s = &mut steps[lane.step];
+        let s = &mut steps.to_mut()[next];
         s.op = op;
         s.test_op = test_op;
         s.estimate.cost = cost;

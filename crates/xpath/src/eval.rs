@@ -1,33 +1,32 @@
-//! The sequential plan interpreter: the lane executor's per-lane
-//! residue.
+//! The plan interpreter.
 //!
-//! Since the lane-native refactor, **all** evaluation enters through
-//! the lane executor in [`crate::batch`] ([`Executor::run`], under
-//! [`crate::Session::execute`]; single-query `run` is the K = 1 batch).
-//! This module holds the [`Executor`] itself — the document paired with
-//! whichever auxiliary structures the plans at hand require, resolved by
-//! [`crate::Session`] against its caches — plus the *sequential* step
-//! interpreter
-//! ([`Executor::exec_step`]) that serves the genuinely unbatchable
-//! residue: steps whose planned operator declares no multi-context form
-//! (naive/SQL joins, twig steps, structural axes) and nested-loop
-//! predicate evaluation. It makes no engine decisions: every step
-//! arrives as a [`PlannedStep`] whose operator was chosen by
+//! Every evaluation enters through [`Executor::run`] (in
+//! [`crate::batch`], under [`crate::Session::execute`]), which walks
+//! each query's steps through the one step interpreter here,
+//! [`Executor::exec_step`]. This module holds the [`Executor`] itself —
+//! the document paired with whichever auxiliary structures the plans at
+//! hand require, resolved by [`crate::Session`] against its caches —
+//! and the interpreter: one planned step is its join with the node test
+//! ([`Executor::exec_join`]), then its predicates
+//! ([`Executor::exec_predicates`]); a nested-loop predicate recurses into
+//! the same interpreter per candidate. It makes no engine decisions:
+//! every step arrives as a [`PlannedStep`] whose operator was chosen by
 //! [`crate::plan`] (trivially, for fixed engines; cost-based, for
 //! [`crate::Engine::auto`]), and the interpreter merely dispatches on
-//! it. Everything below the session's resolution step is total: no
-//! panics, no `unwrap`.
+//! it. A plane scan whose step carries the planner's fanout hint splits
+//! into morsels on the session's worker pool. Everything below the
+//! session's resolution step is total: no panics, no `unwrap`.
 
 use std::sync::{Arc, Mutex};
 
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
-    ancestor_on_list, ancestor_tested, child_on_list,
+    ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled,
     cost::{Calibrator, DocStats},
-    descendant_on_list, descendant_tested, following_tested, has_ancestor_in, has_child_in,
-    has_descendant_in, preceding_tested, twig_match, ChainStep, ScanTest, ScratchPool, SpineLeg,
-    TagIndex, WorkerPool,
+    descendant_on_list_pooled, descendant_pooled, following_pooled, has_ancestor_in, has_child_in,
+    has_descendant_in, preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool,
+    SpineLeg, TagIndex, Variant, WorkerPool,
 };
 
 use crate::ast::NodeTest;
@@ -118,8 +117,8 @@ pub(crate) struct Executor<'a> {
     /// The session's persistent worker pool; width 1 means fully
     /// sequential execution (no handoff anywhere on the path).
     pub(crate) pool: &'a WorkerPool,
-    /// The session's sharded scratch pools: concurrent rounds and
-    /// queries each sweep out their own shard.
+    /// The session's sharded scratch pools: concurrent batches each
+    /// sweep out their own shard.
     pub(crate) scratch: &'a ScratchPool,
     /// The session's cached document statistics; at evaluation time
     /// they price auto's re-planning and the pool fanout.
@@ -180,7 +179,7 @@ thread_local! {
     /// proxy for the per-candidate rescan).
     pub(crate) static SCANS_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Semijoin-chain edges reduced on this thread (proxy for how often
-    /// a chain shared by several lanes is actually evaluated).
+    /// a chain shared by several queries is actually evaluated).
     pub(crate) static EDGES_REDUCED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -188,36 +187,55 @@ impl<'a> Executor<'a> {
     /// Interprets one branch plan from an explicit context — the
     /// nested-loop predicate path ([`PredOp::Filter`] recurses into full
     /// path evaluation per candidate).
-    fn run_branch(&self, branch: &PathPlan, context: &Context) -> Context {
+    fn run_branch(&self, branch: &PathPlan, context: &Context, scratch: &mut Scratch) -> Context {
         let mut ctx = if branch.absolute {
             Context::singleton(self.doc.root())
         } else {
             context.clone()
         };
         for step in &branch.steps {
-            ctx = self.exec_step(&ctx, step).0;
+            let next = self.exec_step(&ctx, step, scratch).0;
+            scratch.recycle(std::mem::replace(&mut ctx, next));
         }
         ctx
     }
 
-    /// Interprets one planned step (join, node test, predicates); also
-    /// the per-lane fallback of the batch evaluator.
-    pub(crate) fn exec_step(&self, ctx: &Context, step: &PlannedStep) -> (Context, StepTrace) {
-        let (mut out, touched, produced, seeks) = self.exec_join_and_test(ctx, step);
-        for pred in &step.predicates {
-            out = self.exec_predicate(&out, pred);
-        }
-        let trace = StepTrace {
-            step: step.rendered.clone(),
-            op: rendered_op(step),
-            result_size: out.len(),
-            nodes_touched: touched,
-            tuples_produced: produced.max(out.len() as u64),
-            seeks,
-            est_cost: step.estimate.cost,
-            replanned: step.replanned,
+    /// Interprets one planned step: its join with the node test, then
+    /// its predicates.
+    pub(crate) fn exec_step(
+        &self,
+        ctx: &Context,
+        step: &PlannedStep,
+        scratch: &mut Scratch,
+    ) -> (Context, StepTrace) {
+        let (joined, touched, produced, seeks) = self.exec_join(ctx, step, scratch);
+        let out = match self.exec_predicates(&joined, step, scratch) {
+            Some(out) => {
+                scratch.recycle(joined);
+                out
+            }
+            None => joined,
         };
+        let trace = trace(step, out.len(), touched, produced, seeks);
         (out, trace)
+    }
+
+    /// Applies `step`'s predicates to its join output; `None` when the
+    /// step has none (the join output is the step's output). Each
+    /// intermediate candidate set is recycled.
+    pub(crate) fn exec_predicates(
+        &self,
+        joined: &Context,
+        step: &PlannedStep,
+        scratch: &mut Scratch,
+    ) -> Option<Context> {
+        let (first, rest) = step.predicates.split_first()?;
+        let mut out = self.exec_predicate(joined, first, scratch);
+        for pred in rest {
+            let kept = self.exec_predicate(&out, pred, scratch);
+            scratch.recycle(std::mem::replace(&mut out, kept));
+        }
+        Some(out)
     }
 
     /// The prebuilt fragment index (resolved by the session whenever the
@@ -242,7 +260,7 @@ impl<'a> Executor<'a> {
         &self,
         name: &str,
         edge: ListEdge,
-        contexts: &[&Context],
+        context: &Context,
     ) -> NodeList<'a> {
         let Some(idx) = self.tags else {
             return self.scan_list(name);
@@ -251,15 +269,13 @@ impl<'a> Executor<'a> {
             return NodeList::Borrowed(&[]);
         };
         let window = match edge {
-            ListEdge::Descendant | ListEdge::Child => contexts
-                .iter()
-                .filter_map(|c| c.as_slice().first())
-                .min()
+            ListEdge::Descendant | ListEdge::Child => context
+                .as_slice()
+                .first()
                 .map(|&first| idx.fragment_window(tag, first + 1, Pre::MAX)),
-            ListEdge::Ancestor => contexts
-                .iter()
-                .filter_map(|c| c.as_slice().last())
-                .max()
+            ListEdge::Ancestor => context
+                .as_slice()
+                .last()
                 .map(|&last| idx.fragment_window(tag, 0, last)),
         };
         NodeList::Borrowed(window.unwrap_or(&[]))
@@ -293,8 +309,8 @@ impl<'a> Executor<'a> {
     /// that have a `reduced_{i+1}` node on link `i + 1`'s axis and pass
     /// link `i`'s own predicates — one semijoin per edge, every list
     /// resolved once, nothing done per candidate, and the result kept
-    /// for the rest of the evaluation ([`Executor::lists`]). Shared by
-    /// the sequential interpreter and the lane executor.
+    /// for the rest of the evaluation ([`Executor::lists`]), so every
+    /// query of a batch carrying the same chain shares one reduction.
     pub(crate) fn semijoin_list(&self, chain: &SemijoinChain, prebuilt: bool) -> NodeList<'a> {
         let link_list = |name: &str| {
             if prebuilt {
@@ -366,23 +382,32 @@ impl<'a> Executor<'a> {
     }
 
     /// Applies the node test to an **owned** intermediate sequence:
-    /// the survivors land in a buffer swept out of the session scratch
-    /// pool and the input's allocation is recycled back into it, so
+    /// the survivors land in a buffer from the executor's scratch pool
+    /// and the input's allocation is recycled back into it, so
     /// steady-state filtering allocates nothing.
-    fn test_pooled(&self, base: Context, test: &NodeTest, axis: Axis) -> Context {
+    fn test_pooled(
+        &self,
+        base: Context,
+        test: &NodeTest,
+        axis: Axis,
+        scratch: &mut Scratch,
+    ) -> Context {
         if matches!(test, NodeTest::AnyNode) {
             return base;
         }
-        self.scratch.with(|s| {
-            let mut buf = s.take();
-            apply_test_into(self.doc, &base, test, axis, &mut buf);
-            s.recycle(base);
-            Context::from_sorted(buf)
-        })
+        let mut buf = scratch.take();
+        apply_test_into(self.doc, &base, test, axis, &mut buf);
+        scratch.recycle(base);
+        Context::from_sorted(buf)
     }
 
     /// Executes one lowered predicate against the candidate set.
-    fn exec_predicate(&self, candidates: &Context, pred: &PredOp) -> Context {
+    fn exec_predicate(
+        &self,
+        candidates: &Context,
+        pred: &PredOp,
+        scratch: &mut Scratch,
+    ) -> Context {
         match pred {
             PredOp::Semijoin { chain, prebuilt } => {
                 let list = self.semijoin_list(chain, *prebuilt);
@@ -391,36 +416,50 @@ impl<'a> Executor<'a> {
             PredOp::Filter(sub) => Context::from_sorted(
                 candidates
                     .iter()
-                    .filter(|&v| !self.run_branch(sub, &Context::singleton(v)).is_empty())
+                    .filter(|&v| {
+                        let found = self.run_branch(sub, &Context::singleton(v), scratch);
+                        let keep = !found.is_empty();
+                        scratch.recycle(found);
+                        keep
+                    })
                     .collect::<Vec<Pre>>(),
             ),
         }
     }
 
-    /// Executes the step's join operator and node test; returns
-    /// (result, nodes touched, tuples produced before dedup, seeks).
-    fn exec_join_and_test(&self, ctx: &Context, step: &PlannedStep) -> (Context, u64, u64, u64) {
+    /// Executes the step's join operator and node test — everything but
+    /// its predicates; returns (result, nodes touched, tuples produced
+    /// before dedup, seeks).
+    pub(crate) fn exec_join(
+        &self,
+        ctx: &Context,
+        step: &PlannedStep,
+        scratch: &mut Scratch,
+    ) -> (Context, u64, u64, u64) {
         let doc = self.doc;
         match step.axis {
-            Axis::Descendant => self.partitioning(ctx, PartAxis::Descendant, step),
-            Axis::Ancestor => self.partitioning(ctx, PartAxis::Ancestor, step),
-            Axis::Following => self.partitioning(ctx, PartAxis::Following, step),
-            Axis::Preceding => self.partitioning(ctx, PartAxis::Preceding, step),
-            Axis::DescendantOrSelf => {
-                let (base, touched, produced, seeks) =
-                    self.partitioning(ctx, PartAxis::Descendant, step);
-                let selves = apply_test(doc, ctx, &step.test, Axis::SelfAxis);
-                (merge(&base, &selves), touched, produced, seeks)
-            }
-            Axis::AncestorOrSelf => {
-                let (base, touched, produced, seeks) =
-                    self.partitioning(ctx, PartAxis::Ancestor, step);
-                let selves = apply_test(doc, ctx, &step.test, Axis::SelfAxis);
-                (merge(&base, &selves), touched, produced, seeks)
+            Axis::Descendant => self.partitioning(ctx, PartAxis::Descendant, step, scratch),
+            Axis::Ancestor => self.partitioning(ctx, PartAxis::Ancestor, step, scratch),
+            Axis::Following => self.partitioning(ctx, PartAxis::Following, step, scratch),
+            Axis::Preceding => self.partitioning(ctx, PartAxis::Preceding, step, scratch),
+            Axis::DescendantOrSelf | Axis::AncestorOrSelf => {
+                let paxis = if step.axis == Axis::DescendantOrSelf {
+                    PartAxis::Descendant
+                } else {
+                    PartAxis::Ancestor
+                };
+                let (base, touched, produced, seeks) = self.partitioning(ctx, paxis, step, scratch);
+                (
+                    self.or_self(ctx, base, step, scratch),
+                    touched,
+                    produced,
+                    seeks,
+                )
             }
             Axis::SelfAxis => {
-                let out = apply_test(doc, ctx, &step.test, Axis::SelfAxis);
-                (out, ctx.len() as u64, 0, 0)
+                let mut out = scratch.take();
+                apply_test_into(doc, ctx, &step.test, Axis::SelfAxis, &mut out);
+                (Context::from_sorted(out), ctx.len() as u64, 0, 0)
             }
             Axis::Parent => {
                 let mut parents: Vec<Pre> = ctx
@@ -430,12 +469,13 @@ impl<'a> Executor<'a> {
                     .collect();
                 parents.sort_unstable();
                 parents.dedup();
-                let out = self.test_pooled(Context::from_sorted(parents), &step.test, Axis::Parent);
+                let parents = Context::from_sorted(parents);
+                let out = self.test_pooled(parents, &step.test, Axis::Parent, scratch);
                 (out, ctx.len() as u64, 0, 0)
             }
             Axis::Child => {
                 // Planned as an on-list join (auto, `child::name`)?
-                if let Some(joined) = self.fragment_join(ctx, step) {
+                if let Some(joined) = self.fragment_join(ctx, step, scratch) {
                     return joined;
                 }
                 // Per-context children via subtree jumps: O(Σ #children),
@@ -453,7 +493,8 @@ impl<'a> Executor<'a> {
                     }
                 }
                 kids.sort_unstable();
-                let out = self.test_pooled(Context::from_sorted(kids), &step.test, Axis::Child);
+                let out =
+                    self.test_pooled(Context::from_sorted(kids), &step.test, Axis::Child, scratch);
                 (out, touched, 0, 0)
             }
             Axis::Attribute => {
@@ -469,8 +510,8 @@ impl<'a> Executor<'a> {
                         v += 1;
                     }
                 }
-                let out =
-                    self.test_pooled(Context::from_sorted(attrs), &step.test, Axis::Attribute);
+                let attrs = Context::from_sorted(attrs);
+                let out = self.test_pooled(attrs, &step.test, Axis::Attribute, scratch);
                 (out, touched, 0, 0)
             }
             Axis::FollowingSibling | Axis::PrecedingSibling => {
@@ -508,10 +549,29 @@ impl<'a> Executor<'a> {
                         sibs.push(v);
                     }
                 }
-                let out = self.test_pooled(Context::from_sorted(sibs), &step.test, step.axis);
+                let out =
+                    self.test_pooled(Context::from_sorted(sibs), &step.test, step.axis, scratch);
                 (out, touched, 0, 0)
             }
         }
+    }
+
+    /// Merges an or-self step's tested context nodes into its axis
+    /// result.
+    fn or_self(
+        &self,
+        ctx: &Context,
+        base: Context,
+        step: &PlannedStep,
+        scratch: &mut Scratch,
+    ) -> Context {
+        let mut buf = scratch.take();
+        apply_test_into(self.doc, ctx, &step.test, Axis::SelfAxis, &mut buf);
+        let selves = Context::from_sorted(buf);
+        let merged = merge(&base, &selves);
+        scratch.recycle(selves);
+        scratch.recycle(base);
+        merged
     }
 
     /// Executes a partitioning-axis step with the planned operator.
@@ -520,27 +580,30 @@ impl<'a> Executor<'a> {
         ctx: &Context,
         paxis: PartAxis,
         step: &PlannedStep,
+        scratch: &mut Scratch,
     ) -> (Context, u64, u64, u64) {
         let doc = self.doc;
         match step.op {
             // The planner only emits fragment joins for name-tested
             // steps; anything else falls through to the plain join so a
             // hand-built plan stays total.
-            StepOp::Fragment { .. } => self.fragment_join(ctx, step).unwrap_or_else(|| {
-                self.plain_staircase(ctx, paxis, step, staircase_core::Variant::default())
-            }),
-            StepOp::Staircase { variant } => self.plain_staircase(ctx, paxis, step, variant),
+            StepOp::Fragment { .. } => {
+                self.fragment_join(ctx, step, scratch).unwrap_or_else(|| {
+                    self.plain_staircase(ctx, paxis, step, Variant::default(), scratch)
+                })
+            }
+            StepOp::Staircase { variant } => {
+                self.plain_staircase(ctx, paxis, step, variant, scratch)
+            }
             // The horizontal scan ignores the variant: pruning collapses
             // the context to one node and the region is contiguous.
-            StepOp::Horiz => {
-                self.plain_staircase(ctx, paxis, step, staircase_core::Variant::default())
-            }
+            StepOp::Horiz => self.plain_staircase(ctx, paxis, step, Variant::default(), scratch),
             StepOp::Naive | StepOp::Structural => {
                 // Structural never reaches a partitioning axis from the
                 // planner; route it through the naive region scan so a
                 // hand-built plan still evaluates correctly.
                 let (base, stats) = naive_step(doc, ctx, axis_of(paxis));
-                let out = self.test_pooled(base, &step.test, axis_of(paxis));
+                let out = self.test_pooled(base, &step.test, axis_of(paxis), scratch);
                 (out, stats.nodes_scanned, stats.tuples_produced, 0)
             }
             StepOp::Sql {
@@ -560,7 +623,7 @@ impl<'a> Executor<'a> {
                     // Resolution always provides the B-tree for SQL plans;
                     // stay total for hand-built plans.
                     let (base, stats) = naive_step(doc, ctx, axis_of(paxis));
-                    let out = self.test_pooled(base, &step.test, axis_of(paxis));
+                    let out = self.test_pooled(base, &step.test, axis_of(paxis), scratch);
                     return (out, stats.nodes_scanned, stats.tuples_produced, 0);
                 };
                 let opts = SqlPlanOptions {
@@ -571,7 +634,7 @@ impl<'a> Executor<'a> {
                 let out = if pushed_tag.is_some() {
                     base
                 } else {
-                    self.test_pooled(base, &step.test, axis_of(paxis))
+                    self.test_pooled(base, &step.test, axis_of(paxis), scratch)
                 };
                 (out, stats.index_entries_scanned, stats.tuples_produced, 0)
             }
@@ -580,12 +643,7 @@ impl<'a> Executor<'a> {
                 // axis; any other pairing (hand-built plan) falls back
                 // to the plain join plus the step's residual test.
                 if paxis != PartAxis::Descendant {
-                    return self.plain_staircase(
-                        ctx,
-                        paxis,
-                        step,
-                        staircase_core::Variant::default(),
-                    );
+                    return self.plain_staircase(ctx, paxis, step, Variant::default(), scratch);
                 }
                 self.twig_step(ctx, spec, step.estimate.cost)
             }
@@ -594,7 +652,12 @@ impl<'a> Executor<'a> {
 
     /// The step's on-list join, if it is planned as one: a
     /// [`StepOp::Fragment`] over a name test on an axis with a list edge.
-    fn fragment_join(&self, ctx: &Context, step: &PlannedStep) -> Option<(Context, u64, u64, u64)> {
+    fn fragment_join(
+        &self,
+        ctx: &Context,
+        step: &PlannedStep,
+        scratch: &mut Scratch,
+    ) -> Option<(Context, u64, u64, u64)> {
         let StepOp::Fragment { prescan } = step.op else {
             return None;
         };
@@ -611,10 +674,10 @@ impl<'a> Executor<'a> {
                 0
             };
             let list = self.scan_list(name);
-            on_list_join(self.doc, edge, &list, ctx, scan_cost)
+            on_list_join(self.doc, edge, &list, ctx, scan_cost, scratch)
         } else {
-            let list = self.fragment_list_windowed(name, edge, &[ctx]);
-            on_list_join(self.doc, edge, &list, ctx, 0)
+            let list = self.fragment_list_windowed(name, edge, ctx);
+            on_list_join(self.doc, edge, &list, ctx, 0, scratch)
         })
     }
 
@@ -667,24 +730,54 @@ impl<'a> Executor<'a> {
         (out, stats.nodes_touched(), 0, stats.seeks)
     }
 
-    /// The serial staircase join over the whole plane, the step's node
-    /// test riding the scan.
+    /// The staircase join over the whole plane, the step's node test
+    /// riding the scan; split into morsels on the session's pool when
+    /// the step carries the fanout hint ([`Executor::fanout`]).
     fn plain_staircase(
         &self,
         ctx: &Context,
         paxis: PartAxis,
         step: &PlannedStep,
-        variant: staircase_core::Variant,
+        variant: Variant,
+        scratch: &mut Scratch,
     ) -> (Context, u64, u64, u64) {
         let doc = self.doc;
         let test = scan_test(doc, &step.test, axis_of(paxis));
+        let pool = self.fanout(step);
         let (out, stats) = match paxis {
-            PartAxis::Descendant => descendant_tested(doc, ctx, variant, &test),
-            PartAxis::Ancestor => ancestor_tested(doc, ctx, variant, &test),
-            PartAxis::Following => following_tested(doc, ctx, &test),
-            PartAxis::Preceding => preceding_tested(doc, ctx, &test),
+            PartAxis::Descendant => descendant_pooled(doc, ctx, variant, &test, pool, scratch),
+            PartAxis::Ancestor => ancestor_pooled(doc, ctx, variant, &test, pool, scratch),
+            PartAxis::Following => following_pooled(doc, ctx, &test, pool, scratch),
+            PartAxis::Preceding => preceding_pooled(doc, ctx, &test, pool, scratch),
         };
         (out, stats.nodes_touched(), 0, 0)
+    }
+
+    /// The session's pool when `step` carries the cost model's fanout
+    /// hint and the pool is wider than one: what a plane scan splits its
+    /// morsels across. The kernels themselves re-check the actual work.
+    pub(crate) fn fanout(&self, step: &PlannedStep) -> Option<&'a WorkerPool> {
+        (step.fanout && self.pool.width() > 1).then_some(self.pool)
+    }
+}
+
+/// The trace of one executed step.
+pub(crate) fn trace(
+    step: &PlannedStep,
+    result_size: usize,
+    touched: u64,
+    produced: u64,
+    seeks: u64,
+) -> StepTrace {
+    StepTrace {
+        step: step.rendered.clone(),
+        op: rendered_op(step),
+        result_size,
+        nodes_touched: touched,
+        tuples_produced: produced.max(result_size as u64),
+        seeks,
+        est_cost: step.estimate.cost,
+        replanned: step.replanned,
     }
 }
 
@@ -706,11 +799,12 @@ fn on_list_join(
     list: &[Pre],
     ctx: &Context,
     scan_cost: u64,
+    scratch: &mut Scratch,
 ) -> (Context, u64, u64, u64) {
     let (out, stats) = match edge {
-        ListEdge::Descendant => descendant_on_list(doc, list, ctx),
-        ListEdge::Ancestor => ancestor_on_list(doc, list, ctx),
-        ListEdge::Child => child_on_list(doc, list, ctx),
+        ListEdge::Descendant => descendant_on_list_pooled(doc, list, ctx, scratch),
+        ListEdge::Ancestor => ancestor_on_list_pooled(doc, list, ctx, scratch),
+        ListEdge::Child => child_on_list_pooled(doc, list, ctx, scratch),
     };
     (out, stats.nodes_touched() + scan_cost, 0, stats.seeks)
 }
@@ -749,7 +843,8 @@ pub(crate) fn scan_test<'d>(doc: &'d Doc, test: &NodeTest, axis: Axis) -> ScanTe
 /// operators with no scan for the test to ride (naive, plain SQL,
 /// structural axes, an or-self step's context nodes) — appending the
 /// survivors to `out` (cleared first): gathered column loads, 64
-/// candidates per mask word ([`ScanTest::select_candidates`]).
+/// candidates per mask word ([`ScanTest::select_candidates`]). The
+/// executor draws `out` from its scratch pool.
 pub(crate) fn apply_test_into(
     doc: &Doc,
     ctx: &Context,
@@ -762,19 +857,6 @@ pub(crate) fn apply_test_into(
         NodeTest::AnyNode => out.extend_from_slice(ctx.as_slice()),
         _ => scan_test(doc, test, axis).select_candidates(ctx.as_slice(), out),
     }
-}
-
-/// Applies a node test to a node sequence into a fresh allocation; the
-/// executor's hot paths go through [`Executor::test_pooled`] instead,
-/// which draws the buffer from the session scratch pool.
-pub(crate) fn apply_test(doc: &Doc, ctx: &Context, test: &NodeTest, axis: Axis) -> Context {
-    // node() keeps everything: one memcpy instead of a per-node loop.
-    if matches!(test, NodeTest::AnyNode) {
-        return ctx.clone();
-    }
-    let mut out = Vec::new();
-    apply_test_into(doc, ctx, test, axis, &mut out);
-    Context::from_sorted(out)
 }
 
 /// Merges two sorted, duplicate-free sequences.
@@ -810,7 +892,6 @@ mod tests {
     use crate::engine::Engine;
     use crate::session::{QueryOutput, Session};
     use staircase_accel::NodeKind;
-    use staircase_core::Variant;
 
     fn figure1() -> Doc {
         Doc::from_xml("<a><b><c/></b><d/><e><f><g/><h/></f><i><j/></i></e></a>").unwrap()

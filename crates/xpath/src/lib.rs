@@ -85,8 +85,8 @@
 //! list on the next step's axis (`has_child_in` / `has_descendant_in` /
 //! `has_ancestor_in`), and the candidates are finally probed against
 //! the first step's reduced list exactly like a one-step `[t]`. Nothing
-//! is evaluated per candidate, lanes of a batch carrying the same
-//! predicate share one reduction, and such steps stay `[lane]`-batchable.
+//! is evaluated per candidate, and the queries of a batch carrying the
+//! same predicate share one reduction.
 //! `EXPLAIN` renders a chain by its leaf paths, `+ semijoin[bidder.increase]`
 //! (`.` a child edge, `>` descendant, `^` ancestor; the edge out of the
 //! candidates is implicit).
@@ -198,28 +198,25 @@
 //! * every failure is a typed [`Error`]; nothing on the query path
 //!   panics.
 //!
-//! ## Lane-native execution
+//! ## Batches
 //!
-//! Multi-context execution is the **native form**: every evaluation is
-//! a batch of *lanes* (one per union branch per query), advancing in
-//! rounds, and [`Query::run`] is simply [`Session::run_many`] with
-//! K = 1. Batchability is a *declared property of the planned operator*
-//! ([`PlannedStep::batchable`]): plain staircase joins, fragment
-//! (on-list) joins, horizontal scans, and semijoin predicate probes all
-//! carry multi-context forms in `staircase_core`, so lanes whose
-//! current steps agree — whatever engine planned them, including
-//! [`Engine::auto`] — advance together each round (one pruning and
-//! one partition loop per distinct plane-scan lane, one list resolution
-//! per shared tag fragment, one suffix/prefix scan per horizontal
-//! group, grouped predicate probes). Only the
-//! genuinely unbatchable residue — nested-loop predicates, structural
-//! axes, the naive/SQL/twig operators — drops to the sequential
-//! per-lane interpreter. Per-query [`EvalStats`] count *incremental*
-//! cost: a vertical step reports its cost alone unless an identical
-//! step (or a further test over the same open context) already paid
-//! for it; a horizontal scan's shared suffix/prefix is attributed to the
-//! first lane that needed it.
-//!
+//! Every evaluation is a batch: [`Session::execute`] runs its queries in
+//! batch order through the one plan interpreter, and [`Query::run`] is
+//! the batch of one. What a batch shares is a per-call memo of step
+//! outputs, keyed by path text rather than by operator, so every
+//! operator shares: a step whose path prefix an earlier query already
+//! evaluated is a hit, a step that differs from an earlier one only in
+//! its predicates reuses the join output before predicates, and the
+//! nested `following`/`preceding` regions of a plane scan are read once
+//! — a narrower region is sliced out of a wider one, a wider one reads
+//! only what the held one lacks. Only keys that at least two branches of
+//! the batch will ask are stored. Per-query [`EvalStats`] count
+//! *incremental* cost: a hit reports zero touched and zero seeks with
+//! its own result size, a region extension reports only the positions
+//! it read, and a further node test over a context whose plain
+//! staircase pass the batch already paid for reports zero (the scan
+//! reads the same positions whatever test rides it).
+
 //! ## Threading model
 //!
 //! Every session owns a **persistent worker pool**
@@ -232,24 +229,19 @@
 //! waits, so a width-1 session is *exactly* the sequential executor
 //! with zero handoff anywhere.
 //!
-//! On a wider pool the lane executor parallelises two ways:
-//!
-//! * **Across a round**: each lane-form group's shared pass — and each
-//!   per-lane fallback step — is an independent piece of the round and
-//!   runs as its own pool task, sweeping out its own scratch shard
-//!   ([`staircase_core::ScratchPool`]).
-//! * **Inside a pass**: a step whose cost estimate carries the
-//!   planner's *fanout hint* ([`PlannedStep::fanout`], `[par]` in
-//!   `EXPLAIN` output) splits its scan into **morsels** — contiguous
-//!   chunks of the pruned boundary list, disjoint pre-ranges in the
-//!   paper's §3.2/Figure-8 sense — so per-worker results concatenate in
-//!   document order with no merge sort, and per-worker statistics sum
-//!   to the sequential counters *exactly* (the plane-scan `_many`
-//!   kernels, handed the pool, reproduce the sequential scans'
-//!   per-position behaviour, asserted by equivalence tests at widths
-//!   1/2/4). Steps below the cost
-//!   model's fanout floor stay sequential however wide the pool is, so
-//!   small queries never pay worker handoff.
+//! On a wider pool a step whose cost estimate carries the planner's
+//! *fanout hint* ([`PlannedStep::fanout`], `[par]` in `EXPLAIN` output)
+//! splits its plane scan into **morsels** — contiguous chunks of the
+//! pruned boundary list, disjoint pre-ranges in the paper's
+//! §3.2/Figure-8 sense — so per-worker results concatenate in document
+//! order with no merge sort, and per-worker statistics sum to the
+//! sequential counters *exactly* (the pooled plane-scan kernels
+//! reproduce the sequential scans' per-position behaviour, asserted by
+//! equivalence tests at widths 1/2/4). That is the only parallelism:
+//! the queries of a batch run one after another, so what each reports
+//! does not depend on the pool width. Steps below the cost model's
+//! fanout floor stay sequential however wide the pool is, so small
+//! queries never pay worker handoff.
 //!
 //! Sessions are [`Sync`]: concurrent callers share the same pool and
 //! shards, which is the execution backbone the future query server
@@ -261,11 +253,12 @@
 //! governor** ([`staircase_core::governor`]): a [`Budget`] carries an
 //! optional wall-clock deadline, an optional touched-nodes cost
 //! ceiling, and a cancellation flag, and is enforced *cooperatively* —
-//! the core kernels tick it at partition/chunk/seek boundaries and the
-//! lane executor checks it at round boundaries, so a governed query
-//! stops with bounded overshoot and no locks held. A query is governed
-//! by handing [`Session::execute`] a budget in its slot; ungoverned
-//! slots pay nothing (one branch per kernel).
+//! it is installed ambiently around its own query, the core kernels tick
+//! it at partition/chunk/seek boundaries, and the executor checks it
+//! before and after every step, so a governed query stops with bounded
+//! overshoot and no locks held. A query is governed by handing
+//! [`Session::execute`] a budget in its slot; ungoverned slots pay
+//! nothing (one branch per kernel).
 //!
 //! What can fail, and what survives:
 //!
@@ -275,10 +268,10 @@
 //!   returned;
 //! * sibling queries of the same [`Session::execute`] batch
 //!   complete **node- and order-identical to an ungoverned run**: a
-//!   pass shared with a failing query runs ungoverned to completion and
-//!   only the failing query is charged at the round boundary;
+//!   step of a failing query never enters the batch's memo, so a
+//!   sibling asking the same step computes it;
 //! * a panic inside one query's evaluation (a bug, or a
-//!   [`staircase_core::faults`] fail point) is caught at the lane/pass
+//!   [`staircase_core::faults`] fail point) is caught at the query
 //!   boundary and isolated as [`Error::Internal`] — the [`Session`],
 //!   its worker pool, its cached auxiliary structures, and every other
 //!   query remain fully usable.
@@ -322,7 +315,7 @@
 //! assert_eq!(query.run(Engine::auto()).nodes(),
 //!            query.run(Engine::default()).nodes());
 //!
-//! // Batches still share plane passes wherever planned steps line up.
+//! // A batch computes a step several queries ask once.
 //! let batch = [
 //!     session.prepare("/descendant::increase/ancestor::bidder")?,
 //!     session.prepare("//bidder")?,

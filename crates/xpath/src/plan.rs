@@ -5,9 +5,10 @@
 //! chosen join operator ([`StepOp`]), the node-test operator
 //! ([`TestOp`]), the lowered predicate operators ([`PredOp`]), and the
 //! cost model's estimates ([`StepEstimate`]). The evaluator
-//! ([`crate::eval`]) is a pure interpreter of this IR; the batch layer
-//! ([`crate::batch`]) groups lanes by the *planned operator*, so neither
-//! re-derives engine decisions at run time.
+//! ([`crate::eval`]) is a pure interpreter of this IR and never
+//! re-derives engine decisions at run time; the batch layer
+//! ([`crate::batch`]) shares repeated steps by their path text, whatever
+//! operator they were planned as.
 //!
 //! Fixed engines are trivial planning policies — every step lowers to
 //! the operator that engine always uses, exactly reproducing the
@@ -41,8 +42,8 @@ pub(crate) enum PartAxis {
     Preceding,
 }
 
-/// The two axes with a plane-scan staircase join and its multi-context
-/// (batched) form.
+/// The two vertical axes: a plane-scan staircase join or an on-list
+/// join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VertAxis {
     Descendant,
@@ -107,7 +108,7 @@ pub(crate) fn axis_of(paxis: PartAxis) -> Axis {
 pub struct PhysicalPlan {
     pub(crate) branches: Vec<PathPlan>,
     /// Planned under the auto policy ([`Engine::auto`](crate::Engine::auto)):
-    /// the lane executor re-prices a pending step at a step boundary
+    /// the executor re-prices a pending step at a step boundary
     /// from the *observed* frontier
     /// ([`staircase_core::cost::RuntimeStats`]) and may switch its
     /// operator ([`replan_step`]). Fixed engines and `twig` never do.
@@ -463,123 +464,10 @@ impl PathPlan {
     }
 }
 
-/// The multi-context ("lane") executor a planned step is served by.
-///
-/// Batchability is a **declared property of the planned operator**:
-/// every [`StepOp`] either provides a multi-context form — dispatched by
-/// the lane executor so K lanes whose current steps agree on this key
-/// advance together — or names [`LaneForm::PerLane`], the sequential
-/// fallback. Grouping therefore never re-derives engine decisions at
-/// run time, and the planner can reason about which steps of a batch
-/// will advance together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneForm<'s> {
-    /// Plain staircase join over the whole plane, one partition loop per
-    /// distinct (context, test) lane:
-    /// [`staircase_core::descendant_many`] / [`staircase_core::ancestor_many`].
-    Staircase(VertAxis, Variant),
-    /// On-list (fragment) join over a shared per-tag node list:
-    /// [`staircase_core::descendant_on_list_many`] /
-    /// [`staircase_core::ancestor_on_list_many`] /
-    /// [`staircase_core::child_on_list_many`]. Lanes naming the same tag
-    /// share the list resolution, lanes with the same context the join.
-    Fragment {
-        /// Join edge.
-        edge: ListEdge,
-        /// The name test's tag (fused into the join), borrowed from the
-        /// step — deriving the lane form allocates nothing.
-        name: &'s str,
-        /// Query-time selection scan instead of the prebuilt index.
-        prescan: bool,
-    },
-    /// Horizontal scan: [`staircase_core::following_many`] /
-    /// [`staircase_core::preceding_many`] (one suffix/prefix pass for
-    /// the whole group).
-    Horiz(HorizAxis),
-    /// No multi-context form: the lane falls back to the sequential
-    /// plan interpreter for this step.
-    PerLane,
-}
-
-/// The two horizontal axes, as their own enum so a horizontal lane form
-/// cannot name a vertical axis by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HorizAxis {
-    Following,
-    Preceding,
-}
-
-impl HorizAxis {
-    pub(crate) fn axis(self) -> Axis {
-        match self {
-            HorizAxis::Following => Axis::Following,
-            HorizAxis::Preceding => Axis::Preceding,
-        }
-    }
-}
-
 impl PlannedStep {
     /// The chosen join operator.
     pub fn operator(&self) -> &StepOp {
         &self.op
-    }
-
-    /// The declared multi-context form of this step (see [`LaneForm`]).
-    ///
-    /// Semijoin predicates (chains included) do not block lane
-    /// execution — the executor probes them group-wise through the
-    /// `*_in_many` operators — but a nested-loop [`PredOp::Filter`]
-    /// recurses into full path evaluation, so it forces the sequential
-    /// fallback.
-    pub(crate) fn lane_form(&self) -> LaneForm<'_> {
-        if self
-            .predicates
-            .iter()
-            .any(|p| matches!(p, PredOp::Filter(_)))
-        {
-            return LaneForm::PerLane;
-        }
-        if let (StepOp::Fragment { prescan }, Some(edge)) = (&self.op, list_edge_of(self.axis)) {
-            return match &self.test {
-                NodeTest::Name(name) => LaneForm::Fragment {
-                    edge,
-                    name,
-                    prescan: *prescan,
-                },
-                // The planner only emits fragment joins for name tests;
-                // a hand-built plan without one falls back (exactly as
-                // the sequential interpreter does).
-                _ => LaneForm::PerLane,
-            };
-        }
-        let Some(paxis) = part_axis_of(self.axis) else {
-            return LaneForm::PerLane; // structural axes
-        };
-        match (&self.op, vert_axis_of(self.axis)) {
-            (StepOp::Staircase { variant }, Some(vert)) => LaneForm::Staircase(vert, *variant),
-            // The horizontal scan ignores the variant (pruning collapses
-            // the context to one node), so Staircase-planned horizontal
-            // steps batch too.
-            (StepOp::Staircase { .. } | StepOp::Horiz, None) => match paxis {
-                PartAxis::Following => LaneForm::Horiz(HorizAxis::Following),
-                PartAxis::Preceding => LaneForm::Horiz(HorizAxis::Preceding),
-                // vert_axis_of returned None, so paxis is horizontal;
-                // stay total without asserting it.
-                PartAxis::Descendant | PartAxis::Ancestor => LaneForm::PerLane,
-            },
-            _ => LaneForm::PerLane,
-        }
-    }
-
-    /// Does this step provide a multi-context (batched) form?
-    ///
-    /// When `true`, [`crate::Session::run_many`] serves every lane whose
-    /// current step shares this step's lane form from **one** pass;
-    /// when `false`, the step is the per-lane residue (nested-loop
-    /// predicates, structural axes, and the naive/SQL/twig operators,
-    /// which have no multi-context form).
-    pub fn batchable(&self) -> bool {
-        self.lane_form() != LaneForm::PerLane
     }
 
     /// How the node test is applied: fused into the join (fragment and
@@ -675,11 +563,6 @@ impl fmt::Display for PlannedStep {
                 }
                 PredOp::Filter(_) => ops.push_str(" + filter-pred"),
             }
-        }
-        if self.batchable() {
-            // This step has a multi-context form: in a batch, lanes that
-            // agree on it advance together.
-            ops.push_str(" [lane]");
         }
         if self.fanout {
             // Estimated work amortizes the worker pool: on a session
@@ -1901,50 +1784,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_forms_are_declared_per_operator() {
-        let step = |expr: &str, engine: Engine| -> PlannedStep {
-            plan_for(expr, engine).branches()[0].steps()[0].clone()
-        };
-        // Plain staircase joins and fragment joins have lane forms…
-        assert_eq!(
-            step("/descendant::node()", Engine::default()).lane_form(),
-            LaneForm::Staircase(VertAxis::Descendant, Variant::EstimationSkipping)
-        );
-        let fragmented = Engine::staircase().fragmented(true).build().unwrap();
-        assert_eq!(
-            step("/ancestor::b", fragmented).lane_form(),
-            LaneForm::Fragment {
-                edge: ListEdge::Ancestor,
-                name: "b",
-                prescan: false
-            }
-        );
-        // …as do horizontal scans…
-        assert_eq!(
-            step("/following::c", Engine::default()).lane_form(),
-            LaneForm::Horiz(HorizAxis::Following)
-        );
-        // …and steps whose predicates lower to semijoins, chains
-        // included…
-        assert!(step("/descendant::a[b]", Engine::default()).batchable());
-        assert!(step("/descendant::a[b/c]", Engine::default()).batchable());
-        // …while nested-loop predicates, structural axes, and operators
-        // without a multi-context form name the per-lane fallback.
-        assert!(!step("/descendant::a[b/@id]", Engine::default()).batchable());
-        assert!(!step("child::b", Engine::default()).batchable());
-        assert!(!step("/descendant::b", Engine::naive()).batchable());
-        assert!(!step("/descendant::b", Engine::sql().build().unwrap()).batchable());
-    }
-
-    #[test]
-    fn explain_marks_batchable_steps() {
-        let text = plan_for("/descendant::b/child::c", Engine::default()).to_string();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].contains("[lane]"), "{text}");
-        assert!(!lines[1].contains("[lane]"), "{text}");
-    }
-
-    #[test]
     fn explain_marks_masked_node_tests() {
         // A plane scan carries its name test (no residual pass); the
         // structural step after it has no scan to ride, so its test is
@@ -2046,9 +1885,10 @@ mod tests {
     #[test]
     fn twig_steps_are_per_lane() {
         let plan = plan_for("/descendant::a[b]/descendant::c", Engine::twig());
+        // One fused step, evaluated on its lane alone: no morsel form.
         let step = &plan.branches()[0].steps()[0];
-        assert_eq!(step.lane_form(), LaneForm::PerLane);
-        assert!(!step.batchable());
+        assert!(matches!(step.operator(), StepOp::Twig(_)), "{plan}");
+        assert!(!step.fanout(), "{plan}");
     }
 
     #[test]
@@ -2090,14 +1930,6 @@ mod tests {
             assert_eq!(ops(&p), [fragment.clone(), fragment.clone()], "{p}");
             let child = &p.branches()[0].steps()[1];
             assert_eq!(child.test_operator(), TestOp::Fused);
-            assert_eq!(
-                child.lane_form(),
-                LaneForm::Fragment {
-                    edge: ListEdge::Child,
-                    name: "profile",
-                    prescan: false
-                }
-            );
             assert!(p.needs_tag_index());
             let text = p.to_string();
             assert_eq!(text.matches("op fragment").count(), 2, "{text}");

@@ -60,11 +60,11 @@ pub struct Session {
     /// planner and auto's mid-query re-planner read the fitted seek
     /// constant out. See [`Calibrator`].
     calibrator: Calibrator,
-    /// The lane executor's buffer pools, persisted across queries and
+    /// The executor's buffer pools, persisted across queries and
     /// batches so a steady-state session stops allocating per step.
-    /// Sharded (two shards per pool executor): concurrent queries and
-    /// parallel round tasks each sweep out their own shard instead of
-    /// falling back to throwaway allocations.
+    /// Sharded (two shards per pool executor): concurrent batches each
+    /// sweep out their own shard instead of falling back to throwaway
+    /// allocations.
     scratch: ScratchPool,
     /// The session's persistent worker pool: built once (at
     /// construction, from [`Session::with_threads`] or the
@@ -223,38 +223,31 @@ impl Session {
     }
 
     /// Evaluates a whole batch of prepared queries from the document
-    /// root, **advancing together** wherever the queries' current steps
-    /// agree on a planned operator: [`Session::execute`] with no budgets.
+    /// root: [`Session::execute`] with no budgets.
     ///
-    /// Each round, lanes are grouped by the step's declared lane form
-    /// ([`crate::PlannedStep::batchable`]): plain staircase joins prune
-    /// each distinct context once and run one partition loop per
-    /// distinct (context, test) lane
-    /// ([`staircase_core::descendant_many`] /
-    /// [`staircase_core::ancestor_many`]), fragment (on-list) joins
-    /// naming the same tag share one cursor over its node list
-    /// ([`staircase_core::descendant_on_list_many`] /
-    /// [`staircase_core::ancestor_on_list_many`]), horizontal steps
-    /// share one suffix/prefix scan
-    /// ([`staircase_core::following_many`] /
-    /// [`staircase_core::preceding_many`]), and semijoin predicates are
-    /// probed group-wise ([`staircase_core::has_descendant_in_many`]
-    /// and friends). Only the residue without a multi-context form —
-    /// nested-loop predicates, structural axes, the naive/SQL/twig
-    /// operators — evaluates per lane, so for every query
+    /// The queries run in batch order through the one plan interpreter,
+    /// and a step several of them ask is computed once and shared
+    /// through a per-call memo: the same path prefix (the branch's
+    /// rendered steps so far), the same join under other predicates
+    /// (`/descendant::bidder` and `/descendant::bidder[increase]` share
+    /// one root scan), and the nested regions of `following` /
+    /// `preceding` plane scans (a narrower region is sliced out of a
+    /// wider one; a wider one reads only what is missing). The keys are
+    /// path texts, not operators, so every operator shares — naive,
+    /// SQL, twig and structural steps included. For every query
     /// `run_many(&[q])[0].nodes() == q.run(engine).nodes()` holds
-    /// engine-independently (property-tested). [`Query::run`] itself is
-    /// the K = 1 case: single queries and batches execute through the
-    /// same lane executor.
+    /// engine-independently (property-tested, and checked against an
+    /// independent tree-walk oracle); [`Query::run`] itself is the
+    /// batch of one.
     ///
     /// Outputs arrive in input order with per-query [`EvalStats`]. In a
-    /// batch, statistics count *incremental* cost: a vertical step
-    /// reports what it costs alone, except that a query repeating an
-    /// earlier one's step (same context, same test) or asking a further
-    /// test of a context already open reports zero touches — it shared
-    /// that pass. Horizontal steps keep their nested-region sharing: a
-    /// suffix or prefix read for several queries is attributed to the
-    /// first one that needed it.
+    /// batch, statistics count *incremental* cost: a step shared with
+    /// an earlier query reports zero touched and zero seeks with its own
+    /// result size, a region extension reports only the positions it
+    /// read, a further node test over a context whose plain staircase
+    /// pass the batch already paid for reports zero, and every other
+    /// step reports its cost alone. Queries run in order on the calling
+    /// thread, so none of this depends on the pool width.
     pub fn run_many(&self, queries: &[&Query<'_>], engine: Engine) -> Vec<QueryOutput> {
         let jobs: Vec<_> = queries.iter().map(|&q| (q, None)).collect();
         self.execute(&jobs, engine, None)
@@ -265,20 +258,21 @@ impl Session {
 
     /// The one way into evaluation: runs every `(query, budget)` of
     /// `queries` on `engine` from the context sequence `from` — the
-    /// document root when `None` — as one batch of the lane executor
-    /// (see [`Session::run_many`] for what a batch shares). Outputs
-    /// arrive in input order.
+    /// document root when `None` — as one batch (see
+    /// [`Session::run_many`] for what a batch shares). Outputs arrive in
+    /// input order.
     ///
     /// A query with a [`Budget`] (deadline, cost ceiling, cancellation)
-    /// is **governed**, and enforcement is lane-local: a query that trips
-    /// its budget comes back as `Err` with its partial work discarded,
-    /// while sibling queries of the same batch complete **node- and
-    /// order-identical** to an ungoverned run — any pass shared between
-    /// a failing and a surviving query runs ungoverned to completion and
-    /// only the failing query is charged. A panic inside one query's lane
-    /// is caught and isolated ([`Error::Internal`]): the session, its
-    /// worker pool, and the sibling queries remain fully usable. `None`
-    /// runs a query ungoverned, which costs one branch per kernel.
+    /// is **governed**: its budget is installed ambiently while it runs,
+    /// so the kernels charge and check it mid-scan, and it is checked
+    /// before and after every step. A query that trips its budget comes
+    /// back as `Err` with its partial work discarded, while sibling
+    /// queries of the same batch complete **node- and order-identical**
+    /// to an ungoverned run — a step of a failing query never enters
+    /// the batch's memo. A panic inside one query is caught and isolated
+    /// ([`Error::Internal`]): the session, its worker pool, and the
+    /// sibling queries remain fully usable. `None` runs a query
+    /// ungoverned, which costs one branch per kernel.
     ///
     /// Queries are evaluated against **this** session's document; a
     /// query prepared on a different session contributes its parsed
@@ -307,9 +301,9 @@ impl Session {
                 .collect();
         }
         if self.doc.is_empty() {
-            // No rounds run, but a budget that is already dead (expired
+            // No step runs, but a budget that is already dead (expired
             // deadline, cancelled) still fails its query, matching the
-            // round-boundary check a non-empty document would hit.
+            // check before the first step a non-empty document would hit.
             return queries
                 .iter()
                 .map(
@@ -514,7 +508,7 @@ impl<'s> Query<'s> {
     }
 
     /// Evaluates from the document root on `engine`: the ungoverned
-    /// K = 1 case of [`Session::execute`].
+    /// batch of one of [`Session::execute`].
     pub fn run(&self, engine: Engine) -> QueryOutput {
         ungoverned(
             self.session
@@ -661,9 +655,9 @@ mod tests {
     fn name_test_filtering_reuses_the_scratch_pool() {
         // Width 1 regardless of STAIRCASE_THREADS: this pins the
         // sequential filtering path, where takes and recycles balance
-        // exactly. (Wider pools route rounds through whichever shard a
-        // worker lands on, so a take can miss a non-empty pool and
-        // allocate fresh — bounded, but not round-for-round equal.)
+        // exactly. (Wider pools hand morsel buffers to whichever thread
+        // runs a morsel, so a take can miss a non-empty pool and
+        // allocate fresh — bounded, but not run-for-run equal.)
         let s = session().with_threads(1);
         let q = s.prepare("/descendant::bidder/child::increase").unwrap();
         // Warm phase: enough runs for every shard's pool to reach its

@@ -49,16 +49,12 @@ fn main() {
 
     // Verify once that a four-way split is result-identical.
     let d = Variant::EstimationSkipping;
+    let node = ScanTest::node(doc);
     let mut scratch = Scratch::new();
-    let split = descendant_many(
-        doc,
-        &[&profiles],
-        d,
-        Some(&WorkerPool::new(4)),
-        &mut scratch,
-    );
+    let four = WorkerPool::new(4);
+    let split = descendant_pooled(doc, &profiles, d, &node, Some(&four), &mut scratch);
     assert_eq!(
-        split[0].0,
+        split.0,
         descendant(doc, &profiles, d).0,
         "a morsel split must be exact"
     );
@@ -73,10 +69,17 @@ fn main() {
         let pool = WorkerPool::new(threads);
         let pool = Some(&pool);
         let q1 = median_ms(3, || {
-            descendant_many(doc, &[&profiles], d, pool, &mut scratch)
+            descendant_pooled(doc, &profiles, d, &node, pool, &mut scratch)
         });
         let q2 = median_ms(3, || {
-            ancestor_many(doc, &[&increases], Variant::Skipping, pool, &mut scratch)
+            ancestor_pooled(
+                doc,
+                &increases,
+                Variant::Skipping,
+                &node,
+                pool,
+                &mut scratch,
+            )
         });
         println!("{threads:>8} {q1:>16.2} {q2:>16.2}");
     }

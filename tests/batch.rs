@@ -556,8 +556,6 @@ fn chain_predicates_stay_on_the_lane_path() {
     ] {
         for q in &queries {
             let plan = q.explain(engine);
-            let first = &plan.branches()[0].steps()[0];
-            assert!(first.batchable(), "{} via {engine:?}:\n{plan}", q.text());
             assert!(plan.to_string().contains("semijoin["), "{plan}");
         }
         let batch = session.run_many(&refs, engine);
@@ -649,4 +647,29 @@ fn auto_planned_staircase_steps_share_passes() {
         first_step_total, first_step_single,
         "shared first step must cost one pass under auto"
     );
+}
+
+/// A step whose query trips its budget never enters the memo: the same
+/// text ungoverned, later in the batch, computes its own steps and
+/// reports what it reports alone.
+#[test]
+fn a_tripped_step_never_enters_the_memo() {
+    let session = Session::new(generate(XmarkConfig::new(0.05)));
+    let text = "/descendant::node()/ancestor::node()";
+    let governed = session.prepare(text).unwrap();
+    let plain = session.prepare(text).unwrap();
+    for engine in [Engine::default(), Engine::auto()] {
+        let budget = std::sync::Arc::new(Budget::new().with_max_touched(10));
+        let outs = session.execute(&[(&governed, Some(budget)), (&plain, None)], engine, None);
+        assert!(
+            matches!(outs[0], Err(Error::BudgetExhausted)),
+            "{engine:?}: the governed query trips: {:?}",
+            outs[0].as_ref().map(|o| o.len())
+        );
+        let batched = outs[1].as_ref().expect("the ungoverned twin completes");
+        let alone = plain.run(engine);
+        assert_eq!(batched.nodes(), alone.nodes(), "{engine:?}");
+        assert_eq!(batched.stats().steps, alone.stats().steps, "{engine:?}");
+        assert!(batched.stats().steps[0].nodes_touched > 0, "{engine:?}");
+    }
 }

@@ -61,10 +61,11 @@ fn engine() -> Engine {
 #[test]
 fn a_panicking_pool_task_fails_only_its_query() {
     let _scope = FaultScope::enter();
-    // Width 2 and two lanes with *different* grouping keys (a
-    // descendant pass and a child pass): the round fans out as two pool
-    // tasks, and a panic in one of them must fail exactly one query.
-    let session = Session::new(layered_doc(40, 40)).with_threads(2);
+    // Width 2 and a document big enough for `//q`'s plane scan to carry
+    // the fanout hint and split into morsels: the only pool tasks of the
+    // batch are that scan's, and a panic in one of them must fail
+    // exactly its query.
+    let session = Session::new(layered_doc(100, 100)).with_threads(2);
     let queries = [
         session.prepare("//q").expect("query parses"),
         session
@@ -142,12 +143,10 @@ fn an_injected_delay_makes_a_deadline_trip_on_a_small_document() {
     let session = Session::new(layered_doc(5, 5));
     let query = session.prepare("//q/ancestor::p").expect("query parses");
 
-    // 30 ms per round against a 10 ms deadline: the round-boundary
-    // check must trip even though the document is far too small for the
-    // in-kernel tickers to fire. Both round sites are armed so the test
-    // holds whether the plan runs its lanes grouped or as fallbacks.
+    // 30 ms before every step against a 10 ms deadline: the check after
+    // the step must trip even though the document is far too small for
+    // the in-kernel tickers to fire.
     faults::set("xpath::lane", FaultKind::Delay(30), None);
-    faults::set("xpath::round", FaultKind::Delay(30), None);
     let budget = Arc::new(Budget::new().with_deadline_in(Duration::from_millis(10)));
     let out = session
         .execute(&[(&query, Some(budget))], engine(), None)
@@ -157,6 +156,35 @@ fn an_injected_delay_makes_a_deadline_trip_on_a_small_document() {
         matches!(out, Err(Error::DeadlineExceeded)),
         "the delayed round must overrun the deadline: {out:?}"
     );
+}
+
+/// A step whose query panics never enters the memo: the same text,
+/// later in the batch, computes its own steps and reports what it
+/// reports alone (the twin of `tests/batch.rs`' tripped-budget test).
+#[test]
+fn a_panicked_step_never_enters_the_memo() {
+    let _scope = FaultScope::enter();
+    let session = Session::new(layered_doc(40, 40));
+    let text = "/descendant::node()/ancestor::node()";
+    let queries = [
+        session.prepare(text).expect("query parses"),
+        session.prepare(text).expect("query parses"),
+    ];
+    // The fail point fires before every step: once, so on the first
+    // query's first step.
+    faults::set("xpath::lane", FaultKind::Panic, Some(1));
+    let outs = session.execute(&[(&queries[0], None), (&queries[1], None)], engine(), None);
+    faults::clear_all();
+    assert!(
+        matches!(outs[0], Err(Error::Internal(_))),
+        "the first query panics: {:?}",
+        outs[0].as_ref().map(|o| o.len())
+    );
+    let batched = outs[1].as_ref().expect("the second query completes");
+    let alone = queries[1].run(engine());
+    assert_eq!(batched.nodes(), alone.nodes());
+    assert_eq!(batched.stats().steps, alone.stats().steps);
+    assert!(batched.stats().steps[0].nodes_touched > 0);
 }
 
 #[test]
@@ -206,7 +234,6 @@ fn an_injected_delay_trips_the_client_deadline_over_the_wire() {
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
 
     faults::set("xpath::lane", FaultKind::Delay(80), None);
-    faults::set("xpath::round", FaultKind::Delay(80), None);
     let err = client
         .query(
             "//b",

@@ -175,14 +175,14 @@ fn figure8_partitions() {
     // strategy §3.2 hints at: the kernel a session's `[par]` steps run,
     // which splits only work that amortizes a handoff).
     let pool = WorkerPool::new(3);
-    let (par, _) = ancestor_many(
+    let (par, _) = ancestor_pooled(
         &doc,
-        &[&ctx],
+        &ctx,
         Variant::Skipping,
+        &ScanTest::node(&doc),
         Some(&pool),
         &mut Scratch::new(),
-    )
-    .remove(0);
+    );
     assert_eq!(result, par);
 }
 

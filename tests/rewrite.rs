@@ -209,6 +209,23 @@ mod reference {
                         up = self.nodes[a].parent;
                     }
                 }
+                // The nodes after (before) `v` in document order that
+                // are neither in its subtree nor on its ancestor chain.
+                Axis::Following | Axis::Preceding => {
+                    let mut kin = Vec::new();
+                    self.descendants(v, &mut kin);
+                    let mut up = self.nodes[v].parent;
+                    while let Some(a) = up {
+                        kin.push(a);
+                        up = self.nodes[a].parent;
+                    }
+                    out.extend((0..self.nodes.len()).filter(|&u| {
+                        (u > v) == (axis == Axis::Following)
+                            && u != v
+                            && !kin.contains(&u)
+                            && !matches!(self.nodes[u].kind, Kind::Attribute(_))
+                    }));
+                }
                 other => panic!("the generator never emits {other}"),
             }
             out
@@ -462,6 +479,99 @@ mod abbreviated {
                             "run: {} via {:?} at width {} on {}", expr, engine, width, xml
                         );
                     }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The batch memo against the tree walk, which reads no post or
+        /// level column. For every drawn query the batch holds the query,
+        /// an exact repeat of it (every step a hit), its first planned
+        /// step alone (a prefix the query shares), and that step
+        /// continued along `following` and `preceding`, and so is the
+        /// query itself when it is one path. The continuations are asked
+        /// again in reverse order at the end, so that regions of
+        /// different bounds are both narrowed and widened from one
+        /// another. Run through `run_many` on every engine at pool widths
+        /// 1 and 4, every answer is the reference's.
+        #[test]
+        fn batch_memo_agrees_with_the_reference(
+            (xml, exprs) in (arb_xml(), proptest::collection::vec(arb_query(), 1..4))
+        ) {
+            let tree = Tree::parse(&xml);
+            for width in [1usize, 4] {
+                let session = Session::parse_xml(&xml).unwrap().with_threads(width);
+                let mut batch: Vec<String> = Vec::new();
+                let mut regions: Vec<String> = Vec::new();
+                for expr in &exprs {
+                    let query = session.prepare(expr).unwrap_or_else(|err| panic!("{expr:?}: {err}"));
+                    let plan = query.explain(Engine::default());
+                    let root = if expr.trim_start().starts_with('/') { "/" } else { "" };
+                    let prefix = format!("{root}{}", plan.branches()[0].steps()[0].source());
+                    let following = format!("{prefix}/following::node()");
+                    let preceding = format!("{prefix}/preceding::node()");
+                    regions.extend([preceding.clone(), following.clone()]);
+                    batch.extend([expr.clone(), expr.clone(), following, prefix, preceding]);
+                    if !expr.contains('|') {
+                        for axis in ["preceding", "following"] {
+                            let continued = format!("{expr}/{axis}::node()");
+                            regions.push(continued.clone());
+                            batch.push(continued);
+                        }
+                    }
+                }
+                batch.extend(regions.into_iter().rev());
+                let expected: Vec<Vec<u32>> = batch.iter().map(|e| tree.eval(e)).collect();
+                let queries: Vec<Query> = batch
+                    .iter()
+                    .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?}: {err}")))
+                    .collect();
+                let refs: Vec<&Query> = queries.iter().collect();
+                for engine in engines() {
+                    let outs = session.run_many(&refs, engine);
+                    for ((e, want), got) in batch.iter().zip(&expected).zip(&outs) {
+                        prop_assert_eq!(
+                            got.nodes().as_slice(), &want[..],
+                            "{} in a batch with {:?} via {:?} at width {} on {}",
+                            e, batch, engine, width, xml
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The horizontal regions of a batch, narrowed and widened from one
+    /// another, on a document whose elements close before later bounds
+    /// (so a narrower `preceding` region must drop ancestors the wider
+    /// one held): every query, in both batch orders, on every engine,
+    /// is the reference's.
+    #[test]
+    fn batched_regions_narrow_and_widen_like_the_reference() {
+        let xml = "<a><b><c/><d>t</d></b><d/><b><c><d/></c><a/></b><c/></a>";
+        let tree = Tree::parse(xml);
+        let session = Session::parse_xml(xml).unwrap();
+        let mut exprs: Vec<String> = Vec::new();
+        for axis in ["preceding", "following"] {
+            for test in ["node()", "d"] {
+                for from in ["//d", "//c", "//b", "//b/c", "//a/a", "//c/d"] {
+                    exprs.push(format!("{from}/{axis}::{test}"));
+                }
+            }
+        }
+        for order in [false, true] {
+            if order {
+                exprs.reverse();
+            }
+            let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
+            let refs: Vec<&Query> = queries.iter().collect();
+            for engine in engines() {
+                for (expr, got) in exprs.iter().zip(session.run_many(&refs, engine)) {
+                    let want = tree.eval(expr);
+                    assert_eq!(got.nodes().as_slice(), &want[..], "{expr} via {engine:?}");
                 }
             }
         }
