@@ -3,13 +3,17 @@
 //!
 //! The paper's central observation is that no single evaluator wins
 //! everywhere — the staircase join dominates the partitioning axes
-//! (§3–§4), tag-name fragmentation wins highly selective name tests
-//! (§6), and even the tree-unaware SQL plan of Figure 3 is competitive
-//! on tiny contexts. A planner choosing between them per step needs
-//! *estimates* of what each candidate would touch, before any of them
-//! runs. [`DocStats`] is that estimator: a cheap (one pass at most,
-//! cached by the session layer) snapshot of the statistics every
-//! estimate derives from —
+//! (§3–§4) and tag-name fragmentation wins highly selective name tests
+//! (§6). A planner choosing between them per step needs *estimates* of
+//! what each candidate would touch, before any of them runs. The
+//! tree-unaware baselines (the §3.1 naive strategy, the Figure-3 SQL
+//! plan) are priced too, for the fixed engines that run them, but are
+//! no planner candidates: they scan every context node's unpruned
+//! window and then sort away the duplicates.
+//!
+//! [`DocStats`] is the estimator: a cheap (one pass at most, cached by
+//! the session layer) snapshot of the statistics every estimate derives
+//! from —
 //!
 //! * node / element counts and the document height `h`,
 //! * the average node depth (which by a standard identity equals the
@@ -38,7 +42,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use staircase_accel::{Axis, Doc, NodeKind, Pre, TagId, NO_PARENT};
+use staircase_accel::{Axis, Doc, NodeKind, TagId, NO_PARENT};
 
 use crate::Variant;
 
@@ -381,20 +385,20 @@ impl DocStats {
     // ── Twig pricing (worst-case-optimal vs. step-at-a-time) ───────────
 
     /// Predicted **peak intermediate result** (materialized rows) of
-    /// evaluating a twig region step-at-a-time: the frontier after each
-    /// spine step, estimated from per-tag fragment sizes and
-    /// containment selectivity exactly like the step planner does
-    /// (existential predicates halve the frontier). This is the blowup
-    /// a multiway plan avoids — the step plan must materialize and
-    /// probe every one of these rows, so the peak is directly
+    /// evaluating a twig region step-at-a-time, and its final output
+    /// rows: the frontier after each spine step, estimated from per-tag
+    /// fragment sizes and containment selectivity exactly like the step
+    /// planner does (existential predicates halve the frontier). The
+    /// peak is the blowup a multiway plan avoids — the step plan must
+    /// materialize and probe every one of these rows, so it is directly
     /// comparable to [`DocStats::twig_frontier_cost`]'s touched-work
-    /// estimate.
+    /// estimate. Returns `(peak, rows)`.
     pub fn step_blowup_estimate(
         &self,
         context_card: f64,
         from_root: bool,
         legs: &[TwigLegCost],
-    ) -> f64 {
+    ) -> (f64, f64) {
         let n = (self.nodes as f64).max(1.0);
         let mut rows = context_card.max(1.0);
         let mut peak = 0.0f64;
@@ -409,7 +413,7 @@ impl DocStats {
             peak = peak.max(out);
             rows = out / 2.0f64.powi(leg.chains.len() as i32);
         }
-        peak
+        (peak, rows)
     }
 
     /// Predicted touched-work of the leapfrog twig operator
@@ -419,7 +423,7 @@ impl DocStats {
     /// height-bounded upward sweep of gallops per candidate), and the
     /// on-list descent below the pivot. `Engine::auto` picks the twig
     /// plan only when [`DocStats::step_blowup_estimate`] exceeds this.
-    pub fn twig_frontier_cost(&self, _context_card: f64, legs: &[TwigLegCost]) -> f64 {
+    pub fn twig_frontier_cost(&self, legs: &[TwigLegCost]) -> f64 {
         if legs.is_empty() {
             return 0.0;
         }
@@ -476,121 +480,6 @@ impl DocStats {
     }
 }
 
-/// Runtime overlay over a [`DocStats`] snapshot: observed quantities
-/// shadow the static estimates.
-///
-/// The static planner estimates the context cardinality of every step
-/// from global averages — exactly the assumption skewed documents break
-/// ("Skew Strikes Back"). Once a step has *run*, the frontier
-/// cardinality is not an estimate any more: the executor hands the
-/// actual context list size (and the step's
-/// [`StepStats::observed_cost`](crate::StepStats::observed_cost)) to a
-/// `RuntimeStats`, and every window/operator formula below re-prices
-/// with the observed value where the static path would have used the
-/// Equation-1 guess. A [`Calibrator`] factor (session-lifetime, fitted
-/// from real seek counts) scales the twig constants the same way.
-///
-/// The overlay borrows the base snapshot and the frontier itself;
-/// building one is free, so the executor constructs a fresh overlay
-/// wherever it re-prices a step.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeStats<'a> {
-    base: &'a DocStats,
-    /// The document the frontier lives in.
-    doc: &'a Doc,
-    /// The observed frontier: the next step's context list.
-    frontier: &'a [Pre],
-    /// Observed context cardinality for the next step — exact, not the
-    /// planner's estimate.
-    observed_card: f64,
-    /// Session-lifetime multiplier on the twig seek constants (1.0
-    /// until the calibrator has seen real seek counts).
-    twig_seek_factor: f64,
-}
-
-impl<'a> RuntimeStats<'a> {
-    /// Overlays `base` with the observed frontier `ctx` of `doc`: its
-    /// cardinality, and the exact unpruned window
-    /// ([`RuntimeStats::unpruned_window`]).
-    pub fn observed(base: &'a DocStats, doc: &'a Doc, ctx: &'a [Pre]) -> RuntimeStats<'a> {
-        RuntimeStats {
-            base,
-            doc,
-            frontier: ctx,
-            observed_card: ctx.len() as f64,
-            twig_seek_factor: 1.0,
-        }
-    }
-
-    /// Applies a [`Calibrator`]'s fitted twig-seek factor.
-    pub fn calibrated(mut self, calibrator: &Calibrator) -> RuntimeStats<'a> {
-        self.twig_seek_factor = calibrator.twig_seek_factor();
-        self
-    }
-
-    /// The underlying static snapshot.
-    pub fn base(&self) -> &DocStats {
-        self.base
-    }
-
-    /// The observed frontier cardinality shadowing the estimate.
-    pub fn card(&self) -> f64 {
-        self.observed_card
-    }
-
-    /// Equation-1 descendant window, from the *observed* cardinality.
-    pub fn descendant_window(&self, from_root: bool) -> f64 {
-        self.base.descendant_window(self.observed_card, from_root)
-    }
-
-    /// Ancestor window, from the *observed* cardinality.
-    pub fn ancestor_window(&self) -> f64 {
-        self.base.ancestor_window(self.observed_card)
-    }
-
-    /// The unpruned window of a mid-path step — every context node's
-    /// own region, covered by another's or not — read off the frontier
-    /// exactly: the sum of Equation-1 subtree sizes (`descendant`) or of
-    /// levels (`ancestor`) over the context. The static
-    /// [`DocStats::unpruned_window`] scales the average subtree by the
-    /// cardinality instead, which misses by the nesting depth on a
-    /// frontier whose nodes nest.
-    pub fn unpruned_window(&self, descendant: bool) -> f64 {
-        let (doc, ctx) = (self.doc, self.frontier);
-        let sum: u64 = if descendant {
-            ctx.iter().map(|&c| u64::from(doc.subtree_size(c))).sum()
-        } else {
-            ctx.iter().map(|&c| u64::from(doc.level(c))).sum()
-        };
-        sum as f64
-    }
-
-    /// [`DocStats::staircase_cost`] with the observed cardinality.
-    pub fn staircase_cost(&self, variant: Variant, window: f64) -> f64 {
-        self.base
-            .staircase_cost(variant, self.observed_card, window)
-    }
-
-    /// [`DocStats::fragment_cost`] with the observed cardinality.
-    pub fn fragment_cost(&self, fragment: usize, window: f64, prescan: bool) -> f64 {
-        self.base
-            .fragment_cost(fragment, self.observed_card, window, prescan)
-    }
-
-    /// [`DocStats::sql_cost`] with the observed cardinality.
-    pub fn sql_cost(&self, unpruned_window: f64, eq1_window: bool) -> f64 {
-        self.base
-            .sql_cost(self.observed_card, unpruned_window, eq1_window)
-    }
-
-    /// [`DocStats::twig_frontier_cost`] with the calibrated seek factor:
-    /// the pivot-anchoring term (the seek bill the calibrator fits) is
-    /// scaled by the session's observed seeks-per-prediction ratio.
-    pub fn twig_frontier_cost(&self, legs: &[TwigLegCost]) -> f64 {
-        self.base.twig_frontier_cost(self.observed_card, legs) * self.twig_seek_factor
-    }
-}
-
 /// Session-lifetime cost-constant calibrator.
 ///
 /// The static twig constants predict the leapfrog's seek bill from
@@ -598,8 +487,7 @@ impl<'a> RuntimeStats<'a> {
 /// [`StepStats::seeks`](crate::StepStats) after every twig step. The
 /// calibrator keeps an exponentially weighted ratio of observed to
 /// predicted seeks and exposes it as a multiplicative factor
-/// ([`Calibrator::twig_seek_factor`]) that [`RuntimeStats`] (and any
-/// planner holding the calibrator) applies to
+/// ([`Calibrator::twig_seek_factor`]) that the planner applies to
 /// [`DocStats::twig_frontier_cost`]. The factor is clamped to
 /// `[0.25, 4.0]` so one pathological sample can never invert every
 /// later twig-vs-step decision.
@@ -876,8 +764,8 @@ mod tests {
                 chains: vec![vec![700]],
             },
         ];
-        let blowup = s.step_blowup_estimate(1.0, true, &legs);
-        let frontier = s.twig_frontier_cost(1.0, &legs);
+        let blowup = s.step_blowup_estimate(1.0, true, &legs).0;
+        let frontier = s.twig_frontier_cost(&legs);
         assert!(
             blowup > frontier,
             "skew: blowup {blowup} must exceed frontier {frontier}"
@@ -896,8 +784,8 @@ mod tests {
                 chains: vec![vec![8_000]],
             },
         ];
-        let blowup = s.step_blowup_estimate(1.0, true, &uniform);
-        let frontier = s.twig_frontier_cost(1.0, &uniform);
+        let blowup = s.step_blowup_estimate(1.0, true, &uniform).0;
+        let frontier = s.twig_frontier_cost(&uniform);
         assert!(
             blowup < frontier,
             "uniform: blowup {blowup} must stay below frontier {frontier}"
@@ -908,14 +796,14 @@ mod tests {
     fn twig_estimators_handle_degenerate_inputs() {
         let doc = random_doc(4, 600);
         let s = DocStats::from_doc(&doc);
-        assert_eq!(s.twig_frontier_cost(1.0, &[]), 0.0);
+        assert_eq!(s.twig_frontier_cost(&[]), 0.0);
         let legs = [TwigLegCost {
             fragment: 0,
             child_edge: true,
             chains: vec![],
         }];
-        assert!(s.step_blowup_estimate(0.0, false, &legs) >= 0.0);
-        assert!(s.twig_frontier_cost(0.0, &legs).is_finite());
+        assert!(s.step_blowup_estimate(0.0, false, &legs).0 >= 0.0);
+        assert!(s.twig_frontier_cost(&legs).is_finite());
         // Multi-step chains charge their closure walk.
         let deep = [TwigLegCost {
             fragment: 50,
@@ -927,49 +815,7 @@ mod tests {
             child_edge: false,
             chains: vec![vec![100]],
         }];
-        assert!(s.twig_frontier_cost(1.0, &deep) > s.twig_frontier_cost(1.0, &shallow));
-    }
-
-    #[test]
-    fn runtime_overlay_shadows_the_estimated_cardinality() {
-        let doc = random_doc(11, 1200);
-        let s = DocStats::from_doc(&doc);
-        // The static path would estimate a large frontier; the overlay
-        // observed a tiny one and every formula re-prices from it.
-        let few: Vec<Pre> = (0..3).collect();
-        let rt = RuntimeStats::observed(&s, &doc, &few);
-        assert_eq!(rt.card(), 3.0);
-        let w = rt.descendant_window(false);
-        assert_eq!(w, s.descendant_window(3.0, false));
-        assert_eq!(
-            rt.staircase_cost(Variant::EstimationSkipping, w),
-            s.staircase_cost(Variant::EstimationSkipping, 3.0, w)
-        );
-        assert_eq!(
-            rt.fragment_cost(40, w, false),
-            s.fragment_cost(40, 3.0, w, false)
-        );
-        // Observed-small frontiers price probes below the scan the
-        // static estimate would have bought.
-        let many: Vec<Pre> = (0..800).collect();
-        let big = RuntimeStats::observed(&s, &doc, &many);
-        assert!(
-            rt.fragment_cost(40, w, false)
-                < big.fragment_cost(40, big.descendant_window(false), false)
-        );
-    }
-
-    #[test]
-    fn observed_frontiers_price_their_exact_unpruned_window() {
-        // A chain nests every node in the one before it: the card-scaled
-        // average guesses 3 · s̄, the regions really hold 9 + 8 + 7.
-        let doc = Doc::from_xml(&format!("{}{}", "<a>".repeat(10), "</a>".repeat(10))).unwrap();
-        let s = DocStats::from_doc(&doc);
-        let ctx: [Pre; 3] = [0, 1, 2];
-        let rt = RuntimeStats::observed(&s, &doc, &ctx);
-        assert_eq!(rt.card(), 3.0);
-        assert_eq!(rt.unpruned_window(true), 24.0);
-        assert_eq!(rt.unpruned_window(false), 3.0);
+        assert!(s.twig_frontier_cost(&deep) > s.twig_frontier_cost(&shallow));
     }
 
     #[test]
@@ -989,20 +835,6 @@ mod tests {
         c.observe_twig(0.0, 10);
         c.observe_twig(100.0, 0);
         assert_eq!(c.samples(), 32);
-        // A calibrated overlay scales the frontier cost by the factor.
-        let doc = random_doc(2, 900);
-        let s = DocStats::from_doc(&doc);
-        let legs = [TwigLegCost {
-            fragment: 50,
-            child_edge: false,
-            chains: vec![vec![100]],
-        }];
-        let root = [doc.root()];
-        let plain = RuntimeStats::observed(&s, &doc, &root).twig_frontier_cost(&legs);
-        let fitted = RuntimeStats::observed(&s, &doc, &root)
-            .calibrated(&c)
-            .twig_frontier_cost(&legs);
-        assert!((fitted - plain * c.twig_seek_factor()).abs() < 1e-9);
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub mod twig;
 
 pub use anc::{ancestor, ancestor_tested};
 pub use batch::Scratch;
-pub use cost::{Calibrator, DocStats, RuntimeStats, TwigLegCost};
+pub use cost::{Calibrator, DocStats, TwigLegCost};
 pub use desc::{descendant, descendant_fused, descendant_tested, guaranteed_result_estimate};
 pub use exists::{has_ancestor_in, has_child_in, has_descendant_in};
 pub use governor::{Budget, Trip};

@@ -47,7 +47,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use staircase_accel::{Axis, Context, Pre};
-use staircase_core::cost::RuntimeStats;
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
     faults, following_from, following_start, preceding_bound, preceding_from, Scratch, Variant,
@@ -87,28 +86,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// magnitude.
 const REPLAN_DISAGREE_FACTOR: f64 = 8.0;
 
-/// The auxiliary structures a re-planning lane may switch to: those its
-/// own query's plan needs. The executor may hold more for the batch's
-/// other queries, but a lane that switched to one of those would pick
-/// (and report) a different operator batched than alone.
-#[derive(Clone, Copy)]
-struct Holds {
-    tags: bool,
-    sql: bool,
-}
-
-impl Holds {
-    /// `Some` for a plan lowered under the auto policy
-    /// ([`PhysicalPlan::is_auto`]), whose lanes re-price the pending
-    /// step from the observed frontier after every advance.
-    fn of(plan: &PhysicalPlan) -> Option<Holds> {
-        plan.is_auto().then(|| Holds {
-            tags: plan.needs_tag_index(),
-            sql: plan.needs_sql_engine(),
-        })
-    }
-}
-
 /// What a lane carries from its query.
 struct Lane<'b> {
     query: usize,
@@ -116,7 +93,14 @@ struct Lane<'b> {
     /// The query has this one lane: its last step's output is the
     /// query's result.
     whole: bool,
-    holds: Option<Holds>,
+    /// `Some` for a plan lowered under the auto policy
+    /// ([`PhysicalPlan::is_auto`]), whose lane re-prices the pending
+    /// step from the observed frontier after every advance. The flag is
+    /// whether the query's own plan needs the tag index: the one
+    /// structure a switch may target. The executor may hold it for the
+    /// batch's other queries, but a lane that switched to it would pick
+    /// (and report) a different operator batched than alone.
+    tags_held: Option<bool>,
     budget: Option<&'b Arc<Budget>>,
 }
 
@@ -420,7 +404,7 @@ impl Executor<'_> {
         scratch: &mut Scratch,
     ) -> Result<QueryOutput, Error> {
         let _guard = budget.cloned().map(governor::enter);
-        let holds = Holds::of(plan);
+        let tags_held = plan.is_auto().then(|| plan.needs_tag_index());
         // A lone lane's last step output is the query's result.
         let whole = plan.branches().len() == 1;
         let mut output: Option<QueryOutput> = None;
@@ -430,7 +414,7 @@ impl Executor<'_> {
                     query,
                     branch_no: b,
                     whole,
-                    holds,
+                    tags_held,
                     budget,
                 };
                 self.run_lane(&lane, branch, context, memo, outputs, scratch)
@@ -488,8 +472,8 @@ impl Executor<'_> {
             memo.settle(keys, &next, stash, result_of, scratch);
             stats.steps.push(trace);
             scratch.recycle(std::mem::replace(&mut ctx, next));
-            if let Some(holds) = lane.holds {
-                self.maybe_replan(&mut steps, i + 1, &ctx, holds);
+            if let Some(tags_held) = lane.tags_held {
+                self.maybe_replan(&mut steps, i + 1, &ctx, tags_held);
             }
         }
         Ok((ctx, stats))
@@ -614,10 +598,9 @@ impl Executor<'_> {
     /// [`crate::Engine::auto`]'s re-planning hook, run after every step
     /// of a lane planned under auto, with `next` the pending step and
     /// `ctx` the frontier just observed. When it is at least
-    /// [`REPLAN_DISAGREE_FACTOR`] off the planner's estimate, overlay it
-    /// (and the session calibrator's fitted constants) on the document
-    /// statistics, re-price the pending step's operator candidates among
-    /// those the lane's own plan holds ([`Holds`], [`replan_step`]), and
+    /// [`REPLAN_DISAGREE_FACTOR`] off the planner's estimate, re-price
+    /// the pending step's operator from the observed cardinality among
+    /// the structures the lane's own plan holds ([`replan_step`]), and
     /// switch the step's operator in place when the observed ranking
     /// disagrees with the planned choice. Switched steps carry the
     /// `[replan]` marker into their traces. Lanes of every fixed engine
@@ -627,7 +610,7 @@ impl Executor<'_> {
         steps: &mut Cow<'_, [PlannedStep]>,
         next: usize,
         ctx: &Context,
-        holds: Holds,
+        tags_held: bool,
     ) {
         if ctx.is_empty() || next >= steps.len() {
             return;
@@ -641,10 +624,8 @@ impl Executor<'_> {
         if (observed / planned).max(planned / observed) < REPLAN_DISAGREE_FACTOR {
             return;
         }
-        let rt = RuntimeStats::observed(self.stats, self.doc, ctx.as_slice())
-            .calibrated(self.calibrator);
         let Some((op, test_op, cost)) =
-            replan_step(&steps[next], self.doc, &rt, holds.tags, holds.sql)
+            replan_step(&steps[next], self.doc, self.stats, observed, tags_held)
         else {
             return;
         };

@@ -139,15 +139,16 @@ impl Engine {
 
     /// The cost-based planner: instead of fixing one evaluator for the
     /// whole query, every step's operator is chosen by pricing the
-    /// candidates — plain staircase join, prebuilt §6 tag fragment, the
-    /// Figure-3 SQL plan — against document statistics (node counts,
-    /// per-tag fragment sizes, Equation-1 context-window estimates).
+    /// candidates — plain staircase join, prebuilt §6 tag fragment —
+    /// against document statistics (node counts, per-tag fragment
+    /// sizes, Equation-1 context-window estimates). The Figure-3 SQL
+    /// plan is the paper's baseline ([`Engine::sql`]), never a
+    /// candidate: it can win only where it is mispriced.
     ///
     /// The plan is a starting point, not a commitment: after every step
     /// boundary the executor compares the *observed* frontier with the
     /// planner's estimate, and where they disagree by 8× or more it
-    /// re-prices the pending step against a
-    /// [`staircase_core::RuntimeStats`] overlay and
+    /// re-prices the pending step from the observed cardinality and
     /// switches its operator when the observed-cost ranking disagrees
     /// with the planned one (`[replan]` in the step trace). A
     /// session-lifetime [`staircase_core::Calibrator`] nudges the twig

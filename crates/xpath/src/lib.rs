@@ -57,9 +57,12 @@
 //! * [`Engine::auto`] prices the candidate operators per step from
 //!   document statistics (node counts, per-tag fragment sizes,
 //!   Equation-1 context-window estimates; see
-//!   [`staircase_core::cost`]) and keeps the cheapest — fragment joins
-//!   for selective name tests, the estimation-skipping staircase join
-//!   for unselective steps. `child::name` is priced too: the on-list
+//!   [`staircase_core::cost`]) and keeps the cheapest. A vertical step
+//!   chooses between two: the prebuilt fragment join for selective name
+//!   tests, the estimation-skipping staircase join otherwise. The
+//!   tree-unaware plans (naive, SQL) are never candidates: they scan
+//!   every context node's unpruned window, so they win only where they
+//!   are mispriced. `child::name` is priced too: the on-list
 //!   child join ([`staircase_core::child_on_list`]) against the
 //!   structural hop over every child, which every fixed engine takes.
 //!   The plan is where auto starts, not where it must finish: it
@@ -148,19 +151,16 @@
 //! * **Re-planning at step boundaries** ([`Engine::auto`]). After each
 //!   advance of a lane planned under auto, the executor compares the
 //!   lane's *observed* frontier cardinality against the planner's
-//!   estimate. When they disagree by 8× or more, the observed frontier
-//!   is overlaid on the document statistics
-//!   ([`staircase_core::RuntimeStats::observed`]: its cardinality, and
-//!   the exact unpruned window the SQL plan would scan), the pending
-//!   step's candidates are re-priced — among the operators whose
-//!   structures the query's own plan already needs, so a switch never
-//!   brings the fragment index or the B-tree into existence, and a query
-//!   switches the same way alone as in [`Session::run_many`] — and the
-//!   operator is switched in place if the observed
-//!   ranking disagrees with the planned choice. Fixed engines and
-//!   `twig` run their plans as planned. Switching
-//!   is lane-local (the cached plan is copy-on-write, so other lanes
-//!   and later runs are untouched), results stay node-identical to
+//!   estimate. When they disagree by 8× or more, the pending step's
+//!   candidates are re-priced from the observed cardinality by the same
+//!   chooser the planner uses — a switch to the fragment join only when
+//!   the query's own plan already needs the index, so a switch never
+//!   brings it into existence, and a query switches the same way alone
+//!   as in [`Session::run_many`] — and the operator is switched in place
+//!   if the observed ranking disagrees with the planned choice. Fixed
+//!   engines and `twig` run their plans as planned. Switching is
+//!   lane-local (the cached plan is copy-on-write, so other lanes and
+//!   later runs are untouched), results stay node-identical to
 //!   every fixed engine (property-tested at pool widths 1/2/4, through
 //!   [`Session::run`] and [`Session::run_many`] alike), and switched
 //!   steps carry a `[replan]` marker in their [`StepTrace`] and in the

@@ -13,18 +13,19 @@
 //! Fixed engines are trivial planning policies — every step lowers to
 //! the operator that engine always uses, exactly reproducing the
 //! pre-split dispatch (asserted by the cross-engine equivalence tests).
-//! [`Engine::auto`] is the interesting policy: for every partitioning
-//! step it prices the candidate operators with
-//! [`staircase_core::cost::DocStats`] — plain staircase join, prebuilt
-//! tag fragment (§6), and the Figure-3 SQL plan — and keeps the
-//! cheapest, the way worst-case-optimal join systems pick per-variable
-//! strategies from cardinality bounds.
+//! [`Engine::auto`] is the interesting policy: for every vertical step
+//! it prices the candidate operators with
+//! [`staircase_core::cost::DocStats`] — plain staircase join and
+//! prebuilt tag fragment (§6) — and keeps the cheaper, the way
+//! worst-case-optimal join systems pick per-variable strategies from
+//! cardinality bounds. The Figure-3 SQL plan stays a fixed engine, the
+//! paper's baseline, and is never a candidate.
 
 use std::fmt;
 use std::sync::Arc;
 
 use staircase_accel::{Axis, Doc, TagId};
-use staircase_core::cost::{DocStats, RuntimeStats, TwigLegCost};
+use staircase_core::cost::{DocStats, TwigLegCost};
 use staircase_core::{TwigEdge, Variant};
 
 use crate::ast::{NodeTest, Path, Predicate, Step, UnionExpr};
@@ -109,8 +110,7 @@ pub struct PhysicalPlan {
     pub(crate) branches: Vec<PathPlan>,
     /// Planned under the auto policy ([`Engine::auto`](crate::Engine::auto)):
     /// the executor re-prices a pending step at a step boundary
-    /// from the *observed* frontier
-    /// ([`staircase_core::cost::RuntimeStats`]) and may switch its
+    /// from the *observed* frontier cardinality and may switch its
     /// operator ([`replan_step`]). Fixed engines and `twig` never do.
     pub(crate) auto: bool,
 }
@@ -815,15 +815,13 @@ fn plan_twig(
     // The calibrated frontier: the session's fitted seek factor scales
     // the static prediction, so a session whose twig steps kept seeking
     // more (or less) than predicted shifts later twig-vs-step picks.
-    let frontier = stats.twig_frontier_cost(in_rows, &legs) * pl.twig_seek;
-    if matches!(pl.policy, Policy::Auto)
-        && stats.step_blowup_estimate(in_rows, at_root, &legs) <= frontier
-    {
+    let frontier = stats.twig_frontier_cost(&legs) * pl.twig_seek;
+    // `rows` is the step plan's final output, so downstream estimates
+    // are unchanged by splicing the twig in.
+    let (blowup, rows) = stats.step_blowup_estimate(in_rows, at_root, &legs);
+    if matches!(pl.policy, Policy::Auto) && blowup <= frontier {
         return None;
     }
-    // Output cardinality: the step plan's final rows, so downstream
-    // estimates are unchanged by splicing the twig in.
-    let rows = twig_rows_estimate(stats, in_rows, at_root, &legs);
     let rendered = source
         .iter()
         .map(Step::to_string)
@@ -866,25 +864,6 @@ fn plan_twig(
         origin,
     };
     Some((planned, rows))
-}
-
-/// The step plan's output-cardinality recursion over a region (the
-/// `rows` half of [`DocStats::step_blowup_estimate`]), so the fused step
-/// reports the same expected rows the step pipeline would.
-fn twig_rows_estimate(stats: &DocStats, in_rows: f64, at_root: bool, legs: &[TwigLegCost]) -> f64 {
-    let n = (stats.nodes() as f64).max(1.0);
-    let mut rows = in_rows.max(1.0);
-    for (i, leg) in legs.iter().enumerate() {
-        let f = leg.fragment as f64;
-        let reach = if leg.child_edge {
-            rows * stats.avg_fanout()
-        } else {
-            stats.descendant_window(rows, at_root && i == 0)
-        };
-        let out = (reach * f / n).min(f);
-        rows = out / 2.0f64.powi(leg.chains.len() as i32);
-    }
-    rows
 }
 
 /// Fraction of window nodes surviving `test` (rough: name tests use the
@@ -1098,30 +1077,7 @@ fn plan_partitioning(
                 // selection scan is free).
                 StepOp::Fragment { prescan: true }
             } else {
-                // Candidate set for vertical axes: plain staircase join,
-                // prebuilt fragment (name tests only), and the SQL plan.
-                // First-cheapest wins; ties keep the earlier (more
-                // robust) candidate.
-                let mut candidates = vec![StepOp::Staircase {
-                    variant: Variant::EstimationSkipping,
-                }];
-                if is_name {
-                    candidates.push(StepOp::Fragment { prescan: false });
-                }
-                candidates.push(StepOp::Sql {
-                    eq1_window: true,
-                    early_nametest: true,
-                });
-                let mut best = candidates[0].clone();
-                let mut best_cost = price(&candidates[0]);
-                for cand in &candidates[1..] {
-                    let c = price(cand);
-                    if c < best_cost {
-                        best = cand.clone();
-                        best_cost = c;
-                    }
-                }
-                best
+                choose_vertical(stats, in_rows, window, is_name, fragment, true).0
             }
         }
     };
@@ -1166,35 +1122,64 @@ fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> Ste
     }
 }
 
-/// Re-prices one pending step against the **observed** frontier —
-/// [`Engine::auto`](crate::Engine::auto)'s mid-query loop — and returns
-/// the now-cheapest operator (with its fused-test flag and re-priced
-/// cost) when the observed-cost ranking disagrees with the planned pick.
+/// The operator [`Engine::auto`] runs a vertical step as, and its price:
+/// the plain staircase join, or the prebuilt fragment join when the step
+/// tests a name and `tags_held` says the index may be used. The planner
+/// asks with the estimated context cardinality `card`, the re-planner
+/// ([`replan_step`]) with the observed one; `window` is the context
+/// window priced from it. Ties keep the staircase join.
 ///
-/// Only vertical partitioning steps already carrying an operator from
-/// the auto candidate set (plain staircase, prebuilt fragment, SQL) are
+/// The Figure-3 SQL plan is no candidate: it scans every context node's
+/// *unpruned* window and then sorts away the duplicates (§3), so it can
+/// win only where it is mispriced.
+fn choose_vertical(
+    stats: &DocStats,
+    card: f64,
+    window: f64,
+    is_name: bool,
+    fragment: usize,
+    tags_held: bool,
+) -> (StepOp, f64) {
+    let staircase = StepOp::Staircase {
+        variant: Variant::EstimationSkipping,
+    };
+    let scan = stats.staircase_cost(Variant::EstimationSkipping, card, window)
+        + stats.apply_test_cost(window);
+    if !(is_name && tags_held) {
+        return (staircase, scan);
+    }
+    let on_list = stats.fragment_cost(fragment, card, window, false);
+    if on_list < scan {
+        (StepOp::Fragment { prescan: false }, on_list)
+    } else {
+        (staircase, scan)
+    }
+}
+
+/// Re-prices one pending step from the **observed** context cardinality
+/// `card` — [`Engine::auto`](crate::Engine::auto)'s mid-query loop — and
+/// returns the now-cheapest operator (with its fused-test flag and
+/// re-priced cost) when [`choose_vertical`] disagrees with the planned
+/// pick.
+///
+/// Only vertical steps planned as a staircase or fragment join are
 /// re-chosen: twig regions, horizontal scans, and structural axes have
-/// no runtime alternative the overlay prices. A switch only ever
-/// targets a structure the lane's own plan already needs:
-/// `tags_available` gates the fragment join and `sql_available` the SQL
-/// plan. A mid-query build would cost more than it saves, and a lane
-/// that borrowed a batch partner's structure would switch differently
-/// batched than alone.
+/// no runtime alternative. A name no element carries never switches.
+/// A switch to the fragment join needs `tags_held`: the lane's own plan
+/// already needs the index. A mid-query build would cost more than it
+/// saves, and a lane that borrowed a batch partner's index would switch
+/// differently batched than alone.
 pub(crate) fn replan_step(
     step: &PlannedStep,
     doc: &Doc,
-    rt: &RuntimeStats<'_>,
-    tags_available: bool,
-    sql_available: bool,
+    stats: &DocStats,
+    card: f64,
+    tags_held: bool,
 ) -> Option<(StepOp, TestOp, f64)> {
     let vert = vert_axis_of(step.axis)?;
-    if !matches!(
-        step.op,
-        StepOp::Staircase { .. } | StepOp::Fragment { .. } | StepOp::Sql { .. }
-    ) {
+    if !matches!(step.op, StepOp::Staircase { .. } | StepOp::Fragment { .. }) {
         return None;
     }
-    let stats = rt.base();
     let is_name = matches!(step.test, NodeTest::Name(_));
     let fragment = match &step.test {
         NodeTest::Name(name) => stats.fragment_size(doc, doc.tag_id(name)),
@@ -1207,61 +1192,16 @@ pub(crate) fn replan_step(
     }
     // Replanning fires mid-path, after at least one step has run, so
     // the from-root window special case never applies.
-    let desc = vert == VertAxis::Descendant;
-    let window = if desc {
-        rt.descendant_window(false)
-    } else {
-        rt.ancestor_window()
+    let window = match vert {
+        VertAxis::Descendant => stats.descendant_window(card, false),
+        VertAxis::Ancestor => stats.ancestor_window(card),
     };
-    let price = |op: &StepOp| -> f64 {
-        match *op {
-            StepOp::Staircase { variant } => {
-                rt.staircase_cost(variant, window) + stats.apply_test_cost(window)
-            }
-            StepOp::Fragment { prescan } => rt.fragment_cost(fragment, window, prescan),
-            StepOp::Sql {
-                eq1_window,
-                early_nametest,
-            } => {
-                // SQL scans every context node's region, covered or
-                // not: the observed frontier's own unpruned window.
-                let unpruned = rt.unpruned_window(desc);
-                let scan = rt.sql_cost(unpruned, eq1_window);
-                if early_nametest && is_name {
-                    scan
-                } else {
-                    scan + stats.apply_test_cost(unpruned)
-                }
-            }
-            _ => f64::INFINITY,
-        }
-    };
-    // The same candidate set (and tie-breaking order) as the static
-    // auto policy, priced through the runtime overlay instead of the
-    // Equation-1 cardinality guess: the plain staircase join, then the
-    // operators whose structures the lane holds.
-    let mut best = StepOp::Staircase {
-        variant: Variant::EstimationSkipping,
-    };
-    let mut best_cost = price(&best);
-    let optional = [
-        (is_name && tags_available).then_some(StepOp::Fragment { prescan: false }),
-        (sql_available || matches!(step.op, StepOp::Sql { .. })).then_some(StepOp::Sql {
-            eq1_window: true,
-            early_nametest: true,
-        }),
-    ];
-    for op in optional.into_iter().flatten() {
-        let cost = price(&op);
-        if cost < best_cost {
-            (best, best_cost) = (op, cost);
-        }
-    }
+    let (best, cost) = choose_vertical(stats, card, window, is_name, fragment, tags_held);
     if best == step.op {
         return None;
     }
     let test_op = TestOp::of(&best, is_name);
-    Some((best, test_op, best_cost))
+    Some((best, test_op, cost))
 }
 
 /// Lowers a predicate path over an estimated `candidates` rows and
@@ -1691,13 +1631,12 @@ mod tests {
         // observed context — the fragment join must win.
         let plan = plan_for("/descendant::b/descendant::b", Engine::adaptive());
         let step = &plan.branches()[0].steps()[1];
-        // One observed context node: the first `b`.
-        let ctx = [2];
-        let rt = RuntimeStats::observed(&stats, &doc, &ctx);
+        // One observed context node.
+        let card = 1.0;
         match step.operator() {
             StepOp::Fragment { .. } => {
                 // Already the observed-cost winner at card 1: no switch.
-                assert!(replan_step(step, &doc, &rt, true, false).is_none());
+                assert!(replan_step(step, &doc, &stats, card, true).is_none());
             }
             other => panic!("fixture surprise: {other}"),
         }
@@ -1705,43 +1644,41 @@ mod tests {
         // switches to the fragment join.
         let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
         let stair = &fixed.branches()[0].steps()[1];
-        let (op, test_op, cost) = replan_step(stair, &doc, &rt, true, false)
+        let (op, test_op, cost) = replan_step(stair, &doc, &stats, card, true)
             .expect("staircase should lose to the fragment");
         assert_eq!(op, StepOp::Fragment { prescan: false });
         assert_eq!(test_op, TestOp::Fused);
         assert!(cost.is_finite() && cost >= 0.0);
         // Horizontal and structural steps never replan.
-        let horiz = plan_for("/following::b", Engine::default());
-        assert!(replan_step(&horiz.branches()[0].steps()[0], &doc, &rt, true, true).is_none());
-        let structural = plan_for("child::b", Engine::default());
-        assert!(replan_step(&structural.branches()[0].steps()[0], &doc, &rt, true, true).is_none());
+        for expr in ["/following::b", "child::b"] {
+            let plan = plan_for(expr, Engine::default());
+            let step = &plan.branches()[0].steps()[0];
+            assert!(
+                replan_step(step, &doc, &stats, card, true).is_none(),
+                "{expr}"
+            );
+        }
     }
 
     #[test]
     fn replan_offers_only_the_operators_the_lane_holds() {
         let (doc, stats) = fixture();
-        // One observed context node: the first `b`.
-        let ctx = [2];
-        let rt = RuntimeStats::observed(&stats, &doc, &ctx);
         let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
         let stair = &fixed.branches()[0].steps()[1];
         // The fragment join wins at card 1, but without the index in
         // hand it is no candidate, and the plane scan stands.
-        assert!(replan_step(stair, &doc, &rt, true, false).is_some());
-        assert!(replan_step(stair, &doc, &rt, false, false).is_none());
+        assert!(replan_step(stair, &doc, &stats, 1.0, true).is_some());
+        assert!(replan_step(stair, &doc, &stats, 1.0, false).is_none());
     }
 
     #[test]
     fn replan_never_builds_fragments_for_absent_names() {
         let (doc, stats) = fixture();
         let plan = plan_for("/descendant::zzz/descendant::zzz", Engine::default());
-        // One observed context node: the first `b`.
-        let ctx = [2];
-        let rt = RuntimeStats::observed(&stats, &doc, &ctx);
         // An absent name is provably empty: whatever the planned
         // operator, switching could only force an index build.
         for step in plan.branches()[0].steps() {
-            assert!(replan_step(step, &doc, &rt, true, true).is_none());
+            assert!(replan_step(step, &doc, &stats, 1.0, true).is_none());
         }
     }
 

@@ -620,18 +620,39 @@ fn auto_plans_absent_names_without_building_the_fragment_index() {
     assert_eq!(out.stats().steps[0].nodes_touched, 0);
 }
 
+/// The *flip* document: 2 000 `a`s that each carry all fifteen `p1` …
+/// `p15` children and one `x`, then 10 000 loose `x`s. Fifteen
+/// existential predicates halve the estimated `a` frontier fifteen
+/// times, while every `a` passes them all.
+fn flip_xml() -> String {
+    let ps: String = (1..=15).map(|i| format!("<p{i}/>")).collect();
+    format!(
+        "<site>{}{}</site>",
+        format!("<a>{ps}<x/></a>").repeat(2000),
+        "<x/>".repeat(10_000)
+    )
+}
+
+/// `/descendant::a[p1]…[p15]/descendant::x`: the planner expects about
+/// one `a` and plans the last step as a plain staircase join; the
+/// observed 2 000 make the fragment join the cheaper operator.
+fn flip_query() -> String {
+    let preds: String = (1..=15).map(|i| format!("[p{i}]")).collect();
+    format!("/descendant::a{preds}/descendant::x")
+}
+
 #[test]
 fn auto_replans_when_estimates_mislead() {
     // `adaptive` is a name for auto, not a second engine.
     assert_eq!(Engine::adaptive(), Engine::auto());
-    // The misleading-statistics document: every global statistic is
-    // honest, yet the `b` frontier after `//a/descendant::b` is orders
-    // of magnitude above the Equation-1 estimate. The plan mis-prices
-    // the final step; auto must observe the real frontier, switch the
-    // operator mid-plan, and mark the switch.
-    let session = Session::new(generate_misleading(MisleadConfig::new(4.0)));
-    let expr = "/descendant::a/descendant::b/descendant::node()";
-    let query = session.prepare(expr).unwrap();
+    // On the flip document every global statistic is honest, yet the
+    // `a` frontier is three orders of magnitude above the estimate. The
+    // plan mis-prices the final step; auto must observe the real
+    // frontier, switch the operator mid-plan, and mark the switch.
+    let xml = flip_xml();
+    let expr = flip_query();
+    let session = Session::parse_xml(&xml).unwrap();
+    let query = session.prepare(&expr).unwrap();
     let fragmented = Engine::staircase().fragmented(true).build().unwrap();
 
     let auto = query.run(Engine::auto());
@@ -672,15 +693,14 @@ fn auto_replans_when_estimates_mislead() {
 
     // Lane-local switching: the shared cached plan is untouched, so a
     // later run starts from the static plan again.
-    let plan = session.explain(expr, Engine::auto()).unwrap();
+    let plan = session.explain(&expr, Engine::auto()).unwrap();
     assert!(!plan.to_string().contains("[replan]"));
 
     // The switch also fires identically through run_many at every pool
     // width.
     for width in [1usize, 2, 4] {
-        let session =
-            Session::new(generate_misleading(MisleadConfig::new(4.0))).with_threads(width);
-        let query = session.prepare(expr).unwrap();
+        let session = Session::parse_xml(&xml).unwrap().with_threads(width);
+        let query = session.prepare(&expr).unwrap();
         let outs = session.run_many(&[&query, &query], Engine::auto());
         for out in &outs {
             assert_eq!(out.nodes(), auto.nodes(), "width {width}");
@@ -690,50 +710,38 @@ fn auto_replans_when_estimates_mislead() {
             );
         }
     }
-}
 
-/// Re-pricing the SQL plan reads the observed frontier's real unpruned
-/// window. On the small misleading document the `b` frontier nests, so
-/// its regions overlap many times over; priced from `card · avg_subtree`
-/// the SQL scan looked cheap and was kept, touching ≈ 20 × what the
-/// pruning staircase join touches.
-#[test]
-fn replanned_sql_is_priced_from_the_observed_window() {
-    let session = Session::new(generate_misleading(MisleadConfig::new(0.5)));
-    let expr = "/descendant::a/descendant::b/descendant::node()";
-    let auto = session.run(expr, Engine::auto()).unwrap();
-    let plain = session.run(expr, Engine::default()).unwrap();
-    assert_eq!(auto.nodes(), plain.nodes());
-    let last = auto.stats().steps.last().unwrap();
-    assert!(last.replanned, "{}", last.op);
-    assert!(last.op.contains("[replan]"), "{}", last.op);
-    let staircase = plain.stats().steps.last().unwrap();
+    // The misleading-statistics document's nested `b` frontier is priced
+    // right statically: auto plans no SQL and touches no more than the
+    // fragmented engine.
+    let session = Session::new(generate_misleading(MisleadConfig::new(4.0)));
+    let mislead = "/descendant::a/descendant::b/descendant::node()";
+    let query = session.prepare(mislead).unwrap();
+    let plan = session.explain(mislead, Engine::auto()).unwrap();
+    assert!(!plan.to_string().contains("sql("), "{plan}");
+    let auto = query.run(Engine::auto());
+    let fragmented = query.run(fragmented);
+    assert_eq!(auto.nodes(), fragmented.nodes());
     assert!(
-        last.nodes_touched <= staircase.nodes_touched,
-        "auto touched {} vs staircase {}",
-        last.nodes_touched,
-        staircase.nodes_touched
+        auto.stats().total_touched() <= fragmented.stats().total_touched(),
+        "auto touched {} vs fragmented {}",
+        auto.stats().total_touched(),
+        fragmented.stats().total_touched()
     );
 }
 
 /// A re-planning lane switches only to structures its own query's plan
 /// needs, never to one the executor holds for a batch partner: a query
 /// picks the same operators, and reports the same step statistics,
-/// alone and next to partners that use the fragment index and the SQL
-/// B-tree.
+/// alone and next to a partner that builds the fragment index.
 #[test]
 fn auto_replans_a_query_the_same_alone_and_batched() {
-    // Deep chains inflate the average subtree; the one `b` under an `a`
-    // sits among 2 000 others, so the frontier after `descendant::b` is
-    // far off the estimate and the last step is re-priced.
-    let chains = format!("{}{}", "<e>".repeat(400), "</e>".repeat(400)).repeat(10);
-    let xml = format!(
-        "<site>{chains}{}<a><b><c/><c/></b></a></site>",
-        "<b><c/><c/><c/></b>".repeat(2000)
-    );
-    let query = "/descendant::*/descendant::b/descendant::*";
-    let fragments = "/descendant::site/descendant::site";
-    let sql = "/descendant::site/descendant::site/descendant::*";
+    // Fifteen `self::a` filters halve the estimated `a` frontier fifteen
+    // times; the observed 2 000 re-price `descendant::x`, but the lane
+    // needs no tag index, so the plane scan stands.
+    let xml = flip_xml();
+    let query = format!("/descendant::*{}/descendant::x", "[self::a]".repeat(15));
+    let fragments = "/descendant::x";
     for width in [1usize, 4] {
         let session = Session::parse_xml(&xml).unwrap().with_threads(width);
         let ops = |expr: &str| -> Vec<StepOp> {
@@ -744,45 +752,80 @@ fn auto_replans_a_query_the_same_alone_and_batched() {
                 .map(|s| s.operator().clone())
                 .collect()
         };
-        // The query's plan needs neither structure; its partners' do.
-        assert!(ops(query)
+        // The query's plan needs no index; its partner's does.
+        assert!(ops(&query)
             .iter()
             .all(|op| matches!(op, StepOp::Staircase { .. })));
         assert!(ops(fragments)
             .iter()
             .any(|op| matches!(op, StepOp::Fragment { prescan: false })));
-        assert!(ops(sql).iter().any(|op| matches!(op, StepOp::Sql { .. })));
-        let [q, f, s] = [query, fragments, sql].map(|e| session.prepare(e).unwrap());
+        let [q, f] = [query.as_str(), fragments].map(|e| session.prepare(e).unwrap());
         let alone = q.run(Engine::auto());
-        let batch = session.run_many(&[&q, &f, &s], Engine::auto());
+        let batch = session.run_many(&[&q, &f], Engine::auto());
+        assert_eq!(session.aux_builds().tag_index, 1, "width {width}");
         assert_eq!(batch[0].nodes(), alone.nodes(), "width {width}");
+        let last = alone.stats().steps.last().unwrap();
+        assert!(!last.replanned, "width {width}: {}", last.op);
+        assert_eq!(last.nodes_touched, 32_001, "width {width}");
         assert_eq!(
             batch[0].stats().steps,
             alone.stats().steps,
-            "width {width}: batch partners changed the query's plan"
+            "width {width}: a batch partner changed the query's plan"
         );
     }
 }
+
+/// `auto` never plans or builds the Figure-3 SQL baseline: on fresh
+/// sessions over the benchmark's documents, its `auto` texts plan no SQL
+/// step, the misleading text runs as planned, and no B-tree is built.
+#[test]
+fn auto_never_plans_or_builds_the_sql_baseline() {
+    const MISLEAD: &str = "/descendant::a/descendant::b/descendant::node()";
+    const SKEW: [&str; 2] = [
+        "/descendant::a[descendant::b]/descendant::c[descendant::d]",
+        "/descendant::a[child::b]/descendant::c[child::d]",
+    ];
+    let cases: [(Doc, &[&str]); 3] = [
+        (generate_misleading(MisleadConfig::new(4.0)), &[MISLEAD]),
+        (generate_skewed(SkewConfig::new(0.2, 1.2)), &SKEW),
+        (generate(XmarkConfig::new(0.5)), &POINT),
+    ];
+    for (doc, exprs) in cases {
+        let session = Session::new(doc);
+        for expr in exprs {
+            let out = session.run(expr, Engine::auto()).unwrap();
+            for step in &out.stats().steps {
+                assert!(!step.op.contains("sql("), "{expr}: {}", step.op);
+                if *expr == MISLEAD {
+                    assert!(!step.replanned, "{expr}: {}", step.op);
+                }
+            }
+        }
+        assert_eq!(session.aux_builds().sql_engine, 0, "{exprs:?}");
+    }
+}
+
+/// The benchmark's twelve selective point queries.
+const POINT: [&str; 12] = [
+    "/descendant::profile/descendant::education",
+    "/descendant::increase/ancestor::bidder",
+    "/descendant::open_auction[descendant::bidder]/descendant::increase",
+    "/descendant::person[child::profile]/descendant::education",
+    "/descendant::person/child::profile",
+    "/descendant::open_auction/descendant::bidder/descendant::increase",
+    "/descendant::bidder[increase]/ancestor::open_auction",
+    "/descendant::date/ancestor::open_auction",
+    "/descendant::education/ancestor::person",
+    "/descendant::open_auction[bidder]/descendant::date",
+    "/descendant::closed_auction/child::price",
+    "/descendant::item/descendant::keyword",
+];
 
 /// The selective point queries are well estimated: auto runs their plans
 /// as planned, alone and batched, at every pool width — re-planning is
 /// reserved for estimates that are off by the disagreement factor.
 #[test]
 fn point_queries_never_replan_under_auto() {
-    const POINT: [&str; 12] = [
-        "/descendant::profile/descendant::education",
-        "/descendant::increase/ancestor::bidder",
-        "/descendant::open_auction[descendant::bidder]/descendant::increase",
-        "/descendant::person[child::profile]/descendant::education",
-        "/descendant::person/child::profile",
-        "/descendant::open_auction/descendant::bidder/descendant::increase",
-        "/descendant::bidder[increase]/ancestor::open_auction",
-        "/descendant::date/ancestor::open_auction",
-        "/descendant::education/ancestor::person",
-        "/descendant::open_auction[bidder]/descendant::date",
-        "/descendant::closed_auction/child::price",
-        "/descendant::item/descendant::keyword",
-    ];
     let doc = generate(XmarkConfig::new(1.0));
     for width in [1usize, 4] {
         let session = Session::new(doc.clone()).with_threads(width);

@@ -4,8 +4,6 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-use staircase_suite::prelude::{generate_misleading_xml, MisleadConfig};
-
 fn xq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xq"))
 }
@@ -245,16 +243,25 @@ fn stats_print_estimated_next_to_observed_cost_for_every_engine() {
 
 /// `--explain --stats` is the post-run report: per executed step, the
 /// operator that actually ran with planned vs observed cost, and
-/// `[replan]` marking auto's mid-query switches. On the
-/// misleading-statistics document the marker must appear for `auto`
-/// (and identically for its alias `adaptive`) and never for the fixed
+/// `[replan]` marking auto's mid-query switches. On the flip document
+/// — 2 000 `a`s that pass all fifteen predicates the planner expects to
+/// halve them fifteen times — the marker must appear for `auto` (and
+/// identically for its alias `adaptive`) and never for the fixed
 /// `staircase` engine.
 #[test]
 fn explain_stats_reports_observed_cost_and_replan_markers() {
     let dir = tempdir();
-    let file = dir.join("mislead.xml");
-    std::fs::write(&file, generate_misleading_xml(MisleadConfig::new(4.0))).unwrap();
-    let expr = "/descendant::a/descendant::b/descendant::node()";
+    let file = dir.join("flip.xml");
+    let ps: String = (1..=15).map(|i| format!("<p{i}/>")).collect();
+    let xml = format!(
+        "<site>{}{}</site>",
+        format!("<a>{ps}<x/></a>").repeat(2000),
+        "<x/>".repeat(10_000)
+    );
+    std::fs::write(&file, xml).unwrap();
+    let preds: String = (1..=15).map(|i| format!("[p{i}]")).collect();
+    let expr = format!("/descendant::a{preds}/descendant::x");
+    let expr = expr.as_str();
 
     let report = |engine: &str| {
         let out = xq()
@@ -277,15 +284,15 @@ fn explain_stats_reports_observed_cost_and_replan_markers() {
     };
     let stdout = report("auto");
     let step_lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("step ")).collect();
-    assert_eq!(step_lines.len(), 3, "one report line per step: {stdout}");
+    assert_eq!(step_lines.len(), 2, "one report line per step: {stdout}");
     for line in &step_lines {
         assert!(line.contains("op "), "{line}");
         assert!(line.contains("est cost"), "{line}");
         assert!(line.contains("obs cost"), "{line}");
     }
     assert!(
-        step_lines.iter().any(|l| l.contains("[replan]")),
-        "auto must mark its switch on the misleading document: {stdout}"
+        step_lines[1].contains("[replan]"),
+        "auto must mark its switch on the flip document: {stdout}"
     );
     assert_eq!(
         report("adaptive"),
