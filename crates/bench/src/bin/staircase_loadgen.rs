@@ -6,34 +6,28 @@
 //! server that falls behind pays for its backlog in the percentiles
 //! (no coordinated omission).
 //!
-//! By default it self-hosts the server twice over one generated
-//! document — once with `--window-us 0` (pass-through, every query its
-//! own `run_many` call) and once with the admission window enabled —
-//! and writes both modes to `BENCH_server_latency.json` so the batching
-//! win on shared-scan mixes is recorded next to the pass-through
-//! baseline.
+//! By default it self-hosts the server over one generated document and
+//! writes the run, as mode `hosted`, to `BENCH_server_latency.json`.
 //!
 //! ```text
 //! cargo run -p staircase-bench --release --bin staircase-loadgen --
-//!     [--qps Q]          target request rate per mode (default 400)
-//!     [--duration-s D]   seconds of load per mode (default 5)
+//!     [--qps Q]          target request rate (default 400)
+//!     [--duration-s D]   seconds of load (default 5)
 //!     [--concurrency C]  client connections (default 8)
-//!     [--window-us W]    admission window for the batched mode (2000)
-//!     [--max-batch B]    admission batch cap (default 32)
 //!     [--scale S]        xmlgen scale for the self-hosted doc (0.4)
 //!     [--engine E]       wire engine name (default staircase)
 //!     [--mix PATH]       query mix file, one XPath per line
 //!                        (default: the BATCH_MIXED workload)
 //!     [--deadline-ms N]  attach a per-query governor deadline to every
 //!                        request; server-side TIMEOUT answers are
-//!                        counted per mode instead of failing the run
+//!                        counted instead of failing the run
 //!     [--addr A]         drive an external server instead of
-//!                        self-hosting (single mode, no window sweep)
+//!                        self-hosting (mode `external`)
 //!     [--out PATH]       output path (BENCH_server_latency.json)
-//!     [--smoke]          1 s per mode at modest qps (CI keep-alive)
+//!     [--smoke]          1 s at modest qps (CI keep-alive)
 //! ```
 //!
-//! Each mode records, besides the latency percentiles, the governed-
+//! The run records, besides the latency percentiles, the governed-
 //! failure counts the client observed — `busy` (backpressure),
 //! `timeout` (deadline trips), `cancelled` — so a run under deadline
 //! pressure shows *where* the load shed instead of a bare error total.
@@ -55,8 +49,6 @@ struct Config {
     qps: f64,
     duration: Duration,
     concurrency: usize,
-    window_us: u64,
-    max_batch: usize,
     scale: f64,
     engine: String,
     mix_path: Option<String>,
@@ -69,7 +61,6 @@ struct Config {
 /// scraped from its STATS frame.
 struct ModeResult {
     mode: &'static str,
-    window_us: u64,
     ok: u64,
     busy: u64,
     timeout: u64,
@@ -80,7 +71,6 @@ struct ModeResult {
     p95_ms: f64,
     p99_ms: f64,
     batches: u64,
-    avg_batch: f64,
 }
 
 /// What one mode's drive observed, client side.
@@ -194,23 +184,14 @@ fn drive(addr: &str, queries: &[String], cfg: &Config) -> DriveCounts {
 
 /// Drive one mode against a live server and fold the measurements and
 /// the server's STATS counters into a `ModeResult`.
-fn run_mode(
-    mode: &'static str,
-    window_us: u64,
-    addr: &str,
-    queries: &[String],
-    cfg: &Config,
-) -> ModeResult {
+fn run_mode(mode: &'static str, addr: &str, queries: &[String], cfg: &Config) -> ModeResult {
     let counts = drive(addr, queries, cfg);
     let stats = Client::connect(addr)
         .ok()
         .and_then(|mut c| c.server_stats().ok())
         .unwrap_or_default();
-    let batches = stat_line(&stats, "batches ");
-    let batched = stat_line(&stats, "batched_queries ");
     let result = ModeResult {
         mode,
-        window_us,
         ok: counts.ok,
         busy: counts.busy,
         timeout: counts.timeout,
@@ -220,16 +201,11 @@ fn run_mode(
         p50_ms: percentile(&counts.latencies, 50.0),
         p95_ms: percentile(&counts.latencies, 95.0),
         p99_ms: percentile(&counts.latencies, 99.0),
-        batches,
-        avg_batch: if batches > 0 {
-            batched as f64 / batches as f64
-        } else {
-            0.0
-        },
+        batches: stat_line(&stats, "batches "),
     };
     eprintln!(
-        "{mode:>12} (window {window_us:>5} µs): {} ok, {} busy, {} timeout, {} cancelled, \
-         {} err, {:.0} qps, p50 {:.2} ms  p95 {:.2} ms  p99 {:.2} ms, avg batch {:.2}",
+        "{mode:>12}: {} ok, {} busy, {} timeout, {} cancelled, \
+         {} err, {:.0} qps, p50 {:.2} ms  p95 {:.2} ms  p99 {:.2} ms, {} executed",
         result.ok,
         result.busy,
         result.timeout,
@@ -239,28 +215,17 @@ fn run_mode(
         result.p50_ms,
         result.p95_ms,
         result.p99_ms,
-        result.avg_batch
+        result.batches
     );
     result
 }
 
-/// Self-host a server over `session` with the given window, drive it,
-/// and shut it down.
-fn hosted_mode(
-    mode: &'static str,
-    window_us: u64,
-    session: &Arc<Session>,
-    queries: &[String],
-    cfg: &Config,
-) -> ModeResult {
-    let server_config = ServerConfig {
-        window: Duration::from_micros(window_us),
-        max_batch: cfg.max_batch,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(Arc::clone(session), server_config).expect("loadgen server binds");
+/// Self-host a server over `session`, drive it, and shut it down.
+fn hosted_mode(session: &Arc<Session>, queries: &[String], cfg: &Config) -> ModeResult {
+    let handle =
+        Server::start(Arc::clone(session), ServerConfig::default()).expect("loadgen server binds");
     let addr = handle.local_addr().to_string();
-    let result = run_mode(mode, window_us, &addr, queries, cfg);
+    let result = run_mode("hosted", &addr, queries, cfg);
     handle.shutdown_and_join();
     result
 }
@@ -270,8 +235,6 @@ fn main() {
         qps: 400.0,
         duration: Duration::from_secs(5),
         concurrency: 8,
-        window_us: 2000,
-        max_batch: 32,
         scale: 0.4,
         engine: "staircase".to_string(),
         mix_path: None,
@@ -293,8 +256,6 @@ fn main() {
                     Duration::from_secs_f64(next("--duration-s").parse().expect("number"))
             }
             "--concurrency" => cfg.concurrency = next("--concurrency").parse().expect("number"),
-            "--window-us" => cfg.window_us = next("--window-us").parse().expect("number"),
-            "--max-batch" => cfg.max_batch = next("--max-batch").parse().expect("number"),
             "--scale" => cfg.scale = next("--scale").parse().expect("number"),
             "--engine" => cfg.engine = next("--engine"),
             "--mix" => cfg.mix_path = Some(next("--mix")),
@@ -334,9 +295,8 @@ fn main() {
         None => BATCH_MIXED.iter().map(|s| s.to_string()).collect(),
     };
 
-    let modes: Vec<ModeResult> = if let Some(addr) = cfg.addr.clone() {
-        // External server: one mode, whatever window it was started with.
-        vec![run_mode("external", cfg.window_us, &addr, &queries, &cfg)]
+    let mode = if let Some(addr) = cfg.addr.clone() {
+        run_mode("external", &addr, &queries, &cfg)
     } else {
         let session = Arc::new(Session::new(generate(XmarkConfig::new(cfg.scale))));
         session.warm();
@@ -346,10 +306,7 @@ fn main() {
             session.doc().len(),
             queries.len()
         );
-        vec![
-            hosted_mode("passthrough", 0, &session, &queries, &cfg),
-            hosted_mode("batched", cfg.window_us, &session, &queries, &cfg),
-        ]
+        hosted_mode(&session, &queries, &cfg)
     };
 
     let mut json = String::new();
@@ -361,29 +318,24 @@ fn main() {
     let _ = writeln!(json, "  \"engine\": \"{}\",", cfg.engine);
     let _ = writeln!(json, "  \"mix_queries\": {},", queries.len());
     json.push_str("  \"modes\": [\n");
-    for (i, m) in modes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"window_us\": {}, \"ok\": {}, \"busy\": {}, \
-             \"timeout\": {}, \"cancelled\": {}, \"errors\": {}, \"achieved_qps\": {:.1}, \
-             \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"batches\": {}, \
-             \"avg_batch\": {:.2}}}",
-            m.mode,
-            m.window_us,
-            m.ok,
-            m.busy,
-            m.timeout,
-            m.cancelled,
-            m.errors,
-            m.achieved_qps,
-            m.p50_ms,
-            m.p95_ms,
-            m.p99_ms,
-            m.batches,
-            m.avg_batch
-        );
-        json.push_str(if i + 1 < modes.len() { ",\n" } else { "\n" });
-    }
+    let m = &mode;
+    let _ = writeln!(
+        json,
+        "    {{\"mode\": \"{}\", \"ok\": {}, \"busy\": {}, \"timeout\": {}, \
+         \"cancelled\": {}, \"errors\": {}, \"achieved_qps\": {:.1}, \"p50_ms\": {:.3}, \
+         \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"batches\": {}}}",
+        m.mode,
+        m.ok,
+        m.busy,
+        m.timeout,
+        m.cancelled,
+        m.errors,
+        m.achieved_qps,
+        m.p50_ms,
+        m.p95_ms,
+        m.p99_ms,
+        m.batches
+    );
     json.push_str("  ]\n}\n");
     std::fs::write(&cfg.out_path, json).expect("write bench json");
     eprintln!("wrote {}", cfg.out_path);

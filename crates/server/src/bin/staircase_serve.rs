@@ -1,4 +1,4 @@
-//! `staircase-serve` — the batching XPath query server.
+//! `staircase-serve` — the XPath query server.
 //!
 //! ```text
 //! staircase-serve <DOC> [options]
@@ -8,9 +8,9 @@
 //! options:
 //!   --addr A           bind address (default 127.0.0.1:7878; port 0 = ephemeral)
 //!   --threads N        session worker-pool width (default 1)
-//!   --window-us W      admission window in µs (default 2000; 0 = pass-through)
-//!   --max-batch B      largest admission batch (default 32)
-//!   --queue-depth Q    admission queue bound before SERVER_BUSY (default 256)
+//!   --window-us W      ignored (queries execute as they arrive)
+//!   --max-batch B      ignored (every query runs alone)
+//!   --queue-depth Q    queries executing at once before SERVER_BUSY (default 256)
 //!   --read-timeout-ms  per-connection read deadline (default 30000)
 //!   --exec-timeout-ms  server-side execution ceiling per query
 //!                      (default 10000); a query still running when it
@@ -20,8 +20,8 @@
 //! ```
 //!
 //! Prints `listening on <addr>` to stderr once ready, then serves until
-//! a client sends a `SHUTDOWN` frame (graceful: stop accepting, drain
-//! admitted batches, exit). Wire protocol: see the `staircase-server`
+//! a client sends a `SHUTDOWN` frame (graceful: stop accepting, finish
+//! running queries, exit). Wire protocol: see the `staircase-server`
 //! crate docs.
 
 use std::process::exit;
@@ -33,9 +33,9 @@ use staircase_xpath::Session;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: staircase-serve <DOC> [--encoded] [--addr A] [--threads N] [--window-us W]\n\
-         \u{20}      [--max-batch B] [--queue-depth Q] [--read-timeout-ms T]\n\
-         \u{20}      [--exec-timeout-ms T] [--warm]"
+        "usage: staircase-serve <DOC> [--encoded] [--addr A] [--threads N] [--queue-depth Q]\n\
+         \u{20}      [--read-timeout-ms T] [--exec-timeout-ms T] [--warm]\n\
+         \u{20}      (--window-us W and --max-batch B are accepted and ignored)"
     );
     exit(2);
 }
@@ -51,7 +51,6 @@ fn main() {
     let mut encoded = false;
     let mut addr = "127.0.0.1:7878".to_string();
     let mut threads = 1usize;
-    let mut window_us = 2000u64;
     let mut warm = false;
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
@@ -65,8 +64,10 @@ fn main() {
                     usage();
                 }
             }
-            "--window-us" => window_us = parse_flag(&mut args),
-            "--max-batch" => config.max_batch = parse_flag(&mut args),
+            // Still accepted, so existing command lines keep working.
+            "--window-us" | "--max-batch" => {
+                let _: u64 = parse_flag(&mut args);
+            }
             "--queue-depth" => config.queue_depth = parse_flag(&mut args),
             "--read-timeout-ms" => {
                 config.read_timeout = Duration::from_millis(parse_flag(&mut args));
@@ -84,7 +85,6 @@ fn main() {
     }
     let Some(doc_path) = doc_path else { usage() };
     config.addr = addr;
-    config.window = Duration::from_micros(window_us);
 
     let session = if encoded {
         Session::open_encoded(&doc_path)
@@ -102,11 +102,9 @@ fn main() {
         session.warm();
     }
     eprintln!(
-        "loaded {} nodes (height {}), pool width {threads}, window {window_us} µs, \
-         max batch {}, queue depth {}",
+        "loaded {} nodes (height {}), pool width {threads}, queue depth {}",
         session.doc().len(),
         session.doc().height(),
-        config.max_batch,
         config.queue_depth,
     );
 

@@ -49,8 +49,8 @@ pub struct QueryReply {
     pub total: u32,
     /// Nodes the evaluation touched.
     pub touched: u64,
-    /// Size of the admission batch this query shared a pass with
-    /// (1 = it ran alone).
+    /// The `DONE` frame's batch field: always 1, since every query runs
+    /// alone.
     pub batch_size: u32,
 }
 

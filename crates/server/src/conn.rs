@@ -1,42 +1,45 @@
-//! Per-connection protocol loop: an event-driven state machine over one
-//! channel, fed by a reader thread and the batcher.
+//! Per-connection protocol loop: one thread executes, the reader
+//! cancels.
 //!
 //! Each accepted connection gets a thread running [`serve`] and, under
 //! it, a **reader thread** on a clone of the socket. The reader turns
-//! bytes into frames; the batcher turns admitted queries into replies;
-//! both send into the connection's single [`Event`] channel, and the
-//! connection thread is a plain state machine over a blocking `recv()`:
+//! bytes into frames and hands them over one channel; the connection
+//! thread serves them in order, and serving a `QUERY` means executing it
+//! right there, against the shared [`Session`], and streaming the answer
+//! out. There is no queue between a query's arrival and its execution
+//! and no thread hand-off besides the reader's.
 //!
-//! * **idle** — the next event is a request frame (served at once) or
-//!   the reader's closing word (answered with a typed error where the
-//!   protocol has one, then the connection closes);
-//! * **in flight** — a query is with the batcher. A `CANCEL` frame or
-//!   the peer hanging up flips the query's budget the instant it is
-//!   read; any other frame is stashed; the reply is written the instant
-//!   the batcher sends it;
-//! * **in flight + one stashed frame** — the reader holds off (it reads
-//!   at most one frame ahead of the one being served, so a pipelining
-//!   client is held back by TCP, not buffered without bound), and the
-//!   stashed frame is served right after the in-flight answer.
+//! The reader keeps reading while a query runs, because two things must
+//! reach a running query: a `CANCEL` frame and the peer hanging up (EOF
+//! or a dead stream). The connection thread is busy executing and could
+//! not receive either, so the reader acts on them itself: the running
+//! query's governor [`Budget`] sits in a slot of the connection's
+//! [`Flow`], and the reader cancels it directly. A `CANCEL` that lands
+//! after its query was delivered but before it started is held in the
+//! slot and cancels the query as it starts. `CANCEL` frames never reach
+//! the connection thread. Any other frame that arrives early waits in
+//! the channel and is served after the in-flight answer; the reader
+//! reads at most one frame ahead of the one being served, so a
+//! pipelining client is held back by TCP, not buffered without bound.
 //!
-//! Nothing on that path waits on a clock: between "QUERY frame
-//! readable" and "DONE frame written" the only timers are the
-//! batcher's admission window and the query's own governor deadline.
-//! The one tick left ([`TICK`]) lives inside the reader, where it
-//! bounds how soon an *idle* connection notices the shutdown flag and
-//! its read deadline — idle *or* dribbling-a-partial-frame connections
-//! are closed with a typed `TIMEOUT` error. The deadline counts from
-//! the moment the connection last finished serving a frame and is
-//! paused while one is being served, so a query that waits long in the
-//! admission window never times its own connection out.
+//! Nothing on the request path waits on a clock. The one tick left
+//! ([`TICK`]) lives inside the reader, where it bounds how soon an
+//! *idle* connection notices the shutdown flag and its read deadline —
+//! idle *or* dribbling-a-partial-frame connections are closed with a
+//! typed `TIMEOUT` error. The deadline counts from the moment the
+//! connection last finished serving a frame and is paused while one is
+//! being served, so a long query never times its own connection out.
 //!
-//! Request errors are answered with typed error frames; only errors
-//! that lose the frame boundary (or the peer) close the connection.
-//! Every admitted query carries a governor `Budget` whose deadline is
-//! the smaller of the client's optional per-query deadline and the
-//! server's execution timeout. Governed failures — deadline, budget,
-//! cancel, or an isolated internal panic — answer typed `ERROR` frames
-//! and the connection stays open.
+//! Admission is a counting semaphore: at most
+//! [`queue_depth`](ServerConfig::queue_depth) queries execute at once,
+//! server-wide; a query past the bound is answered `SERVER_BUSY`, and one
+//! that arrives after shutdown was triggered `SHUTTING_DOWN`. Every
+//! admitted query runs under a governor `Budget` whose deadline is the
+//! smaller of the client's optional per-query deadline and the server's
+//! execution timeout. Governed failures — deadline, budget, cancel, or a
+//! caught internal panic — answer typed `ERROR` frames and the
+//! connection stays open. Only errors that lose the frame boundary (or
+//! the peer) close it.
 //!
 //! An answer leaves in as few writes as it has 64 KiB blocks: frames
 //! are encoded straight into a reusable per-connection buffer that is
@@ -44,25 +47,22 @@
 
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown as SocketShutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use staircase_xpath::{parse_union, Budget, Error, Session};
+use staircase_xpath::{faults, Budget, Error, QueryOutput, Session};
 
-use crate::batcher::{Batcher, Pending, Reply, SubmitError};
 use crate::metrics::Metrics;
 use crate::protocol::{
     begin_frame, code, done_payload, end_frame, error_payload, flags, frame, parse_query_payload,
-    push_frame, push_ids, render_line, Frame, HEADER_LEN,
+    push_frame, push_ids, write_line, Frame, HEADER_LEN,
 };
 use crate::shutdown::Shutdown;
 use crate::ServerConfig;
-
-/// Source of per-connection ids (the batcher's fairness key).
-static CONN_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// How often the reader's blocked read wakes to check the shutdown flag
 /// and the idle deadline. Off the request path: a connection thread
@@ -77,35 +77,55 @@ const RENDER_CHUNK_BYTES: usize = 32 * 1024;
 const FLUSH_BYTES: usize = 64 * 1024;
 
 /// How many delivered-but-unserved frames stop the reader: the one
-/// being served plus one stashed behind it.
+/// being served plus one waiting behind it.
 const READ_AHEAD: usize = 2;
 
 /// Everything a connection thread needs, shared by all of them.
 pub(crate) struct ConnShared {
     pub session: Arc<Session>,
-    pub batcher: Arc<Batcher>,
     pub metrics: Arc<Metrics>,
     pub shutdown: Shutdown,
     pub config: ServerConfig,
     /// Where the acceptor listens — a `SHUTDOWN` frame pokes it awake.
     pub local_addr: std::net::SocketAddr,
+    /// The admission semaphore: queries executing right now, on every
+    /// connection, bounded by `config.queue_depth`.
+    pub executing: AtomicUsize,
 }
 
-/// What a connection thread's one channel carries.
-pub(crate) enum Event {
-    /// The reader decoded a request frame.
+/// One held admission slot; dropping it frees the slot.
+struct Permit<'a>(&'a AtomicUsize);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+impl ConnShared {
+    /// Takes an admission slot, or `None` when `queue_depth` queries
+    /// are already executing.
+    fn admit(&self) -> Option<Permit<'_>> {
+        let bound = self.config.queue_depth.max(1);
+        self.executing
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < bound).then_some(n + 1)
+            })
+            .ok()?;
+        Some(Permit(&self.executing))
+    }
+}
+
+/// What the reader sends the connection thread.
+enum Event {
+    /// A request frame (never a `CANCEL`: the reader acts on those).
     Frame(Frame),
     /// The reader's last word: no further frame will come, and why.
     Closed(Closed),
-    /// The batcher answered the in-flight query.
-    Reply(Reply),
-    /// The in-flight query's [`ReplyTo`] was dropped unanswered — the
-    /// batcher died with the query in hand.
-    Lost,
 }
 
 /// Why the reader stopped.
-pub(crate) enum Closed {
+enum Closed {
     /// The peer closed between frames.
     CleanEof,
     /// Nothing (or not everything) arrived before the read deadline.
@@ -118,43 +138,10 @@ pub(crate) enum Closed {
     Dead,
 }
 
-/// The batcher's end of a connection's channel for one query. Exactly
-/// one event comes back per admitted query: the reply, or
-/// [`Event::Lost`] if this is dropped without one — so a connection
-/// never waits on a query nobody holds any more.
-pub(crate) struct ReplyTo(Option<Sender<Event>>);
-
-impl ReplyTo {
-    pub(crate) fn new(events: Sender<Event>) -> ReplyTo {
-        ReplyTo(Some(events))
-    }
-
-    /// Answers the query. The connection may have hung up mid-wait; a
-    /// dead receiver is not the sender's problem.
-    pub(crate) fn send(mut self, reply: Reply) {
-        if let Some(events) = self.0.take() {
-            let _ = events.send(Event::Reply(reply));
-        }
-    }
-
-    /// The query was refused at admission: no event is owed for it.
-    pub(crate) fn disarm(mut self) {
-        self.0 = None;
-    }
-}
-
-impl Drop for ReplyTo {
-    fn drop(&mut self) {
-        if let Some(events) = self.0.take() {
-            let _ = events.send(Event::Lost);
-        }
-    }
-}
-
-/// What the reader and the connection thread tell each other besides
-/// events: how many delivered frames are still unserved (the reader's
-/// read-ahead credit and the idle clock's pause), since when the
-/// connection has been idle, and that the connection is closing.
+/// What the reader and the connection thread share besides the channel:
+/// how many delivered frames are still unserved (the reader's read-ahead
+/// credit and the idle clock's pause), since when the connection has
+/// been idle, that it is closing, and the running query's budget.
 struct Flow {
     state: Mutex<FlowState>,
     changed: Condvar,
@@ -164,6 +151,11 @@ struct FlowState {
     unserved: usize,
     idle_since: Instant,
     closing: bool,
+    /// The budget of the query the connection thread is executing.
+    running: Option<Arc<Budget>>,
+    /// A cancel that arrived while a frame was being served but before
+    /// its query started; it cancels that query as it starts.
+    cancel_pending: bool,
 }
 
 impl Flow {
@@ -173,6 +165,8 @@ impl Flow {
                 unserved: 0,
                 idle_since: Instant::now(),
                 closing: false,
+                running: None,
+                cancel_pending: false,
             }),
             changed: Condvar::new(),
         }
@@ -199,12 +193,37 @@ impl Flow {
         self.lock().unserved += 1;
     }
 
+    /// Reader: a `CANCEL` frame or the peer going away. Cancels the
+    /// running query, or the one about to start; with nothing being
+    /// served it only counts as a frame received.
+    fn cancel(&self) {
+        let mut state = self.lock();
+        if let Some(budget) = &state.running {
+            budget.cancel();
+        } else if state.unserved > 0 {
+            state.cancel_pending = true;
+        } else {
+            state.idle_since = Instant::now();
+        }
+    }
+
+    /// Connection thread: `budget`'s query starts executing.
+    fn start(&self, budget: &Arc<Budget>) {
+        let mut state = self.lock();
+        if std::mem::take(&mut state.cancel_pending) {
+            budget.cancel();
+        }
+        state.running = Some(Arc::clone(budget));
+    }
+
     /// Connection thread: a delivered frame has been fully served (its
     /// answer, if it has one, written). The idle clock restarts when
     /// nothing is left unserved.
     fn served(&self) {
         let mut state = self.lock();
         state.unserved = state.unserved.saturating_sub(1);
+        state.running = None;
+        state.cancel_pending = false;
         if state.unserved == 0 {
             state.idle_since = Instant::now();
         }
@@ -298,6 +317,7 @@ fn read_frames(
     };
     while flow.wait_for_credit() {
         match read_frame_ticking(&mut reader, max_frame, &mut on_tick) {
+            Ok(frame) if frame.ty == frame::CANCEL => flow.cancel(),
             Ok(frame) => {
                 flow.delivered();
                 if events.send(Event::Frame(frame)).is_err() {
@@ -305,6 +325,8 @@ fn read_frames(
                 }
             }
             Err(closed) => {
+                // Whatever is running has no one left to answer.
+                flow.cancel();
                 let _ = events.send(Event::Closed(closed));
                 return;
             }
@@ -358,11 +380,8 @@ struct Conn<'a> {
     shared: &'a ConnShared,
     out: Out,
     events: Receiver<Event>,
-    /// Cloned into each admitted query's [`ReplyTo`].
-    events_tx: Sender<Event>,
     flow: Arc<Flow>,
     reader: Option<JoinHandle<()>>,
-    client_id: u64,
 }
 
 impl Drop for Conn<'_> {
@@ -375,6 +394,10 @@ impl Drop for Conn<'_> {
         if let Some(reader) = self.reader.take() {
             let _ = reader.join();
         }
+        self.shared
+            .metrics
+            .connections_open
+            .fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -389,7 +412,6 @@ pub(crate) fn serve(stream: TcpStream, shared: &ConnShared) {
     let (events_tx, events) = channel();
     let flow = Arc::new(Flow::new());
     let reader = {
-        let events_tx = events_tx.clone();
         let flow = Arc::clone(&flow);
         let shutdown = shared.shutdown.clone();
         let (max_frame, read_timeout) = (shared.config.max_frame, shared.config.read_timeout);
@@ -404,17 +426,19 @@ pub(crate) fn serve(stream: TcpStream, shared: &ConnShared) {
             )
         })
     };
+    shared
+        .metrics
+        .connections_open
+        .fetch_add(1, Ordering::SeqCst);
     Conn {
         shared,
         out: Out {
             stream,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(FLUSH_BYTES),
         },
         events,
-        events_tx,
         flow,
         reader: Some(reader),
-        client_id: CONN_IDS.fetch_add(1, Ordering::Relaxed),
     }
     .run();
 }
@@ -424,49 +448,37 @@ fn bump(counter: &AtomicU64) {
 }
 
 impl Conn<'_> {
-    /// The idle state: serve request frames until the connection ends.
+    /// Serves request frames, in order, until the connection ends.
     fn run(&mut self) {
         let shared = self.shared;
         let metrics = &shared.metrics;
-        // A frame that arrived while a query was in flight, served next.
-        let mut stashed: Option<Frame> = None;
         loop {
-            staircase_xpath::faults::fail_point("server::conn::frame");
-            let request = match stashed.take() {
-                Some(f) => f,
-                None => match self.events.recv() {
-                    Ok(Event::Frame(f)) => f,
-                    Ok(Event::Closed(Closed::TimedOut)) => {
-                        bump(&metrics.timeouts);
-                        self.out.error(code::TIMEOUT, "read timed out");
-                        return;
-                    }
-                    Ok(Event::Closed(Closed::Oversized(len))) => {
-                        bump(&metrics.protocol_errors);
-                        self.out.error(
-                            code::OVERSIZED,
-                            &format!(
-                                "frame of {len} bytes exceeds the {}-byte limit",
-                                shared.config.max_frame
-                            ),
-                        );
-                        return;
-                    }
-                    // The peer or the server is done; replies cannot
-                    // arrive with nothing in flight.
-                    Ok(Event::Closed(_) | Event::Reply(_) | Event::Lost) | Err(_) => return,
-                },
+            faults::fail_point("server::conn::frame");
+            let request = match self.events.recv() {
+                Ok(Event::Frame(f)) => f,
+                Ok(Event::Closed(Closed::TimedOut)) => {
+                    bump(&metrics.timeouts);
+                    self.out.error(code::TIMEOUT, "read timed out");
+                    return;
+                }
+                Ok(Event::Closed(Closed::Oversized(len))) => {
+                    bump(&metrics.protocol_errors);
+                    self.out.error(
+                        code::OVERSIZED,
+                        &format!(
+                            "frame of {len} bytes exceeds the {}-byte limit",
+                            shared.config.max_frame
+                        ),
+                    );
+                    return;
+                }
+                // The peer or the server is done.
+                Ok(Event::Closed(Closed::CleanEof | Closed::Shutdown | Closed::Dead)) | Err(_) => {
+                    return
+                }
             };
             let keep_going = match request.ty {
-                frame::QUERY => {
-                    let (ok, leftover) = self.answer_query(&request.payload);
-                    stashed = leftover;
-                    ok
-                }
-                // A CANCEL with nothing in flight lost the race against
-                // the answer (or was speculative); it is deliberately a
-                // no-op.
-                frame::CANCEL => true,
+                frame::QUERY => self.answer_query(&request.payload),
                 frame::STATS => {
                     push_frame(
                         &mut self.out.buf,
@@ -477,7 +489,7 @@ impl Conn<'_> {
                 }
                 frame::SHUTDOWN => {
                     let ok = self.out.done(0, 0, 0);
-                    crate::begin_shutdown(&shared.shutdown, &shared.batcher, shared.local_addr);
+                    crate::begin_shutdown(&shared.shutdown, shared.local_addr);
                     ok
                 }
                 other => {
@@ -495,31 +507,44 @@ impl Conn<'_> {
         }
     }
 
-    /// Handles one `QUERY` frame end to end. The first return value is
-    /// `false` when the connection must close (only I/O failures and a
-    /// lost batcher); the second carries a non-`CANCEL` frame that
-    /// arrived while the query was in flight, to be served next.
-    fn answer_query(&mut self, payload: &[u8]) -> (bool, Option<Frame>) {
+    /// Handles one `QUERY` frame end to end: decode, prepare, admit,
+    /// execute, answer. `false` when the connection must close (only
+    /// when the answer could not be written).
+    fn answer_query(&mut self, payload: &[u8]) -> bool {
         let shared = self.shared;
         let metrics = &shared.metrics;
         let (request_flags, deadline_ms, engine_name, expr) = match parse_query_payload(payload) {
             Ok(parts) => parts,
             Err(message) => {
                 bump(&metrics.protocol_errors);
-                return (self.out.error(code::MALFORMED, &message), None);
+                return self.out.error(code::MALFORMED, &message);
             }
         };
         let Some(engine) = crate::protocol::engine_by_name(engine_name) else {
             bump(&metrics.rejected_requests);
             let message = format!("unknown engine {engine_name:?}");
-            return (self.out.error(code::ENGINE, &message), None);
+            return self.out.error(code::ENGINE, &message);
         };
-        // Parse-check here so a bad expression is answered without a
-        // batcher round trip (and without holding a batch slot).
-        if let Err(e) = parse_union(expr) {
-            bump(&metrics.rejected_requests);
-            return (self.out.error(code::PARSE, &e.to_string()), None);
+        let query = match shared.session.prepare(expr) {
+            Ok(query) => query,
+            Err(e) => {
+                bump(&metrics.rejected_requests);
+                return self.out.error(code::PARSE, &e.to_string());
+            }
+        };
+        if shared.shutdown.is_triggered() {
+            return self
+                .out
+                .error(code::SHUTTING_DOWN, "server is shutting down");
         }
+        let Some(permit) = shared.admit() else {
+            bump(&metrics.busy_rejections);
+            let message = format!(
+                "{} queries are already executing",
+                shared.config.queue_depth
+            );
+            return self.out.error(code::BUSY, &message);
+        };
         // The governed deadline is the tighter of the client's ask and
         // the server's own execution ceiling.
         let mut exec_deadline = shared.config.exec_timeout;
@@ -527,70 +552,27 @@ impl Conn<'_> {
             exec_deadline = exec_deadline.min(Duration::from_millis(u64::from(ms)));
         }
         let budget = Arc::new(Budget::new().with_deadline_in(exec_deadline));
-        let submitted = shared.batcher.submit(Pending {
-            expr: expr.to_string(),
-            engine,
-            reply: ReplyTo::new(self.events_tx.clone()),
-            at: Instant::now(),
-            budget: Arc::clone(&budget),
-            client: self.client_id,
-        });
-        match submitted {
-            Ok(()) => {}
-            Err(SubmitError::Busy) => {
-                return (self.out.error(code::BUSY, "admission queue is full"), None);
+        self.flow.start(&budget);
+        // The governed run isolates panics inside evaluation; this catch
+        // covers its surroundings (and the `server::execute` fail
+        // point), so one poisoned query cannot take the connection down.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            faults::fail_point("server::execute");
+            let jobs = [(&query, Some(budget))];
+            shared.session.execute(&jobs, engine, None).remove(0)
+        }));
+        drop(permit);
+        metrics.record_batch(1);
+        let output = outcome
+            .unwrap_or_else(|_| Err(Error::Internal("query execution panicked".to_string())));
+        match output {
+            Ok(output) => {
+                bump(&metrics.queries_ok);
+                self.stream_output(request_flags, &output).is_ok()
             }
-            Err(SubmitError::ShuttingDown) => {
-                let ok = self
-                    .out
-                    .error(code::SHUTTING_DOWN, "server is shutting down");
-                return (ok, None);
-            }
-        }
-        // The in-flight state: block on the one channel and act on
-        // whatever happens first — the reply, a CANCEL, an early frame,
-        // or the peer going away.
-        let mut stashed: Option<Frame> = None;
-        let mut client_gone = false;
-        let reply = loop {
-            match self.events.recv() {
-                Ok(Event::Reply(reply)) => break reply,
-                Ok(Event::Lost) | Err(_) => {
-                    // The batcher always answers admitted queries (it
-                    // drains the queue even on shutdown); a dropped
-                    // reply handle means it died.
-                    self.out.error(code::INTERNAL, "query engine is gone");
-                    return (false, None);
-                }
-                Ok(Event::Frame(f)) if f.ty == frame::CANCEL => {
-                    budget.cancel();
-                    self.flow.served();
-                }
-                Ok(Event::Frame(f)) => {
-                    // The reader stops one frame ahead: nothing can
-                    // arrive behind a stashed frame to overwrite it.
-                    debug_assert!(stashed.is_none());
-                    stashed = Some(f);
-                }
-                Ok(Event::Closed(_)) => {
-                    // The peer hung up (or lost the frame boundary)
-                    // mid-query: stop paying for the answer, but let
-                    // the in-flight slot resolve cleanly.
-                    budget.cancel();
-                    client_gone = true;
-                }
-            }
-        };
-        if client_gone {
-            // The reply has resolved; there is no one to write it to.
-            bump(&metrics.cancelled_queries);
-            return (false, None);
-        }
-        let (output, batch_size) = match reply {
-            Ok(answer) => answer,
             Err(e) => {
                 // Governed failures answer a typed error and keep the
-                // connection (and its stashed frame) alive.
+                // connection alive.
                 let (error_code, counter) = match &e {
                     Error::DeadlineExceeded => (code::TIMEOUT, &metrics.exec_timeouts),
                     Error::BudgetExhausted => (code::RESOURCE, &metrics.resource_exhausted),
@@ -599,24 +581,13 @@ impl Conn<'_> {
                     _ => (code::PARSE, &metrics.rejected_requests),
                 };
                 bump(counter);
-                return (self.out.error(error_code, &e.to_string()), stashed);
+                self.out.error(error_code, &e.to_string())
             }
-        };
-        bump(&metrics.queries_ok);
-        (
-            self.stream_output(request_flags, &output, batch_size)
-                .is_ok(),
-            stashed,
-        )
+        }
     }
 
     /// Streams one query's answer: chunks, then the terminal `DONE`.
-    fn stream_output(
-        &mut self,
-        request_flags: u8,
-        output: &staircase_xpath::QueryOutput,
-        batch_size: usize,
-    ) -> std::io::Result<()> {
+    fn stream_output(&mut self, request_flags: u8, output: &QueryOutput) -> std::io::Result<()> {
         let out = &mut self.out;
         if request_flags & flags::COUNT_ONLY == 0 {
             if request_flags & flags::RENDER != 0 {
@@ -625,7 +596,7 @@ impl Conn<'_> {
                 for v in output.iter() {
                     let start =
                         *open.get_or_insert_with(|| begin_frame(&mut out.buf, frame::RCHUNK));
-                    out.buf.extend_from_slice(render_line(doc, v).as_bytes());
+                    write_line(&mut out.buf, doc, v);
                     out.buf.push(b'\n');
                     if out.buf.len() - start - HEADER_LEN >= RENDER_CHUNK_BYTES {
                         end_frame(&mut out.buf, start);
@@ -646,13 +617,10 @@ impl Conn<'_> {
                 }
             }
         }
+        // A query runs alone: the batch field of `DONE` is always 1.
         out.finish(
             frame::DONE,
-            &done_payload(
-                output.len() as u32,
-                output.stats().total_touched(),
-                batch_size as u32,
-            ),
+            &done_payload(output.len() as u32, output.stats().total_touched(), 1),
         )
     }
 }

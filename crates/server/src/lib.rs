@@ -1,8 +1,8 @@
 //! # staircase-server
 //!
-//! The batching query server front end: the traffic layer that turns
-//! concurrent independent clients into `Session::run_many` batches,
-//! whose memo computes a step several of them ask once.
+//! The query server front end: the traffic layer that puts a shared
+//! [`Session`] on the wire, one connection thread per client, each
+//! executing its client's queries where they arrive.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -21,55 +21,39 @@
 //!
 //! ## The serving model
 //!
-//! The executor half of the server predates this crate: a
-//! [`Session`] is `Sync`, owns a persistent
-//! worker pool, and its `run_many` answers K queries in order, sharing
-//! every step that repeats among them — the same path prefix, the same
-//! join under other predicates, a nested `following`/`preceding` region
-//! — a measured 1.4–1.5× over running them back to back. What this
-//! crate adds is the discipline that manufactures those batches out of
-//! independent clients, the same admission-window trick inference
-//! servers use to amortize repeated work over concurrent requests:
+//! A [`Session`] is `Sync` and owns a persistent worker pool, so any
+//! number of threads may evaluate against it at once. The server leans
+//! on that and adds as little as it can: **one thread executes, the
+//! reader cancels**.
 //!
-//! * **Admission window** ([`batcher`]): queries from all connections
-//!   land in one bounded queue. A round opens when the queue becomes
-//!   non-empty and drains when the window ([`ServerConfig::window`], a
-//!   few ms) expires, [`ServerConfig::max_batch`] queries have
-//!   accumulated, or every open connection has a query in the round —
-//!   holding the window then could not grow the batch, so it is not
-//!   held. The drained batch executes as one `run_many` call per engine
-//!   named in it. The window deliberately trades a few milliseconds of
-//!   added latency for the batch's throughput multiple, and only
-//!   while someone who could still join is idle; a zero window disables
-//!   batching entirely (one query per pass, even under backlog) and is
-//!   the load generator's baseline.
-//! * **Backpressure**: the admission queue is bounded
-//!   ([`ServerConfig::queue_depth`]); when the pool cannot drain fast
-//!   enough, further requests are answered with a typed `SERVER_BUSY`
-//!   error frame immediately instead of queueing without bound. Clients
-//!   retry or shed load; the server's memory does not grow with offered
-//!   load.
+//! * **Inline execution**: a connection's thread prepares each `QUERY`
+//!   (one parse), executes it against the shared session, and streams
+//!   the answer, all on its own stack. A query never waits in a queue
+//!   behind another connection's query, and two connections run on two
+//!   cores at once.
+//! * **Backpressure**: admission is a counting semaphore of
+//!   [`ServerConfig::queue_depth`] queries executing at once, server-wide.
+//!   Past the bound a query is answered with a typed `SERVER_BUSY` error
+//!   frame at once instead of piling up. Clients retry or shed load.
 //! * **Streamed results**: answers leave as a sequence of bounded
-//!   chunk frames followed by a terminal stats frame, so clients
-//!   process (and the server forgets) results incrementally instead of
-//!   holding a materialized response per in-flight query.
+//!   chunk frames followed by a terminal stats frame, rendered straight
+//!   into the connection's output buffer, so clients process (and the
+//!   server forgets) results incrementally.
 //! * **Robustness**: per-connection read/write timeouts, typed error
 //!   frames for malformed input (the connection survives anything that
 //!   does not lose the frame boundary), and graceful shutdown — stop
-//!   accepting, refuse new admissions, drain every admitted batch,
-//!   exit. An accepted query is always answered.
+//!   accepting, refuse new queries, let running ones finish, exit. An
+//!   admitted query is always answered.
 //!
 //! Threads, not async: there is no tokio in this environment (no
-//! registry access), and none is needed — the acceptor (blocked in
-//! `accept`) and the batcher (blocked on its queue) are one thread
-//! each, and a connection is two: a reader that turns socket bytes into
-//! frames, and the connection thread proper, a state machine blocked on
-//! the one channel that the reader and the batcher both send into. The
-//! request path is event-driven end to end: between a `QUERY` frame
-//! becoming readable and its `DONE` frame being written, nothing waits
-//! on a clock except the admission window and the query's own
-//! deadline. The actual work all happens on the session's own worker
-//! pool.
+//! registry access), and none is needed — the acceptor is one thread
+//! blocked in `accept`, and a connection is two: the connection thread
+//! proper, which serves frames in order and executes queries, and a
+//! reader that turns socket bytes into frames and keeps reading while a
+//! query runs, so a `CANCEL` or a hang-up reaches it. The request path
+//! is event-driven end to end: between a `QUERY` frame becoming
+//! readable and its `DONE` frame being written, nothing waits on a
+//! clock except the query's own deadline.
 //!
 //! ## Failure model
 //!
@@ -81,31 +65,25 @@
 //!
 //! * **Query deadline** (`TIMEOUT` error frame): the executor stops the
 //!   query cooperatively at the next enforcement boundary. Only that
-//!   query fails; batch siblings in the same `run_many` call complete with
-//!   node- and order-identical results, and the connection stays open
-//!   for the next request. This is distinct from the *read* timeout
+//!   query fails, and the connection stays open for the next request.
+//!   This is distinct from the *read* timeout
 //!   ([`ServerConfig::read_timeout`]), which also answers `TIMEOUT` but
 //!   closes the connection — a peer that cannot deliver a frame has
 //!   lost the frame boundary.
 //! * **Cost budget** (`RESOURCE`): same containment as the deadline,
 //!   tripped by the touched-node ceiling instead of the clock.
-//! * **Cancellation** (`CANCELLED`): while a query is in flight the
-//!   connection's reader thread keeps reading; a `CANCEL` frame or the
-//!   peer hanging up reaches the connection thread as an event and
-//!   flips the budget's cancel flag at once. Any other frame that
-//!   arrives early is stashed and served after the in-flight answer
-//!   (and the reader stops one frame ahead), so pipelining a request
-//!   behind a long query is safe.
-//! * **Execution panic** (`INTERNAL`): a panicking executor task is
-//!   caught at the pool (or batch-group) boundary and isolated to the
-//!   pass it rode in — each query of that pass answers `INTERNAL`, the
-//!   batcher thread, the worker pool, the session, and the connection
-//!   all remain usable. An `INTERNAL` caused by the batcher itself
-//!   dying is the one variant that closes the connection.
+//! * **Cancellation** (`CANCELLED`): while a query runs, the
+//!   connection's reader keeps reading; a `CANCEL` frame or the peer
+//!   hanging up makes the reader flip the running query's cancel flag
+//!   itself, at once. Any other frame that arrives early waits and is
+//!   served after the in-flight answer (the reader stops one frame
+//!   ahead), so pipelining a request behind a long query is safe.
+//! * **Execution panic** (`INTERNAL`): a panicking evaluation is caught
+//!   (per query inside the session, and around the whole execution on
+//!   the connection thread) and fails only that query; the worker pool,
+//!   the session, and the connection all remain usable.
 //! * **Overload** (`SERVER_BUSY`) and **shutdown** (`SHUTTING_DOWN`)
-//!   are refused at admission and never consume a batch slot; queries
-//!   whose budget is already dead when their round drains (expired in
-//!   queue) are answered without occupying a slot either.
+//!   are refused before execution and hold no slot.
 //!
 //! The corresponding counters — `exec_timeouts`, `resource_exhausted`,
 //! `cancelled_queries`, `internal_errors` — are reported by the `STATS`
@@ -118,7 +96,7 @@
 //! `QUERY` frame naming an engine and an XPath expression and reads
 //! result chunks (`CHUNK` of big-endian pre ranks, or `RCHUNK` of
 //! rendered text lines) terminated by exactly one `DONE` (total,
-//! touched nodes, admission-batch size) or typed `ERROR` frame.
+//! touched nodes, and a batch size that is always 1) or typed `ERROR` frame.
 //! `STATS` reports server counters and `SHUTDOWN` asks for a graceful
 //! exit. Two bins ship with the crate: `staircase-serve` (the server)
 //! and, in `staircase-bench`, `staircase-loadgen` (an open-loop load
@@ -126,7 +104,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
 mod conn;
 pub mod metrics;
 pub mod mix;
@@ -135,21 +112,20 @@ pub mod shutdown;
 
 mod client;
 
-pub use batcher::SubmitError;
 pub use client::{Client, ClientError, QueryOptions, QueryReply};
 pub use metrics::Metrics;
-pub use protocol::{engine_by_name, render_line, render_node};
+pub use protocol::{engine_by_name, render_line, render_node, write_line};
 pub use shutdown::Shutdown;
 
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use staircase_xpath::Session;
 
-use batcher::Batcher;
 use conn::ConnShared;
 
 /// Everything tunable about a server, with defaults sized for the
@@ -159,13 +135,13 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// The admission window: how long the batcher holds an open round
-    /// for more queries to join. Zero means pass-through.
+    /// Ignored: queries execute where they arrive, so there is no
+    /// admission window to hold. Kept so existing configurations build.
     pub window: Duration,
-    /// Largest admission batch one round may drain.
+    /// Ignored, like [`ServerConfig::window`]: every query runs alone.
     pub max_batch: usize,
-    /// Bound of the admission queue; submissions beyond it are answered
-    /// `SERVER_BUSY`.
+    /// How many queries may execute at once, server-wide; a query past
+    /// the bound is answered `SERVER_BUSY`.
     pub queue_depth: usize,
     /// A connection that takes longer than this to deliver a frame —
     /// idle or dribbling — is closed with a `TIMEOUT` error. Counted
@@ -208,8 +184,8 @@ impl Default for ServerConfig {
 pub struct Server;
 
 impl Server {
-    /// Binds the listener, spawns the acceptor and batcher threads, and
-    /// returns immediately with a handle.
+    /// Binds the listener, spawns the acceptor thread, and returns
+    /// immediately with a handle.
     ///
     /// # Errors
     ///
@@ -219,25 +195,14 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shutdown = Shutdown::new();
         let metrics = Arc::new(Metrics::default());
-        let batcher = Arc::new(Batcher::new(
-            config.queue_depth,
-            config.window,
-            config.max_batch,
-            shutdown.clone(),
-            Arc::clone(&metrics),
-        ));
         let shared = Arc::new(ConnShared {
-            session: Arc::clone(&session),
-            batcher: Arc::clone(&batcher),
+            session,
             metrics: Arc::clone(&metrics),
             shutdown: shutdown.clone(),
             config,
             local_addr,
+            executing: AtomicUsize::new(0),
         });
-        let runner = {
-            let batcher = Arc::clone(&batcher);
-            std::thread::spawn(move || batcher.run(&session))
-        };
         let acceptor = {
             let shutdown = shutdown.clone();
             std::thread::spawn(move || accept_loop(listener, &shared, &shutdown))
@@ -245,20 +210,17 @@ impl Server {
         Ok(ServerHandle {
             local_addr,
             shutdown,
-            batcher,
             metrics,
             acceptor: Some(acceptor),
-            runner: Some(runner),
         })
     }
 }
 
-/// Starts graceful shutdown: sets the flag, wakes the batcher, and
-/// unblocks the acceptor — which sits in a blocking `accept` — with a
-/// throwaway loopback connection to its own port.
-pub(crate) fn begin_shutdown(shutdown: &Shutdown, batcher: &Batcher, local_addr: SocketAddr) {
+/// Starts graceful shutdown: sets the flag and unblocks the acceptor —
+/// which sits in a blocking `accept` — with a throwaway loopback
+/// connection to its own port.
+pub(crate) fn begin_shutdown(shutdown: &Shutdown, local_addr: SocketAddr) {
     shutdown.trigger();
-    batcher.wake_all();
     // A wildcard bind address is not connectable everywhere; its
     // loopback is.
     let ip = match local_addr.ip() {
@@ -273,8 +235,8 @@ pub(crate) fn begin_shutdown(shutdown: &Shutdown, batcher: &Batcher, local_addr:
 
 /// The acceptor thread: block in `accept` until [`begin_shutdown`]
 /// pokes it, then join every connection thread — each has already
-/// joined its reader, and an idle one closes within a reader tick of
-/// the flag.
+/// joined its reader, a running query finishes and is answered first,
+/// and an idle connection closes within a reader tick of the flag.
 fn accept_loop(listener: TcpListener, shared: &Arc<ConnShared>, shutdown: &Shutdown) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
@@ -285,15 +247,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<ConnShared>, shutdown: &Shutd
         }
         match accepted {
             Ok((stream, _peer)) => {
-                // Counted here, not on the connection's thread, so the
-                // batcher knows of the connection before its first
-                // query can arrive.
-                let open = shared.batcher.connection_opened();
                 let shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || {
-                    let _open = open;
-                    conn::serve(stream, &shared);
-                }));
+                conns.push(std::thread::spawn(move || conn::serve(stream, &shared)));
             }
             // Out of descriptors, or the peer reset before we got to
             // it: back off rather than spin on a persistent error.
@@ -313,10 +268,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<ConnShared>, shutdown: &Shutd
 pub struct ServerHandle {
     local_addr: SocketAddr,
     shutdown: Shutdown,
-    batcher: Arc<Batcher>,
     metrics: Arc<Metrics>,
     acceptor: Option<JoinHandle<()>>,
-    runner: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -331,10 +284,10 @@ impl ServerHandle {
     }
 
     /// Triggers graceful shutdown: stop accepting, refuse new
-    /// admissions, drain everything admitted. Idempotent; returns
+    /// queries, finish the running ones. Idempotent; returns
     /// without waiting — pair with [`ServerHandle::join`].
     pub fn shutdown(&self) {
-        begin_shutdown(&self.shutdown, &self.batcher, self.local_addr);
+        begin_shutdown(&self.shutdown, self.local_addr);
     }
 
     /// Waits for the server to exit (either after
@@ -351,9 +304,6 @@ impl ServerHandle {
 
     fn join_threads(&mut self) {
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.runner.take() {
             let _ = h.join();
         }
     }

@@ -3,8 +3,7 @@
 //! Every counter is monotonic and updated with relaxed ordering — the
 //! metrics are observability, not synchronization — with one exception:
 //! [`Metrics::connections_open`] is a gauge that goes down as well as
-//! up, and the batcher reads it to decide when an admission round has
-//! heard from everyone. [`Metrics::render`] is the `STATS` frame's
+//! up. [`Metrics::render`] is the `STATS` frame's
 //! payload: one `key value` pair per line, a format both the load
 //! generator and shell pipelines can split.
 
@@ -26,7 +25,8 @@ pub struct Metrics {
     pub rejected_requests: AtomicU64,
     /// Undecodable frames or payloads.
     pub protocol_errors: AtomicU64,
-    /// Queries refused with `SERVER_BUSY` (admission queue full).
+    /// Queries refused with `SERVER_BUSY` (`queue_depth` queries were
+    /// already executing).
     pub busy_rejections: AtomicU64,
     /// Connections closed for idling past the read timeout.
     pub timeouts: AtomicU64,
@@ -40,18 +40,18 @@ pub struct Metrics {
     /// Queries that failed with an isolated internal execution error
     /// (a caught panic); the server and connection survive.
     pub internal_errors: AtomicU64,
-    /// Batches executed (`Session::run_many` calls; one admission drain
-    /// produces one call per distinct engine in the batch).
+    /// Queries executed: every query that reached `Session::execute`,
+    /// whatever its outcome. Each runs alone, as a batch of one.
     pub batches: AtomicU64,
-    /// Queries that rode in those batches (so `batched_queries /
-    /// batches` is the mean batch size).
+    /// Queries in those executions — equal to `batches`, since each
+    /// runs alone.
     pub batched_queries: AtomicU64,
-    /// Largest single batch.
+    /// Largest single execution: 1 once any query has run.
     pub max_batch: AtomicU64,
 }
 
 impl Metrics {
-    /// Records one executed batch of `n` queries.
+    /// Records one execution of `n` queries (the server passes 1).
     pub fn record_batch(&self, n: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_queries.fetch_add(n as u64, Ordering::Relaxed);

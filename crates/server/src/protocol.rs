@@ -34,8 +34,8 @@
 //! * [`frame::STATS`] — no payload; the server answers with one
 //!   [`frame::RCHUNK`] of `key value` metric lines and a `DONE`.
 //! * [`frame::SHUTDOWN`] — no payload; the server acknowledges with
-//!   `DONE` and then shuts down gracefully (stops accepting, drains
-//!   in-flight batches, exits).
+//!   `DONE` and then shuts down gracefully (stops accepting, finishes
+//!   running queries, exits).
 //!
 //! ## Responses (server → client)
 //!
@@ -49,8 +49,9 @@
 //! * [`frame::RCHUNK`] — UTF-8 text: rendered result lines (or metric
 //!   lines for `STATS`), `\n`-separated.
 //! * [`frame::DONE`] — `[total: u32][touched: u64][batch: u32]`: the
-//!   result cardinality, the nodes touched evaluating it, and the size
-//!   of the admission batch this query rode in (1 = it ran alone).
+//!   result cardinality, the nodes touched evaluating it, and a batch
+//!   size that is always 1 (every query runs alone; the field stays for
+//!   wire compatibility).
 //! * [`frame::ERROR`] — `[code: u8][message…]`; see [`code`]. Parse
 //!   ([`code::PARSE`]), engine ([`code::ENGINE`]), busy
 //!   ([`code::BUSY`]), shutdown ([`code::SHUTTING_DOWN`]), and the
@@ -107,8 +108,8 @@ pub mod flags {
 pub mod code {
     /// The XPath expression did not parse. Connection survives.
     pub const PARSE: u8 = 1;
-    /// The admission queue is full — back off and retry. Connection
-    /// survives.
+    /// The server's execution slots are all taken — back off and
+    /// retry. Connection survives.
     pub const BUSY: u8 = 2;
     /// The frame or payload did not decode. The connection survives a
     /// malformed payload (the frame boundary held) and is closed after
@@ -120,8 +121,8 @@ pub mod code {
     /// The server is draining for shutdown and admits no new queries.
     /// Connection survives (until the server exits).
     pub const SHUTTING_DOWN: u8 = 5;
-    /// The server lost its execution engine mid-request. Connection
-    /// closes.
+    /// The query's execution failed internally (a caught panic). Only
+    /// that query fails; the connection survives.
     pub const INTERNAL: u8 = 6;
     /// A deadline expired. For a *query* deadline (the client's
     /// [`flags::DEADLINE`](super::flags::DEADLINE) or the server's
@@ -441,22 +442,36 @@ pub fn engine_by_name(name: &str) -> Option<Engine> {
 /// server's [`flags::RENDER`] path and `xq`'s local mode, so remote and
 /// local output are byte-identical.
 pub fn render_node(doc: &Doc, v: Pre) -> String {
-    match doc.kind(v) {
-        NodeKind::Element => format!("<{}>", doc.tag_name(v).unwrap_or("?")),
-        NodeKind::Attribute => format!(
-            "@{}={:?}",
-            doc.tag_name(v).unwrap_or("?"),
-            doc.content(v).unwrap_or("")
-        ),
-        NodeKind::Text => format!("text {:?}", truncate(doc.content(v).unwrap_or(""))),
-        NodeKind::Comment => format!("comment {:?}", truncate(doc.content(v).unwrap_or(""))),
-        NodeKind::Pi => format!("pi <?{}?>", doc.tag_name(v).unwrap_or("?")),
-    }
+    let mut buf = Vec::with_capacity(48);
+    write_node(&mut buf, doc, v);
+    String::from_utf8(buf).expect("rendered from UTF-8 parts")
 }
 
 /// The full output line for one result node (`pre <rank>  <rendered>`).
 pub fn render_line(doc: &Doc, v: Pre) -> String {
-    format!("pre {:>8}  {}", v, render_node(doc, v))
+    let mut buf = Vec::with_capacity(64);
+    write_line(&mut buf, doc, v);
+    String::from_utf8(buf).expect("rendered from UTF-8 parts")
+}
+
+/// Appends [`render_line`]'s text (no newline) to `buf` — how the server
+/// renders straight into its frame buffer, with no `String` per node.
+pub fn write_line(buf: &mut Vec<u8>, doc: &Doc, v: Pre) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(buf, "pre {v:>8}  ");
+    write_node(buf, doc, v);
+}
+
+fn write_node(buf: &mut Vec<u8>, doc: &Doc, v: Pre) {
+    let name = || doc.tag_name(v).unwrap_or("?");
+    let content = || doc.content(v).unwrap_or("");
+    let _ = match doc.kind(v) {
+        NodeKind::Element => write!(buf, "<{}>", name()),
+        NodeKind::Attribute => write!(buf, "@{}={:?}", name(), content()),
+        NodeKind::Text => write!(buf, "text {:?}", truncate(content())),
+        NodeKind::Comment => write!(buf, "comment {:?}", truncate(content())),
+        NodeKind::Pi => write!(buf, "pi <?{}?>", name()),
+    };
 }
 
 /// The longest prefix of `s` that ends at the first char boundary at or

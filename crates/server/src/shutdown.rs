@@ -1,18 +1,16 @@
 //! Graceful-shutdown coordination: one shared flag, checked at every
 //! blocking point.
 //!
-//! The sequence on shutdown is: the flag is set, the batcher is woken,
-//! and the acceptor — blocked in `accept` — is unblocked by a throwaway
-//! loopback connection to its own port and stops accepting. The batcher
-//! drains every admitted query — nothing already accepted is dropped —
-//! and each connection writes the answer the moment its reply arrives;
-//! a connection that is idle (nothing being served) closes when its
-//! reader thread next looks at the flag, at most one reader tick later.
-//! Every connection thread joins its reader, the acceptor joins every
-//! connection thread, and the batcher's thread exits on an empty queue,
-//! so `ServerHandle::join` returning means no server thread is left.
-//! New admissions after the trigger are refused with a typed
-//! `SHUTTING_DOWN` error frame.
+//! The sequence on shutdown is: the flag is set, and the acceptor —
+//! blocked in `accept` — is unblocked by a throwaway loopback connection
+//! to its own port and stops accepting. A query that is already running
+//! finishes on its connection thread and is answered — nothing already
+//! admitted is dropped; a connection that is idle (nothing being served)
+//! closes when its reader thread next looks at the flag, at most one
+//! reader tick later. Every connection thread joins its reader and the
+//! acceptor joins every connection thread, so `ServerHandle::join`
+//! returning means no server thread is left. Queries that arrive after
+//! the trigger are refused with a typed `SHUTTING_DOWN` error frame.
 //!
 //! Setting the flag is all [`Shutdown::trigger`] does; the wake-ups
 //! belong to `ServerHandle::shutdown` and the `SHUTDOWN` frame, which
@@ -21,8 +19,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A cloneable shutdown flag shared by the acceptor, every connection
-/// thread, and the batcher.
+/// A cloneable shutdown flag shared by the acceptor and every
+/// connection thread.
 #[derive(Clone, Default)]
 pub struct Shutdown {
     flag: Arc<AtomicBool>,

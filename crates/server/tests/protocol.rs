@@ -1,6 +1,7 @@
 //! Protocol-level robustness tests over a real listener: malformed and
-//! oversized frames, read timeouts, backpressure (`SERVER_BUSY`), and
-//! graceful shutdown.
+//! oversized frames, read timeouts, backpressure (`SERVER_BUSY`),
+//! cancellation, and graceful shutdown. Tests that need a query in
+//! flight run [`pathological`] and end it with a `CANCEL`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -21,8 +22,8 @@ fn start(config: ServerConfig) -> ServerHandle {
 }
 
 /// Waits until the server counts exactly `n` open connections: a
-/// `connect` returns before the acceptor has seen the connection, and
-/// the admission window closes early against the *counted* ones.
+/// `connect` returns before the server has seen the connection, and a
+/// connection is uncounted only once its thread has finished.
 fn wait_for_open(handle: &ServerHandle, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle
@@ -33,6 +34,42 @@ fn wait_for_open(handle: &ServerHandle, n: u64) {
     {
         assert!(Instant::now() < deadline, "never saw {n} open connections");
         std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A document and query pair whose ungoverned evaluation takes seconds
+/// even in a release build — thousands of alternating full-plane passes
+/// over a 120 301-node document — so a query is deterministically still
+/// running when a test acts on it. Every test that runs it cancels it;
+/// the default execution timeout bounds it otherwise. `//p` on the same
+/// document is a quick query with 300 answers.
+fn pathological() -> (Arc<Session>, String) {
+    let xml = format!(
+        "<root>{}</root>",
+        format!("<p>{}</p>", "<q/>".repeat(400)).repeat(300)
+    );
+    let session = Session::parse_xml(&xml).expect("pathological document parses");
+    let mut expr = String::from("/descendant-or-self::*");
+    for i in 0..2000 {
+        expr.push_str(if i % 2 == 0 {
+            "/ancestor-or-self::*"
+        } else {
+            "/descendant-or-self::*"
+        });
+    }
+    (Arc::new(session.with_threads(1)), expr)
+}
+
+fn start_pathological(config: ServerConfig) -> (ServerHandle, String) {
+    let (session, expr) = pathological();
+    let handle = Server::start(session, config).expect("ephemeral bind succeeds");
+    (handle, expr)
+}
+
+fn server_code(err: &ClientError) -> u8 {
+    match err {
+        ClientError::Server { code, .. } => *code,
+        other => panic!("not a server error frame: {other:?}"),
     }
 }
 
@@ -270,46 +307,87 @@ fn a_dribbled_partial_frame_times_out_too() {
 
 #[test]
 fn saturated_admission_queue_answers_server_busy() {
-    // A huge window and a queue depth of 1: the first query parks in
-    // the open round, the second must bounce with SERVER_BUSY.
-    let config = ServerConfig {
-        window: Duration::from_millis(500),
+    // One execution slot: while the pathological query holds it, any
+    // other query must bounce with SERVER_BUSY.
+    let (handle, expr) = start_pathological(ServerConfig {
         queue_depth: 1,
-        max_batch: 64,
         ..ServerConfig::default()
-    };
-    let handle = start(config);
+    });
     let addr = handle.local_addr();
-
-    // Both connections are open before the first query is sent, so its
-    // round has someone to wait for and the window is held.
     let mut parked_client = Client::connect(addr).unwrap();
+    let mut canceller = parked_client.try_clone().unwrap();
     let mut client = Client::connect(addr).unwrap();
-    wait_for_open(&handle, 2);
-    let parked =
-        std::thread::spawn(move || parked_client.query("//bidder", &opts("staircase")).unwrap());
-    // Give the first query time to be admitted into the open window.
-    std::thread::sleep(Duration::from_millis(150));
+    let parked = std::thread::spawn(move || {
+        let err = parked_client
+            .query(&expr, &opts("staircase"))
+            .expect_err("cancelled, not completed");
+        (err, parked_client)
+    });
+    // Give the long query time to take the slot; a query that still
+    // found it free is answered, and asks again.
+    std::thread::sleep(Duration::from_millis(50));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let err = loop {
+        match client.query("//p", &opts("staircase")) {
+            Ok(reply) => assert_eq!(reply.total, 300),
+            Err(err) => break err,
+        }
+        assert!(Instant::now() < deadline, "never answered SERVER_BUSY");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(server_code(&err), code::BUSY, "{err:?}");
+    canceller.cancel().unwrap();
+    let (parked_err, mut parked_client) = parked.join().expect("parked client answered");
+    assert_eq!(server_code(&parked_err), code::CANCELLED, "{parked_err:?}");
 
-    let err = client.query("//bidder", &opts("staircase")).unwrap_err();
-    assert!(
-        matches!(err, ClientError::Server { code: c, .. } if c == code::BUSY),
-        "{err:?}"
-    );
-    let parked_reply = parked.join().expect("parked client answered");
-    assert_eq!(parked_reply.total, 2);
-
-    // Backpressure is per-request, not per-connection: the window has
-    // drained (the parked client got its answer), so the same
-    // connection that bounced is served again.
-    let reply = client.query("//bidder", &opts("staircase")).unwrap();
-    assert_eq!(reply.total, 2);
+    // Backpressure is per-request, not per-connection: the slot is free
+    // again, so both connections are served.
+    for c in [&mut client, &mut parked_client] {
+        assert_eq!(c.query("//p", &opts("staircase")).unwrap().total, 300);
+    }
     assert!(
         handle
             .metrics()
             .busy_rejections
             .load(std::sync::atomic::Ordering::Relaxed)
             >= 1
+    );
+    handle.shutdown_and_join();
+}
+
+/// Queries run on their own connection's thread: a quick query is not
+/// held behind another connection's long one.
+#[test]
+fn a_long_query_does_not_block_another_connection() {
+    let (handle, expr) = start_pathological(ServerConfig {
+        exec_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let mut long = Client::connect(addr).unwrap();
+    let mut canceller = long.try_clone().unwrap();
+    let mut quick = Client::connect(addr).unwrap();
+    let running = std::thread::spawn(move || {
+        let started = Instant::now();
+        let err = long
+            .query(&expr, &opts("staircase"))
+            .expect_err("cancelled, not completed");
+        (err, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    let asked = Instant::now();
+    assert_eq!(quick.query("//p", &opts("staircase")).unwrap().total, 300);
+    let quick_took = asked.elapsed();
+    canceller.cancel().unwrap();
+    let (err, long_took) = running.join().expect("long query answered");
+    assert_eq!(
+        server_code(&err),
+        code::CANCELLED,
+        "the long query ran until the quick one was answered: {err:?}"
+    );
+    assert!(
+        quick_took * 4 < long_took,
+        "//p took {quick_took:?} beside a query that ran {long_took:?}"
     );
     handle.shutdown_and_join();
 }
@@ -346,16 +424,12 @@ fn shutdown_frame_drains_and_exits() {
     assert!(outcome.is_err(), "server is gone: {outcome:?}");
 }
 
-/// The reply path is event-driven: with no admission window, a round
-/// trip costs the query plus loopback, not a polling interval. (When
-/// the connection thread polled the socket in 50 ms ticks this took
-/// five seconds.)
+/// The reply path is event-driven: a round trip costs the query plus
+/// loopback, not a polling interval. (When the connection thread polled
+/// the socket in 50 ms ticks this took five seconds.)
 #[test]
 fn sequential_round_trips_do_not_wait_on_a_timer() {
-    let handle = start(ServerConfig {
-        window: Duration::ZERO,
-        ..ServerConfig::default()
-    });
+    let handle = start(ServerConfig::default());
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let started = Instant::now();
     for _ in 0..100 {
@@ -372,86 +446,22 @@ fn sequential_round_trips_do_not_wait_on_a_timer() {
     handle.shutdown_and_join();
 }
 
-/// The window closes the moment every open connection has a query in
-/// the round: nobody is left who could join it.
-#[test]
-fn a_round_closes_when_every_open_connection_has_asked() {
-    let handle = start(ServerConfig {
-        window: Duration::from_secs(60),
-        ..ServerConfig::default()
-    });
-    let addr = handle.local_addr();
-    let mut clients = [
-        Client::connect(addr).unwrap(),
-        Client::connect(addr).unwrap(),
-    ];
-    wait_for_open(&handle, 2);
-    let started = Instant::now();
-    let replies: Vec<_> = std::thread::scope(|scope| {
-        let asking: Vec<_> = clients
-            .iter_mut()
-            .map(|c| scope.spawn(move || c.query("//bidder", &opts("staircase")).unwrap()))
-            .collect();
-        asking.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "the minute-long window was held: {:?}",
-        started.elapsed()
-    );
-    for reply in replies {
-        assert_eq!((reply.total, reply.batch_size), (2, 2));
-    }
-    handle.shutdown_and_join();
-}
-
-/// ... and is held, as ever, while some open connection is idle.
-#[test]
-fn an_idle_connection_keeps_the_window_open() {
-    let window = Duration::from_millis(100);
-    let handle = start(ServerConfig {
-        window,
-        ..ServerConfig::default()
-    });
-    let addr = handle.local_addr();
-    let mut asker = Client::connect(addr).unwrap();
-    let _idle = [
-        Client::connect(addr).unwrap(),
-        Client::connect(addr).unwrap(),
-    ];
-    wait_for_open(&handle, 3);
-    let started = Instant::now();
-    let reply = asker.query("//bidder", &opts("staircase")).unwrap();
-    assert!(
-        started.elapsed() >= window,
-        "answered after {:?}, inside the window",
-        started.elapsed()
-    );
-    assert_eq!((reply.total, reply.batch_size), (2, 1));
-    handle.shutdown_and_join();
-}
-
-/// A `CANCEL` behind a query that is still waiting for its round is
-/// answered `CANCELLED`, and the connection serves the next query.
+/// A `CANCEL` right behind a query is answered `CANCELLED` — even when
+/// it is read before the query starts — and the connection serves the
+/// next query.
 #[test]
 fn a_cancel_mid_query_answers_cancelled_and_the_connection_survives() {
-    let handle = start(ServerConfig {
-        window: Duration::from_millis(300),
-        ..ServerConfig::default()
-    });
-    let addr = handle.local_addr();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let _idle = Client::connect(addr).unwrap();
-    wait_for_open(&handle, 2);
-    stream.write_all(&count_query("//bidder")).unwrap();
+    let (handle, expr) = start_pathological(ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.write_all(&count_query(&expr)).unwrap();
     stream
         .write_all(&protocol::encode_frame(frame::CANCEL, &[]))
         .unwrap();
     assert_eq!(error_code(&next_frame(&mut stream)), code::CANCELLED);
-    stream.write_all(&count_query("//bidder")).unwrap();
+    stream.write_all(&count_query("//p")).unwrap();
     let f = next_frame(&mut stream);
     assert_eq!(f.ty, frame::DONE);
-    assert_eq!(protocol::parse_done_payload(&f.payload).unwrap().0, 2);
+    assert_eq!(protocol::parse_done_payload(&f.payload).unwrap().0, 300);
     handle.shutdown_and_join();
 }
 
@@ -459,14 +469,8 @@ fn a_cancel_mid_query_answers_cancelled_and_the_connection_survives() {
 /// second, in order.
 #[test]
 fn a_pipelined_frame_is_answered_after_the_in_flight_query() {
-    let handle = start(ServerConfig {
-        window: Duration::from_millis(200),
-        ..ServerConfig::default()
-    });
-    let addr = handle.local_addr();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let _idle = Client::connect(addr).unwrap();
-    wait_for_open(&handle, 2);
+    let handle = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
     let mut both = count_query("//bidder");
     both.extend(count_query("//increase/ancestor::open_auction"));
     stream.write_all(&both).unwrap();
@@ -481,60 +485,50 @@ fn a_pipelined_frame_is_answered_after_the_in_flight_query() {
     handle.shutdown_and_join();
 }
 
-/// A client that hangs up while its query waits for a round cancels
-/// it: the query is answered dead at the drain and never runs.
+/// A client that hangs up while its query runs cancels it, and the
+/// execution slot it held is free again.
 #[test]
 fn a_hang_up_mid_query_cancels_it_and_frees_the_batch_slot() {
-    let handle = start(ServerConfig {
-        window: Duration::from_millis(200),
+    let (handle, expr) = start_pathological(ServerConfig {
+        queue_depth: 1,
         ..ServerConfig::default()
     });
-    let addr = handle.local_addr();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let _idle = Client::connect(addr).unwrap();
-    wait_for_open(&handle, 2);
-    stream.write_all(&count_query("//bidder")).unwrap();
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    wait_for_open(&handle, 1);
+    stream.write_all(&count_query(&expr)).unwrap();
     drop(stream);
     // The hung-up connection's thread ends once its query has resolved.
-    wait_for_open(&handle, 1);
+    wait_for_open(&handle, 0);
     let metrics = handle.metrics();
     let load = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(load(&metrics.cancelled_queries), 1);
-    assert_eq!(load(&metrics.batches), 0, "the dead query took no pass");
     assert_eq!(load(&metrics.queries_ok), 0);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert_eq!(client.query("//p", &opts("staircase")).unwrap().total, 300);
     handle.shutdown_and_join();
 }
 
 /// The read timeout is an *idle* timeout: it is paused while a query is
 /// in flight and restarts when the answer is written. Here the query
-/// outlives it in a minute-long window that only closes when the idle
-/// second connection times out and leaves.
+/// outlives it by far, until the client cancels it.
 #[test]
 fn the_read_timeout_pauses_while_a_query_is_in_flight() {
     let read_timeout = Duration::from_millis(200);
-    let handle = start(ServerConfig {
-        window: Duration::from_secs(60),
+    let (handle, expr) = start_pathological(ServerConfig {
         read_timeout,
         ..ServerConfig::default()
     });
-    let addr = handle.local_addr();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let mut idle = TcpStream::connect(addr).unwrap();
-    wait_for_open(&handle, 2);
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
     let started = Instant::now();
-    stream.write_all(&count_query("//bidder")).unwrap();
+    stream.write_all(&count_query(&expr)).unwrap();
+    std::thread::sleep(read_timeout * 3);
+    stream
+        .write_all(&protocol::encode_frame(frame::CANCEL, &[]))
+        .unwrap();
     let f = next_frame(&mut stream);
     let answered = Instant::now();
-    assert_eq!(f.ty, frame::DONE, "answered, not timed out");
-    let (total, _, batch) = protocol::parse_done_payload(&f.payload).unwrap();
-    assert_eq!((total, batch), (2, 1));
-    assert!(
-        answered - started >= read_timeout,
-        "the round closed after {:?}, before the idle connection could have left",
-        answered - started
-    );
-    assert!(answered - started < Duration::from_secs(10), "window held");
-    assert_eq!(error_code(&next_frame(&mut idle)), code::TIMEOUT);
+    assert_eq!(error_code(&f), code::CANCELLED, "answered, not timed out");
+    assert!(answered - started >= read_timeout * 3);
     // Idle since the answer was written: this connection's own timeout
     // comes a full `read_timeout` after it, not after the request.
     assert_eq!(error_code(&next_frame(&mut stream)), code::TIMEOUT);
