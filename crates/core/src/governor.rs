@@ -3,17 +3,35 @@
 //!
 //! The staircase join's whole design is long pruned passes over the
 //! pre/post plane — exactly the shape that, on an adversarial or
-//! mis-estimated query, turns into a runaway scan holding a shared
-//! batch (and, one layer up, a server's admission window) hostage. A
-//! [`Budget`] is the antidote: a cheap, shareable token carrying an
-//! optional wall-clock deadline, an optional touched-nodes cost
-//! ceiling, and an atomic cancel flag. Kernels check it **cooperatively
-//! at amortized boundaries** — partition and chunk boundaries in the
-//! plane scans, entry batches in the list joins, seek boundaries in the
-//! twig matcher — so the ungoverned fast path pays
-//! one thread-local load per kernel call and a governed scan observes a
-//! trip within [`TICK_GRAIN`] touched nodes (plus one mask-kernel
-//! chunk, [`SCAN_CHUNK`]).
+//! mis-estimated query, turns into a runaway scan holding a server's
+//! connection thread (and its admission slot) hostage. A [`Budget`] is
+//! the antidote: a cheap, shareable token carrying an optional
+//! wall-clock deadline, an optional touched-nodes cost ceiling, and an
+//! atomic cancel flag. Kernels check it **cooperatively at amortized
+//! boundaries** — partition and chunk boundaries in the plane scans,
+//! list entries in the list joins, seeks in the twig matcher — through
+//! a per-call [`Ticker`].
+//!
+//! # What a tick costs
+//!
+//! * **Ungoverned** (no budget installed): [`Ticker::tick`] is one
+//!   branch on the ticker's empty budget slot.
+//! * **Governed, between grains**: an inline countdown. The ticker
+//!   keeps `left`, the units it may still take before the next full
+//!   check, and a tick of `n` is `n < left`, one relaxed load of the
+//!   budget's `halt` flag and a subtraction — no call, no clock, no
+//!   write to shared memory. `halt` is set by [`Budget::cancel`] and by
+//!   every latched trip, so a cancel, or a trip another thread latched,
+//!   is seen on the very next tick.
+//! * **Once per [`TICK_GRAIN`] units**, or when `halt` is set: the
+//!   out-of-line slow path charges the accumulated units to the shared
+//!   touched counter and runs the full [`Budget::check`], which reads
+//!   the clock once. A governed scan therefore observes a deadline or
+//!   cost trip within [`TICK_GRAIN`] touched nodes (plus one mask-kernel
+//!   chunk, [`SCAN_CHUNK`]).
+//!
+//! A dropped ticker flushes its sub-grain remainder into the budget
+//! unchecked, so [`Budget::touched`] is exact after every kernel call.
 //!
 //! # Threading model
 //!
@@ -112,6 +130,11 @@ pub struct Budget {
     cancelled: AtomicBool,
     /// Latched first trip (0 = none, else `Trip::as_u8`).
     tripped: AtomicU8,
+    /// Set by [`Budget::cancel`] and every latch, after the cause is
+    /// stored: the one flag a sub-grain [`Ticker::tick`] reads. The
+    /// `Release` store pairs with [`Budget::quick_check`]'s `Acquire`
+    /// load, which then sees `cancelled` or `tripped`.
+    halt: AtomicBool,
 }
 
 impl Budget {
@@ -148,6 +171,7 @@ impl Budget {
     /// thread is running the work) trips with [`Trip::Cancelled`].
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
+        self.halt.store(true, Ordering::Release);
     }
 
     /// Has [`Budget::cancel`] been called?
@@ -178,11 +202,8 @@ impl Budget {
     /// deadline (one clock read), then cost ceiling. The first failing
     /// condition latches and is returned; `None` means keep going.
     pub fn check(&self) -> Option<Trip> {
-        if let Some(t) = self.trip() {
+        if let Some(t) = self.quick_check() {
             return Some(t);
-        }
-        if self.cancelled.load(Ordering::Relaxed) {
-            return Some(self.latch(Trip::Cancelled));
         }
         if let Some(d) = self.deadline {
             if Instant::now() >= d {
@@ -197,9 +218,12 @@ impl Budget {
         None
     }
 
-    /// The clock-free check: latched trip and cancel flag only. What a
-    /// sub-grain [`Ticker::tick`] pays.
+    /// The clock-free check: latched trip and cancel flag only, behind
+    /// one load of the `halt` flag that either sets.
     pub fn quick_check(&self) -> Option<Trip> {
+        if !self.halt.load(Ordering::Acquire) {
+            return None;
+        }
         if let Some(t) = self.trip() {
             return Some(t);
         }
@@ -221,6 +245,7 @@ impl Budget {
         let _ = self
             .tripped
             .compare_exchange(0, t.as_u8(), Ordering::Relaxed, Ordering::Relaxed);
+        self.halt.store(true, Ordering::Release);
         self.trip().unwrap_or(t)
     }
 }
@@ -273,8 +298,8 @@ pub const TICK_GRAIN: u64 = 4096;
 /// overshoot a deadline by more than one chunk.
 pub const SCAN_CHUNK: u32 = 8192;
 
-/// A kernel's per-invocation view of the ambient budget: accumulates
-/// touch charges and checks the budget every [`TICK_GRAIN`] units.
+/// A kernel's per-invocation view of the ambient budget: counts touch
+/// charges down to the next full check, every [`TICK_GRAIN`] units.
 ///
 /// With no ambient budget installed, [`Ticker::tick`] is one branch —
 /// the ungoverned fast path. On drop, any sub-grain remainder is
@@ -283,22 +308,25 @@ pub const SCAN_CHUNK: u32 = 8192;
 #[derive(Debug)]
 pub struct Ticker {
     budget: Option<Arc<Budget>>,
-    pending: u64,
+    /// Units left before the next full check: [`TICK_GRAIN`] minus the
+    /// units not yet charged to the budget, so always in
+    /// `1..=TICK_GRAIN`.
+    left: u64,
 }
 
 impl Ticker {
     /// A ticker against this thread's ambient budget ([`current`]);
     /// inert when none is installed.
     pub fn ambient() -> Ticker {
-        Ticker {
-            budget: current(),
-            pending: 0,
-        }
+        Ticker::for_budget(current())
     }
 
     /// A ticker against an explicit budget (`None` = inert).
     pub fn for_budget(budget: Option<Arc<Budget>>) -> Ticker {
-        Ticker { budget, pending: 0 }
+        Ticker {
+            budget,
+            left: TICK_GRAIN,
+        }
     }
 
     /// Is there a budget to enforce? Kernels use this to decide whether
@@ -308,30 +336,40 @@ impl Ticker {
     }
 
     /// Charges `n` touched units and reports whether the budget has
-    /// tripped. Every [`TICK_GRAIN`] accumulated units pays a full
-    /// check (deadline included); in between, only the latched-trip and
-    /// cancel flags are read. `true` means *stop now*: abandon the scan
-    /// and return — the caller discards the partial result.
+    /// tripped. Between grains this is the inline countdown (see the
+    /// module docs); the tick that completes a [`TICK_GRAIN`], or any
+    /// tick after the budget halted, takes the full check. `true` means
+    /// *stop now*: abandon the scan and return — the caller discards the
+    /// partial result.
     #[inline]
     pub fn tick(&mut self, n: u64) -> bool {
-        self.budget.is_some() && self.tick_governed(n)
+        match &self.budget {
+            None => false,
+            Some(budget) if n < self.left && !budget.halt.load(Ordering::Relaxed) => {
+                self.left -= n;
+                false
+            }
+            Some(_) => self.tick_slow(n),
+        }
     }
 
-    /// [`Ticker::tick`] under a budget. Out of line: inlined, its flag
-    /// loads and the once-a-grain charge (a clock read behind a call)
-    /// cost an *ungoverned* on-list join a third of its time in spills
-    /// and code size; a governed one pays a call per tick instead.
+    /// [`Ticker::tick`] when the grain rolls over or the budget halted:
+    /// a rollover charges every uncharged unit and runs the full check
+    /// (one clock read); otherwise the units stay counted down and the
+    /// clock-free check names the halt. Out of line, so a kernel's loop
+    /// carries only the countdown.
     #[cold]
     #[inline(never)]
-    fn tick_governed(&mut self, n: u64) -> bool {
+    fn tick_slow(&mut self, n: u64) -> bool {
         let Some(budget) = &self.budget else {
             return false;
         };
-        self.pending += n;
-        if self.pending >= TICK_GRAIN {
-            let charge = std::mem::take(&mut self.pending);
-            budget.charge(charge).is_some()
+        let pending = (TICK_GRAIN - self.left).saturating_add(n);
+        if pending >= TICK_GRAIN {
+            self.left = TICK_GRAIN;
+            budget.charge(pending).is_some()
         } else {
+            self.left -= n;
             budget.quick_check().is_some()
         }
     }
@@ -382,7 +420,7 @@ impl Ticker {
 impl Drop for Ticker {
     fn drop(&mut self) {
         if let Some(budget) = &self.budget {
-            budget.add_touched(std::mem::take(&mut self.pending));
+            budget.add_touched(TICK_GRAIN - self.left);
         }
     }
 }
@@ -487,6 +525,37 @@ mod tests {
         assert!(!t.tick(1));
         c.cancel();
         assert!(t.tick(1));
+    }
+
+    #[test]
+    fn a_trip_latched_through_one_ticker_stops_another_at_its_next_tick() {
+        let b = Arc::new(Budget::new().with_max_touched(TICK_GRAIN));
+        let mut first = Ticker::for_budget(Some(Arc::clone(&b)));
+        let mut second = Ticker::for_budget(Some(Arc::clone(&b)));
+        assert!(!second.tick(1));
+        // Two whole grains over the ceiling: the first ticker latches Cost.
+        assert!(!first.tick(TICK_GRAIN));
+        assert!(first.tick(TICK_GRAIN));
+        // The second is mid-grain, far from a full check, and stops anyway.
+        assert!(second.tick(1));
+        assert!(second.tripped());
+        assert_eq!(b.trip(), Some(Trip::Cost));
+    }
+
+    #[test]
+    fn drop_flushes_the_exact_remainder_across_grain_rollovers() {
+        let b = Arc::new(Budget::new());
+        let ticks = [1, TICK_GRAIN - 1, TICK_GRAIN + 1, 3];
+        {
+            let mut t = Ticker::for_budget(Some(Arc::clone(&b)));
+            for n in ticks {
+                assert!(!t.tick(n));
+            }
+            // The first two close one grain, the third is one on its own:
+            // only the last three units are still uncharged.
+            assert_eq!(b.touched(), ticks.iter().sum::<u64>() - 3);
+        }
+        assert_eq!(b.touched(), ticks.iter().sum::<u64>());
     }
 
     #[test]

@@ -104,8 +104,12 @@
 //! * **Governed stops** ([`governor`]): when an ambient
 //!   [`governor::Budget`] is installed, every scan checks it at
 //!   amortized boundaries (partitions, [`governor::SCAN_CHUNK`]-sized
-//!   pieces of comparison-free runs, scanned positions, twig seeks) and **abandons the
-//!   pass** on a trip, returning partial state. Partial results are
+//!   pieces of comparison-free runs, scanned positions, twig seeks) and
+//!   **abandons the pass** on a trip, returning partial state. A check
+//!   costs one branch ungoverned; governed, it is an inline countdown
+//!   plus one relaxed load of the budget's halt flag, and only once per
+//!   [`governor::TICK_GRAIN`] units an out-of-line call charges the
+//!   shared counter and reads the clock. Partial results are
 //!   *garbage by contract*: only the layer that installed the budget
 //!   (the executor upstairs) may interpret them, and it discards
 //!   them and reports the typed trip cause instead. A budget trips at

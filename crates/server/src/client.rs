@@ -1,14 +1,14 @@
 //! A blocking client for the frame protocol — what `xq --connect` and
 //! `staircase-loadgen` speak.
 
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use staircase_accel::Pre;
 
 use crate::protocol::{
-    self, code, flags, frame, parse_done_payload, parse_error_payload, parse_ids_payload,
-    query_payload_deadline, write_frame, FrameError,
+    self, begin_frame, code, decode_ids_into, end_frame, flags, frame, parse_done_payload,
+    parse_error_payload, push_query, write_frame, FrameError,
 };
 
 /// How a query should be asked for and answered.
@@ -122,6 +122,9 @@ pub struct Client {
     /// not three); requests are written to the stream under it.
     stream: BufReader<TcpStream>,
     max_frame: usize,
+    /// The request frame being written, then the payload of each
+    /// response frame read: one buffer, reused query after query.
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -138,6 +141,7 @@ impl Client {
             // Generous: response frames are bounded by the server's
             // chunking, not by its request limit.
             max_frame: 64 << 20,
+            buf: Vec::new(),
         })
     }
 
@@ -150,10 +154,9 @@ impl Client {
     /// for transport trouble.
     pub fn query(&mut self, expr: &str, opts: &QueryOptions) -> Result<QueryReply, ClientError> {
         let mut reply = QueryReply::default();
-        let (total, touched, batch_size) = self.query_streamed(
-            expr,
-            opts,
-            &mut |ids| reply.ids.extend_from_slice(ids),
+        self.send_query(expr, opts)?;
+        let (total, touched, batch_size) = self.read_response(
+            &mut |chunk| decode_ids_into(chunk, &mut reply.ids),
             &mut |text| {
                 reply.rendered.extend(text.lines().map(|l| l.to_string()));
             },
@@ -179,6 +182,21 @@ impl Client {
         on_ids: &mut dyn FnMut(&[Pre]),
         on_text: &mut dyn FnMut(&str),
     ) -> Result<(u32, u64, u32), ClientError> {
+        self.send_query(expr, opts)?;
+        let mut ids = Vec::new();
+        self.read_response(
+            &mut |chunk| {
+                ids.clear();
+                decode_ids_into(chunk, &mut ids)?;
+                on_ids(&ids);
+                Ok(())
+            },
+            on_text,
+        )
+    }
+
+    /// Writes one `QUERY` frame, built in the client's buffer.
+    fn send_query(&mut self, expr: &str, opts: &QueryOptions) -> Result<(), ClientError> {
         let mut request_flags = 0u8;
         if opts.render {
             request_flags |= flags::RENDER;
@@ -186,12 +204,18 @@ impl Client {
         if opts.count_only {
             request_flags |= flags::COUNT_ONLY;
         }
-        write_frame(
-            self.stream.get_mut(),
-            frame::QUERY,
-            &query_payload_deadline(request_flags, opts.deadline_ms, &opts.engine, expr),
-        )?;
-        self.read_response(on_ids, on_text)
+        self.buf.clear();
+        let start = begin_frame(&mut self.buf, frame::QUERY);
+        push_query(
+            &mut self.buf,
+            request_flags,
+            opts.deadline_ms,
+            &opts.engine,
+            expr,
+        );
+        end_frame(&mut self.buf, start);
+        self.stream.get_mut().write_all(&self.buf)?;
+        Ok(())
     }
 
     /// Asks the server to cancel the query currently in flight on this
@@ -220,6 +244,7 @@ impl Client {
         Ok(Client {
             stream: BufReader::new(self.stream.get_ref().try_clone()?),
             max_frame: self.max_frame,
+            buf: Vec::new(),
         })
     }
 
@@ -231,7 +256,7 @@ impl Client {
     pub fn server_stats(&mut self) -> Result<String, ClientError> {
         write_frame(self.stream.get_mut(), frame::STATS, &[])?;
         let mut text = String::new();
-        self.read_response(&mut |_| {}, &mut |t| text.push_str(t))?;
+        self.read_response(&mut |_| Ok(()), &mut |t| text.push_str(t))?;
         Ok(text)
     }
 
@@ -243,35 +268,36 @@ impl Client {
     /// As for [`Client::query`].
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         write_frame(self.stream.get_mut(), frame::SHUTDOWN, &[])?;
-        self.read_response(&mut |_| {}, &mut |_| {})?;
+        self.read_response(&mut |_| Ok(()), &mut |_| {})?;
         Ok(())
     }
 
-    /// Reads chunk frames until the terminal `DONE` or `ERROR`.
+    /// Reads chunk frames until the terminal `DONE` or `ERROR`, each into
+    /// the client's buffer: `on_chunk` gets every `CHUNK` payload and
+    /// decodes it (a defect it reports is a protocol error), `on_text`
+    /// every `RCHUNK`'s text.
     fn read_response(
         &mut self,
-        on_ids: &mut dyn FnMut(&[Pre]),
+        on_chunk: &mut dyn FnMut(&[u8]) -> Result<(), String>,
         on_text: &mut dyn FnMut(&str),
     ) -> Result<(u32, u64, u32), ClientError> {
         loop {
-            let f = protocol::read_frame(&mut self.stream, self.max_frame)?
+            let ty = protocol::read_frame_into(&mut self.stream, self.max_frame, &mut self.buf)?
                 .ok_or_else(|| ClientError::Protocol("server closed mid-response".into()))?;
-            match f.ty {
-                frame::CHUNK => {
-                    let ids = parse_ids_payload(&f.payload).map_err(ClientError::Protocol)?;
-                    on_ids(&ids);
-                }
+            let payload = &self.buf[..];
+            match ty {
+                frame::CHUNK => on_chunk(payload).map_err(ClientError::Protocol)?,
                 frame::RCHUNK => {
-                    let text = std::str::from_utf8(&f.payload)
+                    let text = std::str::from_utf8(payload)
                         .map_err(|_| ClientError::Protocol("rendered chunk is not UTF-8".into()))?;
                     on_text(text);
                 }
                 frame::DONE => {
-                    return parse_done_payload(&f.payload).map_err(ClientError::Protocol);
+                    return parse_done_payload(payload).map_err(ClientError::Protocol);
                 }
                 frame::ERROR => {
                     let (c, message) =
-                        parse_error_payload(&f.payload).map_err(ClientError::Protocol)?;
+                        parse_error_payload(payload).map_err(ClientError::Protocol)?;
                     return Err(ClientError::Server {
                         code: c,
                         message: message.to_string(),

@@ -197,6 +197,19 @@ impl From<std::io::Error> for FrameError {
 /// [`FrameError::Io`] on stream errors, including an EOF that cuts a
 /// frame in half.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>, FrameError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_frame, &mut payload)?.map(|ty| Frame { ty, payload }))
+}
+
+/// [`read_frame`] into a caller-owned payload buffer, which is
+/// overwritten (its capacity is kept, so a reader that reuses it stops
+/// allocating once it has seen its largest frame). Returns the frame
+/// type; errors and the clean EOF as for [`read_frame`].
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    max_frame: usize,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u8>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     // A clean EOF before the first header byte is a normal close.
     match r.read(&mut header[..1]) {
@@ -212,12 +225,10 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Frame>, 
             max: max_frame,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Frame {
-        ty: header[4],
-        payload,
-    }))
+    payload.clear();
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    Ok(Some(header[4]))
 }
 
 /// Appends one frame (header + payload) to `buf` — the building block
@@ -286,17 +297,29 @@ pub fn query_payload_deadline(
     expr: &str,
 ) -> Vec<u8> {
     let mut p = Vec::with_capacity(6 + engine.len() + expr.len());
+    push_query(&mut p, flags, deadline_ms, engine, expr);
+    p
+}
+
+/// Appends a [`frame::QUERY`] payload to `buf` — the client writes its
+/// requests into one buffer it keeps.
+pub(crate) fn push_query(
+    buf: &mut Vec<u8>,
+    flags: u8,
+    deadline_ms: Option<u32>,
+    engine: &str,
+    expr: &str,
+) {
     match deadline_ms {
         Some(ms) => {
-            p.push(flags | self::flags::DEADLINE);
-            p.extend_from_slice(&ms.to_be_bytes());
+            buf.push(flags | self::flags::DEADLINE);
+            buf.extend_from_slice(&ms.to_be_bytes());
         }
-        None => p.push(flags & !self::flags::DEADLINE),
+        None => buf.push(flags & !self::flags::DEADLINE),
     }
-    p.push(engine.len() as u8);
-    p.extend_from_slice(engine.as_bytes());
-    p.extend_from_slice(expr.as_bytes());
-    p
+    buf.push(engine.len() as u8);
+    buf.extend_from_slice(engine.as_bytes());
+    buf.extend_from_slice(expr.as_bytes());
 }
 
 /// Decodes a [`frame::QUERY`] payload into `(flags, deadline_ms,
@@ -403,16 +426,26 @@ pub fn ids_payload(ids: &[Pre]) -> Vec<u8> {
 /// A description of the defect when the payload length is not a
 /// multiple of four.
 pub fn parse_ids_payload(payload: &[u8]) -> Result<Vec<Pre>, String> {
+    let mut ids = Vec::new();
+    decode_ids_into(payload, &mut ids)?;
+    Ok(ids)
+}
+
+/// [`parse_ids_payload`] appending to `out` — how the client decodes a
+/// chunk straight into the reply's vector.
+pub(crate) fn decode_ids_into(payload: &[u8], out: &mut Vec<Pre>) -> Result<(), String> {
     if !payload.len().is_multiple_of(4) {
         return Err(format!(
             "id chunk of {} bytes is not a whole number of u32s",
             payload.len()
         ));
     }
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| Pre::from_be_bytes(c.try_into().expect("4 bytes")))
-        .collect())
+    out.extend(
+        payload
+            .chunks_exact(4)
+            .map(|c| Pre::from_be_bytes(c.try_into().expect("4 bytes"))),
+    );
+    Ok(())
 }
 
 /// Resolves a wire engine name to a validated [`Engine`] — `staircase`,
@@ -457,16 +490,40 @@ pub fn render_line(doc: &Doc, v: Pre) -> String {
 /// Appends [`render_line`]'s text (no newline) to `buf` — how the server
 /// renders straight into its frame buffer, with no `String` per node.
 pub fn write_line(buf: &mut Vec<u8>, doc: &Doc, v: Pre) {
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(buf, "pre {v:>8}  ");
+    buf.extend_from_slice(b"pre ");
+    write_rank(buf, v);
+    buf.extend_from_slice(b"  ");
     write_node(buf, doc, v);
+}
+
+/// `v` in decimal, right-aligned in eight columns (`{v:>8}`), without
+/// `fmt`: the server renders every node of a rendered reply through here.
+fn write_rank(buf: &mut Vec<u8>, mut v: Pre) {
+    // `u32::MAX` has ten digits; the unused front stays blank.
+    let mut text = [b' '; 10];
+    let mut first = text.len();
+    loop {
+        first -= 1;
+        text[first] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&text[first.min(text.len() - 8)..]);
 }
 
 fn write_node(buf: &mut Vec<u8>, doc: &Doc, v: Pre) {
     let name = || doc.tag_name(v).unwrap_or("?");
     let content = || doc.content(v).unwrap_or("");
+    // Writing into a `Vec` cannot fail.
     let _ = match doc.kind(v) {
-        NodeKind::Element => write!(buf, "<{}>", name()),
+        NodeKind::Element => {
+            buf.push(b'<');
+            buf.extend_from_slice(name().as_bytes());
+            buf.push(b'>');
+            Ok(())
+        }
         NodeKind::Attribute => write!(buf, "@{}={:?}", name(), content()),
         NodeKind::Text => write!(buf, "text {:?}", truncate(content())),
         NodeKind::Comment => write!(buf, "comment {:?}", truncate(content())),
@@ -588,6 +645,54 @@ mod tests {
         assert_eq!(render_node(&doc, 1), "text \"world & more\"");
         assert_eq!(render_node(&doc, 3), "text \"1\"");
         assert_eq!(render_node(&doc, 4), "comment \"c\"");
+    }
+
+    #[test]
+    fn rendering_matches_the_format_text_for_every_kind_and_rank_width() {
+        // The text `write_line` produced through `fmt`, kept as the reference.
+        let reference = |doc: &Doc, v: Pre| {
+            let name = doc.tag_name(v).unwrap_or("?");
+            let content = doc.content(v).unwrap_or("");
+            let node = match doc.kind(v) {
+                NodeKind::Element => format!("<{name}>"),
+                NodeKind::Attribute => format!("@{name}={content:?}"),
+                NodeKind::Text => format!("text {:?}", truncate(content)),
+                NodeKind::Comment => format!("comment {:?}", truncate(content)),
+                NodeKind::Pi => format!("pi <?{name}?>"),
+            };
+            format!("pre {v:>8}  {node}")
+        };
+        let doc = Doc::from_xml(r#"<a id="x&quot;1"><!--c "q"--><?p d?>caf&#233; &amp; t<b/></a>"#)
+            .unwrap();
+        let mut kinds = Vec::new();
+        for v in 0..doc.len() as Pre {
+            assert_eq!(render_line(&doc, v), reference(&doc, v), "node {v}");
+            kinds.push(doc.kind(v));
+        }
+        for kind in [
+            NodeKind::Element,
+            NodeKind::Attribute,
+            NodeKind::Text,
+            NodeKind::Comment,
+            NodeKind::Pi,
+        ] {
+            assert!(kinds.contains(&kind), "{kind:?} not covered");
+        }
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            1_234_567,
+            9_999_999,
+            12_345_678,
+            123_456_789,
+            u32::MAX,
+        ] {
+            let mut buf = Vec::new();
+            write_rank(&mut buf, v);
+            assert_eq!(String::from_utf8(buf).unwrap(), format!("{v:>8}"));
+        }
     }
 
     #[test]

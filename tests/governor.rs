@@ -651,3 +651,103 @@ proptest! {
         }
     }
 }
+
+/// The benchmark's twelve selective point queries; the wire mix adds
+/// the first one again, rendered.
+const POINT: [&str; 12] = [
+    "/descendant::profile/descendant::education",
+    "/descendant::increase/ancestor::bidder",
+    "/descendant::open_auction[descendant::bidder]/descendant::increase",
+    "/descendant::person[child::profile]/descendant::education",
+    "/descendant::person/child::profile",
+    "/descendant::open_auction/descendant::bidder/descendant::increase",
+    "/descendant::bidder[increase]/ancestor::open_auction",
+    "/descendant::date/ancestor::open_auction",
+    "/descendant::education/ancestor::person",
+    "/descendant::open_auction[bidder]/descendant::date",
+    "/descendant::closed_auction/child::price",
+    "/descendant::item/descendant::keyword",
+];
+
+/// What a step reports, minus the estimate: operator, result size and
+/// the counters the governor must not move.
+fn step_counters(out: &QueryOutput) -> Vec<(String, String, usize, u64, u64, u64)> {
+    out.stats()
+        .steps
+        .iter()
+        .map(|s| {
+            (
+                s.step.clone(),
+                s.op.clone(),
+                s.result_size,
+                s.nodes_touched,
+                s.tuples_produced,
+                s.seeks,
+            )
+        })
+        .collect()
+}
+
+/// Runs each of `exprs` alone, ungoverned and then under budgets that
+/// never bind (a pure cancel token, a deadline an hour away), at pool
+/// widths 1, 2 and 4, and returns the first governed run whose nodes or
+/// step counters differ from the ungoverned one.
+fn first_governance_difference(doc: &Doc, exprs: &[&str], engine: Engine) -> Option<String> {
+    for width in [1usize, 2, 4] {
+        let session = Session::new(doc.clone()).with_threads(width);
+        for expr in exprs {
+            let query = session.prepare(expr).expect("query parses");
+            let free = query.run(engine);
+            let budgets = [
+                Budget::new(),
+                Budget::new().with_deadline_in(Duration::from_secs(3600)),
+            ];
+            for budget in budgets {
+                let governed = match governed(&query, engine, Arc::new(budget)) {
+                    Ok(out) => out,
+                    Err(e) => return Some(format!("width {width}: {expr} tripped: {e}")),
+                };
+                if governed.nodes().as_slice() != free.nodes().as_slice() {
+                    return Some(format!("width {width}: {expr} answered other nodes"));
+                }
+                if step_counters(&governed) != step_counters(&free) {
+                    return Some(format!(
+                        "width {width}: {expr} counted {:?}, ungoverned {:?}",
+                        step_counters(&governed),
+                        step_counters(&free)
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Governance changes no counter: an untripped governed run of the wire
+/// mix answers the same nodes with the same per-step counters as the
+/// ungoverned run, at every pool width.
+#[test]
+fn an_untripped_budget_changes_no_node_and_no_counter() {
+    let doc = generate(XmarkConfig::new(0.5));
+    for engine in [Engine::auto(), engine()] {
+        if let Some(difference) = first_governance_difference(&doc, &POINT, engine) {
+            panic!("{difference}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The same on arbitrary documents and queries.
+    #[test]
+    fn an_untripped_budget_changes_nothing_on_arbitrary_queries(
+        (doc, exprs) in (arb_doc(), proptest::collection::vec(arb_query(), 1..4))
+    ) {
+        let exprs: Vec<&str> = exprs.iter().map(String::as_str).collect();
+        for engine in [Engine::auto(), engine()] {
+            let difference = first_governance_difference(&doc, &exprs, engine);
+            prop_assert!(difference.is_none(), "{}", difference.unwrap_or_default());
+        }
+    }
+}
