@@ -123,30 +123,6 @@ fn bench(c: &mut Criterion) {
         g.finish();
         report_speedup(&format!("mixed/{ename}"), session, &mixed, engine);
     }
-
-    // Pool-width sweep: the same mixed workload on sessions whose worker
-    // pool has 1, 2, and 4 executors. Touched-node totals are
-    // width-independent by construction (morsels change who reads a
-    // position, never whether it is read); wall-clock scaling depends on
-    // the host's core count — the JSON-emitting `bench_batch_throughput`
-    // binary records both for the perf trajectory.
-    for width in [1usize, 2, 4] {
-        let w = Workload::generate_with_threads(0.2, width);
-        let session = w.session();
-        session.warm();
-        let queries: Vec<Query> = MIXED
-            .iter()
-            .map(|q| session.prepare(q).expect("mixed query parses"))
-            .collect();
-        let refs: Vec<&Query> = queries.iter().collect();
-        let mut g = c.benchmark_group(format!("batch_throughput_mixed_width{width}"));
-        g.sample_size(30);
-        g.throughput(Throughput::Elements((queries.len() * w.doc().len()) as u64));
-        g.bench_function("run_many_auto", |b| {
-            b.iter(|| session.run_many(&refs, Engine::auto()))
-        });
-        g.finish();
-    }
 }
 
 criterion_group!(benches, bench);

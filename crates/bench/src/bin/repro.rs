@@ -4,8 +4,8 @@
 //! repro [EXPERIMENT] [--factor F] [--runs N] [--csv DIR]
 //!
 //! EXPERIMENT: all | table1 | fig11a | fig11b | fig11c | fig11d
-//!           | fig11e | fig11f | bandwidth | fragmentation | parallel
-//!           | profile
+//!           | fig11e | fig11f | bandwidth | fragmentation | storage
+//!           | density | verify | profile   (any other name exits 2)
 //! --factor F  shrink the paper's 1.1/11/111/1111 MB document sweep by F
 //!             (default 0.05 → ≈ 2.7 k – 2.8 M nodes; use 1.0 for the
 //!             paper's full sizes if you have the patience and RAM)
@@ -15,6 +15,23 @@
 
 use staircase_bench::experiments as exp;
 use staircase_bench::{Table, Workload};
+
+/// Every experiment name `repro` runs, besides `all`.
+const EXPERIMENTS: [&str; 13] = [
+    "table1",
+    "fig11a",
+    "fig11b",
+    "fig11c",
+    "fig11d",
+    "fig11e",
+    "fig11f",
+    "bandwidth",
+    "fragmentation",
+    "storage",
+    "density",
+    "verify",
+    "profile",
+];
 
 struct Args {
     experiment: String,
@@ -58,6 +75,16 @@ fn parse_args() -> Result<Args, String> {
             other if !other.starts_with('-') => args.experiment = other.to_string(),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    // Checked before any workload is generated: a misspelt (or
+    // retired) experiment would otherwise build every document and
+    // print nothing.
+    if args.experiment != "all" && !EXPERIMENTS.contains(&args.experiment.as_str()) {
+        return Err(format!(
+            "unknown experiment {}; one of: all, {}",
+            args.experiment,
+            EXPERIMENTS.join(", ")
+        ));
     }
     Ok(args)
 }
@@ -169,9 +196,6 @@ fn main() {
     }
     if run("fragmentation") {
         emit(&exp::fragmentation(largest, args.runs), &args.csv);
-    }
-    if run("parallel") {
-        emit(&exp::parallel(largest, &[1, 2, 4, 8], args.runs), &args.csv);
     }
     if run("storage") {
         // Keep the XML text in memory affordable: cap the scale.

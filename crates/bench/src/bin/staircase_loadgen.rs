@@ -32,8 +32,7 @@
 //! `timeout` (deadline trips), `cancelled` — so a run under deadline
 //! pressure shows *where* the load shed instead of a bare error total.
 //!
-//! CI runs `--smoke` on every push and uploads the JSON as an artifact,
-//! alongside `BENCH_batch_throughput.json`.
+//! CI runs `--smoke` on every push and uploads the JSON as an artifact.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,10 +8,7 @@
 
 use staircase_accel::{Axis, Context};
 use staircase_baselines::naive_step;
-use staircase_core::{
-    ancestor, ancestor_pooled, descendant, descendant_pooled, ScanTest, Scratch, Variant,
-    WorkerPool,
-};
+use staircase_core::{ancestor, descendant, Variant};
 use staircase_storage::scan::{append_run, append_run_unrolled};
 use staircase_xpath::Engine;
 
@@ -401,35 +398,6 @@ pub fn fragmentation(w: &Workload, runs: usize) -> Table {
     t
 }
 
-/// **§3.2/§6** — partitioned parallel staircase join: the second axis
-/// steps of Q1 (descendant) and Q2 (ancestor) across worker counts,
-/// through the morsel-split kernels a session's `[par]` steps run (one
-/// worker is the sequential scan).
-pub fn parallel(w: &Workload, threads: &[usize], runs: usize) -> Table {
-    let mut t = Table::new(
-        format!("§3.2/§6 partitioned parallelism (scale {})", w.scale),
-        &["threads", "Q1 desc step ms", "Q2 anc step ms"],
-    );
-    let profiles = w.profiles();
-    let increases = w.increases();
-    let mut scratch = Scratch::new();
-    for &workers in threads {
-        let pool = WorkerPool::new(workers);
-        let pool = Some(&pool);
-        let d = Variant::EstimationSkipping;
-        let node = ScanTest::node(w.doc());
-        let q1 = time_ms(runs, || {
-            descendant_pooled(w.doc(), &profiles, d, &node, pool, &mut scratch)
-        });
-        let q2 = time_ms(runs, || {
-            let s = Variant::Skipping;
-            ancestor_pooled(w.doc(), &increases, s, &node, pool, &mut scratch)
-        });
-        t.row(cells!(workers, format!("{q1:.2}"), format!("{q2:.2}")));
-    }
-    t
-}
-
 /// **§4.1** — storage footprint and loading paths. The paper: "a document
 /// occupies only about 1.5× its size in Monet using our storage
 /// structure" (thanks to the void `pre` column). We report the encoded
@@ -631,6 +599,5 @@ mod tests {
         assert_eq!(fig11f(&ws, 1).rows.len(), 1);
         assert_eq!(bandwidth(&ws[0], 1).rows.len(), 3);
         assert_eq!(fragmentation(&ws[0], 1).rows.len(), 3);
-        assert_eq!(parallel(&ws[0], &[1, 2], 1).rows.len(), 2);
     }
 }

@@ -16,7 +16,6 @@
 //! | Figure 11(f) comparison, Q2                    | [`experiments::fig11f`] |
 //! | §4.3 copy-phase bandwidth                      | [`experiments::bandwidth`] |
 //! | §6 tag-name fragmentation (Q1)                 | [`experiments::fragmentation`] |
-//! | §3.2/§6 partitioned parallelism                | [`experiments::parallel`] |
 
 #![warn(missing_docs)]
 

@@ -13,8 +13,7 @@ pub const QUERY_Q2: &str = "/descendant::increase/ancestor::bidder";
 
 /// The vertical batch workload: eight descendant/ancestor queries
 /// sharing plenty of plane regions — every first step starts at the
-/// root. Shared by the `batch_throughput` Criterion bench and the
-/// JSON-emitting `bench_batch_throughput` runner.
+/// root. Used by the `batch_throughput` Criterion bench.
 pub const BATCH_VERTICAL: [&str; 8] = [
     QUERY_Q1,
     QUERY_Q2,
@@ -56,16 +55,6 @@ impl Workload {
         Workload {
             scale,
             session: Session::new(generate(XmarkConfig::new(scale))),
-        }
-    }
-
-    /// Generates the workload for `scale` on a session whose worker
-    /// pool has `threads` executors — the width-sweep entry point of
-    /// the batch-throughput benches.
-    pub fn generate_with_threads(scale: f64, threads: usize) -> Workload {
-        Workload {
-            scale,
-            session: Session::new(generate(XmarkConfig::new(scale))).with_threads(threads),
         }
     }
 

@@ -4,7 +4,7 @@ use staircase_accel::{Context, Doc, Pre};
 
 use crate::batch::Scratch;
 use crate::mask::ScanTest;
-use crate::morsel::ancestor_pooled;
+use crate::prune::{prune_ancestor_into, prune_and_scan};
 use crate::stats::StepStats;
 use crate::Variant;
 
@@ -36,17 +36,34 @@ pub fn ancestor_tested(
     variant: Variant,
     test: &ScanTest<'_>,
 ) -> (Context, StepStats) {
-    ancestor_pooled(doc, context, variant, test, None, &mut Scratch::new())
+    ancestor_pooled(doc, context, variant, test, &mut Scratch::new())
+}
+
+/// Evaluates `context/ancestor::test` — [`ancestor_tested`] — with the
+/// pruned boundary list and the result drawn from `scratch` (see
+/// [`crate::descendant_pooled`]).
+pub fn ancestor_pooled(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    test: &ScanTest<'_>,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    prune_and_scan(
+        doc,
+        context,
+        scratch,
+        prune_ancestor_into,
+        |steps, out, stats| ancestor_partitions(doc, steps, variant, test, out, stats),
+    )
 }
 
 /// Evaluates the ancestor partitions induced by `steps` (pruned,
 /// staircase-shaped): partition `i` spans `[prev, stepᵢ)` where `prev` is
-/// the previous step + 1 (or `start` for the first), so a morsel split
-/// (`crate::morsel`) can hand each worker a chunk of steps.
-pub(crate) fn ancestor_partitions(
+/// the previous step + 1 (or 0 for the first).
+fn ancestor_partitions(
     doc: &Doc,
     steps: &[Pre],
-    start: Pre,
     variant: Variant,
     test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
@@ -67,7 +84,7 @@ pub(crate) fn ancestor_partitions(
         result.reserve(test.reserve_for(bound));
     }
 
-    let mut part_start = start;
+    let mut part_start = 0;
     for &c in steps {
         stats.partitions += 1;
         crate::faults::fail_point("core::anc::partition");

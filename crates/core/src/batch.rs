@@ -1,18 +1,21 @@
 //! [`Scratch`]: the buffer pool a long-lived evaluator threads through
-//! the kernels.
+//! the kernels, and [`ScratchPool`], the shards of it a shared owner
+//! hands to concurrent callers.
 //!
 //! Every pooled single-context join — the plane scans
 //! [`crate::descendant_pooled`], [`crate::ancestor_pooled`],
 //! [`crate::following_pooled`], [`crate::preceding_pooled`] and the range
 //! joins over a tag fragment ([`crate::descendant_on_list_pooled`] and
-//! friends) — draws its pruned boundary list, its morsel buffers and its
-//! result from a `Scratch`, and the caller recycles a step's input once
-//! the next step has consumed it. A `Scratch` lives as long as its owner
-//! (the session, upstairs, keeps one per shard of its
-//! [`crate::ScratchPool`]), so repeated steps and queries reuse result
-//! and context allocations instead of paying `Vec::new()` plus regrowth
-//! per step — a steady-state executor stops allocating (asserted by the
-//! pool-reuse tests below).
+//! friends) — draws its pruned boundary list and its result from a
+//! `Scratch`, and the caller recycles a step's input once the next step
+//! has consumed it. A `Scratch` lives as long as its owner (the session,
+//! upstairs, keeps one per shard of its [`ScratchPool`]), so repeated
+//! steps and queries reuse result and context allocations instead of
+//! paying `Vec::new()` plus regrowth per step — a steady-state executor
+//! stops allocating (asserted by the pool-reuse tests below).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use staircase_accel::{Context, Pre};
 
@@ -88,6 +91,68 @@ impl Scratch {
     }
 }
 
+/// A sharded set of [`Scratch`] buffer pools: one shard per query the
+/// owner expects to run concurrently (the session's concurrent server
+/// connections share it).
+///
+/// A single `Mutex<Scratch>` would have to fall back to a **throwaway**
+/// pool whenever the lock was contended — every concurrent query paying
+/// full allocation. With shards, a `try_lock` sweep almost always finds
+/// a free pool, so contended queries reuse warm buffers too; the
+/// allocate-fresh escape hatch survives only for more concurrent
+/// callers than shards, where blocking would serialise them.
+#[derive(Debug)]
+pub struct ScratchPool {
+    shards: Vec<Mutex<Scratch>>,
+    /// Rotates the sweep's starting shard so concurrent callers spread
+    /// out instead of convoying on shard 0.
+    next: AtomicUsize,
+}
+
+impl ScratchPool {
+    /// A pool of `shards` independent scratch buffers (at least one).
+    pub fn new(shards: usize) -> ScratchPool {
+        ScratchPool {
+            shards: (0..shards.max(1))
+                .map(|_| Mutex::new(Scratch::new()))
+                .collect(),
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Runs `f` with an uncontended shard's scratch pool. Only when every
+    /// shard is busy — more concurrent executors than shards — does `f`
+    /// get a throwaway pool (correctness never depends on which one).
+    pub fn with<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
+        let start = self.next.fetch_add(1, Ordering::Relaxed);
+        for i in 0..self.shards.len() {
+            let shard = &self.shards[(start + i) % self.shards.len()];
+            match shard.try_lock() {
+                Ok(mut scratch) => return f(&mut scratch),
+                Err(std::sync::TryLockError::Poisoned(e)) => return f(&mut e.into_inner()),
+                Err(std::sync::TryLockError::WouldBlock) => continue,
+            }
+        }
+        f(&mut Scratch::new())
+    }
+
+    /// Total buffers currently pooled across all shards (tests/metrics).
+    pub fn pooled_total(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| match s.try_lock() {
+                Ok(scratch) => scratch.pooled(),
+                Err(_) => 0,
+            })
+            .sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +161,7 @@ mod tests {
         ancestor, ancestor_on_list, ancestor_on_list_pooled, ancestor_pooled, child_on_list,
         child_on_list_pooled, descendant, descendant_on_list, descendant_on_list_pooled,
         descendant_pooled, following, following_pooled, preceding, preceding_pooled, ScanTest,
-        StepStats, TagIndex, Variant, WorkerPool,
+        StepStats, TagIndex, Variant,
     };
     use staircase_accel::Doc;
     use std::ops::Range;
@@ -137,9 +202,9 @@ mod tests {
         TagIndex::build(doc).fragment_by_name(doc, "p").to_vec()
     }
 
-    /// Every variant of a vertical plane join: on `scratch` (and `pool`)
-    /// when there is one, plain otherwise.
-    fn vertical(doc: &Doc, c: &Context, desc: bool, pool: Option<&WorkerPool>, s: Pool) -> Runs {
+    /// Every variant of a vertical plane join: on `scratch` when there is
+    /// one, plain otherwise.
+    fn vertical(doc: &Doc, c: &Context, desc: bool, s: Pool) -> Runs {
         let test = ScanTest::node(doc);
         let Some(s) = s else {
             return ALL
@@ -147,26 +212,25 @@ mod tests {
                 .into();
         };
         let pooled = [ancestor_pooled, descendant_pooled][usize::from(desc)];
-        ALL.map(|v| pooled(doc, c, v, &test, pool, s)).into()
+        ALL.map(|v| pooled(doc, c, v, &test, s)).into()
     }
 
     #[test]
     fn descendant_many_matches_sequential_per_query() {
-        agree(0..15, 400, |d, c, s| vertical(d, c, true, None, s));
+        agree(0..15, 400, |d, c, s| vertical(d, c, true, s));
     }
 
     #[test]
     fn ancestor_many_matches_sequential_per_query() {
-        agree(0..15, 400, |d, c, s| vertical(d, c, false, None, s));
+        agree(0..15, 400, |d, c, s| vertical(d, c, false, s));
     }
 
     #[test]
     fn batch_never_touches_more_than_sequential() {
-        // On a pool: the morsel split changes who reads a position,
-        // never whether it is read.
-        let pool = WorkerPool::new(4);
+        // On large documents: a warm scratch pool changes where a result
+        // lives, never which positions are read.
         for desc in [true, false] {
-            agree(0..4, 9000, |d, c, s| vertical(d, c, desc, Some(&pool), s));
+            agree(0..4, 9000, |d, c, s| vertical(d, c, desc, s));
         }
     }
 
@@ -177,9 +241,9 @@ mod tests {
         let mut scratch = Scratch::new();
         for variant in ALL {
             for ctx in [Context::empty(), Context::singleton(2)] {
-                let d = descendant_pooled(&doc, &ctx, variant, &test, None, &mut scratch);
+                let d = descendant_pooled(&doc, &ctx, variant, &test, &mut scratch);
                 assert_eq!(d.0, descendant(&doc, &ctx, variant).0);
-                let a = ancestor_pooled(&doc, &ctx, variant, &test, None, &mut scratch);
+                let a = ancestor_pooled(&doc, &ctx, variant, &test, &mut scratch);
                 assert_eq!(a.0, ancestor(&doc, &ctx, variant).0);
             }
         }
@@ -237,8 +301,8 @@ mod tests {
             let test = ScanTest::node(doc);
             match s {
                 Some(s) => vec![
-                    following_pooled(doc, ctx, &test, None, s),
-                    preceding_pooled(doc, ctx, &test, None, s),
+                    following_pooled(doc, ctx, &test, s),
+                    preceding_pooled(doc, ctx, &test, s),
                 ],
                 None => vec![following(doc, ctx), preceding(doc, ctx)],
             }
@@ -252,9 +316,9 @@ mod tests {
         let ctx = Context::singleton(deepest);
         let test = ScanTest::node(&doc);
         let mut scratch = Scratch::new();
-        let f = following_pooled(&doc, &ctx, &test, None, &mut scratch);
+        let f = following_pooled(&doc, &ctx, &test, &mut scratch);
         assert_eq!(f, following(&doc, &ctx));
-        let p = preceding_pooled(&doc, &ctx, &test, None, &mut scratch);
+        let p = preceding_pooled(&doc, &ctx, &test, &mut scratch);
         assert_eq!(p, preceding(&doc, &ctx));
     }
 
@@ -292,9 +356,9 @@ mod tests {
             for ctx in &ctxs {
                 let outs = [
                     descendant_on_list_pooled(&doc, &list, ctx, scratch).0,
-                    following_pooled(&doc, ctx, &test, None, scratch).0,
-                    preceding_pooled(&doc, ctx, &test, None, scratch).0,
-                    descendant_pooled(&doc, ctx, Variant::Skipping, &test, None, scratch).0,
+                    following_pooled(&doc, ctx, &test, scratch).0,
+                    preceding_pooled(&doc, ctx, &test, scratch).0,
+                    descendant_pooled(&doc, ctx, Variant::Skipping, &test, scratch).0,
                 ];
                 for c in outs {
                     scratch.recycle(c);
@@ -333,9 +397,87 @@ mod tests {
         let doc = random_doc(11, 300);
         let ctx = random_context(&doc, 0x5C2A7C4, 10);
         let test = ScanTest::node(&doc);
-        let out = descendant_pooled(&doc, &ctx, Variant::Skipping, &test, None, &mut scratch);
+        let out = descendant_pooled(&doc, &ctx, Variant::Skipping, &test, &mut scratch);
         assert!(scratch.pooled() >= 1, "pruned-step buffer returned");
         scratch.recycle(out.0);
         assert!(scratch.pooled() >= 2, "result buffer recycled");
+    }
+
+    #[test]
+    fn scratch_shards_hand_out_distinct_pools() {
+        let pool = ScratchPool::new(3);
+        assert_eq!(pool.shards(), 3);
+        // Warm one shard, then hold it while a second caller sweeps to a
+        // different shard instead of allocating a throwaway pool.
+        pool.with(|s| {
+            let mut buf = s.take();
+            buf.reserve(64);
+            s.put(buf);
+        });
+        assert_eq!(pool.pooled_total(), 1);
+        pool.with(|held| {
+            let buf = held.take(); // keep the warm shard busy
+            pool.with(|other| {
+                // Different shard: the warm buffer is not here.
+                let fresh = other.take();
+                assert_eq!(fresh.capacity(), 0);
+                other.put({
+                    let mut b = fresh;
+                    b.reserve(16);
+                    b
+                });
+            });
+            held.put(buf);
+        });
+        assert_eq!(pool.pooled_total(), 2);
+    }
+
+    #[test]
+    fn scratch_pool_clamps_to_one_shard() {
+        let pool = ScratchPool::new(0);
+        assert_eq!(pool.shards(), 1);
+        assert_eq!(pool.with(|_| 42), 42);
+    }
+
+    #[test]
+    fn concurrent_queries_reuse_shards_without_allocating() {
+        use crate::testutil::{random_context, random_doc};
+        use crate::{descendant_pooled, ScanTest, Variant};
+
+        let doc = random_doc(5, 800);
+        let pool = ScratchPool::new(8);
+        let one_batch = |scratch: &mut Scratch, seed: u64| {
+            let ctx = random_context(&doc, 0xAB ^ seed, 15);
+            let test = ScanTest::node(&doc);
+            let (c, _) = descendant_pooled(&doc, &ctx, Variant::EstimationSkipping, &test, scratch);
+            scratch.recycle(c);
+        };
+        // Warm every shard deterministically: sequential calls rotate
+        // the sweep's starting shard through all of them.
+        for seed in 0..pool.shards() as u64 {
+            pool.with(|scratch| one_batch(scratch, seed));
+        }
+        let steady = pool.pooled_total();
+        assert!(steady > 0, "warm shards must hold recycled buffers");
+
+        // Steady state under contention: four concurrent queries per
+        // round, every one sweeping out a warm shard — no throwaway
+        // pools, no new allocations, no dropped buffers.
+        for _ in 0..5 {
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let pool = &pool;
+                    let one_batch = &one_batch;
+                    scope.spawn(move || {
+                        pool.with(|scratch| one_batch(scratch, t));
+                    });
+                }
+            });
+            assert_eq!(
+                pool.pooled_total(),
+                steady,
+                "steady-state shard pools neither grow nor shrink"
+            );
+        }
     }
 }

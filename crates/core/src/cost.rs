@@ -467,17 +467,6 @@ impl DocStats {
         }
         cost
     }
-
-    /// `true` when a step estimated to touch `cost` nodes carries enough
-    /// work to amortize handing morsels to a worker pool
-    /// ([`MIN_FANOUT_COST`]). The planner records this as the step's
-    /// parallelism hint; small steps stay sequential however wide the
-    /// session's pool is, because the per-morsel handoff (queue push,
-    /// wake, result concat — microseconds) would dominate their
-    /// microsecond-scale scans.
-    pub fn fanout_worthwhile(&self, cost: f64) -> bool {
-        cost >= MIN_FANOUT_COST
-    }
 }
 
 /// Session-lifetime cost-constant calibrator.
@@ -615,12 +604,6 @@ pub struct TwigLegCost {
     /// first.
     pub chains: Vec<Vec<usize>>,
 }
-
-/// Minimum estimated touched-work (nodes / index entries, the cost
-/// model's unit) before fanning a step's execution out across the worker
-/// pool pays for the morsel handoff. Matches the executor-side floor the
-/// core kernels enforce per morsel.
-pub const MIN_FANOUT_COST: f64 = 4096.0;
 
 /// What interpreting one nested-loop sub-plan step for one candidate
 /// costs besides the nodes it touches, in touched-node units

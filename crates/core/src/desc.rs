@@ -1,12 +1,10 @@
 //! `descendant`-axis staircase join (Algorithms 2, 3, and 4).
 
-use std::ops::Range;
-
 use staircase_accel::{Context, Doc, Pre};
 
 use crate::batch::Scratch;
 use crate::mask::ScanTest;
-use crate::morsel::descendant_pooled;
+use crate::prune::{prune_and_scan, prune_descendant_into};
 use crate::stats::StepStats;
 use crate::Variant;
 
@@ -42,7 +40,28 @@ pub fn descendant_tested(
     variant: Variant,
     test: &ScanTest<'_>,
 ) -> (Context, StepStats) {
-    descendant_pooled(doc, context, variant, test, None, &mut Scratch::new())
+    descendant_pooled(doc, context, variant, test, &mut Scratch::new())
+}
+
+/// Evaluates `context/descendant::test` — [`descendant_tested`] — with
+/// the pruned boundary list and the result drawn from `scratch`, so a
+/// long-lived evaluator reuses both allocations across steps. Results
+/// and statistics are [`descendant_tested`]'s.
+pub fn descendant_pooled(
+    doc: &Doc,
+    context: &Context,
+    variant: Variant,
+    test: &ScanTest<'_>,
+    scratch: &mut Scratch,
+) -> (Context, StepStats) {
+    let n = doc.len() as Pre;
+    prune_and_scan(
+        doc,
+        context,
+        scratch,
+        prune_descendant_into,
+        |steps, out, stats| descendant_partitions(doc, steps, n, variant, test, out, stats),
+    )
 }
 
 /// Like [`descendant`], but with pruning *fused* into the join instead of
@@ -78,16 +97,7 @@ pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Cont
             j += 1;
         }
         let part_end = slice.get(j).copied().unwrap_or(n);
-        descendant_partitions(
-            doc,
-            &[c],
-            part_end,
-            0..n,
-            variant,
-            &test,
-            &mut result,
-            &mut stats,
-        );
+        descendant_partitions(doc, &[c], part_end, variant, &test, &mut result, &mut stats);
         i = j;
     }
     stats.result_size = result.len();
@@ -114,53 +124,38 @@ pub fn guaranteed_result_estimate(post: &[u32], steps: &[Pre], end: Pre) -> usiz
 }
 
 /// Evaluates the partitions induced by `steps` (a pruned, staircase-shaped
-/// context slice) inside the pre-range `window`; the last partition ends
-/// at `end` (exclusive). Sequential execution is the window `[0, n)`; a
-/// morsel split (`crate::morsel`) runs the same loop over a cut of it.
-///
-/// Every copy and scan run is clipped to the window, and a partition is
-/// counted by the window holding its context node. Cut only inside a
-/// partition's touched interval (see `crate::morsel`), the pieces reproduce
-/// the whole-plane loop position for position: exactly one piece reaches
-/// the first miss and charges the skipped Z-region.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn descendant_partitions(
+/// context slice); the last partition ends at `end` (exclusive).
+fn descendant_partitions(
     doc: &Doc,
     steps: &[Pre],
     end: Pre,
-    window: Range<Pre>,
     variant: Variant,
     test: &ScanTest<'_>,
     result: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
-    let Range { start: lo, end: hi } = window;
     // Governed scans stop cooperatively: every visited position is
     // ticked, long comparison-free ranges are chunked so a deadline
     // cannot hide behind one huge partition, and a trip abandons the
     // scan mid-flight (the partial `result` is discarded by the caller).
     let mut gov = crate::governor::Ticker::ambient();
 
-    // Equation 1 sizes the region; the window and the test's cardinality
-    // cap it, so a selective test does not reserve the plane for a
-    // handful of hits.
-    let region = guaranteed_result_estimate(post, steps, end).min((hi - lo) as usize);
+    // Equation 1 sizes the region; the test's cardinality caps it, so a
+    // selective test does not reserve the plane for a handful of hits.
+    let region = guaranteed_result_estimate(post, steps, end);
     result.reserve(test.reserve_for(region));
 
     for (i, &c) in steps.iter().enumerate() {
         let part_end = steps.get(i + 1).copied().unwrap_or(end);
         debug_assert!(part_end > c);
-        if c >= lo {
-            stats.partitions += 1;
-            crate::faults::fail_point("core::desc::partition");
-            if gov.tick(1) {
-                return;
-            }
+        stats.partitions += 1;
+        crate::faults::fail_point("core::desc::partition");
+        if gov.tick(1) {
+            return;
         }
         let bound = post[c as usize];
-        let mut v = (c + 1).max(lo);
-        let stop = part_end.min(hi);
+        let mut v = c + 1;
 
         match variant {
             Variant::Basic => {
@@ -168,7 +163,7 @@ pub(crate) fn descendant_partitions(
                 // position is charged regardless of the per-node test,
                 // so the counter is arithmetic and the filter runs
                 // through the 64-lane mask kernel.
-                if gov.charged_run(v, stop, &mut stats.nodes_scanned, |lo, hi| {
+                if gov.charged_run(v, part_end, &mut stats.nodes_scanned, |lo, hi| {
                     crate::mask::select_where(lo, hi, result, |v| {
                         post[v as usize] < bound && test.keeps(v)
                     })
@@ -183,7 +178,7 @@ pub(crate) fn descendant_partitions(
                 // guaranteed descendants (Equation 1 minus the level term):
                 // copy them without postorder comparisons — one range
                 // select, charged per position whatever the test keeps.
-                let copy_end = (bound.min(part_end - 1) + 1).min(stop);
+                let copy_end = bound.min(part_end - 1) + 1;
                 if gov.charged_run(v, copy_end, &mut stats.nodes_copied, |lo, hi| {
                     test.select_range(lo, hi, result)
                 }) {
@@ -199,7 +194,7 @@ pub(crate) fn descendant_partitions(
         // find where the descendants end; what the test keeps of them is
         // one range select.
         let hits = v;
-        while v < stop {
+        while v < part_end {
             stats.nodes_scanned += 1;
             if gov.tick(1) {
                 return;

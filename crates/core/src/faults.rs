@@ -1,13 +1,13 @@
 //! Fault injection: named fail points compiled in under
 //! `--cfg stair_faults`, no-ops otherwise.
 //!
-//! Robustness claims ("a panicking pool task fails one query, not the
+//! Robustness claims ("a panicking step fails one query, not the
 //! process") are only worth what the tests that exercise them can
 //! reach — and panics deep inside a kernel loop are unreachable from
 //! ordinary inputs. A *fail point* is a named hook at such a site:
 //!
 //! ```ignore
-//! staircase_core::faults::fail_point("core::pool::task");
+//! staircase_core::faults::fail_point("core::desc::partition");
 //! ```
 //!
 //! In normal builds the call compiles to an empty inline function —
@@ -23,7 +23,7 @@
 //!   a `;`-separated list of `site=action` entries where *action* is
 //!   `panic`, `delay:<ms>`, or `trip`, each optionally suffixed
 //!   `:<count>` to disarm after that many firings — e.g.
-//!   `STAIR_FAULTS="core::pool::task=panic:1;xpath::lane=delay:5"`;
+//!   `STAIR_FAULTS="core::desc::partition=panic:1;xpath::lane=delay:5"`;
 //! * programmatically via `set` / `clear` / `clear_all` (items that
 //!   exist in `stair_faults` builds only), which is what the chaos
 //!   tests use to scope an injection to one operation.

@@ -25,8 +25,6 @@ use staircase_accel::{Context, Doc, Pre, NO_PARENT};
 
 use crate::batch::Scratch;
 use crate::mask::ScanTest;
-use crate::morsel::morsel_count;
-use crate::pool::WorkerPool;
 use crate::stats::StepStats;
 
 /// Evaluates `context/following::node()`: [`following_tested`] with the
@@ -36,27 +34,24 @@ pub fn following(doc: &Doc, context: &Context) -> (Context, StepStats) {
 }
 
 /// Evaluates `context/following::test`, the node test riding the suffix
-/// copy: [`following_pooled`] without a pool.
+/// copy: [`following_pooled`] on a fresh scratch pool.
 pub fn following_tested<'d>(
     doc: &'d Doc,
     context: &Context,
     test: &ScanTest<'d>,
 ) -> (Context, StepStats) {
-    following_pooled(doc, context, test, None, &mut Scratch::new())
+    following_pooled(doc, context, test, &mut Scratch::new())
 }
 
 /// Evaluates `context/following::test` into a buffer from `scratch`.
 ///
 /// Pruning collapses the context to the node with the smallest post
-/// rank; its region is the suffix after its subtree, read in range
-/// chunks on `pool` when it is wider than one and the suffix long enough
-/// to amortize the handoff. Results and statistics are identical to
-/// `None`, the one sequential select.
+/// rank; its region is the suffix after its subtree, read by one range
+/// select.
 pub fn following_pooled<'d>(
     doc: &'d Doc,
     context: &Context,
     test: &ScanTest<'d>,
-    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> (Context, StepStats) {
     let mut stats = StepStats {
@@ -68,7 +63,7 @@ pub fn following_pooled<'d>(
     };
     let n = doc.len() as Pre;
     let start = start_after(doc, c);
-    let (result, read) = following_from(n, &[], start, test, pool, scratch);
+    let (result, read) = following_from(n, &[], start, test, scratch);
     stats.context_out = 1;
     stats.partitions = 1;
     stats.nodes_skipped = u64::from(start.saturating_sub(c + 1));
@@ -100,15 +95,14 @@ pub fn following_start(doc: &Doc, context: &Context) -> Option<Pre> {
 /// What `test` keeps of the `following` region `[start, n)`, given
 /// `held`: what it keeps of `[held_start, n)`. A narrower region is the
 /// tail of `held` and reads nothing; a wider one reads only
-/// `[start, held_start)` — in range chunks on `pool` when that amortizes
-/// the handoff. `held_start = n` with nothing held is the whole scan.
-/// The statistics count the positions read ([`StepStats::nodes_copied`]).
+/// `[start, held_start)`. `held_start = n` with nothing held is the
+/// whole scan. The statistics count the positions read
+/// ([`StepStats::nodes_copied`]).
 pub fn following_from(
     held_start: Pre,
     held: &[Pre],
     start: Pre,
     test: &ScanTest<'_>,
-    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> (Vec<Pre>, StepStats) {
     let mut out = scratch.take();
@@ -117,60 +111,17 @@ pub fn following_from(
         out.extend_from_slice(&held[held.partition_point(|&v| v < start)..]);
     } else {
         out.reserve(test.reserve_for((held_start - start) as usize) + held.len());
-        select_range_pooled(test, start, held_start, pool, scratch, &mut out);
+        // Under a budget a trip leaves `out` partial, which the governed
+        // caller discards.
+        let mut gov = crate::governor::Ticker::ambient();
+        gov.charged_run(start, held_start, &mut 0, |a, b| {
+            test.select_range(a, b, &mut out)
+        });
         out.extend_from_slice(held);
         stats.nodes_copied = u64::from(held_start - start);
     }
     stats.result_size = out.len();
     (out, stats)
-}
-
-/// Appends what `test` keeps of `[lo, hi)` to `out` under the ambient
-/// budget (a trip leaves `out` partial, which the governed caller
-/// discards), split into range chunks on a `pool` wider than one when
-/// the range amortizes the handoff.
-fn select_range_pooled(
-    test: &ScanTest<'_>,
-    lo: Pre,
-    hi: Pre,
-    pool: Option<&WorkerPool>,
-    scratch: &mut Scratch,
-    out: &mut Vec<Pre>,
-) {
-    let split = pool.and_then(|pool| Some((pool, morsel_count(u64::from(hi - lo), pool.width())?)));
-    let select = |a: Pre, b: Pre, out: &mut Vec<Pre>| {
-        let mut gov = crate::governor::Ticker::ambient();
-        gov.charged_run(a, b, &mut 0, |a, b| test.select_range(a, b, out));
-    };
-    let Some((pool, k)) = split else {
-        return select(lo, hi, out);
-    };
-    let parts = pool.run(
-        chunks(lo, hi, k)
-            .map(|(a, b)| {
-                let mut buf = scratch.take();
-                move || {
-                    select(a, b, &mut buf);
-                    buf
-                }
-            })
-            .collect(),
-    );
-    for part in parts {
-        out.extend_from_slice(&part);
-        scratch.put(part);
-    }
-}
-
-/// `[lo, hi)` cut into at most `k` contiguous, non-empty chunks.
-fn chunks(lo: Pre, hi: Pre, k: usize) -> impl Iterator<Item = (Pre, Pre)> {
-    let chunk = u64::from(hi - lo).div_ceil(k as u64).max(1) as Pre;
-    (0..k as Pre)
-        .map(move |i| {
-            let a = lo.saturating_add(i.saturating_mul(chunk)).min(hi);
-            (a, a.saturating_add(chunk).min(hi))
-        })
-        .filter(|&(a, b)| a < b)
 }
 
 /// Evaluates `context/preceding::node()`: [`preceding_tested`] with the
@@ -180,13 +131,13 @@ pub fn preceding(doc: &Doc, context: &Context) -> (Context, StepStats) {
 }
 
 /// Evaluates `context/preceding::test`, the node test riding the scan:
-/// [`preceding_pooled`] without a pool.
+/// [`preceding_pooled`] on a fresh scratch pool.
 pub fn preceding_tested<'d>(
     doc: &'d Doc,
     context: &Context,
     test: &ScanTest<'d>,
 ) -> (Context, StepStats) {
-    preceding_pooled(doc, context, test, None, &mut Scratch::new())
+    preceding_pooled(doc, context, test, &mut Scratch::new())
 }
 
 /// Evaluates `context/preceding::test` into a buffer from `scratch`.
@@ -194,16 +145,11 @@ pub fn preceding_tested<'d>(
 /// Pruning collapses the context to its last node `c`; the scan walks
 /// `[0, c)` once, copying the guaranteed subtree block of every node
 /// that precedes `c` without comparisons and probing only `c`'s
-/// ancestors. On a `pool` wider than one, a prefix long enough to
-/// amortize the handoff is scanned in pre-range chunks, each entered by
-/// reconstructing the scan's state at its start, so per-chunk results
-/// concatenate to the sequential scan's and per-chunk counters sum to
-/// its totals exactly.
+/// ancestors.
 pub fn preceding_pooled<'d>(
     doc: &'d Doc,
     context: &Context,
     test: &ScanTest<'d>,
-    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> (Context, StepStats) {
     let mut stats = StepStats {
@@ -213,7 +159,7 @@ pub fn preceding_pooled<'d>(
     let Some(bound) = preceding_bound(context) else {
         return (Context::empty(), stats);
     };
-    let (result, read) = preceding_from(doc, 0, &[], bound, test, pool, scratch);
+    let (result, read) = preceding_from(doc, 0, &[], bound, test, scratch);
     stats.context_out = 1;
     stats.partitions = 1;
     stats.nodes_scanned = read.nodes_scanned;
@@ -235,8 +181,8 @@ pub fn preceding_bound(context: &Context) -> Option<Pre> {
 ///   ancestors of `bound` (at most `height`), and reads no position.
 /// * A later `bound` keeps all of `held`, adds the ancestors of
 ///   `held_bound` that precede `bound`, and scans only
-///   `[held_bound, bound)` — chunked on `pool` as [`preceding_pooled`]
-///   describes. `held_bound = 0` with nothing held is the whole scan.
+///   `[held_bound, bound)`. `held_bound = 0` with nothing held is the
+///   whole scan.
 ///
 /// The statistics count the positions read: scanned heads and ancestor
 /// probes ([`StepStats::nodes_scanned`]) and copied runs
@@ -247,7 +193,6 @@ pub fn preceding_from<'d>(
     held: &[Pre],
     bound: Pre,
     test: &ScanTest<'d>,
-    pool: Option<&WorkerPool>,
     scratch: &mut Scratch,
 ) -> (Vec<Pre>, StepStats) {
     let mut out = scratch.take();
@@ -287,8 +232,7 @@ pub fn preceding_from<'d>(
         }
         out.extend_from_slice(&held[from..]);
         debug_assert_eq!(out.len(), held.len() + added);
-        let (scanned, copied) =
-            preceding_scan_pooled(doc, bound, held_bound, test, pool, scratch, &mut out);
+        let (scanned, copied) = preceding_scan(doc, bound, test, held_bound, &mut out);
         stats.nodes_scanned += scanned;
         stats.nodes_copied = copied;
     }
@@ -307,66 +251,25 @@ fn ancestors_top_down(doc: &Doc, v: Pre) -> impl Iterator<Item = Pre> {
     chain.into_iter().rev()
 }
 
-/// The preceding scan of `[from, bound)` into `out`, chunked on `pool`
-/// when it amortizes the handoff; returns (scanned, copied).
-fn preceding_scan_pooled(
-    doc: &Doc,
-    bound: Pre,
-    from: Pre,
-    test: &ScanTest<'_>,
-    pool: Option<&WorkerPool>,
-    scratch: &mut Scratch,
-    out: &mut Vec<Pre>,
-) -> (u64, u64) {
-    let split =
-        pool.and_then(|pool| Some((pool, morsel_count(u64::from(bound - from), pool.width())?)));
-    let Some((pool, k)) = split else {
-        return preceding_scan(doc, bound, test, from, bound, out);
-    };
-    // Chunk-major concatenation preserves document order.
-    let parts = pool.run(
-        chunks(from, bound, k)
-            .map(|(lo, hi)| {
-                let mut buf = scratch.take();
-                move || {
-                    let counts = preceding_scan(doc, bound, test, lo, hi, &mut buf);
-                    (buf, counts)
-                }
-            })
-            .collect(),
-    );
-    let (mut scanned, mut copied) = (0, 0);
-    for (part, (s, c)) in parts {
-        out.extend_from_slice(&part);
-        scratch.put(part);
-        scanned += s;
-        copied += c;
-    }
-    (scanned, copied)
-}
-
-/// The scan of `preceding(bound)` restricted to positions `[from, to)`
-/// (`to ≤ bound`), appending what `test` keeps to `out`; returns
-/// (scanned, copied).
+/// The scan of `preceding(bound)` restricted to positions `[from, bound)`,
+/// appending what `test` keeps to `out`; returns (scanned, copied).
 ///
-/// The full scan is the `[0, bound)` range. Any other entry point first
-/// *reconstructs* the cursor state at `from`: the only way `from` can sit
-/// inside a comparison-free copy run is under a run started by one of its
+/// The full scan starts at 0. Any other start first *reconstructs* the
+/// cursor state at `from`: the only way `from` can sit inside a
+/// comparison-free copy run is under a run started by one of its
 /// **ancestors** (a run is a subtree prefix, and a subtree containing
 /// `from` belongs to an ancestor), so walking `from`'s ancestor chain
 /// top-down — skipping ancestors covered by an earlier ancestor's run,
 /// exactly as the left-to-right scan would — recovers in O(h) whether
 /// `from` is mid-run. Per position the behaviour (and thus the
 /// scanned/copied accounting — arithmetic over each run) is identical to
-/// the full scan, so range results concatenate to the full scan's and
-/// per-range counters sum to its totals (asserted by the pool-equivalence
-/// tests).
+/// the full scan's, so a widened region reads only what the held one
+/// lacks (asserted by `regions_rebound_from_a_held_region`).
 fn preceding_scan(
     doc: &Doc,
     bound: Pre,
     test: &ScanTest<'_>,
     from: Pre,
-    to: Pre,
     out: &mut Vec<Pre>,
 ) -> (u64, u64) {
     let post = doc.post_column();
@@ -394,30 +297,29 @@ fn preceding_scan(
             }
         }
         if let Some(end) = cover.filter(|&end| end >= from) {
-            // Mid-run: finish the covered stretch that falls in range.
-            let stop = (end + 1).min(to);
-            if gov.charged_run(from, stop, &mut copied, |a, b| test.select_range(a, b, out)) {
+            // Mid-run: finish the covered stretch.
+            if gov.charged_run(from, end + 1, &mut copied, |a, b| {
+                test.select_range(a, b, out)
+            }) {
                 return (scanned, copied);
             }
             v = end + 1;
         }
     }
 
-    while v < to {
+    while v < bound {
         scanned += 1;
         if gov.tick(1) {
             return (scanned, copied);
         }
         if post[v as usize] < post_bound {
             // v precedes `bound`: hand v and its guaranteed subtree block
-            // over without further comparisons. A run overshooting `to`
-            // is finished by the next range's reconstruction.
+            // over without further comparisons.
             let end = run_end(v);
             if test.keeps(v) {
                 out.push(v);
             }
-            let stop = (end + 1).min(to);
-            if gov.charged_run(v + 1, stop, &mut copied, |a, b| {
+            if gov.charged_run(v + 1, end + 1, &mut copied, |a, b| {
                 test.select_range(a, b, out)
             }) {
                 return (scanned, copied);
@@ -540,56 +442,11 @@ mod tests {
         assert_eq!(stats.nodes_skipped, 5);
     }
 
-    #[test]
-    fn parallel_horiz_matches_sequential_exactly() {
-        use crate::WorkerPool;
-        for width in [2, 4] {
-            let pool = WorkerPool::new(width);
-            for seed in 0..8 {
-                // Big enough that the morsel gate opens.
-                let doc = random_doc(seed, 9000);
-                let test = ScanTest::node(&doc);
-                let mut s1 = Scratch::new();
-                let mut s2 = Scratch::new();
-                for i in 0..4 {
-                    let ctx = random_context(&doc, seed ^ (0xF011 + i), 15);
-                    let par = following_pooled(&doc, &ctx, &test, Some(&pool), &mut s1);
-                    let seq = following_pooled(&doc, &ctx, &test, None, &mut s2);
-                    assert_eq!(par, seq, "following seed {seed} width {width} context {i}");
-                    let par = preceding_pooled(&doc, &ctx, &test, Some(&pool), &mut s1);
-                    let seq = preceding_pooled(&doc, &ctx, &test, None, &mut s2);
-                    assert_eq!(par, seq, "preceding seed {seed} width {width} context {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_horiz_small_regions_stay_sequential() {
-        use crate::WorkerPool;
-        let pool = WorkerPool::new(4);
-        let doc = figure1();
-        let test = ScanTest::node(&doc);
-        let ctx = Context::singleton(5);
-        let mut scratch = Scratch::new();
-        let par = following_pooled(&doc, &ctx, &test, Some(&pool), &mut scratch);
-        assert_eq!(par, following(&doc, &ctx));
-        let par = preceding_pooled(&doc, &ctx, &test, Some(&pool), &mut scratch);
-        assert_eq!(par, preceding(&doc, &ctx));
-        // Empty contexts yield empty results either way.
-        let empty = Context::empty();
-        let par = preceding_pooled(&doc, &empty, &test, Some(&pool), &mut scratch);
-        assert!(par.0.is_empty());
-    }
-
     /// A region in hand, narrowed or widened to another bound, is the
-    /// region of that bound computed from scratch — on every test, with
-    /// and without a pool — and a wider region reads only what the held
-    /// one lacks.
+    /// region of that bound computed from scratch — on every test — and
+    /// a wider region reads only what the held one lacks.
     #[test]
     fn regions_rebound_from_a_held_region() {
-        use crate::WorkerPool;
-        let pool = WorkerPool::new(4);
         for seed in 0..12 {
             let doc = random_doc(seed, if seed < 4 { 9000 } else { 500 });
             let n = doc.len() as Pre;
@@ -604,42 +461,34 @@ mod tests {
             for test in &tests {
                 for &a in &nodes {
                     for &b in &nodes {
-                        for p in [None, Some(&pool)] {
-                            // following
-                            let (sa, sb) = (start_after(&doc, a), start_after(&doc, b));
-                            let held = following_from(n, &[], sa, test, p, &mut scratch).0;
-                            let (got, st) = following_from(sa, &held, sb, test, p, &mut scratch);
-                            let want = following_from(n, &[], sb, test, None, &mut scratch).0;
-                            assert_eq!(got, want, "following seed {seed} {a} -> {b}");
-                            assert_eq!(st.nodes_touched(), u64::from(sa.saturating_sub(sb)));
-                            // preceding
-                            let held = preceding_from(&doc, 0, &[], a, test, p, &mut scratch).0;
-                            let (got, st) =
-                                preceding_from(&doc, a, &held, b, test, p, &mut scratch);
-                            let (want, alone) =
-                                preceding_from(&doc, 0, &[], b, test, None, &mut scratch);
-                            assert_eq!(got, want, "preceding seed {seed} {a} -> {b}");
-                            let reference: Vec<Pre> =
-                                reference(&doc, &Context::singleton(b), Axis::Preceding)
-                                    .into_iter()
-                                    .filter(|&v| test.keeps(v))
-                                    .collect();
-                            assert_eq!(want, reference, "preceding seed {seed} bound {b}");
-                            if b <= a {
-                                assert_eq!(
-                                    st.nodes_touched(),
-                                    0,
-                                    "a narrower region reads nothing"
-                                );
-                            } else {
-                                let fixups = u64::from(doc.level(a));
-                                assert!(
-                                    st.nodes_touched() <= u64::from(b - a) + fixups
-                                        && st.nodes_touched() <= alone.nodes_touched() + fixups,
-                                    "preceding seed {seed} {a} -> {b}: read {}",
-                                    st.nodes_touched()
-                                );
-                            }
+                        // following
+                        let (sa, sb) = (start_after(&doc, a), start_after(&doc, b));
+                        let held = following_from(n, &[], sa, test, &mut scratch).0;
+                        let (got, st) = following_from(sa, &held, sb, test, &mut scratch);
+                        let want = following_from(n, &[], sb, test, &mut scratch).0;
+                        assert_eq!(got, want, "following seed {seed} {a} -> {b}");
+                        assert_eq!(st.nodes_touched(), u64::from(sa.saturating_sub(sb)));
+                        // preceding
+                        let held = preceding_from(&doc, 0, &[], a, test, &mut scratch).0;
+                        let (got, st) = preceding_from(&doc, a, &held, b, test, &mut scratch);
+                        let (want, alone) = preceding_from(&doc, 0, &[], b, test, &mut scratch);
+                        assert_eq!(got, want, "preceding seed {seed} {a} -> {b}");
+                        let reference: Vec<Pre> =
+                            reference(&doc, &Context::singleton(b), Axis::Preceding)
+                                .into_iter()
+                                .filter(|&v| test.keeps(v))
+                                .collect();
+                        assert_eq!(want, reference, "preceding seed {seed} bound {b}");
+                        if b <= a {
+                            assert_eq!(st.nodes_touched(), 0, "a narrower region reads nothing");
+                        } else {
+                            let fixups = u64::from(doc.level(a));
+                            assert!(
+                                st.nodes_touched() <= u64::from(b - a) + fixups
+                                    && st.nodes_touched() <= alone.nodes_touched() + fixups,
+                                "preceding seed {seed} {a} -> {b}: read {}",
+                                st.nodes_touched()
+                            );
                         }
                     }
                 }

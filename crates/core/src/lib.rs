@@ -61,9 +61,8 @@
 //! test for a name the dictionary lacks — and **rides the scan**: every
 //! plane-scan kernel ([`descendant_tested`], [`ancestor_tested`],
 //! [`following_tested`], [`preceding_tested`] and their pooled forms
-//! [`descendant_pooled`] and friends, which take an optional
-//! [`WorkerPool`] to split the scan into morsels and a [`Scratch`] to draw
-//! buffers from) takes it, and [`descendant`], [`ancestor`],
+//! [`descendant_pooled`] and friends, which draw their buffers from a
+//! [`Scratch`]) takes it, and [`descendant`], [`ancestor`],
 //! [`following`], [`preceding`] are its `node()` case. One
 //! test is asked in three shapes (details in [`mask`]):
 //!
@@ -114,19 +113,16 @@
 //!   (the executor upstairs) may interpret them, and it discards
 //!   them and reports the typed trip cause instead. A budget trips at
 //!   most once (latched) and never un-trips.
-//! * **Panics** ([`WorkerPool`]): a panicking pooled job is caught at
-//!   the task boundary. [`WorkerPool::run`] re-raises the first payload
-//!   after the batch drains (legacy contract);
-//!   [`WorkerPool::run_caught`] returns per-job `Result`s so a caller
-//!   can fail one job's query and keep its siblings — either way the
-//!   pool's threads survive and the pool stays reusable. Scratch
-//!   buffers held by a panicked task are dropped, not poisoned; the
-//!   bounded [`Scratch`] pools simply re-grow.
+//! * **Panics**: every kernel runs on its caller's thread, so a panic
+//!   unwinds into the caller, which decides what it fails (the executor
+//!   upstairs catches it per query and keeps the query's siblings).
+//!   Scratch buffers held by a panicked call are dropped, not poisoned;
+//!   the bounded [`Scratch`] pools simply re-grow.
 //!
 //! What survives what: a governed trip loses only the tripped pass's
-//! partial output; a pooled panic loses only that task's batch slot;
-//! the [`WorkerPool`], [`ScratchPool`], cached [`TagIndex`], and the
-//! document itself remain valid in every case. Fault-injection hooks
+//! partial output; a panic loses only the call it unwound; the
+//! [`ScratchPool`], cached [`TagIndex`], and the document itself remain
+//! valid in every case. Fault-injection hooks
 //! for exercising these paths live in [`faults`] (compiled out unless
 //! `--cfg stair_faults`).
 
@@ -145,16 +141,16 @@ pub mod governor;
 mod horiz;
 mod list;
 pub mod mask;
-mod morsel;
-mod pool;
 mod prune;
 mod stats;
 pub mod twig;
 
-pub use anc::{ancestor, ancestor_tested};
-pub use batch::Scratch;
+pub use anc::{ancestor, ancestor_pooled, ancestor_tested};
+pub use batch::{Scratch, ScratchPool};
 pub use cost::{Calibrator, DocStats, TwigLegCost};
-pub use desc::{descendant, descendant_fused, descendant_tested, guaranteed_result_estimate};
+pub use desc::{
+    descendant, descendant_fused, descendant_pooled, descendant_tested, guaranteed_result_estimate,
+};
 pub use exists::{has_ancestor_in, has_child_in, has_descendant_in};
 pub use governor::{Budget, Trip};
 pub use horiz::{
@@ -166,8 +162,6 @@ pub use list::{
     descendant_on_list, descendant_on_list_pooled, TagIndex,
 };
 pub use mask::ScanTest;
-pub use morsel::{ancestor_pooled, descendant_pooled};
-pub use pool::{ScratchPool, WorkerPool};
 pub use prune::{
     prune, prune_ancestor, prune_ancestor_into, prune_descendant, prune_descendant_into,
     prune_following, prune_preceding,

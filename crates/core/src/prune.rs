@@ -22,6 +22,9 @@
 
 use staircase_accel::{Axis, Context, Doc, Pre};
 
+use crate::batch::Scratch;
+use crate::stats::StepStats;
+
 /// Prunes `context` for `axis`. For non-partitioning axes the context is
 /// returned unchanged (pruning is a property of the four region axes).
 pub fn prune(doc: &Doc, context: &Context, axis: Axis) -> Context {
@@ -32,6 +35,31 @@ pub fn prune(doc: &Doc, context: &Context, axis: Axis) -> Context {
         Axis::Preceding => prune_preceding(doc, context),
         _ => context.clone(),
     }
+}
+
+/// The single-context vertical joins' frame: prunes `context` with
+/// `prune` into a boundary list drawn from `scratch`, runs `scan` over it
+/// into a result drawn from `scratch`, returns the boundary list to the
+/// pool, and fills in the context and result counters.
+pub(crate) fn prune_and_scan(
+    doc: &Doc,
+    context: &Context,
+    scratch: &mut Scratch,
+    prune: fn(&Doc, &Context, &mut Vec<Pre>),
+    scan: impl FnOnce(&[Pre], &mut Vec<Pre>, &mut StepStats),
+) -> (Context, StepStats) {
+    let mut steps = scratch.take();
+    prune(doc, context, &mut steps);
+    let mut stats = StepStats {
+        context_in: context.len(),
+        context_out: steps.len(),
+        ..Default::default()
+    };
+    let mut result = scratch.take();
+    scan(&steps, &mut result, &mut stats);
+    scratch.put(steps);
+    stats.result_size = result.len();
+    (Context::from_sorted(result), stats)
 }
 
 /// Algorithm 1: `descendant` pruning. Keeps context nodes whose postorder

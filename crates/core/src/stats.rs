@@ -97,8 +97,8 @@ impl StepStats {
         self.nodes_touched() as f64
     }
 
-    /// Merges per-chunk statistics (a morsel split's workers, a join's
-    /// local counters).
+    /// Merges another run's counters into these (a join's local
+    /// counters).
     pub fn merge(&mut self, other: &StepStats) {
         self.nodes_scanned += other.nodes_scanned;
         self.nodes_copied += other.nodes_copied;

@@ -6,16 +6,15 @@
 //! bounded by its list whatever the context, the child join looks only
 //! at entries below the context, and none does more work than reading
 //! both of its sorted inputs. The plane scans are checked on random
-//! documents too, each through its pooled entry with and without a
-//! worker pool: a morsel split changes who touches a node, never what is
-//! touched.
+//! documents too, each through its pooled entry and its plain join: a
+//! scratch pool changes where a result lives, never what is touched.
 
 use staircase_accel::{Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
     ancestor, ancestor_on_list, ancestor_pooled, child_on_list, descendant, descendant_on_list,
     descendant_pooled, descendant_tested, following, following_pooled, preceding, preceding_pooled,
     prune_ancestor, prune_descendant, prune_following, prune_preceding, ScanTest, Scratch,
-    StepStats, TagIndex, Variant, WorkerPool,
+    StepStats, TagIndex, Variant,
 };
 use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
 
@@ -280,7 +279,7 @@ fn the_ancestor_join_is_bounded_by_its_list_whatever_the_context() {
     assert!(s.nodes_touched() <= 2, "the first date: {s}");
 }
 
-// ── The plane scans on random documents, with and without a pool ───────
+// ── The plane scans on random documents, pooled and plain ──────────────
 
 const VARIANTS: [Variant; 3] = [
     Variant::Basic,
@@ -345,57 +344,49 @@ fn attributes_in(doc: &Doc, range: impl Iterator<Item = Pre>) -> u64 {
         .count() as u64
 }
 
-/// The four plane scans of `ctx` through their pooled entries, once
-/// without a pool and once on `pool`: the two runs must agree node for
-/// node and counter for counter, and with the plain single-context join.
-fn plane_scans(
-    doc: &Doc,
-    ctx: &Context,
-    variant: Variant,
-    pool: &WorkerPool,
-) -> [(Context, StepStats); 4] {
+/// The four plane scans of `ctx` through their pooled entries, twice on
+/// one scratch pool (cold, then warm): every run must agree node for
+/// node and counter for counter with the plain single-context join.
+fn plane_scans(doc: &Doc, ctx: &Context, variant: Variant) -> [(Context, StepStats); 4] {
     let mut scratch = Scratch::new();
     let test = ScanTest::node(doc);
-    let mut runs = |pool: Option<&WorkerPool>| {
+    let mut runs = || {
         [
-            descendant_pooled(doc, ctx, variant, &test, pool, &mut scratch),
-            ancestor_pooled(doc, ctx, variant, &test, pool, &mut scratch),
-            following_pooled(doc, ctx, &test, pool, &mut scratch),
-            preceding_pooled(doc, ctx, &test, pool, &mut scratch),
+            descendant_pooled(doc, ctx, variant, &test, &mut scratch),
+            ancestor_pooled(doc, ctx, variant, &test, &mut scratch),
+            following_pooled(doc, ctx, &test, &mut scratch),
+            preceding_pooled(doc, ctx, &test, &mut scratch),
         ]
     };
-    let sequential = runs(None);
-    let pooled = runs(Some(pool));
+    let cold = runs();
+    let warm = runs();
     let label = format!("{} nodes, |context| {}, {variant:?}", doc.len(), ctx.len());
-    for (axis, (seq, par)) in ["descendant", "ancestor", "following", "preceding"]
-        .iter()
-        .zip(sequential.iter().zip(&pooled))
-    {
-        assert_eq!(par.0, seq.0, "{axis}, {label}: results differ on the pool");
-        assert_eq!(
-            par.1, seq.1,
-            "{axis}, {label}: statistics differ on the pool"
-        );
-    }
     let single = [
         descendant(doc, ctx, variant),
         ancestor(doc, ctx, variant),
         following(doc, ctx),
         preceding(doc, ctx),
     ];
-    for (seq, one) in sequential.iter().zip(&single) {
-        assert_eq!(seq, one, "{label}: the pooled entry is the plain join");
+    for (axis, ((cold, warm), one)) in ["descendant", "ancestor", "following", "preceding"]
+        .iter()
+        .zip(cold.iter().zip(&warm).zip(&single))
+    {
+        assert_eq!(
+            cold, one,
+            "{axis}, {label}: the pooled entry is the plain join"
+        );
+        assert_eq!(warm, one, "{axis}, {label}: a warm pool changes nothing");
     }
-    sequential
+    cold
 }
 
 /// Every position of the plane a scan is responsible for is accounted
-/// for once, as scanned, copied or skipped — on a pool exactly as
-/// without one — and what is touched stays inside the paper's bound
-/// (descendant, with the attribute term), the region (following), or
-/// the region plus the context node's ancestors (preceding).
-fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant, pool: &WorkerPool) {
-    let [(_, d), (_, a), (_, f), (_, p)] = plane_scans(doc, ctx, variant, pool);
+/// for once, as scanned, copied or skipped, and what is touched stays
+/// inside the paper's bound (descendant, with the attribute term), the
+/// region (following), or the region plus the context node's ancestors
+/// (preceding).
+fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant) {
+    let [(_, d), (_, a), (_, f), (_, p)] = plane_scans(doc, ctx, variant);
     let n = doc.len() as u64;
     let label = format!("{n} nodes, |context| {}, {variant:?}", ctx.len());
     let accounted = |s: &StepStats| s.nodes_touched() + s.nodes_skipped;
@@ -443,12 +434,10 @@ fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant, pool: &Worker
     }
 }
 
-/// The plane scans on random documents either side of the morsel gate
-/// (a small one never splits, a large one splits a root context inside
-/// its one partition), from a root, a scattered and a three-node context.
+/// The plane scans on small and large random documents, from a root, a
+/// scattered and a three-node context.
 #[test]
 fn plane_scans_keep_their_bounds_on_random_documents_with_and_without_a_pool() {
-    let pool = WorkerPool::new(4);
     for seed in 0..6 {
         for size in [300, 9_000] {
             let doc = random_doc(seed, size);
@@ -459,146 +448,134 @@ fn plane_scans_keep_their_bounds_on_random_documents_with_and_without_a_pool() {
             ];
             for ctx in &contexts {
                 for variant in VARIANTS {
-                    assert_plane_bounds(&doc, ctx, variant, &pool);
+                    assert_plane_bounds(&doc, ctx, variant);
                 }
             }
         }
     }
 }
 
-/// An empty context yields nothing from every scan, on a pool as
-/// without one.
+/// An empty context yields nothing from every scan.
 #[test]
 fn folded_kernels_on_an_empty_context() {
-    let pool = WorkerPool::new(4);
     let doc = random_doc(1, 9_000);
     for variant in VARIANTS {
-        for (result, stats) in plane_scans(&doc, &Context::empty(), variant, &pool) {
+        for (result, stats) in plane_scans(&doc, &Context::empty(), variant) {
             assert!(result.is_empty(), "{variant:?}");
             assert_eq!(stats.nodes_touched(), 0, "{variant:?}: {stats}");
         }
     }
 }
 
-/// Wider pools than the scans have steps: one partition (a root, a
-/// single node) is split inside where its shape allows, and kept whole
-/// where it does not, with the sequential answer and counters either way.
+/// One-node contexts — the root, the deepest node, the first child —
+/// are one partition each, and keep every bound.
 #[test]
-fn folded_kernels_with_more_morsels_than_steps() {
+fn folded_kernels_on_single_node_contexts() {
     let doc = random_doc(9, 12_000);
     let deepest = doc
         .pres()
         .max_by_key(|&v| doc.level(v))
         .expect("a non-empty document");
-    for width in [2, 8, 16] {
-        let pool = WorkerPool::new(width);
-        for ctx in [
-            Context::singleton(doc.root()),
-            Context::singleton(deepest),
-            Context::singleton(1),
-        ] {
-            for variant in VARIANTS {
-                assert_plane_bounds(&doc, &ctx, variant, &pool);
-            }
+    for ctx in [
+        Context::singleton(doc.root()),
+        Context::singleton(deepest),
+        Context::singleton(1),
+    ] {
+        for variant in VARIANTS {
+            assert_plane_bounds(&doc, &ctx, variant);
         }
     }
 }
 
-// ── Pool parity of the single-lane plane scans ─────────────────────────
+// ── Scratch parity of the single-lane plane scans ──────────────────────
 //
-// A staircase join runs in parallel by handing `descendant_pooled` or
-// `ancestor_pooled` a `WorkerPool`: the scan is split into morsels. Splitting changes who scans a partition, never which nodes
-// are scanned, so the pooled join is node- and counter-identical to the
-// sequential kernels.
+// A long-lived evaluator hands `descendant_pooled` and `ancestor_pooled`
+// one scratch pool for every step. Reusing its buffers changes where a
+// result lives, never which nodes are scanned, so the pooled join is
+// node- and counter-identical to the plain kernels however warm the pool.
 
-/// Big enough that the morsel gate opens on a root or random context.
 const POOL_DOC_SIZE: usize = 9000;
 
 fn pooled_descendant(
     doc: &Doc,
     ctx: &Context,
     variant: Variant,
-    pool: &WorkerPool,
+    scratch: &mut Scratch,
 ) -> (Context, StepStats) {
-    let test = ScanTest::node(doc);
-    descendant_pooled(doc, ctx, variant, &test, Some(pool), &mut Scratch::new())
+    descendant_pooled(doc, ctx, variant, &ScanTest::node(doc), scratch)
 }
 
 fn pooled_ancestor(
     doc: &Doc,
     ctx: &Context,
     variant: Variant,
-    pool: &WorkerPool,
+    scratch: &mut Scratch,
 ) -> (Context, StepStats) {
-    let test = ScanTest::node(doc);
-    ancestor_pooled(doc, ctx, variant, &test, Some(pool), &mut Scratch::new())
+    ancestor_pooled(doc, ctx, variant, &ScanTest::node(doc), scratch)
 }
 
 #[test]
-fn parallel_descendant_equals_serial() {
+fn pooled_descendant_equals_plain() {
+    let mut scratch = Scratch::new();
     for seed in 0..6 {
         let doc = random_doc(seed, POOL_DOC_SIZE);
         let root = Context::singleton(doc.root());
         let ctx = random_context(&doc, seed ^ 0xD00D, 50);
         for case in [&root, &ctx] {
-            let (serial, sstats) = descendant(&doc, case, Variant::EstimationSkipping);
-            for width in [1, 2, 3, 7] {
-                let pool = WorkerPool::new(width);
-                let (par, pstats) =
-                    pooled_descendant(&doc, case, Variant::EstimationSkipping, &pool);
-                assert_eq!(serial, par, "seed {seed}, width {width}");
-                assert_eq!(sstats.result_size, pstats.result_size);
-                assert_eq!(sstats.partitions, pstats.partitions);
-            }
+            let plain = descendant(&doc, case, Variant::EstimationSkipping);
+            let pooled = pooled_descendant(&doc, case, Variant::EstimationSkipping, &mut scratch);
+            assert_eq!(plain, pooled, "seed {seed}");
+            scratch.recycle(pooled.0);
         }
     }
 }
 
 #[test]
-fn parallel_ancestor_equals_serial() {
+fn pooled_ancestor_equals_plain() {
+    let mut scratch = Scratch::new();
     for seed in 0..6 {
         let doc = random_doc(seed, POOL_DOC_SIZE);
         let ctx = random_context(&doc, seed ^ 0xE77E, 400);
-        let (serial, _) = ancestor(&doc, &ctx, Variant::Skipping);
-        for width in [1, 2, 3, 7] {
-            let pool = WorkerPool::new(width);
-            let (par, _) = pooled_ancestor(&doc, &ctx, Variant::Skipping, &pool);
-            assert_eq!(serial, par, "seed {seed}, width {width}");
-        }
+        let plain = ancestor(&doc, &ctx, Variant::Skipping);
+        let pooled = pooled_ancestor(&doc, &ctx, Variant::Skipping, &mut scratch);
+        assert_eq!(plain, pooled, "seed {seed}");
+        scratch.recycle(pooled.0);
     }
 }
 
 #[test]
-fn parallel_access_counts_match_serial() {
-    // Partitioning the staircase must not change which nodes the join
-    // touches — only who touches them.
-    let pool = WorkerPool::new(4);
+fn pooled_access_counts_match_plain() {
+    // A recycled buffer must not change which nodes the join touches.
+    let mut scratch = Scratch::new();
     let doc = random_doc(42, 3 * POOL_DOC_SIZE);
     for ctx in [
         Context::singleton(doc.root()),
         random_context(&doc, 0x1234, 80),
     ] {
-        let (_, serial) = descendant(&doc, &ctx, Variant::Skipping);
-        let (_, par) = pooled_descendant(&doc, &ctx, Variant::Skipping, &pool);
-        assert_eq!(serial.nodes_scanned, par.nodes_scanned);
-        assert_eq!(serial.nodes_skipped, par.nodes_skipped);
-        assert_eq!(serial.nodes_copied, par.nodes_copied);
+        let (_, plain) = descendant(&doc, &ctx, Variant::Skipping);
+        let (result, pooled) = pooled_descendant(&doc, &ctx, Variant::Skipping, &mut scratch);
+        assert_eq!(plain.nodes_scanned, pooled.nodes_scanned);
+        assert_eq!(plain.nodes_skipped, pooled.nodes_skipped);
+        assert_eq!(plain.nodes_copied, pooled.nodes_copied);
+        scratch.recycle(result);
     }
 }
 
 #[test]
 fn shared_pool_serves_both_joins() {
-    // The session path: one persistent pool, many joins, no spawning
-    // per call.
-    let pool = WorkerPool::new(4);
+    // The session path: one persistent scratch pool, many joins.
+    let mut scratch = Scratch::new();
     for seed in [9, 10, 11] {
         let doc = random_doc(seed, POOL_DOC_SIZE);
         let ctx = random_context(&doc, 0xFADE ^ seed, 60);
-        let (serial_d, _) = descendant(&doc, &ctx, Variant::EstimationSkipping);
-        let (serial_a, _) = ancestor(&doc, &ctx, Variant::Skipping);
-        let (par_d, _) = pooled_descendant(&doc, &ctx, Variant::EstimationSkipping, &pool);
-        assert_eq!(serial_d, par_d, "seed {seed}");
-        let (par_a, _) = pooled_ancestor(&doc, &ctx, Variant::Skipping, &pool);
-        assert_eq!(serial_a, par_a, "seed {seed}");
+        let (plain_d, _) = descendant(&doc, &ctx, Variant::EstimationSkipping);
+        let (plain_a, _) = ancestor(&doc, &ctx, Variant::Skipping);
+        let (pooled_d, _) =
+            pooled_descendant(&doc, &ctx, Variant::EstimationSkipping, &mut scratch);
+        assert_eq!(plain_d, pooled_d, "seed {seed}");
+        let (pooled_a, _) = pooled_ancestor(&doc, &ctx, Variant::Skipping, &mut scratch);
+        assert_eq!(plain_a, pooled_a, "seed {seed}");
+        scratch.recycle(pooled_d);
+        scratch.recycle(pooled_a);
     }
 }

@@ -13,7 +13,6 @@ use staircase_core::{
     descendant_pooled, descendant_tested, following, following_pooled, following_tested,
     has_ancestor_in, has_child_in, has_descendant_in, preceding, preceding_pooled,
     preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats, TagIndex, Variant,
-    WorkerPool,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -125,18 +124,19 @@ proptest! {
         prop_assert_eq!(step2.as_slice(), &want[..]);
     }
 
+    /// The pooled entries equal the plain joins, on a cold scratch pool
+    /// and again on the warm one.
     #[test]
-    fn parallel_equals_serial((doc, ctx) in arb_doc_and_context()) {
-        let pool = WorkerPool::new(3);
+    fn pooled_equals_plain((doc, ctx) in arb_doc_and_context()) {
         let mut scratch = Scratch::new();
         let node = ScanTest::node(&doc);
         let (d, s) = (Variant::EstimationSkipping, Variant::Skipping);
-        let sd = descendant_pooled(&doc, &ctx, d, &node, None, &mut scratch);
+        let sd = descendant_pooled(&doc, &ctx, d, &node, &mut scratch);
         prop_assert_eq!(&sd, &descendant(&doc, &ctx, d));
-        prop_assert_eq!(descendant_pooled(&doc, &ctx, d, &node, Some(&pool), &mut scratch), sd);
-        let sa = ancestor_pooled(&doc, &ctx, s, &node, None, &mut scratch);
-        prop_assert_eq!(&sa.0, &ancestor(&doc, &ctx, s).0);
-        prop_assert_eq!(ancestor_pooled(&doc, &ctx, s, &node, Some(&pool), &mut scratch), sa);
+        prop_assert_eq!(descendant_pooled(&doc, &ctx, d, &node, &mut scratch), sd);
+        let sa = ancestor_pooled(&doc, &ctx, s, &node, &mut scratch);
+        prop_assert_eq!(&sa, &ancestor(&doc, &ctx, s));
+        prop_assert_eq!(ancestor_pooled(&doc, &ctx, s, &node, &mut scratch), sa);
     }
 
     /// Name-test pushdown (list join) ≡ join then name test.
@@ -316,7 +316,6 @@ proptest! {
         let doc = mixed_doc(&ops, sized(which, small));
         let n = doc.len() as u32;
         let ctx = Context::from_unsorted(picks.iter().map(|p| p % n).collect());
-        let pool = WorkerPool::new(4);
         let mut scratch = Scratch::new();
         for governed in [false, true] {
             let _guard = governed.then(|| governor::enter(Arc::new(Budget::new())));
@@ -325,22 +324,22 @@ proptest! {
                     let label = format!("arm {t} {variant:?} governed {governed}");
                     let plain = descendant(&doc, &ctx, variant);
                     assert_rides(&label, test, &descendant_tested(&doc, &ctx, variant, test), &plain);
-                    let par = descendant_pooled(&doc, &ctx, variant, test, Some(&pool), &mut scratch);
-                    assert_rides(&label, test, &par, &plain);
+                    let pooled = descendant_pooled(&doc, &ctx, variant, test, &mut scratch);
+                    assert_rides(&label, test, &pooled, &plain);
                     let plain = ancestor(&doc, &ctx, variant);
                     assert_rides(&label, test, &ancestor_tested(&doc, &ctx, variant, test), &plain);
-                    let par = ancestor_pooled(&doc, &ctx, variant, test, Some(&pool), &mut scratch);
-                    assert_rides(&label, test, &par, &plain);
+                    let pooled = ancestor_pooled(&doc, &ctx, variant, test, &mut scratch);
+                    assert_rides(&label, test, &pooled, &plain);
                 }
                 let label = format!("arm {t} governed {governed}");
                 let plain = following(&doc, &ctx);
                 assert_rides(&label, test, &following_tested(&doc, &ctx, test), &plain);
-                let par = following_pooled(&doc, &ctx, test, Some(&pool), &mut scratch);
-                assert_rides(&label, test, &par, &plain);
+                let pooled = following_pooled(&doc, &ctx, test, &mut scratch);
+                assert_rides(&label, test, &pooled, &plain);
                 let plain = preceding(&doc, &ctx);
                 assert_rides(&label, test, &preceding_tested(&doc, &ctx, test), &plain);
-                let par = preceding_pooled(&doc, &ctx, test, Some(&pool), &mut scratch);
-                assert_rides(&label, test, &par, &plain);
+                let pooled = preceding_pooled(&doc, &ctx, test, &mut scratch);
+                assert_rides(&label, test, &pooled, &plain);
             }
         }
     }

@@ -7,7 +7,6 @@
 //!
 //! options:
 //!   --addr A           bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-//!   --threads N        session worker-pool width (default 1)
 //!   --window-us W      ignored (queries execute as they arrive)
 //!   --max-batch B      ignored (every query runs alone)
 //!   --queue-depth Q    queries executing at once before SERVER_BUSY (default 256)
@@ -21,8 +20,8 @@
 //!
 //! Prints `listening on <addr>` to stderr once ready, then serves until
 //! a client sends a `SHUTDOWN` frame (graceful: stop accepting, finish
-//! running queries, exit). Wire protocol: see the `staircase-server`
-//! crate docs.
+//! running queries, exit). Every query runs on its connection's thread.
+//! Wire protocol: see the `staircase-server` crate docs.
 
 use std::process::exit;
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use staircase_xpath::Session;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: staircase-serve <DOC> [--encoded] [--addr A] [--threads N] [--queue-depth Q]\n\
+        "usage: staircase-serve <DOC> [--encoded] [--addr A] [--queue-depth Q]\n\
          \u{20}      [--read-timeout-ms T] [--exec-timeout-ms T] [--warm]\n\
          \u{20}      (--window-us W and --max-batch B are accepted and ignored)"
     );
@@ -50,7 +49,6 @@ fn main() {
     let mut doc_path: Option<String> = None;
     let mut encoded = false;
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut threads = 1usize;
     let mut warm = false;
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
@@ -58,12 +56,6 @@ fn main() {
         match a.as_str() {
             "--encoded" => encoded = true,
             "--addr" => addr = args.next().unwrap_or_else(|| usage()),
-            "--threads" => {
-                threads = parse_flag(&mut args);
-                if threads == 0 {
-                    usage();
-                }
-            }
             // Still accepted, so existing command lines keep working.
             "--window-us" | "--max-batch" => {
                 let _: u64 = parse_flag(&mut args);
@@ -92,7 +84,7 @@ fn main() {
         Session::open_xml(&doc_path)
     };
     let session = match session {
-        Ok(s) => s.with_threads(threads),
+        Ok(s) => s,
         Err(e) => {
             eprintln!("staircase-serve: {doc_path}: {e}");
             exit(1);
@@ -102,7 +94,7 @@ fn main() {
         session.warm();
     }
     eprintln!(
-        "loaded {} nodes (height {}), pool width {threads}, queue depth {}",
+        "loaded {} nodes (height {}), queue depth {}",
         session.doc().len(),
         session.doc().height(),
         config.queue_depth,

@@ -21,8 +21,8 @@
 //!
 //! ## The serving model
 //!
-//! A [`Session`] is `Sync` and owns a persistent worker pool, so any
-//! number of threads may evaluate against it at once. The server leans
+//! A [`Session`] is `Sync` and runs each query on the thread that asks,
+//! so any number of threads may evaluate against it at once. The server leans
 //! on that and adds as little as it can: **one thread executes, the
 //! reader cancels**.
 //!
@@ -80,8 +80,8 @@
 //!   ahead), so pipelining a request behind a long query is safe.
 //! * **Execution panic** (`INTERNAL`): a panicking evaluation is caught
 //!   (per query inside the session, and around the whole execution on
-//!   the connection thread) and fails only that query; the worker pool,
-//!   the session, and the connection all remain usable.
+//!   the connection thread) and fails only that query; the session and
+//!   the connection remain usable.
 //! * **Overload** (`SERVER_BUSY`) and **shutdown** (`SHUTTING_DOWN`)
 //!   are refused before execution and hold no slot.
 //!

@@ -57,7 +57,7 @@ fn pathological() -> (Arc<Session>, String) {
             "/descendant-or-self::*"
         });
     }
-    (Arc::new(session.with_threads(1)), expr)
+    (Arc::new(session), expr)
 }
 
 fn start_pathological(config: ServerConfig) -> (ServerHandle, String) {
@@ -178,9 +178,9 @@ fn parse_and_engine_errors_leave_the_connection_usable() {
     handle.shutdown_and_join();
 }
 
-/// `parallel` is no engine (the session's worker pool serves every
-/// engine): the name is refused like any unknown one, and the connection
-/// keeps serving.
+/// `parallel` is no engine (every engine runs a query sequentially):
+/// the name is refused like any unknown one, and the connection keeps
+/// serving.
 #[test]
 fn the_retired_parallel_engine_name_is_an_engine_error() {
     let handle = start(ServerConfig::default());

@@ -16,18 +16,23 @@
 //!   --engine staircase|pushdown|fragmented|naive|sql|auto|twig|adaptive
 //!                    (`adaptive` is another name for `auto`)
 //!   --variant basic|skipping|estimation   staircase skipping refinement
-//!   --threads N      session worker-pool width, for every engine: the
-//!                    evaluation fans out across N workers wherever the
-//!                    planner's cost hint says the work amortizes the
-//!                    handoff (`[par]` in --explain)
 //!   --warm           build all auxiliary structures eagerly, in parallel
 //!   --timeout-ms N   run under a governor deadline of N milliseconds;
 //!                    a query still running when it expires stops
 //!                    cooperatively and exits 7 (in --connect mode the
 //!                    deadline rides the QUERY frame and the server
 //!                    answers a TIMEOUT error frame)
-//!   --max-touched N  run under a governor cost budget of N touched
-//!                    nodes; exceeding it exits 7 (local mode only)
+//!   --max-touched N  run under a governor cost budget of N units;
+//!                    exceeding it exits 7 (local mode only). A unit is
+//!                    what the kernels charge, not the `touched` that
+//!                    --stats prints: one per context node a join opens,
+//!                    per list entry or plane position a loop visits,
+//!                    per position a range copy writes; a structural
+//!                    child/parent/attribute/sibling hop charges none.
+//!                    On 200 `bidder`s of three `x` and one `increase`
+//!                    each, `/descendant::bidder/child::increase` charges
+//!                    1 201 under staircase (--stats: 1 200 + 800
+//!                    touched) and 601 under auto (--stats: 200 + 200)
 //!   --count          print only the number of matching nodes
 //!   --stats          print per-step statistics to stderr, including the
 //!                    planner's estimated cost next to the observed cost
@@ -37,10 +42,9 @@
 //!                    fragment-join and twig steps report them, plane
 //!                    scans report 0
 //!   --explain        print the physical plan (one line per step: chosen
-//!                    operator + cost estimate; `[par]` marks steps the
-//!                    pool fans out; a closing `total` line sums the
-//!                    plan's estimated cost) instead of running. Steps
-//!                    are shown as planned: `//x` is the one step
+//!                    operator + cost estimate; a closing `total` line
+//!                    sums the plan's estimated cost) instead of
+//!                    running. Steps are shown as planned: `//x` is the one step
 //!                    `descendant::x  (from //x)`, and a multi-step
 //!                    predicate evaluated as a semijoin chain reads
 //!                    `+ semijoin[bidder.increase]`. The node test is
@@ -80,8 +84,8 @@
 //! xq '//open_auction[bidder/increase]/@id' auctions.xml
 //! xq --encode auctions.xml auctions.scj
 //! xq '/descendant::increase/ancestor::bidder' --encoded auctions.scj --stats
-//! xq '//bidder' auctions.xml --threads 8 --variant skipping
-//! xq --query-file queries.txt auctions.xml --engine auto --threads 4
+//! xq '//bidder' auctions.xml --variant skipping
+//! xq --query-file queries.txt auctions.xml --engine auto
 //! xq --query-file queries.txt auctions.xml --warm --count
 //! xq '//bidder/ancestor::open_auction' auctions.xml --engine auto --explain
 //! ```
@@ -136,7 +140,6 @@ struct Options {
     connect: Option<String>,
     engine_name: String,
     variant: Option<Variant>,
-    threads: Option<usize>,
     warm: bool,
     count_only: bool,
     stats: bool,
@@ -147,7 +150,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: xq <XPATH> [FILE] [--engine E] [--variant V] [--threads N] [--warm] [--count] \
+        "usage: xq <XPATH> [FILE] [--engine E] [--variant V] [--warm] [--count] \
          [--stats] [--explain]\n\
          \u{20}      xq --query-file <QF> [FILE]   (one XPath per line, batched)\n\
          \u{20}      xq --encode <FILE> <OUT.scj>\n\
@@ -159,12 +162,9 @@ fn usage() -> ! {
          \u{20}           mid-query from observed stats; adaptive is an alias)\n\
          \u{20}         | twig (fuse eligible step runs into multiway leapfrog joins)\n\
          variants: basic | skipping | estimation (default)\n\
-         --threads N sizes the session's worker pool: any engine fans its\n\
-         evaluation out across N workers where the planner's cost hint\n\
-         allows\n\
          --explain prints the physical plan (one line per step: operator +\n\
-         cost estimate; [par] marks fan-out steps) instead of evaluating;\n\
-         fragment/twig joins, SQL's early name test and every plane scan\n\
+         cost estimate) instead of evaluating; fragment/twig joins, SQL's\n\
+         early name test and every plane scan\n\
          (staircase, horiz-scan) fuse the node test, while naive,\n\
          plain sql and structural steps print + apply-test [mask]; under\n\
          auto a child::name step may print fragment (the on-list\n\
@@ -173,7 +173,10 @@ fn usage() -> ! {
          report their cursor seeks (plane scans: 0), and with --explain the\n\
          observed cost next to the estimate is touched + seeks\n\
          --timeout-ms N / --max-touched N run under a governor deadline /\n\
-         cost budget; a tripped query stops cooperatively and xq exits 7"
+         cost budget; a tripped query stops cooperatively and xq exits 7.\n\
+         The budget counts what the kernels charge (per context node a join\n\
+         opens, per list entry or position visited or copied; structural\n\
+         hops charge none), not the touched that --stats prints"
     );
     exit(EXIT_USAGE);
 }
@@ -207,7 +210,6 @@ fn parse_args() -> Options {
         connect: None,
         engine_name: "staircase".to_string(),
         variant: None,
-        threads: None,
         warm: false,
         count_only: false,
         stats: false,
@@ -242,16 +244,6 @@ fn parse_args() -> Options {
                     Some("basic") => Some(Variant::Basic),
                     Some("skipping") => Some(Variant::Skipping),
                     Some("estimation") => Some(Variant::EstimationSkipping),
-                    _ => usage(),
-                };
-            }
-            "--threads" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                // Zero workers is invalid for every engine — reject it
-                // uniformly at parse time rather than letting non-
-                // staircase engines silently clamp it to 1.
-                opts.threads = match n.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
                     _ => usage(),
                 };
             }
@@ -376,7 +368,6 @@ fn run_connect(addr: &str, opts: &Options) -> ! {
         || opts.encoded.is_some()
         || opts.encode_to.is_some()
         || opts.variant.is_some()
-        || opts.threads.is_some()
         || opts.warm
         || opts.explain
         // The cost budget has no wire field; only the deadline rides
@@ -488,14 +479,6 @@ fn main() {
         }
         Session::parse_xml(&buf).unwrap_or_else(|e| fail("stdin", e))
     };
-    // --threads sizes the worker pool for *every* engine; evaluation
-    // fans out wherever the planner's cost hint allows. Without it the
-    // session keeps its own default (`STAIRCASE_THREADS`, else 1).
-    let session = match opts.threads {
-        Some(n) => session.with_threads(n),
-        None => session,
-    };
-
     if opts.warm {
         session.warm();
     }

@@ -57,7 +57,7 @@ pub mod prelude {
         descendant_on_list, descendant_pooled, following, has_ancestor_in, has_child_in,
         has_descendant_in, preceding, prune, try_axis_step, twig_match, Calibrator, ChainStep,
         DocStats, ScanTest, Scratch, SpineLeg, StepStats, TagIndex, TwigEdge, UnsupportedAxis,
-        Variant, WorkerPool,
+        Variant,
     };
     pub use staircase_xml::{Document, PullParser};
     pub use staircase_xmlgen::{

@@ -30,16 +30,13 @@
 //!   A plane scan's counters are arithmetic over the pruned context's
 //!   ranges whatever test rides it, so the batch charges the pass once.
 //!
-//! Queries run in order on one thread, so attribution does not depend on
-//! the pool width: a hit reports 0 touched and 0 seeks with its own
-//! result size, a region extension only the positions it read, any other
+//! Queries run in order on one thread, so attribution is deterministic:
+//! a hit reports 0 touched and 0 seeks with its own result size, a region extension only the positions it read, any other
 //! step its cost alone. The governor has one mechanism: the query's
 //! ambient budget, which the kernels tick and the lane checks before and
 //! after every step (the `xpath::lane` fail point fires before every
 //! step). A query that trips or panics comes back as `Err`; its steps
 //! never enter the memo, so a sibling asking the same key computes it.
-//! At width > 1 the pool only splits a hinted plane scan into morsels
-//! ([`Executor::fanout`]); there are no inter-query tasks.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -577,16 +574,15 @@ impl Executor<'_> {
             Some(_) => bound > held_bound,
         };
         let test = scan_test(self.doc, &step.test, step.axis);
-        let pool = self.fanout(step);
         let (nodes, read) = match (following, held) {
-            (true, Some(held)) => following_from(held_bound, held, bound, &test, pool, scratch),
+            (true, Some(held)) => following_from(held_bound, held, bound, &test, scratch),
             (true, None) => {
                 let n = self.doc.len() as Pre;
-                following_from(n, &[], bound, &test, pool, scratch)
+                following_from(n, &[], bound, &test, scratch)
             }
             (false, held) => {
                 let (from, held) = held.map_or((0, &[][..]), |held| (held_bound, held));
-                preceding_from(self.doc, from, held, bound, &test, pool, scratch)
+                preceding_from(self.doc, from, held, bound, &test, scratch)
             }
         };
         if wider && !last {
@@ -635,7 +631,6 @@ impl Executor<'_> {
         s.op = op;
         s.test_op = test_op;
         s.estimate.cost = cost;
-        s.fanout = self.stats.fanout_worthwhile(cost);
         s.replanned = true;
     }
 }
@@ -645,8 +640,8 @@ mod tests {
     use crate::eval::EDGES_REDUCED;
     use crate::{Engine, Query, Session};
 
-    /// Chain edges reduced by one `run_many` over `exprs` (width 1: the
-    /// whole batch runs on the calling thread).
+    /// Chain edges reduced by one `run_many` over `exprs` (the whole
+    /// batch runs on the calling thread, which owns the counter).
     fn edges_reduced(session: &Session, exprs: &[&str], engine: Engine) -> usize {
         let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
         let refs: Vec<&Query> = queries.iter().collect();
@@ -662,8 +657,7 @@ mod tests {
             "<site><open_auction id='a'><bidder><increase/></bidder><date/></open_auction>\
              <open_auction id='b'><bidder><date/></bidder></open_auction></site>",
         )
-        .unwrap()
-        .with_threads(1);
+        .unwrap();
         let fragmented = Engine::staircase().fragmented(true).build().unwrap();
         for engine in [Engine::default(), fragmented, Engine::auto()] {
             // `[bidder/increase]` is one edge to reduce (bidder against

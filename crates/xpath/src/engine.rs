@@ -18,10 +18,8 @@
 //! The one inconsistent combination — pushdown on the fragmented engine,
 //! whose fragments already are the pushed-down name test — is rejected
 //! with [`Error::InvalidEngine`] at build time, so an [`Engine`] value
-//! that exists is always runnable. Parallelism is not an engine: the
-//! session's worker pool ([`crate::Session::with_threads`]) serves every
-//! engine, and a step the planner marks `[par]` splits its plane scan
-//! into morsels on it.
+//! that exists is always runnable. Every engine runs a query
+//! sequentially on the thread that asked.
 
 use std::fmt;
 

@@ -48,10 +48,9 @@ pub enum Error {
     /// (client CANCEL, disconnect, or programmatic
     /// [`staircase_core::governor::Budget::cancel`]).
     Cancelled,
-    /// A lane or pool task panicked during execution. The panic was
-    /// isolated to this query; the session, its worker pool, and any
-    /// sibling queries of the same batch pass unaffected by it remain
-    /// fully usable.
+    /// A lane panicked during execution. The panic was isolated to this
+    /// query; the session and any sibling queries of the same batch
+    /// pass unaffected by it remain fully usable.
     Internal(String),
 }
 

@@ -13,8 +13,7 @@
 //! every step arrives as a [`PlannedStep`] whose operator was chosen by
 //! [`crate::plan`] (trivially, for fixed engines; cost-based, for
 //! [`crate::Engine::auto`]), and the interpreter merely dispatches on
-//! it. A plane scan whose step carries the planner's fanout hint splits
-//! into morsels on the session's worker pool. Everything below the
+//! it. Every step runs on the calling thread. Everything below the
 //! session's resolution step is total: no panics, no `unwrap`.
 
 use std::sync::{Arc, Mutex};
@@ -26,7 +25,7 @@ use staircase_core::{
     cost::{Calibrator, DocStats},
     descendant_on_list_pooled, descendant_pooled, following_pooled, has_ancestor_in, has_child_in,
     has_descendant_in, preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool,
-    SpineLeg, TagIndex, Variant, WorkerPool,
+    SpineLeg, TagIndex, Variant,
 };
 
 use crate::ast::NodeTest;
@@ -114,14 +113,11 @@ pub(crate) struct Executor<'a> {
     /// The SQL baseline's B-tree; `Some` whenever the plan contains an
     /// SQL step.
     pub(crate) sql: Option<&'a SqlEngine>,
-    /// The session's persistent worker pool; width 1 means fully
-    /// sequential execution (no handoff anywhere on the path).
-    pub(crate) pool: &'a WorkerPool,
     /// The session's sharded scratch pools: concurrent batches each
     /// sweep out their own shard.
     pub(crate) scratch: &'a ScratchPool,
     /// The session's cached document statistics; at evaluation time
-    /// they price auto's re-planning and the pool fanout.
+    /// they price auto's re-planning.
     pub(crate) stats: &'a DocStats,
     /// The session-lifetime cost calibrator: every twig step reports
     /// its real seek count here, and auto's re-planner prices
@@ -731,8 +727,7 @@ impl<'a> Executor<'a> {
     }
 
     /// The staircase join over the whole plane, the step's node test
-    /// riding the scan; split into morsels on the session's pool when
-    /// the step carries the fanout hint ([`Executor::fanout`]).
+    /// riding the scan.
     fn plain_staircase(
         &self,
         ctx: &Context,
@@ -743,21 +738,13 @@ impl<'a> Executor<'a> {
     ) -> (Context, u64, u64, u64) {
         let doc = self.doc;
         let test = scan_test(doc, &step.test, axis_of(paxis));
-        let pool = self.fanout(step);
         let (out, stats) = match paxis {
-            PartAxis::Descendant => descendant_pooled(doc, ctx, variant, &test, pool, scratch),
-            PartAxis::Ancestor => ancestor_pooled(doc, ctx, variant, &test, pool, scratch),
-            PartAxis::Following => following_pooled(doc, ctx, &test, pool, scratch),
-            PartAxis::Preceding => preceding_pooled(doc, ctx, &test, pool, scratch),
+            PartAxis::Descendant => descendant_pooled(doc, ctx, variant, &test, scratch),
+            PartAxis::Ancestor => ancestor_pooled(doc, ctx, variant, &test, scratch),
+            PartAxis::Following => following_pooled(doc, ctx, &test, scratch),
+            PartAxis::Preceding => preceding_pooled(doc, ctx, &test, scratch),
         };
         (out, stats.nodes_touched(), 0, 0)
-    }
-
-    /// The session's pool when `step` carries the cost model's fanout
-    /// hint and the pool is wider than one: what a plane scan splits its
-    /// morsels across. The kernels themselves re-check the actual work.
-    pub(crate) fn fanout(&self, step: &PlannedStep) -> Option<&'a WorkerPool> {
-        (step.fanout && self.pool.width() > 1).then_some(self.pool)
     }
 }
 
@@ -1123,8 +1110,8 @@ mod tests {
         }
     }
 
-    /// Whole-document selection scans one run of `expr` performs on a
-    /// width-1 session (scans run on the calling thread there).
+    /// Whole-document selection scans one run of `expr` performs (on
+    /// the calling thread, which owns the counter).
     fn scans_run(session: &Session, expr: &str, engine: Engine) -> (usize, usize) {
         let query = session.prepare(expr).unwrap();
         let before = SCANS_RUN.with(|n| n.get());
@@ -1139,7 +1126,7 @@ mod tests {
             "<site>{}</site>",
             "<open_auction id='x'><bidder><increase/></bidder></open_auction>".repeat(6)
         );
-        let session = Session::parse_xml(&xml).unwrap().with_threads(1);
+        let session = Session::parse_xml(&xml).unwrap();
         // The plain staircase engine has no index: every predicate list
         // is a scan of the whole document. A chain scans each name once…
         for expr in [
@@ -1186,7 +1173,7 @@ mod tests {
             "<site>{}</site>",
             "<open_auction><bidder><increase><x/></increase></bidder></open_auction>".repeat(6)
         );
-        let session = Session::parse_xml(&xml).unwrap().with_threads(1);
+        let session = Session::parse_xml(&xml).unwrap();
         let query = session
             .prepare("//open_auction[bidder[increase/x]/..]")
             .unwrap();

@@ -161,8 +161,8 @@
 //!   engines and `twig` run their plans as planned. Switching is
 //!   lane-local (the cached plan is copy-on-write, so other lanes and
 //!   later runs are untouched), results stay node-identical to
-//!   every fixed engine (property-tested at pool widths 1/2/4, through
-//!   [`Session::run`] and [`Session::run_many`] alike), and switched
+//!   every fixed engine (property-tested through [`Session::run`] and
+//!   [`Session::run_many`] alike), and switched
 //!   steps carry a `[replan]` marker in their [`StepTrace`] and in the
 //!   post-run report (`xq --explain --stats`). On well-estimated
 //!   workloads the disagreement gate keeps the overhead near zero.
@@ -219,33 +219,16 @@
 
 //! ## Threading model
 //!
-//! Every session owns a **persistent worker pool**
-//! ([`staircase_core::WorkerPool`]), built once — width 1 by default,
-//! [`Session::with_threads`] or the `STAIRCASE_THREADS` environment
-//! variable to widen — and reused by every query, batch, and
-//! [`Session::warm`]; nothing on the query path spawns threads per
-//! call. Width `n` means `n` executors: `n − 1` pool threads plus the
-//! querying thread itself, which drains the same work queue while it
-//! waits, so a width-1 session is *exactly* the sequential executor
-//! with zero handoff anywhere.
+//! A query runs **sequentially on the thread that asked**: every step,
+//! every kernel, and the queries of a batch one after another, so what
+//! each query reports is deterministic. Nothing on the query path
+//! spawns a thread; [`Session::warm`] alone overlaps its two index
+//! builds on a scoped thread. ([`Session::with_threads`] is a no-op,
+//! kept for existing callers.)
 //!
-//! On a wider pool a step whose cost estimate carries the planner's
-//! *fanout hint* ([`PlannedStep::fanout`], `[par]` in `EXPLAIN` output)
-//! splits its plane scan into **morsels** — contiguous chunks of the
-//! pruned boundary list, disjoint pre-ranges in the paper's
-//! §3.2/Figure-8 sense — so per-worker results concatenate in document
-//! order with no merge sort, and per-worker statistics sum to the
-//! sequential counters *exactly* (the pooled plane-scan kernels
-//! reproduce the sequential scans' per-position behaviour, asserted by
-//! equivalence tests at widths 1/2/4). That is the only parallelism:
-//! the queries of a batch run one after another, so what each reports
-//! does not depend on the pool width. Steps below the cost model's
-//! fanout floor stay sequential however wide the pool is, so small
-//! queries never pay worker handoff.
-//!
-//! Sessions are [`Sync`]: concurrent callers share the same pool and
-//! shards, which is the execution backbone the future query server
-//! batches onto.
+//! Sessions are [`Sync`]: concurrent callers — the query server's
+//! connection threads — share the document, its cached auxiliary
+//! structures, and a small set of scratch-buffer shards.
 //!
 //! ## Governance and the failure model
 //!
@@ -273,8 +256,8 @@
 //! * a panic inside one query's evaluation (a bug, or a
 //!   [`staircase_core::faults`] fail point) is caught at the query
 //!   boundary and isolated as [`Error::Internal`] — the [`Session`],
-//!   its worker pool, its cached auxiliary structures, and every other
-//!   query remain fully usable.
+//!   its cached auxiliary structures, and every other query remain
+//!   fully usable.
 //!
 //! The supported grammar covers what the paper's experiments need and the
 //! usual abbreviations:

@@ -132,11 +132,6 @@ pub struct PlannedStep {
     pub(crate) test_op: TestOp,
     pub(crate) predicates: Vec<PredOp>,
     pub(crate) estimate: StepEstimate,
-    /// Parallelism hint: the cost model judged this step's estimated
-    /// work large enough to amortize fanning morsels out across the
-    /// session's worker pool (see
-    /// [`staircase_core::cost::DocStats::fanout_worthwhile`]).
-    pub(crate) fanout: bool,
     /// Set by the executor when the runtime re-pricing pass
     /// switched this step's operator away from the planned one; the
     /// planner itself always emits `false`. Rendered as `[replan]`.
@@ -489,16 +484,6 @@ impl PlannedStep {
         self.estimate
     }
 
-    /// The planner's parallelism hint: `true` when this step's estimated
-    /// work amortizes fanning morsels out across the session's worker
-    /// pool. The executor only splits a hinted step (and only on a pool
-    /// wider than one); un-hinted steps stay sequential so small queries
-    /// never pay worker handoff. `xq --explain` marks hinted steps
-    /// `[par]`.
-    pub fn fanout(&self) -> bool {
-        self.fanout
-    }
-
     /// The axis this step traverses.
     pub fn axis(&self) -> Axis {
         self.axis
@@ -563,11 +548,6 @@ impl fmt::Display for PlannedStep {
                 }
                 PredOp::Filter(_) => ops.push_str(" + filter-pred"),
             }
-        }
-        if self.fanout {
-            // Estimated work amortizes the worker pool: on a session
-            // with threads > 1 this step's execution fans out.
-            ops.push_str(" [par]");
         }
         if self.replanned {
             // The executor switched this operator at a step
@@ -858,7 +838,6 @@ fn plan_twig(
             cost: frontier,
             rows,
         },
-        fanout: false,
         replanned: false,
         rendered,
         origin,
@@ -923,9 +902,6 @@ fn plan_step(
         predicates.push(lowered);
     }
 
-    // The hint is for the operators with a morsel form; the structural
-    // hops have none, whatever their (now honest) price.
-    let fanout = op != StepOp::Structural && stats.fanout_worthwhile(cost);
     let planned = PlannedStep {
         axis: step.axis,
         test: step.test.clone(),
@@ -933,7 +909,6 @@ fn plan_step(
         test_op,
         predicates,
         estimate: StepEstimate { cost, rows },
-        fanout,
         replanned: false,
         rendered: step.to_string(),
         origin: step.origin.clone(),
@@ -1822,10 +1797,9 @@ mod tests {
     #[test]
     fn twig_steps_are_per_lane() {
         let plan = plan_for("/descendant::a[b]/descendant::c", Engine::twig());
-        // One fused step, evaluated on its lane alone: no morsel form.
+        // One fused step, evaluated on its lane alone.
         let step = &plan.branches()[0].steps()[0];
         assert!(matches!(step.operator(), StepOp::Twig(_)), "{plan}");
-        assert!(!step.fanout(), "{plan}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use staircase_accel::{Context, DecodeError, Doc, Pre};
 use staircase_baselines::SqlEngine;
 use staircase_core::cost::{Calibrator, DocStats};
 use staircase_core::governor::Budget;
-use staircase_core::{ScratchPool, TagIndex, WorkerPool};
+use staircase_core::{ScratchPool, TagIndex};
 
 use crate::ast::UnionExpr;
 use crate::batch::trip_error;
@@ -62,23 +62,21 @@ pub struct Session {
     calibrator: Calibrator,
     /// The executor's buffer pools, persisted across queries and
     /// batches so a steady-state session stops allocating per step.
-    /// Sharded (two shards per pool executor): concurrent batches each
-    /// sweep out their own shard instead of falling back to throwaway
-    /// allocations.
+    /// Sharded ([`SCRATCH_SHARDS`]): concurrent callers — a server's
+    /// connections share one session — each sweep out their own shard
+    /// instead of falling back to throwaway allocations.
     scratch: ScratchPool,
-    /// The session's persistent worker pool: built once (at
-    /// construction, from [`Session::with_threads`] or the
-    /// `STAIRCASE_THREADS` environment default) and reused by every
-    /// query, batch, and [`Session::warm`] — nothing on the session path
-    /// spawns threads per call. Width 1 spawns no threads at all.
-    workers: WorkerPool,
 }
+
+/// How many [`ScratchPool`] shards a session keeps: enough for two
+/// concurrent queries to each reuse warm buffers; a third concurrent
+/// one allocates afresh.
+const SCRATCH_SHARDS: usize = 2;
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("nodes", &self.doc.len())
-            .field("threads", &self.workers.width())
             .field("tag_index_built", &self.tags.get().is_some())
             .field("sql_engine_built", &self.sql.get().is_some())
             .finish()
@@ -96,41 +94,8 @@ pub struct AuxBuilds {
 }
 
 impl Session {
-    /// Wraps an already encoded document. The worker-pool width defaults
-    /// to the `STAIRCASE_THREADS` environment variable when set (and ≥ 1),
-    /// else to 1 — fully sequential; see [`Session::with_threads`].
+    /// Wraps an already encoded document.
     pub fn new(doc: Doc) -> Session {
-        Session::with_pool_width(doc, default_threads())
-    }
-
-    /// Rebuilds this session's worker pool with `threads` executors
-    /// (clamped to ≥ 1): `threads − 1` persistent worker threads plus the
-    /// querying thread itself. Every engine's evaluation fans out on this
-    /// pool wherever the planner's cost hint says the work amortizes the
-    /// handoff; width 1 spawns nothing and keeps the whole path
-    /// sequential. Configure before preparing queries:
-    ///
-    /// ```
-    /// # use staircase_xpath::{Engine, Error, Session};
-    /// let session = Session::parse_xml("<a><b/><b/></a>")?.with_threads(4);
-    /// assert_eq!(session.threads(), 4);
-    /// assert_eq!(session.run("//b", Engine::default())?.len(), 2);
-    /// # Ok::<(), Error>(())
-    /// ```
-    pub fn with_threads(mut self, threads: usize) -> Session {
-        let threads = threads.max(1);
-        self.workers = WorkerPool::new(threads);
-        self.scratch = ScratchPool::new(threads * 2);
-        self
-    }
-
-    /// The worker-pool width queries of this session execute on.
-    pub fn threads(&self) -> usize {
-        self.workers.width()
-    }
-
-    fn with_pool_width(doc: Doc, threads: usize) -> Session {
-        let threads = threads.max(1);
         Session {
             doc,
             tags: OnceLock::new(),
@@ -139,9 +104,26 @@ impl Session {
             tag_builds: AtomicUsize::new(0),
             sql_builds: AtomicUsize::new(0),
             calibrator: Calibrator::new(),
-            scratch: ScratchPool::new(threads * 2),
-            workers: WorkerPool::new(threads),
+            scratch: ScratchPool::new(SCRATCH_SHARDS),
         }
+    }
+
+    /// Returns the session unchanged: a no-op. Every query runs
+    /// sequentially on the thread that asked. This once sized an
+    /// intra-query worker pool that split large plane scans across
+    /// threads; on the two-core machines it was measured on, the split
+    /// never beat the sequential scan, so the pool was deleted. The
+    /// method stays so that existing callers (the benchmark under
+    /// `benchmark/` among them) keep compiling.
+    ///
+    /// ```
+    /// # use staircase_xpath::{Engine, Error, Session};
+    /// let session = Session::parse_xml("<a><b/><b/></a>")?.with_threads(4);
+    /// assert_eq!(session.run("//b", Engine::default())?.len(), 2);
+    /// # Ok::<(), Error>(())
+    /// ```
+    pub fn with_threads(self, _threads: usize) -> Session {
+        self
     }
 
     /// Parses XML text and encodes it.
@@ -247,7 +229,7 @@ impl Session {
     /// read, a further node test over a context whose plain staircase
     /// pass the batch already paid for reports zero, and every other
     /// step reports its cost alone. Queries run in order on the calling
-    /// thread, so none of this depends on the pool width.
+    /// thread.
     pub fn run_many(&self, queries: &[&Query<'_>], engine: Engine) -> Vec<QueryOutput> {
         let jobs: Vec<_> = queries.iter().map(|&q| (q, None)).collect();
         self.execute(&jobs, engine, None)
@@ -270,9 +252,9 @@ impl Session {
     /// queries of the same batch complete **node- and order-identical**
     /// to an ungoverned run — a step of a failing query never enters
     /// the batch's memo. A panic inside one query is caught and isolated
-    /// ([`Error::Internal`]): the session, its worker pool, and the
-    /// sibling queries remain fully usable. `None` runs a query
-    /// ungoverned, which costs one branch per kernel.
+    /// ([`Error::Internal`]): the session and the sibling queries remain
+    /// fully usable. `None` runs a query ungoverned, which costs one
+    /// branch per kernel.
     ///
     /// Queries are evaluated against **this** session's document; a
     /// query prepared on a different session contributes its parsed
@@ -336,7 +318,6 @@ impl Session {
                 .iter()
                 .any(|(p, _)| p.needs_sql_engine())
                 .then(|| self.sql_engine()),
-            pool: &self.workers,
             scratch: &self.scratch,
             stats: self.doc_stats(),
             calibrator: &self.calibrator,
@@ -370,36 +351,21 @@ impl Session {
 
     /// Eagerly builds **both** cached auxiliary structures — the per-tag
     /// [`TagIndex`] and the SQL engine's B-tree — **concurrently**, so
-    /// the first query of every engine family finds them ready. On a
-    /// session whose pool is wider than one the two builds run on the
-    /// worker pool (no threads are spawned for the call); a width-1
-    /// session falls back to a scoped spawn so warm-up still overlaps
-    /// the builds — the one deliberate exception to the
-    /// nothing-spawns-per-call rule, since a sequential warm would
-    /// silently double the documented warm-up latency.
+    /// the first query of every engine family finds them ready. The tag
+    /// index builds on one scoped thread while the calling thread builds
+    /// the B-tree — the one place a session spawns a thread, since a
+    /// sequential warm would double the warm-up latency.
     ///
     /// Idempotent and cheap to repeat: each structure is still built at
     /// most once per session ([`Session::aux_builds`] reports exactly
     /// one construction however often `warm` and queries race).
     pub fn warm(&self) {
-        if self.workers.width() > 1 {
-            let builds: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                Box::new(|| {
-                    self.tag_index();
-                }),
-                Box::new(|| {
-                    self.sql_engine();
-                }),
-            ];
-            self.workers.run(builds);
-        } else {
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    self.tag_index();
-                });
-                self.sql_engine();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                self.tag_index();
             });
-        }
+            self.sql_engine();
+        });
     }
 
     /// The per-tag fragment index, built whole by one sweep over the
@@ -450,18 +416,6 @@ impl Session {
             self.calibrator.twig_seek_factor(),
         )
     }
-}
-
-/// The session's default worker-pool width: the `STAIRCASE_THREADS`
-/// environment variable when set to a positive integer (how the CI
-/// matrix forces every test through the parallel paths), else 1 —
-/// parallelism is opt-in per session via [`Session::with_threads`].
-fn default_threads() -> usize {
-    std::env::var("STAIRCASE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// An expression parsed once by [`Session::prepare`], runnable many
@@ -653,12 +607,9 @@ mod tests {
 
     #[test]
     fn name_test_filtering_reuses_the_scratch_pool() {
-        // Width 1 regardless of STAIRCASE_THREADS: this pins the
-        // sequential filtering path, where takes and recycles balance
-        // exactly. (Wider pools hand morsel buffers to whichever thread
-        // runs a morsel, so a take can miss a non-empty pool and
-        // allocate fresh — bounded, but not run-for-run equal.)
-        let s = session().with_threads(1);
+        // Every query runs on its calling thread, so takes and
+        // recycles balance exactly.
+        let s = session();
         let q = s.prepare("/descendant::bidder/child::increase").unwrap();
         // Warm phase: enough runs for every shard's pool to reach its
         // steady population (fresh allocations from structural steps

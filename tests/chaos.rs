@@ -2,8 +2,8 @@
 //! `RUSTFLAGS="--cfg stair_faults"` (CI runs them as a dedicated leg).
 //!
 //! Each test arms named fail points (`staircase_xpath::faults`) to
-//! force failures ordinary inputs cannot reach — a panic inside a pool
-//! task, a forced budget trip inside a kernel, an injected delay that
+//! force failures ordinary inputs cannot reach — a panic before a
+//! query's step, a forced budget trip inside a kernel, an injected delay that
 //! makes deadlines observable on small documents — and asserts the
 //! governor's containment claims: one query fails, its siblings and
 //! the session (and, server-side, the connection) survive.
@@ -59,13 +59,12 @@ fn engine() -> Engine {
 }
 
 #[test]
-fn a_panicking_pool_task_fails_only_its_query() {
+fn a_panicking_step_fails_only_its_query() {
     let _scope = FaultScope::enter();
-    // Width 2 and a document big enough for `//q`'s plane scan to carry
-    // the fanout hint and split into morsels: the only pool tasks of the
-    // batch are that scan's, and a panic in one of them must fail
-    // exactly its query.
-    let session = Session::new(layered_doc(100, 100)).with_threads(2);
+    // `xpath::lane` fires before every step of every query; armed once,
+    // it panics on the first query's first step, and that panic must
+    // fail exactly its query.
+    let session = Session::new(layered_doc(100, 100));
     let queries = [
         session.prepare("//q").expect("query parses"),
         session
@@ -75,7 +74,7 @@ fn a_panicking_pool_task_fails_only_its_query() {
     let refs: Vec<&_> = queries.iter().collect();
     let baseline = session.run_many(&refs, engine());
 
-    faults::set("core::pool::task", FaultKind::Panic, Some(1));
+    faults::set("xpath::lane", FaultKind::Panic, Some(1));
     let governed = session.execute(&[(refs[0], None), (refs[1], None)], engine(), None);
     faults::clear_all();
 
@@ -103,8 +102,8 @@ fn a_panicking_pool_task_fails_only_its_query() {
         );
     }
 
-    // The pool and session survive the unwound task: the same batch
-    // answers in full.
+    // The session survives the unwound step: the same batch answers in
+    // full.
     let again = session.run_many(&refs, engine());
     for (a, b) in again.iter().zip(&baseline) {
         assert_eq!(a.nodes().as_slice(), b.nodes().as_slice());

@@ -2,8 +2,7 @@
 //! promptly, cost budgets trip at the touched-node ceiling, cooperative
 //! cancellation works from another thread, and every trip is
 //! lane-local — batch siblings complete node- and order-identical to an
-//! ungoverned run, and the session (with its worker pool) stays
-//! reusable afterwards.
+//! ungoverned run, and the session stays reusable afterwards.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -160,44 +159,42 @@ fn a_tripped_lane_leaves_batch_siblings_identical() {
         // The governed victim: full-plane passes against a 500-node cap.
         "/descendant-or-self::*/ancestor-or-self::*/descendant-or-self::*",
     ];
-    for width in [1usize, 2, 4] {
-        for engine in [engine(), Engine::auto()] {
-            let session = Session::new(doc.clone()).with_threads(width);
-            let queries: Vec<_> = exprs
-                .iter()
-                .map(|e| session.prepare(e).expect("query parses"))
-                .collect();
-            let refs: Vec<&_> = queries.iter().collect();
-            let baseline = session.run_many(&refs, engine);
+    for engine in [engine(), Engine::auto()] {
+        let session = Session::new(doc.clone());
+        let queries: Vec<_> = exprs
+            .iter()
+            .map(|e| session.prepare(e).expect("query parses"))
+            .collect();
+        let refs: Vec<&_> = queries.iter().collect();
+        let baseline = session.run_many(&refs, engine);
 
-            let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
-            jobs[exprs.len() - 1].1 = Some(Arc::new(Budget::new().with_max_touched(500)));
-            let governed = session.execute(&jobs, engine, None);
+        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+        jobs[exprs.len() - 1].1 = Some(Arc::new(Budget::new().with_max_touched(500)));
+        let governed = session.execute(&jobs, engine, None);
 
-            assert!(
-                matches!(governed.last(), Some(Err(Error::BudgetExhausted))),
-                "width {width}: the victim must trip, got {:?}",
-                governed.last()
+        assert!(
+            matches!(governed.last(), Some(Err(Error::BudgetExhausted))),
+            "the victim must trip, got {:?}",
+            governed.last()
+        );
+        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
+            if i == exprs.len() - 1 {
+                continue;
+            }
+            let g = g
+                .as_ref()
+                .unwrap_or_else(|e| panic!("sibling {i} must complete, got {e}"));
+            assert_eq!(
+                g.nodes().as_slice(),
+                b.nodes().as_slice(),
+                "sibling {i} diverged from the ungoverned run"
             );
-            for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
-                if i == exprs.len() - 1 {
-                    continue;
-                }
-                let g = g.as_ref().unwrap_or_else(|e| {
-                    panic!("width {width}: sibling {i} must complete, got {e}")
-                });
-                assert_eq!(
-                    g.nodes().as_slice(),
-                    b.nodes().as_slice(),
-                    "width {width}: sibling {i} diverged from the ungoverned run"
-                );
-            }
+        }
 
-            // The pool is still whole: the same batch answers again.
-            let again = session.run_many(&refs, engine);
-            for (a, b) in again.iter().zip(&baseline) {
-                assert_eq!(a.nodes().as_slice(), b.nodes().as_slice());
-            }
+        // The session is still whole: the same batch answers again.
+        let again = session.run_many(&refs, engine);
+        for (a, b) in again.iter().zip(&baseline) {
+            assert_eq!(a.nodes().as_slice(), b.nodes().as_slice());
         }
     }
 }
@@ -217,49 +214,47 @@ fn a_batch_from_an_explicit_context_mixes_governed_and_ungoverned_slots() {
         "descendant-or-self::*/ancestor-or-self::*/descendant-or-self::*",
         "self::p[q]",
     ];
-    for width in [1usize, 4] {
-        for engine in [engine(), Engine::auto()] {
-            let session = Session::new(doc.clone()).with_threads(width);
-            let from = session.run("//p", engine).expect("runs").into_nodes();
-            assert_eq!(from.len(), 60);
-            let queries: Vec<_> = exprs
-                .iter()
-                .map(|e| session.prepare(e).expect("query parses"))
-                .collect();
-            let alone = |q: &Query<'_>| {
-                session
-                    .execute(&[(q, None)], engine, Some(&from))
-                    .remove(0)
-                    .expect("an ungoverned run completes")
-            };
-            let loose = Arc::new(Budget::new().with_max_touched(u64::MAX));
-            let tight = Arc::new(Budget::new().with_max_touched(500));
-            let jobs = [
-                (&queries[0], None),
-                (&queries[1], Some(Arc::clone(&loose))),
-                (&queries[2], None),
-                (&queries[3], Some(Arc::clone(&tight))),
-                (&queries[4], None),
-            ];
-            let outs = session.execute(&jobs, engine, Some(&from));
-            let label = format!("width {width}, {engine:?}");
-            assert!(
-                matches!(outs[3], Err(Error::BudgetExhausted)),
-                "{label}: the tight slot must trip, got {:?}",
-                outs[3]
+    for engine in [engine(), Engine::auto()] {
+        let session = Session::new(doc.clone());
+        let from = session.run("//p", engine).expect("runs").into_nodes();
+        assert_eq!(from.len(), 60);
+        let queries: Vec<_> = exprs
+            .iter()
+            .map(|e| session.prepare(e).expect("query parses"))
+            .collect();
+        let alone = |q: &Query<'_>| {
+            session
+                .execute(&[(q, None)], engine, Some(&from))
+                .remove(0)
+                .expect("an ungoverned run completes")
+        };
+        let loose = Arc::new(Budget::new().with_max_touched(u64::MAX));
+        let tight = Arc::new(Budget::new().with_max_touched(500));
+        let jobs = [
+            (&queries[0], None),
+            (&queries[1], Some(Arc::clone(&loose))),
+            (&queries[2], None),
+            (&queries[3], Some(Arc::clone(&tight))),
+            (&queries[4], None),
+        ];
+        let outs = session.execute(&jobs, engine, Some(&from));
+        let label = format!("{engine:?}");
+        assert!(
+            matches!(outs[3], Err(Error::BudgetExhausted)),
+            "{label}: the tight slot must trip, got {:?}",
+            outs[3]
+        );
+        for i in [0, 1, 2, 4] {
+            let out = outs[i]
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{label}: slot {i} must complete, got {e}"));
+            assert_eq!(
+                out.nodes().as_slice(),
+                alone(&queries[i]).nodes().as_slice(),
+                "{label}: slot {i} diverged from its K = 1 run"
             );
-            for i in [0, 1, 2, 4] {
-                let out = outs[i]
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{label}: slot {i} must complete, got {e}"));
-                assert_eq!(
-                    out.nodes().as_slice(),
-                    alone(&queries[i]).nodes().as_slice(),
-                    "{label}: slot {i} diverged from its K = 1 run"
-                );
-            }
-            assert!(loose.touched() > 0, "{label}: the loose slot was charged");
         }
+        assert!(loose.touched() > 0, "{label}: the loose slot was charged");
     }
 }
 
@@ -334,9 +329,7 @@ fn people_doc() -> Doc {
 fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
     use staircase_core::governor::SCAN_CHUNK;
     const CEILING: u64 = 1_000;
-    // One executor: each morsel worker ticks its own chunks, so a W-wide
-    // session may overshoot by W chunks.
-    let session = Session::new(people_doc()).with_threads(1);
+    let session = Session::new(people_doc());
     let n = session.doc().len() as u64;
     assert!(n > 100_000);
     let tripped_inside = |what: &str, out: Result<QueryOutput, Error>, budget: &Budget| {
@@ -456,7 +449,7 @@ fn auction_doc() -> Doc {
 fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
     use staircase_core::governor::SCAN_CHUNK;
     const CEILING: u64 = 500;
-    let session = Session::new(auction_doc()).with_threads(1);
+    let session = Session::new(auction_doc());
     assert!(session.doc().len() >= 100_000);
     let fragmented = Engine::staircase().fragmented(true).build().unwrap();
     let tripped = |what: &str, out: Result<QueryOutput, Error>, budget: &Budget| {
@@ -603,8 +596,8 @@ proptest! {
     /// The containment property, at arbitrary scan points: wherever a
     /// cost budget trips the first query of a batch — mid-kernel,
     /// between rounds, or never — every sibling lane answers node- and
-    /// order-identical to the ungoverned run, at pool widths 1, 2, and
-    /// 4, and the session remains fully reusable afterwards.
+    /// order-identical to the ungoverned run, and the session remains
+    /// fully reusable afterwards.
     #[test]
     fn governed_trips_are_lane_local_and_leave_the_session_reusable(
         (doc, exprs, cap) in (
@@ -613,41 +606,39 @@ proptest! {
             1u64..3_000,
         )
     ) {
-        for width in [1usize, 2, 4] {
-            let session = Session::new(doc.clone()).with_threads(width);
-            let queries: Vec<_> = exprs
-                .iter()
-                .map(|e| session.prepare(e).expect("generated query parses"))
-                .collect();
-            let refs: Vec<&_> = queries.iter().collect();
-            let baseline = session.run_many(&refs, Engine::auto());
+        let session = Session::new(doc.clone());
+        let queries: Vec<_> = exprs
+            .iter()
+            .map(|e| session.prepare(e).expect("generated query parses"))
+            .collect();
+        let refs: Vec<&_> = queries.iter().collect();
+        let baseline = session.run_many(&refs, Engine::auto());
 
-            let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
-            jobs[0].1 = Some(Arc::new(Budget::new().with_max_touched(cap)));
-            let governed = session.execute(&jobs, Engine::auto(), None);
+        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+        jobs[0].1 = Some(Arc::new(Budget::new().with_max_touched(cap)));
+        let governed = session.execute(&jobs, Engine::auto(), None);
 
-            for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
-                match g {
-                    Ok(out) => prop_assert_eq!(
-                        out.nodes().as_slice(),
-                        b.nodes().as_slice(),
-                        "width {}: query {} diverged", width, i
-                    ),
-                    Err(Error::BudgetExhausted) => prop_assert_eq!(
-                        i, 0, "width {}: only the governed lane may trip", width
-                    ),
-                    Err(other) => prop_assert!(
-                        false, "width {}: unexpected failure {}", width, other
-                    ),
-                }
+        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
+            match g {
+                Ok(out) => prop_assert_eq!(
+                    out.nodes().as_slice(),
+                    b.nodes().as_slice(),
+                    "query {} diverged", i
+                ),
+                Err(Error::BudgetExhausted) => prop_assert_eq!(
+                    i, 0, "only the governed lane may trip"
+                ),
+                Err(other) => prop_assert!(
+                    false, "unexpected failure {}", other
+                ),
             }
+        }
 
-            // Reusability: the same session answers the full batch
-            // ungoverned, identically, after any trip.
-            let again = session.run_many(&refs, Engine::auto());
-            for (a, b) in again.iter().zip(&baseline) {
-                prop_assert_eq!(a.nodes().as_slice(), b.nodes().as_slice());
-            }
+        // Reusability: the same session answers the full batch
+        // ungoverned, identically, after any trip.
+        let again = session.run_many(&refs, Engine::auto());
+        for (a, b) in again.iter().zip(&baseline) {
+            prop_assert_eq!(a.nodes().as_slice(), b.nodes().as_slice());
         }
     }
 }
@@ -689,34 +680,32 @@ fn step_counters(out: &QueryOutput) -> Vec<(String, String, usize, u64, u64, u64
 }
 
 /// Runs each of `exprs` alone, ungoverned and then under budgets that
-/// never bind (a pure cancel token, a deadline an hour away), at pool
-/// widths 1, 2 and 4, and returns the first governed run whose nodes or
-/// step counters differ from the ungoverned one.
+/// never bind (a pure cancel token, a deadline an hour away), and
+/// returns the first governed run whose nodes or step counters differ
+/// from the ungoverned one.
 fn first_governance_difference(doc: &Doc, exprs: &[&str], engine: Engine) -> Option<String> {
-    for width in [1usize, 2, 4] {
-        let session = Session::new(doc.clone()).with_threads(width);
-        for expr in exprs {
-            let query = session.prepare(expr).expect("query parses");
-            let free = query.run(engine);
-            let budgets = [
-                Budget::new(),
-                Budget::new().with_deadline_in(Duration::from_secs(3600)),
-            ];
-            for budget in budgets {
-                let governed = match governed(&query, engine, Arc::new(budget)) {
-                    Ok(out) => out,
-                    Err(e) => return Some(format!("width {width}: {expr} tripped: {e}")),
-                };
-                if governed.nodes().as_slice() != free.nodes().as_slice() {
-                    return Some(format!("width {width}: {expr} answered other nodes"));
-                }
-                if step_counters(&governed) != step_counters(&free) {
-                    return Some(format!(
-                        "width {width}: {expr} counted {:?}, ungoverned {:?}",
-                        step_counters(&governed),
-                        step_counters(&free)
-                    ));
-                }
+    let session = Session::new(doc.clone());
+    for expr in exprs {
+        let query = session.prepare(expr).expect("query parses");
+        let free = query.run(engine);
+        let budgets = [
+            Budget::new(),
+            Budget::new().with_deadline_in(Duration::from_secs(3600)),
+        ];
+        for budget in budgets {
+            let governed = match governed(&query, engine, Arc::new(budget)) {
+                Ok(out) => out,
+                Err(e) => return Some(format!("{expr} tripped: {e}")),
+            };
+            if governed.nodes().as_slice() != free.nodes().as_slice() {
+                return Some(format!("{expr} answered other nodes"));
+            }
+            if step_counters(&governed) != step_counters(&free) {
+                return Some(format!(
+                    "{expr} counted {:?}, ungoverned {:?}",
+                    step_counters(&governed),
+                    step_counters(&free)
+                ));
             }
         }
     }
@@ -725,7 +714,7 @@ fn first_governance_difference(doc: &Doc, exprs: &[&str], engine: Engine) -> Opt
 
 /// Governance changes no counter: an untripped governed run of the wire
 /// mix answers the same nodes with the same per-step counters as the
-/// ungoverned run, at every pool width.
+/// ungoverned run.
 #[test]
 fn an_untripped_budget_changes_no_node_and_no_counter() {
     let doc = generate(XmarkConfig::new(0.5));

@@ -171,19 +171,18 @@ fn figure8_partitions() {
     let (result, stats) = ancestor(&doc, &ctx, Variant::Skipping);
     assert_eq!(names(&doc, &result), ["a", "e", "f", "i"]);
     assert_eq!(stats.partitions, 3);
-    // Serial and parallel partition evaluation agree (the parallel
-    // strategy §3.2 hints at: the kernel a session's `[par]` steps run,
-    // which splits only work that amortizes a handoff).
-    let pool = WorkerPool::new(3);
-    let (par, _) = ancestor_pooled(
-        &doc,
-        &ctx,
-        Variant::Skipping,
-        &ScanTest::node(&doc),
-        Some(&pool),
-        &mut Scratch::new(),
-    );
-    assert_eq!(result, par);
+    // Partition i spans [pᵢ₋₁ + 1, pᵢ) and holds only its own step's
+    // ancestors (the independence §3.2 notes would allow a parallel
+    // strategy): evaluated one step at a time and concatenated, the
+    // partitions are the whole answer, in document order.
+    let mut start = 0;
+    let mut concatenated = Vec::new();
+    for c in ctx.iter() {
+        let (own, _) = ancestor(&doc, &Context::singleton(c), Variant::Skipping);
+        concatenated.extend(own.iter().filter(|&v| v >= start && v < c));
+        start = c + 1;
+    }
+    assert_eq!(result.as_slice(), &concatenated[..]);
 }
 
 /// §3.1: following degenerates to the min-postorder context node,

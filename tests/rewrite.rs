@@ -449,36 +449,34 @@ mod abbreviated {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every engine, through `run` and `run_many`, at pool widths 1
-        /// and 4, answers node- and order-identically to the reference's
-        /// literal evaluation of what was typed.
+        /// Every engine, through `run` and `run_many`, answers node- and
+        /// order-identically to the reference's literal evaluation of
+        /// what was typed.
         #[test]
         fn engines_agree_with_the_literal_semantics(
             (xml, exprs) in (arb_xml(), proptest::collection::vec(arb_query(), 1..5))
         ) {
             let tree = Tree::parse(&xml);
             let expected: Vec<Vec<u32>> = exprs.iter().map(|e| tree.eval(e)).collect();
-            for width in [1usize, 4] {
-                let session = Session::parse_xml(&xml).unwrap().with_threads(width);
-                let queries: Vec<Query> = exprs
-                    .iter()
-                    .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?}: {err}")))
-                    .collect();
-                let refs: Vec<&Query> = queries.iter().collect();
-                for engine in engines() {
-                    let batch = session.run_many(&refs, engine);
-                    for ((expr, query), (want, got)) in
-                        exprs.iter().zip(&queries).zip(expected.iter().zip(&batch))
-                    {
-                        prop_assert_eq!(
-                            got.nodes().as_slice(), &want[..],
-                            "run_many: {} via {:?} at width {} on {}", expr, engine, width, xml
-                        );
-                        prop_assert_eq!(
-                            query.run(engine).nodes().as_slice(), &want[..],
-                            "run: {} via {:?} at width {} on {}", expr, engine, width, xml
-                        );
-                    }
+            let session = Session::parse_xml(&xml).unwrap();
+            let queries: Vec<Query> = exprs
+                .iter()
+                .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?}: {err}")))
+                .collect();
+            let refs: Vec<&Query> = queries.iter().collect();
+            for engine in engines() {
+                let batch = session.run_many(&refs, engine);
+                for ((expr, query), (want, got)) in
+                    exprs.iter().zip(&queries).zip(expected.iter().zip(&batch))
+                {
+                    prop_assert_eq!(
+                        got.nodes().as_slice(), &want[..],
+                        "run_many: {} via {:?} on {}", expr, engine, xml
+                    );
+                    prop_assert_eq!(
+                        query.run(engine).nodes().as_slice(), &want[..],
+                        "run: {} via {:?} on {}", expr, engine, xml
+                    );
                 }
             }
         }
@@ -495,50 +493,48 @@ mod abbreviated {
         /// query itself when it is one path. The continuations are asked
         /// again in reverse order at the end, so that regions of
         /// different bounds are both narrowed and widened from one
-        /// another. Run through `run_many` on every engine at pool widths
-        /// 1 and 4, every answer is the reference's.
+        /// another. Run through `run_many` on every engine, every answer
+        /// is the reference's.
         #[test]
         fn batch_memo_agrees_with_the_reference(
             (xml, exprs) in (arb_xml(), proptest::collection::vec(arb_query(), 1..4))
         ) {
             let tree = Tree::parse(&xml);
-            for width in [1usize, 4] {
-                let session = Session::parse_xml(&xml).unwrap().with_threads(width);
-                let mut batch: Vec<String> = Vec::new();
-                let mut regions: Vec<String> = Vec::new();
-                for expr in &exprs {
-                    let query = session.prepare(expr).unwrap_or_else(|err| panic!("{expr:?}: {err}"));
-                    let plan = query.explain(Engine::default());
-                    let root = if expr.trim_start().starts_with('/') { "/" } else { "" };
-                    let prefix = format!("{root}{}", plan.branches()[0].steps()[0].source());
-                    let following = format!("{prefix}/following::node()");
-                    let preceding = format!("{prefix}/preceding::node()");
-                    regions.extend([preceding.clone(), following.clone()]);
-                    batch.extend([expr.clone(), expr.clone(), following, prefix, preceding]);
-                    if !expr.contains('|') {
-                        for axis in ["preceding", "following"] {
-                            let continued = format!("{expr}/{axis}::node()");
-                            regions.push(continued.clone());
-                            batch.push(continued);
-                        }
+            let session = Session::parse_xml(&xml).unwrap();
+            let mut batch: Vec<String> = Vec::new();
+            let mut regions: Vec<String> = Vec::new();
+            for expr in &exprs {
+                let query = session.prepare(expr).unwrap_or_else(|err| panic!("{expr:?}: {err}"));
+                let plan = query.explain(Engine::default());
+                let root = if expr.trim_start().starts_with('/') { "/" } else { "" };
+                let prefix = format!("{root}{}", plan.branches()[0].steps()[0].source());
+                let following = format!("{prefix}/following::node()");
+                let preceding = format!("{prefix}/preceding::node()");
+                regions.extend([preceding.clone(), following.clone()]);
+                batch.extend([expr.clone(), expr.clone(), following, prefix, preceding]);
+                if !expr.contains('|') {
+                    for axis in ["preceding", "following"] {
+                        let continued = format!("{expr}/{axis}::node()");
+                        regions.push(continued.clone());
+                        batch.push(continued);
                     }
                 }
-                batch.extend(regions.into_iter().rev());
-                let expected: Vec<Vec<u32>> = batch.iter().map(|e| tree.eval(e)).collect();
-                let queries: Vec<Query> = batch
-                    .iter()
-                    .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?}: {err}")))
-                    .collect();
-                let refs: Vec<&Query> = queries.iter().collect();
-                for engine in engines() {
-                    let outs = session.run_many(&refs, engine);
-                    for ((e, want), got) in batch.iter().zip(&expected).zip(&outs) {
-                        prop_assert_eq!(
-                            got.nodes().as_slice(), &want[..],
-                            "{} in a batch with {:?} via {:?} at width {} on {}",
-                            e, batch, engine, width, xml
-                        );
-                    }
+            }
+            batch.extend(regions.into_iter().rev());
+            let expected: Vec<Vec<u32>> = batch.iter().map(|e| tree.eval(e)).collect();
+            let queries: Vec<Query> = batch
+                .iter()
+                .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?}: {err}")))
+                .collect();
+            let refs: Vec<&Query> = queries.iter().collect();
+            for engine in engines() {
+                let outs = session.run_many(&refs, engine);
+                for ((e, want), got) in batch.iter().zip(&expected).zip(&outs) {
+                    prop_assert_eq!(
+                        got.nodes().as_slice(), &want[..],
+                        "{} in a batch with {:?} via {:?} on {}",
+                        e, batch, engine, xml
+                    );
                 }
             }
         }
@@ -580,7 +576,7 @@ mod abbreviated {
     /// `child::name` after a fragment step joins the list under auto and
     /// hops over the children under every fixed engine: the same nodes,
     /// in document order, on a one-tag chain whose context nodes nest
-    /// and on XMark — at pool widths 1 and 4, against the tree walk.
+    /// and on XMark — against the tree walk.
     #[test]
     fn child_name_steps_match_the_reference_on_every_engine() {
         let chain = String::from("<a><a><a><a/><a/></a><a/></a><a/></a>");
@@ -598,19 +594,13 @@ mod abbreviated {
             ),
         ] {
             let tree = Tree::parse(xml);
-            for width in [1usize, 4] {
-                let session = Session::parse_xml(xml).unwrap().with_threads(width);
-                for &expr in exprs {
-                    let want = tree.eval(expr);
-                    assert!(!want.is_empty(), "{expr}");
-                    for &engine in &all {
-                        let got = session.run(expr, engine).unwrap();
-                        assert_eq!(
-                            got.nodes().as_slice(),
-                            &want[..],
-                            "{expr} via {engine:?} at width {width}"
-                        );
-                    }
+            let session = Session::parse_xml(xml).unwrap();
+            for &expr in exprs {
+                let want = tree.eval(expr);
+                assert!(!want.is_empty(), "{expr}");
+                for &engine in &all {
+                    let got = session.run(expr, engine).unwrap();
+                    assert_eq!(got.nodes().as_slice(), &want[..], "{expr} via {engine:?}");
                 }
             }
         }

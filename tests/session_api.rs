@@ -151,35 +151,31 @@ proptest! {
     }
 
     /// The adaptive engine is node- and order-identical to every fixed
-    /// engine through both `run` and `run_many`, at every session pool
-    /// width — re-planning may change access paths, never answers.
+    /// engine through both `run` and `run_many` — re-planning may change
+    /// access paths, never answers.
     #[test]
-    fn adaptive_agrees_at_every_pool_width((doc, query) in (arb_doc(), arb_query())) {
-        for width in [1usize, 2, 4] {
-            let session = Session::new(doc.clone()).with_threads(width);
-            let prepared = session.prepare(&query)
-                .unwrap_or_else(|e| panic!("generated query {query:?} must parse: {e}"));
-            let reference = prepared.run(Engine::naive());
-            let single = prepared.run(Engine::adaptive());
+    fn adaptive_agrees_through_run_and_run_many((doc, query) in (arb_doc(), arb_query())) {
+        let session = Session::new(doc);
+        let prepared = session.prepare(&query)
+            .unwrap_or_else(|e| panic!("generated query {query:?} must parse: {e}"));
+        let reference = prepared.run(Engine::naive());
+        let single = prepared.run(Engine::adaptive());
+        prop_assert_eq!(
+            single.nodes(),
+            reference.nodes(),
+            "run: {}",
+            query
+        );
+        // The same query twice in one batch: both lanes re-plan (or
+        // decline to) independently and agree with the fixed run.
+        let batch = session.run_many(&[&prepared, &prepared], Engine::adaptive());
+        for out in &batch {
             prop_assert_eq!(
-                single.nodes(),
+                out.nodes(),
                 reference.nodes(),
-                "run at width {}: {}",
-                width,
+                "run_many: {}",
                 query
             );
-            // The same query twice in one batch: both lanes re-plan (or
-            // decline to) independently and agree with the fixed run.
-            let batch = session.run_many(&[&prepared, &prepared], Engine::adaptive());
-            for out in &batch {
-                prop_assert_eq!(
-                    out.nodes(),
-                    reference.nodes(),
-                    "run_many at width {}: {}",
-                    width,
-                    query
-                );
-            }
         }
     }
 
@@ -696,19 +692,16 @@ fn auto_replans_when_estimates_mislead() {
     let plan = session.explain(&expr, Engine::auto()).unwrap();
     assert!(!plan.to_string().contains("[replan]"));
 
-    // The switch also fires identically through run_many at every pool
-    // width.
-    for width in [1usize, 2, 4] {
-        let session = Session::parse_xml(&xml).unwrap().with_threads(width);
-        let query = session.prepare(&expr).unwrap();
-        let outs = session.run_many(&[&query, &query], Engine::auto());
-        for out in &outs {
-            assert_eq!(out.nodes(), auto.nodes(), "width {width}");
-            assert!(
-                out.stats().steps.iter().any(|s| s.replanned),
-                "width {width}: batch lanes must replan too"
-            );
-        }
+    // The switch also fires identically through run_many.
+    let session = Session::parse_xml(&xml).unwrap();
+    let query = session.prepare(&expr).unwrap();
+    let outs = session.run_many(&[&query, &query], Engine::auto());
+    for out in &outs {
+        assert_eq!(out.nodes(), auto.nodes());
+        assert!(
+            out.stats().steps.iter().any(|s| s.replanned),
+            "batch lanes must replan too"
+        );
     }
 
     // The misleading-statistics document's nested `b` frontier is priced
@@ -742,37 +735,35 @@ fn auto_replans_a_query_the_same_alone_and_batched() {
     let xml = flip_xml();
     let query = format!("/descendant::*{}/descendant::x", "[self::a]".repeat(15));
     let fragments = "/descendant::x";
-    for width in [1usize, 4] {
-        let session = Session::parse_xml(&xml).unwrap().with_threads(width);
-        let ops = |expr: &str| -> Vec<StepOp> {
-            let plan = session.explain(expr, Engine::auto()).unwrap();
-            plan.branches()[0]
-                .steps()
-                .iter()
-                .map(|s| s.operator().clone())
-                .collect()
-        };
-        // The query's plan needs no index; its partner's does.
-        assert!(ops(&query)
+    let session = Session::parse_xml(&xml).unwrap();
+    let ops = |expr: &str| -> Vec<StepOp> {
+        let plan = session.explain(expr, Engine::auto()).unwrap();
+        plan.branches()[0]
+            .steps()
             .iter()
-            .all(|op| matches!(op, StepOp::Staircase { .. })));
-        assert!(ops(fragments)
-            .iter()
-            .any(|op| matches!(op, StepOp::Fragment { prescan: false })));
-        let [q, f] = [query.as_str(), fragments].map(|e| session.prepare(e).unwrap());
-        let alone = q.run(Engine::auto());
-        let batch = session.run_many(&[&q, &f], Engine::auto());
-        assert_eq!(session.aux_builds().tag_index, 1, "width {width}");
-        assert_eq!(batch[0].nodes(), alone.nodes(), "width {width}");
-        let last = alone.stats().steps.last().unwrap();
-        assert!(!last.replanned, "width {width}: {}", last.op);
-        assert_eq!(last.nodes_touched, 32_001, "width {width}");
-        assert_eq!(
-            batch[0].stats().steps,
-            alone.stats().steps,
-            "width {width}: a batch partner changed the query's plan"
-        );
-    }
+            .map(|s| s.operator().clone())
+            .collect()
+    };
+    // The query's plan needs no index; its partner's does.
+    assert!(ops(&query)
+        .iter()
+        .all(|op| matches!(op, StepOp::Staircase { .. })));
+    assert!(ops(fragments)
+        .iter()
+        .any(|op| matches!(op, StepOp::Fragment { prescan: false })));
+    let [q, f] = [query.as_str(), fragments].map(|e| session.prepare(e).unwrap());
+    let alone = q.run(Engine::auto());
+    let batch = session.run_many(&[&q, &f], Engine::auto());
+    assert_eq!(session.aux_builds().tag_index, 1);
+    assert_eq!(batch[0].nodes(), alone.nodes());
+    let last = alone.stats().steps.last().unwrap();
+    assert!(!last.replanned, "{}", last.op);
+    assert_eq!(last.nodes_touched, 32_001);
+    assert_eq!(
+        batch[0].stats().steps,
+        alone.stats().steps,
+        "a batch partner changed the query's plan"
+    );
 }
 
 /// `auto` never plans or builds the Figure-3 SQL baseline: on fresh
@@ -822,26 +813,23 @@ const POINT: [&str; 12] = [
 ];
 
 /// The selective point queries are well estimated: auto runs their plans
-/// as planned, alone and batched, at every pool width — re-planning is
-/// reserved for estimates that are off by the disagreement factor.
+/// as planned, alone and batched — re-planning is reserved for
+/// estimates that are off by the disagreement factor.
 #[test]
 fn point_queries_never_replan_under_auto() {
-    let doc = generate(XmarkConfig::new(1.0));
-    for width in [1usize, 4] {
-        let session = Session::new(doc.clone()).with_threads(width);
-        let queries: Vec<Query> = POINT.iter().map(|e| session.prepare(e).unwrap()).collect();
-        let refs: Vec<&Query> = queries.iter().collect();
-        let batch = session.run_many(&refs, Engine::auto());
-        for ((expr, query), batched) in POINT.iter().zip(&queries).zip(&batch) {
-            let alone = query.run(Engine::auto());
-            assert_eq!(batched.nodes(), alone.nodes(), "{expr}");
-            for (how, out) in [("alone", &alone), ("run_many", batched)] {
-                assert!(
-                    out.stats().steps.iter().all(|s| !s.replanned),
-                    "width {width}, {how}: {expr} replanned: {:?}",
-                    out.stats().steps
-                );
-            }
+    let session = Session::new(generate(XmarkConfig::new(1.0)));
+    let queries: Vec<Query> = POINT.iter().map(|e| session.prepare(e).unwrap()).collect();
+    let refs: Vec<&Query> = queries.iter().collect();
+    let batch = session.run_many(&refs, Engine::auto());
+    for ((expr, query), batched) in POINT.iter().zip(&queries).zip(&batch) {
+        let alone = query.run(Engine::auto());
+        assert_eq!(batched.nodes(), alone.nodes(), "{expr}");
+        for (how, out) in [("alone", &alone), ("run_many", batched)] {
+            assert!(
+                out.stats().steps.iter().all(|s| !s.replanned),
+                "{how}: {expr} replanned: {:?}",
+                out.stats().steps
+            );
         }
     }
 }

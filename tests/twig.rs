@@ -1,9 +1,8 @@
 //! Worst-case-optimal twig matching, exercised end to end: the fused
 //! `StepOp::Twig` leapfrog must answer node- and order-identically to
 //! every fixed step-at-a-time engine — on random documents and random
-//! branching queries, through `Session::run_many`, and at worker-pool
-//! widths 1/2/4 — while its `StepTrace` reports the *actual* leapfrog
-//! seeks. Plus cursor unit tests at word and fragment boundaries.
+//! branching queries, and through `Session::run_many` — while its
+//! `StepTrace` reports the *actual* leapfrog seeks. Plus cursor unit tests at word and fragment boundaries.
 
 use proptest::prelude::*;
 use staircase_suite::prelude::*;
@@ -102,43 +101,35 @@ proptest! {
     /// The acceptance property: `Engine::twig()` and `Engine::auto()`
     /// answer node- and order-identically to every fixed engine on
     /// random documents and random branching queries — one query at a
-    /// time, through `run_many`, and at pool widths 1, 2, and 4.
+    /// time, and through `run_many`.
     #[test]
     fn twig_matches_every_fixed_engine(
         (doc, exprs) in (arb_doc(), proptest::collection::vec(arb_twig_query(), 1..5))
     ) {
-        let sessions: Vec<Session> = [1usize, 2, 4]
-            .into_iter()
-            .map(|w| Session::new(doc.clone()).with_threads(w))
-            .collect();
+        let session = Session::new(doc);
         let reference_engine = fixed_engines()[0];
-        for session in &sessions {
-            let queries: Vec<Query> = exprs
-                .iter()
-                .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?} must parse: {err}")))
-                .collect();
-            let reference: Vec<QueryOutput> =
-                queries.iter().map(|q| q.run(reference_engine)).collect();
-            // Fixed engines agree among themselves (the existing
-            // invariant twig must join).
-            for engine in &fixed_engines()[1..] {
-                for ((e, q), r) in exprs.iter().zip(&queries).zip(&reference) {
-                    prop_assert_eq!(q.run(*engine).nodes(), r.nodes(),
-                        "{} via {:?} at width {}", e, engine, session.threads());
-                }
+        let queries: Vec<Query> = exprs
+            .iter()
+            .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?} must parse: {err}")))
+            .collect();
+        let reference: Vec<QueryOutput> =
+            queries.iter().map(|q| q.run(reference_engine)).collect();
+        // Fixed engines agree among themselves (the existing invariant
+        // twig must join).
+        for engine in &fixed_engines()[1..] {
+            for ((e, q), r) in exprs.iter().zip(&queries).zip(&reference) {
+                prop_assert_eq!(q.run(*engine).nodes(), r.nodes(), "{} via {:?}", e, engine);
             }
-            for engine in [Engine::twig(), Engine::auto()] {
-                for ((e, q), r) in exprs.iter().zip(&queries).zip(&reference) {
-                    prop_assert_eq!(q.run(engine).nodes(), r.nodes(),
-                        "{} via {:?} at width {}", e, engine, session.threads());
-                }
-                // The lane executor path: run_many over the whole batch.
-                let refs: Vec<&Query> = queries.iter().collect();
-                let batch = session.run_many(&refs, engine);
-                for ((e, b), r) in exprs.iter().zip(&batch).zip(&reference) {
-                    prop_assert_eq!(b.nodes(), r.nodes(),
-                        "run_many {} via {:?} at width {}", e, engine, session.threads());
-                }
+        }
+        for engine in [Engine::twig(), Engine::auto()] {
+            for ((e, q), r) in exprs.iter().zip(&queries).zip(&reference) {
+                prop_assert_eq!(q.run(engine).nodes(), r.nodes(), "{} via {:?}", e, engine);
+            }
+            // The lane executor path: run_many over the whole batch.
+            let refs: Vec<&Query> = queries.iter().collect();
+            let batch = session.run_many(&refs, engine);
+            for ((e, b), r) in exprs.iter().zip(&batch).zip(&reference) {
+                prop_assert_eq!(b.nodes(), r.nodes(), "run_many {} via {:?}", e, engine);
             }
         }
     }

@@ -396,30 +396,33 @@ fn usage_errors_exit_with_usage_code() {
     assert_eq!(out.status.code(), Some(2), "missing query exits 2");
 }
 
+/// `--threads` is no option (every query runs on the calling thread):
+/// it exits 2 with the usage text, with or without a variant, while
+/// each variant alone still answers.
 #[test]
 fn threads_and_variant_flags() {
     let dir = tempdir();
     let file = dir.join("flags.xml");
     std::fs::write(&file, SAMPLE).unwrap();
     for variant in ["basic", "skipping", "estimation"] {
-        let out = xq()
-            .args([
-                "/descendant::increase/ancestor::bidder",
-                file.to_str().unwrap(),
-                "--count",
-                "--variant",
-                variant,
-                "--threads",
-                "2",
-            ])
-            .output()
-            .unwrap();
+        let args = [
+            "/descendant::increase/ancestor::bidder",
+            file.to_str().unwrap(),
+            "--count",
+            "--variant",
+            variant,
+        ];
+        let out = xq().args(args).output().unwrap();
         assert!(out.status.success(), "variant {variant}");
         assert_eq!(
             String::from_utf8_lossy(&out.stdout).trim(),
             "2",
             "variant {variant}"
         );
+        let out = xq().args(args).args(["--threads", "2"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "variant {variant} --threads 2");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: xq"));
+        assert!(out.stdout.is_empty(), "no count printed");
     }
 }
 
@@ -449,8 +452,8 @@ fn variant_on_non_staircase_engine_exits_with_usage_code() {
 
 #[test]
 fn threads_flag_applies_to_every_engine() {
-    // --threads sizes the session's worker pool for any engine, the
-    // plain staircase join included, with identical results.
+    // --threads is refused alike on every engine: a usage error, as is
+    // any value of it.
     let dir = tempdir();
     let file = dir.join("threads-any.xml");
     std::fs::write(&file, SAMPLE).unwrap();
@@ -462,46 +465,27 @@ fn threads_flag_applies_to_every_engine() {
         "sql",
         "auto",
     ] {
-        let out = xq()
-            .args([
-                "/descendant::increase/ancestor::bidder",
-                file.to_str().unwrap(),
-                "--count",
-                "--engine",
-                engine,
-                "--threads",
-                "4",
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "engine {engine}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout).trim(),
-            "2",
-            "engine {engine}"
-        );
+        for n in ["0", "1", "4"] {
+            let out = xq()
+                .args([
+                    "/descendant::increase/ancestor::bidder",
+                    file.to_str().unwrap(),
+                    "--count",
+                    "--engine",
+                    engine,
+                    "--threads",
+                    n,
+                ])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "engine {engine}, --threads {n}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("usage: xq"),
+                "engine {engine}, --threads {n}"
+            );
+        }
     }
-    // Zero workers is rejected uniformly, whatever the engine.
-    for engine_args in [
-        &["--threads", "0"][..],
-        &["--engine", "auto", "--threads", "0"][..],
-    ] {
-        let out = xq()
-            .args(["//bidder", file.to_str().unwrap()])
-            .args(engine_args)
-            .output()
-            .unwrap();
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "zero workers exit 2 ({engine_args:?})"
-        );
-    }
-    // `parallel` is no engine: the pool is `--threads`, for every engine.
+    // `parallel` is no engine either.
     let out = xq()
         .args(["//bidder", file.to_str().unwrap(), "--engine", "parallel"])
         .output()
@@ -757,14 +741,10 @@ fn connect_mode_maps_server_errors_to_local_exit_codes() {
 
     // Local-only flags are rejected up front, not silently ignored.
     let out = xq()
-        .args(["//bidder", "--connect", &addr, "--threads", "4"])
+        .args(["//bidder", "--connect", &addr, "--warm"])
         .output()
         .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "--threads with --connect exits 2"
-    );
+    assert_eq!(out.status.code(), Some(2), "--warm with --connect exits 2");
     handle.shutdown_and_join();
 
     // Nobody listening: transport errors are I/O errors.
