@@ -378,15 +378,6 @@ impl Doc {
         (self.post(v) as i64 - v as i64 + self.level(v) as i64) as u32
     }
 
-    /// The guaranteed-descendant run length used by the copy phase of
-    /// estimation-based skipping (Algorithm 4): the first
-    /// `post(v) − pre(v)` nodes after `v` in preorder are descendants of
-    /// `v` (their count underestimates Eq. 1 by exactly `level(v) ≤ h`).
-    #[inline]
-    pub fn guaranteed_descendants(&self, v: Pre) -> u32 {
-        self.post(v).saturating_sub(v)
-    }
-
     /// The height-bounded descendant window of `v` — the paper's line-7
     /// predicate pair: descendants satisfy
     /// `pre ∈ (pre(v), post(v) + h]` and `post ∈ [pre(v) − h, post(v))`.
@@ -1031,22 +1022,6 @@ mod tests {
         posts.sort_unstable();
         let expected: Vec<Post> = (0..doc.len() as Post).collect();
         assert_eq!(posts, expected);
-    }
-
-    #[test]
-    fn guaranteed_descendants_underestimates_by_at_most_level() {
-        let doc = figure1();
-        for p in doc.pres() {
-            let exact = doc.subtree_size(p);
-            let guess = doc.guaranteed_descendants(p);
-            assert!(guess <= exact);
-            // Without saturation the gap is exactly level(p); saturation
-            // (post < pre on early leaves) can only shrink it.
-            assert!(exact - guess <= doc.level(p) as u32);
-            if doc.post(p) >= p {
-                assert_eq!(exact - guess, doc.level(p) as u32);
-            }
-        }
     }
 
     #[test]

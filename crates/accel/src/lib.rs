@@ -23,9 +23,10 @@
 //!   rectangles; the *reference* implementation baselines and property
 //!   tests are checked against.
 //! * [`Context`] — a duplicate-free, document-ordered context sequence.
-//! * Equation (1) machinery: [`Doc::subtree_size`] (exact) and the
-//!   height-bounded descendant window used by both the estimation-based
-//!   skipping and the tree-aware baseline predicate (paper line 7).
+//! * Equation (1) machinery: [`Doc::subtree_size`] (exact, since `level`
+//!   is stored) and the height-bounded descendant window of the
+//!   tree-aware SQL baseline's predicate (paper line 7), which reads no
+//!   `level`.
 
 #![warn(missing_docs)]
 

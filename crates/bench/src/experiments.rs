@@ -161,6 +161,14 @@ pub fn fig11b(workloads: &[Workload], runs: usize) -> Table {
 /// **Figure 11(c)** — effectiveness of skipping: nodes accessed by the
 /// second axis step of Q1 under the three join variants, against the
 /// result size.
+///
+/// The "skipping (estimated)" column is Algorithm 4 with Equation 1
+/// exact (`level` is stored): it copies each profile's subtree and
+/// touches no node past it — the result plus the attributes inside the
+/// subtrees, one node per profile fewer than "skipping", which compares
+/// its way to each partition's first miss. The paper's Algorithm 4
+/// touched what "skipping" touches: its scan phase still read the last
+/// `level` descendants and the miss, only with fewer comparisons.
 pub fn fig11c(workloads: &[Workload]) -> Table {
     let mut t = Table::new(
         "Figure 11(c): skipping, nodes accessed (Q1 second step)",

@@ -6,9 +6,10 @@ use crate::batch::Scratch;
 use crate::mask::ScanTest;
 use crate::prune::{prune_ancestor_into, prune_and_scan};
 use crate::stats::StepStats;
-use crate::Variant;
+use crate::{subtree_ends, Variant};
 
-/// Evaluates `context/ancestor::node()` with the staircase join.
+/// Evaluates `context/ancestor::node()` with the staircase join:
+/// [`ancestor_pooled`] with the `node()` test on a fresh scratch pool.
 ///
 /// After pruning (only the deepest node of each ancestor chain remains),
 /// the plane is scanned left to right in partitions: the partition *ending*
@@ -16,32 +17,26 @@ use crate::Variant;
 /// boundary is `post(cᵢ)` and a node passes with `post > post(cᵢ)`.
 ///
 /// Skipping (§3.3): a node `v` inside `cᵢ`'s partition with
-/// `post(v) < post(cᵢ)` precedes `cᵢ`, and so does `v`'s entire subtree —
-/// Equation (1) licenses a jump of `post(v) − pre(v)` nodes ("slightly less
-/// effective" than the descendant skip because the jump is an
-/// underestimate, maximally off by the document height `h`).
-/// [`Variant::Skipping`] and [`Variant::EstimationSkipping`] are identical
-/// here; the estimate *is* the skip. This is [`ancestor_tested`] with the
-/// `node()` test.
+/// `post(v) < post(cᵢ)` precedes `cᵢ`, and so does `v`'s entire subtree
+/// `(v, end(v)]`, which therefore ends before `cᵢ`: the scan jumps it
+/// whole. The paper's jump was `post(v) − pre(v)`, an underestimate by
+/// `level(v)`; with `level` stored, Equation (1) is exact and no position
+/// inside a jumped subtree is visited. [`Variant::Skipping`] and
+/// [`Variant::EstimationSkipping`] are identical here.
 pub fn ancestor(doc: &Doc, context: &Context, variant: Variant) -> (Context, StepStats) {
-    ancestor_tested(doc, context, variant, &ScanTest::node(doc))
+    ancestor_pooled(
+        doc,
+        context,
+        variant,
+        &ScanTest::node(doc),
+        &mut Scratch::new(),
+    )
 }
 
 /// Evaluates `context/ancestor::test`: the staircase join with the
-/// step's node test riding the scan. Every [`StepStats`] field but
-/// `result_size` equals [`ancestor`]'s.
-pub fn ancestor_tested(
-    doc: &Doc,
-    context: &Context,
-    variant: Variant,
-    test: &ScanTest<'_>,
-) -> (Context, StepStats) {
-    ancestor_pooled(doc, context, variant, test, &mut Scratch::new())
-}
-
-/// Evaluates `context/ancestor::test` — [`ancestor_tested`] — with the
-/// pruned boundary list and the result drawn from `scratch` (see
-/// [`crate::descendant_pooled`]).
+/// step's node test riding the scan, the pruned boundary list and the
+/// result drawn from `scratch` (see [`crate::descendant_pooled`]). Every
+/// [`StepStats`] field but `result_size` equals [`ancestor`]'s.
 pub fn ancestor_pooled(
     doc: &Doc,
     context: &Context,
@@ -70,14 +65,14 @@ fn ancestor_partitions(
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
+    let end_of = subtree_ends(doc);
     // Cooperative stop: tick every visited position, chunk governed
     // mask-kernel ranges, abandon mid-scan on a trip (partial `result`
     // is discarded by the caller).
     let mut gov = crate::governor::Ticker::ambient();
 
-    // Pre-size from the pruned-context height bound (the ancestor-side
-    // counterpart of the descendant join's Equation-1 pre-sizing): each
-    // step contributes at most `h` ancestors, and every ancestor lies
+    // Pre-size from the pruned-context height bound: each step
+    // contributes at most `h` ancestors, and every ancestor lies
     // strictly left of the last step.
     if let Some(&last) = steps.last() {
         let bound = (steps.len() * (doc.height() as usize + 1)).min(last as usize);
@@ -118,11 +113,12 @@ fn ancestor_partitions(
                         }
                         v += 1;
                     } else {
-                        // v (and its whole subtree) precedes c: skip the
-                        // guaranteed-descendant block.
-                        let jump = post[v as usize].saturating_sub(v).min(c - v - 1);
-                        stats.nodes_skipped += u64::from(jump);
-                        v += 1 + jump;
+                        // v precedes c, and so does its whole subtree,
+                        // which ends before c: jump it.
+                        let last = end_of(v);
+                        debug_assert!(last < c, "a preceding subtree ends before c");
+                        stats.nodes_skipped += u64::from(last - v);
+                        v = last + 1;
                     }
                 }
             }
@@ -216,6 +212,34 @@ mod tests {
             basic.nodes_scanned,
             "every basic-scanned node is either scanned or skipped"
         );
+    }
+
+    /// A jump takes a preceding node's whole subtree: by a tree walk,
+    /// the skipping scan visits exactly the nodes of each partition with
+    /// no preceding ancestor inside it (`c`'s ancestors and the roots of
+    /// the preceding subtrees), and skips every other position.
+    #[test]
+    fn skipping_never_visits_a_jumped_subtree() {
+        for seed in 0..25 {
+            let doc = random_doc(seed, 600);
+            let ctx = random_context(&doc, seed ^ 0x1A1A, 30);
+            let steps = crate::prune_ancestor(&doc, &ctx);
+            let (mut visited, mut positions, mut start) = (0u64, 0u64, 0);
+            for c in steps.iter() {
+                let chain: Vec<Pre> = doc.ancestors(c).collect();
+                let jumped = |u: Pre| u >= start && !chain.contains(&u);
+                visited += (start..c)
+                    .filter(|&v| !doc.ancestors(v).any(jumped))
+                    .count() as u64;
+                positions += u64::from(c - start);
+                start = c + 1;
+            }
+            for variant in [Variant::Skipping, Variant::EstimationSkipping] {
+                let (_, stats) = ancestor(&doc, &ctx, variant);
+                assert_eq!(stats.nodes_scanned, visited, "seed {seed} {variant:?}");
+                assert_eq!(stats.nodes_skipped, positions - visited, "seed {seed}");
+            }
+        }
     }
 
     #[test]

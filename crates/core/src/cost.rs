@@ -200,8 +200,17 @@ impl DocStats {
     /// * [`Variant::Basic`] (Algorithm 2) scans every partition to its
     ///   end — essentially the rest of the plane.
     /// * [`Variant::Skipping`] / [`Variant::EstimationSkipping`]
-    ///   (Algorithms 3/4) touch at most `|window| + |context|` nodes plus
-    ///   a height-bounded scan phase per partition (§3.3 / Equation 1).
+    ///   (Algorithms 3/4) are priced at `|window|` plus `card · (1 + h)`:
+    ///   the paper's height-bounded scan phase per partition (§3.3 /
+    ///   Equation 1).
+    ///
+    /// With `level` stored, Equation 1 is exact and the kernels no longer
+    /// pay that term: `EstimationSkipping` touches the window and nothing
+    /// else, `Skipping` one miss per partition past it. The price keeps
+    /// the term anyway, because every `auto` choice between this join
+    /// and its alternatives was fitted against it; dropping it alone
+    /// would move plans. Re-pricing every operator by its exact bound is
+    /// ROADMAP item 4.
     pub fn staircase_cost(&self, variant: Variant, card: f64, window: f64) -> f64 {
         let basic = (self.nodes as f64).max(window);
         match variant {

@@ -6,9 +6,10 @@ use crate::batch::Scratch;
 use crate::mask::ScanTest;
 use crate::prune::{prune_and_scan, prune_descendant_into};
 use crate::stats::StepStats;
-use crate::Variant;
+use crate::{subtree_ends, Variant};
 
-/// Evaluates `context/descendant::node()` with the staircase join.
+/// Evaluates `context/descendant::node()` with the staircase join:
+/// [`descendant_pooled`] with the `node()` test on a fresh scratch pool.
 ///
 /// The context is pruned (covered subtrees removed), then the plane is
 /// scanned partition by partition: partition `i` spans the pre ranks
@@ -18,35 +19,29 @@ use crate::Variant;
 /// * [`Variant::Basic`] — scan to the partition's end (Algorithm 2),
 /// * [`Variant::Skipping`] — stop at the first node outside the boundary;
 ///   the rest of the partition is a provably empty Z-region (Algorithm 3),
-/// * [`Variant::EstimationSkipping`] — first *copy* the `post(c) − pre(c)`
-///   guaranteed descendants without comparisons, then scan at most
-///   `h` more nodes (Algorithm 4, Equation 1).
+/// * [`Variant::EstimationSkipping`] — *copy* the step's subtree
+///   `(c, end(c)]` without comparisons and skip the rest of the partition
+///   (Algorithm 4 with Equation 1 exact: no scan phase is left).
 ///
 /// Results arrive duplicate-free in document order; attribute nodes are
-/// filtered out (no axis except `attribute` yields them). This is
-/// [`descendant_tested`] with the `node()` test.
+/// filtered out (no axis except `attribute` yields them).
 pub fn descendant(doc: &Doc, context: &Context, variant: Variant) -> (Context, StepStats) {
-    descendant_tested(doc, context, variant, &ScanTest::node(doc))
+    descendant_pooled(
+        doc,
+        context,
+        variant,
+        &ScanTest::node(doc),
+        &mut Scratch::new(),
+    )
 }
 
 /// Evaluates `context/descendant::test`: the staircase join with the
 /// step's node test riding the scan (§4.4 pushes the name test *through*
-/// the join). The scan reads exactly the positions [`descendant`] reads —
+/// the join), the pruned boundary list and the result drawn from
+/// `scratch`, so a long-lived evaluator reuses both allocations across
+/// steps. The scan reads exactly the positions [`descendant`] reads —
 /// every [`StepStats`] field but `result_size` is the same whatever
 /// `test` keeps — but only the kept nodes are ever written out.
-pub fn descendant_tested(
-    doc: &Doc,
-    context: &Context,
-    variant: Variant,
-    test: &ScanTest<'_>,
-) -> (Context, StepStats) {
-    descendant_pooled(doc, context, variant, test, &mut Scratch::new())
-}
-
-/// Evaluates `context/descendant::test` — [`descendant_tested`] — with
-/// the pruned boundary list and the result drawn from `scratch`, so a
-/// long-lived evaluator reuses both allocations across steps. Results
-/// and statistics are [`descendant_tested`]'s.
 pub fn descendant_pooled(
     doc: &Doc,
     context: &Context,
@@ -104,25 +99,6 @@ pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Cont
     (Context::from_sorted(result), stats)
 }
 
-/// Equation-1 pre-sizing: the first `post(c) − pre(c)` nodes after each
-/// step are guaranteed descendants, so their sum over a pruned step
-/// slice (whose last partition ends at `end`, exclusive) is a tight
-/// lower bound on the join's result size — exact up to attribute
-/// filtering and the ≤ h scan-phase nodes per partition. Sizes the
-/// partition loop's result, and is exposed so planners
-/// (see [`crate::cost`]) can turn a context *in hand* into an exact
-/// window where the statistical estimate would have to guess.
-pub fn guaranteed_result_estimate(post: &[u32], steps: &[Pre], end: Pre) -> usize {
-    steps
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            let part_end = steps.get(i + 1).copied().unwrap_or(end);
-            post[c as usize].saturating_sub(c).min(part_end - c - 1) as usize
-        })
-        .sum()
-}
-
 /// Evaluates the partitions induced by `steps` (a pruned, staircase-shaped
 /// context slice); the last partition ends at `end` (exclusive).
 fn descendant_partitions(
@@ -135,77 +111,79 @@ fn descendant_partitions(
     stats: &mut StepStats,
 ) {
     let post = doc.post_column();
+    let end_of = subtree_ends(doc);
     // Governed scans stop cooperatively: every visited position is
     // ticked, long comparison-free ranges are chunked so a deadline
     // cannot hide behind one huge partition, and a trip abandons the
     // scan mid-flight (the partial `result` is discarded by the caller).
     let mut gov = crate::governor::Ticker::ambient();
 
-    // Equation 1 sizes the region; the test's cardinality caps it, so a
-    // selective test does not reserve the plane for a handful of hits.
-    let region = guaranteed_result_estimate(post, steps, end);
+    // The steps' subtrees are disjoint, so Equation 1 sizes the region
+    // exactly; the test's cardinality caps it, so a selective test does
+    // not reserve the plane for a handful of hits.
+    let region: usize = steps.iter().map(|&c| (end_of(c) - c) as usize).sum();
     result.reserve(test.reserve_for(region));
 
     for (i, &c) in steps.iter().enumerate() {
         let part_end = steps.get(i + 1).copied().unwrap_or(end);
-        debug_assert!(part_end > c);
+        debug_assert!(
+            part_end > end_of(c),
+            "a pruned step's subtree ends in its partition"
+        );
         stats.partitions += 1;
         crate::faults::fail_point("core::desc::partition");
         if gov.tick(1) {
             return;
         }
         let bound = post[c as usize];
-        let mut v = c + 1;
-
         match variant {
             Variant::Basic => {
                 // Algorithm 2: inspect the entire partition. Every
                 // position is charged regardless of the per-node test,
                 // so the counter is arithmetic and the filter runs
                 // through the 64-lane mask kernel.
-                if gov.charged_run(v, part_end, &mut stats.nodes_scanned, |lo, hi| {
+                if gov.charged_run(c + 1, part_end, &mut stats.nodes_scanned, |lo, hi| {
                     crate::mask::select_where(lo, hi, result, |v| {
                         post[v as usize] < bound && test.keeps(v)
                     })
                 }) {
                     return;
                 }
-                continue;
             }
-            Variant::Skipping => {}
+            Variant::Skipping => {
+                // Algorithm 3: the first node v with post(v) ≥ post(c)
+                // follows c, so c and v share no descendants — the rest
+                // of the partition is empty (Z-region, Figure 7(b)). The
+                // comparisons find where the descendants end; what the
+                // test keeps of them is one range select.
+                let mut v = c + 1;
+                while v < part_end {
+                    stats.nodes_scanned += 1;
+                    if gov.tick(1) {
+                        return;
+                    }
+                    if post[v as usize] >= bound {
+                        stats.nodes_skipped += u64::from(part_end - v - 1);
+                        break;
+                    }
+                    v += 1;
+                }
+                test.select_range(c + 1, v, result);
+            }
             Variant::EstimationSkipping => {
-                // Algorithm 4. The first post(c) − pre(c) nodes after c are
-                // guaranteed descendants (Equation 1 minus the level term):
-                // copy them without postorder comparisons — one range
-                // select, charged per position whatever the test keeps.
-                let copy_end = bound.min(part_end - 1) + 1;
-                if gov.charged_run(v, copy_end, &mut stats.nodes_copied, |lo, hi| {
+                // Algorithm 4, Equation 1 exact: the subtree (c, end(c)]
+                // is copied without postorder comparisons — one range
+                // select, charged per position whatever the test keeps —
+                // and the rest of the partition is the empty Z-region.
+                let last = end_of(c);
+                if gov.charged_run(c + 1, last + 1, &mut stats.nodes_copied, |lo, hi| {
                     test.select_range(lo, hi, result)
                 }) {
                     return;
                 }
-                v = v.max(copy_end);
+                stats.nodes_skipped += u64::from(part_end - last - 1);
             }
         }
-        // Algorithm 3 (and Algorithm 4's scan phase, at most level(c) ≤ h
-        // more descendants): the first node v with post(v) ≥ post(c)
-        // follows c, so c and v share no descendants — the rest of the
-        // partition is empty (Z-region, Figure 7(b)). The comparisons
-        // find where the descendants end; what the test keeps of them is
-        // one range select.
-        let hits = v;
-        while v < part_end {
-            stats.nodes_scanned += 1;
-            if gov.tick(1) {
-                return;
-            }
-            if post[v as usize] >= bound {
-                stats.nodes_skipped += u64::from(part_end - v - 1);
-                break;
-            }
-            v += 1;
-        }
-        test.select_range(hits, v, result);
     }
 }
 
@@ -294,20 +272,14 @@ mod tests {
 
     #[test]
     fn estimation_scan_phase_bounded_by_height() {
-        // nodes_scanned per partition ≤ h + 1 under estimation skipping.
+        // The paper bounds Algorithm 4's scan phase by h + 1 per
+        // partition; with Equation 1 exact there is none: each partition
+        // copies its step's subtree and compares nothing.
         for seed in 0..15 {
             let doc = random_doc(seed, 600);
             let ctx = random_context(&doc, seed ^ 0xAAAA, 40);
             let (_, stats) = descendant(&doc, &ctx, Variant::EstimationSkipping);
-            let bound = (doc.height() as u64 + 1) * stats.partitions as u64;
-            assert!(
-                stats.nodes_scanned <= bound,
-                "seed {seed}: scanned {} > {} (h={}, partitions={})",
-                stats.nodes_scanned,
-                bound,
-                doc.height(),
-                stats.partitions
-            );
+            assert_eq!(stats.nodes_scanned, 0, "seed {seed}");
         }
     }
 

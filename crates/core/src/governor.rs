@@ -392,8 +392,9 @@ impl Ticker {
     /// Runs `select` over `[lo, hi)`, a range whose counter is
     /// *arithmetic*: `charge` grows by `hi − lo` whatever `select` keeps.
     /// Every comparison-free run of every plane scan goes through here
-    /// (the Equation-1 copy phase, `following`'s suffix, `preceding`'s
-    /// subtree blocks, the Basic variant's partition windows).
+    /// (the Equation-1 subtree copy, `following`'s suffix, the gaps
+    /// between `preceding`'s ancestors, the Basic variant's partition
+    /// windows).
     /// Ungoverned, `select` sees the whole range at once; under a budget
     /// it sees [`SCAN_CHUNK`]-sized pieces with a tick after each, so a
     /// trip cannot hide behind one plane-sized range. `true` means *stop

@@ -2,19 +2,19 @@
 //!
 //! §3.1's empty-region analysis collapses these axes: after pruning, the
 //! context is a single node and the staircase join "degenerates to a single
-//! region query". Both implementations exploit the plane's structure so
-//! they touch far fewer nodes than the region's size suggests:
+//! region query". With Equation (1) exact, both regions are pre ranges
+//! read without a single postorder comparison:
 //!
-//! * `following(c)` is the contiguous pre range *after* `c`'s subtree —
-//!   Equation (1) gives the exact start, no comparisons at all.
-//! * `preceding(c)` scans the prefix `[0, c)`, but whenever it finds a
-//!   preceding node it copies that node's guaranteed subtree block without
-//!   comparisons; only `c`'s ancestors are inspected individually.
+//! * `following(c)` is the contiguous pre range *after* `c`'s subtree,
+//!   `(end(c), n)`.
+//! * `preceding(c)` is the prefix `[0, c)` minus `c`'s ancestors: one
+//!   range select per gap of the ancestor chain, and the `level(c)`
+//!   ancestors themselves are the only positions probed one by one.
 //!
 //! Each axis has **one** scan, over a pre range: [`following_from`] and
 //! [`preceding_from`] read only what a region in hand lacks — the
 //! single-context entries ([`following_pooled`], [`preceding_pooled`])
-//! start from the empty region — and every comparison-free run is one
+//! start from the empty region — and every run is one
 //! [`ScanTest::select_range`]. The regions nest: a `following` region
 //! is a suffix of the plane, so a narrower one is a tail of a wider one,
 //! and `preceding(c) ⊆ preceding(c')` whenever `c < c'`, up to at most
@@ -27,23 +27,14 @@ use crate::batch::Scratch;
 use crate::mask::ScanTest;
 use crate::stats::StepStats;
 
-/// Evaluates `context/following::node()`: [`following_tested`] with the
-/// `node()` test.
+/// Evaluates `context/following::node()`: [`following_pooled`] with the
+/// `node()` test on a fresh scratch pool.
 pub fn following(doc: &Doc, context: &Context) -> (Context, StepStats) {
-    following_tested(doc, context, &ScanTest::node(doc))
+    following_pooled(doc, context, &ScanTest::node(doc), &mut Scratch::new())
 }
 
 /// Evaluates `context/following::test`, the node test riding the suffix
-/// copy: [`following_pooled`] on a fresh scratch pool.
-pub fn following_tested<'d>(
-    doc: &'d Doc,
-    context: &Context,
-    test: &ScanTest<'d>,
-) -> (Context, StepStats) {
-    following_pooled(doc, context, test, &mut Scratch::new())
-}
-
-/// Evaluates `context/following::test` into a buffer from `scratch`.
+/// copy, into a buffer from `scratch`.
 ///
 /// Pruning collapses the context to the node with the smallest post
 /// rank; its region is the suffix after its subtree, read by one range
@@ -124,28 +115,18 @@ pub fn following_from(
     (out, stats)
 }
 
-/// Evaluates `context/preceding::node()`: [`preceding_tested`] with the
-/// `node()` test.
+/// Evaluates `context/preceding::node()`: [`preceding_pooled`] with the
+/// `node()` test on a fresh scratch pool.
 pub fn preceding(doc: &Doc, context: &Context) -> (Context, StepStats) {
-    preceding_tested(doc, context, &ScanTest::node(doc))
+    preceding_pooled(doc, context, &ScanTest::node(doc), &mut Scratch::new())
 }
 
-/// Evaluates `context/preceding::test`, the node test riding the scan:
-/// [`preceding_pooled`] on a fresh scratch pool.
-pub fn preceding_tested<'d>(
-    doc: &'d Doc,
-    context: &Context,
-    test: &ScanTest<'d>,
-) -> (Context, StepStats) {
-    preceding_pooled(doc, context, test, &mut Scratch::new())
-}
-
-/// Evaluates `context/preceding::test` into a buffer from `scratch`.
+/// Evaluates `context/preceding::test`, the node test riding the scan,
+/// into a buffer from `scratch`.
 ///
-/// Pruning collapses the context to its last node `c`; the scan walks
-/// `[0, c)` once, copying the guaranteed subtree block of every node
-/// that precedes `c` without comparisons and probing only `c`'s
-/// ancestors.
+/// Pruning collapses the context to its last node `c`; the region is
+/// `[0, c)` less `c`'s `level(c)` ancestors, read as one range select
+/// per gap between them.
 pub fn preceding_pooled<'d>(
     doc: &'d Doc,
     context: &Context,
@@ -180,13 +161,13 @@ pub fn preceding_bound(context: &Context) -> Option<Pre> {
 /// * An earlier `bound` is the head of `held` before it, less the
 ///   ancestors of `bound` (at most `height`), and reads no position.
 /// * A later `bound` keeps all of `held`, adds the ancestors of
-///   `held_bound` that precede `bound`, and scans only
+///   `held_bound` that precede `bound`, and reads only
 ///   `[held_bound, bound)`. `held_bound = 0` with nothing held is the
 ///   whole scan.
 ///
-/// The statistics count the positions read: scanned heads and ancestor
-/// probes ([`StepStats::nodes_scanned`]) and copied runs
-/// ([`StepStats::nodes_copied`]).
+/// The statistics count the positions read: the ancestor probes
+/// ([`StepStats::nodes_scanned`]) and the gaps between `bound`'s
+/// ancestors ([`StepStats::nodes_copied`]).
 pub fn preceding_from<'d>(
     doc: &'d Doc,
     held_bound: Pre,
@@ -196,6 +177,7 @@ pub fn preceding_from<'d>(
     scratch: &mut Scratch,
 ) -> (Vec<Pre>, StepStats) {
     let mut out = scratch.take();
+    let mut chain = scratch.take();
     let mut stats = StepStats::default();
     if bound <= held_bound {
         // Every node of `held` before `bound` precedes it or is one of
@@ -203,7 +185,7 @@ pub fn preceding_from<'d>(
         let head = &held[..held.partition_point(|&v| v < bound)];
         out.reserve(head.len());
         let mut from = 0;
-        for a in ancestors_top_down(doc, bound) {
+        for &a in ancestors_top_down(doc, bound, &mut chain) {
             let at = from + head[from..].partition_point(|&v| v < a);
             out.extend_from_slice(&head[from..at]);
             from = at + usize::from(head.get(at) == Some(&a));
@@ -220,7 +202,7 @@ pub fn preceding_from<'d>(
         let post = doc.post_column();
         let mut added = 0;
         let mut from = 0;
-        for a in ancestors_top_down(doc, held_bound) {
+        for &a in ancestors_top_down(doc, held_bound, &mut chain) {
             stats.nodes_scanned += 1;
             if post[a as usize] < post[bound as usize] && test.keeps(a) {
                 let at = from + held[from..].partition_point(|&v| v < a);
@@ -232,104 +214,57 @@ pub fn preceding_from<'d>(
         }
         out.extend_from_slice(&held[from..]);
         debug_assert_eq!(out.len(), held.len() + added);
-        let (scanned, copied) = preceding_scan(doc, bound, test, held_bound, &mut out);
+        let chain = ancestors_top_down(doc, bound, &mut chain);
+        let (scanned, copied) = preceding_scan(chain, held_bound, bound, test, &mut out);
         stats.nodes_scanned += scanned;
         stats.nodes_copied = copied;
     }
+    scratch.put(chain);
     stats.result_size = out.len();
     (out, stats)
 }
 
-/// The proper ancestors of `v`, root first.
-fn ancestors_top_down(doc: &Doc, v: Pre) -> impl Iterator<Item = Pre> {
-    let mut chain = Vec::with_capacity(usize::from(doc.level(v)));
+/// The proper ancestors of `v`, root first, in `chain` (cleared first).
+fn ancestors_top_down<'c>(doc: &Doc, v: Pre, chain: &'c mut Vec<Pre>) -> &'c [Pre] {
+    chain.clear();
     let mut p = doc.parent(v);
     while p != NO_PARENT {
         chain.push(p);
         p = doc.parent(p);
     }
-    chain.into_iter().rev()
+    chain.reverse();
+    chain
 }
 
-/// The scan of `preceding(bound)` restricted to positions `[from, bound)`,
-/// appending what `test` keeps to `out`; returns (scanned, copied).
+/// `preceding(bound)` restricted to positions `[from, bound)`, appending
+/// what `test` keeps to `out`; returns (scanned, copied). `chain` is
+/// `bound`'s ancestors, root first.
 ///
-/// The full scan starts at 0. Any other start first *reconstructs* the
-/// cursor state at `from`: the only way `from` can sit inside a
-/// comparison-free copy run is under a run started by one of its
-/// **ancestors** (a run is a subtree prefix, and a subtree containing
-/// `from` belongs to an ancestor), so walking `from`'s ancestor chain
-/// top-down — skipping ancestors covered by an earlier ancestor's run,
-/// exactly as the left-to-right scan would — recovers in O(h) whether
-/// `from` is mid-run. Per position the behaviour (and thus the
-/// scanned/copied accounting — arithmetic over each run) is identical to
-/// the full scan's, so a widened region reads only what the held one
-/// lacks (asserted by `regions_rebound_from_a_held_region`).
+/// The region is every position but those ancestors, so the ancestors
+/// in range are probed (charged as scanned) and each gap between them is
+/// one range select (charged as copied): no position is compared, and
+/// `scanned + copied = bound − from`, whatever `from` is.
 fn preceding_scan(
-    doc: &Doc,
+    chain: &[Pre],
+    from: Pre,
     bound: Pre,
     test: &ScanTest<'_>,
-    from: Pre,
     out: &mut Vec<Pre>,
 ) -> (u64, u64) {
-    let post = doc.post_column();
-    let post_bound = post[bound as usize];
-    // The copy run a head `u` that precedes `bound` starts: its
-    // guaranteed subtree block, never past `bound`.
-    let run_end = |u: Pre| u + post[u as usize].saturating_sub(u).min(bound - u - 1);
-    let mut scanned = 0u64;
-    let mut copied = 0u64;
+    let (mut scanned, mut copied) = (0u64, 0u64);
     let mut gov = crate::governor::Ticker::ambient();
-    let mut v = from;
-
-    if from > 0 {
-        // Reconstruct: is `from` inside a run? Walk its ancestors in
-        // document order, tracking the furthest run end among the ones
-        // the scan actually visits (an ancestor inside an earlier run is
-        // skipped by the scan and starts no run of its own).
-        let mut cover: Option<Pre> = None;
-        for u in ancestors_top_down(doc, from) {
-            if cover.is_some_and(|end| u <= end) {
-                continue; // covered: the scan never visits u as a head
-            }
-            if post[u as usize] < post_bound {
-                cover = Some(cover.map_or(run_end(u), |end| end.max(run_end(u))));
-            }
+    let mut lo = from;
+    for &a in &chain[chain.partition_point(|&a| a < from)..] {
+        if gov.charged_run(lo, a, &mut copied, |x, y| test.select_range(x, y, out)) {
+            return (scanned, copied);
         }
-        if let Some(end) = cover.filter(|&end| end >= from) {
-            // Mid-run: finish the covered stretch.
-            if gov.charged_run(from, end + 1, &mut copied, |a, b| {
-                test.select_range(a, b, out)
-            }) {
-                return (scanned, copied);
-            }
-            v = end + 1;
-        }
-    }
-
-    while v < bound {
         scanned += 1;
         if gov.tick(1) {
             return (scanned, copied);
         }
-        if post[v as usize] < post_bound {
-            // v precedes `bound`: hand v and its guaranteed subtree block
-            // over without further comparisons.
-            let end = run_end(v);
-            if test.keeps(v) {
-                out.push(v);
-            }
-            if gov.charged_run(v + 1, end + 1, &mut copied, |a, b| {
-                test.select_range(a, b, out)
-            }) {
-                return (scanned, copied);
-            }
-            v = end + 1;
-        } else {
-            // v is an ancestor of `bound`.
-            v += 1;
-        }
+        lo = a + 1;
     }
+    gov.charged_run(lo, bound, &mut copied, |x, y| test.select_range(x, y, out));
     (scanned, copied)
 }
 
@@ -401,8 +336,8 @@ mod tests {
 
     #[test]
     fn preceding_touches_result_plus_ancestors() {
-        // The copy-run optimisation means only c's ancestors are scanned
-        // beyond the result itself.
+        // Only c's ancestors are probed; every gap between them is
+        // copied.
         for seed in 0..10 {
             let doc = random_doc(seed, 800);
             let deepest = doc.pres().max_by_key(|&p| doc.level(p)).unwrap();
@@ -413,6 +348,10 @@ mod tests {
                 .filter(|&v| v < deepest && doc.post(v) < doc.post(deepest))
                 .count() as u64;
             let ancestors = u64::from(doc.level(deepest));
+            assert_eq!(
+                stats.nodes_scanned, ancestors,
+                "seed {seed}: one probe each"
+            );
             assert!(
                 stats.nodes_touched() <= region + ancestors + 1,
                 "seed {seed}: touched {} > {} + {}",

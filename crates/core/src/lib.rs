@@ -17,9 +17,13 @@
 //!    document order, so no `unique`/`sort` post-processing is needed.
 //! 3. **Skipping** (§3.3/§4.2, [`Variant::Skipping`] and
 //!    [`Variant::EstimationSkipping`]) — empty-region analysis ends each
-//!    partition scan at the first miss; Equation (1) turns the bulk of the
-//!    `descendant` scan into a comparison-free copy phase. The join then
-//!    touches at most `|result| + |context|` nodes.
+//!    partition scan at the first miss. Equation (1),
+//!    `|v/descendant| = post(v) − pre(v) + level(v)`, is exact because
+//!    every loaded document stores `level`: a `descendant` step copies
+//!    each pruned step's subtree `(c, end(c)]` without a comparison and
+//!    skips the rest of its partition, and the `ancestor` skip jumps
+//!    whole subtrees. The join touches at most `|result| + |context|`
+//!    nodes, plus the attributes inside the subtrees it copies.
 //!
 //! Every join returns [`StepStats`] alongside the result so experiments can
 //! report exact node-access counts (paper Figure 11(a)/(c)), not just
@@ -58,22 +62,22 @@
 //! `Doc::tag_column()` (`&[TagId]`) for the step's node test. The node
 //! test is compiled once per step into a [`ScanTest`] — `node()` (today's
 //! `kind != Attribute`), a kind, a `(kind, tag)` name test, or the empty
-//! test for a name the dictionary lacks — and **rides the scan**: every
-//! plane-scan kernel ([`descendant_tested`], [`ancestor_tested`],
-//! [`following_tested`], [`preceding_tested`] and their pooled forms
-//! [`descendant_pooled`] and friends, which draw their buffers from a
-//! [`Scratch`]) takes it, and [`descendant`], [`ancestor`],
-//! [`following`], [`preceding`] are its `node()` case. One
-//! test is asked in three shapes (details in [`mask`]):
+//! test for a name the dictionary lacks — and **rides the scan**: each
+//! plane axis has one entry that takes it ([`descendant_pooled`],
+//! [`ancestor_pooled`], [`following_pooled`], [`preceding_pooled`],
+//! which draw their buffers from a [`Scratch`]), and [`descendant`],
+//! [`ancestor`], [`following`], [`preceding`] are its `node()` case on a
+//! fresh pool. One test is asked in three shapes (details in [`mask`]):
 //!
 //! * `keeps(v)` where positions are visited one by one (ancestor jumps);
 //! * `select_range(lo, hi, out)` over every comparison-free run — the
-//!   Equation-1 copy phase, the descendants a skipping scan has just
-//!   delimited, `following`'s suffix, `preceding`'s subtree blocks: 64
-//!   kind bytes per SWAR mask word, or 32 tags per any-compare with
-//!   `kind` read only on a hit, so `/descendant::profile` under the
-//!   plain join reads the tag column once and writes 1 270 nodes instead
-//!   of writing a 456 294-node region out and gathering it back;
+//!   Equation-1 subtree copy, the descendants a skipping scan has just
+//!   delimited, `following`'s suffix, the gaps between `preceding`'s
+//!   ancestors: 64 kind bytes per SWAR mask word, or 32 tags per
+//!   any-compare with `kind` read only on a hit, so `/descendant::profile`
+//!   under the plain join reads the tag column once and writes 1 270
+//!   nodes instead of writing a 456 294-node region out and gathering it
+//!   back;
 //! * `select_candidates(list, out)` for the operators with no scan to
 //!   ride (structural axes, the naive and plain SQL joins).
 //!
@@ -82,17 +86,18 @@
 //! budget, the [`governor::SCAN_CHUNK`] chunking.
 //!
 //! **Why statistics parity holds.** The range kernels replace only loops
-//! whose [`StepStats`] counters are *arithmetic*: a copy phase charges
+//! whose [`StepStats`] counters are *arithmetic*: a copy charges
 //! `nodes_copied` per **position** of the range whatever the test keeps,
 //! and a Basic-variant window scan charges `nodes_scanned` for the whole
 //! window. The test changes which positions are written out, never how
 //! many are charged, so every [`StepStats`] field but `result_size` is
 //! identical to join-then-filter by construction (proptested, and
 //! `tests/bounds.rs`): a selective test buys less memory traffic, not a
-//! smaller counter. The positions whose *extent* is data-dependent — the
-//! skipping variants' first-miss early-outs, the ancestor subtree jumps —
-//! are found by scalar comparisons, as their counters depend on *where*
-//! the scan stopped.
+//! smaller counter. Where a run ends is read off the structure, never
+//! off the test: Equation (1)'s `end(c)` for the `descendant` copy and
+//! the `ancestor` jumps, the ancestor chain for `preceding`, and the
+//! first-miss comparison of [`Variant::Skipping`], whose counter depends
+//! on *where* the scan stopped.
 //!
 //! ## Failure model
 //!
@@ -145,17 +150,15 @@ mod prune;
 mod stats;
 pub mod twig;
 
-pub use anc::{ancestor, ancestor_pooled, ancestor_tested};
+pub use anc::{ancestor, ancestor_pooled};
 pub use batch::{Scratch, ScratchPool};
 pub use cost::{Calibrator, DocStats, TwigLegCost};
-pub use desc::{
-    descendant, descendant_fused, descendant_pooled, descendant_tested, guaranteed_result_estimate,
-};
+pub use desc::{descendant, descendant_fused, descendant_pooled};
 pub use exists::{has_ancestor_in, has_child_in, has_descendant_in};
 pub use governor::{Budget, Trip};
 pub use horiz::{
-    following, following_from, following_pooled, following_start, following_tested, preceding,
-    preceding_bound, preceding_from, preceding_pooled, preceding_tested,
+    following, following_from, following_pooled, following_start, preceding, preceding_bound,
+    preceding_from, preceding_pooled,
 };
 pub use list::{
     ancestor_on_list, ancestor_on_list_pooled, child_on_list, child_on_list_pooled,
@@ -169,23 +172,35 @@ pub use prune::{
 pub use stats::StepStats;
 pub use twig::{twig_match, ChainStep, SpineLeg, TwigEdge};
 
-use staircase_accel::{Axis, Context, Doc};
+use staircase_accel::{Axis, Context, Doc, Pre};
 
 /// Which staircase-join refinement to run.
 ///
 /// `Basic` is Algorithm 2 (no skipping), `Skipping` adds the early-out of
-/// Algorithm 3, and `EstimationSkipping` adds the Equation (1) copy phase
-/// of Algorithm 4. All three compute identical results; they differ only
-/// in how many nodes they touch.
+/// Algorithm 3, and `EstimationSkipping` is Algorithm 4 with Equation (1)
+/// exact. All three compute identical results; they differ only in how
+/// many nodes they touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Variant {
     /// Algorithm 2: scan every partition to its end.
     Basic,
     /// Algorithm 3: stop a partition scan at the first miss.
     Skipping,
-    /// Algorithm 4: comparison-free copy phase, then a bounded scan.
+    /// Algorithm 4, Equation (1) exact: copy the step's subtree
+    /// `(c, end(c)]` without comparisons, skip the rest of the partition.
     #[default]
     EstimationSkipping,
+}
+
+/// `v ↦ end(v)`, the last pre rank of `v`'s subtree, whose descendants
+/// are exactly `(v, end(v)]`: Equation (1) with `level` stored,
+/// `end(v) = post(v) + level(v)`, read off the bare columns (every
+/// loaded [`Doc`] has passed `Doc::validate`, which checks it). The one
+/// place the kernels learn where a subtree ends.
+#[inline]
+pub(crate) fn subtree_ends(doc: &Doc) -> impl Fn(Pre) -> Pre + '_ {
+    let (post, level) = (doc.post_column(), doc.level_column());
+    move |v| post[v as usize] + Pre::from(level[v as usize])
 }
 
 /// The error of [`try_axis_step`]: the axis handed in is not one of the

@@ -22,8 +22,11 @@
 //! entry. (Exactness is a property of a *valid* document: every loaded
 //! [`Doc`] has passed `Doc::validate`, which checks precisely this
 //! relation between `post`, `level` and subtree sizes; the builder
-//! establishes it by construction.) Every on-list join is one of two
-//! loops over a cursor pair — one cursor on the list, one on the context:
+//! establishes it by construction.) The plane kernels read the same
+//! `end(v)`: over the plane — the list `0..n` — the descendant step's
+//! copy of `(c, end(c)]` is this slice copy with arithmetic gallops.
+//! Every on-list join is one of two loops over a cursor pair — one
+//! cursor on the list, one on the context:
 //!
 //! * **slices under context nodes** — [`descendant_on_list`]: per context
 //!   node, bracket `list ∩ (c, end(c)]` and copy it; context nodes nested
@@ -41,12 +44,13 @@
 //! loops needs a pruned context: they are correct on any sorted one, and
 //! their bounds ([`StepStats`]) are stated against the nodes they stop at.
 
-use staircase_accel::{Context, Doc, NodeKind, Post, Pre, TagId};
+use staircase_accel::{Context, Doc, NodeKind, Pre, TagId};
 
 use crate::batch::Scratch;
 use crate::cursor::advance;
 use crate::governor::Ticker;
 use crate::stats::StepStats;
+use crate::subtree_ends;
 
 /// Per-tag fragments of the document: for every tag id, the pre ranks of
 /// all elements carrying it, in document order.
@@ -254,24 +258,6 @@ pub(crate) fn on_list(
     (Context::from_sorted(result), stats)
 }
 
-/// `v ↦ end(v)`, the last pre rank of `v`'s subtree: its descendants are
-/// exactly the pre ranks `(v, end(v)]`. Equation 1, exact once `level`
-/// is known — `end(v) = pre + (post − pre + level)` — read off the bare
-/// columns, since the joins ask once per context node and list entry.
-#[inline]
-fn subtree_ends(doc: &Doc) -> impl Fn(Pre) -> Pre + '_ {
-    let (post, level) = (doc.post_column(), doc.level_column());
-    move |v| post[v as usize] + Pre::from(level[v as usize])
-}
-
-/// Last of the `post(v) − pre(v)` nodes after `v` that are descendants of
-/// `v` whatever its level (`v` itself when there is none): where a jump
-/// over a subtree block need not be exact, this saves reading `level`.
-#[inline]
-fn guaranteed_end(post: &[Post], v: Pre) -> Pre {
-    post[v as usize].max(v)
-}
-
 /// The descendant range join (and, with the roles swapped, the
 /// `has_ancestor_in` probe): appends `list ∩ ⋃ (c, end(c)]` over the
 /// context nodes `c` to `result`. Both inputs ascend and each is one
@@ -367,7 +353,7 @@ pub(crate) fn ancestor_range_join(
 /// order.
 ///
 /// Walks `list ∩ (c, end(c)]` per outermost context node `c`. An entry
-/// deeper than a child has its (guaranteed) subtree block jumped, and a
+/// deeper than a child has its whole subtree block jumped, and a
 /// probe jumps the rest of a parent it has reported. In the common case
 /// no context node lies inside `c`, so it is the only parent in reach —
 /// that walk is written out here because it is the hot one (half the
@@ -380,7 +366,7 @@ pub(crate) fn child_range_join<const PARENTS: bool>(
     out: &mut Vec<Pre>,
     stats: &mut StepStats,
 ) {
-    let (parent, post) = (doc.parent_column(), doc.post_column());
+    let parent = doc.parent_column();
     let end_of = subtree_ends(doc);
     let mut gov = Ticker::ambient();
     let mut nested = Vec::new();
@@ -423,7 +409,7 @@ pub(crate) fn child_range_join<const PARENTS: bool>(
             }
             j += 1;
             if parent[p as usize] != c {
-                let deep = guaranteed_end(post, p);
+                let deep = end_of(p);
                 local.nodes_skipped +=
                     advance(list, &mut j, &mut local.seeks, |&q| q <= deep) as u64;
             } else if PARENTS {
@@ -494,7 +480,7 @@ fn child_walk_nested<const PARENTS: bool>(
         *j += 1;
         let top = open.last_mut().expect("the cover contains p");
         let jump_to = if parent[p as usize] != top.0 {
-            guaranteed_end(doc.post_column(), p)
+            end_of(p)
         } else if PARENTS {
             if !top.2 {
                 top.2 = true;

@@ -11,9 +11,9 @@
 //! * [`ScanTest::keeps`]`(v)` — one position, for the phases that
 //!   visit their positions one by one (the ancestor jumps);
 //! * [`ScanTest::select_range`]`(lo, hi, out)` — a whole comparison-free
-//!   run (the Equation-1 copy phase, the descendants a skipping scan's
-//!   comparisons have delimited, `following`'s suffix, `preceding`'s
-//!   subtree blocks). A kind test folds 64 positions of the byte-wide
+//!   run (the Equation-1 subtree copy, the descendants a skipping scan's
+//!   comparisons have delimited, `following`'s suffix, the gaps between
+//!   `preceding`'s ancestors). A kind test folds 64 positions of the byte-wide
 //!   kind column into one `u64` (byte-wise SWAR compare: broadcast-XOR +
 //!   zero-byte detect + movemask multiply, or one 64-byte vector compare
 //!   under `--cfg stair_simd`) and materialises the set bits with one

@@ -7,21 +7,24 @@
 /// Invariants maintained by all join variants:
 ///
 /// * `nodes_touched() = nodes_scanned + nodes_copied` — every touched node
-///   is either compared against the staircase boundary (scanned) or lies
+///   is either visited on its own (scanned: compared against the
+///   staircase boundary, or one of `preceding`'s ancestor probes) or lies
 ///   in a comparison-free run (copied). `nodes_copied` charges every
-///   **position** of such a run — the Equation-1 copy phase,
-///   `following`'s suffix, `preceding`'s subtree blocks — whether or not
-///   the step's node test keeps it: the test rides the scan
+///   **position** of such a run — the Equation-1 subtree copy,
+///   `following`'s suffix, the gaps between `preceding`'s ancestors —
+///   whether or not the step's node test keeps it: the test rides the scan
 ///   ([`crate::mask::ScanTest`]), so a selective test writes fewer nodes
 ///   out but reads, and is charged for, exactly what `node()` reads.
 ///   Every field but `result_size` is therefore independent of the test
 ///   (`tests/bounds.rs`, the parity proptests).
 /// * With skipping enabled, `descendant` touches at most `result_size +
 ///   context_out + A` nodes, where `A` is the number of attribute nodes
-///   below the pruned context: a partition scans its step's descendants
-///   and the one node that ends it (paper §3.3: `|result| + |context|`),
-///   and an attribute is scanned like any descendant but filtered from
-///   the result. On an attribute-free document the paper's bound holds
+///   below the pruned context: a partition reads its step's descendants
+///   — [`crate::Variant::Skipping`] also compares the one node that ends
+///   them (paper §3.3: `|result| + |context|`), while
+///   [`crate::Variant::EstimationSkipping`] copies exactly the subtree —
+///   and an attribute is read like any descendant but filtered from the
+///   result. On an attribute-free document the paper's bound holds
 ///   exactly; XMark's attributes put the ratio at ≈ 1.09
 ///   (`tests/bounds.rs`).
 /// * The fragment joins ([`crate::descendant_on_list`],
@@ -53,7 +56,7 @@ pub struct StepStats {
     pub context_out: usize,
     /// Nodes inspected with a postorder-rank comparison.
     pub nodes_scanned: u64,
-    /// Positions of comparison-free runs (Algorithm 4's copy phase and
+    /// Positions of comparison-free runs (Algorithm 4's subtree copy and
     /// its horizontal counterparts), kept by the node test or not; for the
     /// descendant range join, the list entries of the copied slices.
     pub nodes_copied: u64,

@@ -176,7 +176,7 @@ impl<'d> Matcher<'d> {
                 return true;
             }
             // q is deeper than a child: no entry inside q's subtree can
-            // be a child of p either — jump the guaranteed block.
+            // be a child of p either — jump its subtree.
             let sub_end = q + 1 + self.doc.subtree_size(q);
             self.stats.seeks += 1;
             let next = seek_from(list, j + 1, |&r| r < sub_end);

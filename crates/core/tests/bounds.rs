@@ -12,9 +12,9 @@
 use staircase_accel::{Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
     ancestor, ancestor_on_list, ancestor_pooled, child_on_list, descendant, descendant_on_list,
-    descendant_pooled, descendant_tested, following, following_pooled, preceding, preceding_pooled,
-    prune_ancestor, prune_descendant, prune_following, prune_preceding, ScanTest, Scratch,
-    StepStats, TagIndex, Variant,
+    descendant_pooled, following, following_pooled, preceding, preceding_pooled, prune_ancestor,
+    prune_descendant, prune_following, prune_preceding, ScanTest, Scratch, StepStats, TagIndex,
+    Variant,
 };
 use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
 
@@ -117,7 +117,8 @@ fn a_selective_test_touches_what_the_node_scan_touches() {
                 Variant::EstimationSkipping,
             ] {
                 let (all, plain) = descendant(doc, &ctx, variant);
-                let (kept, fused) = descendant_tested(doc, &ctx, variant, &test);
+                let (kept, fused) =
+                    descendant_pooled(doc, &ctx, variant, &test, &mut Scratch::new());
                 let label = format!("{outer}//{inner} {variant:?}");
                 assert_eq!(fused.nodes_touched(), plain.nodes_touched(), "{label}");
                 assert_eq!(fused.nodes_scanned, plain.nodes_scanned, "{label}");

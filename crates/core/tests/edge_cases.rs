@@ -4,9 +4,9 @@
 
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::{
-    ancestor, ancestor_pooled, descendant, descendant_pooled, descendant_tested, following,
-    following_from, following_start, following_tested, preceding, preceding_tested, prune,
-    ScanTest, Scratch, Variant,
+    ancestor, ancestor_pooled, descendant, descendant_pooled, following, following_from,
+    following_pooled, following_start, preceding, preceding_pooled, prune, ScanTest, Scratch,
+    Variant,
 };
 
 const ALL: [Variant; 3] = [
@@ -217,11 +217,17 @@ fn a_selective_test_does_not_reserve_the_plane() {
         assert!(capacity <= 2 * 100 + 64, "{what}: capacity {capacity}");
     };
     for variant in ALL {
-        let (got, _) = descendant_tested(&doc, &root, variant, &rare);
+        let (got, _) = descendant_pooled(&doc, &root, variant, &rare, &mut Scratch::new());
         snug(&format!("descendant {variant:?}"), got);
     }
-    snug("following", following_tested(&doc, &first, &rare).0);
-    snug("preceding", preceding_tested(&doc, &last, &rare).0);
+    snug(
+        "following",
+        following_pooled(&doc, &first, &rare, &mut Scratch::new()).0,
+    );
+    snug(
+        "preceding",
+        preceding_pooled(&doc, &last, &rare, &mut Scratch::new()).0,
+    );
     // The pooled entry from a cold pool, and a following region widened
     // from a narrower one in hand.
     let mut scratch = Scratch::new();

@@ -8,11 +8,11 @@ use proptest::prelude::*;
 use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre};
 use staircase_core::governor::{self, Budget, SCAN_CHUNK};
 use staircase_core::{
-    ancestor, ancestor_on_list, ancestor_on_list_pooled, ancestor_pooled, ancestor_tested,
-    child_on_list, child_on_list_pooled, descendant, descendant_on_list, descendant_on_list_pooled,
-    descendant_pooled, descendant_tested, following, following_pooled, following_tested,
-    has_ancestor_in, has_child_in, has_descendant_in, preceding, preceding_pooled,
-    preceding_tested, prune, try_axis_step, ScanTest, Scratch, StepStats, TagIndex, Variant,
+    ancestor, ancestor_on_list, ancestor_on_list_pooled, ancestor_pooled, child_on_list,
+    child_on_list_pooled, descendant, descendant_on_list, descendant_on_list_pooled,
+    descendant_pooled, following, following_pooled, has_ancestor_in, has_child_in,
+    has_descendant_in, preceding, preceding_pooled, prune, try_axis_step, ScanTest, Scratch,
+    StepStats, TagIndex, Variant,
 };
 
 fn arb_doc() -> impl Strategy<Value = Doc> {
@@ -316,6 +316,14 @@ proptest! {
         let doc = mixed_doc(&ops, sized(which, small));
         let n = doc.len() as u32;
         let ctx = Context::from_unsorted(picks.iter().map(|p| p % n).collect());
+        // Equation 1 is exact: the descendant copy is each pruned step's
+        // whole subtree, and preceding probes only the last node's
+        // ancestors — both counted here by walking parent pointers.
+        let subtrees: u64 = prune(&doc, &ctx, Axis::Descendant)
+            .iter()
+            .map(|c| subtree_by_parents(&doc, c))
+            .sum();
+        let ancestors = ctx.as_slice().last().map_or(0, |&c| doc.ancestors(c).count() as u64);
         let mut scratch = Scratch::new();
         for governed in [false, true] {
             let _guard = governed.then(|| governor::enter(Arc::new(Budget::new())));
@@ -323,26 +331,44 @@ proptest! {
                 for variant in VARIANTS {
                     let label = format!("arm {t} {variant:?} governed {governed}");
                     let plain = descendant(&doc, &ctx, variant);
-                    assert_rides(&label, test, &descendant_tested(&doc, &ctx, variant, test), &plain);
+                    let fresh = descendant_pooled(&doc, &ctx, variant, test, &mut Scratch::new());
+                    assert_rides(&label, test, &fresh, &plain);
                     let pooled = descendant_pooled(&doc, &ctx, variant, test, &mut scratch);
                     assert_rides(&label, test, &pooled, &plain);
+                    if variant == Variant::EstimationSkipping {
+                        let s = &pooled.1;
+                        assert_eq!((s.nodes_scanned, s.nodes_copied), (0, subtrees), "{label}");
+                    }
                     let plain = ancestor(&doc, &ctx, variant);
-                    assert_rides(&label, test, &ancestor_tested(&doc, &ctx, variant, test), &plain);
+                    let fresh = ancestor_pooled(&doc, &ctx, variant, test, &mut Scratch::new());
+                    assert_rides(&label, test, &fresh, &plain);
                     let pooled = ancestor_pooled(&doc, &ctx, variant, test, &mut scratch);
                     assert_rides(&label, test, &pooled, &plain);
                 }
                 let label = format!("arm {t} governed {governed}");
                 let plain = following(&doc, &ctx);
-                assert_rides(&label, test, &following_tested(&doc, &ctx, test), &plain);
+                let fresh = following_pooled(&doc, &ctx, test, &mut Scratch::new());
+                assert_rides(&label, test, &fresh, &plain);
                 let pooled = following_pooled(&doc, &ctx, test, &mut scratch);
                 assert_rides(&label, test, &pooled, &plain);
                 let plain = preceding(&doc, &ctx);
-                assert_rides(&label, test, &preceding_tested(&doc, &ctx, test), &plain);
+                let fresh = preceding_pooled(&doc, &ctx, test, &mut Scratch::new());
+                assert_rides(&label, test, &fresh, &plain);
                 let pooled = preceding_pooled(&doc, &ctx, test, &mut scratch);
                 assert_rides(&label, test, &pooled, &plain);
+                assert_eq!(pooled.1.nodes_scanned, ancestors, "{label}: one probe per ancestor");
             }
         }
     }
+}
+
+/// `|c/descendant|` by walking parent pointers: the descendants of `c`
+/// are the nodes after it, contiguous in document order, whose ancestor
+/// chain meets `c`. Reads neither `post` nor `level`.
+fn subtree_by_parents(doc: &Doc, c: Pre) -> u64 {
+    (c + 1..doc.len() as Pre)
+        .take_while(|&v| doc.ancestors(v).any(|a| a == c))
+        .count() as u64
 }
 
 // ── Range joins: the three joins and three probes against the region

@@ -13,9 +13,8 @@
 //! * [`BPlusTree`] — a bulk-loaded B+-tree with range scans, used by the
 //!   tree-unaware baseline to emulate the concatenated-key
 //!   `(pre, post, tag)` index of the paper's Figure 3 plan.
-//! * [`scan`] — sequential scan/copy kernels with the unrolled
-//!   (Duff's-device-inspired) copy loop of §4.3, shared with the staircase
-//!   join's copy phase.
+//! * [`scan`] — the plain and the unrolled (Duff's-device-inspired) copy
+//!   loops of §4.3's bandwidth experiment.
 
 #![warn(missing_docs)]
 

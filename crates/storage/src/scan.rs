@@ -1,18 +1,17 @@
-//! Sequential scan and copy kernels.
+//! Sequential copy kernels for the bandwidth experiment.
 //!
-//! §4.2/§4.3 of the paper split the staircase-join inner loop into a
-//! comparison-free *copy phase* (bounded below by Equation 1) and a short
-//! *scan phase* (bounded above by the document height). These kernels are
-//! the copy/scan primitives both the join and the bandwidth experiment
-//! (EXPERIMENTS.md, E12) use:
+//! §4.3 of the paper measures the staircase join's comparison-free copy
+//! against raw memory bandwidth. These kernels are the two copy loops
+//! that experiment (`repro bandwidth` and the `bandwidth` bench of
+//! `staircase-bench`) compares:
 //!
 //! * [`append_run`] — plain extend-from-slice copy.
 //! * [`append_run_unrolled`] — manually 8-way unrolled copy loop, the
 //!   Duff's-device flavour the paper reports boosted bandwidth from
 //!   719 MB/s to 805 MB/s on their Pentium 4.
-//! * [`scan_while_less`] / [`scan_while_greater`] — the θ-bounded scan of
-//!   `scanpartition` (Algorithm 3): copy values while the predicate holds,
-//!   stop at the first violation.
+//!
+//! The join's own copies and scans run over the node test in
+//! `staircase-core`'s `mask` module.
 
 /// Appends `src` to `dst` (the baseline copy kernel).
 #[inline]
@@ -45,49 +44,6 @@ pub fn append_run_unrolled<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
     dst.extend_from_slice(chunks.remainder());
 }
 
-/// Scans `src` left to right, appending `base + i` for every position `i`
-/// whose value is `< bound`, stopping at the first value `>= bound`.
-///
-/// Returns `(appended, scanned)`: how many positions were appended and how
-/// many were inspected (`scanned - appended ∈ {0, 1}`). This is the literal
-/// inner loop of Algorithm 3 (`scanpartition_desc` with skipping): the
-/// first node outside the descendant boundary proves the rest of the
-/// partition is empty (a type-Z region, Figure 7(b)).
-#[inline]
-pub fn scan_while_less(dst: &mut Vec<u32>, src: &[u32], base: u32, bound: u32) -> (usize, usize) {
-    for (i, &v) in src.iter().enumerate() {
-        if v < bound {
-            dst.push(base + i as u32);
-        } else {
-            return (i, i + 1);
-        }
-    }
-    (src.len(), src.len())
-}
-
-/// Like [`scan_while_less`] but keeps values `> bound` and *continues past*
-/// violations (the `ancestor` variant has no early-out without extra
-/// knowledge; see Algorithm 2). Returns the number appended.
-#[inline]
-pub fn scan_while_greater(dst: &mut Vec<u32>, src: &[u32], base: u32, bound: u32) -> usize {
-    let before = dst.len();
-    for (i, &v) in src.iter().enumerate() {
-        if v > bound {
-            dst.push(base + i as u32);
-        }
-    }
-    dst.len() - before
-}
-
-/// Appends the head values `base .. base + n` to `dst` (the copy phase of
-/// Algorithm 4: the first `post(c) − pre(c)` nodes after a context node are
-/// guaranteed descendants, no comparison needed).
-#[inline]
-pub fn append_sequence(dst: &mut Vec<u32>, base: u32, n: usize) {
-    dst.reserve(n);
-    dst.extend(base..base + n as u32);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,47 +58,5 @@ mod tests {
             append_run_unrolled(&mut b, &src);
             assert_eq!(a, b, "n={n}");
         }
-    }
-
-    #[test]
-    fn scan_while_less_stops_at_violation() {
-        let mut out = Vec::new();
-        let (app, scanned) = scan_while_less(&mut out, &[1, 2, 3, 9, 1, 1], 100, 5);
-        assert_eq!(out, [100, 101, 102]);
-        assert_eq!(app, 3);
-        assert_eq!(scanned, 4); // the violating node was inspected
-    }
-
-    #[test]
-    fn scan_while_less_exhausts_clean_run() {
-        let mut out = Vec::new();
-        let (app, scanned) = scan_while_less(&mut out, &[1, 2, 3], 0, 10);
-        assert_eq!(app, 3);
-        assert_eq!(scanned, 3);
-        assert_eq!(out, [0, 1, 2]);
-    }
-
-    #[test]
-    fn scan_while_less_empty() {
-        let mut out = Vec::new();
-        assert_eq!(scan_while_less(&mut out, &[], 0, 10), (0, 0));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn scan_while_greater_keeps_scanning() {
-        let mut out = Vec::new();
-        let n = scan_while_greater(&mut out, &[9, 1, 8, 0, 7], 10, 5);
-        assert_eq!(out, [10, 12, 14]);
-        assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn append_sequence_range() {
-        let mut out = vec![5u32];
-        append_sequence(&mut out, 10, 3);
-        assert_eq!(out, [5, 10, 11, 12]);
-        append_sequence(&mut out, 0, 0);
-        assert_eq!(out.len(), 4);
     }
 }

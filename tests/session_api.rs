@@ -758,7 +758,8 @@ fn auto_replans_a_query_the_same_alone_and_batched() {
     assert_eq!(batch[0].nodes(), alone.nodes());
     let last = alone.stats().steps.last().unwrap();
     assert!(!last.replanned, "{}", last.op);
-    assert_eq!(last.nodes_touched, 32_001);
+    // 2 000 subtrees of 16 nodes, each copied whole: nothing is scanned.
+    assert_eq!(last.nodes_touched, 32_000);
     assert_eq!(
         batch[0].stats().steps,
         alone.stats().steps,
