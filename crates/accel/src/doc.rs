@@ -378,18 +378,6 @@ impl Doc {
         (self.post(v) as i64 - v as i64 + self.level(v) as i64) as u32
     }
 
-    /// The height-bounded descendant window of `v` — the paper's line-7
-    /// predicate pair: descendants satisfy
-    /// `pre ∈ (pre(v), post(v) + h]` and `post ∈ [pre(v) − h, post(v))`.
-    ///
-    /// Returns `((pre_lo, pre_hi), (post_lo, post_hi))`, all inclusive.
-    pub fn descendant_window(&self, v: Pre) -> ((Pre, Pre), (Post, Post)) {
-        let h = self.height as u32;
-        let pre_hi = (self.post(v) + h).min(self.len().saturating_sub(1) as u32);
-        let post_lo = v.saturating_sub(h);
-        ((v + 1, pre_hi), (post_lo, self.post(v).saturating_sub(1)))
-    }
-
     /// Iterates all pre ranks.
     pub fn pres(&self) -> impl ExactSizeIterator<Item = Pre> {
         0..self.len() as Pre
@@ -1022,21 +1010,6 @@ mod tests {
         posts.sort_unstable();
         let expected: Vec<Post> = (0..doc.len() as Post).collect();
         assert_eq!(posts, expected);
-    }
-
-    #[test]
-    fn descendant_window_contains_all_descendants() {
-        let doc = figure1();
-        for c in doc.pres() {
-            let ((pl, ph), (ql, qh)) = doc.descendant_window(c);
-            for v in doc.pres() {
-                let is_desc = v > c && doc.post(v) < doc.post(c);
-                if is_desc {
-                    assert!(v >= pl && v <= ph, "pre window misses {v} under {c}");
-                    assert!(doc.post(v) >= ql && doc.post(v) <= qh);
-                }
-            }
-        }
     }
 
     #[test]

@@ -191,21 +191,6 @@ proptest! {
         }
     }
 
-    /// The height-bounded descendant window (paper line 7) never loses a
-    /// descendant.
-    #[test]
-    fn descendant_window_sound(doc in arb_doc()) {
-        for c in doc.pres() {
-            let ((pl, ph), (ql, qh)) = doc.descendant_window(c);
-            for v in doc.pres() {
-                if v > c && doc.post(v) < doc.post(c) {
-                    prop_assert!(pl <= v && v <= ph, "pre window c={} v={}", c, v);
-                    prop_assert!(ql <= doc.post(v) && doc.post(v) <= qh);
-                }
-            }
-        }
-    }
-
     /// Context name tests agree with a brute-force filter.
     #[test]
     fn name_test_agrees(doc in arb_doc()) {

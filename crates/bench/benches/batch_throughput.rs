@@ -16,8 +16,10 @@
 //! horizontal axes.
 //!
 //! Besides the timings, the bench prints measured speedups and
-//! touched-node totals, making the "one pass per shared step" claim
-//! visible.
+//! touched-node totals: the batch saves exactly the touched counts of
+//! the steps it shares. A plane scan over a context an earlier query
+//! scanned under another node test is no shared step — it runs again
+//! and reports what it touched.
 
 use std::time::Instant;
 
@@ -27,7 +29,7 @@ use staircase_core::Variant;
 use staircase_xpath::{Engine, Query, Session};
 
 /// Interleaved best-of-N speedup measurement, robust against CPU
-/// frequency drift between the two loops; prints the shared-pass
+/// frequency drift between the two loops; prints the shared-step
 /// accounting behind the speedup.
 fn report_speedup(label: &str, session: &Session, queries: &[Query<'_>], engine: Engine) -> f64 {
     let refs: Vec<&Query> = queries.iter().collect();

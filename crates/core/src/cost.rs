@@ -40,8 +40,6 @@
 //! curve. It only has to *rank* candidates correctly, and the candidates
 //! differ by orders of magnitude exactly when the choice matters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use staircase_accel::{Axis, Doc, NodeKind, TagId, NO_PARENT};
 
 use crate::Variant;
@@ -478,85 +476,6 @@ impl DocStats {
     }
 }
 
-/// Session-lifetime cost-constant calibrator.
-///
-/// The static twig constants predict the leapfrog's seek bill from
-/// first principles; the executor reports the *actual*
-/// [`StepStats::seeks`](crate::StepStats) after every twig step. The
-/// calibrator keeps an exponentially weighted ratio of observed to
-/// predicted seeks and exposes it as a multiplicative factor
-/// ([`Calibrator::twig_seek_factor`]) that the planner applies to
-/// [`DocStats::twig_frontier_cost`]. The factor is clamped to
-/// `[0.25, 4.0]` so one pathological sample can never invert every
-/// later twig-vs-step decision.
-///
-/// All state is atomic; sessions share one calibrator across threads.
-#[derive(Debug)]
-pub struct Calibrator {
-    /// EWMA of observed/predicted seek ratios, stored as `f64` bits.
-    twig_seek: AtomicU64,
-    /// Number of twig observations folded in.
-    samples: AtomicU64,
-}
-
-/// EWMA weight of each new observation.
-const CALIBRATOR_ALPHA: f64 = 0.25;
-/// Clamp range for the fitted factor.
-const CALIBRATOR_CLAMP: (f64, f64) = (0.25, 4.0);
-
-impl Calibrator {
-    /// A fresh calibrator: factor 1.0 (trust the static constants).
-    pub fn new() -> Calibrator {
-        Calibrator {
-            twig_seek: AtomicU64::new(1.0f64.to_bits()),
-            samples: AtomicU64::new(0),
-        }
-    }
-
-    /// The fitted twig-seek factor (1.0 until observations arrive).
-    pub fn twig_seek_factor(&self) -> f64 {
-        f64::from_bits(self.twig_seek.load(Ordering::Relaxed))
-    }
-
-    /// How many twig steps have been folded into the fit.
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
-    /// Folds one twig step's real seek count against the cost the
-    /// planner predicted for it. Zero or non-finite inputs are ignored.
-    pub fn observe_twig(&self, predicted_cost: f64, observed_seeks: u64) {
-        if predicted_cost <= 0.0 || observed_seeks == 0 {
-            return;
-        }
-        let ratio =
-            (observed_seeks as f64 / predicted_cost).clamp(CALIBRATOR_CLAMP.0, CALIBRATOR_CLAMP.1);
-        // Lock-free EWMA: retry on concurrent writers.
-        let mut current = self.twig_seek.load(Ordering::Relaxed);
-        loop {
-            let old = f64::from_bits(current);
-            let next = (old + CALIBRATOR_ALPHA * (ratio - old))
-                .clamp(CALIBRATOR_CLAMP.0, CALIBRATOR_CLAMP.1);
-            match self.twig_seek.compare_exchange_weak(
-                current,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
-        self.samples.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl Default for Calibrator {
-    fn default() -> Calibrator {
-        Calibrator::new()
-    }
-}
-
 /// Mean child count per element tag: a histogram of the `parent` column
 /// (`tag(parent(v))` for every node `v`) over the elements carrying each
 /// tag. It is a statistic, so a large document is *sampled* — runs of 64
@@ -808,25 +727,6 @@ mod tests {
             chains: vec![vec![100]],
         }];
         assert!(s.twig_frontier_cost(&deep) > s.twig_frontier_cost(&shallow));
-    }
-
-    #[test]
-    fn calibrator_fits_the_twig_seek_factor_from_observed_seeks() {
-        let c = Calibrator::new();
-        assert_eq!(c.twig_seek_factor(), 1.0);
-        assert_eq!(c.samples(), 0);
-        // Seeks keep coming in at half the predicted bill: the factor
-        // converges below 1 (and the clamp bounds it).
-        for _ in 0..32 {
-            c.observe_twig(1000.0, 500);
-        }
-        assert!(c.twig_seek_factor() < 0.75, "{}", c.twig_seek_factor());
-        assert!(c.twig_seek_factor() >= 0.25);
-        assert_eq!(c.samples(), 32);
-        // Degenerate observations are ignored.
-        c.observe_twig(0.0, 10);
-        c.observe_twig(100.0, 0);
-        assert_eq!(c.samples(), 32);
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub mod twig;
 
 pub use anc::{ancestor, ancestor_pooled};
 pub use batch::{Scratch, ScratchPool};
-pub use cost::{Calibrator, DocStats, TwigLegCost};
+pub use cost::{DocStats, TwigLegCost};
 pub use desc::{descendant, descendant_fused, descendant_pooled};
 pub use exists::{has_ancestor_in, has_child_in, has_descendant_in};
 pub use governor::{Budget, Trip};

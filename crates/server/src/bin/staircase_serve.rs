@@ -7,8 +7,6 @@
 //!
 //! options:
 //!   --addr A           bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-//!   --window-us W      ignored (queries execute as they arrive)
-//!   --max-batch B      ignored (every query runs alone)
 //!   --queue-depth Q    queries executing at once before SERVER_BUSY (default 256)
 //!   --read-timeout-ms  per-connection read deadline (default 30000)
 //!   --exec-timeout-ms  server-side execution ceiling per query
@@ -33,8 +31,7 @@ use staircase_xpath::Session;
 fn usage() -> ! {
     eprintln!(
         "usage: staircase-serve <DOC> [--encoded] [--addr A] [--queue-depth Q]\n\
-         \u{20}      [--read-timeout-ms T] [--exec-timeout-ms T] [--warm]\n\
-         \u{20}      (--window-us W and --max-batch B are accepted and ignored)"
+         \u{20}      [--read-timeout-ms T] [--exec-timeout-ms T] [--warm]"
     );
     exit(2);
 }
@@ -56,10 +53,6 @@ fn main() {
         match a.as_str() {
             "--encoded" => encoded = true,
             "--addr" => addr = args.next().unwrap_or_else(|| usage()),
-            // Still accepted, so existing command lines keep working.
-            "--window-us" | "--max-batch" => {
-                let _: u64 = parse_flag(&mut args);
-            }
             "--queue-depth" => config.queue_depth = parse_flag(&mut args),
             "--read-timeout-ms" => {
                 config.read_timeout = Duration::from_millis(parse_flag(&mut args));

@@ -135,11 +135,6 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Ignored: queries execute where they arrive, so there is no
-    /// admission window to hold. Kept so existing configurations build.
-    pub window: Duration,
-    /// Ignored, like [`ServerConfig::window`]: every query runs alone.
-    pub max_batch: usize,
     /// How many queries may execute at once, server-wide; a query past
     /// the bound is answered `SERVER_BUSY`.
     pub queue_depth: usize,
@@ -168,8 +163,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            window: Duration::from_millis(2),
-            max_batch: 32,
             queue_depth: 256,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),

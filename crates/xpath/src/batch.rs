@@ -24,19 +24,20 @@
 //!   holds the widest region a plane scan has read so far and its bound.
 //!   The regions nest ([`following_from`], [`preceding_from`]): a
 //!   narrower one is sliced out of it, a wider one reads only what it
-//!   lacks and takes its place;
-//! * **pass key** — the prefix through step `i − 1` plus a vertical axis
-//!   — records which plain staircase variants have scanned that context.
-//!   A plane scan's counters are arithmetic over the pruned context's
-//!   ranges whatever test rides it, so the batch charges the pass once.
+//!   lacks and takes its place.
 //!
-//! Queries run in order on one thread, so attribution is deterministic:
-//! a hit reports 0 touched and 0 seeks with its own result size, a region extension only the positions it read, any other
-//! step its cost alone. The governor has one mechanism: the query's
-//! ambient budget, which the kernels tick and the lane checks before and
-//! after every step (the `xpath::lane` fail point fires before every
-//! step). A query that trips or panics comes back as `Err`; its steps
-//! never enter the memo, so a sibling asking the same key computes it.
+//! Each key names work the batch does not repeat. Queries run in order
+//! on one thread, so attribution is deterministic: a step- or join-key
+//! hit reports 0 touched and 0 seeks with its own result size, a region
+//! extension only the positions it read, and any other step — a plane
+//! scan over a context an earlier query scanned under another node test
+//! included — what its kernel did, exactly as it reports alone.
+//!
+//! The governor has one mechanism: the query's ambient budget, which the
+//! kernels tick and the lane checks before and after every step (the
+//! `xpath::lane` fail point fires before every step). A query that trips
+//! or panics comes back as `Err`; its steps never enter the memo, so a
+//! sibling asking the same key computes it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -46,7 +47,7 @@ use std::sync::Arc;
 use staircase_accel::{Axis, Context, Pre};
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
-    faults, following_from, following_start, preceding_bound, preceding_from, Scratch, Variant,
+    faults, following_from, following_start, preceding_bound, preceding_from, Scratch,
 };
 
 use crate::ast::NodeTest;
@@ -111,9 +112,6 @@ enum Key<'p> {
     /// A path's output: a step key, or a predicate-carrying step's join
     /// key.
     Path(Prefix, Last<'p>),
-    /// The plain staircase passes over a path's output on the
-    /// descendant (`true`) or ancestor axis.
-    Pass(Prefix, bool),
     /// The widest `following` (`true`) or `preceding` region read under
     /// a node test.
     Region(bool, &'p NodeTest),
@@ -128,9 +126,9 @@ enum Last<'p> {
     Step(&'p str),
 }
 
-/// The keys `step` asks after `prefix`: its step key, its join key, its
-/// pass key and its region key, where it has them.
-fn step_keys(prefix: Prefix, step: &PlannedStep) -> [Option<Key<'_>>; 4] {
+/// The keys `step` asks after `prefix`: its step key, its join key and
+/// its region key, where it has them.
+fn step_keys(prefix: Prefix, step: &PlannedStep) -> [Option<Key<'_>>; 3] {
     let join = Last::Join(step.axis, &step.test);
     let plain = step.predicates.is_empty() && !matches!(step.op, StepOp::Twig(_));
     let last = if plain {
@@ -138,28 +136,21 @@ fn step_keys(prefix: Prefix, step: &PlannedStep) -> [Option<Key<'_>>; 4] {
     } else {
         Last::Step(&step.rendered)
     };
-    let vertical = match step.axis {
-        Axis::Descendant | Axis::DescendantOrSelf => Some(true),
-        Axis::Ancestor | Axis::AncestorOrSelf => Some(false),
-        _ => None,
-    };
     let following = step.axis == Axis::Following;
     let horizontal = following || step.axis == Axis::Preceding;
     [
         Some(Key::Path(prefix, last)),
         (!step.predicates.is_empty()).then_some(Key::Path(prefix, join)),
-        vertical.map(|desc| Key::Pass(prefix, desc)),
         horizontal.then_some(Key::Region(following, &step.test)),
     ]
 }
 
 /// The marked keys one step of one lane asks, as memo entry indices, in
-/// [`step_keys`] order: [`STEP`], [`JOIN`], [`PASS`], [`REGION`].
-type StepKeys = [Option<usize>; 4];
+/// [`step_keys`] order: [`STEP`], [`JOIN`], [`REGION`].
+type StepKeys = [Option<usize>; 3];
 const STEP: usize = 0;
 const JOIN: usize = 1;
-const PASS: usize = 2;
-const REGION: usize = 3;
+const REGION: usize = 2;
 
 /// Where a marked key's nodes live.
 enum Held {
@@ -180,8 +171,6 @@ struct Entry {
     /// A region key's bound: the start of the `following` suffix, or the
     /// node the `preceding` region lies before.
     bound: Pre,
-    /// A pass key's variants already paid for.
-    paid: Vec<Variant>,
 }
 
 /// The results of the batch's queries run so far.
@@ -208,8 +197,6 @@ struct Stash {
     /// The bound of a region wider than the one held: the step's output
     /// before predicates.
     region: Option<Pre>,
-    /// The plain staircase variant whose pass this step paid for.
-    paid: Option<Variant>,
 }
 
 impl Memo {
@@ -311,11 +298,7 @@ impl Memo {
         result_of: Option<usize>,
         scratch: &mut Scratch,
     ) {
-        let Stash {
-            joined,
-            region,
-            paid,
-        } = stash;
+        let Stash { joined, region } = stash;
         let wanted = |memo: &Memo, key: Option<usize>| {
             key.filter(|&k| memo.entries[k].readers > 0 && memo.entries[k].nodes.is_none())
         };
@@ -343,9 +326,6 @@ impl Memo {
                 Some(q) => Held::Output(q),
                 None => Held::Owned(copy(out.as_slice(), scratch)),
             });
-        }
-        if let (Some(k), Some(variant)) = (keys[PASS], paid) {
-            self.entries[k].paid.push(variant);
         }
         for k in keys.into_iter().flatten() {
             if self.entries[k].readers == 0 {
@@ -477,8 +457,9 @@ impl Executor<'_> {
     }
 
     /// One step through the memo: an exact-prefix hit, else the join
-    /// (itself a hit on the join key, a region slice or extension, or
-    /// the interpreter's join) followed by the step's predicates.
+    /// (itself a hit on the join key, a plane scan's region slice or
+    /// extension, or the interpreter's join) followed by the step's
+    /// predicates.
     fn memo_step(
         &self,
         ctx: &Context,
@@ -494,9 +475,13 @@ impl Executor<'_> {
             return (out, trace, Stash::default());
         }
         let mut stash = Stash::default();
+        let plane = matches!(step.op, StepOp::Staircase { .. } | StepOp::Horiz);
         let (joined, touched, produced, seeks) = match memo.read(keys[JOIN], outputs, scratch) {
             Some(joined) => (joined, 0, 0, 0),
-            None => self.memo_join(ctx, step, keys, memo, outputs, &mut stash, scratch),
+            None => match keys[REGION].filter(|_| plane) {
+                Some(k) => self.region_join(ctx, step, (memo, k), outputs, &mut stash, scratch),
+                None => self.exec_join(ctx, step, scratch),
+            },
         };
         let out = match self.exec_predicates(&joined, step, scratch) {
             Some(out) => {
@@ -507,36 +492,6 @@ impl Executor<'_> {
         };
         let trace = trace(step, out.len(), touched, produced, seeks);
         (out, trace, stash)
-    }
-
-    /// The step's join with its node test, sharing a region or a plain
-    /// staircase pass when its keys are marked.
-    #[allow(clippy::too_many_arguments)]
-    fn memo_join(
-        &self,
-        ctx: &Context,
-        step: &PlannedStep,
-        keys: StepKeys,
-        memo: &mut Memo,
-        outputs: &Outputs,
-        stash: &mut Stash,
-        scratch: &mut Scratch,
-    ) -> (Context, u64, u64, u64) {
-        let plane = matches!(step.op, StepOp::Staircase { .. } | StepOp::Horiz);
-        if let (Some(k), true) = (keys[REGION], plane) {
-            return self.region_join(ctx, step, (memo, k), outputs, stash, scratch);
-        }
-        let (out, touched, produced, seeks) = self.exec_join(ctx, step, scratch);
-        match (keys[PASS], &step.op) {
-            (Some(k), &StepOp::Staircase { variant }) => {
-                if memo.entries[k].paid.contains(&variant) {
-                    return (out, 0, produced, seeks);
-                }
-                stash.paid = Some(variant);
-                (out, touched, produced, seeks)
-            }
-            _ => (out, touched, produced, seeks),
-        }
     }
 
     /// A horizontal plane scan served from the widest region held under

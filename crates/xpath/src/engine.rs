@@ -56,7 +56,8 @@ pub(crate) enum EngineKind {
     /// Cost-based per-step operator picking: the planner prices the
     /// candidate operators for every step from document statistics and
     /// keeps the cheapest, and the executor re-prices a pending step
-    /// from the observed frontier when the estimate proves wrong.
+    /// from the observed frontier when the estimate proves wrong. The
+    /// prices are static: no constant is fitted from earlier runs.
     Auto,
     /// Worst-case-optimal twig matching: every eligible run of vertical
     /// steps with path-shaped existential predicates is fused into one
@@ -148,9 +149,9 @@ impl Engine {
     /// planner's estimate, and where they disagree by 8× or more it
     /// re-prices the pending step from the observed cardinality and
     /// switches its operator when the observed-cost ranking disagrees
-    /// with the planned one (`[replan]` in the step trace). A
-    /// session-lifetime [`staircase_core::Calibrator`] nudges the twig
-    /// cost constants from real seek counts. Results are node- and
+    /// with the planned one (`[replan]` in the step trace). The plan
+    /// itself depends only on the document and the expression: no
+    /// constant is fitted from earlier runs. Results are node- and
     /// order-identical to every fixed engine (property-tested); only
     /// the access pattern changes.
     pub fn auto() -> Engine {

@@ -21,8 +21,7 @@ use std::sync::{Arc, Mutex};
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
-    ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled,
-    cost::{Calibrator, DocStats},
+    ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled, cost::DocStats,
     descendant_on_list_pooled, descendant_pooled, following_pooled, has_ancestor_in, has_child_in,
     has_descendant_in, preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool,
     SpineLeg, TagIndex, Variant,
@@ -119,10 +118,6 @@ pub(crate) struct Executor<'a> {
     /// The session's cached document statistics; at evaluation time
     /// they price auto's re-planning.
     pub(crate) stats: &'a DocStats,
-    /// The session-lifetime cost calibrator: every twig step reports
-    /// its real seek count here, and auto's re-planner prices
-    /// through the fitted factors.
-    pub(crate) calibrator: &'a Calibrator,
     /// The node lists this evaluation has derived so far.
     pub(crate) lists: Mutex<ListMemo>,
 }
@@ -641,7 +636,7 @@ impl<'a> Executor<'a> {
                 if paxis != PartAxis::Descendant {
                     return self.plain_staircase(ctx, paxis, step, Variant::default(), scratch);
                 }
-                self.twig_step(ctx, spec, step.estimate.cost)
+                self.twig_step(ctx, spec)
             }
         }
     }
@@ -682,7 +677,7 @@ impl<'a> Executor<'a> {
     /// the index, selection scans otherwise) and hands them to the
     /// multiway leapfrog intersection [`staircase_core::twig_match`].
     /// The result is the output (last) leg's binding in document order.
-    fn twig_step(&self, ctx: &Context, spec: &TwigSpec, est_cost: f64) -> (Context, u64, u64, u64) {
+    fn twig_step(&self, ctx: &Context, spec: &TwigSpec) -> (Context, u64, u64, u64) {
         let mut leg_lists = Vec::with_capacity(spec.spine.len());
         let mut chain_lists = Vec::with_capacity(spec.spine.len());
         for leg in &spec.spine {
@@ -719,10 +714,6 @@ impl<'a> Executor<'a> {
             })
             .collect();
         let (out, stats) = twig_match(self.doc, &spine, ctx);
-        // Session-lifetime feedback: fold this step's *actual* seek
-        // count against the frontier cost the planner predicted, so
-        // later twig-vs-step decisions price from measured constants.
-        self.calibrator.observe_twig(est_cost, stats.seeks);
         (out, stats.nodes_touched(), 0, stats.seeks)
     }
 

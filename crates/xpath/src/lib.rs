@@ -141,39 +141,34 @@
 //!
 //! ## Feedback loops
 //!
-//! Static planning trusts two things that can be wrong at run time:
-//! the *cardinality model* (Equation-1 windows scaled by global tag
-//! frequencies — misled whenever a tag's mass is clustered rather than
-//! uniform) and the *cost constants* (the twig seek bill is predicted
-//! from first principles). Two feedback loops correct for both without
-//! giving up the plan/execute split:
+//! Static planning trusts the *cardinality model* (Equation-1 windows
+//! scaled by global tag frequencies — misled whenever a tag's mass is
+//! clustered rather than uniform), which can be wrong at run time. One
+//! feedback loop corrects it without giving up the plan/execute split:
+//! **re-planning at step boundaries** ([`Engine::auto`]). After each
+//! advance of a lane planned under auto, the executor compares the
+//! lane's *observed* frontier cardinality against the planner's
+//! estimate. When they disagree by 8× or more, the pending step's
+//! candidates are re-priced from the observed cardinality by the same
+//! chooser the planner uses — a switch to the fragment join only when
+//! the query's own plan already needs the index, so a switch never
+//! brings it into existence, and a query switches the same way alone as
+//! in [`Session::run_many`] — and the operator is switched in place if
+//! the observed ranking disagrees with the planned choice. Fixed engines
+//! and `twig` run their plans as planned. Switching is lane-local (the
+//! cached plan is copy-on-write, so other lanes and later runs are
+//! untouched), results stay node-identical to every fixed engine
+//! (property-tested through [`Session::run`] and [`Session::run_many`]
+//! alike), and switched steps carry a `[replan]` marker in their
+//! [`StepTrace`] and in the post-run report (`xq --explain --stats`). On
+//! well-estimated workloads the disagreement gate keeps the overhead
+//! near zero.
 //!
-//! * **Re-planning at step boundaries** ([`Engine::auto`]). After each
-//!   advance of a lane planned under auto, the executor compares the
-//!   lane's *observed* frontier cardinality against the planner's
-//!   estimate. When they disagree by 8× or more, the pending step's
-//!   candidates are re-priced from the observed cardinality by the same
-//!   chooser the planner uses — a switch to the fragment join only when
-//!   the query's own plan already needs the index, so a switch never
-//!   brings it into existence, and a query switches the same way alone
-//!   as in [`Session::run_many`] — and the operator is switched in place
-//!   if the observed ranking disagrees with the planned choice. Fixed
-//!   engines and `twig` run their plans as planned. Switching is
-//!   lane-local (the cached plan is copy-on-write, so other lanes and
-//!   later runs are untouched), results stay node-identical to
-//!   every fixed engine (property-tested through [`Session::run`] and
-//!   [`Session::run_many`] alike), and switched
-//!   steps carry a `[replan]` marker in their [`StepTrace`] and in the
-//!   post-run report (`xq --explain --stats`). On well-estimated
-//!   workloads the disagreement gate keeps the overhead near zero.
-//! * **Constant calibration** ([`Session::calibrator`],
-//!   [`staircase_core::Calibrator`]). Every executed twig step reports
-//!   its actual leapfrog seek count ([`StepTrace::seeks`]) against the
-//!   cost the planner predicted; the session keeps a clamped
-//!   exponentially-weighted ratio and later plans scale
-//!   [`staircase_core::DocStats::twig_frontier_cost`] by it — so the
-//!   fuse-or-not decision sharpens with observed behaviour instead of
-//!   drifting on mispredicted constants.
+//! Nothing a query does changes how a later one is planned: the twig
+//! frontier is priced by [`staircase_core::DocStats::twig_frontier_cost`]
+//! as it stands, so a plan — and its EXPLAIN — depends only on the
+//! document, the normalised expression and the engine, which is what
+//! [`Query`]'s per-engine plan cache assumes.
 //!
 //! The fragment index itself is no feedback loop: a session builds every
 //! tag's fragment in one sweep over the columns the first time a plan
@@ -213,9 +208,9 @@
 //! the batch will ask are stored. Per-query [`EvalStats`] count
 //! *incremental* cost: a hit reports zero touched and zero seeks with
 //! its own result size, a region extension reports only the positions
-//! it read, and a further node test over a context whose plain
-//! staircase pass the batch already paid for reports zero (the scan
-//! reads the same positions whatever test rides it).
+//! it read, and every other step — a plane scan over a context an
+//! earlier query scanned under another node test included — reports
+//! what its kernel did, exactly as it does alone.
 
 //! ## Threading model
 //!

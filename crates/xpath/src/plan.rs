@@ -593,38 +593,23 @@ enum Policy {
     Twig,
 }
 
-/// Planner configuration: the policy plus the session-calibrated cost
-/// factors (currently the fitted twig-seek multiplier).
-#[derive(Debug, Clone, Copy)]
-struct Planner {
-    policy: Policy,
-    /// Session-fitted multiplier on the twig frontier cost
-    /// ([`staircase_core::cost::Calibrator::twig_seek_factor`]): 1.0
-    /// until twig steps have actually run and reported their seeks.
-    twig_seek: f64,
-}
-
 /// Lowers a parsed union expression into a physical plan for `engine`.
-/// `twig_seek` is the session calibrator's fitted twig-seek factor
-/// (pass 1.0 for an uncalibrated plan).
 pub(crate) fn plan_union(
     expr: &UnionExpr,
     doc: &Doc,
     stats: &DocStats,
     engine: Engine,
-    twig_seek: f64,
 ) -> PhysicalPlan {
     let policy = match engine.kind {
         EngineKind::Auto => Policy::Auto,
         EngineKind::Twig => Policy::Twig,
         kind => Policy::Fixed(kind),
     };
-    let pl = Planner { policy, twig_seek };
     PhysicalPlan {
         branches: expr
             .branches
             .iter()
-            .map(|p| plan_path(p, doc, stats, pl, 1.0, true))
+            .map(|p| plan_path(p, doc, stats, policy, 1.0, true))
             .collect(),
         auto: matches!(policy, Policy::Auto),
     }
@@ -637,7 +622,7 @@ fn plan_path(
     path: &Path,
     doc: &Doc,
     stats: &DocStats,
-    pl: Planner,
+    policy: Policy,
     in_rows: f64,
     at_root: bool,
 ) -> PathPlan {
@@ -653,11 +638,12 @@ fn plan_path(
         // auto policy additionally demands that the cost model predict a
         // step-at-a-time intermediate blowup above the leapfrog frontier
         // cost before fusing.
-        if matches!(pl.policy, Policy::Twig | Policy::Auto) {
+        if matches!(policy, Policy::Twig | Policy::Auto) {
             if let Some(spec) = twig_region(&path.steps[i..]) {
                 let len = spec.spine.len();
+                let source = &path.steps[i..i + len];
                 if let Some((planned, out_rows)) =
-                    plan_twig(spec, &path.steps[i..i + len], doc, stats, pl, rows, root)
+                    plan_twig(spec, source, doc, stats, policy, rows, root)
                 {
                     rows = out_rows;
                     root = false;
@@ -668,7 +654,8 @@ fn plan_path(
                 }
             }
         }
-        let (planned, out_rows) = plan_step(&path.steps[i], doc, stats, pl, rows, root, ctx_tag);
+        let (planned, out_rows) =
+            plan_step(&path.steps[i], doc, stats, policy, rows, root, ctx_tag);
         rows = out_rows;
         root = false;
         ctx_tag = element_tag(&path.steps[i], doc);
@@ -771,7 +758,7 @@ fn plan_twig(
     source: &[Step],
     doc: &Doc,
     stats: &DocStats,
-    pl: Planner,
+    policy: Policy,
     in_rows: f64,
     at_root: bool,
 ) -> Option<(PlannedStep, f64)> {
@@ -792,14 +779,11 @@ fn plan_twig(
                 .collect(),
         })
         .collect();
-    // The calibrated frontier: the session's fitted seek factor scales
-    // the static prediction, so a session whose twig steps kept seeking
-    // more (or less) than predicted shifts later twig-vs-step picks.
-    let frontier = stats.twig_frontier_cost(&legs) * pl.twig_seek;
+    let frontier = stats.twig_frontier_cost(&legs);
     // `rows` is the step plan's final output, so downstream estimates
     // are unchanged by splicing the twig in.
     let (blowup, rows) = stats.step_blowup_estimate(in_rows, at_root, &legs);
-    if matches!(pl.policy, Policy::Auto) && blowup <= frontier {
+    if matches!(policy, Policy::Auto) && blowup <= frontier {
         return None;
     }
     let rendered = source
@@ -868,7 +852,7 @@ fn plan_step(
     step: &Step,
     doc: &Doc,
     stats: &DocStats,
-    pl: Planner,
+    policy: Policy,
     in_rows: f64,
     at_root: bool,
     ctx_tag: Option<TagId>,
@@ -880,10 +864,10 @@ fn plan_step(
     };
 
     let (op, test_op, mut cost, mut rows) = match part_axis_of(step.axis) {
-        Some(paxis) => plan_partitioning(
-            step, paxis, pl.policy, stats, sel, fragment, in_rows, at_root,
-        ),
-        None => plan_structural(step, pl.policy, doc, stats, sel, in_rows, ctx_tag),
+        Some(paxis) => {
+            plan_partitioning(step, paxis, policy, stats, sel, fragment, in_rows, at_root)
+        }
+        None => plan_structural(step, policy, doc, stats, sel, in_rows, ctx_tag),
     };
 
     // Or-self merges the surviving context nodes back in.
@@ -894,7 +878,7 @@ fn plan_step(
     let mut predicates = Vec::with_capacity(step.predicates.len());
     for pred in &step.predicates {
         let Predicate::Exists(path) = pred;
-        let (lowered, pred_cost) = plan_predicate(path, doc, stats, pl, rows);
+        let (lowered, pred_cost) = plan_predicate(path, doc, stats, policy, rows);
         cost += pred_cost;
         // The classic existential-predicate guess: half the candidates
         // survive.
@@ -1193,17 +1177,17 @@ fn plan_predicate(
     path: &Path,
     doc: &Doc,
     stats: &DocStats,
-    pl: Planner,
+    policy: Policy,
     candidates: f64,
 ) -> (PredOp, f64) {
     let nested_loop = || {
-        let sub = plan_path(path, doc, stats, pl, 1.0, false);
+        let sub = plan_path(path, doc, stats, policy, 1.0, false);
         let per_candidate: f64 = sub.steps.iter().map(|s| s.estimate.cost).sum();
         let cost = stats.nested_loop_cost(candidates, per_candidate, sub.steps.len());
         (PredOp::Filter(sub), cost)
     };
     // `Some(prebuilt)` for the engine families with a semijoin form.
-    let family = match pl.policy {
+    let family = match policy {
         Policy::Auto | Policy::Twig | Policy::Fixed(EngineKind::Fragmented { .. }) => Some(true),
         Policy::Fixed(EngineKind::Staircase { .. }) => Some(false),
         Policy::Fixed(_) => None,
@@ -1211,7 +1195,7 @@ fn plan_predicate(
     let Some((prebuilt, chain)) = family.zip(semijoin_chain(path)) else {
         return nested_loop();
     };
-    let priced = matches!(pl.policy, Policy::Auto) && !chain.is_single();
+    let priced = matches!(policy, Policy::Auto) && !chain.is_single();
     let cost = chain_cost(&chain, doc, stats, candidates, !prebuilt);
     let chained = (PredOp::Semijoin { chain, prebuilt }, cost);
     if !priced {
@@ -1300,7 +1284,7 @@ mod tests {
     fn plan_for(expr: &str, engine: Engine) -> PhysicalPlan {
         let (doc, stats) = fixture();
         let parsed = normalize(&parse_union(expr).unwrap());
-        plan_union(&parsed, &doc, &stats, engine, 1.0)
+        plan_union(&parsed, &doc, &stats, engine)
     }
 
     fn ops(plan: &PhysicalPlan) -> Vec<StepOp> {
@@ -1557,7 +1541,7 @@ mod tests {
         let stats = DocStats::from_doc(&doc);
         let plan = |expr: &str| {
             let parsed = normalize(&parse_union(expr).unwrap());
-            plan_union(&parsed, &doc, &stats, Engine::auto(), 1.0)
+            plan_union(&parsed, &doc, &stats, Engine::auto())
         };
         let many = plan("//a[b/c]");
         assert!(
@@ -1670,8 +1654,8 @@ mod tests {
     fn estimates_are_positive_and_ordered() {
         let (doc, stats) = fixture();
         let parsed = parse_union("/descendant::b").unwrap();
-        let frag = plan_union(&parsed, &doc, &stats, Engine::auto(), 1.0);
-        let naive = plan_union(&parsed, &doc, &stats, Engine::naive(), 1.0);
+        let frag = plan_union(&parsed, &doc, &stats, Engine::auto());
+        let naive = plan_union(&parsed, &doc, &stats, Engine::naive());
         assert!(frag.estimated_cost() > 0.0);
         assert!(
             frag.estimated_cost() < naive.estimated_cost(),
@@ -1831,7 +1815,7 @@ mod tests {
         let (doc, stats) = people();
         let plan = |expr: &str, engine: Engine| {
             let parsed = normalize(&parse_union(expr).unwrap());
-            plan_union(&parsed, &doc, &stats, engine, 1.0)
+            plan_union(&parsed, &doc, &stats, engine)
         };
         let fragment = StepOp::Fragment { prescan: false };
         // 200 context nodes with 1 200 children between them against a

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use staircase_accel::{Context, DecodeError, Doc, Pre};
 use staircase_baselines::SqlEngine;
-use staircase_core::cost::{Calibrator, DocStats};
+use staircase_core::cost::DocStats;
 use staircase_core::governor::Budget;
 use staircase_core::{ScratchPool, TagIndex};
 
@@ -55,11 +55,6 @@ pub struct Session {
     stats: OnceLock<DocStats>,
     tag_builds: AtomicUsize,
     sql_builds: AtomicUsize,
-    /// Session-lifetime cost calibrator: every executed twig step feeds
-    /// its (predicted cost, observed seeks) pair back in, and both the
-    /// planner and auto's mid-query re-planner read the fitted seek
-    /// constant out. See [`Calibrator`].
-    calibrator: Calibrator,
     /// The executor's buffer pools, persisted across queries and
     /// batches so a steady-state session stops allocating per step.
     /// Sharded ([`SCRATCH_SHARDS`]): concurrent callers — a server's
@@ -103,7 +98,6 @@ impl Session {
             stats: OnceLock::new(),
             tag_builds: AtomicUsize::new(0),
             sql_builds: AtomicUsize::new(0),
-            calibrator: Calibrator::new(),
             scratch: ScratchPool::new(SCRATCH_SHARDS),
         }
     }
@@ -226,10 +220,8 @@ impl Session {
     /// batch, statistics count *incremental* cost: a step shared with
     /// an earlier query reports zero touched and zero seeks with its own
     /// result size, a region extension reports only the positions it
-    /// read, a further node test over a context whose plain staircase
-    /// pass the batch already paid for reports zero, and every other
-    /// step reports its cost alone. Queries run in order on the calling
-    /// thread.
+    /// read, and every other step reports its cost alone. Queries run
+    /// in order on the calling thread.
     pub fn run_many(&self, queries: &[&Query<'_>], engine: Engine) -> Vec<QueryOutput> {
         let jobs: Vec<_> = queries.iter().map(|&q| (q, None)).collect();
         self.execute(&jobs, engine, None)
@@ -320,7 +312,6 @@ impl Session {
                 .then(|| self.sql_engine()),
             scratch: &self.scratch,
             stats: self.doc_stats(),
-            calibrator: &self.calibrator,
             lists: Mutex::default(),
         };
         match from {
@@ -379,13 +370,6 @@ impl Session {
         })
     }
 
-    /// The session's cost calibrator (see the crate docs' *feedback
-    /// loops* section): executed twig steps feed observed seek counts
-    /// in; planning reads the fitted constants out.
-    pub fn calibrator(&self) -> &Calibrator {
-        &self.calibrator
-    }
-
     /// The SQL baseline's B-tree engine, built on first use and cached
     /// for the session's lifetime.
     pub fn sql_engine(&self) -> &SqlEngine {
@@ -408,13 +392,7 @@ impl Session {
 
     /// Lowers a parsed expression into the plan `engine` executes.
     pub(crate) fn plan(&self, parsed: &UnionExpr, engine: Engine) -> PhysicalPlan {
-        plan_union(
-            parsed,
-            &self.doc,
-            self.doc_stats(),
-            engine,
-            self.calibrator.twig_seek_factor(),
-        )
+        plan_union(parsed, &self.doc, self.doc_stats(), engine)
     }
 }
 

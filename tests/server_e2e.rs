@@ -58,8 +58,6 @@ fn concurrent_clients_match_sequential_run_exactly() {
     let expected = Arc::new(expected);
 
     let config = ServerConfig {
-        window: Duration::from_millis(3),
-        max_batch: 64,
         ..ServerConfig::default()
     };
     let handle = Server::start(Arc::clone(&session), config).expect("bind");
