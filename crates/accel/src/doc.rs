@@ -1,7 +1,7 @@
 //! The encoded document (`doc` table) and its streaming loader.
 
 use staircase_storage::Bat;
-use staircase_xml::{Document, Event, NodeId, PullParser, TextPos};
+use staircase_xml::{Attributes, Chars, Document, Error, NodeId, Sink};
 
 use crate::tags::{TagId, TagInterner, NO_TAG};
 use crate::{Level, Post, Pre};
@@ -17,13 +17,62 @@ pub const NO_PARENT: Pre = u32::MAX;
 /// stored height the column cannot hold.
 pub const MAX_DEPTH: usize = Level::MAX as usize;
 
-/// The ingest error for a start tag (at `pos`, when the input was text)
-/// that would open element number `MAX_DEPTH + 1` on its path.
-fn too_deep(pos: Option<TextPos>) -> staircase_xml::Error {
-    staircase_xml::Error::TooDeep {
+/// The most nodes a document may have. Pre and post ranks are `u32`s and
+/// `u32::MAX` is [`NO_PARENT`] (and, as a string index, "no content"), so
+/// ranks run `0..MAX_NODES`. Post ranks count closed nodes, so this also
+/// caps the post counter: it ends at the node count.
+const MAX_NODES: usize = u32::MAX as usize;
+
+/// The most content bytes a document may hold: string ends in the arena
+/// are `u32`s.
+const MAX_CONTENT: usize = u32::MAX as usize;
+
+/// String index of a node without content.
+const NO_CONTENT: u32 = u32::MAX;
+
+/// The ingest error for a start tag that would open element number
+/// `MAX_DEPTH + 1` on its path (the tokenizer places it in the text).
+fn too_deep() -> Error {
+    Error::TooDeep {
         limit: MAX_DEPTH,
-        pos,
+        pos: None,
     }
+}
+
+/// The pre rank of the node that follows `len` nodes, or the ingest error
+/// when there is none left.
+#[inline]
+fn node_rank(len: usize) -> Result<Pre, Error> {
+    if len < MAX_NODES {
+        Ok(len as Pre)
+    } else {
+        Err(Error::TooLarge {
+            what: "nodes",
+            limit: MAX_NODES as u64,
+            pos: None,
+        })
+    }
+}
+
+/// `len` as the end of a string in the arena, or the ingest error when the
+/// arena would grow past [`MAX_CONTENT`].
+#[inline]
+fn content_end(len: usize) -> Result<u32, Error> {
+    if len <= MAX_CONTENT {
+        Ok(len as u32)
+    } else {
+        Err(Error::TooLarge {
+            what: "content bytes",
+            limit: MAX_CONTENT as u64,
+            pos: None,
+        })
+    }
+}
+
+/// What a programmatic build does with a refusal: there is no caller to
+/// hand it to, so it fails loudly rather than wrap a rank.
+fn refused(e: Error) -> ! {
+    panic!("{e}")
 }
 
 /// The kind of an encoded node.
@@ -91,9 +140,19 @@ pub struct Doc {
 }
 
 impl Doc {
-    /// Parses XML text and encodes it. Content (text/attribute values) is
-    /// retained so the document can be reconstructed.
-    pub fn from_xml(input: &str) -> Result<Doc, staircase_xml::Error> {
+    /// Parses XML text and encodes it in one document-order pass: the push
+    /// tokenizer hands each construct straight to an [`EncodingBuilder`]
+    /// (its [`Sink`]), so text becomes columns with no event in between and
+    /// no allocation per node. Content (text/attribute values) is retained
+    /// so the document can be reconstructed.
+    ///
+    /// # Errors
+    ///
+    /// The first well-formedness error in the text, or a document the
+    /// encoding cannot count: [`Error::TooDeep`] past [`MAX_DEPTH`],
+    /// [`Error::TooLarge`] past 2³² − 1 nodes or 4 GiB of content. Each
+    /// carries the position of the construct that caused it.
+    pub fn from_xml(input: &str) -> Result<Doc, Error> {
         let mut b = EncodingBuilder::new();
         // Pre-sized for XMark-like text (≈ 14 bytes a node, every other node
         // with content); denser input grows by doubling, `finish` trims.
@@ -101,50 +160,14 @@ impl Doc {
         b.reserve(nodes);
         b.arena_ends.reserve(nodes / 2);
         b.arena.reserve(input.len() / 2);
-        let mut parser = PullParser::new(input);
-        // Consecutive text/CDATA events merge into one text node (the XPath
-        // data model has no adjacent text siblings): while the last node
-        // emitted is a text node its string is the arena's open tail, so
-        // the next run is appended to it in place.
-        let mut text_open = false;
-        loop {
-            let merge = std::mem::replace(&mut text_open, false);
-            let at = parser.offset();
-            match parser.next_event()? {
-                Event::StartTag {
-                    name,
-                    attributes,
-                    self_closing,
-                } => {
-                    if b.depth() >= MAX_DEPTH {
-                        return Err(too_deep(Some(TextPos::from_offset(input, at))));
-                    }
-                    b.open_element(name);
-                    for a in &attributes {
-                        b.attribute(a.name, &a.value);
-                    }
-                    if self_closing {
-                        b.close_element();
-                    }
-                }
-                Event::EndTag { .. } => b.close_element(),
-                Event::Text(t) => text_open = b.text_run(&t, merge),
-                Event::CData(t) => text_open = b.text_run(t, merge),
-                Event::Comment(c) => {
-                    b.comment(c);
-                }
-                Event::ProcessingInstruction { target, data } => {
-                    b.pi(target, data);
-                }
-                Event::Eof => break,
-            }
-        }
+        staircase_xml::tokenize(input, &mut b)?;
         Ok(b.finish())
     }
 
-    /// Encodes an in-memory [`Document`] tree; [`staircase_xml::Error::TooDeep`]
-    /// when its elements nest deeper than [`MAX_DEPTH`].
-    pub fn from_document(doc: &Document) -> Result<Doc, staircase_xml::Error> {
+    /// Encodes an in-memory [`Document`] tree; [`Error::TooDeep`] when its
+    /// elements nest deeper than [`MAX_DEPTH`], [`Error::TooLarge`] when it
+    /// has more nodes or content bytes than 32-bit ranks and offsets count.
+    pub fn from_document(doc: &Document) -> Result<Doc, Error> {
         let mut b = EncodingBuilder::new();
         // One child iterator per open node, on the heap: a tree as deep
         // as the encoding allows would overflow a thread's stack.
@@ -161,22 +184,25 @@ impl Doc {
                 staircase_xml::NodeKind::Document => {} // never a child
                 staircase_xml::NodeKind::Element { name, attributes } => {
                     if b.depth() >= MAX_DEPTH {
-                        return Err(too_deep(None));
+                        return Err(too_deep());
                     }
-                    b.open_element(name);
+                    let tag = b.tags.intern(name);
+                    b.open(tag)?;
                     for (k, v) in attributes {
-                        b.attribute(k, v);
+                        let name = b.tags.intern(k);
+                        b.leaf(NodeKind::Attribute, name, Some(v))?;
                     }
                     open.push(doc.children(id));
                 }
                 staircase_xml::NodeKind::Text(t) => {
-                    b.text(t);
+                    b.leaf(NodeKind::Text, NO_TAG, Some(t))?;
                 }
                 staircase_xml::NodeKind::Comment(c) => {
-                    b.comment(c);
+                    b.leaf(NodeKind::Comment, NO_TAG, Some(c))?;
                 }
                 staircase_xml::NodeKind::Pi { target, data } => {
-                    b.pi(target, data);
+                    let tag = b.tags.intern(target);
+                    b.leaf(NodeKind::Pi, tag, Some(data))?;
                 }
             }
         }
@@ -586,6 +612,11 @@ impl Iterator for Ancestors<'_> {
 /// when a node is opened, `post` when it is closed; leaves open and close
 /// immediately. Attribute nodes are emitted directly after their element,
 /// before any content — XPath document order.
+///
+/// It is the push tokenizer's [`Sink`] for [`Doc::from_xml`]; generators
+/// drive it directly through the `open_element` / `text` / … calls, which
+/// panic where ingest would return a typed error (too deep, too many nodes,
+/// too much content), since no caller could handle it.
 #[derive(Debug)]
 pub struct EncodingBuilder {
     post: Vec<Post>,
@@ -660,73 +691,81 @@ impl EncodingBuilder {
         self.level.is_empty()
     }
 
-    fn push_node(&mut self, kind: NodeKind, tag: TagId, content: Option<&str>) -> Pre {
-        if kind == NodeKind::Element {
-            self.tags.record_element(tag);
-        }
-        let pre = self.level.len() as Pre;
+    /// Appends a node's row to every column but `content`, as a child of
+    /// the innermost open element.
+    #[inline]
+    fn push_row(&mut self, kind: NodeKind, tag: TagId, post: Post) -> Result<Pre, Error> {
+        let pre = node_rank(self.level.len())?;
         let level = Level::try_from(self.open.len()).expect("document deeper than u16::MAX levels");
-        self.post.push(0); // patched on close for elements, below for leaves
+        self.post.push(post);
         self.level.push(level);
         self.height = self.height.max(level);
         self.kind.push(kind as u8);
         self.tag.push(tag);
         self.parent
             .push(self.open.last().copied().unwrap_or(NO_PARENT));
+        Ok(pre)
+    }
+
+    /// Opens an element: its post rank is patched in when it closes.
+    #[inline]
+    fn open(&mut self, tag: TagId) -> Result<Pre, Error> {
+        let pre = self.push_row(NodeKind::Element, tag, 0)?;
+        self.tags.record_element(tag);
+        self.content.push(NO_CONTENT);
+        self.open.push(pre);
+        Ok(pre)
+    }
+
+    /// Emits a leaf, which opens and closes at once: its post rank is the
+    /// next one.
+    #[inline]
+    fn leaf(&mut self, kind: NodeKind, tag: TagId, content: Option<&str>) -> Result<Pre, Error> {
+        let pre = self.push_row(kind, tag, self.next_post)?;
+        self.next_post += 1;
         match content {
             Some(c) if self.store_content => {
-                self.content.push(self.arena_ends.len() as u32);
+                let end = content_end(self.arena.len() + c.len())?;
                 self.arena.push_str(c);
-                self.arena_ends.push(self.arena_end());
+                self.content.push(self.arena_ends.len() as u32);
+                self.arena_ends.push(end);
             }
-            _ => self.content.push(u32::MAX),
+            _ => self.content.push(NO_CONTENT),
         }
-        pre
+        Ok(pre)
     }
 
-    /// The arena's length as a string end; content is capped at 4 GiB the
-    /// way node counts are capped at 2^32.
-    fn arena_end(&self) -> u32 {
-        u32::try_from(self.arena.len()).expect("content arena exceeds 4 GiB")
-    }
-
-    /// Emits `run` as a text node, or, when `merge` says the node emitted
-    /// last is a text node, appends it to that node's content: its string
-    /// is the arena's open tail. Empty runs emit nothing. Returns whether
-    /// a text node is now last.
-    fn text_run(&mut self, run: &str, merge: bool) -> bool {
+    /// Emits `run` as a text node or, when the node emitted last is a text
+    /// node in the same element, appends it to that node's content: its
+    /// string is the arena's open tail. Consecutive text and CDATA runs so
+    /// make one text node (the XPath data model has no adjacent text
+    /// siblings). Empty runs emit nothing.
+    fn text_run(&mut self, run: &str) -> Result<(), Error> {
         if run.is_empty() {
-            return merge;
+            return Ok(());
         }
-        if !merge {
-            self.text(run);
+        let text_is_last = self.kind.last() == Some(&(NodeKind::Text as u8))
+            && self.parent.last() == Some(self.open.last().unwrap_or(&NO_PARENT));
+        if !text_is_last {
+            self.leaf(NodeKind::Text, NO_TAG, Some(run))?;
         } else if self.store_content {
+            let end = content_end(self.arena.len() + run.len())?;
             self.arena.push_str(run);
-            let end = self.arena_end();
             *self.arena_ends.last_mut().expect("a text node is last") = end;
         }
-        true
-    }
-
-    fn close_leaf(&mut self, pre: Pre) {
-        self.post[pre as usize] = self.next_post;
-        self.next_post += 1;
+        Ok(())
     }
 
     /// Opens an element named `tag`; returns its pre rank.
     pub fn open_element(&mut self, tag: &str) -> Pre {
         let id = self.tags.intern(tag);
-        let pre = self.push_node(NodeKind::Element, id, None);
-        self.open.push(pre);
-        pre
+        self.open(id).unwrap_or_else(|e| refused(e))
     }
 
     /// Opens an element by already-interned tag id (generator fast path).
     pub fn open_element_id(&mut self, tag: TagId) -> Pre {
         debug_assert!(self.tags.name(tag).is_some(), "unknown tag id");
-        let pre = self.push_node(NodeKind::Element, tag, None);
-        self.open.push(pre);
-        pre
+        self.open(tag).unwrap_or_else(|e| refused(e))
     }
 
     /// Interns a tag name without emitting a node (generator setup).
@@ -745,46 +784,40 @@ impl EncodingBuilder {
     pub fn attribute(&mut self, name: &str, value: &str) -> Pre {
         assert!(!self.open.is_empty(), "attribute outside any element");
         let id = self.tags.intern(name);
-        let pre = self.push_node(NodeKind::Attribute, id, Some(value));
-        self.close_leaf(pre);
-        pre
+        self.leaf(NodeKind::Attribute, id, Some(value))
+            .unwrap_or_else(|e| refused(e))
     }
 
     /// Emits an attribute node by interned name id (generator fast path).
     pub fn attribute_id(&mut self, name: TagId) -> Pre {
         assert!(!self.open.is_empty(), "attribute outside any element");
-        let pre = self.push_node(NodeKind::Attribute, name, None);
-        self.close_leaf(pre);
-        pre
+        self.leaf(NodeKind::Attribute, name, None)
+            .unwrap_or_else(|e| refused(e))
     }
 
     /// Emits a text node.
     pub fn text(&mut self, body: &str) -> Pre {
-        let pre = self.push_node(NodeKind::Text, NO_TAG, Some(body));
-        self.close_leaf(pre);
-        pre
+        self.leaf(NodeKind::Text, NO_TAG, Some(body))
+            .unwrap_or_else(|e| refused(e))
     }
 
     /// Emits a text node without content (generator fast path).
     pub fn text_marker(&mut self) -> Pre {
-        let pre = self.push_node(NodeKind::Text, NO_TAG, None);
-        self.close_leaf(pre);
-        pre
+        self.leaf(NodeKind::Text, NO_TAG, None)
+            .unwrap_or_else(|e| refused(e))
     }
 
     /// Emits a comment node.
     pub fn comment(&mut self, body: &str) -> Pre {
-        let pre = self.push_node(NodeKind::Comment, NO_TAG, Some(body));
-        self.close_leaf(pre);
-        pre
+        self.leaf(NodeKind::Comment, NO_TAG, Some(body))
+            .unwrap_or_else(|e| refused(e))
     }
 
     /// Emits a processing-instruction node.
     pub fn pi(&mut self, target: &str, data: &str) -> Pre {
         let id = self.tags.intern(target);
-        let pre = self.push_node(NodeKind::Pi, id, Some(data));
-        self.close_leaf(pre);
-        pre
+        self.leaf(NodeKind::Pi, id, Some(data))
+            .unwrap_or_else(|e| refused(e))
     }
 
     /// Finalises the encoding. Panics if elements are still open.
@@ -826,9 +859,59 @@ impl Default for EncodingBuilder {
     }
 }
 
+/// The loader: the push tokenizer drives the builder directly, so
+/// [`Doc::from_xml`] turns text into columns with no event values and no
+/// allocation per start tag. A refusal (too deep, too many nodes, too much
+/// content) ends the load, and the tokenizer places it in the text.
+impl<'a> Sink<'a> for EncodingBuilder {
+    fn start_tag(
+        &mut self,
+        name: &'a str,
+        attributes: &Attributes<'a>,
+        self_closing: bool,
+    ) -> Result<(), Error> {
+        if self.open.len() >= MAX_DEPTH {
+            return Err(too_deep());
+        }
+        let tag = self.tags.intern(name);
+        self.open(tag)?;
+        for (name, value) in attributes.iter() {
+            let name = self.tags.intern(name);
+            self.leaf(NodeKind::Attribute, name, Some(value.as_str()))?;
+        }
+        if self_closing {
+            self.close_element();
+        }
+        Ok(())
+    }
+
+    fn end_tag(&mut self, _name: &'a str) -> Result<(), Error> {
+        self.close_element();
+        Ok(())
+    }
+
+    fn text(&mut self, text: Chars<'a, '_>) -> Result<(), Error> {
+        self.text_run(text.as_str())
+    }
+
+    fn cdata(&mut self, text: &'a str) -> Result<(), Error> {
+        self.text_run(text)
+    }
+
+    fn comment(&mut self, body: &'a str) -> Result<(), Error> {
+        self.leaf(NodeKind::Comment, NO_TAG, Some(body)).map(drop)
+    }
+
+    fn pi(&mut self, target: &'a str, data: &'a str) -> Result<(), Error> {
+        let tag = self.tags.intern(target);
+        self.leaf(NodeKind::Pi, tag, Some(data)).map(drop)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use staircase_xml::TextPos;
 
     /// The paper's Figure 1/2 document: a(b(c),d,e(f(g,h),i(j))).
     pub(crate) fn figure1() -> Doc {
@@ -892,6 +975,27 @@ mod tests {
         for _ in 0..MAX_DEPTH + 2 {
             b.open_element("a");
         }
+    }
+
+    #[test]
+    fn the_encoding_caps_are_typed_errors_at_their_u32_boundaries() {
+        // The last rank below `NO_PARENT` is given out; the one after it is
+        // refused, not wrapped to 0.
+        assert_eq!(node_rank(0), Ok(0));
+        assert_eq!(node_rank(MAX_NODES - 1), Ok(u32::MAX - 1));
+        let too_many = Error::TooLarge {
+            what: "nodes",
+            limit: u32::MAX as u64,
+            pos: None,
+        };
+        assert_eq!(node_rank(MAX_NODES), Err(too_many.clone()));
+        assert_eq!(node_rank(usize::MAX), Err(too_many));
+        // A string may end at the last byte a `u32` can address, not past.
+        assert_eq!(content_end(MAX_CONTENT), Ok(u32::MAX));
+        assert_eq!(
+            content_end(MAX_CONTENT + 1).unwrap_err().to_string(),
+            "document has more than 4294967295 content bytes"
+        );
     }
 
     #[test]

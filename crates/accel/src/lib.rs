@@ -17,8 +17,12 @@
 //! * [`Doc`] — the encoded document ("the `doc` table"): dense columns for
 //!   `post`, `level`, `kind`, `tag`, `parent`, with `pre` as a virtual
 //!   (void) column, stored via [`staircase_storage::Bat`].
-//! * [`EncodingBuilder`] — a streaming loader; [`Doc::from_xml`] /
-//!   [`Doc::from_document`] wire it to the XML substrate.
+//! * [`EncodingBuilder`] — a streaming loader. It is the sink of
+//!   `staircase_xml`'s push tokenizer, so [`Doc::from_xml`] is one
+//!   document-order pass from text to columns; [`Doc::from_document`]
+//!   walks an in-memory tree into it. Both refuse, as typed errors, a
+//!   document the columns cannot count: deeper than [`MAX_DEPTH`], more
+//!   than 2³² − 1 nodes, more than 4 GiB of content.
 //! * [`Axis`] / [`Region`] — axis semantics as plane predicates and
 //!   rectangles; the *reference* implementation baselines and property
 //!   tests are checked against.

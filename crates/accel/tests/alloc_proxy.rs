@@ -14,13 +14,27 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// The heap blocks of a `Doc`: six columns, the arena and its ends.
 const BLOCKS: u64 = 8;
 
-/// `<r>` over `n` items of one element and one text node each (no
-/// attributes: the parser allocates a `Vec` per attributed start tag, which
-/// is its cost, not the encoding's).
+/// `<r>` over `n` items of one element and one text node each.
 fn text_items(n: usize) -> String {
     let mut xml = String::from("<r>");
     for i in 0..n {
         xml.push_str(&format!("<t{}>text {i}</t{}>", i % 7, i % 7));
+    }
+    xml.push_str("</r>");
+    xml
+}
+
+/// [`text_items`] with attributes, references in attribute values and in
+/// text, and CDATA merged into the text: every item's start tag carries
+/// two attributes and one escaped value, and its text two escaped runs.
+fn attributed_items(n: usize) -> String {
+    let mut xml = String::from("<r>");
+    for i in 0..n {
+        xml.push_str(&format!(
+            "<t{} id='i{i}' note=\"a &amp; b&#33;\">text &lt;{i}&gt; <![CDATA[&raw]]> caf&#233;</t{}>",
+            i % 7,
+            i % 7
+        ));
     }
     xml.push_str("</r>");
     xml
@@ -56,6 +70,27 @@ fn encoding_xml_allocates_for_column_growth_only() {
     let (b, large) = counting(|| Doc::from_xml(&twice).unwrap());
     assert_eq!(b.len(), 2 * a.len() - 1);
     // Doubling the document adds at most one doubling per block.
+    assert!(
+        large.allocs <= small.allocs + BLOCKS + 2,
+        "{} allocations for {} nodes, {} for {}",
+        small.allocs,
+        a.len(),
+        large.allocs,
+        b.len()
+    );
+}
+
+#[test]
+fn attributes_and_references_allocate_nothing_per_start_tag_or_run() {
+    let (once, twice) = (attributed_items(20_000), attributed_items(40_000));
+    let (a, small) = counting(|| Doc::from_xml(&once).unwrap());
+    let (b, large) = counting(|| Doc::from_xml(&twice).unwrap());
+    // Per item: the element, two attributes, one merged text node.
+    assert_eq!(b.len(), 2 * a.len() - 1);
+    assert_eq!(b.content(4), Some("text <0> &raw café"));
+    assert_eq!(b.content(3), Some("a & b!"));
+    // 40 000 more start tags and 80 000 more escaped runs, yet no more
+    // allocations than one doubling of each block.
     assert!(
         large.allocs <= small.allocs + BLOCKS + 2,
         "{} allocations for {} nodes, {} for {}",

@@ -90,6 +90,41 @@ pub enum Error {
         /// was an in-memory tree.
         pos: Option<TextPos>,
     },
+    /// The document holds more than the consumer can count: the pre/post
+    /// encoding numbers nodes and content bytes in 32 bits. Raised by the
+    /// encoder, like [`Error::TooDeep`].
+    TooLarge {
+        /// What ran out: `"nodes"` or `"content bytes"`.
+        what: &'static str,
+        /// The most the consumer accepts.
+        limit: u64,
+        /// Where the construct that went past the limit begins; `None`
+        /// when the input was an in-memory tree.
+        pos: Option<TextPos>,
+    },
+}
+
+impl Error {
+    /// `self` placed at `pos` when it is an encoder's refusal raised
+    /// without a position (a sink cannot see where in the text it is).
+    pub(crate) fn at(self, pos: TextPos) -> Error {
+        match self {
+            Error::TooDeep { limit, pos: None } => Error::TooDeep {
+                limit,
+                pos: Some(pos),
+            },
+            Error::TooLarge {
+                what,
+                limit,
+                pos: None,
+            } => Error::TooLarge {
+                what,
+                limit,
+                pos: Some(pos),
+            },
+            e => e,
+        }
+    }
 }
 
 impl fmt::Display for Error {
@@ -120,12 +155,20 @@ impl fmt::Display for Error {
             Error::CdataCloseInText(p) => write!(f, "']]>' not allowed in character data at {p}"),
             Error::TooDeep { limit, pos } => {
                 write!(f, "elements nested deeper than {limit} levels")?;
-                match pos {
-                    Some(p) => write!(f, " at {p}"),
-                    None => Ok(()),
-                }
+                write_pos(f, pos)
+            }
+            Error::TooLarge { what, limit, pos } => {
+                write!(f, "document has more than {limit} {what}")?;
+                write_pos(f, pos)
             }
         }
+    }
+}
+
+fn write_pos(f: &mut fmt::Formatter<'_>, pos: &Option<TextPos>) -> fmt::Result {
+    match pos {
+        Some(p) => write!(f, " at {p}"),
+        None => Ok(()),
     }
 }
 

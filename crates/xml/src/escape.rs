@@ -66,6 +66,13 @@ pub fn unescape<'a>(input: &'a str, doc: &str, base: usize) -> Result<Cow<'a, st
         return Ok(Cow::Borrowed(input));
     }
     let mut out = String::with_capacity(input.len());
+    unescape_into(input, &mut out, doc, base)?;
+    Ok(Cow::Owned(out))
+}
+
+/// [`unescape`] appending to `out`, so a caller that expands many runs
+/// reuses one buffer.
+pub(crate) fn unescape_into(input: &str, out: &mut String, doc: &str, base: usize) -> Result<()> {
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -80,7 +87,7 @@ pub fn unescape<'a>(input: &'a str, doc: &str, base: usize) -> Result<Cow<'a, st
         }
         let semi = input[i..]
             .find(';')
-            .ok_or(Error::InvalidReference(TextPos::from_offset(doc, base + i)))?;
+            .ok_or_else(|| Error::InvalidReference(TextPos::from_offset(doc, base + i)))?;
         let entity = &input[i + 1..i + semi];
         match entity {
             "lt" => out.push('<'),
@@ -102,7 +109,7 @@ pub fn unescape<'a>(input: &'a str, doc: &str, base: usize) -> Result<Cow<'a, st
         }
         i += semi + 1;
     }
-    Ok(Cow::Owned(out))
+    Ok(())
 }
 
 #[cfg(test)]

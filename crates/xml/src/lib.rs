@@ -8,9 +8,15 @@
 //! accelerator encoding; this crate supplies the document side of that
 //! pipeline:
 //!
-//! * [`PullParser`] — a streaming (SAX-style) pull parser producing
-//!   [`Event`]s. The accelerator loader consumes events directly, so
-//!   multi-million-node documents never materialise a DOM.
+//! * [`tokenize`] — the one scanner of XML text: a push tokenizer that
+//!   hands each construct to a [`Sink`] as it completes, names as borrowed
+//!   slices, a start tag's attributes through one reused buffer
+//!   ([`Attributes`]), character data expanded only where it held a
+//!   reference ([`Chars`]). It allocates nothing per construct. The
+//!   accelerator's loader is a `Sink`, so multi-million-node documents go
+//!   from text to columns without an event or a DOM in between.
+//! * [`PullParser`] — the same core one construct at a time: its one-event
+//!   sink turns each into an owned [`Event`].
 //! * [`Document`] / [`NodeId`] — an arena-backed DOM-lite tree for tests,
 //!   examples, and small-document round-trips.
 //! * [`write_document`] — a serializer with correct escaping.
@@ -39,6 +45,7 @@
 
 mod error;
 mod escape;
+mod push;
 mod reader;
 mod stream;
 mod tree;
@@ -46,6 +53,7 @@ mod writer;
 
 pub use error::{Error, Result, TextPos};
 pub use escape::{escape_attribute, escape_text, unescape};
+pub use push::{tokenize, Attributes, Chars, Sink};
 pub use reader::{Attribute, Event, PullParser};
 pub use stream::{canonicalize, EventWriter, WriteError};
 pub use tree::{Document, NodeId, NodeKind};
