@@ -13,8 +13,8 @@ pub const NO_PARENT: Pre = u32::MAX;
 /// under `MAX_DEPTH - 1` others sits at level `MAX_DEPTH - 1`, its
 /// attributes and children at `Level::MAX`, the last level the 16-bit
 /// level column can count. Enforced where text and trees enter
-/// ([`Doc::from_xml`], [`Doc::from_document`]); `.scj` decode refuses a
-/// stored height the column cannot hold.
+/// ([`Doc::from_xml`], [`Doc::from_document`]) and by [`Doc::validate`],
+/// which `.scj` loads run.
 pub const MAX_DEPTH: usize = Level::MAX as usize;
 
 /// The most nodes a document may have. Pre and post ranks are `u32`s and
@@ -440,8 +440,9 @@ impl Doc {
     ///
     /// The check replays the loader: walking the pre ranks with the stack
     /// of open elements that the `parent` column implies must reproduce
-    /// `post`, `level` and the height exactly, so a document that passes
-    /// is one [`EncodingBuilder`] could have built.
+    /// `post`, `level` and the height exactly, and no element may open
+    /// under [`MAX_DEPTH`] others, so a document that passes is one the
+    /// loaders could have built from text or a tree.
     pub fn validate(&self) -> Result<(), String> {
         let mut open: Vec<Pre> = Vec::new();
         let mut next_post: Post = 0;
@@ -485,6 +486,11 @@ impl Doc {
                 return Err(format!("attribute {v} does not follow its element"));
             }
             if kind == NodeKind::Element {
+                if open.len() >= MAX_DEPTH {
+                    return Err(format!(
+                        "element {v} is nested deeper than {MAX_DEPTH} levels"
+                    ));
+                }
                 open.push(v);
             } else {
                 close(v)?;

@@ -33,6 +33,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use staircase_bench::cli::Args;
 use staircase_xmlgen::{generate, generate_misleading, MisleadConfig, XmarkConfig};
 use staircase_xpath::{Engine, Session};
 
@@ -40,6 +41,9 @@ use staircase_xpath::{Engine, Session};
 /// frontier explodes after step 2, and step 3 is where the static and
 /// observed cost rankings disagree.
 const MISLEAD_QUERY: &str = "/descendant::a/descendant::b/descendant::node()";
+
+const USAGE: &str =
+    "usage: bench_adaptive [--scale S] [--iters N] [--seed U] [--out PATH] [--smoke]";
 
 struct Config {
     scale: f64,
@@ -155,19 +159,15 @@ fn main() {
         out_path: "BENCH_adaptive.json".to_string(),
     };
     let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut next = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} takes a value"))
-        };
-        match a.as_str() {
-            "--scale" => cfg.scale = next("--scale").parse().expect("number"),
-            "--iters" => cfg.iters = next("--iters").parse().expect("number"),
-            "--seed" => cfg.seed = next("--seed").parse().expect("number"),
-            "--out" => cfg.out_path = next("--out"),
+    let mut args = Args::new(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => cfg.scale = args.value("--scale"),
+            "--iters" => cfg.iters = args.value("--iters"),
+            "--seed" => cfg.seed = args.value("--seed"),
+            "--out" => cfg.out_path = args.value("--out"),
             "--smoke" => smoke = true,
-            other => panic!("unknown flag {other}"),
+            other => args.refuse(&format!("unknown flag {other}")),
         }
     }
     if smoke {
@@ -176,7 +176,9 @@ fn main() {
         cfg.scale = cfg.scale.min(4.0);
         cfg.iters = cfg.iters.min(2);
     }
-    assert!(cfg.iters > 0, "--iters must be positive");
+    if cfg.iters == 0 {
+        args.refuse("--iters must be positive");
+    }
 
     let mislead = Session::new(generate_misleading(
         MisleadConfig::new(cfg.scale).with_seed(cfg.seed),

@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use staircase_accel::NodeKind;
+use staircase_bench::cli::Args;
 use staircase_core::mask;
 
 const SIZES: [usize; 2] = [10_000, 100_000];
@@ -94,12 +95,12 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let mut smoke = false;
     let mut out_path = "BENCH_filter_kernels.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let mut args = Args::new("usage: bench_filter_kernels [--smoke] [--out PATH]");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out takes a path"),
-            other => panic!("unknown flag {other}"),
+            "--out" => out_path = args.value("--out"),
+            other => args.refuse(&format!("unknown flag {other}")),
         }
     }
     let reps = if smoke { 3 } else { 200 };

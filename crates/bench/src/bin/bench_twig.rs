@@ -34,8 +34,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use staircase_bench::cli::Args;
 use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
 use staircase_xpath::{Engine, Session, StepOp};
+
+const USAGE: &str =
+    "usage: bench_twig [--skew Z] [--scale S] [--iters N] [--seed U] [--out PATH] [--smoke]";
 
 struct Config {
     skew: f64,
@@ -150,27 +154,25 @@ fn main() {
         out_path: "BENCH_twig.json".to_string(),
     };
     let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut next = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} takes a value"))
-        };
-        match a.as_str() {
-            "--skew" => cfg.skew = next("--skew").parse().expect("--skew takes a number"),
-            "--scale" => cfg.scale = next("--scale").parse().expect("number"),
-            "--iters" => cfg.iters = next("--iters").parse().expect("number"),
-            "--seed" => cfg.seed = next("--seed").parse().expect("number"),
-            "--out" => cfg.out_path = next("--out"),
+    let mut args = Args::new(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--skew" => cfg.skew = args.value("--skew"),
+            "--scale" => cfg.scale = args.value("--scale"),
+            "--iters" => cfg.iters = args.value("--iters"),
+            "--seed" => cfg.seed = args.value("--seed"),
+            "--out" => cfg.out_path = args.value("--out"),
             "--smoke" => smoke = true,
-            other => panic!("unknown flag {other}"),
+            other => args.refuse(&format!("unknown flag {other}")),
         }
     }
     if smoke {
         cfg.scale = cfg.scale.min(0.5);
         cfg.iters = cfg.iters.min(2);
     }
-    assert!(cfg.iters > 0, "--iters must be positive");
+    if cfg.iters == 0 {
+        args.refuse("--iters must be positive");
+    }
 
     // The adversarial query family the skewed generator is built for;
     // both descendant-chain and child-edge predicates so the leapfrog's

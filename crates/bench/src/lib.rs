@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod experiments;
 pub mod table;
 pub mod workload;

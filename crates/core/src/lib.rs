@@ -92,7 +92,7 @@
 //! window. The test changes which positions are written out, never how
 //! many are charged, so every [`StepStats`] field but `result_size` is
 //! identical to join-then-filter by construction (proptested, and
-//! `tests/bounds.rs`): a selective test buys less memory traffic, not a
+//! `suite/tests/bounds.rs`): a selective test buys less memory traffic, not a
 //! smaller counter. Where a run ends is read off the structure, never
 //! off the test: Equation (1)'s `end(c)` for the `descendant` copy and
 //! the `ancestor` jumps, the ancestor chain for `preceding`, and the
@@ -132,7 +132,6 @@
 //! `--cfg stair_faults`).
 
 #![warn(missing_docs)]
-#![cfg_attr(stair_simd, feature(portable_simd))]
 #![allow(unexpected_cfgs)]
 
 mod anc;

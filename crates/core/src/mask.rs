@@ -15,9 +15,8 @@
 //!   comparisons have delimited, `following`'s suffix, the gaps between
 //!   `preceding`'s ancestors). A kind test folds 64 positions of the byte-wide
 //!   kind column into one `u64` (byte-wise SWAR compare: broadcast-XOR +
-//!   zero-byte detect + movemask multiply, or one 64-byte vector compare
-//!   under `--cfg stair_simd`) and materialises the set bits with one
-//!   `trailing_zeros` per **survivor**; a name test skips hit-free
+//!   zero-byte detect + movemask multiply) and materialises the set bits
+//!   with one `trailing_zeros` per **survivor**; a name test skips hit-free
 //!   32-lane chunks of the `tag` column with a vectorisable any-compare
 //!   and looks at `kind` only on a hit — so `/descendant::profile` reads
 //!   the tag column once instead of writing the whole region out and
@@ -85,21 +84,6 @@ fn eq_lanes(kind: &[u8], base: usize, lanes: usize, byte: u8) -> u64 {
     word
 }
 
-/// The full 64-lane mask: [`eq_lanes`] on stable, one `u8x64` compare +
-/// bitmask extraction under `--cfg stair_simd`.
-#[inline]
-fn eq_word64(kind: &[u8], base: usize, byte: u8) -> u64 {
-    #[cfg(not(stair_simd))]
-    return eq_lanes(kind, base, 64, byte);
-    #[cfg(stair_simd)]
-    {
-        use std::simd::cmp::SimdPartialEq;
-        use std::simd::u8x64;
-        let v = u8x64::from_slice(&kind[base..base + 64]);
-        v.simd_eq(u8x64::splat(byte)).to_bitmask()
-    }
-}
-
 /// Iterates the set-bit positions of `word`, lowest first.
 ///
 /// The scalar view of the select step: `select_into` is this iterator
@@ -140,7 +124,7 @@ fn select_kind_range(
     let to = to as usize;
     debug_assert!(to <= kind.len());
     while v + 64 <= to {
-        let eq = eq_word64(kind, v, byte);
+        let eq = eq_lanes(kind, v, 64, byte);
         select_into(v as Pre, if keep_equal { eq } else { !eq }, out);
         v += 64;
     }

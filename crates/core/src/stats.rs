@@ -16,7 +16,7 @@
 ///   ([`crate::mask::ScanTest`]), so a selective test writes fewer nodes
 ///   out but reads, and is charged for, exactly what `node()` reads.
 ///   Every field but `result_size` is therefore independent of the test
-///   (`tests/bounds.rs`, the parity proptests).
+///   (`suite/tests/bounds.rs`, the parity proptests).
 /// * With skipping enabled, `descendant` touches at most `result_size +
 ///   context_out + A` nodes, where `A` is the number of attribute nodes
 ///   below the pruned context: a partition reads its step's descendants
@@ -26,7 +26,7 @@
 ///   and an attribute is read like any descendant but filtered from the
 ///   result. On an attribute-free document the paper's bound holds
 ///   exactly; XMark's attributes put the ratio at ≈ 1.09
-///   (`tests/bounds.rs`).
+///   (`suite/tests/bounds.rs`).
 /// * The fragment joins ([`crate::descendant_on_list`],
 ///   [`crate::ancestor_on_list`], [`crate::child_on_list`]) are **range
 ///   joins** over two forward cursors, one on the list and one on the
@@ -45,7 +45,7 @@
 ///     that the list-driven cursor galloped past — were never read, which
 ///     is what pruning is here: no pass over the context precedes a join.
 ///   - all three are merges: `nodes_touched() + seeks ≤ 2 · (context_out +
-///     |list|)` (`tests/bounds.rs`).
+///     |list|)` (`suite/tests/bounds.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Context size before pruning.

@@ -45,8 +45,15 @@
 //! the same path prefix, the same join under different predicates, a
 //! nested `following`/`preceding` region — once (the `xq --query-file`
 //! flag exposes this on the command line).
+//!
+//! [`oracle`] is the reference the tests hold every engine to: a tree
+//! walk that reads no encoding column, the document and query
+//! generators, the sixteen engine configurations, and the runner that
+//! checks every engine against the walk.
 
 #![warn(missing_docs)]
+
+pub mod oracle;
 
 /// One-stop imports for examples and integration tests.
 pub mod prelude {

@@ -9,14 +9,34 @@
 //! documents too, each through its pooled entry and its plain join: a
 //! scratch pool changes where a result lives, never what is touched.
 
-use staircase_accel::{Context, Doc, EncodingBuilder, NodeKind, Pre};
+use std::sync::LazyLock;
+
+use staircase_accel::{Context, Doc, NodeKind, Pre};
 use staircase_core::{
     ancestor, ancestor_on_list, ancestor_pooled, child_on_list, descendant, descendant_on_list,
     descendant_pooled, following, following_pooled, preceding, preceding_pooled, prune_ancestor,
     prune_descendant, prune_following, prune_preceding, ScanTest, Scratch, StepStats, TagIndex,
     Variant,
 };
-use staircase_xmlgen::{generate, generate_skewed, SkewConfig, XmarkConfig};
+use staircase_suite::oracle::{self, Rng, Shape, Tree, VARIANTS};
+use staircase_xmlgen::{generate, generate_document, generate_skewed_xml, SkewConfig, XmarkConfig};
+
+/// A document and the tree-walk oracle's tree of the same text.
+type Loaded = (Doc, Tree);
+
+fn loaded(xml: &str) -> Loaded {
+    (Doc::from_xml(xml).unwrap(), Tree::parse(xml).unwrap())
+}
+
+/// XMark from the generator straight into the encoding, and into the
+/// tree the oracle walks.
+static XMARK: LazyLock<Loaded> = LazyLock::new(|| {
+    let config = XmarkConfig::new(1.0);
+    let tree = Tree::from_document(&generate_document(config));
+    (generate(config), tree)
+});
+static SKEWED: LazyLock<Loaded> =
+    LazyLock::new(|| loaded(&generate_skewed_xml(SkewConfig::new(1.0, 1.2))));
 
 fn elements(doc: &Doc, tag: &str) -> Context {
     doc.elements_with_tag(doc.tag_id(tag).expect("generated tag"))
@@ -24,17 +44,27 @@ fn elements(doc: &Doc, tag: &str) -> Context {
         .collect()
 }
 
-/// Attribute nodes inside the subtrees of the pruned context — the ones
-/// a skipping scan walks over on its way to each partition's first miss.
-fn attributes_below(doc: &Doc, context: &Context) -> u64 {
-    prune_descendant(doc, context)
-        .iter()
-        .map(|c| {
-            (c + 1..=c + doc.subtree_size(c))
-                .filter(|&v| doc.kind(v) == NodeKind::Attribute)
-                .count() as u64
-        })
-        .sum()
+/// Whether each node lies inside the subtree of a context node,
+/// attributes included, by the oracle's tree walk.
+fn below(tree: &Tree, context: &Context) -> Vec<bool> {
+    let mut below = vec![false; tree.len()];
+    for c in context.iter() {
+        if !below[c as usize] {
+            tree.subtree(c)
+                .into_iter()
+                .for_each(|v| below[v as usize] = true);
+        }
+    }
+    below
+}
+
+/// Attribute nodes inside the subtrees of the context — the ones a
+/// skipping scan walks over on its way to each partition's first miss.
+fn attributes_below(tree: &Tree, context: &Context) -> u64 {
+    let below = below(tree, context);
+    (0..tree.len() as Pre)
+        .filter(|&v| below[v as usize] && tree.is_attribute(v))
+        .count() as u64
 }
 
 /// `core.bound_ratio`: a skipping partition scans the descendants of its
@@ -44,16 +74,16 @@ fn attributes_below(doc: &Doc, context: &Context) -> u64 {
 #[test]
 fn skipping_descendant_touches_result_plus_context_plus_scanned_attributes() {
     // Attribute-free: the paper's bound, exactly.
-    let skewed = generate_skewed(SkewConfig::new(1.0, 1.2));
+    let skewed = &SKEWED.0;
     assert_eq!(
         skewed.kind_counts().1,
         0,
         "the skewed document has no attributes"
     );
     for tag in ["a", "b", "c"] {
-        let ctx = elements(&skewed, tag);
+        let ctx = elements(skewed, tag);
         for variant in [Variant::Skipping, Variant::EstimationSkipping] {
-            let (_, s) = descendant(&skewed, &ctx, variant);
+            let (_, s) = descendant(skewed, &ctx, variant);
             assert!(
                 s.nodes_touched() <= (s.result_size + s.context_out) as u64,
                 "{tag} {variant:?}: {s}"
@@ -63,13 +93,13 @@ fn skipping_descendant_touches_result_plus_context_plus_scanned_attributes() {
 
     // XMark has attributes everywhere, and they account for every touch
     // past the paper's bound (the benchmark's 1.091).
-    let xmark = generate(XmarkConfig::new(1.0));
+    let (xmark, tree) = &*XMARK;
     assert!(xmark.kind_counts().1 > 0);
     for tag in ["open_auction", "person", "item", "bidder"] {
-        let ctx = elements(&xmark, tag);
-        let attrs = attributes_below(&xmark, &ctx);
+        let ctx = elements(xmark, tag);
+        let attrs = attributes_below(tree, &ctx);
         for variant in [Variant::Skipping, Variant::EstimationSkipping] {
-            let (_, s) = descendant(&xmark, &ctx, variant);
+            let (_, s) = descendant(xmark, &ctx, variant);
             let paper = (s.result_size + s.context_out) as u64;
             assert!(s.nodes_touched() <= paper + attrs, "{tag} {variant:?}: {s}");
             if variant == Variant::Skipping && attrs > 0 {
@@ -88,15 +118,13 @@ fn skipping_descendant_touches_result_plus_context_plus_scanned_attributes() {
 /// `node()` result (not against the few nodes the test kept).
 #[test]
 fn a_selective_test_touches_what_the_node_scan_touches() {
-    let skewed = generate_skewed(SkewConfig::new(1.0, 1.2));
-    let xmark = generate(XmarkConfig::new(1.0));
-    let cases: [(&Doc, &[(&str, &str)]); 2] = [
+    let cases: [(&Loaded, &[(&str, &str)]); 2] = [
         (
-            &skewed,
+            &SKEWED,
             &[("a", "c"), ("a", "d"), ("b", "a"), ("c", "nosuch")],
         ),
         (
-            &xmark,
+            &XMARK,
             &[
                 ("open_auction", "increase"),
                 ("person", "education"),
@@ -106,16 +134,12 @@ fn a_selective_test_touches_what_the_node_scan_touches() {
             ],
         ),
     ];
-    for (doc, pairs) in cases {
+    for ((doc, tree), pairs) in cases {
         for &(outer, inner) in pairs {
             let ctx = elements(doc, outer);
-            let attrs = attributes_below(doc, &ctx);
+            let attrs = attributes_below(tree, &ctx);
             let test = ScanTest::named(doc, NodeKind::Element, inner);
-            for variant in [
-                Variant::Basic,
-                Variant::Skipping,
-                Variant::EstimationSkipping,
-            ] {
+            for variant in VARIANTS {
                 let (all, plain) = descendant(doc, &ctx, variant);
                 let (kept, fused) =
                     descendant_pooled(doc, &ctx, variant, &test, &mut Scratch::new());
@@ -137,7 +161,7 @@ fn a_selective_test_touches_what_the_node_scan_touches() {
     }
 }
 
-/// The PR 16 merge bound, against the context nodes the join stopped at
+/// The merge bound of the range joins, against the context nodes the join stopped at
 /// (`context_out`: the rest were passed by gallops, unread).
 fn assert_merge_bound(label: &str, s: &StepStats, list: &[Pre]) {
     assert!(
@@ -148,11 +172,9 @@ fn assert_merge_bound(label: &str, s: &StepStats, list: &[Pre]) {
 }
 
 /// List entries inside the subtree of some context node.
-fn entries_below(doc: &Doc, list: &[Pre], context: &Context) -> u64 {
-    let cover = prune_descendant(doc, context);
-    list.iter()
-        .filter(|&&p| cover.iter().any(|c| p > c && p <= c + doc.subtree_size(c)))
-        .count() as u64
+fn entries_below(tree: &Tree, list: &[Pre], context: &Context) -> u64 {
+    let below = below(tree, context);
+    list.iter().filter(|&&p| below[p as usize]).count() as u64
 }
 
 /// The fragment joins are range joins: what each may cost, on both
@@ -160,12 +182,10 @@ fn entries_below(doc: &Doc, list: &[Pre], context: &Context) -> u64 {
 /// (unpruned).
 #[test]
 fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
-    let skewed = generate_skewed(SkewConfig::new(1.0, 1.2));
-    let xmark = generate(XmarkConfig::new(1.0));
-    let cases: [(&Doc, &[(&str, &str)]); 2] = [
-        (&skewed, &[("a", "c"), ("a", "b"), ("c", "d"), ("b", "a")]),
+    let cases: [(&Loaded, &[(&str, &str)]); 2] = [
+        (&SKEWED, &[("a", "c"), ("a", "b"), ("c", "d"), ("b", "a")]),
         (
-            &xmark,
+            &XMARK,
             &[
                 ("open_auction", "increase"),
                 ("open_auction", "date"),
@@ -178,7 +198,7 @@ fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
             ],
         ),
     ];
-    for (doc, pairs) in cases {
+    for ((doc, tree), pairs) in cases {
         let index = TagIndex::build(doc);
         for &(outer, inner) in pairs {
             let (outer_list, inner_list) = (
@@ -193,7 +213,7 @@ fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
             let (out, s) = descendant_on_list(doc, inner_list, &outer_ctx);
             assert_eq!(s.nodes_scanned, 0, "{label}: {s}");
             assert_eq!(s.nodes_copied, out.len() as u64, "{label}: {s}");
-            assert_eq!(s.nodes_copied, entries_below(doc, inner_list, &outer_ctx));
+            assert_eq!(s.nodes_copied, entries_below(tree, inner_list, &outer_ctx));
             assert!(s.seeks <= 4 * s.partitions as u64, "{label}: {s}");
             assert!(
                 s.partitions <= prune_descendant(doc, &outer_ctx).len(),
@@ -215,7 +235,7 @@ fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
             let (_, s) = child_on_list(doc, inner_list, &outer_ctx);
             assert_eq!(s.nodes_copied, 0, "{label}: {s}");
             assert!(
-                s.nodes_touched() <= entries_below(doc, inner_list, &outer_ctx),
+                s.nodes_touched() <= entries_below(tree, inner_list, &outer_ctx),
                 "{label}: {s}"
             );
             assert_merge_bound(&label, &s, inner_list);
@@ -226,12 +246,12 @@ fn fragment_joins_are_merges_on_skewed_and_xmark_documents() {
 /// A root context copies the fragment as one slice.
 #[test]
 fn a_root_context_is_one_partition_and_one_copy() {
-    let xmark = generate(XmarkConfig::new(1.0));
-    let index = TagIndex::build(&xmark);
+    let xmark = &XMARK.0;
+    let index = TagIndex::build(xmark);
     let root = Context::singleton(xmark.root());
     for tag in ["date", "increase", "profile", "site"] {
-        let list = index.fragment_by_name(&xmark, tag);
-        let (out, s) = descendant_on_list(&xmark, list, &root);
+        let list = index.fragment_by_name(xmark, tag);
+        let (out, s) = descendant_on_list(xmark, list, &root);
         // `site` is the root itself: not its own descendant.
         let below = list.iter().filter(|&&p| p > xmark.root()).count();
         assert_eq!(out.len(), below, "{tag}");
@@ -246,11 +266,11 @@ fn a_root_context_is_one_partition_and_one_copy() {
 /// a one-node context both stay under `3 · |list|`.
 #[test]
 fn the_ancestor_join_is_bounded_by_its_list_whatever_the_context() {
-    let xmark = generate(XmarkConfig::new(1.0));
-    let index = TagIndex::build(&xmark);
-    let list = index.fragment_by_name(&xmark, "open_auction");
+    let xmark = &XMARK.0;
+    let index = TagIndex::build(xmark);
+    let list = index.fragment_by_name(xmark, "open_auction");
     let dates: Context = index
-        .fragment_by_name(&xmark, "date")
+        .fragment_by_name(xmark, "date")
         .iter()
         .copied()
         .collect();
@@ -267,7 +287,7 @@ fn the_ancestor_join_is_bounded_by_its_list_whatever_the_context() {
         ("the last date", &last_date),
         ("the first date", &first_date),
     ] {
-        let (_, s) = ancestor_on_list(&xmark, list, ctx);
+        let (_, s) = ancestor_on_list(xmark, list, ctx);
         assert!(
             s.nodes_touched() + s.seeks <= 3 * list.len() as u64,
             "{label}: {s}"
@@ -276,73 +296,31 @@ fn the_ancestor_join_is_bounded_by_its_list_whatever_the_context() {
         assert_merge_bound(label, &s, list);
     }
     // A context that ends early ends the join early.
-    let (_, s) = ancestor_on_list(&xmark, list, &first_date);
+    let (_, s) = ancestor_on_list(xmark, list, &first_date);
     assert!(s.nodes_touched() <= 2, "the first date: {s}");
 }
 
 // ── The plane scans on random documents, pooled and plain ──────────────
 
-const VARIANTS: [Variant; 3] = [
-    Variant::Basic,
-    Variant::Skipping,
-    Variant::EstimationSkipping,
-];
+/// A generated document of `size` nodes with every kind of content the
+/// scans step over, and the oracle's tree of it.
+fn generated(seed: u64, size: usize) -> (Doc, Tree) {
+    loaded(&oracle::document(Shape::Tree, seed, size))
+}
 
-/// A deterministic pseudo-random document of about `size` nodes with
-/// every kind of content the scans step over: elements of four names,
-/// attributes, text and comments, nested to a random depth.
-fn random_doc(seed: u64, size: usize) -> Doc {
-    let mut next = xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-    let mut b = EncodingBuilder::new();
-    b.open_element("root");
-    let mut depth = 1usize;
-    while b.len() < size {
-        match next() % 6 {
-            0 | 1 => {
-                b.open_element(["p", "q", "r", "s"][(next() % 4) as usize]);
-                if next().is_multiple_of(3) {
-                    b.attribute("id", "a");
-                }
-                depth += 1;
-            }
-            2 | 3 if depth > 1 => {
-                b.close_element();
-                depth -= 1;
-            }
-            4 => {
-                b.text("x");
-            }
-            _ => {
-                b.comment("c");
-            }
-        }
-    }
-    for _ in 0..depth {
-        b.close_element();
-    }
-    b.finish()
+/// The document alone.
+fn generated_doc(seed: u64, size: usize) -> Doc {
+    Doc::from_xml(&oracle::document(Shape::Tree, seed, size)).unwrap()
 }
 
 /// About `approx` pseudo-random nodes of `doc` (attributes included).
 fn random_context(doc: &Doc, seed: u64, approx: usize) -> Context {
-    let mut next = xorshift(seed | 1);
-    let n = doc.len() as u64;
-    Context::from_unsorted((0..approx).map(|_| (next() % n) as Pre).collect())
+    let mut rng = Rng::new(seed);
+    Context::from_unsorted((0..approx).map(|_| rng.below(doc.len()) as Pre).collect())
 }
 
-fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
-    move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    }
-}
-
-fn attributes_in(doc: &Doc, range: impl Iterator<Item = Pre>) -> u64 {
-    range
-        .filter(|&v| doc.kind(v) == NodeKind::Attribute)
-        .count() as u64
+fn attributes_in(tree: &Tree, range: impl Iterator<Item = Pre>) -> u64 {
+    range.filter(|&v| tree.is_attribute(v)).count() as u64
 }
 
 /// The four plane scans of `ctx` through their pooled entries, twice on
@@ -385,8 +363,15 @@ fn plane_scans(doc: &Doc, ctx: &Context, variant: Variant) -> [(Context, StepSta
 /// for once, as scanned, copied or skipped, and what is touched stays
 /// inside the paper's bound (descendant, with the attribute term), the
 /// region (following), or the region plus the context node's ancestors
-/// (preceding).
-fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant) {
+/// (preceding), in every variant.
+fn assert_plane_bounds((doc, tree): &(Doc, Tree), ctx: &Context) {
+    let attributes = attributes_below(tree, ctx);
+    for variant in VARIANTS {
+        assert_variant_bounds(doc, tree, ctx, variant, attributes);
+    }
+}
+
+fn assert_variant_bounds(doc: &Doc, tree: &Tree, ctx: &Context, variant: Variant, attributes: u64) {
     let [(_, d), (_, a), (_, f), (_, p)] = plane_scans(doc, ctx, variant);
     let n = doc.len() as u64;
     let label = format!("{n} nodes, |context| {}, {variant:?}", ctx.len());
@@ -402,7 +387,7 @@ fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant) {
         );
     }
     if variant != Variant::Basic {
-        let bound = (d.result_size + d.context_out) as u64 + attributes_below(doc, ctx);
+        let bound = (d.result_size + d.context_out) as u64 + attributes;
         assert!(d.nodes_touched() <= bound, "descendant {label}: {d}");
     }
 
@@ -417,9 +402,9 @@ fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant) {
     }
 
     if let Some(c) = prune_following(doc, ctx).iter().next() {
-        let start = c + 1 + doc.subtree_size(c);
+        let start = c + 1 + tree.subtree(c).len() as Pre;
         assert_eq!(accounted(&f), n - u64::from(c) - 1, "following {label}");
-        let attrs = attributes_in(doc, start..doc.len() as Pre);
+        let attrs = attributes_in(tree, start..doc.len() as Pre);
         assert_eq!(
             f.nodes_touched(),
             f.result_size as u64 + attrs,
@@ -428,9 +413,10 @@ fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant) {
     }
 
     if let Some(c) = prune_preceding(doc, ctx).iter().next() {
-        let region = (0..c).filter(|&v| doc.post(v) < doc.post(c));
-        let attrs = attributes_in(doc, region);
-        let bound = p.result_size as u64 + attrs + u64::from(doc.level(c));
+        // Every attribute before `c` is in its region: none is an
+        // ancestor.
+        let attrs = attributes_in(tree, 0..c);
+        let bound = p.result_size as u64 + attrs + tree.ancestors(c).count() as u64;
         assert!(p.nodes_touched() <= bound, "preceding {label}: {p}");
     }
 }
@@ -441,16 +427,15 @@ fn assert_plane_bounds(doc: &Doc, ctx: &Context, variant: Variant) {
 fn plane_scans_keep_their_bounds_on_random_documents_with_and_without_a_pool() {
     for seed in 0..6 {
         for size in [300, 9_000] {
-            let doc = random_doc(seed, size);
+            let loaded = generated(seed, size);
+            let doc = &loaded.0;
             let contexts = [
                 Context::singleton(doc.root()),
-                random_context(&doc, seed ^ 0xD15C, 40),
-                random_context(&doc, seed ^ 0x5EED, 3),
+                random_context(doc, seed ^ 0xD15C, 40),
+                random_context(doc, seed ^ 0x5EED, 3),
             ];
             for ctx in &contexts {
-                for variant in VARIANTS {
-                    assert_plane_bounds(&doc, ctx, variant);
-                }
+                assert_plane_bounds(&loaded, ctx);
             }
         }
     }
@@ -459,7 +444,7 @@ fn plane_scans_keep_their_bounds_on_random_documents_with_and_without_a_pool() {
 /// An empty context yields nothing from every scan.
 #[test]
 fn folded_kernels_on_an_empty_context() {
-    let doc = random_doc(1, 9_000);
+    let doc = generated_doc(1, 9_000);
     for variant in VARIANTS {
         for (result, stats) in plane_scans(&doc, &Context::empty(), variant) {
             assert!(result.is_empty(), "{variant:?}");
@@ -472,19 +457,18 @@ fn folded_kernels_on_an_empty_context() {
 /// are one partition each, and keep every bound.
 #[test]
 fn folded_kernels_on_single_node_contexts() {
-    let doc = random_doc(9, 12_000);
+    let loaded = generated(9, 12_000);
+    let (doc, tree) = &loaded;
     let deepest = doc
         .pres()
-        .max_by_key(|&v| doc.level(v))
+        .max_by_key(|&v| tree.ancestors(v).count())
         .expect("a non-empty document");
     for ctx in [
         Context::singleton(doc.root()),
         Context::singleton(deepest),
         Context::singleton(1),
     ] {
-        for variant in VARIANTS {
-            assert_plane_bounds(&doc, &ctx, variant);
-        }
+        assert_plane_bounds(&loaded, &ctx);
     }
 }
 
@@ -519,7 +503,7 @@ fn pooled_ancestor(
 fn pooled_descendant_equals_plain() {
     let mut scratch = Scratch::new();
     for seed in 0..6 {
-        let doc = random_doc(seed, POOL_DOC_SIZE);
+        let doc = generated_doc(seed, POOL_DOC_SIZE);
         let root = Context::singleton(doc.root());
         let ctx = random_context(&doc, seed ^ 0xD00D, 50);
         for case in [&root, &ctx] {
@@ -535,7 +519,7 @@ fn pooled_descendant_equals_plain() {
 fn pooled_ancestor_equals_plain() {
     let mut scratch = Scratch::new();
     for seed in 0..6 {
-        let doc = random_doc(seed, POOL_DOC_SIZE);
+        let doc = generated_doc(seed, POOL_DOC_SIZE);
         let ctx = random_context(&doc, seed ^ 0xE77E, 400);
         let plain = ancestor(&doc, &ctx, Variant::Skipping);
         let pooled = pooled_ancestor(&doc, &ctx, Variant::Skipping, &mut scratch);
@@ -548,7 +532,7 @@ fn pooled_ancestor_equals_plain() {
 fn pooled_access_counts_match_plain() {
     // A recycled buffer must not change which nodes the join touches.
     let mut scratch = Scratch::new();
-    let doc = random_doc(42, 3 * POOL_DOC_SIZE);
+    let doc = generated_doc(42, 3 * POOL_DOC_SIZE);
     for ctx in [
         Context::singleton(doc.root()),
         random_context(&doc, 0x1234, 80),
@@ -567,7 +551,7 @@ fn shared_pool_serves_both_joins() {
     // The session path: one persistent scratch pool, many joins.
     let mut scratch = Scratch::new();
     for seed in [9, 10, 11] {
-        let doc = random_doc(seed, POOL_DOC_SIZE);
+        let doc = generated_doc(seed, POOL_DOC_SIZE);
         let ctx = random_context(&doc, 0xFADE ^ seed, 60);
         let (plain_d, _) = descendant(&doc, &ctx, Variant::EstimationSkipping);
         let (plain_a, _) = ancestor(&doc, &ctx, Variant::Skipping);

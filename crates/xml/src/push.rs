@@ -124,6 +124,7 @@ pub(crate) struct Tokenizer<'a> {
     /// Byte ranges of the names of the currently open elements.
     open: Vec<Range<usize>>,
     seen_root: bool,
+    seen_doctype: bool,
     attributes: Attributes<'a>,
     /// The expansion of the last text run that held a reference.
     text: String,
@@ -136,6 +137,7 @@ impl<'a> Tokenizer<'a> {
             pos: 0,
             open: Vec::new(),
             seen_root: false,
+            seen_doctype: false,
             attributes: Attributes::default(),
             text: String::new(),
         }
@@ -171,6 +173,13 @@ impl<'a> Tokenizer<'a> {
                 } else if self.starts_with("<![CDATA[") {
                     self.cdata(sink)?;
                 } else if self.starts_with("<!DOCTYPE") {
+                    if self.seen_root || self.seen_doctype {
+                        return Err(Error::UnexpectedToken {
+                            expected: "DOCTYPE only once, before the root element",
+                            pos: self.err_pos(self.pos),
+                        });
+                    }
+                    self.seen_doctype = true;
                     self.skip_doctype()?;
                 } else {
                     return Err(Error::UnexpectedToken {

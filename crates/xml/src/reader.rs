@@ -280,6 +280,26 @@ mod tests {
     }
 
     #[test]
+    fn a_doctype_outside_the_prolog_is_refused_with_its_position() {
+        for (input, col) in [
+            ("<a>x<!DOCTYPE d [ <!ELEMENT d ANY> ]>y<b/></a>", 5),
+            ("<a/><!DOCTYPE a>", 5),
+            ("<!DOCTYPE a><!DOCTYPE a><a/>", 13),
+        ] {
+            assert_eq!(
+                parse_err(input),
+                Error::UnexpectedToken {
+                    expected: "DOCTYPE only once, before the root element",
+                    pos: crate::TextPos { line: 1, col },
+                },
+                "{input}"
+            );
+        }
+        // Comments and processing instructions may come before it.
+        assert_eq!(events("<!--c--><?p?><!DOCTYPE a><a/>").len(), 3);
+    }
+
+    #[test]
     fn mismatched_tag_reported() {
         assert!(matches!(
             parse_err("<a><b></a></b>"),

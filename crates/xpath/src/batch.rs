@@ -33,6 +33,12 @@
 //! scan over a context an earlier query scanned under another node test
 //! included — what its kernel did, exactly as it reports alone.
 //!
+//! A `preceding` region widened from a held bound `h` to a later bound
+//! `b` reads `[h, b)` and probes the ancestors of `h` — each may precede
+//! `b` without preceding `h` — so it charges exactly
+//! `(b − h) + level(h)`: `level(h)` more than the difference of the two
+//! regions read alone (`b` and `h`). A narrowed region reads nothing.
+//!
 //! The governor has one mechanism: the query's ambient budget, which the
 //! kernels tick and the lane checks before and after every step (the
 //! `xpath::lane` fail point fires before every step). A query that trips
@@ -604,6 +610,27 @@ mod tests {
         let outs = session.run_many(&refs, engine);
         assert!(outs.iter().all(|o| !o.is_empty()), "{exprs:?}");
         EDGES_REDUCED.with(|n| n.get()) - before
+    }
+
+    /// A widened `preceding` region charges the gap between the bounds
+    /// plus one probe per ancestor of the held bound.
+    #[test]
+    fn a_widened_preceding_region_charges_the_gap_and_the_held_bounds_ancestors() {
+        // a0 b1 c2 d3 e4 f5 g6: `d` (level 2) is the held bound, `g` the
+        // wider one.
+        let session = Session::parse_xml("<a><b><c/><d/></b><e><f/></e><g/></a>").unwrap();
+        let texts = ["//d/preceding::node()", "//g/preceding::node()"];
+        let queries: Vec<Query> = texts.iter().map(|e| session.prepare(e).unwrap()).collect();
+        let region = |out: &crate::QueryOutput| out.stats().steps[1].nodes_touched;
+        let batch = session.run_many(&queries.iter().collect::<Vec<_>>(), Engine::default());
+        let (held, bound) = (3u64, 6u64);
+        let level = u64::from(session.doc().level(held as u32));
+        assert_eq!(level, 2);
+        assert_eq!(region(&queries[0].run(Engine::default())), held);
+        assert_eq!(region(&queries[1].run(Engine::default())), bound);
+        assert_eq!(region(&batch[0]), held);
+        assert_eq!(region(&batch[1]), (bound - held) + level);
+        assert_eq!(batch[1].nodes(), queries[1].run(Engine::default()).nodes());
     }
 
     #[test]

@@ -212,9 +212,9 @@ impl Session {
     /// path texts, not operators, so every operator shares — naive,
     /// SQL, twig and structural steps included. For every query
     /// `run_many(&[q])[0].nodes() == q.run(engine).nodes()` holds
-    /// engine-independently (property-tested, and checked against an
-    /// independent tree-walk oracle); [`Query::run`] itself is the
-    /// batch of one.
+    /// engine-independently, and both are checked against the
+    /// tree-walk oracle of `staircase_suite::oracle` on every engine;
+    /// [`Query::run`] itself is the batch of one.
     ///
     /// Outputs arrive in input order with per-query [`EvalStats`]. In a
     /// batch, statistics count *incremental* cost: a step shared with

@@ -1,199 +1,21 @@
 //! The batch execution layer, exercised end to end: `Session::run_many`
-//! must answer exactly like a loop of `Query::run` calls — node for
-//! node, step for step — on every engine and variant, while sharing
-//! plane scans between the batched queries (touched-node totals at or
-//! below, and on overlapping workloads strictly below, the sequential
-//! sum).
+//! answers exactly like a loop of `Query::run` calls — node for node,
+//! step for step — while sharing plane scans between the batched
+//! queries (touched-node totals at or below, and on overlapping
+//! workloads strictly below, the sequential sum). On random documents
+//! and query batches, for every engine, that is `tests/oracle.rs`.
 
-use proptest::prelude::*;
+use staircase_suite::oracle::VARIANTS;
 use staircase_suite::prelude::*;
 
-/// Every buildable engine configuration (batching engines and the
-/// fallback-only ones alike).
-fn all_engines() -> Vec<Engine> {
-    let mut engines = vec![
-        Engine::naive(),
-        Engine::sql().eq1_window(true).build().unwrap(),
-        Engine::auto(),
-    ];
-    for variant in [
-        Variant::Basic,
-        Variant::Skipping,
-        Variant::EstimationSkipping,
-    ] {
-        engines.push(Engine::staircase().variant(variant).build().unwrap());
-        engines.push(
-            Engine::staircase()
-                .variant(variant)
-                .pushdown(true)
-                .build()
-                .unwrap(),
-        );
-        engines.push(
-            Engine::staircase()
-                .variant(variant)
-                .fragmented(true)
-                .build()
-                .unwrap(),
-        );
-    }
-    engines
+/// The nodes a batch's outputs touched, together.
+fn touched(outs: &[QueryOutput]) -> u64 {
+    outs.iter().map(|o| o.stats().total_touched()).sum()
 }
 
-/// An arbitrary small document over the `p`/`q`/`r` vocabulary, plus an
-/// occasional `rare` element: on most generated documents `rare` is
-/// selective enough that [`Engine::auto`] plans its name tests as
-/// fragment (on-list) joins — the fragment lane rounds are exercised by
-/// the cost-based policy, not just the fixed fragmented engines.
-fn arb_doc() -> impl Strategy<Value = Doc> {
-    proptest::collection::vec(0u8..6, 1..220).prop_map(|ops| {
-        let tags = ["p", "q", "r"];
-        let mut b = EncodingBuilder::new();
-        b.open_element("root");
-        let mut depth = 1;
-        let mut just_text = false;
-        let mut rares = 0;
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                0 | 3 => {
-                    b.open_element(tags[i % tags.len()]);
-                    depth += 1;
-                    just_text = false;
-                }
-                1 if depth > 1 => {
-                    b.close_element();
-                    depth -= 1;
-                    just_text = false;
-                }
-                2 if !just_text => {
-                    b.text("t");
-                    just_text = true;
-                }
-                5 if rares < 2 && i % 31 == 5 => {
-                    b.open_element("rare");
-                    b.close_element();
-                    rares += 1;
-                    just_text = false;
-                }
-                _ => {
-                    b.comment("c");
-                    just_text = false;
-                }
-            }
-        }
-        while depth > 0 {
-            b.close_element();
-            depth -= 1;
-        }
-        b.finish()
-    })
-}
-
-/// An arbitrary multi-step query mixing every lane form with the
-/// per-lane residue: plain vertical steps (staircase lanes), selective
-/// and unselective name tests (fragment lanes under the fragmented /
-/// pushdown / auto engines), horizontal axes (horiz lanes), semijoin
-/// predicates on all three probe axes and multi-step semijoin chains
-/// (grouped probes), nested-loop predicates, and structural steps (both
-/// per-lane).
-fn arb_query() -> impl Strategy<Value = String> {
-    let axis = prop_oneof![
-        Just("descendant"),
-        Just("descendant"),
-        Just("ancestor"),
-        Just("ancestor"),
-        Just("descendant-or-self"),
-        Just("ancestor-or-self"),
-        Just("child"),
-        Just("following"),
-        Just("preceding"),
-    ];
-    let test = prop_oneof![
-        Just("p"),
-        Just("q"),
-        Just("r"),
-        Just("rare"),
-        Just("*"),
-        Just("node()")
-    ];
-    let pred = prop_oneof![
-        Just(""),
-        Just(""),
-        Just(""),
-        Just("[p]"),
-        Just("[descendant::q]"),
-        Just("[ancestor::r]"),
-        Just("[rare]"),
-        Just("[p/q]"), // a semijoin chain: still a lane step
-        Just("[ancestor::q/r[p]]"),
-        Just("[p/..]"), // nested-loop filter: the per-lane residue
-    ];
-    proptest::collection::vec((axis, test, pred), 1..4).prop_map(|steps| {
-        let mut out = String::new();
-        for (axis, test, pred) in steps {
-            out.push('/');
-            out.push_str(axis);
-            out.push_str("::");
-            out.push_str(test);
-            out.push_str(pred);
-        }
-        out
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The lane executor's acceptance property: `run_many` equals a
-    /// sequential `run` loop node- **and order**-identical (`Context`
-    /// equality compares the full document-order sequence) — and
-    /// step-for-step on result sizes — on every engine including
-    /// `auto`, across staircase, fragment-join-planned, horizontal, and
-    /// predicate-carrying steps, while never touching more nodes in
-    /// total than the sequential runs did.
-    #[test]
-    fn run_many_equals_sequential_runs(
-        (doc, exprs) in (arb_doc(), proptest::collection::vec(arb_query(), 1..7))
-    ) {
-        let session = Session::new(doc);
-        let queries: Vec<Query> = exprs
-            .iter()
-            .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?} must parse: {err}")))
-            .collect();
-        let refs: Vec<&Query> = queries.iter().collect();
-        for engine in all_engines() {
-            let batch = session.run_many(&refs, engine);
-            prop_assert_eq!(batch.len(), queries.len());
-            let sequential: Vec<QueryOutput> =
-                queries.iter().map(|q| q.run(engine)).collect();
-            let mut batch_touched = 0u64;
-            let mut seq_touched = 0u64;
-            for ((q, b), s) in exprs.iter().zip(&batch).zip(&sequential) {
-                prop_assert_eq!(b.nodes(), s.nodes(), "{} via {:?}", q, engine);
-                // Per-query traces line up step for step; only the
-                // touched-node attribution may differ (shared scans).
-                prop_assert_eq!(b.stats().steps.len(), s.stats().steps.len());
-                for (bt, st) in b.stats().steps.iter().zip(&s.stats().steps) {
-                    prop_assert_eq!(&bt.step, &st.step, "{} via {:?}", q, engine);
-                    prop_assert_eq!(bt.result_size, st.result_size, "{} via {:?}", q, engine);
-                }
-                batch_touched += b.stats().total_touched();
-                seq_touched += s.stats().total_touched();
-            }
-            prop_assert!(
-                batch_touched <= seq_touched,
-                "batch touched {} > sequential {} via {:?}",
-                batch_touched,
-                seq_touched,
-                engine
-            );
-        }
-    }
-}
-
-/// The same property on a generated XMark document, on a workload
-/// mixing root-context descendants, ancestor steps, fragment joins,
-/// horizontal axes, and semijoin probes: a batch answers node- and
+/// `run_many` against single runs on a generated XMark document, on a
+/// workload mixing root-context descendants, ancestor steps, fragment
+/// joins, horizontal axes, and semijoin probes: a batch answers node- and
 /// order-identically to single runs, per-query traces line up, and the
 /// batch touches and seeks no more than the single runs together; a
 /// second session on the same document reports exactly the same
@@ -282,17 +104,12 @@ fn batch_of_eight_shares_plane_passes() {
     let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
     let refs: Vec<&Query> = queries.iter().collect();
 
-    for variant in [
-        Variant::Basic,
-        Variant::Skipping,
-        Variant::EstimationSkipping,
-    ] {
+    for variant in VARIANTS {
         let engine = Engine::staircase().variant(variant).build().unwrap();
         let batch = session.run_many(&refs, engine);
         let sequential: Vec<QueryOutput> = queries.iter().map(|q| q.run(engine)).collect();
 
-        let batch_total: u64 = batch.iter().map(|o| o.stats().total_touched()).sum();
-        let seq_total: u64 = sequential.iter().map(|o| o.stats().total_touched()).sum();
+        let (batch_total, seq_total) = (touched(&batch), touched(&sequential));
         assert!(
             batch_total < seq_total,
             "{variant:?}: batch touched {batch_total}, sequential {seq_total}"
@@ -339,11 +156,7 @@ fn distinct_contexts_report_their_own_pass() {
     ];
     let queries: Vec<Query> = exprs.iter().map(|e| session.prepare(e).unwrap()).collect();
     let refs: Vec<&Query> = queries.iter().collect();
-    for variant in [
-        Variant::Basic,
-        Variant::Skipping,
-        Variant::EstimationSkipping,
-    ] {
+    for variant in VARIANTS {
         let engine = Engine::staircase().variant(variant).build().unwrap();
         let batch = session.run_many(&refs, engine);
         for ((expr, q), b) in exprs.iter().zip(&queries).zip(&batch) {
@@ -411,8 +224,7 @@ fn fragment_joins_share_the_list_cursor() {
     ] {
         let batch = session.run_many(&refs, engine);
         let sequential: Vec<QueryOutput> = queries.iter().map(|q| q.run(engine)).collect();
-        let batch_total: u64 = batch.iter().map(|o| o.stats().total_touched()).sum();
-        let seq_total: u64 = sequential.iter().map(|o| o.stats().total_touched()).sum();
+        let (batch_total, seq_total) = (touched(&batch), touched(&sequential));
         assert!(
             batch_total < seq_total,
             "{engine:?}: batch touched {batch_total} !< sequential {seq_total}"
@@ -478,8 +290,7 @@ fn semijoin_predicates_do_not_break_batching() {
         }
         // The four first steps share passes: strictly fewer touches than
         // four sequential runs (which re-scan per query).
-        let batch_total: u64 = batch.iter().map(|o| o.stats().total_touched()).sum();
-        let seq_total: u64 = sequential.iter().map(|o| o.stats().total_touched()).sum();
+        let (batch_total, seq_total) = (touched(&batch), touched(&sequential));
         assert!(
             batch_total < seq_total,
             "{engine:?}: batch touched {batch_total} !< sequential {seq_total}"
@@ -523,8 +334,7 @@ fn chain_predicates_stay_on_the_lane_path() {
             assert_eq!(s.nodes(), o.nodes(), "{e} via {engine:?}");
         }
         // Four lanes open with `descendant::open_auction`: one pass.
-        let batch_total: u64 = batch.iter().map(|o| o.stats().total_touched()).sum();
-        let seq_total: u64 = sequential.iter().map(|o| o.stats().total_touched()).sum();
+        let (batch_total, seq_total) = (touched(&batch), touched(&sequential));
         assert!(
             batch_total < seq_total,
             "{engine:?}: batch touched {batch_total} !< sequential {seq_total}"

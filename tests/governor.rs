@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use staircase_suite::oracle::{self, counters, Shape};
 use staircase_suite::prelude::*;
 
 /// A two-level document: `root` over `fanout` `p` elements, each over
@@ -297,6 +298,34 @@ fn a_dead_budget_trips_even_on_an_empty_document() {
     );
 }
 
+/// Runs `exprs` as one batch on `engine` with its first, then its second
+/// query under a `ceiling` cost budget: that query trips, and every
+/// ungoverned sibling answers what the ungoverned batch answers.
+fn assert_trips_are_lane_local(session: &Session, exprs: &[&str], engine: Engine, ceiling: u64) {
+    let prepare = |e: &&str| session.prepare(e).expect("query parses");
+    let queries: Vec<_> = exprs.iter().map(prepare).collect();
+    let refs: Vec<&_> = queries.iter().collect();
+    let baseline = session.run_many(&refs, engine);
+    for victim in [0usize, 1] {
+        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
+        jobs[victim].1 = Some(Arc::new(Budget::new().with_max_touched(ceiling)));
+        let governed = session.execute(&jobs, engine, None);
+        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
+            match g {
+                Err(Error::BudgetExhausted) if i == victim => {}
+                Ok(g) if i != victim => {
+                    assert_eq!(
+                        g.nodes(),
+                        b.nodes(),
+                        "victim {victim}: sibling {i} diverged"
+                    )
+                }
+                other => panic!("victim {victim}, query {i}: got {other:?}"),
+            }
+        }
+    }
+}
+
 /// ≈ 100 000 nodes: `people` over 1 000 `person`s, each a `profile` and
 /// 98 fillers, and one `closing` element after them all — so
 /// `closing/preceding::node()` is a single comparison-free run over the
@@ -382,32 +411,7 @@ fn a_cost_budget_stops_a_fused_scan_within_one_chunk() {
         "/descendant::person",
         "/descendant::x/ancestor::person",
     ];
-    let queries: Vec<_> = exprs
-        .iter()
-        .map(|e| session.prepare(e).expect("query parses"))
-        .collect();
-    let refs: Vec<&_> = queries.iter().collect();
-    let baseline = session.run_many(&refs, Engine::default());
-    for victim in [0usize, 1] {
-        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
-        jobs[victim].1 = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
-        let governed = session.execute(&jobs, Engine::default(), None);
-        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
-            if i == victim {
-                assert!(
-                    matches!(g, Err(Error::BudgetExhausted)),
-                    "victim {victim}: got {g:?}"
-                );
-            } else {
-                let g = g.as_ref().expect("an ungoverned sibling completes");
-                assert_eq!(
-                    g.nodes().as_slice(),
-                    b.nodes().as_slice(),
-                    "victim {victim}: sibling {i} diverged"
-                );
-            }
-        }
-    }
+    assert_trips_are_lane_local(&session, &exprs, Engine::default(), CEILING);
 }
 
 /// ≈ 116 000 nodes: 380 `open_auction`s (a `bidder` with an `increase`
@@ -503,91 +507,7 @@ fn a_cost_budget_reaches_predicate_probes_and_fragment_copies() {
         "/descendant::person/child::profile",
         "/descendant::increase/ancestor::bidder",
     ];
-    let queries: Vec<_> = exprs
-        .iter()
-        .map(|e| session.prepare(e).expect("query parses"))
-        .collect();
-    let refs: Vec<&_> = queries.iter().collect();
-    let baseline = session.run_many(&refs, Engine::auto());
-    for victim in [0usize, 1] {
-        let mut jobs: Vec<_> = refs.iter().map(|&q| (q, None)).collect();
-        jobs[victim].1 = Some(Arc::new(Budget::new().with_max_touched(CEILING)));
-        let governed = session.execute(&jobs, Engine::auto(), None);
-        for (i, (g, b)) in governed.iter().zip(&baseline).enumerate() {
-            if i == victim {
-                assert!(
-                    matches!(g, Err(Error::BudgetExhausted)),
-                    "victim {victim}: got {g:?}"
-                );
-            } else {
-                let g = g.as_ref().expect("an ungoverned sibling completes");
-                assert_eq!(
-                    g.nodes().as_slice(),
-                    b.nodes().as_slice(),
-                    "victim {victim}: sibling {i} diverged"
-                );
-            }
-        }
-    }
-}
-
-/// An arbitrary small document over the `p`/`q`/`r` vocabulary (the
-/// batch suite's generator, reduced).
-fn arb_doc() -> impl Strategy<Value = Doc> {
-    proptest::collection::vec(0u8..5, 1..200).prop_map(|ops| {
-        let tags = ["p", "q", "r"];
-        let mut b = EncodingBuilder::new();
-        b.open_element("root");
-        let mut depth = 1;
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                0 | 3 => {
-                    b.open_element(tags[i % tags.len()]);
-                    depth += 1;
-                }
-                1 if depth > 1 => {
-                    b.close_element();
-                    depth -= 1;
-                }
-                2 => {
-                    b.text("t");
-                }
-                _ => {
-                    b.comment("c");
-                }
-            }
-        }
-        while depth > 0 {
-            b.close_element();
-            depth -= 1;
-        }
-        b.finish()
-    })
-}
-
-/// Arbitrary multi-step queries spanning staircase, fragment, horiz,
-/// and predicate lanes.
-fn arb_query() -> impl Strategy<Value = String> {
-    let axis = prop_oneof![
-        Just("descendant"),
-        Just("ancestor"),
-        Just("descendant-or-self"),
-        Just("child"),
-        Just("following"),
-    ];
-    let test = prop_oneof![Just("p"), Just("q"), Just("r"), Just("*")];
-    let pred = prop_oneof![Just(""), Just(""), Just("[p]"), Just("[descendant::q]")];
-    proptest::collection::vec((axis, test, pred), 1..4).prop_map(|steps| {
-        let mut out = String::new();
-        for (axis, test, pred) in steps {
-            out.push('/');
-            out.push_str(axis);
-            out.push_str("::");
-            out.push_str(test);
-            out.push_str(pred);
-        }
-        out
-    })
+    assert_trips_are_lane_local(&session, &exprs, Engine::auto(), CEILING);
 }
 
 proptest! {
@@ -600,13 +520,12 @@ proptest! {
     /// fully reusable afterwards.
     #[test]
     fn governed_trips_are_lane_local_and_leave_the_session_reusable(
-        (doc, exprs, cap) in (
-            arb_doc(),
-            proptest::collection::vec(arb_query(), 2..5),
-            1u64..3_000,
-        )
+        (seed, cap) in (0u64..1 << 40, 1u64..3_000)
     ) {
-        let session = Session::new(doc.clone());
+        let xml = oracle::document(Shape::Tree, seed, 1 + seed as usize % 200);
+        let mut exprs = oracle::queries(seed, 4);
+        exprs.push(oracle::query(&mut oracle::Rng::new(seed)));
+        let session = Session::parse_xml(&xml).unwrap();
         let queries: Vec<_> = exprs
             .iter()
             .map(|e| session.prepare(e).expect("generated query parses"))
@@ -660,83 +579,27 @@ const POINT: [&str; 12] = [
     "/descendant::item/descendant::keyword",
 ];
 
-/// What a step reports, minus the estimate: operator, result size and
-/// the counters the governor must not move.
-fn step_counters(out: &QueryOutput) -> Vec<(String, String, usize, u64, u64, u64)> {
-    out.stats()
-        .steps
-        .iter()
-        .map(|s| {
-            (
-                s.step.clone(),
-                s.op.clone(),
-                s.result_size,
-                s.nodes_touched,
-                s.tuples_produced,
-                s.seeks,
-            )
-        })
-        .collect()
-}
-
-/// Runs each of `exprs` alone, ungoverned and then under budgets that
-/// never bind (a pure cancel token, a deadline an hour away), and
-/// returns the first governed run whose nodes or step counters differ
-/// from the ungoverned one.
-fn first_governance_difference(doc: &Doc, exprs: &[&str], engine: Engine) -> Option<String> {
-    let session = Session::new(doc.clone());
-    for expr in exprs {
-        let query = session.prepare(expr).expect("query parses");
-        let free = query.run(engine);
-        let budgets = [
-            Budget::new(),
-            Budget::new().with_deadline_in(Duration::from_secs(3600)),
-        ];
-        for budget in budgets {
-            let governed = match governed(&query, engine, Arc::new(budget)) {
-                Ok(out) => out,
-                Err(e) => return Some(format!("{expr} tripped: {e}")),
-            };
-            if governed.nodes().as_slice() != free.nodes().as_slice() {
-                return Some(format!("{expr} answered other nodes"));
-            }
-            if step_counters(&governed) != step_counters(&free) {
-                return Some(format!(
-                    "{expr} counted {:?}, ungoverned {:?}",
-                    step_counters(&governed),
-                    step_counters(&free)
-                ));
-            }
-        }
-    }
-    None
-}
-
 /// Governance changes no counter: an untripped governed run of the wire
-/// mix answers the same nodes with the same per-step counters as the
-/// ungoverned run.
+/// mix — under a pure cancel token and under a deadline an hour away —
+/// answers the same nodes with the same per-step counters as the
+/// ungoverned run. (On random documents and queries, for every engine,
+/// alone and batched, that is `tests/oracle.rs`.)
 #[test]
 fn an_untripped_budget_changes_no_node_and_no_counter() {
-    let doc = generate(XmarkConfig::new(0.5));
+    let session = Session::new(generate(XmarkConfig::new(0.5)));
     for engine in [Engine::auto(), engine()] {
-        if let Some(difference) = first_governance_difference(&doc, &POINT, engine) {
-            panic!("{difference}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The same on arbitrary documents and queries.
-    #[test]
-    fn an_untripped_budget_changes_nothing_on_arbitrary_queries(
-        (doc, exprs) in (arb_doc(), proptest::collection::vec(arb_query(), 1..4))
-    ) {
-        let exprs: Vec<&str> = exprs.iter().map(String::as_str).collect();
-        for engine in [Engine::auto(), engine()] {
-            let difference = first_governance_difference(&doc, &exprs, engine);
-            prop_assert!(difference.is_none(), "{}", difference.unwrap_or_default());
+        for expr in POINT {
+            let query = session.prepare(expr).expect("query parses");
+            let free = query.run(engine);
+            for budget in [
+                Budget::new(),
+                Budget::new().with_deadline_in(Duration::from_secs(3600)),
+            ] {
+                let governed = governed(&query, engine, Arc::new(budget))
+                    .unwrap_or_else(|e| panic!("{expr} tripped: {e}"));
+                assert_eq!(governed.nodes(), free.nodes(), "{expr}");
+                assert_eq!(counters(&governed), counters(&free), "{expr}");
+            }
         }
     }
 }

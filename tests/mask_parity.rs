@@ -4,12 +4,12 @@
 //! must return node- and order-identical results with identical per-step
 //! stats.
 //!
-//! The reference here is deliberately naive: a per-node loop over the
-//! raw pre/post/kind/tag columns that never touches `mask`. Window
-//! offsets and lengths are driven across word boundaries (unaligned
-//! heads, sub-word tails) both at the kernel level and, via
+//! Window offsets and lengths are driven across word boundaries
+//! (unaligned heads, sub-word tails) both at the kernel level and, via
 //! `Session::execute` from an explicit context, through whole engines
-//! including the cost-based `auto` planner.
+//! checked against the tree-walk oracle, which never touches `mask` or a
+//! column. (Whole queries from the root, cold and warm, on every engine:
+//! `tests/oracle.rs`.)
 //!
 //! The last section pins the one node test every plane scan carries
 //! (`ScanTest`): its range select against the scalar filter at every
@@ -18,189 +18,41 @@
 
 use proptest::prelude::*;
 use staircase_core::mask;
+use staircase_suite::oracle::{self, Shape, Tree, ENGINES};
 use staircase_suite::prelude::*;
 
-const TAG_NAMES: [&str; 4] = ["x", "y", "z", "w"];
-const AXES: [(&str, Axis); 5] = [
-    ("descendant", Axis::Descendant),
-    ("ancestor", Axis::Ancestor),
-    ("following", Axis::Following),
-    ("preceding", Axis::Preceding),
-    ("child", Axis::Child),
-];
+const AXES: [&str; 5] = ["descendant", "ancestor", "following", "preceding", "child"];
 /// Node tests as written in the query text; `ghost` never occurs in
 /// any generated document, so its name test must yield nothing.
-const TESTS: [&str; 8] = ["x", "y", "z", "w", "ghost", "*", "node()", "text()"];
-
-fn engines() -> [Engine; 9] {
-    [
-        Engine::staircase().variant(Variant::Basic).build().unwrap(),
-        Engine::staircase()
-            .variant(Variant::Skipping)
-            .build()
-            .unwrap(),
-        Engine::staircase()
-            .variant(Variant::EstimationSkipping)
-            .build()
-            .unwrap(),
-        Engine::staircase().pushdown(true).build().unwrap(),
-        Engine::staircase().fragmented(true).build().unwrap(),
-        Engine::naive(),
-        Engine::sql().build().unwrap(),
-        Engine::sql()
-            .eq1_window(true)
-            .early_nametest(true)
-            .build()
-            .unwrap(),
-        Engine::auto(),
-    ]
-}
-
-/// Random document from an opcode tape: elements over a small tag
-/// alphabet, interleaved with text, comments, and attributes.
-fn build_doc(ops: &[u8]) -> Doc {
-    let mut b = EncodingBuilder::new();
-    b.open_element("r");
-    let mut depth = 1usize;
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            0..=2 | 7 => {
-                b.open_element(TAG_NAMES[(op as usize + i) % TAG_NAMES.len()]);
-                depth += 1;
-            }
-            3 if depth > 1 => {
-                b.close_element();
-                depth -= 1;
-            }
-            4 => {
-                b.text("t");
-            }
-            5 => {
-                b.comment("pad");
-            }
-            _ => {
-                b.attribute("id", "v");
-            }
-        }
-    }
-    while depth > 0 {
-        b.close_element();
-        depth -= 1;
-    }
-    b.finish()
-}
-
-/// `true` when `v` passes `test` (as spelled in [`TESTS`]).
-fn scalar_test(doc: &Doc, v: Pre, test: &str) -> bool {
-    match test {
-        "*" => doc.kind(v) == NodeKind::Element,
-        "node()" => true,
-        "text()" => doc.kind(v) == NodeKind::Text,
-        "comment()" => doc.kind(v) == NodeKind::Comment,
-        name => {
-            doc.kind(v) == NodeKind::Element
-                && doc.tag_id(name) == Some(doc.tag_column()[v as usize])
-        }
-    }
-}
-
-/// One axis step + node test, evaluated per node over the raw columns.
-fn scalar_step(doc: &Doc, ctx: &[Pre], axis: Axis, test: &str) -> Vec<Pre> {
-    let post = doc.post_column();
-    let mut out = Vec::new();
-    for v in doc.pres() {
-        if doc.kind(v) == NodeKind::Attribute {
-            continue;
-        }
-        let hit = ctx.iter().any(|&c| match axis {
-            Axis::Descendant => v > c && post[v as usize] < post[c as usize],
-            Axis::Ancestor => v < c && post[v as usize] > post[c as usize],
-            Axis::Following => v > c && post[v as usize] > post[c as usize],
-            Axis::Preceding => v < c && post[v as usize] < post[c as usize],
-            Axis::Child => v != c && doc.parent(v) == c,
-            _ => unreachable!("axis outside the generated set"),
-        });
-        if hit && scalar_test(doc, v, test) {
-            out.push(v);
-        }
-    }
-    out
-}
-
-fn query_text(steps: &[(usize, usize)], absolute: bool) -> String {
-    let mut q = String::new();
-    for (i, &(a, t)) in steps.iter().enumerate() {
-        if absolute || i > 0 {
-            q.push('/');
-        }
-        q.push_str(AXES[a].0);
-        q.push_str("::");
-        q.push_str(TESTS[t]);
-    }
-    q
-}
+const TESTS: [&str; 8] = ["a", "b", "c", "d", "ghost", "*", "node()", "text()"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Whole-query parity from the root: every engine, including
-    /// `auto`, matches the scalar reference node for node, and a warm
-    /// rerun (plans and auxiliary structures now cached) reports
-    /// byte-identical [`EvalStats`] to the cold one.
-    #[test]
-    fn every_engine_matches_the_scalar_reference(
-        ops in proptest::collection::vec(0u8..8, 1..250),
-        steps in proptest::collection::vec((0usize..AXES.len(), 0usize..TESTS.len()), 1..4),
-    ) {
-        let doc = build_doc(&ops);
-        let mut expected: Vec<Pre> = vec![doc.root()];
-        for &(a, t) in &steps {
-            expected = scalar_step(&doc, &expected, AXES[a].1, TESTS[t]);
-        }
-        let query = query_text(&steps, true);
-        let session = Session::new(doc);
-        let prepared = session.prepare(&query).unwrap();
-        for engine in engines() {
-            let cold = prepared.run(engine);
-            let warm = prepared.run(engine);
-            let got: Vec<Pre> = cold.nodes().iter().collect();
-            prop_assert_eq!(&got, &expected, "{} via {:?}", &query, engine);
-            prop_assert_eq!(
-                warm.nodes().iter().collect::<Vec<Pre>>(), got,
-                "warm rerun changed nodes: {} via {:?}", &query, engine
-            );
-            prop_assert_eq!(
-                cold.stats(), warm.stats(),
-                "warm rerun changed stats: {} via {:?}", &query, engine
-            );
-        }
-    }
-
     /// Windowed contexts at arbitrary offsets: a contiguous pre-rank
     /// run whose head and tail land anywhere relative to the 64-bit
     /// word grid is fed to every engine through `execute`, and each
-    /// must match the scalar reference.
+    /// must match the oracle, and report the same statistics when run
+    /// again warm.
     #[test]
     fn offset_windows_agree_on_every_engine(
-        ops in proptest::collection::vec(0u8..8, 64..300),
-        start in 0usize..130,
-        len in 1usize..140,
-        a in 0usize..AXES.len(),
-        t in 0usize..TESTS.len(),
+        (seed, start, len) in (0u64..1 << 40, 0usize..130, 1usize..140),
+        (a, t) in (0usize..AXES.len(), 0usize..TESTS.len()),
     ) {
-        let doc = build_doc(&ops);
-        let n = doc.len();
+        let xml = oracle::document(Shape::Tree, seed, 64 + seed as usize % 236);
+        let tree = Tree::parse(&xml).unwrap();
+        let n = tree.len();
         let ctx: Vec<Pre> = (start.min(n)..(start + len).min(n))
             .map(|v| v as Pre)
-            .filter(|&v| doc.kind(v) != NodeKind::Attribute)
+            .filter(|&v| !tree.is_attribute(v))
             .collect();
         if !ctx.is_empty() {
-            let expected = scalar_step(&doc, &ctx, AXES[a].1, TESTS[t]);
-            let query = query_text(&[(a, t)], false);
-            let session = Session::new(doc);
+            let query = format!("{}::{}", AXES[a], TESTS[t]);
+            let expected = tree.eval_from(&query, &ctx);
+            let session = Session::parse_xml(&xml).unwrap();
             let prepared = session.prepare(&query).unwrap();
             let context: Context = ctx.iter().copied().collect();
-            for engine in engines() {
+            for &engine in ENGINES.iter() {
                 let run = || session.execute(&[(&prepared, None)], engine, Some(&context)).remove(0).unwrap();
                 let cold = run();
                 let warm = run();

@@ -1,198 +1,17 @@
-//! The session façade, exercised end to end: every engine configuration
-//! must produce identical results for arbitrary documents and queries
-//! run through [`Session`]/[`Query`], and the session must build its
-//! auxiliary structures at most once however many queries it serves.
+//! The session façade, exercised end to end: the session builds its
+//! auxiliary structures at most once however many queries it serves,
+//! explains and re-plans as documented, and fails typed. (That every
+//! engine answers arbitrary documents and queries alike — alone and
+//! batched, from XML and `.scj` — is `tests/oracle.rs`.)
 
-use proptest::prelude::*;
+use staircase_suite::oracle::ENGINES;
 use staircase_suite::prelude::*;
 
-/// Every buildable engine configuration.
-fn all_engines() -> Vec<Engine> {
-    vec![
-        Engine::staircase()
-            .variant(Variant::Basic)
-            .build()
-            .expect("valid engine config"),
-        Engine::staircase()
-            .variant(Variant::Skipping)
-            .build()
-            .expect("valid engine config"),
-        Engine::staircase()
-            .variant(Variant::EstimationSkipping)
-            .build()
-            .expect("valid engine config"),
-        Engine::staircase()
-            .pushdown(true)
-            .build()
-            .expect("valid engine config"),
-        Engine::staircase()
-            .fragmented(true)
-            .build()
-            .expect("valid engine config"),
-        Engine::naive(),
-        Engine::sql().build().expect("valid engine config"),
-        Engine::sql()
-            .eq1_window(true)
-            .early_nametest(true)
-            .build()
-            .expect("valid config"),
-        Engine::auto(),
-        Engine::adaptive(),
-    ]
-}
-
-/// An arbitrary small document built through the encoding builder.
-fn arb_doc() -> impl Strategy<Value = Doc> {
-    proptest::collection::vec(0u8..5, 1..250).prop_map(|ops| {
-        let tags = ["p", "q", "r"];
-        let mut b = EncodingBuilder::new();
-        b.open_element("root");
-        let mut depth = 1;
-        let mut just_text = false;
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                0 | 3 => {
-                    b.open_element(tags[i % tags.len()]);
-                    depth += 1;
-                    just_text = false;
-                }
-                1 if depth > 1 => {
-                    b.close_element();
-                    depth -= 1;
-                    just_text = false;
-                }
-                2 if !just_text => {
-                    b.text("t");
-                    just_text = true;
-                }
-                _ => {
-                    b.comment("c");
-                    just_text = false;
-                }
-            }
-        }
-        while depth > 0 {
-            b.close_element();
-            depth -= 1;
-        }
-        b.finish()
-    })
-}
-
-/// An arbitrary absolute query over the `p`/`q`/`r` vocabulary: one to
-/// three steps of partitioning/child axes with name, wildcard, or node
-/// tests, optionally carrying an existential predicate (which exercises
-/// the staircase engines' semijoin fast path).
-fn arb_query() -> impl Strategy<Value = String> {
-    let axis = prop_oneof![
-        Just("descendant"),
-        Just("ancestor"),
-        Just("following"),
-        Just("preceding"),
-        Just("child"),
-        Just("descendant-or-self"),
-        Just("ancestor-or-self"),
-    ];
-    let test = prop_oneof![Just("p"), Just("q"), Just("r"), Just("*"), Just("node()")];
-    let pred = prop_oneof![
-        Just(""),
-        Just("[p]"),
-        Just("[descendant::q]"),
-        Just("[zzz]")
-    ];
-    proptest::collection::vec((axis, test, pred), 1..4).prop_map(|steps| {
-        let mut out = String::new();
-        for (axis, test, pred) in steps {
-            out.push('/');
-            out.push_str(axis);
-            out.push_str("::");
-            out.push_str(test);
-            out.push_str(pred);
-        }
-        out
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The acceptance property of the whole engine zoo: any engine —
-    /// including the cost-based planner — same answer, for random
-    /// documents and random prepared queries.
-    #[test]
-    fn every_engine_agrees_via_session((doc, query) in (arb_doc(), arb_query())) {
-        let session = Session::new(doc);
-        let prepared = session.prepare(&query)
-            .unwrap_or_else(|e| panic!("generated query {query:?} must parse: {e}"));
-        let reference = prepared.run(Engine::naive());
-        for engine in all_engines() {
-            let got = prepared.run(engine);
-            prop_assert_eq!(
-                got.nodes(),
-                reference.nodes(),
-                "{} via {:?}",
-                query,
-                engine
-            );
-        }
-        // The satellite claim, spelled out: Engine::auto() is
-        // node-identical to Engine::default() on every generated query.
-        prop_assert_eq!(
-            prepared.run(Engine::auto()).nodes(),
-            prepared.run(Engine::default()).nodes(),
-            "auto vs default on {}",
-            query
-        );
-        // However many engines ran, the session built each auxiliary
-        // structure at most once.
-        let builds = session.aux_builds();
-        prop_assert!(builds.tag_index <= 1);
-        prop_assert!(builds.sql_engine <= 1);
-    }
-
-    /// The adaptive engine is node- and order-identical to every fixed
-    /// engine through both `run` and `run_many` — re-planning may change
-    /// access paths, never answers.
-    #[test]
-    fn adaptive_agrees_through_run_and_run_many((doc, query) in (arb_doc(), arb_query())) {
-        let session = Session::new(doc);
-        let prepared = session.prepare(&query)
-            .unwrap_or_else(|e| panic!("generated query {query:?} must parse: {e}"));
-        let reference = prepared.run(Engine::naive());
-        let single = prepared.run(Engine::adaptive());
-        prop_assert_eq!(
-            single.nodes(),
-            reference.nodes(),
-            "run: {}",
-            query
-        );
-        // The same query twice in one batch: both lanes re-plan (or
-        // decline to) independently and agree with the fixed run.
-        let batch = session.run_many(&[&prepared, &prepared], Engine::adaptive());
-        for out in &batch {
-            prop_assert_eq!(
-                out.nodes(),
-                reference.nodes(),
-                "run_many: {}",
-                query
-            );
-        }
-    }
-
-    /// Sessions over a persisted plane answer exactly like sessions over
-    /// the original document.
-    #[test]
-    fn persisted_sessions_answer_identically(doc in arb_doc()) {
-        let original = Session::new(doc);
-        let reloaded = Session::from_encoded_bytes(&original.doc().to_bytes())
-            .expect("self-produced bytes decode");
-        for query in ["/descendant::p", "//q/ancestor::node()", "//r[p]"] {
-            let a = original.run(query, Engine::default()).unwrap();
-            let b = reloaded.run(query, Engine::default()).unwrap();
-            prop_assert_eq!(a.nodes(), b.nodes(), "{}", query);
-        }
-    }
-}
+/// The tag index and the SQL engine, each built once.
+const BOTH_ONCE: AuxBuilds = AuxBuilds {
+    tag_index: 1,
+    sql_engine: 1,
+};
 
 #[test]
 fn auxiliary_structures_build_at_most_once() {
@@ -227,13 +46,7 @@ fn auxiliary_structures_build_at_most_once() {
     }
     // 36 runs across three engines and three prepared queries: exactly
     // one TagIndex and one SqlEngine were ever constructed.
-    assert_eq!(
-        session.aux_builds(),
-        AuxBuilds {
-            tag_index: 1,
-            sql_engine: 1
-        }
-    );
+    assert_eq!(session.aux_builds(), BOTH_ONCE);
 }
 
 #[test]
@@ -243,13 +56,7 @@ fn warm_builds_everything_exactly_once() {
 
     // Warm builds both structures (concurrently) …
     session.warm();
-    assert_eq!(
-        session.aux_builds(),
-        AuxBuilds {
-            tag_index: 1,
-            sql_engine: 1
-        }
-    );
+    assert_eq!(session.aux_builds(), BOTH_ONCE);
 
     // … and neither warming again nor querying on any engine rebuilds.
     session.warm();
@@ -257,18 +64,12 @@ fn warm_builds_everything_exactly_once() {
         "/descendant::increase/ancestor::bidder",
         "//open_auction[bidder]",
     ];
-    for engine in all_engines() {
+    for &engine in ENGINES.iter() {
         for query in queries {
             session.run(query, engine).unwrap();
         }
     }
-    assert_eq!(
-        session.aux_builds(),
-        AuxBuilds {
-            tag_index: 1,
-            sql_engine: 1
-        }
-    );
+    assert_eq!(session.aux_builds(), BOTH_ONCE);
 }
 
 #[test]
@@ -282,13 +83,7 @@ fn warm_races_with_queries_safely() {
         scope.spawn(|| query.run(Engine::staircase().fragmented(true).build().unwrap()));
         scope.spawn(|| query.run(Engine::sql().build().unwrap()));
     });
-    assert_eq!(
-        session.aux_builds(),
-        AuxBuilds {
-            tag_index: 1,
-            sql_engine: 1
-        }
-    );
+    assert_eq!(session.aux_builds(), BOTH_ONCE);
 
     // First fragment-plan queries racing each other on a fresh session:
     // one of them sweeps the columns, and every tag's fragment exists
@@ -333,14 +128,10 @@ fn prepared_queries_outlive_engine_choice() {
     let query = session
         .prepare("/descendant::increase/ancestor::bidder")
         .unwrap();
-    let mut previous: Option<QueryOutput> = None;
-    for engine in all_engines() {
-        let out = query.run(engine);
-        assert!(!out.is_empty(), "{engine:?}");
-        if let Some(prev) = &previous {
-            assert_eq!(prev.nodes(), out.nodes(), "{engine:?}");
-        }
-        previous = Some(out);
+    let first = query.run(ENGINES[0]);
+    assert!(!first.is_empty());
+    for &engine in ENGINES.iter() {
+        assert_eq!(query.run(engine).nodes(), first.nodes(), "{engine:?}");
     }
 }
 

@@ -1,139 +1,11 @@
 //! Worst-case-optimal twig matching, exercised end to end: the fused
-//! `StepOp::Twig` leapfrog must answer node- and order-identically to
-//! every fixed step-at-a-time engine — on random documents and random
-//! branching queries, and through `Session::run_many` — while its
-//! `StepTrace` reports the *actual* leapfrog seeks. Plus cursor unit tests at word and fragment boundaries.
+//! `StepOp::Twig` leapfrog's `StepTrace` reports the *actual* leapfrog
+//! seeks, plans do not drift, and cursors seek right at word and
+//! fragment boundaries. (That `Engine::twig()` answers random branching
+//! queries like every other engine is `tests/oracle.rs`, whose grammar
+//! draws twig-shaped paths.)
 
-use proptest::prelude::*;
 use staircase_suite::prelude::*;
-
-/// The fixed step-at-a-time engines the twig plans are checked against.
-fn fixed_engines() -> Vec<Engine> {
-    vec![
-        Engine::staircase().variant(Variant::Basic).build().unwrap(),
-        Engine::staircase()
-            .variant(Variant::EstimationSkipping)
-            .build()
-            .unwrap(),
-        Engine::staircase().pushdown(true).build().unwrap(),
-        Engine::staircase().fragmented(true).build().unwrap(),
-        Engine::naive(),
-        Engine::sql().eq1_window(true).build().unwrap(),
-    ]
-}
-
-/// An arbitrary small document over the `p`/`q`/`r`/`rare` vocabulary —
-/// the same shape family as the batch tests, so twig regions see deep
-/// nesting, repeated tags, and empty fragments alike.
-fn arb_doc() -> impl Strategy<Value = Doc> {
-    proptest::collection::vec(0u8..6, 1..220).prop_map(|ops| {
-        let tags = ["p", "q", "r"];
-        let mut b = EncodingBuilder::new();
-        b.open_element("root");
-        let mut depth = 1;
-        let mut rares = 0;
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                0 | 3 => {
-                    b.open_element(tags[i % tags.len()]);
-                    depth += 1;
-                }
-                1 if depth > 1 => {
-                    b.close_element();
-                    depth -= 1;
-                }
-                5 if rares < 3 && i % 17 == 5 => {
-                    b.open_element("rare");
-                    b.close_element();
-                    rares += 1;
-                }
-                _ => {
-                    b.comment("c");
-                }
-            }
-        }
-        while depth > 0 {
-            b.close_element();
-            depth -= 1;
-        }
-        b.finish()
-    })
-}
-
-/// An arbitrary *branching* query whose head is twig-eligible — vertical
-/// steps with vertical existential predicates — optionally followed by
-/// an ineligible tail (ancestor step, nested predicate), so plans mix
-/// fused twig regions with ordinary steps.
-fn arb_twig_query() -> impl Strategy<Value = String> {
-    const NAMES: [&str; 4] = ["p", "q", "r", "rare"];
-    const EDGES: [&str; 3] = ["descendant", "descendant", "child"];
-    const PREDS: [&str; 6] = [
-        "",
-        "",
-        "[descendant::p]",
-        "[child::q]",
-        "[descendant::q/child::r]",
-        "[p][descendant::r]",
-    ];
-    const TAILS: [&str; 4] = ["", "", "/ancestor::p", "/descendant::q[r/p]"];
-    proptest::collection::vec(0usize..60, 3..9).prop_map(|picks| {
-        let mut out = format!(
-            "/descendant::{}{}",
-            NAMES[picks[0] % NAMES.len()],
-            PREDS[picks[1] % PREDS.len()]
-        );
-        for pair in picks[2..picks.len() - 1].chunks(2) {
-            let pred = pair.get(1).copied().unwrap_or(0);
-            out.push('/');
-            out.push_str(EDGES[pair[0] % EDGES.len()]);
-            out.push_str("::");
-            out.push_str(NAMES[(pair[0] / EDGES.len()) % NAMES.len()]);
-            out.push_str(PREDS[pred % PREDS.len()]);
-        }
-        out.push_str(TAILS[picks[picks.len() - 1] % TAILS.len()]);
-        out
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The acceptance property: `Engine::twig()` and `Engine::auto()`
-    /// answer node- and order-identically to every fixed engine on
-    /// random documents and random branching queries — one query at a
-    /// time, and through `run_many`.
-    #[test]
-    fn twig_matches_every_fixed_engine(
-        (doc, exprs) in (arb_doc(), proptest::collection::vec(arb_twig_query(), 1..5))
-    ) {
-        let session = Session::new(doc);
-        let reference_engine = fixed_engines()[0];
-        let queries: Vec<Query> = exprs
-            .iter()
-            .map(|e| session.prepare(e).unwrap_or_else(|err| panic!("{e:?} must parse: {err}")))
-            .collect();
-        let reference: Vec<QueryOutput> =
-            queries.iter().map(|q| q.run(reference_engine)).collect();
-        // Fixed engines agree among themselves (the existing invariant
-        // twig must join).
-        for engine in &fixed_engines()[1..] {
-            for ((e, q), r) in exprs.iter().zip(&queries).zip(&reference) {
-                prop_assert_eq!(q.run(*engine).nodes(), r.nodes(), "{} via {:?}", e, engine);
-            }
-        }
-        for engine in [Engine::twig(), Engine::auto()] {
-            for ((e, q), r) in exprs.iter().zip(&queries).zip(&reference) {
-                prop_assert_eq!(q.run(engine).nodes(), r.nodes(), "{} via {:?}", e, engine);
-            }
-            // The lane executor path: run_many over the whole batch.
-            let refs: Vec<&Query> = queries.iter().collect();
-            let batch = session.run_many(&refs, engine);
-            for ((e, b), r) in exprs.iter().zip(&batch).zip(&reference) {
-                prop_assert_eq!(b.nodes(), r.nodes(), "run_many {} via {:?}", e, engine);
-            }
-        }
-    }
-}
 
 /// A fused query's trace reports the leapfrog's *actual* work: the twig
 /// step carries non-zero seeks — as do step-at-a-time fragment joins,
