@@ -198,11 +198,10 @@ impl Doc {
                     b.leaf(NodeKind::Text, NO_TAG, Some(t))?;
                 }
                 staircase_xml::NodeKind::Comment(c) => {
-                    b.leaf(NodeKind::Comment, NO_TAG, Some(c))?;
+                    b.comment_or_pi(None, c)?;
                 }
                 staircase_xml::NodeKind::Pi { target, data } => {
-                    let tag = b.tags.intern(target);
-                    b.leaf(NodeKind::Pi, tag, Some(data))?;
+                    b.comment_or_pi(Some(target), data)?;
                 }
             }
         }
@@ -462,10 +461,15 @@ impl Doc {
             while open.last().is_some_and(|&top| top != p) {
                 close(open.pop().expect("checked non-empty"))?;
             }
-            // An empty stack is the top level (prolog comments and PIs
-            // sit there beside the root element).
+            // An empty stack is the top level, where only the root sits:
+            // the encoding holds one tree.
             if open.is_empty() && p != NO_PARENT {
                 return Err(format!("parent({v}) = {p} is not an open element"));
+            }
+            if v > 0 && p == NO_PARENT {
+                return Err(format!(
+                    "node {v} is a second top-level node: only pre 0 may be at level 0"
+                ));
             }
             if self.level(v) as usize != open.len() {
                 return Err(format!("level({v}) inconsistent with parent {p}"));
@@ -813,17 +817,34 @@ impl EncodingBuilder {
             .unwrap_or_else(|e| refused(e))
     }
 
-    /// Emits a comment node.
-    pub fn comment(&mut self, body: &str) -> Pre {
-        self.leaf(NodeKind::Comment, NO_TAG, Some(body))
+    /// Emits a comment node inside the root element; outside it emits
+    /// nothing and returns `None` ([`EncodingBuilder::comment_or_pi`]).
+    pub fn comment(&mut self, body: &str) -> Option<Pre> {
+        self.comment_or_pi(None, body)
             .unwrap_or_else(|e| refused(e))
     }
 
-    /// Emits a processing-instruction node.
-    pub fn pi(&mut self, target: &str, data: &str) -> Pre {
-        let id = self.tags.intern(target);
-        self.leaf(NodeKind::Pi, id, Some(data))
+    /// Emits a processing-instruction node inside the root element;
+    /// outside it emits nothing and returns `None`.
+    pub fn pi(&mut self, target: &str, data: &str) -> Option<Pre> {
+        self.comment_or_pi(Some(target), data)
             .unwrap_or_else(|e| refused(e))
+    }
+
+    /// Emits a comment (`target` `None`) or a processing instruction
+    /// under the innermost open element. Outside the root element — the
+    /// prolog and the epilog — it emits nothing: the encoding holds one
+    /// tree, the root element's subtree, so the root is pre 0 and the
+    /// only node at level 0.
+    fn comment_or_pi(&mut self, target: Option<&str>, body: &str) -> Result<Option<Pre>, Error> {
+        if self.open.is_empty() {
+            return Ok(None);
+        }
+        let (kind, tag) = match target {
+            Some(target) => (NodeKind::Pi, self.tags.intern(target)),
+            None => (NodeKind::Comment, NO_TAG),
+        };
+        self.leaf(kind, tag, Some(body)).map(Some)
     }
 
     /// Finalises the encoding. Panics if elements are still open.
@@ -905,12 +926,11 @@ impl<'a> Sink<'a> for EncodingBuilder {
     }
 
     fn comment(&mut self, body: &'a str) -> Result<(), Error> {
-        self.leaf(NodeKind::Comment, NO_TAG, Some(body)).map(drop)
+        self.comment_or_pi(None, body).map(drop)
     }
 
     fn pi(&mut self, target: &'a str, data: &'a str) -> Result<(), Error> {
-        let tag = self.tags.intern(target);
-        self.leaf(NodeKind::Pi, tag, Some(data)).map(drop)
+        self.comment_or_pi(Some(target), data).map(drop)
     }
 }
 
@@ -1265,6 +1285,60 @@ mod tests {
         assert!(ordered(vec![0, 0, 0, attribute])
             .unwrap_err()
             .contains("does not follow its element"));
+    }
+
+    #[test]
+    fn the_encoding_holds_the_root_elements_subtree_alone() {
+        let plain = Doc::from_xml("<a><b/></a>").unwrap();
+        for xml in [
+            "<!--c--><a><b/></a>",
+            "<?pi x?><a><b/></a><!--t-->",
+            "<?xml version='1.0'?>\n<!--c-->\n<a><b/></a>\n<?pi x?>\n",
+        ] {
+            let doc = Doc::from_xml(xml).unwrap();
+            assert_eq!(doc.to_bytes(), plain.to_bytes(), "{xml}");
+            assert_eq!(
+                doc.tag_id("pi"),
+                None,
+                "{xml}: a skipped PI interns nothing"
+            );
+            let tree = Document::parse(xml).unwrap();
+            assert_eq!(
+                Doc::from_document(&tree).unwrap().to_bytes(),
+                plain.to_bytes()
+            );
+        }
+        let mut b = EncodingBuilder::new();
+        assert_eq!(b.comment("c"), None);
+        b.open_element("a");
+        assert_eq!(b.pi("t", "d"), Some(1));
+        b.close_element();
+        assert_eq!(b.pi("t", "d"), None);
+        assert_eq!(b.finish().len(), 2);
+    }
+
+    #[test]
+    fn validate_refuses_a_second_top_level_node() {
+        // `<!--c--><a/>` as an older loader encoded it: the comment at
+        // pre 0, the root element beside it at level 0.
+        let mut tags = TagInterner::new();
+        let a = tags.intern("a");
+        tags.record_element(a);
+        let doc = Doc::from_raw_parts(
+            vec![0, 1],
+            vec![0, 0],
+            vec![NodeKind::Comment as u8, NodeKind::Element as u8],
+            vec![NO_TAG, a],
+            vec![NO_PARENT, NO_PARENT],
+            vec![u32::MAX; 2],
+            String::new(),
+            Vec::new(),
+            tags,
+            0,
+        );
+        let decoded = Doc::from_bytes(&doc.to_bytes()).unwrap();
+        let err = decoded.validate().unwrap_err();
+        assert!(err.contains("second top-level node"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! made of it, or the error's text with its position. The record was taken
 //! from the byte-at-a-time pull parser the push tokenizer replaced, so a
 //! changed error position, a lost check or a different encoding shows here
-//! as the number of the input that moved.
+//! as the number of the input that moved. (The encoding hashes were
+//! recomputed once, when comments and PIs outside the root element left
+//! the encoding: each is the old loader's encoding of the same input's
+//! root element subtree alone.)
 
 mod common;
 
@@ -198,7 +201,9 @@ fn the_seed_has_every_construct_and_parses() {
     let doc = Doc::from_xml(SEED).expect("seed parses");
     let (elements, attributes, texts, comments, pis) = doc.kind_counts();
     assert!(elements >= 7 && attributes >= 7 && texts >= 6);
-    assert_eq!((comments, pis), (3, 3));
+    // The comments and PIs before and after the root element are no
+    // nodes of the encoding, which holds the root element's subtree.
+    assert_eq!((comments, pis), (1, 1));
     doc.validate().unwrap();
 }
 

@@ -9,7 +9,6 @@ fn harness_binaries_print_their_usage_and_exit_2_on_bad_flags() {
     let binaries = [
         env!("CARGO_BIN_EXE_bench_filter_kernels"),
         env!("CARGO_BIN_EXE_bench_twig"),
-        env!("CARGO_BIN_EXE_bench_adaptive"),
     ];
     for bin in binaries {
         for args in [

@@ -453,8 +453,7 @@ pub(crate) fn decode_ids_into(payload: &[u8], out: &mut Vec<Pre>) -> Result<(), 
 /// configurations (variants are a client-side concern; the wire names
 /// pick policies, not knobs). `xq --engine` accepts these six plus
 /// `twig` and `adaptive`, which are local-only; `adaptive` is another
-/// name for `auto` (which re-plans mid-query), so the wire name `auto`
-/// is the same engine.
+/// name for `auto`, so the wire name `auto` is the same engine.
 pub fn engine_by_name(name: &str) -> Option<Engine> {
     match name {
         "staircase" => Some(Engine::default()),

@@ -60,9 +60,8 @@
 //!                    against the hop over every child (`structural`),
 //!                    which the fixed engines always take
 //!   --explain --stats  run the query, then print the post-run report:
-//!                    per step, the executed operator (with `[replan]`
-//!                    marking steps `auto` switched mid-query),
-//!                    planned cost, and observed cost
+//!                    per step, the executed operator (the planned
+//!                    one), planned cost, and observed cost
 //!                    (touched + seeks, as under --stats)
 //! ```
 //!
@@ -92,13 +91,11 @@
 //!
 //! The `auto` engine plans per step: each `descendant`/`ancestor` step
 //! is priced against document statistics (per-tag fragment sizes,
-//! Equation-1 window estimates) and the cheapest operator — plain
-//! staircase join, prebuilt tag fragment, or the SQL B-tree plan — is
-//! chosen. `--explain` shows the decisions for any engine. While the
-//! query runs, `auto` re-prices a pending step whenever the *observed*
-//! frontier is far off the estimate, and switches its operator where
-//! the observed ranking disagrees; `--explain --stats` shows which
-//! steps it switched (`[replan]`). `adaptive` names the same engine.
+//! Equation-1 window estimates) and the cheaper operator — plain
+//! staircase join or prebuilt tag fragment — is chosen. `--explain`
+//! shows the decisions for any engine, and the plan it prints is the
+//! plan that runs: `--explain --stats` reports the same operators with
+//! their observed costs. `adaptive` names the same engine.
 //!
 //! A query file holds one expression per line; blank lines and lines
 //! starting with `#` are ignored. The batch is answered through
@@ -158,8 +155,8 @@ fn usage() -> ! {
          \u{20}      xq <XPATH> --connect <ADDR>   (query a running staircase-serve;\n\
          \u{20}      also with --query-file; local-only flags are rejected)\n\
          engines:  staircase (default) | pushdown | fragmented | naive | sql\n\
-         \u{20}         | auto (cost-based per-step operator picking, re-planned\n\
-         \u{20}           mid-query from observed stats; adaptive is an alias)\n\
+         \u{20}         | auto (cost-based per-step operator picking;\n\
+         \u{20}           adaptive is an alias)\n\
          \u{20}         | twig (fuse eligible step runs into multiway leapfrog joins)\n\
          variants: basic | skipping | estimation (default)\n\
          --explain prints the physical plan (one line per step: operator +\n\
@@ -512,8 +509,7 @@ fn main() {
             }
         } else if opts.explain {
             // Post-run explain: evaluate, then report planned vs
-            // observed cost per executed step ([replan] marks auto's
-            // mid-query switches).
+            // observed cost per executed step.
             let refs: Vec<&_> = queries.iter().collect();
             let outputs = session.run_many(&refs, engine);
             for (query, out) in queries.iter().zip(&outputs) {
@@ -613,8 +609,7 @@ fn print_stats(out: &QueryOutput) {
 }
 
 /// The post-run report (`--explain --stats`): per executed step, the
-/// operator that actually ran (`[replan]` marks `auto`'s mid-query
-/// switches), the cost the plan carried for it, and the cost
+/// operator that ran, the cost the plan carried for it, and the cost
 /// observed while running it.
 fn print_report(out: &QueryOutput) {
     for s in &out.stats().steps {

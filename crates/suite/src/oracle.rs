@@ -420,13 +420,37 @@ impl Writer {
     }
 }
 
+/// Comments and processing instructions for the prolog or the epilog:
+/// one to two in one call of three, none otherwise.
+fn outside_root(rng: &mut Rng) -> String {
+    let mut out = String::new();
+    if rng.below(3) == 0 {
+        for _ in 0..1 + rng.below(2) {
+            if rng.below(2) == 0 {
+                out.push_str(&format!("<!--{}-->", rng.word("c|é")));
+            } else {
+                out.push_str(&format!("<?{} d?>", rng.word("t|u")));
+            }
+            out.push_str(rng.word("|\n"));
+        }
+    }
+    out
+}
+
 /// A well-formed document of `shape` with exactly `nodes` nodes (at
 /// least one; attributes, text, comments and processing instructions
 /// count), the same for the same arguments.
+///
+/// Some documents carry comments and processing instructions before or
+/// after the root element. They are no nodes of the encoding, which
+/// holds the root element's subtree, and they are drawn from a stream of
+/// their own, so the root element is the one the seed draws without
+/// them.
 pub fn document(shape: Shape, seed: u64, nodes: usize) -> String {
+    let mut misc = Rng::new(!seed);
     let mut w = Writer {
         rng: Rng::new(seed),
-        xml: String::new(),
+        xml: outside_root(&mut misc),
         open: Vec::new(),
         nodes: 0,
         text_last: false,
@@ -492,7 +516,7 @@ pub fn document(shape: Shape, seed: u64, nodes: usize) -> String {
     while !w.open.is_empty() {
         w.close();
     }
-    w.xml
+    w.xml + &outside_root(&mut misc)
 }
 
 /// `depth` nested `a` elements and nothing else.

@@ -5,8 +5,8 @@
 //! query installs its own budget ambiently, runs under `catch_unwind`,
 //! and advances each union branch (a *lane*) step by step through the
 //! plan interpreter ([`Executor::exec_join`],
-//! [`Executor::exec_predicates`]), re-planning under auto after every
-//! step ([`Executor::maybe_replan`]). `run` is the batch of one.
+//! [`Executor::exec_predicates`]) as it was planned. `run` is the batch
+//! of one.
 //!
 //! What the queries of a batch share is a per-call memo. A pre-pass over
 //! the plans marks the keys at least two lanes will ask; only marked keys
@@ -45,7 +45,6 @@
 //! or panics comes back as `Err`; its steps never enter the memo, so a
 //! sibling asking the same key computes it.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -59,7 +58,7 @@ use staircase_core::{
 use crate::ast::NodeTest;
 use crate::error::Error;
 use crate::eval::{merge, scan_test, trace, EvalStats, Executor, StepTrace};
-use crate::plan::{replan_step, PathPlan, PhysicalPlan, PlannedStep, StepOp};
+use crate::plan::{PathPlan, PhysicalPlan, PlannedStep, StepOp};
 use crate::session::QueryOutput;
 
 /// Maps a budget trip to the typed error a governed query fails with.
@@ -82,14 +81,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// How far (multiplicatively, either direction) the observed frontier
-/// cardinality must stray from the planner's estimate before an auto
-/// lane re-prices the pending step. Below the factor the
-/// static ranking stands and the lane advances with zero re-planning
-/// overhead; the misleading workloads this exists for miss by orders of
-/// magnitude.
-const REPLAN_DISAGREE_FACTOR: f64 = 8.0;
-
 /// What a lane carries from its query.
 struct Lane<'b> {
     query: usize,
@@ -97,14 +88,6 @@ struct Lane<'b> {
     /// The query has this one lane: its last step's output is the
     /// query's result.
     whole: bool,
-    /// `Some` for a plan lowered under the auto policy
-    /// ([`PhysicalPlan::is_auto`]), whose lane re-prices the pending
-    /// step from the observed frontier after every advance. The flag is
-    /// whether the query's own plan needs the tag index: the one
-    /// structure a switch may target. The executor may hold it for the
-    /// batch's other queries, but a lane that switched to it would pick
-    /// (and report) a different operator batched than alone.
-    tags_held: Option<bool>,
     budget: Option<&'b Arc<Budget>>,
 }
 
@@ -387,7 +370,6 @@ impl Executor<'_> {
         scratch: &mut Scratch,
     ) -> Result<QueryOutput, Error> {
         let _guard = budget.cloned().map(governor::enter);
-        let tags_held = plan.is_auto().then(|| plan.needs_tag_index());
         // A lone lane's last step output is the query's result.
         let whole = plan.branches().len() == 1;
         let mut output: Option<QueryOutput> = None;
@@ -397,7 +379,6 @@ impl Executor<'_> {
                     query,
                     branch_no: b,
                     whole,
-                    tags_held,
                     budget,
                 };
                 self.run_lane(&lane, branch, context, memo, outputs, scratch)
@@ -429,21 +410,20 @@ impl Executor<'_> {
         scratch: &mut Scratch,
     ) -> Result<(Context, EvalStats), Error> {
         let tripped = || lane.budget.and_then(|b| b.check()).map(trip_error);
-        let mut steps = Cow::Borrowed(branch.steps());
+        let steps = branch.steps();
         let mut ctx = if branch.absolute {
             Context::singleton(self.doc.root())
         } else {
             context.clone()
         };
         let mut stats = EvalStats::default();
-        for i in 0..steps.len() {
+        for (i, step) in steps.iter().enumerate() {
             if let Some(err) = tripped() {
                 return Err(err);
             }
             faults::fail_point("xpath::lane");
             let keys = memo.keys(lane.query, lane.branch_no, i);
-            let (next, trace, stash) =
-                self.memo_step(&ctx, &steps[i], keys, memo, outputs, scratch);
+            let (next, trace, stash) = self.memo_step(&ctx, step, keys, memo, outputs, scratch);
             if let Some(err) = tripped() {
                 scratch.recycle(next);
                 if let Some(joined) = stash.joined {
@@ -455,9 +435,6 @@ impl Executor<'_> {
             memo.settle(keys, &next, stash, result_of, scratch);
             stats.steps.push(trace);
             scratch.recycle(std::mem::replace(&mut ctx, next));
-            if let Some(tags_held) = lane.tags_held {
-                self.maybe_replan(&mut steps, i + 1, &ctx, tags_held);
-            }
         }
         Ok((ctx, stats))
     }
@@ -550,49 +527,6 @@ impl Executor<'_> {
             stash.region = Some(bound);
         }
         (Context::from_sorted(nodes), read.nodes_touched(), 0, 0)
-    }
-
-    /// [`crate::Engine::auto`]'s re-planning hook, run after every step
-    /// of a lane planned under auto, with `next` the pending step and
-    /// `ctx` the frontier just observed. When it is at least
-    /// [`REPLAN_DISAGREE_FACTOR`] off the planner's estimate, re-price
-    /// the pending step's operator from the observed cardinality among
-    /// the structures the lane's own plan holds ([`replan_step`]), and
-    /// switch the step's operator in place when the observed ranking
-    /// disagrees with the planned choice. Switched steps carry the
-    /// `[replan]` marker into their traces. Lanes of every fixed engine
-    /// and of `twig` never enter.
-    fn maybe_replan(
-        &self,
-        steps: &mut Cow<'_, [PlannedStep]>,
-        next: usize,
-        ctx: &Context,
-        tags_held: bool,
-    ) {
-        if ctx.is_empty() || next >= steps.len() {
-            return;
-        }
-        // Re-price only when the observed frontier materially
-        // contradicts the planner's estimate: within the factor the
-        // static ranking stands, and skipping keeps re-planning's
-        // overhead near zero on well-estimated workloads.
-        let observed = ctx.len() as f64;
-        let planned = steps[next - 1].estimate.rows.max(1.0);
-        if (observed / planned).max(planned / observed) < REPLAN_DISAGREE_FACTOR {
-            return;
-        }
-        let Some((op, test_op, cost)) =
-            replan_step(&steps[next], self.doc, self.stats, observed, tags_held)
-        else {
-            return;
-        };
-        // First switch on this lane: clone the branch's steps so the
-        // shared plan (and every other lane) stays untouched.
-        let s = &mut steps.to_mut()[next];
-        s.op = op;
-        s.test_op = test_op;
-        s.estimate.cost = cost;
-        s.replanned = true;
     }
 }
 

@@ -144,16 +144,12 @@ impl Engine {
     /// plan is the paper's baseline ([`Engine::sql`]), never a
     /// candidate: it can win only where it is mispriced.
     ///
-    /// The plan is a starting point, not a commitment: after every step
-    /// boundary the executor compares the *observed* frontier with the
-    /// planner's estimate, and where they disagree by 8× or more it
-    /// re-prices the pending step from the observed cardinality and
-    /// switches its operator when the observed-cost ranking disagrees
-    /// with the planned one (`[replan]` in the step trace). The plan
-    /// itself depends only on the document and the expression: no
-    /// constant is fitted from earlier runs. Results are node- and
-    /// order-identical to every fixed engine (property-tested); only
-    /// the access pattern changes.
+    /// The plan is priced once and run as priced: what
+    /// [`crate::Session::explain`] prints is what executes. It depends
+    /// only on the document and the expression: no constant is fitted
+    /// from earlier runs. Results are node- and order-identical to
+    /// every fixed engine (property-tested); only the access pattern
+    /// changes.
     pub fn auto() -> Engine {
         Engine {
             kind: EngineKind::Auto,
@@ -175,9 +171,8 @@ impl Engine {
         }
     }
 
-    /// An alias of [`Engine::auto`], kept as a name: `auto` *is* the
-    /// adaptive executor (it re-plans mid-query from what it observes),
-    /// so `Engine::adaptive() == Engine::auto()`.
+    /// An alias of [`Engine::auto`], kept as a name for callers of the
+    /// former adaptive executor: `Engine::adaptive() == Engine::auto()`.
     pub fn adaptive() -> Engine {
         Engine::auto()
     }

@@ -21,10 +21,10 @@ use std::sync::{Arc, Mutex};
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
-    ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled, cost::DocStats,
-    descendant_on_list_pooled, descendant_pooled, following_pooled, has_ancestor_in, has_child_in,
-    has_descendant_in, preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool,
-    SpineLeg, TagIndex, Variant,
+    ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled, descendant_on_list_pooled,
+    descendant_pooled, following_pooled, has_ancestor_in, has_child_in, has_descendant_in,
+    preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool, SpineLeg, TagIndex,
+    Variant,
 };
 
 use crate::ast::NodeTest;
@@ -38,9 +38,9 @@ use crate::plan::{
 pub struct StepTrace {
     /// Rendered step (`descendant::profile`).
     pub step: String,
-    /// Rendered join operator that actually ran (`fragment`,
-    /// `staircase(EstimationSkipping)`, …) — suffixed ` [replan]` when
-    /// auto's executor switched it at a step boundary.
+    /// Rendered join operator (`fragment`,
+    /// `staircase(EstimationSkipping)`, …): the planned one, which is
+    /// the one that ran.
     pub op: String,
     /// Result size after node test and predicates.
     pub result_size: usize,
@@ -56,11 +56,9 @@ pub struct StepTrace {
     /// operator's probes. Zero for the plane scans, whose movement is
     /// all sequential.
     pub seeks: u64,
-    /// The cost model's estimate for this step at the moment it ran
-    /// (re-priced by auto's executor when it switched operators).
+    /// The cost model's estimate for this step.
     pub est_cost: f64,
-    /// Did auto's re-planner switch this step's operator before
-    /// running it?
+    /// Always `false`; kept for the frozen benchmark's `xpath.replans`.
     pub replanned: bool,
 }
 
@@ -115,9 +113,6 @@ pub(crate) struct Executor<'a> {
     /// The session's sharded scratch pools: concurrent batches each
     /// sweep out their own shard.
     pub(crate) scratch: &'a ScratchPool,
-    /// The session's cached document statistics; at evaluation time
-    /// they price auto's re-planning.
-    pub(crate) stats: &'a DocStats,
     /// The node lists this evaluation has derived so far.
     pub(crate) lists: Mutex<ListMemo>,
 }
@@ -749,23 +744,13 @@ pub(crate) fn trace(
 ) -> StepTrace {
     StepTrace {
         step: step.rendered.clone(),
-        op: rendered_op(step),
+        op: step.op.to_string(),
         result_size,
         nodes_touched: touched,
         tuples_produced: produced.max(result_size as u64),
         seeks,
         est_cost: step.estimate.cost,
-        replanned: step.replanned,
-    }
-}
-
-/// The trace's rendered operator: the planned operator, suffixed with
-/// the `[replan]` marker when auto's executor switched it.
-pub(crate) fn rendered_op(step: &PlannedStep) -> String {
-    if step.replanned {
-        format!("{} [replan]", step.op)
-    } else {
-        step.op.to_string()
+        replanned: false,
     }
 }
 

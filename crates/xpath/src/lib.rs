@@ -65,10 +65,9 @@
 //!   are mispriced. `child::name` is priced too: the on-list
 //!   child join ([`staircase_core::child_on_list`]) against the
 //!   structural hop over every child, which every fixed engine takes.
-//!   The plan is where auto starts, not where it must finish: it
-//!   re-prices pending steps mid-query from *observed* frontiers (see
-//!   *Feedback loops* below). Results are node-identical to every fixed
-//!   engine (property-tested); only the access pattern changes.
+//!   The plan is priced once and runs as priced (see *One plan* below).
+//!   Results are node-identical to every fixed engine (property-tested);
+//!   only the access pattern changes.
 //!   [`Engine::adaptive`] is another name for it.
 //!
 //! [`Session::explain`] / [`Query::explain`] return the plan with
@@ -139,30 +138,18 @@
 //! In `EXPLAIN` output a fused region renders as its leaf paths, e.g.
 //! `twig[a>b, a>c.d]` (`>` a descendant edge, `.` a child edge).
 //!
-//! ## Feedback loops
+//! ## One plan
 //!
-//! Static planning trusts the *cardinality model* (Equation-1 windows
-//! scaled by global tag frequencies — misled whenever a tag's mass is
-//! clustered rather than uniform), which can be wrong at run time. One
-//! feedback loop corrects it without giving up the plan/execute split:
-//! **re-planning at step boundaries** ([`Engine::auto`]). After each
-//! advance of a lane planned under auto, the executor compares the
-//! lane's *observed* frontier cardinality against the planner's
-//! estimate. When they disagree by 8× or more, the pending step's
-//! candidates are re-priced from the observed cardinality by the same
-//! chooser the planner uses — a switch to the fragment join only when
-//! the query's own plan already needs the index, so a switch never
-//! brings it into existence, and a query switches the same way alone as
-//! in [`Session::run_many`] — and the operator is switched in place if
-//! the observed ranking disagrees with the planned choice. Fixed engines
-//! and `twig` run their plans as planned. Switching is lane-local (the
-//! cached plan is copy-on-write, so other lanes and later runs are
-//! untouched), results stay node-identical to every fixed engine
-//! (property-tested through [`Session::run`] and [`Session::run_many`]
-//! alike), and switched steps carry a `[replan]` marker in their
-//! [`StepTrace`] and in the post-run report (`xq --explain --stats`). On
-//! well-estimated workloads the disagreement gate keeps the overhead
-//! near zero.
+//! Planning trusts the *cardinality model* (Equation-1 windows scaled by
+//! global tag frequencies, misled whenever a tag's mass is clustered
+//! rather than uniform). The executor runs the plan it is handed, step
+//! by step, and never switches an operator mid-query: the plan
+//! [`Session::explain`] prints is the plan that runs, under every engine,
+//! alone and in [`Session::run_many`]. Where the model multiplies guesses
+//! it trusts least — stacked existential predicates on one step — it
+//! takes the most selective leg instead of their product: a step's
+//! predicates together halve its estimated rows once.
+//! [`StepTrace::replanned`] is always `false`.
 //!
 //! Nothing a query does changes how a later one is planned: the twig
 //! frontier is priced by [`staircase_core::DocStats::twig_frontier_cost`]
@@ -185,7 +172,7 @@
 //!   ahead of traffic;
 //! * [`Query`] ([`Session::prepare`]) is parsed once and run many times,
 //!   against any engine, yielding a [`QueryOutput`]; physical plans are
-//!   cached per engine, so repeated runs skip re-planning;
+//!   cached per engine, so repeated runs skip planning;
 //! * [`Session::execute`] is the one way in: a batch of queries, each
 //!   with an optional [`Budget`], from the root or an explicit context.
 //!   [`Query::run`], [`Session::run`] and [`Session::run_many`] are its

@@ -43,14 +43,6 @@ pub(crate) enum PartAxis {
     Preceding,
 }
 
-/// The two vertical axes: a plane-scan staircase join or an on-list
-/// join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum VertAxis {
-    Descendant,
-    Ancestor,
-}
-
 /// The three edges with an on-list (fragment) join: the two vertical
 /// axes and `child`, which joins the same list slices with the parent
 /// column as its keep test.
@@ -73,22 +65,14 @@ pub(crate) fn part_axis_of(axis: Axis) -> Option<PartAxis> {
     }
 }
 
-/// The vertical axis evaluated by `axis`, if any.
-pub(crate) fn vert_axis_of(axis: Axis) -> Option<VertAxis> {
-    match part_axis_of(axis)? {
-        PartAxis::Descendant => Some(VertAxis::Descendant),
-        PartAxis::Ancestor => Some(VertAxis::Ancestor),
-        _ => None,
-    }
-}
-
 /// The on-list join edge evaluated by `axis`, if any.
 pub(crate) fn list_edge_of(axis: Axis) -> Option<ListEdge> {
     match axis {
         Axis::Child => Some(ListEdge::Child),
-        _ => match vert_axis_of(axis)? {
-            VertAxis::Descendant => Some(ListEdge::Descendant),
-            VertAxis::Ancestor => Some(ListEdge::Ancestor),
+        _ => match part_axis_of(axis)? {
+            PartAxis::Descendant => Some(ListEdge::Descendant),
+            PartAxis::Ancestor => Some(ListEdge::Ancestor),
+            PartAxis::Following | PartAxis::Preceding => None,
         },
     }
 }
@@ -108,11 +92,6 @@ pub(crate) fn axis_of(paxis: PartAxis) -> Axis {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     pub(crate) branches: Vec<PathPlan>,
-    /// Planned under the auto policy ([`Engine::auto`](crate::Engine::auto)):
-    /// the executor re-prices a pending step at a step boundary
-    /// from the *observed* frontier cardinality and may switch its
-    /// operator ([`replan_step`]). Fixed engines and `twig` never do.
-    pub(crate) auto: bool,
 }
 
 /// A lowered location path: a pipeline of planned steps.
@@ -132,10 +111,6 @@ pub struct PlannedStep {
     pub(crate) test_op: TestOp,
     pub(crate) predicates: Vec<PredOp>,
     pub(crate) estimate: StepEstimate,
-    /// Set by the executor when the runtime re-pricing pass
-    /// switched this step's operator away from the planned one; the
-    /// planner itself always emits `false`. Rendered as `[replan]`.
-    pub(crate) replanned: bool,
     /// Rendered (normalised) step (axis, test, predicates) for traces.
     pub(crate) rendered: String,
     /// What the user wrote, when normalisation rewrote the step
@@ -410,18 +385,7 @@ impl PhysicalPlan {
             .sum()
     }
 
-    /// Was this plan lowered under the auto policy, whose lanes re-plan
-    /// pending steps from what they observe?
-    pub fn is_auto(&self) -> bool {
-        self.auto
-    }
-
     /// Does executing this plan require the prebuilt tag-fragment index?
-    ///
-    /// Only the planned operators decide: a runtime switch to a fragment
-    /// join is offered only to a plan that needs the index anyway
-    /// ([`replan_step`]), so re-planning never forces the index into
-    /// existence.
     pub(crate) fn needs_tag_index(&self) -> bool {
         self.branches.iter().any(path_needs_tags)
     }
@@ -549,11 +513,6 @@ impl fmt::Display for PlannedStep {
                 PredOp::Filter(_) => ops.push_str(" + filter-pred"),
             }
         }
-        if self.replanned {
-            // The executor switched this operator at a step
-            // boundary, against the observed frontier cardinality.
-            ops.push_str(" [replan]");
-        }
         let step = match &self.origin {
             Some(origin) => format!("{}  (from {origin})", self.rendered),
             None => self.rendered.clone(),
@@ -611,7 +570,6 @@ pub(crate) fn plan_union(
             .iter()
             .map(|p| plan_path(p, doc, stats, policy, 1.0, true))
             .collect(),
-        auto: matches!(policy, Policy::Auto),
     }
 }
 
@@ -822,7 +780,6 @@ fn plan_twig(
             cost: frontier,
             rows,
         },
-        replanned: false,
         rendered,
         origin,
     };
@@ -875,15 +832,24 @@ fn plan_step(
         rows += in_rows * sel;
     }
 
+    // The classic existential-predicate guess: half the candidates
+    // survive a predicate. A conjunction keeps no more than its most
+    // selective leg, so the step's predicates together halve its rows
+    // once (the minimum over the legs), not once each: the product of
+    // independent guesses is what misprices correlated predicates. The
+    // first predicate probes the step's rows, every later one the
+    // survivors.
     let mut predicates = Vec::with_capacity(step.predicates.len());
+    let mut candidates = rows;
     for pred in &step.predicates {
         let Predicate::Exists(path) = pred;
-        let (lowered, pred_cost) = plan_predicate(path, doc, stats, policy, rows);
+        let (lowered, pred_cost) = plan_predicate(path, doc, stats, policy, candidates);
         cost += pred_cost;
-        // The classic existential-predicate guess: half the candidates
-        // survive.
-        rows /= 2.0;
+        candidates = rows / 2.0;
         predicates.push(lowered);
+    }
+    if !predicates.is_empty() {
+        rows /= 2.0;
     }
 
     let planned = PlannedStep {
@@ -893,7 +859,6 @@ fn plan_step(
         test_op,
         predicates,
         estimate: StepEstimate { cost, rows },
-        replanned: false,
         rendered: step.to_string(),
         origin: step.origin.clone(),
     };
@@ -967,9 +932,8 @@ fn plan_partitioning(
     at_root: bool,
 ) -> (StepOp, TestOp, f64, f64) {
     let is_name = matches!(step.test, NodeTest::Name(_));
-    let vert = vert_axis_of(step.axis);
     let desc = matches!(paxis, PartAxis::Descendant);
-    let horiz = vert.is_none();
+    let horiz = matches!(paxis, PartAxis::Following | PartAxis::Preceding);
 
     // Window estimates the candidates are priced from.
     let window = match paxis {
@@ -1015,7 +979,7 @@ fn plan_partitioning(
     };
 
     let op = match policy {
-        Policy::Fixed(kind) => fixed_op(kind, is_name, vert.is_some(), horiz),
+        Policy::Fixed(kind) => fixed_op(kind, is_name, horiz),
         // Steps outside a fused region run as §6 fragment joins under
         // the twig engine.
         Policy::Twig => fixed_op(
@@ -1023,7 +987,6 @@ fn plan_partitioning(
                 variant: Variant::EstimationSkipping,
             },
             is_name,
-            vert.is_some(),
             horiz,
         ),
         Policy::Auto => {
@@ -1036,7 +999,7 @@ fn plan_partitioning(
                 // selection scan is free).
                 StepOp::Fragment { prescan: true }
             } else {
-                choose_vertical(stats, in_rows, window, is_name, fragment, true).0
+                choose_vertical(stats, in_rows, window, is_name, fragment)
             }
         }
     };
@@ -1048,10 +1011,10 @@ fn plan_partitioning(
 
 /// The operator a fixed engine always uses for a partitioning step —
 /// exactly the pre-split dispatch of the monolithic evaluator.
-fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> StepOp {
+fn fixed_op(kind: EngineKind, is_name: bool, horiz: bool) -> StepOp {
     match kind {
         EngineKind::Staircase { variant, pushdown } => {
-            if pushdown && is_name && vertical {
+            if pushdown && is_name && !horiz {
                 StepOp::Fragment { prescan: true }
             } else if horiz {
                 StepOp::Horiz
@@ -1060,7 +1023,7 @@ fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> Ste
             }
         }
         EngineKind::Fragmented { variant } => {
-            if is_name && vertical {
+            if is_name && !horiz {
                 StepOp::Fragment { prescan: false }
             } else if horiz {
                 StepOp::Horiz
@@ -1081,12 +1044,11 @@ fn fixed_op(kind: EngineKind, is_name: bool, vertical: bool, horiz: bool) -> Ste
     }
 }
 
-/// The operator [`Engine::auto`] runs a vertical step as, and its price:
-/// the plain staircase join, or the prebuilt fragment join when the step
-/// tests a name and `tags_held` says the index may be used. The planner
-/// asks with the estimated context cardinality `card`, the re-planner
-/// ([`replan_step`]) with the observed one; `window` is the context
-/// window priced from it. Ties keep the staircase join.
+/// The operator [`Engine::auto`] runs a vertical step as: the plain
+/// staircase join, or the prebuilt fragment join when the step tests a
+/// name and the join is priced below the scan. `card` is the estimated
+/// context cardinality and `window` the context window priced from it.
+/// Ties keep the staircase join.
 ///
 /// The Figure-3 SQL plan is no candidate: it scans every context node's
 /// *unpruned* window and then sorts away the duplicates (§3), so it can
@@ -1097,70 +1059,20 @@ fn choose_vertical(
     window: f64,
     is_name: bool,
     fragment: usize,
-    tags_held: bool,
-) -> (StepOp, f64) {
+) -> StepOp {
     let staircase = StepOp::Staircase {
         variant: Variant::EstimationSkipping,
     };
+    if !is_name {
+        return staircase;
+    }
     let scan = stats.staircase_cost(Variant::EstimationSkipping, card, window)
         + stats.apply_test_cost(window);
-    if !(is_name && tags_held) {
-        return (staircase, scan);
-    }
-    let on_list = stats.fragment_cost(fragment, card, window, false);
-    if on_list < scan {
-        (StepOp::Fragment { prescan: false }, on_list)
+    if stats.fragment_cost(fragment, card, window, false) < scan {
+        StepOp::Fragment { prescan: false }
     } else {
-        (staircase, scan)
+        staircase
     }
-}
-
-/// Re-prices one pending step from the **observed** context cardinality
-/// `card` — [`Engine::auto`](crate::Engine::auto)'s mid-query loop — and
-/// returns the now-cheapest operator (with its fused-test flag and
-/// re-priced cost) when [`choose_vertical`] disagrees with the planned
-/// pick.
-///
-/// Only vertical steps planned as a staircase or fragment join are
-/// re-chosen: twig regions, horizontal scans, and structural axes have
-/// no runtime alternative. A name no element carries never switches.
-/// A switch to the fragment join needs `tags_held`: the lane's own plan
-/// already needs the index. A mid-query build would cost more than it
-/// saves, and a lane that borrowed a batch partner's index would switch
-/// differently batched than alone.
-pub(crate) fn replan_step(
-    step: &PlannedStep,
-    doc: &Doc,
-    stats: &DocStats,
-    card: f64,
-    tags_held: bool,
-) -> Option<(StepOp, TestOp, f64)> {
-    let vert = vert_axis_of(step.axis)?;
-    if !matches!(step.op, StepOp::Staircase { .. } | StepOp::Fragment { .. }) {
-        return None;
-    }
-    let is_name = matches!(step.test, NodeTest::Name(_));
-    let fragment = match &step.test {
-        NodeTest::Name(name) => stats.fragment_size(doc, doc.tag_id(name)),
-        _ => 0,
-    };
-    if is_name && fragment == 0 {
-        // The result is provably empty; the planned operator already
-        // gets there without building anything.
-        return None;
-    }
-    // Replanning fires mid-path, after at least one step has run, so
-    // the from-root window special case never applies.
-    let window = match vert {
-        VertAxis::Descendant => stats.descendant_window(card, false),
-        VertAxis::Ancestor => stats.ancestor_window(card),
-    };
-    let (best, cost) = choose_vertical(stats, card, window, is_name, fragment, tags_held);
-    if best == step.op {
-        return None;
-    }
-    let test_op = TestOp::of(&best, is_name);
-    Some((best, test_op, cost))
 }
 
 /// Lowers a predicate path over an estimated `candidates` rows and
@@ -1583,71 +1495,18 @@ mod tests {
     }
 
     #[test]
-    fn replan_switches_when_the_observed_cardinality_explodes() {
-        let (doc, stats) = fixture();
-        // Auto plans //b as a fragment join on this fixture; pretend a
-        // hand-planned staircase step instead and replan it with a tiny
-        // observed context — the fragment join must win.
-        let plan = plan_for("/descendant::b/descendant::b", Engine::adaptive());
-        let step = &plan.branches()[0].steps()[1];
-        // One observed context node.
-        let card = 1.0;
-        match step.operator() {
-            StepOp::Fragment { .. } => {
-                // Already the observed-cost winner at card 1: no switch.
-                assert!(replan_step(step, &doc, &stats, card, true).is_none());
-            }
-            other => panic!("fixture surprise: {other}"),
+    fn stacked_predicates_halve_the_rows_once() {
+        let rows = |expr: &str| {
+            plan_for(expr, Engine::auto()).branches()[0].steps()[0]
+                .estimate()
+                .rows
+        };
+        let bare = rows("/descendant::a");
+        assert!(bare > 0.0);
+        for k in [1, 2, 15] {
+            let expr = format!("/descendant::a{}", "[b]".repeat(k));
+            assert_eq!(rows(&expr), bare / 2.0, "{expr}");
         }
-        // A staircase-planned step with a selective observed context
-        // switches to the fragment join.
-        let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
-        let stair = &fixed.branches()[0].steps()[1];
-        let (op, test_op, cost) = replan_step(stair, &doc, &stats, card, true)
-            .expect("staircase should lose to the fragment");
-        assert_eq!(op, StepOp::Fragment { prescan: false });
-        assert_eq!(test_op, TestOp::Fused);
-        assert!(cost.is_finite() && cost >= 0.0);
-        // Horizontal and structural steps never replan.
-        for expr in ["/following::b", "child::b"] {
-            let plan = plan_for(expr, Engine::default());
-            let step = &plan.branches()[0].steps()[0];
-            assert!(
-                replan_step(step, &doc, &stats, card, true).is_none(),
-                "{expr}"
-            );
-        }
-    }
-
-    #[test]
-    fn replan_offers_only_the_operators_the_lane_holds() {
-        let (doc, stats) = fixture();
-        let fixed = plan_for("/descendant::b/descendant::b", Engine::default());
-        let stair = &fixed.branches()[0].steps()[1];
-        // The fragment join wins at card 1, but without the index in
-        // hand it is no candidate, and the plane scan stands.
-        assert!(replan_step(stair, &doc, &stats, 1.0, true).is_some());
-        assert!(replan_step(stair, &doc, &stats, 1.0, false).is_none());
-    }
-
-    #[test]
-    fn replan_never_builds_fragments_for_absent_names() {
-        let (doc, stats) = fixture();
-        let plan = plan_for("/descendant::zzz/descendant::zzz", Engine::default());
-        // An absent name is provably empty: whatever the planned
-        // operator, switching could only force an index build.
-        for step in plan.branches()[0].steps() {
-            assert!(replan_step(step, &doc, &stats, 1.0, true).is_none());
-        }
-    }
-
-    #[test]
-    fn replanned_steps_render_the_marker() {
-        let plan = plan_for("/descendant::b", Engine::default());
-        let mut step = plan.branches()[0].steps()[0].clone();
-        assert!(!step.to_string().contains("[replan]"));
-        step.replanned = true;
-        assert!(step.to_string().contains("[replan]"), "{step}");
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl Session {
     ///
     /// Queries are evaluated against **this** session's document; a
     /// query prepared on a different session contributes its parsed
-    /// expression only (and is re-planned against this document).
+    /// expression only (and is planned against this document).
     ///
     /// # Errors
     ///
@@ -311,7 +311,6 @@ impl Session {
                 .any(|(p, _)| p.needs_sql_engine())
                 .then(|| self.sql_engine()),
             scratch: &self.scratch,
-            stats: self.doc_stats(),
             lists: Mutex::default(),
         };
         match from {
@@ -398,7 +397,7 @@ impl Session {
 
 /// An expression parsed once by [`Session::prepare`], runnable many
 /// times against any engine. Physical plans are cached per engine, so
-/// repeated runs (and batches) skip re-planning — the shape the async
+/// repeated runs (and batches) skip planning — the shape the async
 /// query server will cache and batch by.
 pub struct Query<'s> {
     session: &'s Session,

@@ -1,6 +1,6 @@
 //! The session façade, exercised end to end: the session builds its
 //! auxiliary structures at most once however many queries it serves,
-//! explains and re-plans as documented, and fails typed. (That every
+//! explains and runs its plans as documented, and fails typed. (That every
 //! engine answers arbitrary documents and queries alike — alone and
 //! batched, from XML and `.scj` — is `tests/oracle.rs`.)
 
@@ -408,9 +408,8 @@ fn auto_plans_absent_names_without_building_the_fragment_index() {
 }
 
 /// The *flip* document: 2 000 `a`s that each carry all fifteen `p1` …
-/// `p15` children and one `x`, then 10 000 loose `x`s. Fifteen
-/// existential predicates halve the estimated `a` frontier fifteen
-/// times, while every `a` passes them all.
+/// `p15` children and one `x`, then 10 000 loose `x`s. Every `a` passes
+/// every predicate: the predicates are as correlated as they can be.
 fn flip_xml() -> String {
     let ps: String = (1..=15).map(|i| format!("<p{i}/>")).collect();
     format!(
@@ -420,137 +419,130 @@ fn flip_xml() -> String {
     )
 }
 
-/// `/descendant::a[p1]…[p15]/descendant::x`: the planner expects about
-/// one `a` and plans the last step as a plain staircase join; the
-/// observed 2 000 make the fragment join the cheaper operator.
+/// `/descendant::a[p1]…[p15]/descendant::x`: priced as fifteen
+/// independent halvings, the `a` frontier would be about one node and
+/// the last step a plain staircase join; priced as one halving, it is
+/// 1 000 and the last step the fragment join.
 fn flip_query() -> String {
     let preds: String = (1..=15).map(|i| format!("[p{i}]")).collect();
     format!("/descendant::a{preds}/descendant::x")
+}
+
+/// The operators `auto` plans for `expr`.
+fn auto_ops(session: &Session, expr: &str) -> Vec<StepOp> {
+    let plan = session.explain(expr, Engine::auto()).unwrap();
+    plan.branches()[0]
+        .steps()
+        .iter()
+        .map(|s| s.operator().clone())
+        .collect()
 }
 
 #[test]
 fn auto_replans_when_estimates_mislead() {
     // `adaptive` is a name for auto, not a second engine.
     assert_eq!(Engine::adaptive(), Engine::auto());
-    // On the flip document every global statistic is honest, yet the
-    // `a` frontier is three orders of magnitude above the estimate. The
-    // plan mis-prices the final step; auto must observe the real
-    // frontier, switch the operator mid-plan, and mark the switch.
+    // Stacked predicates halve the estimated `a` frontier once, so the
+    // flip query's last step plans as the fragment join statically, and
+    // what runs is what EXPLAIN printed.
     let xml = flip_xml();
     let expr = flip_query();
     let session = Session::parse_xml(&xml).unwrap();
     let query = session.prepare(&expr).unwrap();
     let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+    let plan = session.explain(&expr, Engine::auto()).unwrap();
+    assert_eq!(
+        auto_ops(&session, &expr).last(),
+        Some(&StepOp::Fragment { prescan: false }),
+        "{plan}"
+    );
+    assert!(!plan.to_string().contains("[replan]"), "{plan}");
 
     let auto = query.run(Engine::auto());
     let plain = query.run(Engine::default());
-    assert_eq!(auto.nodes(), plain.nodes(), "replanning changed the answer");
-
-    // The switch provably fired: the trace carries the marker …
-    let replanned: Vec<&str> = auto
-        .stats()
-        .steps
+    assert_eq!(auto.nodes(), plain.nodes());
+    let planned: Vec<String> = plan.branches()[0]
+        .steps()
         .iter()
-        .filter(|s| s.replanned)
-        .map(|s| s.op.as_str())
+        .map(|s| s.operator().to_string())
         .collect();
-    assert!(
-        !replanned.is_empty(),
-        "the misleading workload must trigger a mid-plan switch"
+    let ran: Vec<&str> = auto.stats().steps.iter().map(|s| s.op.as_str()).collect();
+    assert_eq!(
+        ran, planned,
+        "the plan that runs is the plan EXPLAIN printed"
+    );
+    // The fragment step touches no more than the paper's plain staircase
+    // join of the same step: 2 000 entries and 2 000 seeks against
+    // 2 000 whole subtrees of 16 nodes.
+    let (fast, scan) = (
+        auto.stats().steps.last().unwrap(),
+        plain.stats().steps.last().unwrap(),
     );
     assert!(
-        replanned.iter().all(|op| op.contains("[replan]")),
-        "replanned steps must be marked: {replanned:?}"
+        fast.nodes_touched <= scan.nodes_touched,
+        "{fast:?} vs {scan:?}"
     );
-    // … the switched step touches no more than the paper's plain
-    // staircase join of the same step …
-    let step = auto.stats().steps.iter().position(|s| s.replanned).unwrap();
-    assert!(
-        auto.stats().steps[step].nodes_touched <= plain.stats().steps[step].nodes_touched,
-        "the switch must pay off: auto touched {} vs staircase {}",
-        auto.stats().steps[step].nodes_touched,
-        plain.stats().steps[step].nodes_touched
-    );
-    // … and the fixed engines never carry the marker.
-    for engine in [Engine::default(), fragmented] {
+    assert_eq!(fast.observed_cost(), 4000.0, "{fast:?}");
+    assert_eq!(scan.nodes_touched, 32_000, "{scan:?}");
+    // No engine marks a step, alone or batched.
+    for engine in [Engine::auto(), Engine::default(), fragmented] {
         let out = query.run(engine);
         assert_eq!(out.nodes(), auto.nodes(), "{engine:?}");
         assert!(out.stats().steps.iter().all(|s| !s.replanned), "{engine:?}");
+        assert!(out.stats().steps.iter().all(|s| !s.op.contains("[replan]")));
     }
-
-    // Lane-local switching: the shared cached plan is untouched, so a
-    // later run starts from the static plan again.
-    let plan = session.explain(&expr, Engine::auto()).unwrap();
-    assert!(!plan.to_string().contains("[replan]"));
-
-    // The switch also fires identically through run_many.
-    let session = Session::parse_xml(&xml).unwrap();
-    let query = session.prepare(&expr).unwrap();
-    let outs = session.run_many(&[&query, &query], Engine::auto());
-    for out in &outs {
+    for out in session.run_many(&[&query, &query], Engine::auto()) {
         assert_eq!(out.nodes(), auto.nodes());
-        assert!(
-            out.stats().steps.iter().any(|s| s.replanned),
-            "batch lanes must replan too"
-        );
+        let ops: Vec<&str> = out.stats().steps.iter().map(|s| s.op.as_str()).collect();
+        assert_eq!(ops, planned);
+        assert!(out.stats().steps.iter().all(|s| !s.replanned));
     }
 
     // The misleading-statistics document's nested `b` frontier is priced
-    // right statically: auto plans no SQL and touches no more than the
-    // fragmented engine.
+    // right statically: auto plans no SQL and touches no more than
+    // either fixed engine it chooses between.
     let session = Session::new(generate_misleading(MisleadConfig::new(4.0)));
     let mislead = "/descendant::a/descendant::b/descendant::node()";
     let query = session.prepare(mislead).unwrap();
     let plan = session.explain(mislead, Engine::auto()).unwrap();
     assert!(!plan.to_string().contains("sql("), "{plan}");
     let auto = query.run(Engine::auto());
-    let fragmented = query.run(fragmented);
-    assert_eq!(auto.nodes(), fragmented.nodes());
-    assert!(
-        auto.stats().total_touched() <= fragmented.stats().total_touched(),
-        "auto touched {} vs fragmented {}",
-        auto.stats().total_touched(),
-        fragmented.stats().total_touched()
-    );
+    for engine in [Engine::default(), fragmented] {
+        let fixed = query.run(engine);
+        assert_eq!(auto.nodes(), fixed.nodes(), "{engine:?}");
+        assert!(
+            auto.stats().total_touched() <= fixed.stats().total_touched(),
+            "auto touched {} vs {engine:?} {}",
+            auto.stats().total_touched(),
+            fixed.stats().total_touched()
+        );
+    }
 }
 
-/// A re-planning lane switches only to structures its own query's plan
-/// needs, never to one the executor holds for a batch partner: a query
-/// picks the same operators, and reports the same step statistics,
-/// alone and next to a partner that builds the fragment index.
+/// A query's plan is its own: it picks the same operators, and reports
+/// the same step statistics, alone and next to a batch partner.
 #[test]
 fn auto_replans_a_query_the_same_alone_and_batched() {
-    // Fifteen `self::a` filters halve the estimated `a` frontier fifteen
-    // times; the observed 2 000 re-price `descendant::x`, but the lane
-    // needs no tag index, so the plane scan stands.
+    // Fifteen `self::a` filters halve the estimated `a` frontier once:
+    // the 1 000 expected contexts price `descendant::x` as the fragment
+    // join, which the 2 000 observed ones run at 2 000 entries and 2 000
+    // seeks, against the plane scan's 2 000 subtrees of 16 nodes.
     let xml = flip_xml();
     let query = format!("/descendant::*{}/descendant::x", "[self::a]".repeat(15));
-    let fragments = "/descendant::x";
+    let partner = "/descendant::x";
     let session = Session::parse_xml(&xml).unwrap();
-    let ops = |expr: &str| -> Vec<StepOp> {
-        let plan = session.explain(expr, Engine::auto()).unwrap();
-        plan.branches()[0]
-            .steps()
-            .iter()
-            .map(|s| s.operator().clone())
-            .collect()
-    };
-    // The query's plan needs no index; its partner's does.
-    assert!(ops(&query)
-        .iter()
-        .all(|op| matches!(op, StepOp::Staircase { .. })));
-    assert!(ops(fragments)
-        .iter()
-        .any(|op| matches!(op, StepOp::Fragment { prescan: false })));
-    let [q, f] = [query.as_str(), fragments].map(|e| session.prepare(e).unwrap());
+    assert_eq!(
+        auto_ops(&session, &query).last(),
+        Some(&StepOp::Fragment { prescan: false })
+    );
+    let [q, p] = [query.as_str(), partner].map(|e| session.prepare(e).unwrap());
     let alone = q.run(Engine::auto());
-    let batch = session.run_many(&[&q, &f], Engine::auto());
+    let batch = session.run_many(&[&q, &p], Engine::auto());
     assert_eq!(session.aux_builds().tag_index, 1);
     assert_eq!(batch[0].nodes(), alone.nodes());
     let last = alone.stats().steps.last().unwrap();
-    assert!(!last.replanned, "{}", last.op);
-    // 2 000 subtrees of 16 nodes, each copied whole: nothing is scanned.
-    assert_eq!(last.nodes_touched, 32_000);
+    assert_eq!(last.op, "fragment");
+    assert_eq!(last.observed_cost(), 4000.0, "{last:?}");
     assert_eq!(
         batch[0].stats().steps,
         alone.stats().steps,
@@ -579,9 +571,6 @@ fn auto_never_plans_or_builds_the_sql_baseline() {
             let out = session.run(expr, Engine::auto()).unwrap();
             for step in &out.stats().steps {
                 assert!(!step.op.contains("sql("), "{expr}: {}", step.op);
-                if *expr == MISLEAD {
-                    assert!(!step.replanned, "{expr}: {}", step.op);
-                }
             }
         }
         assert_eq!(session.aux_builds().sql_engine, 0, "{exprs:?}");
@@ -604,9 +593,8 @@ const POINT: [&str; 12] = [
     "/descendant::item/descendant::keyword",
 ];
 
-/// The selective point queries are well estimated: auto runs their plans
-/// as planned, alone and batched — re-planning is reserved for
-/// estimates that are off by the disagreement factor.
+/// The selective point queries run their plans as planned under auto,
+/// alone and batched: the same answers, no step marked.
 #[test]
 fn point_queries_never_replan_under_auto() {
     let session = Session::new(generate(XmarkConfig::new(1.0)));

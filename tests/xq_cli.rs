@@ -242,12 +242,11 @@ fn stats_print_estimated_next_to_observed_cost_for_every_engine() {
 }
 
 /// `--explain --stats` is the post-run report: per executed step, the
-/// operator that actually ran with planned vs observed cost, and
-/// `[replan]` marking auto's mid-query switches. On the flip document
-/// — 2 000 `a`s that pass all fifteen predicates the planner expects to
-/// halve them fifteen times — the marker must appear for `auto` (and
-/// identically for its alias `adaptive`) and never for the fixed
-/// `staircase` engine.
+/// operator that ran with planned vs observed cost. On the flip
+/// document — 2 000 `a`s that pass all fifteen predicates — `auto`
+/// plans `descendant::x` as the fragment join before anything runs:
+/// `--explain` alone prints it, the report runs it, and no line of any
+/// engine carries a `[replan]` marker. `adaptive` prints the same bytes.
 #[test]
 fn explain_stats_reports_observed_cost_and_replan_markers() {
     let dir = tempdir();
@@ -263,18 +262,18 @@ fn explain_stats_reports_observed_cost_and_replan_markers() {
     let expr = format!("/descendant::a{preds}/descendant::x");
     let expr = expr.as_str();
 
-    let report = |engine: &str| {
-        let out = xq()
-            .args([
-                expr,
-                file.to_str().unwrap(),
-                "--engine",
-                engine,
-                "--explain",
-                "--stats",
-            ])
-            .output()
-            .unwrap();
+    let report = |engine: &str, stats: bool| {
+        let mut args = vec![
+            expr,
+            file.to_str().unwrap(),
+            "--engine",
+            engine,
+            "--explain",
+        ];
+        if stats {
+            args.push("--stats");
+        }
+        let out = xq().args(args).output().unwrap();
         assert!(
             out.status.success(),
             "{engine}: {}",
@@ -282,27 +281,48 @@ fn explain_stats_reports_observed_cost_and_replan_markers() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let stdout = report("auto");
+    let op_of = |line: &str| {
+        line.split(" op ")
+            .nth(1)
+            .unwrap()
+            .split_whitespace()
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    let planned = report("auto", false);
+    let planned_lines: Vec<&str> = planned.lines().filter(|l| l.starts_with("step ")).collect();
+    assert_eq!(planned_lines.len(), 2, "{planned}");
+    assert_eq!(op_of(planned_lines[1]), "fragment", "{planned}");
+
+    let stdout = report("auto", true);
     let step_lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("step ")).collect();
     assert_eq!(step_lines.len(), 2, "one report line per step: {stdout}");
-    for line in &step_lines {
-        assert!(line.contains("op "), "{line}");
+    for (line, plan_line) in step_lines.iter().zip(&planned_lines) {
         assert!(line.contains("est cost"), "{line}");
         assert!(line.contains("obs cost"), "{line}");
+        assert_eq!(
+            op_of(line),
+            op_of(plan_line),
+            "what runs is what was planned"
+        );
     }
-    assert!(
-        step_lines[1].contains("[replan]"),
-        "auto must mark its switch on the flip document: {stdout}"
-    );
+    let obs: f64 = step_lines[1]
+        .rsplit("obs cost")
+        .next()
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(obs <= 4000.0, "{stdout}");
     assert_eq!(
-        report("adaptive"),
+        report("adaptive", true),
         stdout,
         "adaptive is auto by another name"
     );
-    assert!(
-        !report("staircase").contains("[replan]"),
-        "fixed engines never replan"
-    );
+    for engine in ["auto", "adaptive", "staircase"] {
+        assert!(!report(engine, true).contains("[replan]"), "{engine}");
+    }
 }
 
 #[test]
