@@ -9,9 +9,13 @@
 //! --factor F  shrink the paper's 1.1/11/111/1111 MB document sweep by F
 //!             (default 0.05 → ≈ 2.7 k – 2.8 M nodes; use 1.0 for the
 //!             paper's full sizes if you have the patience and RAM)
-//! --runs N    timing repetitions per point (median reported; default 3)
+//! --runs N    timing repetitions per point (median reported; default 3,
+//!             at least 1)
 //! --csv DIR   additionally write each table as DIR/<name>.csv
 //! ```
+//!
+//! `--help`, an unknown flag or experiment, and a missing or unparsable
+//! value print the usage to stderr and exit with status 2.
 
 use staircase_bench::experiments as exp;
 use staircase_bench::{Table, Workload};
@@ -33,6 +37,8 @@ const EXPERIMENTS: [&str; 13] = [
     "profile",
 ];
 
+const USAGE: &str = "usage: repro [EXPERIMENT] [--factor F] [--runs N] [--csv DIR]";
+
 struct Args {
     experiment: String,
     factor: f64,
@@ -40,6 +46,7 @@ struct Args {
     csv: Option<String>,
 }
 
+/// The command line, or why it is refused (empty for `--help`).
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         experiment: "all".into(),
@@ -63,15 +70,15 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--runs needs a value")?
                     .parse()
                     .map_err(|e| format!("--runs: {e}"))?;
+                // A median of no runs is no measurement.
+                if args.runs == 0 {
+                    return Err("--runs must be at least 1".to_string());
+                }
             }
             "--csv" => {
                 args.csv = Some(it.next().ok_or("--csv needs a directory")?);
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: repro [EXPERIMENT] [--factor F] [--runs N] [--csv DIR]".to_string(),
-                );
-            }
+            "--help" | "-h" => return Err(String::new()),
             other if !other.starts_with('-') => args.experiment = other.to_string(),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -122,8 +129,11 @@ fn emit(table: &Table, csv: &Option<String>) {
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(why) => {
+            if !why.is_empty() {
+                eprintln!("{why}");
+            }
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };

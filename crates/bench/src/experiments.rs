@@ -4,7 +4,7 @@
 //! paper's plot/table: same series, same sweep, same counted quantities.
 //! Absolute timings obviously differ (2003 Pentium 4 vs this machine), but
 //! who wins, by what factor, and how curves scale with document size is
-//! reproduced. `EXPERIMENTS.md` records paper-vs-measured side by side.
+//! reproduced.
 
 use staircase_accel::{Axis, Context};
 use staircase_baselines::naive_step;

@@ -1,9 +1,12 @@
 //! # staircase-bench
 //!
-//! The experiment harness: every table and figure of the paper's
-//! evaluation (§4.4) has a regenerator here, shared between the `repro`
-//! binary (`cargo run -p staircase-bench --release --bin repro`) and the
-//! Criterion benches (`cargo bench`).
+//! The paper's evaluation (§4.3, §4.4, §6), regenerated: every table and
+//! figure has a regenerator here. The `repro` binary
+//! (`cargo run -p staircase-bench --release --bin repro`) prints them as
+//! tables; the three `fig11*` Criterion benches (`cargo bench -p
+//! staircase-bench`) time Figure 11(b), (d) and (e)/(f). The engine as a
+//! whole is measured by the repository's benchmark (`benchmark/`), not
+//! here.
 //!
 //! | Paper artifact | Regenerator |
 //! |---|---|
@@ -19,10 +22,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod experiments;
 pub mod table;
 pub mod workload;
 
 pub use table::Table;
-pub use workload::{Workload, BATCH_MIXED, BATCH_VERTICAL, QUERY_Q1, QUERY_Q2};
+pub use workload::{Workload, QUERY_Q1, QUERY_Q2};

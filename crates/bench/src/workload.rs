@@ -11,35 +11,6 @@ pub const QUERY_Q1: &str = "/descendant::profile/descendant::education";
 /// Q2 of the paper: `/descendant::increase/ancestor::bidder`.
 pub const QUERY_Q2: &str = "/descendant::increase/ancestor::bidder";
 
-/// The vertical batch workload: eight descendant/ancestor queries
-/// sharing plenty of plane regions — every first step starts at the
-/// root. Used by the `batch_throughput` Criterion bench.
-pub const BATCH_VERTICAL: [&str; 8] = [
-    QUERY_Q1,
-    QUERY_Q2,
-    "/descendant::bidder",
-    "/descendant::date/ancestor::open_auction",
-    "/descendant::person",
-    "/descendant::increase",
-    "/descendant::open_auction/descendant::date",
-    "/descendant::education/ancestor::person",
-];
-
-/// The mixed batch workload: semijoin predicates, fragment-join-planned
-/// name tests, horizontal axes — the step shapes early batching could
-/// not share — with the overlap a server's query log actually has (hot
-/// tags recur, popular axis shapes repeat).
-pub const BATCH_MIXED: [&str; 8] = [
-    "/descendant::bidder[increase]",
-    "/descendant::bidder[date]",
-    "/descendant::bidder[increase]/ancestor::open_auction",
-    "/descendant::open_auction[bidder]/descendant::date",
-    "/descendant::bidder/following::node()",
-    "/descendant::open_auction/following::node()",
-    "/descendant::person/preceding::node()",
-    "/descendant::education/preceding::node()",
-];
-
 /// A generated document wrapped in a [`Session`], so every experiment
 /// shares one set of lazily built auxiliary structures (tag fragments,
 /// SQL B-tree) instead of rebuilding them per engine.
@@ -109,9 +80,11 @@ impl Workload {
 }
 
 /// Median wall-clock duration of `runs` executions of `f`, in
-/// milliseconds.
+/// milliseconds. `runs` must be at least one: there is no median of no
+/// runs.
 pub fn time_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..runs.max(1))
+    assert!(runs > 0, "time_ms needs at least one run");
+    let mut samples: Vec<f64> = (0..runs)
         .map(|_| {
             let t0 = std::time::Instant::now();
             let out = f();

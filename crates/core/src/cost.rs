@@ -352,7 +352,7 @@ impl DocStats {
     ///
     /// For the operators that filter afterwards (naive, plain SQL,
     /// structural axes) this is the separate pass over the join's base
-    /// result ([`crate::mask::ScanTest::select_candidates`]). For the
+    /// result ([`crate::ScanTest::select_candidates`]). For the
     /// plane scans, whose test rides the scan since the fused-test
     /// refactor, the planner still adds the term to the scan's price: it
     /// now stands for the select's share of the scan — the `kind` / `tag`

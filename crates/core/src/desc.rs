@@ -59,46 +59,6 @@ pub fn descendant_pooled(
     )
 }
 
-/// Like [`descendant`], but with pruning *fused* into the join instead of
-/// run as a separate pass over the context table (§3.2: "staircase join is
-/// easily adapted to do pruning on-the-fly, thus saving a separate scan
-/// over the context table").
-///
-/// Covered context nodes are recognised while walking the context: any
-/// node whose postorder rank does not exceed the current step's boundary
-/// lies inside that step's subtree and is skipped. Results and access
-/// statistics are identical to the prune-then-join pipeline (asserted by
-/// tests); only the extra context scan disappears.
-pub fn descendant_fused(doc: &Doc, context: &Context, variant: Variant) -> (Context, StepStats) {
-    let mut stats = StepStats {
-        context_in: context.len(),
-        ..Default::default()
-    };
-    let slice = context.as_slice();
-    let post = doc.post_column();
-    let n = doc.len() as Pre;
-    let test = ScanTest::node(doc);
-    let mut result = Vec::new();
-
-    let mut i = 0usize;
-    while i < slice.len() {
-        let c = slice[i];
-        let bound = post[c as usize];
-        stats.context_out += 1;
-        // On-the-fly pruning: context nodes inside c's subtree have
-        // pre > pre(c) and post ≤ post(c); their regions are covered.
-        let mut j = i + 1;
-        while j < slice.len() && post[slice[j] as usize] <= bound {
-            j += 1;
-        }
-        let part_end = slice.get(j).copied().unwrap_or(n);
-        descendant_partitions(doc, &[c], part_end, variant, &test, &mut result, &mut stats);
-        i = j;
-    }
-    stats.result_size = result.len();
-    (Context::from_sorted(result), stats)
-}
-
 /// Evaluates the partitions induced by `steps` (a pruned, staircase-shaped
 /// context slice); the last partition ends at `end` (exclusive).
 fn descendant_partitions(
@@ -340,34 +300,6 @@ mod tests {
             assert_eq!(sa.context_out, 1);
             assert_eq!(sa.pruned(), 3);
         }
-    }
-
-    #[test]
-    fn fused_pruning_equals_prune_then_join() {
-        for seed in 0..20 {
-            let doc = random_doc(seed, 500);
-            let ctx = random_context(&doc, seed ^ 0x0F0F, 60);
-            for variant in ALL {
-                let (a, sa) = descendant(&doc, &ctx, variant);
-                let (b, sb) = descendant_fused(&doc, &ctx, variant);
-                assert_eq!(a, b, "seed {seed}, {variant:?}");
-                assert_eq!(sa.context_out, sb.context_out, "seed {seed}");
-                assert_eq!(sa.nodes_scanned, sb.nodes_scanned, "seed {seed}");
-                assert_eq!(sa.nodes_copied, sb.nodes_copied, "seed {seed}");
-                assert_eq!(sa.partitions, sb.partitions, "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_pruning_counts_pruned_context() {
-        let doc = figure1();
-        // e (4) covers f (5) and i (8); b (1) is disjoint.
-        let ctx = Context::from_unsorted(vec![1, 4, 5, 8]);
-        let (_, stats) = descendant_fused(&doc, &ctx, Variant::EstimationSkipping);
-        assert_eq!(stats.context_in, 4);
-        assert_eq!(stats.context_out, 2);
-        assert_eq!(stats.pruned(), 2);
     }
 
     #[test]

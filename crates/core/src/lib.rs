@@ -67,7 +67,7 @@
 //! [`ancestor_pooled`], [`following_pooled`], [`preceding_pooled`],
 //! which draw their buffers from a [`Scratch`]), and [`descendant`],
 //! [`ancestor`], [`following`], [`preceding`] are its `node()` case on a
-//! fresh pool. One test is asked in three shapes (details in [`mask`]):
+//! fresh pool. One test is asked in three shapes (details on [`ScanTest`]):
 //!
 //! * `keeps(v)` where positions are visited one by one (ancestor jumps);
 //! * `select_range(lo, hi, out)` over every comparison-free run — the
@@ -78,8 +78,9 @@
 //!   under the plain join reads the tag column once and writes 1 270
 //!   nodes instead of writing a 456 294-node region out and gathering it
 //!   back;
-//! * `select_candidates(list, out)` for the operators with no scan to
-//!   ride (structural axes, the naive and plain SQL joins).
+//! * `select_candidates(list, out)`, the scalar `keeps` filter over a
+//!   sorted list, for the operators with no scan to ride (structural
+//!   axes, the naive and plain SQL joins).
 //!
 //! Every comparison-free run goes through **one** helper,
 //! [`governor::Ticker::charged_run`]: the arithmetic charge and, under a
@@ -144,7 +145,7 @@ pub mod faults;
 pub mod governor;
 mod horiz;
 mod list;
-pub mod mask;
+mod mask;
 mod prune;
 mod stats;
 pub mod twig;
@@ -152,7 +153,7 @@ pub mod twig;
 pub use anc::{ancestor, ancestor_pooled};
 pub use batch::{Scratch, ScratchPool};
 pub use cost::{DocStats, TwigLegCost};
-pub use desc::{descendant, descendant_fused, descendant_pooled};
+pub use desc::{descendant, descendant_pooled};
 pub use exists::{has_ancestor_in, has_child_in, has_descendant_in};
 pub use governor::{Budget, Trip};
 pub use horiz::{

@@ -1,5 +1,5 @@
-//! Chunked bitmask kernels for the hot scan loops, and the one node
-//! test every plane scan carries.
+//! The one node test every plane scan carries, and the chunked bitmask
+//! kernels behind its range select.
 //!
 //! Every scan-shaped operator in this crate ends in the same inner
 //! loop: walk a pre-rank range (or a candidate list), test each
@@ -22,8 +22,10 @@
 //!   the tag column once instead of writing the whole region out and
 //!   gathering it back;
 //! * [`ScanTest::select_candidates`]`(list, out)` — a sorted candidate
-//!   list (the structural axes, the naive and SQL joins' bases): gathered
-//!   column loads, 64 candidates per mask word.
+//!   list (the structural axes, the naive and SQL joins' bases): the
+//!   scalar [`ScanTest::keeps`] filter. Candidates are scattered, so a
+//!   mask word over them would gather its loads one by one, as the plain
+//!   loop does.
 //!
 //! Lanes are counted from the range's own start, not from a
 //! memory-aligned boundary, so an unaligned head costs nothing; a
@@ -84,24 +86,11 @@ fn eq_lanes(kind: &[u8], base: usize, lanes: usize, byte: u8) -> u64 {
     word
 }
 
-/// Iterates the set-bit positions of `word`, lowest first.
-///
-/// The scalar view of the select step: `select_into` is this iterator
-/// fused with the push loop.
-#[inline]
-pub fn iter_ones(word: u64) -> impl Iterator<Item = u32> {
-    std::iter::successors((word != 0).then_some(word), |w| {
-        let w = w & (w - 1);
-        (w != 0).then_some(w)
-    })
-    .map(|w| w.trailing_zeros())
-}
-
 /// Pushes `base + i` for every set bit `i` of `word`, lowest first —
 /// one iteration per survivor (`trailing_zeros` + clear-lowest-bit),
 /// no per-lane branch.
 #[inline]
-pub fn select_into(base: Pre, mut word: u64, out: &mut Vec<Pre>) {
+fn select_into(base: Pre, mut word: u64, out: &mut Vec<Pre>) {
     while word != 0 {
         out.push(base + word.trailing_zeros());
         word &= word - 1;
@@ -138,15 +127,6 @@ fn select_kind_range(
         };
         select_into(v as Pre, word, out);
     }
-}
-
-/// Pushes every `v` in `[from, to)` with `kind[v] != Attribute`, in
-/// order — [`ScanTest::select_range`] for the `node()` test.
-///
-/// Result-identical to
-/// `(from..to).filter(|&v| kind[v as usize] != ATTR)`.
-pub fn select_non_attr(kind: &[u8], from: Pre, to: Pre, out: &mut Vec<Pre>) {
-    select_kind_range(kind, ATTR, false, from, to, out);
 }
 
 /// Positions a name test inspects per any-compare: wide enough that the
@@ -192,7 +172,7 @@ fn select_tag_range(
 /// **every** lane (branch-free accumulation), so this fits only loops
 /// that already test every position — Basic-variant window scans,
 /// never the data-dependent skipping scans.
-pub fn select_where(from: Pre, to: Pre, out: &mut Vec<Pre>, pred: impl Fn(Pre) -> bool) {
+pub(crate) fn select_where(from: Pre, to: Pre, out: &mut Vec<Pre>, pred: impl Fn(Pre) -> bool) {
     let mut v = from;
     while v < to {
         let lanes = (to - v).min(64);
@@ -203,39 +183,6 @@ pub fn select_where(from: Pre, to: Pre, out: &mut Vec<Pre>, pred: impl Fn(Pre) -
         select_into(v, word, out);
         v += lanes;
     }
-}
-
-/// Pushes the candidates satisfying `keep`, in order: 64 candidates per
-/// mask word (gathered loads, branch-free mask build, one select
-/// iteration per survivor).
-#[inline(always)]
-fn select_candidates_where(candidates: &[Pre], out: &mut Vec<Pre>, keep: impl Fn(Pre) -> bool) {
-    for chunk in candidates.chunks(64) {
-        let mut word = 0u64;
-        for (l, &v) in chunk.iter().enumerate() {
-            word |= u64::from(keep(v)) << l;
-        }
-        while word != 0 {
-            out.push(chunk[word.trailing_zeros() as usize]);
-            word &= word - 1;
-        }
-    }
-}
-
-/// Filters a sorted candidate list through the `kind == want && tag ==
-/// tid` name test — [`ScanTest::select_candidates`] for a name test,
-/// over raw columns.
-pub fn select_tag_candidates(
-    kind: &[u8],
-    tags: &[TagId],
-    want: u8,
-    tid: TagId,
-    candidates: &[Pre],
-    out: &mut Vec<Pre>,
-) {
-    select_candidates_where(candidates, out, |v| {
-        (kind[v as usize] == want) & (tags[v as usize] == tid)
-    });
 }
 
 /// A step's node test, compiled once against a document: the one test
@@ -355,15 +302,7 @@ impl<'d> ScanTest<'d> {
     /// order — for the operators with no scan to ride (structural axes,
     /// the naive and plain SQL joins' bases).
     pub fn select_candidates(&self, candidates: &[Pre], out: &mut Vec<Pre>) {
-        let kind = self.kind;
-        match self.shape {
-            Shape::Node => select_candidates_where(candidates, out, |v| kind[v as usize] != ATTR),
-            Shape::Kind(k) => select_candidates_where(candidates, out, |v| kind[v as usize] == k),
-            Shape::Tag { kind: want, tid } => {
-                select_tag_candidates(kind, self.tags, want, tid, candidates, out)
-            }
-            Shape::Empty => {}
-        }
+        out.extend(candidates.iter().copied().filter(|&v| self.keeps(v)));
     }
 
     /// How many entries a result buffer for a scan of `region` positions
@@ -397,20 +336,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn iter_ones_matches_select_into() {
-        for word in [0u64, 1, 0x8000_0000_0000_0000, 0xDEAD_BEEF_CAFE_F00D] {
-            let mut out = Vec::new();
-            select_into(10, word, &mut out);
-            let via_iter: Vec<Pre> = iter_ones(word).map(|i| 10 + i).collect();
-            assert_eq!(out, via_iter);
-            assert_eq!(out.len(), word.count_ones() as usize);
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// `node()`'s range select keeps exactly the non-attributes.
         #[test]
         fn select_non_attr_equals_scalar_filter(
             seed in 0u64..40,
@@ -425,7 +354,7 @@ mod tests {
             let want: Vec<Pre> =
                 (from..to).filter(|&v| kind[v as usize] != ATTR).collect();
             let mut got = Vec::new();
-            select_non_attr(kind, from, to, &mut got);
+            ScanTest::node(&doc).select_range(from, to, &mut got);
             prop_assert_eq!(got, want);
         }
 
@@ -439,24 +368,6 @@ mod tests {
             select_where(0, to, &mut got, |v| post[v as usize].is_multiple_of(3));
             prop_assert_eq!(got, want);
         }
-
-        #[test]
-        fn tag_candidates_equal_scalar_filter(seed in 0u64..20) {
-            let doc = random_doc(seed, 500);
-            let (kind, tags) = (doc.kind_column(), doc.tag_column());
-            let cands: Vec<Pre> = (0..doc.len() as Pre).step_by(3).collect();
-            for name in ["p", "q", "nope"] {
-                let Some(tid) = doc.tag_id(name) else { continue };
-                let want: Vec<Pre> = cands
-                    .iter()
-                    .copied()
-                    .filter(|&v| kind[v as usize] == 0 && tags[v as usize] == tid)
-                    .collect();
-                let mut got = Vec::new();
-                select_tag_candidates(kind, tags, 0, tid, &cands, &mut got);
-                prop_assert_eq!(got, want);
-            }
-        }
     }
 
     #[test]
@@ -465,13 +376,14 @@ mod tests {
         // the classic off-by-one surface.
         let doc = random_doc(3, 400);
         let kind = doc.kind_column();
+        let node = ScanTest::node(&doc);
         let n = doc.len() as Pre;
         for from in 0..130u32.min(n) {
             for len in [0u32, 1, 7, 8, 63, 64, 65, 127, 128, 129] {
                 let to = (from + len).min(n);
                 let want: Vec<Pre> = (from..to).filter(|&v| kind[v as usize] != ATTR).collect();
                 let mut got = Vec::new();
-                select_non_attr(kind, from, to, &mut got);
+                node.select_range(from, to, &mut got);
                 assert_eq!(got, want, "from {from} len {len}");
             }
         }

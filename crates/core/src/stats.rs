@@ -13,7 +13,7 @@
 ///   **position** of such a run — the Equation-1 subtree copy,
 ///   `following`'s suffix, the gaps between `preceding`'s ancestors —
 ///   whether or not the step's node test keeps it: the test rides the scan
-///   ([`crate::mask::ScanTest`]), so a selective test writes fewer nodes
+///   ([`crate::ScanTest`]), so a selective test writes fewer nodes
 ///   out but reads, and is charged for, exactly what `node()` reads.
 ///   Every field but `result_size` is therefore independent of the test
 ///   (`suite/tests/bounds.rs`, the parity proptests).

@@ -1,5 +1,5 @@
-//! A blocking client for the frame protocol — what `xq --connect` and
-//! `staircase-loadgen` speak.
+//! A blocking client for the frame protocol — what `xq --connect`
+//! speaks.
 
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

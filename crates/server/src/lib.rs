@@ -98,9 +98,7 @@
 //! rendered text lines) terminated by exactly one `DONE` (total,
 //! touched nodes, and a batch size that is always 1) or typed `ERROR` frame.
 //! `STATS` reports server counters and `SHUTDOWN` asks for a graceful
-//! exit. Two bins ship with the crate: `staircase-serve` (the server)
-//! and, in `staircase-bench`, `staircase-loadgen` (an open-loop load
-//! generator emitting `BENCH_server_latency.json`).
+//! exit. The crate ships one bin, `staircase-serve` (the server).
 
 #![warn(missing_docs)]
 

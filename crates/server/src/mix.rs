@@ -1,6 +1,6 @@
-//! Query-file ("query mix") loading, shared by `xq --query-file`,
-//! `xq --connect --query-file`, and `staircase-loadgen --mix` — one
-//! line-numbered error-reporting path instead of three.
+//! Query-file ("query mix") loading, shared by `xq --query-file` and
+//! `xq --connect --query-file` — one line-numbered error-reporting path
+//! instead of two.
 //!
 //! The format: one XPath expression per line; blank lines and lines
 //! starting with `#` are ignored. Reading is **buffered and

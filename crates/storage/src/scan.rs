@@ -2,8 +2,7 @@
 //!
 //! §4.3 of the paper measures the staircase join's comparison-free copy
 //! against raw memory bandwidth. These kernels are the two copy loops
-//! that experiment (`repro bandwidth` and the `bandwidth` bench of
-//! `staircase-bench`) compares:
+//! that experiment (`repro bandwidth`) compares:
 //!
 //! * [`append_run`] — plain extend-from-slice copy.
 //! * [`append_run_unrolled`] — manually 8-way unrolled copy loop, the

@@ -54,7 +54,7 @@
 //!                    (`staircase`, `horiz-scan`); the
 //!                    operators that still filter afterwards (`naive`,
 //!                    plain `sql`, `structural`) print
-//!                    `+ apply-test [mask]`. Under `auto` a
+//!                    `+ apply-test`. Under `auto` a
 //!                    `child::name` step may print
 //!                    `fragment` too: the on-list child join is priced
 //!                    against the hop over every child (`structural`),
@@ -163,7 +163,7 @@ fn usage() -> ! {
          cost estimate) instead of evaluating; fragment/twig joins, SQL's\n\
          early name test and every plane scan\n\
          (staircase, horiz-scan) fuse the node test, while naive,\n\
-         plain sql and structural steps print + apply-test [mask]; under\n\
+         plain sql and structural steps print + apply-test; under\n\
          auto a child::name step may print fragment (the on-list\n\
          child join, priced against the structural hop over every child)\n\
          --stats prints per-step counters to stderr; fragment and twig steps\n\

@@ -60,10 +60,10 @@ pub mod prelude {
     pub use staircase_accel::{Axis, Context, Doc, EncodingBuilder, NodeKind, Pre, Region};
     pub use staircase_baselines::{mpmgjn_join, naive_step, SqlEngine, SqlPlanOptions};
     pub use staircase_core::{
-        ancestor, ancestor_on_list, ancestor_pooled, descendant, descendant_fused,
-        descendant_on_list, descendant_pooled, following, has_ancestor_in, has_child_in,
-        has_descendant_in, preceding, prune, try_axis_step, twig_match, ChainStep, DocStats,
-        ScanTest, Scratch, SpineLeg, StepStats, TagIndex, TwigEdge, UnsupportedAxis, Variant,
+        ancestor, ancestor_on_list, ancestor_pooled, descendant, descendant_on_list,
+        descendant_pooled, following, has_ancestor_in, has_child_in, has_descendant_in, preceding,
+        prune, try_axis_step, twig_match, ChainStep, DocStats, ScanTest, Scratch, SpineLeg,
+        StepStats, TagIndex, TwigEdge, UnsupportedAxis, Variant,
     };
     pub use staircase_xml::{Document, PullParser};
     pub use staircase_xmlgen::{

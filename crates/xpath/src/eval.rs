@@ -805,9 +805,9 @@ pub(crate) fn scan_test<'d>(doc: &'d Doc, test: &NodeTest, axis: Axis) -> ScanTe
 /// Applies a node test to a candidate list — the residual filter of the
 /// operators with no scan for the test to ride (naive, plain SQL,
 /// structural axes, an or-self step's context nodes) — appending the
-/// survivors to `out` (cleared first): gathered column loads, 64
-/// candidates per mask word ([`ScanTest::select_candidates`]). The
-/// executor draws `out` from its scratch pool.
+/// survivors to `out` (cleared first) through
+/// [`ScanTest::select_candidates`]. The executor draws `out` from its
+/// scratch pool.
 pub(crate) fn apply_test_into(
     doc: &Doc,
     ctx: &Context,

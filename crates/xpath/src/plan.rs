@@ -432,8 +432,8 @@ impl PlannedStep {
     /// How the node test is applied: fused into the join (fragment and
     /// twig joins, SQL's early name test, every plane scan) or as a
     /// filter pass afterwards (naive, plain SQL, structural axes) — see
-    /// [`TestOp`]. `--explain` prints `+ apply-test [mask]` for the
-    /// latter only.
+    /// [`TestOp`]. `--explain` prints `+ apply-test` for the latter
+    /// only.
     pub fn test_operator(&self) -> TestOp {
         self.test_op
     }
@@ -500,9 +500,8 @@ impl fmt::Display for PlannedStep {
         let mut ops = self.op.to_string();
         if self.test_op == TestOp::ApplyTest && !matches!(self.test, NodeTest::AnyNode) {
             // The operator has no scan for the test to ride: a residual
-            // filter pass through the chunked 64-lane bitmask kernels
-            // (`staircase_core::mask`).
-            ops.push_str(" + apply-test [mask]");
+            // filter pass over its result (`ScanTest::select_candidates`).
+            ops.push_str(" + apply-test");
         }
         for pred in &self.predicates {
             match pred {
@@ -1542,12 +1541,12 @@ mod tests {
     fn explain_marks_masked_node_tests() {
         // A plane scan carries its name test (no residual pass); the
         // structural step after it has no scan to ride, so its test is
-        // applied through the mask kernels…
+        // applied by a filter pass…
         let plan = plan_for("/descendant::b/child::c", Engine::default());
         let text = plan.to_string();
         let lines: Vec<&str> = text.lines().collect();
         assert!(!lines[0].contains("apply-test"), "{text}");
-        assert!(lines[1].contains("apply-test [mask]"), "{text}");
+        assert!(lines[1].contains("apply-test"), "{text}");
         let steps = plan.branches()[0].steps();
         assert_eq!(steps[0].test_operator(), TestOp::Fused);
         assert_eq!(steps[1].test_operator(), TestOp::ApplyTest);
@@ -1555,7 +1554,7 @@ mod tests {
         // name test, the horizontal and ancestor scans, or the fragment
         // join; and a node() step has no test to apply anywhere.
         let residual =
-            |expr: &str, engine: Engine| plan_for(expr, engine).to_string().contains("[mask]");
+            |expr: &str, engine: Engine| plan_for(expr, engine).to_string().contains("apply-test");
         assert!(residual("/descendant::b", Engine::naive()));
         assert!(residual("/descendant::b", Engine::sql().build().unwrap()));
         let early = Engine::sql().early_nametest(true).build().unwrap();
@@ -1736,7 +1735,7 @@ mod tests {
             let last = p.branches()[0].steps().last().unwrap();
             if !matches!(last.operator(), StepOp::Twig(_)) {
                 assert_eq!(last.operator(), &StepOp::Structural, "{engine:?}: {p}");
-                assert!(p.to_string().contains("structural + apply-test [mask]"));
+                assert!(p.to_string().contains("structural + apply-test"));
             }
         }
     }

@@ -1,23 +1,19 @@
-//! Mask/scalar parity: the chunked bitmask kernels are pure
-//! acceleration. Whichever filtering route the runtime picks —
-//! per-element scalar loop or gathered-column mask kernel — every engine
-//! must return node- and order-identical results with identical per-step
-//! stats.
+//! Mask/scalar parity: the chunked bitmask kernels behind a node test's
+//! range select are pure acceleration. Every engine must return node-
+//! and order-identical results with identical per-step stats.
 //!
 //! Window offsets and lengths are driven across word boundaries
-//! (unaligned heads, sub-word tails) both at the kernel level and, via
-//! `Session::execute` from an explicit context, through whole engines
-//! checked against the tree-walk oracle, which never touches `mask` or a
-//! column. (Whole queries from the root, cold and warm, on every engine:
+//! (unaligned heads, sub-word tails) via `Session::execute` from an
+//! explicit context, through whole engines checked against the
+//! tree-walk oracle, which never touches a mask or a column. (Whole
+//! queries from the root, cold and warm, on every engine:
 //! `tests/oracle.rs`.)
 //!
 //! The last section pins the one node test every plane scan carries
-//! (`ScanTest`): its range select against the scalar filter at every
-//! chunk-boundary shape, and its candidate select against the five
-//! per-test filters it replaced.
+//! (`ScanTest`): its range select and its candidate select against the
+//! scalar filter, at every chunk-boundary shape.
 
 use proptest::prelude::*;
-use staircase_core::mask;
 use staircase_suite::oracle::{self, Shape, Tree, ENGINES};
 use staircase_suite::prelude::*;
 
@@ -63,36 +59,6 @@ proptest! {
                     "warm rerun changed stats: {} from {}..+{} via {:?}", &query, start, len, engine
                 );
             }
-        }
-    }
-
-    /// Kernel-level candidate parity: the gathered-column mask kernel
-    /// against the scalar loop, over
-    /// candidate slices starting at unaligned offsets with sub-word
-    /// tails and gaps.
-    #[test]
-    fn candidate_kernels_match_scalar_filters(
-        tags in proptest::collection::vec(0u32..6, 1..400),
-        off in 0usize..70,
-        stride in 1usize..4,
-    ) {
-        let element = NodeKind::Element as u8;
-        let kinds: Vec<u8> = (0..tags.len())
-            .map(|i| if i % 5 == 2 { NodeKind::Comment as u8 } else { element })
-            .collect();
-        let cands: Vec<Pre> = (off.min(tags.len())..tags.len())
-            .step_by(stride)
-            .map(|v| v as Pre)
-            .collect();
-        for tid in 0..6u32 {
-            let want: Vec<Pre> = cands
-                .iter()
-                .copied()
-                .filter(|&v| kinds[v as usize] == element && tags[v as usize] == tid)
-                .collect();
-            let mut got = Vec::new();
-            mask::select_tag_candidates(&kinds, &tags, element, tid, &cands, &mut got);
-            prop_assert_eq!(&got, &want, "columns off {} stride {} tag {}", off, stride, tid);
         }
     }
 }

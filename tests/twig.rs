@@ -89,6 +89,105 @@ fn plans_do_not_drift_with_the_queries_a_session_ran() {
     assert_eq!(fresh.run(Engine::auto()).nodes(), reference.nodes());
 }
 
+/// What one engine did for one query: its answer, the nodes it touched,
+/// its cursor seeks, its peak intermediate (the largest per-step
+/// result) and how many twig steps its plan fused.
+#[derive(Debug, PartialEq)]
+struct Counters {
+    nodes: Vec<Pre>,
+    touched: u64,
+    seeks: u64,
+    peak: usize,
+    fused: usize,
+}
+
+fn counters(session: &Session, expr: &str, engine: Engine) -> Counters {
+    let query = session.prepare(expr).unwrap();
+    let fused = query
+        .explain(engine)
+        .branches()
+        .iter()
+        .flat_map(|b| b.steps())
+        .filter(|s| matches!(s.operator(), StepOp::Twig(_)))
+        .count();
+    let out = query.run(engine);
+    let stats = out.stats();
+    Counters {
+        nodes: out.nodes().iter().collect(),
+        touched: stats.total_touched(),
+        seeks: stats.total_seeks(),
+        peak: stats.steps.iter().map(|s| s.result_size).max().unwrap_or(0),
+        fused,
+    }
+}
+
+/// The leapfrog's advantage, counted exactly. On the rare-under-common
+/// skewed document, step-at-a-time (the fragment joins) materialises the
+/// whole 1 000-node `a` frontier; the fused twig step — which `auto`
+/// chooses there — answers the same node from a handful of touches. On
+/// the uniform XMark document, where step-at-a-time is already near
+/// optimal, `auto` declines fusion and does exactly what the fragment
+/// joins do.
+#[test]
+fn the_leapfrog_touches_what_the_skew_plants_and_auto_declines_it_on_uniform_data() {
+    let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+
+    let skewed = Session::new(generate_skewed(SkewConfig::new(0.5, 1.2).with_seed(0x5EED)));
+    skewed.warm();
+    for (expr, fused_touched) in [
+        (
+            "/descendant::a[descendant::b]/descendant::c[descendant::d]",
+            9,
+        ),
+        ("/descendant::a[child::b]/descendant::c[child::d]", 7),
+    ] {
+        let step = counters(&skewed, expr, fragmented);
+        assert_eq!(
+            step.nodes.len(),
+            1,
+            "{expr}: the generator plants one match"
+        );
+        assert_eq!(
+            (step.touched, step.seeks, step.peak, step.fused),
+            (1005, 6, 1000, 0),
+            "{expr}: step-at-a-time"
+        );
+        for engine in [Engine::twig(), Engine::auto()] {
+            let fused = counters(&skewed, expr, engine);
+            assert_eq!(fused.nodes, step.nodes, "{expr} via {engine:?}");
+            assert_eq!(
+                (fused.touched, fused.seeks, fused.peak, fused.fused),
+                (fused_touched, 14, 1, 1),
+                "{expr} via {engine:?}"
+            );
+        }
+    }
+
+    let uniform = Session::new(generate(XmarkConfig::new(0.5)));
+    uniform.warm();
+    for (expr, touched, seeks) in [
+        (
+            "/descendant::open_auction[descendant::bidder]/descendant::increase",
+            347,
+            47,
+        ),
+        (
+            "/descendant::person[child::profile]/descendant::education",
+            93,
+            30,
+        ),
+    ] {
+        let step = counters(&uniform, expr, fragmented);
+        assert_eq!((step.touched, step.seeks), (touched, seeks), "{expr}");
+        assert_eq!(counters(&uniform, expr, Engine::auto()), step, "{expr}");
+        assert_eq!(
+            counters(&uniform, expr, Engine::twig()).nodes,
+            step.nodes,
+            "{expr} via twig"
+        );
+    }
+}
+
 /// Tags absent from the document give empty fragments; the leapfrog
 /// must return empty (not panic, not mis-seek) whichever leg is empty.
 #[test]
