@@ -12,9 +12,8 @@ pub const NO_PARENT: Pre = u32::MAX;
 /// The deepest element nesting a document may have: an element opened
 /// under `MAX_DEPTH - 1` others sits at level `MAX_DEPTH - 1`, its
 /// attributes and children at `Level::MAX`, the last level the 16-bit
-/// level column can count. Enforced where text and trees enter
-/// ([`Doc::from_xml`], [`Doc::from_document`]) and by [`Doc::validate`],
-/// which `.scj` loads run.
+/// level column can count. Enforced where text, trees and `.scj` files
+/// enter ([`Doc::from_xml`], [`Doc::from_document`], [`Doc::from_bytes`]).
 pub const MAX_DEPTH: usize = Level::MAX as usize;
 
 /// The most nodes a document may have. Pre and post ranks are `u32`s and
@@ -190,12 +189,12 @@ impl Doc {
                     b.open(tag)?;
                     for (k, v) in attributes {
                         let name = b.tags.intern(k);
-                        b.leaf(NodeKind::Attribute, name, Some(v))?;
+                        b.leaf(NodeKind::Attribute, name, v)?;
                     }
                     open.push(doc.children(id));
                 }
                 staircase_xml::NodeKind::Text(t) => {
-                    b.leaf(NodeKind::Text, NO_TAG, Some(t))?;
+                    b.leaf(NodeKind::Text, NO_TAG, t)?;
                 }
                 staircase_xml::NodeKind::Comment(c) => {
                     b.comment_or_pi(None, c)?;
@@ -433,130 +432,71 @@ impl Doc {
         }
     }
 
-    /// Exhaustively checks the encoding invariants; returns a description
-    /// of the first violation, if any. Intended for validating documents
-    /// decoded from untrusted bytes (see `Doc::from_bytes`).
+    /// Checks the encoding invariants; returns a description of the first
+    /// violation, if any.
     ///
-    /// The check replays the loader: walking the pre ranks with the stack
-    /// of open elements that the `parent` column implies must reproduce
-    /// `post`, `level` and the height exactly, and no element may open
-    /// under [`MAX_DEPTH`] others, so a document that passes is one the
-    /// loaders could have built from text or a tree.
+    /// The check is the `.scj` loader's ([`Doc::from_bytes`]): its load
+    /// pass rebuilds `post`, `parent`, the height, the content index and
+    /// the per-tag element counts from `level`, `kind` and `tag` under the
+    /// rules every loader keeps, and the columns held must equal what it
+    /// rebuilds. A document that passes is one the loaders could have
+    /// built from text or a tree.
     pub fn validate(&self) -> Result<(), String> {
-        let mut open: Vec<Pre> = Vec::new();
-        let mut next_post: Post = 0;
-        let mut close = |v: Pre| {
-            let closed = next_post;
-            next_post += 1;
-            if self.post(v) == closed {
-                Ok(())
-            } else {
-                Err(format!("post({v}) = {}, expected {closed}", self.post(v)))
-            }
+        let d = derive(
+            &self.level,
+            &self.kind,
+            &self.tag,
+            self.tags.len(),
+            self.arena_ends.len(),
+        )?;
+        let differ = |name: &str, held: &[u32], derived: &[u32]| {
+            let v = held.iter().zip(derived).position(|(h, d)| h != d);
+            v.map_or(Ok(()), |v| {
+                Err(format!(
+                    "{name}({v}) = {}, expected {}",
+                    held[v], derived[v]
+                ))
+            })
         };
-        let mut height: Level = 0;
-        for v in self.pres() {
-            let p = self.parent(v);
-            // Elements `v` is not inside are complete.
-            while open.last().is_some_and(|&top| top != p) {
-                close(open.pop().expect("checked non-empty"))?;
-            }
-            // An empty stack is the top level, where only the root sits:
-            // the encoding holds one tree.
-            if open.is_empty() && p != NO_PARENT {
-                return Err(format!("parent({v}) = {p} is not an open element"));
-            }
-            if v > 0 && p == NO_PARENT {
-                return Err(format!(
-                    "node {v} is a second top-level node: only pre 0 may be at level 0"
-                ));
-            }
-            if self.level(v) as usize != open.len() {
-                return Err(format!("level({v}) inconsistent with parent {p}"));
-            }
-            height = height.max(self.level(v));
-            let kind = self.kind(v);
-            if matches!(kind, NodeKind::Element | NodeKind::Attribute)
-                && self.tags.name(self.tag(v)).is_none()
-            {
-                return Err(format!("node {v} references unknown tag {}", self.tag(v)));
-            }
-            // Attributes directly follow their element or a sibling attribute.
-            if kind == NodeKind::Attribute
-                && !(v > 0
-                    && (p == v - 1
-                        || (self.kind(v - 1) == NodeKind::Attribute && self.parent(v - 1) == p)))
-            {
-                return Err(format!("attribute {v} does not follow its element"));
-            }
-            if kind == NodeKind::Element {
-                if open.len() >= MAX_DEPTH {
-                    return Err(format!(
-                        "element {v} is nested deeper than {MAX_DEPTH} levels"
-                    ));
-                }
-                open.push(v);
-            } else {
-                close(v)?;
-            }
-        }
-        while let Some(v) = open.pop() {
-            close(v)?;
-        }
-        if height != self.height {
-            return Err(format!(
-                "stored height {} != computed {height}",
-                self.height
-            ));
-        }
-        Ok(())
+        let counts: Vec<u32> = (self.tags.iter())
+            .map(|(t, _)| self.tags.element_count(t) as u32)
+            .collect();
+        differ("post", self.post_column(), &d.post)?;
+        differ("parent", &self.parent, &d.parent)?;
+        differ("content", &self.content, &d.content)?;
+        differ("element_count", &counts, &d.element_counts)?;
+        differ("height", &[self.height.into()], &[d.height.into()])
     }
 
-    /// The content arena, its string ends and the per-node content index
-    /// (persistence support).
-    pub(crate) fn content_columns(&self) -> (&str, &[u32], &[u32]) {
-        (&self.arena, &self.arena_ends, &self.content)
+    /// The content arena and its string ends (persistence support).
+    pub(crate) fn arena(&self) -> (&str, &[u32]) {
+        (&self.arena, &self.arena_ends)
     }
 
-    /// Reassembles a document from raw columns (persistence support).
-    /// Callers must supply mutually consistent columns; this is `pub`
-    /// within the crate only.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
-        post: Vec<Post>,
+    /// Builds a document from the columns a `.scj` stores and what the load
+    /// pass ([`derive`]) derives from them.
+    pub(crate) fn from_stored(
         level: Vec<Level>,
         kind: Vec<u8>,
         tag: Vec<TagId>,
-        parent: Vec<Pre>,
-        content: Vec<u32>,
+        mut tags: TagInterner,
         arena: String,
         arena_ends: Vec<u32>,
-        tags: TagInterner,
-        height: Level,
-    ) -> Doc {
-        // Decoded interners carry no occurrence counts; recount the
-        // per-tag fragment sizes from the raw columns so planners see the
-        // same statistics whether the document was built or decoded.
-        let mut tags = tags;
-        tags.clear_element_counts();
-        let element = NodeKind::Element as u8;
-        for (k, &t) in kind.iter().zip(&tag) {
-            if *k == element {
-                tags.record_element(t);
-            }
-        }
-        Doc {
-            post: Bat::from_tail(0, post),
+    ) -> Result<Doc, String> {
+        let d = derive(&level, &kind, &tag, tags.len(), arena_ends.len())?;
+        tags.set_element_counts(d.element_counts);
+        Ok(Doc {
+            post: Bat::from_tail(0, d.post),
             level,
             kind,
             tag,
-            parent,
-            content,
+            parent: d.parent,
+            content: d.content,
             arena,
             arena_ends,
             tags,
-            height,
-        }
+            height: d.height,
+        })
     }
 
     /// Pre ranks of all *element* nodes with tag `tag`, in document order.
@@ -613,6 +553,153 @@ impl Iterator for Ancestors<'_> {
         let a = self.next;
         self.next = self.doc.parent(a);
         Some(a)
+    }
+}
+
+/// The columns a `.scj` does not store (see [`derive`]).
+struct Derived {
+    post: Vec<Post>,
+    parent: Vec<Pre>,
+    content: Vec<u32>,
+    element_counts: Vec<u32>,
+    height: Level,
+}
+
+/// The load pass: derives what a `.scj` does not store from the `level`,
+/// `kind` and `tag` columns, a tag table of `names` names and an arena of
+/// `strings` strings.
+///
+/// One walk with the stack of open elements derives `post`, `parent` and
+/// the per-tag element counts, and checks the local rules that make the
+/// columns a document a loader could have built:
+///
+/// - `level(0) = 0`, and only pre 0 sits at level 0 (one tree);
+/// - `level(v) ≤ level(v − 1) + 1`, and a deeper node only under an
+///   element;
+/// - an attribute directly follows its element or a sibling attribute;
+/// - no element opens under [`MAX_DEPTH`] others;
+/// - a kind is a [`NodeKind`], elements and attributes have names, and tag
+///   ids fall inside the table;
+/// - with any strings at all, every node that is no element has exactly
+///   one, in document order: its content index is its rank among those
+///   nodes (the index [`EncodingBuilder::leaf`] gives when it keeps
+///   content). With none, no node has content.
+///
+/// In document order `level` alone fixes the tree, so nothing the rules let
+/// through can disagree with itself: a node's parent is the open element
+/// one level up, and its post rank counts the nodes closed before it (paper
+/// Equation 1, `post = pre + size − level`). The height and the content
+/// index take a flat pass each over `level` and `kind`, which costs less
+/// than carrying them through the walk.
+fn derive(
+    level: &[Level],
+    kind: &[u8],
+    tag: &[TagId],
+    names: usize,
+    strings: usize,
+) -> Result<Derived, String> {
+    const ELEMENT: u8 = NodeKind::Element as u8;
+    const ATTRIBUTE: u8 = NodeKind::Attribute as u8;
+    const PI: u8 = NodeKind::Pi as u8;
+    let n = level.len();
+    assert!(
+        kind.len() == n && tag.len() == n,
+        "columns of unequal length"
+    );
+    let mut post = vec![0; n];
+    let mut parent = Vec::with_capacity(n);
+    let mut element_counts = vec![0; names];
+    let mut open: Vec<Pre> = Vec::with_capacity(64);
+    let mut next_post: Post = 0;
+    for (v, ((&l, &k), &t)) in level.iter().zip(kind).zip(tag).enumerate() {
+        let depth = l as usize;
+        if depth > open.len() || (depth == 0 && v > 0) {
+            return Err(misplaced(level, kind, v));
+        }
+        while open.len() > depth {
+            let e = open.pop().expect("deeper than `depth`");
+            post[e as usize] = next_post;
+            next_post += 1;
+        }
+        parent.push(open.last().copied().unwrap_or(NO_PARENT));
+        if t as usize >= names && (t != NO_TAG || k <= ATTRIBUTE) {
+            return Err(format!("tag id {t} of node {v} is past the tag table"));
+        }
+        if k == ELEMENT {
+            if depth >= MAX_DEPTH {
+                return Err(format!(
+                    "element {v} is nested deeper than {MAX_DEPTH} levels"
+                ));
+            }
+            element_counts[t as usize] += 1;
+            open.push(v as Pre);
+            continue;
+        }
+        if k > PI {
+            return Err(format!("node {v} has unknown kind {k}"));
+        }
+        let follows = |p: usize| match kind[p] {
+            ATTRIBUTE => level[p] == l,
+            ELEMENT => level[p] as usize + 1 == depth,
+            _ => false,
+        };
+        if k == ATTRIBUTE && !(v > 0 && follows(v - 1)) {
+            return Err(format!(
+                "attribute {v} does not follow its element or a sibling attribute"
+            ));
+        }
+        post[v] = next_post;
+        next_post += 1;
+    }
+    while let Some(e) = open.pop() {
+        post[e as usize] = next_post;
+        next_post += 1;
+    }
+    let content = if strings == 0 {
+        vec![NO_CONTENT; n]
+    } else {
+        let mut rank = 0;
+        let ids: Vec<u32> = (kind.iter())
+            .map(|&k| match k {
+                ELEMENT => NO_CONTENT,
+                _ => {
+                    rank += 1;
+                    rank - 1
+                }
+            })
+            .collect();
+        if rank as usize != strings {
+            return Err(format!(
+                "content index: {rank} nodes are no element, but the arena holds {strings} strings"
+            ));
+        }
+        ids
+    };
+    Ok(Derived {
+        post,
+        parent,
+        content,
+        element_counts,
+        height: level.iter().copied().max().unwrap_or(0),
+    })
+}
+
+/// Which placement rule `level(v)` breaks (see [`derive`]).
+#[cold]
+fn misplaced(level: &[Level], kind: &[u8], v: usize) -> String {
+    let l = level[v];
+    match v.checked_sub(1).map(|u| (u, level[u])) {
+        None => format!("level(0) = {l}: the root sits at level 0"),
+        Some(_) if l == 0 => {
+            format!("node {v} is a second top-level node: only pre 0 may be at level 0")
+        }
+        Some((u, above)) if l as usize > above as usize + 1 => {
+            format!("level({v}) = {l} is more than one below level({u}) = {above}")
+        }
+        Some((u, _)) => format!(
+            "node {v} is a child of node {u}, a {:?}: only elements have children",
+            NodeKind::from_u8(kind[u])
+        ),
     }
 }
 
@@ -730,17 +817,16 @@ impl EncodingBuilder {
     /// Emits a leaf, which opens and closes at once: its post rank is the
     /// next one.
     #[inline]
-    fn leaf(&mut self, kind: NodeKind, tag: TagId, content: Option<&str>) -> Result<Pre, Error> {
+    fn leaf(&mut self, kind: NodeKind, tag: TagId, content: &str) -> Result<Pre, Error> {
         let pre = self.push_row(kind, tag, self.next_post)?;
         self.next_post += 1;
-        match content {
-            Some(c) if self.store_content => {
-                let end = content_end(self.arena.len() + c.len())?;
-                self.arena.push_str(c);
-                self.content.push(self.arena_ends.len() as u32);
-                self.arena_ends.push(end);
-            }
-            _ => self.content.push(NO_CONTENT),
+        if self.store_content {
+            let end = content_end(self.arena.len() + content.len())?;
+            self.arena.push_str(content);
+            self.content.push(self.arena_ends.len() as u32);
+            self.arena_ends.push(end);
+        } else {
+            self.content.push(NO_CONTENT);
         }
         Ok(pre)
     }
@@ -757,7 +843,7 @@ impl EncodingBuilder {
         let text_is_last = self.kind.last() == Some(&(NodeKind::Text as u8))
             && self.parent.last() == Some(self.open.last().unwrap_or(&NO_PARENT));
         if !text_is_last {
-            self.leaf(NodeKind::Text, NO_TAG, Some(run))?;
+            self.leaf(NodeKind::Text, NO_TAG, run)?;
         } else if self.store_content {
             let end = content_end(self.arena.len() + run.len())?;
             self.arena.push_str(run);
@@ -794,31 +880,19 @@ impl EncodingBuilder {
     pub fn attribute(&mut self, name: &str, value: &str) -> Pre {
         assert!(!self.open.is_empty(), "attribute outside any element");
         let id = self.tags.intern(name);
-        self.leaf(NodeKind::Attribute, id, Some(value))
-            .unwrap_or_else(|e| refused(e))
-    }
-
-    /// Emits an attribute node by interned name id (generator fast path).
-    pub fn attribute_id(&mut self, name: TagId) -> Pre {
-        assert!(!self.open.is_empty(), "attribute outside any element");
-        self.leaf(NodeKind::Attribute, name, None)
+        self.leaf(NodeKind::Attribute, id, value)
             .unwrap_or_else(|e| refused(e))
     }
 
     /// Emits a text node.
     pub fn text(&mut self, body: &str) -> Pre {
-        self.leaf(NodeKind::Text, NO_TAG, Some(body))
+        self.leaf(NodeKind::Text, NO_TAG, body)
             .unwrap_or_else(|e| refused(e))
     }
 
-    /// Emits a text node without content (generator fast path).
-    pub fn text_marker(&mut self) -> Pre {
-        self.leaf(NodeKind::Text, NO_TAG, None)
-            .unwrap_or_else(|e| refused(e))
-    }
-
-    /// Emits a comment node inside the root element; outside it emits
-    /// nothing and returns `None` ([`EncodingBuilder::comment_or_pi`]).
+    /// Emits a comment node inside the root element; outside it, in the
+    /// prolog or the epilog, it emits nothing and returns `None`: the
+    /// encoding holds the root element's subtree alone.
     pub fn comment(&mut self, body: &str) -> Option<Pre> {
         self.comment_or_pi(None, body)
             .unwrap_or_else(|e| refused(e))
@@ -844,7 +918,7 @@ impl EncodingBuilder {
             Some(target) => (NodeKind::Pi, self.tags.intern(target)),
             None => (NodeKind::Comment, NO_TAG),
         };
-        self.leaf(kind, tag, Some(body)).map(Some)
+        self.leaf(kind, tag, body).map(Some)
     }
 
     /// Finalises the encoding. Panics if elements are still open.
@@ -904,7 +978,7 @@ impl<'a> Sink<'a> for EncodingBuilder {
         self.open(tag)?;
         for (name, value) in attributes.iter() {
             let name = self.tags.intern(name);
-            self.leaf(NodeKind::Attribute, name, Some(value.as_str()))?;
+            self.leaf(NodeKind::Attribute, name, value.as_str())?;
         }
         if self_closing {
             self.close_element();
@@ -1241,50 +1315,50 @@ mod tests {
         // r(x(z), y) with z placed after y: every parent is earlier and
         // encloses its child and every level is its parent's plus one, yet
         // y sits inside x's pre range without being its descendant.
-        let mut tags = TagInterner::new();
-        let t = tags.intern("t");
-        let build = |post: Vec<Post>, kind: Vec<u8>, parent: Vec<Pre>| {
-            Doc::from_raw_parts(
-                post,
-                vec![0, 1, 1, 2],
-                kind,
-                vec![t; 4],
-                parent,
-                vec![u32::MAX; 4],
-                String::new(),
-                Vec::new(),
-                tags.clone(),
-                2,
-            )
-        };
-        let scrambled = build(vec![3, 2, 0, 1], vec![0; 4], vec![NO_PARENT, 0, 0, 1]);
+        let mut doc = Doc::from_xml("<r><x><z/></x><y/></r>").unwrap();
+        assert_eq!(doc.post_column(), [3, 1, 0, 2]);
+        doc.post = Bat::from_tail(0, vec![3, 2, 0, 1]);
         assert_eq!(
-            scrambled.validate(),
-            Err("post(1) = 2, expected 0".to_string()),
+            doc.validate(),
+            Err("post(1) = 2, expected 1".to_string()),
             "x closes when y opens, before z"
         );
-        // The same tree in preorder (r, x, z, y with levels 0, 1, 2, 1)
-        // passes, and fails again once a leaf kind is given a child or an
-        // attribute does not directly follow its element.
-        let ordered = |kind: Vec<u8>| {
-            let mut doc = build(vec![3, 1, 0, 2], kind, vec![NO_PARENT, 0, 1, 0]);
-            doc.level = vec![0, 1, 2, 1];
+        // The same tree in preorder passes, and fails again once a leaf kind
+        // is given a child or an attribute does not directly follow its
+        // element: the load pass's own rules, reported by `validate`.
+        let ordered = |kind: [NodeKind; 4]| {
+            let mut doc = Doc::from_xml("<r><x><z/></x><y/></r>").unwrap();
+            doc.kind = kind.iter().map(|&k| k as u8).collect();
             doc.validate()
         };
-        assert_eq!(ordered(vec![0; 4]), Ok(()));
-        let text = NodeKind::Text as u8;
+        use NodeKind::{Attribute, Element, Text};
+        assert_eq!(ordered([Element; 4]), Ok(()));
+        let under_text = ordered([Element, Text, Element, Element]).unwrap_err();
         assert!(
-            ordered(vec![0, text, 0, 0]).is_err(),
-            "a text node with a child"
+            under_text.contains("only elements have children"),
+            "{under_text}"
         );
-        let attribute = NodeKind::Attribute as u8;
-        assert!(
-            ordered(vec![0, attribute, 0, 0]).is_err(),
-            "an attribute with a child"
-        );
-        assert!(ordered(vec![0, 0, 0, attribute])
+        let under_attribute = ordered([Element, Attribute, Element, Element]).unwrap_err();
+        assert!(under_attribute.contains("only elements have children"));
+        assert!(ordered([Element, Element, Element, Attribute])
             .unwrap_err()
             .contains("does not follow its element"));
+        // Stored copies of the derived columns must equal them.
+        let mut doc = figure1();
+        doc.parent[5] = 0;
+        assert_eq!(doc.validate(), Err("parent(5) = 0, expected 4".to_string()));
+        let mut doc = figure1();
+        doc.height = 2;
+        assert!(doc.validate().unwrap_err().contains("height"));
+        let mut doc = figure1();
+        doc.tags.set_element_counts(vec![2; 10]);
+        assert!(doc.validate().unwrap_err().contains("element_count"));
+        let mut doc = Doc::from_xml("<a>t<!--c--></a>").unwrap();
+        doc.content.swap(1, 2);
+        assert_eq!(
+            doc.validate(),
+            Err("content(1) = 1, expected 0".to_string())
+        );
     }
 
     #[test]
@@ -1321,39 +1395,41 @@ mod tests {
     fn validate_refuses_a_second_top_level_node() {
         // `<!--c--><a/>` as an older loader encoded it: the comment at
         // pre 0, the root element beside it at level 0.
-        let mut tags = TagInterner::new();
-        let a = tags.intern("a");
-        tags.record_element(a);
-        let doc = Doc::from_raw_parts(
-            vec![0, 1],
-            vec![0, 0],
-            vec![NodeKind::Comment as u8, NodeKind::Element as u8],
-            vec![NO_TAG, a],
-            vec![NO_PARENT, NO_PARENT],
-            vec![u32::MAX; 2],
-            String::new(),
-            Vec::new(),
-            tags,
-            0,
-        );
-        let decoded = Doc::from_bytes(&doc.to_bytes()).unwrap();
-        let err = decoded.validate().unwrap_err();
+        let mut doc = Doc::from_xml("<a><!--c--></a>").unwrap();
+        doc.kind.swap(0, 1);
+        doc.tag.swap(0, 1);
+        doc.level = vec![0, 0];
+        let err = doc.validate().unwrap_err();
+        assert!(err.contains("second top-level node"), "{err}");
+        let err = Doc::from_bytes(&doc.to_bytes()).unwrap_err().to_string();
         assert!(err.contains("second top-level node"), "{err}");
     }
 
     #[test]
     fn validate_detects_corruption() {
-        let doc = figure1();
-        // Corrupt via the persistence layer: flip bytes and re-decode.
-        let good = doc.to_bytes();
-        // post column starts at offset 16; make two entries collide.
-        let mut bad = good.to_vec();
-        bad[16] = bad[20];
-        bad[17] = bad[21];
-        bad[18] = bad[22];
-        bad[19] = bad[23];
-        if let Ok(decoded) = Doc::from_bytes(&bad) {
-            assert!(decoded.validate().is_err(), "corruption must be detected");
+        // Only the stored columns can be corrupted in a file, and the load
+        // pass refuses every level that breaks a placement rule: in
+        // `<a><b>t</b><c/></a>`, `c` (pre 3, level 1) moved to each other
+        // level.
+        let good = Doc::from_xml("<a><b>t</b><c/></a>").unwrap().to_bytes();
+        let level_of_c = 12 + 2 * 3;
+        for (level, why) in [
+            (0, "second top-level node"),
+            (2, ""),
+            (3, "only elements have children"),
+            (4, "more than one below"),
+        ] {
+            let mut bad = good.to_vec();
+            bad[level_of_c] = level;
+            match Doc::from_bytes(&bad) {
+                // `c` beside the text, under `b`: another tree, a valid one.
+                Ok(doc) => {
+                    assert!(why.is_empty(), "level {level} decoded");
+                    assert_eq!(doc.validate(), Ok(()));
+                    assert_eq!(doc.parent(3), 1);
+                }
+                Err(e) => assert!(e.to_string().contains(why), "level {level}: {e}"),
+            }
         }
     }
 }

@@ -168,9 +168,11 @@ impl TagInterner {
         }
     }
 
-    /// Zeroes all element counts (before a recount from raw columns).
-    pub(crate) fn clear_element_counts(&mut self) {
-        self.element_counts.iter_mut().for_each(|c| *c = 0);
+    /// Replaces the element counts with `counts`, one per name in id
+    /// order (a decoded document's, counted by its load pass).
+    pub(crate) fn set_element_counts(&mut self, counts: Vec<u32>) {
+        assert_eq!(counts.len(), self.names.len(), "one count per name");
+        self.element_counts = counts;
     }
 }
 
@@ -251,7 +253,7 @@ mod tests {
         assert_eq!(t.element_count(NO_TAG), 0);
         t.record_element(NO_TAG);
         assert_eq!(t.total_elements(), 3);
-        t.clear_element_counts();
-        assert_eq!(t.total_elements(), 0);
+        t.set_element_counts(vec![0, 4]);
+        assert_eq!(t.total_elements(), 4);
     }
 }

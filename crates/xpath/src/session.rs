@@ -31,7 +31,7 @@ use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use staircase_accel::{Context, DecodeError, Doc, Pre};
+use staircase_accel::{Context, Doc, Pre};
 use staircase_baselines::SqlEngine;
 use staircase_core::cost::DocStats;
 use staircase_core::governor::Budget;
@@ -139,17 +139,16 @@ impl Session {
         Session::parse_xml(&std::fs::read_to_string(path)?)
     }
 
-    /// Decodes a document persisted with [`Doc::to_bytes`] and checks the
-    /// encoding invariants ([`Doc::validate`]) before anything indexes it:
-    /// the bytes may come from anywhere.
+    /// Decodes a document persisted with [`Doc::to_bytes`]. The bytes may
+    /// come from anywhere: [`Doc::from_bytes`] checks the encoding
+    /// invariants in the pass that derives the plane, before anything
+    /// indexes it.
     ///
     /// # Errors
     ///
     /// [`Error::Decode`] when the bytes are not a valid encoded plane.
     pub fn from_encoded_bytes(bytes: &[u8]) -> Result<Session, Error> {
-        let doc = Doc::from_bytes(bytes)?;
-        doc.validate().map_err(DecodeError::Corrupt)?;
-        Ok(Session::new(doc))
+        Ok(Session::new(Doc::from_bytes(bytes)?))
     }
 
     /// Reads a persisted (`.scj`) document.
@@ -157,7 +156,7 @@ impl Session {
     /// # Errors
     ///
     /// [`Error::Io`] when the file cannot be read, [`Error::Decode`] when
-    /// it does not decode or does not validate.
+    /// it is not a valid encoded plane.
     pub fn open_encoded(path: impl AsRef<FsPath>) -> Result<Session, Error> {
         Session::from_encoded_bytes(&std::fs::read(path)?)
     }
@@ -538,6 +537,7 @@ impl<'a> IntoIterator for &'a QueryOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use staircase_accel::DecodeError;
     use staircase_core::Variant;
 
     fn session() -> Session {
@@ -675,12 +675,11 @@ mod tests {
                 other => panic!("expected a decode error, got {:?}", other.map(|_| ())),
             }
         };
-        // A content index past the arena: the decoder's own check.
-        assert!(corrupt(good.len() - 4, 1000).contains("content index"));
-        // A post rank swapped for another: every block is in range, so only
-        // `Doc::validate` can tell.
-        let second = u32::from_le_bytes(good[20..24].try_into().unwrap());
-        assert!(corrupt(16, second).contains("post("));
+        // A string end past the arena: a block check.
+        assert!(corrupt(good.len() - 4, 1000).contains("string end"));
+        // Node 1 two levels below the root: every block is in range, so
+        // only the pass that derives the plane can tell.
+        assert!(corrupt(12, 3 << 16).contains("level(1) = 3"));
     }
 
     #[test]

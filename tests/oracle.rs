@@ -96,21 +96,19 @@ fn a_max_depth_chain_is_answered_and_one_deeper_is_refused() {
 
     let err = Session::parse_xml(&oracle::chain(MAX_DEPTH + 1)).unwrap_err();
     assert!(err.to_string().contains("nested deeper"), "{err}");
-    // The same chain as `.scj` columns: pre v at level v, its parent v − 1.
+    // The same chain as `.scj` columns: pre v at level v, each an `a`.
     fn words(out: &mut Vec<u8>, words: impl IntoIterator<Item = u32>) {
         out.extend(words.into_iter().flat_map(u32::to_le_bytes));
     }
     let n = MAX_DEPTH as u32 + 1;
     let mut scj = b"SCJ1".to_vec();
-    words(&mut scj, [2, n, n - 1]); // version, nodes, height
-    words(&mut scj, (0..n).map(|v| n - 1 - v)); // post
+    words(&mut scj, [3, n]); // version, nodes
     scj.extend((0..n).flat_map(|v| (v as u16).to_le_bytes())); // level
     scj.extend((0..n).map(|_| NodeKind::Element as u8)); // kind
-    words(&mut scj, (0..n).map(|_| 0)); // tag
-    words(&mut scj, (0..n).map(|v| v.wrapping_sub(1))); // parent
     words(&mut scj, [1, 1]); // one tag name of one byte
     scj.push(b'a');
-    words(&mut scj, [0, 0, 0]); // no strings, no content
+    scj.extend((0..n).flat_map(|_| 0u16.to_le_bytes())); // tag
+    words(&mut scj, [0, 0]); // no strings
     let err = Session::from_encoded_bytes(&scj).unwrap_err();
     assert!(err.to_string().contains("nested deeper"), "{err}");
 }

@@ -119,7 +119,7 @@ fn corrupt_encoded_file_exits_with_parse_code_not_a_panic() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    // The last content index now points far past the arena.
+    // The last content string now ends far past the arena.
     let mut bytes = std::fs::read(&scj).unwrap();
     let at = bytes.len() - 4;
     bytes[at..].copy_from_slice(&1000u32.to_le_bytes());
