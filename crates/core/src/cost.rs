@@ -391,45 +391,14 @@ impl DocStats {
 
     // ── Twig pricing (worst-case-optimal vs. step-at-a-time) ───────────
 
-    /// Predicted **peak intermediate result** (materialized rows) of
-    /// evaluating a twig region step-at-a-time, and its final output
-    /// rows: the frontier after each spine step, estimated from per-tag
-    /// fragment sizes and containment selectivity exactly like the step
-    /// planner does (existential predicates halve the frontier). The
-    /// peak is the blowup a multiway plan avoids — the step plan must
-    /// materialize and probe every one of these rows, so it is directly
-    /// comparable to [`DocStats::twig_frontier_cost`]'s touched-work
-    /// estimate. Returns `(peak, rows)`.
-    pub fn step_blowup_estimate(
-        &self,
-        context_card: f64,
-        from_root: bool,
-        legs: &[TwigLegCost],
-    ) -> (f64, f64) {
-        let n = (self.nodes as f64).max(1.0);
-        let mut rows = context_card.max(1.0);
-        let mut peak = 0.0f64;
-        for (i, leg) in legs.iter().enumerate() {
-            let f = leg.fragment as f64;
-            let reach = if leg.child_edge {
-                rows * self.avg_fanout()
-            } else {
-                self.descendant_window(rows, from_root && i == 0)
-            };
-            let out = (reach * f / n).min(f);
-            peak = peak.max(out);
-            rows = out / 2.0f64.powi(leg.chains.len() as i32);
-        }
-        (peak, rows)
-    }
-
     /// Predicted touched-work of the leapfrog twig operator
-    /// ([`crate::twig::twig_match`]) over the same region: bottom-up
-    /// chain closure (multi-step chains walk every list above the
-    /// last), pivot anchoring (the smallest spine fragment, one
-    /// height-bounded upward sweep of gallops per candidate), and the
-    /// on-list descent below the pivot. `Engine::auto` picks the twig
-    /// plan only when [`DocStats::step_blowup_estimate`] exceeds this.
+    /// ([`crate::twig::twig_match`]) over a region whose predicate chains
+    /// arrive reduced to one step each: pivot anchoring (the smallest
+    /// spine fragment, one height-bounded upward sweep of gallops per
+    /// candidate) and the on-list descent below the pivot. Reducing a
+    /// longer chain is the semijoin work a step plan's predicate pays
+    /// too, priced by the planner beside this. `Engine::auto` fuses a
+    /// region only when the step plan's peak join rows exceed the sum.
     pub fn twig_frontier_cost(&self, legs: &[TwigLegCost]) -> f64 {
         if legs.is_empty() {
             return 0.0;
@@ -437,16 +406,6 @@ impl DocStats {
         let n = (self.nodes as f64).max(1.0);
         let h = self.height.max(1.0);
         let lg = |f: f64| (f + 2.0).log2();
-        let mut cost = 0.0;
-        // Chain closure: list j is walked with one gallop per entry
-        // into list j+1; single-step chains close for free.
-        for leg in legs {
-            for chain in &leg.chains {
-                for w in chain.windows(2) {
-                    cost += w[0] as f64 * lg(w[1] as f64);
-                }
-            }
-        }
         // Pivot anchoring: per candidate, the pivot's own chain probes
         // plus an ancestor sweep of at most `h` positions, each a
         // fragment-membership gallop and its leg's chain probes.
@@ -458,8 +417,8 @@ impl DocStats {
             .iter()
             .map(|l| lg(l.fragment as f64))
             .fold(1.0, f64::max);
-        let chain_count: f64 = legs.iter().map(|l| l.chains.len() as f64).sum();
-        cost += pivot * (h + 1.0) * (max_lg + chain_count);
+        let chain_count: f64 = legs.iter().map(|l| l.chains as f64).sum();
+        let mut cost = pivot * (h + 1.0) * (max_lg + chain_count);
         // Descent below the pivot: one on-list join per remaining leg.
         let mut card = pivot;
         for leg in &legs[pivot_idx + 1..] {
@@ -517,10 +476,9 @@ fn merge_probes(m: f64, f: f64) -> f64 {
     m * (1.0 + (f / m + 2.0).log2())
 }
 
-/// Per-leg inputs to the twig estimators
-/// ([`DocStats::step_blowup_estimate`] /
-/// [`DocStats::twig_frontier_cost`]): sizes only, so the planner can
-/// price a twig region without resolving any fragment list.
+/// Per-leg inputs to [`DocStats::twig_frontier_cost`]: sizes only, so
+/// the planner can price a twig region without resolving any fragment
+/// list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwigLegCost {
     /// Fragment size of the leg's tag (element count for wildcards).
@@ -528,9 +486,8 @@ pub struct TwigLegCost {
     /// `true` for a `child::` edge from the previous leg (or context),
     /// `false` for `descendant::`.
     pub child_edge: bool,
-    /// Per predicate chain, the fragment sizes of its steps, outermost
-    /// first.
-    pub chains: Vec<Vec<usize>>,
+    /// The leg's predicate chains: one probe each per candidate.
+    pub chains: usize,
 }
 
 /// What interpreting one nested-loop sub-plan step for one candidate
@@ -651,59 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn skewed_twigs_price_the_leapfrog_below_the_blowup() {
-        // A skew-shaped document: tall, with a huge first spine
-        // fragment and a tiny second one — the step plan materializes
-        // the whole first fragment, the leapfrog pivots on the tiny one.
-        let s = DocStats {
-            nodes: 2_000_000,
-            elements: 1_900_000,
-            attributes: 0,
-            height: 14.0,
-            avg_depth: 8.0,
-            child_fanout: Vec::new(),
-        };
-        let legs = [
-            TwigLegCost {
-                fragment: 600_000,
-                child_edge: false,
-                chains: vec![vec![500_000]],
-            },
-            TwigLegCost {
-                fragment: 800,
-                child_edge: false,
-                chains: vec![vec![700]],
-            },
-        ];
-        let blowup = s.step_blowup_estimate(1.0, true, &legs).0;
-        let frontier = s.twig_frontier_cost(&legs);
-        assert!(
-            blowup > frontier,
-            "skew: blowup {blowup} must exceed frontier {frontier}"
-        );
-        // …while a uniform region with comparable fragment sizes keeps
-        // stepping cheaper than anchoring the pivot.
-        let uniform = [
-            TwigLegCost {
-                fragment: 9_000,
-                child_edge: false,
-                chains: vec![vec![12_000]],
-            },
-            TwigLegCost {
-                fragment: 11_000,
-                child_edge: false,
-                chains: vec![vec![8_000]],
-            },
-        ];
-        let blowup = s.step_blowup_estimate(1.0, true, &uniform).0;
-        let frontier = s.twig_frontier_cost(&uniform);
-        assert!(
-            blowup < frontier,
-            "uniform: blowup {blowup} must stay below frontier {frontier}"
-        );
-    }
-
-    #[test]
     fn twig_estimators_handle_degenerate_inputs() {
         let doc = random_doc(4, 600);
         let s = DocStats::from_doc(&doc);
@@ -711,22 +615,18 @@ mod tests {
         let legs = [TwigLegCost {
             fragment: 0,
             child_edge: true,
-            chains: vec![],
+            chains: 0,
         }];
-        assert!(s.step_blowup_estimate(0.0, false, &legs).0 >= 0.0);
         assert!(s.twig_frontier_cost(&legs).is_finite());
-        // Multi-step chains charge their closure walk.
-        let deep = [TwigLegCost {
-            fragment: 50,
-            child_edge: false,
-            chains: vec![vec![200, 100]],
-        }];
-        let shallow = [TwigLegCost {
-            fragment: 50,
-            child_edge: false,
-            chains: vec![vec![100]],
-        }];
-        assert!(s.twig_frontier_cost(&deep) > s.twig_frontier_cost(&shallow));
+        // Every chain a leg carries is one more probe per candidate.
+        let probed = |chains| {
+            s.twig_frontier_cost(&[TwigLegCost {
+                fragment: 50,
+                child_edge: false,
+                chains,
+            }])
+        };
+        assert!(probed(2) > probed(1));
     }
 
     #[test]

@@ -18,16 +18,21 @@
 //! phases, every cursor movement one [`seek_from`] gallop counted in
 //! [`StepStats::seeks`]. Each probed list keeps a *hint* — where its last
 //! probe landed — and wherever the probed nodes arrive in ascending pre
-//! order (chain closure, pivot candidates, descent frontiers) the next
-//! gallop resumes there, so a pass over `m` candidates against an
-//! `N`-entry list costs `O(m · (1 + log(N/m)))`, not `O(m · log N)`; a
-//! probe that moved backwards (the upward sweep) restarts at the list's
-//! head:
+//! order (pivot candidates, descent frontiers) the next gallop resumes
+//! there, so a pass over `m` candidates against an `N`-entry list costs
+//! `O(m · (1 + log(N/m)))`, not `O(m · log N)`; a probe that moved
+//! backwards (the upward sweep) restarts at the list's head:
 //!
-//! 1. **Chain closure** — within each predicate chain, the useful set
-//!    (entries that root a full chain match) is computed bottom-up, so
-//!    a later "does `v` satisfy `[b/c]`?" probe is a single seek into a
-//!    pre-filtered sorted list.
+//! 1. **Chain reduction** — a chain of more than one step is reduced
+//!    right to left to its first step's list, keeping the entries that
+//!    root a complete chain match: one semijoin per edge, the probes
+//!    ([`crate::has_descendant_in`], [`crate::has_child_in`]) every
+//!    predicate of a step-at-a-time plan runs, their counters folded
+//!    into the match's. Every chain is then one step, and "does `v`
+//!    satisfy `[b/c]`?" is a single probe into a sorted list. (The query
+//!    layer hands in chains it already reduced once per evaluation,
+//!    shared with the step predicates over the same path, so there this
+//!    phase has nothing to do.)
 //! 2. **Pivot anchoring** — the spine leg with the *smallest* fragment
 //!    becomes the pivot. Its candidates are filtered by the pivot's own
 //!    chains and verified *upward*: the candidate's ancestor path (at
@@ -49,6 +54,7 @@ use std::cell::Cell;
 use staircase_accel::{Context, Doc, Post, Pre, NO_PARENT};
 
 use crate::cursor::seek_from;
+use crate::exists::{has_child_in, has_descendant_in};
 use crate::list::{child_range_join, descendant_range_join};
 use crate::prune::prune_descendant;
 use crate::stats::StepStats;
@@ -97,9 +103,9 @@ enum Top<'a> {
     Child { raw: &'a [Pre] },
 }
 
-/// A spine leg after chain closure: each chain reduced to its first
-/// edge plus the useful set a single probe decides against, and that
-/// set's probe hint.
+/// A spine leg after chain reduction: each chain reduced to its first
+/// edge plus the list a single probe decides against, and that list's
+/// probe hint.
 struct PreparedLeg<'a> {
     edge: TwigEdge,
     list: &'a [Pre],
@@ -191,32 +197,6 @@ impl<'d> Matcher<'d> {
             TwigEdge::Descendant => self.has_desc_in(list, p, hint),
             TwigEdge::Child => self.has_child_in(list, p, hint),
         }
-    }
-
-    /// Bottom-up chain closure: the subset of the chain's *first* step
-    /// list whose entries root a complete chain match. Empty result ⇒
-    /// no node anywhere satisfies the chain.
-    fn chain_useful<'a>(&mut self, chain: &[ChainStep<'a>]) -> Cow<'a, [Pre]> {
-        let mut valid: Cow<'a, [Pre]> = Cow::Borrowed(chain[chain.len() - 1].list);
-        for j in (0..chain.len() - 1).rev() {
-            let edge = chain[j + 1].edge;
-            let mut filtered = Vec::new();
-            let hint = Cell::new(0);
-            for &p in chain[j].list {
-                self.stats.nodes_scanned += 1;
-                if self.gov.tick(1) {
-                    return Cow::Owned(Vec::new());
-                }
-                if self.edge_probe(edge, &valid, p, &hint) {
-                    filtered.push(p);
-                }
-            }
-            if filtered.is_empty() {
-                return Cow::Owned(filtered);
-            }
-            valid = Cow::Owned(filtered);
-        }
-        valid
     }
 
     /// All chains of `leg` hold at `v`.
@@ -320,6 +300,39 @@ fn ancestor_path(doc: &Doc, v: Pre, buf: &mut Vec<Pre>) {
     }
 }
 
+/// Reduces a predicate chain right to left to its first step's list:
+/// the entries with a complete chain match below them, one semijoin
+/// probe per edge. A one-step chain is its list. Empty result ⇒ no node
+/// anywhere satisfies the chain. The query layer hands in one-step
+/// chains only (it reduces longer ones once per evaluation, shared with
+/// the step predicates); this keeps [`twig_match`]'s chain form whole
+/// for any other caller.
+fn reduce_chain<'a>(doc: &Doc, chain: &[ChainStep<'a>], stats: &mut StepStats) -> Cow<'a, [Pre]> {
+    let (last, rest) = chain
+        .split_last()
+        .expect("predicate chain needs at least one step");
+    let mut witnesses = Cow::Borrowed(last.list);
+    let mut edge = last.edge;
+    for step in rest.iter().rev() {
+        if witnesses.is_empty() {
+            break;
+        }
+        let candidates = Context::from_sorted(step.list.to_vec());
+        let (kept, probed) = match edge {
+            TwigEdge::Descendant => has_descendant_in(doc, &candidates, &witnesses),
+            TwigEdge::Child => has_child_in(doc, &candidates, &witnesses),
+        };
+        // The probes' work is the match's; their results are not.
+        stats.merge(&StepStats {
+            result_size: 0,
+            ..probed
+        });
+        witnesses = Cow::Owned(kept.into_vec());
+        edge = step.edge;
+    }
+    witnesses
+}
+
 /// Evaluates a twig pattern against `context`, returning the bindings
 /// of the **last** spine leg only, duplicate-free and in document
 /// order — node- and order-identical to evaluating the same pattern
@@ -367,18 +380,17 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
         return (Context::empty(), m.stats);
     }
 
-    // Phase 1: chain closure. An empty useful set proves the chain
+    // Phase 1: chain reduction. An empty list proves the chain
     // unsatisfiable document-wide, hence the twig result empty.
     let mut legs: Vec<PreparedLeg<'_>> = Vec::with_capacity(spine.len());
     for leg in spine {
         let mut chains = Vec::with_capacity(leg.chains.len());
         for chain in &leg.chains {
-            assert!(!chain.is_empty(), "predicate chain needs at least one step");
-            let useful = m.chain_useful(chain);
-            if useful.is_empty() {
+            let reduced = reduce_chain(doc, chain, &mut m.stats);
+            if reduced.is_empty() {
                 return (Context::empty(), m.stats);
             }
-            chains.push((chain[0].edge, useful, Cell::new(0)));
+            chains.push((chain[0].edge, reduced, Cell::new(0)));
         }
         legs.push(PreparedLeg {
             edge: leg.edge,
@@ -628,7 +640,7 @@ mod tests {
         let idx = TagIndex::build(&doc);
         let a = idx.fragment_by_name(&doc, "a");
         let b = idx.fragment_by_name(&doc, "b");
-        // //a[x-under-b] where no b has an x: chain closure is empty.
+        // //a[x-under-b] where no b has an x: the reduced chain is empty.
         let spine = vec![SpineLeg {
             edge: TwigEdge::Descendant,
             list: a,

@@ -543,10 +543,12 @@ const SHORT_TESTS: &str = "a|b|c|d|a|b|*|text()|node()|@id|.|..|descendant::c|\
 const SHORT_PREDICATES: &str = "|||[b]|[b/c]|[.//b]|[.//b/c[d]]|[ancestor::b/c]|[a//a]|[b[c][d]]|\
                                 [c/ancestor::a[b]/d]|[descendant::c[ancestor::b]]|[@id]|[b/@id]|\
                                 [b[c]/..]|[.//text()]|[*/c]|[//d]|[.]";
-/// Twig-eligible steps: names, predicates and ineligible tails.
+/// Twig-eligible steps: names, predicates (one-step, chained, nested,
+/// with an inner upward link, stacked) and ineligible tails.
 const TWIG_NAMES: &str = "a|b|c|rare";
-const TWIG_PREDICATES: &str =
-    "||[descendant::a]|[child::b]|[descendant::b/child::c]|[a][descendant::c]";
+const TWIG_PREDICATES: &str = "||[descendant::a]|[child::b]|[descendant::b/child::c]|\
+                               [a][descendant::c]|[child::b[c]]|[descendant::c/ancestor::b]|\
+                               [b][c/a]";
 const TWIG_TAILS: &str = "||/ancestor::a|/descendant::b[c/a]";
 
 /// `/axis::test[pred]` steps, one to three.

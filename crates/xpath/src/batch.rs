@@ -604,4 +604,26 @@ mod tests {
             assert_eq!(mixed, 2, "{engine:?}");
         }
     }
+
+    /// A fused twig leg takes its predicate's list from the same memo as
+    /// a step predicate: a batch reduces the chain once for both.
+    #[test]
+    fn twig_legs_share_the_reduction_of_a_step_predicate() {
+        let session = Session::parse_xml(
+            "<site><open_auction><bidder><increase/></bidder><date/></open_auction>\
+             <open_auction><bidder/><date/></open_auction></site>",
+        )
+        .unwrap();
+        let (step, fused) = (
+            "/descendant::open_auction[bidder/increase]",
+            "/descendant::open_auction[bidder/increase]/descendant::date",
+        );
+        let plan = session.explain(fused, Engine::twig()).unwrap().to_string();
+        assert!(
+            plan.contains("twig[open_auction.bidder.increase, "),
+            "{plan}"
+        );
+        assert_eq!(edges_reduced(&session, &[fused], Engine::twig()), 1);
+        assert_eq!(edges_reduced(&session, &[step, fused], Engine::twig()), 1);
+    }
 }

@@ -55,12 +55,11 @@ pub(crate) enum EngineKind {
     },
     /// Cost-based per-step operator picking: the planner prices the
     /// candidate operators for every step from document statistics and
-    /// keeps the cheapest, and the executor re-prices a pending step
-    /// from the observed frontier when the estimate proves wrong. The
-    /// prices are static: no constant is fitted from earlier runs.
+    /// keeps the cheapest. The plan is priced once and run as priced;
+    /// the prices are static: no constant is fitted from earlier runs.
     Auto,
     /// Worst-case-optimal twig matching: every eligible run of vertical
-    /// steps with path-shaped existential predicates is fused into one
+    /// steps with downward existential predicates is fused into one
     /// multiway leapfrog intersection over the per-tag fragments; the
     /// remaining steps run as fragment joins.
     Twig,
@@ -157,14 +156,14 @@ impl Engine {
     }
 
     /// The twig-fusing engine: every eligible *twig region* — a run of
-    /// vertical steps whose predicates are themselves vertical
-    /// existential paths — is fused into one worst-case-optimal
-    /// multiway leapfrog step ([`staircase_core::twig`]); steps outside
-    /// a region run as §6 fragment joins. Results are node- and
-    /// order-identical to every fixed engine (property-tested); only
-    /// intermediate materialization disappears. [`Engine::auto`] picks
-    /// this operator per region, and only where the cost model predicts
-    /// the step plan's intermediates exceed the leapfrog frontier cost.
+    /// vertical steps whose predicates are semijoin chains that start
+    /// downward — is fused into one worst-case-optimal multiway
+    /// leapfrog step ([`staircase_core::twig`]); steps outside a region
+    /// run as §6 fragment joins. Results are node- and order-identical
+    /// to every fixed engine (property-tested); only intermediate
+    /// materialization disappears. [`Engine::auto`] picks this operator
+    /// per region, and only where the step plan's peak join rows exceed
+    /// the leapfrog's price.
     pub fn twig() -> Engine {
         Engine {
             kind: EngineKind::Twig,

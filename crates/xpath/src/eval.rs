@@ -24,13 +24,13 @@ use staircase_core::{
     ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled, descendant_on_list_pooled,
     descendant_pooled, following_pooled, has_ancestor_in, has_child_in, has_descendant_in,
     preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool, SpineLeg, TagIndex,
-    Variant,
+    TwigEdge, Variant,
 };
 
 use crate::ast::NodeTest;
 use crate::plan::{
     axis_of, list_edge_of, ListEdge, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis,
-    SemijoinChain, StepOp, TwigSpec,
+    SemijoinChain, StepOp,
 };
 
 /// Per-step trace of an evaluation.
@@ -624,15 +624,14 @@ impl<'a> Executor<'a> {
                 };
                 (out, stats.index_entries_scanned, stats.tuples_produced, 0)
             }
-            StepOp::Twig(ref spec) => {
-                // The planner only emits twig steps on the descendant
-                // axis; any other pairing (hand-built plan) falls back
-                // to the plain join plus the step's residual test.
-                if paxis != PartAxis::Descendant {
-                    return self.plain_staircase(ctx, paxis, step, Variant::default(), scratch);
-                }
-                self.twig_step(ctx, spec)
+            // The planner only emits twig steps on the descendant axis,
+            // over downward legs; any other region (hand-built plan)
+            // falls back to the plain join plus the step's residual test.
+            StepOp::Twig(ref region) => match paxis {
+                PartAxis::Descendant => self.twig_step(ctx, region),
+                _ => None,
             }
+            .unwrap_or_else(|| self.plain_staircase(ctx, paxis, step, Variant::default(), scratch)),
         }
     }
 
@@ -667,49 +666,43 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Executes a fused twig region: resolves one sorted list per spine
-    /// leg and chain step (prebuilt fragments when the session provides
-    /// the index, selection scans otherwise) and hands them to the
-    /// multiway leapfrog intersection [`staircase_core::twig_match`].
-    /// The result is the output (last) leg's binding in document order.
-    fn twig_step(&self, ctx: &Context, spec: &TwigSpec) -> (Context, u64, u64, u64) {
-        let mut leg_lists = Vec::with_capacity(spec.spine.len());
-        let mut chain_lists = Vec::with_capacity(spec.spine.len());
-        for leg in &spec.spine {
-            leg_lists.push(self.fragment_list(&leg.name));
-            let per_leg: Vec<Vec<NodeList<'a>>> = leg
-                .chains
+    /// Executes a fused twig region: one sorted list per spine leg (the
+    /// prebuilt fragment when the session provides the index, a
+    /// selection scan otherwise) and, per predicate, the list
+    /// [`Executor::semijoin_list`] reduces its chain to — the list a step
+    /// predicate over the same chain probes, so a batch reduces it once
+    /// for both — handed to the multiway leapfrog intersection
+    /// [`staircase_core::twig_match`] as one-step chains. The result is
+    /// the output (last) leg's binding in document order; `None` for a
+    /// leg or predicate that starts upward, which no planned region has.
+    fn twig_step(&self, ctx: &Context, region: &SemijoinChain) -> Option<(Context, u64, u64, u64)> {
+        let edge = |axis| match axis {
+            SemijoinAxis::Descendant => Some(TwigEdge::Descendant),
+            SemijoinAxis::Child => Some(TwigEdge::Child),
+            SemijoinAxis::Ancestor => None,
+        };
+        let mut legs = Vec::with_capacity(region.links.len());
+        for link in &region.links {
+            let preds = link
+                .preds
                 .iter()
-                .map(|chain| chain.iter().map(|(_, n)| self.fragment_list(n)).collect())
-                .collect();
-            chain_lists.push(per_leg);
+                .map(|pred| Some((edge(pred.axis())?, self.semijoin_list(pred, true))))
+                .collect::<Option<Vec<_>>>()?;
+            legs.push((edge(link.axis)?, self.fragment_list(&link.name), preds));
         }
-        let spine: Vec<SpineLeg<'_>> = spec
-            .spine
+        let spine: Vec<SpineLeg<'_>> = legs
             .iter()
-            .enumerate()
-            .map(|(i, leg)| SpineLeg {
-                edge: leg.edge,
-                list: &leg_lists[i],
-                chains: leg
-                    .chains
+            .map(|(edge, list, preds)| SpineLeg {
+                edge: *edge,
+                list,
+                chains: preds
                     .iter()
-                    .enumerate()
-                    .map(|(j, chain)| {
-                        chain
-                            .iter()
-                            .enumerate()
-                            .map(|(k, (edge, _))| ChainStep {
-                                edge: *edge,
-                                list: &chain_lists[i][j][k],
-                            })
-                            .collect()
-                    })
+                    .map(|(edge, list)| vec![ChainStep { edge: *edge, list }])
                     .collect(),
             })
             .collect();
         let (out, stats) = twig_match(self.doc, &spine, ctx);
-        (out, stats.nodes_touched(), 0, stats.seeks)
+        Some((out, stats.nodes_touched(), 0, stats.seeks))
     }
 
     /// The staircase join over the whole plane, the step's node test

@@ -111,9 +111,13 @@
 //! every `a` has a `b` but almost none leads to a `c[d]`). For these
 //! the planner recognizes **twig regions** — maximal runs of
 //! `descendant::`/`child::` name-test steps, starting on a
-//! `descendant::` step, whose predicates are themselves vertical
-//! existential paths — and can fuse a whole region into one
-//! [`StepOp::Twig`] operator ([`TwigSpec`] describes the shape): a
+//! `descendant::` step, whose predicates are semijoin chains that start
+//! downward — and can fuse a whole region into one [`StepOp::Twig`]
+//! operator. The region is itself a [`SemijoinChain`] (its links the
+//! spine legs, each link's predicates that leg's), so there is one
+//! pattern type, one renderer and one reducer: each leg predicate's list
+//! is reduced by the same memoised semijoins a step predicate over the
+//! same chain uses, and shared with it in a batch. The operator is a
 //! worst-case-optimal **multiway leapfrog intersection**
 //! ([`staircase_core::twig_match`]) that runs one galloping cursor per
 //! leg over the §6 per-tag pre/post fragments and never materializes an
@@ -127,16 +131,20 @@
 //! Two engines reach the operator:
 //!
 //! * [`Engine::twig`] fuses *every* eligible region (steps outside a
-//!   region run as fragment joins) — the forced form benchmarks use;
-//! * [`Engine::auto`] prices each region both ways —
-//!   [`staircase_core::DocStats::step_blowup_estimate`] (the peak
-//!   intermediate a step plan would carry) against
-//!   [`staircase_core::DocStats::twig_frontier_cost`] (the leapfrog's
-//!   seek bill) — and fuses only where the blowup exceeds the frontier
-//!   cost, so uniform workloads keep their step-at-a-time plans.
+//!   region run as fragment joins): the forced form, which the tests
+//!   and the oracle run to check the operator on every generated
+//!   document;
+//! * [`Engine::auto`] plans each region step at a time first and keeps
+//!   that plan's row estimates. It fuses only where the step plan's peak
+//!   join rows (the largest intermediate it carries into its
+//!   predicates) exceed the leapfrog's price:
+//!   [`staircase_core::DocStats::twig_frontier_cost`] (the seek bill)
+//!   plus reducing the legs' longer predicate chains. Uniform workloads
+//!   keep their step-at-a-time plans.
 //!
 //! In `EXPLAIN` output a fused region renders as its leaf paths, e.g.
-//! `twig[a>b, a>c.d]` (`>` a descendant edge, `.` a child edge).
+//! `twig[a>b, a>c.d]` (`>` a descendant edge, `.` a child edge, `^` an
+//! ancestor link inside a predicate), as a semijoin chain renders.
 //!
 //! ## One plan
 //!
@@ -151,9 +159,9 @@
 //! predicates together halve its estimated rows once.
 //! [`StepTrace::replanned`] is always `false`.
 //!
-//! Nothing a query does changes how a later one is planned: the twig
-//! frontier is priced by [`staircase_core::DocStats::twig_frontier_cost`]
-//! as it stands, so a plan — and its EXPLAIN — depends only on the
+//! Nothing a query does changes how a later one is planned: a twig
+//! region is priced from the same document statistics as every step,
+//! so a plan — and its EXPLAIN — depends only on the
 //! document, the normalised expression and the engine, which is what
 //! [`Query`]'s per-engine plan cache assumes.
 //!
@@ -310,7 +318,7 @@ pub use eval::{EvalStats, StepTrace};
 pub use parser::{parse, parse_union, ParseError, MAX_PREDICATE_DEPTH};
 pub use plan::{
     PathPlan, PhysicalPlan, PlannedStep, PredOp, SemijoinAxis, SemijoinChain, StepEstimate, StepOp,
-    TestOp, TwigSpec,
+    TestOp,
 };
 pub use session::{AuxBuilds, Query, QueryOutput, Session};
 pub use staircase_core::faults;

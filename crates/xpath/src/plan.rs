@@ -26,10 +26,16 @@ use std::sync::Arc;
 
 use staircase_accel::{Axis, Doc, TagId};
 use staircase_core::cost::{DocStats, TwigLegCost};
-use staircase_core::{TwigEdge, Variant};
+use staircase_core::Variant;
 
 use crate::ast::{NodeTest, Path, Predicate, Step, UnionExpr};
 use crate::engine::{Engine, EngineKind};
+
+#[cfg(test)]
+thread_local! {
+    /// Steps lowered by `plan_step` on this thread.
+    static STEPS_PLANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 // ── Shared axis classification (used by eval and batch too) ─────────────
 
@@ -151,71 +157,14 @@ pub enum StepOp {
     /// sibling axes): what every fixed engine runs them as, and what
     /// auto keeps `child` as unless the fragment join is priced below it.
     Structural,
-    /// Worst-case-optimal twig region: a run of vertical name-test steps
-    /// whose predicates are themselves vertical existential paths, fused
-    /// into one multiway leapfrog intersection over the per-tag
-    /// fragments ([`staircase_core::twig_match`]). The step binds the
-    /// *last* spine leg only, in document order; no intermediate step
-    /// result is ever materialized.
-    Twig(Arc<TwigSpec>),
-}
-
-/// The fused twig region evaluated by [`StepOp::Twig`]: the spine legs
-/// (tag plus containment edge from the previous leg) and, per leg, the
-/// existential chains hanging off it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TwigSpec {
-    /// Spine legs in path order; the last leg is the output binding.
-    pub(crate) spine: Vec<TwigSpecLeg>,
-}
-
-/// One spine leg of a fused twig region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TwigSpecLeg {
-    /// Containment edge from the previous leg (for the first leg: from
-    /// the context).
-    pub(crate) edge: TwigEdge,
-    /// The leg's tag name.
-    pub(crate) name: String,
-    /// Existential predicate chains below this leg, outermost step
-    /// first; every chain is non-empty.
-    pub(crate) chains: Vec<Vec<(TwigEdge, String)>>,
-}
-
-impl TwigSpec {
-    /// The root-to-leaf paths of the pattern tree, rendered with `>` for
-    /// descendant edges and `.` for child edges (`a>b`, `a>c.d`).
-    fn leaf_paths(&self) -> Vec<String> {
-        let sep = |e: TwigEdge| if e == TwigEdge::Child { '.' } else { '>' };
-        let mut prefix = String::new();
-        let mut paths = Vec::new();
-        for (i, leg) in self.spine.iter().enumerate() {
-            if i > 0 {
-                prefix.push(sep(leg.edge));
-            }
-            prefix.push_str(&leg.name);
-            for chain in &leg.chains {
-                let mut p = prefix.clone();
-                for (edge, name) in chain {
-                    p.push(sep(*edge));
-                    p.push_str(name);
-                }
-                paths.push(p);
-            }
-        }
-        // The spine itself is a leaf path unless the output leg's chains
-        // already extend it.
-        if self.spine.last().is_none_or(|l| l.chains.is_empty()) {
-            paths.push(prefix);
-        }
-        paths
-    }
-}
-
-impl fmt::Display for TwigSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "twig[{}]", self.leaf_paths().join(", "))
-    }
+    /// Worst-case-optimal twig region: a run of descendant/child
+    /// name-test steps whose predicates probe downward, fused into one
+    /// multiway leapfrog intersection over the per-tag fragments
+    /// ([`staircase_core::twig_match`]). The region is a
+    /// [`SemijoinChain`]: its links are the spine legs, each link's
+    /// predicates that leg's. The step binds the *last* leg only, in
+    /// document order; no intermediate step result is ever materialized.
+    Twig(Arc<SemijoinChain>),
 }
 
 /// How the step's node test is evaluated.
@@ -301,9 +250,16 @@ impl SemijoinChain {
         self.links.len() == 1 && self.links[0].preds.is_empty()
     }
 
+    /// The pattern's root-to-leaf paths, comma-separated: `.` a child
+    /// edge, `>` descendant, `^` ancestor (`a>b, a>c.d`).
+    fn paths(&self) -> String {
+        let mut paths = Vec::new();
+        self.leaf_paths("", &mut paths);
+        paths.join(", ")
+    }
+
     /// Appends the pattern's root-to-leaf paths, each prefixed with
-    /// `prefix`: `.` a child edge, `>` descendant, `^` ancestor (the
-    /// twig notation plus the upward edge).
+    /// `prefix`.
     fn leaf_paths(&self, prefix: &str, out: &mut Vec<String>) {
         let mut path = prefix.to_string();
         for (i, link) in self.links.iter().enumerate() {
@@ -329,9 +285,7 @@ impl SemijoinChain {
 
 impl fmt::Display for SemijoinChain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut paths = Vec::new();
-        self.leaf_paths("", &mut paths);
-        write!(f, "semijoin[{}]", paths.join(", "))
+        write!(f, "semijoin[{}]", self.paths())
     }
 }
 
@@ -490,7 +444,7 @@ impl fmt::Display for StepOp {
                 write!(f, ")")
             }
             StepOp::Structural => write!(f, "structural"),
-            StepOp::Twig(spec) => write!(f, "{spec}"),
+            StepOp::Twig(region) => write!(f, "twig[{}]", region.paths()),
         }
     }
 }
@@ -575,6 +529,12 @@ pub(crate) fn plan_union(
 /// Lowers one location path. `in_rows`/`at_root` seed the cardinality
 /// propagation: the session evaluates from the document root, so both
 /// absolute and relative paths start with one context node.
+///
+/// Every step is planned once, in order, as it runs unfused; twig-capable
+/// policies then fuse the twig regions of that plan (`plan_twig`). A
+/// fused region's output rows are its last step's, and the next step's
+/// inputs (rows, root, context tag) are the same whether or not the
+/// region fuses, so no step is planned twice.
 fn plan_path(
     path: &Path,
     doc: &Doc,
@@ -583,41 +543,30 @@ fn plan_path(
     in_rows: f64,
     at_root: bool,
 ) -> PathPlan {
-    let mut rows = in_rows;
-    let mut root = at_root;
+    let (mut rows, mut root) = (in_rows, at_root);
     // The tag every context node of the next step is known to carry: the
     // name test of the step that produced them.
     let mut ctx_tag: Option<TagId> = None;
-    let mut steps = Vec::with_capacity(path.steps.len());
-    let mut i = 0;
-    while i < path.steps.len() {
-        // Twig-capable policies look for a region starting here; the
-        // auto policy additionally demands that the cost model predict a
-        // step-at-a-time intermediate blowup above the leapfrog frontier
-        // cost before fusing.
-        if matches!(policy, Policy::Twig | Policy::Auto) {
-            if let Some(spec) = twig_region(&path.steps[i..]) {
-                let len = spec.spine.len();
-                let source = &path.steps[i..i + len];
-                if let Some((planned, out_rows)) =
-                    plan_twig(spec, source, doc, stats, policy, rows, root)
-                {
-                    rows = out_rows;
-                    root = false;
-                    ctx_tag = element_tag(&path.steps[i + len - 1], doc);
-                    steps.push(planned);
-                    i += len;
-                    continue;
-                }
-            }
-        }
-        let (planned, out_rows) =
-            plan_step(&path.steps[i], doc, stats, policy, rows, root, ctx_tag);
-        rows = out_rows;
+    // Per step: its plan and the rows its join hands its predicates.
+    let mut planned = Vec::with_capacity(path.steps.len());
+    for step in &path.steps {
+        let (step_plan, joined) = plan_step(step, doc, stats, policy, rows, root, ctx_tag);
+        rows = step_plan.estimate.rows;
         root = false;
-        ctx_tag = element_tag(&path.steps[i], doc);
-        steps.push(planned);
-        i += 1;
+        ctx_tag = element_tag(step, doc);
+        planned.push((step_plan, joined));
+    }
+    let mut planned = planned.into_iter();
+    let mut steps = Vec::with_capacity(path.steps.len());
+    while planned.len() > 0 {
+        let rest = &path.steps[path.steps.len() - planned.len()..];
+        match plan_twig(rest, planned.as_slice(), doc, stats, policy) {
+            Some((twig, len)) => {
+                steps.push(twig);
+                planned.nth(len - 1);
+            }
+            None => steps.extend(planned.next().map(|(step, _)| step)),
+        }
     }
     PathPlan {
         absolute: path.absolute,
@@ -636,111 +585,82 @@ fn element_tag(step: &Step, doc: &Doc) -> Option<TagId> {
 // ── Twig-region recognition and lowering ────────────────────────────────
 
 /// Recognizes the maximal *twig region* starting at `steps[0]`: a run of
-/// at least two vertical name-test steps — the first on the descendant
-/// axis, later ones descendant or child — whose predicates are all
-/// relative vertical existential paths (descendant/child name-test steps
-/// with no nested predicates). Returns `None` when no region starts
+/// at least two steps in [`semijoin_chain`]'s link form — the first on
+/// the descendant axis, later ones descendant or child — whose
+/// predicates all start downward (an upward first link is no probe the
+/// leapfrog can run per binding). Returns `None` when no region starts
 /// here; single eligible steps stay on the step-at-a-time operators,
 /// which already touch no more than the twig would.
-fn twig_region(steps: &[Step]) -> Option<TwigSpec> {
-    let mut spine = Vec::new();
-    for (i, step) in steps.iter().enumerate() {
-        match twig_leg(step, i == 0) {
-            Some(leg) => spine.push(leg),
-            None => break,
-        }
-    }
-    if spine.len() < 2 {
-        return None;
-    }
-    Some(TwigSpec { spine })
+fn twig_region(steps: &[Step]) -> Option<SemijoinChain> {
+    let links: Vec<ChainLink> = steps
+        .iter()
+        .enumerate()
+        .map_while(|(i, step)| chain_link(step).filter(|link| is_twig_leg(link, i == 0)))
+        .collect();
+    (links.len() >= 2).then_some(SemijoinChain { links })
 }
 
-/// One step's twig-leg form, if it has one.
-fn twig_leg(step: &Step, first: bool) -> Option<TwigSpecLeg> {
-    let edge = match step.axis {
-        Axis::Descendant => TwigEdge::Descendant,
-        // A child-axis *first* leg would need the structural child
-        // dispatch; regions start on the partitioning descendant axis so
-        // the fused step replaces a partitioning join.
-        Axis::Child if !first => TwigEdge::Child,
-        _ => return None,
+/// Can the leapfrog bind `link` as a spine leg? A child-axis *first* leg
+/// would need the structural child dispatch; regions start on the
+/// partitioning descendant axis so the fused step replaces a
+/// partitioning join.
+fn is_twig_leg(link: &ChainLink, first: bool) -> bool {
+    let edge = match link.axis {
+        SemijoinAxis::Descendant => true,
+        SemijoinAxis::Child => !first,
+        SemijoinAxis::Ancestor => false,
     };
-    let NodeTest::Name(name) = &step.test else {
-        return None;
-    };
-    let mut chains = Vec::with_capacity(step.predicates.len());
-    for pred in &step.predicates {
-        let Predicate::Exists(path) = pred;
-        chains.push(vertical_chain(path)?);
-    }
-    Some(TwigSpecLeg {
-        edge,
-        name: name.clone(),
-        chains,
-    })
+    edge && link
+        .preds
+        .iter()
+        .all(|p| p.axis() != SemijoinAxis::Ancestor)
 }
 
-/// A predicate path's chain form: relative, non-empty, every step a
-/// predicate-free descendant/child name test.
-fn vertical_chain(path: &Path) -> Option<Vec<(TwigEdge, String)>> {
-    if path.absolute || path.steps.is_empty() {
-        return None;
-    }
-    let mut chain = Vec::with_capacity(path.steps.len());
-    for step in &path.steps {
-        if !step.predicates.is_empty() {
-            return None;
-        }
-        let edge = match step.axis {
-            Axis::Descendant => TwigEdge::Descendant,
-            Axis::Child => TwigEdge::Child,
-            _ => return None,
-        };
-        let NodeTest::Name(name) = &step.test else {
-            return None;
-        };
-        chain.push((edge, name.clone()));
-    }
-    Some(chain)
-}
-
-/// Lowers a recognized region to one fused [`StepOp::Twig`] step.
-/// Returns `None` when the policy is [`Policy::Auto`] and the cost model
-/// prices the step-at-a-time intermediates *below* the leapfrog frontier
-/// — stepping through a uniform document is cheaper than running one
-/// cursor per leg, so auto declines the fusion there.
+/// Fuses the twig region starting at `steps[0]`, if one does, into one
+/// [`StepOp::Twig`] step; returns it and the number of steps it
+/// replaces. `planned` holds, per step, its step-at-a-time plan and the
+/// rows its join hands its predicates. The last step's output rows
+/// become the fused step's, so downstream estimates do not depend on the
+/// fusion; the peak join rows — the largest intermediate the step plan
+/// carries into its predicates — are what fusion saves. Returns `None`
+/// under a fixed policy, and under [`Policy::Auto`] where that peak is
+/// no more than the leapfrog's price:
+/// [`DocStats::twig_frontier_cost`] plus reducing the legs' longer
+/// predicate chains. Stepping through a uniform document is cheaper than
+/// running one cursor per leg, so auto declines the fusion there.
 fn plan_twig(
-    spec: TwigSpec,
-    source: &[Step],
+    steps: &[Step],
+    planned: &[(PlannedStep, f64)],
     doc: &Doc,
     stats: &DocStats,
     policy: Policy,
-    in_rows: f64,
-    at_root: bool,
-) -> Option<(PlannedStep, f64)> {
-    let legs: Vec<TwigLegCost> = spec
-        .spine
+) -> Option<(PlannedStep, usize)> {
+    let region = matches!(policy, Policy::Twig | Policy::Auto)
+        .then(|| twig_region(steps))
+        .flatten()?;
+    let len = region.links.len();
+    let source = &steps[..len];
+    let peak = planned[..len]
         .iter()
-        .map(|leg| TwigLegCost {
-            fragment: stats.fragment_size(doc, doc.tag_id(&leg.name)),
-            child_edge: leg.edge == TwigEdge::Child,
-            chains: leg
-                .chains
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|(_, n)| stats.fragment_size(doc, doc.tag_id(n)))
-                        .collect()
-                })
-                .collect(),
+        .fold(0.0f64, |peak, (_, joined)| peak.max(*joined));
+    let rows = planned[len - 1].0.estimate.rows;
+    let legs: Vec<TwigLegCost> = region
+        .links
+        .iter()
+        .map(|link| TwigLegCost {
+            fragment: stats.fragment_size(doc, doc.tag_id(&link.name)),
+            child_edge: link.axis == SemijoinAxis::Child,
+            chains: link.preds.len(),
         })
         .collect();
-    let frontier = stats.twig_frontier_cost(&legs);
-    // `rows` is the step plan's final output, so downstream estimates
-    // are unchanged by splicing the twig in.
-    let (blowup, rows) = stats.step_blowup_estimate(in_rows, at_root, &legs);
-    if matches!(policy, Policy::Auto) && blowup <= frontier {
+    let reductions: f64 = region
+        .links
+        .iter()
+        .flat_map(|link| &link.preds)
+        .map(|pred| reduction_cost(pred, doc, stats, false))
+        .sum();
+    let frontier = stats.twig_frontier_cost(&legs) + reductions;
+    if matches!(policy, Policy::Auto) && peak <= frontier {
         return None;
     }
     let rendered = source
@@ -751,28 +671,21 @@ fn plan_twig(
     // The region as written, if normalisation rewrote any of its steps
     // (a rewritten step's origin carries its own leading slashes).
     let origin = source.iter().any(|s| s.origin.is_some()).then(|| {
-        let mut written = String::new();
-        for step in source {
-            match &step.origin {
-                Some(origin) => written.push_str(origin),
-                None => {
-                    if !written.is_empty() {
-                        written.push('/');
-                    }
-                    written.push_str(&step.to_string());
-                }
-            }
-        }
-        written
+        let written = |(i, step): (usize, &Step)| match &step.origin {
+            Some(origin) => origin.clone(),
+            None if i == 0 => step.to_string(),
+            None => format!("/{step}"),
+        };
+        source.iter().enumerate().map(written).collect::<String>()
     });
-    let test = NodeTest::Name(spec.spine[spec.spine.len() - 1].name.clone());
+    let test = NodeTest::Name(region.links[len - 1].name.clone());
     let planned = PlannedStep {
         // The fused step replaces the region's first (descendant-axis)
         // step in the pipeline; the evaluator dispatches it through the
         // partitioning path like any descendant step.
         axis: Axis::Descendant,
         test,
-        op: StepOp::Twig(Arc::new(spec)),
+        op: StepOp::Twig(Arc::new(region)),
         test_op: TestOp::Fused,
         predicates: Vec::new(),
         estimate: StepEstimate {
@@ -782,7 +695,7 @@ fn plan_twig(
         rendered,
         origin,
     };
-    Some((planned, rows))
+    Some((planned, len))
 }
 
 /// Fraction of window nodes surviving `test` (rough: name tests use the
@@ -800,10 +713,10 @@ fn test_selectivity(test: &NodeTest, doc: &Doc, stats: &DocStats) -> f64 {
     }
 }
 
-/// Lowers one step under `policy`; returns the planned step and the
-/// estimated output cardinality feeding the next step. `ctx_tag` is the
-/// tag the context nodes are known to carry, if the previous step's
-/// name test says so.
+/// Lowers one step under `policy`; returns the planned step (whose
+/// estimated rows feed the next step) and the rows its join hands its
+/// predicates. `ctx_tag` is the tag the context nodes are known to
+/// carry, if the previous step's name test says so.
 fn plan_step(
     step: &Step,
     doc: &Doc,
@@ -813,6 +726,8 @@ fn plan_step(
     at_root: bool,
     ctx_tag: Option<TagId>,
 ) -> (PlannedStep, f64) {
+    #[cfg(test)]
+    STEPS_PLANNED.with(|n| n.set(n.get() + 1));
     let sel = test_selectivity(&step.test, doc, stats);
     let fragment = match &step.test {
         NodeTest::Name(name) => stats.fragment_size(doc, doc.tag_id(name)),
@@ -838,6 +753,7 @@ fn plan_step(
     // independent guesses is what misprices correlated predicates. The
     // first predicate probes the step's rows, every later one the
     // survivors.
+    let joined = rows;
     let mut predicates = Vec::with_capacity(step.predicates.len());
     let mut candidates = rows;
     for pred in &step.predicates {
@@ -861,7 +777,7 @@ fn plan_step(
         rendered: step.to_string(),
         origin: step.origin.clone(),
     };
-    (planned, rows)
+    (planned, joined)
 }
 
 /// Lowers a structural-axis step. Every fixed engine runs these as
@@ -1120,10 +1036,8 @@ fn plan_predicate(
     }
 }
 
-/// The semijoin chain's price: one [`DocStats::semijoin_cost`] per edge,
-/// each link's full list probing the next link's (the reduction runs
-/// right to left, so no list is smaller than its tag fragment when it
-/// is probed).
+/// The semijoin chain's price over `candidates`: their probe into the
+/// reduced first-link list, plus the reduction.
 fn chain_cost(
     chain: &SemijoinChain,
     doc: &Doc,
@@ -1131,14 +1045,27 @@ fn chain_cost(
     candidates: f64,
     prescan: bool,
 ) -> f64 {
-    let mut probing = candidates;
+    let first = stats.fragment_size(doc, doc.tag_id(&chain.links[0].name));
+    stats.semijoin_cost(candidates, first, prescan) + reduction_cost(chain, doc, stats, prescan)
+}
+
+/// The price of reducing a chain to its first link's list, whoever
+/// probes it: one [`DocStats::semijoin_cost`] per edge, each link's full
+/// list probing the next link's (the reduction runs right to left, so no
+/// list is smaller than its tag fragment when it is probed), and each
+/// link's own predicates over that list. A one-link chain without
+/// predicates is its tag's list: 0.
+fn reduction_cost(chain: &SemijoinChain, doc: &Doc, stats: &DocStats, prescan: bool) -> f64 {
+    let mut probing: Option<f64> = None;
     let mut cost = 0.0;
     for link in &chain.links {
         let fragment = stats.fragment_size(doc, doc.tag_id(&link.name));
-        cost += stats.semijoin_cost(probing, fragment, prescan);
-        probing = fragment as f64;
+        if let Some(probing) = probing {
+            cost += stats.semijoin_cost(probing, fragment, prescan);
+        }
+        probing = Some(fragment as f64);
         for pred in &link.preds {
-            cost += chain_cost(pred, doc, stats, probing, prescan);
+            cost += chain_cost(pred, doc, stats, fragment as f64, prescan);
         }
     }
     cost
@@ -1152,28 +1079,31 @@ fn semijoin_chain(path: &Path) -> Option<SemijoinChain> {
     if path.absolute || path.steps.is_empty() {
         return None;
     }
-    let mut links = Vec::with_capacity(path.steps.len());
-    for step in &path.steps {
-        let axis = match step.axis {
-            Axis::Descendant => SemijoinAxis::Descendant,
-            Axis::Child => SemijoinAxis::Child,
-            Axis::Ancestor => SemijoinAxis::Ancestor,
-            _ => return None,
-        };
-        let NodeTest::Name(name) = &step.test else {
-            return None;
-        };
-        let mut preds = Vec::with_capacity(step.predicates.len());
-        for Predicate::Exists(inner) in &step.predicates {
-            preds.push(semijoin_chain(inner)?);
-        }
-        links.push(ChainLink {
-            axis,
-            name: name.clone(),
-            preds,
-        });
-    }
+    let links = path.steps.iter().map(chain_link).collect::<Option<_>>()?;
     Some(SemijoinChain { links })
+}
+
+/// One step's [`ChainLink`] form, if it has one.
+fn chain_link(step: &Step) -> Option<ChainLink> {
+    let axis = match step.axis {
+        Axis::Descendant => SemijoinAxis::Descendant,
+        Axis::Child => SemijoinAxis::Child,
+        Axis::Ancestor => SemijoinAxis::Ancestor,
+        _ => return None,
+    };
+    let NodeTest::Name(name) = &step.test else {
+        return None;
+    };
+    let preds = step
+        .predicates
+        .iter()
+        .map(|Predicate::Exists(inner)| semijoin_chain(inner))
+        .collect::<Option<_>>()?;
+    Some(ChainLink {
+        axis,
+        name: name.clone(),
+        preds,
+    })
 }
 
 #[cfg(test)]
@@ -1573,18 +1503,35 @@ mod tests {
         let plan = plan_for("/descendant::a[b]/descendant::c", Engine::twig());
         let steps = plan.branches()[0].steps();
         assert_eq!(steps.len(), 1, "{plan}");
-        let StepOp::Twig(spec) = steps[0].operator() else {
+        let StepOp::Twig(region) = steps[0].operator() else {
             panic!("expected a fused twig step, got {}", steps[0].operator());
         };
-        assert_eq!(spec.spine.len(), 2);
-        assert_eq!(spec.spine[0].name, "a");
-        assert_eq!(spec.spine[0].chains, [[(TwigEdge::Child, "b".to_string())]]);
-        assert_eq!(spec.spine[1].edge, TwigEdge::Descendant);
+        assert_eq!(region.links.len(), 2);
+        assert_eq!(region.links[0].name, "a");
+        let [pred] = &region.links[0].preds[..] else {
+            panic!("one predicate on the first leg: {plan}");
+        };
+        assert!(pred.is_single() && pred.axis() == SemijoinAxis::Child);
+        assert_eq!(region.links[1].axis, SemijoinAxis::Descendant);
         // Fused output binding: no residual test or predicates.
         assert_eq!(steps[0].test_operator(), TestOp::Fused);
         assert!(steps[0].predicate_operators().is_empty());
         // The fused step needs the prebuilt fragments.
         assert!(plan.needs_tag_index());
+        // A leg's predicate is any chain that starts downward: nested
+        // predicates and inner upward links are reduced before the
+        // leapfrog probes them.
+        for (expr, rendered) in [
+            ("/descendant::a[b[c]]/descendant::c", "twig[a.b.c, a>c]"),
+            (
+                "/descendant::a[descendant::c/ancestor::b]/child::b",
+                "twig[a>c^b, a.b]",
+            ),
+        ] {
+            let plan = plan_for(expr, Engine::twig());
+            assert_eq!(ops(&plan).len(), 1, "{plan}");
+            assert_eq!(ops(&plan)[0].to_string(), rendered, "{plan}");
+        }
     }
 
     #[test]
@@ -1603,11 +1550,12 @@ mod tests {
         // A lone eligible step is no region at all.
         let single = plan_for("/descendant::b", Engine::twig());
         assert_eq!(ops(&single), [StepOp::Fragment { prescan: false }]);
-        // Positional ineligibility: a nested predicate blocks the chain.
-        let nested = plan_for("/descendant::a[b[c]]/descendant::c", Engine::twig());
+        // A predicate that starts upward is no probe the leapfrog can
+        // run per binding: it ends the region.
+        let upward = plan_for("/descendant::a[ancestor::x]/descendant::c", Engine::twig());
         assert!(
-            !ops(&nested).iter().any(|op| matches!(op, StepOp::Twig(_))),
-            "{nested}"
+            !ops(&upward).iter().any(|op| matches!(op, StepOp::Twig(_))),
+            "{upward}"
         );
     }
 
@@ -1634,6 +1582,68 @@ mod tests {
             !ops(&plan).iter().any(|op| matches!(op, StepOp::Twig(_))),
             "{plan}"
         );
+    }
+
+    /// The same region on two documents. On the skewed one 2 000 `a`s
+    /// hold one `c` between them: the step plan carries every `a` into
+    /// the next step, the leapfrog pivots on the lone `c`, and auto fuses.
+    /// On the uniform fixture auto keeps stepping. Where no element
+    /// carries the names, the peak is 0: auto steps, twig still fuses,
+    /// and every estimate stays finite.
+    #[test]
+    fn auto_fuses_a_skewed_twig_and_declines_a_uniform_one() {
+        let expr = "/descendant::a[b]/descendant::c[d]";
+        let planned = |xml: &str, engine: Engine| {
+            let doc = Doc::from_xml(xml).unwrap();
+            let stats = DocStats::from_doc(&doc);
+            plan_union(&parse_union(expr).unwrap(), &doc, &stats, engine)
+        };
+        let fused = |plan: &PhysicalPlan| matches!(ops(plan)[..], [StepOp::Twig(_)]);
+        let skewed = format!(
+            "<site>{}<a><b/><c><d/></c></a></site>",
+            "<a><b/></a>".repeat(2000)
+        );
+        let plan = planned(&skewed, Engine::auto());
+        assert!(fused(&plan), "{plan}");
+        let step_rows = planned(&skewed, Engine::default()).branches()[0].steps()[1]
+            .estimate()
+            .rows;
+        assert_eq!(plan.branches()[0].steps()[0].estimate().rows, step_rows);
+        assert!(!fused(&plan_for(expr, Engine::auto())));
+        let absent = "<site><x/></site>";
+        assert!(!fused(&planned(absent, Engine::auto())));
+        let forced = planned(absent, Engine::twig());
+        assert!(fused(&forced), "{forced}");
+        let estimate = forced.branches()[0].steps()[0].estimate();
+        assert!(
+            estimate.cost.is_finite() && estimate.rows >= 0.0,
+            "{forced}"
+        );
+    }
+
+    /// A twig region whose last leg nests the same region in its
+    /// predicate, as deep as the parser allows. Auto declines every level
+    /// (no element carries the names), and each of the query's steps is
+    /// planned exactly once: deciding a fusion never replans the region.
+    #[test]
+    fn a_deeply_nested_twig_predicate_plans_each_step_once() {
+        let depth = crate::parser::MAX_PREDICATE_DEPTH;
+        let expr = format!(
+            "/descendant::b/child::c{}{}",
+            "[descendant::b/child::c".repeat(depth),
+            "]".repeat(depth)
+        );
+        let doc = Doc::from_xml("<site><x/></site>").unwrap();
+        let stats = DocStats::from_doc(&doc);
+        let parsed = parse_union(&expr).unwrap();
+        let before = STEPS_PLANNED.with(|n| n.get());
+        let plan = plan_union(&parsed, &doc, &stats, Engine::auto());
+        let planned = STEPS_PLANNED.with(|n| n.get()) - before;
+        assert_eq!(planned, 2 * (depth + 1));
+        assert!(!ops(&plan).iter().any(|op| matches!(op, StepOp::Twig(_))));
+        // Forced, the outermost region fuses over the same nesting.
+        let forced = plan_union(&parsed, &doc, &stats, Engine::twig());
+        assert!(matches!(ops(&forced)[..], [StepOp::Twig(_)]), "{forced}");
     }
 
     #[test]

@@ -439,7 +439,7 @@ fn auto_ops(session: &Session, expr: &str) -> Vec<StepOp> {
 }
 
 #[test]
-fn auto_replans_when_estimates_mislead() {
+fn auto_runs_the_plan_it_priced_once_when_estimates_mislead() {
     // `adaptive` is a name for auto, not a second engine.
     assert_eq!(Engine::adaptive(), Engine::auto());
     // Stacked predicates halve the estimated `a` frontier once, so the
@@ -522,7 +522,7 @@ fn auto_replans_when_estimates_mislead() {
 /// A query's plan is its own: it picks the same operators, and reports
 /// the same step statistics, alone and next to a batch partner.
 #[test]
-fn auto_replans_a_query_the_same_alone_and_batched() {
+fn auto_plans_a_query_the_same_alone_and_batched() {
     // Fifteen `self::a` filters halve the estimated `a` frontier once:
     // the 1 000 expected contexts price `descendant::x` as the fragment
     // join, which the 2 000 observed ones run at 2 000 entries and 2 000
