@@ -19,11 +19,11 @@
 //! * **Governed, between grains**: an inline countdown. The ticker
 //!   keeps `left`, the units it may still take before the next full
 //!   check, and a tick of `n` is `n < left`, one relaxed load of the
-//!   budget's `halt` flag and a subtraction — no call, no clock, no
-//!   write to shared memory. `halt` is set by [`Budget::cancel`] and by
-//!   every latched trip, so a cancel, or a trip another thread latched,
-//!   is seen on the very next tick.
-//! * **Once per [`TICK_GRAIN`] units**, or when `halt` is set: the
+//!   budget's latched trip and a subtraction — no call, no clock, no
+//!   write to shared memory. [`Budget::cancel`] latches a trip too, so
+//!   a cancel, or a trip another thread latched, is seen on the very
+//!   next tick.
+//! * **Once per [`TICK_GRAIN`] units**, or once a trip is latched: the
 //!   out-of-line slow path charges the accumulated units to the shared
 //!   touched counter and runs the full [`Budget::check`], which reads
 //!   the clock once. A governed scan therefore observes a deadline or
@@ -54,9 +54,18 @@
 //! the query it governs, and the **kernels** charge it as they scan
 //! (that is what makes mid-pass trips prompt). The executor only checks
 //! it between steps.
+//!
+//! # Interrupts
+//!
+//! A budget may carry an interrupt ([`Budget::with_interrupt`]): a hook
+//! for a stop only its owner can see (the server's reads the socket for
+//! a `CANCEL` or a hang-up). Only the full [`Budget::check`] polls it,
+//! last, so it runs once per [`TICK_GRAIN`] units and at step
+//! boundaries, never on a sub-grain tick or in an ungoverned run. `true`
+//! latches [`Trip::Cancelled`].
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -125,15 +134,20 @@ impl std::fmt::Display for Trip {
 pub struct Budget {
     deadline: Option<Instant>,
     max_touched: Option<u64>,
+    interrupt: Option<Interrupt>,
     touched: AtomicU64,
-    cancelled: AtomicBool,
-    /// Latched first trip (0 = none, else `Trip::as_u8`).
+    /// Latched first trip (0 = none, else `Trip::as_u8`): the one word
+    /// a sub-grain [`Ticker::tick`] reads.
     tripped: AtomicU8,
-    /// Set by [`Budget::cancel`] and every latch, after the cause is
-    /// stored: the one flag a sub-grain [`Ticker::tick`] reads. The
-    /// `Release` store pairs with [`Budget::quick_check`]'s `Acquire`
-    /// load, which then sees `cancelled` or `tripped`.
-    halt: AtomicBool,
+}
+
+/// The hook of [`Budget::with_interrupt`].
+struct Interrupt(Box<dyn Fn() -> bool + Send + Sync>);
+
+impl std::fmt::Debug for Interrupt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Interrupt")
+    }
 }
 
 impl Budget {
@@ -177,21 +191,27 @@ impl Budget {
         self
     }
 
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
+    /// Polls `interrupt` at every full [`Budget::check`] that finds no
+    /// other trip; `true` latches [`Trip::Cancelled`]. See *Interrupts*
+    /// in the module docs.
+    pub fn with_interrupt(
+        mut self,
+        interrupt: impl Fn() -> bool + Send + Sync + 'static,
+    ) -> Budget {
+        self.interrupt = Some(Interrupt(Box::new(interrupt)));
+        self
     }
 
-    /// Requests cooperative cancellation: the next check (on whatever
-    /// thread is running the work) trips with [`Trip::Cancelled`].
+    /// Requests cooperative cancellation: latches [`Trip::Cancelled`]
+    /// unless a trip is latched already, so the next check (on whatever
+    /// thread is running the work) stops.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-        self.halt.store(true, Ordering::Release);
+        self.latch(Trip::Cancelled);
     }
 
-    /// Has [`Budget::cancel`] been called?
+    /// Is the latched trip a cancellation?
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+        self.trip() == Some(Trip::Cancelled)
     }
 
     /// Total nodes charged so far.
@@ -213,11 +233,12 @@ impl Budget {
         self.check()
     }
 
-    /// The full cooperative check: latched trip, then cancel flag, then
-    /// deadline (one clock read), then cost ceiling. The first failing
-    /// condition latches and is returned; `None` means keep going.
+    /// The full cooperative check: latched trip, then deadline (one
+    /// clock read), then cost ceiling, then the interrupt. The first
+    /// failing condition latches and is returned; `None` means keep
+    /// going.
     pub fn check(&self) -> Option<Trip> {
-        if let Some(t) = self.quick_check() {
+        if let Some(t) = self.trip() {
             return Some(t);
         }
         if let Some(d) = self.deadline {
@@ -230,26 +251,14 @@ impl Budget {
                 return Some(self.latch(Trip::Cost));
             }
         }
-        None
-    }
-
-    /// The clock-free check: latched trip and cancel flag only, behind
-    /// one load of the `halt` flag that either sets.
-    pub fn quick_check(&self) -> Option<Trip> {
-        if !self.halt.load(Ordering::Acquire) {
-            return None;
-        }
-        if let Some(t) = self.trip() {
-            return Some(t);
-        }
-        if self.cancelled.load(Ordering::Relaxed) {
+        if self.interrupt.as_ref().is_some_and(|hook| (hook.0)()) {
             return Some(self.latch(Trip::Cancelled));
         }
         None
     }
 
-    /// The latched trip state, if any — no new conditions are
-    /// evaluated.
+    /// The latched trip state, if any — the clock-free check: no new
+    /// conditions are evaluated.
     pub fn trip(&self) -> Option<Trip> {
         Trip::from_u8(self.tripped.load(Ordering::Relaxed))
     }
@@ -260,7 +269,6 @@ impl Budget {
         let _ = self
             .tripped
             .compare_exchange(0, t.as_u8(), Ordering::Relaxed, Ordering::Relaxed);
-        self.halt.store(true, Ordering::Release);
         self.trip().unwrap_or(t)
     }
 }
@@ -353,14 +361,14 @@ impl Ticker {
     /// Charges `n` touched units and reports whether the budget has
     /// tripped. Between grains this is the inline countdown (see the
     /// module docs); the tick that completes a [`TICK_GRAIN`], or any
-    /// tick after the budget halted, takes the full check. `true` means
+    /// tick after a trip latched, takes the full check. `true` means
     /// *stop now*: abandon the scan and return — the caller discards the
     /// partial result.
     #[inline]
     pub fn tick(&mut self, n: u64) -> bool {
         match &self.budget {
             None => false,
-            Some(budget) if n < self.left && !budget.halt.load(Ordering::Relaxed) => {
+            Some(budget) if n < self.left && budget.tripped.load(Ordering::Relaxed) == 0 => {
                 self.left -= n;
                 false
             }
@@ -368,10 +376,10 @@ impl Ticker {
         }
     }
 
-    /// [`Ticker::tick`] when the grain rolls over or the budget halted:
-    /// a rollover charges every uncharged unit and runs the full check
+    /// [`Ticker::tick`] when the grain rolls over or a trip latched: a
+    /// rollover charges every uncharged unit and runs the full check
     /// (one clock read); otherwise the units stay counted down and the
-    /// clock-free check names the halt. Out of line, so a kernel's loop
+    /// latched trip stops the scan. Out of line, so a kernel's loop
     /// carries only the countdown.
     #[cold]
     #[inline(never)]
@@ -385,7 +393,7 @@ impl Ticker {
             budget.charge(pending).is_some()
         } else {
             self.left -= n;
-            budget.quick_check().is_some()
+            budget.trip().is_some()
         }
     }
 
@@ -443,6 +451,8 @@ impl Drop for Ticker {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
 
     #[test]
@@ -476,11 +486,11 @@ mod tests {
     #[test]
     fn cancellation_is_cross_thread_visible() {
         let b = Arc::new(Budget::new());
-        assert_eq!(b.quick_check(), None);
+        assert_eq!(b.trip(), None);
         let b2 = Arc::clone(&b);
         std::thread::spawn(move || b2.cancel()).join().unwrap();
         assert!(b.is_cancelled());
-        assert_eq!(b.quick_check(), Some(Trip::Cancelled));
+        assert_eq!(b.trip(), Some(Trip::Cancelled));
     }
 
     #[test]
@@ -572,6 +582,92 @@ mod tests {
             assert_eq!(b.touched(), ticks.iter().sum::<u64>() - 3);
         }
         assert_eq!(b.touched(), ticks.iter().sum::<u64>());
+    }
+
+    /// A budget whose interrupt counts its polls and answers `fire`.
+    fn interruptible() -> (Budget, Arc<AtomicU64>, Arc<AtomicBool>) {
+        let (polls, fire) = (
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (p, f) = (Arc::clone(&polls), Arc::clone(&fire));
+        let budget = Budget::new().with_interrupt(move || {
+            p.fetch_add(1, Ordering::Relaxed);
+            f.load(Ordering::Relaxed)
+        });
+        (budget, polls, fire)
+    }
+
+    #[test]
+    fn the_interrupt_is_polled_only_by_the_full_check() {
+        let (budget, polls, _) = interruptible();
+        let b = Arc::new(budget);
+        // Ungoverned: a budget exists but is not installed.
+        let mut inert = Ticker::ambient();
+        assert!(!inert.tick(10 * TICK_GRAIN));
+        drop(inert);
+        assert_eq!(polls.load(Ordering::Relaxed), 0);
+        let mut t = Ticker::for_budget(Some(Arc::clone(&b)));
+        for _ in 0..TICK_GRAIN - 1 {
+            assert!(!t.tick(1));
+        }
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            0,
+            "no poll on a sub-grain tick"
+        );
+        assert!(!t.tick(1));
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            1,
+            "the grain's full check polls"
+        );
+        assert_eq!(b.trip(), None);
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            1,
+            "reading the latched trip never polls"
+        );
+        assert_eq!(b.check(), None);
+        assert_eq!(polls.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_firing_interrupt_latches_cancelled_at_the_next_full_check() {
+        let (budget, polls, fire) = interruptible();
+        let b = Arc::new(budget);
+        let mut t = Ticker::for_budget(Some(Arc::clone(&b)));
+        assert!(!t.tick(1));
+        fire.store(true, Ordering::Relaxed);
+        // Sub-grain ticks do not see it...
+        assert!(!t.tick(1));
+        assert_eq!(b.trip(), None);
+        // ...the full check does, and latches it.
+        assert!(t.tick(TICK_GRAIN));
+        assert_eq!(b.trip(), Some(Trip::Cancelled));
+        fire.store(false, Ordering::Relaxed);
+        let seen = polls.load(Ordering::Relaxed);
+        assert_eq!(b.check(), Some(Trip::Cancelled));
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            seen,
+            "a latched budget polls no more"
+        );
+    }
+
+    #[test]
+    fn an_already_latched_trip_keeps_its_cause_over_the_interrupt() {
+        let (budget, polls, fire) = interruptible();
+        let b = budget.with_max_touched(10);
+        fire.store(true, Ordering::Relaxed);
+        assert_eq!(b.charge(11), Some(Trip::Cost), "cost is checked first");
+        assert_eq!(b.check(), Some(Trip::Cost));
+        assert_eq!(polls.load(Ordering::Relaxed), 0);
+        let (budget, _, fire) = interruptible();
+        let b = budget.with_deadline(Instant::now() - Duration::from_millis(1));
+        fire.store(true, Ordering::Relaxed);
+        assert_eq!(b.check(), Some(Trip::Deadline));
+        assert_eq!(b.check(), Some(Trip::Deadline));
     }
 
     #[test]

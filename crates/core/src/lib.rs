@@ -112,7 +112,7 @@
 //!   pieces of comparison-free runs, scanned positions, twig seeks) and
 //!   **abandons the pass** on a trip, returning partial state. A check
 //!   costs one branch ungoverned; governed, it is an inline countdown
-//!   plus one relaxed load of the budget's halt flag, and only once per
+//!   plus one relaxed load of the budget's latched trip, and only once per
 //!   [`governor::TICK_GRAIN`] units an out-of-line call charges the
 //!   shared counter and reads the clock. Partial results are
 //!   *garbage by contract*: only the layer that installed the budget

@@ -1,73 +1,77 @@
-//! Per-connection protocol loop: one thread executes, the reader
-//! cancels.
+//! Per-connection protocol loop: a connection is one thread.
 //!
-//! Each accepted connection gets a thread running [`serve`] and, under
-//! it, a **reader thread** on a clone of the socket. The reader turns
-//! bytes into frames and hands them over one channel; the connection
-//! thread serves them in order, and serving a `QUERY` means executing it
-//! right there, against the shared [`Session`], and streaming the answer
-//! out. There is no queue between a query's arrival and its execution
-//! and no thread hand-off besides the reader's.
+//! Each accepted connection gets a thread running [`serve`]. It owns the
+//! socket and one input buffer ([`Inbox`]), reads its own frames, and
+//! serves each in order as a slice of that buffer, so no request frame
+//! is allocated. Serving a `QUERY` means executing it right there,
+//! against the shared [`Session`], and streaming the answer out: no
+//! queue and no thread hand-off. Repeated texts skip parse and plan:
+//! the connection keeps the [`Query`] it prepared for each text
+//! ([`Prepared`]), and a `Query` keeps its plan per engine.
 //!
-//! The reader keeps reading while a query runs, because two things must
-//! reach a running query: a `CANCEL` frame and the peer hanging up (EOF
-//! or a dead stream). The connection thread is busy executing and could
-//! not receive either, so the reader acts on them itself: the running
-//! query's governor [`Budget`] sits in a slot of the connection's
-//! [`Flow`], and the reader cancels it directly. A `CANCEL` that lands
-//! after its query was delivered but before it started is held in the
-//! slot and cancels the query as it starts. `CANCEL` frames never reach
-//! the connection thread. Any other frame that arrives early waits in
-//! the channel and is served after the in-flight answer; the reader
-//! reads at most one frame ahead of the one being served, so a
-//! pipelining client is held back by TCP, not buffered without bound.
+//! A running query must still see a `CANCEL` frame and the peer hanging
+//! up. Its governor [`Budget`] carries an interrupt, polled by the
+//! budget's full check, that reads the socket without blocking at most
+//! once per [`POLL_EVERY`]. A `CANCEL` at the front of the buffer is
+//! consumed and cancels the query, and so do EOF and a stream error. It
+//! reads only while no whole frame other than a `CANCEL` is buffered, so
+//! a request pipelined behind the query waits its turn and TCP holds a
+//! pipelining client back. A `CANCEL` already buffered right behind a
+//! query cancels it as it starts; one with nothing in flight is ignored.
 //!
 //! Nothing on the request path waits on a clock. The one tick left
-//! ([`TICK`]) lives inside the reader, where it bounds how soon an
-//! *idle* connection notices the shutdown flag and its read deadline —
-//! idle *or* dribbling-a-partial-frame connections are closed with a
-//! typed `TIMEOUT` error. The deadline counts from the moment the
-//! connection last finished serving a frame and is paused while one is
-//! being served, so a long query never times its own connection out.
+//! ([`TICK`]) is the blocking read's timeout: it bounds how soon an idle
+//! connection notices the shutdown flag and its read deadline — idle
+//! *or* dribbling-a-partial-frame connections are closed with a typed
+//! `TIMEOUT` error. The deadline counts from the moment the connection
+//! last finished serving a frame, so a long query never times its own
+//! connection out.
 //!
-//! Admission is a counting semaphore: at most
-//! [`queue_depth`](ServerConfig::queue_depth) queries execute at once,
-//! server-wide; a query past the bound is answered `SERVER_BUSY`, and one
-//! that arrives after shutdown was triggered `SHUTTING_DOWN`. Every
-//! admitted query runs under a governor `Budget` whose deadline is the
-//! smaller of the client's optional per-query deadline and the server's
-//! execution timeout. Governed failures — deadline, budget, cancel, or a
-//! caught internal panic — answer typed `ERROR` frames and the
-//! connection stays open. Only errors that lose the frame boundary (or
-//! the peer) close it.
+//! Admission is a counting semaphore of
+//! [`queue_depth`](ServerConfig::queue_depth) executing queries,
+//! server-wide (`SERVER_BUSY` past it, `SHUTTING_DOWN` after shutdown).
+//! Every admitted query runs under a budget whose deadline is the
+//! smaller of the client's and the server's execution timeout. Governed
+//! failures — deadline, budget, cancel, or a caught internal panic —
+//! answer typed `ERROR` frames and the connection stays open; only
+//! errors that lose the frame boundary (or the peer) close it.
 //!
 //! An answer leaves in as few writes as it has 64 KiB blocks: frames
 //! are encoded straight into a reusable per-connection buffer that is
 //! flushed at the terminal frame.
 
-use std::io::{BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown as SocketShutdown, TcpStream};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use staircase_xpath::{faults, Budget, Error, QueryOutput, Session};
+use staircase_xpath::{faults, Budget, Error, Query, QueryOutput, Session};
 
 use crate::metrics::Metrics;
 use crate::protocol::{
     begin_frame, code, done_payload, end_frame, error_payload, flags, frame, parse_query_payload,
-    push_frame, push_ids, write_line, Frame, HEADER_LEN,
+    push_frame, push_ids, write_line, HEADER_LEN,
 };
 use crate::shutdown::Shutdown;
 use crate::ServerConfig;
 
-/// How often the reader's blocked read wakes to check the shutdown flag
-/// and the idle deadline. Off the request path: a connection thread
-/// never waits on it.
+/// How often a blocked read wakes to check the shutdown flag and the
+/// idle deadline. Off the request path: a frame that arrives is read at
+/// once.
 const TICK: Duration = Duration::from_millis(50);
+
+/// The least time between two socket reads of a running query's
+/// interrupt: a query shorter than this never reads the socket.
+const POLL_EVERY: Duration = Duration::from_millis(1);
+
+/// The input buffer's resting size; it grows to hold a larger frame
+/// whole and shrinks back once that frame is served.
+const INPUT_BYTES: usize = 8 * 1024;
 
 /// Rendered chunks are closed at this payload size.
 const RENDER_CHUNK_BYTES: usize = 32 * 1024;
@@ -76,9 +80,12 @@ const RENDER_CHUNK_BYTES: usize = 32 * 1024;
 /// every terminal frame.
 const FLUSH_BYTES: usize = 64 * 1024;
 
-/// How many delivered-but-unserved frames stop the reader: the one
-/// being served plus one waiting behind it.
-const READ_AHEAD: usize = 2;
+/// How many texts a connection keeps prepared.
+const PREPARED_TEXTS: usize = 64;
+
+/// How many bytes of text a connection keeps prepared; a longer text is
+/// prepared for its request alone.
+const PREPARED_BYTES: usize = 64 * 1024;
 
 /// Everything a connection thread needs, shared by all of them.
 pub(crate) struct ConnShared {
@@ -116,15 +123,8 @@ impl ConnShared {
     }
 }
 
-/// What the reader sends the connection thread.
-enum Event {
-    /// A request frame (never a `CANCEL`: the reader acts on those).
-    Frame(Frame),
-    /// The reader's last word: no further frame will come, and why.
-    Closed(Closed),
-}
-
-/// Why the reader stopped.
+/// Why a connection stops reading.
+#[derive(Debug, PartialEq, Eq)]
 enum Closed {
     /// The peer closed between frames.
     CleanEof,
@@ -138,199 +138,189 @@ enum Closed {
     Dead,
 }
 
-/// What the reader and the connection thread share besides the channel:
-/// how many delivered frames are still unserved (the reader's read-ahead
-/// credit and the idle clock's pause), since when the connection has
-/// been idle, that it is closing, and the running query's budget.
-struct Flow {
-    state: Mutex<FlowState>,
-    changed: Condvar,
+/// What the front of the input buffer holds.
+enum Front {
+    /// Not yet a whole frame, which takes this many bytes in all.
+    Partial(usize),
+    /// A whole frame: its type and payload length.
+    Frame(u8, usize),
+    /// A header announcing more than the frame limit.
+    Oversized(u32),
 }
 
-struct FlowState {
-    unserved: usize,
-    idle_since: Instant,
-    closing: bool,
-    /// The budget of the query the connection thread is executing.
-    running: Option<Arc<Budget>>,
-    /// A cancel that arrived while a frame was being served but before
-    /// its query started; it cancels that query as it starts.
-    cancel_pending: bool,
+/// The connection's read half: the socket and the one buffer it is read
+/// into. Bytes `head..end` of `buf` are received and not yet consumed.
+struct Inbox<R = TcpStream> {
+    stream: R,
+    buf: Vec<u8>,
+    head: usize,
+    end: usize,
+    max_frame: usize,
+    /// The earliest instant the running query's interrupt reads again.
+    next_poll: Instant,
 }
 
-impl Flow {
-    fn new() -> Flow {
-        Flow {
-            state: Mutex::new(FlowState {
-                unserved: 0,
-                idle_since: Instant::now(),
-                closing: false,
-                running: None,
-                cancel_pending: false,
-            }),
-            changed: Condvar::new(),
+impl<R: Read> Inbox<R> {
+    fn new(stream: R, max_frame: usize) -> Inbox<R> {
+        Inbox {
+            stream,
+            buf: vec![0; INPUT_BYTES],
+            head: 0,
+            end: 0,
+            max_frame,
+            next_poll: Instant::now(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlowState> {
-        // Every update leaves the state valid at every step, so a
-        // holder's panic poisons nothing.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Reader: blocks while it is [`READ_AHEAD`] frames ahead; `false`
-    /// means the connection is closing.
-    fn wait_for_credit(&self) -> bool {
-        let mut state = self.lock();
-        while state.unserved >= READ_AHEAD && !state.closing {
-            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        !state.closing
-    }
-
-    /// Reader: a frame is about to be delivered.
-    fn delivered(&self) {
-        self.lock().unserved += 1;
-    }
-
-    /// Reader: a `CANCEL` frame or the peer going away. Cancels the
-    /// running query, or the one about to start; with nothing being
-    /// served it only counts as a frame received.
-    fn cancel(&self) {
-        let mut state = self.lock();
-        if let Some(budget) = &state.running {
-            budget.cancel();
-        } else if state.unserved > 0 {
-            state.cancel_pending = true;
+    fn front(&self) -> Front {
+        let bytes = &self.buf[self.head..self.end];
+        let Some(header) = bytes.get(..HEADER_LEN) else {
+            return Front::Partial(HEADER_LEN);
+        };
+        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
+        if len as usize > self.max_frame {
+            Front::Oversized(len)
+        } else if bytes.len() < HEADER_LEN + len as usize {
+            Front::Partial(HEADER_LEN + len as usize)
         } else {
-            state.idle_since = Instant::now();
+            Front::Frame(header[4], len as usize)
         }
     }
 
-    /// Connection thread: `budget`'s query starts executing.
-    fn start(&self, budget: &Arc<Budget>) {
-        let mut state = self.lock();
-        if std::mem::take(&mut state.cancel_pending) {
-            budget.cancel();
+    /// Consumes the front frame, which must be whole; returns where its
+    /// payload sits in `buf`.
+    fn consume(&mut self, len: usize) -> Range<usize> {
+        let payload = self.head + HEADER_LEN..self.head + HEADER_LEN + len;
+        self.head = payload.end;
+        payload
+    }
+
+    /// Consumes a `CANCEL` at the front of the buffer, if one is there.
+    fn take_cancel(&mut self) -> bool {
+        let Front::Frame(frame::CANCEL, len) = self.front() else {
+            return false;
+        };
+        self.consume(len);
+        true
+    }
+
+    /// One read into the buffer, after making room for the `want`
+    /// bytes of the front frame. `Ok(0)` is EOF.
+    fn fill(&mut self, want: usize) -> std::io::Result<usize> {
+        if self.head == self.end {
+            (self.head, self.end) = (0, 0);
+            self.buf.truncate(INPUT_BYTES);
+            self.buf.shrink_to_fit();
         }
-        state.running = Some(Arc::clone(budget));
-    }
-
-    /// Connection thread: a delivered frame has been fully served (its
-    /// answer, if it has one, written). The idle clock restarts when
-    /// nothing is left unserved.
-    fn served(&self) {
-        let mut state = self.lock();
-        state.unserved = state.unserved.saturating_sub(1);
-        state.running = None;
-        state.cancel_pending = false;
-        if state.unserved == 0 {
-            state.idle_since = Instant::now();
+        if self.head + want > self.buf.len() {
+            self.buf.copy_within(self.head..self.end, 0);
+            (self.head, self.end) = (0, self.end - self.head);
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
+            }
         }
-        drop(state);
-        self.changed.notify_all();
+        let n = self.stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
-    /// Reader: `Some(idle_since)` when no frame is being served.
-    fn idle_since(&self) -> Option<Instant> {
-        let state = self.lock();
-        (state.unserved == 0).then_some(state.idle_since)
-    }
-
-    fn close(&self) {
-        self.lock().closing = true;
-        self.changed.notify_all();
-    }
-}
-
-/// Reads exactly `buf.len()` bytes; every [`TICK`] without data,
-/// `on_tick(at_boundary)` may end the read. `at_boundary` says no byte
-/// of a frame has been read yet: an EOF there is a clean close, an EOF
-/// anywhere else is [`Closed::Dead`].
-fn read_exact_ticking(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    frame_started: bool,
-    on_tick: &mut impl FnMut(bool) -> Option<Closed>,
-) -> Result<(), Closed> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let at_boundary = filled == 0 && !frame_started;
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if at_boundary => return Err(Closed::CleanEof),
-            Ok(0) => return Err(Closed::Dead),
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if let Some(closed) = on_tick(at_boundary) {
-                    return Err(closed);
+    /// The next frame, read blocking: its type and where its payload
+    /// sits in `buf` (valid until the next read). Every [`TICK`] without
+    /// data, an idle connection checks the shutdown flag (between frames
+    /// only) and the read deadline counted from `idle_since`.
+    fn next_frame(
+        &mut self,
+        idle_since: Instant,
+        shutdown: &Shutdown,
+        read_timeout: Duration,
+    ) -> Result<(u8, Range<usize>), Closed> {
+        loop {
+            let want = match self.front() {
+                Front::Frame(ty, len) => return Ok((ty, self.consume(len))),
+                Front::Oversized(len) => return Err(Closed::Oversized(len)),
+                Front::Partial(want) => want,
+            };
+            let at_boundary = self.head == self.end;
+            match self.fill(want) {
+                Ok(0) if at_boundary => return Err(Closed::CleanEof),
+                Ok(0) => return Err(Closed::Dead),
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if at_boundary && shutdown.is_triggered() {
+                        return Err(Closed::Shutdown);
+                    }
+                    if idle_since.elapsed() >= read_timeout {
+                        return Err(Closed::TimedOut);
+                    }
                 }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(Closed::Dead),
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(Closed::Dead),
         }
     }
-    Ok(())
 }
 
-/// Reads one whole frame, consulting `on_tick` whenever the socket has
-/// been silent for a [`TICK`].
-fn read_frame_ticking(
-    r: &mut impl Read,
-    max_frame: usize,
-    on_tick: &mut impl FnMut(bool) -> Option<Closed>,
-) -> Result<Frame, Closed> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_ticking(r, &mut header, false, on_tick)?;
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-    if len as usize > max_frame {
-        return Err(Closed::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_ticking(r, &mut payload, true, on_tick)?;
-    Ok(Frame {
-        ty: header[4],
-        payload,
-    })
-}
-
-/// The reader thread's body: frames in, events out, until the stream
-/// ends, the deadline passes, or the connection thread closes up.
-fn read_frames(
-    stream: TcpStream,
-    events: &Sender<Event>,
-    flow: &Flow,
-    shutdown: &Shutdown,
-    max_frame: usize,
-    read_timeout: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(TICK));
-    let mut reader = BufReader::new(stream);
-    let mut on_tick = |at_boundary: bool| {
-        // Both checks apply to an idle connection only: while a frame
-        // is being served its answer is owed, and the deadline resumes
-        // from the moment that answer is written.
-        let idle_since = flow.idle_since()?;
-        if at_boundary && shutdown.is_triggered() {
-            return Some(Closed::Shutdown);
-        }
-        (idle_since.elapsed() >= read_timeout).then_some(Closed::TimedOut)
-    };
-    while flow.wait_for_credit() {
-        match read_frame_ticking(&mut reader, max_frame, &mut on_tick) {
-            Ok(frame) if frame.ty == frame::CANCEL => flow.cancel(),
-            Ok(frame) => {
-                flow.delivered();
-                if events.send(Event::Frame(frame)).is_err() {
-                    return;
+impl Inbox {
+    /// The running query's interrupt: `true` when a `CANCEL` is at the
+    /// front of the buffer, or the peer is gone. Reads the socket
+    /// without blocking, at most once per [`POLL_EVERY`], and only while
+    /// the front frame is not yet whole.
+    fn interrupted(&mut self) -> bool {
+        loop {
+            if self.take_cancel() {
+                return true;
+            }
+            let now = Instant::now();
+            let (Front::Partial(want), true) = (self.front(), now >= self.next_poll) else {
+                return false;
+            };
+            self.next_poll = now + POLL_EVERY;
+            let _ = self.stream.set_nonblocking(true);
+            let read = self.fill(want);
+            let _ = self.stream.set_nonblocking(false);
+            match read {
+                Ok(n) if n > 0 => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    return false
                 }
-            }
-            Err(closed) => {
-                // Whatever is running has no one left to answer.
-                flow.cancel();
-                let _ = events.send(Event::Closed(closed));
-                return;
+                // EOF or a failed stream: the peer is gone.
+                _ => return true,
             }
         }
+    }
+}
+
+/// Locks `inbox`; every update leaves it valid at every step, so a
+/// holder's panic poisons nothing.
+fn lock(inbox: &Mutex<Inbox>) -> MutexGuard<'_, Inbox> {
+    inbox.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The connection's prepared texts: text → [`Query`], bounded by
+/// [`PREPARED_TEXTS`] and [`PREPARED_BYTES`] and cleared when full.
+/// Texts that fail to parse are not kept.
+#[derive(Default)]
+struct Prepared<'s> {
+    queries: HashMap<String, Rc<Query<'s>>>,
+    bytes: usize,
+}
+
+impl<'s> Prepared<'s> {
+    /// The query for `expr`, prepared on a miss.
+    fn get(&mut self, session: &'s Session, expr: &str) -> Result<Rc<Query<'s>>, Error> {
+        if let Some(query) = self.queries.get(expr) {
+            return Ok(Rc::clone(query));
+        }
+        let query = Rc::new(session.prepare(expr)?);
+        if expr.len() <= PREPARED_BYTES {
+            if self.queries.len() == PREPARED_TEXTS || self.bytes + expr.len() > PREPARED_BYTES {
+                self.queries.clear();
+                self.bytes = 0;
+            }
+            self.bytes += expr.len();
+            self.queries.insert(expr.to_string(), Rc::clone(&query));
+        }
+        Ok(query)
     }
 }
 
@@ -375,25 +365,20 @@ impl Out {
     }
 }
 
-/// One connection: its write half, its event channel, its reader.
+/// One connection: its write half, its read half, its prepared texts.
 struct Conn<'a> {
     shared: &'a ConnShared,
     out: Out,
-    events: Receiver<Event>,
-    flow: Arc<Flow>,
-    reader: Option<JoinHandle<()>>,
+    /// Shared only with the running query's interrupt, which runs on
+    /// this same thread.
+    inbox: Arc<Mutex<Inbox>>,
+    prepared: Prepared<'a>,
 }
 
 impl Drop for Conn<'_> {
-    /// Closes the socket under the reader and joins it, on every way
-    /// out of [`serve`] — a panic included — so the connection thread
-    /// finishing means no thread of this connection is left.
+    /// Uncounts the connection on every way out of [`serve`], a panic
+    /// included.
     fn drop(&mut self) {
-        self.flow.close();
-        let _ = self.out.stream.shutdown(SocketShutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
         self.shared
             .metrics
             .connections_open
@@ -405,26 +390,10 @@ impl Drop for Conn<'_> {
 pub(crate) fn serve(stream: TcpStream, shared: &ConnShared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_read_timeout(Some(TICK));
     shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
     let Ok(read_half) = stream.try_clone() else {
         return;
-    };
-    let (events_tx, events) = channel();
-    let flow = Arc::new(Flow::new());
-    let reader = {
-        let flow = Arc::clone(&flow);
-        let shutdown = shared.shutdown.clone();
-        let (max_frame, read_timeout) = (shared.config.max_frame, shared.config.read_timeout);
-        std::thread::spawn(move || {
-            read_frames(
-                read_half,
-                &events_tx,
-                &flow,
-                &shutdown,
-                max_frame,
-                read_timeout,
-            )
-        })
     };
     shared
         .metrics
@@ -436,9 +405,8 @@ pub(crate) fn serve(stream: TcpStream, shared: &ConnShared) {
             stream,
             buf: Vec::with_capacity(FLUSH_BYTES),
         },
-        events,
-        flow,
-        reader: Some(reader),
+        inbox: Arc::new(Mutex::new(Inbox::new(read_half, shared.config.max_frame))),
+        prepared: Prepared::default(),
     }
     .run();
 }
@@ -452,16 +420,44 @@ impl Conn<'_> {
     fn run(&mut self) {
         let shared = self.shared;
         let metrics = &shared.metrics;
+        let mut idle_since = Instant::now();
         loop {
             faults::fail_point("server::conn::frame");
-            let request = match self.events.recv() {
-                Ok(Event::Frame(f)) => f,
-                Ok(Event::Closed(Closed::TimedOut)) => {
+            let next = lock(&self.inbox).next_frame(
+                idle_since,
+                &shared.shutdown,
+                shared.config.read_timeout,
+            );
+            let keep_going = match next {
+                Ok((frame::QUERY, payload)) => self.answer_query(payload),
+                // Nothing is in flight: ignored.
+                Ok((frame::CANCEL, _)) => true,
+                Ok((frame::STATS, _)) => {
+                    push_frame(
+                        &mut self.out.buf,
+                        frame::RCHUNK,
+                        metrics.render().as_bytes(),
+                    );
+                    self.out.done(0, 0, 0)
+                }
+                Ok((frame::SHUTDOWN, _)) => {
+                    let ok = self.out.done(0, 0, 0);
+                    crate::begin_shutdown(&shared.shutdown, shared.local_addr);
+                    ok
+                }
+                Ok((other, _)) => {
+                    bump(&metrics.protocol_errors);
+                    self.out.error(
+                        code::MALFORMED,
+                        &format!("unknown frame type 0x{other:02x}"),
+                    )
+                }
+                Err(Closed::TimedOut) => {
                     bump(&metrics.timeouts);
                     self.out.error(code::TIMEOUT, "read timed out");
                     return;
                 }
-                Ok(Event::Closed(Closed::Oversized(len))) => {
+                Err(Closed::Oversized(len)) => {
                     bump(&metrics.protocol_errors);
                     self.out.error(
                         code::OVERSIZED,
@@ -473,59 +469,37 @@ impl Conn<'_> {
                     return;
                 }
                 // The peer or the server is done.
-                Ok(Event::Closed(Closed::CleanEof | Closed::Shutdown | Closed::Dead)) | Err(_) => {
-                    return
-                }
+                Err(Closed::CleanEof | Closed::Shutdown | Closed::Dead) => return,
             };
-            let keep_going = match request.ty {
-                frame::QUERY => self.answer_query(&request.payload),
-                frame::STATS => {
-                    push_frame(
-                        &mut self.out.buf,
-                        frame::RCHUNK,
-                        metrics.render().as_bytes(),
-                    );
-                    self.out.done(0, 0, 0)
-                }
-                frame::SHUTDOWN => {
-                    let ok = self.out.done(0, 0, 0);
-                    crate::begin_shutdown(&shared.shutdown, shared.local_addr);
-                    ok
-                }
-                other => {
-                    bump(&metrics.protocol_errors);
-                    self.out.error(
-                        code::MALFORMED,
-                        &format!("unknown frame type 0x{other:02x}"),
-                    )
-                }
-            };
-            self.flow.served();
             if !keep_going {
                 return;
             }
+            idle_since = Instant::now();
         }
     }
 
     /// Handles one `QUERY` frame end to end: decode, prepare, admit,
-    /// execute, answer. `false` when the connection must close (only
-    /// when the answer could not be written).
-    fn answer_query(&mut self, payload: &[u8]) -> bool {
+    /// execute, answer. `payload` is where the frame sits in the input
+    /// buffer. `false` when the connection must close (only when the
+    /// answer could not be written).
+    fn answer_query(&mut self, payload: Range<usize>) -> bool {
         let shared = self.shared;
         let metrics = &shared.metrics;
-        let (request_flags, deadline_ms, engine_name, expr) = match parse_query_payload(payload) {
-            Ok(parts) => parts,
-            Err(message) => {
-                bump(&metrics.protocol_errors);
-                return self.out.error(code::MALFORMED, &message);
-            }
-        };
+        let mut inbox = lock(&self.inbox);
+        let (request_flags, deadline_ms, engine_name, expr) =
+            match parse_query_payload(&inbox.buf[payload]) {
+                Ok(parts) => parts,
+                Err(message) => {
+                    bump(&metrics.protocol_errors);
+                    return self.out.error(code::MALFORMED, &message);
+                }
+            };
         let Some(engine) = crate::protocol::engine_by_name(engine_name) else {
             bump(&metrics.rejected_requests);
             let message = format!("unknown engine {engine_name:?}");
             return self.out.error(code::ENGINE, &message);
         };
-        let query = match shared.session.prepare(expr) {
+        let query = match self.prepared.get(&shared.session, expr) {
             Ok(query) => query,
             Err(e) => {
                 bump(&metrics.rejected_requests);
@@ -551,14 +525,28 @@ impl Conn<'_> {
         if let Some(ms) = deadline_ms {
             exec_deadline = exec_deadline.min(Duration::from_millis(u64::from(ms)));
         }
-        let budget = Arc::new(Budget::new().with_deadline_in(exec_deadline));
-        self.flow.start(&budget);
+        let interrupt = {
+            let inbox = Arc::clone(&self.inbox);
+            move || lock(&inbox).interrupted()
+        };
+        let budget = Arc::new(
+            Budget::new()
+                .with_deadline_in(exec_deadline)
+                .with_interrupt(interrupt),
+        );
+        // A `CANCEL` already buffered right behind the query cancels it
+        // as it starts.
+        if inbox.take_cancel() {
+            budget.cancel();
+        }
+        inbox.next_poll = Instant::now() + POLL_EVERY;
+        drop(inbox);
         // The governed run isolates panics inside evaluation; this catch
         // covers its surroundings (and the `server::execute` fail
         // point), so one poisoned query cannot take the connection down.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             faults::fail_point("server::execute");
-            let jobs = [(&query, Some(budget))];
+            let jobs = [(&*query, Some(budget))];
             shared.session.execute(&jobs, engine, None).remove(0)
         }));
         drop(permit);
@@ -622,5 +610,226 @@ impl Conn<'_> {
             frame::DONE,
             &done_payload(output.len() as u32, output.stats().total_touched(), 1),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::protocol::{encode_frame, query_payload};
+
+    /// A stream of scripted reads: a run of bytes, or `None` for a read
+    /// that times out; EOF once the script is done.
+    struct Script(VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(ErrorKind::WouldBlock.into()),
+                Some(Some(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn scripted(reads: Vec<Option<Vec<u8>>>, max_frame: usize) -> Inbox<Script> {
+        // An empty run would read as EOF.
+        let reads = reads
+            .into_iter()
+            .filter(|r| r.as_ref().is_none_or(|b| !b.is_empty()));
+        Inbox::new(Script(reads.collect()), max_frame)
+    }
+
+    /// The next frame's type and payload, with a read deadline far away.
+    fn next<R: Read>(inbox: &mut Inbox<R>) -> Result<(u8, Vec<u8>), Closed> {
+        let (ty, payload) =
+            inbox.next_frame(Instant::now(), &Shutdown::new(), Duration::from_secs(60))?;
+        Ok((ty, inbox.buf[payload].to_vec()))
+    }
+
+    fn query(expr: &str) -> Vec<u8> {
+        encode_frame(frame::QUERY, &query_payload(0, "auto", expr))
+    }
+
+    fn cancel() -> Vec<u8> {
+        encode_frame(frame::CANCEL, &[])
+    }
+
+    #[test]
+    fn frames_split_at_every_byte_boundary_are_read_whole() {
+        // The first frame nearly fills the resting buffer, so the second
+        // straddles its end at many cuts and is moved to the front.
+        let long = format!("/descendant::{}", "a".repeat(INPUT_BYTES - 400));
+        let mut wire = query(&long);
+        wire.extend(query("//b"));
+        wire.extend(cancel());
+        for cut in 0..=wire.len() {
+            let reads = vec![Some(wire[..cut].to_vec()), None, Some(wire[cut..].to_vec())];
+            let mut inbox = scripted(reads, 1 << 20);
+            let first = next(&mut inbox).unwrap();
+            assert_eq!(
+                first,
+                (frame::QUERY, query_payload(0, "auto", &long)),
+                "cut {cut}"
+            );
+            let second = next(&mut inbox).unwrap();
+            assert_eq!(
+                second,
+                (frame::QUERY, query_payload(0, "auto", "//b")),
+                "cut {cut}"
+            );
+            assert_eq!(
+                next(&mut inbox).unwrap(),
+                (frame::CANCEL, vec![]),
+                "cut {cut}"
+            );
+            assert_eq!(next(&mut inbox), Err(Closed::CleanEof), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_resting_buffer_grows_it_until_it_is_served() {
+        let long = "x".repeat(3 * INPUT_BYTES);
+        let mut wire = query(&long);
+        wire.extend(query("//b"));
+        let mut inbox = scripted(vec![Some(wire), None, Some(query("//c"))], 1 << 20);
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", &long));
+        assert!(inbox.buf.len() > INPUT_BYTES);
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", "//b"));
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", "//c"));
+        assert_eq!(inbox.buf.len(), INPUT_BYTES, "shrunk back once empty");
+    }
+
+    #[test]
+    fn an_oversized_header_is_refused_before_its_payload_arrives() {
+        let mut header = 2048u32.to_be_bytes().to_vec();
+        header.push(frame::QUERY);
+        // The length arrives before the type byte: still nothing is
+        // allocated for the announced payload.
+        let reads = vec![Some(header[..4].to_vec()), None, Some(header[4..].to_vec())];
+        let mut inbox = scripted(reads, 1024);
+        assert_eq!(next(&mut inbox), Err(Closed::Oversized(2048)));
+        assert_eq!(inbox.buf.len(), INPUT_BYTES);
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_a_dead_stream_and_between_frames_a_clean_close() {
+        let wire = query("//b");
+        for cut in 1..wire.len() {
+            let mut inbox = scripted(vec![Some(wire[..cut].to_vec())], 1024);
+            assert_eq!(next(&mut inbox), Err(Closed::Dead), "cut {cut}");
+        }
+        let mut inbox = scripted(vec![Some(wire)], 1024);
+        assert_eq!(next(&mut inbox).unwrap().0, frame::QUERY);
+        assert_eq!(next(&mut inbox), Err(Closed::CleanEof));
+    }
+
+    #[test]
+    fn a_cancel_right_behind_the_running_query_is_consumed() {
+        let mut wire = query("//b");
+        wire.extend(cancel());
+        wire.extend(query("//c"));
+        let mut inbox = scripted(vec![Some(wire)], 1024);
+        assert_eq!(next(&mut inbox).unwrap().0, frame::QUERY);
+        assert!(inbox.take_cancel());
+        assert!(!inbox.take_cancel(), "consumed once");
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", "//c"));
+    }
+
+    #[test]
+    fn a_cancel_behind_a_pipelined_query_is_left_in_place() {
+        let mut wire = query("//b");
+        wire.extend(query("//c"));
+        wire.extend(cancel());
+        let mut inbox = scripted(vec![Some(wire)], 1024);
+        assert_eq!(next(&mut inbox).unwrap().0, frame::QUERY);
+        assert!(!inbox.take_cancel());
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", "//c"));
+        assert_eq!(next(&mut inbox).unwrap().0, frame::CANCEL);
+    }
+
+    /// A connected loopback pair: the client end and an inbox over the
+    /// server end, whose first frame (a query) has been read.
+    fn connected() -> (TcpStream, Inbox) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_read_timeout(Some(TICK)).unwrap();
+        let mut inbox = Inbox::new(server, 1024);
+        client.write_all(&query("//b")).unwrap();
+        assert_eq!(next(&mut inbox).unwrap().0, frame::QUERY);
+        (client, inbox)
+    }
+
+    /// Polls the interrupt, as if `POLL_EVERY` had passed, until it says
+    /// `true` or five seconds are up.
+    fn interrupted_soon(inbox: &mut Inbox) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            inbox.next_poll = Instant::now();
+            if inbox.interrupted() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    #[test]
+    fn the_interrupt_reads_a_cancel_at_most_once_per_poll_interval() {
+        let (mut client, mut inbox) = connected();
+        inbox.next_poll = Instant::now();
+        assert!(!inbox.interrupted(), "nothing sent");
+        client.write_all(&cancel()).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        inbox.next_poll = Instant::now() + Duration::from_secs(3600);
+        assert!(!inbox.interrupted(), "no read before the next poll is due");
+        assert!(interrupted_soon(&mut inbox));
+        assert!(!inbox.take_cancel(), "the cancel was consumed");
+        // The socket is blocking again: the next read waits for a frame.
+        client.write_all(&query("//c")).unwrap();
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", "//c"));
+    }
+
+    #[test]
+    fn the_interrupt_stops_reading_at_a_pipelined_query() {
+        let (mut client, mut inbox) = connected();
+        let mut wire = query("//c");
+        wire.extend(cancel());
+        client.write_all(&wire).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !matches!(inbox.front(), Front::Frame(..)) {
+            assert!(
+                Instant::now() < deadline,
+                "the pipelined query never arrived"
+            );
+            inbox.next_poll = Instant::now();
+            assert!(!inbox.interrupted());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        inbox.next_poll = Instant::now();
+        assert!(
+            !inbox.interrupted(),
+            "a cancel behind a pipelined query is not ours"
+        );
+        assert_eq!(next(&mut inbox).unwrap().1, query_payload(0, "auto", "//c"));
+        assert!(inbox.take_cancel());
+    }
+
+    #[test]
+    fn a_hang_up_interrupts_the_running_query() {
+        let (client, mut inbox) = connected();
+        drop(client);
+        assert!(interrupted_soon(&mut inbox));
     }
 }

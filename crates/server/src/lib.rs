@@ -23,14 +23,14 @@
 //!
 //! A [`Session`] is `Sync` and runs each query on the thread that asks,
 //! so any number of threads may evaluate against it at once. The server leans
-//! on that and adds as little as it can: **one thread executes, the
-//! reader cancels**.
+//! on that and adds as little as it can: **a connection is one thread,
+//! and it executes its own queries**.
 //!
 //! * **Inline execution**: a connection's thread prepares each `QUERY`
-//!   (one parse), executes it against the shared session, and streams
-//!   the answer, all on its own stack. A query never waits in a queue
-//!   behind another connection's query, and two connections run on two
-//!   cores at once.
+//!   (once per text it is sent), executes it against the shared
+//!   session, and streams the answer, all on its own stack. A query
+//!   never waits in a queue behind another connection's query, and two
+//!   connections run on two cores at once.
 //! * **Backpressure**: admission is a counting semaphore of
 //!   [`ServerConfig::queue_depth`] queries executing at once, server-wide.
 //!   Past the bound a query is answered with a typed `SERVER_BUSY` error
@@ -47,13 +47,12 @@
 //!
 //! Threads, not async: there is no tokio in this environment (no
 //! registry access), and none is needed — the acceptor is one thread
-//! blocked in `accept`, and a connection is two: the connection thread
-//! proper, which serves frames in order and executes queries, and a
-//! reader that turns socket bytes into frames and keeps reading while a
-//! query runs, so a `CANCEL` or a hang-up reaches it. The request path
-//! is event-driven end to end: between a `QUERY` frame becoming
-//! readable and its `DONE` frame being written, nothing waits on a
-//! clock except the query's own deadline.
+//! blocked in `accept`, and a connection is one thread, which reads its
+//! own frames, serves them in order and executes queries; a running
+//! query's budget polls the socket, so a `CANCEL` or a hang-up reaches
+//! it. The request path is event-driven end to end: between a `QUERY`
+//! frame becoming readable and its `DONE` frame being written, nothing
+//! waits on a clock except the query's own deadline.
 //!
 //! ## Failure model
 //!
@@ -72,12 +71,12 @@
 //!   lost the frame boundary.
 //! * **Cost budget** (`RESOURCE`): same containment as the deadline,
 //!   tripped by the touched-node ceiling instead of the clock.
-//! * **Cancellation** (`CANCELLED`): while a query runs, the
-//!   connection's reader keeps reading; a `CANCEL` frame or the peer
-//!   hanging up makes the reader flip the running query's cancel flag
-//!   itself, at once. Any other frame that arrives early waits and is
-//!   served after the in-flight answer (the reader stops one frame
-//!   ahead), so pipelining a request behind a long query is safe.
+//! * **Cancellation** (`CANCELLED`): while a query runs, its budget
+//!   reads the connection's socket without blocking, at most once a
+//!   millisecond; a `CANCEL` frame or the peer hanging up cancels the
+//!   query. Any other frame that arrives early waits in the input
+//!   buffer and is served after the in-flight answer, so pipelining a
+//!   request behind a long query is safe.
 //! * **Execution panic** (`INTERNAL`): a panicking evaluation is caught
 //!   (per query inside the session, and around the whole execution on
 //!   the connection thread) and fails only that query; the session and
@@ -225,9 +224,9 @@ pub(crate) fn begin_shutdown(shutdown: &Shutdown, local_addr: SocketAddr) {
 }
 
 /// The acceptor thread: block in `accept` until [`begin_shutdown`]
-/// pokes it, then join every connection thread — each has already
-/// joined its reader, a running query finishes and is answered first,
-/// and an idle connection closes within a reader tick of the flag.
+/// pokes it, then join every connection thread — a running query
+/// finishes and is answered first, and an idle connection closes within
+/// a read tick of the flag.
 fn accept_loop(listener: TcpListener, shared: &Arc<ConnShared>, shutdown: &Shutdown) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {

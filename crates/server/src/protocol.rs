@@ -30,7 +30,10 @@
 //! * [`frame::CANCEL`] — no payload; cancels the connection's in-flight
 //!   query. The query answers with an [`code::CANCELLED`] error frame
 //!   (unless it won the race and completed); the connection survives.
-//!   A `CANCEL` with nothing in flight is ignored.
+//!   The server looks for it at most once a millisecond while the query
+//!   runs, and before it starts; it cancels the query right before it
+//!   (behind a pipelined `QUERY`, that one). A `CANCEL` with nothing in
+//!   flight is ignored.
 //! * [`frame::STATS`] — no payload; the server answers with one
 //!   [`frame::RCHUNK`] of `key value` metric lines and a `DONE`.
 //! * [`frame::SHUTDOWN`] — no payload; the server acknowledges with

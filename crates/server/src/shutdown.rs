@@ -6,9 +6,9 @@
 //! to its own port and stops accepting. A query that is already running
 //! finishes on its connection thread and is answered — nothing already
 //! admitted is dropped; a connection that is idle (nothing being served)
-//! closes when its reader thread next looks at the flag, at most one
-//! reader tick later. Every connection thread joins its reader and the
-//! acceptor joins every connection thread, so `ServerHandle::join`
+//! closes when its blocked read next looks at the flag, at most one
+//! read tick later. The acceptor joins every connection thread (a
+//! connection is one thread), so `ServerHandle::join`
 //! returning means no server thread is left. Queries that arrive after
 //! the trigger are refused with a typed `SHUTTING_DOWN` error frame.
 //!

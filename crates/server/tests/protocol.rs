@@ -584,3 +584,56 @@ fn serve_binary_refuses_a_corrupt_encoded_document() {
     assert!(stderr.contains("corrupt document"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A `CANCEL` that arrives in the same `write` as its query — so both
+/// are in the server's input buffer before the query starts — cancels
+/// it, and the connection serves the next query.
+#[test]
+fn a_query_and_its_cancel_in_one_write_answer_cancelled() {
+    let (handle, expr) = start_pathological(ServerConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut both = count_query(&expr);
+    both.extend(protocol::encode_frame(frame::CANCEL, &[]));
+    stream.write_all(&both).unwrap();
+    assert_eq!(error_code(&next_frame(&mut stream)), code::CANCELLED);
+    stream.write_all(&count_query("//p")).unwrap();
+    let f = next_frame(&mut stream);
+    assert_eq!(f.ty, frame::DONE);
+    assert_eq!(protocol::parse_done_payload(&f.payload).unwrap().0, 300);
+    handle.shutdown_and_join();
+}
+
+/// A connection keeps the queries it prepared, a bounded number of
+/// texts: more distinct texts than it keeps, then the first again, all
+/// answer as they did the first time.
+#[test]
+fn more_distinct_texts_than_a_connection_keeps_all_answer() {
+    let handle = start(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let text = |i: usize| format!("/descendant::bidder{}", "/self::bidder".repeat(i));
+    let first = client.query(&text(0), &opts("auto")).unwrap();
+    assert_eq!(first.total, 2);
+    for i in 1..70 {
+        let reply = client.query(&text(i), &opts("auto")).unwrap();
+        assert_eq!((reply.total, &reply.ids), (2, &first.ids), "text {i}");
+    }
+    for engine in ["auto", "staircase"] {
+        let again = client.query(&text(0), &opts(engine)).unwrap();
+        assert_eq!(again.ids, first.ids, "{engine}");
+    }
+    handle.shutdown_and_join();
+}
+
+/// A text that fails to parse is not kept: it answers `PARSE` every
+/// time, and the connection keeps serving.
+#[test]
+fn a_text_that_fails_to_parse_answers_parse_every_time() {
+    let handle = start(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for _ in 0..3 {
+        let err = client.query("///bad[", &opts("auto")).unwrap_err();
+        assert_eq!(server_code(&err), code::PARSE, "{err:?}");
+        assert_eq!(client.query("//bidder", &opts("auto")).unwrap().total, 2);
+    }
+    handle.shutdown_and_join();
+}

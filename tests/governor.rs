@@ -62,7 +62,7 @@ fn governed(query: &Query<'_>, engine: Engine, budget: Arc<Budget>) -> Result<Qu
 fn a_50ms_deadline_stops_a_pathological_query_promptly() {
     let session = Session::new(layered_doc(300, 400));
     let query = session
-        .prepare(&pathological_query(60))
+        .prepare(&pathological_query(2000))
         .expect("query parses");
     let budget = Arc::new(Budget::new().with_deadline_in(Duration::from_millis(50)));
     let started = Instant::now();
