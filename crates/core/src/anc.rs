@@ -66,9 +66,9 @@ fn ancestor_partitions(
 ) {
     let post = doc.post_column();
     let end_of = subtree_ends(doc);
-    // Cooperative stop: tick every visited position, chunk governed
-    // mask-kernel ranges, abandon mid-scan on a trip (partial `result`
-    // is discarded by the caller).
+    // Cooperative stop: tick every touched position, poll every
+    // partition, chunk governed mask-kernel ranges, abandon mid-scan on a
+    // trip (the caller discards the partial `result`).
     let mut gov = crate::governor::Ticker::ambient();
 
     // Pre-size from the pruned-context height bound: each step
@@ -83,7 +83,7 @@ fn ancestor_partitions(
     for &c in steps {
         stats.partitions += 1;
         crate::faults::fail_point("core::anc::partition");
-        if gov.tick(1) {
+        if gov.poll() {
             return;
         }
         let bound = post[c as usize];

@@ -32,7 +32,6 @@
 //! Costs are expressed in the unit the paper plots in Figure 11(a)/(c):
 //! **nodes (or index entries) touched**. That makes an estimate directly
 //! comparable to the [`StepStats::nodes_touched`](crate::StepStats)
-//! (via [`StepStats::observed_cost`](crate::StepStats::observed_cost))
 //! the join reports after the fact.
 //!
 //! The model is deliberately simple — every formula is a first-order

@@ -72,10 +72,10 @@ fn descendant_partitions(
 ) {
     let post = doc.post_column();
     let end_of = subtree_ends(doc);
-    // Governed scans stop cooperatively: every visited position is
-    // ticked, long comparison-free ranges are chunked so a deadline
-    // cannot hide behind one huge partition, and a trip abandons the
-    // scan mid-flight (the partial `result` is discarded by the caller).
+    // Governed scans stop cooperatively: every touched position is
+    // ticked and every partition polled, long comparison-free ranges are
+    // chunked so a deadline cannot hide behind one huge partition, and a
+    // trip abandons the scan mid-flight (the caller discards `result`).
     let mut gov = crate::governor::Ticker::ambient();
 
     // The steps' subtrees are disjoint, so Equation 1 sizes the region
@@ -92,7 +92,7 @@ fn descendant_partitions(
         );
         stats.partitions += 1;
         crate::faults::fail_point("core::desc::partition");
-        if gov.tick(1) {
+        if gov.poll() {
             return;
         }
         let bound = post[c as usize];

@@ -4,56 +4,51 @@
 //! The staircase join's whole design is long pruned passes over the
 //! pre/post plane — exactly the shape that, on an adversarial or
 //! mis-estimated query, turns into a runaway scan holding a server's
-//! connection thread (and its admission slot) hostage. A [`Budget`] is
-//! the antidote: a cheap, shareable token carrying an optional
-//! wall-clock deadline, an optional touched-nodes cost ceiling, and an
-//! atomic cancel flag. Kernels check it **cooperatively at amortized
-//! boundaries** — partition and chunk boundaries in the plane scans,
-//! list entries in the list joins, seeks in the twig matcher — through
-//! a per-call [`Ticker`].
+//! connection thread hostage. A [`Budget`] is the antidote: a cheap,
+//! shareable token carrying an optional wall-clock deadline, an optional
+//! touched-nodes ceiling, and a latched trip that [`Budget::cancel`]
+//! sets. Kernels check it **cooperatively** through a per-call
+//! [`Ticker`]: a [tick](Ticker::tick) charges the nodes a kernel adds to
+//! its [`crate::StepStats`] `touched`, in the call that adds them, and a
+//! [poll](Ticker::poll) — at a partition, a context node opened, a twig
+//! seek — charges nothing but counts toward the next clock check, so a
+//! loop that touches nothing still stops.
 //!
 //! # What a tick costs
 //!
-//! * **Ungoverned** (no budget installed): [`Ticker::tick`] is one
-//!   branch on the ticker's empty budget slot.
-//! * **Governed, between grains**: an inline countdown. The ticker
-//!   keeps `left`, the units it may still take before the next full
-//!   check, and a tick of `n` is `n < left`, one relaxed load of the
-//!   budget's latched trip and a subtraction — no call, no clock, no
-//!   write to shared memory. [`Budget::cancel`] latches a trip too, so
-//!   a cancel, or a trip another thread latched, is seen on the very
-//!   next tick.
+//! * **Ungoverned** (no budget installed): one branch on the ticker's
+//!   empty budget slot.
+//! * **Governed, between grains**: an inline countdown. The ticker keeps
+//!   `left`, the units (ticked or polled) it may still take before the
+//!   next full check; a tick of `n` is `n < left`, one relaxed load of
+//!   the latched trip and a subtraction — no call, no clock, no write to
+//!   shared memory. A poll is a tick of one that is also counted as
+//!   uncharged. A cancel, or a trip another thread latched, is seen on
+//!   the very next tick or poll.
 //! * **Once per [`TICK_GRAIN`] units**, or once a trip is latched: the
-//!   out-of-line slow path charges the accumulated units to the shared
+//!   out-of-line slow path charges the ticked units to the shared
 //!   touched counter and runs the full [`Budget::check`], which reads
-//!   the clock once. A governed scan therefore observes a deadline or
-//!   cost trip within [`TICK_GRAIN`] touched nodes (plus one mask-kernel
-//!   chunk, [`SCAN_CHUNK`]).
+//!   the clock once. A governed scan therefore sees a deadline or cost
+//!   trip within [`TICK_GRAIN`] ticked nodes or polls (plus one
+//!   mask-kernel chunk, [`SCAN_CHUNK`]).
 //!
-//! A dropped ticker flushes its sub-grain remainder into the budget
-//! unchecked, so [`Budget::touched`] is exact after every kernel call.
+//! A dropped ticker flushes its uncharged ticks into the budget, so
+//! after every kernel call [`Budget::touched`] has grown by exactly the
+//! kernel's `nodes_scanned + nodes_copied`.
 //!
 //! # Threading model
 //!
-//! The kernels keep their public signatures: a budget is installed as
-//! the thread's *ambient* budget with [`enter`] (an RAII guard restores
-//! the previous one, so nesting and recursion are safe), and each
-//! kernel invocation picks it up with [`Ticker::ambient`]. Every kernel
-//! runs on the thread that called it, so the budget the executor
-//! installed is the one its kernels tick.
-//!
-//! A budget is deliberately *advisory inside* a kernel: once
-//! [`Ticker::tick`] reports a trip the kernel abandons its scan and
-//! returns whatever partial state it has — the **caller** (the
-//! executor upstairs) is responsible for discarding the partial result
-//! and surfacing the typed error. Trips latch: the first cause wins and
-//! every later check reports it, so a deadline that fires mid-pass is
-//! still the answer at the next step boundary.
-//!
-//! One charging discipline: the budget is installed ambiently around
-//! the query it governs, and the **kernels** charge it as they scan
-//! (that is what makes mid-pass trips prompt). The executor only checks
-//! it between steps.
+//! A budget is installed as the thread's *ambient* budget with [`enter`]
+//! (an RAII guard restores the previous one, so scopes nest), and each
+//! kernel call picks it up with [`Ticker::ambient`] on the thread that
+//! runs it. A budget is *advisory inside* a kernel: once a tick reports
+//! a trip the kernel abandons its scan, and the **caller** (the executor
+//! upstairs) discards the partial result and surfaces the typed error.
+//! Trips latch: the first cause wins, so a deadline that fires mid-pass
+//! is still the answer at the next step boundary. The executor checks
+//! the budget between steps, and charges it itself only for a step that
+//! runs no kernel (a structural hop, a naive or SQL step, a selection
+//! scan).
 //!
 //! # Interrupts
 //!
@@ -73,33 +68,23 @@ use std::time::{Duration, Instant};
 /// state of a [`Budget`]; the query layer maps it onto its typed
 /// errors (`DeadlineExceeded` / `BudgetExhausted` / `Cancelled`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Trip {
     /// The wall-clock deadline passed.
-    Deadline,
+    Deadline = 1,
     /// The touched-nodes cost ceiling was exceeded.
-    Cost,
+    Cost = 2,
     /// [`Budget::cancel`] was called.
-    Cancelled,
+    Cancelled = 3,
 }
 
-impl Trip {
-    fn as_u8(self) -> u8 {
-        match self {
-            Trip::Deadline => 1,
-            Trip::Cost => 2,
-            Trip::Cancelled => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Trip> {
-        match v {
-            1 => Some(Trip::Deadline),
-            2 => Some(Trip::Cost),
-            3 => Some(Trip::Cancelled),
-            _ => None,
-        }
-    }
-}
+/// Each latched trip state, indexed by its `u8` (0 = none).
+const TRIPS: [Option<Trip>; 4] = [
+    None,
+    Some(Trip::Deadline),
+    Some(Trip::Cost),
+    Some(Trip::Cancelled),
+];
 
 impl std::fmt::Display for Trip {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -114,10 +99,9 @@ impl std::fmt::Display for Trip {
 /// A shareable execution budget: wall-clock deadline + touched-nodes
 /// ceiling + cancel flag, with a latched trip state.
 ///
-/// Cheap to share (`Arc<Budget>`) and cheap to check; see the module
-/// docs for the cooperative-checking contract. An unconstrained budget
-/// ([`Budget::new`]) never trips on its own but can still be
-/// [cancelled](Budget::cancel).
+/// Cheap to share (`Arc<Budget>`) and to check (see the module docs).
+/// An unconstrained budget ([`Budget::new`]) never trips on its own but
+/// can still be [cancelled](Budget::cancel).
 ///
 /// ```
 /// use staircase_core::governor::{Budget, Trip};
@@ -136,7 +120,7 @@ pub struct Budget {
     max_touched: Option<u64>,
     interrupt: Option<Interrupt>,
     touched: AtomicU64,
-    /// Latched first trip (0 = none, else `Trip::as_u8`): the one word
+    /// Latched first trip (0 = none, else the [`Trip`] as `u8`): the one word
     /// a sub-grain [`Ticker::tick`] reads.
     tripped: AtomicU8,
 }
@@ -168,24 +152,12 @@ impl Budget {
         self.with_deadline(Instant::now() + timeout)
     }
 
-    /// Caps the units the kernels charge at `max`; the query trips
-    /// once it has charged more.
-    ///
-    /// A unit is what a kernel [ticks](Ticker::tick), which is **not**
-    /// [`crate::StepStats::nodes_touched`]: one per context node a join
-    /// opens (a plane-scan partition, a fragment join's context entry),
-    /// one per list entry or plane position a loop visits, one per
-    /// position a comparison-free range copy writes, and one per seek
-    /// of the twig matcher. A step with no
-    /// join — the structural `child`, `parent`, `attribute` and sibling
-    /// hops of the fixed engines — charges nothing. On a document of 200
-    /// `bidder`s, each over three `x` and one `increase`,
-    /// `/descendant::bidder/child::increase` under the plain staircase
-    /// join charges 1 201 (one partition, 1 200 copied positions; the
-    /// structural `child` hop charges none) while `--stats` reports
-    /// 1 200 + 800 touched; under `auto` it charges 601 (1 + 200 for the
-    /// fragment slice, 200 context nodes + 200 list entries for the
-    /// on-list `child` join) while `--stats` reports 200 + 200.
+    /// Caps the nodes the query touches at `max`; it trips once it has
+    /// touched more. A unit is one node of a step's `touched` or `pred
+    /// touched` in `--stats`: what the kernels add to
+    /// [`crate::StepStats::nodes_scanned`] and
+    /// [`crate::StepStats::nodes_copied`], and what a structural, naive
+    /// or SQL step reports.
     pub fn with_max_touched(mut self, max: u64) -> Budget {
         self.max_touched = Some(max);
         self
@@ -220,7 +192,8 @@ impl Budget {
     }
 
     /// Adds `n` touched nodes **without** checking limits — the
-    /// [`Ticker`]'s drop-flush, so partial tick grains still count.
+    /// [`Ticker`]'s drop-flush, so partial tick grains still count, and
+    /// the charge of a step that runs no kernel.
     pub fn add_touched(&self, n: u64) {
         if n > 0 {
             self.touched.fetch_add(n, Ordering::Relaxed);
@@ -241,15 +214,11 @@ impl Budget {
         if let Some(t) = self.trip() {
             return Some(t);
         }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return Some(self.latch(Trip::Deadline));
-            }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(self.latch(Trip::Deadline));
         }
-        if let Some(max) = self.max_touched {
-            if self.touched.load(Ordering::Relaxed) > max {
-                return Some(self.latch(Trip::Cost));
-            }
+        if self.max_touched.is_some_and(|max| self.touched() > max) {
+            return Some(self.latch(Trip::Cost));
         }
         if self.interrupt.as_ref().is_some_and(|hook| (hook.0)()) {
             return Some(self.latch(Trip::Cancelled));
@@ -260,7 +229,7 @@ impl Budget {
     /// The latched trip state, if any — the clock-free check: no new
     /// conditions are evaluated.
     pub fn trip(&self) -> Option<Trip> {
-        Trip::from_u8(self.tripped.load(Ordering::Relaxed))
+        TRIPS[usize::from(self.tripped.load(Ordering::Relaxed))]
     }
 
     /// Latches `t` as the trip cause unless one is already latched;
@@ -268,7 +237,7 @@ impl Budget {
     fn latch(&self, t: Trip) -> Trip {
         let _ = self
             .tripped
-            .compare_exchange(0, t.as_u8(), Ordering::Relaxed, Ordering::Relaxed);
+            .compare_exchange(0, t as u8, Ordering::Relaxed, Ordering::Relaxed);
         self.trip().unwrap_or(t)
     }
 }
@@ -308,8 +277,8 @@ impl Drop for AmbientGuard {
     }
 }
 
-/// How many touched nodes a [`Ticker`] accumulates before paying a full
-/// budget check (one clock read). Small enough that a 50 ms deadline is
+/// How many units (ticked nodes and polls) a [`Ticker`] counts before
+/// paying a full budget check (one clock read). Small enough that a 50 ms deadline is
 /// honored with single-digit-millisecond overshoot on any realistic
 /// scan rate, large enough to amortize to noise.
 pub const TICK_GRAIN: u64 = 4096;
@@ -321,20 +290,22 @@ pub const TICK_GRAIN: u64 = 4096;
 /// overshoot a deadline by more than one chunk.
 pub const SCAN_CHUNK: u32 = 8192;
 
-/// A kernel's per-invocation view of the ambient budget: counts touch
-/// charges down to the next full check, every [`TICK_GRAIN`] units.
+/// A kernel's per-invocation view of the ambient budget: counts ticks
+/// and polls down to the next full check, every [`TICK_GRAIN`] units.
 ///
 /// With no ambient budget installed, [`Ticker::tick`] is one branch —
-/// the ungoverned fast path. On drop, any sub-grain remainder is
-/// flushed into the budget's touched counter (unchecked), so accounting
-/// stays exact.
+/// the ungoverned fast path. On drop, the ticked units not yet charged
+/// are flushed into the budget's touched counter (unchecked), so
+/// accounting stays exact.
 #[derive(Debug)]
 pub struct Ticker {
     budget: Option<Arc<Budget>>,
     /// Units left before the next full check: [`TICK_GRAIN`] minus the
-    /// units not yet charged to the budget, so always in
-    /// `1..=TICK_GRAIN`.
+    /// units counted since the last one, so always in `1..=TICK_GRAIN`.
     left: u64,
+    /// How many of the units counted since the last full check were
+    /// polls, which charge nothing.
+    polled: u64,
 }
 
 impl Ticker {
@@ -349,13 +320,8 @@ impl Ticker {
         Ticker {
             budget,
             left: TICK_GRAIN,
+            polled: 0,
         }
-    }
-
-    /// Is there a budget to enforce? Kernels use this to decide whether
-    /// big mask-kernel ranges need chunking ([`SCAN_CHUNK`]).
-    pub fn active(&self) -> bool {
-        self.budget.is_some()
     }
 
     /// Charges `n` touched units and reports whether the budget has
@@ -366,47 +332,63 @@ impl Ticker {
     /// partial result.
     #[inline]
     pub fn tick(&mut self, n: u64) -> bool {
+        self.count(n, 0)
+    }
+
+    /// Charges nothing, but counts one unit toward the next full check
+    /// and reports a trip as [`Ticker::tick`] does: the check a loop
+    /// makes where it touches no node (a partition, a context node
+    /// opened, a seek), so that a deadline or a cancel still stops it
+    /// within [`TICK_GRAIN`] polls.
+    #[inline]
+    pub fn poll(&mut self) -> bool {
+        self.count(1, 1)
+    }
+
+    /// Counts `n` units down, `polls` of them uncharged.
+    #[inline(always)]
+    fn count(&mut self, n: u64, polls: u64) -> bool {
         match &self.budget {
             None => false,
             Some(budget) if n < self.left && budget.tripped.load(Ordering::Relaxed) == 0 => {
                 self.left -= n;
+                self.polled += polls;
                 false
             }
-            Some(_) => self.tick_slow(n),
+            Some(_) => self.count_slow(n, polls),
         }
     }
 
-    /// [`Ticker::tick`] when the grain rolls over or a trip latched: a
-    /// rollover charges every uncharged unit and runs the full check
-    /// (one clock read); otherwise the units stay counted down and the
-    /// latched trip stops the scan. Out of line, so a kernel's loop
+    /// [`Ticker::count`] when the grain rolls over or a trip latched: a
+    /// rollover charges every uncharged ticked unit and runs the full
+    /// check (one clock read); otherwise the units stay counted down and
+    /// the latched trip stops the scan. Out of line, so a kernel's loop
     /// carries only the countdown.
     #[cold]
     #[inline(never)]
-    fn tick_slow(&mut self, n: u64) -> bool {
+    fn count_slow(&mut self, n: u64, polls: u64) -> bool {
         let Some(budget) = &self.budget else {
             return false;
         };
-        let pending = (TICK_GRAIN - self.left).saturating_add(n);
-        if pending >= TICK_GRAIN {
-            self.left = TICK_GRAIN;
-            budget.charge(pending).is_some()
+        let counted = (TICK_GRAIN - self.left).saturating_add(n);
+        if counted >= TICK_GRAIN {
+            let ticked = counted - self.polled - polls;
+            (self.left, self.polled) = (TICK_GRAIN, 0);
+            budget.charge(ticked).is_some()
         } else {
             self.left -= n;
+            self.polled += polls;
             budget.trip().is_some()
         }
     }
 
-    /// Runs `select` over `[lo, hi)`, a range whose counter is
-    /// *arithmetic*: `charge` grows by `hi − lo` whatever `select` keeps.
-    /// Every comparison-free run of every plane scan goes through here
-    /// (the Equation-1 subtree copy, `following`'s suffix, the gaps
-    /// between `preceding`'s ancestors, the Basic variant's partition
-    /// windows).
+    /// Runs `select` over `[lo, hi)`, a comparison-free run whose
+    /// counter is *arithmetic*: `charge` grows by `hi − lo` whatever
+    /// `select` keeps (the Equation-1 subtree copy, `following`'s suffix,
+    /// the gaps between `preceding`'s ancestors, a list slice copy).
     /// Ungoverned, `select` sees the whole range at once; under a budget
-    /// it sees [`SCAN_CHUNK`]-sized pieces with a tick after each, so a
-    /// trip cannot hide behind one plane-sized range. `true` means *stop
-    /// now*, as for [`Ticker::tick`].
+    /// [`SCAN_CHUNK`]-sized pieces with a tick after each, so a trip
+    /// cannot hide behind one plane-sized range. `true` means *stop now*.
     #[inline]
     pub fn charged_run(
         &mut self,
@@ -434,17 +416,12 @@ impl Ticker {
         }
         false
     }
-
-    /// Has the underlying budget tripped (latched)?
-    pub fn tripped(&self) -> bool {
-        self.budget.as_ref().is_some_and(|b| b.trip().is_some())
-    }
 }
 
 impl Drop for Ticker {
     fn drop(&mut self) {
         if let Some(budget) = &self.budget {
-            budget.add_touched(TICK_GRAIN - self.left);
+            budget.add_touched(TICK_GRAIN - self.left - self.polled);
         }
     }
 }
@@ -516,7 +493,6 @@ mod tests {
         {
             let _g = enter(Arc::clone(&b));
             let mut t = Ticker::ambient();
-            assert!(t.active());
             // Sub-grain ticks don't hit the shared counter yet...
             for _ in 0..10 {
                 assert!(!t.tick(100));
@@ -564,8 +540,24 @@ mod tests {
         assert!(first.tick(TICK_GRAIN));
         // The second is mid-grain, far from a full check, and stops anyway.
         assert!(second.tick(1));
-        assert!(second.tripped());
         assert_eq!(b.trip(), Some(Trip::Cost));
+    }
+
+    #[test]
+    fn a_poll_charges_nothing_yet_sees_a_deadline_or_cancel_within_a_grain() {
+        let b = Arc::new(Budget::new().with_deadline(Instant::now() - Duration::from_millis(1)));
+        let mut t = Ticker::for_budget(Some(Arc::clone(&b)));
+        // The grain's last poll runs the full check, which reads the clock.
+        assert_eq!((1..=TICK_GRAIN).find(|_| t.poll()), Some(TICK_GRAIN));
+        assert_eq!((b.trip(), b.touched()), (Some(Trip::Deadline), 0));
+        let c = Arc::new(Budget::new());
+        {
+            let mut t = Ticker::for_budget(Some(Arc::clone(&c)));
+            assert!((0..3 * TICK_GRAIN).all(|_| !t.poll()) && !t.tick(5));
+            c.cancel();
+            assert!(t.poll(), "a latched cancel stops the next poll");
+        }
+        assert_eq!(c.touched(), 5, "only the tick is charged");
     }
 
     #[test]
@@ -673,8 +665,7 @@ mod tests {
     #[test]
     fn inert_ticker_is_free_and_never_stops() {
         let mut t = Ticker::ambient();
-        assert!(!t.active());
         assert!(!t.tick(u64::MAX / 2));
-        assert!(!t.tripped());
+        assert!(!t.poll());
     }
 }

@@ -200,10 +200,14 @@ pub fn preceding_from<'d>(
         let fixups = usize::from(doc.level(held_bound));
         out.reserve(held.len() + fixups + test.reserve_for((bound - held_bound) as usize));
         let post = doc.post_column();
+        let mut gov = crate::governor::Ticker::ambient();
         let mut added = 0;
         let mut from = 0;
         for &a in ancestors_top_down(doc, held_bound, &mut chain) {
             stats.nodes_scanned += 1;
+            if gov.tick(1) {
+                break; // the governed caller discards `out`
+            }
             if post[a as usize] < post[bound as usize] && test.keeps(a) {
                 let at = from + held[from..].partition_point(|&v| v < a);
                 out.extend_from_slice(&held[from..at]);

@@ -107,10 +107,11 @@
 //! conditions thread through them:
 //!
 //! * **Governed stops** ([`governor`]): when an ambient
-//!   [`governor::Budget`] is installed, every scan checks it at
-//!   amortized boundaries (partitions, [`governor::SCAN_CHUNK`]-sized
-//!   pieces of comparison-free runs, scanned positions, twig seeks) and
-//!   **abandons the pass** on a trip, returning partial state. A check
+//!   [`governor::Budget`] is installed, every scan charges it the nodes
+//!   it counts (scanned positions, [`governor::SCAN_CHUNK`]-sized pieces
+//!   of comparison-free runs), polls it where it counts none
+//!   (partitions, twig seeks), and **abandons the pass** on a trip,
+//!   returning partial state. A check
 //!   costs one branch ungoverned; governed, it is an inline countdown
 //!   plus one relaxed load of the budget's latched trip, and only once per
 //!   [`governor::TICK_GRAIN`] units an out-of-line call charges the

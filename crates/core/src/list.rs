@@ -278,7 +278,7 @@ pub(crate) fn descendant_range_join(
         let c = context[ci];
         ci += 1;
         local.partitions += 1;
-        if gov.tick(1) {
+        if gov.poll() {
             break;
         }
         let end = end_of(c);
@@ -376,7 +376,7 @@ pub(crate) fn child_range_join<const PARENTS: bool>(
         let c = context[ci];
         ci += 1;
         local.partitions += 1;
-        if gov.tick(1) {
+        if gov.poll() {
             break;
         }
         let end = end_of(c);

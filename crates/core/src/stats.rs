@@ -1,10 +1,14 @@
 //! Access-pattern statistics reported by every join.
 
-/// Exact node-access counts for one axis step.
+/// Exact node-access counts for one axis step: the one tally of a
+/// step's work.
 ///
 /// The paper's Experiments 1 and 2 (Figure 11(a)/(c)) are plots of these
 /// counters, so they are first-class results rather than debug output.
-/// Invariants maintained by all join variants:
+/// They are also the governor's unit: a kernel charges the ambient
+/// [`crate::governor::Budget`] exactly what it adds to `nodes_scanned +
+/// nodes_copied`, in the call that adds it; seeks and partitions charge
+/// nothing. Invariants maintained by all join variants:
 ///
 /// * `nodes_touched() = nodes_scanned + nodes_copied` — every touched node
 ///   is either visited on its own (scanned: compared against the
@@ -90,14 +94,6 @@ impl StepStats {
     /// Context nodes removed by pruning.
     pub fn pruned(&self) -> usize {
         self.context_in - self.context_out
-    }
-
-    /// The step's *observed* cost in the cost model's unit (nodes
-    /// touched), directly comparable to the pre-execution estimates of
-    /// [`crate::cost::DocStats`] — `EXPLAIN` output next to what
-    /// actually happened.
-    pub fn observed_cost(&self) -> f64 {
-        self.nodes_touched() as f64
     }
 
     /// Merges another run's counters into these (a join's local

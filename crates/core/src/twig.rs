@@ -128,9 +128,9 @@ struct Matcher<'d> {
     doc: &'d Doc,
     post: &'d [Post],
     stats: StepStats,
-    /// Cooperative stop at seek granularity: on a trip probes answer
-    /// `false` and scans bail, so the (garbage) partial result is
-    /// produced quickly and discarded by the governed caller.
+    /// Cooperative stop: a probe polls, each entry it compares ticks; on
+    /// a trip probes answer `false` and scans bail, so the (garbage)
+    /// partial result is produced quickly and discarded by the caller.
     gov: crate::governor::Ticker,
 }
 
@@ -147,13 +147,13 @@ impl<'d> Matcher<'d> {
     fn has_desc_in(&mut self, list: &[Pre], p: Pre, hint: &Cell<usize>) -> bool {
         crate::faults::fail_point("core::twig::seek");
         self.stats.seeks += 1;
-        if self.gov.tick(1) {
+        if self.gov.poll() {
             return false;
         }
         match list.get(seek_after(list, p, hint)) {
             Some(&q) => {
                 self.stats.nodes_scanned += 1;
-                self.is_desc(p, q)
+                !self.gov.tick(1) && self.is_desc(p, q)
             }
             None => false,
         }
@@ -166,7 +166,7 @@ impl<'d> Matcher<'d> {
     fn has_child_in(&mut self, list: &[Pre], p: Pre, hint: &Cell<usize>) -> bool {
         crate::faults::fail_point("core::twig::seek");
         self.stats.seeks += 1;
-        if self.gov.tick(1) {
+        if self.gov.poll() {
             return false;
         }
         let mut j = seek_after(list, p, hint);
@@ -436,7 +436,7 @@ pub fn twig_match(doc: &Doc, spine: &[SpineLeg<'_>], context: &Context) -> (Cont
     // leg, chain-filtering every intermediate frontier.
     let mut current = anchored;
     for leg in &legs[pivot_idx + 1..] {
-        if current.is_empty() || m.gov.tick(1) {
+        if current.is_empty() || m.gov.poll() {
             break;
         }
         let mut next = Vec::new();

@@ -22,25 +22,21 @@
 //!                    cooperatively and exits 7 (in --connect mode the
 //!                    deadline rides the QUERY frame and the server
 //!                    answers a TIMEOUT error frame)
-//!   --max-touched N  run under a governor cost budget of N units;
-//!                    exceeding it exits 7 (local mode only). A unit is
-//!                    what the kernels charge, not the `touched` that
-//!                    --stats prints: one per context node a join opens,
-//!                    per list entry or plane position a loop visits,
-//!                    per position a range copy writes; a structural
-//!                    child/parent/attribute/sibling hop charges none.
-//!                    On 200 `bidder`s of three `x` and one `increase`
-//!                    each, `/descendant::bidder/child::increase` charges
-//!                    1 201 under staircase (--stats: 1 200 + 800
-//!                    touched) and 601 under auto (--stats: 200 + 200)
+//!   --max-touched N  run under a governor cost budget of N nodes
+//!                    touched: the sum of --stats' `touched` and
+//!                    `pred_touched` over the query's steps; touching
+//!                    more exits 7 (local mode only)
 //!   --count          print only the number of matching nodes
 //!   --stats          print per-step statistics to stderr, including the
 //!                    planner's estimated cost next to the observed cost
-//!                    (nodes touched + seeks) for every engine. `seeks`
-//!                    counts cursor repositionings over a tag fragment
-//!                    (or, for a fragment join, over its context):
-//!                    fragment-join and twig steps report them, plane
-//!                    scans report 0
+//!                    (the join's nodes touched + seeks) for every
+//!                    engine. `seeks` counts cursor repositionings over a
+//!                    tag fragment (or, for a fragment join, over its
+//!                    context): fragment-join and twig steps report them,
+//!                    plane scans report 0. `pred_touched` and
+//!                    `pred_seeks` are the step's predicates' work: their
+//!                    probes, chain reductions, selection scans and
+//!                    nested-loop sub-plans
 //!   --explain        print the physical plan (one line per step: chosen
 //!                    operator + cost estimate; a closing `total` line
 //!                    sums the plan's estimated cost) instead of
@@ -167,13 +163,13 @@ fn usage() -> ! {
          auto a child::name step may print fragment (the on-list\n\
          child join, priced against the structural hop over every child)\n\
          --stats prints per-step counters to stderr; fragment and twig steps\n\
-         report their cursor seeks (plane scans: 0), and with --explain the\n\
-         observed cost next to the estimate is touched + seeks\n\
+         report their cursor seeks (plane scans: 0), pred_touched and\n\
+         pred_seeks the work of the step's predicates, and with --explain\n\
+         the observed cost next to the estimate is touched + seeks\n\
          --timeout-ms N / --max-touched N run under a governor deadline /\n\
          cost budget; a tripped query stops cooperatively and xq exits 7.\n\
-         The budget counts what the kernels charge (per context node a join\n\
-         opens, per list entry or position visited or copied; structural\n\
-         hops charge none), not the touched that --stats prints"
+         The budget is in nodes touched: the sum of --stats' touched and\n\
+         pred_touched"
     );
     exit(EXIT_USAGE);
 }
@@ -596,14 +592,16 @@ fn print_stats(out: &QueryOutput) {
     for s in &out.stats().steps {
         eprintln!(
             "step {:<40} result {:>8}  touched {:>10}  seeks {:>8}  duplicates {:>8}  \
-             est cost {:>10.0}  obs cost {:>10.0}",
+             est cost {:>10.0}  obs cost {:>10.0}  pred_touched {:>10}  pred_seeks {:>8}",
             s.step,
             s.result_size,
             s.nodes_touched,
             s.seeks,
             s.tuples_produced.saturating_sub(s.result_size as u64),
             s.est_cost,
-            s.observed_cost()
+            s.observed_cost(),
+            s.pred_touched,
+            s.pred_seeks
         );
     }
 }

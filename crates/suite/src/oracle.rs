@@ -685,7 +685,8 @@ fn agree<T: PartialEq + Debug>(got: T, want: T, at: impl FnOnce() -> String) {
 ///   from the `.scj` bytes of its encoding;
 /// * on the XML session, again under a never-binding [`Budget`], alone
 ///   and batched, with per-step counters identical to the ungoverned
-///   runs;
+///   runs, and each budget charged exactly the query's Σ `nodes_touched
+///   + pred_touched`;
 /// * through an in-process [`Server`] for every engine the wire names;
 ///
 /// and that however many engines ran, each session built its tag index
@@ -703,7 +704,13 @@ pub fn check(xml: &str, exprs: &[String]) {
     let encoded = Session::from_encoded_bytes(&bytes).expect("self-produced bytes load");
     let budget = || {
         let hour = Budget::new().with_deadline_in(Duration::from_secs(3600));
-        Some(Arc::new(hour.with_max_touched(u64::MAX)))
+        Arc::new(hour.with_max_touched(u64::MAX))
+    };
+    // The governor's unit is the trace's: a budget is charged exactly
+    // what the query's steps report, joins and predicates.
+    let charged = |o: &QueryOutput| -> u64 {
+        let steps = o.stats().steps.iter();
+        steps.map(|s| s.nodes_touched + s.pred_touched).sum()
     };
     let sizes =
         |o: &QueryOutput| -> Vec<usize> { o.stats().steps.iter().map(|s| s.result_size).collect() };
@@ -739,15 +746,25 @@ pub fn check(xml: &str, exprs: &[String]) {
                 continue;
             }
             for (i, q) in queries.iter().enumerate() {
-                let out = session.execute(&[(q, budget())], engine, None).remove(0);
+                let b = budget();
+                let out = session
+                    .execute(&[(q, Some(Arc::clone(&b)))], engine, None)
+                    .remove(0);
                 let out = out.unwrap_or_else(|e| panic!("{}: {e}", at("governed", i)));
                 agree(counters(&out), counters(&alone[i]), || at("governed", i));
+                agree(b.touched(), charged(&out), || at("governed charge", i));
             }
-            let jobs: Vec<_> = refs.iter().map(|&q| (q, budget())).collect();
+            let budgets: Vec<_> = refs.iter().map(|_| budget()).collect();
+            let jobs: Vec<_> = (refs.iter().zip(&budgets))
+                .map(|(&q, b)| (q, Some(Arc::clone(b))))
+                .collect();
             for (i, out) in session.execute(&jobs, engine, None).into_iter().enumerate() {
                 let out = out.unwrap_or_else(|e| panic!("{}: {e}", at("governed batch", i)));
                 agree(counters(&out), counters(&batch[i]), || {
                     at("governed batch", i)
+                });
+                agree(budgets[i].touched(), charged(&out), || {
+                    at("governed batch charge", i)
                 });
             }
         }

@@ -52,12 +52,12 @@ use std::sync::Arc;
 use staircase_accel::{Axis, Context, Pre};
 use staircase_core::governor::{self, Budget};
 use staircase_core::{
-    faults, following_from, following_start, preceding_bound, preceding_from, Scratch,
+    faults, following_from, following_start, preceding_bound, preceding_from, Scratch, StepStats,
 };
 
 use crate::ast::NodeTest;
 use crate::error::Error;
-use crate::eval::{merge, scan_test, trace, EvalStats, Executor, StepTrace};
+use crate::eval::{merge, scan_test, EvalStats, Executor, StepTrace};
 use crate::plan::{PathPlan, PhysicalPlan, PlannedStep, StepOp};
 use crate::session::QueryOutput;
 
@@ -453,19 +453,25 @@ impl Executor<'_> {
         scratch: &mut Scratch,
     ) -> (Context, StepTrace, Stash) {
         memo.arrive(keys);
+        self.pred.take(); // what a panicked query left is void
+        let mut trace = StepTrace::of(step);
         if let Some(out) = memo.read(keys[STEP], outputs, scratch) {
-            let trace = trace(step, out.len(), 0, 0, 0);
+            let trace = trace.finish(out.len());
             return (out, trace, Stash::default());
         }
         let mut stash = Stash::default();
         let plane = matches!(step.op, StepOp::Staircase { .. } | StepOp::Horiz);
-        let (joined, touched, produced, seeks) = match memo.read(keys[JOIN], outputs, scratch) {
-            Some(joined) => (joined, 0, 0, 0),
+        let (joined, read) = match memo.read(keys[JOIN], outputs, scratch) {
+            Some(joined) => (joined, StepStats::default()),
             None => match keys[REGION].filter(|_| plane) {
                 Some(k) => self.region_join(ctx, step, (memo, k), outputs, &mut stash, scratch),
-                None => self.exec_join(ctx, step, scratch),
+                None => (
+                    self.exec_join(ctx, step, scratch, &mut trace),
+                    StepStats::default(),
+                ),
             },
         };
+        trace.join(&read);
         let out = match self.exec_predicates(&joined, step, scratch) {
             Some(out) => {
                 stash.joined = Some(joined);
@@ -473,7 +479,8 @@ impl Executor<'_> {
             }
             None => joined,
         };
-        let trace = trace(step, out.len(), touched, produced, seeks);
+        trace.pred(&self.pred.take());
+        let trace = trace.finish(out.len());
         (out, trace, stash)
     }
 
@@ -488,7 +495,7 @@ impl Executor<'_> {
         outputs: &Outputs,
         stash: &mut Stash,
         scratch: &mut Scratch,
-    ) -> (Context, u64, u64, u64) {
+    ) -> (Context, StepStats) {
         let following = step.axis == Axis::Following;
         let bound = if following {
             following_start(self.doc, ctx)
@@ -496,12 +503,12 @@ impl Executor<'_> {
             preceding_bound(ctx)
         };
         let Some(bound) = bound else {
-            return (Context::empty(), 0, 0, 0);
+            return (Context::empty(), StepStats::default());
         };
         let last = memo.entries[k].readers == 0;
         if last && memo.entries[k].bound == bound {
             if let Some(nodes) = memo.take_owned(k) {
-                return (nodes, 0, 0, 0);
+                return (nodes, StepStats::default());
             }
         }
         let held_bound = memo.entries[k].bound;
@@ -526,7 +533,7 @@ impl Executor<'_> {
         if wider && !last {
             stash.region = Some(bound);
         }
-        (Context::from_sorted(nodes), read.nodes_touched(), 0, 0)
+        (Context::from_sorted(nodes), read)
     }
 }
 

@@ -16,25 +16,28 @@
 //! it. Every step runs on the calling thread. Everything below the
 //! session's resolution step is total: no panics, no `unwrap`.
 
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use staircase_accel::{Axis, Context, Doc, NodeKind, Pre, TagId};
 use staircase_baselines::{naive_step, SqlEngine, SqlPlanOptions};
 use staircase_core::{
     ancestor_on_list_pooled, ancestor_pooled, child_on_list_pooled, descendant_on_list_pooled,
-    descendant_pooled, following_pooled, has_ancestor_in, has_child_in, has_descendant_in,
-    preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool, SpineLeg, TagIndex,
-    TwigEdge, Variant,
+    descendant_pooled, following_pooled, governor, has_ancestor_in, has_child_in,
+    has_descendant_in, preceding_pooled, twig_match, ChainStep, ScanTest, Scratch, ScratchPool,
+    SpineLeg, StepStats, TagIndex, TwigEdge, Variant,
 };
 
 use crate::ast::NodeTest;
 use crate::plan::{
-    axis_of, list_edge_of, ListEdge, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis,
+    axis_of, list_edge_of, part_axis_of, PartAxis, PathPlan, PlannedStep, PredOp, SemijoinAxis,
     SemijoinChain, StepOp,
 };
 
-/// Per-step trace of an evaluation.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-step trace of an evaluation: its join's and its predicates'
+/// [`StepStats`] apart. A query's budget is charged exactly the sum of
+/// its steps' `nodes_touched + pred_touched`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepTrace {
     /// Rendered step (`descendant::profile`).
     pub step: String,
@@ -44,7 +47,8 @@ pub struct StepTrace {
     pub op: String,
     /// Result size after node test and predicates.
     pub result_size: usize,
-    /// Nodes/index entries the engine touched for this step.
+    /// Nodes/index entries the step's join touched (a selection scan it
+    /// ran included); zero for a join the batch memo served.
     pub nodes_touched: u64,
     /// Tuples produced before duplicate elimination (naive/SQL engines;
     /// equals `result_size` for the staircase join, which never produces
@@ -56,6 +60,12 @@ pub struct StepTrace {
     /// operator's probes. Zero for the plane scans, whose movement is
     /// all sequential.
     pub seeks: u64,
+    /// Nodes the step's predicates touched: semijoin probes, the chain
+    /// reductions (a twig leg's too) and selection scans they ran, and
+    /// nested-loop sub-plans; a list already derived counts 0.
+    pub pred_touched: u64,
+    /// Cursor seeks of the same predicate work.
+    pub pred_seeks: u64,
     /// The cost model's estimate for this step.
     pub est_cost: f64,
     /// Always `false`; kept for the frozen benchmark's `xpath.replans`.
@@ -63,9 +73,38 @@ pub struct StepTrace {
 }
 
 impl StepTrace {
+    /// The trace of `step` before it runs: every counter zero.
+    pub(crate) fn of(step: &PlannedStep) -> StepTrace {
+        StepTrace {
+            step: step.rendered.clone(),
+            op: step.op.to_string(),
+            est_cost: step.estimate.cost,
+            ..StepTrace::default()
+        }
+    }
+
+    /// Adds a join's work.
+    pub(crate) fn join(&mut self, stats: &StepStats) {
+        self.nodes_touched += stats.nodes_touched();
+        self.seeks += stats.seeks;
+    }
+
+    /// Adds predicate work.
+    pub(crate) fn pred(&mut self, stats: &StepStats) {
+        self.pred_touched += stats.nodes_touched();
+        self.pred_seeks += stats.seeks;
+    }
+
+    /// Closes the trace at the step's output size.
+    pub(crate) fn finish(mut self, result_size: usize) -> StepTrace {
+        self.result_size = result_size;
+        self.tuples_produced = self.tuples_produced.max(result_size as u64);
+        self
+    }
+
     /// The step's observed cost in the cost model's unit: nodes/index
-    /// entries touched plus cursor seeks — the runtime quantity the
-    /// estimate ([`StepTrace::est_cost`]) tries to predict.
+    /// entries its join touched plus cursor seeks — the runtime quantity
+    /// the estimate ([`StepTrace::est_cost`]) tries to predict.
     pub fn observed_cost(&self) -> f64 {
         (self.nodes_touched + self.seeks) as f64
     }
@@ -79,13 +118,13 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
-    /// Total nodes touched across steps.
+    /// Total nodes the steps' joins touched (predicates excluded).
     pub fn total_touched(&self) -> u64 {
         self.steps.iter().map(|s| s.nodes_touched).sum()
     }
 
-    /// Total cursor seeks across steps (fragment joins and leapfrog twig
-    /// steps; zero for plans made of plane scans only).
+    /// Total cursor seeks of the steps' joins (fragment joins and
+    /// leapfrog twig steps; zero for plans made of plane scans only).
     pub fn total_seeks(&self) -> u64 {
         self.steps.iter().map(|s| s.seeks).sum()
     }
@@ -114,7 +153,11 @@ pub(crate) struct Executor<'a> {
     /// sweep out their own shard.
     pub(crate) scratch: &'a ScratchPool,
     /// The node lists this evaluation has derived so far.
-    pub(crate) lists: Mutex<ListMemo>,
+    pub(crate) lists: RefCell<ListMemo>,
+    /// Predicate work — semijoin probes and chain reductions, the
+    /// selection scans they ran, nested-loop sub-plans — not yet claimed
+    /// by the trace of the step that owns it.
+    pub(crate) pred: Cell<StepStats>,
 }
 
 /// Node lists derived from the whole document — query-time selection
@@ -180,30 +223,37 @@ impl<'a> Executor<'a> {
             context.clone()
         };
         for step in &branch.steps {
-            let next = self.exec_step(&ctx, step, scratch).0;
+            let next = self.exec_step(&ctx, step, scratch);
             scratch.recycle(std::mem::replace(&mut ctx, next));
         }
         ctx
     }
 
-    /// Interprets one planned step: its join with the node test, then
-    /// its predicates.
-    pub(crate) fn exec_step(
-        &self,
-        ctx: &Context,
-        step: &PlannedStep,
-        scratch: &mut Scratch,
-    ) -> (Context, StepTrace) {
-        let (joined, touched, produced, seeks) = self.exec_join(ctx, step, scratch);
-        let out = match self.exec_predicates(&joined, step, scratch) {
+    /// Interprets one step of a nested-loop predicate's sub-plan: its
+    /// join, then its predicates — all of it the owning step's predicate
+    /// work ([`Executor::pred`]).
+    fn exec_step(&self, ctx: &Context, step: &PlannedStep, scratch: &mut Scratch) -> Context {
+        let mut trace = StepTrace::default();
+        let joined = self.exec_join(ctx, step, scratch, &mut trace);
+        self.add_pred(&StepStats {
+            nodes_scanned: trace.nodes_touched,
+            seeks: trace.seeks,
+            ..StepStats::default()
+        });
+        match self.exec_predicates(&joined, step, scratch) {
             Some(out) => {
                 scratch.recycle(joined);
                 out
             }
             None => joined,
-        };
-        let trace = trace(step, out.len(), touched, produced, seeks);
-        (out, trace)
+        }
+    }
+
+    /// Adds predicate work to [`Executor::pred`].
+    fn add_pred(&self, stats: &StepStats) {
+        let mut pred = self.pred.get();
+        pred.merge(stats);
+        self.pred.set(pred);
     }
 
     /// Applies `step`'s predicates to its join output; `None` when the
@@ -245,7 +295,7 @@ impl<'a> Executor<'a> {
     pub(crate) fn fragment_list_windowed(
         &self,
         name: &str,
-        edge: ListEdge,
+        edge: SemijoinAxis,
         context: &Context,
     ) -> NodeList<'a> {
         let Some(idx) = self.tags else {
@@ -255,11 +305,11 @@ impl<'a> Executor<'a> {
             return NodeList::Borrowed(&[]);
         };
         let window = match edge {
-            ListEdge::Descendant | ListEdge::Child => context
+            SemijoinAxis::Descendant | SemijoinAxis::Child => context
                 .as_slice()
                 .first()
                 .map(|&first| idx.fragment_window(tag, first + 1, Pre::MAX)),
-            ListEdge::Ancestor => context
+            SemijoinAxis::Ancestor => context
                 .as_slice()
                 .last()
                 .map(|&last| idx.fragment_window(tag, 0, last)),
@@ -268,20 +318,20 @@ impl<'a> Executor<'a> {
     }
 
     /// `nametest(doc, name)` as a query-time selection scan, run at
-    /// most once per name per evaluation ([`Executor::lists`]).
+    /// most once per name per evaluation ([`Executor::lists`]); a run is
+    /// charged and added to [`Executor::pred`] (a fragment join claims it).
     pub(crate) fn scan_list(&self, name: &str) -> NodeList<'a> {
         let Some(tag) = self.doc.tag_id(name) else {
             return NodeList::Borrowed(&[]);
         };
-        // Held across the scan: a sibling task after the same name
-        // waits for this scan instead of repeating it.
-        let mut memo = self.lists.lock().unwrap_or_else(|e| e.into_inner());
+        let mut memo = self.lists.borrow_mut();
         if let Some((_, list)) = memo.scans.iter().find(|(t, _)| *t == tag) {
             return NodeList::Shared(Arc::clone(list));
         }
         #[cfg(test)]
         SCANS_RUN.with(|n| n.set(n.get() + 1));
         let list = Arc::new(self.doc.elements_with_tag(tag));
+        self.add_pred(&charged(self.doc.len() as u64));
         memo.scans.push((tag, Arc::clone(&list)));
         NodeList::Shared(list)
     }
@@ -308,11 +358,10 @@ impl<'a> Executor<'a> {
         if chain.is_single() {
             return link_list(&chain.links[0].name);
         }
-        // The lock is not held across the reduction, which re-enters
-        // for nested predicates; two tasks racing on one chain both
-        // reduce it, to the same list.
+        // Not borrowed across the reduction, which re-enters for nested
+        // predicates.
         {
-            let memo = self.lists.lock().unwrap_or_else(|e| e.into_inner());
+            let memo = self.lists.borrow();
             let known = memo
                 .chains
                 .iter()
@@ -338,11 +387,8 @@ impl<'a> Executor<'a> {
             }
         }
         let reduced = Arc::new(next.map_or_else(Vec::new, |(_, list)| list.into_vec()));
-        self.lists
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .chains
-            .push((chain.clone(), prebuilt, Arc::clone(&reduced)));
+        let entry = (chain.clone(), prebuilt, Arc::clone(&reduced));
+        self.lists.borrow_mut().chains.push(entry);
         NodeList::Shared(reduced)
     }
 
@@ -357,14 +403,15 @@ impl<'a> Executor<'a> {
         NodeList::Owned(self.probe(axis, &nodes, witnesses).into_vec())
     }
 
-    /// One sequential semijoin probe.
+    /// One sequential semijoin probe, its work added to [`Executor::pred`].
     fn probe(&self, axis: SemijoinAxis, candidates: &Context, list: &[Pre]) -> Context {
-        match axis {
+        let (kept, stats) = match axis {
             SemijoinAxis::Descendant => has_descendant_in(self.doc, candidates, list),
             SemijoinAxis::Child => has_child_in(self.doc, candidates, list),
             SemijoinAxis::Ancestor => has_ancestor_in(self.doc, candidates, list),
-        }
-        .0
+        };
+        self.add_pred(&stats);
+        kept
     }
 
     /// Applies the node test to an **owned** intermediate sequence:
@@ -414,38 +461,30 @@ impl<'a> Executor<'a> {
     }
 
     /// Executes the step's join operator and node test — everything but
-    /// its predicates; returns (result, nodes touched, tuples produced
-    /// before dedup, seeks).
+    /// its predicates — adding its work and the tuples it produced
+    /// before dedup to `trace`.
     pub(crate) fn exec_join(
         &self,
         ctx: &Context,
         step: &PlannedStep,
         scratch: &mut Scratch,
-    ) -> (Context, u64, u64, u64) {
+        trace: &mut StepTrace,
+    ) -> Context {
         let doc = self.doc;
-        match step.axis {
-            Axis::Descendant => self.partitioning(ctx, PartAxis::Descendant, step, scratch),
-            Axis::Ancestor => self.partitioning(ctx, PartAxis::Ancestor, step, scratch),
-            Axis::Following => self.partitioning(ctx, PartAxis::Following, step, scratch),
-            Axis::Preceding => self.partitioning(ctx, PartAxis::Preceding, step, scratch),
-            Axis::DescendantOrSelf | Axis::AncestorOrSelf => {
-                let paxis = if step.axis == Axis::DescendantOrSelf {
-                    PartAxis::Descendant
-                } else {
-                    PartAxis::Ancestor
-                };
-                let (base, touched, produced, seeks) = self.partitioning(ctx, paxis, step, scratch);
-                (
-                    self.or_self(ctx, base, step, scratch),
-                    touched,
-                    produced,
-                    seeks,
-                )
-            }
+        if let Some(paxis) = part_axis_of(step.axis) {
+            let base = self.partitioning(ctx, paxis, step, scratch, trace);
+            return match step.axis {
+                Axis::DescendantOrSelf | Axis::AncestorOrSelf => {
+                    self.or_self(ctx, base, step, scratch)
+                }
+                _ => base,
+            };
+        }
+        let (out, touched) = match step.axis {
             Axis::SelfAxis => {
                 let mut out = scratch.take();
                 apply_test_into(doc, ctx, &step.test, Axis::SelfAxis, &mut out);
-                (Context::from_sorted(out), ctx.len() as u64, 0, 0)
+                (Context::from_sorted(out), ctx.len() as u64)
             }
             Axis::Parent => {
                 let mut parents: Vec<Pre> = ctx
@@ -457,11 +496,12 @@ impl<'a> Executor<'a> {
                 parents.dedup();
                 let parents = Context::from_sorted(parents);
                 let out = self.test_pooled(parents, &step.test, Axis::Parent, scratch);
-                (out, ctx.len() as u64, 0, 0)
+                (out, ctx.len() as u64)
             }
             Axis::Child => {
                 // Planned as an on-list join (auto, `child::name`)?
-                if let Some(joined) = self.fragment_join(ctx, step, scratch) {
+                if let Some((joined, stats)) = self.fragment_join(ctx, step, scratch) {
+                    trace.join(&stats);
                     return joined;
                 }
                 // Per-context children via subtree jumps: O(Σ #children),
@@ -481,7 +521,7 @@ impl<'a> Executor<'a> {
                 kids.sort_unstable();
                 let out =
                     self.test_pooled(Context::from_sorted(kids), &step.test, Axis::Child, scratch);
-                (out, touched, 0, 0)
+                (out, touched)
             }
             Axis::Attribute => {
                 let mut attrs = Vec::new();
@@ -498,9 +538,10 @@ impl<'a> Executor<'a> {
                 }
                 let attrs = Context::from_sorted(attrs);
                 let out = self.test_pooled(attrs, &step.test, Axis::Attribute, scratch);
-                (out, touched, 0, 0)
+                (out, touched)
             }
-            Axis::FollowingSibling | Axis::PrecedingSibling => {
+            // The sibling axes (the partitioning ones returned above).
+            _ => {
                 // Per parent, the extremal context child bounds the sibling
                 // range.
                 use std::collections::HashMap;
@@ -537,9 +578,11 @@ impl<'a> Executor<'a> {
                 }
                 let out =
                     self.test_pooled(Context::from_sorted(sibs), &step.test, step.axis, scratch);
-                (out, touched, 0, 0)
+                (out, touched)
             }
-        }
+        };
+        trace.join(&charged(touched));
+        out
     }
 
     /// Merges an or-self step's tested context nodes into its axis
@@ -567,35 +610,34 @@ impl<'a> Executor<'a> {
         paxis: PartAxis,
         step: &PlannedStep,
         scratch: &mut Scratch,
-    ) -> (Context, u64, u64, u64) {
+        trace: &mut StepTrace,
+    ) -> Context {
         let doc = self.doc;
-        match step.op {
+        let (out, stats) = match (&step.op, self.sql) {
             // The planner only emits fragment joins for name-tested
             // steps; anything else falls through to the plain join so a
             // hand-built plan stays total.
-            StepOp::Fragment { .. } => {
+            (StepOp::Fragment { .. }, _) => {
                 self.fragment_join(ctx, step, scratch).unwrap_or_else(|| {
                     self.plain_staircase(ctx, paxis, step, Variant::default(), scratch)
                 })
             }
-            StepOp::Staircase { variant } => {
-                self.plain_staircase(ctx, paxis, step, variant, scratch)
+            (StepOp::Staircase { variant }, _) => {
+                self.plain_staircase(ctx, paxis, step, *variant, scratch)
             }
             // The horizontal scan ignores the variant: pruning collapses
             // the context to one node and the region is contiguous.
-            StepOp::Horiz => self.plain_staircase(ctx, paxis, step, Variant::default(), scratch),
-            StepOp::Naive | StepOp::Structural => {
-                // Structural never reaches a partitioning axis from the
-                // planner; route it through the naive region scan so a
-                // hand-built plan still evaluates correctly.
-                let (base, stats) = naive_step(doc, ctx, axis_of(paxis));
-                let out = self.test_pooled(base, &step.test, axis_of(paxis), scratch);
-                (out, stats.nodes_scanned, stats.tuples_produced, 0)
+            (StepOp::Horiz, _) => {
+                self.plain_staircase(ctx, paxis, step, Variant::default(), scratch)
             }
-            StepOp::Sql {
-                eq1_window,
-                early_nametest,
-            } => {
+            (
+                StepOp::Sql {
+                    eq1_window,
+                    early_nametest,
+                },
+                Some(sql),
+            ) => {
+                let (eq1_window, early_nametest) = (*eq1_window, *early_nametest);
                 let pushed_tag = match (early_nametest, &step.test) {
                     (true, NodeTest::Name(name)) => doc.tag_id(name),
                     _ => None,
@@ -603,67 +645,76 @@ impl<'a> Executor<'a> {
                 if early_nametest && matches!(step.test, NodeTest::Name(_)) && pushed_tag.is_none()
                 {
                     // Name never occurs in the document: empty result.
-                    return (Context::empty(), 0, 0, 0);
+                    return Context::empty();
                 }
-                let Some(sql) = self.sql else {
-                    // Resolution always provides the B-tree for SQL plans;
-                    // stay total for hand-built plans.
-                    let (base, stats) = naive_step(doc, ctx, axis_of(paxis));
-                    let out = self.test_pooled(base, &step.test, axis_of(paxis), scratch);
-                    return (out, stats.nodes_scanned, stats.tuples_produced, 0);
-                };
                 let opts = SqlPlanOptions {
                     eq1_window,
                     early_nametest: pushed_tag,
                 };
                 let (base, stats) = sql.axis_step(ctx, axis_of(paxis), opts);
+                trace.tuples_produced = stats.tuples_produced;
                 let out = if pushed_tag.is_some() {
                     base
                 } else {
                     self.test_pooled(base, &step.test, axis_of(paxis), scratch)
                 };
-                (out, stats.index_entries_scanned, stats.tuples_produced, 0)
+                (out, charged(stats.index_entries_scanned))
+            }
+            // Structural never reaches a partitioning axis from the
+            // planner, and resolution always provides the B-tree for SQL
+            // plans; route a hand-built plan through the naive region
+            // scan so it still evaluates correctly.
+            (StepOp::Naive | StepOp::Structural | StepOp::Sql { .. }, _) => {
+                let (base, stats) = naive_step(doc, ctx, axis_of(paxis));
+                trace.tuples_produced = stats.tuples_produced;
+                let out = self.test_pooled(base, &step.test, axis_of(paxis), scratch);
+                (out, charged(stats.nodes_scanned))
             }
             // The planner only emits twig steps on the descendant axis,
             // over downward legs; any other region (hand-built plan)
             // falls back to the plain join plus the step's residual test.
-            StepOp::Twig(ref region) => match paxis {
+            (StepOp::Twig(region), _) => match paxis {
                 PartAxis::Descendant => self.twig_step(ctx, region),
                 _ => None,
             }
             .unwrap_or_else(|| self.plain_staircase(ctx, paxis, step, Variant::default(), scratch)),
-        }
+        };
+        trace.join(&stats);
+        out
     }
 
     /// The step's on-list join, if it is planned as one: a
     /// [`StepOp::Fragment`] over a name test on an axis with a list edge.
+    /// A selection scan it runs is part of its work.
     fn fragment_join(
         &self,
         ctx: &Context,
         step: &PlannedStep,
         scratch: &mut Scratch,
-    ) -> Option<(Context, u64, u64, u64)> {
+    ) -> Option<(Context, StepStats)> {
         let StepOp::Fragment { prescan } = step.op else {
             return None;
         };
         let (Some(edge), NodeTest::Name(name)) = (list_edge_of(step.axis), &step.test) else {
             return None;
         };
-        Some(if prescan {
-            // nametest(doc, n) selection scan at query time; its cost is
-            // the whole plane (§4.4) — except for names absent from the
-            // dictionary, where no scan runs.
-            let scan_cost = if self.doc.tag_id(name).is_some() {
-                self.doc.len() as u64
-            } else {
-                0
-            };
-            let list = self.scan_list(name);
-            on_list_join(self.doc, edge, &list, ctx, scan_cost, scratch)
+        // nametest(doc, n) selection scan at query time (§4.4), run once
+        // per evaluation, or the prebuilt fragment: a scan that runs is
+        // this join's work, not a predicate's.
+        let pending = self.pred.take();
+        let list = if prescan {
+            self.scan_list(name)
         } else {
-            let list = self.fragment_list_windowed(name, edge, ctx);
-            on_list_join(self.doc, edge, &list, ctx, 0, scratch)
-        })
+            self.fragment_list_windowed(name, edge, ctx)
+        };
+        let scan = self.pred.replace(pending);
+        let (out, mut stats) = match edge {
+            SemijoinAxis::Descendant => descendant_on_list_pooled(self.doc, &list, ctx, scratch),
+            SemijoinAxis::Ancestor => ancestor_on_list_pooled(self.doc, &list, ctx, scratch),
+            SemijoinAxis::Child => child_on_list_pooled(self.doc, &list, ctx, scratch),
+        };
+        stats.merge(&scan);
+        Some((out, stats))
     }
 
     /// Executes a fused twig region: one sorted list per spine leg (the
@@ -675,7 +726,9 @@ impl<'a> Executor<'a> {
     /// [`staircase_core::twig_match`] as one-step chains. The result is
     /// the output (last) leg's binding in document order; `None` for a
     /// leg or predicate that starts upward, which no planned region has.
-    fn twig_step(&self, ctx: &Context, region: &SemijoinChain) -> Option<(Context, u64, u64, u64)> {
+    /// The reductions are the step's predicate work ([`Executor::pred`]);
+    /// the legs' lists are the index's, which a twig plan always has.
+    fn twig_step(&self, ctx: &Context, region: &SemijoinChain) -> Option<(Context, StepStats)> {
         let edge = |axis| match axis {
             SemijoinAxis::Descendant => Some(TwigEdge::Descendant),
             SemijoinAxis::Child => Some(TwigEdge::Child),
@@ -701,8 +754,7 @@ impl<'a> Executor<'a> {
                     .collect(),
             })
             .collect();
-        let (out, stats) = twig_match(self.doc, &spine, ctx);
-        Some((out, stats.nodes_touched(), 0, stats.seeks))
+        Some(twig_match(self.doc, &spine, ctx))
     }
 
     /// The staircase join over the whole plane, the step's node test
@@ -714,55 +766,27 @@ impl<'a> Executor<'a> {
         step: &PlannedStep,
         variant: Variant,
         scratch: &mut Scratch,
-    ) -> (Context, u64, u64, u64) {
+    ) -> (Context, StepStats) {
         let doc = self.doc;
         let test = scan_test(doc, &step.test, axis_of(paxis));
-        let (out, stats) = match paxis {
+        match paxis {
             PartAxis::Descendant => descendant_pooled(doc, ctx, variant, &test, scratch),
             PartAxis::Ancestor => ancestor_pooled(doc, ctx, variant, &test, scratch),
             PartAxis::Following => following_pooled(doc, ctx, &test, scratch),
             PartAxis::Preceding => preceding_pooled(doc, ctx, &test, scratch),
-        };
-        (out, stats.nodes_touched(), 0, 0)
+        }
     }
 }
 
-/// The trace of one executed step.
-pub(crate) fn trace(
-    step: &PlannedStep,
-    result_size: usize,
-    touched: u64,
-    produced: u64,
-    seeks: u64,
-) -> StepTrace {
-    StepTrace {
-        step: step.rendered.clone(),
-        op: step.op.to_string(),
-        result_size,
-        nodes_touched: touched,
-        tuples_produced: produced.max(result_size as u64),
-        seeks,
-        est_cost: step.estimate.cost,
-        replanned: false,
+/// The counters of `touched` nodes read where no kernel ticked — a
+/// structural hop, a naive or SQL step, a selection scan — charged to
+/// the ambient budget as a kernel charges its own.
+fn charged(touched: u64) -> StepStats {
+    governor::current().inspect(|budget| budget.add_touched(touched));
+    StepStats {
+        nodes_scanned: touched,
+        ..StepStats::default()
     }
-}
-
-/// The on-list (fragment) join of one edge with its name-test scan cost
-/// folded in.
-fn on_list_join(
-    doc: &Doc,
-    edge: ListEdge,
-    list: &[Pre],
-    ctx: &Context,
-    scan_cost: u64,
-    scratch: &mut Scratch,
-) -> (Context, u64, u64, u64) {
-    let (out, stats) = match edge {
-        ListEdge::Descendant => descendant_on_list_pooled(doc, list, ctx, scratch),
-        ListEdge::Ancestor => ancestor_on_list_pooled(doc, list, ctx, scratch),
-        ListEdge::Child => child_on_list_pooled(doc, list, ctx, scratch),
-    };
-    (out, stats.nodes_touched() + scan_cost, 0, stats.seeks)
 }
 
 /// The principal node kind of an axis (attributes for `attribute::`,
@@ -1047,6 +1071,44 @@ mod tests {
             .run("/descendant::increase/ancestor::node()", Engine::naive())
             .unwrap();
         assert!(out.stats().total_duplicates() > 0);
+    }
+
+    /// A selection scan is the work of the step that runs it: the second
+    /// `bidder` step reuses the first one's scan and reports only its
+    /// join, what the prebuilt fragment's join reports.
+    #[test]
+    fn a_prescan_reports_its_selection_scan_once() {
+        let session = Session::new(auction_doc());
+        let n = session.doc().len() as u64;
+        let expr = "/descendant::bidder/descendant::bidder";
+        let pushdown = Engine::staircase().pushdown(true).build().unwrap();
+        let fragmented = Engine::staircase().fragmented(true).build().unwrap();
+        let touched = |engine| -> Vec<u64> {
+            let out = session.run(expr, engine).unwrap();
+            out.stats().steps.iter().map(|s| s.nodes_touched).collect()
+        };
+        let (scanned, prebuilt) = (touched(pushdown), touched(fragmented));
+        assert_eq!(prebuilt, [3, 0]);
+        assert_eq!(scanned, [n + prebuilt[0], prebuilt[1]]);
+    }
+
+    /// A step's predicate work is reported beside its join's, on every
+    /// engine: `[bidder/increase]` probes the candidates and reduces the
+    /// chain (or, as a nested loop, runs the sub-plan per candidate).
+    #[test]
+    fn a_predicate_chain_reports_its_work() {
+        let session = Session::new(auction_doc());
+        for engine in engines() {
+            let out = session
+                .run("//open_auction[bidder/increase]/@id", engine)
+                .unwrap();
+            assert_eq!(out.len(), 1, "{engine:?}");
+            let step = &out.stats().steps[0];
+            assert!(step.step.ends_with("increase]"), "{step:?}");
+            assert!(step.pred_touched > 0, "{engine:?}: {step:?}");
+            let rest = &out.stats().steps[1..];
+            assert!(rest.iter().all(|s| s.pred_touched == 0), "{engine:?}");
+        }
     }
 
     #[test]

@@ -226,12 +226,12 @@
 //! governor** ([`staircase_core::governor`]): a [`Budget`] carries an
 //! optional wall-clock deadline, an optional touched-nodes cost
 //! ceiling, and a cancellation flag, and is enforced *cooperatively* —
-//! it is installed ambiently around its own query, the core kernels tick
-//! it at partition/chunk/seek boundaries, and the executor checks it
-//! before and after every step, so a governed query stops with bounded
-//! overshoot and no locks held. A query is governed by handing
-//! [`Session::execute`] a budget in its slot; ungoverned slots pay
-//! nothing (one branch per kernel).
+//! it is installed ambiently around its own query, the core kernels
+//! charge it every node they count (a query's steps' `nodes_touched +
+//! pred_touched`), and the executor checks it before and after every
+//! step, so a governed query stops with bounded overshoot and no locks
+//! held. A query is governed by handing [`Session::execute`] a budget in
+//! its slot; ungoverned slots pay nothing (one branch per kernel).
 //!
 //! What can fail, and what survives:
 //!

@@ -49,16 +49,6 @@ pub(crate) enum PartAxis {
     Preceding,
 }
 
-/// The three edges with an on-list (fragment) join: the two vertical
-/// axes and `child`, which joins the same list slices with the parent
-/// column as its keep test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ListEdge {
-    Descendant,
-    Ancestor,
-    Child,
-}
-
 /// The partitioning axis evaluated by `axis` (or-self variants map to
 /// their base axis; the self-merge is layered on top by the evaluator).
 pub(crate) fn part_axis_of(axis: Axis) -> Option<PartAxis> {
@@ -71,13 +61,15 @@ pub(crate) fn part_axis_of(axis: Axis) -> Option<PartAxis> {
     }
 }
 
-/// The on-list join edge evaluated by `axis`, if any.
-pub(crate) fn list_edge_of(axis: Axis) -> Option<ListEdge> {
+/// The on-list (fragment) join edge evaluated by `axis`, if any: the two
+/// vertical axes, and `child`, which joins the same list slices with the
+/// parent column as its keep test — a semijoin probe's three edges.
+pub(crate) fn list_edge_of(axis: Axis) -> Option<SemijoinAxis> {
     match axis {
-        Axis::Child => Some(ListEdge::Child),
+        Axis::Child => Some(SemijoinAxis::Child),
         _ => match part_axis_of(axis)? {
-            PartAxis::Descendant => Some(ListEdge::Descendant),
-            PartAxis::Ancestor => Some(ListEdge::Ancestor),
+            PartAxis::Descendant => Some(SemijoinAxis::Descendant),
+            PartAxis::Ancestor => Some(SemijoinAxis::Ancestor),
             PartAxis::Following | PartAxis::Preceding => None,
         },
     }

@@ -310,7 +310,8 @@ impl Session {
                 .any(|(p, _)| p.needs_sql_engine())
                 .then(|| self.sql_engine()),
             scratch: &self.scratch,
-            lists: Mutex::default(),
+            lists: Default::default(),
+            pred: Default::default(),
         };
         match from {
             Some(context) => ex.run(&jobs, context),
